@@ -6,12 +6,12 @@
 //! gz info stream.gzs
 //! gz components stream.gzs [--workers 4] [--store ram|disk] \
 //!     [--buffering leaf|tree] [--dir /tmp/gzwork] [--forest] \
-//!     [--query-mode snapshot|streaming] [--query-threads N] \
+//!     [--query-mode streaming|snapshot] [--query-threads N] \
 //!     [--staleness U] [--threshold T] [--io-backend auto|pread|uring] \
 //!     [--stats] [--shards K [--connect host:port,host:port,...]] \
 //!     [--checkpoint-every N] [--batch-updates N] [--respawn]
 //! gz checkpoint save ckpt.gzc --from stream.gzs [--workers 4] [--seed S]
-//! gz checkpoint restore ckpt.gzc [--forest] [--query-mode streaming]
+//! gz checkpoint restore ckpt.gzc [--forest] [--query-mode streaming|snapshot]
 //! gz shard-worker --listen 127.0.0.1:7001 --nodes 1024 --shards 2 --index 0 \
 //!     [--checkpoint shard.ckpt | --resume shard.ckpt]
 //! gz serve (--listen host:port | --unix sock.path) --nodes 1024 \
@@ -481,7 +481,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                      coordinator's fate; there is nothing to reconnect to)"
                     .into());
             }
-            let query_mode = query_mode.unwrap_or(QueryMode::Snapshot);
+            let query_mode = query_mode.unwrap_or_default();
             if staleness.is_some() && query_mode != QueryMode::Streaming {
                 return Err("--staleness requires --query-mode streaming".into());
             }
@@ -564,7 +564,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                     Ok(Command::CheckpointRestore {
                         path,
                         forest,
-                        query_mode: query_mode.unwrap_or(QueryMode::Snapshot),
+                        query_mode: query_mode.unwrap_or_default(),
                         query_threads,
                         io_backend,
                     })
@@ -1337,10 +1337,11 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        // Default is snapshot; bad values are refused.
+        // Default is the library's (streaming); bad values are refused.
         match parse_components("components s.gzs") {
             Command::Components { query_mode, .. } => {
-                assert_eq!(query_mode, QueryMode::Snapshot);
+                assert_eq!(query_mode, QueryMode::default());
+                assert_eq!(query_mode, QueryMode::Streaming);
             }
             other => panic!("{other:?}"),
         }
@@ -1487,13 +1488,18 @@ mod tests {
     fn parses_staleness_flag() {
         // --staleness needs the streaming query engine (the snapshot path
         // folds fresh state by construction, so the knob would silently
-        // not take effect).
-        match parse_components("components s.gzs --query-mode streaming --staleness 100") {
-            Command::Components { staleness, query_mode, .. } => {
-                assert_eq!(staleness, Some(100));
-                assert_eq!(query_mode, QueryMode::Streaming);
+        // not take effect) — which is the default, named or not.
+        for line in [
+            "components s.gzs --staleness 100",
+            "components s.gzs --query-mode streaming --staleness 100",
+        ] {
+            match parse_components(line) {
+                Command::Components { staleness, query_mode, .. } => {
+                    assert_eq!(staleness, Some(100), "{line}");
+                    assert_eq!(query_mode, QueryMode::Streaming, "{line}");
+                }
+                other => panic!("{other:?}"),
             }
-            other => panic!("{other:?}"),
         }
         // Zero is meaningful: reseal on every query.
         match parse_components("components s.gzs --query-mode streaming --staleness 0") {
@@ -1505,8 +1511,6 @@ mod tests {
             Command::Components { staleness, .. } => assert_eq!(staleness, None),
             other => panic!("{other:?}"),
         }
-        let err = parse_args(&argv("components s.gzs --staleness 5")).unwrap_err();
-        assert!(err.contains("requires --query-mode streaming"), "{err}");
         let err =
             parse_args(&argv("components s.gzs --query-mode snapshot --staleness 5")).unwrap_err();
         assert!(err.contains("requires --query-mode streaming"), "{err}");
@@ -1733,7 +1737,7 @@ mod tests {
         // Defaults.
         assert!(matches!(
             parse_args(&argv("checkpoint restore c.gzc")).unwrap(),
-            Command::CheckpointRestore { forest: false, query_mode: QueryMode::Snapshot, .. }
+            Command::CheckpointRestore { forest: false, query_mode: QueryMode::Streaming, .. }
         ));
         // Malformed forms are refused.
         assert!(parse_args(&argv("checkpoint")).is_err(), "missing action");

@@ -7,10 +7,12 @@
 //! `log_{3/2} V` rounds; exceeding it is the `algorithm_fails` event with
 //! probability `≤ 1/V^c`.
 //!
-//! The engine is *round-driven*: round `r` pulls only round `r`'s sketch
-//! slices from a [`SketchSource`] and folds each vertex's slice into its
-//! live supernode's accumulator as it streams past. Because sketch merging
-//! is a per-round XOR, the accumulator of a supernode is bit-identical to
+//! The engine is *round-driven*: round `r` has a [`SketchSource`] fold only
+//! round `r` of every live vertex into that vertex's supernode accumulator
+//! — a dense vertex's round slice is merged in as it streams past, a sparse
+//! vertex's exact edge set is XORed in directly
+//! ([`crate::sparse::SparseRoundBatch`]). Because sketch merging is a
+//! per-round XOR, the accumulator of a supernode is bit-identical to
 //! round `r` of the merged sketch stack the materialized algorithm would
 //! hold — so every source (a RAM snapshot, a disk store streaming groups
 //! with prefetch, a shard fleet shipping round frames) produces the same
@@ -76,10 +78,11 @@ impl BoruvkaOutcome {
 }
 
 /// One query worker's fold target for one Borůvka round: a per-supernode
-/// accumulator vector plus the round's supernode map. Sources deliver each
-/// node's round slice to exactly one sink (any sink — XOR commutes); the
-/// engine XOR-merges the sinks in worker order afterwards, which makes the
-/// merged accumulators bit-identical to a single-threaded fold.
+/// accumulator vector plus the round's supernode map. Sources fold each
+/// node's round contribution into exactly one sink (any sink — XOR
+/// commutes); the engine XOR-merges the sinks in worker order afterwards,
+/// which makes the merged accumulators bit-identical to a single-threaded
+/// fold.
 pub struct RoundSink<'a, S> {
     root_of: &'a [u32],
     retired: &'a [bool],
@@ -107,17 +110,52 @@ impl<'a, S: L0Sampler + Clone> RoundSink<'a, S> {
     /// for retired supernodes).
     #[inline]
     pub fn fold(&mut self, node: u32, slice: &S) {
-        let root = self.root_of[node as usize] as usize;
-        if self.retired[root] {
-            return;
-        }
-        match &mut self.acc[root] {
+        let Some(root) = self.live_root(node) else { return };
+        match &mut self.acc[root as usize] {
             Some(acc) => acc.merge_from(slice),
             slot => {
                 self.acc_bytes += slice.payload_bytes();
                 *slot = Some(slice.clone());
             }
         }
+    }
+
+    /// [`Self::fold`] for a slice the caller built for this call (a
+    /// deserialized read or wire entry): the first slice to reach a
+    /// supernode *becomes* its accumulator instead of being cloned into one.
+    #[inline]
+    pub fn fold_owned(&mut self, node: u32, slice: S) {
+        let Some(root) = self.live_root(node) else { return };
+        match &mut self.acc[root as usize] {
+            Some(acc) => acc.merge_from(&slice),
+            slot => {
+                self.acc_bytes += slice.payload_bytes();
+                *slot = Some(slice);
+            }
+        }
+    }
+
+    /// `node`'s supernode root this round, or `None` once that supernode
+    /// has retired.
+    #[inline]
+    pub(crate) fn live_root(&self, node: u32) -> Option<u32> {
+        let root = self.root_of[node as usize];
+        (!self.retired[root as usize]).then_some(root)
+    }
+
+    /// The accumulator of live supernode `root`, started from `empty()` on
+    /// first touch — the in-place fold's entry point: sparse vertices XOR
+    /// their edge indices straight into it (see
+    /// [`crate::sparse::SparseRoundBatch`]).
+    #[inline]
+    pub(crate) fn accumulator(&mut self, root: u32, empty: impl FnOnce() -> S) -> &mut S {
+        debug_assert!(!self.retired[root as usize], "retired supernodes are never folded");
+        let acc_bytes = &mut self.acc_bytes;
+        self.acc[root as usize].get_or_insert_with(|| {
+            let acc = empty();
+            *acc_bytes += acc.payload_bytes();
+            acc
+        })
     }
 }
 
@@ -491,6 +529,30 @@ mod tests {
                     reference.sketch_failures, parallel.sketch_failures,
                     "failures at {threads} threads"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn fold_owned_accumulates_like_fold() {
+        // Vertices 0 and 1 share supernode 0; 2 is alone; 3 has retired.
+        let (_p, sketches) = sketches_for(4, &[(0, 2), (1, 2), (0, 3)], 9);
+        let (root_of, retired) = ([0u32, 0, 2, 3], [false, false, false, true]);
+        let mut by_ref = RoundSink::new(&root_of, &retired);
+        let mut by_value = RoundSink::new(&root_of, &retired);
+        for (v, stack) in sketches.iter().enumerate() {
+            let slice = stack.as_ref().unwrap().round(0);
+            by_ref.fold(v as u32, slice);
+            by_value.fold_owned(v as u32, slice.clone());
+        }
+        assert_eq!(by_ref.acc_bytes, by_value.acc_bytes);
+        for (a, b) in by_ref.accumulators().into_iter().zip(by_value.accumulators()) {
+            assert_eq!(a.is_some(), b.is_some());
+            if let (Some(a), Some(b)) = (a, b) {
+                let (mut x, mut y) = (Vec::new(), Vec::new());
+                a.serialize_into(&mut x);
+                b.serialize_into(&mut y);
+                assert_eq!(x, y);
             }
         }
     }

@@ -75,15 +75,26 @@ pub enum StoreBackend {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QueryMode {
     /// Materialize every node's full sketch stack in RAM before running
-    /// Boruvka — simple, but peak query memory is `O(V × full sketch)`,
-    /// which forfeits a disk store's RAM budget at query time.
-    #[default]
+    /// Boruvka — peak query memory is `O(V × full sketch)`, which forfeits
+    /// a disk store's RAM budget (and a hybrid store's sparse vertices) at
+    /// query time. Kept selectable as the bit-identity oracle the streaming
+    /// engine is tested against.
     Snapshot,
-    /// Stream round slices out of the store round by round (group-
-    /// sequential with prefetch on disk), folding them into per-supernode
-    /// accumulators: peak query memory is `O(live components × one round)`
-    /// plus the prefetch window. Labels are bit-identical to `Snapshot`.
+    /// The default: fold the store in place, round by round (group-
+    /// sequential reads with prefetch on disk, borrowed slices in RAM,
+    /// sparse vertices XORed straight from their exact sets) into
+    /// per-supernode accumulators: peak query memory is
+    /// `O(live components × one round)` plus the prefetch window. Labels
+    /// are bit-identical to `Snapshot`.
+    #[default]
     Streaming,
+}
+
+/// What a `query_threads` of `None` resolves to: the ingestion worker
+/// count, but no more threads than the host can run at once — folding is
+/// CPU-bound, so oversubscribed query workers only add hand-over cost.
+pub(crate) fn default_query_threads(num_workers: usize) -> usize {
+    num_workers.min(std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Batch-level locking discipline (paper §5.1's critical-section
@@ -127,8 +138,9 @@ pub struct GzConfig {
     pub query_mode: QueryMode,
     /// Worker threads the Borůvka query engine folds, samples, and (on
     /// disk stores) reads with; `None` = the ingestion worker count
-    /// (`num_workers`). Answers are bit-identical at any thread count —
-    /// this is purely a performance knob (DESIGN.md §10).
+    /// (`num_workers`), capped at the host's available parallelism.
+    /// Answers are bit-identical at any thread count — this is purely a
+    /// performance knob (DESIGN.md §10).
     pub query_threads: Option<usize>,
     /// Bounded staleness for streaming queries (DESIGN.md §11). `None`
     /// (the default) keeps the stop-the-world behavior: every query
@@ -199,10 +211,11 @@ impl GzConfig {
         self.num_rounds.unwrap_or_else(|| default_rounds(self.num_nodes))
     }
 
-    /// Worker threads the query engine runs with (defaults to the
-    /// ingestion worker count).
+    /// Worker threads the query engine runs with: the explicit setting,
+    /// else the ingestion worker count capped at the host's available
+    /// parallelism.
     pub fn query_threads(&self) -> usize {
-        self.query_threads.unwrap_or(self.num_workers).max(1)
+        self.query_threads.unwrap_or_else(|| default_query_threads(self.num_workers)).max(1)
     }
 
     /// Validate invariants the system relies on.
@@ -277,6 +290,27 @@ mod tests {
         let mut c = GzConfig::in_ram(64);
         c.io.queue_depth = 0;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn default_query_threads_are_clamped_to_the_host() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let mut c = GzConfig::in_ram(64);
+        c.num_workers = cores + 7;
+        assert_eq!(c.query_threads(), cores, "the default never oversubscribes");
+        c.num_workers = 1;
+        assert_eq!(c.query_threads(), 1, "and never exceeds the worker count");
+        // An explicit setting is taken as given.
+        c.query_threads = Some(cores + 7);
+        assert_eq!(c.query_threads(), cores + 7);
+    }
+
+    #[test]
+    fn queries_stream_by_default() {
+        assert_eq!(QueryMode::default(), QueryMode::Streaming);
+        assert_eq!(GzConfig::in_ram(64).query_mode, QueryMode::Streaming);
+        let disk = GzConfig::on_disk(64, std::env::temp_dir());
+        assert_eq!(disk.query_mode, QueryMode::Streaming);
     }
 
     #[test]

@@ -94,8 +94,7 @@ pub use sharding::{
 };
 pub use sparse::SparseSet;
 pub use store::{
-    uring_available, EpochOverlay, EpochRoundSource, IoBackendConfig, IoBackendKind,
-    MaterializedSource, NodeSet, RepStats, SketchEpoch, SketchSource, SliceSource,
-    StoreRoundSource,
+    uring_available, EpochOverlay, IoBackendConfig, IoBackendKind, MaterializedSource, NodeSet,
+    RepStats, SketchEpoch, SketchSource, SliceSource, StoreRoundSource,
 };
 pub use system::{ConnectedComponents, GraphZeppelin};

@@ -48,7 +48,7 @@ use crate::boruvka::{boruvka_rounds_parallel, boruvka_spanning_forest_parallel, 
 use crate::config::{GutterCapacity, LockingStrategy, QueryMode, StoreBackend};
 use crate::error::GzError;
 use crate::node_sketch::{CubeNodeSketch, CubeRoundSketch, SketchParams};
-use crate::sparse::SparseSet;
+use crate::sparse::{SparseRoundBatch, SparseSet};
 use crate::store::io_backend::IoBackendConfig;
 use crate::store::SketchSource;
 use gz_gutters::WorkerPool;
@@ -90,8 +90,9 @@ pub struct ShardConfig {
     /// sketch state or the answers).
     pub query_mode: QueryMode,
     /// Worker threads the coordinator's Borůvka engine folds and samples
-    /// with; `None` = the per-shard ingestion worker count. Coordinator-side
-    /// only — answers are bit-identical at any thread count.
+    /// with; `None` = the per-shard ingestion worker count, capped at the
+    /// host's available parallelism. Coordinator-side only — answers are
+    /// bit-identical at any thread count.
     pub query_threads: Option<usize>,
     /// Bounded staleness for streaming queries (DESIGN.md §11), mirroring
     /// [`crate::config::GzConfig::query_staleness`]: `None` (the default)
@@ -149,10 +150,13 @@ impl ShardConfig {
         self.num_rounds.unwrap_or_else(|| crate::config::default_rounds(self.num_nodes))
     }
 
-    /// Worker threads the coordinator queries with (defaults to the
-    /// ingestion worker count).
+    /// Worker threads the coordinator queries with: the explicit setting,
+    /// else the per-shard ingestion worker count capped at the host's
+    /// available parallelism.
     pub fn query_threads(&self) -> usize {
-        self.query_threads.unwrap_or(self.workers_per_shard).max(1)
+        self.query_threads
+            .unwrap_or_else(|| crate::config::default_query_threads(self.workers_per_shard))
+            .max(1)
     }
 
     /// The shared sketch parameters every shard derives.
@@ -642,30 +646,15 @@ impl SketchSource for GatherRoundSource<'_> {
         self.resident
     }
 
-    fn stream_round(
-        &mut self,
-        round: usize,
-        live: &(dyn Fn(u32) -> bool + Sync),
-        sink: &mut dyn FnMut(u32, &Self::Sampler),
-    ) -> Result<(), GzError> {
-        let entries = self.transport.lock().gather_round(round as u32, self.epochs)?;
-        self.resident = entries.iter().map(|e| e.bytes.len()).sum();
-        let expect_bytes = self.params.round_serialized_bytes(round);
-        let mut seen = vec![false; self.num_nodes as usize];
-        for e in &entries {
-            validate_round_entry(&mut seen, e, round, expect_bytes)?;
-            if live(e.node) {
-                sink(e.node, &decode_round_entry(self.params, round, e));
-            }
-        }
-        require_all_gathered(&seen)
-    }
-
     /// Parallel gather: `GatherRound` frames go to every shard up front and
     /// each reply is folded *as it arrives* — shard `i`'s slices
     /// deserialize and fold (fanned out across the pool's workers) while
     /// shards `j > i` are still serializing or transmitting theirs, instead
-    /// of collecting the whole round before any folding starts.
+    /// of collecting the whole round before any folding starts. A dense
+    /// entry (tag 0) is deserialized and handed to the sink by value; a
+    /// sparse entry (tag 1) is never turned into a slice — its neighbors are
+    /// queued and XORed into the supernode accumulators in place, exactly as
+    /// a store folds its own sparse vertices.
     fn stream_round_into(
         &mut self,
         round: usize,
@@ -690,11 +679,21 @@ impl SketchSource for GatherRoundSource<'_> {
                     return;
                 }
                 let mut sink = sinks[w].lock();
+                let mut sparse = SparseRoundBatch::default();
                 for e in &entries[range] {
-                    if live(e.node) {
-                        sink.fold(e.node, &decode_round_entry(params, round, e));
+                    if !live(e.node) {
+                        continue;
+                    }
+                    // Tags were validated above.
+                    if e.bytes[0] == 0 {
+                        sink.fold_owned(e.node, params.deserialize_round(round, &e.bytes[1..]));
+                    } else {
+                        let neighbors =
+                            SparseSet::wire_neighbors(&e.bytes[1..]).expect("entry validated");
+                        sparse.push(&sink, e.node, neighbors, params.num_nodes);
                     }
                 }
+                sparse.fold_into(&mut sink, params, round);
             });
             Ok(())
         })?;
@@ -731,7 +730,7 @@ fn validate_round_entry(
             }
         }
         Some(1) => {
-            if SparseSet::decode_wire(&e.bytes[1..]).is_none() {
+            if SparseSet::wire_neighbors(&e.bytes[1..]).is_none() {
                 return Err(GzError::Protocol(format!(
                     "round {round} sparse set for node {} is malformed",
                     e.node
@@ -746,25 +745,6 @@ fn validate_round_entry(
         }
     }
     Ok(())
-}
-
-/// Decode a *validated* v5 round entry into its round slice: tag 0 carries
-/// the dense serialization; tag 1 carries a sparse neighbor-set the
-/// coordinator replays through the batch kernel — bit-identical to the
-/// dense slice the shard would hold had the node been promoted.
-fn decode_round_entry(
-    params: &SketchParams,
-    round: usize,
-    e: &gz_stream::wire::SketchEntry,
-) -> CubeRoundSketch {
-    match e.bytes[0] {
-        0 => params.deserialize_round(round, &e.bytes[1..]),
-        1 => {
-            let set = SparseSet::decode_wire(&e.bytes[1..]).expect("entry validated");
-            set.synthesize_round(e.node, params, round)
-        }
-        tag => unreachable!("entry validated, got tag {tag}"),
-    }
 }
 
 /// Every node of the universe must have been gathered by some shard.

@@ -248,13 +248,25 @@ impl ShardPipeline {
             )));
         }
         self.flush();
+        self.round_entries(round, None)
+    }
+
+    /// One tagged `RoundSketches` entry per owned node, as sealed by
+    /// `overlay` (`None` = the live state): sparse sets encoded straight
+    /// from the store's borrow, then the dense round slices.
+    fn round_entries(
+        &self,
+        round: usize,
+        overlay: Option<&EpochOverlay>,
+    ) -> Result<Vec<SketchEntry>, GzError> {
         let mut entries = Vec::with_capacity(self.store.node_set().len());
-        for (node, set) in self.store.sparse_sets(&|_| true) {
-            let mut bytes = vec![1u8];
+        self.store.for_each_sparse(&|_| true, overlay, &mut |node, set| {
+            let mut bytes = Vec::with_capacity(5 + set.resident_bytes());
+            bytes.push(1u8);
             set.encode_wire(&mut bytes);
             entries.push(SketchEntry { node, bytes });
-        }
-        self.store.stream_round_dense(round, &|_| true, &mut |node, sketch| {
+        });
+        self.store.stream_round_dense(round, &|_| true, overlay, &mut |node, sketch| {
             let mut bytes = Vec::with_capacity(1 + self.params.round_serialized_bytes(round));
             bytes.push(0u8);
             sketch.serialize_into(&mut bytes);
@@ -294,19 +306,7 @@ impl ShardPipeline {
             self.epochs.lock().get(&epoch).cloned().ok_or_else(|| {
                 GzError::Protocol(format!("GatherRound for unknown epoch {epoch}"))
             })?;
-        let mut entries = Vec::with_capacity(self.store.node_set().len());
-        for (node, set) in self.store.sparse_sets_at(&|_| true, &overlay) {
-            let mut bytes = vec![1u8];
-            set.encode_wire(&mut bytes);
-            entries.push(SketchEntry { node, bytes });
-        }
-        self.store.stream_round_dense_at(round, &|_| true, &overlay, &mut |node, sketch| {
-            let mut bytes = Vec::with_capacity(1 + self.params.round_serialized_bytes(round));
-            bytes.push(0u8);
-            sketch.serialize_into(&mut bytes);
-            entries.push(SketchEntry { node, bytes });
-        })?;
-        Ok(entries)
+        self.round_entries(round, Some(&overlay))
     }
 
     /// Drop this shard's handle on `epoch`, letting the store reclaim its

@@ -12,11 +12,15 @@
 //! through the batch kernel is **bit-identical** to one maintained densely
 //! from the start. Sketch state is XOR-linear in the toggled index multiset;
 //! cancelled pairs contribute nothing either way; ordering is irrelevant.
-//! That replay argument is what lets promotion happen at any time (and lets
-//! queries synthesize a single round slice on demand) without an equivalence
-//! caveat anywhere in the system.
+//! That replay argument is what lets promotion happen at any time without an
+//! equivalence caveat anywhere in the system — and what lets a query skip
+//! promotion altogether: [`SparseRoundBatch`] XORs a sparse vertex's edge
+//! indices straight into its supernode's round accumulator, which by the
+//! same linearity equals merging the slice the vertex would have held.
 
+use crate::boruvka::RoundSink;
 use crate::node_sketch::{update_index, CubeNodeSketch, CubeRoundSketch, SketchParams};
+use std::ops::Range;
 
 /// Sorted exact set of a vertex's live (non-cancelled) neighbors.
 ///
@@ -71,7 +75,7 @@ impl SparseSet {
     /// `node` — the replay batch. Distinct neighbors map to distinct edge
     /// indices, so no self-cancellation pre-pass is needed.
     pub fn replay_indices(&self, node: u32, num_nodes: u64) -> Vec<u64> {
-        self.neighbors.iter().map(|&o| update_index(node, o, num_nodes)).collect()
+        edge_indices(node, self.neighbors.iter().copied(), num_nodes).collect()
     }
 
     /// Materialize the full node sketch this set stands for — the promotion
@@ -85,9 +89,10 @@ impl SparseSet {
         sketch
     }
 
-    /// Synthesize just the round-`round` slice — what a streaming query
-    /// needs from an unpromoted vertex. Replays the set into a fresh sketch
-    /// of that round's family only (`O(set × 1 round)`, not `O(set × log V)`).
+    /// Synthesize just the round-`round` slice by replaying the set into a
+    /// fresh sketch of that round's family. Queries do not call this — they
+    /// fold in place through [`SparseRoundBatch`]; it is the oracle the
+    /// in-place fold is tested against.
     pub fn synthesize_round(
         &self,
         node: u32,
@@ -116,29 +121,117 @@ impl SparseSet {
         }
     }
 
-    /// Decode a wire payload produced by [`Self::encode_wire`]. Returns
-    /// `None` on truncation, trailing bytes, unsorted or duplicate entries
-    /// (strict, like the rest of the wire layer).
-    pub fn decode_wire(bytes: &[u8]) -> Option<SparseSet> {
-        if bytes.len() < 4 {
+    /// The neighbors of a wire payload produced by [`Self::encode_wire`],
+    /// read in place. Returns `None` on truncation, trailing bytes, unsorted
+    /// or duplicate entries (strict, like the rest of the wire layer).
+    pub fn wire_neighbors(bytes: &[u8]) -> Option<impl Iterator<Item = u32> + '_> {
+        let (count, body) = bytes.split_first_chunk::<4>()?;
+        if body.len() != u32::from_le_bytes(*count) as usize * 4 {
             return None;
         }
-        let count = u32::from_le_bytes(bytes[0..4].try_into().unwrap()) as usize;
-        if bytes.len() != 4 + count * 4 {
-            return None;
-        }
-        let mut neighbors = Vec::with_capacity(count);
-        for i in 0..count {
-            let off = 4 + i * 4;
-            let n = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap());
-            if let Some(&last) = neighbors.last() {
-                if n <= last {
-                    return None;
-                }
+        let neighbors = || {
+            body.chunks_exact(4).map(|n| u32::from_le_bytes(n.try_into().expect("4-byte chunk")))
+        };
+        let mut rest = neighbors();
+        let mut last = rest.next();
+        for n in rest {
+            if Some(n) <= last {
+                return None;
             }
-            neighbors.push(n);
+            last = Some(n);
         }
-        Some(SparseSet { neighbors })
+        Some(neighbors())
+    }
+
+    /// Decode a wire payload produced by [`Self::encode_wire`]; `None` when
+    /// [`Self::wire_neighbors`] rejects it.
+    pub fn decode_wire(bytes: &[u8]) -> Option<SparseSet> {
+        Some(SparseSet { neighbors: Self::wire_neighbors(bytes)?.collect() })
+    }
+}
+
+/// The characteristic-vector indices of `node`'s edges to `neighbors`.
+pub(crate) fn edge_indices(
+    node: u32,
+    neighbors: impl Iterator<Item = u32>,
+    num_nodes: u64,
+) -> impl Iterator<Item = u64> {
+    neighbors.map(move |other| update_index(node, other, num_nodes))
+}
+
+/// One query worker's sparse vertices for one Borůvka round, queued flat
+/// (no per-vertex allocation) and folded in place.
+///
+/// A store worker pushes the sealed neighbor set of every live sparse vertex
+/// in its share while it holds that vertex's lock; the sharded coordinator
+/// pushes the tag-1 entries of a gathered reply. [`Self::fold_into`] then
+/// groups the vertices by supernode and XORs each group's edge indices into
+/// that supernode's accumulator with one batch-kernel call. By XOR-linearity
+/// the accumulator ends up bit-identical to merging each vertex's
+/// [`SparseSet::synthesize_round`] slice, while an edge whose endpoints are
+/// both queued under the same supernode meets itself in the group and is
+/// dropped before it is ever hashed.
+#[derive(Default)]
+pub(crate) struct SparseRoundBatch {
+    /// Supernode root and range into `indices` of each queued vertex.
+    vertices: Vec<(u32, Range<usize>)>,
+    /// Characteristic-vector indices of the queued vertices' live edges.
+    indices: Vec<u64>,
+}
+
+impl SparseRoundBatch {
+    /// Queue `node` with its live `neighbors`, unless `sink` says its
+    /// supernode has retired. A vertex with no neighbors is still queued:
+    /// its (empty) accumulator is what lets the engine retire it.
+    pub(crate) fn push(
+        &mut self,
+        sink: &RoundSink<'_, CubeRoundSketch>,
+        node: u32,
+        neighbors: impl Iterator<Item = u32>,
+        num_nodes: u64,
+    ) {
+        let Some(root) = sink.live_root(node) else { return };
+        let start = self.indices.len();
+        self.indices.extend(edge_indices(node, neighbors, num_nodes));
+        self.vertices.push((root, start..self.indices.len()));
+    }
+
+    /// Hand each queued supernode its prepared index batch — its vertices'
+    /// indices concatenated, with every index that occurs an even number of
+    /// times (an edge between two of its queued vertices) dropped — and
+    /// leave the batch empty.
+    fn drain_groups(&mut self, mut f: impl FnMut(u32, &[u64])) {
+        self.vertices.sort_unstable_by_key(|(root, _)| *root);
+        let mut merged = Vec::new();
+        for group in self.vertices.chunk_by(|a, b| a.0 == b.0) {
+            if let [(root, only)] = group {
+                // One vertex's neighbors are distinct, so are its indices.
+                f(*root, &self.indices[only.clone()]);
+                continue;
+            }
+            merged.clear();
+            for (_, range) in group {
+                merged.extend_from_slice(&self.indices[range.clone()]);
+            }
+            gz_sketch::cancel_duplicates(&mut merged);
+            f(group[0].0, &merged);
+        }
+        self.vertices.clear();
+        self.indices.clear();
+    }
+
+    /// Fold every queued vertex into its supernode's round-`round`
+    /// accumulator in `sink`, leaving the batch empty.
+    pub(crate) fn fold_into(
+        &mut self,
+        sink: &mut RoundSink<'_, CubeRoundSketch>,
+        params: &SketchParams,
+        round: usize,
+    ) {
+        let family = &params.families[round];
+        self.drain_groups(|root, indices| {
+            sink.accumulator(root, || family.new_sketch()).update_batch_prepared(indices);
+        });
     }
 }
 
@@ -226,6 +319,9 @@ mod tests {
         assert_eq!(bytes.len(), 4 + 3 * 4);
         assert_eq!(SparseSet::decode_wire(&bytes).unwrap(), s);
 
+        assert_eq!(SparseSet::wire_neighbors(&bytes).unwrap().collect::<Vec<_>>(), [4, 7, 200]);
+        assert!(SparseSet::wire_neighbors(&[]).is_none(), "no count");
+
         // Truncated.
         assert!(SparseSet::decode_wire(&bytes[..bytes.len() - 1]).is_none());
         // Trailing garbage.
@@ -242,6 +338,101 @@ mod tests {
         dup.extend_from_slice(&5u32.to_le_bytes());
         dup.extend_from_slice(&5u32.to_le_bytes());
         assert!(SparseSet::decode_wire(&dup).is_none());
+    }
+
+    /// Serialized accumulators of a fold, `None` where nothing was folded.
+    fn folded_bytes(sink: RoundSink<'_, CubeRoundSketch>) -> Vec<Option<Vec<u8>>> {
+        let bytes = |acc: CubeRoundSketch| {
+            let mut out = Vec::new();
+            acc.serialize_into(&mut out);
+            out
+        };
+        sink.accumulators().into_iter().map(|acc| acc.map(bytes)).collect()
+    }
+
+    #[test]
+    fn in_place_fold_matches_synthesize_then_merge() {
+        // Supernodes {0,1,2}, {3}, {4,5}; vertex 6 is retired and 7 empty.
+        let p = params(8);
+        let root_of = [0u32, 0, 0, 3, 4, 4, 6, 7];
+        let mut retired = [false; 8];
+        retired[6] = true;
+        let sets: Vec<SparseSet> = [
+            vec![1u32, 2, 5],
+            vec![0, 2, 3],
+            vec![0, 1],
+            vec![1, 4, 7],
+            vec![3, 5],
+            vec![0, 4],
+            vec![7],
+            vec![],
+        ]
+        .into_iter()
+        .map(SparseSet::from_neighbors)
+        .collect();
+        for round in 0..p.rounds() {
+            let mut oracle = RoundSink::new(&root_of, &retired);
+            let mut in_place = RoundSink::new(&root_of, &retired);
+            let mut batch = SparseRoundBatch::default();
+            // Reverse order: grouping must not depend on arrival order.
+            for (node, set) in sets.iter().enumerate().rev() {
+                let node = node as u32;
+                oracle.fold(node, &set.synthesize_round(node, &p, round));
+                batch.push(&in_place, node, set.neighbors().iter().copied(), 8);
+            }
+            batch.fold_into(&mut in_place, &p, round);
+            let (oracle, in_place) = (folded_bytes(oracle), folded_bytes(in_place));
+            assert_eq!(oracle, in_place, "round {round}");
+            assert!(in_place[6].is_none(), "retired supernodes are never folded");
+            assert!(in_place[7].is_some(), "an isolated vertex still gets its accumulator");
+        }
+    }
+
+    #[test]
+    fn folding_a_vertex_twice_leaves_the_accumulator_empty() {
+        let p = params(16);
+        let (root_of, retired) = ([0u32; 16], [false; 16]);
+        let set = SparseSet::from_neighbors(vec![1, 4, 9, 12, 15]);
+        // Twice within one batch: the copies meet in the supernode's group.
+        let mut sink = RoundSink::new(&root_of, &retired);
+        let mut batch = SparseRoundBatch::default();
+        for _ in 0..2 {
+            batch.push(&sink, 3, set.neighbors().iter().copied(), 16);
+        }
+        batch.fold_into(&mut sink, &p, 0);
+        assert!(sink.accumulators()[0].as_ref().unwrap().is_empty());
+        // Twice across batches: the second XORs the first back out in place.
+        let mut sink = RoundSink::new(&root_of, &retired);
+        for _ in 0..2 {
+            batch.push(&sink, 3, set.neighbors().iter().copied(), 16);
+            batch.fold_into(&mut sink, &p, 0);
+        }
+        assert!(sink.accumulators()[0].as_ref().unwrap().is_empty());
+    }
+
+    #[test]
+    fn a_supernodes_internal_edge_is_cancelled_before_hashing() {
+        // Vertices 2 and 5 share supernode 2: edge (2,5) is queued from both
+        // ends and must be gone from the batch the kernel would hash; the
+        // cut edges (2,7) and (5,9) survive. Vertex 7 is its own supernode,
+        // so its end of (2,7) stays.
+        let mut root_of: Vec<u32> = (0..12).collect();
+        root_of[5] = 2;
+        let retired = [false; 12];
+        let sink = RoundSink::new(&root_of, &retired);
+        let mut batch = SparseRoundBatch::default();
+        batch.push(&sink, 2, [5u32, 7].into_iter(), 12);
+        batch.push(&sink, 7, [2u32].into_iter(), 12);
+        batch.push(&sink, 5, [2u32, 9].into_iter(), 12);
+        let mut groups = Vec::new();
+        batch.drain_groups(|root, indices| groups.push((root, indices.to_vec())));
+        let mut cut = vec![update_index(2, 7, 12), update_index(5, 9, 12)];
+        cut.sort_unstable();
+        assert_eq!(groups, vec![(2, cut), (7, vec![update_index(2, 7, 12)])]);
+        // A supernode with nothing but internal edges hashes nothing at all.
+        batch.push(&sink, 2, [5u32].into_iter(), 12);
+        batch.push(&sink, 5, [2u32].into_iter(), 12);
+        batch.drain_groups(|root, indices| assert_eq!((root, indices.len()), (2, 0)));
     }
 
     #[test]

@@ -17,8 +17,9 @@
 //! `nodes_in_group` strided seeks. [`DiskStore::stream_round`] reads those
 //! slices sequentially and prefetches ahead on a background thread.
 
+use crate::boruvka::RoundSink;
 use crate::node_sketch::{CubeNodeSketch, CubeRoundSketch, NodeSketch, SketchParams};
-use crate::sparse::SparseSet;
+use crate::sparse::{SparseRoundBatch, SparseSet};
 use crate::store::epoch::{EpochOverlay, EpochRegistry};
 use crate::store::io_backend::{IoBackendConfig, IoBackendImpl, ReadReq, O_DIRECT};
 use crate::store::{NodeSet, RepStats};
@@ -352,8 +353,9 @@ impl DiskStore {
     }
 
     /// Deliver `group`'s live, dense round-`round` slices out of a raw file
-    /// slice. Slots in `skip` (sparse at the relevant instant) are never
-    /// emitted: their file bytes are all-zero padding, not their state.
+    /// slice, each deserialized for this call and handed over by value.
+    /// Slots in `skip` (sparse at the relevant instant) are never emitted:
+    /// their file bytes are all-zero padding, not their state.
     fn emit_group_slice(
         &self,
         group: u32,
@@ -361,7 +363,7 @@ impl DiskStore {
         bytes: &[u8],
         live: &(dyn Fn(u32) -> bool + Sync),
         skip: &HashSet<usize>,
-        sink: &mut dyn FnMut(u32, &CubeRoundSketch),
+        sink: &mut dyn FnMut(u32, CubeRoundSketch),
     ) {
         let round_bytes = self.params.round_serialized_bytes(round);
         let start = (group * self.group_size) as usize;
@@ -373,7 +375,7 @@ impl DiskStore {
             let sketch = self
                 .params
                 .deserialize_round(round, &bytes[i * round_bytes..(i + 1) * round_bytes]);
-            sink(node, &sketch);
+            sink(node, sketch);
         }
     }
 
@@ -631,7 +633,11 @@ impl DiskStore {
                         result = Err(e);
                         break;
                     }
-                    Ok(bytes) => self.emit_group_slice(group, round, &bytes, live, &skip, sink),
+                    Ok(bytes) => {
+                        self.emit_group_slice(group, round, &bytes, live, &skip, &mut |n, s| {
+                            sink(n, &s)
+                        })
+                    }
                 }
             }
             // The close guard unblocks the prefetcher if the fold bailed
@@ -722,7 +728,14 @@ impl DiskStore {
                         None => {
                             let bytes =
                                 bytes.expect("prefetcher reads any group the overlay lacks");
-                            self.emit_group_slice(group, round, &bytes, live, &skip, sink);
+                            self.emit_group_slice(
+                                group,
+                                round,
+                                &bytes,
+                                live,
+                                &skip,
+                                &mut |n, s| sink(n, &s),
+                            );
                         }
                     },
                 }
@@ -740,7 +753,7 @@ impl DiskStore {
         live: &(dyn Fn(u32) -> bool + Sync),
         overlay: &EpochOverlay,
         pool: &gz_gutters::WorkerPool,
-        sinks: &[parking_lot::Mutex<crate::boruvka::RoundSink<'_, CubeRoundSketch>>],
+        sinks: &[Mutex<RoundSink<'_, CubeRoundSketch>>],
     ) -> std::io::Result<()> {
         let skip = self.sealed_sparse_slots(overlay);
         let wanted = self.wanted_groups(live, &skip);
@@ -805,7 +818,7 @@ impl DiskStore {
                                 bytes,
                                 live,
                                 &skip,
-                                &mut |n, s| sink.fold(n, s),
+                                &mut |n, s| sink.fold_owned(n, s),
                             ),
                         }
                         !failed.load(std::sync::atomic::Ordering::Relaxed)
@@ -845,7 +858,7 @@ impl DiskStore {
         round: usize,
         live: &(dyn Fn(u32) -> bool + Sync),
         pool: &gz_gutters::WorkerPool,
-        sinks: &[parking_lot::Mutex<crate::boruvka::RoundSink<'_, CubeRoundSketch>>],
+        sinks: &[Mutex<RoundSink<'_, CubeRoundSketch>>],
     ) -> std::io::Result<()> {
         self.flush()?;
         let skip = self.sparse_slots();
@@ -881,7 +894,7 @@ impl DiskStore {
                     &local_io,
                     &mut |i, bytes| {
                         self.emit_group_slice(chunk[i], round, bytes, live, &skip, &mut |n, s| {
-                            sink.fold(n, s)
+                            sink.fold_owned(n, s)
                         });
                         !failed.load(std::sync::atomic::Ordering::Relaxed)
                     },
@@ -985,50 +998,80 @@ impl DiskStore {
         self.params.node_sketch_bytes() * self.node_set.len()
     }
 
-    /// Clone the live sparse sets of `live` nodes, for the dispatch layer's
-    /// sparse synthesis pass. Empty at τ = 0 without touching the table.
-    pub fn sparse_sets(&self, live: &(dyn Fn(u32) -> bool + Sync)) -> Vec<(u32, SparseSet)> {
-        if self.threshold == 0 {
-            return Vec::new();
-        }
-        let table = self.sparse.lock();
-        table
-            .iter()
-            .enumerate()
-            .filter_map(|(slot, set)| {
-                let set = set.as_ref()?;
-                let node = self.node_set.node(slot);
-                live(node).then(|| (node, set.clone()))
-            })
-            .collect()
-    }
-
-    /// [`Self::sparse_sets`] as sealed at `overlay`'s epoch: an overlay
+    /// Visit the exact set of every owned, still-`live` sparse slot in
+    /// `slots`, as sealed by `overlay` (`None` = the live state): an overlay
     /// pre-image outranks the live set (the slot toggled or promoted after
     /// the seal); a live sparse slot with no capture is unchanged since the
-    /// seal. Taken under the table lock, so a concurrent promotion is seen
-    /// either as still-live or as its (mandatory) capture — never neither.
-    pub fn sparse_sets_at(
+    /// seal. The whole visit runs under the table lock, so a concurrent
+    /// promotion is seen either as still-live or as its (mandatory) capture
+    /// — never neither. Visits nothing at τ = 0, without touching the table.
+    fn visit_sparse(
         &self,
+        slots: std::ops::Range<usize>,
         live: &(dyn Fn(u32) -> bool + Sync),
-        overlay: &EpochOverlay,
-    ) -> Vec<(u32, SparseSet)> {
+        overlay: Option<&EpochOverlay>,
+        f: &mut dyn FnMut(u32, &SparseSet),
+    ) {
         if self.threshold == 0 {
-            return Vec::new();
+            return;
         }
         let table = self.sparse.lock();
-        (0..table.len())
-            .filter_map(|slot| {
-                let node = self.node_set.node(slot);
-                if !live(node) {
-                    return None;
+        for slot in slots {
+            let node = self.node_set.node(slot);
+            if !live(node) {
+                continue;
+            }
+            match overlay.and_then(|o| o.get_sparse(slot as u32)) {
+                Some(pre) => f(node, &pre),
+                None => {
+                    if let Some(set) = &table[slot] {
+                        f(node, set);
+                    }
                 }
-                if let Some(pre) = overlay.get_sparse(slot as u32) {
-                    return Some((node, (*pre).clone()));
-                }
-                table[slot].as_ref().map(|set| (node, set.clone()))
-            })
-            .collect()
+            }
+        }
+    }
+
+    /// Visit every owned, still-`live` sparse vertex's exact set in slot
+    /// order (see [`crate::store::SketchStore::for_each_sparse`]).
+    pub fn for_each_sparse(
+        &self,
+        live: &(dyn Fn(u32) -> bool + Sync),
+        overlay: Option<&EpochOverlay>,
+        f: &mut dyn FnMut(u32, &SparseSet),
+    ) {
+        self.visit_sparse(0..self.node_set.len(), live, overlay, f);
+    }
+
+    /// The sparse half of a round fold: slots are partitioned into
+    /// contiguous ranges, one per pool worker; each worker queues its live
+    /// sparse vertices' neighbors under the table lock, releases it, and
+    /// XORs them into its own sink's supernode accumulators in place. No
+    /// file traffic, and no slice is built.
+    pub fn fold_sparse_round(
+        &self,
+        round: usize,
+        live: &(dyn Fn(u32) -> bool + Sync),
+        overlay: Option<&EpochOverlay>,
+        pool: &gz_gutters::WorkerPool,
+        sinks: &[Mutex<RoundSink<'_, CubeRoundSketch>>],
+    ) {
+        if self.threshold == 0 {
+            return;
+        }
+        pool.run(&|w| {
+            let mut sink = sinks[w].lock();
+            let mut sparse = SparseRoundBatch::default();
+            self.visit_sparse(
+                pool.partition(self.node_set.len(), w),
+                live,
+                overlay,
+                &mut |node, set| {
+                    sparse.push(&sink, node, set.neighbors().iter().copied(), self.params.num_nodes)
+                },
+            );
+            sparse.fold_into(&mut sink, &self.params, round);
+        });
     }
 
     /// Representation census: promoted vs sparse slot counts and total
@@ -1427,8 +1470,9 @@ mod tests {
         s.stream_round(0, &|_| true, &mut |node, _| seen.push(node)).unwrap();
         assert_eq!(seen, vec![4], "sparse slots must not be emitted by the dense stream");
         assert_eq!(s.io_stats().reads() - before, 1, "all-sparse groups must not be read");
-        // The dispatch layer serves sparse nodes; check the raw sets here.
-        let sets = s.sparse_sets(&|_| true);
+        // Sparse nodes are served from their sets; check the raw sets here.
+        let mut sets = Vec::new();
+        s.for_each_sparse(&|_| true, None, &mut |n, set| sets.push((n, set.clone())));
         assert!(sets.iter().any(|(n, set)| *n == 7 && set.neighbors() == [1]));
         assert!(!sets.iter().any(|(n, _)| *n == 4), "promoted node must leave the table");
     }

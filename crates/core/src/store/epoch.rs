@@ -19,11 +19,11 @@
 //! the moment E was sealed, regardless of how many batches land while the
 //! query runs. The equivalence suite (`tests/epochs.rs`) pins this.
 
-use crate::boruvka::{boruvka_rounds_parallel, BoruvkaOutcome, RoundSink};
+use crate::boruvka::{boruvka_rounds_parallel, BoruvkaOutcome};
 use crate::error::GzError;
-use crate::node_sketch::{CubeNodeSketch, CubeRoundSketch};
+use crate::node_sketch::CubeNodeSketch;
 use crate::sparse::SparseSet;
-use crate::store::{SketchSource, SketchStore};
+use crate::store::{SketchStore, StoreRoundSource};
 use gz_gutters::WorkerPool;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -229,7 +229,7 @@ impl SketchEpoch {
     pub fn spanning_forest(&self) -> Result<BoruvkaOutcome, GzError> {
         let params = self.store.params();
         let (num_nodes, rounds) = (params.num_nodes, params.rounds());
-        let mut source = EpochRoundSource::new(&self.store, &self.overlay);
+        let mut source = StoreRoundSource::at_epoch(&self.store, &self.overlay);
         boruvka_rounds_parallel(&mut source, num_nodes, rounds, self.query_threads)
     }
 
@@ -240,64 +240,8 @@ impl SketchEpoch {
     pub fn spanning_forest_with_pool(&self, pool: &WorkerPool) -> Result<BoruvkaOutcome, GzError> {
         let params = self.store.params();
         let (num_nodes, rounds) = (params.num_nodes, params.rounds());
-        let mut source = EpochRoundSource::new(&self.store, &self.overlay);
+        let mut source = StoreRoundSource::at_epoch(&self.store, &self.overlay);
         crate::boruvka::boruvka_rounds_with_pool(&mut source, num_nodes, rounds, pool)
-    }
-}
-
-/// The epoch-pinned streaming source: round slices come from the store's
-/// open generation, masked by the overlay's sealed pre-images — same
-/// storage-friendly access pattern as [`crate::StoreRoundSource`], without
-/// quiescing ingestion.
-pub struct EpochRoundSource<'a> {
-    store: &'a SketchStore,
-    overlay: &'a EpochOverlay,
-    resident: usize,
-}
-
-impl<'a> EpochRoundSource<'a> {
-    /// Wrap a store pinned to `overlay`'s epoch.
-    pub fn new(store: &'a SketchStore, overlay: &'a EpochOverlay) -> Self {
-        EpochRoundSource { store, overlay, resident: 0 }
-    }
-}
-
-impl SketchSource for EpochRoundSource<'_> {
-    type Sampler = CubeRoundSketch;
-
-    fn num_rounds(&self) -> usize {
-        self.store.params().rounds()
-    }
-
-    fn resident_bytes(&self) -> usize {
-        self.resident
-    }
-
-    fn stream_round(
-        &mut self,
-        round: usize,
-        live: &(dyn Fn(u32) -> bool + Sync),
-        sink: &mut dyn FnMut(u32, &Self::Sampler),
-    ) -> Result<(), GzError> {
-        self.resident = self.store.round_stream_resident_bytes(round, 1);
-        self.store.stream_round_at(round, live, self.overlay, sink)
-    }
-
-    fn stream_round_into(
-        &mut self,
-        round: usize,
-        live: &(dyn Fn(u32) -> bool + Sync),
-        pool: &WorkerPool,
-        sinks: &[Mutex<RoundSink<'_, Self::Sampler>>],
-    ) -> Result<(), GzError> {
-        self.resident = self.store.round_stream_resident_bytes(round, sinks.len());
-        if sinks.len() == 1 {
-            let mut sink = sinks[0].lock();
-            return self.store.stream_round_at(round, live, self.overlay, &mut |node, slice| {
-                sink.fold(node, slice)
-            });
-        }
-        self.store.stream_round_parallel_at(round, live, self.overlay, pool, sinks)
     }
 }
 

@@ -18,7 +18,7 @@ pub mod io_backend;
 pub mod ram;
 pub mod uring;
 
-pub use epoch::{EpochOverlay, EpochRoundSource, SketchEpoch};
+pub use epoch::{EpochOverlay, SketchEpoch};
 pub use io_backend::{IoBackendConfig, IoBackendKind};
 pub use uring::uring_available;
 
@@ -26,7 +26,7 @@ use crate::boruvka::RoundSink;
 use crate::config::{GzConfig, StoreBackend};
 use crate::error::GzError;
 use crate::node_sketch::{CubeNodeSketch, CubeRoundSketch, NodeSketch, SketchParams};
-use crate::sparse::SparseSet;
+use crate::sparse::{edge_indices, SparseSet};
 use gz_gutters::{IoStats, WorkerPool};
 use gz_sketch::L0Sampler;
 use parking_lot::Mutex;
@@ -232,90 +232,112 @@ impl SketchStore {
     }
 
     /// Stream the round-`round` slice of every owned, still-`live` node
-    /// into `sink` — the storage-friendly query path. Disk stores read one
-    /// contiguous round slice per group with background prefetch; RAM
-    /// stores serve borrowed slices under per-node locks. Sparse vertices
-    /// (hybrid representation) have their slices synthesized on demand by
-    /// replaying their exact sets — bit-identical to dense state, so the
-    /// query engine cannot tell the difference.
+    /// into `sink`, one vertex at a time. Disk stores read one contiguous
+    /// round slice per group with background prefetch; RAM stores serve
+    /// borrowed slices under per-node locks. A sparse vertex (hybrid
+    /// representation) holds no slice, so its exact set is replayed into a
+    /// scratch slice for the call — bit-identical to dense state. Queries
+    /// do not come this way: [`Self::stream_round_parallel`] folds sparse
+    /// vertices in place, without building slices.
     pub fn stream_round(
         &self,
         round: usize,
         live: &(dyn Fn(u32) -> bool + Sync),
         sink: &mut dyn FnMut(u32, &CubeRoundSketch),
     ) -> Result<(), GzError> {
-        self.synthesize_sparse(round, self.sparse_sets(live), sink);
-        self.stream_round_dense(round, live, sink)
+        let params = self.params();
+        let mut slice = params.families[round].new_sketch();
+        let mut indices = Vec::new();
+        self.for_each_sparse(live, None, &mut |node, set| {
+            indices.clear();
+            indices.extend(edge_indices(node, set.neighbors().iter().copied(), params.num_nodes));
+            slice.clear();
+            slice.update_batch_prepared(&indices);
+            sink(node, &slice);
+        });
+        self.stream_round_dense(round, live, None, sink)
     }
 
-    /// The dense half of [`Self::stream_round`]: resident sketch slices
-    /// only, sparse vertices skipped. Used directly by the sharded gather
-    /// path, which ships sparse sets in their exact form (wire tag 1)
-    /// instead of synthesizing locally.
+    /// The dense half of [`Self::stream_round`], as sealed by `overlay`
+    /// (`None` = the live state, which the caller must have quiesced):
+    /// resident sketch slices only, sparse vertices skipped. An epoch read
+    /// serves captured groups from the overlay's pre-images and untouched
+    /// groups from the open generation, whose value still *is* the sealed
+    /// value, and does not quiesce ingestion. Used by the sharded gather
+    /// path, which ships sparse sets in their exact form (wire tag 1).
     pub fn stream_round_dense(
         &self,
         round: usize,
         live: &(dyn Fn(u32) -> bool + Sync),
+        overlay: Option<&EpochOverlay>,
         sink: &mut dyn FnMut(u32, &CubeRoundSketch),
     ) -> Result<(), GzError> {
-        match self {
-            SketchStore::Ram(s) => {
-                s.stream_round(round, live, sink);
-                Ok(())
+        match (self, overlay) {
+            (SketchStore::Ram(s), _) => s.stream_round_dense(round, live, overlay, sink),
+            (SketchStore::Disk(s), None) => s.stream_round(round, live, sink)?,
+            (SketchStore::Disk(s), Some(overlay)) => {
+                s.stream_round_at(round, live, overlay, sink)?
             }
-            SketchStore::Disk(s) => Ok(s.stream_round(round, live, sink)?),
         }
+        Ok(())
     }
 
-    /// Synthesize round-`round` slices for cloned-out sparse sets and emit
-    /// them into `sink` (counted in [`IoStats::rounds_synthesized`] for
-    /// disk stores).
-    fn synthesize_sparse(
+    /// Visit the exact set of every owned, still-`live` sparse vertex, as
+    /// sealed by `overlay` (`None` = the live state): an overlay pre-image
+    /// if the vertex was mutated or promoted after the seal, its live set
+    /// otherwise. Sets are borrowed under the store's lock, not cloned;
+    /// always-dense stores visit nothing.
+    pub fn for_each_sparse(
         &self,
-        round: usize,
-        sets: Vec<(u32, SparseSet)>,
-        sink: &mut dyn FnMut(u32, &CubeRoundSketch),
+        live: &(dyn Fn(u32) -> bool + Sync),
+        overlay: Option<&EpochOverlay>,
+        f: &mut dyn FnMut(u32, &SparseSet),
     ) {
-        if sets.is_empty() {
-            return;
-        }
-        if let Some(io) = self.io_stats() {
-            io.record_synthesized(sets.len() as u64);
-        }
-        let params = self.params();
-        for (node, set) in sets {
-            let slice = set.synthesize_round(node, params, round);
-            sink(node, &slice);
+        match self {
+            SketchStore::Ram(s) => s.for_each_sparse(live, overlay, f),
+            SketchStore::Disk(s) => s.for_each_sparse(live, overlay, f),
         }
     }
 
-    /// Stream the round-`round` slice of every owned, still-`live` node
-    /// with the delivery partitioned across the pool's workers, each
-    /// folding into its own sink. RAM stores partition by slot range; disk
+    /// Fold round `round` of every owned, still-`live` node into the
+    /// pool's per-worker sinks — the storage-friendly query path (paper
+    /// §4.2), live (`overlay = None`, ingestion quiesced by the caller) or
+    /// pinned to a sealed epoch. RAM stores partition by slot range; disk
     /// stores have workers claim node groups from a shared cursor, so up to
-    /// `sinks.len()` positioned group reads are in flight at once. Sparse
-    /// vertices are synthesized serially into the first sink before the
-    /// dense fan-out (delivery order cannot change results — folding is
-    /// XOR).
+    /// `sinks.len()` positioned group reads are in flight at once (a single
+    /// worker instead runs the bounded prefetch pipeline, one reader
+    /// overlapping the fold, which beats a one-worker claim loop). Sparse
+    /// vertices are partitioned the same way and XOR their edge indices
+    /// straight into their supernode's accumulator
+    /// ([`crate::sparse::SparseRoundBatch`]). Which worker folds what
+    /// cannot change results — folding is XOR.
     pub fn stream_round_parallel(
         &self,
         round: usize,
         live: &(dyn Fn(u32) -> bool + Sync),
+        overlay: Option<&EpochOverlay>,
         pool: &WorkerPool,
         sinks: &[Mutex<RoundSink<'_, CubeRoundSketch>>],
     ) -> Result<(), GzError> {
-        let sets = self.sparse_sets(live);
-        {
-            let mut sink0 = sinks[0].lock();
-            self.synthesize_sparse(round, sets, &mut |node, slice| sink0.fold(node, slice));
-        }
         match self {
-            SketchStore::Ram(s) => {
-                s.stream_round_parallel(round, live, pool, sinks);
-                Ok(())
+            SketchStore::Ram(s) => s.stream_round_parallel(round, live, overlay, pool, sinks),
+            SketchStore::Disk(s) => {
+                s.fold_sparse_round(round, live, overlay, pool, sinks);
+                match (sinks, overlay) {
+                    ([sink], _) => {
+                        let mut sink = sink.lock();
+                        self.stream_round_dense(round, live, overlay, &mut |node, slice| {
+                            sink.fold(node, slice)
+                        })?
+                    }
+                    (_, None) => s.stream_round_parallel(round, live, pool, sinks)?,
+                    (_, Some(overlay)) => {
+                        s.stream_round_parallel_at(round, live, overlay, pool, sinks)?
+                    }
+                }
             }
-            SketchStore::Disk(s) => Ok(s.stream_round_parallel(round, live, pool, sinks)?),
         }
+        Ok(())
     }
 
     /// Seal the current generation and return its epoch id and
@@ -328,88 +350,6 @@ impl SketchStore {
         match self {
             SketchStore::Ram(s) => Ok(s.begin_epoch()),
             SketchStore::Disk(s) => Ok(s.begin_epoch()?),
-        }
-    }
-
-    /// [`Self::stream_round`] pinned to a sealed epoch: captured groups are
-    /// served from `overlay`'s pre-images, untouched groups from the open
-    /// generation (whose value still *is* the sealed value). Does not
-    /// quiesce ingestion — this is the concurrent-query read path.
-    pub fn stream_round_at(
-        &self,
-        round: usize,
-        live: &(dyn Fn(u32) -> bool + Sync),
-        overlay: &EpochOverlay,
-        sink: &mut dyn FnMut(u32, &CubeRoundSketch),
-    ) -> Result<(), GzError> {
-        self.synthesize_sparse(round, self.sparse_sets_at(live, overlay), sink);
-        self.stream_round_dense_at(round, live, overlay, sink)
-    }
-
-    /// The dense half of [`Self::stream_round_at`] — sealed-sparse
-    /// vertices skipped (see [`Self::stream_round_dense`]).
-    pub fn stream_round_dense_at(
-        &self,
-        round: usize,
-        live: &(dyn Fn(u32) -> bool + Sync),
-        overlay: &EpochOverlay,
-        sink: &mut dyn FnMut(u32, &CubeRoundSketch),
-    ) -> Result<(), GzError> {
-        match self {
-            SketchStore::Ram(s) => {
-                s.stream_round_at(round, live, overlay, sink);
-                Ok(())
-            }
-            SketchStore::Disk(s) => Ok(s.stream_round_at(round, live, overlay, sink)?),
-        }
-    }
-
-    /// [`Self::stream_round_parallel`] pinned to a sealed epoch (see
-    /// [`Self::stream_round_at`]).
-    pub fn stream_round_parallel_at(
-        &self,
-        round: usize,
-        live: &(dyn Fn(u32) -> bool + Sync),
-        overlay: &EpochOverlay,
-        pool: &WorkerPool,
-        sinks: &[Mutex<RoundSink<'_, CubeRoundSketch>>],
-    ) -> Result<(), GzError> {
-        let sets = self.sparse_sets_at(live, overlay);
-        {
-            let mut sink0 = sinks[0].lock();
-            self.synthesize_sparse(round, sets, &mut |node, slice| sink0.fold(node, slice));
-        }
-        match self {
-            SketchStore::Ram(s) => {
-                s.stream_round_parallel_at(round, live, overlay, pool, sinks);
-                Ok(())
-            }
-            SketchStore::Disk(s) => {
-                Ok(s.stream_round_parallel_at(round, live, overlay, pool, sinks)?)
-            }
-        }
-    }
-
-    /// Clone out the live sparse sets of still-`live` vertices (hybrid
-    /// representation; empty for always-dense stores).
-    pub fn sparse_sets(&self, live: &(dyn Fn(u32) -> bool + Sync)) -> Vec<(u32, SparseSet)> {
-        match self {
-            SketchStore::Ram(s) => s.sparse_sets(live),
-            SketchStore::Disk(s) => s.sparse_sets(live),
-        }
-    }
-
-    /// The sealed sparse view of an epoch: every vertex that was sparse at
-    /// the seal, with its sealed set (overlay pre-image if mutated or
-    /// promoted post-seal, live set otherwise).
-    pub fn sparse_sets_at(
-        &self,
-        live: &(dyn Fn(u32) -> bool + Sync),
-        overlay: &EpochOverlay,
-    ) -> Vec<(u32, SparseSet)> {
-        match self {
-            SketchStore::Ram(s) => s.sparse_sets_at(live, overlay),
-            SketchStore::Disk(s) => s.sparse_sets_at(live, overlay),
         }
     }
 
@@ -466,35 +406,20 @@ pub trait SketchSource {
     /// peak-memory accounting.
     fn resident_bytes(&self) -> usize;
 
-    /// Stream the round-`round` slice of every node whose supernode is
-    /// still `live`, in any order (folding is XOR, so delivery order cannot
-    /// change results); each node must be delivered at most once. Sources
+    /// Fold round `round` of every node whose supernode is still `live`
+    /// into the engine's accumulators, with the delivery partitioned across
+    /// `pool`'s workers, each folding into its own sink
+    /// (`sinks.len() == pool.threads()`). Each node must be folded exactly
+    /// once, into *any* sink and in any order — the engine XOR-merges the
+    /// sinks, so neither partitioning nor order can change results. Sources
     /// may use `live` to skip I/O for fully retired node groups.
-    fn stream_round(
-        &mut self,
-        round: usize,
-        live: &(dyn Fn(u32) -> bool + Sync),
-        sink: &mut dyn FnMut(u32, &Self::Sampler),
-    ) -> Result<(), GzError>;
-
-    /// Stream the round-`round` slice of every live node with delivery
-    /// partitioned across `pool`'s workers, each delivering into its own
-    /// sink (`sinks.len() == pool.threads()`). Each node must still be
-    /// delivered exactly once, to *any* sink — the engine XOR-merges the
-    /// sinks, so the partitioning cannot change results. The default
-    /// implementation streams serially into the first sink; sources with a
-    /// parallel delivery path override it.
     fn stream_round_into(
         &mut self,
         round: usize,
         live: &(dyn Fn(u32) -> bool + Sync),
         pool: &WorkerPool,
         sinks: &[Mutex<RoundSink<'_, Self::Sampler>>],
-    ) -> Result<(), GzError> {
-        let _ = pool;
-        let mut sink = sinks[0].lock();
-        self.stream_round(round, live, &mut |node, slice| sink.fold(node, slice))
-    }
+    ) -> Result<(), GzError>;
 }
 
 /// The snapshot-mode source: a fully materialized `V`-sized sketch vector
@@ -524,23 +449,6 @@ impl<S: L0Sampler + Clone + Send + Sync> SketchSource for MaterializedSource<S> 
 
     fn resident_bytes(&self) -> usize {
         self.resident
-    }
-
-    fn stream_round(
-        &mut self,
-        round: usize,
-        live: &(dyn Fn(u32) -> bool + Sync),
-        sink: &mut dyn FnMut(u32, &Self::Sampler),
-    ) -> Result<(), GzError> {
-        for (v, stack) in self.sketches.iter().enumerate() {
-            if let Some(stack) = stack {
-                let v = v as u32;
-                if round < stack.num_rounds() && live(v) {
-                    sink(v, stack.round(round));
-                }
-            }
-        }
-        Ok(())
     }
 
     fn stream_round_into(
@@ -613,21 +521,6 @@ impl<S: L0Sampler + Clone + Send + Sync> SketchSource for SliceSource<'_, S> {
         0
     }
 
-    fn stream_round(
-        &mut self,
-        round: usize,
-        live: &(dyn Fn(u32) -> bool + Sync),
-        sink: &mut dyn FnMut(u32, &Self::Sampler),
-    ) -> Result<(), GzError> {
-        for (v, stack) in self.sketches.iter().enumerate() {
-            let v = v as u32;
-            if round < stack.num_rounds() && live(v) {
-                sink(v, stack.round(round));
-            }
-        }
-        Ok(())
-    }
-
     fn stream_round_into(
         &mut self,
         round: usize,
@@ -641,19 +534,29 @@ impl<S: L0Sampler + Clone + Send + Sync> SketchSource for SliceSource<'_, S> {
     }
 }
 
-/// The store-aware streaming source: round slices come straight from a
+/// The store-aware streaming source: rounds are folded straight out of a
 /// [`SketchStore`] (group-sequential reads with prefetch when the store is
-/// disk-backed; borrowed in-place slices when it is in RAM).
+/// disk-backed; borrowed in-place slices when it is in RAM; exact sets
+/// XORed in place for sparse vertices) — either its live state or a sealed
+/// epoch of it.
 pub struct StoreRoundSource<'a> {
     store: &'a SketchStore,
+    overlay: Option<&'a EpochOverlay>,
     resident: usize,
 }
 
 impl<'a> StoreRoundSource<'a> {
-    /// Wrap a store. The caller must have quiesced ingestion (flushed the
-    /// buffering system and drained the work queue) first.
+    /// Wrap a store's live state. The caller must have quiesced ingestion
+    /// (flushed the buffering system and drained the work queue) first.
     pub fn new(store: &'a SketchStore) -> Self {
-        StoreRoundSource { store, resident: 0 }
+        StoreRoundSource { store, overlay: None, resident: 0 }
+    }
+
+    /// Wrap a store pinned to `overlay`'s epoch: captured groups are served
+    /// from the overlay's sealed pre-images, the rest from the open
+    /// generation — the same access pattern, without quiescing ingestion.
+    pub fn at_epoch(store: &'a SketchStore, overlay: &'a EpochOverlay) -> Self {
+        StoreRoundSource { store, overlay: Some(overlay), resident: 0 }
     }
 }
 
@@ -668,16 +571,6 @@ impl SketchSource for StoreRoundSource<'_> {
         self.resident
     }
 
-    fn stream_round(
-        &mut self,
-        round: usize,
-        live: &(dyn Fn(u32) -> bool + Sync),
-        sink: &mut dyn FnMut(u32, &Self::Sampler),
-    ) -> Result<(), GzError> {
-        self.resident = self.store.round_stream_resident_bytes(round, 1);
-        self.store.stream_round(round, live, sink)
-    }
-
     fn stream_round_into(
         &mut self,
         round: usize,
@@ -686,14 +579,7 @@ impl SketchSource for StoreRoundSource<'_> {
         sinks: &[Mutex<RoundSink<'_, Self::Sampler>>],
     ) -> Result<(), GzError> {
         self.resident = self.store.round_stream_resident_bytes(round, sinks.len());
-        if sinks.len() == 1 {
-            // Single-threaded: the disk store's bounded prefetch pipeline
-            // (one reader overlapping the fold) beats a one-worker claim
-            // loop, and the RAM path is identical either way.
-            let mut sink = sinks[0].lock();
-            return self.store.stream_round(round, live, &mut |node, slice| sink.fold(node, slice));
-        }
-        self.store.stream_round_parallel(round, live, pool, sinks)
+        self.store.stream_round_parallel(round, live, self.overlay, pool, sinks)
     }
 }
 

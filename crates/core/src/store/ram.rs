@@ -8,9 +8,10 @@
 //! S(x) = S(x) + S(x0)." Both disciplines are implemented; the choice is an
 //! ablation benchmark.
 
+use crate::boruvka::RoundSink;
 use crate::config::LockingStrategy;
 use crate::node_sketch::{CubeNodeSketch, CubeRoundSketch, SketchParams};
-use crate::sparse::SparseSet;
+use crate::sparse::{SparseRoundBatch, SparseSet};
 use crate::store::epoch::{EpochOverlay, EpochRegistry};
 use crate::store::{NodeSet, RepStats};
 use parking_lot::Mutex;
@@ -27,6 +28,13 @@ use std::sync::Arc;
 enum NodeRep {
     Sparse(SparseSet),
     Dense(CubeNodeSketch),
+}
+
+/// A vertex's representation as a query reads it: live, or an epoch's
+/// sealed pre-image (see [`RamStore::read_slot`]).
+enum RepRef<'a> {
+    Sparse(&'a SparseSet),
+    Dense(&'a CubeNodeSketch),
 }
 
 /// Node sketches in memory, one lock per owned node.
@@ -202,42 +210,98 @@ impl RamStore {
         self.with_node(self.node_set.slot(node), |sketch| sketch.merge(delta));
     }
 
+    /// Run `f` on `slot`'s representation as `overlay`'s epoch sealed it
+    /// (`None` = as it is now), under the slot's lock. A captured pre-image
+    /// wins — sparse before dense, since a vertex captured sparse had no
+    /// dense state at the seal; an uncaptured slot's live value *is* its
+    /// sealed value, and the lock makes that check-then-read atomic against
+    /// the capture-then-mutate writer, which takes the same lock first.
+    fn read_slot<R>(
+        &self,
+        slot: usize,
+        overlay: Option<&EpochOverlay>,
+        f: impl FnOnce(RepRef<'_>) -> R,
+    ) -> R {
+        let rep = self.nodes[slot].lock();
+        if let Some(overlay) = overlay {
+            if let Some(pre) = overlay.get_sparse(slot as u32) {
+                return f(RepRef::Sparse(&pre));
+            }
+            if let Some(pre) = overlay.get(slot as u32) {
+                return f(RepRef::Dense(&pre[0]));
+            }
+        }
+        match &*rep {
+            NodeRep::Sparse(set) => f(RepRef::Sparse(set)),
+            NodeRep::Dense(sketch) => f(RepRef::Dense(sketch)),
+        }
+    }
+
     /// Stream the round-`round` slice of every owned, still-`live` **dense**
-    /// node into `sink` in slot order. Each node's lock is held only for its
-    /// own sink call, and nothing is cloned — the streaming query borrows
-    /// the resident sketches in place. Sparse vertices are skipped: the
-    /// [`crate::store::SketchStore`] dispatch synthesizes their slices from
-    /// the exact sets (see [`Self::sparse_sets`]) so each vertex is emitted
-    /// exactly once.
-    pub fn stream_round(
+    /// node into `sink` in slot order, as sealed by `overlay` (`None` = the
+    /// live state). Each node's lock is held only for its own sink call, and
+    /// nothing is cloned. Sparse vertices are skipped — they have no slice;
+    /// see [`Self::for_each_sparse`].
+    pub fn stream_round_dense(
         &self,
         round: usize,
         live: &(dyn Fn(u32) -> bool + Sync),
-        sink: &mut dyn FnMut(u32, &crate::node_sketch::CubeRoundSketch),
+        overlay: Option<&EpochOverlay>,
+        sink: &mut dyn FnMut(u32, &CubeRoundSketch),
     ) {
-        for (slot, lock) in self.nodes.iter().enumerate() {
+        for slot in 0..self.nodes.len() {
             let node = self.node_set.node(slot);
             if !live(node) {
                 continue;
             }
-            let rep = lock.lock();
-            if let NodeRep::Dense(sketch) = &*rep {
-                sink(node, sketch.round(round));
-            }
+            self.read_slot(slot, overlay, |rep| {
+                if let RepRef::Dense(sketch) = rep {
+                    sink(node, sketch.round(round));
+                }
+            });
         }
     }
 
-    /// Parallel form of [`Self::stream_round`]: slots are partitioned into
-    /// contiguous ranges, one per pool worker, and each worker folds its
-    /// range's borrowed round slices into its own sink. Per-node locks make
-    /// this safe against concurrent ingestion, though the system query path
-    /// quiesces ingestion first anyway.
+    /// Visit the exact set of every owned, still-`live` **sparse** node in
+    /// slot order, as sealed by `overlay` (`None` = the live state),
+    /// borrowed under the node's lock.
+    pub fn for_each_sparse(
+        &self,
+        live: &(dyn Fn(u32) -> bool + Sync),
+        overlay: Option<&EpochOverlay>,
+        f: &mut dyn FnMut(u32, &SparseSet),
+    ) {
+        if self.threshold == 0 {
+            return;
+        }
+        for slot in 0..self.nodes.len() {
+            let node = self.node_set.node(slot);
+            if !live(node) {
+                continue;
+            }
+            self.read_slot(slot, overlay, |rep| {
+                if let RepRef::Sparse(set) = rep {
+                    f(node, set);
+                }
+            });
+        }
+    }
+
+    /// Fold round `round` of every owned, still-`live` node, as sealed by
+    /// `overlay` (`None` = the live state), with the slots partitioned into
+    /// contiguous ranges, one per pool worker, each folding into its own
+    /// sink. A dense node's borrowed slice is merged in; a sparse node's
+    /// neighbors are queued under its lock and XORed into the supernode
+    /// accumulators in place once the range is done — no slice is ever
+    /// built for them. Per-node locks make this safe against concurrent
+    /// ingestion.
     pub fn stream_round_parallel(
         &self,
         round: usize,
         live: &(dyn Fn(u32) -> bool + Sync),
+        overlay: Option<&EpochOverlay>,
         pool: &gz_gutters::WorkerPool,
-        sinks: &[parking_lot::Mutex<crate::boruvka::RoundSink<'_, CubeRoundSketch>>],
+        sinks: &[Mutex<RoundSink<'_, CubeRoundSketch>>],
     ) {
         pool.run(&|w| {
             let range = pool.partition(self.nodes.len(), w);
@@ -245,82 +309,23 @@ impl RamStore {
                 return;
             }
             let mut sink = sinks[w].lock();
+            let mut sparse = SparseRoundBatch::default();
             for slot in range {
                 let node = self.node_set.node(slot);
                 if !live(node) {
                     continue;
                 }
-                let rep = self.nodes[slot].lock();
-                if let NodeRep::Dense(sketch) = &*rep {
-                    sink.fold(node, sketch.round(round));
-                }
+                self.read_slot(slot, overlay, |rep| match rep {
+                    RepRef::Dense(sketch) => sink.fold(node, sketch.round(round)),
+                    RepRef::Sparse(set) => sparse.push(
+                        &sink,
+                        node,
+                        set.neighbors().iter().copied(),
+                        self.params.num_nodes,
+                    ),
+                });
             }
-        });
-    }
-
-    /// [`Self::stream_round`] pinned to a sealed epoch: each slot's lock is
-    /// taken, then the overlay is consulted — a captured pre-image wins;
-    /// otherwise the live value is the sealed value (the node lock makes
-    /// the check-then-read atomic against the capture-then-mutate writer,
-    /// which takes the same lock first). Vertices that were sparse at the
-    /// seal (sparse pre-image in the overlay, or still sparse live) are
-    /// skipped — the dispatch layer synthesizes them from
-    /// [`Self::sparse_sets_at`].
-    pub fn stream_round_at(
-        &self,
-        round: usize,
-        live: &(dyn Fn(u32) -> bool + Sync),
-        overlay: &EpochOverlay,
-        sink: &mut dyn FnMut(u32, &CubeRoundSketch),
-    ) {
-        for (slot, lock) in self.nodes.iter().enumerate() {
-            let node = self.node_set.node(slot);
-            if !live(node) {
-                continue;
-            }
-            let rep = lock.lock();
-            if overlay.get_sparse(slot as u32).is_some() {
-                continue;
-            }
-            match (overlay.get(slot as u32), &*rep) {
-                (Some(pre), _) => sink(node, pre[0].round(round)),
-                (None, NodeRep::Dense(sketch)) => sink(node, sketch.round(round)),
-                (None, NodeRep::Sparse(_)) => {} // sealed-sparse: synthesized elsewhere
-            }
-        }
-    }
-
-    /// Parallel form of [`Self::stream_round_at`] (see
-    /// [`Self::stream_round_parallel`] for the partitioning).
-    pub fn stream_round_parallel_at(
-        &self,
-        round: usize,
-        live: &(dyn Fn(u32) -> bool + Sync),
-        overlay: &EpochOverlay,
-        pool: &gz_gutters::WorkerPool,
-        sinks: &[parking_lot::Mutex<crate::boruvka::RoundSink<'_, CubeRoundSketch>>],
-    ) {
-        pool.run(&|w| {
-            let range = pool.partition(self.nodes.len(), w);
-            if range.is_empty() {
-                return;
-            }
-            let mut sink = sinks[w].lock();
-            for slot in range {
-                let node = self.node_set.node(slot);
-                if !live(node) {
-                    continue;
-                }
-                let rep = self.nodes[slot].lock();
-                if overlay.get_sparse(slot as u32).is_some() {
-                    continue;
-                }
-                match (overlay.get(slot as u32), &*rep) {
-                    (Some(pre), _) => sink.fold(node, pre[0].round(round)),
-                    (None, NodeRep::Dense(sketch)) => sink.fold(node, sketch.round(round)),
-                    (None, NodeRep::Sparse(_)) => {}
-                }
-            }
+            sparse.fold_into(&mut sink, &self.params, round);
         });
     }
 
@@ -390,49 +395,6 @@ impl RamStore {
             }
         }
         stats
-    }
-
-    /// Clone out the live sparse sets of still-`live` vertices — the
-    /// dispatch layer's synthesis input for [`Self::stream_round`].
-    pub fn sparse_sets(&self, live: &(dyn Fn(u32) -> bool + Sync)) -> Vec<(u32, SparseSet)> {
-        let mut out = Vec::new();
-        for (slot, m) in self.nodes.iter().enumerate() {
-            let node = self.node_set.node(slot);
-            if !live(node) {
-                continue;
-            }
-            let rep = m.lock();
-            if let NodeRep::Sparse(set) = &*rep {
-                out.push((node, set.clone()));
-            }
-        }
-        out
-    }
-
-    /// The sealed sparse view for an epoch: a vertex that was sparse at the
-    /// seal is returned with its sealed set — the overlay pre-image if it
-    /// was mutated (or promoted) post-seal, the live set otherwise. The
-    /// slot lock makes the overlay-then-live check atomic against the
-    /// capture-then-mutate writer.
-    pub fn sparse_sets_at(
-        &self,
-        live: &(dyn Fn(u32) -> bool + Sync),
-        overlay: &EpochOverlay,
-    ) -> Vec<(u32, SparseSet)> {
-        let mut out = Vec::new();
-        for (slot, m) in self.nodes.iter().enumerate() {
-            let node = self.node_set.node(slot);
-            if !live(node) {
-                continue;
-            }
-            let rep = m.lock();
-            if let Some(pre) = overlay.get_sparse(slot as u32) {
-                out.push((node, (*pre).clone()));
-            } else if let NodeRep::Sparse(set) = &*rep {
-                out.push((node, set.clone()));
-            }
-        }
-        out
     }
 
     /// Scratch sketches currently parked in the pool (test instrumentation

@@ -530,14 +530,43 @@ mod tests {
         assert_eq!(snap.forest, stream.forest);
         assert_eq!(snap.rounds_used, stream.rounds_used);
         assert_eq!(snap.sketch_failures, stream.sketch_failures);
-        // And the configured mode routes to the same answers.
+        // And the oracle stays selectable through the configured mode.
         let mut c = tiny_config(24);
-        c.query_mode = crate::config::QueryMode::Streaming;
+        c.query_mode = QueryMode::Snapshot;
         let mut gz2 = GraphZeppelin::new(c).unwrap();
         for &(u, v) in &[(0u32, 1u32), (1, 2), (2, 3), (5, 6), (8, 9), (9, 10), (10, 8)] {
             gz2.edge_update(u, v);
         }
-        assert_eq!(gz2.spanning_forest().unwrap().labels, snap.labels);
+        let configured = gz2.spanning_forest().unwrap();
+        assert_eq!(configured.labels, snap.labels);
+        assert_eq!(configured.peak_sketch_bytes, snap.peak_sketch_bytes);
+    }
+
+    #[test]
+    fn default_configs_query_in_streaming_mode() {
+        // `in_ram` and `on_disk`, nothing else set: the facade's query is
+        // the streaming fold — the streaming answer and footprint, which
+        // the snapshot oracle (every full stack resident) cannot match.
+        let dir = gz_testutil::TempDir::new("gz-system-default-mode");
+        for config in [GzConfig::in_ram(64), GzConfig::on_disk(64, dir.path().to_path_buf())] {
+            assert_eq!(config.query_mode, QueryMode::Streaming);
+            let mut gz = GraphZeppelin::new(config).unwrap();
+            for i in 0..40u32 {
+                gz.edge_update(i, i + 1);
+            }
+            let default = gz.spanning_forest().unwrap();
+            let streaming = gz.spanning_forest_streaming().unwrap();
+            let snapshot = gz.spanning_forest_snapshot().unwrap();
+            assert_eq!(default.labels, snapshot.labels);
+            assert_eq!(default.forest, snapshot.forest);
+            assert_eq!(default.peak_sketch_bytes, streaming.peak_sketch_bytes);
+            assert!(
+                default.peak_sketch_bytes < snapshot.peak_sketch_bytes,
+                "default query held {} bytes, the snapshot oracle {}",
+                default.peak_sketch_bytes,
+                snapshot.peak_sketch_bytes
+            );
+        }
     }
 
     #[test]
@@ -594,7 +623,7 @@ mod tests {
         assert_eq!(stats.promoted, 1, "only the hub crosses τ");
         assert_eq!(stats.sparse, 63);
         assert!(hybrid.sketch_bytes() * 5 <= dense.sketch_bytes(), "≥5× resident reduction");
-        // Streaming queries synthesize sparse nodes' slices by replay.
+        // Streaming queries fold sparse nodes in place from their sets.
         let snap = hybrid.spanning_forest_snapshot().unwrap();
         let stream = hybrid.spanning_forest_streaming().unwrap();
         assert_eq!(snap.labels, stream.labels);

@@ -16,7 +16,6 @@ pub struct IoStats {
     bytes_read: AtomicU64,
     bytes_written: AtomicU64,
     sparse_promotions: AtomicU64,
-    rounds_synthesized: AtomicU64,
     submissions: AtomicU64,
     completions: AtomicU64,
     depth_sum: AtomicU64,
@@ -79,13 +78,6 @@ impl IoStats {
         self.sparse_promotions.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record `n` round slices synthesized by replaying sparse sets
-    /// (hybrid representation query cost).
-    #[inline]
-    pub fn record_synthesized(&self, n: u64) {
-        self.rounds_synthesized.fetch_add(n, Ordering::Relaxed);
-    }
-
     /// Record one submission batch handed to the kernel (an
     /// `io_uring_enter`, or a single positioned syscall on the pread path)
     /// with `in_flight` operations pending once it returned. Tracks how
@@ -133,11 +125,6 @@ impl IoStats {
     /// Sparse→dense promotions performed.
     pub fn sparse_promotions(&self) -> u64 {
         self.sparse_promotions.load(Ordering::Relaxed)
-    }
-
-    /// Round slices synthesized from sparse sets.
-    pub fn rounds_synthesized(&self) -> u64 {
-        self.rounds_synthesized.load(Ordering::Relaxed)
     }
 
     /// Record one durable shard checkpoint written (a `CheckpointAck`).
@@ -190,7 +177,6 @@ impl IoStats {
         self.bytes_read.fetch_add(other.bytes_read(), Ordering::Relaxed);
         self.bytes_written.fetch_add(other.bytes_written(), Ordering::Relaxed);
         self.sparse_promotions.fetch_add(other.sparse_promotions(), Ordering::Relaxed);
-        self.rounds_synthesized.fetch_add(other.rounds_synthesized(), Ordering::Relaxed);
         self.submissions.fetch_add(other.submissions(), Ordering::Relaxed);
         self.completions.fetch_add(other.completions(), Ordering::Relaxed);
         self.depth_sum.fetch_add(other.depth_sum.load(Ordering::Relaxed), Ordering::Relaxed);
@@ -210,7 +196,6 @@ impl IoStats {
         self.bytes_read.store(0, Ordering::Relaxed);
         self.bytes_written.store(0, Ordering::Relaxed);
         self.sparse_promotions.store(0, Ordering::Relaxed);
-        self.rounds_synthesized.store(0, Ordering::Relaxed);
         self.submissions.store(0, Ordering::Relaxed);
         self.completions.store(0, Ordering::Relaxed);
         self.depth_sum.store(0, Ordering::Relaxed);
@@ -375,16 +360,12 @@ mod tests {
         let s = IoStats::new();
         s.record_promotion();
         s.record_promotion();
-        s.record_synthesized(5);
         assert_eq!(s.sparse_promotions(), 2);
-        assert_eq!(s.rounds_synthesized(), 5);
         let t = IoStats::new();
         t.merge_from(&s);
         assert_eq!(t.sparse_promotions(), 2);
-        assert_eq!(t.rounds_synthesized(), 5);
         t.reset();
         assert_eq!(t.sparse_promotions(), 0);
-        assert_eq!(t.rounds_synthesized(), 0);
     }
 
     #[test]

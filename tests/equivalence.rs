@@ -618,6 +618,101 @@ mod hybrid_representation_proptests {
             drop(epoch);
             sharded.shutdown().unwrap();
         }
+
+        /// The query path's own oracle chain: the in-place sparse fold (what
+        /// every hybrid query now runs) == `synthesize_round` + merge (each
+        /// sparse vertex inflated to a slice per round, the path it
+        /// replaced) == the τ = 0 dense system — labels, forest,
+        /// `rounds_used` and `sketch_failures` — across Ram/Disk ×
+        /// `query_threads` {1, 4} × shards {1, 3}, live and pinned to an
+        /// epoch the stream has since moved past.
+        #[test]
+        fn in_place_sparse_fold_matches_synthesis_and_dense(
+            n in 4u64..28,
+            raw in proptest::collection::vec((any::<u32>(), any::<u32>(), any::<bool>()), 4..120),
+            split_pct in 20u32..80
+        ) {
+            use graph_zeppelin::boruvka::{boruvka_rounds_parallel, BoruvkaOutcome};
+            use graph_zeppelin::{MaterializedSource, NodeSketch};
+
+            let updates = churny_stream(n, raw);
+            let (prefix, suffix) = updates.split_at(updates.len() * split_pct as usize / 100);
+            let answer = |o: &BoruvkaOutcome| {
+                (o.labels.clone(), o.forest.clone(), o.rounds_used, o.sketch_failures)
+            };
+            let dense_after = |updates: &[(u32, u32, bool)]| {
+                let mut dense = GraphZeppelin::new(GzConfig::in_ram(n)).unwrap();
+                ingest(&mut dense, updates);
+                answer(&dense.spanning_forest_streaming().unwrap())
+            };
+            let (at_seal, at_end) = (dense_after(prefix), dense_after(&updates));
+
+            let tau = 6u32;
+            for threads in [1usize, 4] {
+                for on_disk in [false, true] {
+                    let what = format!("disk={on_disk} threads={threads}");
+                    let dir = TempDir::new("gz-equiv-inplace-prop");
+                    let mut config = GzConfig::in_ram(n);
+                    config.sketch_threshold = tau;
+                    config.query_threads = Some(threads);
+                    if on_disk {
+                        config.store = StoreBackend::Disk {
+                            dir: dir.path().to_path_buf(),
+                            block_bytes: 512,
+                            cache_groups: 2,
+                        };
+                    }
+                    let mut gz = GraphZeppelin::new(config).unwrap();
+                    ingest(&mut gz, prefix);
+                    let epoch = gz.begin_epoch().unwrap();
+                    ingest(&mut gz, suffix);
+                    let live = gz.spanning_forest_streaming().unwrap();
+                    prop_assert_eq!(&answer(&live), &at_end, "live {}", &what);
+                    let pinned = epoch.spanning_forest().unwrap();
+                    prop_assert_eq!(&answer(&pinned), &at_seal, "pinned {}", &what);
+
+                    // The replaced path, rebuilt from public parts: every
+                    // still-sparse vertex becomes one synthesized slice per
+                    // round, and the engine merges slices as it always has.
+                    let params = std::sync::Arc::clone(gz.params());
+                    let mut stacks = gz.store().snapshot();
+                    let mut sparse = 0;
+                    gz.store().for_each_sparse(&|_| true, None, &mut |node, set| {
+                        sparse += 1;
+                        stacks[node as usize] = Some(NodeSketch::new_with(params.rounds(), |r| {
+                            set.synthesize_round(node, &params, r)
+                        }));
+                    });
+                    prop_assert_eq!(sparse, gz.rep_stats().sparse);
+                    let mut synthesized = MaterializedSource::new(stacks);
+                    let oracle =
+                        boruvka_rounds_parallel(&mut synthesized, n, params.rounds(), threads)
+                            .unwrap();
+                    prop_assert_eq!(&answer(&oracle), &at_end, "synthesized {}", &what);
+                }
+
+                for shards in [1u32, 3] {
+                    let what = format!("shards={shards} threads={threads}");
+                    let mut config = ShardConfig::in_ram(n, shards);
+                    config.sketch_threshold = tau;
+                    config.query_threads = Some(threads);
+                    let mut gz = ShardedGraphZeppelin::in_process(config).unwrap();
+                    for &(u, v, d) in prefix {
+                        gz.update(u, v, d).unwrap();
+                    }
+                    let epoch = gz.begin_epoch().unwrap();
+                    for &(u, v, d) in suffix {
+                        gz.update(u, v, d).unwrap();
+                    }
+                    let live = gz.spanning_forest_streaming().unwrap();
+                    prop_assert_eq!(&answer(&live), &at_end, "live {}", &what);
+                    let pinned = epoch.spanning_forest().unwrap();
+                    prop_assert_eq!(&answer(&pinned), &at_seal, "pinned {}", &what);
+                    drop(epoch);
+                    gz.shutdown().unwrap();
+                }
+            }
+        }
     }
 }
 
