@@ -1,17 +1,15 @@
 //! Query-path benchmarks: sketch-space Boruvka (Figure 12c / 16's stopwatch),
-//! the disk-backed snapshot-vs-streaming comparison at a pinned cache
-//! budget (bytes read off the store and peak resident sketch bytes per
-//! query mode), and the parallel-query thread-scaling sweep
-//! (`gz_query_parallel`, DESIGN.md §10).
+//! the disk-backed query-vs-oracle comparison at a pinned cache budget
+//! (bytes read off the store and peak resident sketch bytes of each), and
+//! the parallel-query thread-scaling sweep (`gz_query_parallel`,
+//! DESIGN.md §10).
 //!
 //! Set `GZ_BENCH_SMOKE=1` to run at tiny scale (the CI smoke mode). The
 //! measured results are also exported to `BENCH_queries.json` (best/mean ns
 //! per case) as the machine-readable baseline future PRs diff against.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use graph_zeppelin::{
-    uring_available, GraphZeppelin, GzConfig, IoBackendKind, QueryMode, StoreBackend,
-};
+use graph_zeppelin::{uring_available, GraphZeppelin, GzConfig, IoBackendKind, StoreBackend};
 use gz_bench::harness::{kron_workload, smoke};
 use gz_stream::UpdateKind;
 use std::time::{Duration, Instant};
@@ -56,11 +54,11 @@ fn bench_spanning_forest_empty_vs_dense(c: &mut Criterion) {
 }
 
 /// The tentpole comparison: a disk-backed store at a pinned cache budget,
-/// queried in snapshot mode (materialize `V` full sketches) versus
-/// streaming mode (fold round slices with group prefetch). Reports wall
-/// time through criterion plus, one-shot, the bytes read off the store and
-/// the peak resident sketch bytes of each mode.
-fn bench_disk_query_modes(c: &mut Criterion) {
+/// queried by the snapshot oracle (materialize `V` full sketches) versus
+/// the product's streaming fold (round slices with group prefetch).
+/// Reports wall time through criterion plus, one-shot, the bytes read off
+/// the store and the peak resident sketch bytes of each.
+fn bench_disk_query_vs_oracle(c: &mut Criterion) {
     // Scale 5 is degenerate (streamify's default disconnects 32 nodes,
     // which is all of kron5): stay at ≥ 6 so the query runs merge rounds.
     let scale = if smoke() { 6 } else { 8 };
@@ -79,12 +77,15 @@ fn bench_disk_query_modes(c: &mut Criterion) {
     // One-shot measured comparison of the I/O and memory profiles.
     let io = gz.store_io().unwrap();
     let before = io.bytes_read();
-    let snap = gz.spanning_forest_snapshot().unwrap();
+    let snap = gz.spanning_forest_oracle().unwrap();
     let snap_read = io.bytes_read() - before;
     let before = io.bytes_read();
-    let stream = gz.spanning_forest_streaming().unwrap();
+    let stream = gz.spanning_forest().unwrap();
     let stream_read = io.bytes_read() - before;
-    assert_eq!(snap.labels, stream.labels, "query modes must agree bit-for-bit");
+    assert_eq!(snap.labels, stream.labels, "the query must match its oracle bit-for-bit");
+    assert_eq!(snap.forest, stream.forest);
+    assert_eq!(snap.rounds_used, stream.rounds_used);
+    assert_eq!(snap.sketch_failures, stream.sketch_failures);
     assert!(
         stream_read < snap_read,
         "streaming must read fewer bytes ({stream_read} vs {snap_read})"
@@ -108,21 +109,19 @@ fn bench_disk_query_modes(c: &mut Criterion) {
     let mut group = c.benchmark_group("gz_query_disk");
     group.sample_size(10);
     group.bench_function("snapshot", |b| {
-        b.iter(|| gz.spanning_forest_snapshot().unwrap().num_components())
+        b.iter(|| gz.spanning_forest_oracle().unwrap().num_components())
     });
-    group.bench_function("streaming", |b| {
-        b.iter(|| gz.spanning_forest_streaming().unwrap().num_components())
-    });
+    group
+        .bench_function("streaming", |b| b.iter(|| gz.spanning_forest().unwrap().num_components()));
     group.finish();
 }
 
-/// Build a flushed system over the kron workload at `scale`, streaming
-/// query mode, with the given store.
+/// Build a flushed system over the kron workload at `scale` with the
+/// given store.
 fn loaded_system(scale: u32, seed: u64, store: StoreBackend) -> GraphZeppelin {
     let w = kron_workload(scale, seed);
     let mut config = GzConfig::in_ram(w.num_nodes);
     config.store = store;
-    config.query_mode = QueryMode::Streaming;
     let mut gz = GraphZeppelin::new(config).unwrap();
     for upd in &w.updates {
         gz.update(upd.u, upd.v, upd.kind == UpdateKind::Delete);
@@ -134,11 +133,11 @@ fn loaded_system(scale: u32, seed: u64, store: StoreBackend) -> GraphZeppelin {
 /// Best-of-`samples` wall time of one streaming query at `threads`.
 fn best_query_time(gz: &mut GraphZeppelin, threads: usize, samples: usize) -> Duration {
     gz.set_query_threads(threads);
-    let _ = gz.spanning_forest_streaming().unwrap(); // warm
+    let _ = gz.spanning_forest().unwrap(); // warm
     (0..samples)
         .map(|_| {
             let start = Instant::now();
-            let _ = criterion::black_box(gz.spanning_forest_streaming().unwrap());
+            let _ = criterion::black_box(gz.spanning_forest().unwrap());
             start.elapsed()
         })
         .min()
@@ -172,7 +171,7 @@ fn bench_parallel_query_scaling(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("ram/kron{scale}/t{threads}")),
             &(),
-            |b, _| b.iter(|| ram.spanning_forest_streaming().unwrap().num_components()),
+            |b, _| b.iter(|| ram.spanning_forest().unwrap().num_components()),
         );
     }
     for &threads in thread_counts {
@@ -180,7 +179,7 @@ fn bench_parallel_query_scaling(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("disk/kron{scale}/t{threads}")),
             &(),
-            |b, _| b.iter(|| disk.spanning_forest_streaming().unwrap().num_components()),
+            |b, _| b.iter(|| disk.spanning_forest().unwrap().num_components()),
         );
     }
     group.finish();
@@ -225,7 +224,6 @@ fn bench_io_backends(c: &mut Criterion) {
             block_bytes: 16 << 10,
             cache_groups,
         };
-        config.query_mode = QueryMode::Streaming;
         config.io.kind = kind;
         config.io.queue_depth = 16;
         let mut gz = GraphZeppelin::new(config).unwrap();
@@ -242,7 +240,7 @@ fn bench_io_backends(c: &mut Criterion) {
     group.bench_with_input(
         BenchmarkId::from_parameter(format!("pread/kron{scale}")),
         &(),
-        |b, _| b.iter(|| pread.spanning_forest_streaming().unwrap().num_components()),
+        |b, _| b.iter(|| pread.spanning_forest().unwrap().num_components()),
     );
 
     if !uring_available() {
@@ -254,14 +252,14 @@ fn bench_io_backends(c: &mut Criterion) {
     group.bench_with_input(
         BenchmarkId::from_parameter(format!("uring/kron{scale}")),
         &(),
-        |b, _| b.iter(|| uring.spanning_forest_streaming().unwrap().num_components()),
+        |b, _| b.iter(|| uring.spanning_forest().unwrap().num_components()),
     );
     group.finish();
 
     // One-shot measured comparison: answers agree bit-for-bit, uring
     // batches its reads, and (where armed) it is no slower than pread.
-    let a = pread.spanning_forest_streaming().unwrap();
-    let b = uring.spanning_forest_streaming().unwrap();
+    let a = pread.spanning_forest().unwrap();
+    let b = uring.spanning_forest().unwrap();
     assert_eq!(a.labels, b.labels, "backends must agree bit-for-bit");
     let io = uring.store_io().unwrap();
     assert!(io.max_depth() > 1, "uring must batch reads (max depth {})", io.max_depth());
@@ -297,7 +295,7 @@ fn bench_concurrent_query(c: &mut Criterion) {
     let mut gz = loaded_system(scale, 3, StoreBackend::Ram);
     let num_nodes = gz.params().num_nodes;
     let epoch = gz.begin_epoch().unwrap();
-    let reference = gz.spanning_forest_streaming().unwrap();
+    let reference = gz.spanning_forest().unwrap();
 
     let mut group = c.benchmark_group("gz_query_concurrent");
     group.sample_size(10);
@@ -369,7 +367,7 @@ criterion_group! {
     name = benches;
     config = config();
     targets = bench_connected_components, bench_spanning_forest_empty_vs_dense,
-        bench_disk_query_modes, bench_parallel_query_scaling, bench_io_backends,
+        bench_disk_query_vs_oracle, bench_parallel_query_scaling, bench_io_backends,
         bench_concurrent_query, emit_bench_json
 }
 criterion_main!(benches);

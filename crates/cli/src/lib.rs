@@ -6,12 +6,11 @@
 //! gz info stream.gzs
 //! gz components stream.gzs [--workers 4] [--store ram|disk] \
 //!     [--buffering leaf|tree] [--dir /tmp/gzwork] [--forest] \
-//!     [--query-mode streaming|snapshot] [--query-threads N] \
-//!     [--staleness U] [--threshold T] [--io-backend auto|pread|uring] \
+//!     [--query-threads N] [--staleness U] [--threshold T] [--io-backend auto|pread|uring] \
 //!     [--stats] [--shards K [--connect host:port,host:port,...]] \
 //!     [--checkpoint-every N] [--batch-updates N] [--respawn]
 //! gz checkpoint save ckpt.gzc --from stream.gzs [--workers 4] [--seed S]
-//! gz checkpoint restore ckpt.gzc [--forest] [--query-mode streaming|snapshot]
+//! gz checkpoint restore ckpt.gzc [--forest] [--query-threads N]
 //! gz shard-worker --listen 127.0.0.1:7001 --nodes 1024 --shards 2 --index 0 \
 //!     [--checkpoint shard.ckpt | --resume shard.ckpt]
 //! gz serve (--listen host:port | --unix sock.path) --nodes 1024 \
@@ -42,9 +41,8 @@ pub mod serve;
 
 use graph_zeppelin::{
     connect_shard_tcp, serve_shard_connection, BipartitenessTester, BufferStrategy, GraphZeppelin,
-    GutterCapacity, GzConfig, IoBackendKind, QueryMode, RecoveringTransport, RetryPolicy,
-    ShardConfig, ShardPipeline, ShardedGraphZeppelin, SocketTransport, StoreBackend,
-    TransportTimeouts,
+    GutterCapacity, GzConfig, IoBackendKind, Recovery, RetryPolicy, ShardConfig, ShardPipeline,
+    ShardedGraphZeppelin, SocketTransport, StoreBackend, TransportTimeouts,
 };
 use gz_stream::format::{StreamReader, StreamWriter};
 use gz_stream::{Dataset, GeneratorSpec, StreamifyConfig, UpdateKind};
@@ -70,18 +68,9 @@ impl StoreArg {
     }
 }
 
-/// Parse a `--query-mode` value straight into the config type (the CLI
-/// needs no intermediate enum: snapshot/streaming map 1:1).
-fn parse_query_mode(s: &str) -> Result<QueryMode, String> {
-    match s {
-        "snapshot" => Ok(QueryMode::Snapshot),
-        "streaming" => Ok(QueryMode::Streaming),
-        other => Err(format!("unknown query mode {other} (want snapshot|streaming)")),
-    }
-}
-
-/// Parse an `--io-backend` value straight into the config type, mirroring
-/// [`parse_query_mode`]: auto/pread/uring map 1:1 onto [`IoBackendKind`].
+/// Parse an `--io-backend` value straight into the config type (the CLI
+/// needs no intermediate enum: auto/pread/uring map 1:1 onto
+/// [`IoBackendKind`]).
 fn parse_io_backend(s: &str) -> Result<IoBackendKind, String> {
     IoBackendKind::parse(s).ok_or_else(|| format!("unknown io backend {s} (want auto|pread|uring)"))
 }
@@ -136,8 +125,6 @@ pub enum Command {
         dir: Option<PathBuf>,
         /// Also print the spanning forest.
         forest: bool,
-        /// How queries read sketches out of the store.
-        query_mode: QueryMode,
         /// Borůvka query-engine threads (`None` = the worker count).
         query_threads: Option<usize>,
         /// Bounded staleness for streaming queries: reuse a sealed epoch
@@ -189,15 +176,8 @@ pub enum Command {
         path: PathBuf,
         /// Also print the spanning forest.
         forest: bool,
-        /// How the restored system reads sketches at query time.
-        query_mode: QueryMode,
         /// Borůvka query-engine threads (`None` = the worker count).
         query_threads: Option<usize>,
-        /// Disk-store I/O backend for the restored system (`None` = auto).
-        /// Accepted for flag parity with `components`; the restored store
-        /// is RAM-resident today, so this only takes effect if restore
-        /// grows a disk mode.
-        io_backend: Option<IoBackendKind>,
     },
     /// Serve one shard over TCP: bind, accept one coordinator connection,
     /// run the shard-worker event loop until `Shutdown`.
@@ -335,7 +315,7 @@ fn set_switch(slot: &mut bool, flag: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Parse a full argument vector (without argv[0]).
+/// Parse a full argument vector (without `argv[0]`).
 pub fn parse_args(args: &[String]) -> Result<Command, String> {
     let mut it = args.iter();
     let sub = it.next().ok_or(
@@ -391,7 +371,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             let mut buffering = None;
             let mut dir = None;
             let mut forest = false;
-            let mut query_mode = None;
             let mut query_threads = None;
             let mut staleness = None;
             let mut threshold = None;
@@ -431,12 +410,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                         set_once(&mut buffering, BufferingArg::Tree, arg)?;
                     }
                     "--forest" => set_switch(&mut forest, arg)?,
-                    "--query-mode" => {
-                        let v = parse_query_mode(
-                            it.next().ok_or("--query-mode needs snapshot|streaming")?,
-                        )?;
-                        set_once(&mut query_mode, v, arg)?;
-                    }
                     // `--staleness 0` is meaningful (reseal on every query),
                     // so a plain parse — not parse_positive — is correct.
                     "--staleness" => set_once(&mut staleness, parse_num(&mut it, arg)?, arg)?,
@@ -481,10 +454,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                      coordinator's fate; there is nothing to reconnect to)"
                     .into());
             }
-            let query_mode = query_mode.unwrap_or_default();
-            if staleness.is_some() && query_mode != QueryMode::Streaming {
-                return Err("--staleness requires --query-mode streaming".into());
-            }
             Ok(Command::Components {
                 path,
                 workers: workers.unwrap_or(2),
@@ -492,7 +461,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 buffering: buffering.unwrap_or(BufferingArg::Leaf),
                 dir,
                 forest,
-                query_mode,
                 query_threads,
                 staleness,
                 threshold,
@@ -537,37 +505,17 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 "restore" => {
                     let path = PathBuf::from(it.next().ok_or("checkpoint restore needs a path")?);
                     let mut forest = false;
-                    let mut query_mode = None;
                     let mut query_threads = None;
-                    let mut io_backend = None;
                     while let Some(arg) = it.next() {
                         match arg.as_str() {
                             "--forest" => set_switch(&mut forest, arg)?,
-                            "--query-mode" => {
-                                let v = parse_query_mode(
-                                    it.next().ok_or("--query-mode needs snapshot|streaming")?,
-                                )?;
-                                set_once(&mut query_mode, v, arg)?;
-                            }
                             "--query-threads" => {
                                 set_once(&mut query_threads, parse_query_threads(&mut it)?, arg)?;
-                            }
-                            "--io-backend" => {
-                                let v = parse_io_backend(
-                                    it.next().ok_or("--io-backend needs a value")?,
-                                )?;
-                                set_once(&mut io_backend, v, arg)?;
                             }
                             other => return Err(format!("unknown flag {other}")),
                         }
                     }
-                    Ok(Command::CheckpointRestore {
-                        path,
-                        forest,
-                        query_mode: query_mode.unwrap_or_default(),
-                        query_threads,
-                        io_backend,
-                    })
+                    Ok(Command::CheckpointRestore { path, forest, query_threads })
                 }
                 other => Err(format!("unknown checkpoint action {other} (want save|restore)")),
             }
@@ -740,7 +688,6 @@ fn build_config(
     store: StoreArg,
     buffering: BufferingArg,
     dir: &Option<PathBuf>,
-    query_mode: QueryMode,
     query_threads: Option<usize>,
     staleness: Option<u64>,
     threshold: Option<u32>,
@@ -749,7 +696,6 @@ fn build_config(
     let mut config = GzConfig::in_ram(num_nodes);
     config.num_workers = workers;
     config.store = store_backend(store, dir)?;
-    config.query_mode = query_mode;
     config.query_threads = query_threads;
     config.query_staleness = staleness;
     config.sketch_threshold = threshold.unwrap_or(0);
@@ -799,7 +745,6 @@ fn components_sharded(
     buffering: BufferingArg,
     dir: &Option<PathBuf>,
     forest: bool,
-    query_mode: QueryMode,
     query_threads: Option<usize>,
     staleness: Option<u64>,
     threshold: Option<u32>,
@@ -838,7 +783,6 @@ fn components_sharded(
     let mut config = ShardConfig::in_ram(header.num_vertices, num_shards);
     config.workers_per_shard = workers;
     config.store = store_backend(store, dir)?;
-    config.query_mode = query_mode;
     config.query_threads = query_threads;
     config.query_staleness = staleness;
     config.sketch_threshold = threshold.unwrap_or(0);
@@ -861,7 +805,7 @@ fn components_sharded(
             ));
         }
         let digest = config.params_digest();
-        if respawn {
+        let transport = if respawn {
             // Detect dead peers instead of hanging on them, and give an
             // externally restarted worker a few seconds to come back up.
             let timeouts = TransportTimeouts {
@@ -874,28 +818,18 @@ fn components_sharded(
                 base: std::time::Duration::from_millis(100),
                 ..RetryPolicy::default()
             };
-            let inner = SocketTransport::connect_tcp_with(connect, digest, &timeouts, &retry)
-                .map_err(|e| e.to_string())?;
             let addrs: Vec<String> = connect.to_vec();
-            let (dial_timeouts, dial_retry) = (timeouts, retry);
-            let transport = RecoveringTransport::new(
-                inner,
-                digest,
-                timeouts,
-                retry,
-                Box::new(move |shard| {
-                    connect_shard_tcp(&addrs[shard as usize], shard, &dial_timeouts, &dial_retry)
-                }),
-            )
-            .map_err(|e| e.to_string())?;
-            ShardedGraphZeppelin::with_transport(config, Box::new(transport))
-                .map_err(|e| e.to_string())?
+            let redial = Box::new(move |shard: u32| {
+                connect_shard_tcp(&addrs[shard as usize], shard, &timeouts, &retry)
+            });
+            SocketTransport::connect_tcp_with(connect, digest, &timeouts, &retry)
+                .and_then(|plain| plain.with_recovery(Recovery::new(timeouts, retry, redial)))
         } else {
-            let transport =
-                SocketTransport::connect_tcp(connect, digest).map_err(|e| e.to_string())?;
-            ShardedGraphZeppelin::with_transport(config, Box::new(transport))
-                .map_err(|e| e.to_string())?
-        }
+            SocketTransport::connect_tcp(connect, digest)
+        };
+        let transport = transport.map_err(|e| e.to_string())?;
+        ShardedGraphZeppelin::with_transport(config, Box::new(transport))
+            .map_err(|e| e.to_string())?
     };
 
     feed_stream(&mut reader, |u, v, d| gz.update(u, v, d).map_err(|e| e.to_string()))?;
@@ -1034,7 +968,6 @@ pub fn execute(cmd: Command) -> Result<String, String> {
             buffering,
             dir,
             forest,
-            query_mode,
             query_threads,
             staleness,
             threshold,
@@ -1054,7 +987,6 @@ pub fn execute(cmd: Command) -> Result<String, String> {
                     buffering,
                     &dir,
                     forest,
-                    query_mode,
                     query_threads,
                     staleness,
                     threshold,
@@ -1075,7 +1007,6 @@ pub fn execute(cmd: Command) -> Result<String, String> {
                 store,
                 buffering,
                 &dir,
-                query_mode,
                 query_threads,
                 staleness,
                 threshold,
@@ -1147,15 +1078,13 @@ pub fn execute(cmd: Command) -> Result<String, String> {
                 ckpt.seed,
             ))
         }
-        Command::CheckpointRestore { path, forest, query_mode, query_threads, io_backend } => {
+        Command::CheckpointRestore { path, forest, query_threads } => {
             let header = GraphZeppelin::checkpoint_header(&path).map_err(|e| e.to_string())?;
             let mut config = GzConfig::in_ram(header.num_nodes);
             config.seed = header.seed;
             config.num_rounds = Some(header.rounds);
             config.num_columns = header.columns;
-            config.query_mode = query_mode;
             config.query_threads = query_threads;
-            config.io.kind = io_backend.unwrap_or_default();
             let mut gz =
                 GraphZeppelin::restore_with_config(&path, config).map_err(|e| e.to_string())?;
             let cc = gz.connected_components().map_err(|e| e.to_string())?;
@@ -1323,32 +1252,6 @@ mod tests {
     }
 
     #[test]
-    fn parses_query_mode_flag() {
-        match parse_components("components s.gzs --query-mode streaming") {
-            Command::Components { query_mode, .. } => {
-                assert_eq!(query_mode, QueryMode::Streaming);
-            }
-            other => panic!("{other:?}"),
-        }
-        match parse_components("components s.gzs --query-mode snapshot --shards 2") {
-            Command::Components { query_mode, shards, .. } => {
-                assert_eq!(query_mode, QueryMode::Snapshot);
-                assert_eq!(shards, Some(2));
-            }
-            other => panic!("{other:?}"),
-        }
-        // Default is the library's (streaming); bad values are refused.
-        match parse_components("components s.gzs") {
-            Command::Components { query_mode, .. } => {
-                assert_eq!(query_mode, QueryMode::default());
-                assert_eq!(query_mode, QueryMode::Streaming);
-            }
-            other => panic!("{other:?}"),
-        }
-        assert!(parse_args(&argv("components s.gzs --query-mode turbo")).is_err());
-    }
-
-    #[test]
     fn parses_query_threads_flag() {
         match parse_components("components s.gzs --query-threads 8") {
             Command::Components { query_threads, .. } => assert_eq!(query_threads, Some(8)),
@@ -1360,11 +1263,9 @@ mod tests {
             other => panic!("{other:?}"),
         }
         // Composes with the other query flags and with sharding.
-        match parse_components(
-            "components s.gzs --query-mode streaming --query-threads 4 --shards 2",
-        ) {
-            Command::Components { query_mode, query_threads, shards, .. } => {
-                assert_eq!(query_mode, QueryMode::Streaming);
+        match parse_components("components s.gzs --staleness 9 --query-threads 4 --shards 2") {
+            Command::Components { staleness, query_threads, shards, .. } => {
+                assert_eq!(staleness, Some(9));
                 assert_eq!(query_threads, Some(4));
                 assert_eq!(shards, Some(2));
             }
@@ -1410,11 +1311,7 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        // And on checkpoint restore and shard-worker, like --query-threads.
-        assert!(matches!(
-            parse_args(&argv("checkpoint restore c.gzc --io-backend pread")).unwrap(),
-            Command::CheckpointRestore { io_backend: Some(IoBackendKind::Pread), .. }
-        ));
+        // And on shard-worker, whose store may be on disk too.
         assert!(matches!(
             parse_args(&argv(
                 "shard-worker --listen 127.0.0.1:0 --nodes 8 --shards 2 --index 0 \
@@ -1428,8 +1325,6 @@ mod tests {
         let err = parse_args(&argv("components s.gzs --io-backend rdma")).unwrap_err();
         assert!(err.contains("unknown io backend rdma"), "{err}");
         assert!(err.contains("auto|pread|uring"), "{err}");
-        let err = parse_args(&argv("checkpoint restore c.gzc --io-backend sync")).unwrap_err();
-        assert!(err.contains("unknown io backend"), "{err}");
         assert!(parse_args(&argv("components s.gzs --io-backend")).is_err());
     }
 
@@ -1460,7 +1355,7 @@ mod tests {
             "components s.gzs --forest --forest",
             "components s.gzs --store ram --store disk",
             "components s.gzs --disk /tmp/d --dir /tmp/e",
-            "components s.gzs --query-mode streaming --staleness 5 --staleness 6",
+            "components s.gzs --staleness 5 --staleness 6",
             "checkpoint save c.gzc --from a.gzs --from b.gzs",
             "checkpoint restore c.gzc --forest --forest",
             "components s.gzs --threshold 4 --threshold 8",
@@ -1468,7 +1363,6 @@ mod tests {
             "shard-worker --listen a:1 --listen b:2 --nodes 8 --shards 2 --index 0",
             "shard-worker --listen a:1 --nodes 8 --shards 2 --index 0 --threshold 4 --threshold 8",
             "components s.gzs --io-backend pread --io-backend uring",
-            "checkpoint restore c.gzc --io-backend auto --io-backend auto",
             "shard-worker --listen a:1 --nodes 8 --shards 2 --index 0 --io-backend uring \
              --io-backend pread",
             "components s.gzs --shards 2 --checkpoint-every 4 --checkpoint-every 8",
@@ -1486,23 +1380,12 @@ mod tests {
 
     #[test]
     fn parses_staleness_flag() {
-        // --staleness needs the streaming query engine (the snapshot path
-        // folds fresh state by construction, so the knob would silently
-        // not take effect) — which is the default, named or not.
-        for line in [
-            "components s.gzs --staleness 100",
-            "components s.gzs --query-mode streaming --staleness 100",
-        ] {
-            match parse_components(line) {
-                Command::Components { staleness, query_mode, .. } => {
-                    assert_eq!(staleness, Some(100), "{line}");
-                    assert_eq!(query_mode, QueryMode::Streaming, "{line}");
-                }
-                other => panic!("{other:?}"),
-            }
+        match parse_components("components s.gzs --staleness 100") {
+            Command::Components { staleness, .. } => assert_eq!(staleness, Some(100)),
+            other => panic!("{other:?}"),
         }
         // Zero is meaningful: reseal on every query.
-        match parse_components("components s.gzs --query-mode streaming --staleness 0") {
+        match parse_components("components s.gzs --staleness 0") {
             Command::Components { staleness, .. } => assert_eq!(staleness, Some(0)),
             other => panic!("{other:?}"),
         }
@@ -1511,9 +1394,6 @@ mod tests {
             Command::Components { staleness, .. } => assert_eq!(staleness, None),
             other => panic!("{other:?}"),
         }
-        let err =
-            parse_args(&argv("components s.gzs --query-mode snapshot --staleness 5")).unwrap_err();
-        assert!(err.contains("requires --query-mode streaming"), "{err}");
         assert!(parse_args(&argv("components s.gzs --staleness lots")).is_err());
     }
 
@@ -1678,8 +1558,7 @@ mod tests {
         let count = |s: &str| s.split_whitespace().next().unwrap().to_string();
         for shards in [None, Some(2)] {
             let mut cmd = components_cmd(&path, shards);
-            if let Command::Components { query_mode, staleness, .. } = &mut cmd {
-                *query_mode = QueryMode::Streaming;
+            if let Command::Components { staleness, .. } = &mut cmd {
                 *staleness = Some(u64::MAX);
             }
             let got = execute(cmd).unwrap();
@@ -1702,9 +1581,8 @@ mod tests {
         for threads in [1usize, 3] {
             for shards in [None, Some(2)] {
                 let mut cmd = components_cmd(&path, shards);
-                if let Command::Components { query_threads, query_mode, .. } = &mut cmd {
+                if let Command::Components { query_threads, .. } = &mut cmd {
                     *query_threads = Some(threads);
-                    *query_mode = QueryMode::Streaming;
                 }
                 let got = execute(cmd).unwrap();
                 let count = |s: &str| s.split_whitespace().next().unwrap().to_string();
@@ -1725,19 +1603,17 @@ mod tests {
             }
         );
         assert_eq!(
-            parse_args(&argv("checkpoint restore c.gzc --forest --query-mode streaming")).unwrap(),
+            parse_args(&argv("checkpoint restore c.gzc --forest --query-threads 3")).unwrap(),
             Command::CheckpointRestore {
                 path: PathBuf::from("c.gzc"),
                 forest: true,
-                query_mode: QueryMode::Streaming,
-                query_threads: None,
-                io_backend: None,
+                query_threads: Some(3),
             }
         );
         // Defaults.
         assert!(matches!(
             parse_args(&argv("checkpoint restore c.gzc")).unwrap(),
-            Command::CheckpointRestore { forest: false, query_mode: QueryMode::Streaming, .. }
+            Command::CheckpointRestore { forest: false, query_threads: None, .. }
         ));
         // Malformed forms are refused.
         assert!(parse_args(&argv("checkpoint")).is_err(), "missing action");
@@ -1746,6 +1622,8 @@ mod tests {
         assert!(parse_args(&argv("checkpoint save c.gzc --from s.gzs --seed nope")).is_err());
         assert!(parse_args(&argv("checkpoint restore")).is_err(), "missing path");
         assert!(parse_args(&argv("checkpoint restore c.gzc --bogus")).is_err());
+        // The restored store is always RAM-resident: no backend to pick.
+        assert!(parse_args(&argv("checkpoint restore c.gzc --io-backend pread")).is_err());
     }
 
     #[test]
@@ -1767,47 +1645,86 @@ mod tests {
         .unwrap();
         assert!(saved.contains("32 nodes"), "{saved}");
 
-        // The restored answer must match running components directly, in
-        // both query modes.
+        // The restored answer must match running components directly — and
+        // the materialize-everything oracle over the restored state, edge
+        // for edge.
         let direct = execute(components_cmd(&stream, None)).unwrap();
+        let restored = execute(Command::CheckpointRestore {
+            path: ckpt.to_path_buf(),
+            forest: true,
+            query_threads: None,
+        })
+        .unwrap();
         let count = |s: &str| s.split_whitespace().next().unwrap().to_string();
-        for query_mode in [QueryMode::Snapshot, QueryMode::Streaming] {
-            let restored = execute(Command::CheckpointRestore {
-                path: ckpt.to_path_buf(),
-                forest: false,
-                query_mode,
-                query_threads: None,
-                io_backend: None,
-            })
-            .unwrap();
-            assert_eq!(count(&restored), count(&direct), "{query_mode:?}");
-        }
+        assert_eq!(count(&restored), count(&direct));
+        let mut gz = GraphZeppelin::restore(ckpt.path()).unwrap();
+        let oracle = assert_matches_oracle(&mut gz);
+        assert_eq!(forest_lines(&restored), printed_forest(&oracle));
+    }
+
+    /// The product query against the reference query on every field that is
+    /// an answer; hands back the reference.
+    fn assert_matches_oracle(gz: &mut GraphZeppelin) -> graph_zeppelin::BoruvkaOutcome {
+        let oracle = gz.spanning_forest_oracle().unwrap();
+        let product = gz.spanning_forest().unwrap();
+        assert_eq!(product.labels, oracle.labels);
+        assert_eq!(product.forest, oracle.forest);
+        assert_eq!(product.rounds_used, oracle.rounds_used);
+        assert_eq!(product.sketch_failures, oracle.sketch_failures);
+        oracle
+    }
+
+    /// The forest lines of a `--forest` run (everything after the summary).
+    fn forest_lines(out: &str) -> Vec<String> {
+        out.lines().skip(1).map(str::to_string).collect()
+    }
+
+    /// What `--forest` must print for `outcome`.
+    fn printed_forest(outcome: &graph_zeppelin::BoruvkaOutcome) -> Vec<String> {
+        outcome.forest.iter().map(|e| format!("{} {}", e.u(), e.v())).collect()
     }
 
     #[test]
-    fn streaming_query_mode_components_match_snapshot() {
-        let path = tmp("qmode");
+    fn components_match_the_oracle() {
+        let path = tmp("oracle");
         execute(Command::Generate {
             dataset: DatasetArg::Kron(5),
             seed: 6,
             out: path.to_path_buf(),
         })
         .unwrap();
-        let mut streaming = components_cmd(&path, None);
-        if let Command::Components { query_mode, .. } = &mut streaming {
-            *query_mode = QueryMode::Streaming;
+        // The library-level reference over the same stream and config.
+        let mut reader = StreamReader::open(path.path()).unwrap();
+        let config = build_config(
+            reader.header().num_vertices,
+            2,
+            StoreArg::Ram,
+            BufferingArg::Leaf,
+            &None,
+            None,
+            None,
+            None,
+            None,
+        )
+        .unwrap();
+        let mut gz = GraphZeppelin::new(config).unwrap();
+        feed_stream(&mut reader, |u, v, d| {
+            gz.update(u, v, d);
+            Ok(())
+        })
+        .unwrap();
+        let oracle = assert_matches_oracle(&mut gz);
+        // Single-node and sharded runs print the oracle's answer.
+        for shards in [None, Some(3)] {
+            let mut cmd = components_cmd(&path, shards);
+            if let Command::Components { forest, .. } = &mut cmd {
+                *forest = true;
+            }
+            let out = execute(cmd).unwrap();
+            let count: usize = out.split_whitespace().next().unwrap().parse().unwrap();
+            assert_eq!(count, oracle.num_components(), "shards={shards:?}");
+            assert_eq!(forest_lines(&out), printed_forest(&oracle), "shards={shards:?}");
         }
-        let a = execute(components_cmd(&path, None)).unwrap();
-        let b = execute(streaming).unwrap();
-        assert_eq!(a, b);
-        // And sharded streaming agrees too.
-        let mut sharded = components_cmd(&path, Some(3));
-        if let Command::Components { query_mode, .. } = &mut sharded {
-            *query_mode = QueryMode::Streaming;
-        }
-        let c = execute(sharded).unwrap();
-        let count = |s: &str| s.split_whitespace().next().unwrap().to_string();
-        assert_eq!(count(&a), count(&c));
     }
 
     #[test]
@@ -1944,7 +1861,6 @@ mod tests {
             buffering: BufferingArg::Leaf,
             dir: None,
             forest: false,
-            query_mode: QueryMode::Snapshot,
             query_threads: None,
             staleness: None,
             threshold: None,
@@ -2075,13 +1991,11 @@ mod tests {
         for &kind in kinds {
             let workdir = gz_testutil::TempPath::new("gz-cli-io-backend", ".d");
             let mut cmd = components_cmd(&path, None);
-            if let Command::Components { store, dir, io_backend, stats, query_mode, .. } = &mut cmd
-            {
+            if let Command::Components { store, dir, io_backend, stats, .. } = &mut cmd {
                 *store = StoreArg::Disk;
                 *dir = Some(workdir.to_path_buf());
                 *io_backend = Some(kind);
                 *stats = true;
-                *query_mode = QueryMode::Streaming;
             }
             let out = execute(cmd).unwrap();
             assert_eq!(count(&out), count(&reference), "{kind:?}");
@@ -2097,25 +2011,6 @@ mod tests {
             }
             assert!(io_line.contains("submissions"), "{io_line}");
         }
-        // The flag parses and runs on checkpoint restore too (the restored
-        // store is RAM-resident, so it is accepted for parity and ignored).
-        let ckpt = gz_testutil::TempPath::new("gz-cli-io-ckpt", ".gzc");
-        execute(Command::CheckpointSave {
-            stream: path.to_path_buf(),
-            out: ckpt.to_path_buf(),
-            workers: 2,
-            seed: 0x5EED_1E55,
-        })
-        .unwrap();
-        let restored = execute(Command::CheckpointRestore {
-            path: ckpt.to_path_buf(),
-            forest: false,
-            query_mode: QueryMode::Snapshot,
-            query_threads: None,
-            io_backend: Some(IoBackendKind::Pread),
-        })
-        .unwrap();
-        assert_eq!(count(&restored), count(&reference));
     }
 
     #[test]
@@ -2142,7 +2037,6 @@ mod tests {
             buffering: BufferingArg::Leaf,
             dir: None,
             forest: true,
-            query_mode: QueryMode::Snapshot,
             query_threads: None,
             staleness: None,
             threshold: None,

@@ -11,15 +11,13 @@ fn main() {
                  [--seed S] --out FILE\n  gz info FILE\n  gz components FILE \
                  [--workers N] [--store ram|disk] [--buffering leaf|tree] \
                  [--dir DIR] [--forest]\n                \
-                 [--query-mode streaming|snapshot] [--query-threads N] \
-                 [--staleness U] [--threshold T] \
+                 [--query-threads N] [--staleness U] [--threshold T] \
                  [--io-backend auto|pread|uring] [--stats]\n                \
                  [--shards K [--connect HOST:PORT,...]]\n                \
                  [--checkpoint-every N] [--batch-updates N] [--respawn]\n  \
                  gz checkpoint save \
                  FILE --from STREAM [--workers N] [--seed S]\n  gz checkpoint \
-                 restore FILE [--forest] [--query-mode streaming|snapshot] \
-                 [--query-threads N] [--io-backend auto|pread|uring]\n  \
+                 restore FILE [--forest] [--query-threads N]\n  \
                  gz shard-worker --listen HOST:PORT \
                  --nodes N --shards K --index I [--seed S]\n                  \
                  [--workers N] [--store ram|disk] [--dir DIR] [--threshold T] \

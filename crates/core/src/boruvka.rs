@@ -11,7 +11,7 @@
 //! round `r` of every live vertex into that vertex's supernode accumulator
 //! — a dense vertex's round slice is merged in as it streams past, a sparse
 //! vertex's exact edge set is XORed in directly
-//! ([`crate::sparse::SparseRoundBatch`]). Because sketch merging is a
+//! (`sparse::SparseRoundBatch`). Because sketch merging is a
 //! per-round XOR, the accumulator of a supernode is bit-identical to
 //! round `r` of the merged sketch stack the materialized algorithm would
 //! hold — so every source (a RAM snapshot, a disk store streaming groups

@@ -71,25 +71,6 @@ pub enum StoreBackend {
     },
 }
 
-/// How `spanning_forest()` reads sketches out of the store (paper §4.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueryMode {
-    /// Materialize every node's full sketch stack in RAM before running
-    /// Boruvka — peak query memory is `O(V × full sketch)`, which forfeits
-    /// a disk store's RAM budget (and a hybrid store's sparse vertices) at
-    /// query time. Kept selectable as the bit-identity oracle the streaming
-    /// engine is tested against.
-    Snapshot,
-    /// The default: fold the store in place, round by round (group-
-    /// sequential reads with prefetch on disk, borrowed slices in RAM,
-    /// sparse vertices XORed straight from their exact sets) into
-    /// per-supernode accumulators: peak query memory is
-    /// `O(live components × one round)` plus the prefetch window. Labels
-    /// are bit-identical to `Snapshot`.
-    #[default]
-    Streaming,
-}
-
 /// What a `query_threads` of `None` resolves to: the ingestion worker
 /// count, but no more threads than the host can run at once — folding is
 /// CPU-bound, so oversubscribed query workers only add hand-over cost.
@@ -134,8 +115,6 @@ pub struct GzConfig {
     pub store: StoreBackend,
     /// Batch-level locking discipline.
     pub locking: LockingStrategy,
-    /// How queries read sketches out of the store.
-    pub query_mode: QueryMode,
     /// Worker threads the Borůvka query engine folds, samples, and (on
     /// disk stores) reads with; `None` = the ingestion worker count
     /// (`num_workers`), capped at the host's available parallelism.
@@ -179,7 +158,6 @@ impl GzConfig {
             buffering: BufferStrategy::LeafOnly { capacity: GutterCapacity::SketchFactor(0.5) },
             store: StoreBackend::Ram,
             locking: LockingStrategy::DeltaSketch,
-            query_mode: QueryMode::default(),
             query_threads: None,
             query_staleness: None,
             sketch_threshold: 0,
@@ -303,14 +281,6 @@ mod tests {
         // An explicit setting is taken as given.
         c.query_threads = Some(cores + 7);
         assert_eq!(c.query_threads(), cores + 7);
-    }
-
-    #[test]
-    fn queries_stream_by_default() {
-        assert_eq!(QueryMode::default(), QueryMode::Streaming);
-        assert_eq!(GzConfig::in_ram(64).query_mode, QueryMode::Streaming);
-        let disk = GzConfig::on_disk(64, std::env::temp_dir());
-        assert_eq!(disk.query_mode, QueryMode::Streaming);
     }
 
     #[test]

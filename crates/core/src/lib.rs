@@ -79,18 +79,16 @@ pub use boruvka::{
     boruvka_spanning_forest_parallel, BoruvkaOutcome, RoundSink,
 };
 pub use checkpoint::{CheckpointHeader, ServeManifest, ShardCheckpointHeader, UpdateWal};
-pub use config::{
-    BufferStrategy, GutterCapacity, GzConfig, LockingStrategy, QueryMode, StoreBackend,
-};
+pub use config::{BufferStrategy, GutterCapacity, GzConfig, LockingStrategy, StoreBackend};
 pub use edge_connectivity::{ForestCertificate, KForestSketcher};
 pub use error::{GzError, TransportError, TransportErrorKind};
 pub use msf::{MsfSketcher, WeightedForest};
 pub use node_sketch::{CubeNodeSketch, NodeSketch};
 pub use sharding::{
     connect_shard_tcp, new_pipeline_resuming, serve_shard_connection, shard_checkpoint_file_name,
-    InProcessTransport, RecoveringTransport, ReplayLog, RetryPolicy, ShardConfig, ShardLink,
-    ShardPipeline, ShardRouter, ShardServeStats, ShardTransport, ShardedEpoch,
-    ShardedGraphZeppelin, SocketTransport, TransportTimeouts,
+    InProcessTransport, Recovery, ReplayLog, RetryPolicy, ShardConfig, ShardLink, ShardPipeline,
+    ShardRouter, ShardServeStats, ShardTransport, ShardedEpoch, ShardedGraphZeppelin,
+    SocketTransport, TransportTimeouts,
 };
 pub use sparse::SparseSet;
 pub use store::{

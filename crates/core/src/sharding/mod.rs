@@ -14,23 +14,23 @@
 //! - [`ShardTransport`] — how batches travel: [`InProcessTransport`]
 //!   (queue pushes, the single-process deployment) or [`SocketTransport`]
 //!   (TCP/Unix sockets to worker processes running
-//!   [`serve_shard_connection`]). The coordinator is transport-agnostic.
+//!   [`serve_shard_connection`], optionally healing dead links through a
+//!   [`Recovery`] policy). The coordinator is transport-agnostic.
 //! - [`ShardPipeline`] — a full per-shard ingestion stack: work queue,
 //!   Graph Worker pool, and a pluggable RAM/disk store covering only the
 //!   shard's owned vertices.
 //!
 //! The routing contract is unchanged: shard `i` owns every vertex `v` with
 //! `v % num_shards == i`, each update touches at most two shards, and
-//! shards never communicate until query time. Queries run in either
-//! [`QueryMode`]: snapshot mode gathers every node's full sketch stack at
-//! the coordinator and runs the ordinary Boruvka computation; streaming
-//! mode gathers one `GatherRound` frame per Borůvka round (a `rounds`-fold
-//! smaller message) and folds the slices straight into the round-driven
+//! shards never communicate until query time. A query gathers one
+//! `GatherRound` frame per Borůvka round (a `rounds`-fold smaller message
+//! than a full gather) and folds the slices straight into the round-driven
 //! engine, so the coordinator never materializes the universe. The crucial
 //! invariant — proved by the equivalence suite and the multi-process
 //! example — is that a sharded system's gathered sketch state is
-//! *bit-identical* to a single-node system's on the same stream, and both
-//! query modes return bit-identical answers.
+//! *bit-identical* to a single-node system's on the same stream, and the
+//! query answers bit-identically to the gather-everything reference
+//! ([`ShardedGraphZeppelin::spanning_forest_oracle`]).
 
 mod pipeline;
 mod router;
@@ -40,12 +40,12 @@ pub use pipeline::{shard_checkpoint_file_name, ShardPipeline};
 pub use router::{ReplayLog, ShardRouter};
 pub use transport::{
     connect_shard_tcp, new_pipeline_resuming, serve_shard_connection, spawn_local_socket_workers,
-    InProcessTransport, RecoveringTransport, RetryPolicy, ShardLink, ShardServeStats,
-    ShardTransport, SocketTransport, TransportTimeouts,
+    InProcessTransport, Recovery, RetryPolicy, ShardLink, ShardServeStats, ShardTransport,
+    SocketTransport, TransportTimeouts,
 };
 
 use crate::boruvka::{boruvka_rounds_parallel, boruvka_spanning_forest_parallel, BoruvkaOutcome};
-use crate::config::{GutterCapacity, LockingStrategy, QueryMode, StoreBackend};
+use crate::config::{GutterCapacity, LockingStrategy, StoreBackend};
 use crate::error::GzError;
 use crate::node_sketch::{CubeNodeSketch, CubeRoundSketch, SketchParams};
 use crate::sparse::{SparseRoundBatch, SparseSet};
@@ -85,10 +85,6 @@ pub struct ShardConfig {
     pub sketch_threshold: u32,
     /// Router gutter capacity (the inter-shard batch size knob).
     pub router_capacity: GutterCapacity,
-    /// How the coordinator gathers sketches at query time (coordinator-side
-    /// only: not part of the parameter digest, since it cannot change the
-    /// sketch state or the answers).
-    pub query_mode: QueryMode,
     /// Worker threads the coordinator's Borůvka engine folds and samples
     /// with; `None` = the per-shard ingestion worker count, capped at the
     /// host's available parallelism. Coordinator-side only — answers are
@@ -136,7 +132,6 @@ impl ShardConfig {
             store: StoreBackend::Ram,
             sketch_threshold: 0,
             router_capacity: GutterCapacity::SketchFactor(0.5),
-            query_mode: QueryMode::default(),
             query_threads: None,
             query_staleness: None,
             io: IoBackendConfig::default(),
@@ -223,7 +218,6 @@ pub struct ShardedGraphZeppelin {
     local_workers: Vec<JoinHandle<Result<ShardServeStats, GzError>>>,
     num_nodes: u64,
     updates: u64,
-    query_mode: QueryMode,
     query_threads: usize,
     /// Last sealed epoch and the update count at its seal — the bounded-
     /// staleness cache (`ShardConfig::query_staleness`).
@@ -292,7 +286,6 @@ impl ShardedGraphZeppelin {
             local_workers: Vec::new(),
             num_nodes: config.num_nodes,
             updates: 0,
-            query_mode: config.query_mode,
             query_threads: config.query_threads(),
             cached_epoch: None,
             query_staleness: config.query_staleness,
@@ -376,8 +369,8 @@ impl ShardedGraphZeppelin {
     }
 
     /// Recovery counters (checkpoints, replays, reconnects), if the
-    /// transport tracks them ([`transport::RecoveringTransport`] does;
-    /// plain transports return `None`).
+    /// transport tracks them (a [`SocketTransport`] with a [`Recovery`]
+    /// policy does; the others return `None`).
     pub fn recovery_stats(&self) -> Option<Arc<gz_gutters::IoStats>> {
         self.transport.lock().recovery_stats()
     }
@@ -439,38 +432,16 @@ impl ShardedGraphZeppelin {
             .collect())
     }
 
-    /// Query a spanning forest in the configured [`QueryMode`]; both modes
-    /// return bit-identical labels and forests.
-    pub fn spanning_forest(&mut self) -> Result<BoruvkaOutcome, GzError> {
-        match self.query_mode {
-            QueryMode::Snapshot => self.spanning_forest_snapshot(),
-            QueryMode::Streaming => self.spanning_forest_streaming(),
-        }
-    }
-
-    /// Snapshot-mode query: gather every node's full sketch stack at the
-    /// coordinator, then run ordinary Boruvka over the materialization.
-    pub fn spanning_forest_snapshot(&mut self) -> Result<BoruvkaOutcome, GzError> {
-        let sketches = self.gather()?;
-        boruvka_spanning_forest_parallel(
-            sketches,
-            self.num_nodes,
-            self.params.rounds(),
-            self.query_threads,
-        )
-    }
-
-    /// Streaming-mode query: each Borůvka round gathers only that round's
-    /// sketch slices from the shards (`GatherRound` frames, `rounds`-fold
-    /// smaller than a full gather), so the coordinator never materializes
-    /// the whole universe. Bit-identical to
-    /// [`Self::spanning_forest_snapshot`].
+    /// Query a spanning forest: each Borůvka round gathers only that
+    /// round's sketch slices from the shards (`GatherRound` frames,
+    /// `rounds`-fold smaller than a full gather), so the coordinator never
+    /// materializes the whole universe.
     ///
     /// With `ShardConfig::query_staleness = Some(n)` the query answers from
     /// the last sealed epoch while it is at most `n` updates stale,
     /// resealing only when the budget is blown — the sharded form of
-    /// [`crate::GraphZeppelin::spanning_forest_streaming`]'s knob.
-    pub fn spanning_forest_streaming(&mut self) -> Result<BoruvkaOutcome, GzError> {
+    /// [`crate::GraphZeppelin::spanning_forest`]'s knob.
+    pub fn spanning_forest(&mut self) -> Result<BoruvkaOutcome, GzError> {
         let Some(max_lag) = self.query_staleness else {
             self.flush()?;
             let params = Arc::clone(&self.params);
@@ -495,6 +466,21 @@ impl ShardedGraphZeppelin {
         }
         let (epoch, _) = self.cached_epoch.as_ref().expect("epoch sealed above");
         epoch.spanning_forest()
+    }
+
+    /// The reference [`Self::spanning_forest`] is tested against: gather
+    /// every node's full sketch stack at the coordinator, then run ordinary
+    /// Boruvka over the materialization. Always reads live state —
+    /// `query_staleness` does not apply. No configuration selects it; tests
+    /// call it by name.
+    pub fn spanning_forest_oracle(&mut self) -> Result<BoruvkaOutcome, GzError> {
+        let sketches = self.gather()?;
+        boruvka_spanning_forest_parallel(
+            sketches,
+            self.num_nodes,
+            self.params.rounds(),
+            self.query_threads,
+        )
     }
 
     /// Flush, then seal one epoch on every shard and hand back a query
@@ -1017,7 +1003,7 @@ mod tests {
     }
 
     #[test]
-    fn streaming_query_bit_identical_to_snapshot_across_transports() {
+    fn query_bit_identical_to_oracle_across_transports() {
         let n = 40u64;
         let updates = demo_updates(n as u32, 300, 11);
         type Maker = fn(ShardConfig) -> Result<ShardedGraphZeppelin, GzError>;
@@ -1026,31 +1012,16 @@ mod tests {
         for make in makers {
             let mut sys = make(ShardConfig::in_ram(n, 3)).unwrap();
             sys.ingest(updates.iter().copied()).unwrap();
-            let snap = sys.spanning_forest_snapshot().unwrap();
-            let stream = sys.spanning_forest_streaming().unwrap();
-            assert_eq!(snap.labels, stream.labels);
-            assert_eq!(snap.forest, stream.forest);
-            assert_eq!(snap.rounds_used, stream.rounds_used);
+            let oracle = sys.spanning_forest_oracle().unwrap();
+            let product = sys.spanning_forest().unwrap();
+            assert_eq!(oracle.labels, product.labels);
+            assert_eq!(oracle.forest, product.forest);
+            assert_eq!(oracle.rounds_used, product.rounds_used);
+            assert_eq!(oracle.sketch_failures, product.sketch_failures);
             // A round frame is `rounds`-fold smaller than the full gather.
-            assert!(stream.peak_sketch_bytes < snap.peak_sketch_bytes);
+            assert!(product.peak_sketch_bytes < oracle.peak_sketch_bytes);
             sys.shutdown().unwrap();
         }
-    }
-
-    #[test]
-    fn streaming_query_mode_is_routable_from_config() {
-        let n = 24u64;
-        let updates = demo_updates(n as u32, 100, 13);
-        let mut config = ShardConfig::in_ram(n, 2);
-        config.query_mode = QueryMode::Streaming;
-        let mut streaming = ShardedGraphZeppelin::in_process(config).unwrap();
-        streaming.ingest(updates.iter().copied()).unwrap();
-        let mut snapshot = ShardedGraphZeppelin::in_process(ShardConfig::in_ram(n, 2)).unwrap();
-        snapshot.ingest(updates.iter().copied()).unwrap();
-        assert_eq!(
-            streaming.connected_components().unwrap(),
-            snapshot.connected_components().unwrap()
-        );
     }
 
     #[test]
@@ -1066,7 +1037,7 @@ mod tests {
             sys.ingest(updates.iter().copied()).unwrap();
             let epoch = sys.begin_epoch().unwrap();
             // Stop-the-world reference taken right after the seal.
-            let reference = sys.spanning_forest_streaming().unwrap();
+            let reference = sys.spanning_forest().unwrap();
             sys.ingest(more.iter().copied()).unwrap();
             sys.flush().unwrap();
             // The epoch still answers as of the seal, and repeatably so.
@@ -1087,7 +1058,6 @@ mod tests {
     fn sharded_staleness_knob_reuses_then_reseals() {
         let n = 24u64;
         let mut config = ShardConfig::in_ram(n, 2);
-        config.query_mode = QueryMode::Streaming;
         config.query_staleness = Some(10);
         let mut sys = ShardedGraphZeppelin::in_process(config).unwrap();
         sys.update(0, 1, false).unwrap();
@@ -1120,8 +1090,8 @@ mod tests {
         assert_eq!(dense.gather_serialized().unwrap(), hybrid.gather_serialized().unwrap());
         // Streaming gathers ship tagged frames (sparse sets for
         // sub-threshold nodes); answers must still be bit-identical.
-        let a = dense.spanning_forest_streaming().unwrap();
-        let b = hybrid.spanning_forest_streaming().unwrap();
+        let a = dense.spanning_forest().unwrap();
+        let b = hybrid.spanning_forest().unwrap();
         assert_eq!(a.labels, b.labels);
         assert_eq!(a.forest, b.forest);
         assert_eq!(a.rounds_used, b.rounds_used);
@@ -1138,7 +1108,7 @@ mod tests {
             sys.update(0, i, false).unwrap();
         }
         let epoch = sys.begin_epoch().unwrap();
-        let reference = sys.spanning_forest_streaming().unwrap();
+        let reference = sys.spanning_forest().unwrap();
         // Post-seal churn pushes node 0 over τ — the pinned answer must
         // still serve the sealed sparse sets.
         for i in 4..12u32 {

@@ -8,21 +8,22 @@
 //!   coordinator; "sending" a batch is a queue push. This is the refactored
 //!   form of the old `ShardedGraphZeppelin`.
 //! - [`SocketTransport`] — shards live behind byte streams (`TcpStream`,
-//!   `UnixStream`, or anything `Read + Write`) speaking the
-//!   [`gz_stream::wire`] protocol; the remote end runs
-//!   [`serve_shard_connection`]'s event loop.
+//!   `UnixStream`, or any [`ShardLink`]) speaking the [`gz_stream::wire`]
+//!   protocol; the remote end runs [`serve_shard_connection`]'s event loop.
 //!
-//! Every transport starts with a `Hello`/`HelloAck` digest handshake: two
-//! sides whose sketch parameters differ would produce unmergeable sketches,
-//! so mismatches are refused before any batch flows.
+//! Every link starts with a `Hello`/`HelloAck` digest handshake: two sides
+//! whose sketch parameters differ would produce unmergeable sketches, so
+//! mismatches are refused before any batch flows.
 //!
-//! Fault tolerance (DESIGN.md §14) layers on top: [`RecoveringTransport`]
-//! wraps a [`SocketTransport`], keeps a bounded [`ReplayLog`] of batches per
-//! shard, and when a link fails with a *recoverable* [`TransportError`]
-//! (timeout or peer-gone) it respawns the worker, resyncs from the worker's
-//! last checkpoint sequence, and replays the missing tail. Because the
-//! sketches are linear (XOR), replaying exactly the un-absorbed batches
-//! reproduces the lost state bit-for-bit.
+//! Fault tolerance (DESIGN.md §14) is a policy value on the one socket
+//! transport, not a second transport: with a [`Recovery`] installed it
+//! keeps a bounded [`ReplayLog`] of batches per shard, and when a link
+//! fails with a *recoverable* [`TransportError`] (timeout or peer-gone) it
+//! respawns the worker, resyncs from the worker's last checkpoint sequence,
+//! and replays the missing tail. Because the sketches are linear (XOR),
+//! replaying exactly the un-absorbed batches reproduces the lost state
+//! bit-for-bit. Without a policy the same request path simply propagates
+//! the typed error.
 
 use crate::error::{GzError, TransportError};
 use crate::sharding::router::ReplayLog;
@@ -107,6 +108,31 @@ impl RetryPolicy {
         let jitter = SplitMix64::derive(self.jitter_seed ^ salt, attempt as u64) % span_ms;
         half + Duration::from_millis(jitter)
     }
+
+    /// Run `attempt` until it succeeds, at most `attempts` times (at least
+    /// once), sleeping [`Self::backoff`] before each retry; `shard` salts
+    /// the jitter. Returns the last error when every attempt fails — and a
+    /// protocol violation at once: a digest mismatch or a resync gap will
+    /// not heal by retrying, the deployment is misconfigured.
+    fn retrying<T>(
+        &self,
+        shard: u32,
+        mut attempt: impl FnMut() -> Result<T, GzError>,
+    ) -> Result<T, GzError> {
+        let mut last = None;
+        for n in 0..self.attempts.max(1) {
+            let pause = self.backoff(n, shard as u64);
+            if !pause.is_zero() {
+                std::thread::sleep(pause);
+            }
+            match attempt() {
+                Err(e @ GzError::Protocol(_)) => return Err(e),
+                Err(e) => last = Some(e),
+                ok => return ok,
+            }
+        }
+        Err(last.expect("at least one attempt is always made"))
+    }
 }
 
 /// A byte stream that can carry shard traffic and (where the OS supports
@@ -134,12 +160,6 @@ impl ShardLink for UnixStream {
     }
 }
 
-impl<T: ShardLink + ?Sized> ShardLink for &mut T {
-    fn apply_timeouts(&mut self, timeouts: &TransportTimeouts) -> std::io::Result<()> {
-        (**self).apply_timeouts(timeouts)
-    }
-}
-
 /// Write `msg` on shard `shard`'s link, classifying any I/O failure into a
 /// typed [`TransportError`] carrying the shard index.
 fn send_msg<S: Read + Write>(link: &mut S, shard: u32, msg: &WireMessage) -> Result<(), GzError> {
@@ -153,7 +173,7 @@ fn recv_msg<S: Read + Write>(link: &mut S, shard: u32) -> Result<WireMessage, Gz
     WireMessage::read_from(link).map_err(|e| GzError::Transport(TransportError::from_io(shard, &e)))
 }
 
-/// True for errors a [`RecoveringTransport`] may heal by respawning the
+/// True for errors a [`Recovery`] policy may heal by respawning the
 /// worker: timeouts and dead peers. Malformed frames and protocol
 /// violations are bugs, not outages — they propagate.
 fn recoverable(err: &GzError) -> bool {
@@ -176,7 +196,8 @@ pub trait ShardTransport {
     fn gather(&mut self) -> Result<Vec<SketchEntry>, GzError>;
 
     /// Collect only round `round`'s slice of every shard's sketches — the
-    /// streaming query's gather unit. Each reply is `rounds`-fold smaller
+    /// query's gather unit, collected ([`Self::gather_round_each`] is the
+    /// form that folds as replies arrive). Each reply is `rounds`-fold smaller
     /// than a full [`Self::gather`], so the coordinator holds at most one
     /// round of the universe at a time. With `epochs = None` each shard
     /// flushes and answers from its live sketches; with `Some(ids)` shard
@@ -186,7 +207,14 @@ pub trait ShardTransport {
         &mut self,
         round: u32,
         epochs: Option<&[u64]>,
-    ) -> Result<Vec<SketchEntry>, GzError>;
+    ) -> Result<Vec<SketchEntry>, GzError> {
+        let mut entries = Vec::new();
+        self.gather_round_each(round, epochs, &mut |reply| {
+            entries.extend(reply);
+            Ok(())
+        })?;
+        Ok(entries)
+    }
 
     /// Gather round `round` with overlap: issue the request to every shard
     /// up front, then invoke `on_reply` once per shard's reply *as it
@@ -194,17 +222,13 @@ pub trait ShardTransport {
     /// others are still serializing or transmitting theirs. An error from
     /// `on_reply` stops folding and is returned (remaining shards are still
     /// drained where the transport needs it for framing sanity). `epochs`
-    /// pins the gather exactly as in [`Self::gather_round`]. The default
-    /// collects everything first — transports with real concurrency
-    /// override it.
+    /// pins the gather exactly as in [`Self::gather_round`].
     fn gather_round_each(
         &mut self,
         round: u32,
         epochs: Option<&[u64]>,
         on_reply: &mut dyn FnMut(Vec<SketchEntry>) -> Result<(), GzError>,
-    ) -> Result<(), GzError> {
-        on_reply(self.gather_round(round, epochs)?)
-    }
+    ) -> Result<(), GzError>;
 
     /// Seal one epoch on every shard — each shard flushes its pipeline and
     /// freezes the sealed state behind copy-on-write — and return the
@@ -220,20 +244,17 @@ pub trait ShardTransport {
     /// Ask every shard to durably checkpoint its owned sketch state, and
     /// return the per-shard batch sequence numbers the checkpoints cover
     /// (indexed by shard). Transports that track a replay log prune it
-    /// here. The default refuses: a transport must opt in to durability.
-    fn checkpoint_shards(&mut self) -> Result<Vec<u64>, GzError> {
-        Err(GzError::InvalidConfig("this transport does not support shard checkpoints".into()))
-    }
+    /// here.
+    fn checkpoint_shards(&mut self) -> Result<Vec<u64>, GzError>;
 
     /// Durably checkpoint every shard's owned state to `paths[i]` (one path
     /// per shard), overriding any cadence-configured destination. `gz
     /// serve` uses this to write *versioned* checkpoint rounds: each round
     /// lands at fresh paths, and only after every shard file is complete
     /// does a manifest flip make the round current — so a crash mid-round
-    /// can never mix old and new shard state. The default refuses, like
-    /// [`checkpoint_shards`](Self::checkpoint_shards).
-    fn checkpoint_shards_to(&mut self, paths: &[std::path::PathBuf]) -> Result<Vec<u64>, GzError> {
-        let _ = paths;
+    /// can never mix old and new shard state. The default refuses: a
+    /// transport must opt in.
+    fn checkpoint_shards_to(&mut self, _paths: &[std::path::PathBuf]) -> Result<Vec<u64>, GzError> {
         Err(GzError::InvalidConfig(
             "this transport does not support targeted shard checkpoints".into(),
         ))
@@ -243,13 +264,13 @@ pub trait ShardTransport {
     /// file's topology header against the shard it lands on. Returns the
     /// per-shard sequence numbers the restored state covers. The default
     /// refuses.
-    fn resume_shards_from(&mut self, paths: &[std::path::PathBuf]) -> Result<Vec<u64>, GzError> {
-        let _ = paths;
+    fn resume_shards_from(&mut self, _paths: &[std::path::PathBuf]) -> Result<Vec<u64>, GzError> {
         Err(GzError::InvalidConfig("this transport does not support shard resume".into()))
     }
 
-    /// Recovery counters, if this transport keeps them
-    /// ([`RecoveringTransport`] does; plain transports return `None`).
+    /// Recovery counters, if this transport keeps them (a
+    /// [`SocketTransport`] with a [`Recovery`] policy does; the others
+    /// return `None`).
     fn recovery_stats(&self) -> Option<Arc<IoStats>> {
         None
     }
@@ -304,22 +325,6 @@ impl ShardTransport for InProcessTransport {
         let mut entries = Vec::new();
         for shard in &self.shards {
             entries.extend(shard.gather_serialized());
-        }
-        Ok(entries)
-    }
-
-    fn gather_round(
-        &mut self,
-        round: u32,
-        epochs: Option<&[u64]>,
-    ) -> Result<Vec<SketchEntry>, GzError> {
-        check_epochs(epochs, self.shards.len())?;
-        let mut entries = Vec::new();
-        for (i, shard) in self.shards.iter().enumerate() {
-            entries.extend(match epochs {
-                None => shard.gather_round_serialized(round as usize)?,
-                Some(ids) => shard.gather_round_serialized_at(round as usize, ids[i])?,
-            });
         }
         Ok(entries)
     }
@@ -395,13 +400,7 @@ impl ShardTransport for InProcessTransport {
     }
 
     fn checkpoint_shards_to(&mut self, paths: &[std::path::PathBuf]) -> Result<Vec<u64>, GzError> {
-        if paths.len() != self.shards.len() {
-            return Err(GzError::InvalidConfig(format!(
-                "checkpoint_shards_to needs one path per shard: got {} for {} shards",
-                paths.len(),
-                self.shards.len()
-            )));
-        }
+        check_paths("checkpoint_shards_to", paths, self.shards.len())?;
         self.shards
             .iter()
             .zip(paths)
@@ -413,13 +412,7 @@ impl ShardTransport for InProcessTransport {
     }
 
     fn resume_shards_from(&mut self, paths: &[std::path::PathBuf]) -> Result<Vec<u64>, GzError> {
-        if paths.len() != self.shards.len() {
-            return Err(GzError::InvalidConfig(format!(
-                "resume_shards_from needs one path per shard: got {} for {} shards",
-                paths.len(),
-                self.shards.len()
-            )));
-        }
+        check_paths("resume_shards_from", paths, self.shards.len())?;
         self.shards.iter().zip(paths).map(|(shard, path)| shard.resume_from(path)).collect()
     }
 
@@ -439,14 +432,133 @@ fn check_epochs(epochs: Option<&[u64]>, num_shards: usize) -> Result<(), GzError
     }
 }
 
+/// A targeted checkpoint or resume must name exactly one file per shard.
+fn check_paths(what: &str, paths: &[std::path::PathBuf], num_shards: usize) -> Result<(), GzError> {
+    if paths.len() != num_shards {
+        return Err(GzError::InvalidConfig(format!(
+            "{what} needs one path per shard: got {} for {num_shards} shards",
+            paths.len()
+        )));
+    }
+    Ok(())
+}
+
 // ---------------------------------------------------------------------------
-// Socket transport
+// Socket transport (with optional recovery: replay log + worker respawn)
 // ---------------------------------------------------------------------------
 
+/// What lets a [`SocketTransport`] survive worker death (DESIGN.md §14).
+///
+/// Every batch shipped to a shard is also appended to that shard's
+/// [`ReplayLog`]; the log is pruned when the shard acknowledges a durable
+/// checkpoint. When an operation fails with a recoverable
+/// [`TransportError`] (timeout, peer gone), the transport calls the
+/// `respawn` closure to obtain a fresh link to a restarted worker, runs the
+/// `Hello` handshake, asks `Resync` — the worker answers with the batch
+/// sequence its restored checkpoint covers — and replays exactly the logged
+/// batches after that sequence. Linearity makes this sound: XOR updates
+/// commute, and replaying only the un-absorbed tail reproduces the lost
+/// state bit-for-bit. The interrupted operation is then re-issued on the
+/// fresh link (once; a second failure propagates).
+///
+/// What recovery does **not** preserve: epochs sealed on a worker die with
+/// it. An epoch-pinned gather that names a lost epoch fails on the respawned
+/// worker too, so long-running epoch readers must tolerate
+/// re-sealing after a crash.
+pub struct Recovery<S> {
+    /// Per-shard batches since the last acknowledged checkpoint (one log
+    /// per link, sized by [`SocketTransport::with_recovery`]).
+    logs: Vec<ReplayLog>,
+    /// Produces a fresh, connected (but un-handshaken) link to shard `i` —
+    /// respawning the worker process first if the deployment needs that.
+    respawn: Box<dyn FnMut(u32) -> Result<S, GzError> + Send>,
+    timeouts: TransportTimeouts,
+    retry: RetryPolicy,
+    stats: Arc<IoStats>,
+    /// Per-shard replay-log entry bound; exceeding it forces a checkpoint
+    /// round so coordinator memory stays proportional to the checkpoint
+    /// cadence, never the stream length.
+    replay_log_cap: Option<usize>,
+}
+
+impl<S: ShardLink> Recovery<S> {
+    /// `respawn(i)` must return a fresh connected link to a live worker for
+    /// shard `i` (the transport runs the handshake and resync itself);
+    /// `retry` bounds and paces the respawn attempts per failure.
+    pub fn new(
+        timeouts: TransportTimeouts,
+        retry: RetryPolicy,
+        respawn: Box<dyn FnMut(u32) -> Result<S, GzError> + Send>,
+    ) -> Self {
+        Recovery {
+            logs: Vec::new(),
+            respawn,
+            timeouts,
+            retry,
+            stats: Arc::new(IoStats::default()),
+            replay_log_cap: None,
+        }
+    }
+
+    /// Bound each shard's replay log to `cap` entries; exceeding the bound
+    /// triggers an inline checkpoint round (which prunes the logs).
+    pub fn with_replay_log_cap(mut self, cap: usize) -> Self {
+        self.replay_log_cap = Some(cap.max(1));
+        self
+    }
+
+    /// A replacement for shard `shard`'s dead link: respawn (with bounded,
+    /// jittered backoff), handshake, resync, replay the missing tail.
+    fn fresh_link(&mut self, shard: u32, params_digest: u64) -> Result<S, GzError> {
+        let retry = self.retry;
+        retry.retrying(shard, || {
+            self.stats.record_reconnect_attempt();
+            let mut link = (self.respawn)(shard)?;
+            self.resync(shard, params_digest, &mut link)?;
+            Ok(link)
+        })
+    }
+
+    /// Handshake + resync + replay on a fresh link (not yet installed).
+    fn resync(&mut self, shard: u32, params_digest: u64, link: &mut S) -> Result<(), GzError> {
+        link.apply_timeouts(&self.timeouts)
+            .map_err(|e| GzError::Transport(TransportError::from_io(shard, &e)))?;
+        handshake_link(link, shard, params_digest)?;
+        send_msg(link, shard, &WireMessage::Resync)?;
+        let seq = match recv_msg(link, shard)? {
+            WireMessage::ResyncFrom { seq } => seq,
+            other => return Err(answered(shard, &WireMessage::Resync, &other)),
+        };
+        let log = &self.logs[shard as usize];
+        if !log.covers(seq) {
+            return Err(GzError::Protocol(format!(
+                "shard {shard} resumed at seq {seq}, outside the replay log \
+                 [{}, {}] — its checkpoint predates the last acknowledged one",
+                log.next_seq() - log.len() as u64,
+                log.next_seq()
+            )));
+        }
+        let missing = log.next_seq() - seq;
+        for batch in log.iter_from(seq) {
+            send_msg(
+                link,
+                shard,
+                &WireMessage::Batch { node: batch.node, records: batch.others.clone() },
+            )?;
+        }
+        self.stats.record_replay(missing);
+        Ok(())
+    }
+}
+
 /// Shards behind byte streams speaking the wire protocol. Stream `i`
-/// connects to the worker serving shard `i`.
-pub struct SocketTransport<S: Read + Write> {
+/// connects to the worker serving shard `i`. With a [`Recovery`] policy
+/// installed ([`Self::with_recovery`]) a link that times out or loses its
+/// peer is respawned and caught up instead of failing the operation.
+pub struct SocketTransport<S: ShardLink> {
     links: Vec<S>,
+    params_digest: u64,
+    recovery: Option<Recovery<S>>,
 }
 
 impl SocketTransport<TcpStream> {
@@ -491,27 +603,17 @@ pub fn connect_shard_tcp(
     timeouts: &TransportTimeouts,
     retry: &RetryPolicy,
 ) -> Result<TcpStream, GzError> {
-    let mut last: Option<GzError> = None;
-    for attempt in 0..retry.attempts.max(1) {
-        let pause = retry.backoff(attempt, shard as u64);
-        if !pause.is_zero() {
-            std::thread::sleep(pause);
-        }
-        match tcp_connect_once(addr, timeouts.connect) {
-            Ok(mut stream) => {
-                // Frames are written whole; disabling Nagle keeps the
-                // request/reply turns (Flush, Gather) from stalling on
-                // delayed ACKs.
-                let setup = stream.set_nodelay(true).and_then(|()| stream.apply_timeouts(timeouts));
-                match setup {
-                    Ok(()) => return Ok(stream),
-                    Err(e) => last = Some(GzError::Transport(TransportError::from_io(shard, &e))),
-                }
-            }
-            Err(e) => last = Some(GzError::Transport(TransportError::from_io(shard, &e))),
-        }
-    }
-    Err(last.expect("at least one connection attempt is always made"))
+    let dial = || -> std::io::Result<TcpStream> {
+        let mut stream = tcp_connect_once(addr, timeouts.connect)?;
+        // Frames are written whole; disabling Nagle keeps the request/reply
+        // turns (Flush, Gather) from stalling on delayed ACKs.
+        stream.set_nodelay(true)?;
+        stream.apply_timeouts(timeouts)?;
+        Ok(stream)
+    };
+    retry.retrying(shard, || {
+        dial().map_err(|e| GzError::Transport(TransportError::from_io(shard, &e)))
+    })
 }
 
 /// One connection attempt, honoring the connect deadline when set
@@ -537,7 +639,41 @@ fn tcp_connect_once(addr: &str, deadline: Option<Duration>) -> std::io::Result<T
     }
 }
 
-impl<S: Read + Write> SocketTransport<S> {
+/// The `Hello`/`HelloAck` digest exchange on one link — at first connect
+/// and again on every respawned link.
+fn handshake_link<S: Read + Write>(
+    link: &mut S,
+    shard: u32,
+    params_digest: u64,
+) -> Result<(), GzError> {
+    let hello = WireMessage::Hello { params_digest };
+    send_msg(link, shard, &hello)?;
+    match recv_msg(link, shard)? {
+        WireMessage::HelloAck { params_digest: theirs } if theirs == params_digest => Ok(()),
+        WireMessage::HelloAck { params_digest: theirs } => Err(GzError::Protocol(format!(
+            "shard {shard} parameter digest {theirs:#x} != coordinator {params_digest:#x}"
+        ))),
+        other => Err(answered(shard, &hello, &other)),
+    }
+}
+
+/// The one "shard i answered X with Y" protocol error (round numbers
+/// included where the messages carry them).
+fn answered(shard: u32, request: &WireMessage, reply: &WireMessage) -> GzError {
+    let describe = |msg: &WireMessage| match msg {
+        WireMessage::GatherRound { round, .. } | WireMessage::RoundSketches { round, .. } => {
+            format!("{}({round})", msg.name())
+        }
+        _ => msg.name().to_string(),
+    };
+    GzError::Protocol(format!(
+        "shard {shard} answered {} with {}",
+        describe(request),
+        describe(reply)
+    ))
+}
+
+impl<S: ShardLink> SocketTransport<S> {
     /// Take ownership of connected streams (one per shard, in shard order)
     /// and run the `Hello`/`HelloAck` handshake on each.
     pub fn handshake(mut links: Vec<S>, params_digest: u64) -> Result<Self, GzError> {
@@ -545,112 +681,122 @@ impl<S: Read + Write> SocketTransport<S> {
             return Err(GzError::InvalidConfig("need at least one shard link".into()));
         }
         for (i, link) in links.iter_mut().enumerate() {
-            WireMessage::Hello { params_digest }.write_to(link)?;
-            match WireMessage::read_from(link)? {
-                WireMessage::HelloAck { params_digest: theirs } if theirs == params_digest => {}
-                WireMessage::HelloAck { params_digest: theirs } => {
-                    return Err(GzError::Protocol(format!(
-                        "shard {i} parameter digest {theirs:#x} != coordinator {params_digest:#x}"
-                    )));
-                }
-                other => {
-                    return Err(GzError::Protocol(format!(
-                        "shard {i} answered Hello with {}",
-                        other.name()
-                    )));
-                }
-            }
+            handshake_link(link, i as u32, params_digest)?;
         }
-        Ok(SocketTransport { links })
+        Ok(SocketTransport { links, params_digest, recovery: None })
+    }
+
+    /// Install a recovery policy on an already-handshaken transport. Its
+    /// timeouts are installed on the existing links immediately — a
+    /// transport that can't detect a dead peer can't recover from one.
+    pub fn with_recovery(mut self, mut recovery: Recovery<S>) -> Result<Self, GzError> {
+        for (i, link) in self.links.iter_mut().enumerate() {
+            link.apply_timeouts(&recovery.timeouts)
+                .map_err(|e| GzError::Transport(TransportError::from_io(i as u32, &e)))?;
+        }
+        recovery.logs = self.links.iter().map(|_| ReplayLog::new()).collect();
+        self.recovery = Some(recovery);
+        Ok(self)
+    }
+
+    /// The single recover-once-and-reissue step every read and write goes
+    /// through: run `io` on `shard`'s link; if it fails recoverably, `heal`
+    /// is set and a policy is present, replace the link with a respawned,
+    /// caught-up one and run `io` once more — telling it the link is fresh,
+    /// i.e. that the new worker has seen nothing of the request in flight.
+    /// A second failure propagates.
+    fn on_link<T>(
+        &mut self,
+        shard: usize,
+        heal: bool,
+        io: impl Fn(&mut S, bool) -> Result<T, GzError>,
+    ) -> Result<T, GzError> {
+        match (io(&mut self.links[shard], false), &mut self.recovery) {
+            (Err(e), Some(recovery)) if heal && recoverable(&e) => {
+                self.links[shard] = recovery.fresh_link(shard as u32, self.params_digest)?;
+                io(&mut self.links[shard], true)
+            }
+            (result, _) => result,
+        }
+    }
+
+    /// One pipelined request/reply turn with every shard: all requests go
+    /// out before any reply is read, so the shards work concurrently; the
+    /// replies are then handed to `on_reply` in shard order, each as soon
+    /// as its link delivers it. `on_reply` hands back a reply it does not
+    /// accept, which becomes the [`answered`] protocol error.
+    fn request_all(
+        &mut self,
+        heal: bool,
+        request_for_shard: &dyn Fn(usize) -> WireMessage,
+        on_reply: &mut dyn FnMut(WireMessage) -> Result<(), WireMessage>,
+    ) -> Result<(), GzError> {
+        let requests: Vec<WireMessage> = (0..self.links.len()).map(request_for_shard).collect();
+        for (i, request) in requests.iter().enumerate() {
+            self.on_link(i, heal, |link, _| send_msg(link, i as u32, request))?;
+        }
+        for (i, request) in requests.iter().enumerate() {
+            let reply = self.on_link(i, heal, |link, fresh| {
+                if fresh {
+                    send_msg(link, i as u32, request)?;
+                }
+                recv_msg(link, i as u32)
+            })?;
+            on_reply(reply).map_err(|got| answered(i as u32, request, &got))?;
+        }
+        Ok(())
     }
 }
 
-impl<S: Read + Write> ShardTransport for SocketTransport<S> {
+impl<S: ShardLink> ShardTransport for SocketTransport<S> {
     fn num_shards(&self) -> u32 {
         self.links.len() as u32
     }
 
     fn send_batch(&mut self, shard: u32, batch: Batch) -> Result<(), GzError> {
-        send_msg(
-            &mut self.links[shard as usize],
-            shard,
-            &WireMessage::Batch { node: batch.node, records: batch.others },
-        )
-    }
-
-    fn flush(&mut self) -> Result<(), GzError> {
-        // Pipelined: all shards flush concurrently, then all acks collected.
-        for (i, link) in self.links.iter_mut().enumerate() {
-            send_msg(link, i as u32, &WireMessage::Flush)?;
-        }
-        for (i, link) in self.links.iter_mut().enumerate() {
-            match recv_msg(link, i as u32)? {
-                WireMessage::FlushAck => {}
-                other => {
-                    return Err(GzError::Protocol(format!(
-                        "shard {i} answered Flush with {}",
-                        other.name()
-                    )));
-                }
+        let link = &mut self.links[shard as usize];
+        let Some(recovery) = &mut self.recovery else {
+            let msg = WireMessage::Batch { node: batch.node, records: batch.others };
+            return send_msg(link, shard, &msg);
+        };
+        // Log first: if the write fails, recovery's replay delivers the
+        // batch (it is part of the tail), so no explicit retry is needed.
+        // A "successful" write only proves the bytes entered a socket
+        // buffer — the log keeps the batch until a checkpoint proves the
+        // worker absorbed it durably.
+        let msg = WireMessage::Batch { node: batch.node, records: batch.others.clone() };
+        let log = &mut recovery.logs[shard as usize];
+        log.append(batch);
+        let over_cap = recovery.replay_log_cap.is_some_and(|cap| log.len() >= cap);
+        match send_msg(link, shard, &msg) {
+            Ok(()) => {}
+            Err(e) if recoverable(&e) => {
+                *link = recovery.fresh_link(shard, self.params_digest)?;
             }
+            Err(e) => return Err(e),
+        }
+        if over_cap {
+            self.checkpoint_shards()?;
         }
         Ok(())
     }
 
-    fn gather(&mut self) -> Result<Vec<SketchEntry>, GzError> {
-        for (i, link) in self.links.iter_mut().enumerate() {
-            send_msg(link, i as u32, &WireMessage::GatherSketches)?;
-        }
-        let mut entries = Vec::new();
-        for (i, link) in self.links.iter_mut().enumerate() {
-            match recv_msg(link, i as u32)? {
-                WireMessage::Sketches { entries: shard_entries } => {
-                    entries.extend(shard_entries);
-                }
-                other => {
-                    return Err(GzError::Protocol(format!(
-                        "shard {i} answered GatherSketches with {}",
-                        other.name()
-                    )));
-                }
-            }
-        }
-        Ok(entries)
+    fn flush(&mut self) -> Result<(), GzError> {
+        self.request_all(true, &|_| WireMessage::Flush, &mut |reply| match reply {
+            WireMessage::FlushAck => Ok(()),
+            other => Err(other),
+        })
     }
 
-    fn gather_round(
-        &mut self,
-        round: u32,
-        epochs: Option<&[u64]>,
-    ) -> Result<Vec<SketchEntry>, GzError> {
-        check_epochs(epochs, self.links.len())?;
-        // Pipelined like the full gather: all shards serialize their round
-        // slice concurrently, then the replies are collected in shard order.
-        for (i, link) in self.links.iter_mut().enumerate() {
-            let msg = WireMessage::GatherRound { round, epoch: epochs.map(|ids| ids[i]) };
-            send_msg(link, i as u32, &msg)?;
-        }
+    fn gather(&mut self) -> Result<Vec<SketchEntry>, GzError> {
         let mut entries = Vec::new();
-        for (i, link) in self.links.iter_mut().enumerate() {
-            match recv_msg(link, i as u32)? {
-                WireMessage::RoundSketches { round: theirs, entries: shard_entries }
-                    if theirs == round =>
-                {
-                    entries.extend(shard_entries);
-                }
-                WireMessage::RoundSketches { round: theirs, .. } => {
-                    return Err(GzError::Protocol(format!(
-                        "shard {i} answered GatherRound({round}) with round {theirs}"
-                    )));
-                }
-                other => {
-                    return Err(GzError::Protocol(format!(
-                        "shard {i} answered GatherRound with {}",
-                        other.name()
-                    )));
-                }
+        self.request_all(true, &|_| WireMessage::GatherSketches, &mut |reply| match reply {
+            WireMessage::Sketches { entries: shard_entries } => {
+                entries.extend(shard_entries);
+                Ok(())
             }
-        }
+            other => Err(other),
+        })?;
         Ok(entries)
     }
 
@@ -661,109 +807,84 @@ impl<S: Read + Write> ShardTransport for SocketTransport<S> {
         on_reply: &mut dyn FnMut(Vec<SketchEntry>) -> Result<(), GzError>,
     ) -> Result<(), GzError> {
         check_epochs(epochs, self.links.len())?;
-        // All requests go out before any reply is read, so every shard
-        // serializes its slice concurrently; each reply is then folded as
-        // soon as its link delivers it, while later shards are still
-        // working. (Replies are read in link order — a shard that finishes
-        // early is buffered by the transport until its turn.)
-        for (i, link) in self.links.iter_mut().enumerate() {
-            let msg = WireMessage::GatherRound { round, epoch: epochs.map(|ids| ids[i]) };
-            send_msg(link, i as u32, &msg)?;
-        }
-        let mut result = Ok(());
-        for (i, link) in self.links.iter_mut().enumerate() {
-            // Keep reading even after a fold error: every link owes exactly
-            // one reply, and leaving it unread would desynchronize the
-            // framing for whatever the coordinator does next.
-            match recv_msg(link, i as u32)? {
+        // Keep reading even after a fold error: every link owes exactly
+        // one reply, and leaving it unread would desynchronize the framing
+        // for whatever the coordinator does next.
+        let mut folded = Ok(());
+        self.request_all(
+            true,
+            &|i| WireMessage::GatherRound { round, epoch: epochs.map(|ids| ids[i]) },
+            &mut |reply| match reply {
                 WireMessage::RoundSketches { round: theirs, entries } if theirs == round => {
-                    if result.is_ok() {
-                        result = on_reply(entries);
+                    if folded.is_ok() {
+                        folded = on_reply(entries);
                     }
+                    Ok(())
                 }
-                WireMessage::RoundSketches { round: theirs, .. } => {
-                    return Err(GzError::Protocol(format!(
-                        "shard {i} answered GatherRound({round}) with round {theirs}"
-                    )));
-                }
-                other => {
-                    return Err(GzError::Protocol(format!(
-                        "shard {i} answered GatherRound with {}",
-                        other.name()
-                    )));
-                }
-            }
-        }
-        result
+                other => Err(other),
+            },
+        )?;
+        folded
     }
 
     fn seal_epoch(&mut self) -> Result<Vec<u64>, GzError> {
-        // Pipelined: every shard flushes and seals concurrently, then the
-        // per-shard epoch ids are collected in shard order.
-        for (i, link) in self.links.iter_mut().enumerate() {
-            send_msg(link, i as u32, &WireMessage::SealEpoch)?;
-        }
         let mut ids = Vec::with_capacity(self.links.len());
-        for (i, link) in self.links.iter_mut().enumerate() {
-            match recv_msg(link, i as u32)? {
-                WireMessage::EpochSealed { epoch } => ids.push(epoch),
-                other => {
-                    return Err(GzError::Protocol(format!(
-                        "shard {i} answered SealEpoch with {}",
-                        other.name()
-                    )));
-                }
+        self.request_all(true, &|_| WireMessage::SealEpoch, &mut |reply| match reply {
+            WireMessage::EpochSealed { epoch } => {
+                ids.push(epoch);
+                Ok(())
             }
-        }
+            other => Err(other),
+        })?;
         Ok(ids)
     }
 
     fn release_epoch(&mut self, epochs: &[u64]) -> Result<(), GzError> {
         check_epochs(Some(epochs), self.links.len())?;
-        for (i, link) in self.links.iter_mut().enumerate() {
-            send_msg(link, i as u32, &WireMessage::ReleaseEpoch { epoch: epochs[i] })?;
-        }
-        for (i, link) in self.links.iter_mut().enumerate() {
-            match recv_msg(link, i as u32)? {
-                WireMessage::EpochReleased => {}
-                other => {
-                    return Err(GzError::Protocol(format!(
-                        "shard {i} answered ReleaseEpoch with {}",
-                        other.name()
-                    )));
-                }
+        // No recovery: a worker that died since sealing has already lost
+        // the epoch, and respawning one just to release nothing would turn
+        // every post-crash cleanup into a reconnect storm.
+        self.request_all(false, &|i| WireMessage::ReleaseEpoch { epoch: epochs[i] }, &mut |reply| {
+            match reply {
+                WireMessage::EpochReleased => Ok(()),
+                other => Err(other),
             }
-        }
-        Ok(())
+        })
     }
 
     fn checkpoint_shards(&mut self) -> Result<Vec<u64>, GzError> {
-        // Pipelined: `CheckpointShard` is an in-stream frame, so each
-        // shard's checkpoint covers exactly the batches framed before it —
-        // no coordinator-side flush or barrier needed.
-        for (i, link) in self.links.iter_mut().enumerate() {
-            send_msg(link, i as u32, &WireMessage::CheckpointShard)?;
-        }
+        // `CheckpointShard` is an in-stream frame, so each shard's
+        // checkpoint covers exactly the batches framed before it — no
+        // coordinator-side flush or barrier needed.
         let mut seqs = Vec::with_capacity(self.links.len());
-        for (i, link) in self.links.iter_mut().enumerate() {
-            match recv_msg(link, i as u32)? {
-                WireMessage::CheckpointAck { seq } => seqs.push(seq),
-                other => {
-                    return Err(GzError::Protocol(format!(
-                        "shard {i} answered CheckpointShard with {}",
-                        other.name()
-                    )));
-                }
+        self.request_all(true, &|_| WireMessage::CheckpointShard, &mut |reply| match reply {
+            WireMessage::CheckpointAck { seq } => {
+                seqs.push(seq);
+                Ok(())
+            }
+            other => Err(other),
+        })?;
+        if let Some(recovery) = &mut self.recovery {
+            // Each checkpoint durably covers batches `..seq`; the replay
+            // logs no longer need them.
+            for (log, &seq) in recovery.logs.iter_mut().zip(&seqs) {
+                log.prune_through(seq);
+                recovery.stats.record_checkpoint();
             }
         }
         Ok(seqs)
+    }
+
+    fn recovery_stats(&self) -> Option<Arc<IoStats>> {
+        self.recovery.as_ref().map(|recovery| Arc::clone(&recovery.stats))
     }
 
     fn shutdown(&mut self) -> Result<(), GzError> {
         // Attempt every link even if some fail: a dead shard must not leave
         // its siblings waiting for a Shutdown that never arrives (their
         // serve loops block in read, and a coordinator joining worker
-        // threads would hang forever).
+        // threads would hang forever). No recovery on the way out:
+        // respawning a worker to tell it to shut down is pure churn.
         let mut first_err = None;
         for (i, link) in self.links.iter_mut().enumerate() {
             if let Err(e) = send_msg(link, i as u32, &WireMessage::Shutdown) {
@@ -774,407 +895,6 @@ impl<S: Read + Write> ShardTransport for SocketTransport<S> {
             None => Ok(()),
             Some(e) => Err(e),
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Recovering transport: replay log + worker respawn
-// ---------------------------------------------------------------------------
-
-/// A [`SocketTransport`] that survives worker death (DESIGN.md §14).
-///
-/// Every batch shipped to a shard is also appended to that shard's
-/// [`ReplayLog`]; the log is pruned when the shard acknowledges a durable
-/// checkpoint. When an operation fails with a recoverable
-/// [`TransportError`] (timeout, peer gone), the transport calls the
-/// `respawn` closure to obtain a fresh link to a restarted worker, runs the
-/// `Hello` handshake, asks `Resync` — the worker answers with the batch
-/// sequence its restored checkpoint covers — and replays exactly the logged
-/// batches after that sequence. Linearity makes this sound: XOR updates
-/// commute, and replaying only the un-absorbed tail reproduces the lost
-/// state bit-for-bit. The interrupted operation is then re-issued on the
-/// fresh link (once; a second failure propagates).
-///
-/// What recovery does **not** preserve: epochs sealed on a worker die with
-/// it. An epoch-pinned gather that names a lost epoch fails on the respawned
-/// worker too, so long-running epoch readers must tolerate
-/// re-sealing after a crash.
-pub struct RecoveringTransport<S: ShardLink> {
-    inner: SocketTransport<S>,
-    /// Per-shard batches since the last acknowledged checkpoint.
-    logs: Vec<ReplayLog>,
-    /// Produces a fresh, connected (but un-handshaken) link to shard `i` —
-    /// respawning the worker process first if the deployment needs that.
-    respawn: Box<dyn FnMut(u32) -> Result<S, GzError> + Send>,
-    timeouts: TransportTimeouts,
-    retry: RetryPolicy,
-    params_digest: u64,
-    stats: Arc<IoStats>,
-    /// Per-shard replay-log entry bound; exceeding it forces a checkpoint
-    /// round so coordinator memory stays proportional to the checkpoint
-    /// cadence, never the stream length.
-    replay_log_cap: Option<usize>,
-}
-
-impl<S: ShardLink> RecoveringTransport<S> {
-    /// Wrap an already-handshaken transport. `respawn(i)` must return a
-    /// fresh connected link to a live worker for shard `i` (the transport
-    /// runs the handshake and resync itself). The configured `timeouts`
-    /// are installed on the existing links immediately — a transport that
-    /// can't detect a dead peer can't recover from one.
-    pub fn new(
-        mut inner: SocketTransport<S>,
-        params_digest: u64,
-        timeouts: TransportTimeouts,
-        retry: RetryPolicy,
-        respawn: Box<dyn FnMut(u32) -> Result<S, GzError> + Send>,
-    ) -> Result<Self, GzError> {
-        for (i, link) in inner.links.iter_mut().enumerate() {
-            link.apply_timeouts(&timeouts)
-                .map_err(|e| GzError::Transport(TransportError::from_io(i as u32, &e)))?;
-        }
-        let logs = (0..inner.links.len()).map(|_| ReplayLog::new()).collect();
-        Ok(RecoveringTransport {
-            inner,
-            logs,
-            respawn,
-            timeouts,
-            retry,
-            params_digest,
-            stats: Arc::new(IoStats::default()),
-            replay_log_cap: None,
-        })
-    }
-
-    /// Bound each shard's replay log to `cap` entries; exceeding the bound
-    /// triggers an inline checkpoint round (which prunes the logs).
-    pub fn with_replay_log_cap(mut self, cap: usize) -> Self {
-        self.replay_log_cap = Some(cap.max(1));
-        self
-    }
-
-    /// Recovery counters: checkpoints acknowledged, replays performed,
-    /// batches replayed, reconnect attempts.
-    pub fn stats(&self) -> Arc<IoStats> {
-        Arc::clone(&self.stats)
-    }
-
-    /// Replace shard `shard`'s dead link: respawn (with bounded, jittered
-    /// backoff), handshake, resync, replay the missing tail. `cause` is
-    /// returned if every attempt fails.
-    fn recover(&mut self, shard: u32, cause: GzError) -> Result<(), GzError> {
-        let mut last_err = cause;
-        for attempt in 0..self.retry.attempts.max(1) {
-            let pause = self.retry.backoff(attempt, shard as u64);
-            if !pause.is_zero() {
-                std::thread::sleep(pause);
-            }
-            self.stats.record_reconnect_attempt();
-            let mut link = match (self.respawn)(shard) {
-                Ok(link) => link,
-                Err(e) => {
-                    last_err = e;
-                    continue;
-                }
-            };
-            match self.resync(shard, &mut link) {
-                Ok(()) => {
-                    self.inner.links[shard as usize] = link;
-                    return Ok(());
-                }
-                // A protocol violation (digest mismatch, resync gap) will
-                // not heal by retrying — the deployment is misconfigured.
-                Err(e @ GzError::Protocol(_)) => return Err(e),
-                Err(e) => last_err = e,
-            }
-        }
-        Err(last_err)
-    }
-
-    /// Handshake + resync + replay on a fresh link (not yet installed).
-    fn resync(&mut self, shard: u32, link: &mut S) -> Result<(), GzError> {
-        link.apply_timeouts(&self.timeouts)
-            .map_err(|e| GzError::Transport(TransportError::from_io(shard, &e)))?;
-        send_msg(link, shard, &WireMessage::Hello { params_digest: self.params_digest })?;
-        match recv_msg(link, shard)? {
-            WireMessage::HelloAck { params_digest: theirs } if theirs == self.params_digest => {}
-            WireMessage::HelloAck { params_digest: theirs } => {
-                return Err(GzError::Protocol(format!(
-                    "respawned shard {shard} parameter digest {theirs:#x} != coordinator {:#x}",
-                    self.params_digest
-                )));
-            }
-            other => {
-                return Err(GzError::Protocol(format!(
-                    "respawned shard {shard} answered Hello with {}",
-                    other.name()
-                )));
-            }
-        }
-        send_msg(link, shard, &WireMessage::Resync)?;
-        let seq = match recv_msg(link, shard)? {
-            WireMessage::ResyncFrom { seq } => seq,
-            other => {
-                return Err(GzError::Protocol(format!(
-                    "respawned shard {shard} answered Resync with {}",
-                    other.name()
-                )));
-            }
-        };
-        let log = &self.logs[shard as usize];
-        if !log.covers(seq) {
-            return Err(GzError::Protocol(format!(
-                "shard {shard} resumed at seq {seq}, outside the replay log \
-                 [{}, {}] — its checkpoint predates the last acknowledged one",
-                log.next_seq() - log.len() as u64,
-                log.next_seq()
-            )));
-        }
-        let missing = log.next_seq() - seq;
-        for batch in log.iter_from(seq) {
-            send_msg(
-                link,
-                shard,
-                &WireMessage::Batch { node: batch.node, records: batch.others.clone() },
-            )?;
-        }
-        self.stats.record_replay(missing);
-        Ok(())
-    }
-
-    /// Write `msg` to `shard`, recovering once. A fresh link has no pending
-    /// requests, so the write is simply re-issued after recovery.
-    fn send_recovering(&mut self, shard: u32, msg: &WireMessage) -> Result<(), GzError> {
-        match send_msg(&mut self.inner.links[shard as usize], shard, msg) {
-            Err(e) if recoverable(&e) => {
-                self.recover(shard, e)?;
-                send_msg(&mut self.inner.links[shard as usize], shard, msg)
-            }
-            other => other,
-        }
-    }
-
-    /// Read `shard`'s reply to `request`, recovering once. Recovery
-    /// replaces the link wholesale, so the fresh worker never saw the
-    /// request — it is re-sent before the reply is read again.
-    fn recv_recovering(
-        &mut self,
-        shard: u32,
-        request: &WireMessage,
-    ) -> Result<WireMessage, GzError> {
-        match recv_msg(&mut self.inner.links[shard as usize], shard) {
-            Err(e) if recoverable(&e) => {
-                self.recover(shard, e)?;
-                let link = &mut self.inner.links[shard as usize];
-                send_msg(link, shard, request)?;
-                recv_msg(link, shard)
-            }
-            other => other,
-        }
-    }
-}
-
-impl<S: ShardLink> ShardTransport for RecoveringTransport<S> {
-    fn num_shards(&self) -> u32 {
-        self.inner.links.len() as u32
-    }
-
-    fn send_batch(&mut self, shard: u32, batch: Batch) -> Result<(), GzError> {
-        // Log first: if the write fails, recovery's replay delivers the
-        // batch (it is part of the tail), so no explicit retry is needed.
-        // A "successful" write only proves the bytes entered a socket
-        // buffer — the log keeps the batch until a checkpoint proves the
-        // worker absorbed it durably.
-        let msg = WireMessage::Batch { node: batch.node, records: batch.others.clone() };
-        self.logs[shard as usize].append(batch);
-        match send_msg(&mut self.inner.links[shard as usize], shard, &msg) {
-            Ok(()) => {}
-            Err(e) if recoverable(&e) => self.recover(shard, e)?,
-            Err(e) => return Err(e),
-        }
-        if let Some(cap) = self.replay_log_cap {
-            if self.logs[shard as usize].len() >= cap {
-                self.checkpoint_shards()?;
-            }
-        }
-        Ok(())
-    }
-
-    fn flush(&mut self) -> Result<(), GzError> {
-        let n = self.inner.links.len();
-        for i in 0..n {
-            self.send_recovering(i as u32, &WireMessage::Flush)?;
-        }
-        for i in 0..n {
-            match self.recv_recovering(i as u32, &WireMessage::Flush)? {
-                WireMessage::FlushAck => {}
-                other => {
-                    return Err(GzError::Protocol(format!(
-                        "shard {i} answered Flush with {}",
-                        other.name()
-                    )));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn gather(&mut self) -> Result<Vec<SketchEntry>, GzError> {
-        let n = self.inner.links.len();
-        for i in 0..n {
-            self.send_recovering(i as u32, &WireMessage::GatherSketches)?;
-        }
-        let mut entries = Vec::new();
-        for i in 0..n {
-            match self.recv_recovering(i as u32, &WireMessage::GatherSketches)? {
-                WireMessage::Sketches { entries: shard_entries } => entries.extend(shard_entries),
-                other => {
-                    return Err(GzError::Protocol(format!(
-                        "shard {i} answered GatherSketches with {}",
-                        other.name()
-                    )));
-                }
-            }
-        }
-        Ok(entries)
-    }
-
-    fn gather_round(
-        &mut self,
-        round: u32,
-        epochs: Option<&[u64]>,
-    ) -> Result<Vec<SketchEntry>, GzError> {
-        check_epochs(epochs, self.inner.links.len())?;
-        let n = self.inner.links.len();
-        let request =
-            |i: usize| WireMessage::GatherRound { round, epoch: epochs.map(|ids| ids[i]) };
-        for i in 0..n {
-            self.send_recovering(i as u32, &request(i))?;
-        }
-        let mut entries = Vec::new();
-        for i in 0..n {
-            match self.recv_recovering(i as u32, &request(i))? {
-                WireMessage::RoundSketches { round: theirs, entries: shard_entries }
-                    if theirs == round =>
-                {
-                    entries.extend(shard_entries);
-                }
-                WireMessage::RoundSketches { round: theirs, .. } => {
-                    return Err(GzError::Protocol(format!(
-                        "shard {i} answered GatherRound({round}) with round {theirs}"
-                    )));
-                }
-                other => {
-                    return Err(GzError::Protocol(format!(
-                        "shard {i} answered GatherRound with {}",
-                        other.name()
-                    )));
-                }
-            }
-        }
-        Ok(entries)
-    }
-
-    fn gather_round_each(
-        &mut self,
-        round: u32,
-        epochs: Option<&[u64]>,
-        on_reply: &mut dyn FnMut(Vec<SketchEntry>) -> Result<(), GzError>,
-    ) -> Result<(), GzError> {
-        check_epochs(epochs, self.inner.links.len())?;
-        let n = self.inner.links.len();
-        let request =
-            |i: usize| WireMessage::GatherRound { round, epoch: epochs.map(|ids| ids[i]) };
-        for i in 0..n {
-            self.send_recovering(i as u32, &request(i))?;
-        }
-        let mut result = Ok(());
-        for i in 0..n {
-            // As in SocketTransport: every link owes one reply; keep
-            // draining after a fold error to preserve framing.
-            match self.recv_recovering(i as u32, &request(i))? {
-                WireMessage::RoundSketches { round: theirs, entries } if theirs == round => {
-                    if result.is_ok() {
-                        result = on_reply(entries);
-                    }
-                }
-                WireMessage::RoundSketches { round: theirs, .. } => {
-                    return Err(GzError::Protocol(format!(
-                        "shard {i} answered GatherRound({round}) with round {theirs}"
-                    )));
-                }
-                other => {
-                    return Err(GzError::Protocol(format!(
-                        "shard {i} answered GatherRound with {}",
-                        other.name()
-                    )));
-                }
-            }
-        }
-        result
-    }
-
-    fn seal_epoch(&mut self) -> Result<Vec<u64>, GzError> {
-        let n = self.inner.links.len();
-        for i in 0..n {
-            self.send_recovering(i as u32, &WireMessage::SealEpoch)?;
-        }
-        let mut ids = Vec::with_capacity(n);
-        for i in 0..n {
-            match self.recv_recovering(i as u32, &WireMessage::SealEpoch)? {
-                WireMessage::EpochSealed { epoch } => ids.push(epoch),
-                other => {
-                    return Err(GzError::Protocol(format!(
-                        "shard {i} answered SealEpoch with {}",
-                        other.name()
-                    )));
-                }
-            }
-        }
-        Ok(ids)
-    }
-
-    fn release_epoch(&mut self, epochs: &[u64]) -> Result<(), GzError> {
-        // No recovery: a worker that died since sealing has already lost
-        // the epoch, and respawning one just to release nothing would turn
-        // every post-crash cleanup into a reconnect storm.
-        self.inner.release_epoch(epochs)
-    }
-
-    fn checkpoint_shards(&mut self) -> Result<Vec<u64>, GzError> {
-        let n = self.inner.links.len();
-        for i in 0..n {
-            self.send_recovering(i as u32, &WireMessage::CheckpointShard)?;
-        }
-        let mut seqs = Vec::with_capacity(n);
-        for i in 0..n {
-            match self.recv_recovering(i as u32, &WireMessage::CheckpointShard)? {
-                WireMessage::CheckpointAck { seq } => {
-                    // The checkpoint durably covers batches `..seq`; the
-                    // replay log no longer needs them.
-                    self.logs[i].prune_through(seq);
-                    self.stats.record_checkpoint();
-                    seqs.push(seq);
-                }
-                other => {
-                    return Err(GzError::Protocol(format!(
-                        "shard {i} answered CheckpointShard with {}",
-                        other.name()
-                    )));
-                }
-            }
-        }
-        Ok(seqs)
-    }
-
-    fn recovery_stats(&self) -> Option<Arc<IoStats>> {
-        Some(Arc::clone(&self.stats))
-    }
-
-    fn shutdown(&mut self) -> Result<(), GzError> {
-        // No recovery on the way out: respawning a worker to tell it to
-        // shut down is pure churn.
-        self.inner.shutdown()
     }
 }
 
@@ -1344,81 +1064,209 @@ mod tests {
     use super::*;
     use crate::error::TransportErrorKind;
     use crate::node_sketch::encode_other;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    // -- fixtures ------------------------------------------------------------
+
+    /// The one-record batch inserting edge `(node, other)` at `node`.
+    fn edge(node: u32, other: u32) -> Batch {
+        Batch { node, others: vec![encode_other(other, false)] }
+    }
+
+    fn sorted(mut entries: Vec<SketchEntry>) -> Vec<SketchEntry> {
+        entries.sort_by_key(|e| e.node);
+        entries
+    }
+
+    /// A stream that injects a worker crash: after `budget` bytes have been
+    /// read, every read fails. Dropping the stream (when the serve loop
+    /// errors out) closes the socket — exactly what a SIGKILLed process
+    /// does, minus the process.
+    struct DyingStream {
+        inner: UnixStream,
+        budget: Arc<AtomicUsize>,
+    }
+
+    impl Read for DyingStream {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let left = self.budget.load(Ordering::SeqCst);
+            if left == 0 {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::ConnectionReset,
+                    "injected worker crash",
+                ));
+            }
+            let want = buf.len().min(left);
+            let n = self.inner.read(&mut buf[..want])?;
+            self.budget.fetch_sub(n, Ordering::SeqCst);
+            Ok(n)
+        }
+    }
+
+    impl Write for DyingStream {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.inner.write(buf)
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.inner.flush()
+        }
+    }
+
+    /// A read budget no test exhausts: the worker lives until `Shutdown`.
+    fn immortal() -> Arc<AtomicUsize> {
+        Arc::new(AtomicUsize::new(usize::MAX))
+    }
+
+    /// A real worker for shard `index` on a local thread, and the
+    /// coordinator's end of its link. It resumes from the configured
+    /// checkpoint like `gz shard-worker --resume`, and crashes once it has
+    /// read `budget` bytes.
+    fn spawn_worker(
+        config: &ShardConfig,
+        index: u32,
+        budget: Arc<AtomicUsize>,
+    ) -> (UnixStream, LocalWorkerHandle) {
+        let (ours, theirs) = UnixStream::pair().unwrap();
+        let cfg = config.clone();
+        let handle = std::thread::spawn(move || {
+            let pipeline = new_pipeline_resuming(&cfg, index)?;
+            let mut stream = DyingStream { inner: theirs, budget };
+            serve_shard_connection(&mut stream, &pipeline, cfg.params_digest())
+        });
+        (ours, handle)
+    }
+
+    /// Spawn a thread that answers the `Hello` handshake, then hands the
+    /// stream to `after` (which decides how the "worker" misbehaves).
+    fn handshake_then<F>(theirs: UnixStream, after: F) -> std::thread::JoinHandle<()>
+    where
+        F: FnOnce(UnixStream) + Send + 'static,
+    {
+        std::thread::spawn(move || {
+            let mut stream = theirs;
+            match WireMessage::read_from(&mut stream).unwrap() {
+                WireMessage::Hello { params_digest } => {
+                    WireMessage::HelloAck { params_digest }.write_to(&mut stream).unwrap();
+                }
+                other => panic!("expected Hello, got {}", other.name()),
+            }
+            after(stream);
+        })
+    }
+
+    /// A handshaken one-shard transport whose "worker" is
+    /// [`handshake_then`]`(after)`.
+    fn against<F>(after: F) -> (SocketTransport<UnixStream>, std::thread::JoinHandle<()>)
+    where
+        F: FnOnce(UnixStream) + Send + 'static,
+    {
+        let (ours, theirs) = UnixStream::pair().unwrap();
+        let worker = handshake_then(theirs, after);
+        (SocketTransport::handshake(vec![ours], DIGEST).unwrap(), worker)
+    }
+
+    /// Any digest does for a scripted peer: it echoes what it is sent.
+    const DIGEST: u64 = 0xD16E57;
+
+    /// Swallow every request without answering, until EOF.
+    fn stall(mut stream: UnixStream) {
+        while WireMessage::read_from(&mut stream).is_ok() {}
+    }
+
+    /// Writes land in the socket buffer until the kernel notices the peer
+    /// closed; keep sending until the failure surfaces.
+    fn send_until_failure(transport: &mut dyn ShardTransport) -> GzError {
+        (0..100_000u32)
+            .find_map(|i| transport.send_batch(0, edge(i % 16, (i + 1) % 16)).err())
+            .expect("a dead peer must fail sends")
+    }
+
+    /// `attempts` respawn attempts a millisecond or two apart.
+    fn quick_retry(attempts: u32) -> RetryPolicy {
+        let (base, max) = (Duration::from_millis(1), Duration::from_millis(2));
+        RetryPolicy { attempts, base, max, ..RetryPolicy::default() }
+    }
+
+    fn assert_kind(err: GzError, want: TransportErrorKind, shard: u32, ctx: &str) {
+        match err {
+            GzError::Transport(te) => {
+                assert_eq!(te.kind, want, "{ctx}: {te}");
+                assert_eq!(te.shard, shard, "{ctx}: wrong shard index");
+            }
+            other => panic!("{ctx}: expected a transport error, got {other}"),
+        }
+    }
+
+    /// An in-memory link: scripted reads, recorded writes.
+    struct ScriptedLink {
+        replies: std::io::Cursor<Vec<u8>>,
+        written: Vec<u8>,
+    }
+
+    impl ScriptedLink {
+        fn new(replies: &[WireMessage]) -> Self {
+            let mut script = Vec::new();
+            for reply in replies {
+                reply.write_to(&mut script).unwrap();
+            }
+            ScriptedLink { replies: std::io::Cursor::new(script), written: Vec::new() }
+        }
+    }
+
+    impl Read for ScriptedLink {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.replies.read(buf)
+        }
+    }
+
+    impl Write for ScriptedLink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.written.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl ShardLink for ScriptedLink {}
+
+    // -- handshake, gathers, shutdown ----------------------------------------
 
     #[test]
     fn handshake_rejects_digest_mismatch() {
         let config = ShardConfig::in_ram(16, 1);
-        let digest = config.params_digest();
-        let (mut ours, theirs) = std::os::unix::net::UnixStream::pair().unwrap();
-        let worker = std::thread::spawn(move || {
-            let pipeline = ShardPipeline::new(&config, 0).unwrap();
-            let mut stream = theirs;
-            serve_shard_connection(&mut stream, &pipeline, digest)
-        });
+        let (ours, worker) = spawn_worker(&config, 0, immortal());
         // Coordinator advertises a different digest: both sides must refuse.
-        let result = SocketTransport::handshake(vec![&mut ours], digest ^ 1);
+        let result = SocketTransport::handshake(vec![ours], config.params_digest() ^ 1);
         assert!(matches!(result, Err(GzError::Protocol(_))));
         assert!(matches!(worker.join().unwrap(), Err(GzError::Protocol(_))));
     }
 
     #[test]
     fn socket_and_in_process_transports_gather_identically() {
-        let config = ShardConfig::in_ram(12, 3);
-        let updates: Vec<(u32, u32)> =
-            (0..30u32).map(|i| (i % 12, (i * 5 + 1) % 12)).filter(|&(a, b)| a != b).collect();
-
+        let config = ShardConfig::in_ram(20, 4);
         let mut in_proc = InProcessTransport::new(&config).unwrap();
         let (mut socket, handles) = spawn_local_socket_workers(&config).unwrap();
-
-        for &(u, v) in &updates {
+        for i in 0..60u32 {
+            let (u, v) = (i % 20, (i * 7 + 1) % 20);
             for (dst, other) in [(u, v), (v, u)] {
-                let batch = Batch { node: dst, others: vec![encode_other(other, false)] };
-                in_proc.send_batch(dst % 3, batch.clone()).unwrap();
-                socket.send_batch(dst % 3, batch).unwrap();
+                in_proc.send_batch(dst % 4, edge(dst, other)).unwrap();
+                socket.send_batch(dst % 4, edge(dst, other)).unwrap();
             }
         }
         in_proc.flush().unwrap();
         socket.flush().unwrap();
 
-        let sort = |mut v: Vec<SketchEntry>| {
-            v.sort_by_key(|e| e.node);
-            v
-        };
-        let a = sort(in_proc.gather().unwrap());
-        let b = sort(socket.gather().unwrap());
+        let a = sorted(in_proc.gather().unwrap());
+        let b = sorted(socket.gather().unwrap());
         assert_eq!(a, b, "wire transport must not change sketch state");
 
-        in_proc.shutdown().unwrap();
-        socket.shutdown().unwrap();
-        for h in handles {
-            let stats = h.join().unwrap().unwrap();
-            assert!(stats.batches > 0);
-            assert_eq!(stats.flushes, 1);
-            assert_eq!(stats.gathers, 1);
-        }
-    }
-
-    #[test]
-    fn gather_round_each_delivers_every_shard_exactly_once() {
         // Both transports' overlapped gathers must deliver the same entry
-        // multiset as the collect-everything gather_round, one reply per
-        // shard — whatever order the concurrent shard workers finish in.
-        let config = ShardConfig::in_ram(20, 4);
-        let mut in_proc = InProcessTransport::new(&config).unwrap();
-        let (mut socket, handles) = spawn_local_socket_workers(&config).unwrap();
-        for node in 0..20u32 {
-            let batch = Batch { node, others: vec![encode_other((node + 1) % 20, false)] };
-            in_proc.send_batch(node % 4, batch.clone()).unwrap();
-            socket.send_batch(node % 4, batch).unwrap();
-        }
-        in_proc.flush().unwrap();
-        socket.flush().unwrap();
-
-        let reference = {
-            let mut v = in_proc.gather_round(1, None).unwrap();
-            v.sort_by_key(|e| e.node);
-            v
-        };
+        // multiset as each other and as the provided collect-everything
+        // gather_round, one reply per shard — whatever order the concurrent
+        // shard workers finish in.
+        let reference = sorted(in_proc.gather_round(1, None).unwrap());
         for transport in [&mut in_proc as &mut dyn ShardTransport, &mut socket] {
             let mut replies = 0usize;
             let mut collected = Vec::new();
@@ -1430,14 +1278,17 @@ mod tests {
                 })
                 .unwrap();
             assert_eq!(replies, 4, "one reply per shard");
-            collected.sort_by_key(|e| e.node);
-            assert_eq!(collected, reference);
+            assert_eq!(sorted(collected), reference);
+            assert_eq!(sorted(transport.gather_round(1, None).unwrap()), reference);
         }
 
         in_proc.shutdown().unwrap();
         socket.shutdown().unwrap();
         for h in handles {
-            h.join().unwrap().unwrap();
+            let stats = h.join().unwrap().unwrap();
+            assert!(stats.batches > 0);
+            assert_eq!(stats.flushes, 1);
+            assert_eq!(stats.gathers, 3, "one full gather, two round gathers");
         }
     }
 
@@ -1458,30 +1309,14 @@ mod tests {
     #[test]
     fn shutdown_reaches_live_shards_past_a_dead_one() {
         let config = ShardConfig::in_ram(16, 2);
-        let digest = config.params_digest();
+        // Shard 0: a worker that dies right after the handshake (dropping
+        // the stream simulates the crash). Shard 1: a healthy worker.
+        let (ours0, theirs0) = UnixStream::pair().unwrap();
+        let dead = handshake_then(theirs0, drop);
+        let (ours1, live) = spawn_worker(&config, 1, immortal());
 
-        // Shard 0: a worker that dies right after the handshake.
-        let (ours0, theirs0) = std::os::unix::net::UnixStream::pair().unwrap();
-        let dead = std::thread::spawn(move || {
-            let mut stream = theirs0;
-            match WireMessage::read_from(&mut stream).unwrap() {
-                WireMessage::Hello { params_digest } => {
-                    WireMessage::HelloAck { params_digest }.write_to(&mut stream).unwrap();
-                }
-                other => panic!("expected Hello, got {}", other.name()),
-            }
-            // Dropping the stream here simulates a crashed shard worker.
-        });
-        // Shard 1: a healthy worker.
-        let (ours1, theirs1) = std::os::unix::net::UnixStream::pair().unwrap();
-        let config1 = config.clone();
-        let live = std::thread::spawn(move || {
-            let pipeline = ShardPipeline::new(&config1, 1).unwrap();
-            let mut stream = theirs1;
-            serve_shard_connection(&mut stream, &pipeline, digest)
-        });
-
-        let mut transport = SocketTransport::handshake(vec![ours0, ours1], digest).unwrap();
+        let mut transport =
+            SocketTransport::handshake(vec![ours0, ours1], config.params_digest()).unwrap();
         dead.join().unwrap();
         // Shutdown fails on the dead link but must still reach shard 1 —
         // otherwise the live worker blocks in read forever and this test
@@ -1494,9 +1329,7 @@ mod tests {
     fn serve_loop_rejects_coordinator_only_messages() {
         let config = ShardConfig::in_ram(8, 1);
         let pipeline = ShardPipeline::new(&config, 0).unwrap();
-        let mut buf = Vec::new();
-        WireMessage::FlushAck.write_to(&mut buf).unwrap();
-        let mut stream = ReadWriteBuf { read: buf, at: 0, written: Vec::new() };
+        let mut stream = ScriptedLink::new(&[WireMessage::FlushAck]);
         assert!(matches!(
             serve_shard_connection(&mut stream, &pipeline, config.params_digest()),
             Err(GzError::Protocol(_))
@@ -1505,122 +1338,169 @@ mod tests {
 
     // -- link hardening: typed errors at every protocol state ---------------
 
-    /// Spawn a thread that answers the `Hello` handshake, then hands the
-    /// stream to `after` (which decides how the "worker" misbehaves).
-    fn handshake_then<F>(theirs: UnixStream, after: F) -> std::thread::JoinHandle<()>
-    where
-        F: FnOnce(UnixStream) + Send + 'static,
-    {
-        std::thread::spawn(move || {
-            let mut stream = theirs;
-            match WireMessage::read_from(&mut stream).unwrap() {
-                WireMessage::Hello { params_digest } => {
-                    WireMessage::HelloAck { params_digest }.write_to(&mut stream).unwrap();
-                }
-                other => panic!("expected Hello, got {}", other.name()),
-            }
-            after(stream);
-        })
-    }
-
-    fn assert_kind(err: GzError, want: crate::error::TransportErrorKind, ctx: &str) {
-        match err {
-            GzError::Transport(te) => {
-                assert_eq!(te.kind, want, "{ctx}: {te}");
-                assert_eq!(te.shard, 0, "{ctx}: wrong shard index");
-            }
-            other => panic!("{ctx}: expected a transport error, got {other}"),
-        }
-    }
-
     #[test]
     fn peer_disconnect_mid_batch_is_typed_peer_gone() {
-        let config = ShardConfig::in_ram(16, 1);
-        let digest = config.params_digest();
-        let (ours, theirs) = UnixStream::pair().unwrap();
-        let worker = handshake_then(theirs, drop); // dies right after Hello
-        let mut transport = SocketTransport::handshake(vec![ours], digest).unwrap();
+        let (mut transport, worker) = against(drop); // dies right after Hello
         worker.join().unwrap();
-        // Writes land in the socket buffer until the kernel notices the
-        // peer closed; keep sending until the failure surfaces. It must be
-        // a typed PeerGone, never a panic or hang.
-        let mut failure = None;
-        for i in 0..100_000u32 {
-            let batch = Batch { node: i % 16, others: vec![encode_other((i + 1) % 16, false)] };
-            if let Err(e) = transport.send_batch(0, batch) {
-                failure = Some(e);
-                break;
-            }
-        }
-        assert_kind(
-            failure.expect("a dead peer must fail sends"),
-            TransportErrorKind::PeerGone,
-            "mid-batch",
-        );
+        // It must be a typed PeerGone, never a panic or hang.
+        let failure = send_until_failure(&mut transport);
+        assert_kind(failure, TransportErrorKind::PeerGone, 0, "mid-batch");
     }
 
     #[test]
     fn peer_disconnect_awaiting_flush_ack_is_typed_peer_gone() {
-        let config = ShardConfig::in_ram(16, 1);
-        let digest = config.params_digest();
-        let (ours, theirs) = UnixStream::pair().unwrap();
         // Worker reads the Flush, then dies without acking.
-        let worker = handshake_then(theirs, |mut stream| {
+        let (mut transport, worker) = against(|mut stream| {
             assert!(matches!(WireMessage::read_from(&mut stream).unwrap(), WireMessage::Flush));
         });
-        let mut transport = SocketTransport::handshake(vec![ours], digest).unwrap();
         let err = transport.flush().expect_err("no ack is coming");
-        assert_kind(err, TransportErrorKind::PeerGone, "awaiting FlushAck");
+        assert_kind(err, TransportErrorKind::PeerGone, 0, "awaiting FlushAck");
         worker.join().unwrap();
     }
 
     #[test]
     fn peer_disconnect_mid_gather_round_reply_is_typed_peer_gone() {
-        let config = ShardConfig::in_ram(16, 1);
-        let digest = config.params_digest();
-        let (ours, theirs) = UnixStream::pair().unwrap();
         // Worker starts a RoundSketches reply but dies mid-frame: the
         // coordinator sees EOF inside a frame body, which must classify as
         // peer-gone (connection truncation), not a protocol parse error.
-        let worker = handshake_then(theirs, |mut stream| {
+        let (mut transport, worker) = against(|mut stream| {
             assert!(matches!(
                 WireMessage::read_from(&mut stream).unwrap(),
                 WireMessage::GatherRound { .. }
             ));
             let mut frame = Vec::new();
             WireMessage::RoundSketches { round: 0, entries: vec![] }.write_to(&mut frame).unwrap();
-            use std::io::Write as _;
             stream.write_all(&frame[..frame.len() - 1]).unwrap();
         });
-        let mut transport = SocketTransport::handshake(vec![ours], digest).unwrap();
         let err = transport.gather_round(0, None).expect_err("truncated reply");
-        assert_kind(err, TransportErrorKind::PeerGone, "mid-GatherRound");
+        assert_kind(err, TransportErrorKind::PeerGone, 0, "mid-GatherRound");
         worker.join().unwrap();
     }
 
     #[test]
     fn stalled_worker_surfaces_as_timeout_not_hang() {
-        let config = ShardConfig::in_ram(16, 1);
-        let digest = config.params_digest();
-        let (mut ours, theirs) = UnixStream::pair().unwrap();
-        // Worker swallows every request without answering, until EOF.
-        let worker = handshake_then(
-            theirs,
-            |mut stream| {
-                while WireMessage::read_from(&mut stream).is_ok() {}
-            },
-        );
-        ours.apply_timeouts(&TransportTimeouts {
-            connect: None,
-            read: Some(Duration::from_millis(50)),
-            write: Some(Duration::from_millis(50)),
-        })
-        .unwrap();
-        let mut transport = SocketTransport::handshake(vec![ours], digest).unwrap();
+        let (mut transport, worker) = against(stall);
+        let deadline = TransportTimeouts::all(Duration::from_millis(50));
+        transport.links[0].apply_timeouts(&deadline).unwrap();
         let err = transport.flush().expect_err("worker never acks");
-        assert_kind(err, TransportErrorKind::Timeout, "stalled worker");
+        assert_kind(err, TransportErrorKind::Timeout, 0, "stalled worker");
         drop(transport); // EOF ends the worker's swallow loop
         worker.join().unwrap();
+    }
+
+    /// A peer that reads the `Hello` and never acks it: it hangs up at
+    /// once, or (`silent`) holds the link open without a word until the
+    /// coordinator does.
+    fn hello_eater(silent: bool) -> (UnixStream, std::thread::JoinHandle<()>) {
+        let (ours, mut theirs) = UnixStream::pair().unwrap();
+        let peer = std::thread::spawn(move || {
+            let hello = WireMessage::read_from(&mut theirs).unwrap();
+            assert!(matches!(hello, WireMessage::Hello { .. }));
+            if silent {
+                stall(theirs);
+            }
+        });
+        (ours, peer)
+    }
+
+    #[test]
+    fn handshake_failures_are_typed_at_first_connect_and_at_respawn() {
+        let deadline = TransportTimeouts::all(Duration::from_millis(50));
+        for (silent, want) in
+            [(false, TransportErrorKind::PeerGone), (true, TransportErrorKind::Timeout)]
+        {
+            // First connect: shard 0 is healthy, shard 1 never acks.
+            let (ours0, theirs0) = UnixStream::pair().unwrap();
+            let healthy = handshake_then(theirs0, stall);
+            let (mut ours1, peer) = hello_eater(silent);
+            ours1.apply_timeouts(&deadline).unwrap();
+            let Err(err) = SocketTransport::handshake(vec![ours0, ours1], DIGEST) else {
+                panic!("shard 1 never sent a HelloAck");
+            };
+            assert_kind(err, want, 1, "first connect");
+            healthy.join().unwrap();
+            peer.join().unwrap();
+
+            // Respawn: shard 1's worker dies after a good handshake, and
+            // its replacement never acks.
+            let (ours0, theirs0) = UnixStream::pair().unwrap();
+            let healthy = handshake_then(theirs0, |mut stream| {
+                assert!(matches!(WireMessage::read_from(&mut stream).unwrap(), WireMessage::Flush));
+                WireMessage::FlushAck.write_to(&mut stream).unwrap();
+                stall(stream);
+            });
+            let (ours1, theirs1) = UnixStream::pair().unwrap();
+            let doomed = handshake_then(theirs1, drop);
+            let (peers, replacements) = std::sync::mpsc::channel();
+            let respawn = Box::new(move |_| {
+                let (link, peer) = hello_eater(silent);
+                peers.send(peer).unwrap();
+                Ok(link)
+            });
+            let mut transport = SocketTransport::handshake(vec![ours0, ours1], DIGEST)
+                .unwrap()
+                .with_recovery(Recovery::new(deadline, quick_retry(1), respawn))
+                .unwrap();
+            doomed.join().unwrap();
+            let err = transport.flush().expect_err("the respawned worker never acks");
+            assert_kind(err, want, 1, "respawn");
+            drop(transport);
+            healthy.join().unwrap();
+            for peer in replacements {
+                peer.join().unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn recovery_policy_changes_no_bytes_on_a_fault_free_run() {
+        // Every link answers from the same script; what the coordinator
+        // wrote is recorded. With and without a policy the frames must be
+        // the same bytes, and the gathered entries the same entries.
+        let script = [
+            WireMessage::HelloAck { params_digest: DIGEST },
+            WireMessage::FlushAck,
+            WireMessage::EpochSealed { epoch: 3 },
+            WireMessage::RoundSketches {
+                round: 1,
+                entries: vec![SketchEntry { node: 0, bytes: vec![0, 9] }],
+            },
+            WireMessage::RoundSketches { round: 2, entries: vec![] },
+            WireMessage::EpochReleased,
+            WireMessage::CheckpointAck { seq: 5 },
+        ];
+        let run = |recovering: bool| {
+            let links = vec![ScriptedLink::new(&script), ScriptedLink::new(&script)];
+            let mut transport = SocketTransport::handshake(links, DIGEST).unwrap();
+            if recovering {
+                let never = Box::new(|_| Err(GzError::InvalidConfig("fault-free run".into())));
+                let timeouts = TransportTimeouts::all(Duration::from_secs(1));
+                transport = transport
+                    .with_recovery(Recovery::new(timeouts, RetryPolicy::default(), never))
+                    .unwrap();
+            }
+            for node in 0..5u32 {
+                transport.send_batch(node % 2, edge(node, node + 1)).unwrap();
+            }
+            transport.flush().unwrap();
+            let ids = transport.seal_epoch().unwrap();
+            let mut gathered = Vec::new();
+            for (round, epochs) in [(1, None), (2, Some(&ids[..]))] {
+                let mut collect = |entries| {
+                    gathered.extend::<Vec<SketchEntry>>(entries);
+                    Ok(())
+                };
+                transport.gather_round_each(round, epochs, &mut collect).unwrap();
+            }
+            transport.release_epoch(&ids).unwrap();
+            assert_eq!(transport.checkpoint_shards().unwrap(), vec![5, 5]);
+            transport.shutdown().unwrap();
+            let written: Vec<Vec<u8>> = transport.links.into_iter().map(|l| l.written).collect();
+            (written, gathered)
+        };
+        let (plain, recovering) = (run(false), run(true));
+        assert!(plain.0.iter().all(|bytes| !bytes.is_empty()));
+        assert_eq!(plain, recovering);
     }
 
     #[test]
@@ -1648,8 +1528,7 @@ mod tests {
         config.checkpoint_dir = Some(dir.path().to_path_buf());
         let (mut socket, handles) = spawn_local_socket_workers(&config).unwrap();
         for node in 0..16u32 {
-            let batch = Batch { node, others: vec![encode_other((node + 1) % 16, false)] };
-            socket.send_batch(node % 2, batch).unwrap();
+            socket.send_batch(node % 2, edge(node, (node + 1) % 16)).unwrap();
         }
         let seqs = socket.checkpoint_shards().unwrap();
         assert_eq!(seqs, vec![8, 8], "each shard acked its own batch count");
@@ -1668,133 +1547,59 @@ mod tests {
 
     // -- recovery: respawn, resync, replay ----------------------------------
 
-    /// A stream that injects a worker crash: after `budget` bytes have been
-    /// read, every read fails. Dropping the stream (when the serve loop
-    /// errors out) closes the socket — exactly what a SIGKILLed process
-    /// does, minus the process.
-    struct DyingStream {
-        inner: UnixStream,
-        budget: std::sync::Arc<std::sync::atomic::AtomicUsize>,
-    }
-
-    impl Read for DyingStream {
-        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            use std::sync::atomic::Ordering;
-            let left = self.budget.load(Ordering::SeqCst);
-            if left == 0 {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::ConnectionReset,
-                    "injected worker crash",
-                ));
-            }
-            let want = buf.len().min(left);
-            let n = self.inner.read(&mut buf[..want])?;
-            self.budget.fetch_sub(n, Ordering::SeqCst);
-            Ok(n)
-        }
-    }
-
-    impl Write for DyingStream {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.inner.write(buf)
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            self.inner.flush()
-        }
-    }
-
     #[test]
     fn recovering_transport_replays_after_worker_death() {
-        use std::sync::atomic::AtomicUsize;
-        use std::sync::{Arc, Mutex};
-
         let dir = gz_testutil::TempDir::new("gz-recover");
         let mut config = ShardConfig::in_ram(16, 2);
         config.checkpoint_dir = Some(dir.path().to_path_buf());
-        let digest = config.params_digest();
 
-        fn spawn_worker(
-            config: &ShardConfig,
-            index: u32,
-            budget: Arc<AtomicUsize>,
-        ) -> (UnixStream, LocalWorkerHandle) {
-            let (ours, theirs) = UnixStream::pair().unwrap();
-            let cfg = config.clone();
-            let handle = std::thread::spawn(move || {
-                let pipeline = new_pipeline_resuming(&cfg, index)?;
-                let mut stream = DyingStream { inner: theirs, budget };
-                serve_shard_connection(&mut stream, &pipeline, cfg.params_digest())
-            });
-            (ours, handle)
-        }
-
-        let unlimited = || Arc::new(AtomicUsize::new(usize::MAX));
-        let shard0_budget = Arc::new(AtomicUsize::new(usize::MAX));
+        let shard0_budget = immortal();
         let (ours0, doomed_handle) = spawn_worker(&config, 0, Arc::clone(&shard0_budget));
-        let (ours1, handle1) = spawn_worker(&config, 1, unlimited());
-        let respawned: Arc<Mutex<Vec<LocalWorkerHandle>>> = Arc::new(Mutex::new(Vec::new()));
+        let (ours1, handle1) = spawn_worker(&config, 1, immortal());
+        let (respawned, replacements) = std::sync::mpsc::channel();
 
-        let inner = SocketTransport::handshake(vec![ours0, ours1], digest).unwrap();
-        let respawned_for_closure = Arc::clone(&respawned);
         let respawn_config = config.clone();
-        let mut transport = RecoveringTransport::new(
-            inner,
-            digest,
-            TransportTimeouts {
-                connect: None,
-                read: Some(Duration::from_secs(5)),
-                write: Some(Duration::from_secs(5)),
-            },
-            RetryPolicy {
-                attempts: 3,
-                base: Duration::from_millis(1),
-                max: Duration::from_millis(10),
-                jitter_seed: 7,
-            },
-            Box::new(move |index| {
-                let budget = Arc::new(AtomicUsize::new(usize::MAX));
-                let (ours, handle) = spawn_worker(&respawn_config, index, budget);
-                respawned_for_closure.lock().unwrap().push(handle);
-                Ok(ours)
-            }),
-        )
-        .unwrap();
-        let stats = transport.stats();
+        let mut transport = SocketTransport::handshake(vec![ours0, ours1], config.params_digest())
+            .unwrap()
+            .with_recovery(Recovery::new(
+                TransportTimeouts::all(Duration::from_secs(5)),
+                quick_retry(3),
+                Box::new(move |index| {
+                    let (ours, handle) = spawn_worker(&respawn_config, index, immortal());
+                    respawned.send(handle).unwrap();
+                    Ok(ours)
+                }),
+            ))
+            .unwrap();
+        let stats = transport.recovery_stats().unwrap();
 
         // Reference: the same batches through an uninterrupted transport.
         let phase1: Vec<(u32, u32)> = (0..16u32).map(|n| (n, (n + 1) % 16)).collect();
         let phase2: Vec<(u32, u32)> = (0..16u32).map(|n| (n, (n + 5) % 16)).collect();
         let mut reference = InProcessTransport::new(&ShardConfig::in_ram(16, 2)).unwrap();
         for &(node, other) in phase1.iter().chain(&phase2) {
-            let batch = Batch { node, others: vec![encode_other(other, false)] };
-            reference.send_batch(node % 2, batch).unwrap();
+            reference.send_batch(node % 2, edge(node, other)).unwrap();
         }
         reference.flush().unwrap();
 
         // Phase 1, then a checkpoint round (prunes both replay logs).
         for &(node, other) in &phase1 {
-            let batch = Batch { node, others: vec![encode_other(other, false)] };
-            transport.send_batch(node % 2, batch).unwrap();
+            transport.send_batch(node % 2, edge(node, other)).unwrap();
         }
         assert_eq!(transport.checkpoint_shards().unwrap(), vec![8, 8]);
         assert_eq!(stats.checkpoints(), 2);
 
         // Kill shard 0's worker a few dozen bytes into phase 2.
-        shard0_budget.store(64, std::sync::atomic::Ordering::SeqCst);
+        shard0_budget.store(64, Ordering::SeqCst);
         for &(node, other) in &phase2 {
-            let batch = Batch { node, others: vec![encode_other(other, false)] };
-            transport.send_batch(node % 2, batch).unwrap();
+            transport.send_batch(node % 2, edge(node, other)).unwrap();
         }
         transport.flush().unwrap();
 
         // The recovered state must be bit-identical to the uninterrupted run.
-        let sort = |mut v: Vec<SketchEntry>| {
-            v.sort_by_key(|e| e.node);
-            v
-        };
         assert_eq!(
-            sort(transport.gather().unwrap()),
-            sort(reference.gather().unwrap()),
+            sorted(transport.gather().unwrap()),
+            sorted(reference.gather().unwrap()),
             "post-recovery sketches must match an uninterrupted run exactly"
         );
 
@@ -1815,45 +1620,27 @@ mod tests {
             "the doomed worker dies of its injected crash"
         );
         handle1.join().unwrap().unwrap();
-        let handles: Vec<LocalWorkerHandle> = respawned.lock().unwrap().drain(..).collect();
-        for h in handles {
+        drop(transport); // hangs up the respawn closure's end of the channel
+        for h in replacements {
             h.join().unwrap().unwrap();
         }
     }
 
     #[test]
     fn recovery_gives_up_after_the_retry_budget() {
-        let config = ShardConfig::in_ram(16, 1);
-        let digest = config.params_digest();
-        let (ours, theirs) = UnixStream::pair().unwrap();
-        let worker = handshake_then(theirs, drop);
-        let inner = SocketTransport::handshake(vec![ours], digest).unwrap();
-        let mut transport = RecoveringTransport::new(
-            inner,
-            digest,
-            TransportTimeouts::default(),
-            RetryPolicy {
-                attempts: 2,
-                base: Duration::from_millis(1),
-                max: Duration::from_millis(2),
-                jitter_seed: 1,
-            },
-            Box::new(|_| Err(GzError::InvalidConfig("respawn disabled".into()))),
-        )
-        .unwrap();
-        let stats = transport.stats();
+        let (transport, worker) = against(drop);
+        let mut transport = transport
+            .with_recovery(Recovery::new(
+                TransportTimeouts::default(),
+                quick_retry(2),
+                Box::new(|_| Err(GzError::InvalidConfig("respawn disabled".into()))),
+            ))
+            .unwrap();
+        let stats = transport.recovery_stats().unwrap();
         worker.join().unwrap();
 
-        let mut failure = None;
-        for i in 0..100_000u32 {
-            let batch = Batch { node: i % 16, others: vec![encode_other((i + 1) % 16, false)] };
-            if let Err(e) = transport.send_batch(0, batch) {
-                failure = Some(e);
-                break;
-            }
-        }
         assert!(
-            matches!(failure, Some(GzError::InvalidConfig(_))),
+            matches!(send_until_failure(&mut transport), GzError::InvalidConfig(_)),
             "the respawn closure's refusal is the final error"
         );
         assert_eq!(stats.reconnect_attempts(), 2, "both budgeted attempts were spent");
@@ -1865,60 +1652,22 @@ mod tests {
         let dir = gz_testutil::TempDir::new("gz-cap");
         let mut config = ShardConfig::in_ram(16, 1);
         config.checkpoint_dir = Some(dir.path().to_path_buf());
-        let digest = config.params_digest();
-        let (ours, theirs) = UnixStream::pair().unwrap();
-        let cfg = config.clone();
-        let worker = std::thread::spawn(move || {
-            let pipeline = new_pipeline_resuming(&cfg, 0)?;
-            let mut stream = theirs;
-            serve_shard_connection(&mut stream, &pipeline, cfg.params_digest())
-        });
-        let inner = SocketTransport::handshake(vec![ours], digest).unwrap();
-        let mut transport = RecoveringTransport::new(
-            inner,
-            digest,
-            TransportTimeouts::default(),
-            RetryPolicy::default(),
-            Box::new(|_| Err(GzError::InvalidConfig("no respawn in this test".into()))),
-        )
-        .unwrap()
-        .with_replay_log_cap(4);
-        let stats = transport.stats();
+        let (ours, worker) = spawn_worker(&config, 0, immortal());
+        let never = Box::new(|_| Err(GzError::InvalidConfig("no respawn in this test".into())));
+        let policy = Recovery::new(TransportTimeouts::default(), RetryPolicy::default(), never);
+        let mut transport = SocketTransport::handshake(vec![ours], config.params_digest())
+            .unwrap()
+            .with_recovery(policy.with_replay_log_cap(4))
+            .unwrap();
+        let stats = transport.recovery_stats().unwrap();
 
         for i in 0..12u32 {
-            let batch = Batch { node: i % 16, others: vec![encode_other((i + 1) % 16, false)] };
-            transport.send_batch(0, batch).unwrap();
+            transport.send_batch(0, edge(i % 16, (i + 1) % 16)).unwrap();
         }
         // 12 batches with a cap of 4: the log hit the cap three times, each
         // forcing a checkpoint round that pruned it.
         assert_eq!(stats.checkpoints(), 3);
         transport.shutdown().unwrap();
         worker.join().unwrap().unwrap();
-    }
-
-    /// An in-memory Read + Write stream for driving the serve loop directly.
-    struct ReadWriteBuf {
-        read: Vec<u8>,
-        at: usize,
-        written: Vec<u8>,
-    }
-
-    impl Read for ReadWriteBuf {
-        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            let n = buf.len().min(self.read.len() - self.at);
-            buf[..n].copy_from_slice(&self.read[self.at..self.at + n]);
-            self.at += n;
-            Ok(n)
-        }
-    }
-
-    impl Write for ReadWriteBuf {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.written.extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
     }
 }

@@ -14,7 +14,7 @@
 //! cancelled pairs contribute nothing either way; ordering is irrelevant.
 //! That replay argument is what lets promotion happen at any time without an
 //! equivalence caveat anywhere in the system — and what lets a query skip
-//! promotion altogether: [`SparseRoundBatch`] XORs a sparse vertex's edge
+//! promotion altogether: `SparseRoundBatch` XORs a sparse vertex's edge
 //! indices straight into its supernode's round accumulator, which by the
 //! same linearity equals merging the slice the vertex would have held.
 
@@ -91,7 +91,7 @@ impl SparseSet {
 
     /// Synthesize just the round-`round` slice by replaying the set into a
     /// fresh sketch of that round's family. Queries do not call this — they
-    /// fold in place through [`SparseRoundBatch`]; it is the oracle the
+    /// fold in place through `SparseRoundBatch`; it is the oracle the
     /// in-place fold is tested against.
     pub fn synthesize_round(
         &self,

@@ -260,7 +260,7 @@ mod tests {
             gz.edge_update(u, v);
         }
         let epoch = gz.begin_epoch().unwrap();
-        let reference = gz.spanning_forest_streaming().unwrap();
+        let reference = gz.spanning_forest().unwrap();
         assert_eq!(epoch.overlay_resident_bytes(), 0, "nothing dirtied yet");
 
         // Rewrite a large part of the graph after the seal.
@@ -278,7 +278,7 @@ mod tests {
         assert!(epoch.overlay_resident_bytes() > 0);
 
         // And the live system sees the new graph.
-        let live = gz.spanning_forest_streaming().unwrap();
+        let live = gz.spanning_forest().unwrap();
         assert_ne!(live.labels, reference.labels, "stream moved on");
     }
 
@@ -287,7 +287,6 @@ mod tests {
     #[test]
     fn staleness_knob_reuses_then_reseals() {
         let mut c = GzConfig::in_ram(16);
-        c.query_mode = crate::config::QueryMode::Streaming;
         c.query_staleness = Some(3);
         let mut gz = GraphZeppelin::new(c).unwrap();
         gz.edge_update(0, 1);

@@ -309,7 +309,7 @@ impl SketchStore {
     /// overlapping the fold, which beats a one-worker claim loop). Sparse
     /// vertices are partitioned the same way and XOR their edge indices
     /// straight into their supernode's accumulator
-    /// ([`crate::sparse::SparseRoundBatch`]). Which worker folds what
+    /// (`sparse::SparseRoundBatch`). Which worker folds what
     /// cannot change results — folding is XOR.
     pub fn stream_round_parallel(
         &self,

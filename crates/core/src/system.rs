@@ -2,7 +2,7 @@
 //! (`edge_update()` / `list_spanning_forest()`, Figures 8–9).
 
 use crate::boruvka::{boruvka_rounds_with_pool, BoruvkaOutcome};
-use crate::config::{BufferStrategy, GzConfig, QueryMode, StoreBackend};
+use crate::config::{BufferStrategy, GzConfig, StoreBackend};
 use crate::error::GzError;
 use crate::ingest::{IngestCounters, WorkerPool};
 use crate::node_sketch::{encode_other, SketchParams};
@@ -197,39 +197,18 @@ impl GraphZeppelin {
 
     /// Compute a spanning forest of the current graph (paper
     /// `list_spanning_forest()`); leaves the system ready for more updates.
-    /// Reads the store in the configured [`QueryMode`]; both modes return
-    /// bit-identical labels and forests.
-    pub fn spanning_forest(&mut self) -> Result<BoruvkaOutcome, GzError> {
-        match self.config.query_mode {
-            QueryMode::Snapshot => self.spanning_forest_snapshot(),
-            QueryMode::Streaming => self.spanning_forest_streaming(),
-        }
-    }
-
-    /// Snapshot-mode query: materialize every node's full sketch stack,
-    /// then run Boruvka over the copy (peak `O(V × full sketch)` RAM). The
-    /// fold and sampling run on `query_threads` workers.
-    pub fn spanning_forest_snapshot(&mut self) -> Result<BoruvkaOutcome, GzError> {
-        self.flush();
-        let sketches = self.store.snapshot();
-        let (num_nodes, rounds) = (self.config.num_nodes, self.params.rounds());
-        let pool = self.query_pool();
-        let mut source = MaterializedSource::new(sketches);
-        boruvka_rounds_with_pool(&mut source, num_nodes, rounds, pool)
-    }
-
-    /// Streaming-mode query: fold round slices straight out of the store,
-    /// keeping only per-live-supernode accumulators resident — partitioned
-    /// across `query_threads` workers (slot ranges in RAM; concurrent
-    /// positioned group reads on disk, single-threaded prefetch pipeline at
-    /// one thread). Bit-identical to [`Self::spanning_forest_snapshot`] at
-    /// any thread count.
+    ///
+    /// Folds round slices straight out of the store, keeping only
+    /// per-live-supernode accumulators resident — partitioned across
+    /// `query_threads` workers (slot ranges in RAM; concurrent positioned
+    /// group reads on disk, single-threaded prefetch pipeline at one
+    /// thread). Answers are bit-identical at any thread count.
     ///
     /// With `config.query_staleness = Some(n)`, the query reuses the last
     /// sealed epoch while it is at most `n` updates old (sealing a fresh
     /// one otherwise) and folds it through the epoch read path — ingestion
     /// is never stopped, and the answer reflects the sealed cut.
-    pub fn spanning_forest_streaming(&mut self) -> Result<BoruvkaOutcome, GzError> {
+    pub fn spanning_forest(&mut self) -> Result<BoruvkaOutcome, GzError> {
         let Some(max_lag) = self.config.query_staleness else {
             self.flush();
             let (num_nodes, rounds) = (self.config.num_nodes, self.params.rounds());
@@ -250,6 +229,20 @@ impl GraphZeppelin {
         let pool = &self.query_pool.as_ref().expect("pool ensured above").1;
         let (epoch, _) = self.cached_epoch.as_ref().expect("epoch sealed above");
         epoch.spanning_forest_with_pool(pool)
+    }
+
+    /// The reference [`Self::spanning_forest`] is tested against: flush,
+    /// materialize every node's full sketch stack (peak `O(V × full
+    /// sketch)` RAM), then run Boruvka over the copy. Always reads live
+    /// state — `query_staleness` does not apply. No configuration selects
+    /// it; tests and benches call it by name.
+    pub fn spanning_forest_oracle(&mut self) -> Result<BoruvkaOutcome, GzError> {
+        self.flush();
+        let sketches = self.store.snapshot();
+        let (num_nodes, rounds) = (self.config.num_nodes, self.params.rounds());
+        let pool = self.query_pool();
+        let mut source = MaterializedSource::new(sketches);
+        boruvka_rounds_with_pool(&mut source, num_nodes, rounds, pool)
     }
 
     /// Seal the current sketch state into an epoch: flush buffered updates,
@@ -518,59 +511,50 @@ mod tests {
         );
     }
 
+    /// The product query against the materialize-everything oracle, on
+    /// every field of the outcome that is an answer.
+    fn assert_matches_oracle(gz: &mut GraphZeppelin) -> (BoruvkaOutcome, BoruvkaOutcome) {
+        let oracle = gz.spanning_forest_oracle().unwrap();
+        let product = gz.spanning_forest().unwrap();
+        assert_eq!(product.labels, oracle.labels);
+        assert_eq!(product.forest, oracle.forest);
+        assert_eq!(product.rounds_used, oracle.rounds_used);
+        assert_eq!(product.sketch_failures, oracle.sketch_failures);
+        (product, oracle)
+    }
+
     #[test]
-    fn streaming_query_bit_identical_to_snapshot() {
+    fn query_bit_identical_to_oracle() {
         let mut gz = GraphZeppelin::new(tiny_config(24)).unwrap();
         for &(u, v) in &[(0u32, 1u32), (1, 2), (2, 3), (5, 6), (8, 9), (9, 10), (10, 8)] {
             gz.edge_update(u, v);
         }
-        let snap = gz.spanning_forest_snapshot().unwrap();
-        let stream = gz.spanning_forest_streaming().unwrap();
-        assert_eq!(snap.labels, stream.labels);
-        assert_eq!(snap.forest, stream.forest);
-        assert_eq!(snap.rounds_used, stream.rounds_used);
-        assert_eq!(snap.sketch_failures, stream.sketch_failures);
-        // And the oracle stays selectable through the configured mode.
-        let mut c = tiny_config(24);
-        c.query_mode = QueryMode::Snapshot;
-        let mut gz2 = GraphZeppelin::new(c).unwrap();
-        for &(u, v) in &[(0u32, 1u32), (1, 2), (2, 3), (5, 6), (8, 9), (9, 10), (10, 8)] {
-            gz2.edge_update(u, v);
-        }
-        let configured = gz2.spanning_forest().unwrap();
-        assert_eq!(configured.labels, snap.labels);
-        assert_eq!(configured.peak_sketch_bytes, snap.peak_sketch_bytes);
+        assert_matches_oracle(&mut gz);
     }
 
     #[test]
-    fn default_configs_query_in_streaming_mode() {
+    fn default_configs_fold_in_place() {
         // `in_ram` and `on_disk`, nothing else set: the facade's query is
-        // the streaming fold — the streaming answer and footprint, which
-        // the snapshot oracle (every full stack resident) cannot match.
+        // the in-place fold — the oracle's answer at a footprint the
+        // oracle (every full stack resident) cannot match.
         let dir = gz_testutil::TempDir::new("gz-system-default-mode");
         for config in [GzConfig::in_ram(64), GzConfig::on_disk(64, dir.path().to_path_buf())] {
-            assert_eq!(config.query_mode, QueryMode::Streaming);
             let mut gz = GraphZeppelin::new(config).unwrap();
             for i in 0..40u32 {
                 gz.edge_update(i, i + 1);
             }
-            let default = gz.spanning_forest().unwrap();
-            let streaming = gz.spanning_forest_streaming().unwrap();
-            let snapshot = gz.spanning_forest_snapshot().unwrap();
-            assert_eq!(default.labels, snapshot.labels);
-            assert_eq!(default.forest, snapshot.forest);
-            assert_eq!(default.peak_sketch_bytes, streaming.peak_sketch_bytes);
+            let (product, oracle) = assert_matches_oracle(&mut gz);
             assert!(
-                default.peak_sketch_bytes < snapshot.peak_sketch_bytes,
-                "default query held {} bytes, the snapshot oracle {}",
-                default.peak_sketch_bytes,
-                snapshot.peak_sketch_bytes
+                product.peak_sketch_bytes < oracle.peak_sketch_bytes,
+                "default query held {} bytes, the oracle {}",
+                product.peak_sketch_bytes,
+                oracle.peak_sketch_bytes
             );
         }
     }
 
     #[test]
-    fn streaming_query_on_disk_store_keeps_less_resident() {
+    fn query_on_disk_store_keeps_less_resident_than_oracle() {
         let dir = gz_testutil::TempDir::new("gz-system-streamq");
         let mut c = tiny_config(64);
         c.store = StoreBackend::Disk {
@@ -582,15 +566,28 @@ mod tests {
         for i in 0..63u32 {
             gz.edge_update(i, i + 1);
         }
-        let snap = gz.spanning_forest_snapshot().unwrap();
-        let stream = gz.spanning_forest_streaming().unwrap();
-        assert_eq!(snap.labels, stream.labels);
+        let (product, oracle) = assert_matches_oracle(&mut gz);
         assert!(
-            stream.peak_sketch_bytes < snap.peak_sketch_bytes,
-            "streaming resident {} must undercut snapshot {}",
-            stream.peak_sketch_bytes,
-            snap.peak_sketch_bytes
+            product.peak_sketch_bytes < oracle.peak_sketch_bytes,
+            "fold resident {} must undercut the oracle's {}",
+            product.peak_sketch_bytes,
+            oracle.peak_sketch_bytes
         );
+    }
+
+    #[test]
+    fn oracle_reads_live_state_whatever_the_staleness_budget() {
+        let mut c = tiny_config(16);
+        c.query_staleness = Some(100);
+        let mut gz = GraphZeppelin::new(c).unwrap();
+        gz.edge_update(0, 1);
+        let sealed = gz.spanning_forest().unwrap();
+        // Within the budget the product may answer from the cached epoch;
+        // the reference never does.
+        gz.edge_update(1, 2);
+        assert_eq!(gz.spanning_forest().unwrap().labels, sealed.labels);
+        let live = gz.spanning_forest_oracle().unwrap();
+        assert_eq!(live.labels[0], live.labels[2]);
     }
 
     #[test]
@@ -623,11 +620,8 @@ mod tests {
         assert_eq!(stats.promoted, 1, "only the hub crosses τ");
         assert_eq!(stats.sparse, 63);
         assert!(hybrid.sketch_bytes() * 5 <= dense.sketch_bytes(), "≥5× resident reduction");
-        // Streaming queries fold sparse nodes in place from their sets.
-        let snap = hybrid.spanning_forest_snapshot().unwrap();
-        let stream = hybrid.spanning_forest_streaming().unwrap();
-        assert_eq!(snap.labels, stream.labels);
-        assert_eq!(snap.forest, stream.forest);
+        // Queries fold sparse nodes in place from their sets.
+        assert_matches_oracle(&mut hybrid);
     }
 
     #[test]

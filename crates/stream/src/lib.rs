@@ -11,9 +11,9 @@
 //! - [`gnp`] — Erdős–Rényi `G(n, m)` (stand-in for sparse SNAP graphs).
 //! - [`preferential`] — preferential attachment (stand-in for the dense
 //!   power-law google-plus / web-uk graphs).
-//! - [`streamify`] — turns a target graph into a random insert/delete stream
+//! - [`mod@streamify`] — turns a target graph into a random insert/delete stream
 //!   with the paper's four guarantees (§6.1).
-//! - [`format`] — binary on-disk stream format with buffered readers/writers.
+//! - [`mod@format`] — binary on-disk stream format with buffered readers/writers.
 //! - [`catalog`] — the named datasets of Figure 10 (plus scaled-down
 //!   variants used by tests and the default benchmark scale).
 //! - [`wire`] — the framed, versioned coordinator ↔ shard-worker protocol

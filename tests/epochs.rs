@@ -38,7 +38,7 @@ fn epoch_query_is_stable_under_concurrent_ingest() {
     }
 
     let epoch = gz.begin_epoch().expect("seal");
-    let reference = gz.spanning_forest_streaming().expect("stop-the-world reference");
+    let reference = gz.spanning_forest().expect("stop-the-world reference");
 
     std::thread::scope(|scope| {
         let handle = scope.spawn(|| {
@@ -71,7 +71,7 @@ fn epoch_query_is_stable_under_concurrent_ingest() {
 
     assert!(epoch.captured_groups() > 0, "concurrent batches must have captured pre-images");
     // The live system answers for the moved stream, not the seal.
-    let live = gz.spanning_forest_streaming().expect("live query");
+    let live = gz.spanning_forest().expect("live query");
     assert_ne!(live.labels, reference.labels, "stream should have moved");
 }
 
@@ -90,7 +90,7 @@ fn sharded_epoch_query_is_stable_under_concurrent_ingest() {
     }
 
     let epoch = gz.begin_epoch().expect("seal");
-    let reference = gz.spanning_forest_streaming().expect("stop-the-world reference");
+    let reference = gz.spanning_forest().expect("stop-the-world reference");
 
     std::thread::scope(|scope| {
         let handle = scope.spawn(|| {
@@ -115,7 +115,7 @@ fn sharded_epoch_query_is_stable_under_concurrent_ingest() {
     });
 
     drop(epoch);
-    let live = gz.spanning_forest_streaming().expect("live query");
+    let live = gz.spanning_forest().expect("live query");
     assert_ne!(live.labels, reference.labels, "stream should have moved");
     gz.shutdown().expect("clean shutdown");
 }
@@ -138,7 +138,7 @@ fn epoch_overlay_is_bounded_and_reclaimed() {
         let epoch = gz.begin_epoch().expect("seal");
         assert_eq!(epoch.overlay_resident_bytes(), 0, "fresh epoch holds nothing (cycle {cycle})");
         assert_eq!(epoch.captured_groups(), 0, "fresh epoch pins nothing (cycle {cycle})");
-        let reference = gz.spanning_forest_streaming().expect("reference");
+        let reference = gz.spanning_forest().expect("reference");
 
         // Dirty every node the stream knows about.
         ingest_single(&mut gz, &everything);
@@ -226,7 +226,7 @@ mod epoch_equivalence_proptests {
             let mut ram = GraphZeppelin::new(GzConfig::in_ram(n)).unwrap();
             ingest_single(&mut ram, prefix);
             let mut epoch = ram.begin_epoch().unwrap();
-            let reference = ram.spanning_forest_streaming().unwrap();
+            let reference = ram.spanning_forest().unwrap();
             ingest_single(&mut ram, suffix);
             ram.flush();
             for threads in [1usize, 4] {
@@ -254,7 +254,7 @@ mod epoch_equivalence_proptests {
             let mut disk = GraphZeppelin::new(disk_cfg).unwrap();
             ingest_single(&mut disk, prefix);
             let mut epoch = disk.begin_epoch().unwrap();
-            let disk_reference = disk.spanning_forest_streaming().unwrap();
+            let disk_reference = disk.spanning_forest().unwrap();
             prop_assert_eq!(&reference.labels, &disk_reference.labels, "disk seal-time labels");
             ingest_single(&mut disk, suffix);
             disk.flush();

@@ -182,9 +182,9 @@ fn sharded_disk_store_bit_identical_to_unsharded() {
 
 #[test]
 fn streaming_query_bit_identical_across_stores_and_shard_counts() {
-    // The tentpole invariant: the round-driven streaming query must return
-    // labels AND forest bit-identical to the snapshot query, whatever
-    // serves the round slices — the RAM store, a disk store under a tight
+    // The tentpole invariant: the round-driven query must return labels
+    // AND forest bit-identical to the materialize-everything oracle,
+    // whatever serves the round slices — the RAM store, a disk store under a tight
     // cache, or a shard fleet shipping per-round frames over either
     // transport.
     let (v, updates) = shared_stream();
@@ -193,10 +193,12 @@ fn streaming_query_bit_identical_across_stores_and_shard_counts() {
     for upd in &updates {
         single.update(upd.u, upd.v, upd.kind == UpdateKind::Delete);
     }
-    let reference = single.spanning_forest_snapshot().expect("reference query");
-    let streamed = single.spanning_forest_streaming().expect("ram streaming query");
+    let reference = single.spanning_forest_oracle().expect("reference query");
+    let streamed = single.spanning_forest().expect("ram streaming query");
     assert_eq!(reference.labels, streamed.labels, "ram streaming labels");
     assert_eq!(reference.forest, streamed.forest, "ram streaming forest");
+    assert_eq!(reference.rounds_used, streamed.rounds_used, "ram streaming rounds");
+    assert_eq!(reference.sketch_failures, streamed.sketch_failures, "ram streaming failures");
 
     let dir = TempDir::new("gz-equiv-streamq");
     let mut disk = GzConfig::in_ram(v);
@@ -206,7 +208,7 @@ fn streaming_query_bit_identical_across_stores_and_shard_counts() {
     for upd in &updates {
         gz.update(upd.u, upd.v, upd.kind == UpdateKind::Delete);
     }
-    let streamed = gz.spanning_forest_streaming().expect("disk streaming query");
+    let streamed = gz.spanning_forest().expect("disk streaming query");
     assert_eq!(reference.labels, streamed.labels, "disk streaming labels");
     assert_eq!(reference.forest, streamed.forest, "disk streaming forest");
 
@@ -216,7 +218,7 @@ fn streaming_query_bit_identical_across_stores_and_shard_counts() {
             for upd in &updates {
                 gz.update(upd.u, upd.v, upd.kind == UpdateKind::Delete).expect("routed update");
             }
-            let streamed = gz.spanning_forest_streaming().expect("sharded streaming query");
+            let streamed = gz.spanning_forest().expect("sharded streaming query");
             assert_eq!(
                 reference.labels, streamed.labels,
                 "labels diverged: {shards} shards over {transport:?}"
@@ -263,7 +265,7 @@ mod streaming_query_proptests {
                 ram.update(u, v, d);
             }
             ram.set_query_threads(1);
-            let reference = ram.spanning_forest_streaming().unwrap();
+            let reference = ram.spanning_forest().unwrap();
 
             let dir = TempDir::new("gz-equiv-parq-prop");
             let mut disk_cfg = GzConfig::in_ram(n);
@@ -289,7 +291,7 @@ mod streaming_query_proptests {
 
             for threads in [1usize, 2, 4] {
                 ram.set_query_threads(threads);
-                let got = ram.spanning_forest_streaming().unwrap();
+                let got = ram.spanning_forest().unwrap();
                 prop_assert_eq!(&reference.labels, &got.labels, "ram labels t={}", threads);
                 prop_assert_eq!(&reference.forest, &got.forest, "ram forest t={}", threads);
                 prop_assert_eq!(reference.rounds_used, got.rounds_used, "ram rounds t={}", threads);
@@ -299,7 +301,7 @@ mod streaming_query_proptests {
                 );
 
                 disk.set_query_threads(threads);
-                let got = disk.spanning_forest_streaming().unwrap();
+                let got = disk.spanning_forest().unwrap();
                 prop_assert_eq!(&reference.labels, &got.labels, "disk labels t={}", threads);
                 prop_assert_eq!(&reference.forest, &got.forest, "disk forest t={}", threads);
                 prop_assert_eq!(reference.rounds_used, got.rounds_used, "disk rounds t={}", threads);
@@ -310,7 +312,7 @@ mod streaming_query_proptests {
 
                 for (shards, gz) in shard_systems.iter_mut() {
                     gz.set_query_threads(threads);
-                    let got = gz.spanning_forest_streaming().unwrap();
+                    let got = gz.spanning_forest().unwrap();
                     prop_assert_eq!(
                         &reference.labels, &got.labels,
                         "labels {} shards t={}", shards, threads
@@ -331,10 +333,10 @@ mod streaming_query_proptests {
             }
         }
 
-        /// Streaming == snapshot, bit for bit, on arbitrary toggle streams
+        /// Product query == oracle, bit for bit, on arbitrary toggle streams
         /// across Ram/Disk stores and shard counts {1, 3}.
         #[test]
-        fn streaming_matches_snapshot_everywhere(
+        fn streaming_matches_oracle_everywhere(
             n in 4u64..28,
             raw in proptest::collection::vec((any::<u32>(), any::<u32>()), 0..120)
         ) {
@@ -344,10 +346,12 @@ mod streaming_query_proptests {
             for &(u, v, d) in &updates {
                 ram.update(u, v, d);
             }
-            let reference = ram.spanning_forest_snapshot().unwrap();
-            let ram_stream = ram.spanning_forest_streaming().unwrap();
+            let reference = ram.spanning_forest_oracle().unwrap();
+            let ram_stream = ram.spanning_forest().unwrap();
             prop_assert_eq!(&reference.labels, &ram_stream.labels);
             prop_assert_eq!(&reference.forest, &ram_stream.forest);
+            prop_assert_eq!(reference.rounds_used, ram_stream.rounds_used);
+            prop_assert_eq!(reference.sketch_failures, ram_stream.sketch_failures);
 
             let dir = TempDir::new("gz-equiv-streamq-prop");
             let mut disk = GzConfig::in_ram(n);
@@ -360,7 +364,7 @@ mod streaming_query_proptests {
             for &(u, v, d) in &updates {
                 gz.update(u, v, d);
             }
-            let disk_stream = gz.spanning_forest_streaming().unwrap();
+            let disk_stream = gz.spanning_forest().unwrap();
             prop_assert_eq!(&reference.labels, &disk_stream.labels);
             prop_assert_eq!(&reference.forest, &disk_stream.forest);
 
@@ -370,7 +374,7 @@ mod streaming_query_proptests {
                 for &(u, v, d) in &updates {
                     gz.update(u, v, d).unwrap();
                 }
-                let sharded = gz.spanning_forest_streaming().unwrap();
+                let sharded = gz.spanning_forest().unwrap();
                 prop_assert_eq!(&reference.labels, &sharded.labels, "{} shards", shards);
                 prop_assert_eq!(&reference.forest, &sharded.forest, "{} shards", shards);
             }
@@ -518,7 +522,7 @@ mod hybrid_representation_proptests {
             let mut dense = GraphZeppelin::new(GzConfig::in_ram(n)).unwrap();
             ingest(&mut dense, &updates);
             let ref_state = dense.snapshot_serialized();
-            let reference = dense.spanning_forest_streaming().unwrap();
+            let reference = dense.spanning_forest().unwrap();
 
             for tau in [4u32, 16, 64] {
                 let mut ram_cfg = GzConfig::in_ram(n);
@@ -526,7 +530,7 @@ mod hybrid_representation_proptests {
                 let mut ram = GraphZeppelin::new(ram_cfg).unwrap();
                 ingest(&mut ram, &updates);
                 prop_assert_eq!(&ram.snapshot_serialized(), &ref_state, "ram state τ={}", tau);
-                let got = ram.spanning_forest_streaming().unwrap();
+                let got = ram.spanning_forest().unwrap();
                 prop_assert_eq!(&reference.labels, &got.labels, "ram labels τ={}", tau);
                 prop_assert_eq!(&reference.forest, &got.forest, "ram forest τ={}", tau);
 
@@ -541,7 +545,7 @@ mod hybrid_representation_proptests {
                 let mut disk = GraphZeppelin::new(disk_cfg).unwrap();
                 ingest(&mut disk, &updates);
                 prop_assert_eq!(&disk.snapshot_serialized(), &ref_state, "disk state τ={}", tau);
-                let got = disk.spanning_forest_streaming().unwrap();
+                let got = disk.spanning_forest().unwrap();
                 prop_assert_eq!(&reference.labels, &got.labels, "disk labels τ={}", tau);
                 prop_assert_eq!(&reference.forest, &got.forest, "disk forest τ={}", tau);
 
@@ -556,7 +560,7 @@ mod hybrid_representation_proptests {
                         &gz.gather_serialized().unwrap(), &ref_state,
                         "sharded state τ={} shards={}", tau, shards
                     );
-                    let got = gz.spanning_forest_streaming().unwrap();
+                    let got = gz.spanning_forest().unwrap();
                     prop_assert_eq!(
                         &reference.labels, &got.labels,
                         "sharded labels τ={} shards={}", tau, shards
@@ -587,7 +591,7 @@ mod hybrid_representation_proptests {
 
             let mut dense = GraphZeppelin::new(GzConfig::in_ram(n)).unwrap();
             ingest(&mut dense, prefix);
-            let reference = dense.spanning_forest_streaming().unwrap();
+            let reference = dense.spanning_forest().unwrap();
 
             let mut hybrid_cfg = GzConfig::in_ram(n);
             hybrid_cfg.sketch_threshold = 4;
@@ -643,7 +647,7 @@ mod hybrid_representation_proptests {
             let dense_after = |updates: &[(u32, u32, bool)]| {
                 let mut dense = GraphZeppelin::new(GzConfig::in_ram(n)).unwrap();
                 ingest(&mut dense, updates);
-                answer(&dense.spanning_forest_streaming().unwrap())
+                answer(&dense.spanning_forest().unwrap())
             };
             let (at_seal, at_end) = (dense_after(prefix), dense_after(&updates));
 
@@ -666,7 +670,7 @@ mod hybrid_representation_proptests {
                     ingest(&mut gz, prefix);
                     let epoch = gz.begin_epoch().unwrap();
                     ingest(&mut gz, suffix);
-                    let live = gz.spanning_forest_streaming().unwrap();
+                    let live = gz.spanning_forest().unwrap();
                     prop_assert_eq!(&answer(&live), &at_end, "live {}", &what);
                     let pinned = epoch.spanning_forest().unwrap();
                     prop_assert_eq!(&answer(&pinned), &at_seal, "pinned {}", &what);
@@ -704,7 +708,7 @@ mod hybrid_representation_proptests {
                     for &(u, v, d) in suffix {
                         gz.update(u, v, d).unwrap();
                     }
-                    let live = gz.spanning_forest_streaming().unwrap();
+                    let live = gz.spanning_forest().unwrap();
                     prop_assert_eq!(&answer(&live), &at_end, "live {}", &what);
                     let pinned = epoch.spanning_forest().unwrap();
                     prop_assert_eq!(&answer(&pinned), &at_seal, "pinned {}", &what);

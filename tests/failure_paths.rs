@@ -3,7 +3,8 @@
 
 use graph_zeppelin::boruvka::boruvka_spanning_forest;
 use graph_zeppelin::node_sketch::{update_index, SketchParams};
-use graph_zeppelin::{GraphZeppelin, GzConfig, GzError};
+use graph_zeppelin::{GraphZeppelin, GzConfig, GzError, ShardTransport, SocketTransport};
+use gz_stream::wire::WireMessage;
 
 #[test]
 fn exhausted_round_budget_reports_algorithm_failure() {
@@ -94,4 +95,33 @@ fn zero_budget_boruvka_fails_cleanly() {
         boruvka_spanning_forest(sketches, 8, 0),
         Err(GzError::AlgorithmFailure { rounds_used: 0, .. })
     ));
+}
+
+#[test]
+fn a_shard_answering_out_of_turn_is_a_named_protocol_error() {
+    // A worker that acks the handshake, then answers every request with
+    // the wrong frame: the coordinator must say which shard answered what
+    // with what (round numbers included), not hang or fold garbage.
+    let (ours, mut theirs) = std::os::unix::net::UnixStream::pair().unwrap();
+    let worker = std::thread::spawn(move || {
+        for reply in [
+            WireMessage::HelloAck { params_digest: 7 },
+            WireMessage::EpochReleased,
+            WireMessage::RoundSketches { round: 3, entries: vec![] },
+        ] {
+            WireMessage::read_from(&mut theirs).unwrap();
+            reply.write_to(&mut theirs).unwrap();
+        }
+    });
+    let mut transport = SocketTransport::handshake(vec![ours], 7).unwrap();
+    let message = |result: Result<(), GzError>| match result {
+        Err(GzError::Protocol(msg)) => msg,
+        other => panic!("expected a protocol error, got {other:?}"),
+    };
+    assert_eq!(message(transport.flush()), "shard 0 answered Flush with EpochReleased");
+    assert_eq!(
+        message(transport.gather_round(2, None).map(drop)),
+        "shard 0 answered GatherRound(2) with RoundSketches(3)"
+    );
+    worker.join().unwrap();
 }

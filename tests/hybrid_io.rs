@@ -89,7 +89,7 @@ fn streaming_query_io_bounded_under_constrained_cache() {
     // The low-RAM query path at a pinned cache budget (cache_groups = 2):
     // a streaming query issues at most one group read per (group, round)
     // pair — `num_groups × rounds_used` reads — and moves strictly fewer
-    // bytes than the snapshot query's full-store scan, while returning
+    // bytes than the oracle's full-store scan, while returning
     // bit-identical answers.
     let dataset = Dataset::kron(6);
     let stream = dataset.stream(5, &StreamifyConfig::default());
@@ -101,7 +101,7 @@ fn streaming_query_io_bounded_under_constrained_cache() {
     let io = gz.store_io().unwrap();
 
     let (reads_before, bytes_before) = (io.reads(), io.bytes_read());
-    let streamed = gz.spanning_forest_streaming().unwrap();
+    let streamed = gz.spanning_forest().unwrap();
     let stream_reads = io.reads() - reads_before;
     let stream_bytes = io.bytes_read() - bytes_before;
 
@@ -115,19 +115,21 @@ fn streaming_query_io_bounded_under_constrained_cache() {
     );
 
     let bytes_before = io.bytes_read();
-    let snapshot = gz.spanning_forest_snapshot().unwrap();
-    let snap_bytes = io.bytes_read() - bytes_before;
-    assert_eq!(snapshot.labels, streamed.labels, "query modes must agree");
-    assert_eq!(snapshot.forest, streamed.forest, "query modes must agree");
+    let oracle = gz.spanning_forest_oracle().unwrap();
+    let oracle_bytes = io.bytes_read() - bytes_before;
+    assert_eq!(oracle.labels, streamed.labels, "query must match the oracle");
+    assert_eq!(oracle.forest, streamed.forest, "query must match the oracle");
+    assert_eq!(oracle.rounds_used, streamed.rounds_used, "query must match the oracle");
+    assert_eq!(oracle.sketch_failures, streamed.sketch_failures, "query must match the oracle");
     assert!(
-        stream_bytes < snap_bytes,
-        "streaming read {stream_bytes} bytes, snapshot {snap_bytes}"
+        stream_bytes < oracle_bytes,
+        "streaming read {stream_bytes} bytes, the oracle {oracle_bytes}"
     );
     assert!(
-        streamed.peak_sketch_bytes < snapshot.peak_sketch_bytes,
-        "streaming resident {} must undercut snapshot {}",
+        streamed.peak_sketch_bytes < oracle.peak_sketch_bytes,
+        "streaming resident {} must undercut the oracle's {}",
         streamed.peak_sketch_bytes,
-        snapshot.peak_sketch_bytes
+        oracle.peak_sketch_bytes
     );
 }
 

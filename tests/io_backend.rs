@@ -6,8 +6,8 @@
 //! containers, old kernels); the pread lanes always run.
 
 use graph_zeppelin::{
-    uring_available, GraphZeppelin, GzConfig, IoBackendKind, QueryMode, ShardConfig,
-    ShardedGraphZeppelin, StoreBackend,
+    uring_available, GraphZeppelin, GzConfig, IoBackendKind, ShardConfig, ShardedGraphZeppelin,
+    StoreBackend,
 };
 use gz_stream::{Dataset, StreamifyConfig, UpdateKind};
 use gz_testutil::TempDir;
@@ -18,7 +18,6 @@ fn disk_config(n: u64, dir: &TempDir, kind: IoBackendKind) -> GzConfig {
     let mut config = GzConfig::in_ram(n);
     config.store =
         StoreBackend::Disk { dir: dir.path().to_path_buf(), block_bytes: 512, cache_groups: 2 };
-    config.query_mode = QueryMode::Streaming;
     config.io.kind = kind;
     config.io.queue_depth = 8;
     config
@@ -51,18 +50,21 @@ fn uring_or_skip(test: &str) -> bool {
 }
 
 /// The disk-query suite under both backends: identical answers and
-/// identical serialized sketch state on a cache-constrained store, in both
-/// query modes, with O_DIRECT layered on top of each backend.
+/// identical serialized sketch state on a cache-constrained store, checked
+/// against the oracle, with O_DIRECT layered on top of each backend.
 #[test]
 fn disk_queries_agree_across_backends_and_direct_mode() {
     let (n, updates) = shared_stream();
 
     let pread_dir = TempDir::new("gz-iobe-pread");
     let mut pread = ingested(disk_config(n, &pread_dir, IoBackendKind::Pread), &updates);
-    let reference = pread.spanning_forest_streaming().expect("pread streaming query");
+    let reference = pread.spanning_forest().expect("pread streaming query");
     let reference_state = pread.snapshot_serialized();
-    let snapshot = pread.spanning_forest_snapshot().expect("pread snapshot query");
-    assert_eq!(reference.labels, snapshot.labels, "pread streaming vs snapshot");
+    let oracle = pread.spanning_forest_oracle().expect("pread oracle query");
+    assert_eq!(reference.labels, oracle.labels, "pread query vs oracle");
+    assert_eq!(reference.forest, oracle.forest, "pread query vs oracle");
+    assert_eq!(reference.rounds_used, oracle.rounds_used, "pread query vs oracle");
+    assert_eq!(reference.sketch_failures, oracle.sketch_failures, "pread query vs oracle");
 
     let mut lanes: Vec<(IoBackendKind, bool, &str)> =
         vec![(IoBackendKind::Pread, true, "pread+direct")];
@@ -75,7 +77,7 @@ fn disk_queries_agree_across_backends_and_direct_mode() {
         let mut config = disk_config(n, &dir, kind);
         config.io.direct = direct;
         let mut gz = ingested(config, &updates);
-        let got = gz.spanning_forest_streaming().expect("lane streaming query");
+        let got = gz.spanning_forest().expect("lane streaming query");
         assert_eq!(reference.labels, got.labels, "{label} labels");
         assert_eq!(reference.forest, got.forest, "{label} forest");
         assert_eq!(reference.rounds_used, got.rounds_used, "{label} rounds");
@@ -98,12 +100,12 @@ fn uring_batches_where_pread_iterates() {
 
     let pread_dir = TempDir::new("gz-iobe-depth-p");
     let mut pread = ingested(disk_config(n, &pread_dir, IoBackendKind::Pread), &updates);
-    pread.spanning_forest_streaming().expect("pread query");
+    pread.spanning_forest().expect("pread query");
     let pread_io = pread.store_io().expect("pread counters");
 
     let uring_dir = TempDir::new("gz-iobe-depth-u");
     let mut uring = ingested(disk_config(n, &uring_dir, IoBackendKind::Uring), &updates);
-    uring.spanning_forest_streaming().expect("uring query");
+    uring.spanning_forest().expect("uring query");
     let uring_io = uring.store_io().expect("uring counters");
 
     assert_eq!(pread.io_backend_name().as_deref(), Some("pread"));
@@ -134,11 +136,11 @@ fn auto_backend_resolves_and_answers() {
     let (n, updates) = shared_stream();
     let dir = TempDir::new("gz-iobe-auto");
     let mut auto = ingested(disk_config(n, &dir, IoBackendKind::Auto), &updates);
-    let got = auto.spanning_forest_streaming().expect("auto query");
+    let got = auto.spanning_forest().expect("auto query");
 
     let pread_dir = TempDir::new("gz-iobe-auto-ref");
     let mut pread = ingested(disk_config(n, &pread_dir, IoBackendKind::Pread), &updates);
-    let reference = pread.spanning_forest_streaming().expect("pread query");
+    let reference = pread.spanning_forest().expect("pread query");
     assert_eq!(reference.labels, got.labels);
 
     let name = auto.io_backend_name().expect("disk store names its backend");
@@ -185,10 +187,10 @@ mod backend_equivalence_proptests {
             let mut uring = ingested(disk_config(n, &uring_dir, IoBackendKind::Uring), &updates);
 
             pread.set_query_threads(1);
-            let reference = pread.spanning_forest_streaming().unwrap();
+            let reference = pread.spanning_forest().unwrap();
             for threads in [1usize, 4] {
                 uring.set_query_threads(threads);
-                let got = uring.spanning_forest_streaming().unwrap();
+                let got = uring.spanning_forest().unwrap();
                 prop_assert_eq!(&reference.labels, &got.labels, "labels t={}", threads);
                 prop_assert_eq!(&reference.forest, &got.forest, "forest t={}", threads);
                 prop_assert_eq!(
@@ -220,8 +222,8 @@ mod backend_equivalence_proptests {
             drop(uring_epoch);
 
             // And the post-tail live state still matches bit for bit.
-            let live_p = pread.spanning_forest_streaming().unwrap();
-            let live_u = uring.spanning_forest_streaming().unwrap();
+            let live_p = pread.spanning_forest().unwrap();
+            let live_u = uring.spanning_forest().unwrap();
             prop_assert_eq!(&live_p.labels, &live_u.labels, "post-tail labels");
             prop_assert_eq!(
                 pread.snapshot_serialized(),
