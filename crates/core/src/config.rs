@@ -78,8 +78,15 @@ pub(crate) fn default_query_threads(num_workers: usize) -> usize {
     num_workers.min(std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
-/// Batch-level locking discipline (paper §5.1's critical-section
-/// minimization).
+/// Batch-level locking discipline of the **RAM store** (paper §5.1's
+/// critical-section minimization).
+///
+/// The disk store ignores it: it always follows the delta discipline
+/// (kernel into a scratch sketch with no lock held, group lock for the
+/// XOR-merge only), because holding a node group's lock across the batch
+/// kernel would serialize every worker whose batch lands in that group.
+/// [`LockingStrategy::Direct`] exists for the RAM ablation in
+/// `figures/ablations.rs`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LockingStrategy {
     /// Hold the node-sketch lock for the whole batch application.
@@ -113,7 +120,9 @@ pub struct GzConfig {
     pub buffering: BufferStrategy,
     /// Sketch store placement.
     pub store: StoreBackend,
-    /// Batch-level locking discipline.
+    /// Batch-level locking discipline of the RAM store. Has no effect with
+    /// [`StoreBackend::Disk`], which always builds a delta outside its
+    /// locks (see [`LockingStrategy`]).
     pub locking: LockingStrategy,
     /// Worker threads the Borůvka query engine folds, samples, and (on
     /// disk stores) reads with; `None` = the ingestion worker count

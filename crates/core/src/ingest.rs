@@ -4,8 +4,9 @@
 //! the sketch store. Two levels of parallelism, as in the paper:
 //!
 //! - **batch-level**: `g` workers process different nodes' batches
-//!   concurrently (no contention unless two batches target one node, which
-//!   the store's locking handles);
+//!   concurrently, on either store: the batch kernel runs outside every
+//!   store lock, and two batches contend only for the XOR-merge into one
+//!   node (RAM) or one node group (disk);
 //! - **sketch-level**: a worker may split the `O(log V)` independent
 //!   subsketches of one node sketch across a thread group. The paper found
 //!   group size 1 best on its hardware, which is the default, but the knob
@@ -51,10 +52,14 @@ impl WorkerPool {
                 let counters = Arc::clone(&counters);
                 std::thread::spawn(move || {
                     while let Some(batch) = queue.pop() {
+                        // Acknowledge on every exit from this iteration: a
+                        // worker that panics mid-batch must not leave its
+                        // batch outstanding, or `WorkQueue::wait_idle`
+                        // (every flush) would block forever.
+                        let _done = TaskDone(&queue);
                         apply_batch(&store, batch.node, &batch.others, group_threads);
                         counters.batches.fetch_add(1, Ordering::Relaxed);
                         counters.records.fetch_add(batch.others.len() as u64, Ordering::Relaxed);
-                        queue.task_done();
                     }
                 })
             })
@@ -75,42 +80,39 @@ impl WorkerPool {
     }
 }
 
+/// Calls [`WorkQueue::task_done`] when dropped.
+struct TaskDone<'q>(&'q WorkQueue);
+
+impl Drop for TaskDone<'_> {
+    fn drop(&mut self) {
+        self.0.task_done();
+    }
+}
+
 /// Apply one batch, optionally with sketch-level parallelism.
 fn apply_batch(store: &SketchStore, node: u32, records: &[u32], group_threads: usize) {
     if group_threads <= 1 {
         store.apply_batch(node, records);
-        return;
-    }
-    match store {
-        SketchStore::Ram(ram) => {
-            apply_batch_grouped(ram, node, records, group_threads);
-        }
-        // The disk store is I/O-bound and serialized behind the cache lock;
-        // intra-batch threading would only add overhead there.
-        SketchStore::Disk(_) => store.apply_batch(node, records),
+    } else {
+        apply_batch_grouped(store, node, records, group_threads);
     }
 }
 
-/// Sketch-level parallel application (RAM store, delta-sketch discipline):
-/// decode the batch to indices once (into the per-worker thread-local
-/// scratch, same as the serial path), run the self-cancellation pre-pass
-/// once (hash-independent, so one pass serves every round), build the delta
-/// sketch with rounds split across a scoped thread group — each round
-/// applied through the column-major batch kernel — then lock only for the
-/// merge. The delta sketch comes from the store's reusable scratch pool, so
-/// no node-sized allocation happens per batch.
-fn apply_batch_grouped(
-    ram: &crate::store::ram::RamStore,
-    node: u32,
-    records: &[u32],
-    group_threads: usize,
-) {
-    let num_nodes = ram.params().num_nodes;
+/// Sketch-level parallel application (the delta-sketch discipline, on
+/// either store): decode the batch to indices once (into the per-worker
+/// thread-local scratch, same as the serial path), run the
+/// self-cancellation pre-pass once (hash-independent, so one pass serves
+/// every round), build the delta sketch with rounds split across a scoped
+/// thread group — each round applied through the column-major batch kernel
+/// — then lock only for the merge. The delta sketch comes from the store's
+/// reusable scratch pool, so no node-sized allocation happens per batch.
+fn apply_batch_grouped(store: &SketchStore, node: u32, records: &[u32], group_threads: usize) {
+    let num_nodes = store.params().num_nodes;
     crate::store::with_index_scratch(|indices| {
         crate::store::decode_records_into(node, records, num_nodes, indices);
         gz_sketch::cancel_duplicates(indices);
 
-        let mut scratch = ram.checkout_scratch();
+        let mut scratch = store.scratch().checkout();
         {
             let rounds = scratch.rounds_mut();
             let per_chunk = rounds.len().div_ceil(group_threads);
@@ -125,8 +127,8 @@ fn apply_batch_grouped(
                 }
             });
         }
-        ram.merge_delta(node, &scratch);
-        ram.recycle_scratch(scratch);
+        store.merge_delta(node, &scratch);
+        store.scratch().recycle(scratch);
     });
 }
 
@@ -195,8 +197,7 @@ mod tests {
             apply_batch(&grouped, node, &records, 3);
             apply_batch(&serial, node, &records, 1);
         }
-        let SketchStore::Ram(ram) = grouped.as_ref() else { unreachable!("ram store") };
-        assert_eq!(ram.scratch_pool_len(), 1, "scratch checked out and recycled per batch");
+        assert_eq!(grouped.scratch().parked(), 1, "scratch checked out and recycled per batch");
         let (a, b) = (grouped.snapshot(), serial.snapshot());
         for (node, (x, y)) in a.iter().zip(b.iter()).enumerate() {
             crate::node_sketch::assert_rounds_bitwise_equal(
@@ -205,6 +206,60 @@ mod tests {
                 &format!("node {node}"),
             );
         }
+    }
+
+    #[test]
+    fn grouped_application_on_disk_matches_serial_ram() {
+        // The grouped path is store-agnostic: on a disk store cached two
+        // groups deep it builds the same delta and merges it under the
+        // group's lock — state bit-identical to the serial RAM store.
+        use crate::store::{disk::DiskStore, NodeSet};
+        let params = Arc::new(SketchParams::new(32, 4, 7, 5));
+        let path = gz_testutil::TempPath::new("gz-ingest-grouped-disk", ".bin");
+        let disk = SketchStore::Disk(
+            DiskStore::for_nodes(Arc::clone(&params), NodeSet::all(32), path.to_path_buf(), 64, 2)
+                .unwrap(),
+        );
+        let serial = ram_store(32);
+        for node in 0..12u32 {
+            let records: Vec<u32> = (1..12).map(|o| encode_other((node + o) % 32, false)).collect();
+            apply_batch(&disk, node % 6, &records, 3);
+            apply_batch(&serial, node % 6, &records, 1);
+        }
+        assert_eq!(disk.scratch().parked(), 1, "scratch checked out and recycled per batch");
+        for (node, (x, y)) in disk.snapshot().iter().zip(serial.snapshot().iter()).enumerate() {
+            crate::node_sketch::assert_rounds_bitwise_equal(
+                x.as_ref().unwrap(),
+                y.as_ref().unwrap(),
+                &format!("node {node}"),
+            );
+        }
+    }
+
+    #[test]
+    fn a_panicking_worker_still_acknowledges_its_batch() {
+        // Node 99 is outside the 16-node store, so applying its batch
+        // panics. The batch must still be acknowledged, or every later
+        // flush would wait for it forever; the panic itself surfaces at
+        // join.
+        let store = ram_store(16);
+        let queue = Arc::new(WorkQueue::for_workers(1));
+        let pool = WorkerPool::spawn(1, 1, Arc::clone(&queue), store);
+        queue.push(Batch { node: 99, others: vec![encode_other(1, false)] });
+        let (idle, woke) = std::sync::mpsc::channel();
+        let waiter = {
+            let queue = Arc::clone(&queue);
+            std::thread::spawn(move || {
+                queue.wait_idle();
+                idle.send(()).ok();
+            })
+        };
+        woke.recv_timeout(std::time::Duration::from_secs(30))
+            .expect("wait_idle must return once the worker has died");
+        waiter.join().unwrap();
+        queue.close();
+        let joined = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| pool.join()));
+        assert!(joined.is_err(), "join reports the worker's panic");
     }
 
     #[test]

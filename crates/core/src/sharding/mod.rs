@@ -72,7 +72,8 @@ pub struct ShardConfig {
     pub num_columns: u32,
     /// Graph Workers per shard pipeline.
     pub workers_per_shard: usize,
-    /// Batch-level locking discipline inside each shard.
+    /// Batch-level locking discipline inside each RAM-backed shard (a
+    /// disk-backed shard ignores it; see [`LockingStrategy`]).
     pub locking: LockingStrategy,
     /// Per-shard sketch store placement (RAM or disk).
     pub store: StoreBackend,

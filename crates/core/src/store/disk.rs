@@ -8,6 +8,14 @@
 //! recorded in [`IoStats`], which is how the experiment suite measures the
 //! hybrid-model I/O claims instead of relying on cgroup-forced swap.
 //!
+//! Graph Workers apply batches in parallel (DESIGN.md §13, "Concurrency
+//! model"). The batch kernel runs into a pooled scratch sketch with no lock
+//! held; the one global lock (`CacheState`'s) covers bookkeeping only —
+//! map lookup, LRU touch, victim choice; and everything that costs time —
+//! the faulted group's read and decode, a victim's encode and write, the
+//! XOR-merge of a delta — happens under the lock of the one group it
+//! concerns. Lock order: sparse table → cache map → group entry.
+//!
 //! Within a group the layout is *round-major*: all nodes' round-0 slices,
 //! then all round-1 slices, and so on. Ingestion always faults whole groups
 //! through the cache, so it is indifferent to the internal order — but the
@@ -18,28 +26,93 @@
 //! slices sequentially and prefetches ahead on a background thread.
 
 use crate::boruvka::RoundSink;
-use crate::node_sketch::{CubeNodeSketch, CubeRoundSketch, NodeSketch, SketchParams};
+use crate::node_sketch::{CubeNodeSketch, CubeRoundSketch, SketchParams};
 use crate::sparse::{SparseRoundBatch, SparseSet};
 use crate::store::epoch::{EpochOverlay, EpochRegistry};
 use crate::store::io_backend::{IoBackendConfig, IoBackendImpl, ReadReq, O_DIRECT};
-use crate::store::{NodeSet, RepStats};
+use crate::store::{NodeSet, RepStats, ScratchPool};
 use gz_gutters::{IoStats, WorkQueue};
-use parking_lot::Mutex;
-use std::collections::HashSet;
+use parking_lot::{Condvar, Mutex, MutexGuard};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fs::File;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-struct CachedGroup {
+/// One cached node group. Whoever holds the lock owns the group's decoded
+/// sketches: the worker faulting it in, a worker merging a delta, the
+/// worker evicting it, or a flush writing it back.
+type GroupEntry = Mutex<GroupState>;
+
+struct GroupState {
+    /// The group's decoded sketches once `loaded`; before that, whatever
+    /// the evicted group that donated the allocation left behind.
     sketches: Vec<CubeNodeSketch>,
+    /// False from insertion into the map until the first holder of the
+    /// lock has read and decoded the group — so two workers wanting the
+    /// same absent group cause one read: the second finds it loaded.
+    loaded: bool,
     dirty: bool,
-    last_used: u64,
 }
 
-struct CacheState {
-    groups: std::collections::HashMap<u32, CachedGroup>,
-    clock: u64,
+struct CacheSlot {
+    /// Workers clone this out *under the cache lock* and keep the clone for
+    /// as long as they use the group, so a strong count of 1, read under
+    /// that lock, means nobody uses — or can come to use — the group: the
+    /// eviction test. (Dropping a clone needs no lock and only ever makes
+    /// a group look evictable later than it was.)
+    entry: Arc<GroupEntry>,
+    /// The slot's key in `CacheState::lru`.
+    tick: u64,
 }
+
+/// Everything the global cache lock guards — bookkeeping only, never a
+/// group's contents.
+struct CacheState {
+    groups: HashMap<u32, CacheSlot>,
+    /// Use order, oldest first: `tick → group`, one entry per cached group
+    /// (ticks are unique), so touching a group and finding the
+    /// least-recently-used one are both `O(log cache_groups)`.
+    lru: BTreeMap<u64, u32>,
+    clock: u64,
+    /// Evicted groups whose write-back has not landed yet. They are out of
+    /// `groups`, so nothing merges into them; a worker that wants one back
+    /// waits for it to leave this set before reading the file.
+    writing_back: HashSet<u32>,
+}
+
+impl CacheState {
+    /// Remove and return the least-recently-used group nobody is using.
+    fn pop_unused_lru(&mut self) -> Option<(u32, Arc<GroupEntry>)> {
+        let (&tick, &group) =
+            self.lru.iter().find(|(_, g)| Arc::strong_count(&self.groups[*g].entry) == 1)?;
+        self.lru.remove(&tick);
+        let slot = self.groups.remove(&group).expect("every LRU entry is cached");
+        Some((group, slot.entry))
+    }
+}
+
+std::thread_local! {
+    /// Per-thread byte buffer one group's file image passes through on its
+    /// way to or from the file, reused across faults and write-backs.
+    static GROUP_IO_BUF: std::cell::RefCell<Vec<u8>> = const { std::cell::RefCell::new(Vec::new()) };
+}
+
+/// Test-only view into the cache protocol.
+#[cfg(test)]
+#[derive(Default)]
+struct CacheProbe {
+    /// Most decoded groups ever held at once (cached + being written back).
+    resident_peak: std::sync::atomic::AtomicUsize,
+    /// Misses (entries inserted into the map); each must cost one read.
+    faults: std::sync::atomic::AtomicU64,
+    /// Times a worker found the group it wanted mid-write-back.
+    refault_waits: std::sync::atomic::AtomicU64,
+    /// Called with the victim's group id before each eviction write.
+    before_writeback: Mutex<Option<WritebackHook>>,
+}
+
+#[cfg(test)]
+type WritebackHook = Box<dyn Fn(&DiskStore, u32) + Send + Sync>;
 
 /// Sketches in a file, node-group layout, bounded LRU cache.
 ///
@@ -58,6 +131,16 @@ pub struct DiskStore {
     /// Maximum groups held in RAM.
     cache_capacity: usize,
     cache: Mutex<CacheState>,
+    /// Signalled (with the cache lock) whenever a group leaves
+    /// `CacheState::writing_back`.
+    writeback_landed: Condvar,
+    /// Delta sketches batches are built in before they touch a group.
+    scratch: ScratchPool,
+    /// The first I/O failure of a group fault or write-back. A batch hit by
+    /// one is lost, so the store is unusable from then on: every later
+    /// access, [`Self::flush`] and [`Self::begin_epoch`] return this error
+    /// (rebuilt from its kind and message) instead of touching the file.
+    first_error: Mutex<Option<(std::io::ErrorKind, String)>>,
     io: Arc<IoStats>,
     /// How file regions become syscalls: blocking preads, or batched
     /// io_uring submissions (DESIGN.md §13). Selected by
@@ -69,9 +152,10 @@ pub struct DiskStore {
     /// unaligned, and the kernel keeps the two views coherent.
     read_file: Option<File>,
     /// Live sealed epochs. The copy-on-write "group" is the node group:
-    /// captures happen under the cache lock, on the clean→dirty transition
-    /// of a cached group (a clean group's value equals the file's, which is
-    /// the sealed value for every epoch still lacking the group).
+    /// captures happen under the group's lock, on the clean→dirty
+    /// transition of a cached group (a clean group's value equals the
+    /// file's, which is the sealed value for every epoch still lacking the
+    /// group).
     epochs: EpochRegistry,
     /// Promotion threshold τ: a node's exact toggle-set is replayed into a
     /// dense sketch once it exceeds τ live neighbors. 0 = always dense.
@@ -81,6 +165,8 @@ pub struct DiskStore {
     /// never authoritative — readers must skip them. Lock order: this table
     /// before the cache lock (promotion holds both).
     sparse: Mutex<Vec<Option<SparseSet>>>,
+    #[cfg(test)]
+    probe: CacheProbe,
 }
 
 impl DiskStore {
@@ -175,6 +261,7 @@ impl DiskStore {
             (0..num_slots).map(|_| Some(SparseSet::new())).collect()
         };
         Ok(DiskStore {
+            scratch: ScratchPool::new(Arc::clone(&params)),
             params,
             node_set,
             file,
@@ -182,13 +269,22 @@ impl DiskStore {
             group_size,
             node_bytes,
             cache_capacity: cache_groups.max(1),
-            cache: Mutex::new(CacheState { groups: std::collections::HashMap::new(), clock: 0 }),
+            cache: Mutex::new(CacheState {
+                groups: HashMap::new(),
+                lru: BTreeMap::new(),
+                clock: 0,
+                writing_back: HashSet::new(),
+            }),
+            writeback_landed: Condvar::new(),
+            first_error: Mutex::new(None),
             io: Arc::new(IoStats::new()),
             backend,
             read_file,
             epochs: EpochRegistry::new(),
             threshold,
             sparse: Mutex::new(sparse),
+            #[cfg(test)]
+            probe: CacheProbe::default(),
         })
     }
 
@@ -207,45 +303,75 @@ impl DiskStore {
 
     /// Seal the current generation: write back every dirty cached group
     /// (so the file is authoritative for the sealed values), then register
-    /// the epoch — atomically under the cache lock, so no batch can dirty a
-    /// group between the write-back and the registration. The caller must
-    /// have quiesced ingestion first.
+    /// the epoch — atomically, with the cache lock and every cached group's
+    /// lock held across both, so no batch can dirty a group between the
+    /// write-back and the registration. The caller must have quiesced
+    /// ingestion first. Fails with the store's first batch-application
+    /// error, if there was one.
     pub fn begin_epoch(&self) -> std::io::Result<(u64, Arc<EpochOverlay>)> {
-        let mut cache = self.cache.lock();
-        self.writeback_dirty(&mut cache)?;
-        Ok(self.epochs.register())
+        self.writeback_dirty(|| self.epochs.register())
     }
 
     /// Write every dirty cached group back to the file, coalescing runs of
     /// *adjacent* dirty group ids into single contiguous writes (their file
     /// regions abut, so one larger write is equivalent) and batching all
-    /// resulting regions into one submission window on the uring backend.
-    /// Shared by [`Self::flush`] and [`Self::begin_epoch`].
-    fn writeback_dirty(&self, cache: &mut CacheState) -> std::io::Result<()> {
-        let mut dirty: Vec<u32> =
-            cache.groups.iter().filter(|(_, e)| e.dirty).map(|(&g, _)| g).collect();
-        if dirty.is_empty() {
-            return Ok(());
+    /// resulting regions into one submission window on the uring backend;
+    /// then run `sealed` while still holding the cache lock and the lock of
+    /// every cached group, i.e. with all merges shut out. Shared by
+    /// [`Self::flush`] and [`Self::begin_epoch`].
+    fn writeback_dirty<R>(&self, sealed: impl FnOnce() -> R) -> std::io::Result<R> {
+        self.check_failed()?;
+        let mut cache = self.cache.lock();
+        // Evictions in flight hold groups this scan cannot see; the file is
+        // not authoritative until their writes have landed.
+        while !cache.writing_back.is_empty() {
+            self.writeback_landed.wait(&mut cache);
         }
-        dirty.sort_unstable();
+        let mut held: Vec<(u32, MutexGuard<'_, GroupState>)> =
+            cache.groups.iter().map(|(&group, slot)| (group, slot.entry.lock())).collect();
+        held.sort_unstable_by_key(|(group, _)| *group);
         let mut regions: Vec<(u64, Vec<u8>)> = Vec::new();
-        for &group in &dirty {
-            let bytes = self.encode_group(&cache.groups[&group].sketches);
+        for (group, state) in held.iter().filter(|(_, state)| state.dirty) {
+            let offset = self.group_offset(*group);
             match regions.last_mut() {
                 // Adjacent in the file iff the previous run ends exactly at
                 // this group's offset (every non-final group encodes to the
                 // full `group_size × node_bytes` region).
-                Some((offset, run)) if *offset + run.len() as u64 == self.group_offset(group) => {
-                    run.extend_from_slice(&bytes);
+                Some((start, run)) if *start + run.len() as u64 == offset => {
+                    self.encode_group_into(&state.sketches, run);
                 }
-                _ => regions.push((self.group_offset(group), bytes)),
+                _ => {
+                    let mut run = Vec::with_capacity(state.sketches.len() * self.node_bytes);
+                    self.encode_group_into(&state.sketches, &mut run);
+                    regions.push((offset, run));
+                }
             }
         }
-        self.backend.write_regions(&self.file, &regions, &self.io)?;
-        for group in dirty {
-            cache.groups.get_mut(&group).expect("dirty group cached").dirty = false;
+        let written = self.backend.write_regions(&self.file, &regions, &self.io);
+        self.record_failure(written)?;
+        for (_, state) in &mut held {
+            state.dirty = false;
         }
-        Ok(())
+        Ok(sealed())
+    }
+
+    /// Fail with the store's first batch-application error, if any.
+    fn check_failed(&self) -> std::io::Result<()> {
+        match &*self.first_error.lock() {
+            Some((kind, message)) => Err(std::io::Error::new(*kind, message.clone())),
+            None => Ok(()),
+        }
+    }
+
+    /// Pass `result` through, remembering its error if it is the store's
+    /// first.
+    fn record_failure<T>(&self, result: std::io::Result<T>) -> std::io::Result<T> {
+        if let Err(e) = &result {
+            self.first_error
+                .lock()
+                .get_or_insert_with(|| (e.kind(), format!("disk sketch store failed: {e}")));
+        }
+        result
     }
 
     /// Shared sketch parameters.
@@ -286,46 +412,59 @@ impl DiskStore {
         (self.node_set.len() as u32 - start).min(self.group_size)
     }
 
-    /// Encode a group block: round-major over the group's `k` nodes (see
-    /// the module docs — this is what makes a round slice contiguous).
-    fn encode_group(&self, sketches: &[CubeNodeSketch]) -> Vec<u8> {
-        let mut bytes = Vec::with_capacity(sketches.len() * self.node_bytes);
+    /// Append a group block to `out`: round-major over the group's `k`
+    /// nodes (see the module docs — this is what makes a round slice
+    /// contiguous).
+    fn encode_group_into(&self, sketches: &[CubeNodeSketch], out: &mut Vec<u8>) {
         for r in 0..self.params.rounds() {
             for s in sketches {
-                self.params.serialize_round(s, r, &mut bytes);
+                self.params.serialize_round(s, r, out);
             }
         }
-        bytes
     }
 
-    /// Decode a round-major group block back into per-node sketch stacks.
-    fn decode_group(&self, bytes: &[u8], k: usize) -> Vec<CubeNodeSketch> {
-        (0..k)
-            .map(|i| {
-                NodeSketch::new_with(self.params.rounds(), |r| {
-                    let rb = self.params.round_serialized_bytes(r);
-                    let base = k * self.params.round_serialized_offset(r) + i * rb;
-                    self.params.deserialize_round(r, &bytes[base..base + rb])
-                })
-            })
-            .collect()
+    /// Decode a round-major group block of `k` nodes over `sketches`,
+    /// reusing whatever node sketches the vector already holds.
+    fn decode_group_into(&self, bytes: &[u8], k: usize, sketches: &mut Vec<CubeNodeSketch>) {
+        sketches.resize_with(k, || self.params.new_node_sketch());
+        let mut base = 0;
+        for r in 0..self.params.rounds() {
+            let rb = self.params.round_serialized_bytes(r);
+            for sketch in sketches.iter_mut() {
+                sketch.rounds_mut()[r].overwrite_from(&bytes[base..base + rb]);
+                base += rb;
+            }
+        }
     }
 
-    fn load_group(&self, group: u32) -> std::io::Result<Vec<CubeNodeSketch>> {
-        let n = self.nodes_in_group(group) as usize;
-        let mut bytes = vec![0u8; n * self.node_bytes];
-        self.backend.read_into(
-            self.read_handle(),
-            self.group_offset(group),
-            &mut bytes,
-            &self.io,
-        )?;
-        Ok(self.decode_group(&bytes, n))
+    /// Read `group` from the file and decode it over `sketches`.
+    fn load_group(&self, group: u32, sketches: &mut Vec<CubeNodeSketch>) -> std::io::Result<()> {
+        let k = self.nodes_in_group(group) as usize;
+        GROUP_IO_BUF.with(|buf| {
+            let mut bytes = buf.borrow_mut();
+            bytes.resize(k * self.node_bytes, 0);
+            self.backend.read_into(
+                self.read_handle(),
+                self.group_offset(group),
+                &mut bytes,
+                &self.io,
+            )?;
+            self.decode_group_into(&bytes, k, sketches);
+            Ok(())
+        })
     }
 
     fn write_group(&self, group: u32, sketches: &[CubeNodeSketch]) -> std::io::Result<()> {
-        let bytes = self.encode_group(sketches);
-        self.backend.write_regions(&self.file, &[(self.group_offset(group), bytes)], &self.io)
+        GROUP_IO_BUF.with(|buf| {
+            let mut bytes = std::mem::take(&mut *buf.borrow_mut());
+            bytes.clear();
+            self.encode_group_into(sketches, &mut bytes);
+            let region = [(self.group_offset(group), bytes)];
+            let written = self.backend.write_regions(&self.file, &region, &self.io);
+            let [(_, bytes)] = region;
+            *buf.borrow_mut() = bytes;
+            written
+        })
     }
 
     /// The file region holding `group`'s round-`round` slice: one
@@ -448,49 +587,116 @@ impl DiskStore {
     }
 
     /// Run `f` with mutable access to a cached group, faulting it in (and
-    /// possibly evicting the least-recently-used dirty group) first.
+    /// possibly evicting least-recently-used groups) first. Only `group`'s
+    /// own lock is held while the group is read, decoded and handed to `f`;
+    /// workers on different groups do all of that side by side.
     fn with_group<R>(
         &self,
         group: u32,
         f: impl FnOnce(&mut Vec<CubeNodeSketch>) -> R,
     ) -> std::io::Result<R> {
-        let mut cache = self.cache.lock();
-        cache.clock += 1;
-        let clock = cache.clock;
-
-        if !cache.groups.contains_key(&group) {
-            // Evict if at capacity.
-            if cache.groups.len() >= self.cache_capacity {
-                let victim = cache
-                    .groups
-                    .iter()
-                    .min_by_key(|(_, g)| g.last_used)
-                    .map(|(&k, _)| k)
-                    .expect("cache nonempty at capacity");
-                let evicted = cache.groups.remove(&victim).expect("victim present");
-                if evicted.dirty {
-                    self.write_group(victim, &evicted.sketches)?;
-                }
-            }
-            let sketches = self.load_group(group)?;
-            cache.groups.insert(group, CachedGroup { sketches, dirty: false, last_used: clock });
+        self.check_failed()?;
+        let entry = self.record_failure(self.checkout_group(group))?;
+        let mut state = entry.lock();
+        if !state.loaded {
+            let loaded = self.load_group(group, &mut state.sketches);
+            self.record_failure(loaded)?;
+            state.loaded = true;
         }
-
-        let entry = cache.groups.get_mut(&group).expect("group just inserted");
-        entry.last_used = clock;
-        if !entry.dirty {
+        if !state.dirty {
             // Clean→dirty transition: this clean value equals the file's,
             // which is the sealed value of every live epoch not yet holding
             // this group (any earlier post-seal mutation would have passed
             // through here and captured it) — snapshot it before `f` can
-            // mutate. Capturing under the cache lock orders the capture
-            // before any write-back of the mutated group, which is what
-            // lets epoch readers trust the file for non-captured groups.
-            let sketches = &entry.sketches;
+            // mutate. Every write-back of the group takes this same lock,
+            // so the capture is ordered before any write-back of the
+            // mutated group, which is what lets epoch readers trust the
+            // file for non-captured groups.
+            let sketches = &state.sketches;
             self.epochs.capture_group(group, &mut || sketches.clone());
-            entry.dirty = true;
+            state.dirty = true;
         }
-        Ok(f(&mut entry.sketches))
+        Ok(f(&mut state.sketches))
+    }
+
+    /// The bookkeeping half of a group access, and the only part under the
+    /// global cache lock: find `group`'s entry, or make room and insert an
+    /// unloaded one, and mark it most recently used. The returned clone
+    /// keeps the entry from being evicted until it is dropped.
+    ///
+    /// Making room evicts least-recently-used groups nobody is using, one
+    /// at a time, until the cache is under capacity (or every cached group
+    /// is in use, in which case the new group goes in over budget and a
+    /// later miss evicts for it). Each victim is written back with the
+    /// cache lock released and this worker holding nothing else, so the
+    /// decoded groups in existence never exceed `cache_groups` plus one per
+    /// worker: every group is cached-and-idle (at most `cache_groups` of
+    /// those once any miss completes), in use by a worker, or a victim in a
+    /// worker's hands — and a worker holds one or the other, never both.
+    fn checkout_group(&self, group: u32) -> std::io::Result<Arc<GroupEntry>> {
+        // The last victim's allocation, recycled as the new group's.
+        let mut spare = Vec::new();
+        let mut cache = self.cache.lock();
+        loop {
+            cache.clock += 1;
+            let tick = cache.clock;
+            let CacheState { groups, lru, writing_back, .. } = &mut *cache;
+            if let Some(slot) = groups.get_mut(&group) {
+                lru.remove(&slot.tick);
+                lru.insert(tick, group);
+                slot.tick = tick;
+                return Ok(Arc::clone(&slot.entry));
+            }
+            if writing_back.contains(&group) {
+                // Another worker evicted `group` and its bytes are still on
+                // their way to the file: reading now could fault in the
+                // stale image and lose every update since the last write.
+                #[cfg(test)]
+                self.probe.refault_waits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                self.writeback_landed.wait(&mut cache);
+                continue;
+            }
+            let victim =
+                if groups.len() >= self.cache_capacity { cache.pop_unused_lru() } else { None };
+            let Some((victim_group, victim)) = victim else {
+                let state = GroupState { sketches: spare, loaded: false, dirty: false };
+                let entry = Arc::new(Mutex::new(state));
+                cache.lru.insert(tick, group);
+                cache.groups.insert(group, CacheSlot { entry: Arc::clone(&entry), tick });
+                #[cfg(test)]
+                {
+                    self.probe.faults.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    self.probe_resident(&cache);
+                }
+                return Ok(entry);
+            };
+            cache.writing_back.insert(victim_group);
+            #[cfg(test)]
+            self.probe_resident(&cache);
+            drop(cache);
+
+            #[cfg(test)]
+            if let Some(hook) = self.probe.before_writeback.lock().as_ref() {
+                hook(self, victim_group);
+            }
+            // Out of the map and unused: this lock is uncontended.
+            let mut state = victim.lock();
+            let written =
+                if state.dirty { self.write_group(victim_group, &state.sketches) } else { Ok(()) };
+            spare = std::mem::take(&mut state.sketches);
+            drop(state);
+
+            cache = self.cache.lock();
+            cache.writing_back.remove(&victim_group);
+            self.writeback_landed.notify_all();
+            written?;
+        }
+    }
+
+    #[cfg(test)]
+    fn probe_resident(&self, cache: &CacheState) {
+        let resident = cache.groups.len() + cache.writing_back.len();
+        self.probe.resident_peak.fetch_max(resident, std::sync::atomic::Ordering::Relaxed);
     }
 
     /// Apply a batch of encoded records to `node` (which must be owned).
@@ -502,6 +708,15 @@ impl DiskStore {
     /// is XOR-linear in the toggled indices) and written into the node's
     /// group slot. The epoch pre-image is captured under the table lock
     /// *before* the first toggle, so sealed readers see the pre-batch set.
+    ///
+    /// A dense node's batch goes through the batch kernel into a scratch
+    /// sketch first, with no lock held, and only the XOR of that delta into
+    /// the node's slot happens under its group's lock — the paper's §5.1
+    /// critical-section minimisation, which is what lets Graph Workers
+    /// overlap on this store.
+    ///
+    /// An I/O failure loses the batch; the store remembers it and fails
+    /// every later [`Self::flush`] and [`Self::begin_epoch`].
     pub fn apply_batch(&self, node: u32, records: &[u32]) {
         let slot = self.node_set.slot(node);
         if self.threshold > 0 {
@@ -518,35 +733,63 @@ impl DiskStore {
                 if len > self.threshold as usize {
                     let dense = set.densify(node, &self.params);
                     table[slot] = None;
-                    let group = self.group_of_slot(slot);
-                    let local = slot % self.group_size as usize;
-                    self.io.record_promotion();
-                    // Table lock held across the group write: readers that
-                    // saw the slot leave the table are ordered after the
-                    // capture above, so the epoch protocol stays airtight.
-                    self.with_group(group, |sketches| {
-                        sketches[local] = dense;
-                    })
-                    .expect("disk store promotion failed");
+                    self.promote(slot, dense);
                 }
                 return;
             }
         }
-        let group = self.group_of_slot(slot);
+        self.scratch.with_delta(node, records, |delta| self.merge_dense(slot, delta));
+    }
+
+    /// Install a just-promoted vertex's dense sketch in its group slot. The
+    /// caller holds the table lock across the group write: readers that
+    /// saw the slot leave the table are ordered after its sparse capture,
+    /// so the epoch protocol stays airtight.
+    fn promote(&self, slot: usize, dense: CubeNodeSketch) {
+        self.io.record_promotion();
         let local = slot % self.group_size as usize;
-        let num_nodes = self.params.num_nodes;
-        self.with_group(group, |sketches| {
-            super::apply_records(&mut sketches[local], node, records, num_nodes);
-        })
-        .expect("disk store batch application failed");
+        // A failure is on record in the store; see `apply_batch`.
+        let _ = self.with_group(self.group_of_slot(slot), |sketches| sketches[local] = dense);
+    }
+
+    /// XOR `delta` into the dense sketch at `slot`.
+    fn merge_dense(&self, slot: usize, delta: &CubeNodeSketch) {
+        let local = slot % self.group_size as usize;
+        // A failure is on record in the store; see `apply_batch`.
+        let _ = self.with_group(self.group_of_slot(slot), |sketches| sketches[local].merge(delta));
+    }
+
+    /// Merge a pre-built delta sketch into `node` (see
+    /// [`crate::store::SketchStore::merge_delta`]). A still-sparse vertex
+    /// is promoted first, as in the RAM store: its set replayed into a
+    /// dense sketch, the delta merged in, the result installed.
+    pub(crate) fn merge_delta(&self, node: u32, delta: &CubeNodeSketch) {
+        let slot = self.node_set.slot(node);
+        if self.threshold > 0 {
+            let mut table = self.sparse.lock();
+            if let Some(set) = table[slot].as_mut() {
+                self.epochs.capture_sparse(slot as u32, &mut || set.clone());
+                let mut dense = set.densify(node, &self.params);
+                dense.merge(delta);
+                table[slot] = None;
+                self.promote(slot, dense);
+                return;
+            }
+        }
+        self.merge_dense(slot, delta);
+    }
+
+    /// The pool of reusable delta sketches.
+    pub(crate) fn scratch(&self) -> &ScratchPool {
+        &self.scratch
     }
 
     /// Flush every dirty cached group back to the file (adjacent dirty
     /// groups coalesce into single contiguous writes; see
-    /// `writeback_dirty`).
+    /// `writeback_dirty`). Fails with the store's first batch-application
+    /// error, if there was one: the file would be missing that batch.
     pub fn flush(&self) -> std::io::Result<()> {
-        let mut cache = self.cache.lock();
-        self.writeback_dirty(&mut cache)
+        self.writeback_dirty(|| ())
     }
 
     /// Groups a stream-path reader claims per batch: the backend's natural
@@ -1104,6 +1347,7 @@ mod tests {
     use super::*;
     use crate::node_sketch::{encode_other, update_index};
     use gz_sketch::SampleResult;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     fn tmp(name: &str) -> gz_testutil::TempPath {
         gz_testutil::TempPath::new(&format!("gz-disk-store-{name}"), ".bin")
@@ -1667,6 +1911,245 @@ mod tests {
         d.stream_round(0, &|_| true, &mut |n, _| got.push(n)).unwrap();
         got.sort_unstable();
         assert_eq!(got, (0..16u32).collect::<Vec<_>>());
+    }
+
+    /// `store`'s full state, one serialized node sketch per slot.
+    fn serialized(params: &SketchParams, sketches: Vec<Option<CubeNodeSketch>>) -> Vec<Vec<u8>> {
+        sketches
+            .iter()
+            .map(|sketch| {
+                let mut bytes = Vec::new();
+                params.serialize_node_sketch(sketch.as_ref().unwrap(), &mut bytes);
+                bytes
+            })
+            .collect()
+    }
+
+    /// The stress stream: thread `t`'s `i`-th batch. Nodes stride through
+    /// the slots so the four threads keep colliding on the same groups.
+    fn stress_batch(t: u32, i: u32, num_nodes: u32) -> (u32, Vec<u32>) {
+        let node = (i * 7 + t * 3) % num_nodes;
+        let records = (0..5)
+            .map(|j| {
+                encode_other(
+                    (node + 1 + (t * 31 + i * 11 + j * 5) % (num_nodes - 1)) % num_nodes,
+                    false,
+                )
+            })
+            .collect();
+        (node, records)
+    }
+
+    /// One lane of the stress test: `THREADS` workers apply interleaved
+    /// batches over overlapping groups, an epoch is sealed midway (at a
+    /// barrier — sealing needs quiesced ingestion) and streamed by a fifth
+    /// thread while the second half lands.
+    fn stress_lane(io: IoBackendConfig, cache: usize, group_size: usize) {
+        use crate::config::LockingStrategy;
+        use crate::store::ram::RamStore;
+        const THREADS: u32 = 4;
+        const NODES: u32 = 32;
+        const BATCHES: u32 = 120;
+
+        let lane = format!("{:?} cache {cache} group {group_size}", io.kind);
+        let params = Arc::new(SketchParams::new(NODES as u64, 3, 7, 7));
+        let block = group_size * params.node_sketch_serialized_bytes();
+        let path = tmp("stress");
+        let store = DiskStore::for_nodes_with_options(
+            Arc::clone(&params),
+            NodeSet::all(NODES as u64),
+            path.to_path_buf(),
+            block,
+            cache,
+            0,
+            io,
+        )
+        .unwrap();
+        assert_eq!(store.group_size() as usize, group_size, "{lane}");
+
+        // The serial reference, and its state at the seal.
+        let reference = RamStore::new(Arc::clone(&params), LockingStrategy::Direct);
+        let apply_half = |half: u32| {
+            for t in 0..THREADS {
+                for i in half * BATCHES / 2..(half + 1) * BATCHES / 2 {
+                    let (node, records) = stress_batch(t, i, NODES);
+                    reference.apply_batch(node, &records);
+                }
+            }
+        };
+        apply_half(0);
+        let sealed = reference.snapshot();
+        apply_half(1);
+
+        // Every live node's slice of every round, as the epoch streams it,
+        // must be the serial reference's at the seal.
+        let assert_streams_sealed_bytes = |overlay: &EpochOverlay, when: &str| {
+            for round in 0..params.rounds() {
+                let mut seen = 0;
+                store
+                    .stream_round_at(round, &|_| true, overlay, &mut |node, slice| {
+                        let (mut got, mut want) = (Vec::new(), Vec::new());
+                        slice.serialize_into(&mut got);
+                        sealed[node as usize]
+                            .as_ref()
+                            .unwrap()
+                            .round(round)
+                            .serialize_into(&mut want);
+                        assert_eq!(got, want, "{lane}: node {node} round {round} {when}");
+                        seen += 1;
+                    })
+                    .unwrap();
+                assert_eq!(seen, NODES, "{lane}: round {round} {when}");
+            }
+        };
+
+        let barrier = std::sync::Barrier::new(THREADS as usize + 1);
+        let ingesting = AtomicBool::new(true);
+        let overlay_cell = std::sync::OnceLock::new();
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (store, barrier) = (&store, &barrier);
+                    scope.spawn(move || {
+                        barrier.wait(); // start together
+                        for i in 0..BATCHES {
+                            if i == BATCHES / 2 {
+                                barrier.wait(); // first half applied everywhere
+                                barrier.wait(); // epoch sealed
+                            }
+                            let (node, records) = stress_batch(t, i, NODES);
+                            store.apply_batch(node, &records);
+                        }
+                    })
+                })
+                .collect();
+
+            barrier.wait();
+            barrier.wait();
+            // Every group fault so far was one read: no group was read
+            // twice by two workers that wanted it at once, none skipped.
+            assert_eq!(
+                store.io_stats().reads(),
+                store.probe.faults.load(Ordering::Relaxed),
+                "{lane}"
+            );
+            let (_, overlay) = store.begin_epoch().unwrap();
+            let overlay = overlay_cell.get_or_init(|| overlay);
+            barrier.wait();
+
+            let reader = scope.spawn(|| {
+                while ingesting.load(Ordering::Relaxed) {
+                    assert_streams_sealed_bytes(overlay, "under ingestion");
+                }
+            });
+            for worker in workers {
+                worker.join().expect("stress worker");
+            }
+            ingesting.store(false, Ordering::Relaxed);
+            reader.join().expect("epoch reader");
+            assert_streams_sealed_bytes(overlay, "after ingestion");
+        });
+
+        assert_eq!(
+            serialized(&params, store.snapshot()),
+            serialized(&params, reference.snapshot()),
+            "{lane}: final state"
+        );
+        let peak = store.probe.resident_peak.load(Ordering::Relaxed);
+        eprintln!(
+            "{lane}: {} faults, {} refault waits, peak {peak} groups resident",
+            store.probe.faults.load(Ordering::Relaxed),
+            store.probe.refault_waits.load(Ordering::Relaxed),
+        );
+        // The snapshot above ran on this thread: one more faulting worker.
+        assert!(peak <= cache + THREADS as usize + 1, "{lane}: {peak} groups resident");
+        store.flush().unwrap();
+    }
+
+    #[test]
+    fn concurrent_batches_match_serial_ram_store_bitwise() {
+        let mut backends = vec![pread_config()];
+        if crate::store::uring::uring_available() {
+            backends.push(IoBackendConfig {
+                kind: crate::store::io_backend::IoBackendKind::Uring,
+                queue_depth: 4,
+                direct: false,
+            });
+        } else {
+            eprintln!("skipping the uring lanes: io_uring unavailable on this host");
+        }
+        for io in backends {
+            for cache in [1, 2, 8] {
+                for group_size in [1, 4] {
+                    stress_lane(io, cache, group_size);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn refault_waits_for_the_write_back_in_flight() {
+        // The evict-then-refault race, forced: worker A evicts dirty group 0
+        // and is held between taking it out of the cache and writing it;
+        // worker B then asks for group 0. B must wait for A's write to land
+        // and read what A wrote — faulting in the stale file image would
+        // lose A's earlier update.
+        let (s, _t) = make_io("refault", 8, 64, 1, pread_config());
+        assert_eq!(s.group_size(), 1);
+        s.apply_batch(0, &[encode_other(5, false)]); // group 0 cached, dirty
+
+        let (evicting, b_may_start) = std::sync::mpsc::channel();
+        let evicting = Mutex::new(evicting);
+        std::thread::scope(|scope| {
+            *s.probe.before_writeback.lock() = Some(Box::new(move |store, victim| {
+                if victim == 0 {
+                    evicting.lock().send(()).unwrap();
+                    // Hold the write until B is parked behind it.
+                    while store.probe.refault_waits.load(Ordering::Relaxed) == 0 {
+                        std::thread::yield_now();
+                    }
+                }
+            }));
+            scope.spawn(|| s.apply_batch(1, &[encode_other(6, false)])); // A: evicts group 0
+            b_may_start.recv().unwrap();
+            s.apply_batch(0, &[encode_other(7, false)]); // B: refaults group 0
+        });
+        *s.probe.before_writeback.lock() = None;
+
+        assert_eq!(s.probe.refault_waits.load(Ordering::Relaxed), 1);
+        // Group 0, group 1, group 0 again — the refault really did go to
+        // the file, after the one write that had to precede it.
+        assert_eq!(s.io_stats().reads(), 3);
+        assert!(s.io_stats().writes() >= 1);
+        let oracle = {
+            let (o, _t) = make("refault-oracle", 8, 1 << 20, 8);
+            o.apply_batch(0, &[encode_other(5, false), encode_other(7, false)]);
+            o.apply_batch(1, &[encode_other(6, false)]);
+            serialized(o.params(), o.snapshot())
+        };
+        assert_eq!(serialized(s.params(), s.snapshot()), oracle, "no update lost");
+    }
+
+    #[test]
+    fn a_failed_fault_is_remembered_not_fatal() {
+        // Truncate the file behind the store: the next group fault reads
+        // past EOF. The batch is lost, the worker survives, and the store
+        // says so from then on.
+        let (s, _t) = make_io("failed-fault", 8, 64, 2, pread_config());
+        s.apply_batch(0, &[encode_other(1, false)]);
+        s.flush().unwrap();
+        s.file.set_len(0).unwrap();
+        s.apply_batch(7, &[encode_other(2, false)]);
+        let err = s.flush().expect_err("the lost batch must surface");
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+        assert!(err.to_string().contains("disk sketch store failed"), "{err}");
+        // Fail-stop: later batches are refused without touching the file,
+        // and every flush and seal keeps reporting the first error.
+        let ops = s.io_stats().total_ops();
+        s.apply_batch(0, &[encode_other(3, false)]);
+        assert_eq!(s.io_stats().total_ops(), ops);
+        assert_eq!(s.begin_epoch().err().map(|e| e.kind()), Some(err.kind()));
+        assert!(s.flush().is_err());
     }
 
     #[test]

@@ -2,15 +2,18 @@
 //!
 //! Two backends mirror the paper's two deployments:
 //!
-//! - [`ram::RamStore`] — everything in memory, per-node locks, delta-sketch
-//!   merging to keep critical sections short (paper §5.1).
+//! - [`ram::RamStore`] — everything in memory, per-node locks.
 //! - [`disk::DiskStore`] — sketches in a pre-allocated file laid out in
 //!   *node groups* (`max(1, B/sketch_size)` nodes per group, §4.1), accessed
-//!   through a bounded LRU cache with write-back; every block access is
-//!   counted so experiments can verify the hybrid-model I/O claims.
+//!   through a bounded LRU cache with write-back and per-group locks; every
+//!   block access is counted so experiments can verify the hybrid-model I/O
+//!   claims.
 //!
 //! Both accept whole batches of updates bound for one node — the unit of
-//! work a Graph Worker pops from the queue.
+//! work a Graph Worker pops from the queue — and both keep critical
+//! sections short the paper's way (§5.1): the batch kernel runs into a
+//! pooled scratch sketch with no lock held, and the lock that guards the
+//! target is taken only to XOR the delta in.
 
 pub mod disk;
 pub mod epoch;
@@ -121,6 +124,8 @@ impl NodeSet {
 }
 
 /// A store of per-vertex node sketches, shared across Graph Workers.
+// One store per system, behind an `Arc`: the variants' size gap costs nothing.
+#[allow(clippy::large_enum_variant)]
 pub enum SketchStore {
     /// In-RAM store.
     Ram(ram::RamStore),
@@ -161,6 +166,25 @@ impl SketchStore {
         match self {
             SketchStore::Ram(s) => s.apply_batch(node, records),
             SketchStore::Disk(s) => s.apply_batch(node, records),
+        }
+    }
+
+    /// The store's pool of reusable delta sketches.
+    pub(crate) fn scratch(&self) -> &ScratchPool {
+        match self {
+            SketchStore::Ram(s) => s.scratch(),
+            SketchStore::Disk(s) => s.scratch(),
+        }
+    }
+
+    /// XOR a delta sketch built outside the store into `node`, holding the
+    /// node's (RAM) or node group's (disk) lock only for the merge — the
+    /// entry point for the sketch-level-parallel path in [`crate::ingest`],
+    /// which builds the delta across a thread group first.
+    pub(crate) fn merge_delta(&self, node: u32, delta: &CubeNodeSketch) {
+        match self {
+            SketchStore::Ram(s) => s.merge_delta(node, delta),
+            SketchStore::Disk(s) => s.merge_delta(node, delta),
         }
     }
 
@@ -580,6 +604,58 @@ impl SketchSource for StoreRoundSource<'_> {
     ) -> Result<(), GzError> {
         self.resident = self.store.round_stream_resident_bytes(round, sinks.len());
         self.store.stream_round_parallel(round, live, self.overlay, pool, sinks)
+    }
+}
+
+/// Reusable scratch node sketches for the delta-sketch discipline (paper
+/// §5.1), one pool per store: a Graph Worker checks a zeroed sketch out,
+/// builds a batch's delta in it with no store lock held, merges the delta
+/// under the lock that guards the target, and recycles the scratch — so no
+/// node-sized allocation happens on the hot path once the pool is as deep
+/// as the worker count.
+pub(crate) struct ScratchPool {
+    params: Arc<SketchParams>,
+    pool: Mutex<Vec<CubeNodeSketch>>,
+}
+
+impl ScratchPool {
+    pub(crate) fn new(params: Arc<SketchParams>) -> Self {
+        ScratchPool { params, pool: Mutex::new(Vec::new()) }
+    }
+
+    /// Check out an all-zero scratch sketch; return it with
+    /// [`Self::recycle`].
+    pub(crate) fn checkout(&self) -> CubeNodeSketch {
+        self.pool.lock().pop().unwrap_or_else(|| self.params.new_node_sketch())
+    }
+
+    /// Zero a scratch sketch and park it for the next batch.
+    pub(crate) fn recycle(&self, mut scratch: CubeNodeSketch) {
+        scratch.clear_all();
+        self.pool.lock().push(scratch);
+    }
+
+    /// Build the delta sketch of `records` (bound for `node`) through the
+    /// batch kernel, then hand it to `merge`, which takes whatever lock
+    /// guards the target for the XOR only.
+    pub(crate) fn with_delta<R>(
+        &self,
+        node: u32,
+        records: &[u32],
+        merge: impl FnOnce(&CubeNodeSketch) -> R,
+    ) -> R {
+        let mut scratch = self.checkout();
+        apply_records(&mut scratch, node, records, self.params.num_nodes);
+        let merged = merge(&scratch);
+        self.recycle(scratch);
+        merged
+    }
+
+    /// Scratch sketches currently parked (test instrumentation for the
+    /// reuse discipline).
+    #[cfg(test)]
+    pub(crate) fn parked(&self) -> usize {
+        self.pool.lock().len()
     }
 }
 

@@ -13,7 +13,7 @@ use crate::config::LockingStrategy;
 use crate::node_sketch::{CubeNodeSketch, CubeRoundSketch, SketchParams};
 use crate::sparse::{SparseRoundBatch, SparseSet};
 use crate::store::epoch::{EpochOverlay, EpochRegistry};
-use crate::store::{NodeSet, RepStats};
+use crate::store::{NodeSet, RepStats, ScratchPool};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -49,10 +49,9 @@ pub struct RamStore {
     locking: LockingStrategy,
     /// Hybrid sparse/dense threshold `τ`; `0` = always dense.
     threshold: u32,
-    /// Reusable scratch sketches for the delta-sketch discipline: workers
-    /// check one out per batch, so no full node sketch is allocated on the
-    /// hot path.
-    scratch_pool: Mutex<Vec<CubeNodeSketch>>,
+    /// Delta sketches for [`LockingStrategy::DeltaSketch`] and the grouped
+    /// ingestion path.
+    scratch: ScratchPool,
     /// Live sealed epochs. A RAM store's copy-on-write "group" is a single
     /// slot: captures happen under the node's lock, right before the first
     /// post-seal mutation of that node.
@@ -98,12 +97,12 @@ impl RamStore {
             })
             .collect();
         RamStore {
+            scratch: ScratchPool::new(Arc::clone(&params)),
             params,
             node_set,
             nodes,
             locking,
             threshold,
-            scratch_pool: Mutex::new(Vec::new()),
             epochs: EpochRegistry::new(),
         }
     }
@@ -146,17 +145,9 @@ impl RamStore {
         self.node_set
     }
 
-    /// Check a scratch node sketch out of the reusable pool (all-zero, no
-    /// allocation once the pool is warm) — the delta-sketch discipline's
-    /// workspace. Return it with [`Self::recycle_scratch`].
-    pub(crate) fn checkout_scratch(&self) -> CubeNodeSketch {
-        self.scratch_pool.lock().pop().unwrap_or_else(|| self.params.new_node_sketch())
-    }
-
-    /// Zero a scratch sketch and put it back in the pool for the next batch.
-    pub(crate) fn recycle_scratch(&self, mut scratch: CubeNodeSketch) {
-        scratch.clear_all();
-        self.scratch_pool.lock().push(scratch);
+    /// The pool of reusable delta sketches.
+    pub(crate) fn scratch(&self) -> &ScratchPool {
+        &self.scratch
     }
 
     /// Apply a batch of encoded records to `node` (which must be owned).
@@ -191,22 +182,17 @@ impl RamStore {
                     super::apply_records(sketch, node, records, self.params.num_nodes);
                 });
             }
-            LockingStrategy::DeltaSketch => {
-                let mut scratch = self.checkout_scratch();
-                // Build the delta without holding the node's lock…
-                super::apply_records(&mut scratch, node, records, self.params.num_nodes);
-                // …lock only for the XOR-merge…
-                self.with_node(slot, |sketch| sketch.merge(&scratch));
-                // …and recycle the scratch.
-                self.recycle_scratch(scratch);
-            }
+            // Build the delta without holding the node's lock; lock only
+            // for the XOR-merge.
+            LockingStrategy::DeltaSketch => self.scratch.with_delta(node, records, |delta| {
+                self.with_node(slot, |sketch| sketch.merge(delta))
+            }),
         }
     }
 
-    /// Merge a pre-built delta sketch into `node` under its lock — the
-    /// entry point for the sketch-level-parallel path in [`crate::ingest`],
-    /// which constructs the delta across a thread group first.
-    pub fn merge_delta(&self, node: u32, delta: &CubeNodeSketch) {
+    /// Merge a pre-built delta sketch into `node` under its lock (see
+    /// [`crate::store::SketchStore::merge_delta`]).
+    pub(crate) fn merge_delta(&self, node: u32, delta: &CubeNodeSketch) {
         self.with_node(self.node_set.slot(node), |sketch| sketch.merge(delta));
     }
 
@@ -396,13 +382,6 @@ impl RamStore {
         }
         stats
     }
-
-    /// Scratch sketches currently parked in the pool (test instrumentation
-    /// for the reuse discipline).
-    #[cfg(test)]
-    pub(crate) fn scratch_pool_len(&self) -> usize {
-        self.scratch_pool.lock().len()
-    }
 }
 
 #[cfg(test)]
@@ -485,7 +464,7 @@ mod tests {
             s.apply_batch(i % 4, &[encode_other(20 + i, false)]);
         }
         // Single-threaded: the pool should hold exactly one scratch.
-        assert_eq!(s.scratch_pool.lock().len(), 1);
+        assert_eq!(s.scratch.parked(), 1);
     }
 
     #[test]
@@ -500,7 +479,7 @@ mod tests {
             reused.apply_batch(i % 3, &[encode_other(10 + i, false)]);
             fresh.apply_batch(i % 3, &[encode_other(10 + i, false)]);
         }
-        assert_eq!(reused.scratch_pool_len(), 1, "pool warmed");
+        assert_eq!(reused.scratch.parked(), 1, "pool warmed");
         let records: Vec<u32> = (1..8).map(|o| encode_other(o + 20, false)).collect();
         reused.apply_batch(5, &records);
         fresh.apply_batch(5, &records);

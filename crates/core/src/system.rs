@@ -494,21 +494,31 @@ mod tests {
 
     #[test]
     fn direct_locking_matches_delta() {
-        let mut ca = tiny_config(12);
-        ca.locking = LockingStrategy::Direct;
-        let mut cb = tiny_config(12);
-        cb.locking = LockingStrategy::DeltaSketch;
+        // On RAM the two disciplines are two code paths; on disk `locking`
+        // has no effect (the store always builds a delta), which this pins
+        // from the outside: same state, same answer, either setting.
+        let dirs = [LockingStrategy::Direct, LockingStrategy::DeltaSketch]
+            .map(|locking| (locking, gz_testutil::TempDir::new("gz-system-locking")));
         let edges = [(0u32, 1u32), (1, 2), (3, 4), (5, 6), (6, 7), (7, 5)];
-        let mut a = GraphZeppelin::new(ca).unwrap();
-        let mut b = GraphZeppelin::new(cb).unwrap();
-        for &(u, v) in &edges {
-            a.edge_update(u, v);
-            b.edge_update(u, v);
+        for disk in [false, true] {
+            let [(a_state, a_labels), (b_state, b_labels)] =
+                dirs.each_ref().map(|(locking, dir)| {
+                    let mut config = if disk {
+                        GzConfig::on_disk(12, dir.path().to_path_buf())
+                    } else {
+                        tiny_config(12)
+                    };
+                    config.num_workers = 2;
+                    config.locking = *locking;
+                    let mut gz = GraphZeppelin::new(config).unwrap();
+                    for &(u, v) in &edges {
+                        gz.edge_update(u, v);
+                    }
+                    (gz.snapshot_serialized(), gz.connected_components().unwrap().labels().to_vec())
+                });
+            assert_eq!(a_state, b_state, "disk: {disk}");
+            assert_eq!(a_labels, b_labels, "disk: {disk}");
         }
-        assert_eq!(
-            a.connected_components().unwrap().labels(),
-            b.connected_components().unwrap().labels()
-        );
     }
 
     /// The product query against the materialize-everything oracle, on

@@ -367,6 +367,26 @@ impl<H: Hasher64> CubeSketch<H> {
         CubeSketch { family, alpha, gamma }
     }
 
+    /// Overwrite this sketch's payload with one previously produced by
+    /// [`Self::serialize_into`] — [`Self::deserialize`] without the two
+    /// allocations, for callers that recycle sketches (the disk store's
+    /// group cache decodes every faulted group into an evicted one's
+    /// buffers).
+    ///
+    /// # Panics
+    /// Panics if `bytes` has the wrong length for the family's geometry.
+    pub fn overwrite_from(&mut self, bytes: &[u8]) {
+        let n = self.alpha.len();
+        assert_eq!(bytes.len(), n * 12, "payload size mismatch");
+        let (alpha_bytes, gamma_bytes) = bytes.split_at(n * 8);
+        for (a, c) in self.alpha.iter_mut().zip(alpha_bytes.chunks_exact(8)) {
+            *a = u64::from_le_bytes(c.try_into().expect("chunk is 8 bytes"));
+        }
+        for (g, c) in self.gamma.iter_mut().zip(gamma_bytes.chunks_exact(4)) {
+            *g = u32::from_le_bytes(c.try_into().expect("chunk is 4 bytes"));
+        }
+    }
+
     /// Exact serialized size for a geometry.
     pub fn serialized_size(geometry: SketchGeometry) -> usize {
         geometry.num_buckets() * 12
@@ -518,6 +538,12 @@ mod tests {
         assert_eq!(s.alpha, t.alpha);
         assert_eq!(s.gamma, t.gamma);
         assert_eq!(t.query(), s.query());
+        // The in-place decode lands the same payload over stale contents.
+        let mut recycled = f.new_sketch();
+        recycled.update(77);
+        recycled.overwrite_from(&bytes);
+        assert_eq!(s.alpha, recycled.alpha);
+        assert_eq!(s.gamma, recycled.gamma);
     }
 
     #[test]

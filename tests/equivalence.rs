@@ -11,12 +11,16 @@ use graph_zeppelin::{
 use gz_stream::{Dataset, StreamifyConfig, UpdateKind};
 use gz_testutil::TempDir;
 
-fn labels_for(config: GzConfig, updates: &[gz_stream::EdgeUpdate]) -> Vec<u32> {
+fn ingested(config: GzConfig, updates: &[gz_stream::EdgeUpdate]) -> GraphZeppelin {
     let mut gz = GraphZeppelin::new(config).expect("valid config");
     for upd in updates {
         gz.update(upd.u, upd.v, upd.kind == UpdateKind::Delete);
     }
-    gz.connected_components().expect("query").labels().to_vec()
+    gz
+}
+
+fn labels_for(config: GzConfig, updates: &[gz_stream::EdgeUpdate]) -> Vec<u32> {
+    ingested(config, updates).connected_components().expect("query").labels().to_vec()
 }
 
 fn shared_stream() -> (u64, Vec<gz_stream::EdgeUpdate>) {
@@ -74,14 +78,48 @@ fn locking_strategies_equivalent() {
     assert_eq!(labels_for(direct, &updates), labels_for(delta, &updates));
 }
 
+/// Ingest `updates` and return the serialized sketch state with the labels.
+fn state_and_labels(
+    config: GzConfig,
+    updates: &[gz_stream::EdgeUpdate],
+) -> (Vec<Vec<u8>>, Vec<u32>) {
+    let mut gz = ingested(config, updates);
+    (gz.snapshot_serialized(), gz.connected_components().expect("query").labels().to_vec())
+}
+
+/// A disk store of one-node groups cached two deep: with 128 vertices
+/// every forced flush evicts, whatever the worker count.
+fn starved_disk(v: u64, dir: &TempDir) -> GzConfig {
+    let mut config = GzConfig::in_ram(v);
+    config.store =
+        StoreBackend::Disk { dir: dir.path().to_path_buf(), block_bytes: 4096, cache_groups: 2 };
+    config
+}
+
 #[test]
 fn worker_counts_equivalent() {
     let (v, updates) = shared_stream();
     let mut one = GzConfig::in_ram(v);
     one.num_workers = 1;
+    let reference = state_and_labels(one, &updates);
     let mut eight = GzConfig::in_ram(v);
     eight.num_workers = 8;
-    assert_eq!(labels_for(one, &updates), labels_for(eight, &updates));
+    assert_eq!(reference, state_and_labels(eight, &updates));
+
+    // Graph Workers overlap on the disk store too (per-group locks under
+    // a bookkeeping-only cache lock): same bytes at any width.
+    for workers in [1, 2, 4] {
+        let dir = TempDir::new("gz-equiv-disk-workers");
+        let mut disk = starved_disk(v, &dir);
+        disk.num_workers = workers;
+        let mut gz = ingested(disk, &updates);
+        let state = gz.snapshot_serialized();
+        let io = gz.store_io().expect("disk store counts its I/O");
+        assert!(io.writes() > 0, "{workers} workers: the starved cache must have evicted");
+        assert_eq!(reference.0, state, "{workers} disk workers: serialized state");
+        let labels = gz.connected_components().expect("query").labels().to_vec();
+        assert_eq!(reference.1, labels, "{workers} disk workers: labels");
+    }
 }
 
 #[test]
@@ -89,9 +127,16 @@ fn group_threads_equivalent() {
     let (v, updates) = shared_stream();
     let mut g1 = GzConfig::in_ram(v);
     g1.group_threads = 1;
+    let reference = state_and_labels(g1, &updates);
     let mut g4 = GzConfig::in_ram(v);
     g4.group_threads = 4;
-    assert_eq!(labels_for(g1, &updates), labels_for(g4, &updates));
+    assert_eq!(reference, state_and_labels(g4, &updates));
+    // The grouped path is store-agnostic: it merges its delta into a disk
+    // group exactly as it does into a RAM node.
+    let dir = TempDir::new("gz-equiv-disk-grouped");
+    let mut disk_g3 = starved_disk(v, &dir);
+    disk_g3.group_threads = 3;
+    assert_eq!(reference, state_and_labels(disk_g3, &updates));
 }
 
 #[test]
