@@ -55,7 +55,8 @@ fn bench_spanning_forest_empty_vs_dense(c: &mut Criterion) {
 
 /// The tentpole comparison: a disk-backed store at a pinned cache budget,
 /// queried by the snapshot oracle (materialize `V` full sketches) versus
-/// the product's streaming fold (round slices with group prefetch).
+/// the product's streaming fold (round slices, one window of groups at a
+/// time per query worker).
 /// Reports wall time through criterion plus, one-shot, the bytes read off
 /// the store and the peak resident sketch bytes of each.
 fn bench_disk_query_vs_oracle(c: &mut Criterion) {
@@ -146,7 +147,7 @@ fn best_query_time(gz: &mut GraphZeppelin, threads: usize, samples: usize) -> Du
 
 /// The tentpole scaling sweep (DESIGN.md §10): the streaming query at
 /// 1/2/4/8 query threads on the RAM store and on a cache-constrained disk
-/// store. In full mode (kron8, the issue's pinned scale) the bench asserts
+/// store (where every count, 1 included, runs the same claim loop). In full mode (kron8, the issue's pinned scale) the bench asserts
 /// the 4-thread RAM query is ≥1.5× the single-threaded one — the measured
 /// table lives in EXPERIMENTS.md. Smoke mode runs the sweep at tiny scale
 /// for CI coverage without asserting a ratio a loaded 2-core runner cannot
@@ -207,7 +208,7 @@ fn bench_parallel_query_scaling(c: &mut Criterion) {
 /// The I/O-backend comparison (DESIGN.md §13): the streaming disk query at
 /// a pinned cache budget under the pread backend versus the io_uring
 /// backend at queue depth 16 — the batched submissions should be no slower
-/// (one ring enter covers a whole prefetch window where pread pays a
+/// (one ring enter covers a whole claimed window where pread pays a
 /// syscall per group). The uring lanes skip with a logged reason when the
 /// probe fails; the no-slower assertion arms only in full mode on a
 /// machine with the cores to drive concurrent readers.

@@ -14,8 +14,8 @@
 //! (`sparse::SparseRoundBatch`). Because sketch merging is a
 //! per-round XOR, the accumulator of a supernode is bit-identical to
 //! round `r` of the merged sketch stack the materialized algorithm would
-//! hold — so every source (a RAM snapshot, a disk store streaming groups
-//! with prefetch, a shard fleet shipping round frames) produces the same
+//! hold — so every source (a RAM snapshot, a disk store reading windows
+//! of groups, a shard fleet shipping round frames) produces the same
 //! labels, while peak query memory drops from `O(V × full sketch)` to
 //! `O(live components × one round)` plus the source's buffers.
 //!
@@ -56,7 +56,8 @@ pub struct BoruvkaOutcome {
     pub sketch_failures: usize,
     /// Peak sketch bytes resident during the query: supernode accumulators
     /// plus whatever the source buffered (a full materialization for the
-    /// snapshot path; a round's prefetch window for the streaming paths).
+    /// snapshot path; a round's in-flight read windows for the streaming
+    /// paths).
     pub peak_sketch_bytes: usize,
 }
 

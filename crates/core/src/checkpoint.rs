@@ -33,9 +33,10 @@
 //! Both readers validate the *exact* file length against the header before
 //! allocating or deserializing anything: a truncated file, a short sketch
 //! payload, and trailing garbage all surface as a clean
-//! [`GzError::InvalidConfig`], never a panic or a partial restore. Shard
-//! checkpoints are written to a temp file and atomically renamed into
-//! place, so a crash mid-write can never regress the durable state a prior
+//! [`GzError::InvalidConfig`], never a panic or a partial restore. Both
+//! writers (and the serve manifest's) fill a temp file, fsync it and rename
+//! it into place, so a crash or a full disk mid-write can neither destroy
+//! the previous checkpoint nor regress the durable state a prior
 //! `CheckpointAck` promised.
 
 use crate::config::GzConfig;
@@ -94,6 +95,70 @@ fn check_payload_len(
     Ok(())
 }
 
+/// Write the file at `path` atomically: `write` fills a sibling temp file
+/// (`<path>.tmp`), which is fsynced and only then renamed over `path`, and
+/// the rename is made durable in the directory. A crash or a full disk at
+/// any point leaves either the previous file or the new one — never a torn
+/// file in its place.
+fn write_atomically(
+    path: &Path,
+    write: impl FnOnce(&mut BufWriter<std::fs::File>) -> std::io::Result<()>,
+) -> Result<(), GzError> {
+    let tmp: PathBuf = {
+        let mut os = path.as_os_str().to_os_string();
+        os.push(".tmp");
+        os.into()
+    };
+    let publish = || {
+        let mut w = BufWriter::with_capacity(1 << 20, std::fs::File::create(&tmp)?);
+        write(&mut w)?;
+        let file = w.into_inner().map_err(|e| e.into_error())?;
+        file.sync_all()?;
+        drop(file);
+        std::fs::rename(&tmp, path)?;
+        let dir = path.parent().filter(|dir| !dir.as_os_str().is_empty());
+        std::fs::File::open(dir.unwrap_or(Path::new(".")))?.sync_all()
+    };
+    publish().map_err(|e| {
+        // Best effort: a failed save should not also keep the space.
+        let _ = std::fs::remove_file(&tmp);
+        GzError::Io(e)
+    })
+}
+
+/// Write the sketch payload both formats share: each node sketch's
+/// serialization, back to back.
+fn write_payload<'a>(
+    w: &mut impl Write,
+    params: &SketchParams,
+    sketches: impl Iterator<Item = &'a CubeNodeSketch>,
+) -> std::io::Result<()> {
+    let mut buf = Vec::with_capacity(params.node_sketch_serialized_bytes());
+    for sketch in sketches {
+        buf.clear();
+        params.serialize_node_sketch(sketch, &mut buf);
+        w.write_all(&buf)?;
+    }
+    Ok(())
+}
+
+/// Read a payload of `count` node sketches. The caller has already checked
+/// the file's length against `count` ([`check_payload_len`]).
+fn read_payload(
+    r: &mut impl Read,
+    path: &Path,
+    params: &SketchParams,
+    count: u64,
+) -> Result<Vec<CubeNodeSketch>, GzError> {
+    let mut buf = vec![0u8; params.node_sketch_serialized_bytes()];
+    let mut sketches = Vec::with_capacity(count as usize);
+    for _ in 0..count {
+        r.read_exact(&mut buf).map_err(|e| corrupt(path, format!("short payload: {e}")))?;
+        sketches.push(params.deserialize_node_sketch(&buf));
+    }
+    Ok(sketches)
+}
+
 /// Header of a checkpoint file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckpointHeader {
@@ -110,7 +175,9 @@ pub struct CheckpointHeader {
 }
 
 impl GraphZeppelin {
-    /// Flush all buffered updates and write the sketch state to `path`.
+    /// Flush all buffered updates and write the sketch state to `path`,
+    /// atomically (see `write_atomically`): a failed save leaves the
+    /// checkpoint that was there before intact.
     pub fn save_checkpoint(&mut self, path: &Path) -> Result<CheckpointHeader, GzError> {
         self.flush();
         let params = self.params().clone();
@@ -122,22 +189,16 @@ impl GraphZeppelin {
             updates_ingested: self.updates_ingested(),
         };
 
-        let file = std::fs::File::create(path)?;
-        let mut w = BufWriter::with_capacity(1 << 20, file);
-        w.write_all(&MAGIC)?;
-        w.write_all(&header.num_nodes.to_le_bytes())?;
-        w.write_all(&header.seed.to_le_bytes())?;
-        w.write_all(&header.rounds.to_le_bytes())?;
-        w.write_all(&header.columns.to_le_bytes())?;
-        w.write_all(&header.updates_ingested.to_le_bytes())?;
-
-        let mut buf = Vec::with_capacity(params.node_sketch_serialized_bytes());
-        for sketch in self.snapshot_sketches() {
-            buf.clear();
-            params.serialize_node_sketch(&sketch, &mut buf);
-            w.write_all(&buf)?;
-        }
-        w.flush()?;
+        let sketches = self.snapshot_sketches();
+        write_atomically(path, |w| {
+            w.write_all(&MAGIC)?;
+            w.write_all(&header.num_nodes.to_le_bytes())?;
+            w.write_all(&header.seed.to_le_bytes())?;
+            w.write_all(&header.rounds.to_le_bytes())?;
+            w.write_all(&header.columns.to_le_bytes())?;
+            w.write_all(&header.updates_ingested.to_le_bytes())?;
+            write_payload(w, &params, sketches.iter())
+        })?;
         Ok(header)
     }
 
@@ -183,12 +244,7 @@ impl GraphZeppelin {
         check_payload_len(path, HEADER_BYTES, header.num_nodes, node_bytes)?;
 
         let mut gz = GraphZeppelin::new(config)?;
-        let mut buf = vec![0u8; node_bytes];
-        let mut sketches = Vec::with_capacity(header.num_nodes as usize);
-        for _ in 0..header.num_nodes {
-            r.read_exact(&mut buf).map_err(|e| corrupt(path, format!("short payload: {e}")))?;
-            sketches.push(params.deserialize_node_sketch(&buf));
-        }
+        let sketches = read_payload(&mut r, path, &params, header.num_nodes)?;
         gz.load_sketches(sketches, header.updates_ingested);
         Ok(gz)
     }
@@ -326,10 +382,9 @@ pub fn read_shard_checkpoint_header(path: &Path) -> Result<ShardCheckpointHeader
 }
 
 /// Persist a shard's owned sketch state (already densified by
-/// `snapshot_owned`) to `path`, atomically: the bytes land in a sibling
-/// temp file, are fsynced, and only then renamed over `path`. A crash at
-/// any point leaves either the old checkpoint or the new one — never a
-/// torn file that would silently regress the durable `seq`.
+/// `snapshot_owned`) to `path`, atomically (see `write_atomically`): a
+/// crash at any point leaves either the old checkpoint or the new one —
+/// never a torn file that would silently regress the durable `seq`.
 pub fn save_shard_checkpoint(
     path: &Path,
     header: &ShardCheckpointHeader,
@@ -337,35 +392,18 @@ pub fn save_shard_checkpoint(
     sketches: &[(u32, CubeNodeSketch)],
 ) -> Result<(), GzError> {
     debug_assert_eq!(sketches.len() as u64, header.owned_count);
-    let tmp: PathBuf = {
-        let mut os = path.as_os_str().to_os_string();
-        os.push(".tmp");
-        os.into()
-    };
-    let file = std::fs::File::create(&tmp)?;
-    let mut w = BufWriter::with_capacity(1 << 20, file);
-    w.write_all(&SHARD_MAGIC)?;
-    w.write_all(&header.num_nodes.to_le_bytes())?;
-    w.write_all(&header.seed.to_le_bytes())?;
-    w.write_all(&header.rounds.to_le_bytes())?;
-    w.write_all(&header.columns.to_le_bytes())?;
-    w.write_all(&header.shard_index.to_le_bytes())?;
-    w.write_all(&header.num_shards.to_le_bytes())?;
-    w.write_all(&header.seq.to_le_bytes())?;
-    w.write_all(&header.owned_count.to_le_bytes())?;
-
-    let mut buf = Vec::with_capacity(params.node_sketch_serialized_bytes());
-    for (_, sketch) in sketches {
-        buf.clear();
-        params.serialize_node_sketch(sketch, &mut buf);
-        w.write_all(&buf)?;
-    }
-    w.flush()?;
-    let file = w.into_inner().map_err(|e| GzError::Io(e.into_error()))?;
-    file.sync_all()?;
-    drop(file);
-    std::fs::rename(&tmp, path)?;
-    Ok(())
+    write_atomically(path, |w| {
+        w.write_all(&SHARD_MAGIC)?;
+        w.write_all(&header.num_nodes.to_le_bytes())?;
+        w.write_all(&header.seed.to_le_bytes())?;
+        w.write_all(&header.rounds.to_le_bytes())?;
+        w.write_all(&header.columns.to_le_bytes())?;
+        w.write_all(&header.shard_index.to_le_bytes())?;
+        w.write_all(&header.num_shards.to_le_bytes())?;
+        w.write_all(&header.seq.to_le_bytes())?;
+        w.write_all(&header.owned_count.to_le_bytes())?;
+        write_payload(w, params, sketches.iter().map(|(_, sketch)| sketch))
+    })
 }
 
 /// Load a shard checkpoint, validating every identity field against
@@ -398,14 +436,7 @@ pub fn load_shard_checkpoint(
 
     let node_bytes = params.node_sketch_serialized_bytes();
     check_payload_len(path, SHARD_HEADER_BYTES, header.owned_count, node_bytes)?;
-
-    let mut buf = vec![0u8; node_bytes];
-    let mut sketches = Vec::with_capacity(header.owned_count as usize);
-    for _ in 0..header.owned_count {
-        r.read_exact(&mut buf).map_err(|e| corrupt(path, format!("short payload: {e}")))?;
-        sketches.push(params.deserialize_node_sketch(&buf));
-    }
-    Ok((sketches, header.seq))
+    Ok((read_payload(&mut r, path, params, header.owned_count)?, header.seq))
 }
 
 // ---------------------------------------------------------------------------
@@ -564,24 +595,16 @@ impl ServeManifest {
         out
     }
 
-    /// Atomically publish this manifest at `path` (tmp + fsync + rename):
-    /// a crash leaves either the previous round current or this one —
-    /// never a torn manifest.
+    /// Atomically publish this manifest at `path` (see
+    /// `write_atomically`): a crash leaves either the previous round
+    /// current or this one — never a torn manifest.
     pub fn save(&self, path: &Path) -> Result<(), GzError> {
-        let tmp: PathBuf = {
-            let mut os = path.as_os_str().to_os_string();
-            os.push(".tmp");
-            os.into()
-        };
         let fields = self.encode_fields();
-        let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(&MANIFEST_MAGIC)?;
-        file.write_all(&fields)?;
-        file.write_all(&xxh64(&fields, 0).to_le_bytes())?;
-        file.sync_all()?;
-        drop(file);
-        std::fs::rename(&tmp, path)?;
-        Ok(())
+        write_atomically(path, |w| {
+            w.write_all(&MANIFEST_MAGIC)?;
+            w.write_all(&fields)?;
+            w.write_all(&xxh64(&fields, 0).to_le_bytes())
+        })
     }
 
     /// Load and validate the manifest at `path`.
@@ -649,6 +672,33 @@ mod tests {
         let cc = restored.connected_components().unwrap();
         assert!(cc.same_component(0, 2));
         assert!(!cc.same_component(2, 3));
+    }
+
+    #[test]
+    fn a_failed_save_leaves_the_previous_checkpoint_intact() {
+        let path = tmp("atomic");
+        let sibling = PathBuf::from(format!("{}.tmp", path.path().display()));
+        let mut gz = GraphZeppelin::new(GzConfig::in_ram(16)).unwrap();
+        gz.edge_update(0, 1);
+        gz.save_checkpoint(path.path()).unwrap();
+        assert!(!sibling.exists(), "a good save leaves no temp file behind");
+        let saved = std::fs::read(path.path()).unwrap();
+
+        // The temp file cannot be created: the save must fail before it
+        // touches the destination.
+        std::fs::create_dir(&sibling).unwrap();
+        gz.edge_update(2, 3);
+        let failed = gz.save_checkpoint(path.path());
+        std::fs::remove_dir(&sibling).unwrap();
+        assert!(matches!(failed, Err(GzError::Io(_))), "{failed:?}");
+        assert_eq!(std::fs::read(path.path()).unwrap(), saved, "old checkpoint overwritten");
+        let mut restored = GraphZeppelin::restore(path.path()).unwrap();
+        assert_eq!(restored.updates_ingested(), 1);
+        assert!(!restored.connected_components().unwrap().same_component(2, 3));
+
+        gz.save_checkpoint(path.path()).unwrap();
+        assert!(!sibling.exists());
+        assert_eq!(GraphZeppelin::restore(path.path()).unwrap().updates_ingested(), 2);
     }
 
     #[test]

@@ -231,34 +231,42 @@ impl ShardPipeline {
             .collect()
     }
 
-    /// Flush, then serialize only round `round`'s slice of every owned
-    /// node's sketch — the payload of a `RoundSketches` wire reply. A
-    /// disk-backed shard serves this from one contiguous column read per
-    /// node group instead of faulting whole groups through its cache.
+    /// Serialize round `round`'s slice of every owned node's sketch — the
+    /// payload of a `RoundSketches` wire reply; `epoch` mirrors the
+    /// `GatherRound` message's field. `None` flushes, then answers from
+    /// the live state. `Some(id)` answers as the state stood when this
+    /// shard sealed epoch `id`, and does **not** flush: the whole point is
+    /// to answer from the sealed snapshot while ingestion keeps running.
+    /// Either way a disk-backed shard reads one contiguous column per node
+    /// group instead of faulting whole groups through its cache.
     ///
-    /// Entries are tagged (wire protocol v5): promoted nodes ship `0` plus
-    /// the dense round slice; sub-threshold nodes ship `1` plus their exact
-    /// neighbor-set — typically far smaller than the slice — and the
-    /// coordinator replays it, so a sparse shard never densifies to answer.
-    pub fn gather_round_serialized(&self, round: usize) -> Result<Vec<SketchEntry>, GzError> {
+    /// Entries are tagged (wire protocol v5): sub-threshold nodes ship `1`
+    /// plus their exact neighbor-set, encoded straight from the store's
+    /// borrow — typically far smaller than a slice, and the coordinator
+    /// replays it, so a sparse shard never densifies to answer; promoted
+    /// nodes ship `0` plus the dense round slice.
+    pub fn gather_round(
+        &self,
+        round: usize,
+        epoch: Option<u64>,
+    ) -> Result<Vec<SketchEntry>, GzError> {
         if round >= self.params.rounds() {
             return Err(GzError::Protocol(format!(
                 "GatherRound for round {round}, but sketches have {} rounds",
                 self.params.rounds()
             )));
         }
-        self.flush();
-        self.round_entries(round, None)
-    }
-
-    /// One tagged `RoundSketches` entry per owned node, as sealed by
-    /// `overlay` (`None` = the live state): sparse sets encoded straight
-    /// from the store's borrow, then the dense round slices.
-    fn round_entries(
-        &self,
-        round: usize,
-        overlay: Option<&EpochOverlay>,
-    ) -> Result<Vec<SketchEntry>, GzError> {
+        let overlay =
+            match epoch {
+                None => {
+                    self.flush();
+                    None
+                }
+                Some(id) => Some(self.epochs.lock().get(&id).cloned().ok_or_else(|| {
+                    GzError::Protocol(format!("GatherRound for unknown epoch {id}"))
+                })?),
+            };
+        let overlay = overlay.as_deref();
         let mut entries = Vec::with_capacity(self.store.node_set().len());
         self.store.for_each_sparse(&|_| true, overlay, &mut |node, set| {
             let mut bytes = Vec::with_capacity(5 + set.resident_bytes());
@@ -284,29 +292,6 @@ impl ShardPipeline {
         let (id, overlay) = self.store.begin_epoch()?;
         self.epochs.lock().insert(id, overlay);
         Ok(id)
-    }
-
-    /// Serialize round `round` as it stood when `epoch` was sealed — the
-    /// payload of an epoch-pinned `RoundSketches` reply. Unlike
-    /// [`Self::gather_round_serialized`] this does **not** flush: the whole
-    /// point is to answer from the sealed snapshot while ingestion keeps
-    /// running.
-    pub fn gather_round_serialized_at(
-        &self,
-        round: usize,
-        epoch: u64,
-    ) -> Result<Vec<SketchEntry>, GzError> {
-        if round >= self.params.rounds() {
-            return Err(GzError::Protocol(format!(
-                "GatherRound for round {round}, but sketches have {} rounds",
-                self.params.rounds()
-            )));
-        }
-        let overlay =
-            self.epochs.lock().get(&epoch).cloned().ok_or_else(|| {
-                GzError::Protocol(format!("GatherRound for unknown epoch {epoch}"))
-            })?;
-        self.round_entries(round, Some(&overlay))
     }
 
     /// Drop this shard's handle on `epoch`, letting the store reclaim its

@@ -352,11 +352,9 @@ impl ShardTransport for InProcessTransport {
                     // — turning the panic into a silent hang. Push an error
                     // to unblock it, then re-raise so `thread::scope`
                     // propagates the panic as usual.
-                    let reply =
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match epochs {
-                            None => shard.gather_round_serialized(round as usize),
-                            Some(ids) => shard.gather_round_serialized_at(round as usize, ids[i]),
-                        }));
+                    let reply = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        shard.gather_round(round as usize, epochs.map(|ids| ids[i]))
+                    }));
                     match reply {
                         Ok(reply) => {
                             queue.push(reply);
@@ -957,12 +955,7 @@ pub fn serve_shard_connection<S: Read + Write>(
             }
             WireMessage::GatherRound { round, epoch } => {
                 stats.gathers += 1;
-                // An epoch-pinned gather must NOT flush — answering from the
-                // sealed snapshot while ingestion runs is the whole point.
-                let entries = match epoch {
-                    None => pipeline.gather_round_serialized(round as usize)?,
-                    Some(id) => pipeline.gather_round_serialized_at(round as usize, id)?,
-                };
+                let entries = pipeline.gather_round(round as usize, epoch)?;
                 WireMessage::RoundSketches { round, entries }.write_to(stream)?;
             }
             WireMessage::SealEpoch => {
@@ -1426,7 +1419,9 @@ mod tests {
             let (ours0, theirs0) = UnixStream::pair().unwrap();
             let healthy = handshake_then(theirs0, |mut stream| {
                 assert!(matches!(WireMessage::read_from(&mut stream).unwrap(), WireMessage::Flush));
-                WireMessage::FlushAck.write_to(&mut stream).unwrap();
+                // The coordinator may already have given up on shard 1 and
+                // hung up on everyone: an unread ack is not a failure.
+                let _ = WireMessage::FlushAck.write_to(&mut stream);
                 stall(stream);
             });
             let (ours1, theirs1) = UnixStream::pair().unwrap();

@@ -22,8 +22,9 @@
 //! streaming query path (paper §4.2, Figure 9) needs only round `r`'s
 //! column data in Borůvka round `r`, and the round-major order makes that
 //! slice one contiguous read of `nodes_in_group × round_bytes` instead of
-//! `nodes_in_group` strided seeks. [`DiskStore::stream_round`] reads those
-//! slices sequentially and prefetches ahead on a background thread.
+//! `nodes_in_group` strided seeks. Every query reads those slices through
+//! one claim loop (`DiskStore::claim_windows`), run by however many query
+//! workers there are — one included.
 
 use crate::boruvka::RoundSink;
 use crate::node_sketch::{CubeNodeSketch, CubeRoundSketch, SketchParams};
@@ -31,11 +32,13 @@ use crate::sparse::{SparseRoundBatch, SparseSet};
 use crate::store::epoch::{EpochOverlay, EpochRegistry};
 use crate::store::io_backend::{IoBackendConfig, IoBackendImpl, ReadReq, O_DIRECT};
 use crate::store::{NodeSet, RepStats, ScratchPool};
-use gz_gutters::{IoStats, WorkQueue};
+use gz_gutters::IoStats;
 use parking_lot::{Condvar, Mutex, MutexGuard};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fs::File;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// One cached node group. Whoever holds the lock owns the group's decoded
@@ -95,6 +98,29 @@ std::thread_local! {
     /// Per-thread byte buffer one group's file image passes through on its
     /// way to or from the file, reused across faults and write-backs.
     static GROUP_IO_BUF: std::cell::RefCell<Vec<u8>> = const { std::cell::RefCell::new(Vec::new()) };
+}
+
+/// One round stream in progress (see `DiskStore::claim_windows`): what to
+/// read, and the cursor and error slot its claimants share.
+struct RoundClaims<'a> {
+    round: usize,
+    live: &'a (dyn Fn(u32) -> bool + Sync),
+    /// The sealed epoch being read; `None` = the live state.
+    overlay: Option<&'a EpochOverlay>,
+    /// Slots that are sparse at the streamed instant.
+    skip: HashSet<usize>,
+    /// The groups to visit, in slot order.
+    wanted: Vec<u32>,
+    /// Index into `wanted` of the next unclaimed group.
+    next: AtomicUsize,
+    first_error: Mutex<Option<std::io::Error>>,
+}
+
+impl RoundClaims<'_> {
+    /// The stream's outcome, once every claimant has returned.
+    fn finish(self) -> std::io::Result<()> {
+        self.first_error.into_inner().map_or(Ok(()), Err)
+    }
 }
 
 /// Test-only view into the cache protocol.
@@ -483,105 +509,59 @@ impl DiskStore {
         }
     }
 
-    #[cfg(test)]
-    fn read_round_slice(&self, group: u32, round: usize) -> std::io::Result<Vec<u8>> {
-        let req = self.round_slice_req(group, round);
-        let mut bytes = vec![0u8; req.len];
-        self.backend.read_into(self.read_handle(), req.offset, &mut bytes, &self.io)?;
-        Ok(bytes)
-    }
-
-    /// Deliver `group`'s live, dense round-`round` slices out of a raw file
-    /// slice, each deserialized for this call and handed over by value.
-    /// Slots in `skip` (sparse at the relevant instant) are never emitted:
-    /// their file bytes are all-zero padding, not their state.
-    fn emit_group_slice(
+    /// Hand `claims`' consumer the round slice of each of `group`'s live
+    /// nodes: borrowed from `sealed`, an epoch's captured pre-image of the
+    /// group, when there is one, and otherwise deserialized from `bytes`,
+    /// the group's round slice as read from the file. Slots in
+    /// `claims.skip` are never emitted: their file bytes and pre-image
+    /// entries are all-zero padding, not their state, which the sparse
+    /// pass serves instead.
+    fn emit_group(
         &self,
+        claims: &RoundClaims<'_>,
         group: u32,
-        round: usize,
+        sealed: Option<&[CubeNodeSketch]>,
         bytes: &[u8],
-        live: &(dyn Fn(u32) -> bool + Sync),
-        skip: &HashSet<usize>,
-        sink: &mut dyn FnMut(u32, CubeRoundSketch),
+        emit: &mut dyn FnMut(u32, Cow<'_, CubeRoundSketch>),
     ) {
+        let round = claims.round;
         let round_bytes = self.params.round_serialized_bytes(round);
         let start = (group * self.group_size) as usize;
         for i in 0..self.nodes_in_group(group) as usize {
             let node = self.node_set.node(start + i);
-            if !live(node) || skip.contains(&(start + i)) {
+            if !(claims.live)(node) || claims.skip.contains(&(start + i)) {
                 continue;
             }
-            let sketch = self
-                .params
-                .deserialize_round(round, &bytes[i * round_bytes..(i + 1) * round_bytes]);
-            sink(node, sketch);
+            emit(
+                node,
+                match sealed {
+                    Some(pre) => Cow::Borrowed(pre[i].round(round)),
+                    None => Cow::Owned(
+                        self.params
+                            .deserialize_round(round, &bytes[i * round_bytes..][..round_bytes]),
+                    ),
+                },
+            );
         }
     }
 
-    /// Deliver `group`'s live, dense round-`round` slices out of a sealed
-    /// pre-image (an [`EpochOverlay`] capture, held in RAM). Slots in
-    /// `skip` were sparse at the seal: their pre-image entries hold only
-    /// zeros and their sealed state is served by the sparse pass instead.
-    fn emit_group_overlay(
-        &self,
-        group: u32,
-        round: usize,
-        pre: &[CubeNodeSketch],
-        live: &(dyn Fn(u32) -> bool + Sync),
-        skip: &HashSet<usize>,
-        sink: &mut dyn FnMut(u32, &CubeRoundSketch),
-    ) {
-        let start = (group * self.group_size) as usize;
-        for (i, sealed) in pre.iter().enumerate().take(self.nodes_in_group(group) as usize) {
-            let node = self.node_set.node(start + i);
-            if !live(node) || skip.contains(&(start + i)) {
-                continue;
-            }
-            sink(node, sealed.round(round));
-        }
-    }
-
-    /// Slots currently holding a sparse representation. The snapshot is
-    /// stable for the live query paths (quiesced ingestion), and cheap —
-    /// empty — at τ = 0.
-    fn sparse_slots(&self) -> HashSet<usize> {
-        if self.threshold == 0 {
-            return HashSet::new();
-        }
-        let table = self.sparse.lock();
-        table.iter().enumerate().filter(|(_, s)| s.is_some()).map(|(slot, _)| slot).collect()
-    }
-
-    /// Slots that were sparse when `overlay`'s epoch was sealed: the union
-    /// of overlay-captured sparse pre-images and still-live sparse slots.
+    /// Slots holding a sparse representation at the instant `overlay`
+    /// sealed (`None` = now, under quiesced ingestion): the still-live
+    /// sparse slots plus the overlay's captured sparse pre-images.
     /// Promotion is monotone and every post-seal sparse mutation captures
     /// its pre-image *under the table lock* before touching the set, so
     /// taking that same lock here makes the union exactly "sparse at seal"
     /// — a stable set, safe to snapshot once per round stream even while
-    /// ingestion keeps promoting.
-    fn sealed_sparse_slots(&self, overlay: &EpochOverlay) -> HashSet<usize> {
+    /// ingestion keeps promoting. Empty, and cheap, at τ = 0.
+    fn sparse_slots(&self, overlay: Option<&EpochOverlay>) -> HashSet<usize> {
         if self.threshold == 0 {
             return HashSet::new();
         }
         let table = self.sparse.lock();
         (0..table.len())
-            .filter(|&slot| table[slot].is_some() || overlay.get_sparse(slot as u32).is_some())
-            .collect()
-    }
-
-    /// The node groups a dense round stream must visit: those with at
-    /// least one live node outside `skip`, in slot order. All-sparse
-    /// groups are never read — their file bytes are untouched zeros.
-    fn wanted_groups(
-        &self,
-        live: &(dyn Fn(u32) -> bool + Sync),
-        skip: &HashSet<usize>,
-    ) -> Vec<u32> {
-        (0..self.num_groups())
-            .filter(|&g| {
-                let start = (g * self.group_size) as usize;
-                (0..self.nodes_in_group(g) as usize)
-                    .any(|i| !skip.contains(&(start + i)) && live(self.node_set.node(start + i)))
+            .filter(|&slot| {
+                table[slot].is_some()
+                    || overlay.is_some_and(|o| o.get_sparse(slot as u32).is_some())
             })
             .collect()
     }
@@ -792,389 +772,162 @@ impl DiskStore {
         self.writeback_dirty(|| ())
     }
 
-    /// Groups a stream-path reader claims per batch: the backend's natural
-    /// submission window, bounded by the cache budget (the prefetch queue
-    /// must be able to absorb a whole window without exceeding `M`).
+    /// Groups a round-stream claimant takes per trip to the shared cursor:
+    /// the backend's natural submission window (1 on pread, the queue depth
+    /// on uring), bounded by the cache budget so that a query worker never
+    /// holds more slices in flight than the ingestion cache holds groups.
     fn stream_window(&self) -> usize {
         self.backend.read_window().min(self.cache_capacity).max(1)
     }
 
-    /// Stream the round-`round` slice of every owned node whose component
-    /// is still `live` into `sink`, group by group in slot order — the
-    /// storage-friendly query path (paper §4.2, Figure 9).
-    ///
-    /// Dirty cached groups are written back first so the file is
-    /// authoritative, then a background thread reads the wanted groups'
-    /// round slices sequentially, staying up to `cache_groups` reads ahead
-    /// of the fold (the same RAM budget `M` the ingestion cache honors).
-    /// Groups whose nodes are all retired are skipped entirely. Every read
-    /// is counted in [`IoStats`]. The caller must have quiesced ingestion
-    /// (the system query path flushes before querying).
-    pub fn stream_round(
+    /// Set up a stream of the round-`round` slice of every owned dense
+    /// node whose component is still `live`, as sealed by `overlay`. A live
+    /// stream (`None`; the caller must have quiesced ingestion) writes the
+    /// dirty cached groups back first so the file is authoritative. An
+    /// epoch stream does not: ingestion keeps writing while it runs, and
+    /// the file holds the sealed value of every group the overlay lacks,
+    /// because the seal flushed and nothing has dirtied them since.
+    fn begin_round<'a>(
         &self,
         round: usize,
-        live: &(dyn Fn(u32) -> bool + Sync),
-        sink: &mut dyn FnMut(u32, &CubeRoundSketch),
-    ) -> std::io::Result<()> {
-        self.flush()?;
-        let skip = self.sparse_slots();
-        let wanted = self.wanted_groups(live, &skip);
-
-        // Bounded prefetch pipeline over the generic work queue: the reader
-        // blocks once `cache_capacity` slices are in flight, so resident
-        // query memory stays within the configured cache budget.
-        let queue: WorkQueue<(u32, std::io::Result<Vec<u8>>)> =
-            WorkQueue::with_capacity(self.cache_capacity);
-        std::thread::scope(|scope| {
-            // Close the queue on *every* exit from this closure — normal
-            // return, an I/O error, or a panic while folding a slice.
-            // Without this, a panicking consumer would leave the prefetcher
-            // blocked in `push` on a full queue while `thread::scope` waits
-            // to join it: the panic would become a deadlock.
-            struct CloseOnExit<'q>(&'q WorkQueue<(u32, std::io::Result<Vec<u8>>)>);
-            impl Drop for CloseOnExit<'_> {
-                fn drop(&mut self) {
-                    self.0.close();
-                }
-            }
-            let _close_guard = CloseOnExit(&queue);
-
-            scope.spawn(|| {
-                // Reads go down in windows of up to `stream_window` groups
-                // per backend submission (1 on pread — the original
-                // one-read-ahead pipeline — up to the queue depth on
-                // uring); completed slices may arrive out of request order.
-                for chunk in wanted.chunks(self.stream_window()) {
-                    let reqs: Vec<ReadReq> =
-                        chunk.iter().map(|&g| self.round_slice_req(g, round)).collect();
-                    let mut open = true;
-                    let read = self.backend.read_regions(
-                        self.read_handle(),
-                        &reqs,
-                        &self.io,
-                        &mut |i, bytes| {
-                            open = queue.push((chunk[i], Ok(bytes.to_vec())));
-                            open
-                        },
-                    );
-                    if let Err(e) = read {
-                        queue.push((chunk[0], Err(e)));
-                        break;
-                    }
-                    if !open {
-                        break;
-                    }
-                }
-            });
-            let mut delivered = 0usize;
-            let mut result = Ok(());
-            while delivered < wanted.len() {
-                let Some((group, slice)) = queue.pop() else { break };
-                delivered += 1;
-                match slice {
-                    Err(e) => {
-                        result = Err(e);
-                        break;
-                    }
-                    Ok(bytes) => {
-                        self.emit_group_slice(group, round, &bytes, live, &skip, &mut |n, s| {
-                            sink(n, &s)
-                        })
-                    }
-                }
-            }
-            // The close guard unblocks the prefetcher if the fold bailed
-            // early (error or panic).
-            result
-        })
-    }
-
-    /// [`Self::stream_round`] pinned to a sealed epoch: no flush and no
-    /// quiescing — ingestion keeps writing while this runs. Groups the
-    /// overlay captured are served from their sealed pre-images (no file
-    /// read at all); the rest are read from the file, which holds their
-    /// sealed value because the seal flushed and nothing dirtied them
-    /// since. The overlay is re-checked *after* each file read and always
-    /// wins: a capture landing mid-read means the read may have raced a
-    /// write-back of post-seal state, and the capture happens-before that
-    /// write-back — so a torn or stale read is always masked.
-    pub fn stream_round_at(
-        &self,
-        round: usize,
-        live: &(dyn Fn(u32) -> bool + Sync),
-        overlay: &EpochOverlay,
-        sink: &mut dyn FnMut(u32, &CubeRoundSketch),
-    ) -> std::io::Result<()> {
-        let skip = self.sealed_sparse_slots(overlay);
-        let wanted = self.wanted_groups(live, &skip);
-        // `None` in the pipeline = "serve from the overlay" (captures are
-        // never removed, so a hit observed at prefetch time is stable).
-        let queue: WorkQueue<(u32, std::io::Result<Option<Vec<u8>>>)> =
-            WorkQueue::with_capacity(self.cache_capacity);
-        std::thread::scope(|scope| {
-            struct CloseOnExit<'q>(&'q WorkQueue<(u32, std::io::Result<Option<Vec<u8>>>)>);
-            impl Drop for CloseOnExit<'_> {
-                fn drop(&mut self) {
-                    self.0.close();
-                }
-            }
-            let _close_guard = CloseOnExit(&queue);
-
-            scope.spawn(|| {
-                // Same windowed submission as the live path, except groups
-                // the overlay captured are served inline (`Ok(None)`) and
-                // only the misses join the read batch.
-                'chunks: for chunk in wanted.chunks(self.stream_window()) {
-                    let mut misses: Vec<u32> = Vec::with_capacity(chunk.len());
-                    for &g in chunk {
-                        if overlay.get(g).is_some() {
-                            if !queue.push((g, Ok(None))) {
-                                break 'chunks;
-                            }
-                        } else {
-                            misses.push(g);
-                        }
-                    }
-                    let reqs: Vec<ReadReq> =
-                        misses.iter().map(|&g| self.round_slice_req(g, round)).collect();
-                    let mut open = true;
-                    let read = self.backend.read_regions(
-                        self.read_handle(),
-                        &reqs,
-                        &self.io,
-                        &mut |i, bytes| {
-                            open = queue.push((misses[i], Ok(Some(bytes.to_vec()))));
-                            open
-                        },
-                    );
-                    if let Err(e) = read {
-                        queue.push((chunk[0], Err(e)));
-                        break;
-                    }
-                    if !open {
-                        break;
-                    }
-                }
-            });
-            let mut delivered = 0usize;
-            let mut result = Ok(());
-            while delivered < wanted.len() {
-                let Some((group, item)) = queue.pop() else { break };
-                delivered += 1;
-                match item {
-                    Err(e) => {
-                        result = Err(e);
-                        break;
-                    }
-                    Ok(bytes) => match overlay.get(group) {
-                        Some(pre) => self.emit_group_overlay(group, round, &pre, live, &skip, sink),
-                        None => {
-                            let bytes =
-                                bytes.expect("prefetcher reads any group the overlay lacks");
-                            self.emit_group_slice(
-                                group,
-                                round,
-                                &bytes,
-                                live,
-                                &skip,
-                                &mut |n, s| sink(n, &s),
-                            );
-                        }
-                    },
-                }
-            }
-            result
-        })
-    }
-
-    /// [`Self::stream_round_parallel`] pinned to a sealed epoch (same
-    /// overlay protocol as [`Self::stream_round_at`], same work-claiming as
-    /// the live parallel path).
-    pub fn stream_round_parallel_at(
-        &self,
-        round: usize,
-        live: &(dyn Fn(u32) -> bool + Sync),
-        overlay: &EpochOverlay,
-        pool: &gz_gutters::WorkerPool,
-        sinks: &[Mutex<RoundSink<'_, CubeRoundSketch>>],
-    ) -> std::io::Result<()> {
-        let skip = self.sealed_sparse_slots(overlay);
-        let wanted = self.wanted_groups(live, &skip);
-        let window = self.stream_window();
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let failed = std::sync::atomic::AtomicBool::new(false);
-        let first_error: Mutex<Option<std::io::Error>> = Mutex::new(None);
-        pool.run(&|w| {
-            let local_io = IoStats::new();
-            let mut sink = sinks[w].lock();
-            loop {
-                if failed.load(std::sync::atomic::Ordering::Relaxed) {
-                    break;
-                }
-                let start = next.fetch_add(window, std::sync::atomic::Ordering::Relaxed);
-                if start >= wanted.len() {
-                    break;
-                }
-                let chunk = &wanted[start..wanted.len().min(start + window)];
-                // Overlay-captured groups are served from their sealed
-                // pre-images inline; only the misses join the read batch.
-                let mut misses: Vec<u32> = Vec::with_capacity(chunk.len());
-                for &group in chunk {
-                    match overlay.get(group) {
-                        Some(pre) => {
-                            self.emit_group_overlay(
-                                group,
-                                round,
-                                &pre,
-                                live,
-                                &skip,
-                                &mut |n, s| sink.fold(n, s),
-                            );
-                        }
-                        None => misses.push(group),
-                    }
-                }
-                let reqs: Vec<ReadReq> =
-                    misses.iter().map(|&g| self.round_slice_req(g, round)).collect();
-                let read = self.backend.read_regions(
-                    self.read_handle(),
-                    &reqs,
-                    &local_io,
-                    &mut |i, bytes| {
-                        // The overlay is re-checked after the read and
-                        // always wins: a capture landing mid-read means the
-                        // read may have raced a write-back of post-seal
-                        // state, and the capture happens-before it.
-                        let group = misses[i];
-                        match overlay.get(group) {
-                            Some(pre) => self.emit_group_overlay(
-                                group,
-                                round,
-                                &pre,
-                                live,
-                                &skip,
-                                &mut |n, s| sink.fold(n, s),
-                            ),
-                            None => self.emit_group_slice(
-                                group,
-                                round,
-                                bytes,
-                                live,
-                                &skip,
-                                &mut |n, s| sink.fold_owned(n, s),
-                            ),
-                        }
-                        !failed.load(std::sync::atomic::Ordering::Relaxed)
-                    },
-                );
-                if let Err(e) = read {
-                    failed.store(true, std::sync::atomic::Ordering::Relaxed);
-                    let mut slot = first_error.lock();
-                    if slot.is_none() {
-                        *slot = Some(e);
-                    }
-                    break;
-                }
-            }
-            self.io.merge_from(&local_io);
-        });
-        match first_error.into_inner() {
-            Some(e) => Err(e),
-            None => Ok(()),
+        live: &'a (dyn Fn(u32) -> bool + Sync),
+        overlay: Option<&'a EpochOverlay>,
+    ) -> std::io::Result<RoundClaims<'a>> {
+        if overlay.is_none() {
+            self.flush()?;
         }
+        let skip = self.sparse_slots(overlay);
+        // Visit the groups with at least one live node outside `skip`, in
+        // slot order: an all-sparse group's file bytes are untouched zeros.
+        let wanted = (0..self.num_groups())
+            .filter(|&g| {
+                let start = (g * self.group_size) as usize;
+                (0..self.nodes_in_group(g) as usize)
+                    .any(|i| !skip.contains(&(start + i)) && live(self.node_set.node(start + i)))
+            })
+            .collect();
+        Ok(RoundClaims {
+            round,
+            live,
+            overlay,
+            skip,
+            wanted,
+            next: AtomicUsize::new(0),
+            first_error: Mutex::new(None),
+        })
     }
 
-    /// Stream the round-`round` slice of every owned live node with group
-    /// reads spread across the pool's workers: each worker claims the next
-    /// wanted group from a shared cursor, issues its own positioned read on
-    /// the shared file handle (up to `sinks.len()` reads in flight at
-    /// once), deserializes the slices, and folds them into its own sink.
-    /// Which worker reads which group is scheduling-dependent, but folding
-    /// is XOR, so results are bit-identical to [`Self::stream_round`].
+    /// The disk store's one round-read path (paper §4.2, Figure 9), run by
+    /// each claimant of `claims` until the wanted groups run out: claim the
+    /// next window of groups from the shared cursor, serve the ones the
+    /// overlay captured from their sealed pre-images, read the others'
+    /// round slices in one backend submission, and hand every live dense
+    /// node's slice to `emit` — borrowed from a pre-image, owned when
+    /// deserialized from the file. Completions surface in any order and
+    /// which claimant gets which group is scheduling-dependent; consumers
+    /// fold by XOR, so neither shows in a result.
     ///
-    /// I/O accounting stays exact under concurrency: every worker counts
-    /// into a thread-local [`IoStats`] and merges it into the store's
-    /// shared counters once, so a parallel round stream records exactly one
-    /// read (of exactly the slice's bytes) per visited group.
+    /// The overlay is checked again after each read and always wins: a
+    /// capture landing mid-read means the read may have raced a write-back
+    /// of post-seal state, and the capture happens-before that write-back,
+    /// so a torn or stale read is always masked.
+    ///
+    /// Reads are counted in a local [`IoStats`] merged into the store's
+    /// once, so a stream records exactly one read of exactly the slice's
+    /// bytes per group read, however many claimants shared it. An I/O
+    /// error ends the stream for every claimant at its next claim; the
+    /// first one is what [`RoundClaims::finish`] returns.
+    fn claim_windows(
+        &self,
+        claims: &RoundClaims<'_>,
+        emit: &mut dyn FnMut(u32, Cow<'_, CubeRoundSketch>),
+    ) {
+        let window = self.stream_window();
+        let sealed = |group| claims.overlay.and_then(|overlay| overlay.get(group));
+        let local_io = IoStats::new();
+        let mut misses: Vec<u32> = Vec::with_capacity(window);
+        let mut reqs: Vec<ReadReq> = Vec::with_capacity(window);
+        loop {
+            let start = claims.next.fetch_add(window, Ordering::Relaxed);
+            if start >= claims.wanted.len() {
+                break;
+            }
+            misses.clear();
+            reqs.clear();
+            for &group in &claims.wanted[start..claims.wanted.len().min(start + window)] {
+                match sealed(group) {
+                    Some(pre) => self.emit_group(claims, group, Some(&pre), &[], emit),
+                    None => {
+                        misses.push(group);
+                        reqs.push(self.round_slice_req(group, claims.round));
+                    }
+                }
+            }
+            let read =
+                self.backend.read_regions(self.read_handle(), &reqs, &local_io, &mut |i, bytes| {
+                    let pre = sealed(misses[i]);
+                    self.emit_group(claims, misses[i], pre.as_ref().map(|p| &p[..]), bytes, emit);
+                    true
+                });
+            if let Err(e) = read {
+                claims.next.store(claims.wanted.len(), Ordering::Relaxed);
+                claims.first_error.lock().get_or_insert(e);
+                break;
+            }
+        }
+        self.io.merge_from(&local_io);
+    }
+
+    /// Stream the round-`round` slice of every owned dense node whose
+    /// component is still `live` into `sink`, as sealed by `overlay`
+    /// (`None` = the live state): the claim loop run by the calling thread
+    /// as its only claimant. Groups whose nodes are all retired or sparse
+    /// are never read.
+    pub fn stream_round_dense(
+        &self,
+        round: usize,
+        live: &(dyn Fn(u32) -> bool + Sync),
+        overlay: Option<&EpochOverlay>,
+        sink: &mut dyn FnMut(u32, &CubeRoundSketch),
+    ) -> std::io::Result<()> {
+        let claims = self.begin_round(round, live, overlay)?;
+        self.claim_windows(&claims, &mut |node, slice| sink(node, &slice));
+        claims.finish()
+    }
+
+    /// Fold round `round` of every owned, still-`live` node into the pool's
+    /// per-worker sinks, as sealed by `overlay` (`None` = the live state):
+    /// the sparse vertices by slot range, then the dense ones with every
+    /// worker a claimant of the same claim loop, so up to `sinks.len()`
+    /// submission windows of positioned reads are in flight on the shared
+    /// file handle at once.
     pub fn stream_round_parallel(
         &self,
         round: usize,
         live: &(dyn Fn(u32) -> bool + Sync),
+        overlay: Option<&EpochOverlay>,
         pool: &gz_gutters::WorkerPool,
         sinks: &[Mutex<RoundSink<'_, CubeRoundSketch>>],
     ) -> std::io::Result<()> {
-        self.flush()?;
-        let skip = self.sparse_slots();
-        let wanted = self.wanted_groups(live, &skip);
-
-        let window = self.stream_window();
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let failed = std::sync::atomic::AtomicBool::new(false);
-        let first_error: Mutex<Option<std::io::Error>> = Mutex::new(None);
+        self.fold_sparse_round(round, live, overlay, pool, sinks);
+        let claims = self.begin_round(round, live, overlay)?;
         pool.run(&|w| {
-            let local_io = IoStats::new();
             let mut sink = sinks[w].lock();
-            loop {
-                if failed.load(std::sync::atomic::Ordering::Relaxed) {
-                    break;
-                }
-                // Claim a whole submission window of groups per trip to the
-                // shared cursor: one group at a time on pread (exactly the
-                // old claim granularity), `queue_depth` at a time on uring,
-                // where the batch goes down in a single `io_uring_enter`
-                // and completions fold in whatever order they surface —
-                // folding is XOR, so results stay bit-identical.
-                let start = next.fetch_add(window, std::sync::atomic::Ordering::Relaxed);
-                if start >= wanted.len() {
-                    break;
-                }
-                let chunk = &wanted[start..wanted.len().min(start + window)];
-                let reqs: Vec<ReadReq> =
-                    chunk.iter().map(|&g| self.round_slice_req(g, round)).collect();
-                let read = self.backend.read_regions(
-                    self.read_handle(),
-                    &reqs,
-                    &local_io,
-                    &mut |i, bytes| {
-                        self.emit_group_slice(chunk[i], round, bytes, live, &skip, &mut |n, s| {
-                            sink.fold_owned(n, s)
-                        });
-                        !failed.load(std::sync::atomic::Ordering::Relaxed)
-                    },
-                );
-                if let Err(e) = read {
-                    failed.store(true, std::sync::atomic::Ordering::Relaxed);
-                    let mut slot = first_error.lock();
-                    if slot.is_none() {
-                        *slot = Some(e);
-                    }
-                    break;
-                }
-            }
-            self.io.merge_from(&local_io);
+            self.claim_windows(&claims, &mut |node, slice| match slice {
+                Cow::Borrowed(slice) => sink.fold(node, slice),
+                Cow::Owned(slice) => sink.fold_owned(node, slice),
+            });
         });
-        match first_error.into_inner() {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        claims.finish()
     }
 
     /// Upper bound on sketch bytes the round stream holds resident at once
-    /// when read by `threads` query workers. Single-threaded, that is the
-    /// prefetch pipeline: the queue (`cache_groups` slices), the slice
-    /// being folded, and up to one submission window the prefetcher may
-    /// hold in flight while blocked in `push`. With `threads > 1` workers
-    /// read for themselves — each holds at most one window of slices. The
-    /// window never exceeds the cache budget (see `stream_window`),
-    /// so batching deepens the pipeline without forfeiting the `M` bound.
+    /// when read by `threads` query workers: each holds at most one
+    /// submission window of slices, and the window never exceeds the cache
+    /// budget (see `stream_window`).
     pub fn round_stream_resident_bytes(&self, round: usize, threads: usize) -> usize {
         let slice = self.group_size as usize * self.params.round_serialized_bytes(round);
-        let window = self.stream_window();
-        if threads <= 1 {
-            (self.cache_capacity + 1 + window) * slice
-        } else {
-            threads * window * slice
-        }
+        threads * self.stream_window() * slice
     }
 
     /// Clone out every owned node sketch, indexed by slot (a full scan
@@ -1291,7 +1044,7 @@ impl DiskStore {
     /// sparse vertices' neighbors under the table lock, releases it, and
     /// XORs them into its own sink's supernode accumulators in place. No
     /// file traffic, and no slice is built.
-    pub fn fold_sparse_round(
+    fn fold_sparse_round(
         &self,
         round: usize,
         live: &(dyn Fn(u32) -> bool + Sync),
@@ -1461,8 +1214,8 @@ mod tests {
 
     #[test]
     fn round_slice_is_the_contiguous_column_of_the_group() {
-        // Raw-file check of the round-major layout: the bytes that
-        // read_round_slice returns must be exactly the round-r serialization
+        // Raw-file check of the round-major layout: the bytes in the region
+        // a round stream asks for must be exactly the round-r serialization
         // of each node in the group, in slot order.
         let (s, _t) = make("layout", 12, 1 << 20, 4); // one group of 12
         assert_eq!(s.num_groups(), 1);
@@ -1472,7 +1225,9 @@ mod tests {
         s.flush().unwrap();
         let snap = s.snapshot();
         for round in 0..s.params().rounds() {
-            let slice = s.read_round_slice(0, round).unwrap();
+            let req = s.round_slice_req(0, round);
+            let mut slice = vec![0u8; req.len];
+            std::os::unix::fs::FileExt::read_exact_at(&s.file, &mut slice, req.offset).unwrap();
             let rb = s.params().round_serialized_bytes(round);
             let mut expected = Vec::new();
             for sk in snap.iter() {
@@ -1494,7 +1249,7 @@ mod tests {
         for round in 0..s.params().rounds() {
             let before = s.io_stats().reads();
             let mut seen = Vec::new();
-            s.stream_round(round, &|_| true, &mut |node, sketch| {
+            s.stream_round_dense(round, &|_| true, None, &mut |node, sketch| {
                 let reference = snap[node as usize].as_ref().unwrap().round(round);
                 let (mut a, mut b) = (Vec::new(), Vec::new());
                 sketch.serialize_into(&mut a);
@@ -1513,53 +1268,69 @@ mod tests {
     #[test]
     fn parallel_stream_matches_serial_and_counts_reads_exactly() {
         use crate::boruvka::RoundSink;
+        use crate::config::LockingStrategy;
+        use crate::store::ram::RamStore;
         use gz_gutters::WorkerPool;
         use parking_lot::Mutex;
 
+        // The reference is a RAM store fed the same batches: at one thread
+        // the claim loop is also what the closure-sink stream runs, so a
+        // disk-against-disk comparison would compare the code with itself.
         let (s, _t) = make("par", 16, 64, 2); // one node per group
         assert_eq!(s.num_groups(), 16);
+        let reference = RamStore::new(Arc::clone(s.params()), LockingStrategy::Direct);
         for node in 0..16u32 {
-            s.apply_batch(node, &[encode_other((node + 5) % 16, false)]);
+            let batch = [encode_other((node + 5) % 16, false)];
+            s.apply_batch(node, &batch);
+            reference.apply_batch(node, &batch);
         }
         s.flush().unwrap();
-        let snap = s.snapshot();
-        let pool = WorkerPool::new(4);
+        let snap = reference.snapshot();
         let root_of: Vec<u32> = (0..16).collect(); // every node its own supernode
         let retired = vec![false; 16];
+        // Node 7's group is fully retired: 15 groups are visited.
+        let live = |node: u32| node != 7;
 
-        for round in 0..s.params().rounds() {
-            let sinks: Vec<Mutex<RoundSink<'_, CubeRoundSketch>>> =
-                (0..4).map(|_| Mutex::new(RoundSink::new(&root_of, &retired))).collect();
-            let (reads_before, _, bytes_before, _) = s.io_stats().snapshot();
-            s.stream_round_parallel(round, &|_| true, &pool, &sinks).unwrap();
-            let (reads, _, bytes_read, _) = s.io_stats().snapshot();
+        for threads in [1, 2, 4] {
+            let pool = WorkerPool::new(threads);
+            for round in 0..s.params().rounds() {
+                let sinks: Vec<Mutex<RoundSink<'_, CubeRoundSketch>>> =
+                    (0..threads).map(|_| Mutex::new(RoundSink::new(&root_of, &retired))).collect();
+                let (reads_before, _, bytes_before, _) = s.io_stats().snapshot();
+                s.stream_round_parallel(round, &live, None, &pool, &sinks).unwrap();
+                let (reads, _, bytes_read, _) = s.io_stats().snapshot();
 
-            // Four concurrent readers over 16 groups: exactly one read of
-            // exactly the slice's bytes per group — the per-worker local
-            // IoStats merge must neither drop nor double-count.
-            assert_eq!(reads - reads_before, 16, "round {round}");
-            assert_eq!(
-                bytes_read - bytes_before,
-                16 * s.params().round_serialized_bytes(round) as u64,
-                "round {round}"
-            );
+                // Exactly one read of exactly the slice's bytes per visited
+                // group — the per-claimant local IoStats merge must neither
+                // drop nor double-count, with one claimant or several.
+                assert_eq!(reads - reads_before, 15, "{threads} threads, round {round}");
+                assert_eq!(
+                    bytes_read - bytes_before,
+                    15 * s.params().round_serialized_bytes(round) as u64,
+                    "{threads} threads, round {round}"
+                );
 
-            // Each node is its own root, so its accumulator must be
-            // bit-identical to its snapshot round slice, whichever worker
-            // folded it.
-            let mut acc: Vec<Option<CubeRoundSketch>> = (0..16).map(|_| None).collect();
-            for sink in sinks {
-                for (node, folded) in sink.into_inner().accumulators().into_iter().enumerate() {
-                    if let Some(folded) = folded {
-                        assert!(acc[node].replace(folded).is_none(), "node {node} folded twice");
+                // Each node is its own root, so its accumulator must be
+                // bit-identical to the reference's round slice, whichever
+                // worker folded it.
+                let mut acc: Vec<Option<CubeRoundSketch>> = (0..16).map(|_| None).collect();
+                for sink in sinks {
+                    for (node, folded) in sink.into_inner().accumulators().into_iter().enumerate() {
+                        if let Some(folded) = folded {
+                            assert!(
+                                acc[node].replace(folded).is_none(),
+                                "node {node} folded twice"
+                            );
+                        }
                     }
                 }
-            }
-            for node in 0..16usize {
-                let (mut got, mut want) = (Vec::new(), Vec::new());
-                acc[node].as_ref().expect("every node folded").serialize_into(&mut got);
-                snap[node].as_ref().unwrap().round(round).serialize_into(&mut want);
-                assert_eq!(got, want, "node {node} round {round}");
+                assert!(acc[7].is_none(), "a retired node was folded");
+                for node in (0..16usize).filter(|&node| node != 7) {
+                    let (mut got, mut want) = (Vec::new(), Vec::new());
+                    acc[node].as_ref().expect("every live node folded").serialize_into(&mut got);
+                    snap[node].as_ref().unwrap().round(round).serialize_into(&mut want);
+                    assert_eq!(got, want, "{threads} threads, node {node} round {round}");
+                }
             }
         }
     }
@@ -1578,7 +1349,7 @@ mod tests {
         let sinks: Vec<Mutex<RoundSink<'_, CubeRoundSketch>>> =
             (0..3).map(|_| Mutex::new(RoundSink::new(&root_of, &retired))).collect();
         let before = s.io_stats().reads();
-        s.stream_round_parallel(0, &|n| n == 3 || n == 9, &pool, &sinks).unwrap();
+        s.stream_round_parallel(0, &|n| n == 3 || n == 9, None, &pool, &sinks).unwrap();
         assert_eq!(s.io_stats().reads() - before, 2, "only live groups may be read");
     }
 
@@ -1589,7 +1360,8 @@ mod tests {
         let before = s.io_stats().reads();
         let mut seen = Vec::new();
         // Only nodes 3 and 9 are live: exactly two group reads may happen.
-        s.stream_round(0, &|n| n == 3 || n == 9, &mut |node, _| seen.push(node)).unwrap();
+        s.stream_round_dense(0, &|n| n == 3 || n == 9, None, &mut |node, _| seen.push(node))
+            .unwrap();
         assert_eq!(seen, vec![3, 9]);
         assert_eq!(s.io_stats().reads() - before, 2);
     }
@@ -1711,7 +1483,7 @@ mod tests {
         assert_eq!(s.io_stats().sparse_promotions(), 1);
         let before = s.io_stats().reads();
         let mut seen = Vec::new();
-        s.stream_round(0, &|_| true, &mut |node, _| seen.push(node)).unwrap();
+        s.stream_round_dense(0, &|_| true, None, &mut |node, _| seen.push(node)).unwrap();
         assert_eq!(seen, vec![4], "sparse slots must not be emitted by the dense stream");
         assert_eq!(s.io_stats().reads() - before, 1, "all-sparse groups must not be read");
         // Sparse nodes are served from their sets; check the raw sets here.
@@ -1832,13 +1604,13 @@ mod tests {
             let (br, _, bb, _) = b.io_stats().snapshot();
             let mut got_a: Vec<(u32, Vec<u8>)> = Vec::new();
             let mut got_b: Vec<(u32, Vec<u8>)> = Vec::new();
-            a.stream_round(round, &|_| true, &mut |n, s| {
+            a.stream_round_dense(round, &|_| true, None, &mut |n, s| {
                 let mut bytes = Vec::new();
                 s.serialize_into(&mut bytes);
                 got_a.push((n, bytes));
             })
             .unwrap();
-            b.stream_round(round, &|_| true, &mut |n, s| {
+            b.stream_round_dense(round, &|_| true, None, &mut |n, s| {
                 let mut bytes = Vec::new();
                 s.serialize_into(&mut bytes);
                 got_b.push((n, bytes));
@@ -1862,7 +1634,7 @@ mod tests {
         for round in 0..b.params().rounds() {
             let sinks: Vec<Mutex<RoundSink<'_, CubeRoundSketch>>> =
                 (0..4).map(|_| Mutex::new(RoundSink::new(&root_of, &retired))).collect();
-            b.stream_round_parallel(round, &|_| true, &pool, &sinks).unwrap();
+            b.stream_round_parallel(round, &|_| true, None, &pool, &sinks).unwrap();
             let mut acc: Vec<Option<CubeRoundSketch>> = (0..24).map(|_| None).collect();
             for sink in sinks {
                 for (node, folded) in sink.into_inner().accumulators().into_iter().enumerate() {
@@ -1908,7 +1680,7 @@ mod tests {
             );
         }
         let mut got = Vec::new();
-        d.stream_round(0, &|_| true, &mut |n, _| got.push(n)).unwrap();
+        d.stream_round_dense(0, &|_| true, None, &mut |n, _| got.push(n)).unwrap();
         got.sort_unstable();
         assert_eq!(got, (0..16u32).collect::<Vec<_>>());
     }
@@ -1987,7 +1759,7 @@ mod tests {
             for round in 0..params.rounds() {
                 let mut seen = 0;
                 store
-                    .stream_round_at(round, &|_| true, overlay, &mut |node, slice| {
+                    .stream_round_dense(round, &|_| true, Some(overlay), &mut |node, slice| {
                         let (mut got, mut want) = (Vec::new(), Vec::new());
                         slice.serialize_into(&mut got);
                         sealed[node as usize]

@@ -256,13 +256,11 @@ impl SketchStore {
     }
 
     /// Stream the round-`round` slice of every owned, still-`live` node
-    /// into `sink`, one vertex at a time. Disk stores read one contiguous
-    /// round slice per group with background prefetch; RAM stores serve
-    /// borrowed slices under per-node locks. A sparse vertex (hybrid
-    /// representation) holds no slice, so its exact set is replayed into a
-    /// scratch slice for the call — bit-identical to dense state. Queries
-    /// do not come this way: [`Self::stream_round_parallel`] folds sparse
-    /// vertices in place, without building slices.
+    /// into `sink`, one vertex at a time, on the calling thread. A sparse
+    /// vertex (hybrid representation) holds no slice, so its exact set is
+    /// replayed into a scratch slice for the call — bit-identical to dense
+    /// state. Queries do not come this way: [`Self::stream_round_parallel`]
+    /// folds sparse vertices in place, without building slices.
     pub fn stream_round(
         &self,
         round: usize,
@@ -296,12 +294,9 @@ impl SketchStore {
         overlay: Option<&EpochOverlay>,
         sink: &mut dyn FnMut(u32, &CubeRoundSketch),
     ) -> Result<(), GzError> {
-        match (self, overlay) {
-            (SketchStore::Ram(s), _) => s.stream_round_dense(round, live, overlay, sink),
-            (SketchStore::Disk(s), None) => s.stream_round(round, live, sink)?,
-            (SketchStore::Disk(s), Some(overlay)) => {
-                s.stream_round_at(round, live, overlay, sink)?
-            }
+        match self {
+            SketchStore::Ram(s) => s.stream_round_dense(round, live, overlay, sink),
+            SketchStore::Disk(s) => s.stream_round_dense(round, live, overlay, sink)?,
         }
         Ok(())
     }
@@ -327,14 +322,13 @@ impl SketchStore {
     /// pool's per-worker sinks — the storage-friendly query path (paper
     /// §4.2), live (`overlay = None`, ingestion quiesced by the caller) or
     /// pinned to a sealed epoch. RAM stores partition by slot range; disk
-    /// stores have workers claim node groups from a shared cursor, so up to
-    /// `sinks.len()` positioned group reads are in flight at once (a single
-    /// worker instead runs the bounded prefetch pipeline, one reader
-    /// overlapping the fold, which beats a one-worker claim loop). Sparse
-    /// vertices are partitioned the same way and XOR their edge indices
-    /// straight into their supernode's accumulator
-    /// (`sparse::SparseRoundBatch`). Which worker folds what
-    /// cannot change results — folding is XOR.
+    /// stores have the workers claim windows of node groups from a shared
+    /// cursor, so up to `sinks.len()` windows of positioned group reads are
+    /// in flight at once — the same loop at one worker as at many. Sparse
+    /// vertices are partitioned by slot range in both and XOR their edge
+    /// indices straight into their supernode's accumulator
+    /// (`sparse::SparseRoundBatch`). Which worker folds what cannot change
+    /// results — folding is XOR.
     pub fn stream_round_parallel(
         &self,
         round: usize,
@@ -345,21 +339,7 @@ impl SketchStore {
     ) -> Result<(), GzError> {
         match self {
             SketchStore::Ram(s) => s.stream_round_parallel(round, live, overlay, pool, sinks),
-            SketchStore::Disk(s) => {
-                s.fold_sparse_round(round, live, overlay, pool, sinks);
-                match (sinks, overlay) {
-                    ([sink], _) => {
-                        let mut sink = sink.lock();
-                        self.stream_round_dense(round, live, overlay, &mut |node, slice| {
-                            sink.fold(node, slice)
-                        })?
-                    }
-                    (_, None) => s.stream_round_parallel(round, live, pool, sinks)?,
-                    (_, Some(overlay)) => {
-                        s.stream_round_parallel_at(round, live, overlay, pool, sinks)?
-                    }
-                }
-            }
+            SketchStore::Disk(s) => s.stream_round_parallel(round, live, overlay, pool, sinks)?,
         }
         Ok(())
     }
@@ -394,8 +374,8 @@ impl SketchStore {
     }
 
     /// Sketch bytes the streaming round path holds resident at once when
-    /// read by `threads` query workers (prefetch or in-flight read buffers;
-    /// zero for RAM stores, which serve borrows).
+    /// read by `threads` query workers (one submission window of in-flight
+    /// read buffers each; zero for RAM stores, which serve borrows).
     pub fn round_stream_resident_bytes(&self, round: usize, threads: usize) -> usize {
         match self {
             SketchStore::Ram(_) => 0,
@@ -425,7 +405,7 @@ pub trait SketchSource {
     fn num_rounds(&self) -> usize;
 
     /// Sketch bytes the source held resident while serving the most recent
-    /// round (prefetch buffers, gathered frames, or a full
+    /// round (in-flight read buffers, gathered frames, or a full
     /// materialization); the engine adds its accumulators to this for
     /// peak-memory accounting.
     fn resident_bytes(&self) -> usize;
@@ -559,7 +539,7 @@ impl<S: L0Sampler + Clone + Send + Sync> SketchSource for SliceSource<'_, S> {
 }
 
 /// The store-aware streaming source: rounds are folded straight out of a
-/// [`SketchStore`] (group-sequential reads with prefetch when the store is
+/// [`SketchStore`] (windows of positioned group reads when the store is
 /// disk-backed; borrowed in-place slices when it is in RAM; exact sets
 /// XORed in place for sparse vertices) — either its live state or a sealed
 /// epoch of it.

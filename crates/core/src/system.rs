@@ -200,9 +200,9 @@ impl GraphZeppelin {
     ///
     /// Folds round slices straight out of the store, keeping only
     /// per-live-supernode accumulators resident — partitioned across
-    /// `query_threads` workers (slot ranges in RAM; concurrent positioned
-    /// group reads on disk, single-threaded prefetch pipeline at one
-    /// thread). Answers are bit-identical at any thread count.
+    /// `query_threads` workers (slot ranges in RAM; windows of positioned
+    /// group reads claimed from a shared cursor on disk, at one thread as
+    /// at many). Answers are bit-identical at any thread count.
     ///
     /// With `config.query_staleness = Some(n)`, the query reuses the last
     /// sealed epoch while it is at most `n` updates old (sealing a fresh
@@ -572,6 +572,7 @@ mod tests {
             block_bytes: 1 << 13,
             cache_groups: 2,
         };
+        c.query_threads = Some(1);
         let mut gz = GraphZeppelin::new(c).unwrap();
         for i in 0..63u32 {
             gz.edge_update(i, i + 1);
@@ -582,6 +583,16 @@ mod tests {
             "fold resident {} must undercut the oracle's {}",
             product.peak_sketch_bytes,
             oracle.peak_sketch_bytes
+        );
+        // One query worker: an accumulator per vertex at most, plus one
+        // window of group slices, which the cache budget (2 groups) caps.
+        let SketchStore::Disk(disk) = gz.store() else { panic!("configured on disk") };
+        let slice = gz.params().round_serialized_bytes(0);
+        let bound = 64 * slice + 2 * disk.group_size() as usize * slice;
+        assert!(
+            product.peak_sketch_bytes <= bound,
+            "one-thread fold resident {} exceeds accumulators + one window = {bound}",
+            product.peak_sketch_bytes
         );
     }
 

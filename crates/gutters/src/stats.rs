@@ -167,10 +167,11 @@ impl IoStats {
         self.reconnect_attempts.load(Ordering::Relaxed)
     }
 
-    /// Fold another counter set into this one (all four counters, one atomic
-    /// add each). The parallel query path accumulates per-worker `IoStats`
-    /// locally and merges once per worker, so concurrent readers neither
-    /// race nor contend on the shared counters per read.
+    /// Fold another counter set into this one (every counter, one atomic
+    /// add each; the depth high-water mark by maximum). The disk store's
+    /// round stream counts into one local `IoStats` per query worker and
+    /// merges it once, so concurrent readers neither race nor contend on
+    /// the shared counters per read.
     pub fn merge_from(&self, other: &IoStats) {
         self.reads.fetch_add(other.reads(), Ordering::Relaxed);
         self.writes.fetch_add(other.writes(), Ordering::Relaxed);
@@ -206,7 +207,7 @@ impl IoStats {
         self.reconnect_attempts.store(0, Ordering::Relaxed);
     }
 
-    /// Snapshot of all four counters (reads, writes, bytes_read,
+    /// Snapshot of the four traffic counters (reads, writes, bytes_read,
     /// bytes_written).
     pub fn snapshot(&self) -> (u64, u64, u64, u64) {
         (self.reads(), self.writes(), self.bytes_read(), self.bytes_written())

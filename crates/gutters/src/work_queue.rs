@@ -11,8 +11,8 @@
 //!
 //! The queue is generic over its item type (defaulting to [`Batch`], the
 //! ingestion unit) so other bounded producer/consumer pipelines — e.g. the
-//! disk store's group prefetcher on the streaming query path — reuse the
-//! same blocking/backpressure machinery.
+//! in-process shard transport's funnel of per-shard round replies — reuse
+//! the same blocking/backpressure machinery.
 
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
@@ -213,7 +213,7 @@ mod tests {
 
     #[test]
     fn generic_items_flow_through() {
-        // The prefetcher instantiation: queue of (group, bytes) pairs.
+        // A non-`Batch` instantiation: queue of (shard, bytes) pairs.
         let q: WorkQueue<(u32, Vec<u8>)> = WorkQueue::with_capacity(2);
         assert!(q.push((7, vec![1, 2, 3])));
         assert_eq!(q.pop(), Some((7, vec![1, 2, 3])));

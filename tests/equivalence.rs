@@ -245,17 +245,29 @@ fn streaming_query_bit_identical_across_stores_and_shard_counts() {
     assert_eq!(reference.rounds_used, streamed.rounds_used, "ram streaming rounds");
     assert_eq!(reference.sketch_failures, streamed.sketch_failures, "ram streaming failures");
 
-    let dir = TempDir::new("gz-equiv-streamq");
-    let mut disk = GzConfig::in_ram(v);
-    disk.store =
-        StoreBackend::Disk { dir: dir.path().to_path_buf(), block_bytes: 4096, cache_groups: 2 };
-    let mut gz = GraphZeppelin::new(disk).expect("disk system");
-    for upd in &updates {
-        gz.update(upd.u, upd.v, upd.kind == UpdateKind::Delete);
+    // One query worker runs the disk store's claim loop alone; two share
+    // it. Each answers live, then pinned to an epoch the stream has since
+    // moved past (every update toggled back out).
+    for threads in [1, 2] {
+        let dir = TempDir::new("gz-equiv-streamq");
+        let mut disk = starved_disk(v, &dir);
+        disk.query_threads = Some(threads);
+        let mut gz = ingested(disk, &updates);
+        let live = gz.spanning_forest().expect("disk streaming query");
+        let epoch = gz.begin_epoch().expect("seal");
+        for upd in &updates {
+            gz.update(upd.u, upd.v, upd.kind != UpdateKind::Delete);
+        }
+        gz.flush();
+        let pinned = epoch.spanning_forest().expect("disk epoch query");
+        for (what, streamed) in [("live", live), ("pinned", pinned)] {
+            let what = format!("disk, {threads} query threads, {what}");
+            assert_eq!(reference.labels, streamed.labels, "{what}: labels");
+            assert_eq!(reference.forest, streamed.forest, "{what}: forest");
+            assert_eq!(reference.rounds_used, streamed.rounds_used, "{what}: rounds");
+            assert_eq!(reference.sketch_failures, streamed.sketch_failures, "{what}: failures");
+        }
     }
-    let streamed = gz.spanning_forest().expect("disk streaming query");
-    assert_eq!(reference.labels, streamed.labels, "disk streaming labels");
-    assert_eq!(reference.forest, streamed.forest, "disk streaming forest");
 
     for shards in [1u32, 3] {
         for transport in [Transport::InProcess, Transport::Socket] {

@@ -86,41 +86,64 @@ fn disk_store_with_unwritable_dir_errors() {
 
 #[test]
 fn a_failing_sketch_file_is_an_error_not_a_hang() {
-    // Truncate the backing file behind a small-cache on-disk system: group
-    // faults past the new end of file fail inside the Graph Workers. The
-    // batches they were applying are lost, so the query must say so — an
-    // `Err`, promptly — where it used to wait forever on workers that had
-    // died holding their batches.
-    let dir = gz_testutil::TempDir::new("gz-failure-truncated");
-    let n = 64u32;
-    let mut config = GzConfig::in_ram(n as u64);
-    config.num_workers = 2;
-    config.store = graph_zeppelin::StoreBackend::Disk {
-        dir: dir.path().to_path_buf(),
-        block_bytes: 512,
-        cache_groups: 2,
-    };
-    let mut gz = GraphZeppelin::new(config).unwrap();
-    let sketch_file = std::fs::read_dir(dir.path())
-        .unwrap()
-        .map(|entry| entry.unwrap().path())
-        .find(|path| path.file_name().unwrap().to_str().unwrap().starts_with("gz_sketches_"))
-        .expect("the disk store's backing file");
-    std::fs::OpenOptions::new().write(true).open(sketch_file).unwrap().set_len(0).unwrap();
+    // Truncate the backing file behind a small-cache on-disk system. Done
+    // before ingestion, group faults past the new end of file fail inside
+    // the Graph Workers: the batches they were applying are lost, so the
+    // query must say so — an `Err`, promptly — where it used to wait
+    // forever on workers that had died holding their batches. Done after
+    // ingestion and a query, it is the next query's own round reads that
+    // fail, and every query worker (one, or two sharing the claim loop)
+    // must stop.
+    for query_threads in [1, 2] {
+        for truncate_after_ingest in [false, true] {
+            let lane =
+                format!("{query_threads} query threads, after ingest {truncate_after_ingest}");
+            let dir = gz_testutil::TempDir::new("gz-failure-truncated");
+            let n = 64u32;
+            let mut config = GzConfig::in_ram(n as u64);
+            config.num_workers = 2;
+            config.query_threads = Some(query_threads);
+            config.store = graph_zeppelin::StoreBackend::Disk {
+                dir: dir.path().to_path_buf(),
+                block_bytes: 512,
+                cache_groups: 2,
+            };
+            let mut gz = GraphZeppelin::new(config).unwrap();
+            let sketch_file = std::fs::read_dir(dir.path())
+                .unwrap()
+                .map(|entry| entry.unwrap().path())
+                .find(|path| {
+                    path.file_name().unwrap().to_str().unwrap().starts_with("gz_sketches_")
+                })
+                .expect("the disk store's backing file");
+            let truncate = move || {
+                std::fs::OpenOptions::new().write(true).open(&sketch_file).unwrap().set_len(0)
+            };
 
-    let (answer, answered) = std::sync::mpsc::channel();
-    std::thread::spawn(move || {
-        for i in 0..n - 1 {
-            gz.edge_update(i, i + 1);
+            let (answer, answered) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                if !truncate_after_ingest {
+                    truncate().unwrap();
+                }
+                for i in 0..n - 1 {
+                    gz.edge_update(i, i + 1);
+                }
+                if truncate_after_ingest {
+                    // A first query leaves nothing dirty in the cache, so
+                    // the next one only reads.
+                    assert_eq!(gz.connected_components().unwrap().num_components(), 1);
+                    truncate().unwrap();
+                }
+                answer.send(gz.connected_components().map(|cc| cc.num_components())).ok();
+            });
+            match answered.recv_timeout(std::time::Duration::from_secs(60)) {
+                Ok(Err(GzError::Io(e))) => {
+                    assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof, "{lane}: {e}");
+                }
+                Ok(other) => panic!("{lane}: expected an I/O error, got {other:?}"),
+                Err(_) => panic!("{lane}: the query hung on a failed read"),
+            }
         }
-        answer.send(gz.connected_components().map(|cc| cc.num_components())).ok();
-    });
-    match answered.recv_timeout(std::time::Duration::from_secs(60)) {
-        Ok(Err(GzError::Io(e))) => {
-            assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof, "{e}");
-        }
-        Ok(other) => panic!("expected an I/O error, got {other:?}"),
-        Err(_) => panic!("the query hung on a failed group fault"),
     }
 }
 

@@ -49,42 +49,54 @@ fn uring_or_skip(test: &str) -> bool {
     false
 }
 
-/// The disk-query suite under both backends: identical answers and
-/// identical serialized sketch state on a cache-constrained store, checked
-/// against the oracle, with O_DIRECT layered on top of each backend.
+/// The disk-query suite under both backends, with O_DIRECT layered on top
+/// of each, at one query thread (the claim loop run by a lone worker) and
+/// at two: the oracle's answer and identical serialized sketch state on a
+/// cache-constrained store — live, and pinned to an epoch while ingestion
+/// continues past the seal.
 #[test]
 fn disk_queries_agree_across_backends_and_direct_mode() {
     let (n, updates) = shared_stream();
+    let (sealed, tail) = updates.split_at(updates.len() * 3 / 4);
 
     let pread_dir = TempDir::new("gz-iobe-pread");
-    let mut pread = ingested(disk_config(n, &pread_dir, IoBackendKind::Pread), &updates);
-    let reference = pread.spanning_forest().expect("pread streaming query");
-    let reference_state = pread.snapshot_serialized();
+    let mut pread = ingested(disk_config(n, &pread_dir, IoBackendKind::Pread), sealed);
     let oracle = pread.spanning_forest_oracle().expect("pread oracle query");
-    assert_eq!(reference.labels, oracle.labels, "pread query vs oracle");
-    assert_eq!(reference.forest, oracle.forest, "pread query vs oracle");
-    assert_eq!(reference.rounds_used, oracle.rounds_used, "pread query vs oracle");
-    assert_eq!(reference.sketch_failures, oracle.sketch_failures, "pread query vs oracle");
+    let reference_state = pread.snapshot_serialized();
 
     let mut lanes: Vec<(IoBackendKind, bool, &str)> =
-        vec![(IoBackendKind::Pread, true, "pread+direct")];
+        vec![(IoBackendKind::Pread, false, "pread"), (IoBackendKind::Pread, true, "pread+direct")];
     if uring_or_skip("uring lanes of disk_queries_agree_across_backends_and_direct_mode") {
         lanes.push((IoBackendKind::Uring, false, "uring"));
         lanes.push((IoBackendKind::Uring, true, "uring+direct"));
     }
     for (kind, direct, label) in lanes {
-        let dir = TempDir::new("gz-iobe-lane");
-        let mut config = disk_config(n, &dir, kind);
-        config.io.direct = direct;
-        let mut gz = ingested(config, &updates);
-        let got = gz.spanning_forest().expect("lane streaming query");
-        assert_eq!(reference.labels, got.labels, "{label} labels");
-        assert_eq!(reference.forest, got.forest, "{label} forest");
-        assert_eq!(reference.rounds_used, got.rounds_used, "{label} rounds");
-        assert_eq!(reference_state, gz.snapshot_serialized(), "{label} serialized state");
-        let io = gz.store_io().expect("disk store has I/O counters");
-        assert!(io.reads() > 0, "{label} must have streamed groups off disk");
-        assert_eq!(io.submissions() > 0, io.completions() > 0, "{label} batch accounting");
+        for threads in [1, 2] {
+            let dir = TempDir::new("gz-iobe-lane");
+            let mut config = disk_config(n, &dir, kind);
+            config.io.direct = direct;
+            config.query_threads = Some(threads);
+            let mut gz = ingested(config, sealed);
+            let live = gz.spanning_forest().expect("lane streaming query");
+            assert_eq!(reference_state, gz.snapshot_serialized(), "{label} serialized state");
+            let io = gz.store_io().expect("disk store has I/O counters");
+            assert!(io.reads() > 0, "{label} must have streamed groups off disk");
+            assert_eq!(io.submissions() > 0, io.completions() > 0, "{label} batch accounting");
+
+            let epoch = gz.begin_epoch().expect("seal");
+            for &(u, v, d) in tail {
+                gz.update(u, v, d);
+            }
+            gz.flush();
+            let pinned = epoch.spanning_forest().expect("lane epoch query");
+            for (what, got) in [("live", live), ("pinned", pinned)] {
+                let what = format!("{label}, {threads} query threads, {what}");
+                assert_eq!(oracle.labels, got.labels, "{what}: labels");
+                assert_eq!(oracle.forest, got.forest, "{what}: forest");
+                assert_eq!(oracle.rounds_used, got.rounds_used, "{what}: rounds");
+                assert_eq!(oracle.sketch_failures, got.sketch_failures, "{what}: failures");
+            }
+        }
     }
 }
 
