@@ -271,6 +271,12 @@ fn parse_num<T: std::str::FromStr>(
         .map_err(|_| format!("bad value for {flag}"))
 }
 
+/// Graph Workers when `--workers` is not given: two, but no more than the
+/// host can run at once. An explicit `--workers` is taken as given.
+pub(crate) fn default_workers() -> usize {
+    graph_zeppelin::config::capped_at_host(2)
+}
+
 /// Parse a flag whose value must be a positive count: `0` is refused with
 /// the same error shape as `--query-threads 0`, instead of being silently
 /// clamped downstream.
@@ -456,7 +462,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             }
             Ok(Command::Components {
                 path,
-                workers: workers.unwrap_or(2),
+                workers: workers.unwrap_or_else(default_workers),
                 store: store.unwrap_or(StoreArg::Ram),
                 buffering: buffering.unwrap_or(BufferingArg::Leaf),
                 dir,
@@ -498,7 +504,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                     Ok(Command::CheckpointSave {
                         stream: stream.ok_or("need --from <stream.gzs>")?,
                         out,
-                        workers: workers.unwrap_or(2),
+                        workers: workers.unwrap_or_else(default_workers),
                         seed: seed.unwrap_or(0x5EED_1E55),
                     })
                 }
@@ -579,7 +585,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 shards: shards.ok_or("need --shards")?,
                 index: index.ok_or("need --index")?,
                 seed: seed.unwrap_or(0x5EED_1E55),
-                workers: workers.unwrap_or(2),
+                workers: workers.unwrap_or_else(default_workers),
                 store: store.unwrap_or(StoreArg::Ram),
                 dir,
                 threshold,
@@ -648,7 +654,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             let mut options = serve::ServeOptions::new(listen, nodes.ok_or("need --nodes")?);
             options.shards = shards.unwrap_or(1);
             options.seed = seed.unwrap_or(0x5EED_1E55);
-            options.workers = workers.unwrap_or(2);
+            options.workers = workers.unwrap_or_else(default_workers);
             options.max_clients = max_clients.unwrap_or(64);
             options.dir = dir;
             options.resume = resume;
@@ -1192,10 +1198,16 @@ mod tests {
     #[test]
     fn parses_workers_flag() {
         match parse_components("components s.gzs --workers 8") {
-            Command::Components { workers, .. } => assert_eq!(workers, 8),
+            Command::Components { workers, .. } => assert_eq!(workers, 8, "taken as given"),
             other => panic!("{other:?}"),
         }
         assert!(parse_args(&argv("components s.gzs --workers nope")).is_err());
+        // Left out, it is two workers, or as many as the host can run.
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        match parse_components("components s.gzs") {
+            Command::Components { workers, .. } => assert_eq!(workers, cores.min(2)),
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

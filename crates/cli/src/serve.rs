@@ -70,7 +70,8 @@ pub struct ServeOptions {
     pub shards: u32,
     /// Master seed.
     pub seed: u64,
-    /// Graph Workers per shard.
+    /// Graph Workers per shard (default 2, capped at the host's available
+    /// parallelism).
     pub workers: usize,
     /// Admission limit: connections past this are shed with `Busy`.
     pub max_clients: u32,
@@ -98,7 +99,7 @@ impl ServeOptions {
             nodes,
             shards: 1,
             seed: 0x5EED_1E55,
-            workers: 2,
+            workers: crate::default_workers(),
             max_clients: 64,
             dir: None,
             resume: false,
@@ -317,7 +318,8 @@ struct ServeShared {
     /// Updates acked so far. Written only under the ingest lock; read
     /// lock-free by queries and hello replies.
     acked: AtomicU64,
-    /// Cached sealed epoch: `(epoch, acked at seal time)`.
+    /// Cached sealed epoch: `(epoch, acked at seal time)`. Taken alone or
+    /// under the ingest lock, never the other way round.
     epoch_cache: Mutex<Option<(Arc<ShardedEpoch>, u64)>>,
     stats: Arc<ServeStats>,
     active: AtomicU32,
@@ -343,37 +345,49 @@ impl ServeShared {
         let Some(system) = state.system.as_mut() else {
             return Err(GzError::Protocol("daemon is shutting down".into()));
         };
+        let tuples = updates.iter().map(|u| (u.u, u.v, u.is_delete));
         if let Some(d) = state.durability.as_mut() {
-            let tuples: Vec<(u32, u32, bool)> =
-                updates.iter().map(|u| (u.u, u.v, u.is_delete)).collect();
-            d.wal.append(&tuples)?;
+            d.wal.append(&tuples.clone().collect::<Vec<_>>())?;
         }
-        for u in updates {
-            system.update(u.u, u.v, u.is_delete)?;
-        }
+        system.ingest(tuples)?;
         let acked = self.acked.load(Ordering::Relaxed) + updates.len() as u64;
         self.acked.store(acked, Ordering::Release);
         Ok(acked)
+    }
+
+    /// The cached epoch, if it lags at most `--staleness` acked updates.
+    fn fresh_cached_epoch(&self) -> Option<Arc<ShardedEpoch>> {
+        let acked = self.acked.load(Ordering::Acquire);
+        let cache = self.epoch_cache.lock().unwrap();
+        let (epoch, at) = cache.as_ref()?;
+        (acked.saturating_sub(*at) <= self.staleness).then(|| Arc::clone(epoch))
     }
 
     /// The epoch queries should run on: the cached one while it is fresh
     /// enough, else a newly sealed one. Sealing holds the ingest lock;
     /// the query itself never does.
     fn query_epoch(&self) -> Result<Arc<ShardedEpoch>, GzError> {
-        let acked = self.acked.load(Ordering::Acquire);
-        if let Some((epoch, at)) = self.epoch_cache.lock().unwrap().as_ref() {
-            if acked.saturating_sub(*at) <= self.staleness {
-                return Ok(Arc::clone(epoch));
-            }
+        if let Some(epoch) = self.fresh_cached_epoch() {
+            return Ok(epoch);
         }
         let mut ingest = self.ingest.lock().unwrap();
+        // Another query may have resealed while this one waited for the lock.
+        if let Some(epoch) = self.fresh_cached_epoch() {
+            return Ok(epoch);
+        }
         let Some(system) = ingest.system.as_mut() else {
             return Err(GzError::Protocol("daemon is shutting down".into()));
         };
+        // Let go of the stale epoch *before* the seal's flush. Nobody can be
+        // served from it again, and while the cache holds it every batch the
+        // flush applies clones a pre-image into its overlay: a second copy
+        // of the store per query. A query still folding it keeps its own
+        // handle, and only then does the flush capture.
+        let stale = self.epoch_cache.lock().unwrap().take();
+        drop(stale);
         let sealed = Arc::new(system.begin_epoch()?);
         // `acked` cannot move while we hold the ingest lock.
         let at = self.acked.load(Ordering::Relaxed);
-        drop(ingest);
         *self.epoch_cache.lock().unwrap() = Some((Arc::clone(&sealed), at));
         Ok(sealed)
     }
@@ -734,9 +748,7 @@ fn build_system(
     let (wal, replayed) = UpdateWal::recover(&wal_path(dir, round), &mut |u, v, d| {
         tail.push((u, v, d));
     })?;
-    for (u, v, d) in tail {
-        system.update(u, v, d)?;
-    }
+    system.ingest(tail)?;
     let durability = Durability { dir: dir.clone(), wal, round, covered };
     Ok((system, Some(durability), covered + replayed))
 }
@@ -982,4 +994,60 @@ pub fn run_serve(options: ServeOptions) -> Result<String, String> {
     };
     eprintln!("gz serve: {name} received, checkpointing and shutting down");
     handle.shutdown().map_err(|e| e.to_string())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::ServeClient;
+
+    /// `--staleness 0`: every query after an ack reseals. The cache must
+    /// let go of the epoch it can no longer serve *before* the seal's flush,
+    /// so that flush — a batch for every vertex here — clones no pre-image;
+    /// only a query that still holds the old epoch makes it capture, and
+    /// that query still gets the sealed bits.
+    #[test]
+    fn reseal_captures_nothing_unless_a_query_still_holds_the_old_epoch() {
+        const NODES: u64 = 32;
+        let ring = |step: u32| -> Vec<(u32, u32, bool)> {
+            (0..NODES as u32).map(|v| (v, (v + step) % NODES as u32, false)).collect()
+        };
+        let mut options = ServeOptions::new(ServeListen::Tcp("127.0.0.1:0".into()), NODES);
+        options.staleness = 0;
+        options.timeout_ms = Some(5_000);
+        let handle = serve_start(&options).expect("start daemon");
+        let shared = Arc::clone(&handle.shared);
+        let captures = || {
+            let ingest = shared.ingest.lock().unwrap();
+            ingest.system.as_ref().expect("daemon is up").epoch_captures().expect("captures")
+        };
+        let timeouts = TransportTimeouts::all(Duration::from_secs(5));
+        let mut client = ServeClient::connect_tcp(handle.addr(), &timeouts).expect("connect");
+
+        client.send_updates(&ring(1)).expect("ack");
+        client.query_components().expect("first query seals the cached epoch");
+        client.send_updates(&ring(2)).expect("ack");
+        client.query_components().expect("second query reseals");
+        assert_eq!(
+            captures(),
+            Some(0),
+            "the reseal's flush captured pre-images for an epoch only the cache was holding"
+        );
+
+        // A query in flight elsewhere: the same epoch the cache is serving.
+        let held = shared.query_epoch().expect("cached epoch");
+        let sealed = held.spanning_forest().expect("sealed answer");
+        client.send_updates(&ring(3)).expect("ack");
+        client.query_components().expect("third query reseals under the held handle");
+        assert_eq!(captures(), Some(NODES), "the held epoch captured every vertex once");
+        let again = held.spanning_forest().expect("held epoch still answers");
+        assert_eq!(again.labels, sealed.labels);
+        assert_eq!(again.forest, sealed.forest);
+        assert_eq!(again.rounds_used, sealed.rounds_used);
+        assert_eq!(again.sketch_failures, sealed.sketch_failures);
+
+        drop(held);
+        client.shutdown().expect("goodbye");
+        handle.shutdown().expect("clean shutdown");
+    }
 }

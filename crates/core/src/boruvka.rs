@@ -203,7 +203,7 @@ where
 /// Per round: compute every vertex's current supernode root, stream the
 /// round's slices folding them into per-worker [`RoundSink`]s (partitioned
 /// by the source — by slot range in stores, by node group on disk, by
-/// gathered reply in shard fleets), XOR-merge the sinks, sample one cut
+/// gathered reply in socket shard fleets), XOR-merge the sinks, sample one cut
 /// edge per live supernode across contiguous supernode ranges, then merge
 /// endpoint components sequentially. The output is bit-identical across
 /// sources *and* thread counts fed the same sketch state (see the module

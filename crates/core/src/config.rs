@@ -71,11 +71,14 @@ pub enum StoreBackend {
     },
 }
 
-/// What a `query_threads` of `None` resolves to: the ingestion worker
-/// count, but no more threads than the host can run at once — folding is
-/// CPU-bound, so oversubscribed query workers only add hand-over cost.
-pub(crate) fn default_query_threads(num_workers: usize) -> usize {
-    num_workers.min(std::thread::available_parallelism().map_or(1, |n| n.get()))
+/// `threads`, but no more than the host can run at once. Every *default*
+/// thread count resolves through this — Graph Workers (`num_workers`,
+/// `workers_per_shard`, the CLI's `--workers`) and a `query_threads` of
+/// `None` — because the batch kernel and the fold are both CPU-bound, so
+/// oversubscribed workers only add hand-over cost. An explicit setting is
+/// taken as given.
+pub fn capped_at_host(threads: usize) -> usize {
+    threads.min(std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Batch-level locking discipline of the **RAM store** (paper §5.1's
@@ -105,7 +108,8 @@ pub struct GzConfig {
     /// Master seed; the entire system is deterministic in it (up to worker
     /// scheduling, which never changes results thanks to sketch linearity).
     pub seed: u64,
-    /// Graph Workers applying batches (paper `g`).
+    /// Graph Workers applying batches (paper `g`). The constructors default
+    /// it to 4, capped at the host's available parallelism.
     pub num_workers: usize,
     /// Threads per worker group for sketch-level parallelism (§5.1).
     /// The paper found group size 1 best on its hardware; that is the
@@ -155,12 +159,13 @@ pub struct GzConfig {
 
 impl GzConfig {
     /// Default in-RAM configuration for `num_nodes` vertices: leaf-only
-    /// gutters at factor 0.5, 4 workers, group size 1, delta-sketch locking.
+    /// gutters at factor 0.5, 4 workers (fewer on a smaller host), group
+    /// size 1, delta-sketch locking.
     pub fn in_ram(num_nodes: u64) -> Self {
         GzConfig {
             num_nodes,
             seed: 0x5EED_1E55,
-            num_workers: 4,
+            num_workers: capped_at_host(4),
             group_threads: 1,
             num_rounds: None,
             num_columns: gz_sketch::geometry::DEFAULT_COLUMNS,
@@ -202,7 +207,7 @@ impl GzConfig {
     /// else the ingestion worker count capped at the host's available
     /// parallelism.
     pub fn query_threads(&self) -> usize {
-        self.query_threads.unwrap_or_else(|| default_query_threads(self.num_workers)).max(1)
+        self.query_threads.unwrap_or_else(|| capped_at_host(self.num_workers)).max(1)
     }
 
     /// Validate invariants the system relies on.
@@ -280,9 +285,10 @@ mod tests {
     }
 
     #[test]
-    fn default_query_threads_are_clamped_to_the_host() {
+    fn default_thread_counts_are_clamped_to_the_host() {
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         let mut c = GzConfig::in_ram(64);
+        assert_eq!(c.num_workers, cores.min(4), "default Graph Workers never oversubscribe");
         c.num_workers = cores + 7;
         assert_eq!(c.query_threads(), cores, "the default never oversubscribes");
         c.num_workers = 1;

@@ -87,7 +87,7 @@ pub use node_sketch::{CubeNodeSketch, NodeSketch};
 pub use sharding::{
     connect_shard_tcp, new_pipeline_resuming, serve_shard_connection, shard_checkpoint_file_name,
     InProcessTransport, Recovery, ReplayLog, RetryPolicy, ShardConfig, ShardLink, ShardPipeline,
-    ShardRouter, ShardServeStats, ShardTransport, ShardedEpoch, ShardedGraphZeppelin,
+    ShardRouter, ShardServeStats, ShardTransport, ShardView, ShardedEpoch, ShardedGraphZeppelin,
     SocketTransport, TransportTimeouts,
 };
 pub use sparse::SparseSet;

@@ -22,10 +22,12 @@
 //!
 //! The routing contract is unchanged: shard `i` owns every vertex `v` with
 //! `v % num_shards == i`, each update touches at most two shards, and
-//! shards never communicate until query time. A query gathers one
-//! `GatherRound` frame per Borůvka round (a `rounds`-fold smaller message
-//! than a full gather) and folds the slices straight into the round-driven
-//! engine, so the coordinator never materializes the universe. The crucial
+//! shards never communicate until query time. A query over shards in this
+//! process folds each Borůvka round straight from the shards' stores
+//! ([`ShardTransport::local_views`]); over sockets it gathers one
+//! `GatherRound` frame per round (a `rounds`-fold smaller message than a
+//! full gather) and folds the slices into the round-driven engine. Either
+//! way the coordinator never materializes the universe. The crucial
 //! invariant — proved by the equivalence suite and the multi-process
 //! example — is that a sharded system's gathered sketch state is
 //! *bit-identical* to a single-node system's on the same stream, and the
@@ -36,7 +38,7 @@ mod pipeline;
 mod router;
 mod transport;
 
-pub use pipeline::{shard_checkpoint_file_name, ShardPipeline};
+pub use pipeline::{shard_checkpoint_file_name, ShardPipeline, ShardView};
 pub use router::{ReplayLog, ShardRouter};
 pub use transport::{
     connect_shard_tcp, new_pipeline_resuming, serve_shard_connection, spawn_local_socket_workers,
@@ -70,7 +72,8 @@ pub struct ShardConfig {
     pub num_rounds: Option<u32>,
     /// CubeSketch columns.
     pub num_columns: u32,
-    /// Graph Workers per shard pipeline.
+    /// Graph Workers per shard pipeline. [`Self::in_ram`] defaults it to
+    /// 2, capped at the host's available parallelism.
     pub workers_per_shard: usize,
     /// Batch-level locking discipline inside each RAM-backed shard (a
     /// disk-backed shard ignores it; see [`LockingStrategy`]).
@@ -128,7 +131,7 @@ impl ShardConfig {
             seed: 0x5EED_1E55,
             num_rounds: None,
             num_columns: gz_sketch::geometry::DEFAULT_COLUMNS,
-            workers_per_shard: 2,
+            workers_per_shard: crate::config::capped_at_host(2),
             locking: LockingStrategy::DeltaSketch,
             store: StoreBackend::Ram,
             sketch_threshold: 0,
@@ -151,7 +154,7 @@ impl ShardConfig {
     /// available parallelism.
     pub fn query_threads(&self) -> usize {
         self.query_threads
-            .unwrap_or_else(|| crate::config::default_query_threads(self.workers_per_shard))
+            .unwrap_or_else(|| crate::config::capped_at_host(self.workers_per_shard))
             .max(1)
     }
 
@@ -207,9 +210,12 @@ impl ShardConfig {
 /// pipelines behind a pluggable transport, plus a query coordinator.
 ///
 /// The transport sits behind a mutex shared with any [`ShardedEpoch`]
-/// handles from [`Self::begin_epoch`]: epoch-pinned gathers and ingestion
-/// batches interleave at message granularity on the same links, so a query
-/// thread folds a sealed snapshot while this system keeps routing updates.
+/// handles from [`Self::begin_epoch`]. A handle over in-process shards
+/// takes it only to release its epoch — its folds read the shards' stores
+/// directly — while a handle over socket links takes it once per round, so
+/// its gathers interleave with ingestion calls on the same links. Either
+/// way a query thread folds a sealed snapshot while this system keeps
+/// routing updates.
 pub struct ShardedGraphZeppelin {
     params: Arc<SketchParams>,
     router: ShardRouter,
@@ -317,21 +323,44 @@ impl ShardedGraphZeppelin {
     /// shards are (eventually) contacted, and neither needs to know about
     /// the other.
     pub fn update(&mut self, u: u32, v: u32, is_delete: bool) -> Result<(), GzError> {
-        assert!(u != v, "self-loop");
-        assert!((u as u64) < self.num_nodes && (v as u64) < self.num_nodes, "vertex out of range");
-        {
+        self.ingest([(u, v, is_delete)])
+    }
+
+    /// Ingest a whole stream of `(u, v, is_delete)` updates. The transport
+    /// is locked once for the call, not once per update — and again after
+    /// each cadence checkpoint (`ShardConfig::checkpoint_every`), which
+    /// needs the transport to itself.
+    pub fn ingest(
+        &mut self,
+        updates: impl IntoIterator<Item = (u32, u32, bool)>,
+    ) -> Result<(), GzError> {
+        let mut updates = updates.into_iter();
+        loop {
             let mut transport = self.transport.lock();
-            self.router.route_update(u, v, is_delete, &mut |shard, batch| {
-                transport.send_batch(shard, batch)
-            })?;
-        }
-        self.updates += 1;
-        if let Some(every) = self.checkpoint_every {
-            if self.router.batches_emitted() - self.last_checkpoint_batches >= every {
-                self.checkpoint_shards()?;
+            let mut checkpoint_due = false;
+            for (u, v, is_delete) in updates.by_ref() {
+                assert!(u != v, "self-loop");
+                assert!(
+                    (u as u64) < self.num_nodes && (v as u64) < self.num_nodes,
+                    "vertex out of range"
+                );
+                self.router.route_update(u, v, is_delete, &mut |shard, batch| {
+                    transport.send_batch(shard, batch)
+                })?;
+                self.updates += 1;
+                checkpoint_due = self.checkpoint_every.is_some_and(|every| {
+                    self.router.batches_emitted() - self.last_checkpoint_batches >= every
+                });
+                if checkpoint_due {
+                    break;
+                }
             }
+            drop(transport);
+            if !checkpoint_due {
+                return Ok(());
+            }
+            self.checkpoint_shards()?;
         }
-        Ok(())
     }
 
     /// Flush, then persist every shard's owned state to its checkpoint
@@ -374,17 +403,6 @@ impl ShardedGraphZeppelin {
     /// policy does; the others return `None`).
     pub fn recovery_stats(&self) -> Option<Arc<gz_gutters::IoStats>> {
         self.transport.lock().recovery_stats()
-    }
-
-    /// Ingest a whole stream of `(u, v, is_delete)` updates.
-    pub fn ingest(
-        &mut self,
-        updates: impl IntoIterator<Item = (u32, u32, bool)>,
-    ) -> Result<(), GzError> {
-        for (u, v, d) in updates {
-            self.update(u, v, d)?;
-        }
-        Ok(())
     }
 
     /// Drain the router and make every batch visible in the shards'
@@ -433,10 +451,11 @@ impl ShardedGraphZeppelin {
             .collect())
     }
 
-    /// Query a spanning forest: each Borůvka round gathers only that
-    /// round's sketch slices from the shards (`GatherRound` frames,
-    /// `rounds`-fold smaller than a full gather), so the coordinator never
-    /// materializes the whole universe.
+    /// Query a spanning forest, one Borůvka round at a time, so the
+    /// coordinator never materializes the whole universe: shards in this
+    /// process fold each round straight from their stores, socket shards
+    /// ship that round's sketch slices (`GatherRound` frames, `rounds`-fold
+    /// smaller than a full gather).
     ///
     /// With `ShardConfig::query_staleness = Some(n)` the query answers from
     /// the last sealed epoch while it is at most `n` updates stale,
@@ -445,23 +464,19 @@ impl ShardedGraphZeppelin {
     pub fn spanning_forest(&mut self) -> Result<BoruvkaOutcome, GzError> {
         let Some(max_lag) = self.query_staleness else {
             self.flush()?;
-            let params = Arc::clone(&self.params);
-            let mut source = GatherRoundSource {
-                transport: &self.transport,
-                params: &params,
-                num_nodes: self.num_nodes,
-                epochs: None,
-                resident: 0,
+            let views = self.transport.lock().local_views(None)?;
+            let reads = match &views {
+                Some(views) => ShardReads::InPlace(views),
+                None => ShardReads::Gather { transport: &self.transport, epochs: None },
             };
-            return boruvka_rounds_parallel(
-                &mut source,
-                self.num_nodes,
-                params.rounds(),
-                self.query_threads,
-            );
+            return reads.spanning_forest(&self.params, self.query_threads);
         };
         let fresh_enough = matches!(&self.cached_epoch, Some((_, sealed_at)) if self.updates - sealed_at <= max_lag);
         if !fresh_enough {
+            // Let go of the epoch the cache can no longer serve *before* the
+            // seal's flush: held across it, every batch the flush applies
+            // would clone a pre-image into an overlay no query will read.
+            self.cached_epoch = None;
             let epoch = self.begin_epoch()?;
             self.cached_epoch = Some((epoch, self.updates));
         }
@@ -491,14 +506,26 @@ impl ShardedGraphZeppelin {
     /// keeps ingesting; dropping it releases every shard's captures.
     pub fn begin_epoch(&mut self) -> Result<ShardedEpoch, GzError> {
         self.flush()?;
-        let epoch_ids = self.transport.lock().seal_epoch()?;
+        let mut transport = self.transport.lock();
+        let epoch_ids = transport.seal_epoch()?;
+        let views = transport.local_views(Some(&epoch_ids))?;
+        drop(transport);
         Ok(ShardedEpoch {
             transport: Arc::clone(&self.transport),
             params: Arc::clone(&self.params),
-            num_nodes: self.num_nodes,
             query_threads: self.query_threads,
             epoch_ids,
+            views,
         })
+    }
+
+    /// Pre-images the in-process shards' stores have cloned for their
+    /// epochs so far ([`crate::store::SketchStore::epoch_captures`], summed
+    /// over shards); `None` when the shards live behind sockets. A seal
+    /// whose flush finds no epoch live leaves it where it was.
+    pub fn epoch_captures(&self) -> Result<Option<u64>, GzError> {
+        let views = self.transport.lock().local_views(None)?;
+        Ok(views.map(|views| views.iter().map(ShardView::epoch_captures).sum()))
     }
 
     /// Component labels.
@@ -549,18 +576,22 @@ impl Drop for ShardedGraphZeppelin {
 }
 
 /// A query handle pinned to one sealed epoch across every shard
-/// ([`ShardedGraphZeppelin::begin_epoch`]). The handle shares the
-/// coordinator's transport mutex, so its gathers interleave with ingestion
-/// batches at message granularity — e.g. a `std::thread::scope` can run
+/// ([`ShardedGraphZeppelin::begin_epoch`]). A `std::thread::scope` can run
 /// [`Self::spanning_forest`] on one thread while the owning system ingests
-/// on another. Dropping the handle sends a best-effort `ReleaseEpoch` to
-/// every shard so their copy-on-write captures are reclaimed.
+/// on another: over in-process shards the fold reads the shards' stores
+/// through the sealed overlays and never takes the coordinator's transport
+/// mutex; over socket links it takes the mutex once per round, so its
+/// gathers interleave with ingestion calls. Dropping the handle sends a
+/// best-effort `ReleaseEpoch` to every shard so their copy-on-write
+/// captures are reclaimed.
 pub struct ShardedEpoch {
     transport: Arc<parking_lot::Mutex<Box<dyn ShardTransport + Send>>>,
     params: Arc<SketchParams>,
-    num_nodes: u64,
     query_threads: usize,
     epoch_ids: Vec<u64>,
+    /// The shards' stores pinned to this epoch, when they are in this
+    /// process ([`ShardTransport::local_views`]).
+    views: Option<Vec<ShardView>>,
 }
 
 impl ShardedEpoch {
@@ -581,19 +612,13 @@ impl ShardedEpoch {
     /// no matter how much the shards have ingested since (pinned by the
     /// epoch equivalence suite).
     pub fn spanning_forest(&self) -> Result<BoruvkaOutcome, GzError> {
-        let mut source = GatherRoundSource {
-            transport: &self.transport,
-            params: &self.params,
-            num_nodes: self.num_nodes,
-            epochs: Some(&self.epoch_ids),
-            resident: 0,
+        let reads = match &self.views {
+            Some(views) => ShardReads::InPlace(views),
+            None => {
+                ShardReads::Gather { transport: &self.transport, epochs: Some(&self.epoch_ids) }
+            }
         };
-        boruvka_rounds_parallel(
-            &mut source,
-            self.num_nodes,
-            self.params.rounds(),
-            self.query_threads,
-        )
+        reads.spanning_forest(&self.params, self.query_threads)
     }
 }
 
@@ -605,24 +630,45 @@ impl Drop for ShardedEpoch {
     }
 }
 
-/// Round-slice source over the shard transport: Borůvka round `r` gathers
-/// only round `r`'s column data from every shard, validates that each node
-/// arrived exactly once, and folds the slices straight into the engine's
-/// accumulators. Resident bytes per round are one round of the universe —
-/// the gathered frames — instead of the full `V × sketch` materialization.
-///
-/// The transport is locked per gather, not for the query's lifetime, so an
-/// epoch-pinned source (`epochs = Some`) shares the links with concurrent
-/// ingestion.
-struct GatherRoundSource<'a> {
-    transport: &'a parking_lot::Mutex<Box<dyn ShardTransport + Send>>,
+/// How a sharded query reaches its shards' sketches.
+enum ShardReads<'a> {
+    /// The shards are in this process: each round folds straight from their
+    /// stores, as a single-node query folds its own. No transport, no bytes.
+    InPlace(&'a [ShardView]),
+    /// The shards are behind links: each round gathers their serialized
+    /// slices. The transport is locked per gather, not for the query's
+    /// lifetime, so an epoch-pinned query (`epochs = Some`) shares the links
+    /// with concurrent ingestion.
+    Gather {
+        transport: &'a parking_lot::Mutex<Box<dyn ShardTransport + Send>>,
+        epochs: Option<&'a [u64]>,
+    },
+}
+
+impl ShardReads<'_> {
+    /// Run the round-driven engine over these reads.
+    fn spanning_forest(
+        self,
+        params: &SketchParams,
+        query_threads: usize,
+    ) -> Result<BoruvkaOutcome, GzError> {
+        let mut source = ShardRoundSource { reads: self, params, resident: 0 };
+        boruvka_rounds_parallel(&mut source, params.num_nodes, params.rounds(), query_threads)
+    }
+}
+
+/// Round-slice source over a shard fleet: Borůvka round `r` folds only
+/// round `r`'s column data of every shard into the engine's accumulators.
+/// Resident bytes per round are what the stores buffer to be read in place
+/// (nothing, in RAM) or one round of the universe as gathered frames —
+/// never the full `V × sketch` materialization.
+struct ShardRoundSource<'a> {
+    reads: ShardReads<'a>,
     params: &'a SketchParams,
-    num_nodes: u64,
-    epochs: Option<&'a [u64]>,
     resident: usize,
 }
 
-impl SketchSource for GatherRoundSource<'_> {
+impl SketchSource for ShardRoundSource<'_> {
     type Sampler = CubeRoundSketch;
 
     fn num_rounds(&self) -> usize {
@@ -633,15 +679,6 @@ impl SketchSource for GatherRoundSource<'_> {
         self.resident
     }
 
-    /// Parallel gather: `GatherRound` frames go to every shard up front and
-    /// each reply is folded *as it arrives* — shard `i`'s slices
-    /// deserialize and fold (fanned out across the pool's workers) while
-    /// shards `j > i` are still serializing or transmitting theirs, instead
-    /// of collecting the whole round before any folding starts. A dense
-    /// entry (tag 0) is deserialized and handed to the sink by value; a
-    /// sparse entry (tag 1) is never turned into a slice — its neighbors are
-    /// queued and XORed into the supernode accumulators in place, exactly as
-    /// a store folds its own sparse vertices.
     fn stream_round_into(
         &mut self,
         round: usize,
@@ -649,44 +686,81 @@ impl SketchSource for GatherRoundSource<'_> {
         pool: &WorkerPool,
         sinks: &[parking_lot::Mutex<crate::boruvka::RoundSink<'_, Self::Sampler>>],
     ) -> Result<(), GzError> {
-        let expect_bytes = self.params.round_serialized_bytes(round);
-        let params = self.params;
-        let mut seen = vec![false; self.num_nodes as usize];
-        let mut resident = 0usize;
-        self.transport.lock().gather_round_each(round as u32, self.epochs, &mut |entries| {
-            for e in &entries {
-                validate_round_entry(&mut seen, e, round, expect_bytes)?;
+        self.resident = match self.reads {
+            // One shard after another, each across the whole pool: the
+            // shards own disjoint vertices, so each is folded exactly once.
+            ShardReads::InPlace(views) => {
+                let mut resident = 0usize;
+                for view in views {
+                    resident = resident.max(view.fold_round(round, live, pool, sinks)?);
+                }
+                resident
             }
-            resident += entries.iter().map(|e| e.bytes.len()).sum::<usize>();
-            // Fold this reply across the pool: contiguous entry chunks, one
-            // per worker, into that worker's sink.
-            pool.run(&|w| {
-                let range = gz_gutters::worker_pool::partition(entries.len(), pool.threads(), w);
-                if range.is_empty() {
-                    return;
-                }
-                let mut sink = sinks[w].lock();
-                let mut sparse = SparseRoundBatch::default();
-                for e in &entries[range] {
-                    if !live(e.node) {
-                        continue;
-                    }
-                    // Tags were validated above.
-                    if e.bytes[0] == 0 {
-                        sink.fold_owned(e.node, params.deserialize_round(round, &e.bytes[1..]));
-                    } else {
-                        let neighbors =
-                            SparseSet::wire_neighbors(&e.bytes[1..]).expect("entry validated");
-                        sparse.push(&sink, e.node, neighbors, params.num_nodes);
-                    }
-                }
-                sparse.fold_into(&mut sink, params, round);
-            });
-            Ok(())
-        })?;
-        self.resident = resident;
-        require_all_gathered(&seen)
+            ShardReads::Gather { transport, epochs } => {
+                let mut transport = transport.lock();
+                gather_fold_round(&mut **transport, epochs, self.params, round, live, pool, sinks)?
+            }
+        };
+        Ok(())
     }
+}
+
+/// Fold round `round` out of `GatherRound` replies — the route for shards
+/// behind links: frames go to every shard up front and each reply is folded
+/// *as it arrives* — shard `i`'s slices deserialize and fold (fanned out
+/// across the pool's workers) while shards `j > i` are still serializing or
+/// transmitting theirs, instead of collecting the whole round before any
+/// folding starts. What arrives is checked first: each node of the universe
+/// exactly once, in a well-formed representation. A dense entry (tag 0) is
+/// deserialized and handed to the sink by value; a sparse entry (tag 1) is
+/// never turned into a slice — its neighbors are queued and XORed into the
+/// supernode accumulators in place, exactly as a store folds its own sparse
+/// vertices. Returns the gathered bytes, which were resident for the round.
+fn gather_fold_round(
+    transport: &mut dyn ShardTransport,
+    epochs: Option<&[u64]>,
+    params: &SketchParams,
+    round: usize,
+    live: &(dyn Fn(u32) -> bool + Sync),
+    pool: &WorkerPool,
+    sinks: &[parking_lot::Mutex<crate::boruvka::RoundSink<'_, CubeRoundSketch>>],
+) -> Result<usize, GzError> {
+    let expect_bytes = params.round_serialized_bytes(round);
+    let mut seen = vec![false; params.num_nodes as usize];
+    let mut resident = 0usize;
+    transport.gather_round_each(round as u32, epochs, &mut |entries| {
+        for e in &entries {
+            validate_round_entry(&mut seen, e, round, expect_bytes)?;
+        }
+        resident += entries.iter().map(|e| e.bytes.len()).sum::<usize>();
+        // Fold this reply across the pool: contiguous entry chunks, one
+        // per worker, into that worker's sink.
+        pool.run(&|w| {
+            let range = gz_gutters::worker_pool::partition(entries.len(), pool.threads(), w);
+            if range.is_empty() {
+                return;
+            }
+            let mut sink = sinks[w].lock();
+            let mut sparse = SparseRoundBatch::default();
+            for e in &entries[range] {
+                if !live(e.node) {
+                    continue;
+                }
+                // Tags were validated above.
+                if e.bytes[0] == 0 {
+                    sink.fold_owned(e.node, params.deserialize_round(round, &e.bytes[1..]));
+                } else {
+                    let neighbors =
+                        SparseSet::wire_neighbors(&e.bytes[1..]).expect("entry validated");
+                    sparse.push(&sink, e.node, neighbors, params.num_nodes);
+                }
+            }
+            sparse.fold_into(&mut sink, params, round);
+        });
+        Ok(())
+    })?;
+    require_all_gathered(&seen)?;
+    Ok(resident)
 }
 
 /// Shared validation for gathered round entries: each in-range node arrives
@@ -992,6 +1066,12 @@ mod tests {
     }
 
     #[test]
+    fn default_workers_per_shard_are_clamped_to_the_host() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(ShardConfig::in_ram(64, 2).workers_per_shard, cores.min(2));
+    }
+
+    #[test]
     fn params_digest_separates_configs() {
         let base = ShardConfig::in_ram(64, 4);
         let mut other_seed = base.clone();
@@ -1003,26 +1083,215 @@ mod tests {
         assert_ne!(base.params_digest(), other_shards.params_digest());
     }
 
+    /// The four fields of an outcome that are an answer.
+    fn assert_same_answer(a: &BoruvkaOutcome, b: &BoruvkaOutcome, what: &str) {
+        assert_eq!(a.labels, b.labels, "labels: {what}");
+        assert_eq!(a.forest, b.forest, "forest: {what}");
+        assert_eq!(a.rounds_used, b.rounds_used, "rounds used: {what}");
+        assert_eq!(a.sketch_failures, b.sketch_failures, "sketch failures: {what}");
+    }
+
     #[test]
     fn query_bit_identical_to_oracle_across_transports() {
+        // The two query routes — in-process shards folded in place from
+        // their stores, `local_socket` shards gathered as serialized round
+        // slices — against the gather-everything oracle and each other:
+        // shards {1, 3} × Ram/Disk shard stores × τ ∈ {0, 64} ×
+        // query_threads {1, 4}, first pinned to an epoch the stream then
+        // moves past, then live.
         let n = 40u64;
         let updates = demo_updates(n as u32, 300, 11);
+        let more = demo_updates(n as u32, 120, 12);
         type Maker = fn(ShardConfig) -> Result<ShardedGraphZeppelin, GzError>;
-        let makers: [Maker; 2] =
-            [ShardedGraphZeppelin::in_process, ShardedGraphZeppelin::local_socket];
-        for make in makers {
-            let mut sys = make(ShardConfig::in_ram(n, 3)).unwrap();
-            sys.ingest(updates.iter().copied()).unwrap();
-            let oracle = sys.spanning_forest_oracle().unwrap();
-            let product = sys.spanning_forest().unwrap();
-            assert_eq!(oracle.labels, product.labels);
-            assert_eq!(oracle.forest, product.forest);
-            assert_eq!(oracle.rounds_used, product.rounds_used);
-            assert_eq!(oracle.sketch_failures, product.sketch_failures);
-            // A round frame is `rounds`-fold smaller than the full gather.
-            assert!(product.peak_sketch_bytes < oracle.peak_sketch_bytes);
-            sys.shutdown().unwrap();
+        let routes: [(&str, Maker); 2] = [
+            ("in-place", ShardedGraphZeppelin::in_process),
+            ("gather", ShardedGraphZeppelin::local_socket),
+        ];
+        for shards in [1u32, 3] {
+            for (on_disk, tau) in [(false, 0u32), (false, 64), (true, 0), (true, 64)] {
+                let mut across_routes: Option<[BoruvkaOutcome; 2]> = None;
+                for (route, make) in routes {
+                    let what = format!("{route}, {shards} shards, disk {on_disk}, tau {tau}");
+                    // A directory per fleet: shard files are named by
+                    // process, seed and index only.
+                    let dir = gz_testutil::TempDir::new("gz-route-equivalence");
+                    let mut config = ShardConfig::in_ram(n, shards);
+                    config.sketch_threshold = tau;
+                    if on_disk {
+                        config.store = StoreBackend::Disk {
+                            dir: dir.path().to_path_buf(),
+                            block_bytes: 4096,
+                            cache_groups: 2,
+                        };
+                    }
+                    let mut sys = make(config).unwrap();
+                    sys.ingest(updates.iter().copied()).unwrap();
+                    let sealed_oracle = sys.spanning_forest_oracle().unwrap();
+                    let mut epoch = sys.begin_epoch().unwrap();
+                    sys.ingest(more.iter().copied()).unwrap();
+                    sys.flush().unwrap();
+                    let live_oracle = sys.spanning_forest_oracle().unwrap();
+                    for threads in [1usize, 4] {
+                        epoch.set_query_threads(threads);
+                        let pinned = epoch.spanning_forest().unwrap();
+                        assert_same_answer(&pinned, &sealed_oracle, &format!("pinned, {what}"));
+                        sys.set_query_threads(threads);
+                        let live = sys.spanning_forest().unwrap();
+                        assert_same_answer(&live, &live_oracle, &format!("live, {what}"));
+                        // A round is `rounds`-fold smaller than the full gather.
+                        assert!(live.peak_sketch_bytes < live_oracle.peak_sketch_bytes, "{what}");
+                    }
+                    drop(epoch);
+                    sys.shutdown().unwrap();
+                    match &across_routes {
+                        None => across_routes = Some([sealed_oracle, live_oracle]),
+                        Some([sealed, live]) => {
+                            assert_same_answer(&sealed_oracle, sealed, &format!("sealed, {what}"));
+                            assert_same_answer(&live_oracle, live, &format!("live, {what}"));
+                        }
+                    }
+                }
+            }
         }
+    }
+
+    /// A transport that answers every `GatherRound` with scripted replies,
+    /// one per "shard", and is never asked anything else.
+    struct ScriptedGather(Vec<Vec<gz_stream::wire::SketchEntry>>);
+
+    impl ShardTransport for ScriptedGather {
+        fn num_shards(&self) -> u32 {
+            self.0.len() as u32
+        }
+        fn gather_round_each(
+            &mut self,
+            _round: u32,
+            _epochs: Option<&[u64]>,
+            on_reply: &mut dyn FnMut(Vec<gz_stream::wire::SketchEntry>) -> Result<(), GzError>,
+        ) -> Result<(), GzError> {
+            self.0.iter().cloned().try_for_each(on_reply)
+        }
+        fn send_batch(&mut self, _: u32, _: gz_gutters::Batch) -> Result<(), GzError> {
+            unreachable!("a scripted gather only gathers")
+        }
+        fn flush(&mut self) -> Result<(), GzError> {
+            unreachable!("a scripted gather only gathers")
+        }
+        fn gather(&mut self) -> Result<Vec<gz_stream::wire::SketchEntry>, GzError> {
+            unreachable!("a scripted gather only gathers")
+        }
+        fn seal_epoch(&mut self) -> Result<Vec<u64>, GzError> {
+            unreachable!("a scripted gather only gathers")
+        }
+        fn release_epoch(&mut self, _: &[u64]) -> Result<(), GzError> {
+            unreachable!("a scripted gather only gathers")
+        }
+        fn checkpoint_shards(&mut self) -> Result<Vec<u64>, GzError> {
+            unreachable!("a scripted gather only gathers")
+        }
+        fn shutdown(&mut self) -> Result<(), GzError> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn gather_fold_checks_what_arrives_and_folds_what_the_stores_hold() {
+        // In-process queries no longer pass through the gather fold, so
+        // drive it directly: over honest replies it builds the accumulators
+        // the in-place fold builds, and a reply that repeats a node, omits
+        // one, names one outside the universe or mangles a slice is refused.
+        let n = 12u64;
+        let mut config = ShardConfig::in_ram(n, 3);
+        config.sketch_threshold = 2; // a hub promotes, leaves stay exact sets
+        let params = config.params();
+        let mut fleet = InProcessTransport::new(&config).unwrap();
+        for leaf in 1..8u32 {
+            for (node, other) in [(0, leaf), (leaf, 0)] {
+                let others = vec![crate::node_sketch::encode_other(other, false)];
+                fleet.send_batch(node % 3, gz_gutters::Batch { node, others }).unwrap();
+            }
+        }
+        fleet.flush().unwrap();
+        let round = 1usize;
+        let honest: Vec<Vec<_>> = {
+            let mut replies = Vec::new();
+            fleet
+                .gather_round_each(round as u32, None, &mut |reply| {
+                    replies.push(reply);
+                    Ok(())
+                })
+                .unwrap();
+            replies
+        };
+        assert!(honest.iter().flatten().any(|e| e.bytes[0] == 0), "a dense entry is on the wire");
+        assert!(honest.iter().flatten().any(|e| e.bytes[0] == 1), "and a sparse one");
+
+        // Every vertex its own supernode, none retired: the accumulators
+        // are the per-vertex round slices themselves.
+        type Sinks<'a> = Vec<parking_lot::Mutex<crate::boruvka::RoundSink<'a, CubeRoundSketch>>>;
+        let root_of: Vec<u32> = (0..n as u32).collect();
+        let retired = vec![false; n as usize];
+        let pool = WorkerPool::new(2);
+        let sinks = || -> Sinks<'_> {
+            (0..pool.threads())
+                .map(|_| {
+                    parking_lot::Mutex::new(crate::boruvka::RoundSink::new(&root_of, &retired))
+                })
+                .collect()
+        };
+        let samples = |sinks: Sinks<'_>| {
+            use gz_sketch::L0Sampler;
+            let mut by_vertex = vec![None; n as usize];
+            for sink in sinks {
+                for (v, acc) in sink.into_inner().accumulators().into_iter().enumerate() {
+                    if let Some(acc) = acc {
+                        assert!(by_vertex[v].replace(acc.sample()).is_none(), "vertex {v} twice");
+                    }
+                }
+            }
+            by_vertex
+        };
+        let gather_fold = |replies: Vec<Vec<_>>| {
+            let folded = sinks();
+            let mut scripted = ScriptedGather(replies);
+            gather_fold_round(&mut scripted, None, &params, round, &|_| true, &pool, &folded)
+                .map(|resident| (resident, samples(folded)))
+        };
+
+        let in_place = sinks();
+        for view in fleet.local_views(None).unwrap().expect("shards are in this process") {
+            view.fold_round(round, &|_| true, &pool, &in_place).unwrap();
+        }
+        let (resident, gathered) = gather_fold(honest.clone()).unwrap();
+        assert_eq!(gathered, samples(in_place), "both routes fold the same slices");
+        assert!(gathered.iter().all(Option::is_some), "every vertex was folded");
+        assert_eq!(resident, honest.iter().flatten().map(|e| e.bytes.len()).sum::<usize>());
+
+        let tampered = |tamper: &dyn Fn(&mut Vec<Vec<gz_stream::wire::SketchEntry>>)| {
+            let mut replies = honest.clone();
+            tamper(&mut replies);
+            match gather_fold(replies) {
+                Err(GzError::Protocol(message)) => message,
+                other => panic!("expected a protocol error, got {:?}", other.map(|(r, _)| r)),
+            }
+        };
+        let repeated = tampered(&|replies| {
+            let again = replies[0][0].clone();
+            replies[1].push(again);
+        });
+        assert!(repeated.contains("gathered from two shards"), "{repeated}");
+        let missing = tampered(&|replies| {
+            replies[2].pop();
+        });
+        assert!(missing.contains("no shard gathered"), "{missing}");
+        let foreign = tampered(&|replies| replies[0][0].node = n as u32);
+        assert!(foreign.contains("out-of-range"), "{foreign}");
+        let short = tampered(&|replies| {
+            let dense = replies.iter_mut().flatten().find(|e| e.bytes[0] == 0).unwrap();
+            dense.bytes.pop();
+        });
+        assert!(short.contains("dense slice"), "{short}");
+        fleet.shutdown().unwrap();
     }
 
     #[test]

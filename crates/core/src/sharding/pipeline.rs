@@ -7,11 +7,12 @@
 //! only the shard's residue class — sketch memory is
 //! `owned_nodes × node_sketch_bytes`, not `V × node_sketch_bytes`.
 
+use crate::boruvka::RoundSink;
 use crate::checkpoint::{load_shard_checkpoint, save_shard_checkpoint, ShardCheckpointHeader};
 use crate::config::StoreBackend;
 use crate::error::GzError;
 use crate::ingest::WorkerPool;
-use crate::node_sketch::SketchParams;
+use crate::node_sketch::{CubeRoundSketch, SketchParams};
 use crate::sharding::ShardConfig;
 use crate::store::{disk::DiskStore, ram::RamStore, EpochOverlay, NodeSet, SketchStore};
 use gz_gutters::{Batch, WorkQueue};
@@ -21,6 +22,39 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// One in-process shard as a query reads it: the shard's store, and the
+/// sealed overlay the read goes through (`None` = the live state, which the
+/// coordinator must have quiesced). A coordinator holding views
+/// ([`crate::sharding::ShardTransport::local_views`]) folds rounds straight
+/// from the stores — no slice is serialized, and the transport is not
+/// involved again.
+pub struct ShardView {
+    store: Arc<SketchStore>,
+    overlay: Option<Arc<EpochOverlay>>,
+}
+
+impl ShardView {
+    /// Fold round `round` of this shard's still-`live` nodes into the
+    /// pool's per-worker sinks ([`SketchStore::stream_round_parallel`]), and
+    /// return the sketch bytes the store held resident to do it.
+    pub(crate) fn fold_round(
+        &self,
+        round: usize,
+        live: &(dyn Fn(u32) -> bool + Sync),
+        pool: &gz_gutters::WorkerPool,
+        sinks: &[Mutex<RoundSink<'_, CubeRoundSketch>>],
+    ) -> Result<usize, GzError> {
+        self.store.stream_round_parallel(round, live, self.overlay.as_deref(), pool, sinks)?;
+        Ok(self.store.round_stream_resident_bytes(round, sinks.len()))
+    }
+
+    /// Pre-images captured on this shard's store so far, across all of its
+    /// epochs ([`SketchStore::epoch_captures`]).
+    pub(crate) fn epoch_captures(&self) -> u64 {
+        self.store.epoch_captures()
+    }
+}
 
 /// One shard: queue → Graph Workers → owned-nodes sketch store.
 pub struct ShardPipeline {
@@ -256,16 +290,13 @@ impl ShardPipeline {
                 self.params.rounds()
             )));
         }
-        let overlay =
-            match epoch {
-                None => {
-                    self.flush();
-                    None
-                }
-                Some(id) => Some(self.epochs.lock().get(&id).cloned().ok_or_else(|| {
-                    GzError::Protocol(format!("GatherRound for unknown epoch {id}"))
-                })?),
-            };
+        let overlay = match epoch {
+            None => {
+                self.flush();
+                None
+            }
+            Some(id) => Some(self.sealed_overlay(id)?),
+        };
         let overlay = overlay.as_deref();
         let mut entries = Vec::with_capacity(self.store.node_set().len());
         self.store.for_each_sparse(&|_| true, overlay, &mut |node, set| {
@@ -281,6 +312,24 @@ impl ShardPipeline {
             entries.push(SketchEntry { node, bytes });
         })?;
         Ok(entries)
+    }
+
+    /// The overlay this shard sealed as epoch `id`.
+    fn sealed_overlay(&self, id: u64) -> Result<Arc<EpochOverlay>, GzError> {
+        self.epochs
+            .lock()
+            .get(&id)
+            .cloned()
+            .ok_or_else(|| GzError::Protocol(format!("read of unknown epoch {id}")))
+    }
+
+    /// This shard's store as a query in the same process reads it
+    /// ([`ShardView`]): as sealed epoch `epoch`, or live — which, unlike
+    /// [`Self::gather_round`], does **not** flush: the coordinator that asks
+    /// for live views has just flushed the whole fleet.
+    pub(crate) fn view(&self, epoch: Option<u64>) -> Result<ShardView, GzError> {
+        let overlay = epoch.map(|id| self.sealed_overlay(id)).transpose()?;
+        Ok(ShardView { store: Arc::clone(&self.store), overlay })
     }
 
     /// Flush, then seal the store's open generation (DESIGN.md §11): every

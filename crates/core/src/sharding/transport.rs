@@ -27,8 +27,8 @@
 
 use crate::error::{GzError, TransportError};
 use crate::sharding::router::ReplayLog;
-use crate::sharding::{ShardConfig, ShardPipeline};
-use gz_gutters::{Batch, IoStats, WorkQueue};
+use crate::sharding::{ShardConfig, ShardPipeline, ShardView};
+use gz_gutters::{Batch, IoStats};
 use gz_hash::SplitMix64;
 use gz_stream::wire::{SketchEntry, WireMessage};
 use std::io::{Read, Write};
@@ -230,6 +230,17 @@ pub trait ShardTransport {
         on_reply: &mut dyn FnMut(Vec<SketchEntry>) -> Result<(), GzError>,
     ) -> Result<(), GzError>;
 
+    /// The shards' stores, when they live in this process: one
+    /// [`ShardView`] per shard, live (`epochs = None`; flush first) or as
+    /// sealed epoch `epochs[i]`. A coordinator that gets views folds every
+    /// round of the query straight from them — nothing is serialized,
+    /// validated or deserialized, and the transport is not asked again. The
+    /// default, `None`, is every transport whose shards are elsewhere:
+    /// their queries gather ([`Self::gather_round_each`]).
+    fn local_views(&self, _epochs: Option<&[u64]>) -> Result<Option<Vec<ShardView>>, GzError> {
+        Ok(None)
+    }
+
     /// Seal one epoch on every shard — each shard flushes its pipeline and
     /// freezes the sealed state behind copy-on-write — and return the
     /// per-shard epoch ids, indexed by shard. The ids are what epoch-pinned
@@ -336,49 +347,24 @@ impl ShardTransport for InProcessTransport {
         on_reply: &mut dyn FnMut(Vec<SketchEntry>) -> Result<(), GzError>,
     ) -> Result<(), GzError> {
         check_epochs(epochs, self.shards.len())?;
-        // Every shard serializes its round slice on its own scoped thread;
-        // replies funnel through a queue sized to hold them all (so a
-        // failed fold never leaves a producer blocked) and are folded in
-        // arrival order — folding is XOR, so arrival order is immaterial.
-        let queue: WorkQueue<Result<Vec<SketchEntry>, GzError>> =
-            WorkQueue::with_capacity(self.shards.len().max(1));
-        std::thread::scope(|scope| {
-            for (i, shard) in self.shards.iter().enumerate() {
-                let queue = &queue;
-                scope.spawn(move || {
-                    // A panicking gather must still push *something*: the
-                    // coordinator pops one reply per shard, and a missing
-                    // push would leave it blocked forever inside this scope
-                    // — turning the panic into a silent hang. Push an error
-                    // to unblock it, then re-raise so `thread::scope`
-                    // propagates the panic as usual.
-                    let reply = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        shard.gather_round(round as usize, epochs.map(|ids| ids[i]))
-                    }));
-                    match reply {
-                        Ok(reply) => {
-                            queue.push(reply);
-                        }
-                        Err(payload) => {
-                            queue.push(Err(GzError::Protocol("shard gather panicked".into())));
-                            std::panic::resume_unwind(payload);
-                        }
-                    }
-                });
-            }
-            let mut result = Ok(());
-            for _ in 0..self.shards.len() {
-                let Some(reply) = queue.pop() else { break };
-                if result.is_err() {
-                    continue; // drain remaining producers
-                }
-                result = match reply {
-                    Ok(entries) => on_reply(entries),
-                    Err(e) => Err(e),
-                };
-            }
-            result
-        })
+        // Serial, shard by shard: queries fold in place through
+        // `local_views`, so only tests still serialize an in-process
+        // shard's round.
+        for (i, shard) in self.shards.iter().enumerate() {
+            on_reply(shard.gather_round(round as usize, epochs.map(|ids| ids[i]))?)?;
+        }
+        Ok(())
+    }
+
+    fn local_views(&self, epochs: Option<&[u64]>) -> Result<Option<Vec<ShardView>>, GzError> {
+        check_epochs(epochs, self.shards.len())?;
+        let views = self
+            .shards
+            .iter()
+            .enumerate()
+            .map(|(i, shard)| shard.view(epochs.map(|ids| ids[i])))
+            .collect::<Result<Vec<_>, GzError>>()?;
+        Ok(Some(views))
     }
 
     fn seal_epoch(&mut self) -> Result<Vec<u64>, GzError> {

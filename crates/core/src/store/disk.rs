@@ -338,6 +338,12 @@ impl DiskStore {
         self.writeback_dirty(|| self.epochs.register())
     }
 
+    /// Pre-images cloned for epochs so far
+    /// (see [`crate::store::SketchStore::epoch_captures`]).
+    pub fn epoch_captures(&self) -> u64 {
+        self.epochs.captures()
+    }
+
     /// Write every dirty cached group back to the file, coalescing runs of
     /// *adjacent* dirty group ids into single contiguous writes (their file
     /// regions abut, so one larger write is equivalent) and batching all

@@ -27,7 +27,7 @@ use crate::store::{SketchStore, StoreRoundSource};
 use gz_gutters::WorkerPool;
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
 /// The copy-on-write side table of one sealed generation: node groups
@@ -85,14 +85,19 @@ impl EpochOverlay {
 }
 
 /// Per-store bookkeeping of live epochs. Ingestion consults it immediately
-/// before mutating a group's sealed value; when no epoch is live (the
-/// common case) that consultation is a single atomic load.
+/// before mutating a group's sealed value; when no epoch is live — which
+/// the staleness caches guarantee for the flush of a reseal, by letting go
+/// of the epoch they can no longer serve first — that consultation is a
+/// single atomic load.
 pub(crate) struct EpochRegistry {
     inner: Mutex<RegistryInner>,
     /// Fast-path flag: false ⇒ `inner.live` is empty and capture can be
     /// skipped without locking. Set on registration; cleared when a prune
     /// finds every overlay dead.
     maybe_live: AtomicBool,
+    /// Pre-images cloned so far (groups and sparse sets), a statistic: the
+    /// copy-on-write work this store has ever done for its epochs.
+    captures: AtomicU64,
 }
 
 struct RegistryInner {
@@ -105,7 +110,13 @@ impl EpochRegistry {
         EpochRegistry {
             inner: Mutex::new(RegistryInner { next_id: 0, live: Vec::new() }),
             maybe_live: AtomicBool::new(false),
+            captures: AtomicU64::new(0),
         }
+    }
+
+    /// Pre-images cloned so far, over every epoch this registry has seen.
+    pub(crate) fn captures(&self) -> u64 {
+        self.captures.load(Ordering::Relaxed)
     }
 
     /// Seal the current generation: register a fresh overlay and return its
@@ -143,7 +154,10 @@ impl EpochRegistry {
             let Some(overlay) = weak.upgrade() else { continue };
             let mut map = overlay.map.lock();
             if let std::collections::hash_map::Entry::Vacant(slot) = map.entry(group) {
-                slot.insert(Arc::clone(pre_image.get_or_insert_with(|| Arc::new(make()))));
+                slot.insert(Arc::clone(pre_image.get_or_insert_with(|| {
+                    self.captures.fetch_add(1, Ordering::Relaxed);
+                    Arc::new(make())
+                })));
             }
         }
     }
@@ -168,7 +182,10 @@ impl EpochRegistry {
             let Some(overlay) = weak.upgrade() else { continue };
             let mut map = overlay.sparse.lock();
             if let std::collections::hash_map::Entry::Vacant(entry) = map.entry(slot) {
-                entry.insert(Arc::clone(pre_image.get_or_insert_with(|| Arc::new(make()))));
+                entry.insert(Arc::clone(pre_image.get_or_insert_with(|| {
+                    self.captures.fetch_add(1, Ordering::Relaxed);
+                    Arc::new(make())
+                })));
             }
         }
     }

@@ -357,6 +357,18 @@ impl SketchStore {
         }
     }
 
+    /// Pre-images this store has cloned for its epochs so far (node groups
+    /// and sparse sets, each counted once however many overlays share it) —
+    /// the copy-on-write cost of every seal to date. It stands still while
+    /// no epoch is live, which is how the tests pin that a staleness cache
+    /// lets go of its epoch *before* the flush of a reseal.
+    pub fn epoch_captures(&self) -> u64 {
+        match self {
+            SketchStore::Ram(s) => s.epoch_captures(),
+            SketchStore::Disk(s) => s.epoch_captures(),
+        }
+    }
+
     /// Representation census (promoted vs sparse vertices).
     pub fn rep_stats(&self) -> RepStats {
         match self {

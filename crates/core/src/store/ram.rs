@@ -112,6 +112,12 @@ impl RamStore {
         self.epochs.register()
     }
 
+    /// Pre-images cloned for epochs so far
+    /// (see [`crate::store::SketchStore::epoch_captures`]).
+    pub fn epoch_captures(&self) -> u64 {
+        self.epochs.captures()
+    }
+
     /// Lock `slot`'s sketch for mutation, capturing its pre-image into any
     /// live epoch that has not seen this slot dirtied yet. Every write to a
     /// node sketch goes through here — that is what makes the overlay a

@@ -222,6 +222,10 @@ impl GraphZeppelin {
             Some((_, sealed_at)) if self.updates_ingested - sealed_at <= max_lag
         );
         if !fresh_enough {
+            // Let go of the epoch the cache can no longer serve *before* the
+            // seal's flush: held across it, every batch the flush applies
+            // would clone a pre-image into an overlay no query will read.
+            self.cached_epoch = None;
             let epoch = self.begin_epoch()?;
             self.cached_epoch = Some((epoch, self.updates_ingested));
         }

@@ -8,7 +8,9 @@
 //! bounded by the touched set, captures each group at most once, and does
 //! not accumulate across seal/query/drop cycles.
 
-use graph_zeppelin::{GraphZeppelin, GzConfig, ShardConfig, ShardedGraphZeppelin, StoreBackend};
+use graph_zeppelin::{
+    BoruvkaOutcome, GraphZeppelin, GzConfig, ShardConfig, ShardedGraphZeppelin, StoreBackend,
+};
 use gz_testutil::TempDir;
 
 fn ingest_single(gz: &mut GraphZeppelin, updates: &[(u32, u32, bool)]) {
@@ -75,9 +77,10 @@ fn epoch_query_is_stable_under_concurrent_ingest() {
     assert_ne!(live.labels, reference.labels, "stream should have moved");
 }
 
-/// Same stress against a shard fleet: the `ShardedEpoch` handle shares the
-/// transport with the coordinator, so gathers and ingestion interleave at
-/// message granularity — and the pinned answer still must not move.
+/// Same stress against a shard fleet: the `ShardedEpoch` handle folds the
+/// in-process shards' stores through its sealed overlays while the
+/// coordinator keeps routing batches into them — and the pinned answer
+/// still must not move.
 #[test]
 fn sharded_epoch_query_is_stable_under_concurrent_ingest() {
     let n = 48u64;
@@ -191,6 +194,81 @@ fn dropped_epochs_stop_capturing() {
     assert!(third.captured_groups() > 0, "live epoch still captures");
 }
 
+/// The four fields of an outcome that are an answer.
+fn assert_same_answer(a: &BoruvkaOutcome, b: &BoruvkaOutcome) {
+    assert_eq!(a.labels, b.labels);
+    assert_eq!(a.forest, b.forest);
+    assert_eq!(a.rounds_used, b.rounds_used);
+    assert_eq!(a.sketch_failures, b.sketch_failures);
+}
+
+/// `n` inserts at stride `step` around a ring: every vertex is touched.
+fn ring(n: u64, step: u32) -> Vec<(u32, u32, bool)> {
+    (0..n as u32).map(|v| (v, (v + step) % n as u32, false)).collect()
+}
+
+/// A staleness cache lets go of the epoch it can no longer serve *before*
+/// the flush of the reseal, so that flush — which applies a batch to every
+/// vertex here — clones no pre-image: the store's capture count stands
+/// still. Only a handle somebody else still holds makes the flush capture,
+/// and that handle keeps answering with its sealed bits.
+#[test]
+fn reseal_captures_nothing_unless_a_query_still_holds_the_old_epoch() {
+    let n = 32u64;
+    let mut config = GzConfig::in_ram(n);
+    config.query_staleness = Some(0);
+    let mut gz = GraphZeppelin::new(config).expect("system");
+
+    ingest_single(&mut gz, &ring(n, 1));
+    gz.spanning_forest().expect("first query seals the cached epoch");
+    ingest_single(&mut gz, &ring(n, 2));
+    gz.spanning_forest().expect("second query reseals");
+    assert_eq!(
+        gz.store().epoch_captures(),
+        0,
+        "the reseal's flush captured pre-images for an epoch only the cache was holding"
+    );
+
+    let held = gz.begin_epoch().expect("a query elsewhere pins the sealed state");
+    let sealed = held.spanning_forest().expect("sealed answer");
+    ingest_single(&mut gz, &ring(n, 3));
+    gz.spanning_forest().expect("third query reseals under the held handle");
+    assert_eq!(held.captured_groups(), n as usize, "the held epoch captured every vertex once");
+    assert_eq!(gz.store().epoch_captures(), n, "and nothing else did");
+    let again = held.spanning_forest().expect("held epoch still answers");
+    assert_same_answer(&again, &sealed);
+}
+
+/// The same contract one layer up: the sharded coordinator's cache, over
+/// three in-process shards.
+#[test]
+fn sharded_reseal_captures_nothing_unless_a_query_still_holds_the_old_epoch() {
+    let n = 30u64;
+    let mut config = ShardConfig::in_ram(n, 3);
+    config.query_staleness = Some(0);
+    let mut gz = ShardedGraphZeppelin::in_process(config).expect("sharded system");
+
+    gz.ingest(ring(n, 1)).expect("ingest");
+    gz.spanning_forest().expect("first query seals the cached epoch");
+    gz.ingest(ring(n, 2)).expect("ingest");
+    gz.spanning_forest().expect("second query reseals");
+    assert_eq!(
+        gz.epoch_captures().expect("in-process shards"),
+        Some(0),
+        "the reseal's flush captured pre-images for an epoch only the cache was holding"
+    );
+
+    let held = gz.begin_epoch().expect("a query elsewhere pins the sealed state");
+    let sealed = held.spanning_forest().expect("sealed answer");
+    gz.ingest(ring(n, 3)).expect("ingest");
+    gz.spanning_forest().expect("third query reseals under the held handle");
+    assert_eq!(gz.epoch_captures().expect("in-process shards"), Some(n));
+    let again = held.spanning_forest().expect("held epoch still answers");
+    assert_same_answer(&again, &sealed);
+    drop(held);
+    gz.shutdown().expect("clean shutdown");
+}
+
 mod epoch_equivalence_proptests {
     use super::*;
     use proptest::prelude::*;
@@ -210,8 +288,9 @@ mod epoch_equivalence_proptests {
         /// point, "query at epoch E" equals "stop-the-world query right
         /// after E's flush" bit for bit — labels, forest, rounds used,
         /// sketch failures — across Ram/Disk stores × shard counts {1, 3}
-        /// × query_threads {1, 4}, with the suffix of the stream ingested
-        /// between the seal and the epoch queries.
+        /// × both shard query routes (in-place fold, gather fold) × τ ∈
+        /// {0, 64} × query_threads {1, 4}, with the suffix of the stream
+        /// ingested between the seal and the epoch queries.
         #[test]
         fn epoch_query_equals_stop_the_world_at_seal(
             n in 4u64..24,
@@ -274,36 +353,74 @@ mod epoch_equivalence_proptests {
             }
             drop(epoch);
 
-            // Shard fleets: per-shard seals gathered through the transport.
+            // Shard fleets, on both query routes: in-process shards fold
+            // each round in place from their own stores, `local_socket`
+            // shards ship serialized round slices the coordinator validates
+            // and deserializes. Same sealed values, so the same bits — both
+            // against the single-node reference, hence against each other —
+            // across Ram/Disk shard stores × τ ∈ {0, 64} (τ = 64 keeps every
+            // vertex an exact set here), with the epoch pinned while the
+            // suffix is ingested, and live once it is in.
+            type Maker = fn(ShardConfig) -> Result<ShardedGraphZeppelin, graph_zeppelin::GzError>;
+            let routes: [(&str, Maker); 2] = [
+                ("in-place", ShardedGraphZeppelin::in_process),
+                ("gather", ShardedGraphZeppelin::local_socket),
+            ];
+            let mut live_reference = None;
             for shards in [1u32, 3] {
-                let mut gz = ShardedGraphZeppelin::in_process(ShardConfig::in_ram(n, shards))
-                    .unwrap();
-                ingest_sharded(&mut gz, prefix);
-                let mut epoch = gz.begin_epoch().unwrap();
-                ingest_sharded(&mut gz, suffix);
-                gz.flush().unwrap();
-                for threads in [1usize, 4] {
-                    epoch.set_query_threads(threads);
-                    let got = epoch.spanning_forest().unwrap();
-                    prop_assert_eq!(
-                        &reference.labels, &got.labels,
-                        "labels {} shards t={}", shards, threads
-                    );
-                    prop_assert_eq!(
-                        &reference.forest, &got.forest,
-                        "forest {} shards t={}", shards, threads
-                    );
-                    prop_assert_eq!(
-                        reference.rounds_used, got.rounds_used,
-                        "rounds {} shards t={}", shards, threads
-                    );
-                    prop_assert_eq!(
-                        reference.sketch_failures, got.sketch_failures,
-                        "failures {} shards t={}", shards, threads
-                    );
+                for (on_disk, tau) in [(false, 0u32), (false, 64), (true, 0), (true, 64)] {
+                    for (route, make) in routes {
+                        // A directory per fleet: shard files are named by
+                        // process, seed and index only.
+                        let dir = TempDir::new("gz-epoch-prop-shards");
+                        let mut config = ShardConfig::in_ram(n, shards);
+                        config.sketch_threshold = tau;
+                        if on_disk {
+                            config.store = StoreBackend::Disk {
+                                dir: dir.path().to_path_buf(),
+                                block_bytes: 512,
+                                cache_groups: 2,
+                            };
+                        }
+                        let mut gz = make(config).unwrap();
+                        let what = format!("{route} {shards} shards disk={on_disk} tau={tau}");
+                        ingest_sharded(&mut gz, prefix);
+                        let mut epoch = gz.begin_epoch().unwrap();
+                        ingest_sharded(&mut gz, suffix);
+                        gz.flush().unwrap();
+                        for threads in [1usize, 4] {
+                            epoch.set_query_threads(threads);
+                            let got = epoch.spanning_forest().unwrap();
+                            prop_assert_eq!(
+                                &reference.labels, &got.labels, "labels {} t={}", what, threads
+                            );
+                            prop_assert_eq!(
+                                &reference.forest, &got.forest, "forest {} t={}", what, threads
+                            );
+                            prop_assert_eq!(
+                                reference.rounds_used, got.rounds_used,
+                                "rounds {} t={}", what, threads
+                            );
+                            prop_assert_eq!(
+                                reference.sketch_failures, got.sketch_failures,
+                                "failures {} t={}", what, threads
+                            );
+                        }
+                        drop(epoch);
+                        for threads in [1usize, 4] {
+                            gz.set_query_threads(threads);
+                            let got = gz.spanning_forest().unwrap();
+                            let want = live_reference.get_or_insert_with(|| got.clone());
+                            prop_assert_eq!(&want.labels, &got.labels, "live labels {}", what);
+                            prop_assert_eq!(&want.forest, &got.forest, "live forest {}", what);
+                            prop_assert_eq!(want.rounds_used, got.rounds_used, "live rounds {}", what);
+                            prop_assert_eq!(
+                                want.sketch_failures, got.sketch_failures, "live failures {}", what
+                            );
+                        }
+                        gz.shutdown().unwrap();
+                    }
                 }
-                drop(epoch);
-                gz.shutdown().unwrap();
             }
         }
     }
