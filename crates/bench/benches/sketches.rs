@@ -36,8 +36,8 @@ fn bench_cube_updates(c: &mut Criterion) {
 }
 
 /// The batch-kernel throughput comparison at the raw sketch level
-/// (updates/sec): per-update singles vs the column-major kernel vs the
-/// kernel behind the self-cancellation pre-pass on a dup-heavy batch (the
+/// (updates/sec): per-update singles vs the batch kernel vs the kernel
+/// behind the self-cancellation pre-pass on a dup-heavy batch (the
 /// gutter regime: insert/delete pairs for the same edge cancel before any
 /// hashing). Store-level numbers live in the ingestion bench.
 fn bench_cube_batch_kernel(c: &mut Criterion) {
@@ -71,6 +71,56 @@ fn bench_cube_batch_kernel(c: &mut Criterion) {
         let mut sketch = family.new_sketch();
         b.iter(|| sketch.update_batch(batch));
     });
+    group.finish();
+}
+
+/// The node-stack kernel the way a store drives it (DESIGN.md §9): one
+/// prepared batch into a zeroed scratch stack, the scratch XORed into the
+/// target, the scratch cleared. `batch` is the product path
+/// (`NodeSketch::update_batch_prepared`: one premix per stack, the lane
+/// kernel per round, singles below `KERNEL_MIN_BATCH`); `singles` builds the
+/// same delta one `update_signed` at a time. Lengths 1–32 are where
+/// `KERNEL_MIN_BATCH` is decided (a `gz serve` seal applies ≈16-record
+/// batches); 446 is kron13's mean gutter batch, the row the lane-width
+/// table in DESIGN.md §9 is read from. Every iteration takes the next of 64
+/// different batches: replaying one short batch lets the branch predictor
+/// learn the singles path's depth loops by heart, which no stream does.
+fn bench_stack_batch_len(c: &mut Criterion) {
+    let num_nodes: u64 = if smoke() { 1 << 9 } else { 1 << 13 };
+    let rounds = graph_zeppelin::config::default_rounds(num_nodes);
+    let params = graph_zeppelin::node_sketch::SketchParams::new(num_nodes, rounds, 7, 7);
+    let vector_len = params.families[0].geometry().vector_len;
+    let lens: &[usize] =
+        if smoke() { &[2, 16, 446] } else { &[1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 446] };
+
+    let mut group = c.benchmark_group("cubesketch_stack_batch_len");
+    group.sample_size(15);
+    for &len in lens {
+        let drawn = indices(vector_len, 64 * len);
+        let batches: Vec<&[u64]> = drawn.chunks(len).collect();
+        group.throughput(Throughput::Elements(len as u64));
+        let mut target = params.new_node_sketch();
+        let mut scratch = params.new_node_sketch();
+        let mut turn = 0usize;
+        group.bench_with_input(BenchmarkId::new("singles", len), &batches, |b, batches| {
+            b.iter(|| {
+                turn += 1;
+                for &i in batches[turn % batches.len()] {
+                    scratch.update_signed(i, 1);
+                }
+                target.merge(&scratch);
+                scratch.clear_all();
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("batch", len), &batches, |b, batches| {
+            b.iter(|| {
+                turn += 1;
+                scratch.update_batch_prepared(batches[turn % batches.len()]);
+                target.merge(&scratch);
+                scratch.clear_all();
+            })
+        });
+    }
     group.finish();
 }
 
@@ -144,7 +194,7 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_cube_updates, bench_cube_batch_kernel, bench_standard_updates,
-        bench_cube_query, bench_cube_merge
+    targets = bench_cube_updates, bench_cube_batch_kernel, bench_stack_batch_len,
+        bench_standard_updates, bench_cube_query, bench_cube_merge
 }
 criterion_main!(benches);

@@ -262,9 +262,10 @@ pub fn scratch_dir(tag: &str) -> gz_testutil::TempDir {
 }
 
 /// Drain every benchmark measurement recorded so far and write them as
-/// `BENCH_<bench>.json` — a machine-readable perf baseline (best/mean ns
-/// per case) committed alongside EXPERIMENTS.md so future PRs have a
-/// trajectory to compare against, not just prose. The directory comes from
+/// `BENCH_<bench>.json` — a machine-readable perf baseline (a host
+/// fingerprint line, then best/mean ns per case) committed alongside
+/// EXPERIMENTS.md so future PRs have a trajectory to compare against, not
+/// just prose. The directory comes from
 /// `GZ_BENCH_JSON_DIR`; by default full runs write to the workspace root
 /// (the committed baselines) while smoke runs write under `target/` — a
 /// tiny-scale CI smoke pass must never silently replace a committed
@@ -285,6 +286,7 @@ pub fn write_bench_json(bench: &str) -> std::io::Result<std::path::PathBuf> {
     out.push_str("{\n");
     out.push_str(&format!("  \"bench\": \"{}\",\n", json_escape(bench)));
     out.push_str(&format!("  \"smoke\": {},\n", smoke()));
+    out.push_str(&format!("  \"host\": \"{}\",\n", json_escape(&host_fingerprint())));
     out.push_str("  \"cases\": [\n");
     for (i, case) in cases.iter().enumerate() {
         out.push_str(&format!(
@@ -298,6 +300,29 @@ pub fn write_bench_json(bench: &str) -> std::io::Result<std::path::PathBuf> {
     out.push_str("  ]\n}\n");
     std::fs::write(&path, out)?;
     Ok(path)
+}
+
+/// One line naming the host a baseline was measured on — cores, CPU model,
+/// kernel, compiler — so a later diff can tell other hardware from a
+/// regression. Best effort: a field the host does not expose reads `?`.
+fn host_fingerprint() -> String {
+    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let cpu = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|text| {
+            let line = text.lines().find(|l| l.starts_with("model name"))?;
+            Some(line.split_once(':')?.1.trim().to_string())
+        })
+        .unwrap_or_else(|| "?".into());
+    let kernel = std::fs::read_to_string("/proc/sys/kernel/osrelease")
+        .map_or_else(|_| "?".into(), |k| k.trim().to_string());
+    let rustc = std::process::Command::new("rustc")
+        .arg("--version")
+        .output()
+        .ok()
+        .and_then(|out| Some(String::from_utf8(out.stdout).ok()?.lines().next()?.to_string()))
+        .unwrap_or_else(|| "rustc ?".into());
+    format!("nproc={nproc}; cpu={cpu}; kernel={kernel}; {rustc}")
 }
 
 /// Minimal JSON string escaping for benchmark names (quotes, backslashes,
@@ -389,6 +414,7 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(path.file_name().unwrap().to_str().unwrap() == "BENCH_harness_test.json");
         assert!(text.contains("\"bench\": \"harness_test\""), "{text}");
+        assert!(text.contains("\"host\": \"nproc="), "{text}");
         assert!(text.contains("\"name\": \"json/smoke-case\""), "{text}");
         assert!(text.contains("\"best_ns\":"), "{text}");
         assert!(text.contains("\"mean_ns\":"), "{text}");

@@ -378,11 +378,19 @@ fn queries_overlap_ingestion_without_blocking_it() {
     let options = tcp_options(NODES);
     let handle = serve_start(&options).expect("start daemon");
 
+    // Halfway through its stream the writer waits for the reader's first
+    // answer, so a query overlaps ingestion however the threads are
+    // scheduled (a loaded host used to let the writer finish first).
     let addr = handle.addr().to_string();
+    let (first_answer, answered) = std::sync::mpsc::channel();
     let writer = std::thread::spawn(move || {
         let mut client =
             ServeClient::connect_tcp(&addr, &client_timeouts()).expect("writer connect");
-        for chunk in edge_stream(NODES as u32, 600, 5).chunks(16) {
+        let stream = edge_stream(NODES as u32, 600, 5);
+        for (i, chunk) in stream.chunks(16).enumerate() {
+            if i == stream.len() / 32 {
+                answered.recv_timeout(Duration::from_secs(60)).expect("a query mid-stream");
+            }
             client.send_updates(chunk).expect("writer batch");
         }
         client.shutdown().expect("writer goodbye");
@@ -394,6 +402,7 @@ fn queries_overlap_ingestion_without_blocking_it() {
         let labels = reader.query_components().expect("overlapped query");
         assert_eq!(labels.len(), NODES as usize);
         answers += 1;
+        first_answer.send(()).ok();
     }
     writer.join().expect("writer thread");
     assert!(answers > 0, "no query overlapped ingestion");

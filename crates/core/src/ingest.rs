@@ -14,6 +14,7 @@
 
 use crate::store::SketchStore;
 use gz_gutters::WorkQueue;
+use gz_sketch::cube::{with_premixed, LaneAccumulators};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -101,10 +102,10 @@ fn apply_batch(store: &SketchStore, node: u32, records: &[u32], group_threads: u
 /// Sketch-level parallel application (the delta-sketch discipline, on
 /// either store): decode the batch to indices once (into the per-worker
 /// thread-local scratch, same as the serial path), run the
-/// self-cancellation pre-pass once (hash-independent, so one pass serves
-/// every round), build the delta sketch with rounds split across a scoped
-/// thread group — each round applied through the column-major batch kernel
-/// — then lock only for the merge. The delta sketch comes from the store's
+/// self-cancellation pre-pass and the premix once (both round-independent,
+/// so the whole thread group reads one buffer of each), build the delta
+/// sketch with rounds split across a scoped thread group — each round
+/// applied through the batch kernel — then lock only for the merge. The delta sketch comes from the store's
 /// reusable scratch pool, so no node-sized allocation happens per batch.
 fn apply_batch_grouped(store: &SketchStore, node: u32, records: &[u32], group_threads: usize) {
     let num_nodes = store.params().num_nodes;
@@ -113,20 +114,20 @@ fn apply_batch_grouped(store: &SketchStore, node: u32, records: &[u32], group_th
         gz_sketch::cancel_duplicates(indices);
 
         let mut scratch = store.scratch().checkout();
-        {
-            let rounds = scratch.rounds_mut();
-            let per_chunk = rounds.len().div_ceil(group_threads);
+        let rounds = scratch.rounds_mut();
+        let per_chunk = rounds.len().div_ceil(group_threads);
+        with_premixed(indices, |batch| {
             std::thread::scope(|scope| {
                 for chunk in rounds.chunks_mut(per_chunk.max(1)) {
-                    let indices = &*indices;
                     scope.spawn(move || {
+                        let mut acc = LaneAccumulators::new();
                         for sketch in chunk.iter_mut() {
-                            sketch.update_batch_prepared(indices);
+                            sketch.update_batch_premixed(batch, &mut acc);
                         }
                     });
                 }
             });
-        }
+        });
         store.merge_delta(node, &scratch);
         store.scratch().recycle(scratch);
     });
@@ -181,6 +182,55 @@ mod tests {
         let (a, b) = (a[0].as_ref().unwrap(), b[0].as_ref().unwrap());
         for r in 0..a.num_rounds() {
             assert_eq!(a.sample_round(r), b.sample_round(r), "round {r}");
+        }
+    }
+
+    #[test]
+    fn every_route_into_the_kernel_builds_the_same_stack() {
+        // One batch — duplicates, deletes and a self-loop included — through
+        // every entry the kernel has: the stack-level premix-once path, each
+        // round premixing for itself, the serial store path, the grouped
+        // path at 1–3 threads (five rounds, so the groups are uneven), and
+        // per-record singles as the reference. Byte-equal stacks throughout.
+        use crate::node_sketch::assert_rounds_bitwise_equal;
+        let (num_nodes, node) = (64u64, 9u32);
+        let params = Arc::new(SketchParams::new(num_nodes, 5, 7, 5));
+        let records: Vec<u32> =
+            (0..150u32).map(|i| encode_other((i * 11 + i / 5) % 40, i % 3 == 0)).collect();
+        assert!(records.iter().any(|&r| crate::node_sketch::decode_other(r).0 == node));
+
+        let mut decoded = Vec::new();
+        crate::store::decode_records_into(node, &records, num_nodes, &mut decoded);
+        let mut reference = params.new_node_sketch();
+        for &idx in &decoded {
+            reference.update_signed(idx, 1);
+        }
+        let mut survivors = decoded.clone();
+        gz_sketch::cancel_duplicates(&mut survivors);
+        assert!(survivors.len() < decoded.len(), "the batch must exercise the pre-pass");
+
+        let mut stack = params.new_node_sketch();
+        stack.update_batch_prepared(&survivors);
+        assert_rounds_bitwise_equal(&stack, &reference, "stack-level kernel");
+
+        let mut per_round = params.new_node_sketch();
+        for sketch in per_round.rounds_mut() {
+            sketch.update_batch_prepared(&decoded);
+        }
+        assert_rounds_bitwise_equal(&per_round, &reference, "per-round kernel, duplicates left in");
+
+        let stored = |apply: &dyn Fn(&SketchStore)| {
+            let store =
+                SketchStore::Ram(RamStore::new(Arc::clone(&params), LockingStrategy::DeltaSketch));
+            apply(&store);
+            store.snapshot()[node as usize].clone().unwrap()
+        };
+        let serial = stored(&|store| store.apply_batch(node, &records));
+        assert_rounds_bitwise_equal(&serial, &reference, "serial store path");
+        for group_threads in 1..=3 {
+            let grouped =
+                stored(&|store| apply_batch_grouped(store, node, &records, group_threads));
+            assert_rounds_bitwise_equal(&grouped, &reference, &format!("group of {group_threads}"));
         }
     }
 

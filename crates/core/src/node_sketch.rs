@@ -9,7 +9,7 @@
 
 use gz_graph::{edge_index, Edge, VertexId};
 use gz_hash::{SplitMix64, Xxh64Hasher};
-use gz_sketch::cube::{CubeSketch, CubeSketchFamily};
+use gz_sketch::cube::{with_premixed, CubeSketch, CubeSketchFamily, LaneAccumulators};
 use gz_sketch::geometry::SketchGeometry;
 use gz_sketch::{L0Sampler, SampleResult};
 use std::sync::Arc;
@@ -88,14 +88,17 @@ impl<H: gz_hash::Hasher64> NodeSketch<CubeSketch<H>> {
     /// Apply one *prepared* batch of characteristic-vector toggles — decoded
     /// to indices and run through the self-cancellation pre-pass
     /// ([`gz_sketch::cancel_duplicates`]) exactly once — to every round via
-    /// the column-major batch kernel. The pre-pass is hash-independent, so
-    /// one pass serves all `O(log V)` rounds; bit-identical to looping
+    /// the batch kernel. The pre-pass and the premix (the half of each
+    /// record's hash that no seed enters) are round-independent, so one pass
+    /// of each serves all `O(log V)` rounds; bit-identical to looping
     /// [`Self::update_signed`] over the raw records.
-    #[inline]
     pub fn update_batch_prepared(&mut self, indices: &[u64]) {
-        for s in self.rounds.iter_mut() {
-            s.update_batch_prepared(indices);
-        }
+        with_premixed(indices, |batch| {
+            let mut acc = LaneAccumulators::new();
+            for s in self.rounds.iter_mut() {
+                s.update_batch_premixed(batch, &mut acc);
+            }
+        });
     }
 }
 
@@ -321,6 +324,53 @@ mod tests {
             assert_eq!(p.deserialize_round(r, &slice).query(), s.sample_round(r));
         }
         assert_eq!(p.round_serialized_offset(s.num_rounds()), whole.len());
+    }
+
+    /// The golden batch: 200 toggles of node 5's edges over its 63 possible
+    /// neighbours, so every edge recurs — 23 of them an even number of times.
+    fn golden_batch() -> Vec<u64> {
+        let node = 5u32;
+        (0..200u32)
+            .map(|i| {
+                let other = (i * 29 + i / 7) % 63;
+                update_index(node, other + (other >= node) as u32, 64)
+            })
+            .collect()
+    }
+
+    fn stack_digest(p: &SketchParams, stack: &CubeNodeSketch) -> u64 {
+        let mut bytes = Vec::new();
+        p.serialize_node_sketch(stack, &mut bytes);
+        gz_hash::xxh64(&bytes, 0)
+    }
+
+    #[test]
+    fn golden_digest_pins_the_hash_to_bucket_mapping() {
+        // Every GZC2/GZS2 checkpoint and every shard on the wire holds these
+        // bits, and `params_digest` covers geometry and seed only: a kernel
+        // or hash edit that moves one bucket must fail here, not when an old
+        // checkpoint silently stops merging. The constant was computed at
+        // the commit before the hash was split (PR 16).
+        const GOLDEN: u64 = 0xA64C_14EF_BB8B_C3E5;
+        let p = params(64);
+        let batch = golden_batch();
+
+        let mut kernel = p.new_node_sketch();
+        kernel.update_batch_prepared(&batch);
+        assert_eq!(stack_digest(&p, &kernel), GOLDEN, "batch kernel, duplicates left in");
+
+        let mut survivors = batch.clone();
+        gz_sketch::cancel_duplicates(&mut survivors);
+        assert_eq!(survivors.len(), 40);
+        let mut prepared = p.new_node_sketch();
+        prepared.update_batch_prepared(&survivors);
+        assert_eq!(stack_digest(&p, &prepared), GOLDEN, "batch kernel behind the pre-pass");
+
+        let mut singles = p.new_node_sketch();
+        for &idx in &batch {
+            singles.update_signed(idx, 1);
+        }
+        assert_eq!(stack_digest(&p, &singles), GOLDEN, "per-record singles");
     }
 
     #[test]

@@ -20,6 +20,7 @@
 
 use crate::boruvka::RoundSink;
 use crate::node_sketch::{update_index, CubeNodeSketch, CubeRoundSketch, SketchParams};
+use gz_sketch::cube::{with_premixed, LaneAccumulators};
 use std::ops::Range;
 
 /// Sorted exact set of a vertex's live (non-cancelled) neighbors.
@@ -229,8 +230,12 @@ impl SparseRoundBatch {
         round: usize,
     ) {
         let family = &params.families[round];
+        // One set of kernel accumulators for the whole drain: most groups
+        // are a handful of indices, too few to pay for zeroing their own.
+        let mut acc = LaneAccumulators::new();
         self.drain_groups(|root, indices| {
-            sink.accumulator(root, || family.new_sketch()).update_batch_prepared(indices);
+            let sketch = sink.accumulator(root, || family.new_sketch());
+            with_premixed(indices, |batch| sketch.update_batch_premixed(batch, &mut acc));
         });
     }
 }

@@ -31,6 +31,7 @@ use crate::error::GzError;
 use crate::node_sketch::{CubeNodeSketch, CubeRoundSketch, NodeSketch, SketchParams};
 use crate::sparse::{edge_indices, SparseSet};
 use gz_gutters::{IoStats, WorkerPool};
+use gz_sketch::cube::{with_premixed, LaneAccumulators};
 use gz_sketch::L0Sampler;
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -270,11 +271,12 @@ impl SketchStore {
         let params = self.params();
         let mut slice = params.families[round].new_sketch();
         let mut indices = Vec::new();
+        let mut acc = LaneAccumulators::new();
         self.for_each_sparse(live, None, &mut |node, set| {
             indices.clear();
             indices.extend(edge_indices(node, set.neighbors().iter().copied(), params.num_nodes));
             slice.clear();
-            slice.update_batch_prepared(&indices);
+            with_premixed(&indices, |batch| slice.update_batch_premixed(batch, &mut acc));
             sink(node, &slice);
         });
         self.stream_round_dense(round, live, None, sink)
@@ -687,8 +689,9 @@ pub(crate) fn decode_records_into(node: u32, records: &[u32], num_nodes: u64, ou
 /// Apply a batch of records to a node sketch through the batch kernel:
 /// decode to indices **once per batch** (not once per round), run the
 /// self-cancellation pre-pass once (it is hash-independent, so one pass
-/// serves every round), then drive each round's column-major kernel.
-/// Shared by both stores and bit-identical to per-record singles.
+/// serves every round), then hand the survivors to the stack, which
+/// premixes them once and drives each round's kernel. Shared by both
+/// stores and bit-identical to per-record singles.
 #[inline]
 pub(crate) fn apply_records(
     sketch: &mut CubeNodeSketch,

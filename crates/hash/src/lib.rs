@@ -30,6 +30,24 @@ pub trait Hasher64: Clone + Send + Sync {
     /// Hash a 64-bit key to a 64-bit value.
     fn hash64(&self, key: u64) -> u64;
 
+    /// The seed-independent half of [`Self::hash64`]. A caller that hashes
+    /// one key under many seeds (every column of every round of a node
+    /// sketch stack) computes it once and hands the result to each seed's
+    /// [`Self::finish`]. The law every implementation keeps:
+    /// `h.hash64(k) == h.finish(H::premix(k))`. The default is the identity,
+    /// for families with no seed-independent work to share.
+    #[inline]
+    fn premix(key: u64) -> u64 {
+        key
+    }
+
+    /// The seed-dependent half of [`Self::hash64`], applied to a
+    /// [`Self::premix`]ed key.
+    #[inline]
+    fn finish(&self, premixed: u64) -> u64 {
+        self.hash64(premixed)
+    }
+
     /// Hash a 64-bit key to a 32-bit value (used for sketch checksums).
     #[inline]
     fn hash32(&self, key: u64) -> u32 {
@@ -149,5 +167,26 @@ mod determinism {
         // in every checkpoint silently stops merging with fresh ones.
         assert_eq!(xxh64(b"", 0), 0xEF46_DB37_51D8_E999);
         assert_eq!(xxh64(b"abc", 0), 0x44BC_2CF5_AD77_0999);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    fn split_agrees<H: Hasher64>(seed: u64, key: u64) -> bool {
+        let h = H::with_seed(seed);
+        h.finish(H::premix(key)) == h.hash64(key)
+    }
+
+    proptest! {
+        /// The law the sketch batch kernel rests on, for the family that
+        /// overrides the split and for one that keeps the defaults.
+        #[test]
+        fn finish_of_premix_is_hash64(seed in any::<u64>(), key in any::<u64>()) {
+            prop_assert!(split_agrees::<Xxh64Hasher>(seed, key));
+            prop_assert!(split_agrees::<PairwiseHash>(seed, key));
+        }
     }
 }

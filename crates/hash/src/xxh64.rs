@@ -106,8 +106,15 @@ pub fn xxh64(data: &[u8], seed: u64) -> u64 {
 /// path fully unrolled: no loops, no bounds checks.
 #[inline]
 pub fn xxh64_u64(key: u64, seed: u64) -> u64 {
+    finish_u64(round(0, key), seed)
+}
+
+/// Everything of [`xxh64_u64`] after the key's own `round(0, key)`: the only
+/// part that reads the seed.
+#[inline(always)]
+fn finish_u64(premixed: u64, seed: u64) -> u64 {
     let mut h = seed.wrapping_add(PRIME64_5).wrapping_add(8);
-    h ^= round(0, key);
+    h ^= premixed;
     h = h.rotate_left(27).wrapping_mul(PRIME64_1).wrapping_add(PRIME64_4);
     avalanche(h)
 }
@@ -135,6 +142,18 @@ impl Hasher64 for Xxh64Hasher {
     #[inline(always)]
     fn hash64(&self, key: u64) -> u64 {
         xxh64_u64(key, self.seed)
+    }
+
+    /// `round(0, key)`: two of the hash's five multiplies, none of which
+    /// sees the seed.
+    #[inline(always)]
+    fn premix(key: u64) -> u64 {
+        round(0, key)
+    }
+
+    #[inline(always)]
+    fn finish(&self, premixed: u64) -> u64 {
+        finish_u64(premixed, self.seed)
     }
 }
 

@@ -25,26 +25,41 @@
 //!   draws. Update, query, and serialization all derive from the same call,
 //!   so linearity and single-support certification are unaffected.
 //!
-//! The ingestion hot path enters through [`CubeSketch::update_batch`]
-//! (paper Figure 8, `update_sketch_batch`): a self-cancellation pre-pass
-//! drops coordinate pairs before any hashing (toggles over Z_2 — gutters
-//! routinely deliver insert/delete pairs for the same edge), then a
-//! column-major kernel hashes each survivor once per column and applies the
-//! XORs in contiguous row order via a suffix-XOR sweep.
+//! The ingestion hot path is the batch kernel (paper Figure 8,
+//! `update_sketch_batch`; DESIGN.md §9). A self-cancellation pre-pass drops
+//! coordinate pairs before any hashing (toggles over Z_2 — gutters routinely
+//! deliver insert/delete pairs for the same edge). [`with_premixed`] then
+//! computes the seed-independent half of every survivor's hash once, for
+//! however many sketches the batch is bound for, and
+//! [`CubeSketch::update_batch_premixed`] makes one pass over the records per
+//! `LANES` columns, finishing each record's hash under every column's seed
+//! and applying the XORs in contiguous row order via a suffix-XOR sweep.
 
 use crate::geometry::SketchGeometry;
 use crate::{L0Sampler, SampleResult};
 use gz_hash::{Hasher64, SplitMix64, Xxh64Hasher};
+use std::cell::RefCell;
+use std::marker::PhantomData;
 use std::sync::Arc;
 
 /// Hard ceiling on sketch rows (`⌈log2 n⌉ ≤ 64` for `n: u64`); sizes the
-/// batch kernel's stack-resident per-depth accumulators.
+/// batch kernel's per-depth accumulators.
 const MAX_ROWS: usize = 64;
 
-/// Batches smaller than this skip the column-major kernel: the suffix-XOR
-/// sweep touches every row of every column (`rows × columns` writes), which
-/// only pays for itself once several updates share that fixed cost.
-const KERNEL_MIN_BATCH: usize = 4;
+/// Batches smaller than this skip the batch kernel: the suffix-XOR sweep
+/// touches every row of every column (`rows × columns` read-modify-writes),
+/// a fixed cost per sketch that singles — which write only the rows a
+/// record reaches — do not pay. Measured crossover (EXPERIMENTS.md
+/// "Sketch-update kernel"): singles ahead at 2 records, the kernel from 3.
+const KERNEL_MIN_BATCH: usize = 3;
+
+/// Columns the batch kernel carries through one pass over the records: that
+/// many independent finish → depth → accumulator-XOR chains per record.
+/// Chosen from the measured table in DESIGN.md §9: at the default geometry
+/// ([`crate::geometry::DEFAULT_COLUMNS`]) a sketch is one pass. Other column
+/// counts take full-width passes and then one narrower pass for the
+/// remainder.
+const LANES: usize = 7;
 
 /// Cancel coordinate pairs within a batch of Z_2 toggles, in place.
 ///
@@ -75,6 +90,72 @@ pub fn cancel_duplicates(indices: &mut Vec<u64>) {
     indices.truncate(write);
 }
 
+/// A prepared index batch together with the seed-independent half of each
+/// record's hash ([`Hasher64::premix`] of its offset encoding): what
+/// [`CubeSketch::update_batch_premixed`] consumes. Only [`with_premixed`]
+/// builds one, so the two slices always correspond.
+#[derive(Debug)]
+pub struct PremixedBatch<'a, H> {
+    indices: &'a [u64],
+    premixed: &'a [u64],
+    hasher: PhantomData<fn() -> H>,
+}
+
+impl<H> Clone for PremixedBatch<'_, H> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<H> Copy for PremixedBatch<'_, H> {}
+
+std::thread_local! {
+    /// Per-thread premix buffer, reused across batches so the hot path
+    /// allocates nothing: one `u64` per record of the largest batch seen.
+    static PREMIX_SCRATCH: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Premix `indices` under hasher family `H` — once, whatever the number of
+/// sketches (rounds of a node stack, threads of a group) `f` applies the
+/// batch to. The premix lands in a per-thread buffer that is taken for the
+/// duration of the call, so a nested call is legal (it allocates its own).
+pub fn with_premixed<H: Hasher64, R>(
+    indices: &[u64],
+    f: impl FnOnce(PremixedBatch<'_, H>) -> R,
+) -> R {
+    let mut premixed = PREMIX_SCRATCH.take();
+    premixed.clear();
+    premixed.extend(indices.iter().map(|&idx| H::premix(idx + 1)));
+    let result = f(PremixedBatch { indices, premixed: &premixed, hasher: PhantomData });
+    PREMIX_SCRATCH.set(premixed);
+    result
+}
+
+/// The batch kernel's per-depth XOR accumulators, one set per lane: entry
+/// `d` of a lane holds the XOR of the contributions whose exact depth is
+/// `d + 1`. All-zero whenever the kernel is not running — each pass's sweep
+/// re-zeroes the rows it used — so one value serves every sketch a caller
+/// applies batches to, and is cleared by `rows`, never by its full size
+/// (`LANES × MAX_ROWS × 12` bytes).
+#[derive(Debug)]
+pub struct LaneAccumulators {
+    alpha: [[u64; MAX_ROWS]; LANES],
+    gamma: [[u32; MAX_ROWS]; LANES],
+}
+
+impl LaneAccumulators {
+    /// Zeroed accumulators.
+    pub fn new() -> Self {
+        LaneAccumulators { alpha: [[0; MAX_ROWS]; LANES], gamma: [[0; MAX_ROWS]; LANES] }
+    }
+}
+
+impl Default for LaneAccumulators {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 /// Shared parameters (geometry + hash functions) for a family of mergeable
 /// CubeSketches.
 #[derive(Debug, Clone)]
@@ -92,30 +173,6 @@ impl<H: Hasher64> CubeSketchFamily<H> {
         let cols = geometry.num_columns as u64;
         let hash = (0..cols).map(|c| H::with_seed(SplitMix64::derive(seed, c))).collect();
         Arc::new(CubeSketchFamily { geometry, seed, hash })
-    }
-
-    /// Depth and checksum of encoded coordinate `enc` in column `col`, from
-    /// a single 64-bit hash: row `i` membership needs `i` trailing zero bits
-    /// (so depth = `1 + tz`, clamped to the row count) and the checksum is
-    /// the high word. The two draw fully disjoint bits while `rows ≤ 32`
-    /// (`n ≤ 2^32`); for longer vectors a row-`i` bucket with `i > 32`
-    /// constrains the low `i − 32` checksum bits of its members, so the
-    /// effective checksum entropy in those deepest rows is `64 − i` bits —
-    /// e.g. still ≥ 25 bits at `n = 2^39` (`V ≈ 10^6`) — a bounded, rare-row
-    /// weakening of the Lemma 3 certificate accepted in exchange for
-    /// halving hash invocations (DESIGN.md §9).
-    #[inline]
-    fn depth_and_checksum(&self, col: usize, enc: u64) -> (usize, u32) {
-        let h = self.hash[col].hash64(enc);
-        let depth = (1 + h.trailing_zeros() as usize).min(self.geometry.num_rows as usize);
-        (depth, (h >> 32) as u32)
-    }
-
-    /// The checksum a single surviving coordinate must certify with (query
-    /// side of the same single-hash derivation).
-    #[inline]
-    fn checksum(&self, col: usize, enc: u64) -> u32 {
-        (self.hash[col].hash64(enc) >> 32) as u32
     }
 
     /// Convenience: family for a vector of length `n` with default columns.
@@ -143,6 +200,29 @@ impl<H: Hasher64> CubeSketchFamily<H> {
     pub fn compatible(&self, other: &Self) -> bool {
         self.geometry == other.geometry && self.seed == other.seed
     }
+}
+
+/// The hash bit that stands for a sketch's last row (see
+/// [`depth_and_checksum`]).
+#[inline(always)]
+fn last_row_bit(rows: usize) -> u64 {
+    1 << (rows - 1)
+}
+
+/// Deepest row reached and checksum of a coordinate, from its column's
+/// single 64-bit hash `h`: row `i` membership needs `i` trailing zero bits,
+/// so the coordinate sits in rows `0..=tz`, clamped to the last row —
+/// setting that row's bit (`last_row`, from [`last_row_bit`]) before the
+/// count clamps without a compare — and the checksum is the high word. The
+/// two draw fully disjoint bits while `rows ≤ 32` (`n ≤ 2^32`); for longer
+/// vectors a row-`i` bucket with `i > 32` constrains the low `i − 32`
+/// checksum bits of its members, so the effective checksum entropy in those
+/// deepest rows is `64 − i` bits — e.g. still ≥ 25 bits at `n = 2^39`
+/// (`V ≈ 10^6`) — a bounded, rare-row weakening of the Lemma 3 certificate
+/// accepted in exchange for halving hash invocations (DESIGN.md §9).
+#[inline(always)]
+fn depth_and_checksum(h: u64, last_row: u64) -> (usize, u32) {
+    ((h | last_row).trailing_zeros() as usize, (h >> 32) as u32)
 }
 
 /// A CubeSketch: the bucket payload of one sketched vector.
@@ -195,75 +275,130 @@ impl<H: Hasher64> CubeSketch<H> {
     /// (paper Figure 6, `update_sketch`).
     #[inline]
     pub fn update(&mut self, idx: u64) {
-        let geom = &self.family.geometry;
-        debug_assert!(idx < geom.vector_len, "index {idx} out of range");
         let enc = idx + 1; // offset encoding: 0 is reserved for "empty"
-        let rows = geom.num_rows as usize;
-        for col in 0..geom.num_columns as usize {
-            let (depth, checksum) = self.family.depth_and_checksum(col, enc);
-            let base = col * rows;
-            for r in base..base + depth {
-                self.alpha[r] ^= enc;
-                self.gamma[r] ^= checksum;
+        self.update_one(enc, H::premix(enc));
+    }
+
+    /// One toggle, its premix given: the key is premixed once, not once per
+    /// column.
+    #[inline]
+    fn update_one(&mut self, enc: u64, premixed: u64) {
+        let family = &*self.family;
+        debug_assert!(enc - 1 < family.geometry.vector_len, "index {} out of range", enc - 1);
+        let rows = family.geometry.num_rows as usize;
+        let last_row = last_row_bit(rows);
+        for (col, hasher) in family.hash.iter().enumerate() {
+            let (deepest, checksum) = depth_and_checksum(hasher.finish(premixed), last_row);
+            let reached = col * rows..=col * rows + deepest;
+            let (alpha, gamma) = (&mut self.alpha[reached.clone()], &mut self.gamma[reached]);
+            for r in 0..=deepest {
+                alpha[r] ^= enc;
+                gamma[r] ^= checksum;
             }
         }
     }
 
     /// Apply a batch of coordinate toggles (the Graph Worker path, paper
     /// Figure 8 `update_sketch_batch`): self-cancellation pre-pass, then the
-    /// column-major kernel. Bit-identical to per-update singles.
+    /// batch kernel. Bit-identical to per-update singles.
     pub fn update_batch(&mut self, indices: &[u64]) {
         let mut survivors = indices.to_vec();
         cancel_duplicates(&mut survivors);
         self.update_batch_prepared(&survivors);
     }
 
-    /// The column-major batch kernel, without the cancellation pre-pass —
-    /// callers that share one prepared (decoded + cancelled) index batch
-    /// across many sketches (every round of a node stack) enter here.
-    ///
-    /// Per column, every index is hashed exactly once and its `(α, γ)`
-    /// contribution is bucketed at its exact depth; a suffix-XOR sweep then
-    /// applies the accumulated deltas to the column's rows in one contiguous
-    /// descending pass (row `r` receives every contribution of depth
-    /// `> r`). Correct for arbitrary batches — duplicate pairs cancel inside
-    /// the accumulators — the pre-pass only saves their hashing cost.
+    /// The batch kernel without the cancellation pre-pass, for one sketch:
+    /// premix, then [`Self::update_batch_premixed`]. Callers that apply one
+    /// prepared batch to many sketches (every round of a node stack) premix
+    /// once themselves through [`with_premixed`].
     pub fn update_batch_prepared(&mut self, indices: &[u64]) {
-        if indices.len() < KERNEL_MIN_BATCH {
-            for &idx in indices {
-                self.update(idx);
+        with_premixed(indices, |batch| {
+            self.update_batch_premixed(batch, &mut LaneAccumulators::new());
+        });
+    }
+
+    /// The batch kernel proper. The columns are taken `LANES` at a time
+    /// (then one narrower pass for `columns % LANES`); each pass reads every
+    /// record once and runs one finish → depth → accumulator-XOR chain per
+    /// lane, bucketing the record's `(α, γ)` contribution at its exact depth,
+    /// and a suffix-XOR sweep then applies each lane's accumulated deltas to
+    /// its column's rows in one contiguous descending pass (row `r` receives
+    /// every contribution of depth `> r`). Correct for arbitrary batches —
+    /// duplicate pairs cancel inside the accumulators — the pre-pass only
+    /// saves their hashing cost. Batches under `KERNEL_MIN_BATCH` go
+    /// through the singles path, which applies the same XORs.
+    pub fn update_batch_premixed(
+        &mut self,
+        batch: PremixedBatch<'_, H>,
+        acc: &mut LaneAccumulators,
+    ) {
+        if batch.indices.len() < KERNEL_MIN_BATCH {
+            for (&idx, &premixed) in batch.indices.iter().zip(batch.premixed) {
+                self.update_one(idx + 1, premixed);
             }
             return;
         }
-        let geom = &self.family.geometry;
-        let rows = geom.num_rows as usize;
-        debug_assert!(rows <= MAX_ROWS);
-        // Per-depth XOR accumulators, stack-resident (rows ≤ 64). Index d
-        // holds the XOR of contributions whose exact depth is d + 1.
-        let mut acc_alpha = [0u64; MAX_ROWS];
-        let mut acc_gamma = [0u32; MAX_ROWS];
-        for col in 0..geom.num_columns as usize {
-            for &idx in indices {
-                debug_assert!(idx < geom.vector_len, "index {idx} out of range");
-                let enc = idx + 1;
-                let (depth, checksum) = self.family.depth_and_checksum(col, enc);
-                acc_alpha[depth - 1] ^= enc;
-                acc_gamma[depth - 1] ^= checksum;
+        let columns = self.family.geometry.num_columns as usize;
+        let mut col = 0;
+        while columns - col >= LANES {
+            self.sweep_lanes::<LANES>(col, batch, acc);
+            col += LANES;
+        }
+        match columns - col {
+            0 => {}
+            1 => self.sweep_lanes::<1>(col, batch, acc),
+            2 => self.sweep_lanes::<2>(col, batch, acc),
+            3 => self.sweep_lanes::<3>(col, batch, acc),
+            4 => self.sweep_lanes::<4>(col, batch, acc),
+            5 => self.sweep_lanes::<5>(col, batch, acc),
+            6 => self.sweep_lanes::<6>(col, batch, acc),
+            _ => unreachable!("a remainder is below LANES"),
+        }
+    }
+
+    /// One pass of the batch kernel over columns `first_col .. first_col + N`.
+    /// Hashers and the row count are copied out of the shared family first,
+    /// and the accumulators and this sketch's buckets are distinct `&mut`
+    /// borrows, so nothing in the record loop is reloaded or re-checked
+    /// because a store might have aliased it.
+    #[inline(always)]
+    fn sweep_lanes<const N: usize>(
+        &mut self,
+        first_col: usize,
+        batch: PremixedBatch<'_, H>,
+        acc: &mut LaneAccumulators,
+    ) {
+        let family = &*self.family;
+        let rows = family.geometry.num_rows as usize;
+        assert!((1..=MAX_ROWS).contains(&rows), "geometry has {rows} rows");
+        let hashers: [H; N] = std::array::from_fn(|lane| family.hash[first_col + lane].clone());
+        let acc_alpha = &mut acc.alpha[..N];
+        let acc_gamma = &mut acc.gamma[..N];
+        let last_row = last_row_bit(rows);
+        for (&idx, &premixed) in batch.indices.iter().zip(batch.premixed) {
+            debug_assert!(idx < family.geometry.vector_len, "index {idx} out of range");
+            let enc = idx + 1;
+            for lane in 0..N {
+                let (deepest, checksum) =
+                    depth_and_checksum(hashers[lane].finish(premixed), last_row);
+                acc_alpha[lane][deepest] ^= enc;
+                acc_gamma[lane][deepest] ^= checksum;
             }
-            // Suffix-XOR sweep: walking rows deepest-first, the running XOR
-            // at row r is exactly the combined delta of all indices with
-            // depth > r. Writes are contiguous within the column (buckets
-            // are column-major), and the accumulators are re-zeroed in the
-            // same pass for the next column.
-            let base = col * rows;
+        }
+        // Suffix-XOR sweep: walking rows deepest-first, the running XOR at
+        // row r is exactly the combined delta of all indices with depth > r.
+        // Writes are contiguous within the column (buckets are column-major),
+        // and the accumulators are re-zeroed in the same pass.
+        for lane in 0..N {
+            let base = (first_col + lane) * rows;
+            let alpha = &mut self.alpha[base..base + rows];
+            let gamma = &mut self.gamma[base..base + rows];
             let (mut run_alpha, mut run_gamma) = (0u64, 0u32);
             for r in (0..rows).rev() {
-                run_alpha ^= acc_alpha[r];
-                run_gamma ^= acc_gamma[r];
-                acc_alpha[r] = 0;
-                acc_gamma[r] = 0;
-                self.alpha[base + r] ^= run_alpha;
-                self.gamma[base + r] ^= run_gamma;
+                run_alpha ^= std::mem::take(&mut acc_alpha[lane][r]);
+                run_gamma ^= std::mem::take(&mut acc_gamma[lane][r]);
+                alpha[r] ^= run_alpha;
+                gamma[r] ^= run_gamma;
             }
         }
     }
@@ -284,7 +419,12 @@ impl<H: Hasher64> CubeSketch<H> {
                     continue; // empty (or an undetectable double-cancellation)
                 }
                 all_empty = false;
-                if a != 0 && self.family.checksum(col, a) == g && a - 1 < geom.vector_len {
+                // The checksum a single surviving coordinate must certify
+                // with: the high word of the same hash that placed it.
+                if a != 0
+                    && (self.family.hash[col].finish(H::premix(a)) >> 32) as u32 == g
+                    && a - 1 < geom.vector_len
+                {
                     return SampleResult::Index(a - 1);
                 }
             }
@@ -578,7 +718,7 @@ mod tests {
 
     #[test]
     fn prepared_kernel_equals_singles_with_duplicates() {
-        // The column-major kernel is correct even without the pre-pass:
+        // The batch kernel is correct even without the pre-pass:
         // duplicate contributions cancel inside its accumulators.
         let f = family(10_000, 19);
         let mut a = f.new_sketch();
@@ -647,6 +787,33 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
     use std::collections::HashSet;
+
+    fn assert_kernel_equals_singles<H: Hasher64>(
+        geometry: SketchGeometry,
+        seed: u64,
+        updates: &[u64],
+    ) {
+        let f = CubeSketchFamily::<H>::new(geometry, seed);
+        let mut batched = f.new_sketch();
+        let mut prepared = f.new_sketch();
+        let mut singles = f.new_sketch();
+        batched.update_batch(updates);
+        prepared.update_batch_prepared(updates);
+        for &u in updates {
+            singles.update(u);
+        }
+        let (mut a, mut b, mut c) = (Vec::new(), Vec::new(), Vec::new());
+        batched.serialize_into(&mut a);
+        prepared.serialize_into(&mut b);
+        singles.serialize_into(&mut c);
+        assert_eq!(a, c, "update_batch != singles ({geometry:?}, {} updates)", updates.len());
+        assert_eq!(
+            b,
+            c,
+            "update_batch_prepared != singles ({geometry:?}, {} updates)",
+            updates.len()
+        );
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
@@ -750,30 +917,32 @@ mod proptests {
             prop_assert_eq!(s.query(), SampleResult::Zero);
         }
 
-        /// The batch kernel (pre-pass + column-major application) is
-        /// bit-identical to per-update singles on arbitrary batches,
-        /// including dup-heavy ones exercising the cancellation pre-pass.
+        /// The batch kernel (pre-pass, premix, lane passes) is bit-identical
+        /// to per-update singles: across column counts on both sides of the
+        /// lane width and every remainder, vectors from one row (every hash
+        /// clamps at the last row) to 2^40 (rows > 32), batches on both
+        /// sides of `KERNEL_MIN_BATCH` and gutter-sized, drawn from domains
+        /// narrow enough to be mostly duplicates, under both hash families.
         #[test]
         fn batch_kernel_equals_singles(
             seed in any::<u64>(),
-            updates in proptest::collection::vec(0u64..64, 0..200)
+            columns in 1u32..=17,
+            rows in 1u32..=40,
+            domain_bits in 0u32..=40,
+            short_len in 0usize..=2 * KERNEL_MIN_BATCH,
+            gutter_sized in proptest::bool::ANY,
+            raw in proptest::collection::vec(any::<u64>(), 200)
         ) {
-            // Domain 64 over up to 200 updates: expect many duplicate runs.
-            let f = CubeSketchFamily::<Xxh64Hasher>::for_vector(64, seed);
-            let mut batched = f.new_sketch();
-            let mut prepared = f.new_sketch();
-            let mut singles = f.new_sketch();
-            batched.update_batch(&updates);
-            prepared.update_batch_prepared(&updates);
-            for &u in &updates {
-                singles.update(u);
-            }
-            let (mut a, mut b, mut c) = (Vec::new(), Vec::new(), Vec::new());
-            batched.serialize_into(&mut a);
-            prepared.serialize_into(&mut b);
-            singles.serialize_into(&mut c);
-            prop_assert_eq!(&a, &c, "update_batch != singles");
-            prop_assert_eq!(&b, &c, "update_batch_prepared != singles");
+            let geometry = SketchGeometry::with_columns(1 << rows, columns);
+            prop_assert_eq!(geometry.num_rows, rows);
+            // The narrow domain sits at the top of the vector, so the
+            // encodings are as wide as the geometry allows.
+            let domain = 1u64 << domain_bits.min(rows);
+            let len = if gutter_sized { raw.len() } else { short_len };
+            let updates: Vec<u64> =
+                raw[..len].iter().map(|r| geometry.vector_len - 1 - r % domain).collect();
+            assert_kernel_equals_singles::<Xxh64Hasher>(geometry, seed, &updates);
+            assert_kernel_equals_singles::<gz_hash::PairwiseHash>(geometry, seed, &updates);
         }
 
         /// The cancellation pre-pass preserves the Z_2 toggle multiset's
