@@ -1,34 +1,59 @@
 //! Sharded-ingestion benchmarks: ingestion rate vs shard count on a
-//! Kronecker stream, and batched routing vs per-update routing.
+//! Kronecker stream, batched routing vs per-update routing, and what the
+//! router costs on top of the single-node facade.
 //!
-//! The second group measures the claim the sharding refactor rests on
+//! Every lane ingests as `gz serve` does: frames of [`FRAME_UPDATES`]
+//! through `ShardedGraphZeppelin::ingest`, one transport lock a frame at
+//! most.
+//!
+//! `gz_shards_batching` measures the claim the sharding refactor rests on
 //! (after *Exploring the Landscape of Distributed Graph Sketching*): the
 //! distributed win only materializes with real inter-shard batching.
 //! `per-update` forces one-record batches through the router — the old
 //! `Shard::ingest` hot path's message pattern — while `batched` uses the
 //! paper's gutter sizing.
+//!
+//! `gz_shards_hop` is the pair the "one facade or two" question turns on
+//! (ROADMAP, "Decided"): `GraphZeppelin::ingest` against one in-process
+//! shard on the same frames, gutters only — the stream is short enough
+//! that no gutter fills, so neither side waits for a Graph Worker — in ns
+//! per update, median of alternating repetitions.
+//!
+//! Set `GZ_BENCH_SMOKE=1` to run at tiny scale (the CI format check).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use graph_zeppelin::{GutterCapacity, ShardConfig, ShardedGraphZeppelin};
-use gz_bench::harness::kron_workload;
+use graph_zeppelin::{GraphZeppelin, GutterCapacity, GzConfig, ShardConfig, ShardedGraphZeppelin};
+use gz_bench::harness::{kron_workload, smoke};
 use gz_stream::UpdateKind;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-fn ingest_all(config: ShardConfig, updates: &[gz_stream::EdgeUpdate]) -> u64 {
-    let mut gz = ShardedGraphZeppelin::in_process(config).unwrap();
-    for upd in updates {
-        gz.update(upd.u, upd.v, upd.kind == UpdateKind::Delete).unwrap();
+/// The bulk frame of the repo benchmark's `serve_durable` saturate phase.
+const FRAME_UPDATES: usize = 65_536;
+
+fn tuples(updates: &[gz_stream::EdgeUpdate]) -> Vec<(u32, u32, bool)> {
+    updates.iter().map(|upd| (upd.u, upd.v, upd.kind == UpdateKind::Delete)).collect()
+}
+
+fn ingest_frames(gz: &mut ShardedGraphZeppelin, updates: &[(u32, u32, bool)]) {
+    for frame in updates.chunks(FRAME_UPDATES) {
+        gz.ingest(frame.iter().copied()).unwrap();
     }
+}
+
+fn ingest_all(config: ShardConfig, updates: &[(u32, u32, bool)]) -> u64 {
+    let mut gz = ShardedGraphZeppelin::in_process(config).unwrap();
+    ingest_frames(&mut gz, updates);
     gz.flush().unwrap();
     gz.batches_shipped()
 }
 
 fn bench_ingest_by_shard_count(c: &mut Criterion) {
     let w = kron_workload(8, 1);
+    let updates = tuples(&w.updates);
     let mut group = c.benchmark_group("gz_shards_ingest");
-    group.throughput(Throughput::Elements(w.updates.len() as u64));
+    group.throughput(Throughput::Elements(updates.len() as u64));
     for shards in [1u32, 2, 4, 8] {
-        group.bench_with_input(BenchmarkId::from_parameter(shards), &w.updates, |b, updates| {
+        group.bench_with_input(BenchmarkId::from_parameter(shards), &updates, |b, updates| {
             b.iter(|| ingest_all(ShardConfig::in_ram(w.num_nodes, shards), updates))
         });
     }
@@ -37,14 +62,15 @@ fn bench_ingest_by_shard_count(c: &mut Criterion) {
 
 fn bench_batched_vs_per_update_routing(c: &mut Criterion) {
     let w = kron_workload(8, 2);
+    let updates = tuples(&w.updates);
     let mut group = c.benchmark_group("gz_shards_batching");
-    group.throughput(Throughput::Elements(w.updates.len() as u64));
+    group.throughput(Throughput::Elements(updates.len() as u64));
     let cases: Vec<(&str, GutterCapacity)> = vec![
         ("per-update", GutterCapacity::Updates(1)),
         ("batched-f0.5", GutterCapacity::SketchFactor(0.5)),
     ];
     for (name, capacity) in cases {
-        group.bench_with_input(BenchmarkId::from_parameter(name), &w.updates, |b, updates| {
+        group.bench_with_input(BenchmarkId::from_parameter(name), &updates, |b, updates| {
             b.iter(|| {
                 let mut config = ShardConfig::in_ram(w.num_nodes, 4);
                 config.router_capacity = capacity;
@@ -53,6 +79,47 @@ fn bench_batched_vs_per_update_routing(c: &mut Criterion) {
         });
     }
     group.finish();
+}
+
+fn bench_router_hop(_c: &mut Criterion) {
+    let w = kron_workload(if smoke() { 8 } else { 10 }, 3);
+    let updates = tuples(&w.updates);
+    let reps = if smoke() { 3 } else { 15 };
+    let ns_per_update = |elapsed: Duration| elapsed.as_nanos() as f64 / updates.len() as f64;
+    let (mut single_ns, mut shard_ns) = (Vec::new(), Vec::new());
+    for _ in 0..reps {
+        let mut single = GraphZeppelin::new(GzConfig::in_ram(w.num_nodes)).unwrap();
+        let started = Instant::now();
+        for frame in updates.chunks(FRAME_UPDATES) {
+            single.ingest(frame.iter().copied());
+        }
+        single_ns.push(ns_per_update(started.elapsed()));
+        assert_eq!(single.batches_applied(), 0, "the pair times gutters, not Graph Workers");
+        single.shutdown();
+
+        let mut shard =
+            ShardedGraphZeppelin::in_process(ShardConfig::in_ram(w.num_nodes, 1)).unwrap();
+        let started = Instant::now();
+        ingest_frames(&mut shard, &updates);
+        shard_ns.push(ns_per_update(started.elapsed()));
+        assert_eq!(shard.batches_shipped(), 0, "the pair times gutters, not Graph Workers");
+        shard.shutdown().unwrap();
+    }
+    let median = |samples: &mut Vec<f64>| {
+        samples.sort_by(f64::total_cmp);
+        samples[samples.len() / 2]
+    };
+    criterion::record_custom("gz_shards_hop/single-node", median(&mut single_ns));
+    criterion::record_custom("gz_shards_hop/one-shard", median(&mut shard_ns));
+}
+
+/// Final target: persist every measurement above as the machine-readable
+/// baseline (`BENCH_shards.json`).
+fn emit_bench_json(_c: &mut Criterion) {
+    match gz_bench::harness::write_bench_json("shards") {
+        Ok(path) => println!("bench baseline written to {}", path.display()),
+        Err(e) => eprintln!("could not write BENCH_shards.json: {e}"),
+    }
 }
 
 fn config() -> Criterion {
@@ -65,6 +132,7 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_ingest_by_shard_count, bench_batched_vs_per_update_routing
+    targets = bench_ingest_by_shard_count, bench_batched_vs_per_update_routing, bench_router_hop,
+        emit_bench_json
 }
 criterion_main!(benches);

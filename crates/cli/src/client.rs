@@ -3,8 +3,8 @@
 //! Speaks the wire v7 serve dialect: one `ClientHello` handshake, then any
 //! interleaving of `UpdateBatch` (acked durably before the reply) and
 //! `Query` (answered from a sealed epoch). Used by the hostile-client and
-//! crash tests and the `gz_serve_load` bench; it is also the reference for
-//! writing clients in other languages.
+//! crash tests and the repo benchmark's load generator; it is also the
+//! reference for writing clients in other languages.
 
 use crate::serve::ClientStream;
 use graph_zeppelin::TransportTimeouts;

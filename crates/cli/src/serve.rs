@@ -347,7 +347,7 @@ impl ServeShared {
         };
         let tuples = updates.iter().map(|u| (u.u, u.v, u.is_delete));
         if let Some(d) = state.durability.as_mut() {
-            d.wal.append(&tuples.clone().collect::<Vec<_>>())?;
+            d.wal.append_from(tuples.clone())?;
         }
         system.ingest(tuples)?;
         let acked = self.acked.load(Ordering::Relaxed) + updates.len() as u64;

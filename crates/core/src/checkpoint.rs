@@ -487,18 +487,28 @@ impl UpdateWal {
     /// Durably append one batch of updates: a single `write_all` followed
     /// by `sync_data`. After this returns the batch may be acked.
     pub fn append(&mut self, updates: &[(u32, u32, bool)]) -> Result<(), GzError> {
+        self.append_from(updates.iter().copied())
+    }
+
+    /// [`Self::append`] for a batch that is not already a slice of tuples —
+    /// `gz serve` feeds it the decoded wire updates as they are.
+    pub fn append_from(
+        &mut self,
+        updates: impl IntoIterator<Item = (u32, u32, bool)>,
+    ) -> Result<(), GzError> {
+        let updates = updates.into_iter();
         let mut payload = std::mem::take(&mut self.buf);
         payload.clear();
-        payload.reserve(WAL_RECORD_HEADER_BYTES + updates.len() * WAL_UPDATE_BYTES);
-        payload.extend_from_slice(&(updates.len() as u32).to_le_bytes());
-        payload.extend_from_slice(&[0u8; 8]); // checksum patched below
-        for &(u, v, is_delete) in updates {
+        payload.reserve(WAL_RECORD_HEADER_BYTES + updates.size_hint().0 * WAL_UPDATE_BYTES);
+        payload.extend_from_slice(&[0u8; WAL_RECORD_HEADER_BYTES]); // patched below
+        for (u, v, is_delete) in updates {
             payload.extend_from_slice(&u.to_le_bytes());
             payload.extend_from_slice(&v.to_le_bytes());
             payload.push(is_delete as u8);
         }
-        let checksum =
-            xxh64(&payload[WAL_RECORD_HEADER_BYTES..], updates.len() as u64).to_le_bytes();
+        let count = (payload.len() - WAL_RECORD_HEADER_BYTES) / WAL_UPDATE_BYTES;
+        let checksum = xxh64(&payload[WAL_RECORD_HEADER_BYTES..], count as u64).to_le_bytes();
+        payload[..4].copy_from_slice(&(count as u32).to_le_bytes());
         payload[4..12].copy_from_slice(&checksum);
         let result = self.file.write_all(&payload).and_then(|()| self.file.sync_data());
         self.buf = payload;
@@ -942,6 +952,26 @@ mod tests {
         let (_, replayed, got) = recover_all(path.path());
         assert_eq!(replayed, 4);
         assert_eq!(got.last(), Some(&(5, 6, false)));
+    }
+
+    #[test]
+    fn wal_record_bytes_do_not_depend_on_how_the_batch_arrives() {
+        let batch = [(7u32, 9u32, true), (1 << 31, 3, false), (4, 5, false)];
+        let by_slice = tmp("wal_by_slice");
+        UpdateWal::create(by_slice.path()).unwrap().append(&batch).unwrap();
+        // An iterator whose size hint says nothing about its length.
+        let by_iter = tmp("wal_by_iter");
+        let unsized_hint = (0..6).filter(|i| i % 2 == 0).map(|i| batch[i / 2]);
+        UpdateWal::create(by_iter.path()).unwrap().append_from(unsized_hint).unwrap();
+
+        let bytes = std::fs::read(by_slice.path()).unwrap();
+        assert_eq!(bytes, std::fs::read(by_iter.path()).unwrap());
+        // magic, count, checksum seeded with the count, then 9 bytes an update.
+        let payload = &bytes[4 + WAL_RECORD_HEADER_BYTES..];
+        assert_eq!(payload.len(), 3 * WAL_UPDATE_BYTES);
+        assert_eq!(bytes[4..8], 3u32.to_le_bytes());
+        assert_eq!(bytes[8..16], xxh64(payload, 3).to_le_bytes());
+        assert_eq!(payload[..9], [7, 0, 0, 0, 9, 0, 0, 0, 1]);
     }
 
     #[test]

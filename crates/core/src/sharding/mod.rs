@@ -326,17 +326,19 @@ impl ShardedGraphZeppelin {
         self.ingest([(u, v, is_delete)])
     }
 
-    /// Ingest a whole stream of `(u, v, is_delete)` updates. The transport
-    /// is locked once for the call, not once per update — and again after
-    /// each cadence checkpoint (`ShardConfig::checkpoint_every`), which
-    /// needs the transport to itself.
+    /// Ingest a whole stream of `(u, v, is_delete)` updates. The first
+    /// batch to leave the router locks the transport and the call keeps it:
+    /// at most one lock per call — none when every record fits its gutter —
+    /// and one more after each cadence checkpoint
+    /// (`ShardConfig::checkpoint_every`), which needs the transport to
+    /// itself.
     pub fn ingest(
         &mut self,
         updates: impl IntoIterator<Item = (u32, u32, bool)>,
     ) -> Result<(), GzError> {
         let mut updates = updates.into_iter();
         loop {
-            let mut transport = self.transport.lock();
+            let mut transport = None;
             let mut checkpoint_due = false;
             for (u, v, is_delete) in updates.by_ref() {
                 assert!(u != v, "self-loop");
@@ -345,7 +347,7 @@ impl ShardedGraphZeppelin {
                     "vertex out of range"
                 );
                 self.router.route_update(u, v, is_delete, &mut |shard, batch| {
-                    transport.send_batch(shard, batch)
+                    transport.get_or_insert_with(|| self.transport.lock()).send_batch(shard, batch)
                 })?;
                 self.updates += 1;
                 checkpoint_due = self.checkpoint_every.is_some_and(|every| {
@@ -988,20 +990,62 @@ mod tests {
     }
 
     #[test]
-    fn local_socket_transport_matches_in_process() {
+    fn framing_and_transport_do_not_change_a_bit() {
+        // One `ingest` of the whole stream, frames of 37, and one `update`
+        // per record, over in-process and local-socket shards: gutters small
+        // enough that batches leave mid-frame, and one lane at the default
+        // size where nothing leaves before the flush.
         let n = 40u64;
         let updates = demo_updates(n as u32, 300, 3);
+        type Build = fn(ShardConfig) -> Result<ShardedGraphZeppelin, GzError>;
+        let transports: [Build; 2] =
+            [ShardedGraphZeppelin::in_process, ShardedGraphZeppelin::local_socket];
+        let mut states = Vec::new();
+        for build in transports {
+            for (frame, capacity) in [(300, 3), (37, 3), (1, 3), (37, 1 << 20)] {
+                let mut config = ShardConfig::in_ram(n, 3);
+                config.router_capacity = GutterCapacity::Updates(capacity);
+                let mut sys = build(config).unwrap();
+                for chunk in updates.chunks(frame) {
+                    match chunk {
+                        &[(u, v, d)] => sys.update(u, v, d).unwrap(),
+                        _ => sys.ingest(chunk.iter().copied()).unwrap(),
+                    }
+                }
+                assert_eq!(sys.updates_ingested(), 300);
+                states.push(sys.gather_serialized().unwrap());
+                sys.shutdown().unwrap();
+            }
+        }
+        assert!(states.windows(2).all(|w| w[0] == w[1]));
+    }
 
-        let mut in_proc = ShardedGraphZeppelin::in_process(ShardConfig::in_ram(n, 3)).unwrap();
-        in_proc.ingest(updates.iter().copied()).unwrap();
-        let a = in_proc.gather_serialized().unwrap();
-
-        let mut socket = ShardedGraphZeppelin::local_socket(ShardConfig::in_ram(n, 3)).unwrap();
-        socket.ingest(updates.iter().copied()).unwrap();
-        let b = socket.gather_serialized().unwrap();
-
-        assert_eq!(a, b);
-        socket.shutdown().unwrap();
+    #[test]
+    fn ingest_takes_the_transport_only_when_a_batch_leaves() {
+        // A query thread folding a sealed epoch over socket shards holds
+        // the transport for a round at a time; updates that only fill
+        // gutters must not queue up behind it.
+        let mut config = ShardConfig::in_ram(16, 2);
+        config.router_capacity = GutterCapacity::Updates(2);
+        let mut sys = ShardedGraphZeppelin::in_process(config).unwrap();
+        let transport = Arc::clone(&sys.transport);
+        let held = transport.lock();
+        let (done, returned) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                sys.update(0, 1, false).unwrap(); // one record each in gutters 0 and 1
+                sys.ingest([(2, 3, false), (4, 5, true)]).unwrap();
+                done.send(sys.batches_shipped()).unwrap();
+                sys.update(0, 3, false).unwrap(); // fills gutter 0: needs the transport
+                done.send(sys.batches_shipped()).unwrap();
+            });
+            let shipped = returned.recv_timeout(std::time::Duration::from_secs(20));
+            assert_eq!(shipped, Ok(0), "gutter-only ingest waited for the transport");
+            assert!(returned.try_recv().is_err(), "a batch left while the transport was held");
+            drop(held);
+            assert_eq!(returned.recv(), Ok(2), "both of update (0, 3)'s gutters were full");
+        });
+        assert_eq!(sys.updates_ingested(), 4);
     }
 
     #[test]

@@ -4,10 +4,11 @@
 //! shard individually — exactly the per-update routing that *Exploring the
 //! Landscape of Distributed Graph Sketching* shows erases the distributed
 //! win (a message per update costs more than the sketch work it carries).
-//! The router instead reuses the gutter machinery from `gz_gutters`: one
-//! [`BufferingSystem`] per destination shard accumulates records per graph
-//! node and emits node-keyed [`Batch`]es, which the transport ships as
-//! single `Batch{node, records}` frames.
+//! The router instead reuses the gutters from `gz_gutters`: one
+//! [`GutterSet`] per destination shard accumulates records per graph node,
+//! and the record that fills a gutter hands its node-keyed [`Batch`]
+//! straight to the caller's `send`, which the transport ships as a single
+//! `Batch{node, records}` frame. Nothing sits between gutter and `send`.
 //!
 //! Each shard's lane indexes its gutters by *local* node index
 //! (`node / num_shards`, dense within the shard's residue class) so the
@@ -17,9 +18,8 @@
 use crate::config::GutterCapacity;
 use crate::error::GzError;
 use crate::store::NodeSet;
-use gz_gutters::{Batch, BufferingSystem, LeafGutters, WorkQueue};
+use gz_gutters::{Batch, GutterSet};
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 /// The coordinator's per-shard recovery buffer (DESIGN.md §14): every batch
 /// shipped to a shard since its last durable checkpoint, indexed by the
@@ -93,15 +93,25 @@ impl ReplayLog {
     }
 }
 
-/// Per-destination-shard buffering lane: leaf gutters (local node indexing)
-/// plus the staging queue they emit into. The queue is drained inline after
-/// every insert, so it stays near-empty; it exists because the gutter
-/// machinery speaks `WorkQueue`, and reusing it keeps the batching code
-/// identical to the single-node ingest path.
+/// Per-destination-shard buffering lane: gutters indexed by the shard's
+/// local node index, and the set that maps those back to graph node ids.
 struct Lane {
-    gutters: LeafGutters,
-    queue: Arc<WorkQueue>,
+    gutters: GutterSet,
     owned: NodeSet,
+}
+
+/// The sink a lane's gutters emit into: count the batch, put its graph node
+/// id back, and hand it to `send`.
+fn forward<'a>(
+    owned: &'a NodeSet,
+    shard: u32,
+    emitted: &'a mut u64,
+    send: &'a mut impl FnMut(u32, Batch) -> Result<(), GzError>,
+) -> impl FnMut(Batch) -> Result<(), GzError> + 'a {
+    move |batch| {
+        *emitted += 1;
+        send(shard, Batch { node: owned.node(batch.node as usize), others: batch.others })
+    }
 }
 
 /// Routes stream updates to destination shards in node-keyed batches.
@@ -126,11 +136,7 @@ impl ShardRouter {
         let lanes = (0..num_shards)
             .map(|s| {
                 let owned = NodeSet::strided(num_nodes, s, num_shards);
-                // Small queue: inserts emit at most one batch before the
-                // inline drain, and flushes drain per node.
-                let queue = Arc::new(WorkQueue::with_capacity(8));
-                let gutters = LeafGutters::new(owned.len(), cap, Arc::clone(&queue));
-                Lane { gutters, queue, owned }
+                Lane { gutters: GutterSet::new(owned.len(), cap), owned }
             })
             .collect();
         ShardRouter { lanes, num_shards, batches_emitted: 0 }
@@ -147,8 +153,10 @@ impl ShardRouter {
         self.num_shards
     }
 
-    /// Buffer one encoded record bound for `dst`; full gutters emit through
-    /// `send(shard, batch)`.
+    /// Buffer one encoded record bound for `dst`; the record that fills a
+    /// gutter emits it through `send(shard, batch)`, whose error returns at
+    /// once.
+    #[inline]
     pub fn insert(
         &mut self,
         dst: u32,
@@ -156,13 +164,14 @@ impl ShardRouter {
         send: &mut impl FnMut(u32, Batch) -> Result<(), GzError>,
     ) -> Result<(), GzError> {
         let shard = self.shard_of(dst);
-        let lane = &mut self.lanes[shard as usize];
-        lane.gutters.insert(lane.owned.slot(dst) as u32, record);
-        self.drain(shard, send)
+        let Lane { gutters, owned } = &mut self.lanes[shard as usize];
+        let sink = forward(owned, shard, &mut self.batches_emitted, send);
+        gutters.insert(owned.slot(dst) as u32, record, sink)
     }
 
     /// Route one stream update `(u, v, is_delete)`: both endpoint records
     /// are buffered toward their owners (at most two shards involved).
+    #[inline]
     pub fn route_update(
         &mut self,
         u: u32,
@@ -174,18 +183,14 @@ impl ShardRouter {
         self.insert(v, crate::node_sketch::encode_other(u, is_delete), send)
     }
 
-    /// Emit every buffered record (the start of query processing). Gutters
-    /// are flushed node-by-node with interleaved drains, so the staging
-    /// queues never grow past one batch.
+    /// Emit every buffered record (the start of query processing), shard by
+    /// shard in node order, stopping at the first `send` error.
     pub fn flush(
         &mut self,
         send: &mut impl FnMut(u32, Batch) -> Result<(), GzError>,
     ) -> Result<(), GzError> {
-        for shard in 0..self.num_shards {
-            for local in 0..self.lanes[shard as usize].gutters.num_nodes() as u32 {
-                self.lanes[shard as usize].gutters.flush_node(local);
-                self.drain(shard, send)?;
-            }
+        for (shard, Lane { gutters, owned }) in (0..).zip(&mut self.lanes) {
+            gutters.force_flush(forward(owned, shard, &mut self.batches_emitted, send))?;
         }
         Ok(())
     }
@@ -199,33 +204,12 @@ impl ShardRouter {
     pub fn batches_emitted(&self) -> u64 {
         self.batches_emitted
     }
-
-    /// Forward everything a lane's gutters emitted, translating the lane's
-    /// local node indices back to graph node ids.
-    fn drain(
-        &mut self,
-        shard: u32,
-        send: &mut impl FnMut(u32, Batch) -> Result<(), GzError>,
-    ) -> Result<(), GzError> {
-        let lane = &mut self.lanes[shard as usize];
-        let mut result = Ok(());
-        let mut emitted = 0u64;
-        lane.queue.drain_with(|batch| {
-            emitted += 1;
-            if result.is_ok() {
-                let node = lane.owned.node(batch.node as usize);
-                result = send(shard, Batch { node, others: batch.others });
-            }
-        });
-        self.batches_emitted += emitted;
-        result
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node_sketch::{decode_other, encode_other};
+    use crate::node_sketch::encode_other;
     use std::collections::HashMap;
 
     /// Collects emitted batches per shard, checking the routing contract.
@@ -250,44 +234,6 @@ mod tests {
     }
 
     #[test]
-    fn batches_are_node_keyed_and_owner_routed() {
-        let updates: Vec<(u32, u32, bool)> =
-            (0..50).map(|i| (i % 10, (i + 3) % 10, false)).filter(|&(a, b, _)| a != b).collect();
-        let per_shard = collect(10, 3, 4, &updates);
-        for (&shard, batches) in &per_shard {
-            for b in batches {
-                assert_eq!(b.node % 3, shard, "batch for node {} on shard {shard}", b.node);
-                assert!(!b.others.is_empty());
-                assert!(b.others.len() <= 4, "batches bounded by gutter capacity");
-            }
-        }
-    }
-
-    #[test]
-    fn every_record_is_delivered_exactly_once() {
-        let updates: Vec<(u32, u32, bool)> =
-            (0..200u32).map(|i| (i % 16, (i * 7 + 1) % 16, i % 3 == 0)).collect();
-        let valid: Vec<_> = updates.into_iter().filter(|&(a, b, _)| a != b).collect();
-        let per_shard = collect(16, 4, 5, &valid);
-
-        // Reconstruct the delivered multiset of (dst, other, is_delete).
-        let mut delivered: Vec<(u32, u32, bool)> = Vec::new();
-        for batches in per_shard.values() {
-            for b in batches {
-                for &rec in &b.others {
-                    let (other, d) = decode_other(rec);
-                    delivered.push((b.node, other, d));
-                }
-            }
-        }
-        let mut expected: Vec<(u32, u32, bool)> =
-            valid.iter().flat_map(|&(u, v, d)| [(u, v, d), (v, u, d)]).collect();
-        delivered.sort_unstable();
-        expected.sort_unstable();
-        assert_eq!(delivered, expected);
-    }
-
-    #[test]
     fn batching_reduces_messages() {
         let updates: Vec<(u32, u32, bool)> =
             (0..300u32).map(|i| (i % 8, (i + 1) % 8, false)).filter(|&(a, b, _)| a != b).collect();
@@ -302,12 +248,65 @@ mod tests {
         );
     }
 
+    /// A link that refuses its `fail_at`-th batch and accepts every other.
+    struct FlakyLink {
+        fail_at: usize,
+        calls: usize,
+        delivered: usize,
+        refused: usize,
+    }
+
+    impl FlakyLink {
+        fn send(&mut self, batch: Batch) -> Result<(), GzError> {
+            self.calls += 1;
+            if self.calls - 1 == self.fail_at {
+                self.refused += batch.others.len();
+                return Err(GzError::Protocol("link down".into()));
+            }
+            self.delivered += batch.others.len();
+            Ok(())
+        }
+    }
+
     #[test]
-    fn send_errors_propagate() {
+    fn a_refused_batch_returns_at_once_and_nothing_else_is_lost() {
+        // Five records for each of 12 vertices into capacity-2 gutters:
+        // `insert` emits batches 0..24 (two records each), the flush of the
+        // 12 leftovers emits batches 24..36. Refuse one of either kind.
+        for fail_at in [0usize, 7, 23, 24, 30] {
+            let mut router = ShardRouter::new(12, 3, GutterCapacity::Updates(2), 0);
+            let mut link = FlakyLink { fail_at, calls: 0, delivered: 0, refused: 0 };
+            let mut errors = 0;
+            for i in 0..60u32 {
+                let sent = router.insert(i % 12, encode_other(i, false), &mut |_, b| link.send(b));
+                if sent.is_err() {
+                    errors += 1;
+                    assert_eq!(link.calls, fail_at + 1, "the error comes from the insert it hit");
+                }
+                let inserted = i as usize + 1;
+                assert_eq!(link.delivered + link.refused + router.buffered_len(), inserted);
+            }
+            if router.flush(&mut |_, b| link.send(b)).is_err() {
+                errors += 1;
+                assert_eq!(link.calls, fail_at + 1, "a failed flush sends nothing further");
+                assert_eq!(link.delivered + link.refused + router.buffered_len(), 60);
+                router.flush(&mut |_, b| link.send(b)).unwrap();
+            }
+            assert_eq!(errors, 1);
+            assert_eq!(link.refused, if fail_at < 24 { 2 } else { 1 });
+            assert_eq!((link.delivered + link.refused, router.buffered_len()), (60, 0));
+            assert_eq!(router.batches_emitted(), 36);
+        }
+    }
+
+    #[test]
+    fn route_update_stops_at_the_first_refused_half() {
         let mut router = ShardRouter::new(8, 2, GutterCapacity::Updates(1), 0);
-        let mut send = |_s: u32, _b: Batch| Err(GzError::Protocol("link down".into()));
-        let err = router.insert(3, encode_other(1, false), &mut send);
+        let mut link = FlakyLink { fail_at: 0, calls: 0, delivered: 0, refused: 0 };
+        let err = router.route_update(3, 4, false, &mut |_, b| link.send(b));
         assert!(matches!(err, Err(GzError::Protocol(_))));
+        // The record for vertex 4 was never buffered, let alone sent.
+        assert_eq!((link.calls, link.refused, router.buffered_len()), (1, 1, 0));
     }
 
     #[test]
@@ -353,5 +352,60 @@ mod tests {
         assert!(log.is_empty());
         assert_eq!(log.next_seq(), 3, "pruning never rewinds the sequence");
         assert!(!log.covers(100), "an ack beyond shipped batches is detectable");
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use crate::node_sketch::encode_other;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Whatever the gutter capacity and shard count, each vertex's
+        /// owner receives exactly the records bound for it, in arrival
+        /// order, in batches no longer than the capacity.
+        #[test]
+        fn every_record_arrives_once_in_order_in_bounded_batches(
+            num_nodes in 2u32..48,
+            raw in proptest::collection::vec((any::<u32>(), any::<u32>(), any::<bool>()), 0..300)
+        ) {
+            let updates: Vec<(u32, u32, bool)> = raw
+                .into_iter()
+                .map(|(u, v, d)| (u % num_nodes, v % num_nodes, d))
+                .filter(|&(u, v, _)| u != v)
+                .collect();
+            let mut expected: HashMap<u32, Vec<u32>> = HashMap::new();
+            for &(u, v, d) in &updates {
+                expected.entry(u).or_default().push(encode_other(v, d));
+                expected.entry(v).or_default().push(encode_other(u, d));
+            }
+            for capacity in [1usize, 3, 64] {
+                for num_shards in [1u32, 3, 7] {
+                    let mut router = ShardRouter::new(
+                        num_nodes as u64,
+                        num_shards,
+                        GutterCapacity::Updates(capacity),
+                        0,
+                    );
+                    let mut got: HashMap<u32, Vec<u32>> = HashMap::new();
+                    let mut send = |shard: u32, batch: Batch| {
+                        assert_eq!(batch.node % num_shards, shard, "sent to the owner");
+                        assert!((1..=capacity).contains(&batch.others.len()));
+                        got.entry(batch.node).or_default().extend(batch.others);
+                        Ok(())
+                    };
+                    for &(u, v, d) in &updates {
+                        router.route_update(u, v, d, &mut send).unwrap();
+                    }
+                    router.flush(&mut send).unwrap();
+                    prop_assert_eq!(router.buffered_len(), 0);
+                    prop_assert_eq!(&got, &expected);
+                }
+            }
+        }
     }
 }

@@ -2,89 +2,71 @@
 //!
 //! One in-RAM buffer ("gutter") per graph node, used when memory allows
 //! (`M > V·B`): `buffer_insert((u, v))` appends `v` to `u`'s gutter, and a
-//! full gutter is emitted to the work queue as one batch. The gutter
-//! capacity is a configurable fraction `f` of the node-sketch size — the
-//! knob swept by the paper's Figure 15.
+//! full gutter is emitted as one batch. The gutter capacity is a
+//! configurable fraction `f` of the node-sketch size — the knob swept by the
+//! paper's Figure 15; callers resolve it to a record count.
+//!
+//! [`GutterSet`] is the gutters alone: whatever it emits goes to a sink its
+//! caller passes, so a single-threaded consumer (the shard router) forwards
+//! a batch the moment its gutter fills, with no queue in between.
+//! [`LeafGutters`] is the [`BufferingSystem`] whose sink is the push onto
+//! the Graph Workers' [`WorkQueue`].
 
 use crate::work_queue::{Batch, WorkQueue};
 use crate::BufferingSystem;
+use std::convert::Infallible;
 use std::sync::Arc;
 
-/// Per-node in-RAM gutters.
-pub struct LeafGutters {
+/// Per-node in-RAM gutters that hand each emitted [`Batch`] to the caller's
+/// sink. A sink that fails owns the batch it was handed: the error returns
+/// at once and every record still buffered stays buffered.
+///
+/// ```
+/// use gz_gutters::{Batch, GutterSet};
+/// let mut gutters = GutterSet::new(4, 2);
+/// let mut out = Vec::new();
+/// let mut sink = |batch: Batch| {
+///     out.push(batch);
+///     Ok::<(), std::convert::Infallible>(())
+/// };
+/// gutters.insert(3, 10, &mut sink).unwrap(); // buffered
+/// gutters.insert(3, 11, &mut sink).unwrap(); // fills gutter 3: emitted here
+/// gutters.insert(1, 12, &mut sink).unwrap();
+/// gutters.force_flush(&mut sink).unwrap(); // the partial gutter 1
+/// assert_eq!(out[0], Batch { node: 3, others: vec![10, 11] });
+/// assert_eq!(out[1], Batch { node: 1, others: vec![12] });
+/// ```
+pub struct GutterSet {
     gutters: Vec<Vec<u32>>,
     capacity: usize,
-    queue: Arc<WorkQueue>,
     buffered: usize,
-    emitted_batches: u64,
 }
 
-impl LeafGutters {
-    /// Create gutters for `num_nodes` nodes, each holding up to
-    /// `capacity_updates` records before flushing to `queue`.
-    pub fn new(num_nodes: usize, capacity_updates: usize, queue: Arc<WorkQueue>) -> Self {
-        let capacity = capacity_updates.max(1);
-        LeafGutters {
+impl GutterSet {
+    /// Gutters for `num_nodes` nodes, each holding up to `capacity_updates`
+    /// records (at least one) before it is emitted.
+    pub fn new(num_nodes: usize, capacity_updates: usize) -> Self {
+        GutterSet {
             gutters: vec![Vec::new(); num_nodes],
-            capacity,
-            queue,
+            capacity: capacity_updates.max(1),
             buffered: 0,
-            emitted_batches: 0,
         }
     }
 
-    /// The paper's default sizing: each gutter holds `f ×` the node-sketch
-    /// size worth of updates (`sketch_bytes × f / 4` four-byte records);
-    /// the default `f` is 1/2 (§5.1 "each leaf gutter is 1/2 the size of a
-    /// node sketch").
-    pub fn sized_to_sketch(
-        num_nodes: usize,
-        sketch_bytes: usize,
-        factor: f64,
-        queue: Arc<WorkQueue>,
-    ) -> Self {
-        let capacity = ((sketch_bytes as f64 * factor) / 4.0).ceil() as usize;
-        Self::new(num_nodes, capacity, queue)
+    /// Records buffered and not yet emitted.
+    pub fn buffered_len(&self) -> usize {
+        self.buffered
     }
 
-    /// Per-gutter capacity in records.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Number of batches emitted so far.
-    pub fn emitted_batches(&self) -> u64 {
-        self.emitted_batches
-    }
-
-    /// Number of nodes this gutter set covers.
-    pub fn num_nodes(&self) -> usize {
-        self.gutters.len()
-    }
-
-    /// Emit one node's gutter (if nonempty) regardless of fill level — the
-    /// incremental form of [`BufferingSystem::force_flush`]. A single-thread
-    /// consumer (the shard router) interleaves `flush_node` with queue
-    /// drains, so the staging queue never has to hold more than one node's
-    /// batch at a time.
-    pub fn flush_node(&mut self, node: u32) {
-        self.emit(node);
-    }
-
-    fn emit(&mut self, node: u32) {
-        let gutter = &mut self.gutters[node as usize];
-        if gutter.is_empty() {
-            return;
-        }
-        let others = std::mem::take(gutter);
-        self.buffered -= others.len();
-        self.emitted_batches += 1;
-        self.queue.push(Batch { node, others });
-    }
-}
-
-impl BufferingSystem for LeafGutters {
-    fn insert(&mut self, dst: u32, other: u32) {
+    /// Buffer `other` for `dst`; the record that fills the gutter emits it
+    /// through `sink`.
+    #[inline]
+    pub fn insert<E>(
+        &mut self,
+        dst: u32,
+        other: u32,
+        sink: impl FnOnce(Batch) -> Result<(), E>,
+    ) -> Result<(), E> {
         let gutter = &mut self.gutters[dst as usize];
         if gutter.capacity() == 0 {
             gutter.reserve_exact(self.capacity);
@@ -92,18 +74,65 @@ impl BufferingSystem for LeafGutters {
         gutter.push(other);
         self.buffered += 1;
         if gutter.len() >= self.capacity {
-            self.emit(dst);
+            return self.emit(dst, sink);
         }
+        Ok(())
+    }
+
+    /// Emit every nonempty gutter, in node order, regardless of fill level.
+    pub fn force_flush<E>(
+        &mut self,
+        mut sink: impl FnMut(Batch) -> Result<(), E>,
+    ) -> Result<(), E> {
+        (0..self.gutters.len() as u32).try_for_each(|node| self.emit(node, &mut sink))
+    }
+
+    fn emit<E>(&mut self, node: u32, sink: impl FnOnce(Batch) -> Result<(), E>) -> Result<(), E> {
+        let gutter = &mut self.gutters[node as usize];
+        if gutter.is_empty() {
+            return Ok(());
+        }
+        let others = std::mem::take(gutter);
+        self.buffered -= others.len();
+        sink(Batch { node, others })
+    }
+}
+
+/// [`GutterSet`] in front of a [`WorkQueue`]: the buffering system of the
+/// in-RAM single-node configuration.
+pub struct LeafGutters {
+    gutters: GutterSet,
+    queue: Arc<WorkQueue>,
+}
+
+impl LeafGutters {
+    /// Create gutters for `num_nodes` nodes, each holding up to
+    /// `capacity_updates` records before flushing to `queue`.
+    pub fn new(num_nodes: usize, capacity_updates: usize, queue: Arc<WorkQueue>) -> Self {
+        LeafGutters { gutters: GutterSet::new(num_nodes, capacity_updates), queue }
+    }
+}
+
+/// The adapter's sink: a batch pushed onto a closed queue is dropped, as the
+/// queue documents.
+fn push_to(queue: &WorkQueue) -> impl FnMut(Batch) -> Result<(), Infallible> + '_ {
+    |batch| {
+        queue.push(batch);
+        Ok(())
+    }
+}
+
+impl BufferingSystem for LeafGutters {
+    fn insert(&mut self, dst: u32, other: u32) {
+        let Ok(()) = self.gutters.insert(dst, other, push_to(&self.queue));
     }
 
     fn force_flush(&mut self) {
-        for node in 0..self.gutters.len() as u32 {
-            self.emit(node);
-        }
+        let Ok(()) = self.gutters.force_flush(push_to(&self.queue));
     }
 
     fn buffered_len(&self) -> usize {
-        self.buffered
+        self.gutters.buffered_len()
     }
 }
 
@@ -160,19 +189,29 @@ mod tests {
     }
 
     #[test]
-    fn flush_node_emits_one_partial_gutter() {
-        let (mut g, q) = setup(4, 100);
-        g.insert(2, 7);
-        g.insert(2, 8);
-        g.insert(1, 9);
-        g.flush_node(2);
-        let b = q.try_pop().unwrap();
-        assert_eq!((b.node, b.others), (2, vec![7, 8]));
-        assert!(q.try_pop().is_none(), "other gutters untouched");
+    fn a_failing_sink_returns_at_once_and_keeps_the_rest_buffered() {
+        let mut g = GutterSet::new(4, 2);
+        let ok = |_: Batch| Ok::<(), &str>(());
+        g.insert(0, 1, ok).unwrap();
+        g.insert(2, 7, ok).unwrap();
+        g.insert(3, 9, ok).unwrap();
+        // The insert that fills gutter 2 hands its batch to a sink that fails.
+        let mut failed = None;
+        let err = g.insert(2, 8, |b| {
+            failed = Some(b);
+            Err("link down")
+        });
+        assert_eq!(err, Err("link down"));
+        assert_eq!(failed, Some(Batch { node: 2, others: vec![7, 8] }));
+        assert_eq!(g.buffered_len(), 2, "the failed batch left; nothing else moved");
+        // A flush stops at the first failure: node 0 goes, node 3 stays.
+        let mut seen = Vec::new();
+        let err = g.force_flush(|b| {
+            seen.push(b.node);
+            Err::<(), _>("still down")
+        });
+        assert_eq!((err, seen), (Err("still down"), vec![0]));
         assert_eq!(g.buffered_len(), 1);
-        // Flushing an empty gutter emits nothing.
-        g.flush_node(2);
-        assert!(q.try_pop().is_none());
     }
 
     #[test]
@@ -180,24 +219,6 @@ mod tests {
         let (mut g, q) = setup(2, 0);
         g.insert(0, 1); // immediately emitted
         assert_eq!(q.try_pop().unwrap().others, vec![1]);
-    }
-
-    #[test]
-    fn sketch_sized_capacity() {
-        let queue = Arc::new(WorkQueue::with_capacity(16));
-        // 8000-byte sketch at f = 0.5 -> 1000 records.
-        let g = LeafGutters::sized_to_sketch(2, 8000, 0.5, queue);
-        assert_eq!(g.capacity(), 1000);
-    }
-
-    #[test]
-    fn counts_emitted_batches() {
-        let (mut g, q) = setup(2, 2);
-        for i in 0..10 {
-            g.insert(0, i);
-        }
-        assert_eq!(g.emitted_batches(), 5);
-        while q.try_pop().is_some() {}
     }
 }
 
@@ -221,21 +242,34 @@ mod proptests {
         ) {
             let queue = Arc::new(WorkQueue::with_capacity(1 << 16));
             let mut gutters = LeafGutters::new(num_nodes as usize, capacity, Arc::clone(&queue));
+            // The same stream into bare gutters: the adapter adds the queue
+            // and nothing else, so both emit the same batches in the same order.
+            let mut bare = GutterSet::new(num_nodes as usize, capacity);
+            let mut handed = Vec::new();
+            let mut sink = |b: Batch| {
+                handed.push(b);
+                Ok::<(), Infallible>(())
+            };
             let mut expected: HashMap<u32, Vec<u32>> = HashMap::new();
             for (dst, other) in inserts {
                 let dst = dst % num_nodes;
                 gutters.insert(dst, other);
+                let Ok(()) = bare.insert(dst, other, &mut sink);
                 expected.entry(dst).or_default().push(other);
             }
             gutters.force_flush();
-            prop_assert_eq!(gutters.buffered_len(), 0);
+            let Ok(()) = bare.force_flush(&mut sink);
+            prop_assert_eq!((gutters.buffered_len(), bare.buffered_len()), (0, 0));
 
             let mut got: HashMap<u32, Vec<u32>> = HashMap::new();
+            let mut queued = Vec::new();
             while let Some(b) = queue.try_pop() {
                 prop_assert!(b.others.len() <= capacity.max(1));
-                got.entry(b.node).or_default().extend(b.others);
+                got.entry(b.node).or_default().extend(b.others.iter().copied());
+                queued.push(b);
             }
             prop_assert_eq!(got, expected);
+            prop_assert_eq!(queued, handed);
         }
     }
 }

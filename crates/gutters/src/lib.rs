@@ -9,7 +9,8 @@
 //! - [`work_queue`] — the bounded producer/consumer queue between the
 //!   buffering system and the Graph Workers (capacity 8·g, paper §5.1).
 //! - [`leaf`] — leaf-only gutters: one in-RAM buffer per graph node, used
-//!   when memory allows (`M > V·B`).
+//!   when memory allows (`M > V·B`); [`GutterSet`] hands batches to its
+//!   caller, [`LeafGutters`] pushes them onto the work queue.
 //! - [`tree`] — the on-disk gutter tree (a simplified buffer tree, paper
 //!   §4.1): internal nodes with fixed-size disk buffers, recursive flushes,
 //!   leaf gutters sized to the node sketch.
@@ -25,7 +26,7 @@ pub mod tree;
 pub mod work_queue;
 pub mod worker_pool;
 
-pub use leaf::LeafGutters;
+pub use leaf::{GutterSet, LeafGutters};
 pub use stats::{IoStats, ServeStats};
 pub use tree::{GutterTree, GutterTreeConfig};
 pub use work_queue::{Batch, WorkQueue};

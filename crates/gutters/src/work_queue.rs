@@ -132,20 +132,6 @@ impl<T> WorkQueue<T> {
         }
     }
 
-    /// Drain every currently queued item through `f`, acknowledging each —
-    /// the single-threaded consumer pattern used by the shard router, which
-    /// buffers through a queue and forwards batches inline rather than from
-    /// worker threads. Returns the number of items drained.
-    pub fn drain_with(&self, mut f: impl FnMut(T)) -> usize {
-        let mut drained = 0;
-        while let Some(item) = self.try_pop() {
-            f(item);
-            self.task_done();
-            drained += 1;
-        }
-        drained
-    }
-
     /// Non-blocking pop.
     pub fn try_pop(&self) -> Option<T> {
         let mut inner = self.inner.lock();
@@ -309,20 +295,6 @@ mod tests {
         q.wait_idle();
         assert_eq!(q.outstanding(), 0);
         assert_eq!(worker.join().unwrap(), 10);
-    }
-
-    #[test]
-    fn drain_with_empties_and_acknowledges() {
-        let q = WorkQueue::with_capacity(8);
-        for i in 0..5 {
-            q.push(batch(i));
-        }
-        assert_eq!(q.outstanding(), 5);
-        let mut got = Vec::new();
-        assert_eq!(q.drain_with(|b| got.push(b.node)), 5);
-        assert_eq!(got, vec![0, 1, 2, 3, 4]);
-        assert_eq!(q.outstanding(), 0, "drained batches must be acknowledged");
-        assert_eq!(q.drain_with(|_| panic!("queue is empty")), 0);
     }
 
     #[test]
