@@ -14,6 +14,7 @@ use graph_zeppelin::node_sketch::{encode_other, SketchParams};
 use graph_zeppelin::store::ram::RamStore;
 use graph_zeppelin::{BufferStrategy, GraphZeppelin, GutterCapacity, GzConfig};
 use gz_bench::harness::{kron_workload, smoke};
+use gz_sketch::geometry::DEFAULT_COLUMNS;
 use gz_stream::UpdateKind;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -75,7 +76,7 @@ fn bench_ingest_by_buffering(c: &mut Criterion) {
 fn bench_store_update_kernel(c: &mut Criterion) {
     let num_nodes: u64 = if smoke() { 1 << 9 } else { 1 << 12 };
     let rounds = graph_zeppelin::config::default_rounds(num_nodes);
-    let params = Arc::new(SketchParams::new(num_nodes, rounds, 7, 11));
+    let params = Arc::new(SketchParams::new(num_nodes, rounds, DEFAULT_COLUMNS, 11));
     // A gutter-sized batch: what a leaf gutter at the paper's default
     // factor 0.5 hands a Graph Worker in one flush.
     let batch_len = GutterCapacity::SketchFactor(0.5).resolve(params.node_sketch_bytes());

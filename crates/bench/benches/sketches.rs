@@ -5,6 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use gz_bench::harness::smoke;
 use gz_hash::Xxh64Hasher;
 use gz_sketch::cube::CubeSketchFamily;
+use gz_sketch::geometry::DEFAULT_COLUMNS;
 use gz_sketch::standard::AnyStandardFamily;
 use gz_sketch::L0Sampler;
 use rand::rngs::SmallRng;
@@ -88,7 +89,8 @@ fn bench_cube_batch_kernel(c: &mut Criterion) {
 fn bench_stack_batch_len(c: &mut Criterion) {
     let num_nodes: u64 = if smoke() { 1 << 9 } else { 1 << 13 };
     let rounds = graph_zeppelin::config::default_rounds(num_nodes);
-    let params = graph_zeppelin::node_sketch::SketchParams::new(num_nodes, rounds, 7, 7);
+    let params =
+        graph_zeppelin::node_sketch::SketchParams::new(num_nodes, rounds, DEFAULT_COLUMNS, 7);
     let vector_len = params.families[0].geometry().vector_len;
     let lens: &[usize] =
         if smoke() { &[2, 16, 446] } else { &[1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 446] };

@@ -45,22 +45,29 @@ fn main() {
     }
 
     let started = std::time::Instant::now();
-    match figure {
-        Some(id) => {
-            if !run_figure(&id, scale) {
-                usage(&format!("unknown figure {id}; try --list"));
-            }
-        }
+    let mut failed: Vec<&str> = Vec::new();
+    match &figure {
+        Some(id) => match run_figure(id, scale) {
+            Some(true) => {}
+            Some(false) => failed.push(id),
+            None => usage(&format!("unknown figure {id}; try --list")),
+        },
         None => {
             println!("# GraphZeppelin reproduction — all figures at {scale:?} scale\n");
             for id in ALL_FIGURES {
                 let fig_start = std::time::Instant::now();
-                run_figure(id, scale);
+                if run_figure(id, scale) == Some(false) {
+                    failed.push(id);
+                }
                 println!("[{id} done in {:.1?}]\n", fig_start.elapsed());
             }
         }
     }
     eprintln!("total wall time: {:.1?}", started.elapsed());
+    if !failed.is_empty() {
+        eprintln!("error: {} failed its own check", failed.join(", "));
+        std::process::exit(1);
+    }
 }
 
 fn usage(err: &str) -> ! {

@@ -11,6 +11,7 @@ use crate::harness::{fmt_rate, kron_workload, rate, run_graphzeppelin, Scale, Ta
 use graph_zeppelin::{GraphZeppelin, GzConfig, LockingStrategy};
 use gz_hash::{Hasher64, PairwiseHash, Xxh64Hasher};
 use gz_sketch::cube::CubeSketchFamily;
+use gz_sketch::geometry::{SketchGeometry, DEFAULT_COLUMNS, PAPER_COLUMNS};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
@@ -25,19 +26,19 @@ pub fn run(scale: Scale) {
     columns_vs_failure();
 }
 
-/// Failure probability vs column count: the paper fixes `log(1/δ) = 7`
-/// columns; this sweep shows why — per-query failure rates on dense vectors
-/// drop geometrically with columns, and 7 makes failures rare enough that
-/// Boruvka's retry rounds absorb them all (§6.3's "undetectable" claim).
+/// Failure probability vs column count on one isolated sketch of a dense
+/// vector: the rate drops geometrically, ≈ 0.29^columns. The paper buys
+/// `log(1/δ) = 7` columns on the assumption that a column succeeds half the
+/// time; the measured 71 % is why the shipped default is fewer (the
+/// `reliability` figure measures the same δ inside real queries, and what the
+/// round budget does with it).
 fn columns_vs_failure() {
-    use gz_sketch::cube::CubeSketchFamily;
-    use gz_sketch::geometry::SketchGeometry;
     use gz_sketch::SampleResult;
 
     let n = 1u64 << 16;
     let trials = 400;
     let mut t = Table::new(&["columns", "query failure rate (dense vector)"]);
-    for columns in [1u32, 2, 3, 5, 7] {
+    for columns in [1u32, 2, 3, 5, PAPER_COLUMNS] {
         let mut failures = 0;
         for seed in 0..trials {
             let family = CubeSketchFamily::<Xxh64Hasher>::new(
@@ -60,7 +61,11 @@ fn columns_vs_failure() {
     }
     println!("-- CubeSketch columns vs per-query failure rate (n = 2^16, |support| ~ n/4) --");
     t.print();
-    println!("paper fixes 7 columns; failures there are absorbed by Boruvka retries.\n");
+    println!(
+        "paper fixes {PAPER_COLUMNS} columns (delta = 1% if a column succeeds half the time; it \
+         succeeds ~71%);\nthis tree ships {DEFAULT_COLUMNS}: the failures left are absorbed by \
+         Boruvka's round budget,\nwhich `repro --figure reliability` measures per column count.\n"
+    );
 }
 
 /// How much faster is our Mersenne-fold baseline than the division-based
@@ -139,7 +144,7 @@ fn group_size(scale: Scale) {
 
 fn hashers(_scale: Scale) {
     fn measure<H: Hasher64>(n: u64) -> f64 {
-        let family = CubeSketchFamily::<H>::for_vector(n, 9);
+        let family = CubeSketchFamily::<H>::new(SketchGeometry::paper(n), 9);
         let mut sketch = family.new_sketch();
         let mut rng = SmallRng::seed_from_u64(1);
         let indices: Vec<u64> = (0..8192).map(|_| rng.gen_range(0..n)).collect();

@@ -1,7 +1,7 @@
 //! Figure 4: CubeSketch is faster than standard ℓ0 sketching.
 //!
 //! Single-threaded update rates of both samplers across vector lengths
-//! 10^3…10^12. The paper's shape: CubeSketch stays within one order of
+//! 10^3…10^12, both at the paper's column count. The paper's shape: CubeSketch stays within one order of
 //! magnitude across all lengths, the standard sampler decays with `log n`
 //! (modular exponentiation) and falls off a cliff at `n = 10^10` where the
 //! fingerprint field must widen to 128 bits.
@@ -9,6 +9,7 @@
 use crate::harness::{fmt_rate, rate, time, Scale, Table};
 use gz_hash::Xxh64Hasher;
 use gz_sketch::cube::CubeSketchFamily;
+use gz_sketch::geometry::SketchGeometry;
 use gz_sketch::standard::AnyStandardFamily;
 use gz_sketch::L0Sampler;
 use rand::rngs::SmallRng;
@@ -51,7 +52,7 @@ pub fn run(scale: Scale) {
     let mut t = Table::new(&["vector length", "standard l0", "CubeSketch", "speedup", "field"]);
     for exp in exponents {
         let n = 10u64.pow(exp);
-        let cube_family = CubeSketchFamily::<Xxh64Hasher>::for_vector(n, 7);
+        let cube_family = CubeSketchFamily::<Xxh64Hasher>::new(SketchGeometry::paper(n), 7);
         let mut cube = cube_family.new_sketch();
         let cube_rate = measure_updates(&mut cube, n, min_time, cube_cap);
 
@@ -84,7 +85,7 @@ mod tests {
     fn cubesketch_beats_standard_at_every_length() {
         for exp in [3u32, 6, 10] {
             let n = 10u64.pow(exp);
-            let cube_family = CubeSketchFamily::<Xxh64Hasher>::for_vector(n, 7);
+            let cube_family = CubeSketchFamily::<Xxh64Hasher>::new(SketchGeometry::paper(n), 7);
             let mut cube = cube_family.new_sketch();
             let cube_rate = measure_updates(&mut cube, n, Duration::from_millis(30), 200_000);
             let std_family = AnyStandardFamily::<Xxh64Hasher>::for_vector(n, 7);

@@ -38,8 +38,9 @@ pub const ALL_FIGURES: &[&str] = &[
     "ablations",
 ];
 
-/// Run one figure by id. Returns false for unknown ids.
-pub fn run_figure(id: &str, scale: Scale) -> bool {
+/// Run one figure by id. `None` for unknown ids; `Some(false)` when the
+/// figure checks its own output and the check failed (`reliability` does).
+pub fn run_figure(id: &str, scale: Scale) -> Option<bool> {
     match id {
         "fig1" => fig01::run(scale),
         "fig4" => fig04::run(scale),
@@ -51,10 +52,10 @@ pub fn run_figure(id: &str, scale: Scale) -> bool {
         "fig14" => fig14::run(scale),
         "fig15" => fig15::run(scale),
         "fig16" => fig16::run(scale),
-        "reliability" => reliability::run(scale),
+        "reliability" => return Some(reliability::run(scale)),
         "io" => io_model::run(scale),
         "ablations" => ablations::run(scale),
-        _ => return false,
+        _ => return None,
     }
-    true
+    Some(true)
 }

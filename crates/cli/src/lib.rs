@@ -1674,6 +1674,35 @@ mod tests {
         assert_eq!(forest_lines(&restored), printed_forest(&oracle));
     }
 
+    #[test]
+    fn checkpoint_written_at_the_papers_columns_restores_under_the_default() {
+        // A GZC2 from before the default moved says seven columns in its
+        // header, and the header wins: `checkpoint restore` rebuilds that
+        // geometry and prints the forest the seven-column system computed.
+        use graph_zeppelin::config::{DEFAULT_COLUMNS, PAPER_COLUMNS};
+        let mut config = GzConfig::in_ram(32);
+        assert_eq!(config.num_columns, DEFAULT_COLUMNS);
+        config.num_columns = PAPER_COLUMNS;
+        let mut old = GraphZeppelin::new(config).unwrap();
+        for v in 0..24u32 {
+            let other = (v * 5 + 3) % 31; // one of the 31 vertices that are not `v`
+            old.update(v, other + (other >= v) as u32, false);
+        }
+        let before = old.spanning_forest().unwrap();
+        let ckpt = gz_testutil::TempPath::new("gz-cli-ckpt7", ".gzc");
+        old.save_checkpoint(ckpt.path()).unwrap();
+        assert_eq!(GraphZeppelin::checkpoint_header(ckpt.path()).unwrap().columns, PAPER_COLUMNS);
+
+        let restored = execute(Command::CheckpointRestore {
+            path: ckpt.to_path_buf(),
+            forest: true,
+            query_threads: None,
+        })
+        .unwrap();
+        assert!(restored.starts_with(&format!("{} components", before.num_components())));
+        assert_eq!(forest_lines(&restored), printed_forest(&before));
+    }
+
     /// The product query against the reference query on every field that is
     /// an answer; hands back the reference.
     fn assert_matches_oracle(gz: &mut GraphZeppelin) -> graph_zeppelin::BoruvkaOutcome {

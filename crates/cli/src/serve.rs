@@ -1001,6 +1001,44 @@ mod tests {
     use super::*;
     use crate::client::ServeClient;
 
+    /// `--resume` on a state directory checkpointed by a daemon whose default
+    /// was the paper's seven columns. There is no flag to ask for the old
+    /// geometry, and reading seven-column files as three-column sketches
+    /// would answer garbage: the daemon refuses to start, and the typed
+    /// error shows both headers — the file's columns and this build's.
+    #[test]
+    fn resume_refuses_shard_files_written_at_another_column_count() {
+        use graph_zeppelin::config::{DEFAULT_COLUMNS, PAPER_COLUMNS};
+        const NODES: u64 = 32;
+        let dir = gz_testutil::TempDir::new("gz-serve-columns");
+        let mut options = ServeOptions::new(ServeListen::Tcp("127.0.0.1:0".into()), NODES);
+        options.dir = Some(dir.path().to_path_buf());
+
+        let mut old = ShardConfig::in_ram(NODES, options.shards);
+        old.seed = options.seed;
+        old.num_columns = PAPER_COLUMNS;
+        let mut old = ShardedGraphZeppelin::in_process(old).expect("seven-column system");
+        old.ingest((1..NODES as u32).map(|v| (0, v, false))).expect("ingest");
+        old.checkpoint_shards_to(&shard_paths(dir.path(), 1, options.shards)).expect("checkpoint");
+        ServeManifest {
+            round: 1,
+            covered: NODES - 1,
+            num_nodes: NODES,
+            seed: options.seed,
+            num_shards: options.shards,
+        }
+        .save(&manifest_path(dir.path()))
+        .expect("manifest");
+
+        options.resume = true;
+        let Err(err) = serve_start(&options) else { panic!("resumed across geometries") };
+        assert!(matches!(err, GzError::InvalidConfig(_)), "{err:?}");
+        let msg = err.to_string();
+        for columns in [PAPER_COLUMNS, DEFAULT_COLUMNS] {
+            assert!(msg.contains(&format!("columns: {columns},")), "{msg}");
+        }
+    }
+
     /// `--staleness 0`: every query after an ack reseals. The cache must
     /// let go of the epoch it can no longer serve *before* the seal's flush,
     /// so that flush — a batch for every vertex here — clones no pre-image;

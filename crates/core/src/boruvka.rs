@@ -54,6 +54,10 @@ pub struct BoruvkaOutcome {
     /// failure only delays a component to the next round; the run fails
     /// only when the round budget is exhausted).
     pub sketch_failures: usize,
+    /// Sketch queries that had something to find — every sample that was not
+    /// `Zero`, failures included — so `sketch_failures / sketch_samples` is
+    /// the measured per-sketch failure rate δ.
+    pub sketch_samples: usize,
     /// Peak sketch bytes resident during the query: supernode accumulators
     /// plus whatever the source buffered (a full materialization for the
     /// snapshot path; a round's in-flight read windows for the streaming
@@ -242,6 +246,7 @@ where
     let mut retired = vec![false; n];
     let mut forest: Vec<Edge> = Vec::new();
     let mut sketch_failures = 0usize;
+    let mut sketch_samples = 0usize;
     let mut rounds_used = 0usize;
     let mut peak_sketch_bytes = 0usize;
 
@@ -309,6 +314,7 @@ where
                 match sample {
                     SampleResult::Index(idx) => {
                         any_live = true;
+                        sketch_samples += 1;
                         found.push(index_to_edge(idx, num_vertices));
                     }
                     SampleResult::Zero => {
@@ -316,6 +322,7 @@ where
                     }
                     SampleResult::Fail => {
                         any_live = true;
+                        sketch_samples += 1;
                         sketch_failures += 1;
                     }
                 }
@@ -362,7 +369,14 @@ where
     }
 
     let labels = dsu.normalized_labels();
-    Ok(BoruvkaOutcome { forest, labels, rounds_used, sketch_failures, peak_sketch_bytes })
+    Ok(BoruvkaOutcome {
+        forest,
+        labels,
+        rounds_used,
+        sketch_failures,
+        sketch_samples,
+        peak_sketch_bytes,
+    })
 }
 
 /// Run Boruvka over a materialized per-vertex sketch vector — the snapshot

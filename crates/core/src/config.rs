@@ -9,6 +9,8 @@ use crate::error::GzError;
 use crate::store::io_backend::IoBackendConfig;
 use std::path::PathBuf;
 
+pub use gz_sketch::geometry::{DEFAULT_COLUMNS, PAPER_COLUMNS};
+
 /// How large each leaf gutter is.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum GutterCapacity {
@@ -118,7 +120,11 @@ pub struct GzConfig {
     /// Boruvka rounds = independent sketches per node. `None` = the paper's
     /// `⌈log_{3/2} V⌉`.
     pub num_rounds: Option<u32>,
-    /// CubeSketch columns (`log(1/δ)`; paper fixes 7).
+    /// CubeSketch columns. The constructors set [`DEFAULT_COLUMNS`]; the
+    /// paper's geometry is [`PAPER_COLUMNS`]. Every per-update cost and every
+    /// stored byte is linear in it, and every checkpoint header and shard
+    /// handshake carries it, so state built at one count is refused — never
+    /// reinterpreted — by a system configured for another.
     pub num_columns: u32,
     /// Buffering system.
     pub buffering: BufferStrategy,
@@ -160,7 +166,7 @@ pub struct GzConfig {
 impl GzConfig {
     /// Default in-RAM configuration for `num_nodes` vertices: leaf-only
     /// gutters at factor 0.5, 4 workers (fewer on a smaller host), group
-    /// size 1, delta-sketch locking.
+    /// size 1, delta-sketch locking, [`DEFAULT_COLUMNS`] sketch columns.
     pub fn in_ram(num_nodes: u64) -> Self {
         GzConfig {
             num_nodes,
@@ -168,7 +174,7 @@ impl GzConfig {
             num_workers: capped_at_host(4),
             group_threads: 1,
             num_rounds: None,
-            num_columns: gz_sketch::geometry::DEFAULT_COLUMNS,
+            num_columns: DEFAULT_COLUMNS,
             buffering: BufferStrategy::LeafOnly { capacity: GutterCapacity::SketchFactor(0.5) },
             store: StoreBackend::Ram,
             locking: LockingStrategy::DeltaSketch,

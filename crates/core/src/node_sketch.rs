@@ -344,33 +344,75 @@ mod tests {
         gz_hash::xxh64(&bytes, 0)
     }
 
-    #[test]
-    fn golden_digest_pins_the_hash_to_bucket_mapping() {
-        // Every GZC2/GZS2 checkpoint and every shard on the wire holds these
-        // bits, and `params_digest` covers geometry and seed only: a kernel
-        // or hash edit that moves one bucket must fail here, not when an old
-        // checkpoint silently stops merging. The constant was computed at
-        // the commit before the hash was split (PR 16).
-        const GOLDEN: u64 = 0xA64C_14EF_BB8B_C3E5;
-        let p = params(64);
+    /// The golden batch through every route into a stack — the batch kernel
+    /// with duplicates left in, the kernel behind the pre-pass, per-record
+    /// singles — each of which must land on `golden`.
+    fn assert_golden_on_every_route(p: &SketchParams, golden: u64) {
         let batch = golden_batch();
 
         let mut kernel = p.new_node_sketch();
         kernel.update_batch_prepared(&batch);
-        assert_eq!(stack_digest(&p, &kernel), GOLDEN, "batch kernel, duplicates left in");
+        assert_eq!(stack_digest(p, &kernel), golden, "batch kernel, duplicates left in");
 
         let mut survivors = batch.clone();
         gz_sketch::cancel_duplicates(&mut survivors);
         assert_eq!(survivors.len(), 40);
         let mut prepared = p.new_node_sketch();
         prepared.update_batch_prepared(&survivors);
-        assert_eq!(stack_digest(&p, &prepared), GOLDEN, "batch kernel behind the pre-pass");
+        assert_eq!(stack_digest(p, &prepared), golden, "batch kernel behind the pre-pass");
 
         let mut singles = p.new_node_sketch();
         for &idx in &batch {
             singles.update_signed(idx, 1);
         }
-        assert_eq!(stack_digest(&p, &singles), GOLDEN, "per-record singles");
+        assert_eq!(stack_digest(p, &singles), golden, "per-record singles");
+    }
+
+    #[test]
+    fn golden_digest_pins_the_hash_to_bucket_mapping() {
+        // Every GZC2/GZS2 checkpoint and every shard on the wire holds these
+        // bits, and `params_digest` covers geometry and seed only: a kernel
+        // or hash edit that moves one bucket must fail here, not when an old
+        // checkpoint silently stops merging. The constant was computed at
+        // the commit before the hash was split (PR 16), at the paper's seven
+        // columns — the geometry every file written before the default moved
+        // still names in its header.
+        assert_golden_on_every_route(&params(64), 0xA64C_14EF_BB8B_C3E5);
+    }
+
+    #[test]
+    fn golden_digest_of_the_default_geometry() {
+        // The same pin for what a default-configured store holds today.
+        let p = SketchParams::new(64, 6, crate::config::DEFAULT_COLUMNS, 42);
+        assert_golden_on_every_route(&p, 0x1E0A_A822_B632_CEDF);
+    }
+
+    #[test]
+    fn fewer_columns_are_a_prefix_of_more() {
+        // Column `c` hashes under `derive(family_seed, c)` whatever the column
+        // count, and buckets are column-major: a narrower stack fed the same
+        // toggles holds, round for round, the first columns of the wider
+        // one's α block followed by the first columns of its γ block. So a
+        // change of column count drops or adds whole columns and moves no
+        // bit of the ones both geometries share.
+        let (narrow, wide) = (crate::config::DEFAULT_COLUMNS, crate::config::PAPER_COLUMNS);
+        assert!(narrow < wide);
+        let [p_narrow, p_wide] = [narrow, wide].map(|c| SketchParams::new(64, 6, c, 42));
+        let batch = golden_batch();
+        let (mut s_narrow, mut s_wide) = (p_narrow.new_node_sketch(), p_wide.new_node_sketch());
+        s_narrow.update_batch_prepared(&batch);
+        s_wide.update_batch_prepared(&batch);
+
+        let rows = p_wide.families[0].geometry().num_rows as usize;
+        let (shared, all) = (narrow as usize * rows, wide as usize * rows);
+        for r in 0..p_wide.rounds() {
+            let (mut got, mut whole) = (Vec::new(), Vec::new());
+            p_narrow.serialize_round(&s_narrow, r, &mut got);
+            p_wide.serialize_round(&s_wide, r, &mut whole);
+            let (alpha, gamma) = whole.split_at(all * 8);
+            assert_eq!(got[..shared * 8], alpha[..shared * 8], "round {r}: α block");
+            assert_eq!(got[shared * 8..], gamma[..shared * 4], "round {r}: γ block");
+        }
     }
 
     #[test]

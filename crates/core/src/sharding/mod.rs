@@ -70,7 +70,8 @@ pub struct ShardConfig {
     pub seed: u64,
     /// Boruvka rounds; `None` = the paper's `⌈log_{3/2} V⌉`.
     pub num_rounds: Option<u32>,
-    /// CubeSketch columns.
+    /// CubeSketch columns ([`crate::config::DEFAULT_COLUMNS`] unless set).
+    /// Part of the parameter digest and of every `GZS2` header.
     pub num_columns: u32,
     /// Graph Workers per shard pipeline. [`Self::in_ram`] defaults it to
     /// 2, capped at the host's available parallelism.
@@ -130,7 +131,7 @@ impl ShardConfig {
             num_shards,
             seed: 0x5EED_1E55,
             num_rounds: None,
-            num_columns: gz_sketch::geometry::DEFAULT_COLUMNS,
+            num_columns: crate::config::DEFAULT_COLUMNS,
             workers_per_shard: crate::config::capped_at_host(2),
             locking: LockingStrategy::DeltaSketch,
             store: StoreBackend::Ram,
@@ -1122,9 +1123,12 @@ mod tests {
         other_seed.seed ^= 1;
         let mut other_shards = base.clone();
         other_shards.num_shards = 5;
+        let mut paper_columns = base.clone();
+        paper_columns.num_columns = crate::config::PAPER_COLUMNS;
         assert_eq!(base.params_digest(), base.clone().params_digest());
         assert_ne!(base.params_digest(), other_seed.params_digest());
         assert_ne!(base.params_digest(), other_shards.params_digest());
+        assert_ne!(base.params_digest(), paper_columns.params_digest());
     }
 
     /// The four fields of an outcome that are an answer.

@@ -623,6 +623,12 @@ fn tcp_connect_once(addr: &str, deadline: Option<Duration>) -> std::io::Result<T
     }
 }
 
+/// What a digest refusal tells the operator to compare: the digest is all
+/// the wire carries, so the message names its inputs.
+const DIGEST_COVERS: &str = "the digest covers nodes, seed, rounds, sketch columns, shard count \
+                             and wire version; both ends must be built with the same default \
+                             geometry";
+
 /// The `Hello`/`HelloAck` digest exchange on one link — at first connect
 /// and again on every respawned link.
 fn handshake_link<S: Read + Write>(
@@ -635,7 +641,8 @@ fn handshake_link<S: Read + Write>(
     match recv_msg(link, shard)? {
         WireMessage::HelloAck { params_digest: theirs } if theirs == params_digest => Ok(()),
         WireMessage::HelloAck { params_digest: theirs } => Err(GzError::Protocol(format!(
-            "shard {shard} parameter digest {theirs:#x} != coordinator {params_digest:#x}"
+            "shard {shard} parameter digest {theirs:#x} != coordinator {params_digest:#x} \
+             ({DIGEST_COVERS})"
         ))),
         other => Err(answered(shard, &hello, &other)),
     }
@@ -920,7 +927,8 @@ pub fn serve_shard_connection<S: Read + Write>(
                 WireMessage::HelloAck { params_digest }.write_to(stream)?;
                 if theirs != params_digest {
                     return Err(GzError::Protocol(format!(
-                        "coordinator digest {theirs:#x} != shard {params_digest:#x}"
+                        "coordinator digest {theirs:#x} != shard {params_digest:#x} \
+                         ({DIGEST_COVERS})"
                     )));
                 }
             }
@@ -1220,6 +1228,27 @@ mod tests {
         let result = SocketTransport::handshake(vec![ours], config.params_digest() ^ 1);
         assert!(matches!(result, Err(GzError::Protocol(_))));
         assert!(matches!(worker.join().unwrap(), Err(GzError::Protocol(_))));
+    }
+
+    #[test]
+    fn worker_built_at_another_column_count_is_refused_by_both_sides() {
+        // A `gz shard-worker` from a tree whose default was the paper's seven
+        // columns, dialled by a coordinator at this tree's default. There is
+        // no flag to reconcile them and nothing to reinterpret: the digests
+        // differ, and each side's typed refusal carries both.
+        let coordinator = ShardConfig::in_ram(16, 1);
+        let mut old_worker = coordinator.clone();
+        old_worker.num_columns = crate::config::PAPER_COLUMNS;
+        assert_ne!(coordinator.num_columns, old_worker.num_columns);
+        let (ours, worker) = spawn_worker(&old_worker, 0, immortal());
+        let refused = SocketTransport::handshake(vec![ours], coordinator.params_digest());
+        for side in [refused.map(|_| ()), worker.join().unwrap().map(|_| ())] {
+            let Err(GzError::Protocol(msg)) = side else { panic!("not refused: {side:?}") };
+            for config in [&coordinator, &old_worker] {
+                let digest = format!("{:#x}", config.params_digest());
+                assert!(msg.contains(&digest), "{msg} lacks {digest}");
+            }
+        }
     }
 
     #[test]

@@ -8,14 +8,22 @@
 //! exact model below (driven by the real sketch geometry) is what Figure 11
 //! reports; the approximation is kept for cross-checking against the paper's
 //! text.
+//!
+//! [`gz_sketch_bytes`] is the *paper's* footprint, at its seven columns. A
+//! system built from this tree's defaults carries
+//! [`crate::config::DEFAULT_COLUMNS`] and holds 3/7 of that
+//! ([`gz_sketch_bytes_with`]; DESIGN.md §2 has the reason).
 
-use crate::config::default_rounds;
+use crate::config::{default_rounds, PAPER_COLUMNS};
 use gz_sketch::geometry::SketchGeometry;
 
 /// Exact GraphZeppelin sketch bytes for `num_nodes` vertices with the
-/// default geometry (7 columns, `⌈log_{3/2} V⌉` rounds).
+/// paper's geometry ([`PAPER_COLUMNS`] columns, `⌈log_{3/2} V⌉` rounds) —
+/// the Figure 11 number. What a store built from this tree's defaults holds
+/// is [`gz_sketch_bytes_with`] at [`crate::config::DEFAULT_COLUMNS`], 3/7 of
+/// it.
 pub fn gz_sketch_bytes(num_nodes: u64) -> u64 {
-    gz_sketch_bytes_with(num_nodes, default_rounds(num_nodes), 7)
+    gz_sketch_bytes_with(num_nodes, default_rounds(num_nodes), PAPER_COLUMNS)
 }
 
 /// Exact sketch bytes with explicit rounds/columns.
@@ -115,14 +123,14 @@ mod tests {
         let rounds = default_rounds(v);
         let dense = gz_sketch_bytes(v);
         // All promoted, nothing sparse: exactly the dense model.
-        assert_eq!(gz_hybrid_sketch_bytes(v, rounds, 7, v, 0), dense);
+        assert_eq!(gz_hybrid_sketch_bytes(v, rounds, PAPER_COLUMNS, v, 0), dense);
         // All sparse at average degree 8: 4 bytes per entry, far below
         // dense — the ≥5× tentpole target holds with lots of slack.
-        let sparse = gz_hybrid_sketch_bytes(v, rounds, 7, 0, v * 8);
+        let sparse = gz_hybrid_sketch_bytes(v, rounds, PAPER_COLUMNS, 0, v * 8);
         assert_eq!(sparse, v * 8 * 4);
         assert!(sparse * 5 <= dense, "sparse {sparse} vs dense {dense}");
         // Mixed census sits strictly between.
-        let mixed = gz_hybrid_sketch_bytes(v, rounds, 7, v / 10, (v - v / 10) * 8);
+        let mixed = gz_hybrid_sketch_bytes(v, rounds, PAPER_COLUMNS, v / 10, (v - v / 10) * 8);
         assert!(sparse < mixed && mixed < dense);
     }
 

@@ -142,10 +142,15 @@ mod tests {
 
     #[test]
     fn sketch_bytes_larger_than_cubesketch() {
-        // Paper Figure 5: the general sampler is ≥ 2× larger.
+        // Paper Figure 5: the general sampler is ≥ 2× larger, both at the
+        // paper's column count.
         let cc = StreamingCc::new(64, 1).unwrap();
-        let params =
-            crate::node_sketch::SketchParams::new(64, crate::config::default_rounds(64), 7, 1);
+        let params = crate::node_sketch::SketchParams::new(
+            64,
+            crate::config::default_rounds(64),
+            crate::config::PAPER_COLUMNS,
+            1,
+        );
         let cube_total = params.node_sketch_bytes() * 64;
         assert!(
             cc.sketch_bytes() >= 2 * cube_total,

@@ -43,11 +43,6 @@ impl ConnectedComponents {
     pub fn spanning_forest(&self) -> &[Edge] {
         &self.outcome.forest
     }
-
-    /// Boruvka rounds used and sketch failures survived.
-    pub fn query_stats(&self) -> (usize, usize) {
-        (self.outcome.rounds_used, self.outcome.sketch_failures)
-    }
 }
 
 /// The GraphZeppelin system: buffered, parallel sketch ingestion plus

@@ -50,15 +50,17 @@ const MAX_ROWS: usize = 64;
 /// touches every row of every column (`rows × columns` read-modify-writes),
 /// a fixed cost per sketch that singles — which write only the rows a
 /// record reaches — do not pay. Measured crossover (EXPERIMENTS.md
-/// "Sketch-update kernel"): singles ahead at 2 records, the kernel from 3.
+/// "Sketch-update kernel"): singles ahead at 2 records, the kernel from 3 —
+/// at seven columns and again at three, both sides being linear in columns.
 const KERNEL_MIN_BATCH: usize = 3;
 
-/// Columns the batch kernel carries through one pass over the records: that
-/// many independent finish → depth → accumulator-XOR chains per record.
-/// Chosen from the measured table in DESIGN.md §9: at the default geometry
-/// ([`crate::geometry::DEFAULT_COLUMNS`]) a sketch is one pass. Other column
-/// counts take full-width passes and then one narrower pass for the
-/// remainder.
+/// Most columns the batch kernel carries through one pass over the records:
+/// that many independent finish → depth → accumulator-XOR chains per record.
+/// Chosen from the measured table in DESIGN.md §9 when the default geometry
+/// was the paper's ([`crate::geometry::PAPER_COLUMNS`]), so that a sketch is
+/// one pass. It still is at [`crate::geometry::DEFAULT_COLUMNS`]: any count
+/// below `LANES` is a single pass of that width, wider ones take full-width
+/// passes and then one narrower pass for the remainder.
 const LANES: usize = 7;
 
 /// Cancel coordinate pairs within a batch of Z_2 toggles, in place.

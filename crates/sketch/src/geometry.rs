@@ -3,13 +3,33 @@
 //! Both samplers share the same bucket matrix shape (paper §3): `log(n)` rows
 //! (subsampling levels — row `i` holds coordinates whose membership hash has
 //! `i` trailing zero bits) by `q·log(1/δ)` columns (independent repetitions;
-//! the paper and the production system fix 7 columns). What differs is the
-//! *bucket payload*: CubeSketch stores `(α: u64, γ: u32)` = 12 bytes, the
-//! general sampler stores three field words = 24 bytes (64-bit path) or 48
-//! bytes (128-bit path). That 2×/4× gap is exactly the paper's Figure 5.
+//! the paper fixes [`PAPER_COLUMNS`], this system ships [`DEFAULT_COLUMNS`]).
+//! What differs is the *bucket payload*: CubeSketch stores `(α: u64, γ: u32)`
+//! = 12 bytes, the general sampler stores three field words = 24 bytes
+//! (64-bit path) or 48 bytes (128-bit path). That 2×/4× gap is exactly the
+//! paper's Figure 5.
 
-/// Number of columns used by the paper's implementation (§5.1: `log(1/δ)=7`).
-pub const DEFAULT_COLUMNS: u32 = 7;
+/// Columns of the paper's implementation (§5.1: `log(1/δ) = 7` for δ = 1 %,
+/// on the assumption that a column succeeds half the time). Everything that
+/// reproduces a paper number — Figure 5, the Figure 11 size model, the
+/// StreamingCC baseline, the ablation rows — uses this, whatever the system
+/// default is.
+pub const PAPER_COLUMNS: u32 = 7;
+
+/// Columns a sketch gets unless a configuration says otherwise.
+///
+/// A column succeeds iff its deepest occupied row holds exactly one
+/// coordinate — probability ≈ 1/(2 ln 2) = 0.72 on a dense vector — so `c`
+/// columns fail a query with probability ≈ 0.28^c: 2 % at 3, 10⁻⁴ at the
+/// paper's 7. A failed query
+/// only delays its component by one round, and the `⌈log_{3/2} V⌉` round
+/// budget already assumes a constant share of components makes no progress
+/// each round — the measured table (EXPERIMENTS.md, "Sketch geometry: columns
+/// against a measured δ") has every query finishing inside half that budget
+/// at 3 columns. Every cost of a stream update is linear in this number
+/// (DESIGN.md §2). Files and handshakes carry their own column count, so
+/// state written under another value is refused, never reinterpreted.
+pub const DEFAULT_COLUMNS: u32 = 3;
 
 /// Shape of a sketch's bucket matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,12 +43,18 @@ pub struct SketchGeometry {
 }
 
 impl SketchGeometry {
-    /// Geometry for a vector of length `n` with the default column count.
+    /// Geometry for a vector of length `n` with [`DEFAULT_COLUMNS`].
     pub fn for_vector(vector_len: u64) -> Self {
         Self::with_columns(vector_len, DEFAULT_COLUMNS)
     }
 
-    /// Geometry with an explicit column count (used by reliability ablations).
+    /// The paper's geometry for a vector of length `n` ([`PAPER_COLUMNS`]):
+    /// what the figure reproductions and the baseline sampler are sized by.
+    pub fn paper(vector_len: u64) -> Self {
+        Self::with_columns(vector_len, PAPER_COLUMNS)
+    }
+
+    /// Geometry with an explicit column count.
     pub fn with_columns(vector_len: u64, num_columns: u32) -> Self {
         assert!(vector_len > 0, "cannot sketch an empty vector");
         assert!(num_columns > 0, "need at least one column");
@@ -110,9 +136,11 @@ mod tests {
     #[test]
     fn geometry_shape() {
         let g = SketchGeometry::for_vector(1_000_000);
-        assert_eq!(g.num_columns, 7);
+        assert_eq!(g.num_columns, 3);
         assert_eq!(g.num_rows, 20);
-        assert_eq!(g.num_buckets(), 140);
+        assert_eq!(g.num_buckets(), 60);
+        let paper = SketchGeometry::paper(1_000_000);
+        assert_eq!((paper.num_columns, paper.num_rows, paper.num_buckets()), (7, 20, 140));
     }
 
     #[test]

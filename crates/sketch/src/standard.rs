@@ -51,9 +51,11 @@ impl<F: FingerprintField, H: Hasher64> StandardFamily<F, H> {
         Arc::new(StandardFamily { geometry, seed, h1, r })
     }
 
-    /// Convenience constructor with default columns.
+    /// Convenience constructor with the paper's column count: this sampler
+    /// is in the tree as the paper's baseline, so it keeps the paper's
+    /// geometry wherever the system default goes.
     pub fn for_vector(vector_len: u64, seed: u64) -> Arc<Self> {
-        Self::new(SketchGeometry::for_vector(vector_len), seed)
+        Self::new(SketchGeometry::paper(vector_len), seed)
     }
 
     /// The family's geometry.

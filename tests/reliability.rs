@@ -1,12 +1,18 @@
 //! Integration-level reliability trials (§6.3, scaled down for CI).
 
-use gz_bench::figures::reliability::trial_sweep;
+use gz_bench::figures::reliability::{trial_sweep, CellReport};
+use gz_sketch::geometry::DEFAULT_COLUMNS;
 use gz_stream::Dataset;
+
+/// One dataset at the shipped geometry, always-dense.
+fn default_cell(dataset: &Dataset, trials: usize, checkpoints: usize) -> CellReport {
+    trial_sweep(dataset, trials, checkpoints, &[(DEFAULT_COLUMNS, 0)]).remove(0)
+}
 
 #[test]
 fn kron_trials_zero_failures() {
-    let report = trial_sweep(&Dataset::kron(7), 6, 3);
-    assert_eq!(report.failures, 0, "{report:?}");
+    let report = default_cell(&Dataset::kron(7), 6, 3);
+    assert!(report.clean(), "{report:?}");
     // 3 checkpoints per trial, plus possibly one end-of-stream check when
     // the stream length is not a checkpoint multiple.
     assert!((18..=24).contains(&report.checks), "{report:?}");
@@ -15,8 +21,8 @@ fn kron_trials_zero_failures() {
 #[test]
 fn sparse_standin_trials_zero_failures() {
     let d = gz_stream::catalog::tiny_standins().remove(0);
-    let report = trial_sweep(&d, 4, 3);
-    assert_eq!(report.failures, 0, "{report:?}");
+    let report = default_cell(&d, 4, 3);
+    assert!(report.clean(), "{report:?}");
 }
 
 #[test]
@@ -33,6 +39,6 @@ fn dense_powerlaw_standin_trials_zero_failures() {
         nominal_edges: 9000,
         spec: gz_stream::GeneratorSpec::Preferential { nodes: 300, edges: 9000 },
     };
-    let report = trial_sweep(&d, 4, 3);
-    assert_eq!(report.failures, 0, "{report:?}");
+    let report = default_cell(&d, 4, 3);
+    assert!(report.clean(), "{report:?}");
 }
