@@ -6,12 +6,8 @@
 //! crash tests and the repo benchmark's load generator; it is also the
 //! reference for writing clients in other languages.
 
-use crate::serve::ClientStream;
-use graph_zeppelin::TransportTimeouts;
+use graph_zeppelin::{Link, LinkError, Stream, TransportTimeouts};
 use gz_stream::wire::{QueryAnswer, QueryKind, WireMessage, WireUpdate};
-use std::io::Write;
-use std::net::TcpStream;
-use std::os::unix::net::UnixStream;
 use std::path::Path;
 
 /// Why a serve interaction failed, typed the way callers branch on it.
@@ -27,8 +23,9 @@ pub enum ClientError {
     /// The daemon refused the request and killed the connection (malformed
     /// traffic, invalid updates, or an ingest/query failure on its side).
     Rejected(String),
-    /// The transport itself failed (disconnects, deadlines, bad frames).
-    Io(std::io::Error),
+    /// The link itself failed: a disconnect, a missed deadline, or a reply
+    /// that is not the protocol's answer to the request.
+    Link(LinkError),
 }
 
 impl std::fmt::Display for ClientError {
@@ -38,23 +35,23 @@ impl std::fmt::Display for ClientError {
                 write!(f, "daemon is busy ({active}/{max_clients} clients)")
             }
             ClientError::Rejected(msg) => write!(f, "daemon rejected the request: {msg}"),
-            ClientError::Io(e) => write!(f, "serve connection failed: {e}"),
+            ClientError::Link(e) => write!(f, "serve connection failed: {e}"),
         }
     }
 }
 
 impl std::error::Error for ClientError {}
 
-impl From<std::io::Error> for ClientError {
-    fn from(e: std::io::Error) -> ClientError {
-        ClientError::Io(e)
+impl From<LinkError> for ClientError {
+    fn from(e: LinkError) -> ClientError {
+        ClientError::Link(e)
     }
 }
 
 /// A connected serve client.
 #[derive(Debug)]
 pub struct ServeClient {
-    stream: ClientStream,
+    link: Link,
     acked: u64,
     num_nodes: u64,
 }
@@ -65,37 +62,7 @@ impl ServeClient {
         addr: &str,
         timeouts: &TransportTimeouts,
     ) -> Result<ServeClient, ClientError> {
-        let stream = match timeouts.connect {
-            Some(d) => {
-                let mut last = None;
-                let mut found = None;
-                for sock in std::net::ToSocketAddrs::to_socket_addrs(addr)? {
-                    match TcpStream::connect_timeout(&sock, d) {
-                        Ok(s) => {
-                            found = Some(s);
-                            break;
-                        }
-                        Err(e) => last = Some(e),
-                    }
-                }
-                match found {
-                    Some(s) => s,
-                    None => {
-                        return Err(ClientError::Io(last.unwrap_or_else(|| {
-                            std::io::Error::new(
-                                std::io::ErrorKind::InvalidInput,
-                                format!("{addr} resolved to no addresses"),
-                            )
-                        })));
-                    }
-                }
-            }
-            None => TcpStream::connect(addr)?,
-        };
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(timeouts.read)?;
-        stream.set_write_timeout(timeouts.write)?;
-        ServeClient::handshake(ClientStream::Tcp(stream))
+        ServeClient::handshake(Stream::dial_tcp(addr, timeouts))
     }
 
     /// Connect over a Unix socket and complete the handshake.
@@ -103,27 +70,19 @@ impl ServeClient {
         path: &Path,
         timeouts: &TransportTimeouts,
     ) -> Result<ServeClient, ClientError> {
-        let stream = UnixStream::connect(path)?;
-        stream.set_read_timeout(timeouts.read)?;
-        stream.set_write_timeout(timeouts.write)?;
-        ServeClient::handshake(ClientStream::Unix(stream))
+        ServeClient::handshake(Stream::dial_unix(path, timeouts))
     }
 
-    fn handshake(mut stream: ClientStream) -> Result<ServeClient, ClientError> {
-        WireMessage::ClientHello.write_to(&mut stream)?;
-        stream.flush()?;
-        match WireMessage::read_from(&mut stream)? {
+    fn handshake(dialed: std::io::Result<Stream>) -> Result<ServeClient, ClientError> {
+        let mut link = Link::new(dialed.map_err(|e| LinkError::from_io(&e))?);
+        match request(&mut link, &WireMessage::ClientHello)? {
             WireMessage::ClientHelloAck { num_nodes, acked } => {
-                Ok(ServeClient { stream, acked, num_nodes })
+                Ok(ServeClient { link, acked, num_nodes })
             }
             WireMessage::Busy { active, max_clients } => {
                 Err(ClientError::Busy { active, max_clients })
             }
-            WireMessage::ErrorReply { message } => Err(ClientError::Rejected(message)),
-            other => Err(ClientError::Io(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("expected ClientHelloAck, got {}", other.name()),
-            ))),
+            other => Err(unexpected("ClientHelloAck", &other)),
         }
     }
 
@@ -143,31 +102,19 @@ impl ServeClient {
     pub fn send_updates(&mut self, updates: &[(u32, u32, bool)]) -> Result<u64, ClientError> {
         let updates =
             updates.iter().map(|&(u, v, is_delete)| WireUpdate { u, v, is_delete }).collect();
-        WireMessage::UpdateBatch { updates }.write_to(&mut self.stream)?;
-        self.stream.flush()?;
-        match WireMessage::read_from(&mut self.stream)? {
+        match request(&mut self.link, &WireMessage::UpdateBatch { updates })? {
             WireMessage::UpdateAck { acked } => {
                 self.acked = acked;
                 Ok(acked)
             }
-            WireMessage::ErrorReply { message } => Err(ClientError::Rejected(message)),
-            other => Err(ClientError::Io(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("expected UpdateAck, got {}", other.name()),
-            ))),
+            other => Err(unexpected("UpdateAck", &other)),
         }
     }
 
     fn query(&mut self, kind: QueryKind) -> Result<QueryAnswer, ClientError> {
-        WireMessage::Query { kind }.write_to(&mut self.stream)?;
-        self.stream.flush()?;
-        match WireMessage::read_from(&mut self.stream)? {
+        match request(&mut self.link, &WireMessage::Query { kind })? {
             WireMessage::QueryResult { answer } => Ok(answer),
-            WireMessage::ErrorReply { message } => Err(ClientError::Rejected(message)),
-            other => Err(ClientError::Io(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("expected QueryResult, got {}", other.name()),
-            ))),
+            other => Err(unexpected("QueryResult", &other)),
         }
     }
 
@@ -198,10 +145,22 @@ impl ServeClient {
     /// Say goodbye cleanly so the daemon retires the connection without
     /// counting a disconnect.
     pub fn shutdown(mut self) -> Result<(), ClientError> {
-        WireMessage::Shutdown.write_to(&mut self.stream)?;
-        self.stream.flush()?;
-        Ok(())
+        Ok(self.link.send(&WireMessage::Shutdown)?)
     }
+}
+
+/// One request/reply turn; the daemon's typed refusal is an error here so
+/// every caller matches only on the reply it asked for.
+fn request(link: &mut Link, msg: &WireMessage) -> Result<WireMessage, ClientError> {
+    link.send(msg)?;
+    match link.recv()? {
+        WireMessage::ErrorReply { message } => Err(ClientError::Rejected(message)),
+        reply => Ok(reply),
+    }
+}
+
+fn unexpected(wanted: &str, got: &WireMessage) -> ClientError {
+    ClientError::Link(LinkError::malformed(format!("expected {wanted}, got {}", got.name())))
 }
 
 fn mismatched_answer(got: &QueryAnswer) -> ClientError {
@@ -210,8 +169,7 @@ fn mismatched_answer(got: &QueryAnswer) -> ClientError {
         QueryAnswer::Components(_) => "Components",
         QueryAnswer::SpanningForest(_) => "SpanningForest",
     };
-    ClientError::Io(std::io::Error::new(
-        std::io::ErrorKind::InvalidData,
-        format!("daemon answered the wrong query kind ({name})"),
-    ))
+    ClientError::Link(LinkError::malformed(format!(
+        "daemon answered the wrong query kind ({name})"
+    )))
 }

@@ -39,10 +39,11 @@
 pub mod client;
 pub mod serve;
 
+use graph_zeppelin::config::DEFAULT_SEED;
 use graph_zeppelin::{
     connect_shard_tcp, serve_shard_connection, BipartitenessTester, BufferStrategy, GraphZeppelin,
-    GutterCapacity, GzConfig, IoBackendKind, Recovery, RetryPolicy, ShardConfig, ShardPipeline,
-    ShardedGraphZeppelin, SocketTransport, StoreBackend, TransportTimeouts,
+    GutterCapacity, GzConfig, IoBackendKind, Link, Recovery, RetryPolicy, ShardConfig,
+    ShardPipeline, ShardedGraphZeppelin, SocketTransport, StoreBackend, Stream, TransportTimeouts,
 };
 use gz_stream::format::{StreamReader, StreamWriter};
 use gz_stream::{Dataset, GeneratorSpec, StreamifyConfig, UpdateKind};
@@ -94,6 +95,55 @@ impl BufferingArg {
     }
 }
 
+/// Everything `gz components` takes.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ComponentsArgs {
+    /// Stream file.
+    pub path: PathBuf,
+    /// Graph Workers (per shard, when sharded).
+    pub workers: usize,
+    /// Sketch store placement.
+    pub store: StoreArg,
+    /// Buffering system.
+    pub buffering: BufferingArg,
+    /// Directory for on-disk stores / gutter trees.
+    pub dir: Option<PathBuf>,
+    /// Also print the spanning forest.
+    pub forest: bool,
+    /// Borůvka query-engine threads (`None` = the worker count).
+    pub query_threads: Option<usize>,
+    /// Bounded staleness for streaming queries: reuse a sealed epoch
+    /// while it lags fewer than this many updates (`None` = always
+    /// query fresh state).
+    pub staleness: Option<u64>,
+    /// Hybrid-representation promotion threshold τ: nodes stay exact
+    /// sparse sets until they exceed this many live neighbors (`None`
+    /// or 0 = always-dense sketches).
+    pub threshold: Option<u32>,
+    /// Disk-store I/O backend (`None` = auto: probe io_uring, fall
+    /// back to pread). Ignored by RAM stores.
+    pub io_backend: Option<IoBackendKind>,
+    /// Print a representation census (sparse/promoted node counts and
+    /// resident bytes) after the query.
+    pub stats: bool,
+    /// Shard the system `k` ways (in-process unless `connect` names
+    /// remote workers).
+    pub shards: Option<u32>,
+    /// `host:port` shard-worker addresses, one per shard in shard
+    /// order; empty = in-process shards.
+    pub connect: Vec<String>,
+    /// Ask every shard for a durable checkpoint each `N` routed
+    /// batches (`None` = never checkpoint mid-stream).
+    pub checkpoint_every: Option<u64>,
+    /// Absolute router batch size in updates (`None` = the paper's
+    /// sketch-factor default). Small batches tighten the recovery
+    /// replay bound at the cost of more wire round trips.
+    pub batch_updates: Option<usize>,
+    /// On worker death, reconnect with bounded backoff and replay the
+    /// batches the worker lost (requires `--connect`).
+    pub respawn: bool,
+}
+
 /// A parsed CLI invocation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
@@ -112,52 +162,7 @@ pub enum Command {
         path: PathBuf,
     },
     /// Compute connected components of a stream file.
-    Components {
-        /// Stream file.
-        path: PathBuf,
-        /// Graph Workers (per shard, when sharded).
-        workers: usize,
-        /// Sketch store placement.
-        store: StoreArg,
-        /// Buffering system.
-        buffering: BufferingArg,
-        /// Directory for on-disk stores / gutter trees.
-        dir: Option<PathBuf>,
-        /// Also print the spanning forest.
-        forest: bool,
-        /// Borůvka query-engine threads (`None` = the worker count).
-        query_threads: Option<usize>,
-        /// Bounded staleness for streaming queries: reuse a sealed epoch
-        /// while it lags fewer than this many updates (`None` = always
-        /// query fresh state).
-        staleness: Option<u64>,
-        /// Hybrid-representation promotion threshold τ: nodes stay exact
-        /// sparse sets until they exceed this many live neighbors (`None`
-        /// or 0 = always-dense sketches).
-        threshold: Option<u32>,
-        /// Disk-store I/O backend (`None` = auto: probe io_uring, fall
-        /// back to pread). Ignored by RAM stores.
-        io_backend: Option<IoBackendKind>,
-        /// Print a representation census (sparse/promoted node counts and
-        /// resident bytes) after the query.
-        stats: bool,
-        /// Shard the system `k` ways (in-process unless `connect` names
-        /// remote workers).
-        shards: Option<u32>,
-        /// `host:port` shard-worker addresses, one per shard in shard
-        /// order; empty = in-process shards.
-        connect: Vec<String>,
-        /// Ask every shard for a durable checkpoint each `N` routed
-        /// batches (`None` = never checkpoint mid-stream).
-        checkpoint_every: Option<u64>,
-        /// Absolute router batch size in updates (`None` = the paper's
-        /// sketch-factor default). Small batches tighten the recovery
-        /// replay bound at the cost of more wire round trips.
-        batch_updates: Option<usize>,
-        /// On worker death, reconnect with bounded backoff and replay the
-        /// batches the worker lost (requires `--connect`).
-        respawn: bool,
-    },
+    Components(ComponentsArgs),
     /// Ingest a stream, then persist the whole sketch state to a file.
     CheckpointSave {
         /// Stream file to ingest.
@@ -261,64 +266,170 @@ fn parse_pair(s: &str) -> Result<(u64, u64), String> {
     ))
 }
 
-fn parse_num<T: std::str::FromStr>(
-    it: &mut std::slice::Iter<'_, String>,
-    flag: &str,
-) -> Result<T, String> {
-    it.next()
-        .ok_or(format!("{flag} needs a value"))?
-        .parse()
-        .map_err(|_| format!("bad value for {flag}"))
-}
-
 /// Graph Workers when `--workers` is not given: two, but no more than the
 /// host can run at once. An explicit `--workers` is taken as given.
 pub(crate) fn default_workers() -> usize {
     graph_zeppelin::config::capped_at_host(2)
 }
 
-/// Parse a flag whose value must be a positive count: `0` is refused with
-/// the same error shape as `--query-threads 0`, instead of being silently
-/// clamped downstream.
-fn parse_positive<T: std::str::FromStr + Default + PartialEq>(
-    it: &mut std::slice::Iter<'_, String>,
-    flag: &str,
-) -> Result<T, String> {
-    let n: T = parse_num(it, flag)?;
-    if n == T::default() {
-        return Err(format!("{flag} must be at least 1"));
-    }
-    Ok(n)
+/// What a flag takes, which is what the scan and the typed getters refuse.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    /// No value: given or not.
+    Switch,
+    /// A count: an integer, and `0` is refused rather than silently
+    /// clamped downstream.
+    Count,
+    /// An integer where `0` means something (`--staleness 0` reseals on
+    /// every query, `--threshold 0` is always-dense, `--timeout-ms 0` is no
+    /// deadline).
+    Number,
+    /// Anything else; the text is what the flag "needs" when it is last.
+    Value(&'static str),
 }
 
-/// Parse `--query-threads`: a positive thread count (0 is refused — a query
-/// cannot run on no threads; omit the flag to default to the worker count).
-fn parse_query_threads(it: &mut std::slice::Iter<'_, String>) -> Result<usize, String> {
-    let n: usize = parse_num(it, "--query-threads")?;
-    if n == 0 {
-        return Err("--query-threads must be at least 1 (omit the flag to default to the \
-             worker count)"
-            .into());
-    }
-    Ok(n)
+/// One flag of one subcommand: its spelling and its [`Kind`].
+type FlagSpec = (&'static str, Kind);
+
+const GENERATE: &[FlagSpec] = &[
+    ("--dataset", Kind::Value("a value")),
+    ("--er", Kind::Value("NxM")),
+    ("--pa", Kind::Value("NxM")),
+    ("--seed", Kind::Number),
+    ("--out", Kind::Value("a path")),
+];
+
+const COMPONENTS: &[FlagSpec] = &[
+    ("--workers", Kind::Count),
+    ("--query-threads", Kind::Count),
+    ("--store", Kind::Value("ram|disk")),
+    ("--buffering", Kind::Value("leaf|tree")),
+    ("--dir", Kind::Value("a dir")),
+    ("--disk", Kind::Value("a dir")),
+    ("--forest", Kind::Switch),
+    ("--staleness", Kind::Number),
+    ("--threshold", Kind::Number),
+    ("--io-backend", Kind::Value("a value")),
+    ("--stats", Kind::Switch),
+    ("--shards", Kind::Count),
+    ("--connect", Kind::Value("addr,addr,...")),
+    ("--checkpoint-every", Kind::Count),
+    ("--batch-updates", Kind::Count),
+    ("--respawn", Kind::Switch),
+];
+
+const CHECKPOINT_SAVE: &[FlagSpec] = &[
+    ("--from", Kind::Value("a stream file")),
+    ("--workers", Kind::Count),
+    ("--seed", Kind::Number),
+];
+
+const CHECKPOINT_RESTORE: &[FlagSpec] =
+    &[("--forest", Kind::Switch), ("--query-threads", Kind::Count)];
+
+const SHARD_WORKER: &[FlagSpec] = &[
+    ("--listen", Kind::Value("host:port")),
+    ("--nodes", Kind::Number),
+    ("--shards", Kind::Count),
+    ("--index", Kind::Number),
+    ("--seed", Kind::Number),
+    ("--workers", Kind::Count),
+    ("--store", Kind::Value("ram|disk")),
+    ("--dir", Kind::Value("a dir")),
+    ("--threshold", Kind::Number),
+    ("--io-backend", Kind::Value("a value")),
+    ("--checkpoint", Kind::Value("a path")),
+    ("--resume", Kind::Value("a path")),
+];
+
+const SERVE: &[FlagSpec] = &[
+    ("--listen", Kind::Value("host:port")),
+    ("--unix", Kind::Value("a socket path")),
+    ("--nodes", Kind::Number),
+    ("--shards", Kind::Count),
+    ("--seed", Kind::Number),
+    ("--workers", Kind::Count),
+    ("--max-clients", Kind::Count),
+    ("--dir", Kind::Value("a dir")),
+    ("--resume", Kind::Switch),
+    ("--checkpoint-ms", Kind::Count),
+    ("--timeout-ms", Kind::Number),
+    ("--staleness", Kind::Number),
+    ("--stats", Kind::Switch),
+];
+
+/// The flags of one invocation, scanned against its subcommand's table.
+struct Flags<'a> {
+    spec: &'static [FlagSpec],
+    /// Parallel to `spec`: the value given (`""` for a switch), if any.
+    given: Vec<Option<&'a str>>,
 }
 
-/// Set-once guard for flag values: a repeated flag is an explicit error,
-/// never a silent last-one-wins.
-fn set_once<T>(slot: &mut Option<T>, value: T, flag: &str) -> Result<(), String> {
-    if slot.replace(value).is_some() {
-        return Err(format!("duplicate flag {flag}"));
+impl<'a> Flags<'a> {
+    /// The one loop over the arguments: a flag the table does not list is
+    /// unknown, a value flag that comes last is missing its value, and a
+    /// flag given twice is an explicit error, never a silent last-one-wins.
+    fn scan(
+        spec: &'static [FlagSpec],
+        it: &mut std::slice::Iter<'a, String>,
+    ) -> Result<Flags<'a>, String> {
+        let mut given = vec![None; spec.len()];
+        while let Some(arg) = it.next() {
+            let at = spec
+                .iter()
+                .position(|(name, _)| name == arg)
+                .ok_or_else(|| format!("unknown flag {arg}"))?;
+            let value = match spec[at].1 {
+                Kind::Switch => "",
+                Kind::Count | Kind::Number => it.next().ok_or(format!("{arg} needs a value"))?,
+                Kind::Value(what) => it.next().ok_or(format!("{arg} needs {what}"))?,
+            };
+            if given[at].replace(value).is_some() {
+                return Err(format!("duplicate flag {arg}"));
+            }
+        }
+        Ok(Flags { spec, given })
     }
-    Ok(())
-}
 
-/// Set-once guard for boolean switches (`--forest` twice is a typo worth
-/// flagging, not a no-op).
-fn set_switch(slot: &mut bool, flag: &str) -> Result<(), String> {
-    if std::mem::replace(slot, true) {
-        return Err(format!("duplicate flag {flag}"));
+    fn at(&self, flag: &str) -> usize {
+        let at = self.spec.iter().position(|(name, _)| *name == flag);
+        at.unwrap_or_else(|| panic!("{flag} is not in this subcommand's flag table"))
     }
-    Ok(())
+
+    /// The flag's value, if it was given (`Some("")` for a switch).
+    fn value(&self, flag: &str) -> Option<&'a str> {
+        self.given[self.at(flag)]
+    }
+
+    fn given(&self, flag: &str) -> bool {
+        self.value(flag).is_some()
+    }
+
+    fn path(&self, flag: &str) -> Option<PathBuf> {
+        self.value(flag).map(PathBuf::from)
+    }
+
+    /// A value with its own grammar (`ram|disk`, `NxM`, ...).
+    fn parsed<T>(
+        &self,
+        flag: &str,
+        parse: impl Fn(&str) -> Result<T, String>,
+    ) -> Result<Option<T>, String> {
+        self.value(flag).map(parse).transpose()
+    }
+
+    /// An integer flag; zero is refused where the table says [`Kind::Count`].
+    fn num<T: std::str::FromStr + Default + PartialEq>(
+        &self,
+        flag: &str,
+    ) -> Result<Option<T>, String> {
+        let Some(value) = self.value(flag) else { return Ok(None) };
+        let n: T = value.parse().map_err(|_| format!("bad value for {flag}"))?;
+        if self.spec[self.at(flag)].1 == Kind::Count && n == T::default() {
+            return Err(format!("{flag} must be at least 1"));
+        }
+        Ok(Some(n))
+    }
 }
 
 /// Parse a full argument vector (without `argv[0]`).
@@ -329,41 +440,25 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
     )?;
     match sub.as_str() {
         "generate" => {
-            let mut dataset = None;
-            let mut seed = None;
-            let mut out = None;
-            while let Some(arg) = it.next() {
-                match arg.as_str() {
-                    "--dataset" => {
-                        let v = it.next().ok_or("--dataset needs a value")?;
-                        let scale = v
-                            .strip_prefix("kron")
-                            .and_then(|s| s.parse().ok())
-                            .ok_or_else(|| format!("unknown dataset {v} (try kron10)"))?;
-                        set_once(&mut dataset, DatasetArg::Kron(scale), arg)?;
-                    }
-                    "--er" => {
-                        let v = it.next().ok_or("--er needs NxM")?;
-                        let (n, m) = parse_pair(v)?;
-                        set_once(&mut dataset, DatasetArg::ErdosRenyi(n, m), arg)?;
-                    }
-                    "--pa" => {
-                        let v = it.next().ok_or("--pa needs NxM")?;
-                        let (n, m) = parse_pair(v)?;
-                        set_once(&mut dataset, DatasetArg::Preferential(n, m), arg)?;
-                    }
-                    "--seed" => set_once(&mut seed, parse_num(&mut it, arg)?, arg)?,
-                    "--out" => {
-                        let v = PathBuf::from(it.next().ok_or("--out needs a path")?);
-                        set_once(&mut out, v, arg)?;
-                    }
-                    other => return Err(format!("unknown flag {other}")),
-                }
+            let f = Flags::scan(GENERATE, &mut it)?;
+            let kron = |v: &str| {
+                let scale = v.strip_prefix("kron").and_then(|s| s.parse().ok());
+                scale.map(DatasetArg::Kron).ok_or(format!("unknown dataset {v} (try kron10)"))
+            };
+            let er = |v: &str| parse_pair(v).map(|(n, m)| DatasetArg::ErdosRenyi(n, m));
+            let pa = |v: &str| parse_pair(v).map(|(n, m)| DatasetArg::Preferential(n, m));
+            // The three spell one slot: a second one is a duplicate.
+            let datasets =
+                [f.parsed("--dataset", kron)?, f.parsed("--er", er)?, f.parsed("--pa", pa)?];
+            let mut datasets = datasets.into_iter().flatten();
+            let dataset = datasets.next().ok_or("need one of --dataset/--er/--pa")?;
+            if datasets.next().is_some() {
+                return Err("duplicate flag: pick one of --dataset/--er/--pa".into());
             }
             Ok(Command::Generate {
-                dataset: dataset.ok_or("need one of --dataset/--er/--pa")?,
-                seed: seed.unwrap_or(42),
-                out: out.ok_or("need --out")?,
+                dataset,
+                seed: f.num("--seed")?.unwrap_or(42),
+                out: f.path("--out").ok_or("need --out")?,
             })
         }
         "info" => {
@@ -372,297 +467,129 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
         }
         "components" => {
             let path = PathBuf::from(it.next().ok_or("components needs a stream file")?);
-            let mut workers = None;
-            let mut store = None;
-            let mut buffering = None;
-            let mut dir = None;
-            let mut forest = false;
-            let mut query_threads = None;
-            let mut staleness = None;
-            let mut threshold = None;
-            let mut io_backend = None;
-            let mut stats = false;
-            let mut shards = None;
-            let mut connect = None;
-            let mut checkpoint_every = None;
-            let mut batch_updates = None;
-            let mut respawn = false;
-            while let Some(arg) = it.next() {
-                match arg.as_str() {
-                    "--workers" => set_once(&mut workers, parse_positive(&mut it, arg)?, arg)?,
-                    "--query-threads" => {
-                        set_once(&mut query_threads, parse_query_threads(&mut it)?, arg)?;
-                    }
-                    "--store" => {
-                        let v = StoreArg::parse(it.next().ok_or("--store needs ram|disk")?)?;
-                        set_once(&mut store, v, arg)?;
-                    }
-                    "--buffering" => {
-                        let v =
-                            BufferingArg::parse(it.next().ok_or("--buffering needs leaf|tree")?)?;
-                        set_once(&mut buffering, v, arg)?;
-                    }
-                    "--dir" => {
-                        let v = PathBuf::from(it.next().ok_or("--dir needs a dir")?);
-                        set_once(&mut dir, v, arg)?;
-                    }
-                    // Back-compat: `--disk DIR` = the full on-disk deployment.
-                    // It claims --dir/--store/--buffering, so mixing it with
-                    // any of those is reported as a duplicate.
-                    "--disk" => {
-                        let v = PathBuf::from(it.next().ok_or("--disk needs a dir")?);
-                        set_once(&mut dir, v, arg)?;
-                        set_once(&mut store, StoreArg::Disk, arg)?;
-                        set_once(&mut buffering, BufferingArg::Tree, arg)?;
-                    }
-                    "--forest" => set_switch(&mut forest, arg)?,
-                    // `--staleness 0` is meaningful (reseal on every query),
-                    // so a plain parse — not parse_positive — is correct.
-                    "--staleness" => set_once(&mut staleness, parse_num(&mut it, arg)?, arg)?,
-                    // `--threshold 0` is meaningful (force always-dense),
-                    // so a plain parse here too.
-                    "--threshold" => set_once(&mut threshold, parse_num(&mut it, arg)?, arg)?,
-                    "--io-backend" => {
-                        let v = parse_io_backend(it.next().ok_or("--io-backend needs a value")?)?;
-                        set_once(&mut io_backend, v, arg)?;
-                    }
-                    "--stats" => set_switch(&mut stats, arg)?,
-                    "--shards" => set_once(&mut shards, parse_positive(&mut it, arg)?, arg)?,
-                    "--connect" => {
-                        let v = it.next().ok_or("--connect needs addr,addr,...")?;
-                        let addrs: Vec<String> =
-                            v.split(',').map(|s| s.trim().to_string()).collect();
-                        set_once(&mut connect, addrs, arg)?;
-                    }
-                    "--checkpoint-every" => {
-                        set_once(&mut checkpoint_every, parse_positive(&mut it, arg)?, arg)?;
-                    }
-                    "--batch-updates" => {
-                        set_once(&mut batch_updates, parse_positive(&mut it, arg)?, arg)?;
-                    }
-                    "--respawn" => set_switch(&mut respawn, arg)?,
-                    other => return Err(format!("unknown flag {other}")),
-                }
+            let f = Flags::scan(COMPONENTS, &mut it)?;
+            // Back-compat: `--disk DIR` = the full on-disk deployment. It
+            // claims --dir/--store/--buffering, so mixing it with any of
+            // those is reported as a duplicate.
+            let disk = f.path("--disk");
+            let claimed = ["--dir", "--store", "--buffering"].into_iter().find(|c| f.given(c));
+            if let (Some(_), Some(claimed)) = (&disk, claimed) {
+                return Err(format!("duplicate flag {claimed} (--disk sets it)"));
             }
-            if connect.is_some() && shards.is_none() {
+            let (store, buffering) = match disk {
+                Some(_) => (StoreArg::Disk, BufferingArg::Tree),
+                None => (StoreArg::Ram, BufferingArg::Leaf),
+            };
+            let addrs = |v: &str| v.split(',').map(|s| s.trim().to_string()).collect();
+            let args = ComponentsArgs {
+                path,
+                workers: f.num("--workers")?.unwrap_or_else(default_workers),
+                store: f.parsed("--store", StoreArg::parse)?.unwrap_or(store),
+                buffering: f.parsed("--buffering", BufferingArg::parse)?.unwrap_or(buffering),
+                dir: disk.or(f.path("--dir")),
+                forest: f.given("--forest"),
+                query_threads: f.num("--query-threads")?,
+                staleness: f.num("--staleness")?,
+                threshold: f.num("--threshold")?,
+                io_backend: f.parsed("--io-backend", parse_io_backend)?,
+                stats: f.given("--stats"),
+                shards: f.num("--shards")?,
+                connect: f.value("--connect").map(addrs).unwrap_or_default(),
+                checkpoint_every: f.num("--checkpoint-every")?,
+                batch_updates: f.num("--batch-updates")?,
+                respawn: f.given("--respawn"),
+            };
+            if !args.connect.is_empty() && args.shards.is_none() {
                 return Err("--connect requires --shards".into());
             }
-            if checkpoint_every.is_some() && shards.is_none() {
+            if args.checkpoint_every.is_some() && args.shards.is_none() {
                 return Err("--checkpoint-every requires --shards".into());
             }
-            if batch_updates.is_some() && shards.is_none() {
+            if args.batch_updates.is_some() && args.shards.is_none() {
                 return Err("--batch-updates requires --shards (single-node gutters are \
                      sized by the paper's sketch-factor knob)"
                     .into());
             }
-            if respawn && connect.is_none() {
+            if args.respawn && args.connect.is_empty() {
                 return Err("--respawn requires --connect (in-process shards share the \
                      coordinator's fate; there is nothing to reconnect to)"
                     .into());
             }
-            Ok(Command::Components {
-                path,
-                workers: workers.unwrap_or_else(default_workers),
-                store: store.unwrap_or(StoreArg::Ram),
-                buffering: buffering.unwrap_or(BufferingArg::Leaf),
-                dir,
-                forest,
-                query_threads,
-                staleness,
-                threshold,
-                io_backend,
-                stats,
-                shards,
-                connect: connect.unwrap_or_default(),
-                checkpoint_every,
-                batch_updates,
-                respawn,
-            })
+            Ok(Command::Components(args))
         }
         "checkpoint" => {
             let action = it.next().ok_or("checkpoint needs save|restore")?;
             match action.as_str() {
                 "save" => {
                     let out = PathBuf::from(it.next().ok_or("checkpoint save needs a path")?);
-                    let mut stream = None;
-                    let mut workers = None;
-                    let mut seed = None;
-                    while let Some(arg) = it.next() {
-                        match arg.as_str() {
-                            "--from" => {
-                                let v =
-                                    PathBuf::from(it.next().ok_or("--from needs a stream file")?);
-                                set_once(&mut stream, v, arg)?;
-                            }
-                            "--workers" => {
-                                set_once(&mut workers, parse_positive(&mut it, arg)?, arg)?;
-                            }
-                            "--seed" => set_once(&mut seed, parse_num(&mut it, arg)?, arg)?,
-                            other => return Err(format!("unknown flag {other}")),
-                        }
-                    }
+                    let f = Flags::scan(CHECKPOINT_SAVE, &mut it)?;
                     Ok(Command::CheckpointSave {
-                        stream: stream.ok_or("need --from <stream.gzs>")?,
+                        stream: f.path("--from").ok_or("need --from <stream.gzs>")?,
                         out,
-                        workers: workers.unwrap_or_else(default_workers),
-                        seed: seed.unwrap_or(0x5EED_1E55),
+                        workers: f.num("--workers")?.unwrap_or_else(default_workers),
+                        seed: f.num("--seed")?.unwrap_or(DEFAULT_SEED),
                     })
                 }
                 "restore" => {
                     let path = PathBuf::from(it.next().ok_or("checkpoint restore needs a path")?);
-                    let mut forest = false;
-                    let mut query_threads = None;
-                    while let Some(arg) = it.next() {
-                        match arg.as_str() {
-                            "--forest" => set_switch(&mut forest, arg)?,
-                            "--query-threads" => {
-                                set_once(&mut query_threads, parse_query_threads(&mut it)?, arg)?;
-                            }
-                            other => return Err(format!("unknown flag {other}")),
-                        }
-                    }
-                    Ok(Command::CheckpointRestore { path, forest, query_threads })
+                    let f = Flags::scan(CHECKPOINT_RESTORE, &mut it)?;
+                    Ok(Command::CheckpointRestore {
+                        path,
+                        forest: f.given("--forest"),
+                        query_threads: f.num("--query-threads")?,
+                    })
                 }
                 other => Err(format!("unknown checkpoint action {other} (want save|restore)")),
             }
         }
         "shard-worker" => {
-            let mut listen = None;
-            let mut nodes = None;
-            let mut shards = None;
-            let mut index = None;
-            let mut seed = None;
-            let mut workers = None;
-            let mut store = None;
-            let mut dir = None;
-            let mut threshold = None;
-            let mut io_backend = None;
-            let mut checkpoint = None;
-            let mut resume = None;
-            while let Some(arg) = it.next() {
-                match arg.as_str() {
-                    "--listen" => {
-                        let v = it.next().ok_or("--listen needs host:port")?.clone();
-                        set_once(&mut listen, v, arg)?;
-                    }
-                    "--nodes" => set_once(&mut nodes, parse_num(&mut it, arg)?, arg)?,
-                    "--shards" => set_once(&mut shards, parse_positive(&mut it, arg)?, arg)?,
-                    "--index" => set_once(&mut index, parse_num(&mut it, arg)?, arg)?,
-                    "--seed" => set_once(&mut seed, parse_num(&mut it, arg)?, arg)?,
-                    "--workers" => set_once(&mut workers, parse_positive(&mut it, arg)?, arg)?,
-                    "--store" => {
-                        let v = StoreArg::parse(it.next().ok_or("--store needs ram|disk")?)?;
-                        set_once(&mut store, v, arg)?;
-                    }
-                    "--dir" => {
-                        let v = PathBuf::from(it.next().ok_or("--dir needs a dir")?);
-                        set_once(&mut dir, v, arg)?;
-                    }
-                    "--threshold" => set_once(&mut threshold, parse_num(&mut it, arg)?, arg)?,
-                    "--io-backend" => {
-                        let v = parse_io_backend(it.next().ok_or("--io-backend needs a value")?)?;
-                        set_once(&mut io_backend, v, arg)?;
-                    }
-                    "--checkpoint" => {
-                        let v = PathBuf::from(it.next().ok_or("--checkpoint needs a path")?);
-                        set_once(&mut checkpoint, v, arg)?;
-                    }
-                    "--resume" => {
-                        let v = PathBuf::from(it.next().ok_or("--resume needs a path")?);
-                        set_once(&mut resume, v, arg)?;
-                    }
-                    other => return Err(format!("unknown flag {other}")),
-                }
-            }
-            if checkpoint.is_some() && resume.is_some() {
+            let f = Flags::scan(SHARD_WORKER, &mut it)?;
+            if f.given("--checkpoint") && f.given("--resume") {
                 return Err("--resume already names the checkpoint file (later \
                      checkpoints overwrite it); drop --checkpoint"
                     .into());
             }
             Ok(Command::ShardWorker {
-                listen: listen.ok_or("need --listen")?,
-                nodes: nodes.ok_or("need --nodes")?,
-                shards: shards.ok_or("need --shards")?,
-                index: index.ok_or("need --index")?,
-                seed: seed.unwrap_or(0x5EED_1E55),
-                workers: workers.unwrap_or_else(default_workers),
-                store: store.unwrap_or(StoreArg::Ram),
-                dir,
-                threshold,
-                io_backend,
-                checkpoint,
-                resume,
+                listen: f.value("--listen").ok_or("need --listen")?.to_string(),
+                nodes: f.num("--nodes")?.ok_or("need --nodes")?,
+                shards: f.num("--shards")?.ok_or("need --shards")?,
+                index: f.num("--index")?.ok_or("need --index")?,
+                seed: f.num("--seed")?.unwrap_or(DEFAULT_SEED),
+                workers: f.num("--workers")?.unwrap_or_else(default_workers),
+                store: f.parsed("--store", StoreArg::parse)?.unwrap_or(StoreArg::Ram),
+                dir: f.path("--dir"),
+                threshold: f.num("--threshold")?,
+                io_backend: f.parsed("--io-backend", parse_io_backend)?,
+                checkpoint: f.path("--checkpoint"),
+                resume: f.path("--resume"),
             })
         }
         "serve" => {
-            let mut listen = None;
-            let mut unix = None;
-            let mut nodes = None;
-            let mut shards = None;
-            let mut seed = None;
-            let mut workers = None;
-            let mut max_clients = None;
-            let mut dir = None;
-            let mut resume = false;
-            let mut checkpoint_ms = None;
-            let mut timeout_ms = None;
-            let mut staleness = None;
-            let mut stats = false;
-            while let Some(arg) = it.next() {
-                match arg.as_str() {
-                    "--listen" => {
-                        let v = it.next().ok_or("--listen needs host:port")?.clone();
-                        set_once(&mut listen, v, arg)?;
-                    }
-                    "--unix" => {
-                        let v = PathBuf::from(it.next().ok_or("--unix needs a socket path")?);
-                        set_once(&mut unix, v, arg)?;
-                    }
-                    "--nodes" => set_once(&mut nodes, parse_num(&mut it, arg)?, arg)?,
-                    "--shards" => set_once(&mut shards, parse_positive(&mut it, arg)?, arg)?,
-                    "--seed" => set_once(&mut seed, parse_num(&mut it, arg)?, arg)?,
-                    "--workers" => set_once(&mut workers, parse_positive(&mut it, arg)?, arg)?,
-                    "--max-clients" => {
-                        set_once(&mut max_clients, parse_positive(&mut it, arg)?, arg)?
-                    }
-                    "--dir" => {
-                        let v = PathBuf::from(it.next().ok_or("--dir needs a dir")?);
-                        set_once(&mut dir, v, arg)?;
-                    }
-                    "--resume" => set_switch(&mut resume, arg)?,
-                    "--checkpoint-ms" => {
-                        set_once(&mut checkpoint_ms, parse_positive(&mut it, arg)?, arg)?
-                    }
-                    // 0 disables the deadline entirely (block forever).
-                    "--timeout-ms" => set_once(&mut timeout_ms, parse_num(&mut it, arg)?, arg)?,
-                    "--staleness" => set_once(&mut staleness, parse_num(&mut it, arg)?, arg)?,
-                    "--stats" => set_switch(&mut stats, arg)?,
-                    other => return Err(format!("unknown flag {other}")),
-                }
-            }
-            let listen = match (listen, unix) {
-                (Some(addr), None) => serve::ServeListen::Tcp(addr),
+            let f = Flags::scan(SERVE, &mut it)?;
+            let listen = match (f.value("--listen"), f.path("--unix")) {
+                (Some(addr), None) => serve::ServeListen::Tcp(addr.to_string()),
                 (None, Some(path)) => serve::ServeListen::Unix(path),
                 (None, None) => return Err("need --listen host:port or --unix path".into()),
                 (Some(_), Some(_)) => {
                     return Err("pick one of --listen and --unix, not both".into());
                 }
             };
-            if resume && dir.is_none() {
+            let mut options =
+                serve::ServeOptions::new(listen, f.num("--nodes")?.ok_or("need --nodes")?);
+            options.dir = f.path("--dir");
+            options.resume = f.given("--resume");
+            if options.resume && options.dir.is_none() {
                 return Err("--resume needs --dir (there is no state to resume without one)".into());
             }
-            let mut options = serve::ServeOptions::new(listen, nodes.ok_or("need --nodes")?);
-            options.shards = shards.unwrap_or(1);
-            options.seed = seed.unwrap_or(0x5EED_1E55);
-            options.workers = workers.unwrap_or_else(default_workers);
-            options.max_clients = max_clients.unwrap_or(64);
-            options.dir = dir;
-            options.resume = resume;
-            options.checkpoint_ms = checkpoint_ms.unwrap_or(1000);
+            options.shards = f.num("--shards")?.unwrap_or(options.shards);
+            options.seed = f.num("--seed")?.unwrap_or(options.seed);
+            options.workers = f.num("--workers")?.unwrap_or(options.workers);
+            options.max_clients = f.num("--max-clients")?.unwrap_or(options.max_clients);
+            options.checkpoint_ms = f.num("--checkpoint-ms")?.unwrap_or(options.checkpoint_ms);
             // Some(0) is the typed spelling of "no deadline".
-            options.timeout_ms = Some(timeout_ms.unwrap_or(30_000));
-            options.staleness = staleness.unwrap_or(0);
-            options.stats = stats;
+            options.timeout_ms = f.num("--timeout-ms")?.or(options.timeout_ms);
+            options.staleness = f.num("--staleness")?.unwrap_or(options.staleness);
+            options.stats = f.given("--stats");
             Ok(Command::Serve { options })
         }
         "bipartite" => {
@@ -687,31 +614,20 @@ fn store_backend(store: StoreArg, dir: &Option<PathBuf>) -> Result<StoreBackend,
 }
 
 /// Build the single-node config selected by the components flags.
-#[allow(clippy::too_many_arguments)] // mirrors the Components flag set
-fn build_config(
-    num_nodes: u64,
-    workers: usize,
-    store: StoreArg,
-    buffering: BufferingArg,
-    dir: &Option<PathBuf>,
-    query_threads: Option<usize>,
-    staleness: Option<u64>,
-    threshold: Option<u32>,
-    io_backend: Option<IoBackendKind>,
-) -> Result<GzConfig, String> {
+fn build_config(num_nodes: u64, args: &ComponentsArgs) -> Result<GzConfig, String> {
     let mut config = GzConfig::in_ram(num_nodes);
-    config.num_workers = workers;
-    config.store = store_backend(store, dir)?;
-    config.query_threads = query_threads;
-    config.query_staleness = staleness;
-    config.sketch_threshold = threshold.unwrap_or(0);
-    config.io.kind = io_backend.unwrap_or_default();
-    config.buffering = match buffering {
+    config.num_workers = args.workers;
+    config.store = store_backend(args.store, &args.dir)?;
+    config.query_threads = args.query_threads;
+    config.query_staleness = args.staleness;
+    config.sketch_threshold = args.threshold.unwrap_or(0);
+    config.io.kind = args.io_backend.unwrap_or_default();
+    config.buffering = match args.buffering {
         BufferingArg::Leaf => {
             BufferStrategy::LeafOnly { capacity: GutterCapacity::SketchFactor(0.5) }
         }
         BufferingArg::Tree => {
-            let dir = dir.clone().ok_or("--buffering tree needs --dir")?;
+            let dir = args.dir.clone().ok_or("--buffering tree needs --dir")?;
             std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
             BufferStrategy::GutterTree {
                 buffer_bytes: 1 << 20,
@@ -743,37 +659,20 @@ fn feed_stream(
     }
 }
 
-#[allow(clippy::too_many_arguments)] // mirrors the Components flag set
-fn components_sharded(
-    path: &std::path::Path,
-    workers: usize,
-    store: StoreArg,
-    buffering: BufferingArg,
-    dir: &Option<PathBuf>,
-    forest: bool,
-    query_threads: Option<usize>,
-    staleness: Option<u64>,
-    threshold: Option<u32>,
-    io_backend: Option<IoBackendKind>,
-    stats: bool,
-    num_shards: u32,
-    connect: &[String],
-    checkpoint_every: Option<u64>,
-    batch_updates: Option<usize>,
-    respawn: bool,
-) -> Result<String, String> {
+fn components_sharded(args: &ComponentsArgs, num_shards: u32) -> Result<String, String> {
+    let ComponentsArgs { dir, connect, checkpoint_every, .. } = args;
     // Refuse flag combinations that would silently not take effect.
-    if buffering == BufferingArg::Tree {
+    if args.buffering == BufferingArg::Tree {
         return Err("--buffering tree is not supported with --shards (the sharded router \
              batches through in-RAM gutters)"
             .into());
     }
-    if !connect.is_empty() && store == StoreArg::Disk {
+    if !connect.is_empty() && args.store == StoreArg::Disk {
         return Err("with --connect, sketch stores live in the shard workers; pass \
              --store/--dir to each `gz shard-worker` instead"
             .into());
     }
-    if !connect.is_empty() && io_backend.is_some() {
+    if !connect.is_empty() && args.io_backend.is_some() {
         return Err("with --connect, sketch stores live in the shard workers; pass \
              --io-backend to each `gz shard-worker` instead"
             .into());
@@ -784,20 +683,20 @@ fn components_sharded(
             .into());
     }
 
-    let mut reader = StreamReader::open(path).map_err(|e| e.to_string())?;
+    let mut reader = StreamReader::open(&args.path).map_err(|e| e.to_string())?;
     let header = reader.header();
     let mut config = ShardConfig::in_ram(header.num_vertices, num_shards);
-    config.workers_per_shard = workers;
-    config.store = store_backend(store, dir)?;
-    config.query_threads = query_threads;
-    config.query_staleness = staleness;
-    config.sketch_threshold = threshold.unwrap_or(0);
-    config.io.kind = io_backend.unwrap_or_default();
-    config.checkpoint_every = checkpoint_every;
+    config.workers_per_shard = args.workers;
+    config.store = store_backend(args.store, dir)?;
+    config.query_threads = args.query_threads;
+    config.query_staleness = args.staleness;
+    config.sketch_threshold = args.threshold.unwrap_or(0);
+    config.io.kind = args.io_backend.unwrap_or_default();
+    config.checkpoint_every = *checkpoint_every;
     if checkpoint_every.is_some() && connect.is_empty() {
         config.checkpoint_dir = dir.clone();
     }
-    if let Some(n) = batch_updates {
+    if let Some(n) = args.batch_updates {
         config.router_capacity = GutterCapacity::Updates(n);
     }
 
@@ -811,7 +710,7 @@ fn components_sharded(
             ));
         }
         let digest = config.params_digest();
-        let transport = if respawn {
+        let transport = if args.respawn {
             // Detect dead peers instead of hanging on them, and give an
             // externally restarted worker a few seconds to come back up.
             let timeouts = TransportTimeouts {
@@ -853,7 +752,7 @@ fn components_sharded(
         num_shards,
         gz.batches_shipped(),
     );
-    if stats {
+    if args.stats {
         match gz.recovery_stats() {
             Some(rs) => out.push_str(&format!(
                 "recovery: {} checkpoints, {} replays ({} batches replayed), \
@@ -868,8 +767,11 @@ fn components_sharded(
                  is per-store; query each shard worker for representation stats)\n",
             ),
         }
+        if let Some(link) = gz.link_stats() {
+            out.push_str(&format!("link: {link}\n"));
+        }
     }
-    if forest {
+    if args.forest {
         for e in &outcome.forest {
             out.push_str(&format!("{} {}\n", e.u(), e.v()));
         }
@@ -912,14 +814,20 @@ fn run_shard_worker(
     println!("shard-worker {index}/{shards} listening on {addr}");
     std::io::stdout().flush().ok();
 
-    let (mut stream, peer) = listener.accept().map_err(|e| e.to_string())?;
-    stream.set_nodelay(true).map_err(|e| e.to_string())?;
-    let stats = serve_shard_connection(&mut stream, &pipeline, config.params_digest())
+    let (stream, peer) = listener.accept().map_err(|e| e.to_string())?;
+    let stream = Stream::tcp(stream, &TransportTimeouts::default()).map_err(|e| e.to_string())?;
+    let mut link = Link::new(stream);
+    let stats = serve_shard_connection(&mut link, &pipeline, config.params_digest())
         .map_err(|e| e.to_string())?;
     Ok(format!(
         "shard {index}/{shards}: served {peer} — {} batches, {} records, {} flushes, \
-         {} gathers, {} checkpoints",
-        stats.batches, stats.records, stats.flushes, stats.gathers, stats.checkpoints
+         {} gathers, {} checkpoints; link: {}",
+        stats.batches(),
+        stats.records(),
+        stats.flushes(),
+        stats.gathers(),
+        stats.checkpoints(),
+        link.stats()
     ))
 }
 
@@ -967,57 +875,13 @@ pub fn execute(cmd: Command) -> Result<String, String> {
                 final_edges.len(),
             ))
         }
-        Command::Components {
-            path,
-            workers,
-            store,
-            buffering,
-            dir,
-            forest,
-            query_threads,
-            staleness,
-            threshold,
-            io_backend,
-            stats,
-            shards,
-            connect,
-            checkpoint_every,
-            batch_updates,
-            respawn,
-        } => {
-            if let Some(num_shards) = shards {
-                return components_sharded(
-                    &path,
-                    workers,
-                    store,
-                    buffering,
-                    &dir,
-                    forest,
-                    query_threads,
-                    staleness,
-                    threshold,
-                    io_backend,
-                    stats,
-                    num_shards,
-                    &connect,
-                    checkpoint_every,
-                    batch_updates,
-                    respawn,
-                );
+        Command::Components(args) => {
+            if let Some(num_shards) = args.shards {
+                return components_sharded(&args, num_shards);
             }
-            let mut reader = StreamReader::open(&path).map_err(|e| e.to_string())?;
+            let mut reader = StreamReader::open(&args.path).map_err(|e| e.to_string())?;
             let header = reader.header();
-            let config = build_config(
-                header.num_vertices,
-                workers,
-                store,
-                buffering,
-                &dir,
-                query_threads,
-                staleness,
-                threshold,
-                io_backend,
-            )?;
+            let config = build_config(header.num_vertices, &args)?;
             let mut gz = GraphZeppelin::new(config).map_err(|e| e.to_string())?;
             feed_stream(&mut reader, |u, v, d| {
                 gz.update(u, v, d);
@@ -1030,7 +894,7 @@ pub fn execute(cmd: Command) -> Result<String, String> {
                 header.num_vertices,
                 gz.updates_ingested(),
             );
-            if stats {
+            if args.stats {
                 let rep = gz.rep_stats();
                 out.push_str(&format!(
                     "representation: {} promoted, {} sparse ({} neighbor entries, {} sparse \
@@ -1056,7 +920,7 @@ pub fn execute(cmd: Command) -> Result<String, String> {
                     ));
                 }
             }
-            if forest {
+            if args.forest {
                 for e in cc.spanning_forest() {
                     out.push_str(&format!("{} {}\n", e.u(), e.v()));
                 }
@@ -1166,6 +1030,14 @@ mod tests {
         parse_args(&argv(s)).unwrap()
     }
 
+    /// What `gz components <path>` means with no flags.
+    fn bare_components(path: &std::path::Path) -> ComponentsArgs {
+        match parse_components(&format!("components {}", path.display())) {
+            Command::Components(args) => args,
+            other => panic!("{other:?}"),
+        }
+    }
+
     #[test]
     fn parses_generate() {
         let cmd = parse_args(&argv("generate --dataset kron9 --seed 7 --out /tmp/x.gzs")).unwrap();
@@ -1195,327 +1067,194 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn parses_workers_flag() {
-        match parse_components("components s.gzs --workers 8") {
-            Command::Components { workers, .. } => assert_eq!(workers, 8, "taken as given"),
-            other => panic!("{other:?}"),
-        }
-        assert!(parse_args(&argv("components s.gzs --workers nope")).is_err());
-        // Left out, it is two workers, or as many as the host can run.
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        match parse_components("components s.gzs") {
-            Command::Components { workers, .. } => assert_eq!(workers, cores.min(2)),
-            other => panic!("{other:?}"),
+    /// Every row of one flag table, through the whole parser: the flag
+    /// parses; given twice it is a duplicate; a value flag given last says
+    /// what it needs; a count refuses zero and a number accepts it; neither
+    /// takes a word. The error strings are asserted whole — they are the
+    /// CLI's interface as much as the flags are. `prefix` is the invocation
+    /// up to its flags and `required` the flags a bare invocation does not
+    /// parse without.
+    fn check_flag_table(prefix: &str, spec: &[FlagSpec], required: &[&str]) {
+        // Flags that spell one slot: the required one steps aside for the
+        // one under test.
+        let same_slot = [&["--dataset", "--er", "--pa"][..], &["--listen", "--unix"][..]];
+        for &(flag, kind) in spec {
+            let slot = same_slot.iter().find(|group| group.contains(&flag));
+            let rest: Vec<&str> = required
+                .iter()
+                .filter(|r| {
+                    let name = r.split(' ').next().unwrap();
+                    name != flag && !slot.is_some_and(|group| group.contains(&name))
+                })
+                .copied()
+                .collect();
+            let parse =
+                |tail: String| parse_args(&argv(&format!("{prefix} {} {tail}", rest.join(" "))));
+            let sample = match (flag, kind) {
+                (_, Kind::Switch) => "",
+                (_, Kind::Count | Kind::Number) => "3",
+                ("--dataset", _) => "kron5",
+                ("--er" | "--pa", _) => "10x20",
+                ("--store", _) => "ram",
+                ("--buffering", _) => "leaf",
+                ("--io-backend", _) => "pread",
+                _ => "x:1", // a path, an address, an address list
+            };
+            let ctx = format!("{prefix} {flag}");
+            let given = format!("{flag} {sample}");
+            assert!(parse(given.clone()).is_ok(), "{ctx}: {:?}", parse(given.clone()));
+            let twice = parse(format!("{given} {given}")).unwrap_err();
+            assert_eq!(twice, format!("duplicate flag {flag}"), "{ctx}");
+            let needs = match kind {
+                Kind::Switch => continue,
+                Kind::Count | Kind::Number => "a value",
+                Kind::Value(what) => what,
+            };
+            let last = parse(flag.to_string()).unwrap_err();
+            assert_eq!(last, format!("{flag} needs {needs}"), "{ctx}");
+            if let Kind::Count | Kind::Number = kind {
+                let zero = parse(format!("{flag} 0"));
+                match kind {
+                    Kind::Count => {
+                        assert_eq!(zero.unwrap_err(), format!("{flag} must be at least 1"))
+                    }
+                    _ => assert!(zero.is_ok(), "{ctx}: zero means something: {zero:?}"),
+                }
+                let word = parse(format!("{flag} lots")).unwrap_err();
+                assert_eq!(word, format!("bad value for {flag}"), "{ctx}");
+            }
         }
     }
 
     #[test]
-    fn parses_store_flag() {
-        match parse_components("components s.gzs --store disk --dir /tmp/d") {
-            Command::Components { store, dir, .. } => {
-                assert_eq!(store, StoreArg::Disk);
-                assert_eq!(dir, Some(PathBuf::from("/tmp/d")));
-            }
-            other => panic!("{other:?}"),
-        }
-        match parse_components("components s.gzs --store ram") {
-            Command::Components { store, .. } => assert_eq!(store, StoreArg::Ram),
-            other => panic!("{other:?}"),
-        }
-        assert!(parse_args(&argv("components s.gzs --store floppy")).is_err());
+    fn generate_flag_table() {
+        check_flag_table("generate", GENERATE, &["--dataset kron5", "--out o.gzs"]);
     }
 
     #[test]
-    fn parses_buffering_flag() {
-        match parse_components("components s.gzs --buffering tree --dir /tmp/d") {
-            Command::Components { buffering, .. } => assert_eq!(buffering, BufferingArg::Tree),
-            other => panic!("{other:?}"),
-        }
-        match parse_components("components s.gzs --buffering leaf") {
-            Command::Components { buffering, .. } => assert_eq!(buffering, BufferingArg::Leaf),
-            other => panic!("{other:?}"),
-        }
-        assert!(parse_args(&argv("components s.gzs --buffering ring")).is_err());
+    fn components_flag_table() {
+        // With the flags `--respawn`, `--checkpoint-every` and
+        // `--batch-updates` need beside them.
+        check_flag_table("components s.gzs", COMPONENTS, &["--shards 2", "--connect a:1,b:2"]);
+        let err = parse_args(&argv("components s.gzs --bogus")).unwrap_err();
+        assert_eq!(err, "unknown flag --bogus");
     }
 
     #[test]
-    fn parses_shards_and_connect_flags() {
-        match parse_components("components s.gzs --shards 3") {
-            Command::Components { shards, connect, .. } => {
-                assert_eq!(shards, Some(3));
-                assert!(connect.is_empty());
-            }
-            other => panic!("{other:?}"),
-        }
-        match parse_components(
-            "components s.gzs --shards 2 --connect 127.0.0.1:7001,127.0.0.1:7002",
-        ) {
-            Command::Components { shards, connect, .. } => {
-                assert_eq!(shards, Some(2));
-                assert_eq!(connect, vec!["127.0.0.1:7001", "127.0.0.1:7002"]);
-            }
-            other => panic!("{other:?}"),
-        }
-        assert!(
-            parse_args(&argv("components s.gzs --connect 127.0.0.1:7001")).is_err(),
-            "--connect without --shards must be rejected"
+    fn checkpoint_flag_tables() {
+        check_flag_table("checkpoint save c.gzc", CHECKPOINT_SAVE, &["--from s.gzs"]);
+        check_flag_table("checkpoint restore c.gzc", CHECKPOINT_RESTORE, &[]);
+    }
+
+    #[test]
+    fn shard_worker_flag_table() {
+        let required = ["--listen a:1", "--nodes 8", "--shards 2", "--index 0"];
+        check_flag_table("shard-worker", SHARD_WORKER, &required);
+    }
+
+    #[test]
+    fn serve_flag_table() {
+        // `--dir` beside `--resume`, which needs it.
+        check_flag_table("serve", SERVE, &["--listen a:1", "--nodes 8", "--dir d"]);
+    }
+
+    #[test]
+    fn parses_components() {
+        // Every flag but the `--disk` shorthand, each landing in its field.
+        let cmd = parse_components(
+            "components s.gzs --workers 8 --query-threads 4 --store disk --buffering tree \
+             --dir /tmp/d --forest --staleness 9 --threshold 16 --io-backend uring --stats \
+             --shards 2 --connect 127.0.0.1:7001,127.0.0.1:7002 --checkpoint-every 64 \
+             --batch-updates 128 --respawn",
         );
-    }
+        let expected = ComponentsArgs {
+            path: PathBuf::from("s.gzs"),
+            workers: 8,
+            store: StoreArg::Disk,
+            buffering: BufferingArg::Tree,
+            dir: Some(PathBuf::from("/tmp/d")),
+            forest: true,
+            query_threads: Some(4),
+            staleness: Some(9),
+            threshold: Some(16),
+            io_backend: Some(IoBackendKind::Uring),
+            stats: true,
+            shards: Some(2),
+            connect: vec!["127.0.0.1:7001".into(), "127.0.0.1:7002".into()],
+            checkpoint_every: Some(64),
+            batch_updates: Some(128),
+            respawn: true,
+        };
+        assert_eq!(cmd, Command::Components(expected));
 
-    #[test]
-    fn parses_query_threads_flag() {
-        match parse_components("components s.gzs --query-threads 8") {
-            Command::Components { query_threads, .. } => assert_eq!(query_threads, Some(8)),
-            other => panic!("{other:?}"),
-        }
-        // Default: derive from the worker count.
-        match parse_components("components s.gzs") {
-            Command::Components { query_threads, .. } => assert_eq!(query_threads, None),
-            other => panic!("{other:?}"),
-        }
-        // Composes with the other query flags and with sharding.
-        match parse_components("components s.gzs --staleness 9 --query-threads 4 --shards 2") {
-            Command::Components { staleness, query_threads, shards, .. } => {
-                assert_eq!(staleness, Some(9));
-                assert_eq!(query_threads, Some(4));
-                assert_eq!(shards, Some(2));
-            }
-            other => panic!("{other:?}"),
-        }
-        // And on checkpoint restore.
-        assert!(matches!(
-            parse_args(&argv("checkpoint restore c.gzc --query-threads 2")).unwrap(),
-            Command::CheckpointRestore { query_threads: Some(2), .. }
-        ));
-        // Zero is refused with a pointed message; garbage is refused too.
-        let err = parse_args(&argv("components s.gzs --query-threads 0")).unwrap_err();
-        assert!(err.contains("at least 1"), "{err}");
-        let err = parse_args(&argv("checkpoint restore c.gzc --query-threads 0")).unwrap_err();
-        assert!(err.contains("at least 1"), "{err}");
-        assert!(parse_args(&argv("components s.gzs --query-threads lots")).is_err());
-        assert!(parse_args(&argv("components s.gzs --query-threads")).is_err());
-    }
+        // No flags: RAM, leaf gutters, nothing optional, and two workers or
+        // as many as the host can run.
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let bare = bare_components(std::path::Path::new("s.gzs"));
+        assert_eq!(bare.path, PathBuf::from("s.gzs"));
+        assert_eq!(bare.workers, cores.min(2));
+        assert_eq!((bare.store, bare.buffering), (StoreArg::Ram, BufferingArg::Leaf));
+        assert_eq!((bare.query_threads, bare.staleness, bare.threshold), (None, None, None));
+        assert_eq!((bare.io_backend, bare.shards, bare.checkpoint_every), (None, None, None));
+        assert!(bare.connect.is_empty() && bare.batch_updates.is_none());
+        assert!(!(bare.forest || bare.stats || bare.respawn));
 
-    #[test]
-    fn parses_io_backend_flag() {
-        use graph_zeppelin::IoBackendKind;
+        // Values with a grammar of their own: every spelling lands, and
+        // anything else is refused with the spellings named.
+        let field = |flags: &str| match parse_components(&format!("components s.gzs {flags}")) {
+            Command::Components(args) => args,
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(field("--store ram").store, StoreArg::Ram);
+        assert_eq!(field("--buffering leaf").buffering, BufferingArg::Leaf);
         for (value, kind) in [
             ("auto", IoBackendKind::Auto),
             ("pread", IoBackendKind::Pread),
             ("uring", IoBackendKind::Uring),
         ] {
-            match parse_components(&format!("components s.gzs --io-backend {value}")) {
-                Command::Components { io_backend, .. } => assert_eq!(io_backend, Some(kind)),
-                other => panic!("{other:?}"),
-            }
+            assert_eq!(field(&format!("--io-backend {value}")).io_backend, Some(kind));
         }
-        // Default: auto-probe downstream.
-        match parse_components("components s.gzs") {
-            Command::Components { io_backend, .. } => assert_eq!(io_backend, None),
-            other => panic!("{other:?}"),
-        }
-        // Composes with the disk store and sharding flags.
-        match parse_components("components s.gzs --store disk --dir /tmp/d --io-backend uring") {
-            Command::Components { store, io_backend, .. } => {
-                assert_eq!(store, StoreArg::Disk);
-                assert_eq!(io_backend, Some(IoBackendKind::Uring));
-            }
-            other => panic!("{other:?}"),
-        }
-        // And on shard-worker, whose store may be on disk too.
-        assert!(matches!(
-            parse_args(&argv(
-                "shard-worker --listen 127.0.0.1:0 --nodes 8 --shards 2 --index 0 \
-                 --io-backend uring"
-            ))
-            .unwrap(),
-            Command::ShardWorker { io_backend: Some(IoBackendKind::Uring), .. }
-        ));
-        // Unknown values and a missing value are refused with a pointed
-        // message, like --query-threads.
-        let err = parse_args(&argv("components s.gzs --io-backend rdma")).unwrap_err();
-        assert!(err.contains("unknown io backend rdma"), "{err}");
-        assert!(err.contains("auto|pread|uring"), "{err}");
-        assert!(parse_args(&argv("components s.gzs --io-backend")).is_err());
-    }
-
-    #[test]
-    fn zero_counts_rejected_like_query_threads() {
-        // --workers 0 and --shards 0 fail the same way --query-threads 0
-        // does, instead of being silently clamped to 1 downstream.
-        for argv_s in [
-            "components s.gzs --workers 0",
-            "components s.gzs --shards 0",
-            "checkpoint save c.gzc --from s.gzs --workers 0",
-            "shard-worker --listen 127.0.0.1:0 --nodes 8 --shards 0 --index 0",
-            "shard-worker --listen 127.0.0.1:0 --nodes 8 --shards 2 --index 0 --workers 0",
-            "components s.gzs --shards 2 --checkpoint-every 0",
-            "components s.gzs --shards 2 --batch-updates 0",
+        for (flags, spellings) in [
+            ("--store floppy", "unknown store floppy (want ram|disk)"),
+            ("--buffering ring", "unknown buffering ring (want leaf|tree)"),
+            ("--io-backend rdma", "unknown io backend rdma (want auto|pread|uring)"),
         ] {
-            let err = parse_args(&argv(argv_s)).unwrap_err();
-            assert!(err.contains("at least 1"), "{argv_s}: {err}");
+            let err = parse_args(&argv(&format!("components s.gzs {flags}"))).unwrap_err();
+            assert_eq!(err, spellings);
         }
+        // Zero where zero means something.
+        assert_eq!(field("--staleness 0").staleness, Some(0), "reseal on every query");
+        assert_eq!(field("--threshold 0").threshold, Some(0), "force always-dense");
     }
 
     #[test]
-    fn duplicate_flags_are_explicit_errors() {
+    fn flags_that_only_work_together_say_so() {
+        for (flags, needle) in [
+            ("--connect 127.0.0.1:7001", "--connect requires --shards"),
+            ("--checkpoint-every 8", "--checkpoint-every requires --shards"),
+            ("--batch-updates 64", "--batch-updates requires --shards"),
+            ("--shards 2 --respawn", "--respawn requires --connect"),
+        ] {
+            let err = parse_args(&argv(&format!("components s.gzs {flags}"))).unwrap_err();
+            assert!(err.contains(needle), "{flags}: {err}");
+        }
+        // Flags that spell one slot are duplicates of each other.
         for argv_s in [
             "generate --dataset kron5 --er 10x20 --out o.gzs",
-            "generate --dataset kron5 --seed 1 --seed 2 --out o.gzs",
-            "components s.gzs --workers 2 --workers 3",
-            "components s.gzs --forest --forest",
-            "components s.gzs --store ram --store disk",
             "components s.gzs --disk /tmp/d --dir /tmp/e",
-            "components s.gzs --staleness 5 --staleness 6",
-            "checkpoint save c.gzc --from a.gzs --from b.gzs",
-            "checkpoint restore c.gzc --forest --forest",
-            "components s.gzs --threshold 4 --threshold 8",
-            "components s.gzs --stats --stats",
-            "shard-worker --listen a:1 --listen b:2 --nodes 8 --shards 2 --index 0",
-            "shard-worker --listen a:1 --nodes 8 --shards 2 --index 0 --threshold 4 --threshold 8",
-            "components s.gzs --io-backend pread --io-backend uring",
-            "shard-worker --listen a:1 --nodes 8 --shards 2 --index 0 --io-backend uring \
-             --io-backend pread",
-            "components s.gzs --shards 2 --checkpoint-every 4 --checkpoint-every 8",
-            "components s.gzs --shards 2 --batch-updates 64 --batch-updates 128",
-            "components s.gzs --shards 2 --connect a:1,b:2 --respawn --respawn",
-            "shard-worker --listen a:1 --nodes 8 --shards 2 --index 0 --checkpoint a.ckpt \
-             --checkpoint b.ckpt",
-            "shard-worker --listen a:1 --nodes 8 --shards 2 --index 0 --resume a.ckpt \
-             --resume b.ckpt",
+            "components s.gzs --store disk --disk /tmp/d",
+            "components s.gzs --disk /tmp/d --buffering leaf",
         ] {
             let err = parse_args(&argv(argv_s)).unwrap_err();
             assert!(err.contains("duplicate flag"), "{argv_s}: {err}");
         }
-    }
-
-    #[test]
-    fn parses_staleness_flag() {
-        match parse_components("components s.gzs --staleness 100") {
-            Command::Components { staleness, .. } => assert_eq!(staleness, Some(100)),
-            other => panic!("{other:?}"),
-        }
-        // Zero is meaningful: reseal on every query.
-        match parse_components("components s.gzs --staleness 0") {
-            Command::Components { staleness, .. } => assert_eq!(staleness, Some(0)),
-            other => panic!("{other:?}"),
-        }
-        // Default: no epoch reuse at all.
-        match parse_components("components s.gzs") {
-            Command::Components { staleness, .. } => assert_eq!(staleness, None),
-            other => panic!("{other:?}"),
-        }
-        assert!(parse_args(&argv("components s.gzs --staleness lots")).is_err());
-    }
-
-    #[test]
-    fn parses_threshold_and_stats_flags() {
-        match parse_components("components s.gzs --threshold 16 --stats") {
-            Command::Components { threshold, stats, .. } => {
-                assert_eq!(threshold, Some(16));
-                assert!(stats);
-            }
-            other => panic!("{other:?}"),
-        }
-        // Zero is meaningful: force the always-dense representation.
-        match parse_components("components s.gzs --threshold 0") {
-            Command::Components { threshold, .. } => assert_eq!(threshold, Some(0)),
-            other => panic!("{other:?}"),
-        }
-        // Defaults: no threshold (always-dense), no census.
-        match parse_components("components s.gzs") {
-            Command::Components { threshold, stats, .. } => {
-                assert_eq!(threshold, None);
-                assert!(!stats);
-            }
-            other => panic!("{other:?}"),
-        }
-        // Threshold composes with sharding, and so does --stats (sharded
-        // runs report the recovery counters instead of the store census).
-        match parse_components("components s.gzs --threshold 8 --stats --shards 2") {
-            Command::Components { threshold, stats, shards, .. } => {
-                assert_eq!(threshold, Some(8));
-                assert!(stats);
-                assert_eq!(shards, Some(2));
-            }
-            other => panic!("{other:?}"),
-        }
-        assert!(parse_args(&argv("components s.gzs --threshold lots")).is_err());
-        assert!(parse_args(&argv("components s.gzs --threshold")).is_err());
-    }
-
-    #[test]
-    fn parses_fault_tolerance_flags() {
-        match parse_components(
-            "components s.gzs --shards 2 --connect a:1,b:2 --checkpoint-every 64 \
-             --batch-updates 128 --respawn",
-        ) {
-            Command::Components {
-                shards,
-                connect,
-                checkpoint_every,
-                batch_updates,
-                respawn,
-                ..
-            } => {
-                assert_eq!(shards, Some(2));
-                assert_eq!(connect.len(), 2);
-                assert_eq!(checkpoint_every, Some(64));
-                assert_eq!(batch_updates, Some(128));
-                assert!(respawn);
-            }
-            other => panic!("{other:?}"),
-        }
-        // Defaults: no mid-stream checkpoints, no reconnect policy.
-        match parse_components("components s.gzs --shards 2") {
-            Command::Components { checkpoint_every, batch_updates, respawn, .. } => {
-                assert_eq!(checkpoint_every, None);
-                assert_eq!(batch_updates, None);
-                assert!(!respawn);
-            }
-            other => panic!("{other:?}"),
-        }
-        // These knobs only make sense where they can take effect.
-        let err = parse_args(&argv("components s.gzs --checkpoint-every 8")).unwrap_err();
-        assert!(err.contains("requires --shards"), "{err}");
-        let err = parse_args(&argv("components s.gzs --batch-updates 64")).unwrap_err();
-        assert!(err.contains("requires --shards"), "{err}");
-        let err = parse_args(&argv("components s.gzs --shards 2 --respawn")).unwrap_err();
-        assert!(err.contains("requires --connect"), "{err}");
-
-        // Worker side: --checkpoint / --resume are paths, mutually exclusive.
-        match parse_args(&argv(
-            "shard-worker --listen 127.0.0.1:0 --nodes 8 --shards 2 --index 1 \
-             --checkpoint /tmp/s1.ckpt",
-        ))
-        .unwrap()
-        {
-            Command::ShardWorker { checkpoint, resume, .. } => {
-                assert_eq!(checkpoint, Some(PathBuf::from("/tmp/s1.ckpt")));
-                assert_eq!(resume, None);
-            }
-            other => panic!("{other:?}"),
-        }
-        match parse_args(&argv(
-            "shard-worker --listen 127.0.0.1:0 --nodes 8 --shards 2 --index 1 \
-             --resume /tmp/s1.ckpt",
-        ))
-        .unwrap()
-        {
-            Command::ShardWorker { checkpoint, resume, .. } => {
-                assert_eq!(checkpoint, None);
-                assert_eq!(resume, Some(PathBuf::from("/tmp/s1.ckpt")));
-            }
-            other => panic!("{other:?}"),
-        }
+        // Worker side: --resume already names the checkpoint file.
         let err = parse_args(&argv(
             "shard-worker --listen 127.0.0.1:0 --nodes 8 --shards 2 --index 1 \
              --checkpoint a.ckpt --resume a.ckpt",
         ))
         .unwrap_err();
         assert!(err.contains("drop --checkpoint"), "{err}");
-        assert!(parse_args(&argv("components s.gzs --shards 2 --checkpoint-every")).is_err());
     }
 
     #[test]
@@ -1534,7 +1273,7 @@ mod tests {
             |s: &str| s.lines().next().unwrap().split_whitespace().next().unwrap().to_string();
         for (threshold, shards) in [(4u32, None), (64, None), (4, Some(2))] {
             let mut cmd = components_cmd(&path, shards);
-            if let Command::Components { threshold: t, .. } = &mut cmd {
+            if let Command::Components(ComponentsArgs { threshold: t, .. }) = &mut cmd {
                 *t = Some(threshold);
             }
             let got = execute(cmd).unwrap();
@@ -1542,7 +1281,7 @@ mod tests {
         }
         // The census line appears on request and adds up to the universe.
         let mut cmd = components_cmd(&path, None);
-        if let Command::Components { threshold, stats, .. } = &mut cmd {
+        if let Command::Components(ComponentsArgs { threshold, stats, .. }) = &mut cmd {
             *threshold = Some(4);
             *stats = true;
         }
@@ -1570,7 +1309,7 @@ mod tests {
         let count = |s: &str| s.split_whitespace().next().unwrap().to_string();
         for shards in [None, Some(2)] {
             let mut cmd = components_cmd(&path, shards);
-            if let Command::Components { staleness, .. } = &mut cmd {
+            if let Command::Components(ComponentsArgs { staleness, .. }) = &mut cmd {
                 *staleness = Some(u64::MAX);
             }
             let got = execute(cmd).unwrap();
@@ -1593,7 +1332,7 @@ mod tests {
         for threads in [1usize, 3] {
             for shards in [None, Some(2)] {
                 let mut cmd = components_cmd(&path, shards);
-                if let Command::Components { query_threads, .. } = &mut cmd {
+                if let Command::Components(ComponentsArgs { query_threads, .. }) = &mut cmd {
                     *query_threads = Some(threads);
                 }
                 let got = execute(cmd).unwrap();
@@ -1652,7 +1391,7 @@ mod tests {
             stream: stream.to_path_buf(),
             out: ckpt.to_path_buf(),
             workers: 2,
-            seed: 0x5EED_1E55,
+            seed: DEFAULT_SEED,
         })
         .unwrap();
         assert!(saved.contains("32 nodes"), "{saved}");
@@ -1736,18 +1475,8 @@ mod tests {
         .unwrap();
         // The library-level reference over the same stream and config.
         let mut reader = StreamReader::open(path.path()).unwrap();
-        let config = build_config(
-            reader.header().num_vertices,
-            2,
-            StoreArg::Ram,
-            BufferingArg::Leaf,
-            &None,
-            None,
-            None,
-            None,
-            None,
-        )
-        .unwrap();
+        let args = ComponentsArgs { workers: 2, ..bare_components(path.path()) };
+        let config = build_config(reader.header().num_vertices, &args).unwrap();
         let mut gz = GraphZeppelin::new(config).unwrap();
         feed_stream(&mut reader, |u, v, d| {
             gz.update(u, v, d);
@@ -1758,7 +1487,7 @@ mod tests {
         // Single-node and sharded runs print the oracle's answer.
         for shards in [None, Some(3)] {
             let mut cmd = components_cmd(&path, shards);
-            if let Command::Components { forest, .. } = &mut cmd {
+            if let Command::Components(ComponentsArgs { forest, .. }) = &mut cmd {
                 *forest = true;
             }
             let out = execute(cmd).unwrap();
@@ -1772,7 +1501,7 @@ mod tests {
     fn disk_flag_is_back_compat_shorthand() {
         // `--disk DIR` still means the paper's full on-disk deployment.
         match parse_components("components s.gzs --disk /tmp/d") {
-            Command::Components { store, buffering, dir, .. } => {
+            Command::Components(ComponentsArgs { store, buffering, dir, .. }) => {
                 assert_eq!(store, StoreArg::Disk);
                 assert_eq!(buffering, BufferingArg::Tree);
                 assert_eq!(dir, Some(PathBuf::from("/tmp/d")));
@@ -1785,33 +1514,46 @@ mod tests {
     fn parses_shard_worker() {
         let cmd = parse_args(&argv(
             "shard-worker --listen 127.0.0.1:0 --nodes 1024 --shards 4 --index 2 \
-             --seed 9 --workers 3 --store ram",
+             --seed 9 --workers 3 --store disk --dir /tmp/d --threshold 16 \
+             --io-backend uring --checkpoint /tmp/s2.ckpt",
         ))
         .unwrap();
-        assert_eq!(
-            cmd,
-            Command::ShardWorker {
-                listen: "127.0.0.1:0".into(),
-                nodes: 1024,
-                shards: 4,
-                index: 2,
-                seed: 9,
-                workers: 3,
-                store: StoreArg::Ram,
-                dir: None,
-                threshold: None,
-                io_backend: None,
-                checkpoint: None,
-                resume: None,
-            }
-        );
-        assert!(matches!(
-            parse_args(&argv(
-                "shard-worker --listen 127.0.0.1:0 --nodes 8 --shards 2 --index 0 --threshold 16"
-            ))
-            .unwrap(),
-            Command::ShardWorker { threshold: Some(16), .. }
-        ));
+        let full = Command::ShardWorker {
+            listen: "127.0.0.1:0".into(),
+            nodes: 1024,
+            shards: 4,
+            index: 2,
+            seed: 9,
+            workers: 3,
+            store: StoreArg::Disk,
+            dir: Some(PathBuf::from("/tmp/d")),
+            threshold: Some(16),
+            io_backend: Some(IoBackendKind::Uring),
+            checkpoint: Some(PathBuf::from("/tmp/s2.ckpt")),
+            resume: None,
+        };
+        assert_eq!(cmd, full);
+        // Only what it cannot run without; `--resume` is the other spelling
+        // of the checkpoint path.
+        let cmd = parse_args(&argv(
+            "shard-worker --listen 127.0.0.1:0 --nodes 8 --shards 2 --index 1 --resume /tmp/s1.ckpt",
+        ))
+        .unwrap();
+        let bare = Command::ShardWorker {
+            listen: "127.0.0.1:0".into(),
+            nodes: 8,
+            shards: 2,
+            index: 1,
+            seed: DEFAULT_SEED,
+            workers: default_workers(),
+            store: StoreArg::Ram,
+            dir: None,
+            threshold: None,
+            io_backend: None,
+            checkpoint: None,
+            resume: Some(PathBuf::from("/tmp/s1.ckpt")),
+        };
+        assert_eq!(cmd, bare);
         assert!(parse_args(&argv("shard-worker --listen 127.0.0.1:0 --nodes 8")).is_err());
     }
 
@@ -1895,24 +1637,7 @@ mod tests {
     }
 
     fn components_cmd(path: &gz_testutil::TempPath, shards: Option<u32>) -> Command {
-        Command::Components {
-            path: path.to_path_buf(),
-            workers: 2,
-            store: StoreArg::Ram,
-            buffering: BufferingArg::Leaf,
-            dir: None,
-            forest: false,
-            query_threads: None,
-            staleness: None,
-            threshold: None,
-            io_backend: None,
-            stats: false,
-            shards,
-            connect: Vec::new(),
-            checkpoint_every: None,
-            batch_updates: None,
-            respawn: false,
-        }
+        Command::Components(ComponentsArgs { workers: 2, shards, ..bare_components(path.path()) })
     }
 
     #[test]
@@ -1944,14 +1669,14 @@ mod tests {
 
         // --checkpoint-every with in-process shards needs a directory.
         let mut cmd = components_cmd(&path, Some(2));
-        if let Command::Components { checkpoint_every, .. } = &mut cmd {
+        if let Command::Components(ComponentsArgs { checkpoint_every, .. }) = &mut cmd {
             *checkpoint_every = Some(4);
         }
         assert!(execute(cmd).unwrap_err().contains("--dir"), "cadence without --dir");
 
         let ckpt_dir = gz_testutil::TempDir::new("gz-cli-ckpt-cadence");
         let mut cmd = components_cmd(&path, Some(2));
-        if let Command::Components { checkpoint_every, dir, stats, .. } = &mut cmd {
+        if let Command::Components(ComponentsArgs { checkpoint_every, dir, stats, .. }) = &mut cmd {
             *checkpoint_every = Some(4);
             *dir = Some(ckpt_dir.path().to_path_buf());
             *stats = true;
@@ -1983,7 +1708,7 @@ mod tests {
         // --buffering tree has no sharded implementation: must be refused,
         // not ignored.
         let mut cmd = components_cmd(&path, Some(2));
-        if let Command::Components { buffering, dir, .. } = &mut cmd {
+        if let Command::Components(ComponentsArgs { buffering, dir, .. }) = &mut cmd {
             *buffering = BufferingArg::Tree;
             *dir = Some(std::env::temp_dir());
         }
@@ -1991,7 +1716,7 @@ mod tests {
         // --store disk with --connect configures nothing on the remote
         // workers: must be refused.
         let mut cmd = components_cmd(&path, Some(1));
-        if let Command::Components { store, dir, connect, .. } = &mut cmd {
+        if let Command::Components(ComponentsArgs { store, dir, connect, .. }) = &mut cmd {
             *store = StoreArg::Disk;
             *dir = Some(std::env::temp_dir());
             *connect = vec!["127.0.0.1:1".into()];
@@ -2000,7 +1725,7 @@ mod tests {
         // --io-backend with --connect configures nothing on the remote
         // workers either: must be refused the same way.
         let mut cmd = components_cmd(&path, Some(1));
-        if let Command::Components { io_backend, connect, .. } = &mut cmd {
+        if let Command::Components(ComponentsArgs { io_backend, connect, .. }) = &mut cmd {
             *io_backend = Some(graph_zeppelin::IoBackendKind::Pread);
             *connect = vec!["127.0.0.1:1".into()];
         }
@@ -2032,7 +1757,9 @@ mod tests {
         for &kind in kinds {
             let workdir = gz_testutil::TempPath::new("gz-cli-io-backend", ".d");
             let mut cmd = components_cmd(&path, None);
-            if let Command::Components { store, dir, io_backend, stats, .. } = &mut cmd {
+            if let Command::Components(ComponentsArgs { store, dir, io_backend, stats, .. }) =
+                &mut cmd
+            {
                 *store = StoreArg::Disk;
                 *dir = Some(workdir.to_path_buf());
                 *io_backend = Some(kind);
@@ -2071,24 +1798,11 @@ mod tests {
         let updates =
             vec![gz_stream::EdgeUpdate::insert(0, 1), gz_stream::EdgeUpdate::insert(1, 2)];
         gz_stream::format::write_stream(path.path(), 4, &updates).unwrap();
-        let out = execute(Command::Components {
-            path: path.to_path_buf(),
+        let out = execute(Command::Components(ComponentsArgs {
             workers: 1,
-            store: StoreArg::Ram,
-            buffering: BufferingArg::Leaf,
-            dir: None,
             forest: true,
-            query_threads: None,
-            staleness: None,
-            threshold: None,
-            io_backend: None,
-            stats: false,
-            shards: None,
-            connect: Vec::new(),
-            checkpoint_every: None,
-            batch_updates: None,
-            respawn: false,
-        })
+            ..bare_components(path.path())
+        }))
         .unwrap();
         assert!(out.lines().count() >= 3, "{out}");
     }

@@ -36,12 +36,13 @@
 //! it lags fewer than `--staleness` acked updates.
 
 use graph_zeppelin::{
-    GzError, ServeManifest, ShardConfig, ShardedEpoch, ShardedGraphZeppelin, TransportTimeouts,
-    UpdateWal,
+    GzError, Link, LinkError, ServeManifest, ShardConfig, ShardedEpoch, ShardedGraphZeppelin,
+    Stream, TransportErrorKind, TransportTimeouts, UpdateWal,
 };
 use gz_gutters::ServeStats;
 use gz_stream::wire::{QueryAnswer, QueryKind, WireMessage, WireUpdate};
 use std::collections::HashMap;
+use std::fs::{File, TryLockError};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -98,7 +99,7 @@ impl ServeOptions {
             listen,
             nodes,
             shards: 1,
-            seed: 0x5EED_1E55,
+            seed: graph_zeppelin::config::DEFAULT_SEED,
             workers: crate::default_workers(),
             max_clients: 64,
             dir: None,
@@ -114,79 +115,21 @@ impl ServeOptions {
         match self.timeout_ms {
             // 0 = explicit "no deadline".
             None | Some(0) => TransportTimeouts::default(),
-            Some(ms) => {
-                let d = Duration::from_millis(ms);
-                TransportTimeouts { connect: Some(d), read: Some(d), write: Some(d) }
-            }
+            Some(ms) => TransportTimeouts::all(Duration::from_millis(ms)),
         }
+    }
+
+    /// The manifest of a state directory whose round `round` covers
+    /// `covered` acked updates of this daemon's universe.
+    fn manifest(&self, round: u64, covered: u64) -> ServeManifest {
+        let (num_nodes, seed, num_shards) = (self.nodes, self.seed, self.shards);
+        ServeManifest { round, covered, num_nodes, seed, num_shards }
     }
 }
 
 // ---------------------------------------------------------------------------
-// Client streams and listeners (TCP or Unix, one code path)
+// The listener (TCP or Unix, one code path)
 // ---------------------------------------------------------------------------
-
-/// An accepted client connection.
-#[derive(Debug)]
-pub enum ClientStream {
-    /// TCP client.
-    Tcp(TcpStream),
-    /// Unix-socket client.
-    Unix(UnixStream),
-}
-
-impl ClientStream {
-    fn apply_timeouts(&self, t: &TransportTimeouts) -> std::io::Result<()> {
-        match self {
-            ClientStream::Tcp(s) => {
-                s.set_read_timeout(t.read)?;
-                s.set_write_timeout(t.write)
-            }
-            ClientStream::Unix(s) => {
-                s.set_read_timeout(t.read)?;
-                s.set_write_timeout(t.write)
-            }
-        }
-    }
-
-    fn try_clone(&self) -> std::io::Result<ClientStream> {
-        Ok(match self {
-            ClientStream::Tcp(s) => ClientStream::Tcp(s.try_clone()?),
-            ClientStream::Unix(s) => ClientStream::Unix(s.try_clone()?),
-        })
-    }
-
-    fn shutdown_both(&self) -> std::io::Result<()> {
-        match self {
-            ClientStream::Tcp(s) => s.shutdown(std::net::Shutdown::Both),
-            ClientStream::Unix(s) => s.shutdown(std::net::Shutdown::Both),
-        }
-    }
-}
-
-impl Read for ClientStream {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            ClientStream::Tcp(s) => s.read(buf),
-            ClientStream::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for ClientStream {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            ClientStream::Tcp(s) => s.write(buf),
-            ClientStream::Unix(s) => s.write(buf),
-        }
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            ClientStream::Tcp(s) => s.flush(),
-            ClientStream::Unix(s) => s.flush(),
-        }
-    }
-}
 
 enum Listener {
     Tcp(TcpListener),
@@ -199,33 +142,36 @@ impl Listener {
             ServeListen::Tcp(addr) => Ok(Listener::Tcp(TcpListener::bind(addr)?)),
             ServeListen::Unix(path) => {
                 let listener = match UnixListener::bind(path) {
-                    Ok(l) => l,
-                    // A SIGKILLed daemon leaves its socket file behind;
-                    // nothing can be listening on it (we just failed to
-                    // bind *because the inode exists*, not because a
-                    // process owns it), so replace it.
+                    // `bind(2)` says EADDRINUSE for *any* existing path,
+                    // whether or not a process still listens on it. So ask
+                    // the path: a live daemon takes the connection, and
+                    // only the inode a SIGKILLed one left behind refuses
+                    // it — that one is replaced.
                     Err(e) if e.kind() == std::io::ErrorKind::AddrInUse => {
+                        match UnixStream::connect(path) {
+                            Err(e) if e.kind() == std::io::ErrorKind::ConnectionRefused => {}
+                            _ => {
+                                return Err(GzError::InvalidConfig(format!(
+                                    "{} is in use: another process is listening on it",
+                                    path.display()
+                                )));
+                            }
+                        }
                         std::fs::remove_file(path)?;
                         UnixListener::bind(path)?
                     }
-                    Err(e) => return Err(GzError::Io(e)),
+                    bound => bound?,
                 };
                 Ok(Listener::Unix(listener, path.clone()))
             }
         }
     }
 
-    fn accept(&self) -> std::io::Result<ClientStream> {
+    /// The next client, with the connection deadlines installed.
+    fn accept(&self, timeouts: &TransportTimeouts) -> std::io::Result<Stream> {
         match self {
-            Listener::Tcp(l) => {
-                let (s, _) = l.accept()?;
-                s.set_nodelay(true)?;
-                Ok(ClientStream::Tcp(s))
-            }
-            Listener::Unix(l, _) => {
-                let (s, _) = l.accept()?;
-                Ok(ClientStream::Unix(s))
-            }
+            Listener::Tcp(l) => Stream::tcp(l.accept()?.0, timeouts),
+            Listener::Unix(l, _) => Stream::unix(l.accept()?.0, timeouts),
         }
     }
 
@@ -250,6 +196,16 @@ impl Listener {
             Listener::Unix(_, path) => {
                 let _ = UnixStream::connect(path);
             }
+        }
+    }
+}
+
+impl Drop for Listener {
+    /// The socket file goes with the listener that created it — at
+    /// shutdown, and when the daemon fails to start after binding.
+    fn drop(&mut self) {
+        if let Listener::Unix(_, path) = self {
+            let _ = std::fs::remove_file(path);
         }
     }
 }
@@ -289,8 +245,27 @@ fn prune_stale_rounds(dir: &Path, keep: u64) {
     }
 }
 
+/// Take `dir` for this process: an exclusive lock on `dir/LOCK`, held for
+/// the daemon's life. A second daemon pointed at the same directory would
+/// replay — and truncate the torn tail of — the WAL the first is appending
+/// to. The kernel drops the lock with the process, however it dies.
+fn lock_dir(dir: &Path) -> Result<File, GzError> {
+    std::fs::create_dir_all(dir)?;
+    let lock = File::create(dir.join("LOCK"))?;
+    match lock.try_lock() {
+        Ok(()) => Ok(lock),
+        Err(TryLockError::WouldBlock) => Err(GzError::InvalidConfig(format!(
+            "{} is in use by a running gz serve (its LOCK file is held)",
+            dir.display()
+        ))),
+        Err(TryLockError::Error(e)) => Err(e.into()),
+    }
+}
+
 /// The daemon's durability state, always mutated under the ingest lock.
 struct Durability {
+    /// The directory's [`lock_dir`] lock.
+    _lock: File,
     dir: PathBuf,
     wal: UpdateWal,
     /// Current checkpoint round (0 = only the WAL exists).
@@ -325,14 +300,9 @@ struct ServeShared {
     active: AtomicU32,
     shutting_down: AtomicBool,
     /// Clones of live client streams, for force-closing at shutdown.
-    conns: Mutex<HashMap<u64, ClientStream>>,
+    conns: Mutex<HashMap<u64, Stream>>,
     next_conn: AtomicU64,
-    num_nodes: u64,
-    num_shards: u32,
-    seed: u64,
-    max_clients: u32,
-    staleness: u64,
-    timeouts: TransportTimeouts,
+    options: ServeOptions,
 }
 
 impl ServeShared {
@@ -360,7 +330,7 @@ impl ServeShared {
         let acked = self.acked.load(Ordering::Acquire);
         let cache = self.epoch_cache.lock().unwrap();
         let (epoch, at) = cache.as_ref()?;
-        (acked.saturating_sub(*at) <= self.staleness).then(|| Arc::clone(epoch))
+        (acked.saturating_sub(*at) <= self.options.staleness).then(|| Arc::clone(epoch))
     }
 
     /// The epoch queries should run on: the cached one while it is fresh
@@ -421,17 +391,11 @@ impl ServeShared {
             return Ok(false);
         }
         let next = d.round + 1;
-        system.checkpoint_shards_to(&shard_paths(&d.dir, next, self.num_shards))?;
-        ServeManifest {
-            round: next,
-            covered: acked,
-            num_nodes: self.num_nodes,
-            seed: self.seed,
-            num_shards: self.num_shards,
-        }
-        .save(&manifest_path(&d.dir))?;
+        let shards = self.options.shards;
+        system.checkpoint_shards_to(&shard_paths(&d.dir, next, shards))?;
+        self.options.manifest(next, acked).save(&manifest_path(&d.dir))?;
         d.wal = UpdateWal::create(&wal_path(&d.dir, next))?;
-        for old in shard_paths(&d.dir, d.round, self.num_shards) {
+        for old in shard_paths(&d.dir, d.round, shards) {
             let _ = std::fs::remove_file(old);
         }
         let _ = std::fs::remove_file(wal_path(&d.dir, d.round));
@@ -445,60 +409,6 @@ impl ServeShared {
 // ---------------------------------------------------------------------------
 // Connection handling
 // ---------------------------------------------------------------------------
-
-enum ReadOutcome {
-    Msg(WireMessage),
-    Disconnect,
-    Malformed(String),
-    TimedOut,
-}
-
-fn read_frame(stream: &mut ClientStream, stats: &ServeStats) -> ReadOutcome {
-    match WireMessage::read_from(stream) {
-        Ok(msg) => {
-            stats.record_frames_in(1);
-            ReadOutcome::Msg(msg)
-        }
-        Err(e) => match e.kind() {
-            std::io::ErrorKind::InvalidData => ReadOutcome::Malformed(e.to_string()),
-            std::io::ErrorKind::TimedOut | std::io::ErrorKind::WouldBlock => ReadOutcome::TimedOut,
-            _ => ReadOutcome::Disconnect,
-        },
-    }
-}
-
-enum WriteEnd {
-    Disconnect,
-    TimedOut,
-}
-
-fn write_frame(
-    stream: &mut ClientStream,
-    msg: &WireMessage,
-    stats: &ServeStats,
-) -> Result<(), WriteEnd> {
-    match msg.write_to(stream) {
-        Ok(()) => {
-            stats.record_frames_out(1);
-            Ok(())
-        }
-        Err(e) => match e.kind() {
-            std::io::ErrorKind::TimedOut | std::io::ErrorKind::WouldBlock => {
-                Err(WriteEnd::TimedOut)
-            }
-            _ => Err(WriteEnd::Disconnect),
-        },
-    }
-}
-
-/// Kill a connection over a malformed or protocol-violating frame: typed
-/// reply (best-effort — the peer may already be gone) and count it.
-fn kill_malformed(stream: &mut ClientStream, stats: &ServeStats, message: String) {
-    stats.record_killed_malformed();
-    if write_frame(stream, &WireMessage::ErrorReply { message }, stats).is_ok() {
-        let _ = stream.flush();
-    }
-}
 
 /// Reject a batch before anything is logged or applied: the resident
 /// system's invariants (`u != v`, both endpoints in range) must hold for
@@ -518,77 +428,68 @@ fn validate_batch(updates: &[WireUpdate], num_nodes: u64) -> Result<(), String> 
     Ok(())
 }
 
-/// Drive one admitted client connection to completion.
-fn serve_client(shared: &ServeShared, stream: &mut ClientStream, stats: &ServeStats) {
-    // The first frame must be ClientHello.
-    match read_frame(stream, stats) {
-        ReadOutcome::Msg(WireMessage::ClientHello) => {}
-        ReadOutcome::Msg(other) => {
-            return kill_malformed(
-                stream,
-                stats,
-                format!("expected ClientHello, got {}", other.name()),
-            );
+/// Drive one admitted client connection until its goodbye (`Ok`) or its
+/// failure: a link failure as the link classified it, and a protocol
+/// violation, refused batch or failed request as `Malformed`, its detail
+/// the `ErrorReply` the client is owed. The caller accounts for the end.
+fn serve_client(shared: &ServeShared, link: &mut Link) -> Result<(), LinkError> {
+    let refused = |what: &str, e: GzError| LinkError::malformed(format!("{what} failed: {e}"));
+    match link.recv()? {
+        WireMessage::ClientHello => {}
+        other => {
+            return Err(LinkError::malformed(format!(
+                "expected ClientHello, got {}",
+                other.name()
+            )));
         }
-        ReadOutcome::Malformed(m) => return kill_malformed(stream, stats, m),
-        ReadOutcome::TimedOut => return stats.record_timed_out(),
-        ReadOutcome::Disconnect => return,
     }
-    let hello = WireMessage::ClientHelloAck {
-        num_nodes: shared.num_nodes,
+    let num_nodes = shared.options.nodes;
+    link.send(&WireMessage::ClientHelloAck {
+        num_nodes,
         acked: shared.acked.load(Ordering::Acquire),
-    };
-    match write_frame(stream, &hello, stats) {
-        Ok(()) => {}
-        Err(WriteEnd::TimedOut) => return stats.record_timed_out(),
-        Err(WriteEnd::Disconnect) => return,
-    }
-
+    })?;
     loop {
-        match read_frame(stream, stats) {
-            ReadOutcome::Msg(WireMessage::UpdateBatch { updates }) => {
-                if let Err(msg) = validate_batch(&updates, shared.num_nodes) {
-                    return kill_malformed(stream, stats, msg);
-                }
-                let acked = match shared.apply_batch(&updates) {
-                    Ok(acked) => acked,
-                    Err(e) => {
-                        return kill_malformed(stream, stats, format!("ingest failed: {e}"));
-                    }
-                };
-                match write_frame(stream, &WireMessage::UpdateAck { acked }, stats) {
-                    Ok(()) => {}
-                    Err(WriteEnd::TimedOut) => return stats.record_timed_out(),
-                    Err(WriteEnd::Disconnect) => return,
-                }
+        let reply = match link.recv()? {
+            WireMessage::UpdateBatch { updates } => {
+                validate_batch(&updates, num_nodes).map_err(LinkError::malformed)?;
+                let acked = shared.apply_batch(&updates).map_err(|e| refused("ingest", e))?;
+                WireMessage::UpdateAck { acked }
             }
-            ReadOutcome::Msg(WireMessage::Query { kind }) => {
-                let answer = match shared.answer(kind) {
-                    Ok(answer) => answer,
-                    Err(e) => {
-                        return kill_malformed(stream, stats, format!("query failed: {e}"));
-                    }
-                };
-                match write_frame(stream, &WireMessage::QueryResult { answer }, stats) {
-                    Ok(()) => {}
-                    Err(WriteEnd::TimedOut) => return stats.record_timed_out(),
-                    Err(WriteEnd::Disconnect) => return,
-                }
+            WireMessage::Query { kind } => {
+                let answer = shared.answer(kind).map_err(|e| refused("query", e))?;
+                WireMessage::QueryResult { answer }
             }
             // A client's clean goodbye.
-            ReadOutcome::Msg(WireMessage::Shutdown) => return,
-            ReadOutcome::Msg(other) => {
-                return kill_malformed(
-                    stream,
-                    stats,
-                    format!("unexpected {} on a serve connection", other.name()),
-                );
+            WireMessage::Shutdown => return Ok(()),
+            other => {
+                return Err(LinkError::malformed(format!(
+                    "unexpected {} on a serve connection",
+                    other.name()
+                )));
             }
-            ReadOutcome::Malformed(m) => return kill_malformed(stream, stats, m),
-            ReadOutcome::TimedOut => return stats.record_timed_out(),
-            ReadOutcome::Disconnect => return,
+        };
+        link.send(&reply)?;
+    }
+}
+
+/// A connection's whole life on its own thread, and the one place its end
+/// is accounted for: a missed deadline and a malformed-frame kill are
+/// counted (the offender gets a typed last word, best-effort — it may
+/// already be gone), a disconnect is not, and the link's traffic is folded
+/// into the daemon's totals once.
+fn run_connection(shared: &ServeShared, stream: Stream) {
+    let mut link = Link::new(stream);
+    if let Err(end) = serve_client(shared, &mut link) {
+        match end.kind {
+            TransportErrorKind::PeerGone => {}
+            TransportErrorKind::Timeout => shared.stats.timed_out.add(1),
+            TransportErrorKind::Malformed => {
+                shared.stats.killed_malformed.add(1);
+                let _ = link.send(&WireMessage::ErrorReply { message: end.detail });
+            }
         }
     }
+    shared.stats.record_link(link.stats());
 }
 
 // ---------------------------------------------------------------------------
@@ -601,12 +502,10 @@ fn serve_client(shared: &ServeShared, stream: &mut ClientStream, stats: &ServeSt
 pub struct ServeHandle {
     shared: Arc<ServeShared>,
     addr: String,
-    unix_path: Option<PathBuf>,
     listener_wake: Arc<Listener>,
     accept_thread: std::thread::JoinHandle<()>,
     checkpoint_thread: Option<std::thread::JoinHandle<()>>,
     handlers: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
-    stats_in_summary: bool,
 }
 
 impl ServeHandle {
@@ -634,28 +533,19 @@ impl ServeHandle {
     /// final checkpoint round, tear the resident system down. Returns the
     /// shutdown summary the CLI prints.
     pub fn shutdown(self) -> Result<String, GzError> {
-        let ServeHandle {
-            shared,
-            addr: _,
-            unix_path,
-            listener_wake,
-            accept_thread,
-            checkpoint_thread,
-            handlers,
-            stats_in_summary,
-        } = self;
+        let shared = &self.shared;
         shared.shutting_down.store(true, Ordering::Release);
-        listener_wake.wake();
-        accept_thread.join().expect("accept thread panicked");
-        if let Some(t) = checkpoint_thread {
+        self.listener_wake.wake();
+        self.accept_thread.join().expect("accept thread panicked");
+        if let Some(t) = self.checkpoint_thread {
             t.join().expect("checkpoint thread panicked");
         }
         // Wake every handler blocked in a socket read/write; they exit as
         // disconnects.
         for (_, conn) in shared.conns.lock().unwrap().iter() {
-            let _ = conn.shutdown_both();
+            let _ = conn.shutdown();
         }
-        for handle in std::mem::take(&mut *handlers.lock().unwrap()) {
+        for handle in std::mem::take(&mut *self.handlers.lock().unwrap()) {
             handle.join().expect("connection handler panicked");
         }
         // Epochs release before the system shuts its transport down.
@@ -670,33 +560,31 @@ impl ServeHandle {
         if let Some(system) = system {
             system.shutdown()?;
         }
-        if let Some(path) = unix_path {
-            let _ = std::fs::remove_file(path);
-        }
         let mut out = format!(
             "serve shut down: {} updates acked, {rounds} checkpoint rounds",
             shared.acked.load(Ordering::Acquire),
         );
-        if stats_in_summary {
+        if shared.options.stats {
             out.push_str(&format!("\nconnections: {}", shared.stats));
         }
-        Ok(out)
+        Ok(out) // the listener, and with it a Unix socket file, goes with `self`
     }
 }
 
-/// Build the resident system, recovering durable state when configured.
-/// Returns the system, its durability bookkeeping, and how many updates
-/// are already acked (manifest coverage plus the replayed WAL tail).
+/// Build the resident system, recovering durable state when configured
+/// (`lock` is the state directory's [`lock_dir`] lock). Returns the system,
+/// its durability bookkeeping, and how many updates are already acked
+/// (manifest coverage plus the replayed WAL tail).
 fn build_system(
     options: &ServeOptions,
+    lock: Option<File>,
 ) -> Result<(ShardedGraphZeppelin, Option<Durability>, u64), GzError> {
     let mut config = ShardConfig::in_ram(options.nodes, options.shards);
     config.seed = options.seed;
     config.workers_per_shard = options.workers;
     let mut system = ShardedGraphZeppelin::in_process(config)?;
 
-    let Some(dir) = &options.dir else { return Ok((system, None, 0)) };
-    std::fs::create_dir_all(dir)?;
+    let Some((dir, lock)) = options.dir.as_ref().zip(lock) else { return Ok((system, None, 0)) };
     let manifest_file = manifest_path(dir);
 
     let (round, covered) = if manifest_file.exists() {
@@ -731,14 +619,7 @@ fn build_system(
         // Fresh state: publish round 0 immediately so a restart without
         // --resume is refused even before the first checkpoint.
         prune_stale_rounds(dir, 0);
-        ServeManifest {
-            round: 0,
-            covered: 0,
-            num_nodes: options.nodes,
-            seed: options.seed,
-            num_shards: options.shards,
-        }
-        .save(&manifest_file)?;
+        options.manifest(0, 0).save(&manifest_file)?;
         (0, 0)
     };
 
@@ -749,7 +630,7 @@ fn build_system(
         tail.push((u, v, d));
     })?;
     system.ingest(tail)?;
-    let durability = Durability { dir: dir.clone(), wal, round, covered };
+    let durability = Durability { _lock: lock, dir: dir.clone(), wal, round, covered };
     Ok((system, Some(durability), covered + replayed))
 }
 
@@ -757,13 +638,13 @@ fn build_system(
 /// calls this and then waits for a signal; tests and benches drive the
 /// handle directly.
 pub fn serve_start(options: &ServeOptions) -> Result<ServeHandle, GzError> {
-    let (system, durability, acked) = build_system(options)?;
+    // Both claims before any state is read: recovery replays and truncates
+    // the WAL, which must not happen beside a daemon that is appending to
+    // it, or on the way to an address that turns out to be taken.
+    let lock = options.dir.as_deref().map(lock_dir).transpose()?;
     let listener = Arc::new(Listener::bind(&options.listen)?);
+    let (system, durability, acked) = build_system(options, lock)?;
     let addr = listener.addr();
-    let unix_path = match &options.listen {
-        ServeListen::Unix(path) => Some(path.clone()),
-        ServeListen::Tcp(_) => None,
-    };
 
     let shared = Arc::new(ServeShared {
         ingest: Mutex::new(IngestState { system: Some(system), durability, rounds_cut: 0 }),
@@ -774,12 +655,7 @@ pub fn serve_start(options: &ServeOptions) -> Result<ServeHandle, GzError> {
         shutting_down: AtomicBool::new(false),
         conns: Mutex::new(HashMap::new()),
         next_conn: AtomicU64::new(0),
-        num_nodes: options.nodes,
-        num_shards: options.shards,
-        seed: options.seed,
-        max_clients: options.max_clients,
-        staleness: options.staleness,
-        timeouts: options.timeouts(),
+        options: options.clone(),
     });
 
     let handlers: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
@@ -802,12 +678,10 @@ pub fn serve_start(options: &ServeOptions) -> Result<ServeHandle, GzError> {
     Ok(ServeHandle {
         shared,
         addr,
-        unix_path,
         listener_wake: listener,
         accept_thread,
         checkpoint_thread,
         handlers,
-        stats_in_summary: options.stats,
     })
 }
 
@@ -816,43 +690,39 @@ fn accept_loop(
     listener: &Listener,
     handlers: &Mutex<Vec<std::thread::JoinHandle<()>>>,
 ) {
+    let timeouts = shared.options.timeouts();
     loop {
-        let stream = match listener.accept() {
+        let stream = match listener.accept(&timeouts) {
             _ if shared.shutting_down.load(Ordering::Acquire) => return,
             Ok(stream) => stream,
             // Transient accept failures (EMFILE, aborted handshakes) must
             // not kill the daemon.
             Err(_) => continue,
         };
-        if shared.shutting_down.load(Ordering::Acquire) {
-            return;
-        }
         // Admission control: past the limit, answer Busy and drop —
         // never accept-then-starve. The reply happens off-thread so a
         // flood of connections cannot stall admission of legitimate ones,
         // and the client's hello is drained first: closing a socket with
         // unread data RSTs the Busy reply away.
-        let active = shared.active.load(Ordering::Acquire);
-        if active >= shared.max_clients {
-            shared.stats.record_shed();
+        let (active, max_clients) =
+            (shared.active.load(Ordering::Acquire), shared.options.max_clients);
+        if active >= max_clients {
+            shared.stats.shed.add(1);
             let stats = Arc::clone(&shared.stats);
-            let timeouts = shared.timeouts;
-            let busy = WireMessage::Busy { active, max_clients: shared.max_clients };
+            let busy = WireMessage::Busy { active, max_clients };
             std::thread::spawn(move || {
                 let mut stream = stream;
-                let _ = stream.apply_timeouts(&timeouts);
                 // A ClientHello is one bare 8-byte frame header.
                 let mut hello = [0u8; 8];
                 let _ = stream.read_exact(&mut hello);
-                if busy.write_to(&mut stream).is_ok() {
-                    stats.record_frames_out(1);
-                    let _ = stream.flush();
-                }
+                let mut link = Link::new(stream);
+                let _ = link.send(&busy);
+                stats.record_link(link.stats());
             });
             continue;
         }
         shared.active.fetch_add(1, Ordering::AcqRel);
-        shared.stats.record_accepted();
+        shared.stats.accepted.add(1);
 
         let conn_id = shared.next_conn.fetch_add(1, Ordering::Relaxed);
         if let Ok(clone) = stream.try_clone() {
@@ -860,16 +730,21 @@ fn accept_loop(
         }
         let shared_for_conn = Arc::clone(shared);
         let handle = std::thread::spawn(move || {
-            let mut stream = stream;
-            let local = ServeStats::new();
-            if stream.apply_timeouts(&shared_for_conn.timeouts).is_ok() {
-                serve_client(&shared_for_conn, &mut stream, &local);
-            }
-            shared_for_conn.stats.merge_from(&local);
+            run_connection(&shared_for_conn, stream);
             shared_for_conn.conns.lock().unwrap().remove(&conn_id);
             shared_for_conn.active.fetch_sub(1, Ordering::AcqRel);
         });
-        handlers.lock().unwrap().push(handle);
+        // Join what finished since the last admission, so the vector holds
+        // the live connections (at most `max_clients`), not every
+        // connection the daemon ever served.
+        let mut handlers = handlers.lock().unwrap();
+        let (done, live): (Vec<_>, Vec<_>) =
+            std::mem::take(&mut *handlers).into_iter().partition(|h| h.is_finished());
+        *handlers = live;
+        handlers.push(handle);
+        for finished in done {
+            finished.join().expect("connection handler panicked");
+        }
     }
 }
 
@@ -1020,15 +895,7 @@ mod tests {
         let mut old = ShardedGraphZeppelin::in_process(old).expect("seven-column system");
         old.ingest((1..NODES as u32).map(|v| (0, v, false))).expect("ingest");
         old.checkpoint_shards_to(&shard_paths(dir.path(), 1, options.shards)).expect("checkpoint");
-        ServeManifest {
-            round: 1,
-            covered: NODES - 1,
-            num_nodes: NODES,
-            seed: options.seed,
-            num_shards: options.shards,
-        }
-        .save(&manifest_path(dir.path()))
-        .expect("manifest");
+        options.manifest(1, NODES - 1).save(&manifest_path(dir.path())).expect("manifest");
 
         options.resume = true;
         let Err(err) = serve_start(&options) else { panic!("resumed across geometries") };
@@ -1037,6 +904,171 @@ mod tests {
         for columns in [PAPER_COLUMNS, DEFAULT_COLUMNS] {
             assert!(msg.contains(&format!("columns: {columns},")), "{msg}");
         }
+    }
+
+    fn wait_until(what: &str, mut ok: impl FnMut() -> bool) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while !ok() {
+            assert!(std::time::Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+
+    fn ring(step: u32, nodes: u64) -> Vec<(u32, u32, bool)> {
+        (0..nodes as u32).map(|v| (v, (v + step) % nodes as u32, false)).collect()
+    }
+
+    /// A daemon started beside a live one — same socket, same state
+    /// directory, or either alone — must be refused before it touches
+    /// anything: it used to replay (and truncate) the WAL the live daemon
+    /// was appending to, then unlink its socket. The socket file a crashed
+    /// daemon leaves behind is still replaced.
+    #[test]
+    fn a_second_daemon_cannot_take_a_live_daemons_socket_or_state() {
+        const NODES: u64 = 32;
+        let scratch = gz_testutil::TempDir::new("gz-serve-second");
+        let sock = scratch.join("serve.sock");
+        let mut options = ServeOptions::new(ServeListen::Unix(sock.clone()), NODES);
+        options.dir = Some(scratch.join("state"));
+        // No checkpoint round during the test: everything acked stays in
+        // the WAL, which is what a second daemon would replay and truncate.
+        options.checkpoint_ms = 600_000;
+        let timeouts = TransportTimeouts::all(Duration::from_secs(5));
+        let first = serve_start(&options).expect("first daemon");
+        let mut client = ServeClient::connect_unix(&sock, &timeouts).expect("connect");
+        assert_eq!(client.send_updates(&ring(1, NODES)).expect("ack"), NODES);
+
+        let refused = |options: &ServeOptions, names: &Path| {
+            let Err(err) = serve_start(options) else { panic!("a second daemon started") };
+            assert!(matches!(err, GzError::InvalidConfig(_)), "{err:?}");
+            assert!(err.to_string().contains(&names.display().to_string()), "{err}");
+        };
+        let state = options.dir.clone().unwrap();
+        let mut second = options.clone();
+        second.resume = true; // without it the manifest alone would refuse
+        refused(&second, &state);
+        second.listen = ServeListen::Unix(scratch.join("other.sock"));
+        refused(&second, &state);
+        second.listen = options.listen.clone();
+        second.dir = Some(scratch.join("other-state"));
+        refused(&second, &sock);
+
+        // The first daemon never noticed: same socket, same acked count,
+        // and its WAL still takes appends.
+        assert_eq!(first.acked(), NODES);
+        assert_eq!(client.send_updates(&ring(2, NODES)).expect("ack"), 2 * NODES);
+        let fresh = ServeClient::connect_unix(&sock, &timeouts).expect("socket still there");
+        assert_eq!(fresh.acked(), 2 * NODES);
+        drop((client, fresh));
+        first.shutdown().expect("clean shutdown");
+
+        // What SIGKILL leaves: a bound path nobody listens on.
+        drop(UnixListener::bind(&sock).expect("bind the stale inode"));
+        assert!(sock.exists());
+        options.resume = true;
+        let resumed = serve_start(&options).expect("a stale socket file is replaced");
+        let client = ServeClient::connect_unix(&sock, &timeouts).expect("connect");
+        assert_eq!(client.acked(), 2 * NODES, "both batches recovered");
+        drop(client);
+        resumed.shutdown().expect("clean shutdown");
+        assert!(!sock.exists(), "the socket file goes with its listener");
+    }
+
+    /// The accept loop used to keep every connection's `JoinHandle` until
+    /// shutdown: a handle per connection ever served.
+    #[test]
+    fn finished_connections_are_joined_at_the_next_admission() {
+        let mut options = ServeOptions::new(ServeListen::Tcp("127.0.0.1:0".into()), 16);
+        options.max_clients = 4;
+        let handle = serve_start(&options).expect("start daemon");
+        let timeouts = TransportTimeouts::all(Duration::from_secs(5));
+        for _ in 0..64 {
+            let client = ServeClient::connect_tcp(handle.addr(), &timeouts).expect("connect");
+            client.shutdown().expect("goodbye");
+            wait_until("the connection to retire", || handle.active_clients() == 0);
+        }
+        let held = handle.handlers.lock().unwrap().len();
+        assert!(held <= options.max_clients as usize, "{held} handles held after 64 connections");
+        assert_eq!(handle.stats().accepted(), 64);
+        handle.shutdown().expect("clean shutdown");
+    }
+
+    /// `benchmark/src/serve.rs` reads the `connections:` line's tokens by
+    /// name; this is the product-side pin of its shape, and of what the
+    /// traffic counters count: whole frames, headers included.
+    #[test]
+    fn the_shutdown_summary_prints_every_connection_counter_by_name() {
+        let mut options = ServeOptions::new(ServeListen::Tcp("127.0.0.1:0".into()), 16);
+        options.stats = true;
+        let handle = serve_start(&options).expect("start daemon");
+        let timeouts = TransportTimeouts::all(Duration::from_secs(5));
+        let mut client = ServeClient::connect_tcp(handle.addr(), &timeouts).expect("connect");
+        client.send_updates(&[(0, 1, false), (1, 2, false)]).expect("ack");
+        assert_eq!(client.query_num_components().expect("answer"), 14);
+        client.shutdown().expect("goodbye");
+        wait_until("the connection to retire", || handle.active_clients() == 0);
+
+        let update = WireUpdate { u: 0, v: 1, is_delete: false };
+        let sent = [
+            WireMessage::ClientHello,
+            WireMessage::UpdateBatch { updates: vec![update; 2] },
+            WireMessage::Query { kind: QueryKind::NumComponents },
+            WireMessage::Shutdown,
+        ];
+        let received = [
+            WireMessage::ClientHelloAck { num_nodes: 16, acked: 0 },
+            WireMessage::UpdateAck { acked: 2 },
+            WireMessage::QueryResult { answer: QueryAnswer::NumComponents(14) },
+        ];
+        let bytes = |frames: &[WireMessage]| frames.iter().map(|m| m.frame_len()).sum::<usize>();
+        let summary = handle.shutdown().expect("clean shutdown");
+        let lines: Vec<&str> = summary.lines().collect();
+        assert_eq!(lines[0], "serve shut down: 2 updates acked, 0 checkpoint rounds");
+        assert_eq!(
+            lines[1],
+            format!(
+                "connections: accepted=1 shed=0 killed_malformed=0 timed_out=0 frames_in=4 \
+                 frames_out=3 bytes_in={} bytes_out={}",
+                bytes(&sent),
+                bytes(&received)
+            )
+        );
+        assert_eq!(lines.len(), 2);
+    }
+
+    /// The serve dialect's half of the link contract (the shard dialect's
+    /// is `a_shard_link_fails_in_the_links_three_kinds` in
+    /// `sharding/transport.rs`): after a good hello, a read deadline, an
+    /// EOF mid-frame and a bad magic end the connection as `Timeout`,
+    /// `PeerGone` and `Malformed`.
+    #[test]
+    fn a_serve_connection_fails_in_the_links_three_kinds() {
+        let options = ServeOptions::new(ServeListen::Tcp("127.0.0.1:0".into()), 16);
+        let handle = serve_start(&options).expect("start daemon");
+        let mut hello = Vec::new();
+        WireMessage::ClientHello.write_to(&mut hello).unwrap();
+        let cases: [(&[u8], TransportErrorKind); 3] = [
+            (&[], TransportErrorKind::Timeout),
+            (&hello[..5], TransportErrorKind::PeerGone),
+            (b"HTTP/1.1", TransportErrorKind::Malformed),
+        ];
+        for (bytes, want) in cases {
+            let (ours, mut theirs) = UnixStream::pair().unwrap();
+            theirs.write_all(&hello).unwrap();
+            theirs.write_all(bytes).unwrap();
+            // Anything sent is followed by a hang-up (of the sending half:
+            // the hello's ack must still be deliverable); nothing, by silence.
+            if !bytes.is_empty() {
+                theirs.shutdown(std::net::Shutdown::Write).unwrap();
+            }
+            let deadline = TransportTimeouts::all(Duration::from_millis(50));
+            let mut link = Link::new(Stream::unix(ours, &deadline).unwrap());
+            let end = serve_client(&handle.shared, &mut link).expect_err("no goodbye was sent");
+            assert_eq!(end.kind, want, "{end}");
+            assert_eq!(link.stats().frames_in(), 1, "only the hello was a frame");
+            drop(theirs);
+        }
+        handle.shutdown().expect("clean shutdown");
     }
 
     /// `--staleness 0`: every query after an ack reseals. The cache must

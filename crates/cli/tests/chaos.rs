@@ -153,7 +153,7 @@ struct RecoveryCounters {
 }
 
 /// Parse the coordinator's stdout: summary line, `recovery: ...` counters
-/// line, then one `u v` line per forest edge.
+/// line, `link: ...` traffic line, then one `u v` line per forest edge.
 fn parse_coordinator(out: &str) -> CoordinatorOutput {
     let mut lines = out.lines();
     let summary = lines.next().expect("summary line").to_string();
@@ -172,6 +172,8 @@ fn parse_coordinator(out: &str) -> CoordinatorOutput {
         .map(|s| s.parse().unwrap())
         .collect();
     assert_eq!(nums.len(), 4, "recovery line shape: {recovery_line}");
+    let link_line = lines.next().expect("link line");
+    assert!(link_line.starts_with("link: frames_in="), "unexpected line: {link_line}");
     CoordinatorOutput {
         summary,
         recovery: RecoveryCounters {

@@ -231,7 +231,7 @@ fn sigkilled_daemon_resumes_bit_identically_for_the_acked_prefix() {
     let expected_full = baseline(&updates);
     assert_matches_baseline(&mut client, &expected_full, "post-resume completion");
     match client.shutdown() {
-        Ok(()) | Err(ClientError::Io(_)) => {}
+        Ok(()) | Err(ClientError::Link(_)) => {}
         Err(e) => panic!("goodbye failed: {e}"),
     }
 

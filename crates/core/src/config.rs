@@ -11,6 +11,11 @@ use std::path::PathBuf;
 
 pub use gz_sketch::geometry::{DEFAULT_COLUMNS, PAPER_COLUMNS};
 
+/// The master seed every constructor and CLI subcommand defaults to. One
+/// constant, because the seed is in the parameter digest: a coordinator and
+/// a worker whose defaults drifted apart would refuse each other.
+pub const DEFAULT_SEED: u64 = 0x5EED_1E55;
+
 /// How large each leaf gutter is.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum GutterCapacity {
@@ -170,7 +175,7 @@ impl GzConfig {
     pub fn in_ram(num_nodes: u64) -> Self {
         GzConfig {
             num_nodes,
-            seed: 0x5EED_1E55,
+            seed: DEFAULT_SEED,
             num_workers: capped_at_host(4),
             group_threads: 1,
             num_rounds: None,

@@ -28,8 +28,8 @@ pub enum GzError {
     Transport(TransportError),
 }
 
-/// What went wrong on a shard link, coarsely — the axis the coordinator's
-/// recovery policy branches on.
+/// What went wrong on a link, coarsely — the axis the coordinator's
+/// recovery policy and the front door's accounting branch on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransportErrorKind {
     /// The peer did not answer within the configured deadline. The peer
@@ -60,8 +60,56 @@ impl fmt::Display for TransportErrorKind {
     }
 }
 
-/// A classified shard-link failure: which shard, what kind, and the
-/// underlying detail.
+/// A classified link failure: what kind, and the underlying detail. Every
+/// framed connection — a coordinator's shard link, a worker's coordinator
+/// link, a `gz serve` connection and its client — reports its read and
+/// write failures as this one type.
+#[derive(Debug)]
+pub struct LinkError {
+    /// Failure class (see [`TransportErrorKind`]).
+    pub kind: TransportErrorKind,
+    /// Human-readable detail from the underlying failure.
+    pub detail: String,
+}
+
+impl LinkError {
+    /// Classify a raw I/O error — the one place an `io::ErrorKind` becomes
+    /// a link failure class.
+    ///
+    /// `InvalidData` is what the wire codec returns for protocol
+    /// violations; timeouts surface as `TimedOut` (or `WouldBlock` on
+    /// platforms where `SO_RCVTIMEO` expiry reports EAGAIN). Everything
+    /// else that names a dead connection maps to `PeerGone` — including
+    /// `ConnectionRefused`, which is what a not-yet-respawned worker
+    /// looks like to a reconnect attempt.
+    pub fn from_io(err: &std::io::Error) -> Self {
+        use std::io::ErrorKind;
+        let kind = match err.kind() {
+            ErrorKind::TimedOut | ErrorKind::WouldBlock => TransportErrorKind::Timeout,
+            ErrorKind::InvalidData => TransportErrorKind::Malformed,
+            _ => TransportErrorKind::PeerGone,
+        };
+        LinkError { kind, detail: err.to_string() }
+    }
+
+    /// A peer that framed its bytes correctly and still broke the protocol.
+    pub fn malformed(detail: String) -> Self {
+        LinkError { kind: TransportErrorKind::Malformed, detail }
+    }
+
+    /// The same failure, on shard `shard`'s link.
+    pub fn on_shard(self, shard: u32) -> GzError {
+        GzError::Transport(TransportError { shard, kind: self.kind, detail: self.detail })
+    }
+}
+
+impl fmt::Display for LinkError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} ({})", self.detail, self.kind)
+    }
+}
+
+/// A [`LinkError`] plus the index of the shard whose link failed.
 #[derive(Debug)]
 pub struct TransportError {
     /// Shard index whose link failed.
@@ -70,26 +118,6 @@ pub struct TransportError {
     pub kind: TransportErrorKind,
     /// Human-readable detail from the underlying failure.
     pub detail: String,
-}
-
-impl TransportError {
-    /// Classify a raw I/O error from shard `shard`'s link.
-    ///
-    /// `InvalidData` is what the wire codec returns for protocol
-    /// violations; timeouts surface as `TimedOut` (or `WouldBlock` on
-    /// platforms where `SO_RCVTIMEO` expiry reports EAGAIN). Everything
-    /// else that names a dead connection maps to `PeerGone` — including
-    /// `ConnectionRefused`, which is what a not-yet-respawned worker
-    /// looks like to a reconnect attempt.
-    pub fn from_io(shard: u32, err: &std::io::Error) -> Self {
-        use std::io::ErrorKind;
-        let kind = match err.kind() {
-            ErrorKind::TimedOut | ErrorKind::WouldBlock => TransportErrorKind::Timeout,
-            ErrorKind::InvalidData => TransportErrorKind::Malformed,
-            _ => TransportErrorKind::PeerGone,
-        };
-        TransportError { shard, kind, detail: err.to_string() }
-    }
 }
 
 impl fmt::Display for TransportError {
@@ -162,9 +190,10 @@ mod tests {
             (ErrorKind::InvalidData, TransportErrorKind::Malformed),
         ];
         for (io_kind, want) in cases {
-            let te = TransportError::from_io(3, &Error::new(io_kind, "x"));
-            assert_eq!(te.kind, want, "{io_kind:?}");
-            assert_eq!(te.shard, 3);
+            let link = LinkError::from_io(&Error::new(io_kind, "x"));
+            assert_eq!(link.kind, want, "{io_kind:?}");
+            let GzError::Transport(te) = link.on_shard(3) else { panic!("not a transport error") };
+            assert_eq!((te.kind, te.shard, te.detail.as_str()), (want, 3, "x"), "{io_kind:?}");
         }
     }
 

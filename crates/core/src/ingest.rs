@@ -13,20 +13,11 @@
 //!   exists for the §6.4 ablation.
 
 use crate::store::SketchStore;
+pub use gz_gutters::IngestCounters;
 use gz_gutters::WorkQueue;
 use gz_sketch::cube::{with_premixed, LaneAccumulators};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-
-/// Counters published by the worker pool.
-#[derive(Debug, Default)]
-pub struct IngestCounters {
-    /// Batches applied.
-    pub batches: AtomicU64,
-    /// Individual update records applied.
-    pub records: AtomicU64,
-}
 
 /// A pool of Graph Worker threads draining a [`WorkQueue`] into a
 /// [`SketchStore`].
@@ -59,8 +50,8 @@ impl WorkerPool {
                         // (every flush) would block forever.
                         let _done = TaskDone(&queue);
                         apply_batch(&store, batch.node, &batch.others, group_threads);
-                        counters.batches.fetch_add(1, Ordering::Relaxed);
-                        counters.records.fetch_add(batch.others.len() as u64, Ordering::Relaxed);
+                        counters.batches.add(1);
+                        counters.records.add(batch.others.len() as u64);
                     }
                 })
             })
@@ -159,8 +150,8 @@ mod tests {
         queue.close();
         let counters = pool.counters();
         pool.join();
-        assert_eq!(counters.batches.load(Ordering::Relaxed), 16);
-        assert_eq!(counters.records.load(Ordering::Relaxed), 16);
+        assert_eq!(counters.batches(), 16);
+        assert_eq!(counters.records(), 16);
         // Every node sketch should hold its one edge.
         let snap = store.snapshot();
         for (node, s) in snap.iter().enumerate() {

@@ -81,14 +81,14 @@ pub use boruvka::{
 pub use checkpoint::{CheckpointHeader, ServeManifest, ShardCheckpointHeader, UpdateWal};
 pub use config::{BufferStrategy, GutterCapacity, GzConfig, LockingStrategy, StoreBackend};
 pub use edge_connectivity::{ForestCertificate, KForestSketcher};
-pub use error::{GzError, TransportError, TransportErrorKind};
+pub use error::{GzError, LinkError, TransportError, TransportErrorKind};
 pub use msf::{MsfSketcher, WeightedForest};
 pub use node_sketch::{CubeNodeSketch, NodeSketch};
 pub use sharding::{
     connect_shard_tcp, new_pipeline_resuming, serve_shard_connection, shard_checkpoint_file_name,
-    InProcessTransport, Recovery, ReplayLog, RetryPolicy, ShardConfig, ShardLink, ShardPipeline,
-    ShardRouter, ShardServeStats, ShardTransport, ShardView, ShardedEpoch, ShardedGraphZeppelin,
-    SocketTransport, TransportTimeouts,
+    InProcessTransport, Link, Recovery, ReplayLog, RetryPolicy, ShardConfig, ShardLink,
+    ShardPipeline, ShardRouter, ShardServeStats, ShardTransport, ShardView, ShardedEpoch,
+    ShardedGraphZeppelin, SocketTransport, Stream, TransportTimeouts,
 };
 pub use sparse::SparseSet;
 pub use store::{

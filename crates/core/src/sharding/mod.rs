@@ -34,16 +34,17 @@
 //! query answers bit-identically to the gather-everything reference
 //! ([`ShardedGraphZeppelin::spanning_forest_oracle`]).
 
+mod link;
 mod pipeline;
 mod router;
 mod transport;
 
+pub use link::{Link, ShardLink, Stream, TransportTimeouts};
 pub use pipeline::{shard_checkpoint_file_name, ShardPipeline, ShardView};
 pub use router::{ReplayLog, ShardRouter};
 pub use transport::{
     connect_shard_tcp, new_pipeline_resuming, serve_shard_connection, spawn_local_socket_workers,
-    InProcessTransport, Recovery, RetryPolicy, ShardLink, ShardServeStats, ShardTransport,
-    SocketTransport, TransportTimeouts,
+    InProcessTransport, Recovery, RetryPolicy, ShardServeStats, ShardTransport, SocketTransport,
 };
 
 use crate::boruvka::{boruvka_rounds_parallel, boruvka_spanning_forest_parallel, BoruvkaOutcome};
@@ -129,7 +130,7 @@ impl ShardConfig {
         ShardConfig {
             num_nodes,
             num_shards,
-            seed: 0x5EED_1E55,
+            seed: crate::config::DEFAULT_SEED,
             num_rounds: None,
             num_columns: crate::config::DEFAULT_COLUMNS,
             workers_per_shard: crate::config::capped_at_host(2),
@@ -404,8 +405,14 @@ impl ShardedGraphZeppelin {
     /// Recovery counters (checkpoints, replays, reconnects), if the
     /// transport tracks them (a [`SocketTransport`] with a [`Recovery`]
     /// policy does; the others return `None`).
-    pub fn recovery_stats(&self) -> Option<Arc<gz_gutters::IoStats>> {
+    pub fn recovery_stats(&self) -> Option<Arc<gz_gutters::RecoveryStats>> {
         self.transport.lock().recovery_stats()
+    }
+
+    /// Frames and bytes exchanged with the shards so far (`None` when they
+    /// are in this process) — the coordinator↔worker cost of a run.
+    pub fn link_stats(&self) -> Option<gz_gutters::LinkStats> {
+        self.transport.lock().link_stats()
     }
 
     /// Drain the router and make every batch visible in the shards'

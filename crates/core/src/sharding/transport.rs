@@ -7,8 +7,8 @@
 //! - [`InProcessTransport`] — shards are [`ShardPipeline`]s owned by the
 //!   coordinator; "sending" a batch is a queue push. This is the refactored
 //!   form of the old `ShardedGraphZeppelin`.
-//! - [`SocketTransport`] — shards live behind byte streams (`TcpStream`,
-//!   `UnixStream`, or any [`ShardLink`]) speaking the [`gz_stream::wire`]
+//! - [`SocketTransport`] — shards live behind framed [`Link`]s (over a
+//!   [`Stream`], or any [`ShardLink`]) speaking the [`gz_stream::wire`]
 //!   protocol; the remote end runs [`serve_shard_connection`]'s event loop.
 //!
 //! Every link starts with a `Hello`/`HelloAck` digest handshake: two sides
@@ -18,51 +18,29 @@
 //! Fault tolerance (DESIGN.md §14) is a policy value on the one socket
 //! transport, not a second transport: with a [`Recovery`] installed it
 //! keeps a bounded [`ReplayLog`] of batches per shard, and when a link
-//! fails with a *recoverable* [`TransportError`] (timeout or peer-gone) it
+//! fails with a *recoverable* [`LinkError`] (timeout or peer-gone) it
 //! respawns the worker, resyncs from the worker's last checkpoint sequence,
 //! and replays the missing tail. Because the sketches are linear (XOR),
 //! replaying exactly the un-absorbed batches reproduces the lost state
 //! bit-for-bit. Without a policy the same request path simply propagates
 //! the typed error.
 
-use crate::error::{GzError, TransportError};
+use crate::error::{GzError, LinkError};
+use crate::sharding::link::{Link, ShardLink, Stream, TransportTimeouts};
 use crate::sharding::router::ReplayLog;
 use crate::sharding::{ShardConfig, ShardPipeline, ShardView};
-use gz_gutters::{Batch, IoStats};
+pub use gz_gutters::ShardServeStats;
+use gz_gutters::{Batch, CounterSet, LinkStats, RecoveryStats};
 use gz_hash::SplitMix64;
 use gz_stream::wire::{SketchEntry, WireMessage};
 use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::sync::Arc;
 use std::time::Duration;
 
 // ---------------------------------------------------------------------------
-// Link hardening: timeouts, retry policy, classified errors
+// Retry policy and classified errors
 // ---------------------------------------------------------------------------
-
-/// Socket deadlines for a shard link. `None` means block forever — the
-/// default, and the right call for in-process `UnixStream` pairs where the
-/// peer cannot silently vanish. Multi-process deployments set `read` (and
-/// usually `write`) so a SIGKILLed worker surfaces as a
-/// [`TransportErrorKind::Timeout`](crate::error::TransportErrorKind) instead
-/// of a hang.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TransportTimeouts {
-    /// Deadline for establishing a TCP connection.
-    pub connect: Option<Duration>,
-    /// Deadline for each blocking read on an established link.
-    pub read: Option<Duration>,
-    /// Deadline for each blocking write on an established link.
-    pub write: Option<Duration>,
-}
-
-impl TransportTimeouts {
-    /// One deadline for everything — the common case.
-    pub fn all(d: Duration) -> Self {
-        TransportTimeouts { connect: Some(d), read: Some(d), write: Some(d) }
-    }
-}
 
 /// Bounded exponential backoff with deterministic jitter for reconnect /
 /// respawn attempts. Jitter comes from [`SplitMix64`] keyed by
@@ -135,42 +113,24 @@ impl RetryPolicy {
     }
 }
 
-/// A byte stream that can carry shard traffic and (where the OS supports
-/// it) enforce [`TransportTimeouts`]. The default `apply_timeouts` is a
-/// no-op so in-memory test streams qualify without ceremony.
-pub trait ShardLink: Read + Write + Send {
-    /// Install socket deadlines. Streams without kernel timeout support
-    /// accept and ignore them.
-    fn apply_timeouts(&mut self, _timeouts: &TransportTimeouts) -> std::io::Result<()> {
-        Ok(())
-    }
+/// Write `msg` on shard `shard`'s link; a failure carries the shard index.
+fn send_msg<S: Read + Write>(
+    link: &mut Link<S>,
+    shard: u32,
+    msg: &WireMessage,
+) -> Result<(), GzError> {
+    link.send(msg).map_err(|e| e.on_shard(shard))
 }
 
-impl ShardLink for TcpStream {
-    fn apply_timeouts(&mut self, timeouts: &TransportTimeouts) -> std::io::Result<()> {
-        self.set_read_timeout(timeouts.read)?;
-        self.set_write_timeout(timeouts.write)
-    }
+/// Read one frame from shard `shard`'s link, the same way.
+fn recv_msg<S: Read + Write>(link: &mut Link<S>, shard: u32) -> Result<WireMessage, GzError> {
+    link.recv().map_err(|e| e.on_shard(shard))
 }
 
-impl ShardLink for UnixStream {
-    fn apply_timeouts(&mut self, timeouts: &TransportTimeouts) -> std::io::Result<()> {
-        self.set_read_timeout(timeouts.read)?;
-        self.set_write_timeout(timeouts.write)
-    }
-}
-
-/// Write `msg` on shard `shard`'s link, classifying any I/O failure into a
-/// typed [`TransportError`] carrying the shard index.
-fn send_msg<S: Read + Write>(link: &mut S, shard: u32, msg: &WireMessage) -> Result<(), GzError> {
-    msg.write_to(link).map_err(|e| GzError::Transport(TransportError::from_io(shard, &e)))
-}
-
-/// Read one frame from shard `shard`'s link, classifying failures the same
-/// way (`UnexpectedEof` → peer gone, `TimedOut`/`WouldBlock` → timeout,
-/// `InvalidData` → malformed).
-fn recv_msg<S: Read + Write>(link: &mut S, shard: u32) -> Result<WireMessage, GzError> {
-    WireMessage::read_from(link).map_err(|e| GzError::Transport(TransportError::from_io(shard, &e)))
+/// Classify a raw I/O failure (a dial, a `setsockopt`) on shard `shard`'s
+/// link.
+fn io_on_shard(shard: u32) -> impl Fn(std::io::Error) -> GzError {
+    move |e| LinkError::from_io(&e).on_shard(shard)
 }
 
 /// True for errors a [`Recovery`] policy may heal by respawning the
@@ -282,7 +242,13 @@ pub trait ShardTransport {
     /// Recovery counters, if this transport keeps them (a
     /// [`SocketTransport`] with a [`Recovery`] policy does; the others
     /// return `None`).
-    fn recovery_stats(&self) -> Option<Arc<IoStats>> {
+    fn recovery_stats(&self) -> Option<Arc<RecoveryStats>> {
+        None
+    }
+
+    /// Frames and bytes exchanged with the shards so far, summed over
+    /// their links (`None` when the shards are in this process).
+    fn link_stats(&self) -> Option<LinkStats> {
         None
     }
 
@@ -436,7 +402,7 @@ fn check_paths(what: &str, paths: &[std::path::PathBuf], num_shards: usize) -> R
 /// Every batch shipped to a shard is also appended to that shard's
 /// [`ReplayLog`]; the log is pruned when the shard acknowledges a durable
 /// checkpoint. When an operation fails with a recoverable
-/// [`TransportError`] (timeout, peer gone), the transport calls the
+/// [`LinkError`] (timeout, peer gone), the transport calls the
 /// `respawn` closure to obtain a fresh link to a restarted worker, runs the
 /// `Hello` handshake, asks `Resync` — the worker answers with the batch
 /// sequence its restored checkpoint covers — and replays exactly the logged
@@ -458,7 +424,7 @@ pub struct Recovery<S> {
     respawn: Box<dyn FnMut(u32) -> Result<S, GzError> + Send>,
     timeouts: TransportTimeouts,
     retry: RetryPolicy,
-    stats: Arc<IoStats>,
+    stats: Arc<RecoveryStats>,
     /// Per-shard replay-log entry bound; exceeding it forces a checkpoint
     /// round so coordinator memory stays proportional to the checkpoint
     /// cadence, never the stream length.
@@ -479,7 +445,7 @@ impl<S: ShardLink> Recovery<S> {
             respawn,
             timeouts,
             retry,
-            stats: Arc::new(IoStats::default()),
+            stats: Arc::new(RecoveryStats::new()),
             replay_log_cap: None,
         }
     }
@@ -491,22 +457,30 @@ impl<S: ShardLink> Recovery<S> {
         self
     }
 
-    /// A replacement for shard `shard`'s dead link: respawn (with bounded,
-    /// jittered backoff), handshake, resync, replay the missing tail.
-    fn fresh_link(&mut self, shard: u32, params_digest: u64) -> Result<S, GzError> {
+    /// Replace shard `shard`'s dead link: respawn (with bounded, jittered
+    /// backoff), handshake, resync, replay the missing tail. The fresh
+    /// link carries the dead one's traffic counts forward.
+    fn heal(&mut self, shard: u32, params_digest: u64, dead: &mut Link<S>) -> Result<(), GzError> {
         let retry = self.retry;
-        retry.retrying(shard, || {
-            self.stats.record_reconnect_attempt();
-            let mut link = (self.respawn)(shard)?;
+        let fresh = retry.retrying(shard, || {
+            self.stats.reconnect_attempts.add(1);
+            let mut link = Link::new((self.respawn)(shard)?);
             self.resync(shard, params_digest, &mut link)?;
             Ok(link)
-        })
+        })?;
+        fresh.stats().merge_from(dead.stats());
+        *dead = fresh;
+        Ok(())
     }
 
     /// Handshake + resync + replay on a fresh link (not yet installed).
-    fn resync(&mut self, shard: u32, params_digest: u64, link: &mut S) -> Result<(), GzError> {
-        link.apply_timeouts(&self.timeouts)
-            .map_err(|e| GzError::Transport(TransportError::from_io(shard, &e)))?;
+    fn resync(
+        &mut self,
+        shard: u32,
+        params_digest: u64,
+        link: &mut Link<S>,
+    ) -> Result<(), GzError> {
+        link.stream().apply_timeouts(&self.timeouts).map_err(io_on_shard(shard))?;
         handshake_link(link, shard, params_digest)?;
         send_msg(link, shard, &WireMessage::Resync)?;
         let seq = match recv_msg(link, shard)? {
@@ -540,12 +514,12 @@ impl<S: ShardLink> Recovery<S> {
 /// installed ([`Self::with_recovery`]) a link that times out or loses its
 /// peer is respawned and caught up instead of failing the operation.
 pub struct SocketTransport<S: ShardLink> {
-    links: Vec<S>,
+    links: Vec<Link<S>>,
     params_digest: u64,
     recovery: Option<Recovery<S>>,
 }
 
-impl SocketTransport<TcpStream> {
+impl SocketTransport<Stream> {
     /// Connect to TCP shard workers at `addrs` (one per shard, in shard
     /// order) and run the parameter handshake. No deadlines, default retry
     /// — see [`Self::connect_tcp_with`] for the hardened form.
@@ -586,41 +560,8 @@ pub fn connect_shard_tcp(
     shard: u32,
     timeouts: &TransportTimeouts,
     retry: &RetryPolicy,
-) -> Result<TcpStream, GzError> {
-    let dial = || -> std::io::Result<TcpStream> {
-        let mut stream = tcp_connect_once(addr, timeouts.connect)?;
-        // Frames are written whole; disabling Nagle keeps the request/reply
-        // turns (Flush, Gather) from stalling on delayed ACKs.
-        stream.set_nodelay(true)?;
-        stream.apply_timeouts(timeouts)?;
-        Ok(stream)
-    };
-    retry.retrying(shard, || {
-        dial().map_err(|e| GzError::Transport(TransportError::from_io(shard, &e)))
-    })
-}
-
-/// One connection attempt, honoring the connect deadline when set
-/// (`TcpStream::connect_timeout` needs resolved addresses, so the deadline
-/// applies per resolved candidate).
-fn tcp_connect_once(addr: &str, deadline: Option<Duration>) -> std::io::Result<TcpStream> {
-    use std::net::ToSocketAddrs;
-    match deadline {
-        None => TcpStream::connect(addr),
-        Some(d) => {
-            let mut last = std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!("{addr} resolved to no addresses"),
-            );
-            for candidate in addr.to_socket_addrs()? {
-                match TcpStream::connect_timeout(&candidate, d) {
-                    Ok(stream) => return Ok(stream),
-                    Err(e) => last = e,
-                }
-            }
-            Err(last)
-        }
-    }
+) -> Result<Stream, GzError> {
+    retry.retrying(shard, || Stream::dial_tcp(addr, timeouts).map_err(io_on_shard(shard)))
 }
 
 /// What a digest refusal tells the operator to compare: the digest is all
@@ -632,7 +573,7 @@ const DIGEST_COVERS: &str = "the digest covers nodes, seed, rounds, sketch colum
 /// The `Hello`/`HelloAck` digest exchange on one link — at first connect
 /// and again on every respawned link.
 fn handshake_link<S: Read + Write>(
-    link: &mut S,
+    link: &mut Link<S>,
     shard: u32,
     params_digest: u64,
 ) -> Result<(), GzError> {
@@ -667,7 +608,8 @@ fn answered(shard: u32, request: &WireMessage, reply: &WireMessage) -> GzError {
 impl<S: ShardLink> SocketTransport<S> {
     /// Take ownership of connected streams (one per shard, in shard order)
     /// and run the `Hello`/`HelloAck` handshake on each.
-    pub fn handshake(mut links: Vec<S>, params_digest: u64) -> Result<Self, GzError> {
+    pub fn handshake(links: Vec<S>, params_digest: u64) -> Result<Self, GzError> {
+        let mut links: Vec<Link<S>> = links.into_iter().map(Link::new).collect();
         if links.is_empty() {
             return Err(GzError::InvalidConfig("need at least one shard link".into()));
         }
@@ -682,8 +624,7 @@ impl<S: ShardLink> SocketTransport<S> {
     /// transport that can't detect a dead peer can't recover from one.
     pub fn with_recovery(mut self, mut recovery: Recovery<S>) -> Result<Self, GzError> {
         for (i, link) in self.links.iter_mut().enumerate() {
-            link.apply_timeouts(&recovery.timeouts)
-                .map_err(|e| GzError::Transport(TransportError::from_io(i as u32, &e)))?;
+            link.stream().apply_timeouts(&recovery.timeouts).map_err(io_on_shard(i as u32))?;
         }
         recovery.logs = self.links.iter().map(|_| ReplayLog::new()).collect();
         self.recovery = Some(recovery);
@@ -700,11 +641,11 @@ impl<S: ShardLink> SocketTransport<S> {
         &mut self,
         shard: usize,
         heal: bool,
-        io: impl Fn(&mut S, bool) -> Result<T, GzError>,
+        io: impl Fn(&mut Link<S>, bool) -> Result<T, GzError>,
     ) -> Result<T, GzError> {
         match (io(&mut self.links[shard], false), &mut self.recovery) {
             (Err(e), Some(recovery)) if heal && recoverable(&e) => {
-                self.links[shard] = recovery.fresh_link(shard as u32, self.params_digest)?;
+                recovery.heal(shard as u32, self.params_digest, &mut self.links[shard])?;
                 io(&mut self.links[shard], true)
             }
             (result, _) => result,
@@ -761,9 +702,7 @@ impl<S: ShardLink> ShardTransport for SocketTransport<S> {
         let over_cap = recovery.replay_log_cap.is_some_and(|cap| log.len() >= cap);
         match send_msg(link, shard, &msg) {
             Ok(()) => {}
-            Err(e) if recoverable(&e) => {
-                *link = recovery.fresh_link(shard, self.params_digest)?;
-            }
+            Err(e) if recoverable(&e) => recovery.heal(shard, self.params_digest, link)?,
             Err(e) => return Err(e),
         }
         if over_cap {
@@ -860,14 +799,20 @@ impl<S: ShardLink> ShardTransport for SocketTransport<S> {
             // logs no longer need them.
             for (log, &seq) in recovery.logs.iter_mut().zip(&seqs) {
                 log.prune_through(seq);
-                recovery.stats.record_checkpoint();
+                recovery.stats.checkpoints.add(1);
             }
         }
         Ok(seqs)
     }
 
-    fn recovery_stats(&self) -> Option<Arc<IoStats>> {
+    fn recovery_stats(&self) -> Option<Arc<RecoveryStats>> {
         self.recovery.as_ref().map(|recovery| Arc::clone(&recovery.stats))
+    }
+
+    fn link_stats(&self) -> Option<LinkStats> {
+        let total = LinkStats::new();
+        self.links.iter().for_each(|link| total.merge_from(link.stats()));
+        Some(total)
     }
 
     fn shutdown(&mut self) -> Result<(), GzError> {
@@ -893,90 +838,72 @@ impl<S: ShardLink> ShardTransport for SocketTransport<S> {
 // Shard-worker event loop
 // ---------------------------------------------------------------------------
 
-/// Counters a worker reports when its connection ends.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct ShardServeStats {
-    /// `Batch` messages received.
-    pub batches: u64,
-    /// Update records inside those batches.
-    pub records: u64,
-    /// `Flush` round trips served.
-    pub flushes: u64,
-    /// `GatherSketches`/`GatherRound` round trips served.
-    pub gathers: u64,
-    /// `SealEpoch` round trips served.
-    pub seals: u64,
-    /// `CheckpointShard` round trips served (durable checkpoints written).
-    pub checkpoints: u64,
-}
-
-/// Drive one coordinator connection over `stream` against `pipeline`:
-/// the shard-worker event loop. Returns when the coordinator sends
-/// `Shutdown`; errors end the loop (and should end the worker).
+/// Drive one coordinator connection over `link` against `pipeline`: the
+/// shard-worker event loop. Returns when the coordinator sends `Shutdown`;
+/// errors end the loop (and should end the worker — it has one coordinator,
+/// and a link failure or protocol violation leaves nobody to serve).
 pub fn serve_shard_connection<S: Read + Write>(
-    stream: &mut S,
+    link: &mut Link<S>,
     pipeline: &ShardPipeline,
     params_digest: u64,
 ) -> Result<ShardServeStats, GzError> {
-    let mut stats = ShardServeStats::default();
+    let stats = ShardServeStats::new();
+    let index = pipeline.index();
     loop {
-        match WireMessage::read_from(stream)? {
+        let reply = match recv_msg(link, index)? {
             WireMessage::Hello { params_digest: theirs } => {
                 // Always answer with our digest; a mismatched coordinator
                 // sees the difference, and we refuse to ingest for it.
-                WireMessage::HelloAck { params_digest }.write_to(stream)?;
+                send_msg(link, index, &WireMessage::HelloAck { params_digest })?;
                 if theirs != params_digest {
                     return Err(GzError::Protocol(format!(
                         "coordinator digest {theirs:#x} != shard {params_digest:#x} \
                          ({DIGEST_COVERS})"
                     )));
                 }
+                continue;
             }
             WireMessage::Batch { node, records } => {
-                stats.batches += 1;
-                stats.records += records.len() as u64;
+                stats.batches.add(1);
+                stats.records.add(records.len() as u64);
                 pipeline.enqueue(node, records)?;
+                continue;
             }
             WireMessage::Flush => {
-                stats.flushes += 1;
+                stats.flushes.add(1);
                 pipeline.flush();
-                WireMessage::FlushAck.write_to(stream)?;
+                WireMessage::FlushAck
             }
             WireMessage::GatherSketches => {
-                stats.gathers += 1;
-                let entries = pipeline.gather_serialized();
-                WireMessage::Sketches { entries }.write_to(stream)?;
+                stats.gathers.add(1);
+                WireMessage::Sketches { entries: pipeline.gather_serialized() }
             }
             WireMessage::GatherRound { round, epoch } => {
-                stats.gathers += 1;
+                stats.gathers.add(1);
                 let entries = pipeline.gather_round(round as usize, epoch)?;
-                WireMessage::RoundSketches { round, entries }.write_to(stream)?;
+                WireMessage::RoundSketches { round, entries }
             }
             WireMessage::SealEpoch => {
-                stats.seals += 1;
-                let epoch = pipeline.seal_epoch()?;
-                WireMessage::EpochSealed { epoch }.write_to(stream)?;
+                stats.seals.add(1);
+                WireMessage::EpochSealed { epoch: pipeline.seal_epoch()? }
             }
             WireMessage::CheckpointShard => {
-                stats.checkpoints += 1;
+                stats.checkpoints.add(1);
                 // Flushes, then persists atomically; the returned sequence
                 // number tells the coordinator which replay-log prefix the
                 // checkpoint makes redundant. A worker started without a
                 // checkpoint path fails here — the coordinator should not
                 // have asked.
-                let seq = pipeline.save_checkpoint()?;
-                WireMessage::CheckpointAck { seq }.write_to(stream)?;
+                WireMessage::CheckpointAck { seq: pipeline.save_checkpoint()? }
             }
-            WireMessage::Resync => {
-                // A recovering coordinator asks where we stand; we answer
-                // with the batch count our restored state already covers so
-                // it replays strictly after (replaying an absorbed batch
-                // would XOR it out again).
-                WireMessage::ResyncFrom { seq: pipeline.seq() }.write_to(stream)?;
-            }
+            // A recovering coordinator asks where we stand; we answer with
+            // the batch count our restored state already covers so it
+            // replays strictly after (replaying an absorbed batch would XOR
+            // it out again).
+            WireMessage::Resync => WireMessage::ResyncFrom { seq: pipeline.seq() },
             WireMessage::ReleaseEpoch { epoch } => {
                 pipeline.release_epoch(epoch);
-                WireMessage::EpochReleased.write_to(stream)?;
+                WireMessage::EpochReleased
             }
             WireMessage::Shutdown => {
                 // A clean goodbye must not silently drop the updates
@@ -985,7 +912,7 @@ pub fn serve_shard_connection<S: Read + Write>(
                 // final checkpoint so a later `--resume` starts from the
                 // state the coordinator last saw, not an older one.
                 if pipeline.checkpoint_path().is_some() {
-                    stats.checkpoints += 1;
+                    stats.checkpoints.add(1);
                     pipeline.save_checkpoint()?;
                 }
                 return Ok(stats);
@@ -996,7 +923,8 @@ pub fn serve_shard_connection<S: Read + Write>(
                     other.name()
                 )));
             }
-        }
+        };
+        send_msg(link, index, &reply)?;
     }
 }
 
@@ -1004,7 +932,7 @@ pub fn serve_shard_connection<S: Read + Write>(
 pub type LocalWorkerHandle = std::thread::JoinHandle<Result<ShardServeStats, GzError>>;
 
 /// Spawn `config.num_shards` shard workers on local threads connected by
-/// `UnixStream` pairs, and hand back the coordinator-side transport plus
+/// Unix socket pairs, and hand back the coordinator-side transport plus
 /// the worker join handles. This exercises the *entire* wire path (framing,
 /// handshake, event loop) without OS processes — the form the equivalence
 /// suite uses; the multi-process example does the same over TCP with real
@@ -1015,18 +943,18 @@ pub type LocalWorkerHandle = std::thread::JoinHandle<Result<ShardServeStats, GzE
 /// thread-level analogue of `gz shard-worker --resume`.
 pub fn spawn_local_socket_workers(
     config: &ShardConfig,
-) -> Result<(SocketTransport<UnixStream>, Vec<LocalWorkerHandle>), GzError> {
+) -> Result<(SocketTransport<Stream>, Vec<LocalWorkerHandle>), GzError> {
     let digest = config.params_digest();
     let mut coordinator_ends = Vec::with_capacity(config.num_shards as usize);
     let mut handles = Vec::with_capacity(config.num_shards as usize);
     for index in 0..config.num_shards {
         let (ours, theirs) = UnixStream::pair()?;
-        coordinator_ends.push(ours);
+        coordinator_ends.push(Stream::Unix(ours));
         let worker_config = config.clone();
         handles.push(std::thread::spawn(move || {
             let pipeline = new_pipeline_resuming(&worker_config, index)?;
-            let mut stream = theirs;
-            serve_shard_connection(&mut stream, &pipeline, worker_config.params_digest())
+            let mut link = Link::new(Stream::Unix(theirs));
+            serve_shard_connection(&mut link, &pipeline, worker_config.params_digest())
         }));
     }
     let transport = SocketTransport::handshake(coordinator_ends, digest)?;
@@ -1058,6 +986,13 @@ mod tests {
     /// The one-record batch inserting edge `(node, other)` at `node`.
     fn edge(node: u32, other: u32) -> Batch {
         Batch { node, others: vec![encode_other(other, false)] }
+    }
+
+    /// A connected socket pair: the coordinator's end as the link it
+    /// dials, the peer's end raw.
+    fn pair() -> (Stream, UnixStream) {
+        let (ours, theirs) = UnixStream::pair().unwrap();
+        (Stream::Unix(ours), theirs)
     }
 
     fn sorted(mut entries: Vec<SketchEntry>) -> Vec<SketchEntry> {
@@ -1112,13 +1047,13 @@ mod tests {
         config: &ShardConfig,
         index: u32,
         budget: Arc<AtomicUsize>,
-    ) -> (UnixStream, LocalWorkerHandle) {
-        let (ours, theirs) = UnixStream::pair().unwrap();
+    ) -> (Stream, LocalWorkerHandle) {
+        let (ours, theirs) = pair();
         let cfg = config.clone();
         let handle = std::thread::spawn(move || {
             let pipeline = new_pipeline_resuming(&cfg, index)?;
-            let mut stream = DyingStream { inner: theirs, budget };
-            serve_shard_connection(&mut stream, &pipeline, cfg.params_digest())
+            let mut link = Link::new(DyingStream { inner: theirs, budget });
+            serve_shard_connection(&mut link, &pipeline, cfg.params_digest())
         });
         (ours, handle)
     }
@@ -1143,11 +1078,11 @@ mod tests {
 
     /// A handshaken one-shard transport whose "worker" is
     /// [`handshake_then`]`(after)`.
-    fn against<F>(after: F) -> (SocketTransport<UnixStream>, std::thread::JoinHandle<()>)
+    fn against<F>(after: F) -> (SocketTransport<Stream>, std::thread::JoinHandle<()>)
     where
         F: FnOnce(UnixStream) + Send + 'static,
     {
-        let (ours, theirs) = UnixStream::pair().unwrap();
+        let (ours, theirs) = pair();
         let worker = handshake_then(theirs, after);
         (SocketTransport::handshake(vec![ours], DIGEST).unwrap(), worker)
     }
@@ -1294,9 +1229,9 @@ mod tests {
         socket.shutdown().unwrap();
         for h in handles {
             let stats = h.join().unwrap().unwrap();
-            assert!(stats.batches > 0);
-            assert_eq!(stats.flushes, 1);
-            assert_eq!(stats.gathers, 3, "one full gather, two round gathers");
+            assert!(stats.batches() > 0);
+            assert_eq!(stats.flushes(), 1);
+            assert_eq!(stats.gathers(), 3, "one full gather, two round gathers");
         }
     }
 
@@ -1319,7 +1254,7 @@ mod tests {
         let config = ShardConfig::in_ram(16, 2);
         // Shard 0: a worker that dies right after the handshake (dropping
         // the stream simulates the crash). Shard 1: a healthy worker.
-        let (ours0, theirs0) = UnixStream::pair().unwrap();
+        let (ours0, theirs0) = pair();
         let dead = handshake_then(theirs0, drop);
         let (ours1, live) = spawn_worker(&config, 1, immortal());
 
@@ -1337,9 +1272,9 @@ mod tests {
     fn serve_loop_rejects_coordinator_only_messages() {
         let config = ShardConfig::in_ram(8, 1);
         let pipeline = ShardPipeline::new(&config, 0).unwrap();
-        let mut stream = ScriptedLink::new(&[WireMessage::FlushAck]);
+        let mut link = Link::new(ScriptedLink::new(&[WireMessage::FlushAck]));
         assert!(matches!(
-            serve_shard_connection(&mut stream, &pipeline, config.params_digest()),
+            serve_shard_connection(&mut link, &pipeline, config.params_digest()),
             Err(GzError::Protocol(_))
         ));
     }
@@ -1389,18 +1324,64 @@ mod tests {
     fn stalled_worker_surfaces_as_timeout_not_hang() {
         let (mut transport, worker) = against(stall);
         let deadline = TransportTimeouts::all(Duration::from_millis(50));
-        transport.links[0].apply_timeouts(&deadline).unwrap();
+        transport.links[0].stream().apply_timeouts(&deadline).unwrap();
         let err = transport.flush().expect_err("worker never acks");
         assert_kind(err, TransportErrorKind::Timeout, 0, "stalled worker");
         drop(transport); // EOF ends the worker's swallow loop
         worker.join().unwrap();
     }
 
+    /// The shard dialect's half of the link contract (the serve dialect's
+    /// is `serve::tests::a_serve_connection_fails_in_the_links_three_kinds`):
+    /// a read deadline, an EOF mid-frame and a bad magic reach the caller as
+    /// `Timeout`, `PeerGone` and `Malformed` — on the coordinator's side of
+    /// a shard link and on the worker's.
+    #[test]
+    fn a_shard_link_fails_in_the_links_three_kinds() {
+        let mut flush_ack = Vec::new();
+        WireMessage::FlushAck.write_to(&mut flush_ack).unwrap();
+        let cases: [(&[u8], TransportErrorKind); 3] = [
+            (&[], TransportErrorKind::Timeout),
+            (&flush_ack[..5], TransportErrorKind::PeerGone),
+            (b"HTTP/1.1", TransportErrorKind::Malformed),
+        ];
+        let deadline = TransportTimeouts::all(Duration::from_millis(50));
+        for (bytes, want) in cases {
+            // Coordinator side: the worker answers `Flush` with `bytes`,
+            // then holds the link open (nothing) or hangs up (anything).
+            let reply = bytes.to_vec();
+            let (mut transport, worker) = against(move |mut stream| {
+                assert!(matches!(WireMessage::read_from(&mut stream).unwrap(), WireMessage::Flush));
+                stream.write_all(&reply).unwrap();
+                if reply.is_empty() {
+                    stall(stream);
+                }
+            });
+            transport.links[0].stream().apply_timeouts(&deadline).unwrap();
+            let err = transport.flush().expect_err("no FlushAck is coming");
+            assert_kind(err, want, 0, "coordinator side");
+            drop(transport);
+            worker.join().unwrap();
+
+            // Worker side: the coordinator sends `bytes` where a frame is due.
+            let config = ShardConfig::in_ram(8, 2);
+            let pipeline = ShardPipeline::new(&config, 1).unwrap();
+            let (mut ours, mut theirs) = pair();
+            ours.apply_timeouts(&deadline).unwrap();
+            theirs.write_all(bytes).unwrap();
+            if !bytes.is_empty() {
+                drop(theirs);
+            }
+            let err = serve_shard_connection(&mut Link::new(ours), &pipeline, 0);
+            assert_kind(err.expect_err("no frame is coming"), want, 1, "worker side");
+        }
+    }
+
     /// A peer that reads the `Hello` and never acks it: it hangs up at
     /// once, or (`silent`) holds the link open without a word until the
     /// coordinator does.
-    fn hello_eater(silent: bool) -> (UnixStream, std::thread::JoinHandle<()>) {
-        let (ours, mut theirs) = UnixStream::pair().unwrap();
+    fn hello_eater(silent: bool) -> (Stream, std::thread::JoinHandle<()>) {
+        let (ours, mut theirs) = pair();
         let peer = std::thread::spawn(move || {
             let hello = WireMessage::read_from(&mut theirs).unwrap();
             assert!(matches!(hello, WireMessage::Hello { .. }));
@@ -1418,7 +1399,7 @@ mod tests {
             [(false, TransportErrorKind::PeerGone), (true, TransportErrorKind::Timeout)]
         {
             // First connect: shard 0 is healthy, shard 1 never acks.
-            let (ours0, theirs0) = UnixStream::pair().unwrap();
+            let (ours0, theirs0) = pair();
             let healthy = handshake_then(theirs0, stall);
             let (mut ours1, peer) = hello_eater(silent);
             ours1.apply_timeouts(&deadline).unwrap();
@@ -1431,7 +1412,7 @@ mod tests {
 
             // Respawn: shard 1's worker dies after a good handshake, and
             // its replacement never acks.
-            let (ours0, theirs0) = UnixStream::pair().unwrap();
+            let (ours0, theirs0) = pair();
             let healthy = handshake_then(theirs0, |mut stream| {
                 assert!(matches!(WireMessage::read_from(&mut stream).unwrap(), WireMessage::Flush));
                 // The coordinator may already have given up on shard 1 and
@@ -1439,7 +1420,7 @@ mod tests {
                 let _ = WireMessage::FlushAck.write_to(&mut stream);
                 stall(stream);
             });
-            let (ours1, theirs1) = UnixStream::pair().unwrap();
+            let (ours1, theirs1) = pair();
             let doomed = handshake_then(theirs1, drop);
             let (peers, replacements) = std::sync::mpsc::channel();
             let respawn = Box::new(move |_| {
@@ -1505,7 +1486,11 @@ mod tests {
             transport.release_epoch(&ids).unwrap();
             assert_eq!(transport.checkpoint_shards().unwrap(), vec![5, 5]);
             transport.shutdown().unwrap();
-            let written: Vec<Vec<u8>> = transport.links.into_iter().map(|l| l.written).collect();
+            let written: Vec<Vec<u8>> = transport
+                .links
+                .iter_mut()
+                .map(|link| std::mem::take(&mut link.stream().written))
+                .collect();
             (written, gathered)
         };
         let (plain, recovering) = (run(false), run(true));
@@ -1551,7 +1536,7 @@ mod tests {
         for h in handles {
             // The explicit round plus the final checkpoint every worker
             // with a configured path cuts on a clean `Shutdown`.
-            assert_eq!(h.join().unwrap().unwrap().checkpoints, 2);
+            assert_eq!(h.join().unwrap().unwrap().checkpoints(), 2);
         }
     }
 

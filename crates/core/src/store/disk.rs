@@ -32,7 +32,7 @@ use crate::sparse::{SparseRoundBatch, SparseSet};
 use crate::store::epoch::{EpochOverlay, EpochRegistry};
 use crate::store::io_backend::{IoBackendConfig, IoBackendImpl, ReadReq, O_DIRECT};
 use crate::store::{NodeSet, RepStats, ScratchPool};
-use gz_gutters::IoStats;
+use gz_gutters::{CounterSet, IoStats};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -732,7 +732,7 @@ impl DiskStore {
     /// saw the slot leave the table are ordered after its sparse capture,
     /// so the epoch protocol stays airtight.
     fn promote(&self, slot: usize, dense: CubeNodeSketch) {
-        self.io.record_promotion();
+        self.io.sparse_promotions.add(1);
         let local = slot % self.group_size as usize;
         // A failure is on record in the store; see `apply_batch`.
         let _ = self.with_group(self.group_of_slot(slot), |sketches| sketches[local] = dense);

@@ -22,7 +22,7 @@
 //! read/write of its logical byte length in [`IoStats`], whatever the
 //! backend — so the experiment suite's exact I/O-count assertions hold
 //! verbatim under every backend. Batch shape is tracked separately via
-//! [`IoStats::record_batch`] / [`IoStats::record_completions`].
+//! [`IoStats::record_batch`] / [`IoStats::completions`].
 
 use super::uring::{uring_available, Ring, IORING_OP_READ, IORING_OP_WRITE};
 use gz_gutters::IoStats;
@@ -315,7 +315,7 @@ impl UringBackend {
             }
             while let Some((user_data, res)) = ring.pop_cqe() {
                 in_flight -= 1;
-                stats.record_completions(1);
+                stats.completions.add(1);
                 let idx = user_data as usize;
                 let req = reqs[idx];
                 let buf = bufs[idx].take().expect("completion for an in-flight read");
@@ -389,7 +389,7 @@ impl UringBackend {
             }
             while let Some((user_data, res)) = ring.pop_cqe() {
                 in_flight -= 1;
-                stats.record_completions(1);
+                stats.completions.add(1);
                 if result.is_err() {
                     continue;
                 }
@@ -490,7 +490,7 @@ impl IoBackendImpl {
                 }
                 stats.record_read(buf.len() as u64);
                 stats.record_batch(1);
-                stats.record_completions(1);
+                stats.completions.add(1);
                 Ok(())
             }
             IoBackendImpl::Uring(b) => {
@@ -526,7 +526,7 @@ impl IoBackendImpl {
                     let need = (req.offset - start) as usize + req.len;
                     let read = PreadBackend::read_span(file, start, span.slice_mut(span_len), need);
                     stats.record_batch(1);
-                    stats.record_completions(1);
+                    stats.completions.add(1);
                     read?;
                     stats.record_read(req.len as u64);
                     let more = done(i, span.slice((req.offset - start) as usize, req.len));
@@ -556,7 +556,7 @@ impl IoBackendImpl {
                     file.write_all_at(bytes, *offset)?;
                     stats.record_write(bytes.len() as u64);
                     stats.record_batch(1);
-                    stats.record_completions(1);
+                    stats.completions.add(1);
                 }
                 Ok(())
             }

@@ -278,7 +278,7 @@ impl GraphZeppelin {
 
     /// Batches applied by the workers so far.
     pub fn batches_applied(&self) -> u64 {
-        self.counters.batches.load(std::sync::atomic::Ordering::Relaxed)
+        self.counters.batches()
     }
 
     /// Total sketch bytes (the paper's Figure 11 memory accounting). With a

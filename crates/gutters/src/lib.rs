@@ -14,8 +14,9 @@
 //! - [`tree`] — the on-disk gutter tree (a simplified buffer tree, paper
 //!   §4.1): internal nodes with fixed-size disk buffers, recursive flushes,
 //!   leaf gutters sized to the node sketch.
-//! - [`stats`] — I/O accounting, the measurable analogue of the paper's
-//!   hybrid-model I/O complexity claims.
+//! - [`stats`] — the counter core: I/O accounting (the measurable analogue
+//!   of the paper's hybrid-model I/O complexity claims) and every other
+//!   counter set the system keeps, declared through one form.
 //! - [`worker_pool`] — a persistent fork-join pool for data-parallel phases
 //!   (the streaming Borůvka query engine's per-round fold/sample/read
 //!   dispatch).
@@ -27,7 +28,10 @@ pub mod work_queue;
 pub mod worker_pool;
 
 pub use leaf::{GutterSet, LeafGutters};
-pub use stats::{IoStats, ServeStats};
+pub use stats::{
+    Counter, CounterSet, Fold, IngestCounters, IoStats, LinkStats, RecoveryStats, ServeStats,
+    ShardServeStats,
+};
 pub use tree::{GutterTree, GutterTreeConfig};
 pub use work_queue::{Batch, WorkQueue};
 pub use worker_pool::WorkerPool;

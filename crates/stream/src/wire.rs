@@ -402,6 +402,12 @@ impl WireMessage {
 
     /// Exact payload size in bytes, computed without encoding — lets
     /// [`Self::write_to`] refuse oversized frames before building them.
+    /// Bytes this message occupies on the wire as one frame, header
+    /// included — what a link adds to its byte counters per frame.
+    pub fn frame_len(&self) -> usize {
+        8 + self.payload_len()
+    }
+
     fn payload_len(&self) -> usize {
         match self {
             WireMessage::Hello { .. } | WireMessage::HelloAck { .. } => 8,

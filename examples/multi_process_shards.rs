@@ -24,8 +24,8 @@
 //! ```
 
 use graph_zeppelin::{
-    serve_shard_connection, GraphZeppelin, GzConfig, ShardConfig, ShardPipeline,
-    ShardedGraphZeppelin, SocketTransport,
+    serve_shard_connection, GraphZeppelin, GzConfig, Link, ShardConfig, ShardPipeline,
+    ShardedGraphZeppelin, SocketTransport, Stream, TransportTimeouts,
 };
 use gz_stream::{Dataset, StreamifyConfig, UpdateKind};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -62,13 +62,17 @@ fn run_worker(index: u32) {
     println!("PORT {port}");
     std::io::stdout().flush().expect("flush");
 
-    let (mut stream, _) = listener.accept().expect("accept");
-    stream.set_nodelay(true).expect("nodelay");
-    let stats = serve_shard_connection(&mut stream, &pipeline, config.params_digest())
-        .expect("serve shard");
+    let (stream, _) = listener.accept().expect("accept");
+    let stream = Stream::tcp(stream, &TransportTimeouts::default()).expect("nodelay");
+    let mut link = Link::new(stream);
+    let stats =
+        serve_shard_connection(&mut link, &pipeline, config.params_digest()).expect("serve shard");
     println!(
         "DONE shard {index}: {} batches / {} records applied, {} flushes, {} gathers",
-        stats.batches, stats.records, stats.flushes, stats.gathers
+        stats.batches(),
+        stats.records(),
+        stats.flushes(),
+        stats.gathers()
     );
 }
 

@@ -3,7 +3,7 @@
 
 use graph_zeppelin::boruvka::boruvka_spanning_forest;
 use graph_zeppelin::node_sketch::{update_index, SketchParams};
-use graph_zeppelin::{GraphZeppelin, GzConfig, GzError, ShardTransport, SocketTransport};
+use graph_zeppelin::{GraphZeppelin, GzConfig, GzError, ShardTransport, SocketTransport, Stream};
 use gz_stream::wire::WireMessage;
 
 #[test]
@@ -176,7 +176,7 @@ fn a_shard_answering_out_of_turn_is_a_named_protocol_error() {
             reply.write_to(&mut theirs).unwrap();
         }
     });
-    let mut transport = SocketTransport::handshake(vec![ours], 7).unwrap();
+    let mut transport = SocketTransport::handshake(vec![Stream::Unix(ours)], 7).unwrap();
     let message = |result: Result<(), GzError>| match result {
         Err(GzError::Protocol(msg)) => msg,
         other => panic!("expected a protocol error, got {other:?}"),
