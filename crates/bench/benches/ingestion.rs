@@ -2,7 +2,9 @@
 //! (Figure 13's stopwatch at criterion discipline), plus the sketch-update
 //! kernel throughput table on the RAM store — per-update singles vs
 //! gutter-sized batches vs dup-heavy batches through the cancellation
-//! pre-pass (updates/sec).
+//! pre-pass (updates/sec) — and `gz_flush`, what a flush costs when every
+//! gutter holds a few records (a `gz serve` seal) or nearly a full batch (the
+//! end of a `kron13_ram` pass), single-node and over one in-process shard.
 //!
 //! Set `GZ_BENCH_SMOKE=1` to run at tiny scale (the CI smoke mode); the
 //! kernel comparison asserts its ≥2× batched-over-singles claim in both
@@ -12,8 +14,10 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use graph_zeppelin::config::LockingStrategy;
 use graph_zeppelin::node_sketch::{encode_other, SketchParams};
 use graph_zeppelin::store::ram::RamStore;
-use graph_zeppelin::{BufferStrategy, GraphZeppelin, GutterCapacity, GzConfig};
-use gz_bench::harness::{kron_workload, smoke};
+use graph_zeppelin::{
+    BufferStrategy, GraphZeppelin, GutterCapacity, GzConfig, ShardConfig, ShardedGraphZeppelin,
+};
+use gz_bench::harness::{kron_workload, median, smoke};
 use gz_sketch::geometry::DEFAULT_COLUMNS;
 use gz_stream::UpdateKind;
 use std::sync::Arc;
@@ -234,6 +238,75 @@ fn bench_ingest_hybrid(c: &mut Criterion) {
     group.finish();
 }
 
+/// One flush with `pending` records in every gutter (V = 4096, two workers):
+/// the caller and one pool thread claim the gutters and apply them where they
+/// lie, no batch built and the work queue left alone. `single-node` is
+/// `GraphZeppelin::flush`, `one-shard` is `ShardedGraphZeppelin::flush` over
+/// one in-process shard — `gz serve`'s seal. Gutters hold 512 records, so
+/// nothing overflows while they fill: the flush is all there is. Median ns
+/// per flush over alternating repetitions, each on fresh records; the first
+/// repetition's stores are checked byte-for-byte against a system whose
+/// one-record gutters sent the same records through the queue.
+fn bench_flush(_c: &mut Criterion) {
+    let num_nodes: u64 = if smoke() { 1 << 10 } else { 1 << 12 };
+    let reps = if smoke() { 2 } else { 9 };
+    let capacity = GutterCapacity::Updates(512);
+    let single_config = |capacity| {
+        let mut config = GzConfig::in_ram(num_nodes);
+        config.num_workers = 2;
+        config.buffering = BufferStrategy::LeafOnly { capacity };
+        config
+    };
+    let mut shard_config = ShardConfig::in_ram(num_nodes, 1);
+    shard_config.workers_per_shard = 2;
+    shard_config.router_capacity = capacity;
+
+    for pending in [16u32, 446] {
+        // Repetition `rep` toggles, for every `u`, the `pending / 2` edges
+        // `(u, u + offset)` at offsets of its own: `pending` records a gutter.
+        let edges = |rep: u32| {
+            let offsets = 1 + rep * pending / 2..=(rep + 1) * pending / 2;
+            (0..num_nodes as u32).flat_map(move |u| {
+                offsets.clone().map(move |o| (u, (u + o) % num_nodes as u32, false))
+            })
+        };
+        assert!(u64::from(reps * pending / 2) < num_nodes, "offsets must not wrap onto `u`");
+        let mut single = GraphZeppelin::new(single_config(capacity)).unwrap();
+        let mut shard = ShardedGraphZeppelin::in_process(shard_config.clone()).unwrap();
+        let (mut single_ns, mut shard_ns) = (Vec::new(), Vec::new());
+        for rep in 0..reps {
+            single.ingest(edges(rep));
+            assert_eq!(single.batches_applied(), u64::from(rep) * num_nodes, "nothing overflowed");
+            let started = Instant::now();
+            single.flush();
+            single_ns.push(started.elapsed().as_nanos() as f64);
+
+            shard.ingest(edges(rep)).unwrap();
+            assert_eq!(shard.batches_shipped(), u64::from(rep) * num_nodes, "nothing overflowed");
+            let started = Instant::now();
+            shard.flush().unwrap();
+            shard_ns.push(started.elapsed().as_nanos() as f64);
+
+            if rep == 0 {
+                let mut queued =
+                    GraphZeppelin::new(single_config(GutterCapacity::Updates(1))).unwrap();
+                queued.ingest(edges(0));
+                let want = queued.snapshot_serialized();
+                assert_eq!(queued.ingest_counters().flushes(), 0, "the reference only overflows");
+                assert_eq!(single.snapshot_serialized(), want, "{pending} pending, single-node");
+                assert_eq!(
+                    shard.gather_serialized().unwrap(),
+                    want,
+                    "{pending} pending, one-shard"
+                );
+            }
+        }
+        shard.shutdown().unwrap();
+        criterion::record_custom(format!("gz_flush/{pending}/single-node"), median(&mut single_ns));
+        criterion::record_custom(format!("gz_flush/{pending}/one-shard"), median(&mut shard_ns));
+    }
+}
+
 /// Final target: persist every measurement above as the machine-readable
 /// baseline (`BENCH_ingestion.json`).
 fn emit_bench_json(_c: &mut Criterion) {
@@ -254,6 +327,6 @@ criterion_group! {
     name = benches;
     config = config();
     targets = bench_store_update_kernel, bench_ingest_by_workers, bench_ingest_by_buffering,
-        bench_ingest_hybrid, emit_bench_json
+        bench_ingest_hybrid, bench_flush, emit_bench_json
 }
 criterion_main!(benches);

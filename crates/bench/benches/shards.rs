@@ -23,7 +23,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use graph_zeppelin::{GraphZeppelin, GutterCapacity, GzConfig, ShardConfig, ShardedGraphZeppelin};
-use gz_bench::harness::{kron_workload, smoke};
+use gz_bench::harness::{kron_workload, median, smoke};
 use gz_stream::UpdateKind;
 use std::time::{Duration, Instant};
 
@@ -105,10 +105,6 @@ fn bench_router_hop(_c: &mut Criterion) {
         assert_eq!(shard.batches_shipped(), 0, "the pair times gutters, not Graph Workers");
         shard.shutdown().unwrap();
     }
-    let median = |samples: &mut Vec<f64>| {
-        samples.sort_by(f64::total_cmp);
-        samples[samples.len() / 2]
-    };
     criterion::record_custom("gz_shards_hop/single-node", median(&mut single_ns));
     criterion::record_custom("gz_shards_hop/one-shard", median(&mut shard_ns));
 }

@@ -69,6 +69,12 @@ pub fn smoke() -> bool {
     std::env::var("GZ_BENCH_SMOKE").is_ok()
 }
 
+/// Median of the samples a bench took by hand (sorts them in place).
+pub fn median(samples: &mut [f64]) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
+
 /// Generate the kron dataset at `scale` and streamify it.
 pub fn kron_workload(scale: u32, seed: u64) -> Workload {
     let dataset = Dataset::kron(scale);

@@ -767,8 +767,12 @@ fn components_sharded(args: &ComponentsArgs, num_shards: u32) -> Result<String, 
                  is per-store; query each shard worker for representation stats)\n",
             ),
         }
-        if let Some(link) = gz.link_stats() {
-            out.push_str(&format!("link: {link}\n"));
+        match gz.link_stats() {
+            Some(link) => out.push_str(&format!("link: {link}\n")),
+            // Shards in this process: what the router handed their stores
+            // and what its flushes cost. Behind links that is the link's
+            // traffic above and each worker's own exit line.
+            None => out.push_str(&format!("ingest: {}\n", gz.ingest_counters())),
         }
     }
     if args.forest {
@@ -919,6 +923,7 @@ pub fn execute(cmd: Command) -> Result<String, String> {
                         io.mean_depth(),
                     ));
                 }
+                out.push_str(&format!("ingest: {}\n", gz.ingest_counters()));
             }
             if args.forest {
                 for e in cc.spanning_forest() {
@@ -1292,6 +1297,10 @@ mod tests {
             .filter_map(|w| w.trim_start_matches('(').parse().ok())
             .collect();
         assert_eq!(nums[0] + nums[1], 32, "promoted + sparse covers kron5: {census}");
+        // So does what the flush applied: kron5 fills no gutter, so every
+        // record reached the store in the query's one flush.
+        let ingest = out.lines().find(|l| l.starts_with("ingest: batches=")).unwrap();
+        assert!(ingest.contains(" flushes=1 flush_ns="), "{ingest}");
     }
 
     #[test]
@@ -1687,6 +1696,8 @@ mod tests {
         // In-process shards have no recovering transport; --stats says so
         // instead of silently printing nothing.
         assert!(out.contains("recovery: counters require --connect"), "{out}");
+        // They do have a router whose batches the cadence counted.
+        assert!(out.contains("\ningest: batches="), "{out}");
         // The cadence actually wrote per-shard checkpoint files.
         let files = std::fs::read_dir(ckpt_dir.path())
             .unwrap()

@@ -557,15 +557,20 @@ impl ServeHandle {
             let mut ingest = shared.ingest.lock().unwrap();
             (ingest.system.take(), ingest.rounds_cut)
         };
-        if let Some(system) = system {
-            system.shutdown()?;
-        }
         let mut out = format!(
             "serve shut down: {} updates acked, {rounds} checkpoint rounds",
             shared.acked.load(Ordering::Acquire),
         );
         if shared.options.stats {
             out.push_str(&format!("\nconnections: {}", shared.stats));
+        }
+        if let Some(system) = system {
+            if shared.options.stats {
+                // Every seal and checkpoint cut is a flush under the ingest
+                // lock: `flush_ns_max` is the longest stall ingest has seen.
+                out.push_str(&format!("\ningest: {}", system.ingest_counters()));
+            }
+            system.shutdown()?;
         }
         Ok(out) // the listener, and with it a Unix socket file, goes with `self`
     }
@@ -997,7 +1002,7 @@ mod tests {
     /// name; this is the product-side pin of its shape, and of what the
     /// traffic counters count: whole frames, headers included.
     #[test]
-    fn the_shutdown_summary_prints_every_connection_counter_by_name() {
+    fn the_shutdown_summary_prints_every_counter_by_name() {
         let mut options = ServeOptions::new(ServeListen::Tcp("127.0.0.1:0".into()), 16);
         options.stats = true;
         let handle = serve_start(&options).expect("start daemon");
@@ -1033,7 +1038,11 @@ mod tests {
                 bytes(&received)
             )
         );
-        assert_eq!(lines.len(), 2);
+        // The query's seal found four records in three gutters.
+        let flush = lines[2].strip_prefix("ingest: batches=3 records=4 flushes=1 flush_ns=");
+        let (total, max) = flush.and_then(|f| f.split_once(" flush_ns_max=")).expect(lines[2]);
+        assert_eq!(total, max, "one flush: its length is the longest");
+        assert_eq!(lines.len(), 3);
     }
 
     /// The serve dialect's half of the link contract (the shard dialect's

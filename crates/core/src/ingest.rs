@@ -7,6 +7,9 @@
 //!   concurrently, on either store: the batch kernel runs outside every
 //!   store lock, and two batches contend only for the XOR-merge into one
 //!   node (RAM) or one node group (disk);
+//!   a flush whose store is in this process applies what the gutters still
+//!   hold the same way, on a fork-join pool instead of through the queue
+//!   (DESIGN.md §4);
 //! - **sketch-level**: a worker may split the `O(log V)` independent
 //!   subsketches of one node sketch across a thread group. The paper found
 //!   group size 1 best on its hardware, which is the default, but the knob
@@ -50,8 +53,7 @@ impl WorkerPool {
                         // (every flush) would block forever.
                         let _done = TaskDone(&queue);
                         apply_batch(&store, batch.node, &batch.others, group_threads);
-                        counters.batches.add(1);
-                        counters.records.add(batch.others.len() as u64);
+                        counters.record_batches(1, batch.others.len() as u64);
                     }
                 })
             })
@@ -81,8 +83,10 @@ impl Drop for TaskDone<'_> {
     }
 }
 
-/// Apply one batch, optionally with sketch-level parallelism.
-fn apply_batch(store: &SketchStore, node: u32, records: &[u32], group_threads: usize) {
+/// Apply one batch, optionally with sketch-level parallelism: the one entry
+/// into the store for a Graph Worker popping the queue and for a flush
+/// applying a gutter in place.
+pub(crate) fn apply_batch(store: &SketchStore, node: u32, records: &[u32], group_threads: usize) {
     if group_threads <= 1 {
         store.apply_batch(node, records);
     } else {

@@ -236,6 +236,11 @@ pub struct ShardedGraphZeppelin {
     checkpoint_every: Option<u64>,
     /// Router batch count at the last fleet checkpoint.
     last_checkpoint_batches: u64,
+    /// The pool a flush over in-process shards claims gutters on
+    /// (DESIGN.md §4): `workers_per_shard` wide, capped at the host, built
+    /// by the first such flush and kept.
+    flush_pool: Option<WorkerPool>,
+    flush_threads: usize,
     shut_down: bool,
 }
 
@@ -300,6 +305,8 @@ impl ShardedGraphZeppelin {
             query_staleness: config.query_staleness,
             checkpoint_every: config.checkpoint_every,
             last_checkpoint_batches: 0,
+            flush_pool: None,
+            flush_threads: crate::config::capped_at_host(config.workers_per_shard),
             shut_down: false,
         })
     }
@@ -415,12 +422,33 @@ impl ShardedGraphZeppelin {
         self.transport.lock().link_stats()
     }
 
-    /// Drain the router and make every batch visible in the shards'
-    /// sketches (the distributed `cleanup()`).
+    /// Make every routed update visible in the shards' sketches (the
+    /// distributed `cleanup()`). Shards in this process
+    /// ([`ShardTransport::local_views`] — the split the query fold makes)
+    /// have what the router still buffers applied to their stores where it
+    /// lies, by a kept fork-join pool with this thread as worker 0: no batch
+    /// is built and no queue touched. Shards behind links are sent it as
+    /// batches. Either way every shard then waits out what overflowed
+    /// earlier.
     pub fn flush(&mut self) -> Result<(), GzError> {
         let mut transport = self.transport.lock();
-        self.router.flush(&mut |shard, batch| transport.send_batch(shard, batch))?;
-        transport.flush()
+        if self.router.buffered_len() == 0 {
+            return transport.flush();
+        }
+        let started = std::time::Instant::now();
+        match transport.local_views(None)? {
+            Some(views) => {
+                let pool =
+                    self.flush_pool.get_or_insert_with(|| WorkerPool::new(self.flush_threads));
+                self.router.drain_in_place(pool, &|shard, node, records| {
+                    views[shard as usize].apply_batch(node, records)
+                });
+            }
+            None => self.router.flush(&mut |shard, batch| transport.send_batch(shard, batch))?,
+        }
+        transport.flush()?;
+        self.router.counters().record_flush(started);
+        Ok(())
     }
 
     /// Gather every node's serialized sketch at the coordinator, indexed by
@@ -549,9 +577,15 @@ impl ShardedGraphZeppelin {
     }
 
     /// Node-keyed batches shipped to shards so far (the inter-shard message
-    /// count — the quantity batching minimizes).
+    /// count — the quantity batching minimizes). A gutter a flush applied in
+    /// place counts as the batch it would have been.
     pub fn batches_shipped(&self) -> u64 {
         self.router.batches_emitted()
+    }
+
+    /// Batches and records routed, and what the flushes cost (`--stats`).
+    pub fn ingest_counters(&self) -> &gz_gutters::IngestCounters {
+        self.router.counters()
     }
 
     /// Shut down: stop the shards and join any local worker threads.

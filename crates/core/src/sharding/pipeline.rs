@@ -32,9 +32,22 @@ use std::sync::Arc;
 pub struct ShardView {
     store: Arc<SketchStore>,
     overlay: Option<Arc<EpochOverlay>>,
+    /// The shard's batch sequence number ([`ShardPipeline::seq`]).
+    seq: Arc<AtomicU64>,
 }
 
 impl ShardView {
+    /// Apply one node-keyed batch straight to the shard's store — what
+    /// [`ShardPipeline::enqueue`] hands a Graph Worker, without the queue —
+    /// and count it in the shard's sequence number, so a checkpoint cut
+    /// after the coordinator's flush covers it. `node` must be owned by the
+    /// shard; the coordinator's flush ([`crate::sharding::ShardRouter::drain_in_place`])
+    /// is the one caller.
+    pub(crate) fn apply_batch(&self, node: u32, records: &[u32]) {
+        crate::ingest::apply_batch(&self.store, node, records, 1);
+        self.seq.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Fold round `round` of this shard's still-`live` nodes into the
     /// pool's per-worker sinks ([`SketchStore::stream_round_parallel`]), and
     /// return the sketch bytes the store held resident to do it.
@@ -66,12 +79,13 @@ pub struct ShardPipeline {
     store: Arc<SketchStore>,
     queue: Arc<WorkQueue>,
     workers: Option<WorkerPool>,
-    /// Batches accepted by [`Self::enqueue`] — the shard's sequence number.
+    /// Batches accepted by [`Self::enqueue`], or applied in place through a
+    /// [`ShardView`] — the shard's sequence number.
     /// The link is ordered, so "batches received" is an exact cut: a
     /// checkpoint taken now covers precisely these batches, and a
     /// coordinator replaying after a crash resumes strictly after this
     /// count (DESIGN.md §14).
-    batches_enqueued: AtomicU64,
+    batches_enqueued: Arc<AtomicU64>,
     /// Where [`Self::save_checkpoint`] persists the owned state, if
     /// checkpointing is configured.
     checkpoint_path: Mutex<Option<PathBuf>>,
@@ -134,7 +148,7 @@ impl ShardPipeline {
             store,
             queue,
             workers: Some(workers),
-            batches_enqueued: AtomicU64::new(0),
+            batches_enqueued: Arc::new(AtomicU64::new(0)),
             checkpoint_path: Mutex::new(checkpoint_path),
             epochs: Mutex::new(HashMap::new()),
         })
@@ -329,7 +343,11 @@ impl ShardPipeline {
     /// for live views has just flushed the whole fleet.
     pub(crate) fn view(&self, epoch: Option<u64>) -> Result<ShardView, GzError> {
         let overlay = epoch.map(|id| self.sealed_overlay(id)).transpose()?;
-        Ok(ShardView { store: Arc::clone(&self.store), overlay })
+        Ok(ShardView {
+            store: Arc::clone(&self.store),
+            overlay,
+            seq: Arc::clone(&self.batches_enqueued),
+        })
     }
 
     /// Flush, then seal the store's open generation (DESIGN.md §11): every

@@ -9,6 +9,8 @@
 //! and the record that fills a gutter hands its node-keyed [`Batch`]
 //! straight to the caller's `send`, which the transport ships as a single
 //! `Batch{node, records}` frame. Nothing sits between gutter and `send`.
+//! A flush over shards in this process sends nothing: [`ShardRouter::drain_in_place`]
+//! hands each gutter's records to the owning shard's store where they lie.
 //!
 //! Each shard's lane indexes its gutters by *local* node index
 //! (`node / num_shards`, dense within the shard's residue class) so the
@@ -18,7 +20,7 @@
 use crate::config::GutterCapacity;
 use crate::error::GzError;
 use crate::store::NodeSet;
-use gz_gutters::{Batch, GutterSet};
+use gz_gutters::{Batch, GutterSet, IngestCounters, WorkerPool};
 use std::collections::VecDeque;
 
 /// The coordinator's per-shard recovery buffer (DESIGN.md §14): every batch
@@ -105,11 +107,11 @@ struct Lane {
 fn forward<'a>(
     owned: &'a NodeSet,
     shard: u32,
-    emitted: &'a mut u64,
+    counters: &'a IngestCounters,
     send: &'a mut impl FnMut(u32, Batch) -> Result<(), GzError>,
 ) -> impl FnMut(Batch) -> Result<(), GzError> + 'a {
     move |batch| {
-        *emitted += 1;
+        counters.record_batches(1, batch.others.len() as u64);
         send(shard, Batch { node: owned.node(batch.node as usize), others: batch.others })
     }
 }
@@ -118,7 +120,9 @@ fn forward<'a>(
 pub struct ShardRouter {
     lanes: Vec<Lane>,
     num_shards: u32,
-    batches_emitted: u64,
+    /// Batches and records that left the gutters, by either route; the
+    /// system above records its flushes here too.
+    counters: IngestCounters,
 }
 
 impl ShardRouter {
@@ -139,7 +143,7 @@ impl ShardRouter {
                 Lane { gutters: GutterSet::new(owned.len(), cap), owned }
             })
             .collect();
-        ShardRouter { lanes, num_shards, batches_emitted: 0 }
+        ShardRouter { lanes, num_shards, counters: IngestCounters::new() }
     }
 
     /// The shard owning vertex `v`.
@@ -165,7 +169,7 @@ impl ShardRouter {
     ) -> Result<(), GzError> {
         let shard = self.shard_of(dst);
         let Lane { gutters, owned } = &mut self.lanes[shard as usize];
-        let sink = forward(owned, shard, &mut self.batches_emitted, send);
+        let sink = forward(owned, shard, &self.counters, send);
         gutters.insert(owned.slot(dst) as u32, record, sink)
     }
 
@@ -190,9 +194,24 @@ impl ShardRouter {
         send: &mut impl FnMut(u32, Batch) -> Result<(), GzError>,
     ) -> Result<(), GzError> {
         for (shard, Lane { gutters, owned }) in (0..).zip(&mut self.lanes) {
-            gutters.force_flush(forward(owned, shard, &mut self.batches_emitted, send))?;
+            gutters.force_flush(forward(owned, shard, &self.counters, send))?;
         }
         Ok(())
+    }
+
+    /// The flush of a coordinator whose shards are in this process: apply
+    /// every buffered record where it lies ([`GutterSet::drain_in_place`],
+    /// lane by lane) through `apply(shard, node, records)`, `node` a graph
+    /// node id. Each nonempty gutter counts as the batch [`Self::flush`]
+    /// would have sent.
+    pub fn drain_in_place(&mut self, pool: &WorkerPool, apply: &(dyn Fn(u32, u32, &[u32]) + Sync)) {
+        for (shard, Lane { gutters, owned }) in (0..).zip(&mut self.lanes) {
+            let records = gutters.buffered_len() as u64;
+            let batches = gutters.drain_in_place(pool, &|local, records| {
+                apply(shard, owned.node(local as usize), records)
+            });
+            self.counters.record_batches(batches as u64, records);
+        }
     }
 
     /// Records buffered and not yet emitted.
@@ -200,9 +219,15 @@ impl ShardRouter {
         self.lanes.iter().map(|l| l.gutters.buffered_len()).sum()
     }
 
-    /// Batches emitted to transports so far.
+    /// Batches that left the gutters so far, sent or applied in place.
     pub fn batches_emitted(&self) -> u64 {
-        self.batches_emitted
+        self.counters.batches()
+    }
+
+    /// Batches and records that left the gutters, and the flushes the
+    /// system above recorded.
+    pub fn counters(&self) -> &IngestCounters {
+        &self.counters
     }
 }
 

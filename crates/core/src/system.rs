@@ -2,9 +2,9 @@
 //! (`edge_update()` / `list_spanning_forest()`, Figures 8–9).
 
 use crate::boruvka::{boruvka_rounds_with_pool, BoruvkaOutcome};
-use crate::config::{BufferStrategy, GzConfig, StoreBackend};
+use crate::config::{capped_at_host, BufferStrategy, GzConfig, StoreBackend};
 use crate::error::GzError;
-use crate::ingest::{IngestCounters, WorkerPool};
+use crate::ingest::{apply_batch, IngestCounters, WorkerPool};
 use crate::node_sketch::{encode_other, SketchParams};
 use crate::store::{MaterializedSource, RepStats, SketchEpoch, SketchStore, StoreRoundSource};
 use gz_graph::Edge;
@@ -62,11 +62,30 @@ pub struct GraphZeppelin {
     /// its seal (`config.query_staleness`; `None` until the first such
     /// query).
     cached_epoch: Option<(SketchEpoch, u64)>,
-    /// The query worker pool, built lazily for the resolved thread count
-    /// and reused across queries (and across the rounds of each query)
-    /// instead of spawning `query_threads` OS threads per call. Rebuilt
-    /// when [`Self::set_query_threads`] changes the count.
-    query_pool: Option<(usize, gz_gutters::WorkerPool)>,
+    /// The fork-join pool of the stop-the-world phases (DESIGN.md §4),
+    /// `num_workers` wide (capped at the host), built once and kept: a
+    /// flush claims gutters on it, and a query folds its rounds on it
+    /// unless `query_threads` names another width.
+    pool: gz_gutters::WorkerPool,
+    /// The pool queries run on when `query_threads` is not [`Self::pool`]'s
+    /// width: built lazily, kept across queries, rebuilt when
+    /// [`Self::set_query_threads`] changes the count.
+    query_pool: Option<gz_gutters::WorkerPool>,
+}
+
+/// `pool` if it is `threads` wide, else `other`, (re)built at that width.
+fn pool_of_width<'a>(
+    pool: &'a gz_gutters::WorkerPool,
+    other: &'a mut Option<gz_gutters::WorkerPool>,
+    threads: usize,
+) -> &'a gz_gutters::WorkerPool {
+    if pool.threads() == threads {
+        return pool;
+    }
+    if other.as_ref().map(gz_gutters::WorkerPool::threads) != Some(threads) {
+        *other = Some(gz_gutters::WorkerPool::new(threads));
+    }
+    other.as_ref().expect("built above")
 }
 
 impl GraphZeppelin {
@@ -119,6 +138,7 @@ impl GraphZeppelin {
             Arc::clone(&store),
         );
         let counters = workers.counters();
+        let pool = gz_gutters::WorkerPool::new(capped_at_host(config.num_workers));
 
         Ok(GraphZeppelin {
             config,
@@ -132,23 +152,14 @@ impl GraphZeppelin {
             gutter_io,
             buffer_capacity_bytes,
             cached_epoch: None,
+            pool,
             query_pool: None,
         })
     }
 
-    /// Make sure `query_pool` holds a pool for the currently-resolved
-    /// thread count, building (or rebuilding) it if not.
-    fn ensure_query_pool(&mut self) {
-        let threads = self.config.query_threads();
-        if self.query_pool.as_ref().map(|(t, _)| *t) != Some(threads) {
-            self.query_pool = Some((threads, gz_gutters::WorkerPool::new(threads)));
-        }
-    }
-
-    /// The cached query pool for the resolved thread count.
+    /// The pool queries fold on, at the resolved thread count.
     fn query_pool(&mut self) -> &gz_gutters::WorkerPool {
-        self.ensure_query_pool();
-        &self.query_pool.as_ref().expect("pool ensured above").1
+        pool_of_width(&self.pool, &mut self.query_pool, self.config.query_threads())
     }
 
     /// Ingest one stream update — a *toggle* of edge `(u, v)` (paper
@@ -183,11 +194,29 @@ impl GraphZeppelin {
     }
 
     /// Drain all buffered updates into the sketches (paper Figure 9's
-    /// `cleanup()`): force-flush the buffering system, then wait until the
-    /// Graph Workers have acknowledged every batch.
+    /// `cleanup()`). What leaf gutters still hold is applied where it lies,
+    /// by the system's fork-join pool with this thread as worker 0 —
+    /// nothing is emitted and the work queue is not touched; a gutter tree,
+    /// whose records are on disk, force-flushes through the queue as the
+    /// paper does. Either way the flush then waits until the Graph Workers
+    /// have acknowledged every batch that overflowed earlier. The store
+    /// ends up the same bits by either route: XOR commutes, and both call
+    /// one `apply_batch`.
     pub fn flush(&mut self) {
-        self.buffering.force_flush();
+        let buffered = self.buffering.buffered_len() as u64;
+        if buffered == 0 {
+            self.queue.wait_idle();
+            return;
+        }
+        let started = std::time::Instant::now();
+        let (store, group_threads) = (&*self.store, self.config.group_threads);
+        let apply = |node: u32, records: &[u32]| apply_batch(store, node, records, group_threads);
+        match self.buffering.drain_in_place(&self.pool, &apply) {
+            Some(batches) => self.counters.record_batches(batches as u64, buffered),
+            None => self.buffering.force_flush(),
+        }
         self.queue.wait_idle();
+        self.counters.record_flush(started);
     }
 
     /// Compute a spanning forest of the current graph (paper
@@ -224,8 +253,7 @@ impl GraphZeppelin {
             let epoch = self.begin_epoch()?;
             self.cached_epoch = Some((epoch, self.updates_ingested));
         }
-        self.ensure_query_pool();
-        let pool = &self.query_pool.as_ref().expect("pool ensured above").1;
+        let pool = pool_of_width(&self.pool, &mut self.query_pool, self.config.query_threads());
         let (epoch, _) = self.cached_epoch.as_ref().expect("epoch sealed above");
         epoch.spanning_forest_with_pool(pool)
     }
@@ -276,9 +304,15 @@ impl GraphZeppelin {
         self.updates_ingested
     }
 
-    /// Batches applied by the workers so far.
+    /// Batches applied so far, by the Graph Workers or by a flush in place.
     pub fn batches_applied(&self) -> u64 {
         self.counters.batches()
+    }
+
+    /// Batches and records applied, and what the flushes cost
+    /// (`gz components --stats`).
+    pub fn ingest_counters(&self) -> &IngestCounters {
+        &self.counters
     }
 
     /// Total sketch bytes (the paper's Figure 11 memory accounting). With a

@@ -8,14 +8,23 @@
 //!
 //! [`GutterSet`] is the gutters alone: whatever it emits goes to a sink its
 //! caller passes, so a single-threaded consumer (the shard router) forwards
-//! a batch the moment its gutter fills, with no queue in between.
-//! [`LeafGutters`] is the [`BufferingSystem`] whose sink is the push onto
-//! the Graph Workers' [`WorkQueue`].
+//! a batch the moment its gutter fills, with no queue in between — and a
+//! flush whose store is in this process emits nothing at all:
+//! [`GutterSet::drain_in_place`] hands the records to the store where they
+//! lie. [`LeafGutters`] is the [`BufferingSystem`] whose sink is the push
+//! onto the Graph Workers' [`WorkQueue`].
 
 use crate::work_queue::{Batch, WorkQueue};
+use crate::worker_pool::WorkerPool;
 use crate::BufferingSystem;
 use std::convert::Infallible;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+
+/// Gutter indices a flush worker claims at a time: enough that the shared
+/// cursor is touched once per several batches, few enough that uneven
+/// gutters still balance across workers.
+const CLAIM: usize = 16;
 
 /// Per-node in-RAM gutters that hand each emitted [`Batch`] to the caller's
 /// sink. A sink that fails owns the batch it was handed: the error returns
@@ -87,6 +96,46 @@ impl GutterSet {
         (0..self.gutters.len() as u32).try_for_each(|node| self.emit(node, &mut sink))
     }
 
+    /// Flush without emitting: hand every nonempty gutter's records to
+    /// `apply(node, records)` where they lie, on all of `pool`'s workers at
+    /// once (the caller is worker 0), and return how many gutters were
+    /// nonempty — the batches [`Self::force_flush`] would have emitted.
+    /// Workers claim runs of gutter indices off one cursor, so each gutter
+    /// reaches `apply` exactly once, its records in insertion order; no
+    /// [`Batch`] is built and every gutter keeps its buffer for the next
+    /// insert. With nothing buffered the pool is not woken. A panic in
+    /// `apply` is rethrown here with the gutters as they were.
+    pub fn drain_in_place(
+        &mut self,
+        pool: &WorkerPool,
+        apply: &(dyn Fn(u32, &[u32]) + Sync),
+    ) -> usize {
+        if self.buffered == 0 {
+            return 0;
+        }
+        let gutters = &self.gutters;
+        // The cursor publishes nothing: the gutters are read-only for the
+        // whole dispatch, and `run` orders it against this thread.
+        let cursor = AtomicUsize::new(0);
+        pool.run(&|_| loop {
+            let start = cursor.fetch_add(CLAIM, Ordering::Relaxed);
+            if start >= gutters.len() {
+                break;
+            }
+            let claimed = &gutters[start..gutters.len().min(start + CLAIM)];
+            for (node, records) in (start as u32..).zip(claimed).filter(|(_, g)| !g.is_empty()) {
+                apply(node, records);
+            }
+        });
+        let mut nonempty = 0;
+        for gutter in &mut self.gutters {
+            nonempty += usize::from(!gutter.is_empty());
+            gutter.clear();
+        }
+        self.buffered = 0;
+        nonempty
+    }
+
     fn emit<E>(&mut self, node: u32, sink: impl FnOnce(Batch) -> Result<(), E>) -> Result<(), E> {
         let gutter = &mut self.gutters[node as usize];
         if gutter.is_empty() {
@@ -133,6 +182,14 @@ impl BufferingSystem for LeafGutters {
 
     fn buffered_len(&self) -> usize {
         self.gutters.buffered_len()
+    }
+
+    fn drain_in_place(
+        &mut self,
+        pool: &WorkerPool,
+        apply: &(dyn Fn(u32, &[u32]) + Sync),
+    ) -> Option<usize> {
+        Some(self.gutters.drain_in_place(pool, apply))
     }
 }
 
@@ -212,6 +269,83 @@ mod tests {
         });
         assert_eq!((err, seen), (Err("still down"), vec![0]));
         assert_eq!(g.buffered_len(), 1);
+    }
+
+    /// Gutter `n` of 100 holds `n % 7` records (so some are empty), gutter
+    /// 50 all but one of its 64: what four claiming workers must split.
+    fn uneven() -> (GutterSet, Vec<(u32, Vec<u32>)>) {
+        let mut g = GutterSet::new(100, 64);
+        let mut expected = Vec::new();
+        for node in 0..100u32 {
+            let len = if node == 50 { 63 } else { node % 7 };
+            let records: Vec<u32> = (0..len).map(|i| node * 1000 + i).collect();
+            for &r in &records {
+                g.insert(node, r, |_| -> Result<(), Infallible> {
+                    unreachable!("no gutter fills")
+                })
+                .unwrap();
+            }
+            if len > 0 {
+                expected.push((node, records));
+            }
+        }
+        (g, expected)
+    }
+
+    #[test]
+    fn drain_in_place_applies_each_gutter_once_and_keeps_its_buffer() {
+        let pool = WorkerPool::new(4);
+        let (mut g, expected) = uneven();
+        let buffers: Vec<(*const u32, usize)> =
+            g.gutters.iter().map(|v| (v.as_ptr(), v.capacity())).collect();
+        let seen = parking_lot::Mutex::new(Vec::new());
+        let apply = |node: u32, records: &[u32]| seen.lock().push((node, records.to_vec()));
+        assert_eq!(g.drain_in_place(&pool, &apply), expected.len());
+        let mut seen = seen.into_inner();
+        seen.sort();
+        assert_eq!(seen, expected, "each nonempty gutter once, its records in insertion order");
+        assert_eq!(g.buffered_len(), 0);
+        assert!(g.gutters.iter().all(Vec::is_empty));
+
+        // Nothing was taken: every gutter still owns the buffer it had, and
+        // the next insert lands in it.
+        g.insert(50, 7, |_| -> Result<(), Infallible> { unreachable!() }).unwrap();
+        let after: Vec<(*const u32, usize)> =
+            g.gutters.iter().map(|v| (v.as_ptr(), v.capacity())).collect();
+        assert_eq!(after, buffers);
+        assert_eq!((g.gutters[50].as_slice(), g.buffered_len()), (&[7u32][..], 1));
+
+        // With nothing buffered the pool is not dispatched at all.
+        assert_eq!(g.drain_in_place(&pool, &|_, _| {}), 1);
+        assert_eq!(g.drain_in_place(&pool, &|_, _| unreachable!("nothing is buffered")), 0);
+    }
+
+    #[test]
+    fn a_panicking_apply_propagates_to_the_flushing_thread() {
+        let pool = WorkerPool::new(4);
+        let (mut g, expected) = uneven();
+        let buffered = g.buffered_len();
+        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            g.drain_in_place(&pool, &|node, _| assert_ne!(node, 50, "apply failed"))
+        }));
+        assert!(died.is_err(), "the panic reaches the caller; the flush does not hang");
+        assert_eq!(g.buffered_len(), buffered, "gutters are as they were");
+        // Pool and gutters both still work.
+        assert_eq!(g.drain_in_place(&pool, &|_, _| {}), expected.len());
+    }
+
+    #[test]
+    fn leaf_gutters_drain_in_place_without_touching_the_queue() {
+        let (mut g, q) = setup(4, 8);
+        g.insert(2, 5);
+        g.insert(2, 6);
+        let pool = WorkerPool::new(2);
+        let seen = parking_lot::Mutex::new(Vec::new());
+        let apply = |node: u32, records: &[u32]| seen.lock().push((node, records.to_vec()));
+        assert_eq!(BufferingSystem::drain_in_place(&mut g, &pool, &apply), Some(1));
+        assert_eq!(seen.into_inner(), vec![(2, vec![5, 6])]);
+        assert!(q.is_empty(), "the work queue is not touched");
+        assert_eq!(g.buffered_len(), 0);
     }
 
     #[test]

@@ -52,4 +52,19 @@ pub trait BufferingSystem {
 
     /// Total updates currently buffered (not yet emitted).
     fn buffered_len(&self) -> usize;
+
+    /// The flush of a caller whose store is in this process: apply every
+    /// buffered record where it lies ([`GutterSet::drain_in_place`]) instead
+    /// of emitting it, and return the batches that stood for. `None` — the
+    /// default, and the gutter tree's answer, whose records are on disk —
+    /// buffers nothing the caller could be handed: it calls
+    /// [`Self::force_flush`]. Batches that left earlier are on the work
+    /// queue either way.
+    fn drain_in_place(
+        &mut self,
+        _pool: &WorkerPool,
+        _apply: &(dyn Fn(u32, &[u32]) + Sync),
+    ) -> Option<usize> {
+        None
+    }
 }

@@ -294,12 +294,37 @@ counter_set! {
 }
 
 counter_set! {
-    /// What a pool of Graph Workers applied to its store.
+    /// What an ingest front moved toward its store — a single-node system's
+    /// Graph Workers and flushes, or a shard router — and what its flushes
+    /// cost.
     IngestCounters {
-        /// Batches applied.
+        /// Batches applied (single node) or routed (coordinator); a gutter a
+        /// flush applies in place counts as the batch it stands for.
         batches: Sum,
-        /// Individual update records applied.
+        /// Individual update records inside those batches.
         records: Sum,
+        /// Flushes that found records buffered.
+        flushes: Sum,
+        /// Nanoseconds those flushes took, waiting out the work queue included.
+        flush_ns: Sum,
+        /// The longest of them.
+        flush_ns_max: Max,
+    }
+}
+
+impl IngestCounters {
+    /// Record `batches` batches holding `records` records between them.
+    pub fn record_batches(&self, batches: u64, records: u64) {
+        self.batches.add(batches);
+        self.records.add(records);
+    }
+
+    /// Record one flush that began at `started`.
+    pub fn record_flush(&self, started: std::time::Instant) {
+        let ns = started.elapsed().as_nanos() as u64;
+        self.flushes.add(1);
+        self.flush_ns.add(ns);
+        self.flush_ns_max.raise_to(ns);
     }
 }
 
@@ -386,6 +411,14 @@ mod tests {
         r.record_replay(5);
         r.record_replay(0);
         assert_eq!((r.replays(), r.batches_replayed()), (2, 5));
+
+        let ingest = IngestCounters::new();
+        ingest.record_batches(2, 30);
+        let started = std::time::Instant::now();
+        ingest.record_flush(started);
+        ingest.record_flush(started);
+        assert_eq!((ingest.batches(), ingest.records(), ingest.flushes()), (2, 30, 2));
+        assert!(ingest.flush_ns_max() <= ingest.flush_ns());
 
         let link = LinkStats::new();
         link.frames_in.add(3);

@@ -269,6 +269,43 @@ fn sharded_reseal_captures_nothing_unless_a_query_still_holds_the_old_epoch() {
     gz.shutdown().expect("clean shutdown");
 }
 
+/// A flush that applies the gutters in place is still a copy-on-write
+/// writer: under a held epoch it captures exactly the vertices it touches —
+/// one batch each, none through the work queue — and the epoch keeps
+/// answering its sealed cut.
+#[test]
+fn in_place_flush_under_a_held_epoch_captures_exactly_what_it_touches() {
+    let n = 32u64;
+    let path = [(3u32, 4u32, false), (4, 5, false), (5, 6, true), (20, 21, false)];
+    let touched = 6; // vertices 3, 4, 5, 6, 20, 21
+
+    let mut gz = GraphZeppelin::new(GzConfig::in_ram(n)).expect("system");
+    ingest_single(&mut gz, &ring(n, 1));
+    let held = gz.begin_epoch().expect("seal");
+    let sealed = held.spanning_forest().expect("sealed answer");
+    let (batches, flushes) = (gz.batches_applied(), gz.ingest_counters().flushes());
+    ingest_single(&mut gz, &path);
+    gz.flush();
+    assert_eq!(gz.batches_applied() - batches, touched, "one batch per touched gutter");
+    assert_eq!(gz.ingest_counters().flushes() - flushes, 1);
+    assert_eq!(gz.store().epoch_captures(), touched);
+    assert_eq!(held.captured_groups(), touched as usize);
+    assert_same_answer(&held.spanning_forest().expect("held epoch still answers"), &sealed);
+
+    let mut gz = ShardedGraphZeppelin::in_process(ShardConfig::in_ram(n, 3)).expect("sharded");
+    gz.ingest(ring(n, 1)).expect("ingest");
+    let held = gz.begin_epoch().expect("seal");
+    let sealed = held.spanning_forest().expect("sealed answer");
+    let shipped = gz.batches_shipped();
+    gz.ingest(path).expect("ingest");
+    gz.flush().expect("flush");
+    assert_eq!(gz.batches_shipped() - shipped, touched, "one batch per touched gutter");
+    assert_eq!(gz.epoch_captures().expect("in-process shards"), Some(touched));
+    assert_same_answer(&held.spanning_forest().expect("held epoch still answers"), &sealed);
+    drop(held);
+    gz.shutdown().expect("clean shutdown");
+}
+
 mod epoch_equivalence_proptests {
     use super::*;
     use proptest::prelude::*;

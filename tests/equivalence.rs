@@ -289,6 +289,82 @@ fn streaming_query_bit_identical_across_stores_and_shard_counts() {
     }
 }
 
+#[test]
+fn in_place_flush_bit_identical_to_the_queue_route() {
+    // A flush applies what the gutters hold where it lies; the reference
+    // never lets a flush find anything: one-record gutters send every record
+    // down the overflow path, gutter → queue → Graph Worker. Default gutters
+    // (nothing overflows on this stream) and 40-record ones (both routes in
+    // one run) must leave the same bytes and the same answer, single-node
+    // and sharded, whether the shards are in this process (applied in place)
+    // or behind sockets (sent as batches).
+    let (v, updates) = shared_stream();
+    let mut queue_only = GzConfig::in_ram(v);
+    queue_only.buffering = BufferStrategy::LeafOnly { capacity: GutterCapacity::Updates(1) };
+    let mut reference = ingested(queue_only, &updates);
+    let want_state = reference.snapshot_serialized();
+    let want = reference.spanning_forest().expect("reference query");
+    assert_eq!(reference.ingest_counters().flushes(), 0, "the reference never flushes a record");
+    assert_eq!(reference.ingest_counters().records(), 2 * updates.len() as u64);
+    let same_answer = |got: graph_zeppelin::BoruvkaOutcome, what: &str| {
+        assert_eq!(got.labels, want.labels, "{what}: labels");
+        assert_eq!(got.forest, want.forest, "{what}: forest");
+        assert_eq!(got.rounds_used, want.rounds_used, "{what}: rounds");
+        assert_eq!(got.sketch_failures, want.sketch_failures, "{what}: failures");
+    };
+
+    let store_in = |dir: &TempDir, on_disk: bool| match on_disk {
+        true => {
+            StoreBackend::Disk { dir: dir.path().to_path_buf(), block_bytes: 4096, cache_groups: 2 }
+        }
+        false => StoreBackend::Ram,
+    };
+    let fleets = [
+        (1u32, Transport::InProcess),
+        (3, Transport::InProcess),
+        (1, Transport::Socket),
+        (3, Transport::Socket),
+    ];
+    for capacity in [GutterCapacity::SketchFactor(0.5), GutterCapacity::Updates(40)] {
+        let stores = [(false, 0u32), (false, 64), (true, 0), (true, 64)];
+        for (workers, (on_disk, tau)) in
+            [1usize, 2, 4].into_iter().flat_map(|w| stores.map(|store| (w, store)))
+        {
+            let what = format!("{workers} workers, disk {on_disk}, tau {tau}, {capacity:?}");
+            let dir = TempDir::new("gz-equiv-inplace");
+            let mut config = GzConfig::in_ram(v);
+            config.num_workers = workers;
+            config.store = store_in(&dir, on_disk);
+            config.sketch_threshold = tau;
+            config.buffering = BufferStrategy::LeafOnly { capacity };
+            let mut gz = ingested(config, &updates);
+            assert_eq!(gz.snapshot_serialized(), want_state, "single node, {what}: state");
+            let counters = gz.ingest_counters();
+            assert_eq!(counters.flushes(), 1, "single node, {what}: one flush found records");
+            assert_eq!(counters.records(), 2 * updates.len() as u64, "single node, {what}");
+            same_answer(gz.spanning_forest().expect("query"), &format!("single node, {what}"));
+
+            for (shards, transport) in fleets {
+                let what = format!("{shards} shards over {transport:?}, {what}");
+                let dir = TempDir::new("gz-equiv-inplace-shards");
+                let mut config = ShardConfig::in_ram(v, shards);
+                config.workers_per_shard = workers;
+                config.store = store_in(&dir, on_disk);
+                config.sketch_threshold = tau;
+                config.router_capacity = capacity;
+                let mut gz = sharded_system(config, transport);
+                for upd in &updates {
+                    gz.update(upd.u, upd.v, upd.kind == UpdateKind::Delete).expect("routed update");
+                }
+                assert_eq!(gz.gather_serialized().expect("gather"), want_state, "{what}: state");
+                assert_eq!(gz.ingest_counters().records(), 2 * updates.len() as u64, "{what}");
+                same_answer(gz.spanning_forest().expect("query"), &what);
+                gz.shutdown().expect("clean shutdown");
+            }
+        }
+    }
+}
+
 mod streaming_query_proptests {
     use super::*;
     use proptest::prelude::*;
