@@ -4,7 +4,8 @@
 //! gutter-sized batches vs dup-heavy batches through the cancellation
 //! pre-pass (updates/sec) — and `gz_flush`, what a flush costs when every
 //! gutter holds a few records (a `gz serve` seal) or nearly a full batch (the
-//! end of a `kron13_ram` pass), single-node and over one in-process shard.
+//! end of a `kron13_ram` pass), single-node, over one in-process shard, and
+//! behind the gutter tree `kron13_disk` runs.
 //!
 //! Set `GZ_BENCH_SMOKE=1` to run at tiny scale (the CI smoke mode); the
 //! kernel comparison asserts its ≥2× batched-over-singles claim in both
@@ -243,10 +244,14 @@ fn bench_ingest_hybrid(c: &mut Criterion) {
 /// lie, no batch built and the work queue left alone. `single-node` is
 /// `GraphZeppelin::flush`, `one-shard` is `ShardedGraphZeppelin::flush` over
 /// one in-process shard — `gz serve`'s seal. Gutters hold 512 records, so
-/// nothing overflows while they fill: the flush is all there is. Median ns
-/// per flush over alternating repetitions, each on fresh records; the first
-/// repetition's stores are checked byte-for-byte against a system whose
-/// one-record gutters sent the same records through the queue.
+/// nothing overflows while they fill: the flush is all there is. `tree` is
+/// `GraphZeppelin::flush` behind `GzConfig::on_disk`'s gutter tree over a RAM
+/// store, so the row isolates the buffering: the root cascades into the
+/// tree's last internal level, whose nodes the pool then claims, each read
+/// once and handed to its leaves. Median ns per flush over alternating
+/// repetitions, each on fresh records; the first repetition's stores are
+/// checked byte-for-byte against a system whose one-record gutters sent the
+/// same records through the queue.
 fn bench_flush(_c: &mut Criterion) {
     let num_nodes: u64 = if smoke() { 1 << 10 } else { 1 << 12 };
     let reps = if smoke() { 2 } else { 9 };
@@ -260,6 +265,9 @@ fn bench_flush(_c: &mut Criterion) {
     let mut shard_config = ShardConfig::in_ram(num_nodes, 1);
     shard_config.workers_per_shard = 2;
     shard_config.router_capacity = capacity;
+    let tree_dir = gz_bench::harness::scratch_dir("flush-tree");
+    let mut tree_config = single_config(capacity);
+    tree_config.buffering = GzConfig::on_disk(num_nodes, tree_dir.path().to_path_buf()).buffering;
 
     for pending in [16u32, 446] {
         // Repetition `rep` toggles, for every `u`, the `pending / 2` edges
@@ -273,13 +281,16 @@ fn bench_flush(_c: &mut Criterion) {
         assert!(u64::from(reps * pending / 2) < num_nodes, "offsets must not wrap onto `u`");
         let mut single = GraphZeppelin::new(single_config(capacity)).unwrap();
         let mut shard = ShardedGraphZeppelin::in_process(shard_config.clone()).unwrap();
-        let (mut single_ns, mut shard_ns) = (Vec::new(), Vec::new());
+        let mut tree = GraphZeppelin::new(tree_config.clone()).unwrap();
+        let (mut single_ns, mut shard_ns, mut tree_ns) = (Vec::new(), Vec::new(), Vec::new());
         for rep in 0..reps {
-            single.ingest(edges(rep));
-            assert_eq!(single.batches_applied(), u64::from(rep) * num_nodes, "nothing overflowed");
-            let started = Instant::now();
-            single.flush();
-            single_ns.push(started.elapsed().as_nanos() as f64);
+            for (gz, ns) in [(&mut single, &mut single_ns), (&mut tree, &mut tree_ns)] {
+                gz.ingest(edges(rep));
+                assert_eq!(gz.batches_applied(), u64::from(rep) * num_nodes, "nothing overflowed");
+                let started = Instant::now();
+                gz.flush();
+                ns.push(started.elapsed().as_nanos() as f64);
+            }
 
             shard.ingest(edges(rep)).unwrap();
             assert_eq!(shard.batches_shipped(), u64::from(rep) * num_nodes, "nothing overflowed");
@@ -294,6 +305,7 @@ fn bench_flush(_c: &mut Criterion) {
                 let want = queued.snapshot_serialized();
                 assert_eq!(queued.ingest_counters().flushes(), 0, "the reference only overflows");
                 assert_eq!(single.snapshot_serialized(), want, "{pending} pending, single-node");
+                assert_eq!(tree.snapshot_serialized(), want, "{pending} pending, tree");
                 assert_eq!(
                     shard.gather_serialized().unwrap(),
                     want,
@@ -304,6 +316,7 @@ fn bench_flush(_c: &mut Criterion) {
         shard.shutdown().unwrap();
         criterion::record_custom(format!("gz_flush/{pending}/single-node"), median(&mut single_ns));
         criterion::record_custom(format!("gz_flush/{pending}/one-shard"), median(&mut shard_ns));
+        criterion::record_custom(format!("gz_flush/{pending}/tree"), median(&mut tree_ns));
     }
 }
 

@@ -923,6 +923,9 @@ pub fn execute(cmd: Command) -> Result<String, String> {
                         io.mean_depth(),
                     ));
                 }
+                if let Some(io) = gz.gutter_io() {
+                    out.push_str(&format!("gutter tree: {io}\n"));
+                }
                 out.push_str(&format!("ingest: {}\n", gz.ingest_counters()));
             }
             if args.forest {
@@ -1790,6 +1793,34 @@ mod tests {
             }
             assert!(io_line.contains("submissions"), "{io_line}");
         }
+    }
+
+    #[test]
+    fn tree_stats_print_the_gutter_trees_io() {
+        // kron5 never fills the tree's 1 MiB root, and the query's flush
+        // partitions a depth-1 root in RAM: the tree moved no byte at all.
+        let path = tmp("tree-stats");
+        execute(Command::Generate {
+            dataset: DatasetArg::Kron(5),
+            seed: 29,
+            out: path.to_path_buf(),
+        })
+        .unwrap();
+        let workdir = gz_testutil::TempPath::new("gz-cli-tree-stats", ".d");
+        let mut cmd = components_cmd(&path, None);
+        if let Command::Components(ComponentsArgs { buffering, dir, stats, .. }) = &mut cmd {
+            *buffering = BufferingArg::Tree;
+            *dir = Some(workdir.to_path_buf());
+            *stats = true;
+        }
+        let out = execute(cmd).unwrap();
+        let lines: Vec<&str> = out.lines().collect();
+        let tree = lines.iter().position(|l| l.starts_with("gutter tree: ")).expect(&out);
+        assert!(
+            lines[tree].starts_with("gutter tree: reads=0 writes=0 bytes_read=0 bytes_written=0 "),
+            "{out}"
+        );
+        assert!(lines[tree + 1].starts_with("ingest: "), "{out}");
     }
 
     #[test]

@@ -194,27 +194,29 @@ impl GraphZeppelin {
     }
 
     /// Drain all buffered updates into the sketches (paper Figure 9's
-    /// `cleanup()`). What leaf gutters still hold is applied where it lies,
-    /// by the system's fork-join pool with this thread as worker 0 —
-    /// nothing is emitted and the work queue is not touched; a gutter tree,
-    /// whose records are on disk, force-flushes through the queue as the
-    /// paper does. Either way the flush then waits until the Graph Workers
-    /// have acknowledged every batch that overflowed earlier. The store
-    /// ends up the same bits by either route: XOR commutes, and both call
-    /// one `apply_batch`.
+    /// `cleanup()`). What the buffering system still holds is applied by
+    /// the system's fork-join pool with this thread as worker 0, no batch
+    /// built: leaf gutters hand over their records where they lie, a gutter
+    /// tree reads each last-level node once and hands over its leaves. The
+    /// flush then waits until the Graph Workers have acknowledged every
+    /// batch that overflowed before or during it. The store ends up the same
+    /// bits by either route: XOR commutes, and both call one `apply_batch`.
     pub fn flush(&mut self) {
-        let buffered = self.buffering.buffered_len() as u64;
-        if buffered == 0 {
+        if self.buffering.buffered_len() == 0 {
             self.queue.wait_idle();
             return;
         }
         let started = std::time::Instant::now();
         let (store, group_threads) = (&*self.store, self.config.group_threads);
-        let apply = |node: u32, records: &[u32]| apply_batch(store, node, records, group_threads);
-        match self.buffering.drain_in_place(&self.pool, &apply) {
-            Some(batches) => self.counters.record_batches(batches as u64, buffered),
-            None => self.buffering.force_flush(),
-        }
+        // Counted as applied: a tree leaf that fills during the drain leaves
+        // by the queue, and its Graph Worker counts it.
+        let records = gz_gutters::Counter::default();
+        let apply = |node: u32, batch: &[u32]| {
+            records.add(batch.len() as u64);
+            apply_batch(store, node, batch, group_threads);
+        };
+        let batches = self.buffering.drain_in_place(&self.pool, &apply);
+        self.counters.record_batches(batches as u64, records.get());
         self.queue.wait_idle();
         self.counters.record_flush(started);
     }

@@ -24,7 +24,7 @@ use std::sync::Arc;
 /// Gutter indices a flush worker claims at a time: enough that the shared
 /// cursor is touched once per several batches, few enough that uneven
 /// gutters still balance across workers.
-const CLAIM: usize = 16;
+pub(crate) const CLAIM: usize = 16;
 
 /// Per-node in-RAM gutters that hand each emitted [`Batch`] to the caller's
 /// sink. A sink that fails owns the batch it was handed: the error returns
@@ -184,12 +184,8 @@ impl BufferingSystem for LeafGutters {
         self.gutters.buffered_len()
     }
 
-    fn drain_in_place(
-        &mut self,
-        pool: &WorkerPool,
-        apply: &(dyn Fn(u32, &[u32]) + Sync),
-    ) -> Option<usize> {
-        Some(self.gutters.drain_in_place(pool, apply))
+    fn drain_in_place(&mut self, pool: &WorkerPool, apply: &(dyn Fn(u32, &[u32]) + Sync)) -> usize {
+        self.gutters.drain_in_place(pool, apply)
     }
 }
 
@@ -342,7 +338,7 @@ mod tests {
         let pool = WorkerPool::new(2);
         let seen = parking_lot::Mutex::new(Vec::new());
         let apply = |node: u32, records: &[u32]| seen.lock().push((node, records.to_vec()));
-        assert_eq!(BufferingSystem::drain_in_place(&mut g, &pool, &apply), Some(1));
+        assert_eq!(BufferingSystem::drain_in_place(&mut g, &pool, &apply), 1);
         assert_eq!(seen.into_inner(), vec![(2, vec![5, 6])]);
         assert!(q.is_empty(), "the work queue is not touched");
         assert_eq!(g.buffered_len(), 0);

@@ -19,7 +19,7 @@
 //!   counter set the system keeps, declared through one form.
 //! - [`worker_pool`] — a persistent fork-join pool for data-parallel phases
 //!   (the streaming Borůvka query engine's per-round fold/sample/read
-//!   dispatch).
+//!   dispatch, and the in-place flush of either buffering system).
 
 pub mod leaf;
 pub mod stats;
@@ -53,18 +53,14 @@ pub trait BufferingSystem {
     /// Total updates currently buffered (not yet emitted).
     fn buffered_len(&self) -> usize;
 
-    /// The flush of a caller whose store is in this process: apply every
-    /// buffered record where it lies ([`GutterSet::drain_in_place`]) instead
-    /// of emitting it, and return the batches that stood for. `None` — the
-    /// default, and the gutter tree's answer, whose records are on disk —
-    /// buffers nothing the caller could be handed: it calls
-    /// [`Self::force_flush`]. Batches that left earlier are on the work
-    /// queue either way.
-    fn drain_in_place(
-        &mut self,
-        _pool: &WorkerPool,
-        _apply: &(dyn Fn(u32, &[u32]) + Sync),
-    ) -> Option<usize> {
-        None
-    }
+    /// The flush of a caller whose store is in this process: hand every
+    /// buffered record to `apply(node, records)` — once per nonempty gutter,
+    /// its records in arrival order, on all of `pool`'s workers with the
+    /// caller as worker 0 — instead of emitting it, and return the batches
+    /// that stood for. Leaf gutters apply their records where they lie
+    /// ([`GutterSet::drain_in_place`]); a gutter tree reads each last-level
+    /// node once and applies its leaves, and a leaf that fills while the
+    /// levels above cascade leaves by the work queue, as any overflow does.
+    /// With nothing buffered `apply` is never called.
+    fn drain_in_place(&mut self, pool: &WorkerPool, apply: &(dyn Fn(u32, &[u32]) + Sync)) -> usize;
 }

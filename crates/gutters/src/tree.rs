@@ -3,21 +3,31 @@
 //! A simplified buffer tree: an in-RAM root buffer, internal tree nodes with
 //! fixed-size pre-allocated disk buffers, and one leaf gutter per graph node.
 //! Inserts go to the root; a full buffer is partitioned among its children
-//! (recursively flushing any child that would overflow); a full **leaf
-//! gutter** is emitted to the work queue as a batch for its graph node.
-//! Because leaf data never persists across emits, no rebalancing is ever
-//! needed (paper §4.1), and the total I/O for a stream of length `N` is
-//! `sort(N)` (Lemma 4).
+//! in one stable counting pass — bucketed by child index, never compared, so
+//! each child gets its records in arrival order — recursively flushing any
+//! child that would overflow; a full **leaf gutter** is emitted to the work
+//! queue as a batch for its graph node. Because leaf data never persists
+//! across emits, no rebalancing is ever needed (paper §4.1), and the total
+//! I/O for a stream of length `N` is `sort(N)` (Lemma 4).
+//!
+//! A flush whose store is in this process ([`BufferingSystem::drain_in_place`])
+//! applies the last internal level where it lies, on a fork-join pool: each
+//! node is read once and every leaf handed its stored records, then those in
+//! transit. Lemma 4's I/O is unchanged except the final leaf round trip,
+//! which is never written.
 //!
 //! Paper defaults: 8 MB internal buffers written in 16 KB blocks, giving a
 //! fan-out of 512; each leaf gutter is twice the node-sketch size.
 
+use crate::leaf::CLAIM;
 use crate::stats::IoStats;
 use crate::work_queue::{Batch, WorkQueue};
+use crate::worker_pool::WorkerPool;
 use crate::BufferingSystem;
 use std::fs::File;
 use std::os::unix::fs::FileExt;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Configuration of a [`GutterTree`].
@@ -62,6 +72,9 @@ impl GutterTreeConfig {
     }
 }
 
+/// A buffered update: (destination node, other endpoint).
+type Record = (u32, u32);
+
 const RECORD_BYTES: usize = 8; // (dst: u32, other: u32)
 const LEAF_RECORD_BYTES: usize = 4; // leaf gutters store only `other`
 
@@ -72,7 +85,7 @@ pub struct GutterTree {
     stats: Arc<IoStats>,
     queue: Arc<WorkQueue>,
     /// Root buffer (RAM) of (dst, other) records.
-    root: Vec<(u32, u32)>,
+    root: Vec<Record>,
     root_capacity: usize,
     /// Depth: number of hops root→leaf (≥ 1). Internal levels are 1..depth.
     depth: u32,
@@ -87,7 +100,6 @@ pub struct GutterTree {
     /// File offset where leaf regions begin.
     leaf_region_start: u64,
     buffered: usize,
-    emitted_batches: u64,
 }
 
 impl GutterTree {
@@ -149,7 +161,6 @@ impl GutterTree {
             file,
             queue,
             buffered: 0,
-            emitted_batches: 0,
             config,
         })
     }
@@ -157,11 +168,6 @@ impl GutterTree {
     /// I/O counters for this tree.
     pub fn stats(&self) -> Arc<IoStats> {
         Arc::clone(&self.stats)
-    }
-
-    /// Number of batches emitted to the queue.
-    pub fn emitted_batches(&self) -> u64 {
-        self.emitted_batches
     }
 
     /// Tree depth (root→leaf hops).
@@ -187,7 +193,7 @@ impl GutterTree {
             + leaf as u64 * (self.config.leaf_capacity_updates * LEAF_RECORD_BYTES) as u64
     }
 
-    fn write_internal(&mut self, node_index: usize, records: &[(u32, u32)]) -> std::io::Result<()> {
+    fn write_internal(&mut self, node_index: usize, records: &[Record]) -> std::io::Result<()> {
         let mut bytes = Vec::with_capacity(records.len() * RECORD_BYTES);
         for &(d, o) in records {
             bytes.extend_from_slice(&d.to_le_bytes());
@@ -201,162 +207,201 @@ impl GutterTree {
         Ok(())
     }
 
-    fn read_internal(&self, node_index: usize) -> std::io::Result<Vec<(u32, u32)>> {
+    /// Append the records stored in internal node `node_index` to `out`.
+    fn read_internal(&self, node_index: usize, out: &mut Vec<Record>) -> std::io::Result<()> {
         let n = self.internal_fill[node_index];
+        if n == 0 {
+            return Ok(());
+        }
         let mut bytes = vec![0u8; n * RECORD_BYTES];
         self.file.read_exact_at(&mut bytes, self.internal_offset(node_index))?;
         self.stats.record_read(bytes.len() as u64);
-        Ok(bytes
-            .chunks_exact(RECORD_BYTES)
-            .map(|c| {
-                (
-                    u32::from_le_bytes(c[0..4].try_into().unwrap()),
-                    u32::from_le_bytes(c[4..8].try_into().unwrap()),
-                )
-            })
-            .collect())
+        out.extend(bytes.chunks_exact(RECORD_BYTES).map(|c| (le_u32(&c[..4]), le_u32(&c[4..]))));
+        Ok(())
     }
 
-    /// Push records into the level-`k` node covering `leaf_group`; flush it
-    /// first if it would overflow.
+    /// Append the records stored in leaf gutter `leaf` to `out`.
+    fn read_leaf(&self, leaf: u32, out: &mut Vec<u32>) -> std::io::Result<()> {
+        let fill = self.leaf_fill[leaf as usize];
+        if fill == 0 {
+            return Ok(());
+        }
+        let mut bytes = vec![0u8; fill * LEAF_RECORD_BYTES];
+        self.file.read_exact_at(&mut bytes, self.leaf_offset(leaf))?;
+        self.stats.record_read(bytes.len() as u64);
+        out.extend(bytes.chunks_exact(LEAF_RECORD_BYTES).map(le_u32));
+        Ok(())
+    }
+
+    /// Push records into the level-`k` node whose leaves start at
+    /// `first_leaf`; flush it first if it would overflow.
     fn push_to_internal(
         &mut self,
         k: usize,
-        leaf: u64,
-        records: Vec<(u32, u32)>,
+        first_leaf: u64,
+        records: &[Record],
     ) -> std::io::Result<()> {
-        let node_index = self.node_at(k, leaf);
+        let node_index = self.node_at(k, first_leaf);
         if self.internal_fill[node_index] + records.len() > self.internal_capacity() {
-            self.flush_internal(k, leaf, records)
+            self.flush_internal(k, first_leaf, records)
         } else {
-            self.write_internal(node_index, &records)
+            self.write_internal(node_index, records)
         }
     }
 
-    /// Flush the level-`k` node covering `leaf`: stored records plus
-    /// `incoming` are partitioned among its children.
+    /// Flush the level-`k` node whose leaves start at `first_leaf`: stored
+    /// records, then `incoming`, are partitioned among its children.
     fn flush_internal(
         &mut self,
         k: usize,
-        leaf: u64,
-        incoming: Vec<(u32, u32)>,
+        first_leaf: u64,
+        incoming: &[Record],
     ) -> std::io::Result<()> {
-        let node_index = self.node_at(k, leaf);
-        let mut all = self.read_internal(node_index)?;
+        let node_index = self.node_at(k, first_leaf);
+        let mut all = Vec::with_capacity(self.internal_fill[node_index] + incoming.len());
+        self.read_internal(node_index, &mut all)?;
         self.internal_fill[node_index] = 0;
-        all.extend(incoming);
-        self.partition_down(k, all)
+        all.extend_from_slice(incoming);
+        self.partition_down(k, first_leaf, &all)
     }
 
-    /// Route records from level `k` to its children (level k+1 or leaves).
-    fn partition_down(&mut self, k: usize, records: Vec<(u32, u32)>) -> std::io::Result<()> {
-        let child_level = k + 1;
-        let child_span = self.level_span[child_level];
-        // Group by child. Sorting by destination gives contiguous groups and
-        // is what makes the tree's I/O pattern sequential per child.
-        let mut records = records;
-        records.sort_unstable_by_key(|&(d, _)| d);
-        let mut i = 0;
-        while i < records.len() {
-            let group_id = records[i].0 as u64 / child_span;
-            let mut j = i;
-            while j < records.len() && records[j].0 as u64 / child_span == group_id {
-                j += 1;
+    /// Route the records of the level-`k` node whose leaves start at
+    /// `first_leaf` to its children (level k+1 or leaves).
+    fn partition_down(
+        &mut self,
+        k: usize,
+        first_leaf: u64,
+        records: &[Record],
+    ) -> std::io::Result<()> {
+        let child_span = self.level_span[k + 1];
+        let first_child = first_leaf / child_span;
+        let end = first_leaf.saturating_add(self.level_span[k]).min(self.config.num_nodes as u64);
+        let children = (end - first_leaf).div_ceil(child_span) as usize;
+        let mut parts = Partition::default();
+        parts.fill(records, child_span, first_child, children);
+        for (child, part) in (first_child..).zip(parts.buckets(0, children)) {
+            if part.is_empty() {
+                continue;
             }
-            let part: Vec<(u32, u32)> = records[i..j].to_vec();
-            if child_level == self.depth as usize {
-                // Children are leaf gutters; within the group, split by leaf.
-                let mut s = 0;
-                while s < part.len() {
-                    let dst = part[s].0;
-                    let mut t = s;
-                    while t < part.len() && part[t].0 == dst {
-                        t += 1;
-                    }
-                    let others: Vec<u32> = part[s..t].iter().map(|&(_, o)| o).collect();
-                    self.push_to_leaf(dst, &others)?;
-                    s = t;
-                }
+            if k + 1 == self.depth as usize {
+                self.push_to_leaf(child as u32, part)?;
             } else {
-                self.push_to_internal(child_level, group_id * child_span, part)?;
+                self.push_to_internal(k + 1, child * child_span, part)?;
             }
-            i = j;
         }
         Ok(())
     }
 
     /// Append records to a leaf gutter, emitting a batch when it fills.
-    fn push_to_leaf(&mut self, leaf: u32, others: &[u32]) -> std::io::Result<()> {
+    fn push_to_leaf(&mut self, leaf: u32, records: &[Record]) -> std::io::Result<()> {
         let cap = self.config.leaf_capacity_updates;
         let fill = self.leaf_fill[leaf as usize];
-        if fill + others.len() >= cap {
-            // Read stored records, combine, emit one batch, reset.
-            let mut stored = vec![0u8; fill * LEAF_RECORD_BYTES];
-            self.file.read_exact_at(&mut stored, self.leaf_offset(leaf))?;
-            self.stats.record_read(stored.len() as u64);
-            let mut combined: Vec<u32> = stored
-                .chunks_exact(LEAF_RECORD_BYTES)
-                .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-                .collect();
-            combined.extend_from_slice(others);
+        if fill + records.len() >= cap {
+            // Stored records, then the in-transit ones: one batch, in arrival
+            // order, and both leave the buffering system here.
+            let mut others = Vec::with_capacity(fill + records.len());
+            self.read_leaf(leaf, &mut others)?;
+            others.extend(records.iter().map(|&(_, o)| o));
             self.leaf_fill[leaf as usize] = 0;
-            // Both the stored records and the in-transit `others` leave the
-            // buffering system here.
-            self.buffered -= fill + others.len();
-            self.emitted_batches += 1;
-            self.queue.push(Batch { node: leaf, others: combined });
+            self.buffered -= others.len();
+            self.queue.push(Batch { node: leaf, others });
         } else {
-            let mut bytes = Vec::with_capacity(others.len() * LEAF_RECORD_BYTES);
-            for &o in others {
+            let mut bytes = Vec::with_capacity(records.len() * LEAF_RECORD_BYTES);
+            for &(_, o) in records {
                 bytes.extend_from_slice(&o.to_le_bytes());
             }
             let off = self.leaf_offset(leaf) + (fill * LEAF_RECORD_BYTES) as u64;
             self.file.write_all_at(&bytes, off)?;
             self.stats.record_write(bytes.len() as u64);
-            self.leaf_fill[leaf as usize] += others.len();
+            self.leaf_fill[leaf as usize] += records.len();
         }
         Ok(())
     }
 
     fn flush_root(&mut self) -> std::io::Result<()> {
-        let records = std::mem::take(&mut self.root);
         // Root records are not yet on disk; they are "buffered" only in the
         // accounting sense handled by insert/buffered_len.
-        self.partition_down(0, records)
+        let records = std::mem::take(&mut self.root);
+        self.partition_down(0, 0, &records)
     }
 
-    fn flush_everything(&mut self) -> std::io::Result<()> {
+    /// Flush the root, then internal levels `1..until` top-down: afterwards
+    /// every buffered record sits in a level-`until` node or a leaf.
+    fn cascade(&mut self, until: usize) -> std::io::Result<()> {
         self.flush_root()?;
-        // Flush internal levels top-down so records cascade to leaves.
-        for k in 1..self.depth as usize {
+        for k in 1..until {
             let span = self.level_span[k];
             let nodes = (self.config.num_nodes as u64).div_ceil(span);
             for j in 0..nodes {
-                let node_index = self.level_base[k - 1] + j as usize;
-                if self.internal_fill[node_index] > 0 {
-                    self.flush_internal(k, j * span, Vec::new())?;
+                if self.internal_fill[self.level_base[k - 1] + j as usize] > 0 {
+                    self.flush_internal(k, j * span, &[])?;
                 }
             }
         }
+        Ok(())
+    }
+
+    fn flush_everything(&mut self) -> std::io::Result<()> {
+        self.cascade(self.depth as usize)?;
         // Emit every nonempty leaf.
         for leaf in 0..self.config.num_nodes {
-            let fill = self.leaf_fill[leaf as usize];
-            if fill == 0 {
+            if self.leaf_fill[leaf as usize] == 0 {
                 continue;
             }
-            let mut stored = vec![0u8; fill * LEAF_RECORD_BYTES];
-            self.file.read_exact_at(&mut stored, self.leaf_offset(leaf))?;
-            self.stats.record_read(stored.len() as u64);
-            let others: Vec<u32> = stored
-                .chunks_exact(LEAF_RECORD_BYTES)
-                .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-                .collect();
+            let mut others = Vec::new();
+            self.read_leaf(leaf, &mut others)?;
             self.leaf_fill[leaf as usize] = 0;
-            self.buffered -= fill;
-            self.emitted_batches += 1;
+            self.buffered -= others.len();
             self.queue.push(Batch { node: leaf, others });
         }
         Ok(())
+    }
+}
+
+fn le_u32(bytes: &[u8]) -> u32 {
+    u32::from_le_bytes(bytes.try_into().expect("four bytes"))
+}
+
+/// Records bucketed by child in one stable counting pass, no comparisons:
+/// child `c`'s records are `records[ends[c]..ends[c + 1]]`, in arrival order.
+#[derive(Default)]
+struct Partition {
+    records: Vec<Record>,
+    ends: Vec<usize>,
+}
+
+impl Partition {
+    /// Bucket `records` among `children` children by child index
+    /// `dst / span − first` (a child spans fewer leaves than the tree has, so
+    /// the division is a u32 one).
+    fn fill(&mut self, records: &[Record], span: u64, first: u64, children: usize) {
+        let child = |dst: u32| (dst / span as u32 - first as u32) as usize;
+        self.ends.clear();
+        self.ends.resize(children + 1, 0);
+        for &(dst, _) in records {
+            self.ends[child(dst)] += 1;
+        }
+        // Exclusive prefix sums: ends[c] becomes where child c's records start.
+        let mut start = 0;
+        for end in self.ends.iter_mut() {
+            start += std::mem::replace(end, start);
+        }
+        self.records.clear();
+        self.records.resize(records.len(), (0, 0));
+        // Scattering advances ends[c] to where child c + 1's records start;
+        // one shift right then leaves the bucket bounds.
+        for &record in records {
+            let slot = &mut self.ends[child(record.0)];
+            self.records[*slot] = record;
+            *slot += 1;
+        }
+        self.ends.rotate_right(1);
+        self.ends[0] = 0;
+    }
+
+    /// The records of children `from..to`, child by child.
+    fn buckets(&self, from: usize, to: usize) -> impl Iterator<Item = &[Record]> {
+        self.ends[from..=to].windows(2).map(|w| &self.records[w[0]..w[1]])
     }
 }
 
@@ -386,6 +431,75 @@ impl BufferingSystem for GutterTree {
     fn buffered_len(&self) -> usize {
         self.buffered
     }
+
+    /// The root and the internal levels above the last cascade down on this
+    /// thread; then `pool` claims the last level node by node, or a depth-1
+    /// tree's root — bucketed by leaf here, in RAM — in runs of leaves. The
+    /// fills are zeroed once every leaf has been applied: a panic in `apply`
+    /// or a failed read is rethrown here with the tree as the cascade left it.
+    fn drain_in_place(&mut self, pool: &WorkerPool, apply: &(dyn Fn(u32, &[u32]) + Sync)) -> usize {
+        let last = self.depth as usize - 1;
+        if last > 0 {
+            self.cascade(last).expect("gutter tree flush failed");
+        }
+        if self.buffered == 0 {
+            return 0;
+        }
+        let leaves = self.config.num_nodes as usize;
+        let mut root = Partition::default();
+        let claim = if last == 0 {
+            root.fill(&self.root, 1, 0, leaves);
+            CLAIM
+        } else {
+            self.level_span[last] as usize
+        };
+        let this = &*self;
+        // The cursor publishes nothing: the tree is read-only for the whole
+        // dispatch, and `run` orders it against this thread.
+        let (cursor, applied) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        pool.run(&|_| {
+            let (mut records, mut node, mut batch) = (Vec::new(), Partition::default(), Vec::new());
+            let mut calls = 0;
+            loop {
+                let first = cursor.fetch_add(claim, Ordering::Relaxed);
+                if first >= leaves {
+                    break;
+                }
+                let end = leaves.min(first + claim);
+                // The claimed leaves' records in transit, bucketed from `base`.
+                let (transit, base) = if last == 0 {
+                    (&root, 0)
+                } else {
+                    records.clear();
+                    this.read_internal(this.node_at(last, first as u64), &mut records)
+                        .expect("gutter tree flush failed");
+                    node.fill(&records, 1, first as u64, end - first);
+                    (&node, first)
+                };
+                let buckets = transit.buckets(first - base, end - base);
+                for (leaf, in_transit) in (first as u32..).zip(buckets) {
+                    if in_transit.is_empty() && this.leaf_fill[leaf as usize] == 0 {
+                        continue;
+                    }
+                    batch.clear();
+                    this.read_leaf(leaf, &mut batch).expect("gutter tree flush failed");
+                    batch.extend(in_transit.iter().map(|&(_, o)| o));
+                    apply(leaf, &batch);
+                    calls += 1;
+                }
+            }
+            applied.fetch_add(calls, Ordering::Relaxed);
+        });
+        self.root.clear();
+        if last > 0 {
+            // The last internal level is the tail of `internal_fill`; the
+            // cascade emptied the levels above it.
+            self.internal_fill[self.level_base[last - 1]..].fill(0);
+        }
+        self.leaf_fill.fill(0);
+        self.buffered = 0;
+        applied.into_inner()
+    }
 }
 
 #[cfg(test)]
@@ -397,7 +511,7 @@ mod tests {
         gz_testutil::TempPath::new(&format!("gz-gutter-tree-{name}"), ".bin")
     }
 
-    /// Drain the queue and group everything by node.
+    /// Drain the queue and group everything by node, in queue order.
     fn drain(queue: &WorkQueue) -> HashMap<u32, Vec<u32>> {
         let mut map: HashMap<u32, Vec<u32>> = HashMap::new();
         while let Some(b) = queue.try_pop() {
@@ -444,15 +558,7 @@ mod tests {
         }
         tree.force_flush();
         assert_eq!(tree.buffered_len(), 0);
-
-        let mut got = drain(&queue);
-        for (_, v) in got.iter_mut() {
-            v.sort_unstable();
-        }
-        for (_, v) in expected.iter_mut() {
-            v.sort_unstable();
-        }
-        assert_eq!(got, expected);
+        assert_eq!(drain(&queue), expected);
     }
 
     #[test]
@@ -538,6 +644,121 @@ mod tests {
         assert!(ops < (n as u64) / 4, "expected amortized I/O, got {ops} ops for {n} updates");
         while queue.try_pop().is_some() {}
     }
+
+    #[test]
+    fn partition_is_a_stable_count_by_child() {
+        // Children 2..5 of a span-3 level: records land in their child's
+        // bucket in arrival order, empty children get empty buckets.
+        let records = [(13, 0), (6, 1), (14, 2), (8, 3), (12, 4), (7, 5), (13, 6)];
+        let mut parts = Partition::default();
+        parts.fill(&records, 3, 2, 3);
+        let buckets: Vec<&[Record]> = parts.buckets(0, 3).collect();
+        assert_eq!(
+            buckets,
+            [&[(6, 1), (8, 3), (7, 5)][..], &[], &[(13, 0), (14, 2), (12, 4), (13, 6)]]
+        );
+        assert_eq!(parts.buckets(2, 3).next(), Some(buckets[2]));
+        parts.fill(&[], 3, 2, 3);
+        assert!(parts.buckets(0, 3).all(|b| b.is_empty()));
+    }
+
+    /// A tree over `nodes` leaves whose leaf gutters never fill, fed `n`
+    /// records: record `i` goes to leaf `37 i mod nodes` with `other` = `i`.
+    fn unfilled(path: &gz_testutil::TempPath, nodes: u32, n: u32) -> (GutterTree, Arc<WorkQueue>) {
+        let queue = Arc::new(WorkQueue::with_capacity(1 << 16));
+        let mut config = GutterTreeConfig::small_for_tests(nodes, path.to_path_buf());
+        config.leaf_capacity_updates = 1 << 20;
+        let mut tree = GutterTree::new(config, Arc::clone(&queue)).unwrap();
+        for i in 0..n {
+            tree.insert((i * 37) % nodes, i);
+        }
+        (tree, queue)
+    }
+
+    /// What [`unfilled`] must deliver: each leaf's records in arrival order.
+    fn arrivals(nodes: u32, n: u32) -> Vec<(u32, Vec<u32>)> {
+        let mut expected: HashMap<u32, Vec<u32>> = HashMap::new();
+        for i in 0..n {
+            expected.entry((i * 37) % nodes).or_default().push(i);
+        }
+        let mut expected: Vec<_> = expected.into_iter().collect();
+        expected.sort();
+        expected
+    }
+
+    #[test]
+    fn drain_in_place_applies_each_leaf_once_stored_records_first() {
+        let pool = WorkerPool::new(4);
+        // 2005 records: 16-record roots flush 125 times and keep 5 back.
+        let n = 2005;
+        for (nodes, depth) in [(4u32, 1u32), (16, 2), (64, 3)] {
+            let path = tmp("in-place");
+            let (mut tree, queue) = unfilled(&path, nodes, n);
+            assert_eq!(tree.depth(), depth);
+            assert!(
+                tree.leaf_fill.iter().any(|&f| f > 0) && !tree.root.is_empty(),
+                "depth {depth}: leaves hold records and more are in transit"
+            );
+            let writes = tree.stats().writes();
+            let seen = parking_lot::Mutex::new(Vec::new());
+            let apply = |leaf: u32, records: &[u32]| seen.lock().push((leaf, records.to_vec()));
+            let expected = arrivals(nodes, n);
+            assert_eq!(tree.drain_in_place(&pool, &apply), expected.len(), "depth {depth}");
+            let mut seen = seen.into_inner();
+            seen.sort();
+            assert_eq!(seen, expected, "depth {depth}: once per leaf, in arrival order");
+            assert_eq!(tree.buffered_len(), 0);
+            assert!(tree.root.is_empty());
+            assert!(tree.internal_fill.iter().chain(&tree.leaf_fill).all(|&f| f == 0));
+            assert!(queue.is_empty(), "depth {depth}: the work queue is not touched");
+            if depth == 1 {
+                assert_eq!(tree.stats().writes(), writes, "a depth-1 drain writes nothing");
+            }
+
+            // With nothing buffered the pool is not dispatched at all.
+            assert_eq!(tree.drain_in_place(&pool, &|_, _| unreachable!("nothing is buffered")), 0);
+            // And the tree keeps working.
+            tree.insert(nodes - 1, 7);
+            tree.force_flush();
+            assert_eq!(drain(&queue), HashMap::from([(nodes - 1, vec![7])]));
+        }
+    }
+
+    #[test]
+    fn a_panicking_apply_propagates_to_the_flushing_thread() {
+        let pool = WorkerPool::new(4);
+        let path = tmp("in-place-panic");
+        let (mut tree, _queue) = unfilled(&path, 16, 2005);
+        let buffered = tree.buffered_len();
+        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            tree.drain_in_place(&pool, &|leaf, _| assert_ne!(leaf, 9, "apply failed"))
+        }));
+        assert!(died.is_err(), "the panic reaches the caller; the flush does not hang");
+        assert_eq!(tree.buffered_len(), buffered, "nothing was let go of");
+        // Pool and tree both still work, and still hold every record.
+        let seen = parking_lot::Mutex::new(Vec::new());
+        let apply = |leaf: u32, records: &[u32]| seen.lock().push((leaf, records.to_vec()));
+        assert_eq!(tree.drain_in_place(&pool, &apply), 16);
+        let mut seen = seen.into_inner();
+        seen.sort();
+        assert_eq!(seen, arrivals(16, 2005));
+    }
+
+    #[test]
+    fn a_failed_read_propagates_to_the_flushing_thread() {
+        let pool = WorkerPool::new(4);
+        for nodes in [4u32, 64] {
+            let path = tmp("in-place-truncated");
+            let (mut tree, _queue) = unfilled(&path, nodes, 2005);
+            let last_leaf = tree.leaf_fill.len() - 1;
+            assert!(tree.leaf_fill[last_leaf] > 0, "the leaf at the end of the file holds records");
+            std::fs::OpenOptions::new().write(true).open(&path).unwrap().set_len(0).unwrap();
+            let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                tree.drain_in_place(&pool, &|_, _| {})
+            }));
+            assert!(died.is_err(), "{nodes} leaves: a short read is a panic, not a hang");
+        }
+    }
 }
 
 #[cfg(test)]
@@ -547,48 +768,83 @@ mod proptests {
     use proptest::prelude::*;
     use std::collections::HashMap;
 
+    /// A tree of the given shape fed `inserts`, with what each node must
+    /// receive, in arrival order.
+    fn fed(
+        path: &gz_testutil::TempPath,
+        (num_nodes, fanout, buffer_records, leaf_cap): (u32, usize, usize, usize),
+        inserts: Vec<(u32, u32)>,
+    ) -> (GutterTree, Arc<WorkQueue>, HashMap<u32, Vec<u32>>) {
+        let config = GutterTreeConfig {
+            num_nodes,
+            leaf_capacity_updates: leaf_cap,
+            buffer_bytes: buffer_records * 8,
+            fanout,
+            path: path.to_path_buf(),
+        };
+        let queue = Arc::new(WorkQueue::with_capacity(1 << 16));
+        let mut tree = GutterTree::new(config, Arc::clone(&queue)).unwrap();
+        let mut expected: HashMap<u32, Vec<u32>> = HashMap::new();
+        for (dst, other) in inserts {
+            let dst = dst % num_nodes;
+            tree.insert(dst, other);
+            expected.entry(dst).or_default().push(other);
+        }
+        (tree, queue, expected)
+    }
+
+    /// Everything on the queue, grouped by node in queue order.
+    fn queued(queue: &WorkQueue) -> HashMap<u32, Vec<u32>> {
+        let mut got: HashMap<u32, Vec<u32>> = HashMap::new();
+        while let Some(b) = queue.try_pop() {
+            got.entry(b.node).or_default().extend(b.others);
+        }
+        got
+    }
+
+    fn shape() -> impl Strategy<Value = (u32, usize, usize, usize)> {
+        (1u32..40, 2usize..6, 4usize..32, 1usize..16)
+    }
+
+    fn inserts() -> impl Strategy<Value = Vec<(u32, u32)>> {
+        proptest::collection::vec((any::<u32>(), any::<u32>()), 0..400)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
         /// Whatever the configuration and insert sequence, force_flush
-        /// delivers exactly the inserted multiset, partitioned by node.
+        /// delivers exactly the inserted records, per node in arrival order.
         #[test]
-        fn delivers_exact_multiset(
-            num_nodes in 1u32..40,
-            fanout in 2usize..6,
-            buffer_records in 4usize..32,
-            leaf_cap in 1usize..16,
-            inserts in proptest::collection::vec((any::<u32>(), any::<u32>()), 0..400)
-        ) {
+        fn delivers_exact_multiset(shape in shape(), inserts in inserts()) {
             let path = gz_testutil::TempPath::new("gz-tree-prop", ".bin");
-            let config = GutterTreeConfig {
-                num_nodes,
-                leaf_capacity_updates: leaf_cap,
-                buffer_bytes: buffer_records * 8,
-                fanout,
-                path: path.to_path_buf(),
-            };
-            let queue = Arc::new(WorkQueue::with_capacity(1 << 16));
-            let mut tree = GutterTree::new(config, Arc::clone(&queue)).unwrap();
-
-            let mut expected: HashMap<u32, Vec<u32>> = HashMap::new();
-            for (dst, other) in inserts {
-                let dst = dst % num_nodes;
-                tree.insert(dst, other);
-                expected.entry(dst).or_default().push(other);
-            }
+            let (mut tree, queue, expected) = fed(&path, shape, inserts);
             tree.force_flush();
             prop_assert_eq!(tree.buffered_len(), 0);
+            prop_assert_eq!(queued(&queue), expected);
+        }
 
-            let mut got: HashMap<u32, Vec<u32>> = HashMap::new();
-            while let Some(b) = queue.try_pop() {
-                got.entry(b.node).or_default().extend(b.others);
-            }
-            for v in expected.values_mut() {
-                v.sort_unstable();
-            }
-            for v in got.values_mut() {
-                v.sort_unstable();
+        /// The in-place twin: what overflowed onto the queue, then the one
+        /// `apply` call a leaf gets, is every node's records in arrival order.
+        #[test]
+        fn delivers_exact_multiset_in_place(shape in shape(), inserts in inserts()) {
+            let path = gz_testutil::TempPath::new("gz-tree-prop-in-place", ".bin");
+            let (mut tree, queue, expected) = fed(&path, shape, inserts);
+            let pool = WorkerPool::new(4);
+            let applied = parking_lot::Mutex::new(Vec::new());
+            let apply = |leaf: u32, records: &[u32]| applied.lock().push((leaf, records.to_vec()));
+            let calls = tree.drain_in_place(&pool, &apply);
+            prop_assert_eq!(tree.buffered_len(), 0);
+            let applied = applied.into_inner();
+            prop_assert_eq!(calls, applied.len());
+            let mut leaves: Vec<u32> = applied.iter().map(|&(leaf, _)| leaf).collect();
+            leaves.sort_unstable();
+            leaves.dedup();
+            prop_assert_eq!(leaves.len(), calls, "a leaf reached `apply` twice");
+            let mut got = queued(&queue);
+            for (leaf, records) in applied {
+                prop_assert!(!records.is_empty());
+                got.entry(leaf).or_default().extend(records);
             }
             prop_assert_eq!(got, expected);
         }

@@ -297,7 +297,9 @@ fn in_place_flush_bit_identical_to_the_queue_route() {
     // (nothing overflows on this stream) and 40-record ones (both routes in
     // one run) must leave the same bytes and the same answer, single-node
     // and sharded, whether the shards are in this process (applied in place)
-    // or behind sockets (sent as batches).
+    // or behind sockets (sent as batches). So must a gutter tree three levels
+    // deep (the pool claims level 2) and one level deep (fan-out ≥ V: the
+    // root is partitioned in RAM), single-node — the only place a tree runs.
     let (v, updates) = shared_stream();
     let mut queue_only = GzConfig::in_ram(v);
     queue_only.buffering = BufferStrategy::LeafOnly { capacity: GutterCapacity::Updates(1) };
@@ -325,18 +327,35 @@ fn in_place_flush_bit_identical_to_the_queue_route() {
         (1, Transport::Socket),
         (3, Transport::Socket),
     ];
-    for capacity in [GutterCapacity::SketchFactor(0.5), GutterCapacity::Updates(40)] {
+    let tree = |fanout: usize, dir: &TempDir| BufferStrategy::GutterTree {
+        buffer_bytes: 1 << 14,
+        fanout,
+        leaf_capacity: GutterCapacity::SketchFactor(1.0),
+        dir: dir.path().to_path_buf(),
+    };
+    let bufferings: [&dyn Fn(&TempDir) -> BufferStrategy; 4] = [
+        &|_| BufferStrategy::LeafOnly { capacity: GutterCapacity::SketchFactor(0.5) },
+        &|_| BufferStrategy::LeafOnly { capacity: GutterCapacity::Updates(40) },
+        &|dir| tree(8, dir),
+        &|dir| tree(v as usize, dir),
+    ];
+    for buffering in bufferings {
         let stores = [(false, 0u32), (false, 64), (true, 0), (true, 64)];
         for (workers, (on_disk, tau)) in
             [1usize, 2, 4].into_iter().flat_map(|w| stores.map(|store| (w, store)))
         {
-            let what = format!("{workers} workers, disk {on_disk}, tau {tau}, {capacity:?}");
             let dir = TempDir::new("gz-equiv-inplace");
             let mut config = GzConfig::in_ram(v);
             config.num_workers = workers;
             config.store = store_in(&dir, on_disk);
             config.sketch_threshold = tau;
-            config.buffering = BufferStrategy::LeafOnly { capacity };
+            config.buffering = buffering(&dir);
+            let router_capacity = match config.buffering {
+                BufferStrategy::LeafOnly { capacity } => Some(capacity),
+                BufferStrategy::GutterTree { .. } => None,
+            };
+            let what =
+                format!("{workers} workers, disk {on_disk}, tau {tau}, {:?}", config.buffering);
             let mut gz = ingested(config, &updates);
             assert_eq!(gz.snapshot_serialized(), want_state, "single node, {what}: state");
             let counters = gz.ingest_counters();
@@ -344,6 +363,7 @@ fn in_place_flush_bit_identical_to_the_queue_route() {
             assert_eq!(counters.records(), 2 * updates.len() as u64, "single node, {what}");
             same_answer(gz.spanning_forest().expect("query"), &format!("single node, {what}"));
 
+            let Some(capacity) = router_capacity else { continue };
             for (shards, transport) in fleets {
                 let what = format!("{shards} shards over {transport:?}, {what}");
                 let dir = TempDir::new("gz-equiv-inplace-shards");
