@@ -1,8 +1,8 @@
 //! Query-path benchmarks: sketch-space Boruvka (Figure 12c / 16's stopwatch),
 //! the disk-backed query-vs-oracle comparison at a pinned cache budget
 //! (bytes read off the store and peak resident sketch bytes of each), and
-//! the parallel-query thread-scaling sweep (`gz_query_parallel`,
-//! DESIGN.md §10).
+//! the parallel-query scaling sweep over the system's pool width
+//! (`gz_query_parallel`, DESIGN.md §10).
 //!
 //! Set `GZ_BENCH_SMOKE=1` to run at tiny scale (the CI smoke mode). The
 //! measured results are also exported to `BENCH_queries.json` (best/mean ns
@@ -117,11 +117,12 @@ fn bench_disk_query_vs_oracle(c: &mut Criterion) {
 }
 
 /// Build a flushed system over the kron workload at `scale` with the
-/// given store.
-fn loaded_system(scale: u32, seed: u64, store: StoreBackend) -> GraphZeppelin {
+/// given store, its pool `workers` wide.
+fn loaded_system(scale: u32, seed: u64, store: StoreBackend, workers: usize) -> GraphZeppelin {
     let w = kron_workload(scale, seed);
     let mut config = GzConfig::in_ram(w.num_nodes);
     config.store = store;
+    config.num_workers = workers;
     let mut gz = GraphZeppelin::new(config).unwrap();
     for upd in &w.updates {
         gz.update(upd.u, upd.v, upd.kind == UpdateKind::Delete);
@@ -130,9 +131,8 @@ fn loaded_system(scale: u32, seed: u64, store: StoreBackend) -> GraphZeppelin {
     gz
 }
 
-/// Best-of-`samples` wall time of one streaming query at `threads`.
-fn best_query_time(gz: &mut GraphZeppelin, threads: usize, samples: usize) -> Duration {
-    gz.set_query_threads(threads);
+/// Best-of-`samples` wall time of one streaming query on `gz`'s pool.
+fn best_query_time(gz: &mut GraphZeppelin, samples: usize) -> Duration {
     let _ = gz.spanning_forest().unwrap(); // warm
     (0..samples)
         .map(|_| {
@@ -144,30 +144,22 @@ fn best_query_time(gz: &mut GraphZeppelin, threads: usize, samples: usize) -> Du
         .unwrap()
 }
 
-/// The tentpole scaling sweep (DESIGN.md §10): the streaming query at
-/// 1/2/4/8 query threads on the RAM store and on a cache-constrained disk
-/// store (where every count, 1 included, runs the same claim loop). In full mode (kron8, the issue's pinned scale) the bench asserts
-/// the 4-thread RAM query is ≥1.5× the single-threaded one — the measured
-/// table lives in EXPERIMENTS.md. Smoke mode runs the sweep at tiny scale
-/// for CI coverage without asserting a ratio a loaded 2-core runner cannot
-/// honor.
+/// The scaling sweep (DESIGN.md §10): the live streaming query of a system
+/// whose pool is 1/2/4/8 workers wide (one loaded system per width), on
+/// the RAM store and on a cache-constrained disk store (where every width,
+/// 1 included, runs the same claim loop). In full mode (kron8) the bench
+/// asserts the 4-wide RAM query is ≥1.5× the 1-wide one on a host with ≥ 4
+/// cores — the measured table lives in EXPERIMENTS.md. Smoke mode runs the
+/// sweep at tiny scale for CI coverage without asserting a ratio a loaded
+/// 2-core runner cannot honor.
 fn bench_parallel_query_scaling(c: &mut Criterion) {
     let scale = if smoke() { 6 } else { 8 };
     let thread_counts: &[usize] = &[1, 2, 4, 8];
 
-    let mut ram = loaded_system(scale, 3, StoreBackend::Ram);
-    let dir = gz_testutil::TempDir::new("gz-bench-parq");
-    let disk = StoreBackend::Disk {
-        dir: dir.path().to_path_buf(),
-        block_bytes: 16 << 10,
-        cache_groups: 4, // the pinned RAM budget, as in gz_query_disk
-    };
-    let mut disk = loaded_system(scale, 3, disk);
-
     let mut group = c.benchmark_group("gz_query_parallel");
     group.sample_size(10);
     for &threads in thread_counts {
-        ram.set_query_threads(threads);
+        let mut ram = loaded_system(scale, 3, StoreBackend::Ram, threads);
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("ram/kron{scale}/t{threads}")),
             &(),
@@ -175,7 +167,13 @@ fn bench_parallel_query_scaling(c: &mut Criterion) {
         );
     }
     for &threads in thread_counts {
-        disk.set_query_threads(threads);
+        let dir = gz_testutil::TempDir::new("gz-bench-parq");
+        let disk = StoreBackend::Disk {
+            dir: dir.path().to_path_buf(),
+            block_bytes: 16 << 10,
+            cache_groups: 4, // the pinned RAM budget, as in gz_query_disk
+        };
+        let mut disk = loaded_system(scale, 3, disk, threads);
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("disk/kron{scale}/t{threads}")),
             &(),
@@ -187,8 +185,8 @@ fn bench_parallel_query_scaling(c: &mut Criterion) {
     // One-shot measured speedup line (and, in full mode on a machine with
     // the cores to show it, the ≥1.5× assertion at 4 threads on RAM).
     let samples = if smoke() { 5 } else { 20 };
-    let t1 = best_query_time(&mut ram, 1, samples);
-    let t4 = best_query_time(&mut ram, 4, samples);
+    let t1 = best_query_time(&mut loaded_system(scale, 3, StoreBackend::Ram, 1), samples);
+    let t4 = best_query_time(&mut loaded_system(scale, 3, StoreBackend::Ram, 4), samples);
     let speedup = t1.as_secs_f64() / t4.as_secs_f64().max(1e-12);
     println!(
         "gz_query_parallel/ram/kron{scale}: 1 thread {:.3} ms, 4 threads {:.3} ms — {speedup:.2}x",
@@ -265,8 +263,8 @@ fn bench_io_backends(c: &mut Criterion) {
     assert!(io.max_depth() > 1, "uring must batch reads (max depth {})", io.max_depth());
 
     let samples = if smoke() { 5 } else { 20 };
-    let tp = best_query_time(&mut pread, 1, samples);
-    let tu = best_query_time(&mut uring, 1, samples);
+    let tp = best_query_time(&mut pread, samples);
+    let tu = best_query_time(&mut uring, samples);
     let ratio = tp.as_secs_f64() / tu.as_secs_f64().max(1e-12);
     println!(
         "gz_query_uring/kron{scale} (cache {cache_groups} groups, depth 16): \
@@ -292,7 +290,7 @@ fn bench_concurrent_query(c: &mut Criterion) {
     use std::sync::atomic::{AtomicBool, Ordering};
 
     let scale = if smoke() { 6 } else { 8 };
-    let mut gz = loaded_system(scale, 3, StoreBackend::Ram);
+    let mut gz = loaded_system(scale, 3, StoreBackend::Ram, GzConfig::in_ram(2).num_workers);
     let num_nodes = gz.params().num_nodes;
     let epoch = gz.begin_epoch().unwrap();
     let reference = gz.spanning_forest().unwrap();

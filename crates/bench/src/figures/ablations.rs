@@ -1,19 +1,24 @@
 //! Ablations of the design choices DESIGN.md calls out.
 //!
 //! - **Locking discipline** (§5.1): delta-sketch merging vs holding the
-//!   node lock for the whole batch.
+//!   node lock for the whole batch, on one RAM store under contention.
 //! - **Sketch-level parallelism** (§6.4): group size 1 vs larger thread
 //!   groups (the paper found 1 best).
 //! - **Hashing inside CubeSketch**: xxHash (production) vs the 2-universal
 //!   multiply-mod-Mersenne family (theory mode).
 
-use crate::harness::{fmt_rate, kron_workload, rate, run_graphzeppelin, Scale, Table};
-use graph_zeppelin::{GraphZeppelin, GzConfig, LockingStrategy};
+use crate::harness::{fmt_rate, kron_workload, rate, run_graphzeppelin, time, Scale, Table};
+use graph_zeppelin::config::{default_rounds, GutterCapacity, LockingStrategy};
+use graph_zeppelin::node_sketch::{encode_other, SketchParams};
+use graph_zeppelin::store::ram::RamStore;
+use graph_zeppelin::{GraphZeppelin, GzConfig};
 use gz_hash::{Hasher64, PairwiseHash, Xxh64Hasher};
 use gz_sketch::cube::CubeSketchFamily;
 use gz_sketch::geometry::{SketchGeometry, DEFAULT_COLUMNS, PAPER_COLUMNS};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Run all ablations.
@@ -107,21 +112,57 @@ fn baseline_arithmetic() {
     );
 }
 
+/// The kron workload cut into the gutter-sized batches a leaf gutter at the
+/// default factor hands a Graph Worker, applied to one [`RamStore`] per
+/// discipline by `available_workers()` threads claiming batches from a
+/// shared cursor — the contention the discipline exists for.
 fn locking(scale: Scale) {
     let w = kron_workload(scale.reference_kron().min(10), 3);
-    let mut t = Table::new(&["locking", "ingest rate"]);
+    let params =
+        Arc::new(SketchParams::new(w.num_nodes, default_rounds(w.num_nodes), DEFAULT_COLUMNS, 3));
+    let capacity = GutterCapacity::SketchFactor(0.5).resolve(params.node_sketch_bytes());
+    let mut gutters = vec![Vec::new(); w.num_nodes as usize];
+    let mut batches: Vec<(u32, Vec<u32>)> = Vec::new();
+    for upd in &w.updates {
+        let delete = upd.kind == gz_stream::UpdateKind::Delete;
+        for (node, other) in [(upd.u, upd.v), (upd.v, upd.u)] {
+            let gutter = &mut gutters[node as usize];
+            gutter.push(encode_other(other, delete));
+            if gutter.len() == capacity {
+                batches.push((node, std::mem::take(gutter)));
+            }
+        }
+    }
+    batches.extend((0..).zip(gutters).filter(|(_, g)| !g.is_empty()));
+
+    let threads = super::fig13::available_workers();
+    let mut t = Table::new(&["locking", "apply rate"]);
     for (name, strategy) in [
         ("delta-sketch (paper)", LockingStrategy::DeltaSketch),
         ("direct", LockingStrategy::Direct),
     ] {
-        let mut config = GzConfig::in_ram(w.num_nodes);
-        config.locking = strategy;
-        config.num_workers = super::fig13::available_workers();
-        let mut gz = GraphZeppelin::new(config).unwrap();
-        let d = run_graphzeppelin(&mut gz, &w.updates);
+        let store = RamStore::new(Arc::clone(&params), strategy);
+        let cursor = AtomicUsize::new(0);
+        let (_, d) = time(|| {
+            std::thread::scope(|scope| {
+                for _ in 0..threads {
+                    scope.spawn(|| {
+                        while let Some((node, records)) =
+                            batches.get(cursor.fetch_add(1, Ordering::Relaxed))
+                        {
+                            store.apply_batch(*node, records);
+                        }
+                    });
+                }
+            })
+        });
         t.row(vec![name.into(), fmt_rate(rate(w.updates.len(), d))]);
     }
-    println!("-- locking discipline (kron{}) --", scale.reference_kron().min(10));
+    println!(
+        "-- locking discipline (kron{}, {threads} threads on one RAM store, {} batches) --",
+        scale.reference_kron().min(10),
+        batches.len()
+    );
     t.print();
     println!();
 }

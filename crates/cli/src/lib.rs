@@ -6,11 +6,11 @@
 //! gz info stream.gzs
 //! gz components stream.gzs [--workers 4] [--store ram|disk] \
 //!     [--buffering leaf|tree] [--dir /tmp/gzwork] [--forest] \
-//!     [--query-threads N] [--staleness U] [--threshold T] [--io-backend auto|pread|uring] \
+//!     [--threshold T] [--io-backend auto|pread|uring] \
 //!     [--stats] [--shards K [--connect host:port,host:port,...]] \
 //!     [--checkpoint-every N] [--batch-updates N] [--respawn]
 //! gz checkpoint save ckpt.gzc --from stream.gzs [--workers 4] [--seed S]
-//! gz checkpoint restore ckpt.gzc [--forest] [--query-threads N]
+//! gz checkpoint restore ckpt.gzc [--forest]
 //! gz shard-worker --listen 127.0.0.1:7001 --nodes 1024 --shards 2 --index 0 \
 //!     [--checkpoint shard.ckpt | --resume shard.ckpt]
 //! gz serve (--listen host:port | --unix sock.path) --nodes 1024 \
@@ -18,6 +18,9 @@
 //!     [--checkpoint-ms MS] [--timeout-ms MS] [--staleness U] [--stats]
 //! gz bipartite stream.gzs
 //! ```
+//!
+//! `--workers` is the one thread count: the Graph Workers, and the width of
+//! the pool that flushes and folds every query.
 //!
 //! Fault tolerance (DESIGN.md §14): `--checkpoint-every N` makes the
 //! sharded coordinator ask every shard for a durable checkpoint each `N`
@@ -110,12 +113,6 @@ pub struct ComponentsArgs {
     pub dir: Option<PathBuf>,
     /// Also print the spanning forest.
     pub forest: bool,
-    /// Borůvka query-engine threads (`None` = the worker count).
-    pub query_threads: Option<usize>,
-    /// Bounded staleness for streaming queries: reuse a sealed epoch
-    /// while it lags fewer than this many updates (`None` = always
-    /// query fresh state).
-    pub staleness: Option<u64>,
     /// Hybrid-representation promotion threshold τ: nodes stay exact
     /// sparse sets until they exceed this many live neighbors (`None`
     /// or 0 = always-dense sketches).
@@ -181,8 +178,6 @@ pub enum Command {
         path: PathBuf,
         /// Also print the spanning forest.
         forest: bool,
-        /// Borůvka query-engine threads (`None` = the worker count).
-        query_threads: Option<usize>,
     },
     /// Serve one shard over TCP: bind, accept one coordinator connection,
     /// run the shard-worker event loop until `Shutdown`.
@@ -280,9 +275,9 @@ enum Kind {
     /// A count: an integer, and `0` is refused rather than silently
     /// clamped downstream.
     Count,
-    /// An integer where `0` means something (`--staleness 0` reseals on
-    /// every query, `--threshold 0` is always-dense, `--timeout-ms 0` is no
-    /// deadline).
+    /// An integer where `0` means something (`gz serve --staleness 0`
+    /// reseals on every query, `--threshold 0` is always-dense,
+    /// `--timeout-ms 0` is no deadline).
     Number,
     /// Anything else; the text is what the flag "needs" when it is last.
     Value(&'static str),
@@ -301,13 +296,11 @@ const GENERATE: &[FlagSpec] = &[
 
 const COMPONENTS: &[FlagSpec] = &[
     ("--workers", Kind::Count),
-    ("--query-threads", Kind::Count),
     ("--store", Kind::Value("ram|disk")),
     ("--buffering", Kind::Value("leaf|tree")),
     ("--dir", Kind::Value("a dir")),
     ("--disk", Kind::Value("a dir")),
     ("--forest", Kind::Switch),
-    ("--staleness", Kind::Number),
     ("--threshold", Kind::Number),
     ("--io-backend", Kind::Value("a value")),
     ("--stats", Kind::Switch),
@@ -324,8 +317,7 @@ const CHECKPOINT_SAVE: &[FlagSpec] = &[
     ("--seed", Kind::Number),
 ];
 
-const CHECKPOINT_RESTORE: &[FlagSpec] =
-    &[("--forest", Kind::Switch), ("--query-threads", Kind::Count)];
+const CHECKPOINT_RESTORE: &[FlagSpec] = &[("--forest", Kind::Switch)];
 
 const SHARD_WORKER: &[FlagSpec] = &[
     ("--listen", Kind::Value("host:port")),
@@ -488,8 +480,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 buffering: f.parsed("--buffering", BufferingArg::parse)?.unwrap_or(buffering),
                 dir: disk.or(f.path("--dir")),
                 forest: f.given("--forest"),
-                query_threads: f.num("--query-threads")?,
-                staleness: f.num("--staleness")?,
                 threshold: f.num("--threshold")?,
                 io_backend: f.parsed("--io-backend", parse_io_backend)?,
                 stats: f.given("--stats"),
@@ -533,11 +523,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 "restore" => {
                     let path = PathBuf::from(it.next().ok_or("checkpoint restore needs a path")?);
                     let f = Flags::scan(CHECKPOINT_RESTORE, &mut it)?;
-                    Ok(Command::CheckpointRestore {
-                        path,
-                        forest: f.given("--forest"),
-                        query_threads: f.num("--query-threads")?,
-                    })
+                    Ok(Command::CheckpointRestore { path, forest: f.given("--forest") })
                 }
                 other => Err(format!("unknown checkpoint action {other} (want save|restore)")),
             }
@@ -618,8 +604,6 @@ fn build_config(num_nodes: u64, args: &ComponentsArgs) -> Result<GzConfig, Strin
     let mut config = GzConfig::in_ram(num_nodes);
     config.num_workers = args.workers;
     config.store = store_backend(args.store, &args.dir)?;
-    config.query_threads = args.query_threads;
-    config.query_staleness = args.staleness;
     config.sketch_threshold = args.threshold.unwrap_or(0);
     config.io.kind = args.io_backend.unwrap_or_default();
     config.buffering = match args.buffering {
@@ -688,8 +672,6 @@ fn components_sharded(args: &ComponentsArgs, num_shards: u32) -> Result<String, 
     let mut config = ShardConfig::in_ram(header.num_vertices, num_shards);
     config.workers_per_shard = args.workers;
     config.store = store_backend(args.store, dir)?;
-    config.query_threads = args.query_threads;
-    config.query_staleness = args.staleness;
     config.sketch_threshold = args.threshold.unwrap_or(0);
     config.io.kind = args.io_backend.unwrap_or_default();
     config.checkpoint_every = *checkpoint_every;
@@ -956,20 +938,13 @@ pub fn execute(cmd: Command) -> Result<String, String> {
                 ckpt.seed,
             ))
         }
-        Command::CheckpointRestore { path, forest, query_threads } => {
-            let header = GraphZeppelin::checkpoint_header(&path).map_err(|e| e.to_string())?;
-            let mut config = GzConfig::in_ram(header.num_nodes);
-            config.seed = header.seed;
-            config.num_rounds = Some(header.rounds);
-            config.num_columns = header.columns;
-            config.query_threads = query_threads;
-            let mut gz =
-                GraphZeppelin::restore_with_config(&path, config).map_err(|e| e.to_string())?;
+        Command::CheckpointRestore { path, forest } => {
+            let mut gz = GraphZeppelin::restore(&path).map_err(|e| e.to_string())?;
             let cc = gz.connected_components().map_err(|e| e.to_string())?;
             let mut out = format!(
                 "{} components over {} nodes ({} updates restored from {})\n",
                 cc.num_components(),
-                header.num_nodes,
+                gz.config().num_nodes,
                 gz.updates_ingested(),
                 path.display(),
             );
@@ -1144,14 +1119,19 @@ mod tests {
         // With the flags `--respawn`, `--checkpoint-every` and
         // `--batch-updates` need beside them.
         check_flag_table("components s.gzs", COMPONENTS, &["--shards 2", "--connect a:1,b:2"]);
-        let err = parse_args(&argv("components s.gzs --bogus")).unwrap_err();
-        assert_eq!(err, "unknown flag --bogus");
+        // `--workers` is the one thread count, and staleness is `gz serve`'s.
+        for flag in ["--bogus", "--query-threads", "--staleness"] {
+            let err = parse_args(&argv(&format!("components s.gzs {flag} 2"))).unwrap_err();
+            assert_eq!(err, format!("unknown flag {flag}"));
+        }
     }
 
     #[test]
     fn checkpoint_flag_tables() {
         check_flag_table("checkpoint save c.gzc", CHECKPOINT_SAVE, &["--from s.gzs"]);
         check_flag_table("checkpoint restore c.gzc", CHECKPOINT_RESTORE, &[]);
+        let err = parse_args(&argv("checkpoint restore c.gzc --query-threads 2")).unwrap_err();
+        assert_eq!(err, "unknown flag --query-threads");
     }
 
     #[test]
@@ -1170,8 +1150,8 @@ mod tests {
     fn parses_components() {
         // Every flag but the `--disk` shorthand, each landing in its field.
         let cmd = parse_components(
-            "components s.gzs --workers 8 --query-threads 4 --store disk --buffering tree \
-             --dir /tmp/d --forest --staleness 9 --threshold 16 --io-backend uring --stats \
+            "components s.gzs --workers 8 --store disk --buffering tree \
+             --dir /tmp/d --forest --threshold 16 --io-backend uring --stats \
              --shards 2 --connect 127.0.0.1:7001,127.0.0.1:7002 --checkpoint-every 64 \
              --batch-updates 128 --respawn",
         );
@@ -1182,8 +1162,6 @@ mod tests {
             buffering: BufferingArg::Tree,
             dir: Some(PathBuf::from("/tmp/d")),
             forest: true,
-            query_threads: Some(4),
-            staleness: Some(9),
             threshold: Some(16),
             io_backend: Some(IoBackendKind::Uring),
             stats: true,
@@ -1202,8 +1180,8 @@ mod tests {
         assert_eq!(bare.path, PathBuf::from("s.gzs"));
         assert_eq!(bare.workers, cores.min(2));
         assert_eq!((bare.store, bare.buffering), (StoreArg::Ram, BufferingArg::Leaf));
-        assert_eq!((bare.query_threads, bare.staleness, bare.threshold), (None, None, None));
-        assert_eq!((bare.io_backend, bare.shards, bare.checkpoint_every), (None, None, None));
+        assert_eq!((bare.threshold, bare.io_backend), (None, None));
+        assert_eq!((bare.shards, bare.checkpoint_every), (None, None));
         assert!(bare.connect.is_empty() && bare.batch_updates.is_none());
         assert!(!(bare.forest || bare.stats || bare.respawn));
 
@@ -1231,7 +1209,6 @@ mod tests {
             assert_eq!(err, spellings);
         }
         // Zero where zero means something.
-        assert_eq!(field("--staleness 0").staleness, Some(0), "reseal on every query");
         assert_eq!(field("--threshold 0").threshold, Some(0), "force always-dense");
     }
 
@@ -1307,49 +1284,31 @@ mod tests {
     }
 
     #[test]
-    fn staleness_reuses_epochs_end_to_end() {
-        // Through the whole CLI: a huge staleness budget still answers the
-        // full stream correctly, because the epoch is sealed after ingest.
-        let path = tmp("staleness");
-        execute(Command::Generate {
-            dataset: DatasetArg::Kron(5),
-            seed: 21,
-            out: path.to_path_buf(),
-        })
-        .unwrap();
-        let reference = execute(components_cmd(&path, None)).unwrap();
-        let count = |s: &str| s.split_whitespace().next().unwrap().to_string();
-        for shards in [None, Some(2)] {
-            let mut cmd = components_cmd(&path, shards);
-            if let Command::Components(ComponentsArgs { staleness, .. }) = &mut cmd {
-                *staleness = Some(u64::MAX);
-            }
-            let got = execute(cmd).unwrap();
-            assert_eq!(count(&got), count(&reference), "shards={shards:?}");
-        }
-    }
-
-    #[test]
-    fn query_threads_change_no_answers() {
-        // End to end through the CLI: thread counts are a performance knob,
+    fn worker_count_changes_no_answers() {
+        // End to end through the CLI: `--workers` sizes the Graph Workers
+        // and the pool every flush and query runs on — a performance knob,
         // never a correctness one.
-        let path = tmp("qthreads");
+        let path = tmp("workers");
         execute(Command::Generate {
             dataset: DatasetArg::Kron(5),
             seed: 12,
             out: path.to_path_buf(),
         })
         .unwrap();
-        let reference = execute(components_cmd(&path, None)).unwrap();
-        for threads in [1usize, 3] {
+        let run = |workers: usize, shards: Option<u32>| {
+            let mut cmd = components_cmd(&path, shards);
+            if let Command::Components(args) = &mut cmd {
+                (args.workers, args.forest) = (workers, true);
+            }
+            execute(cmd).unwrap()
+        };
+        let reference = run(2, None);
+        let count = |s: &str| s.split_whitespace().next().unwrap().to_string();
+        for workers in [1usize, 2, 4] {
             for shards in [None, Some(2)] {
-                let mut cmd = components_cmd(&path, shards);
-                if let Command::Components(ComponentsArgs { query_threads, .. }) = &mut cmd {
-                    *query_threads = Some(threads);
-                }
-                let got = execute(cmd).unwrap();
-                let count = |s: &str| s.split_whitespace().next().unwrap().to_string();
-                assert_eq!(count(&got), count(&reference), "threads={threads} {shards:?}");
+                let got = run(workers, shards);
+                assert_eq!(count(&got), count(&reference), "workers={workers} {shards:?}");
+                assert_eq!(forest_lines(&got), forest_lines(&reference), "{workers} {shards:?}");
             }
         }
     }
@@ -1366,17 +1325,13 @@ mod tests {
             }
         );
         assert_eq!(
-            parse_args(&argv("checkpoint restore c.gzc --forest --query-threads 3")).unwrap(),
-            Command::CheckpointRestore {
-                path: PathBuf::from("c.gzc"),
-                forest: true,
-                query_threads: Some(3),
-            }
+            parse_args(&argv("checkpoint restore c.gzc --forest")).unwrap(),
+            Command::CheckpointRestore { path: PathBuf::from("c.gzc"), forest: true }
         );
         // Defaults.
         assert!(matches!(
             parse_args(&argv("checkpoint restore c.gzc")).unwrap(),
-            Command::CheckpointRestore { forest: false, query_threads: None, .. }
+            Command::CheckpointRestore { forest: false, .. }
         ));
         // Malformed forms are refused.
         assert!(parse_args(&argv("checkpoint")).is_err(), "missing action");
@@ -1412,12 +1367,8 @@ mod tests {
         // the materialize-everything oracle over the restored state, edge
         // for edge.
         let direct = execute(components_cmd(&stream, None)).unwrap();
-        let restored = execute(Command::CheckpointRestore {
-            path: ckpt.to_path_buf(),
-            forest: true,
-            query_threads: None,
-        })
-        .unwrap();
+        let restored =
+            execute(Command::CheckpointRestore { path: ckpt.to_path_buf(), forest: true }).unwrap();
         let count = |s: &str| s.split_whitespace().next().unwrap().to_string();
         assert_eq!(count(&restored), count(&direct));
         let mut gz = GraphZeppelin::restore(ckpt.path()).unwrap();
@@ -1444,12 +1395,8 @@ mod tests {
         old.save_checkpoint(ckpt.path()).unwrap();
         assert_eq!(GraphZeppelin::checkpoint_header(ckpt.path()).unwrap().columns, PAPER_COLUMNS);
 
-        let restored = execute(Command::CheckpointRestore {
-            path: ckpt.to_path_buf(),
-            forest: true,
-            query_threads: None,
-        })
-        .unwrap();
+        let restored =
+            execute(Command::CheckpointRestore { path: ckpt.to_path_buf(), forest: true }).unwrap();
         assert!(restored.starts_with(&format!("{} components", before.num_components())));
         assert_eq!(forest_lines(&restored), printed_forest(&before));
     }

@@ -11,13 +11,12 @@ fn main() {
                  [--seed S] --out FILE\n  gz info FILE\n  gz components FILE \
                  [--workers N] [--store ram|disk] [--buffering leaf|tree] \
                  [--dir DIR] [--forest]\n                \
-                 [--query-threads N] [--staleness U] [--threshold T] \
-                 [--io-backend auto|pread|uring] [--stats]\n                \
+                 [--threshold T] [--io-backend auto|pread|uring] [--stats]\n                \
                  [--shards K [--connect HOST:PORT,...]]\n                \
                  [--checkpoint-every N] [--batch-updates N] [--respawn]\n  \
                  gz checkpoint save \
                  FILE --from STREAM [--workers N] [--seed S]\n  gz checkpoint \
-                 restore FILE [--forest] [--query-threads N]\n  \
+                 restore FILE [--forest]\n  \
                  gz shard-worker --listen HOST:PORT \
                  --nodes N --shards K --index I [--seed S]\n                  \
                  [--workers N] [--store ram|disk] [--dir DIR] [--threshold T] \

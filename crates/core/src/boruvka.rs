@@ -187,9 +187,9 @@ fn merge_sinks<S: L0Sampler + Clone>(
     (acc, acc_bytes)
 }
 
-/// Run the round-driven Boruvka engine over any [`SketchSource`] on a
-/// single thread. Equivalent to [`boruvka_rounds_parallel`] with one query
-/// thread (and bit-identical to it at any thread count).
+/// Run the round-driven Boruvka engine over any [`SketchSource`] on the
+/// calling thread: [`boruvka_rounds_with_pool`] on a one-worker pool, which
+/// spawns no thread (and bit-identical to it at any width).
 pub fn boruvka_rounds<Src: SketchSource>(
     source: &mut Src,
     num_vertices: u64,
@@ -198,11 +198,12 @@ pub fn boruvka_rounds<Src: SketchSource>(
 where
     Src::Sampler: Send + Sync,
 {
-    boruvka_rounds_parallel(source, num_vertices, max_rounds, 1)
+    boruvka_rounds_with_pool(source, num_vertices, max_rounds, &WorkerPool::new(1))
 }
 
 /// Run the round-driven Boruvka engine over any [`SketchSource`], with each
-/// round's fold and sampling partitioned across `query_threads` workers.
+/// round's fold and sampling partitioned across `pool`'s workers — the
+/// system's kept pool, so no query spawns a thread.
 ///
 /// Per round: compute every vertex's current supernode root, stream the
 /// round's slices folding them into per-worker [`RoundSink`]s (partitioned
@@ -210,25 +211,8 @@ where
 /// gathered reply in socket shard fleets), XOR-merge the sinks, sample one cut
 /// edge per live supernode across contiguous supernode ranges, then merge
 /// endpoint components sequentially. The output is bit-identical across
-/// sources *and* thread counts fed the same sketch state (see the module
-/// docs for the argument).
-pub fn boruvka_rounds_parallel<Src: SketchSource>(
-    source: &mut Src,
-    num_vertices: u64,
-    max_rounds: usize,
-    query_threads: usize,
-) -> Result<BoruvkaOutcome, GzError>
-where
-    Src::Sampler: Send + Sync,
-{
-    let pool = WorkerPool::new(query_threads);
-    boruvka_rounds_with_pool(source, num_vertices, max_rounds, &pool)
-}
-
-/// [`boruvka_rounds_parallel`] against a caller-owned [`WorkerPool`]: the
-/// system query path constructs its pool once and reuses it across queries
-/// (and across the rounds of each query) instead of spawning and joining
-/// `query_threads` OS threads per call.
+/// sources *and* pool widths fed the same sketch state (see the module docs
+/// for the argument).
 pub fn boruvka_rounds_with_pool<Src: SketchSource>(
     source: &mut Src,
     num_vertices: u64,
@@ -390,20 +374,8 @@ pub fn boruvka_spanning_forest<S: L0Sampler + Clone + Send + Sync>(
     num_vertices: u64,
     max_rounds: usize,
 ) -> Result<BoruvkaOutcome, GzError> {
-    boruvka_spanning_forest_parallel(sketches, num_vertices, max_rounds, 1)
-}
-
-/// [`boruvka_spanning_forest`] with the round fold and sampling partitioned
-/// across `query_threads` workers — bit-identical at any thread count.
-pub fn boruvka_spanning_forest_parallel<S: L0Sampler + Clone + Send + Sync>(
-    sketches: Vec<Option<NodeSketch<S>>>,
-    num_vertices: u64,
-    max_rounds: usize,
-    query_threads: usize,
-) -> Result<BoruvkaOutcome, GzError> {
     assert_eq!(sketches.len() as u64, num_vertices);
-    let mut source = MaterializedSource::new(sketches);
-    boruvka_rounds_parallel(&mut source, num_vertices, max_rounds, query_threads)
+    boruvka_rounds(&mut MaterializedSource::new(sketches), num_vertices, max_rounds)
 }
 
 #[cfg(test)]
@@ -510,9 +482,20 @@ mod tests {
         assert!(matches!(err, GzError::AlgorithmFailure { .. }));
     }
 
+    /// [`boruvka_spanning_forest`]'s fold on a `threads`-wide pool.
+    fn forest_on_pool(
+        sketches: Vec<Option<crate::node_sketch::CubeNodeSketch>>,
+        n: u64,
+        rounds: usize,
+        threads: usize,
+    ) -> Result<BoruvkaOutcome, GzError> {
+        let mut source = MaterializedSource::new(sketches);
+        boruvka_rounds_with_pool(&mut source, n, rounds, &WorkerPool::new(threads))
+    }
+
     /// The tentpole invariant at the engine level: every field of the
     /// outcome except peak memory — labels, forest (with edge order),
-    /// rounds used, failure count — is identical at any thread count.
+    /// rounds used, failure count — is identical at any pool width.
     #[test]
     fn outcome_is_bit_identical_across_thread_counts() {
         use rand::rngs::SmallRng;
@@ -531,12 +514,11 @@ mod tests {
             let rounds = default_rounds(n) as usize;
             let reference = {
                 let (_p, sketches) = sketches_for(n, &edges, seed + 100);
-                boruvka_spanning_forest_parallel(sketches, n, rounds, 1).unwrap()
+                boruvka_spanning_forest(sketches, n, rounds).unwrap()
             };
             for threads in [2usize, 3, 4, 8, 17] {
                 let (_p, sketches) = sketches_for(n, &edges, seed + 100);
-                let parallel =
-                    boruvka_spanning_forest_parallel(sketches, n, rounds, threads).unwrap();
+                let parallel = forest_on_pool(sketches, n, rounds, threads).unwrap();
                 assert_eq!(reference.labels, parallel.labels, "labels at {threads} threads");
                 assert_eq!(reference.forest, parallel.forest, "forest at {threads} threads");
                 assert_eq!(reference.rounds_used, parallel.rounds_used, "rounds at {threads}");
@@ -575,7 +557,7 @@ mod tests {
     #[test]
     fn more_threads_than_vertices_is_fine() {
         let (_p, sketches) = sketches_for(4, &[(0, 1), (2, 3)], 5);
-        let outcome = boruvka_spanning_forest_parallel(sketches, 4, 4, 64).unwrap();
+        let outcome = forest_on_pool(sketches, 4, 4, 64).unwrap();
         assert_eq!(outcome.num_components(), 2);
     }
 }

@@ -59,12 +59,6 @@ const HEADER_BYTES: u64 = 4 + 8 + 8 + 4 + 4 + 8;
 /// Byte size of the fixed GZS2 header.
 const SHARD_HEADER_BYTES: u64 = 4 + 8 + 8 + 4 + 4 + 4 + 4 + 8 + 8;
 
-/// Sanity caps on header fields: real configs sit orders of magnitude
-/// below these, so anything larger is a corrupt or hostile file — refuse
-/// it before a `Vec::with_capacity` turns the lie into an allocation.
-const MAX_ROUNDS: u32 = 1 << 12;
-const MAX_COLUMNS: u32 = 1 << 20;
-
 fn corrupt(path: &Path, what: impl std::fmt::Display) -> GzError {
     GzError::InvalidConfig(format!("corrupt checkpoint {}: {what}", path.display()))
 }
@@ -278,24 +272,12 @@ fn truncated_header(e: std::io::Error) -> GzError {
     }
 }
 
-/// Bounds-check the sketch-defining header fields shared by both formats.
+/// Bounds-check the sketch-defining header fields shared by both formats —
+/// the bounds every config is validated against, so a file a system wrote
+/// is never refused here.
 fn check_header_fields(num_nodes: u64, rounds: u32, columns: u32) -> Result<(), GzError> {
-    if num_nodes < 2 || num_nodes > u64::from(u32::MAX) {
-        return Err(GzError::InvalidConfig(format!(
-            "checkpoint num_nodes {num_nodes} outside [2, 2^32)"
-        )));
-    }
-    if rounds == 0 || rounds > MAX_ROUNDS {
-        return Err(GzError::InvalidConfig(format!(
-            "checkpoint rounds {rounds} outside [1, {MAX_ROUNDS}]"
-        )));
-    }
-    if columns == 0 || columns > MAX_COLUMNS {
-        return Err(GzError::InvalidConfig(format!(
-            "checkpoint columns {columns} outside [1, {MAX_COLUMNS}]"
-        )));
-    }
-    Ok(())
+    crate::config::check_sketch_fields(num_nodes, rounds, columns)
+        .map_err(|what| GzError::InvalidConfig(format!("checkpoint {what}")))
 }
 
 fn read_header(r: &mut impl Read) -> Result<CheckpointHeader, GzError> {

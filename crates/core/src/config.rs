@@ -2,8 +2,8 @@
 //!
 //! Mirrors the tunables the paper exposes and sweeps: worker count and
 //! thread-group size (§6.4, Figure 14), gutter sizing (Figure 15), buffering
-//! strategy (gutter tree vs leaf-only, Figure 12), sketch store placement
-//! (RAM vs SSD), and the batch-level locking discipline (§5.1).
+//! strategy (gutter tree vs leaf-only, Figure 12) and sketch store placement
+//! (RAM vs SSD).
 
 use crate::error::GzError;
 use crate::store::io_backend::IoBackendConfig;
@@ -79,24 +79,20 @@ pub enum StoreBackend {
 }
 
 /// `threads`, but no more than the host can run at once. Every *default*
-/// thread count resolves through this — Graph Workers (`num_workers`,
-/// `workers_per_shard`, the CLI's `--workers`) and a `query_threads` of
-/// `None` — because the batch kernel and the fold are both CPU-bound, so
+/// thread count resolves through this — `num_workers`, `workers_per_shard`
+/// and the CLI's `--workers`, which also size each system's fork-join pool —
+/// because the batch kernel and the fold are both CPU-bound, so
 /// oversubscribed workers only add hand-over cost. An explicit setting is
 /// taken as given.
 pub fn capped_at_host(threads: usize) -> usize {
     threads.min(std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
-/// Batch-level locking discipline of the **RAM store** (paper §5.1's
-/// critical-section minimization).
-///
-/// The disk store ignores it: it always follows the delta discipline
-/// (kernel into a scratch sketch with no lock held, group lock for the
-/// XOR-merge only), because holding a node group's lock across the batch
-/// kernel would serialize every worker whose batch lands in that group.
-/// [`LockingStrategy::Direct`] exists for the RAM ablation in
-/// `figures/ablations.rs`.
+/// Batch-level locking discipline of a [`crate::store::ram::RamStore`]
+/// (paper §5.1's critical-section minimization), chosen where the store is
+/// constructed. Every system store uses [`LockingStrategy::DeltaSketch`], as
+/// the disk store always does; [`LockingStrategy::Direct`] exists for the
+/// ablation in `figures/ablations.rs` and as the tests' reference store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LockingStrategy {
     /// Hold the node-sketch lock for the whole batch application.
@@ -115,8 +111,10 @@ pub struct GzConfig {
     /// Master seed; the entire system is deterministic in it (up to worker
     /// scheduling, which never changes results thanks to sketch linearity).
     pub seed: u64,
-    /// Graph Workers applying batches (paper `g`). The constructors default
-    /// it to 4, capped at the host's available parallelism.
+    /// Graph Workers applying batches (paper `g`), and the width of the
+    /// fork-join pool every flush, query and epoch fold runs on (DESIGN.md
+    /// §4). The constructors default it to 4, capped at the host's available
+    /// parallelism.
     pub num_workers: usize,
     /// Threads per worker group for sketch-level parallelism (§5.1).
     /// The paper found group size 1 best on its hardware; that is the
@@ -135,24 +133,6 @@ pub struct GzConfig {
     pub buffering: BufferStrategy,
     /// Sketch store placement.
     pub store: StoreBackend,
-    /// Batch-level locking discipline of the RAM store. Has no effect with
-    /// [`StoreBackend::Disk`], which always builds a delta outside its
-    /// locks (see [`LockingStrategy`]).
-    pub locking: LockingStrategy,
-    /// Worker threads the Borůvka query engine folds, samples, and (on
-    /// disk stores) reads with; `None` = the ingestion worker count
-    /// (`num_workers`), capped at the host's available parallelism.
-    /// Answers are bit-identical at any thread count — this is purely a
-    /// performance knob (DESIGN.md §10).
-    pub query_threads: Option<usize>,
-    /// Bounded staleness for streaming queries (DESIGN.md §11). `None`
-    /// (the default) keeps the stop-the-world behavior: every query
-    /// flushes and reads the freshest state. `Some(n)` lets a streaming
-    /// query reuse the last sealed epoch as long as at most `n` updates
-    /// were ingested since its seal — queries then run concurrently with
-    /// ingestion and never stall it, at the cost of answers up to `n`
-    /// updates old.
-    pub query_staleness: Option<u64>,
     /// Hybrid sparse/dense threshold `τ` (DESIGN.md §12). A vertex starts
     /// as an exact toggle set of its live neighbors and is promoted to a
     /// real sketch stack — by replaying the set through the batch kernel,
@@ -171,7 +151,7 @@ pub struct GzConfig {
 impl GzConfig {
     /// Default in-RAM configuration for `num_nodes` vertices: leaf-only
     /// gutters at factor 0.5, 4 workers (fewer on a smaller host), group
-    /// size 1, delta-sketch locking, [`DEFAULT_COLUMNS`] sketch columns.
+    /// size 1, [`DEFAULT_COLUMNS`] sketch columns.
     pub fn in_ram(num_nodes: u64) -> Self {
         GzConfig {
             num_nodes,
@@ -182,9 +162,6 @@ impl GzConfig {
             num_columns: DEFAULT_COLUMNS,
             buffering: BufferStrategy::LeafOnly { capacity: GutterCapacity::SketchFactor(0.5) },
             store: StoreBackend::Ram,
-            locking: LockingStrategy::DeltaSketch,
-            query_threads: None,
-            query_staleness: None,
             sketch_threshold: 0,
             io: IoBackendConfig::default(),
         }
@@ -214,41 +191,45 @@ impl GzConfig {
         self.num_rounds.unwrap_or_else(|| default_rounds(self.num_nodes))
     }
 
-    /// Worker threads the query engine runs with: the explicit setting,
-    /// else the ingestion worker count capped at the host's available
-    /// parallelism.
-    pub fn query_threads(&self) -> usize {
-        self.query_threads.unwrap_or_else(|| capped_at_host(self.num_workers)).max(1)
-    }
-
     /// Validate invariants the system relies on.
     pub fn validate(&self) -> Result<(), GzError> {
-        if self.num_nodes < 2 {
-            return Err(GzError::InvalidConfig("need at least 2 nodes".into()));
-        }
-        if self.num_nodes > u32::MAX as u64 {
-            return Err(GzError::InvalidConfig("vertex ids must fit in u32".into()));
-        }
+        check_sketch_fields(self.num_nodes, self.rounds(), self.num_columns)
+            .map_err(GzError::InvalidConfig)?;
         if self.num_workers == 0 {
             return Err(GzError::InvalidConfig("need at least one Graph Worker".into()));
         }
         if self.group_threads == 0 {
             return Err(GzError::InvalidConfig("group_threads must be ≥ 1".into()));
         }
-        if self.query_threads == Some(0) {
-            return Err(GzError::InvalidConfig("query_threads must be ≥ 1".into()));
-        }
-        if self.num_columns == 0 {
-            return Err(GzError::InvalidConfig("need at least one sketch column".into()));
-        }
-        if self.rounds() == 0 {
-            return Err(GzError::InvalidConfig("need at least one Boruvka round".into()));
-        }
         if self.io.queue_depth == 0 {
             return Err(GzError::InvalidConfig("io queue_depth must be ≥ 1".into()));
         }
         Ok(())
     }
+}
+
+/// Most rounds any configuration or checkpoint header accepts. Real
+/// configurations sit orders of magnitude below this and the column cap, so
+/// anything larger is a mistake or a corrupt file — refused before a
+/// `Vec::with_capacity` turns it into an allocation.
+const MAX_ROUNDS: u32 = 1 << 12;
+/// Most CubeSketch columns any configuration or checkpoint header accepts.
+const MAX_COLUMNS: u32 = 1 << 20;
+
+/// The bounds on the sketch-defining fields, in one place: both configs'
+/// `validate` and both checkpoint formats' header checks call this, so a
+/// system never builds state its own restore would refuse.
+pub(crate) fn check_sketch_fields(num_nodes: u64, rounds: u32, columns: u32) -> Result<(), String> {
+    if !(2..=u64::from(u32::MAX)).contains(&num_nodes) {
+        return Err(format!("num_nodes {num_nodes} outside [2, 2^32)"));
+    }
+    if !(1..=MAX_ROUNDS).contains(&rounds) {
+        return Err(format!("rounds {rounds} outside [1, {MAX_ROUNDS}]"));
+    }
+    if !(1..=MAX_COLUMNS).contains(&columns) {
+        return Err(format!("columns {columns} outside [1, {MAX_COLUMNS}]"));
+    }
+    Ok(())
 }
 
 /// The paper's round budget: `⌈log_{3/2} V⌉` (Figure 9's
@@ -298,15 +279,10 @@ mod tests {
     #[test]
     fn default_thread_counts_are_clamped_to_the_host() {
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let mut c = GzConfig::in_ram(64);
+        assert_eq!(capped_at_host(cores + 7), cores, "a default never oversubscribes");
+        assert_eq!(capped_at_host(1), 1);
+        let c = GzConfig::in_ram(64);
         assert_eq!(c.num_workers, cores.min(4), "default Graph Workers never oversubscribe");
-        c.num_workers = cores + 7;
-        assert_eq!(c.query_threads(), cores, "the default never oversubscribes");
-        c.num_workers = 1;
-        assert_eq!(c.query_threads(), 1, "and never exceeds the worker count");
-        // An explicit setting is taken as given.
-        c.query_threads = Some(cores + 7);
-        assert_eq!(c.query_threads(), cores + 7);
     }
 
     #[test]

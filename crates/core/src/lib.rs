@@ -74,10 +74,7 @@ pub mod streaming_cc;
 pub mod system;
 
 pub use bipartiteness::{BipartitenessAnswer, BipartitenessTester};
-pub use boruvka::{
-    boruvka_rounds, boruvka_rounds_parallel, boruvka_spanning_forest,
-    boruvka_spanning_forest_parallel, BoruvkaOutcome, RoundSink,
-};
+pub use boruvka::{boruvka_rounds, boruvka_spanning_forest, BoruvkaOutcome, RoundSink};
 pub use checkpoint::{CheckpointHeader, ServeManifest, ShardCheckpointHeader, UpdateWal};
 pub use config::{BufferStrategy, GutterCapacity, GzConfig, LockingStrategy, StoreBackend};
 pub use edge_connectivity::{ForestCertificate, KForestSketcher};

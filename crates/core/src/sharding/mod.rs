@@ -47,13 +47,13 @@ pub use transport::{
     InProcessTransport, Recovery, RetryPolicy, ShardServeStats, ShardTransport, SocketTransport,
 };
 
-use crate::boruvka::{boruvka_rounds_parallel, boruvka_spanning_forest_parallel, BoruvkaOutcome};
-use crate::config::{GutterCapacity, LockingStrategy, StoreBackend};
+use crate::boruvka::{boruvka_rounds_with_pool, BoruvkaOutcome};
+use crate::config::{GutterCapacity, StoreBackend};
 use crate::error::GzError;
 use crate::node_sketch::{CubeNodeSketch, CubeRoundSketch, SketchParams};
 use crate::sparse::{SparseRoundBatch, SparseSet};
 use crate::store::io_backend::IoBackendConfig;
-use crate::store::SketchSource;
+use crate::store::{MaterializedSource, SketchSource};
 use gz_gutters::WorkerPool;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -74,12 +74,11 @@ pub struct ShardConfig {
     /// CubeSketch columns ([`crate::config::DEFAULT_COLUMNS`] unless set).
     /// Part of the parameter digest and of every `GZS2` header.
     pub num_columns: u32,
-    /// Graph Workers per shard pipeline. [`Self::in_ram`] defaults it to
-    /// 2, capped at the host's available parallelism.
+    /// Graph Workers per shard pipeline, and the width of the
+    /// coordinator's fork-join pool (flush, query and epoch folds).
+    /// [`Self::in_ram`] defaults it to 2, capped at the host's available
+    /// parallelism.
     pub workers_per_shard: usize,
-    /// Batch-level locking discipline inside each RAM-backed shard (a
-    /// disk-backed shard ignores it; see [`LockingStrategy`]).
-    pub locking: LockingStrategy,
     /// Per-shard sketch store placement (RAM or disk).
     pub store: StoreBackend,
     /// Hybrid-representation promotion threshold τ, mirroring
@@ -91,18 +90,6 @@ pub struct ShardConfig {
     pub sketch_threshold: u32,
     /// Router gutter capacity (the inter-shard batch size knob).
     pub router_capacity: GutterCapacity,
-    /// Worker threads the coordinator's Borůvka engine folds and samples
-    /// with; `None` = the per-shard ingestion worker count, capped at the
-    /// host's available parallelism. Coordinator-side only — answers are
-    /// bit-identical at any thread count.
-    pub query_threads: Option<usize>,
-    /// Bounded staleness for streaming queries (DESIGN.md §11), mirroring
-    /// [`crate::config::GzConfig::query_staleness`]: `None` (the default)
-    /// keeps the stop-the-world behavior; `Some(n)` lets a streaming query
-    /// reuse the last sealed epoch while at most `n` updates were routed
-    /// since its seal. Coordinator-side only — not part of the parameter
-    /// digest.
-    pub query_staleness: Option<u64>,
     /// Disk-store I/O backend tunables for each shard's store, mirroring
     /// [`crate::config::GzConfig::io`]. Ignored by RAM stores and not part
     /// of the parameter digest — the backend changes how bytes move, never
@@ -134,12 +121,9 @@ impl ShardConfig {
             num_rounds: None,
             num_columns: crate::config::DEFAULT_COLUMNS,
             workers_per_shard: crate::config::capped_at_host(2),
-            locking: LockingStrategy::DeltaSketch,
             store: StoreBackend::Ram,
             sketch_threshold: 0,
             router_capacity: GutterCapacity::SketchFactor(0.5),
-            query_threads: None,
-            query_staleness: None,
             io: IoBackendConfig::default(),
             checkpoint_dir: None,
             checkpoint_every: None,
@@ -149,15 +133,6 @@ impl ShardConfig {
     /// Number of Boruvka rounds (= sketches per node).
     pub fn rounds(&self) -> u32 {
         self.num_rounds.unwrap_or_else(|| crate::config::default_rounds(self.num_nodes))
-    }
-
-    /// Worker threads the coordinator queries with: the explicit setting,
-    /// else the per-shard ingestion worker count capped at the host's
-    /// available parallelism.
-    pub fn query_threads(&self) -> usize {
-        self.query_threads
-            .unwrap_or_else(|| crate::config::capped_at_host(self.workers_per_shard))
-            .max(1)
     }
 
     /// The shared sketch parameters every shard derives.
@@ -180,23 +155,13 @@ impl ShardConfig {
 
     /// Validate invariants the subsystem relies on.
     pub fn validate(&self) -> Result<(), GzError> {
-        if self.num_nodes < 2 {
-            return Err(GzError::InvalidConfig("need at least 2 nodes".into()));
-        }
-        if self.num_nodes > u32::MAX as u64 {
-            return Err(GzError::InvalidConfig("vertex ids must fit in u32".into()));
-        }
+        crate::config::check_sketch_fields(self.num_nodes, self.rounds(), self.num_columns)
+            .map_err(GzError::InvalidConfig)?;
         if self.num_shards == 0 {
             return Err(GzError::InvalidConfig("need at least one shard".into()));
         }
         if self.workers_per_shard == 0 {
             return Err(GzError::InvalidConfig("need at least one worker per shard".into()));
-        }
-        if self.query_threads == Some(0) {
-            return Err(GzError::InvalidConfig("query_threads must be ≥ 1".into()));
-        }
-        if self.num_columns == 0 {
-            return Err(GzError::InvalidConfig("need at least one sketch column".into()));
         }
         if self.io.queue_depth == 0 {
             return Err(GzError::InvalidConfig("io queue_depth must be ≥ 1".into()));
@@ -218,6 +183,11 @@ impl ShardConfig {
 /// its gathers interleave with ingestion calls on the same links. Either
 /// way a query thread folds a sealed snapshot while this system keeps
 /// routing updates.
+///
+/// Lock order: the transport lock, then a dispatch on the system's pool —
+/// never the reverse. A flush over in-process shards and a gather fold both
+/// dispatch while holding the transport; an in-place fold never takes it,
+/// and no pool task may.
 pub struct ShardedGraphZeppelin {
     params: Arc<SketchParams>,
     router: ShardRouter,
@@ -227,20 +197,15 @@ pub struct ShardedGraphZeppelin {
     local_workers: Vec<JoinHandle<Result<ShardServeStats, GzError>>>,
     num_nodes: u64,
     updates: u64,
-    query_threads: usize,
-    /// Last sealed epoch and the update count at its seal — the bounded-
-    /// staleness cache (`ShardConfig::query_staleness`).
-    cached_epoch: Option<(ShardedEpoch, u64)>,
-    query_staleness: Option<u64>,
     /// Checkpoint cadence in routed batches (`ShardConfig::checkpoint_every`).
     checkpoint_every: Option<u64>,
     /// Router batch count at the last fleet checkpoint.
     last_checkpoint_batches: u64,
-    /// The pool a flush over in-process shards claims gutters on
-    /// (DESIGN.md §4): `workers_per_shard` wide, capped at the host, built
-    /// by the first such flush and kept.
-    flush_pool: Option<WorkerPool>,
-    flush_threads: usize,
+    /// The fork-join pool of the stop-the-world phases (DESIGN.md §4),
+    /// `workers_per_shard` wide and kept: a flush over in-process shards
+    /// claims gutters on it, and every query — live, oracle, or through an
+    /// epoch this system seals — folds its rounds on it.
+    pool: Arc<WorkerPool>,
     shut_down: bool,
 }
 
@@ -300,22 +265,11 @@ impl ShardedGraphZeppelin {
             local_workers: Vec::new(),
             num_nodes: config.num_nodes,
             updates: 0,
-            query_threads: config.query_threads(),
-            cached_epoch: None,
-            query_staleness: config.query_staleness,
             checkpoint_every: config.checkpoint_every,
             last_checkpoint_batches: 0,
-            flush_pool: None,
-            flush_threads: crate::config::capped_at_host(config.workers_per_shard),
+            pool: Arc::new(WorkerPool::new(config.workers_per_shard)),
             shut_down: false,
         })
-    }
-
-    /// Change the coordinator's query-thread count (answers are
-    /// bit-identical at any setting; this is a performance knob).
-    pub fn set_query_threads(&mut self, query_threads: usize) {
-        assert!(query_threads >= 1, "query_threads must be ≥ 1");
-        self.query_threads = query_threads;
     }
 
     /// Number of shards.
@@ -426,8 +380,8 @@ impl ShardedGraphZeppelin {
     /// distributed `cleanup()`). Shards in this process
     /// ([`ShardTransport::local_views`] — the split the query fold makes)
     /// have what the router still buffers applied to their stores where it
-    /// lies, by a kept fork-join pool with this thread as worker 0: no batch
-    /// is built and no queue touched. Shards behind links are sent it as
+    /// lies, by the system's pool with this thread as worker 0: no batch is
+    /// built and no queue touched. Shards behind links are sent it as
     /// batches. Either way every shard then waits out what overflowed
     /// earlier.
     pub fn flush(&mut self) -> Result<(), GzError> {
@@ -437,13 +391,9 @@ impl ShardedGraphZeppelin {
         }
         let started = std::time::Instant::now();
         match transport.local_views(None)? {
-            Some(views) => {
-                let pool =
-                    self.flush_pool.get_or_insert_with(|| WorkerPool::new(self.flush_threads));
-                self.router.drain_in_place(pool, &|shard, node, records| {
-                    views[shard as usize].apply_batch(node, records)
-                });
-            }
+            Some(views) => self.router.drain_in_place(&self.pool, &|shard, node, records| {
+                views[shard as usize].apply_batch(node, records)
+            }),
             None => self.router.flush(&mut |shard, batch| transport.send_batch(shard, batch))?,
         }
         transport.flush()?;
@@ -489,52 +439,28 @@ impl ShardedGraphZeppelin {
             .collect())
     }
 
-    /// Query a spanning forest, one Borůvka round at a time, so the
-    /// coordinator never materializes the whole universe: shards in this
-    /// process fold each round straight from their stores, socket shards
-    /// ship that round's sketch slices (`GatherRound` frames, `rounds`-fold
-    /// smaller than a full gather).
-    ///
-    /// With `ShardConfig::query_staleness = Some(n)` the query answers from
-    /// the last sealed epoch while it is at most `n` updates stale,
-    /// resealing only when the budget is blown — the sharded form of
-    /// [`crate::GraphZeppelin::spanning_forest`]'s knob.
+    /// Flush, then query a spanning forest one Borůvka round at a time on
+    /// the system's pool, so the coordinator never materializes the whole
+    /// universe: shards in this process fold each round straight from their
+    /// stores, socket shards ship that round's sketch slices (`GatherRound`
+    /// frames, `rounds`-fold smaller than a full gather).
     pub fn spanning_forest(&mut self) -> Result<BoruvkaOutcome, GzError> {
-        let Some(max_lag) = self.query_staleness else {
-            self.flush()?;
-            let views = self.transport.lock().local_views(None)?;
-            let reads = match &views {
-                Some(views) => ShardReads::InPlace(views),
-                None => ShardReads::Gather { transport: &self.transport, epochs: None },
-            };
-            return reads.spanning_forest(&self.params, self.query_threads);
+        self.flush()?;
+        let views = self.transport.lock().local_views(None)?;
+        let reads = match &views {
+            Some(views) => ShardReads::InPlace(views),
+            None => ShardReads::Gather { transport: &self.transport, epochs: None },
         };
-        let fresh_enough = matches!(&self.cached_epoch, Some((_, sealed_at)) if self.updates - sealed_at <= max_lag);
-        if !fresh_enough {
-            // Let go of the epoch the cache can no longer serve *before* the
-            // seal's flush: held across it, every batch the flush applies
-            // would clone a pre-image into an overlay no query will read.
-            self.cached_epoch = None;
-            let epoch = self.begin_epoch()?;
-            self.cached_epoch = Some((epoch, self.updates));
-        }
-        let (epoch, _) = self.cached_epoch.as_ref().expect("epoch sealed above");
-        epoch.spanning_forest()
+        reads.spanning_forest(&self.params, &self.pool)
     }
 
     /// The reference [`Self::spanning_forest`] is tested against: gather
     /// every node's full sketch stack at the coordinator, then run ordinary
-    /// Boruvka over the materialization. Always reads live state —
-    /// `query_staleness` does not apply. No configuration selects it; tests
-    /// call it by name.
+    /// Boruvka over the materialization on the system's pool. No
+    /// configuration selects it; tests call it by name.
     pub fn spanning_forest_oracle(&mut self) -> Result<BoruvkaOutcome, GzError> {
-        let sketches = self.gather()?;
-        boruvka_spanning_forest_parallel(
-            sketches,
-            self.num_nodes,
-            self.params.rounds(),
-            self.query_threads,
-        )
+        let mut source = MaterializedSource::new(self.gather()?);
+        boruvka_rounds_with_pool(&mut source, self.num_nodes, self.params.rounds(), &self.pool)
     }
 
     /// Flush, then seal one epoch on every shard and hand back a query
@@ -551,7 +477,7 @@ impl ShardedGraphZeppelin {
         Ok(ShardedEpoch {
             transport: Arc::clone(&self.transport),
             params: Arc::clone(&self.params),
-            query_threads: self.query_threads,
+            pool: Arc::clone(&self.pool),
             epoch_ids,
             views,
         })
@@ -603,9 +529,6 @@ impl ShardedGraphZeppelin {
             return Ok(());
         }
         self.shut_down = true;
-        // Release the cached epoch while the shards still serve — its Drop
-        // sends ReleaseEpoch, which must precede Shutdown on the links.
-        self.cached_epoch = None;
         self.transport.lock().shutdown()
     }
 }
@@ -625,13 +548,13 @@ impl Drop for ShardedGraphZeppelin {
 /// on another: over in-process shards the fold reads the shards' stores
 /// through the sealed overlays and never takes the coordinator's transport
 /// mutex; over socket links it takes the mutex once per round, so its
-/// gathers interleave with ingestion calls. Dropping the handle sends a
-/// best-effort `ReleaseEpoch` to every shard so their copy-on-write
-/// captures are reclaimed.
+/// gathers interleave with ingestion calls. It folds on the owning system's
+/// pool. Dropping the handle sends a best-effort `ReleaseEpoch` to every
+/// shard so their copy-on-write captures are reclaimed.
 pub struct ShardedEpoch {
     transport: Arc<parking_lot::Mutex<Box<dyn ShardTransport + Send>>>,
     params: Arc<SketchParams>,
-    query_threads: usize,
+    pool: Arc<WorkerPool>,
     epoch_ids: Vec<u64>,
     /// The shards' stores pinned to this epoch, when they are in this
     /// process ([`ShardTransport::local_views`]).
@@ -644,25 +567,25 @@ impl ShardedEpoch {
         &self.epoch_ids
     }
 
-    /// Change the handle's query-thread count (answers are bit-identical
-    /// at any setting).
-    pub fn set_query_threads(&mut self, query_threads: usize) {
-        assert!(query_threads >= 1, "query_threads must be ≥ 1");
-        self.query_threads = query_threads;
-    }
-
     /// Query a spanning forest of the graph as it stood at the seal —
     /// bit-identical to a stop-the-world streaming query at that instant,
     /// no matter how much the shards have ingested since (pinned by the
     /// epoch equivalence suite).
     pub fn spanning_forest(&self) -> Result<BoruvkaOutcome, GzError> {
+        self.spanning_forest_with_pool(&self.pool)
+    }
+
+    /// [`Self::spanning_forest`] folding on `pool` instead of the owning
+    /// system's — same bits at any width, so a test can fold one sealed
+    /// epoch at several.
+    pub fn spanning_forest_with_pool(&self, pool: &WorkerPool) -> Result<BoruvkaOutcome, GzError> {
         let reads = match &self.views {
             Some(views) => ShardReads::InPlace(views),
             None => {
                 ShardReads::Gather { transport: &self.transport, epochs: Some(&self.epoch_ids) }
             }
         };
-        reads.spanning_forest(&self.params, self.query_threads)
+        reads.spanning_forest(&self.params, pool)
     }
 }
 
@@ -690,14 +613,14 @@ enum ShardReads<'a> {
 }
 
 impl ShardReads<'_> {
-    /// Run the round-driven engine over these reads.
+    /// Run the round-driven engine over these reads on `pool`.
     fn spanning_forest(
         self,
         params: &SketchParams,
-        query_threads: usize,
+        pool: &WorkerPool,
     ) -> Result<BoruvkaOutcome, GzError> {
         let mut source = ShardRoundSource { reads: self, params, resident: 0 };
-        boruvka_rounds_parallel(&mut source, params.num_nodes, params.rounds(), query_threads)
+        boruvka_rounds_with_pool(&mut source, params.num_nodes, params.rounds(), pool)
     }
 }
 
@@ -1185,9 +1108,9 @@ mod tests {
         // The two query routes — in-process shards folded in place from
         // their stores, `local_socket` shards gathered as serialized round
         // slices — against the gather-everything oracle and each other:
-        // shards {1, 3} × Ram/Disk shard stores × τ ∈ {0, 64} ×
-        // query_threads {1, 4}, first pinned to an epoch the stream then
-        // moves past, then live.
+        // shards {1, 3} × Ram/Disk shard stores × τ ∈ {0, 64} × pool
+        // widths {1, 4}, first pinned to an epoch the stream then moves
+        // past, then live.
         let n = 40u64;
         let updates = demo_updates(n as u32, 300, 11);
         let more = demo_updates(n as u32, 120, 12);
@@ -1206,6 +1129,9 @@ mod tests {
                     let dir = gz_testutil::TempDir::new("gz-route-equivalence");
                     let mut config = ShardConfig::in_ram(n, shards);
                     config.sketch_threshold = tau;
+                    // The live query runs on the system's pool: one worker
+                    // on one shard, four on three.
+                    config.workers_per_shard = if shards == 1 { 1 } else { 4 };
                     if on_disk {
                         config.store = StoreBackend::Disk {
                             dir: dir.path().to_path_buf(),
@@ -1216,20 +1142,19 @@ mod tests {
                     let mut sys = make(config).unwrap();
                     sys.ingest(updates.iter().copied()).unwrap();
                     let sealed_oracle = sys.spanning_forest_oracle().unwrap();
-                    let mut epoch = sys.begin_epoch().unwrap();
+                    let epoch = sys.begin_epoch().unwrap();
                     sys.ingest(more.iter().copied()).unwrap();
                     sys.flush().unwrap();
                     let live_oracle = sys.spanning_forest_oracle().unwrap();
                     for threads in [1usize, 4] {
-                        epoch.set_query_threads(threads);
-                        let pinned = epoch.spanning_forest().unwrap();
-                        assert_same_answer(&pinned, &sealed_oracle, &format!("pinned, {what}"));
-                        sys.set_query_threads(threads);
-                        let live = sys.spanning_forest().unwrap();
-                        assert_same_answer(&live, &live_oracle, &format!("live, {what}"));
-                        // A round is `rounds`-fold smaller than the full gather.
-                        assert!(live.peak_sketch_bytes < live_oracle.peak_sketch_bytes, "{what}");
+                        let pinned = epoch.spanning_forest_with_pool(&WorkerPool::new(threads));
+                        let what = format!("pinned at {threads}, {what}");
+                        assert_same_answer(&pinned.unwrap(), &sealed_oracle, &what);
                     }
+                    let live = sys.spanning_forest().unwrap();
+                    assert_same_answer(&live, &live_oracle, &format!("live, {what}"));
+                    // A round is `rounds`-fold smaller than the full gather.
+                    assert!(live.peak_sketch_bytes < live_oracle.peak_sketch_bytes, "{what}");
                     drop(epoch);
                     sys.shutdown().unwrap();
                     match &across_routes {
@@ -1411,27 +1336,6 @@ mod tests {
             sys.connected_components().unwrap();
             sys.shutdown().unwrap();
         }
-    }
-
-    #[test]
-    fn sharded_staleness_knob_reuses_then_reseals() {
-        let n = 24u64;
-        let mut config = ShardConfig::in_ram(n, 2);
-        config.query_staleness = Some(10);
-        let mut sys = ShardedGraphZeppelin::in_process(config).unwrap();
-        sys.update(0, 1, false).unwrap();
-        let first = sys.connected_components().unwrap();
-        // Within budget: the cached epoch answers, blind to the new edge.
-        sys.update(1, 2, false).unwrap();
-        let stale = sys.connected_components().unwrap();
-        assert_eq!(stale, first);
-        // Blow the budget: the reseal sees everything routed so far.
-        for i in 3..14u32 {
-            sys.update(2, i, false).unwrap();
-        }
-        let fresh = sys.connected_components().unwrap();
-        assert_eq!(fresh[0], fresh[2]);
-        assert_eq!(fresh[0], fresh[13]);
     }
 
     #[test]

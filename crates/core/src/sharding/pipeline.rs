@@ -9,7 +9,7 @@
 
 use crate::boruvka::RoundSink;
 use crate::checkpoint::{load_shard_checkpoint, save_shard_checkpoint, ShardCheckpointHeader};
-use crate::config::StoreBackend;
+use crate::config::{LockingStrategy, StoreBackend};
 use crate::error::GzError;
 use crate::ingest::WorkerPool;
 use crate::node_sketch::{CubeRoundSketch, SketchParams};
@@ -111,7 +111,7 @@ impl ShardPipeline {
         let store = match &config.store {
             StoreBackend::Ram => Arc::new(SketchStore::Ram(RamStore::for_nodes_with_threshold(
                 Arc::clone(&params),
-                config.locking,
+                LockingStrategy::DeltaSketch,
                 owned,
                 config.sketch_threshold,
             ))),

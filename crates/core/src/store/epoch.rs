@@ -19,7 +19,7 @@
 //! the moment E was sealed, regardless of how many batches land while the
 //! query runs. The equivalence suite (`tests/epochs.rs`) pins this.
 
-use crate::boruvka::{boruvka_rounds_parallel, BoruvkaOutcome};
+use crate::boruvka::{boruvka_rounds_with_pool, BoruvkaOutcome};
 use crate::error::GzError;
 use crate::node_sketch::CubeNodeSketch;
 use crate::sparse::SparseSet;
@@ -86,9 +86,9 @@ impl EpochOverlay {
 
 /// Per-store bookkeeping of live epochs. Ingestion consults it immediately
 /// before mutating a group's sealed value; when no epoch is live — which
-/// the staleness caches guarantee for the flush of a reseal, by letting go
-/// of the epoch they can no longer serve first — that consultation is a
-/// single atomic load.
+/// `gz serve`'s staleness cache guarantees for the flush of a reseal, by
+/// letting go of the epoch it can no longer serve first — that consultation
+/// is a single atomic load.
 pub(crate) struct EpochRegistry {
     inner: Mutex<RegistryInner>,
     /// Fast-path flag: false ⇒ `inner.live` is empty and capture can be
@@ -196,13 +196,14 @@ impl EpochRegistry {
 /// to the open generation. The handle is self-contained (`Send` + `Sync`),
 /// so a query thread can run [`Self::spanning_forest`] on a shared
 /// reference while the owning thread keeps calling
-/// [`crate::GraphZeppelin::update`]. Dropping the last handle to an epoch
-/// frees its captured groups.
+/// [`crate::GraphZeppelin::update`]. It folds on the owning system's pool,
+/// whose dispatches the owner's flushes share one at a time. Dropping the
+/// last handle to an epoch frees its captured groups.
 pub struct SketchEpoch {
     store: Arc<SketchStore>,
     overlay: Arc<EpochOverlay>,
     id: u64,
-    query_threads: usize,
+    pool: Arc<WorkerPool>,
 }
 
 impl SketchEpoch {
@@ -210,21 +211,14 @@ impl SketchEpoch {
         store: Arc<SketchStore>,
         overlay: Arc<EpochOverlay>,
         id: u64,
-        query_threads: usize,
+        pool: Arc<WorkerPool>,
     ) -> Self {
-        SketchEpoch { store, overlay, id, query_threads }
+        SketchEpoch { store, overlay, id, pool }
     }
 
     /// The store-assigned epoch id (monotonic per store).
     pub fn id(&self) -> u64 {
         self.id
-    }
-
-    /// Query workers [`Self::spanning_forest`] folds with (answers are
-    /// bit-identical at any setting).
-    pub fn set_query_threads(&mut self, query_threads: usize) {
-        assert!(query_threads >= 1, "query_threads must be ≥ 1");
-        self.query_threads = query_threads;
     }
 
     /// Node groups this epoch has pinned (copy-on-write captures so far).
@@ -244,21 +238,16 @@ impl SketchEpoch {
     /// to a stop-the-world query at the moment this epoch was sealed, no
     /// matter how much the stream has moved since.
     pub fn spanning_forest(&self) -> Result<BoruvkaOutcome, GzError> {
-        let params = self.store.params();
-        let (num_nodes, rounds) = (params.num_nodes, params.rounds());
-        let mut source = StoreRoundSource::at_epoch(&self.store, &self.overlay);
-        boruvka_rounds_parallel(&mut source, num_nodes, rounds, self.query_threads)
+        self.spanning_forest_with_pool(&self.pool)
     }
 
-    /// [`Self::spanning_forest`] folding with a caller-provided pool — the
-    /// hot path for repeated staleness-bounded queries, which reuse
-    /// [`crate::GraphZeppelin`]'s cached pool instead of spawning one per
-    /// query.
+    /// [`Self::spanning_forest`] folding on `pool` instead of the owning
+    /// system's — same bits at any width, so a test can fold one sealed
+    /// epoch at several.
     pub fn spanning_forest_with_pool(&self, pool: &WorkerPool) -> Result<BoruvkaOutcome, GzError> {
         let params = self.store.params();
-        let (num_nodes, rounds) = (params.num_nodes, params.rounds());
         let mut source = StoreRoundSource::at_epoch(&self.store, &self.overlay);
-        crate::boruvka::boruvka_rounds_with_pool(&mut source, num_nodes, rounds, pool)
+        boruvka_rounds_with_pool(&mut source, params.num_nodes, params.rounds(), pool)
     }
 }
 
@@ -297,30 +286,5 @@ mod tests {
         // And the live system sees the new graph.
         let live = gz.spanning_forest().unwrap();
         assert_ne!(live.labels, reference.labels, "stream moved on");
-    }
-
-    /// Staleness routing: `Some(n)` reuses the sealed epoch until more
-    /// than `n` updates have landed, then reseals.
-    #[test]
-    fn staleness_knob_reuses_then_reseals() {
-        let mut c = GzConfig::in_ram(16);
-        c.query_staleness = Some(3);
-        let mut gz = GraphZeppelin::new(c).unwrap();
-        gz.edge_update(0, 1);
-        let first = gz.spanning_forest().unwrap();
-        assert!(first.labels[0] == first.labels[1]);
-
-        // Within the staleness budget: the answer may legally be stale.
-        gz.edge_update(2, 3);
-        let stale = gz.spanning_forest().unwrap();
-        assert_eq!(stale.labels, first.labels, "within budget: epoch reused");
-
-        // Blow the budget: the next query must reseal and see everything.
-        for &(u, v) in &[(4u32, 5u32), (6, 7), (8, 9)] {
-            gz.edge_update(u, v);
-        }
-        let fresh = gz.spanning_forest().unwrap();
-        assert_eq!(fresh.labels[2], fresh.labels[3], "reseal sees (2,3)");
-        assert_eq!(fresh.labels[4], fresh.labels[5]);
     }
 }

@@ -26,7 +26,7 @@ pub use io_backend::{IoBackendConfig, IoBackendKind};
 pub use uring::uring_available;
 
 use crate::boruvka::RoundSink;
-use crate::config::{GzConfig, StoreBackend};
+use crate::config::{GzConfig, LockingStrategy, StoreBackend};
 use crate::error::GzError;
 use crate::node_sketch::{CubeNodeSketch, CubeRoundSketch, NodeSketch, SketchParams};
 use crate::sparse::{edge_indices, SparseSet};
@@ -141,7 +141,7 @@ impl SketchStore {
         match &config.store {
             StoreBackend::Ram => Ok(SketchStore::Ram(ram::RamStore::for_nodes_with_threshold(
                 params,
-                config.locking,
+                LockingStrategy::DeltaSketch,
                 node_set,
                 config.sketch_threshold,
             ))),
@@ -362,8 +362,8 @@ impl SketchStore {
     /// Pre-images this store has cloned for its epochs so far (node groups
     /// and sparse sets, each counted once however many overlays share it) —
     /// the copy-on-write cost of every seal to date. It stands still while
-    /// no epoch is live, which is how the tests pin that a staleness cache
-    /// lets go of its epoch *before* the flush of a reseal.
+    /// no epoch is live, which is how the tests pin that a reseal whose old
+    /// epoch was let go first clones nothing in its flush.
     pub fn epoch_captures(&self) -> u64 {
         match self {
             SketchStore::Ram(s) => s.epoch_captures(),

@@ -403,18 +403,38 @@ mod tests {
 
     #[test]
     fn batch_application_direct_vs_delta_identical() {
-        let a = store(LockingStrategy::Direct);
-        let b = store(LockingStrategy::DeltaSketch);
-        let records: Vec<u32> =
-            [(1u32, false), (2, false), (1, true)].map(|(o, d)| encode_other(o, d)).to_vec();
-        a.apply_batch(0, &records);
-        b.apply_batch(0, &records);
-        let (sa, sb) = (a.snapshot(), b.snapshot());
-        for (x, y) in sa.iter().zip(sb.iter()) {
-            let (x, y) = (x.as_ref().unwrap(), y.as_ref().unwrap());
-            for r in 0..x.num_rounds() {
-                assert_eq!(x.sample_round(r), y.sample_round(r));
+        // Four threads share 64 batches for eight nodes — deletes and
+        // repeats included — applied to one store per discipline: the lock
+        // scope decides who waits, never what is merged, so the stacks end
+        // bit-identical.
+        let (a, b) = (store(LockingStrategy::Direct), store(LockingStrategy::DeltaSketch));
+        let batches: Vec<(u32, Vec<u32>)> = (0..64u32)
+            .map(|i| {
+                let node = i % 8;
+                let others = (0..5).map(|j| (node + 1 + (i + j) % 31) % 32);
+                (
+                    node,
+                    others
+                        .zip([false, true].into_iter().cycle())
+                        .map(|(o, d)| encode_other(o, d))
+                        .collect(),
+                )
+            })
+            .collect();
+        std::thread::scope(|scope| {
+            for first in 0..4 {
+                let (a, b, batches) = (&a, &b, &batches);
+                scope.spawn(move || {
+                    for (node, records) in batches.iter().skip(first).step_by(4) {
+                        a.apply_batch(*node, records);
+                        b.apply_batch(*node, records);
+                    }
+                });
             }
+        });
+        for (node, (x, y)) in a.snapshot().iter().zip(b.snapshot().iter()).enumerate() {
+            let (x, y) = (x.as_ref().unwrap(), y.as_ref().unwrap());
+            crate::node_sketch::assert_rounds_bitwise_equal(x, y, &format!("node {node}"));
         }
     }
 

@@ -2,11 +2,13 @@
 //! (`edge_update()` / `list_spanning_forest()`, Figures 8–9).
 
 use crate::boruvka::{boruvka_rounds_with_pool, BoruvkaOutcome};
-use crate::config::{capped_at_host, BufferStrategy, GzConfig, StoreBackend};
+use crate::config::{BufferStrategy, GzConfig, StoreBackend};
 use crate::error::GzError;
 use crate::ingest::{apply_batch, IngestCounters, WorkerPool};
 use crate::node_sketch::{encode_other, SketchParams};
-use crate::store::{MaterializedSource, RepStats, SketchEpoch, SketchStore, StoreRoundSource};
+use crate::store::{
+    MaterializedSource, RepStats, SketchEpoch, SketchSource, SketchStore, StoreRoundSource,
+};
 use gz_graph::Edge;
 use gz_gutters::{BufferingSystem, GutterTree, GutterTreeConfig, IoStats, LeafGutters, WorkQueue};
 use std::sync::Arc;
@@ -58,34 +60,11 @@ pub struct GraphZeppelin {
     updates_ingested: u64,
     gutter_io: Option<Arc<IoStats>>,
     buffer_capacity_bytes: usize,
-    /// The epoch bounded-staleness queries reuse, with the update count at
-    /// its seal (`config.query_staleness`; `None` until the first such
-    /// query).
-    cached_epoch: Option<(SketchEpoch, u64)>,
     /// The fork-join pool of the stop-the-world phases (DESIGN.md §4),
-    /// `num_workers` wide (capped at the host), built once and kept: a
-    /// flush claims gutters on it, and a query folds its rounds on it
-    /// unless `query_threads` names another width.
-    pool: gz_gutters::WorkerPool,
-    /// The pool queries run on when `query_threads` is not [`Self::pool`]'s
-    /// width: built lazily, kept across queries, rebuilt when
-    /// [`Self::set_query_threads`] changes the count.
-    query_pool: Option<gz_gutters::WorkerPool>,
-}
-
-/// `pool` if it is `threads` wide, else `other`, (re)built at that width.
-fn pool_of_width<'a>(
-    pool: &'a gz_gutters::WorkerPool,
-    other: &'a mut Option<gz_gutters::WorkerPool>,
-    threads: usize,
-) -> &'a gz_gutters::WorkerPool {
-    if pool.threads() == threads {
-        return pool;
-    }
-    if other.as_ref().map(gz_gutters::WorkerPool::threads) != Some(threads) {
-        *other = Some(gz_gutters::WorkerPool::new(threads));
-    }
-    other.as_ref().expect("built above")
+    /// `num_workers` wide, built once and kept: a flush claims gutters on
+    /// it, and a query — live, oracle, or through any epoch this system
+    /// seals — folds its rounds on it.
+    pool: Arc<gz_gutters::WorkerPool>,
 }
 
 impl GraphZeppelin {
@@ -138,7 +117,7 @@ impl GraphZeppelin {
             Arc::clone(&store),
         );
         let counters = workers.counters();
-        let pool = gz_gutters::WorkerPool::new(capped_at_host(config.num_workers));
+        let pool = Arc::new(gz_gutters::WorkerPool::new(config.num_workers));
 
         Ok(GraphZeppelin {
             config,
@@ -151,15 +130,8 @@ impl GraphZeppelin {
             updates_ingested: 0,
             gutter_io,
             buffer_capacity_bytes,
-            cached_epoch: None,
             pool,
-            query_pool: None,
         })
-    }
-
-    /// The pool queries fold on, at the resolved thread count.
-    fn query_pool(&mut self) -> &gz_gutters::WorkerPool {
-        pool_of_width(&self.pool, &mut self.query_pool, self.config.query_threads())
     }
 
     /// Ingest one stream update — a *toggle* of edge `(u, v)` (paper
@@ -224,54 +196,36 @@ impl GraphZeppelin {
     /// Compute a spanning forest of the current graph (paper
     /// `list_spanning_forest()`); leaves the system ready for more updates.
     ///
-    /// Folds round slices straight out of the store, keeping only
-    /// per-live-supernode accumulators resident — partitioned across
-    /// `query_threads` workers (slot ranges in RAM; windows of positioned
-    /// group reads claimed from a shared cursor on disk, at one thread as
-    /// at many). Answers are bit-identical at any thread count.
-    ///
-    /// With `config.query_staleness = Some(n)`, the query reuses the last
-    /// sealed epoch while it is at most `n` updates old (sealing a fresh
-    /// one otherwise) and folds it through the epoch read path — ingestion
-    /// is never stopped, and the answer reflects the sealed cut.
+    /// Flushes, then folds round slices straight out of the store, keeping
+    /// only per-live-supernode accumulators resident — partitioned across
+    /// the system's pool (slot ranges in RAM; windows of positioned group
+    /// reads claimed from a shared cursor on disk, at one thread as at
+    /// many). Answers are bit-identical at any pool width.
     pub fn spanning_forest(&mut self) -> Result<BoruvkaOutcome, GzError> {
-        let Some(max_lag) = self.config.query_staleness else {
-            self.flush();
-            let (num_nodes, rounds) = (self.config.num_nodes, self.params.rounds());
-            let store = Arc::clone(&self.store);
-            let pool = self.query_pool();
-            let mut source = StoreRoundSource::new(&store);
-            return boruvka_rounds_with_pool(&mut source, num_nodes, rounds, pool);
-        };
-        let fresh_enough = matches!(
-            &self.cached_epoch,
-            Some((_, sealed_at)) if self.updates_ingested - sealed_at <= max_lag
-        );
-        if !fresh_enough {
-            // Let go of the epoch the cache can no longer serve *before* the
-            // seal's flush: held across it, every batch the flush applies
-            // would clone a pre-image into an overlay no query will read.
-            self.cached_epoch = None;
-            let epoch = self.begin_epoch()?;
-            self.cached_epoch = Some((epoch, self.updates_ingested));
-        }
-        let pool = pool_of_width(&self.pool, &mut self.query_pool, self.config.query_threads());
-        let (epoch, _) = self.cached_epoch.as_ref().expect("epoch sealed above");
-        epoch.spanning_forest_with_pool(pool)
+        self.flush();
+        self.fold(StoreRoundSource::new(&self.store))
     }
 
     /// The reference [`Self::spanning_forest`] is tested against: flush,
     /// materialize every node's full sketch stack (peak `O(V × full
-    /// sketch)` RAM), then run Boruvka over the copy. Always reads live
-    /// state — `query_staleness` does not apply. No configuration selects
-    /// it; tests and benches call it by name.
+    /// sketch)` RAM), then run Boruvka over the copy. No configuration
+    /// selects it; tests and benches call it by name.
     pub fn spanning_forest_oracle(&mut self) -> Result<BoruvkaOutcome, GzError> {
         self.flush();
-        let sketches = self.store.snapshot();
-        let (num_nodes, rounds) = (self.config.num_nodes, self.params.rounds());
-        let pool = self.query_pool();
-        let mut source = MaterializedSource::new(sketches);
-        boruvka_rounds_with_pool(&mut source, num_nodes, rounds, pool)
+        self.fold(MaterializedSource::new(self.store.snapshot()))
+    }
+
+    /// Run the Borůvka engine over `source` on the system's pool.
+    fn fold<Src: SketchSource>(&self, mut source: Src) -> Result<BoruvkaOutcome, GzError>
+    where
+        Src::Sampler: Send + Sync,
+    {
+        boruvka_rounds_with_pool(
+            &mut source,
+            self.config.num_nodes,
+            self.params.rounds(),
+            &self.pool,
+        )
     }
 
     /// Seal the current sketch state into an epoch: flush buffered updates,
@@ -279,21 +233,13 @@ impl GraphZeppelin {
     /// answers bit-identical to a stop-the-world query right now — even
     /// while this system keeps ingesting. The handle is `Send + Sync`, so a
     /// query thread can run `epoch.spanning_forest()` concurrently with
-    /// further [`Self::update`] calls; dropping the handle releases the
-    /// sealed groups it pinned (DESIGN.md §11).
+    /// further [`Self::update`] calls, folding on this system's pool;
+    /// dropping the handle releases the sealed groups it pinned (DESIGN.md
+    /// §11).
     pub fn begin_epoch(&mut self) -> Result<SketchEpoch, GzError> {
         self.flush();
         let (id, overlay) = self.store.begin_epoch()?;
-        Ok(SketchEpoch::new(Arc::clone(&self.store), overlay, id, self.config.query_threads()))
-    }
-
-    /// Change the query-thread count (a performance knob: answers are
-    /// bit-identical at any setting — DESIGN.md §10). Drops the cached
-    /// query pool; the next query rebuilds it at the new width.
-    pub fn set_query_threads(&mut self, query_threads: usize) {
-        assert!(query_threads >= 1, "query_threads must be ≥ 1");
-        self.config.query_threads = Some(query_threads);
-        self.query_pool = None;
+        Ok(SketchEpoch::new(Arc::clone(&self.store), overlay, id, Arc::clone(&self.pool)))
     }
 
     /// Compute connected components of the current graph.
@@ -412,9 +358,6 @@ impl GraphZeppelin {
     ) {
         self.store.load_all(sketches);
         self.updates_ingested = updates_ingested;
-        // A restore rewrites history; a cached staleness epoch would serve
-        // pre-restore answers.
-        self.cached_epoch = None;
     }
 
     /// Shut down: close the queue and join the Graph Workers. Called
@@ -440,7 +383,7 @@ impl Drop for GraphZeppelin {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{GutterCapacity, LockingStrategy};
+    use crate::config::GutterCapacity;
 
     fn tiny_config(num_nodes: u64) -> GzConfig {
         let mut c = GzConfig::in_ram(num_nodes);
@@ -527,35 +470,6 @@ mod tests {
         assert!(cc.same_component(0, 2));
     }
 
-    #[test]
-    fn direct_locking_matches_delta() {
-        // On RAM the two disciplines are two code paths; on disk `locking`
-        // has no effect (the store always builds a delta), which this pins
-        // from the outside: same state, same answer, either setting.
-        let dirs = [LockingStrategy::Direct, LockingStrategy::DeltaSketch]
-            .map(|locking| (locking, gz_testutil::TempDir::new("gz-system-locking")));
-        let edges = [(0u32, 1u32), (1, 2), (3, 4), (5, 6), (6, 7), (7, 5)];
-        for disk in [false, true] {
-            let [(a_state, a_labels), (b_state, b_labels)] =
-                dirs.each_ref().map(|(locking, dir)| {
-                    let mut config = if disk {
-                        GzConfig::on_disk(12, dir.path().to_path_buf())
-                    } else {
-                        tiny_config(12)
-                    };
-                    config.num_workers = 2;
-                    config.locking = *locking;
-                    let mut gz = GraphZeppelin::new(config).unwrap();
-                    for &(u, v) in &edges {
-                        gz.edge_update(u, v);
-                    }
-                    (gz.snapshot_serialized(), gz.connected_components().unwrap().labels().to_vec())
-                });
-            assert_eq!(a_state, b_state, "disk: {disk}");
-            assert_eq!(a_labels, b_labels, "disk: {disk}");
-        }
-    }
-
     /// The product query against the materialize-everything oracle, on
     /// every field of the outcome that is an answer.
     fn assert_matches_oracle(gz: &mut GraphZeppelin) -> (BoruvkaOutcome, BoruvkaOutcome) {
@@ -607,7 +521,7 @@ mod tests {
             block_bytes: 1 << 13,
             cache_groups: 2,
         };
-        c.query_threads = Some(1);
+        c.num_workers = 1;
         let mut gz = GraphZeppelin::new(c).unwrap();
         for i in 0..63u32 {
             gz.edge_update(i, i + 1);
@@ -629,21 +543,6 @@ mod tests {
             "one-thread fold resident {} exceeds accumulators + one window = {bound}",
             product.peak_sketch_bytes
         );
-    }
-
-    #[test]
-    fn oracle_reads_live_state_whatever_the_staleness_budget() {
-        let mut c = tiny_config(16);
-        c.query_staleness = Some(100);
-        let mut gz = GraphZeppelin::new(c).unwrap();
-        gz.edge_update(0, 1);
-        let sealed = gz.spanning_forest().unwrap();
-        // Within the budget the product may answer from the cached epoch;
-        // the reference never does.
-        gz.edge_update(1, 2);
-        assert_eq!(gz.spanning_forest().unwrap().labels, sealed.labels);
-        let live = gz.spanning_forest_oracle().unwrap();
-        assert_eq!(live.labels[0], live.labels[2]);
     }
 
     #[test]
@@ -678,19 +577,6 @@ mod tests {
         assert!(hybrid.sketch_bytes() * 5 <= dense.sketch_bytes(), "≥5× resident reduction");
         // Queries fold sparse nodes in place from their sets.
         assert_matches_oracle(&mut hybrid);
-    }
-
-    #[test]
-    fn query_pool_survives_thread_count_changes() {
-        let mut gz = GraphZeppelin::new(tiny_config(16)).unwrap();
-        gz.edge_update(0, 1);
-        let a = gz.connected_components().unwrap();
-        gz.set_query_threads(3);
-        let b = gz.connected_components().unwrap();
-        gz.set_query_threads(1);
-        let c = gz.connected_components().unwrap();
-        assert_eq!(a.labels(), b.labels());
-        assert_eq!(a.labels(), c.labels());
     }
 
     #[test]

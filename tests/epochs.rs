@@ -11,6 +11,7 @@
 use graph_zeppelin::{
     BoruvkaOutcome, GraphZeppelin, GzConfig, ShardConfig, ShardedGraphZeppelin, StoreBackend,
 };
+use gz_gutters::WorkerPool;
 use gz_testutil::TempDir;
 
 fn ingest_single(gz: &mut GraphZeppelin, updates: &[(u32, u32, bool)]) {
@@ -207,61 +208,62 @@ fn ring(n: u64, step: u32) -> Vec<(u32, u32, bool)> {
     (0..n as u32).map(|v| (v, (v + step) % n as u32, false)).collect()
 }
 
-/// A staleness cache lets go of the epoch it can no longer serve *before*
-/// the flush of the reseal, so that flush — which applies a batch to every
-/// vertex here — clones no pre-image: the store's capture count stands
-/// still. Only a handle somebody else still holds makes the flush capture,
-/// and that handle keeps answering with its sealed bits.
+/// An epoch let go before the next seal — what `gz serve`'s staleness cache
+/// does — leaves that seal's flush, which applies a batch to every vertex
+/// here, cloning no pre-image: the store's capture count stands still, and
+/// so it does across live queries. Only a handle somebody else still holds
+/// makes a flush capture, and that handle keeps answering with its sealed
+/// bits.
 #[test]
 fn reseal_captures_nothing_unless_a_query_still_holds_the_old_epoch() {
     let n = 32u64;
-    let mut config = GzConfig::in_ram(n);
-    config.query_staleness = Some(0);
-    let mut gz = GraphZeppelin::new(config).expect("system");
+    let mut gz = GraphZeppelin::new(GzConfig::in_ram(n)).expect("system");
 
     ingest_single(&mut gz, &ring(n, 1));
-    gz.spanning_forest().expect("first query seals the cached epoch");
+    drop(gz.begin_epoch().expect("first seal"));
     ingest_single(&mut gz, &ring(n, 2));
-    gz.spanning_forest().expect("second query reseals");
+    drop(gz.begin_epoch().expect("reseal after the first epoch was let go"));
+    ingest_single(&mut gz, &ring(n, 4));
+    gz.spanning_forest().expect("a live query flushes too");
     assert_eq!(
         gz.store().epoch_captures(),
         0,
-        "the reseal's flush captured pre-images for an epoch only the cache was holding"
+        "a flush captured pre-images for an epoch nobody was holding"
     );
 
     let held = gz.begin_epoch().expect("a query elsewhere pins the sealed state");
     let sealed = held.spanning_forest().expect("sealed answer");
     ingest_single(&mut gz, &ring(n, 3));
-    gz.spanning_forest().expect("third query reseals under the held handle");
+    drop(gz.begin_epoch().expect("reseal under the held handle"));
     assert_eq!(held.captured_groups(), n as usize, "the held epoch captured every vertex once");
     assert_eq!(gz.store().epoch_captures(), n, "and nothing else did");
     let again = held.spanning_forest().expect("held epoch still answers");
     assert_same_answer(&again, &sealed);
 }
 
-/// The same contract one layer up: the sharded coordinator's cache, over
-/// three in-process shards.
+/// The same contract one layer up, over three in-process shards.
 #[test]
 fn sharded_reseal_captures_nothing_unless_a_query_still_holds_the_old_epoch() {
     let n = 30u64;
-    let mut config = ShardConfig::in_ram(n, 3);
-    config.query_staleness = Some(0);
-    let mut gz = ShardedGraphZeppelin::in_process(config).expect("sharded system");
+    let mut gz =
+        ShardedGraphZeppelin::in_process(ShardConfig::in_ram(n, 3)).expect("sharded system");
 
     gz.ingest(ring(n, 1)).expect("ingest");
-    gz.spanning_forest().expect("first query seals the cached epoch");
+    drop(gz.begin_epoch().expect("first seal"));
     gz.ingest(ring(n, 2)).expect("ingest");
-    gz.spanning_forest().expect("second query reseals");
+    drop(gz.begin_epoch().expect("reseal after the first epoch was let go"));
+    gz.ingest(ring(n, 4)).expect("ingest");
+    gz.spanning_forest().expect("a live query flushes too");
     assert_eq!(
         gz.epoch_captures().expect("in-process shards"),
         Some(0),
-        "the reseal's flush captured pre-images for an epoch only the cache was holding"
+        "a flush captured pre-images for an epoch nobody was holding"
     );
 
     let held = gz.begin_epoch().expect("a query elsewhere pins the sealed state");
     let sealed = held.spanning_forest().expect("sealed answer");
     gz.ingest(ring(n, 3)).expect("ingest");
-    gz.spanning_forest().expect("third query reseals under the held handle");
+    drop(gz.begin_epoch().expect("reseal under the held handle"));
     assert_eq!(gz.epoch_captures().expect("in-process shards"), Some(n));
     let again = held.spanning_forest().expect("held epoch still answers");
     assert_same_answer(&again, &sealed);
@@ -306,6 +308,99 @@ fn in_place_flush_under_a_held_epoch_captures_exactly_what_it_touches() {
     gz.shutdown().expect("clean shutdown");
 }
 
+/// Runs `body` on a thread of its own and fails if it has not finished
+/// within two minutes, so a dispatch that deadlocks fails the test instead
+/// of hanging the suite. A panic in `body` is re-raised here.
+fn within_deadline(what: &str, body: impl FnOnce() + Send + 'static) {
+    let (done, finished) = std::sync::mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        body();
+        done.send(()).ok();
+    });
+    match finished.recv_timeout(std::time::Duration::from_secs(120)) {
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => panic!("{what}: still running"),
+        _ => {
+            if let Err(panic) = worker.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+    }
+}
+
+/// Fold ten times on a scoped thread through `fold` while `step` lands
+/// sixteen updates touching vertices 0..32, two at a time, on this one;
+/// every fold must answer `sealed`.
+fn fold_during_churn(
+    fold: impl Fn() -> BoruvkaOutcome + Sync,
+    sealed: &BoruvkaOutcome,
+    mut step: impl FnMut(&[(u32, u32, bool)]),
+) {
+    let churn: Vec<(u32, u32, bool)> = (0..16u32).map(|i| (i, i + 16, false)).collect();
+    let start = std::sync::Barrier::new(2);
+    std::thread::scope(|scope| {
+        let folds = scope.spawn(|| {
+            start.wait();
+            for _ in 0..10 {
+                assert_same_answer(&fold(), sealed);
+            }
+        });
+        start.wait();
+        for pair in churn.chunks(2) {
+            step(pair);
+        }
+        folds.join().expect("fold thread");
+    });
+}
+
+/// One pool per system, shared by everything stop-the-world: a scoped
+/// thread folds a sealed epoch on the owner's pool while the owner ingests
+/// and flushes in place on that same pool, for pools {1, 2, 4} workers
+/// wide, single-node and over three in-process shards. Every fold answers
+/// the oracle at the seal, the copy-on-write count is exactly the 32
+/// vertices touched since, and nothing deadlocks.
+#[test]
+fn epoch_folds_and_in_place_flushes_share_the_system_pool() {
+    let n = 48u64;
+    for workers in [1usize, 2, 4] {
+        within_deadline(&format!("single node, {workers} workers"), move || {
+            let mut config = GzConfig::in_ram(n);
+            config.num_workers = workers;
+            let mut gz = GraphZeppelin::new(config).expect("system");
+            ingest_single(&mut gz, &ring(n, 1));
+            let epoch = gz.begin_epoch().expect("seal");
+            let sealed = gz.spanning_forest_oracle().expect("oracle at the seal");
+            fold_during_churn(
+                || epoch.spanning_forest().expect("fold"),
+                &sealed,
+                |pair| {
+                    ingest_single(&mut gz, pair);
+                    gz.flush();
+                },
+            );
+            assert_eq!(gz.store().epoch_captures(), 32);
+        });
+        within_deadline(&format!("3 shards, {workers} workers"), move || {
+            let mut config = ShardConfig::in_ram(n, 3);
+            config.workers_per_shard = workers;
+            let mut gz = ShardedGraphZeppelin::in_process(config).expect("sharded system");
+            gz.ingest(ring(n, 1)).expect("ingest");
+            let epoch = gz.begin_epoch().expect("seal");
+            let sealed = gz.spanning_forest_oracle().expect("oracle at the seal");
+            fold_during_churn(
+                || epoch.spanning_forest().expect("fold"),
+                &sealed,
+                |pair| {
+                    gz.ingest(pair.iter().copied()).expect("ingest");
+                    gz.flush().expect("flush");
+                },
+            );
+            assert_eq!(gz.epoch_captures().expect("in-process shards"), Some(32));
+            drop(epoch);
+            gz.shutdown().expect("clean shutdown");
+        });
+    }
+}
+
 mod epoch_equivalence_proptests {
     use super::*;
     use proptest::prelude::*;
@@ -326,8 +421,9 @@ mod epoch_equivalence_proptests {
         /// after E's flush" bit for bit — labels, forest, rounds used,
         /// sketch failures — across Ram/Disk stores × shard counts {1, 3}
         /// × both shard query routes (in-place fold, gather fold) × τ ∈
-        /// {0, 64} × query_threads {1, 4}, with the suffix of the stream
-        /// ingested between the seal and the epoch queries.
+        /// {0, 64} × epoch folds on pools {1, 4} workers wide, with the
+        /// suffix of the stream ingested between the seal and the epoch
+        /// queries; fleets' own pools cycle through {1, 2, 4} workers.
         #[test]
         fn epoch_query_equals_stop_the_world_at_seal(
             n in 4u64..24,
@@ -337,17 +433,17 @@ mod epoch_equivalence_proptests {
             let updates = toggles(n, raw);
             let cut = split.min(updates.len());
             let (prefix, suffix) = updates.split_at(cut);
+            let pools = [1usize, 4].map(|threads| (threads, WorkerPool::new(threads)));
 
             // RAM store.
             let mut ram = GraphZeppelin::new(GzConfig::in_ram(n)).unwrap();
             ingest_single(&mut ram, prefix);
-            let mut epoch = ram.begin_epoch().unwrap();
+            let epoch = ram.begin_epoch().unwrap();
             let reference = ram.spanning_forest().unwrap();
             ingest_single(&mut ram, suffix);
             ram.flush();
-            for threads in [1usize, 4] {
-                epoch.set_query_threads(threads);
-                let got = epoch.spanning_forest().unwrap();
+            for (threads, pool) in &pools {
+                let got = epoch.spanning_forest_with_pool(pool).unwrap();
                 prop_assert_eq!(&reference.labels, &got.labels, "ram labels t={}", threads);
                 prop_assert_eq!(&reference.forest, &got.forest, "ram forest t={}", threads);
                 prop_assert_eq!(reference.rounds_used, got.rounds_used, "ram rounds t={}", threads);
@@ -369,14 +465,13 @@ mod epoch_equivalence_proptests {
             };
             let mut disk = GraphZeppelin::new(disk_cfg).unwrap();
             ingest_single(&mut disk, prefix);
-            let mut epoch = disk.begin_epoch().unwrap();
+            let epoch = disk.begin_epoch().unwrap();
             let disk_reference = disk.spanning_forest().unwrap();
             prop_assert_eq!(&reference.labels, &disk_reference.labels, "disk seal-time labels");
             ingest_single(&mut disk, suffix);
             disk.flush();
-            for threads in [1usize, 4] {
-                epoch.set_query_threads(threads);
-                let got = epoch.spanning_forest().unwrap();
+            for (threads, pool) in &pools {
+                let got = epoch.spanning_forest_with_pool(pool).unwrap();
                 prop_assert_eq!(&reference.labels, &got.labels, "disk labels t={}", threads);
                 prop_assert_eq!(&reference.forest, &got.forest, "disk forest t={}", threads);
                 prop_assert_eq!(
@@ -404,6 +499,7 @@ mod epoch_equivalence_proptests {
                 ("gather", ShardedGraphZeppelin::local_socket),
             ];
             let mut live_reference = None;
+            let mut widths = [1usize, 2, 4].into_iter().cycle();
             for shards in [1u32, 3] {
                 for (on_disk, tau) in [(false, 0u32), (false, 64), (true, 0), (true, 64)] {
                     for (route, make) in routes {
@@ -412,6 +508,7 @@ mod epoch_equivalence_proptests {
                         let dir = TempDir::new("gz-epoch-prop-shards");
                         let mut config = ShardConfig::in_ram(n, shards);
                         config.sketch_threshold = tau;
+                        config.workers_per_shard = widths.next().unwrap();
                         if on_disk {
                             config.store = StoreBackend::Disk {
                                 dir: dir.path().to_path_buf(),
@@ -422,12 +519,11 @@ mod epoch_equivalence_proptests {
                         let mut gz = make(config).unwrap();
                         let what = format!("{route} {shards} shards disk={on_disk} tau={tau}");
                         ingest_sharded(&mut gz, prefix);
-                        let mut epoch = gz.begin_epoch().unwrap();
+                        let epoch = gz.begin_epoch().unwrap();
                         ingest_sharded(&mut gz, suffix);
                         gz.flush().unwrap();
-                        for threads in [1usize, 4] {
-                            epoch.set_query_threads(threads);
-                            let got = epoch.spanning_forest().unwrap();
+                        for (threads, pool) in &pools {
+                            let got = epoch.spanning_forest_with_pool(pool).unwrap();
                             prop_assert_eq!(
                                 &reference.labels, &got.labels, "labels {} t={}", what, threads
                             );
@@ -444,17 +540,14 @@ mod epoch_equivalence_proptests {
                             );
                         }
                         drop(epoch);
-                        for threads in [1usize, 4] {
-                            gz.set_query_threads(threads);
-                            let got = gz.spanning_forest().unwrap();
-                            let want = live_reference.get_or_insert_with(|| got.clone());
-                            prop_assert_eq!(&want.labels, &got.labels, "live labels {}", what);
-                            prop_assert_eq!(&want.forest, &got.forest, "live forest {}", what);
-                            prop_assert_eq!(want.rounds_used, got.rounds_used, "live rounds {}", what);
-                            prop_assert_eq!(
-                                want.sketch_failures, got.sketch_failures, "live failures {}", what
-                            );
-                        }
+                        let got = gz.spanning_forest().unwrap();
+                        let want = live_reference.get_or_insert_with(|| got.clone());
+                        prop_assert_eq!(&want.labels, &got.labels, "live labels {}", what);
+                        prop_assert_eq!(&want.forest, &got.forest, "live forest {}", what);
+                        prop_assert_eq!(want.rounds_used, got.rounds_used, "live rounds {}", what);
+                        prop_assert_eq!(
+                            want.sketch_failures, got.sketch_failures, "live failures {}", what
+                        );
                         gz.shutdown().unwrap();
                     }
                 }

@@ -1,12 +1,13 @@
 //! Equivalence tests: every deployment configuration of GraphZeppelin must
 //! produce the *same sketch state* for the same stream — linearity makes the
-//! system's answers independent of buffering, store placement, worker count,
-//! locking discipline, and (with the sharding subsystem) of how the vertex
-//! set is partitioned and which transport carries the batches.
+//! system's answers independent of buffering, store placement, worker count
+//! (which is also the width of the pool every flush and query runs on), and
+//! (with the sharding subsystem) of how the vertex set is partitioned and
+//! which transport carries the batches.
 
 use graph_zeppelin::{
-    BufferStrategy, GraphZeppelin, GutterCapacity, GzConfig, LockingStrategy, ShardConfig,
-    ShardedGraphZeppelin, StoreBackend,
+    BufferStrategy, GraphZeppelin, GutterCapacity, GzConfig, ShardConfig, ShardedGraphZeppelin,
+    StoreBackend,
 };
 use gz_stream::{Dataset, StreamifyConfig, UpdateKind};
 use gz_testutil::TempDir;
@@ -66,16 +67,6 @@ fn store_backends_equivalent() {
         StoreBackend::Disk { dir: dir.path().to_path_buf(), block_bytes: 4096, cache_groups: 4 };
 
     assert_eq!(labels_for(ram, &updates), labels_for(disk, &updates));
-}
-
-#[test]
-fn locking_strategies_equivalent() {
-    let (v, updates) = shared_stream();
-    let mut direct = GzConfig::in_ram(v);
-    direct.locking = LockingStrategy::Direct;
-    let mut delta = GzConfig::in_ram(v);
-    delta.locking = LockingStrategy::DeltaSketch;
-    assert_eq!(labels_for(direct, &updates), labels_for(delta, &updates));
 }
 
 /// Ingest `updates` and return the serialized sketch state with the labels.
@@ -245,13 +236,13 @@ fn streaming_query_bit_identical_across_stores_and_shard_counts() {
     assert_eq!(reference.rounds_used, streamed.rounds_used, "ram streaming rounds");
     assert_eq!(reference.sketch_failures, streamed.sketch_failures, "ram streaming failures");
 
-    // One query worker runs the disk store's claim loop alone; two share
-    // it. Each answers live, then pinned to an epoch the stream has since
-    // moved past (every update toggled back out).
+    // A one-worker pool runs the disk store's claim loop alone; two workers
+    // share it. Each answers live, then pinned to an epoch the stream has
+    // since moved past (every update toggled back out).
     for threads in [1, 2] {
         let dir = TempDir::new("gz-equiv-streamq");
         let mut disk = starved_disk(v, &dir);
-        disk.query_threads = Some(threads);
+        disk.num_workers = threads;
         let mut gz = ingested(disk, &updates);
         let live = gz.spanning_forest().expect("disk streaming query");
         let epoch = gz.begin_epoch().expect("seal");
@@ -261,7 +252,7 @@ fn streaming_query_bit_identical_across_stores_and_shard_counts() {
         gz.flush();
         let pinned = epoch.spanning_forest().expect("disk epoch query");
         for (what, streamed) in [("live", live), ("pinned", pinned)] {
-            let what = format!("disk, {threads} query threads, {what}");
+            let what = format!("disk, {threads} workers, {what}");
             assert_eq!(reference.labels, streamed.labels, "{what}: labels");
             assert_eq!(reference.forest, streamed.forest, "{what}: forest");
             assert_eq!(reference.rounds_used, streamed.rounds_used, "{what}: rounds");
@@ -403,68 +394,59 @@ mod streaming_query_proptests {
         /// The parallel query engine is bit-identical to the
         /// single-threaded one on arbitrary toggle streams: labels, forest
         /// (with edge order), rounds used, and sketch-failure counts agree
-        /// across query_threads {1, 2, 4} × Ram/Disk stores × shard counts
-        /// {1, 3}. (Peak resident bytes legitimately differ — more workers
-        /// hold more accumulators — so they are deliberately not compared.)
+        /// across systems whose pools are {1, 2, 4} workers wide × Ram/Disk
+        /// stores × shard counts {1, 3}. (Peak resident bytes legitimately
+        /// differ — more workers hold more accumulators — so they are
+        /// deliberately not compared.)
         #[test]
         fn parallel_query_bit_identical_across_threads_stores_shards(
             n in 4u64..28,
             raw in proptest::collection::vec((any::<u32>(), any::<u32>()), 0..120)
         ) {
             let updates = toggles(n, raw);
+            let ingest = |gz: &mut GraphZeppelin| {
+                for &(u, v, d) in &updates {
+                    gz.update(u, v, d);
+                }
+            };
 
-            let mut ram = GraphZeppelin::new(GzConfig::in_ram(n)).unwrap();
-            for &(u, v, d) in &updates {
-                ram.update(u, v, d);
-            }
-            ram.set_query_threads(1);
+            let mut one = GzConfig::in_ram(n);
+            one.num_workers = 1;
+            let mut ram = GraphZeppelin::new(one).unwrap();
+            ingest(&mut ram);
             let reference = ram.spanning_forest().unwrap();
 
-            let dir = TempDir::new("gz-equiv-parq-prop");
-            let mut disk_cfg = GzConfig::in_ram(n);
-            disk_cfg.store = StoreBackend::Disk {
-                dir: dir.path().to_path_buf(),
-                block_bytes: 512,
-                cache_groups: 2,
-            };
-            let mut disk = GraphZeppelin::new(disk_cfg).unwrap();
-            for &(u, v, d) in &updates {
-                disk.update(u, v, d);
-            }
-
-            let mut shard_systems: Vec<_> = [1u32, 3]
-                .iter()
-                .map(|&shards| {
-                    let mut gz = ShardedGraphZeppelin::in_process(ShardConfig::in_ram(n, shards))
-                        .unwrap();
-                    gz.ingest(updates.iter().copied()).unwrap();
-                    (shards, gz)
-                })
-                .collect();
-
             for threads in [1usize, 2, 4] {
-                ram.set_query_threads(threads);
-                let got = ram.spanning_forest().unwrap();
-                prop_assert_eq!(&reference.labels, &got.labels, "ram labels t={}", threads);
-                prop_assert_eq!(&reference.forest, &got.forest, "ram forest t={}", threads);
-                prop_assert_eq!(reference.rounds_used, got.rounds_used, "ram rounds t={}", threads);
-                prop_assert_eq!(
-                    reference.sketch_failures, got.sketch_failures,
-                    "ram failures t={}", threads
-                );
+                let dir = TempDir::new("gz-equiv-parq-prop");
+                let mut ram_cfg = GzConfig::in_ram(n);
+                ram_cfg.num_workers = threads;
+                let mut disk_cfg = ram_cfg.clone();
+                disk_cfg.store = StoreBackend::Disk {
+                    dir: dir.path().to_path_buf(),
+                    block_bytes: 512,
+                    cache_groups: 2,
+                };
+                for (store, config) in [("ram", ram_cfg), ("disk", disk_cfg)] {
+                    let mut gz = GraphZeppelin::new(config).unwrap();
+                    ingest(&mut gz);
+                    let got = gz.spanning_forest().unwrap();
+                    prop_assert_eq!(&reference.labels, &got.labels, "{} labels t={}", store, threads);
+                    prop_assert_eq!(&reference.forest, &got.forest, "{} forest t={}", store, threads);
+                    prop_assert_eq!(
+                        reference.rounds_used, got.rounds_used,
+                        "{} rounds t={}", store, threads
+                    );
+                    prop_assert_eq!(
+                        reference.sketch_failures, got.sketch_failures,
+                        "{} failures t={}", store, threads
+                    );
+                }
 
-                disk.set_query_threads(threads);
-                let got = disk.spanning_forest().unwrap();
-                prop_assert_eq!(&reference.labels, &got.labels, "disk labels t={}", threads);
-                prop_assert_eq!(&reference.forest, &got.forest, "disk forest t={}", threads);
-                prop_assert_eq!(reference.rounds_used, got.rounds_used, "disk rounds t={}", threads);
-                prop_assert_eq!(
-                    reference.sketch_failures, got.sketch_failures,
-                    "disk failures t={}", threads
-                );
-
-                for (shards, gz) in shard_systems.iter_mut() {
-                    gz.set_query_threads(threads);
+                for shards in [1u32, 3] {
+                    let mut config = ShardConfig::in_ram(n, shards);
+                    config.workers_per_shard = threads;
+                    let mut gz = ShardedGraphZeppelin::in_process(config).unwrap();
+                    gz.ingest(updates.iter().copied()).unwrap();
                     let got = gz.spanning_forest().unwrap();
                     prop_assert_eq!(
                         &reference.labels, &got.labels,
@@ -482,6 +464,7 @@ mod streaming_query_proptests {
                         reference.sketch_failures, got.sketch_failures,
                         "failures {} shards t={}", shards, threads
                     );
+                    gz.shutdown().unwrap();
                 }
             }
         }
@@ -780,16 +763,16 @@ mod hybrid_representation_proptests {
         /// every hybrid query now runs) == `synthesize_round` + merge (each
         /// sparse vertex inflated to a slice per round, the path it
         /// replaced) == the τ = 0 dense system — labels, forest,
-        /// `rounds_used` and `sketch_failures` — across Ram/Disk ×
-        /// `query_threads` {1, 4} × shards {1, 3}, live and pinned to an
-        /// epoch the stream has since moved past.
+        /// `rounds_used` and `sketch_failures` — across Ram/Disk × pools
+        /// {1, 4} workers wide × shards {1, 3}, live and pinned to an epoch
+        /// the stream has since moved past.
         #[test]
         fn in_place_sparse_fold_matches_synthesis_and_dense(
             n in 4u64..28,
             raw in proptest::collection::vec((any::<u32>(), any::<u32>(), any::<bool>()), 4..120),
             split_pct in 20u32..80
         ) {
-            use graph_zeppelin::boruvka::{boruvka_rounds_parallel, BoruvkaOutcome};
+            use graph_zeppelin::boruvka::{boruvka_rounds_with_pool, BoruvkaOutcome};
             use graph_zeppelin::{MaterializedSource, NodeSketch};
 
             let updates = churny_stream(n, raw);
@@ -811,7 +794,7 @@ mod hybrid_representation_proptests {
                     let dir = TempDir::new("gz-equiv-inplace-prop");
                     let mut config = GzConfig::in_ram(n);
                     config.sketch_threshold = tau;
-                    config.query_threads = Some(threads);
+                    config.num_workers = threads;
                     if on_disk {
                         config.store = StoreBackend::Disk {
                             dir: dir.path().to_path_buf(),
@@ -842,8 +825,9 @@ mod hybrid_representation_proptests {
                     });
                     prop_assert_eq!(sparse, gz.rep_stats().sparse);
                     let mut synthesized = MaterializedSource::new(stacks);
+                    let pool = gz_gutters::WorkerPool::new(threads);
                     let oracle =
-                        boruvka_rounds_parallel(&mut synthesized, n, params.rounds(), threads)
+                        boruvka_rounds_with_pool(&mut synthesized, n, params.rounds(), &pool)
                             .unwrap();
                     prop_assert_eq!(&answer(&oracle), &at_end, "synthesized {}", &what);
                 }
@@ -852,7 +836,7 @@ mod hybrid_representation_proptests {
                     let what = format!("shards={shards} threads={threads}");
                     let mut config = ShardConfig::in_ram(n, shards);
                     config.sketch_threshold = tau;
-                    config.query_threads = Some(threads);
+                    config.workers_per_shard = threads;
                     let mut gz = ShardedGraphZeppelin::in_process(config).unwrap();
                     for &(u, v, d) in prefix {
                         gz.update(u, v, d).unwrap();

@@ -3,7 +3,10 @@
 
 use graph_zeppelin::boruvka::boruvka_spanning_forest;
 use graph_zeppelin::node_sketch::{update_index, SketchParams};
-use graph_zeppelin::{GraphZeppelin, GzConfig, GzError, ShardTransport, SocketTransport, Stream};
+use graph_zeppelin::{
+    GraphZeppelin, GzConfig, GzError, ShardConfig, ShardTransport, ShardedGraphZeppelin,
+    SocketTransport, Stream,
+};
 use gz_stream::wire::WireMessage;
 
 #[test]
@@ -65,12 +68,34 @@ fn corrupted_sketches_fail_loudly_not_silently() {
     }
 }
 
+/// Bad configs are refused at construction, on both facades — among them
+/// round and column counts a checkpoint header may not carry, so a system
+/// never builds state its own restore would refuse; the bound is named.
 #[test]
 fn invalid_configs_rejected_up_front() {
     assert!(matches!(GraphZeppelin::new(GzConfig::in_ram(0)), Err(GzError::InvalidConfig(_))));
     let mut c = GzConfig::in_ram(64);
     c.num_workers = 0;
     assert!(matches!(GraphZeppelin::new(c), Err(GzError::InvalidConfig(_))));
+    for (rounds, columns, bound) in [
+        (Some(0), 3, "rounds 0 outside [1, 4096]"),
+        (Some(4097), 3, "rounds 4097 outside [1, 4096]"),
+        (None, 0, "columns 0 outside [1, 1048576]"),
+        (None, (1 << 20) + 1, "columns 1048577 outside [1, 1048576]"),
+    ] {
+        let mut single = GzConfig::in_ram(64);
+        (single.num_rounds, single.num_columns) = (rounds, columns);
+        let mut sharded = ShardConfig::in_ram(64, 2);
+        (sharded.num_rounds, sharded.num_columns) = (rounds, columns);
+        for refused in
+            [GraphZeppelin::new(single).err(), ShardedGraphZeppelin::in_process(sharded).err()]
+        {
+            match refused {
+                Some(GzError::InvalidConfig(msg)) => assert_eq!(msg, bound),
+                other => panic!("{bound}: expected a refused config, got {other:?}"),
+            }
+        }
+    }
 }
 
 #[test]
@@ -92,17 +117,15 @@ fn a_failing_sketch_file_is_an_error_not_a_hang() {
     // query must say so — an `Err`, promptly — where it used to wait
     // forever on workers that had died holding their batches. Done after
     // ingestion and a query, it is the next query's own round reads that
-    // fail, and every query worker (one, or two sharing the claim loop)
-    // must stop.
-    for query_threads in [1, 2] {
+    // fail, and every worker of the system's pool (one, or two sharing the
+    // claim loop) must stop.
+    for workers in [1, 2] {
         for truncate_after_ingest in [false, true] {
-            let lane =
-                format!("{query_threads} query threads, after ingest {truncate_after_ingest}");
+            let lane = format!("{workers} workers, after ingest {truncate_after_ingest}");
             let dir = gz_testutil::TempDir::new("gz-failure-truncated");
             let n = 64u32;
             let mut config = GzConfig::in_ram(n as u64);
-            config.num_workers = 2;
-            config.query_threads = Some(query_threads);
+            config.num_workers = workers;
             config.store = graph_zeppelin::StoreBackend::Disk {
                 dir: dir.path().to_path_buf(),
                 block_bytes: 512,

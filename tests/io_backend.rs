@@ -9,6 +9,7 @@ use graph_zeppelin::{
     uring_available, GraphZeppelin, GzConfig, IoBackendKind, ShardConfig, ShardedGraphZeppelin,
     StoreBackend,
 };
+use gz_gutters::WorkerPool;
 use gz_stream::{Dataset, StreamifyConfig, UpdateKind};
 use gz_testutil::TempDir;
 
@@ -50,8 +51,8 @@ fn uring_or_skip(test: &str) -> bool {
 }
 
 /// The disk-query suite under both backends, with O_DIRECT layered on top
-/// of each, at one query thread (the claim loop run by a lone worker) and
-/// at two: the oracle's answer and identical serialized sketch state on a
+/// of each, on a one-worker pool (the claim loop run by a lone worker) and
+/// on two: the oracle's answer and identical serialized sketch state on a
 /// cache-constrained store — live, and pinned to an epoch while ingestion
 /// continues past the seal.
 #[test]
@@ -75,7 +76,7 @@ fn disk_queries_agree_across_backends_and_direct_mode() {
             let dir = TempDir::new("gz-iobe-lane");
             let mut config = disk_config(n, &dir, kind);
             config.io.direct = direct;
-            config.query_threads = Some(threads);
+            config.num_workers = threads;
             let mut gz = ingested(config, sealed);
             let live = gz.spanning_forest().expect("lane streaming query");
             assert_eq!(reference_state, gz.snapshot_serialized(), "{label} serialized state");
@@ -90,7 +91,7 @@ fn disk_queries_agree_across_backends_and_direct_mode() {
             gz.flush();
             let pinned = epoch.spanning_forest().expect("lane epoch query");
             for (what, got) in [("live", live), ("pinned", pinned)] {
-                let what = format!("{label}, {threads} query threads, {what}");
+                let what = format!("{label}, {threads} workers, {what}");
                 assert_eq!(oracle.labels, got.labels, "{what}: labels");
                 assert_eq!(oracle.forest, got.forest, "{what}: forest");
                 assert_eq!(oracle.rounds_used, got.rounds_used, "{what}: rounds");
@@ -178,8 +179,9 @@ mod backend_equivalence_proptests {
         /// The pinning property: on arbitrary toggle streams, a uring-backed
         /// deployment is bit-identical to a pread-backed one — labels,
         /// forest (with edge order), and serialized store state — across
-        /// query_threads {1, 4} × shard counts {1, 3} × epoch-pinned
-        /// queries issued while ingestion continues past the seal.
+        /// uring epoch folds on pools {1, 4} workers wide × shard counts
+        /// {1, 3} × epoch-pinned queries issued while ingestion continues
+        /// past the seal.
         #[test]
         fn uring_bit_identical_to_pread(
             n in 4u64..28,
@@ -198,11 +200,10 @@ mod backend_equivalence_proptests {
             let uring_dir = TempDir::new("gz-iobe-prop-u");
             let mut uring = ingested(disk_config(n, &uring_dir, IoBackendKind::Uring), &updates);
 
-            pread.set_query_threads(1);
             let reference = pread.spanning_forest().unwrap();
+            let sealed = uring.begin_epoch().unwrap();
             for threads in [1usize, 4] {
-                uring.set_query_threads(threads);
-                let got = uring.spanning_forest().unwrap();
+                let got = sealed.spanning_forest_with_pool(&WorkerPool::new(threads)).unwrap();
                 prop_assert_eq!(&reference.labels, &got.labels, "labels t={}", threads);
                 prop_assert_eq!(&reference.forest, &got.forest, "forest t={}", threads);
                 prop_assert_eq!(
@@ -210,6 +211,7 @@ mod backend_equivalence_proptests {
                     "failures t={}", threads
                 );
             }
+            drop(sealed);
             prop_assert_eq!(
                 pread.snapshot_serialized(),
                 uring.snapshot_serialized(),
