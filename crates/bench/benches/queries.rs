@@ -9,7 +9,7 @@
 //! per case) as the machine-readable baseline future PRs diff against.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use graph_zeppelin::{uring_available, GraphZeppelin, GzConfig, IoBackendKind, StoreBackend};
+use graph_zeppelin::{GraphZeppelin, GzConfig, StoreBackend};
 use gz_bench::harness::{kron_workload, smoke};
 use gz_stream::UpdateKind;
 use std::time::{Duration, Instant};
@@ -55,8 +55,8 @@ fn bench_spanning_forest_empty_vs_dense(c: &mut Criterion) {
 
 /// The tentpole comparison: a disk-backed store at a pinned cache budget,
 /// queried by the snapshot oracle (materialize `V` full sketches) versus
-/// the product's streaming fold (round slices, one window of groups at a
-/// time per query worker).
+/// the product's streaming fold (round slices, one group at a time per
+/// query worker).
 /// Reports wall time through criterion plus, one-shot, the bytes read off
 /// the store and the peak resident sketch bytes of each.
 fn bench_disk_query_vs_oracle(c: &mut Criterion) {
@@ -202,85 +202,6 @@ fn bench_parallel_query_scaling(c: &mut Criterion) {
     }
 }
 
-/// The I/O-backend comparison (DESIGN.md §13): the streaming disk query at
-/// a pinned cache budget under the pread backend versus the io_uring
-/// backend at queue depth 16 — the batched submissions should be no slower
-/// (one ring enter covers a whole claimed window where pread pays a
-/// syscall per group). The uring lanes skip with a logged reason when the
-/// probe fails; the no-slower assertion arms only in full mode on a
-/// machine with the cores to drive concurrent readers.
-fn bench_io_backends(c: &mut Criterion) {
-    let scale = if smoke() { 6 } else { 8 };
-    let cache_groups = 4; // the pinned RAM budget, as in gz_query_disk
-
-    let make = |kind: IoBackendKind| -> (GraphZeppelin, gz_testutil::TempDir) {
-        let dir = gz_testutil::TempDir::new("gz-bench-iobe");
-        let w = kron_workload(scale, 6);
-        let mut config = GzConfig::in_ram(w.num_nodes);
-        config.store = StoreBackend::Disk {
-            dir: dir.path().to_path_buf(),
-            block_bytes: 16 << 10,
-            cache_groups,
-        };
-        config.io.kind = kind;
-        config.io.queue_depth = 16;
-        let mut gz = GraphZeppelin::new(config).unwrap();
-        for upd in &w.updates {
-            gz.update(upd.u, upd.v, upd.kind == UpdateKind::Delete);
-        }
-        gz.flush();
-        (gz, dir)
-    };
-
-    let (mut pread, _pread_dir) = make(IoBackendKind::Pread);
-    let mut group = c.benchmark_group("gz_query_uring");
-    group.sample_size(10);
-    group.bench_with_input(
-        BenchmarkId::from_parameter(format!("pread/kron{scale}")),
-        &(),
-        |b, _| b.iter(|| pread.spanning_forest().unwrap().num_components()),
-    );
-
-    if !uring_available() {
-        eprintln!("gz_query_uring: skipping uring lane (io_uring unavailable on this host)");
-        group.finish();
-        return;
-    }
-    let (mut uring, _uring_dir) = make(IoBackendKind::Uring);
-    group.bench_with_input(
-        BenchmarkId::from_parameter(format!("uring/kron{scale}")),
-        &(),
-        |b, _| b.iter(|| uring.spanning_forest().unwrap().num_components()),
-    );
-    group.finish();
-
-    // One-shot measured comparison: answers agree bit-for-bit, uring
-    // batches its reads, and (where armed) it is no slower than pread.
-    let a = pread.spanning_forest().unwrap();
-    let b = uring.spanning_forest().unwrap();
-    assert_eq!(a.labels, b.labels, "backends must agree bit-for-bit");
-    let io = uring.store_io().unwrap();
-    assert!(io.max_depth() > 1, "uring must batch reads (max depth {})", io.max_depth());
-
-    let samples = if smoke() { 5 } else { 20 };
-    let tp = best_query_time(&mut pread, samples);
-    let tu = best_query_time(&mut uring, samples);
-    let ratio = tp.as_secs_f64() / tu.as_secs_f64().max(1e-12);
-    println!(
-        "gz_query_uring/kron{scale} (cache {cache_groups} groups, depth 16): \
-         pread {:.3} ms, uring {:.3} ms — {ratio:.2}x, uring batch depth max {} mean {:.2}",
-        tp.as_secs_f64() * 1e3,
-        tu.as_secs_f64() * 1e3,
-        io.max_depth(),
-        io.mean_depth(),
-    );
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    if !smoke() && cores >= 4 {
-        // 0.95: no slower than pread, modulo bench noise on shared runners.
-        assert!(ratio >= 0.95, "uring must be no slower than pread at depth 16 (got {ratio:.2}x)");
-    }
-}
-
 /// The epoch-versioned concurrent query (DESIGN.md §11): fold a sealed
 /// epoch while a writer thread keeps landing batches at a pinned rate, and
 /// compare against folding the same epoch quiescently. The delta is the
@@ -365,7 +286,7 @@ criterion_group! {
     name = benches;
     config = config();
     targets = bench_connected_components, bench_spanning_forest_empty_vs_dense,
-        bench_disk_query_vs_oracle, bench_parallel_query_scaling, bench_io_backends,
-        bench_concurrent_query, emit_bench_json
+        bench_disk_query_vs_oracle, bench_parallel_query_scaling, bench_concurrent_query,
+        emit_bench_json
 }
 criterion_main!(benches);

@@ -6,8 +6,8 @@
 //! gz info stream.gzs
 //! gz components stream.gzs [--workers 4] [--store ram|disk] \
 //!     [--buffering leaf|tree] [--dir /tmp/gzwork] [--forest] \
-//!     [--threshold T] [--io-backend auto|pread|uring] \
-//!     [--stats] [--shards K [--connect host:port,host:port,...]] \
+//!     [--threshold T] [--stats] \
+//!     [--shards K [--connect host:port,host:port,...]] \
 //!     [--checkpoint-every N] [--batch-updates N] [--respawn]
 //! gz checkpoint save ckpt.gzc --from stream.gzs [--workers 4] [--seed S]
 //! gz checkpoint restore ckpt.gzc [--forest]
@@ -45,8 +45,8 @@ pub mod serve;
 use graph_zeppelin::config::DEFAULT_SEED;
 use graph_zeppelin::{
     connect_shard_tcp, serve_shard_connection, BipartitenessTester, BufferStrategy, GraphZeppelin,
-    GutterCapacity, GzConfig, IoBackendKind, Link, Recovery, RetryPolicy, ShardConfig,
-    ShardPipeline, ShardedGraphZeppelin, SocketTransport, StoreBackend, Stream, TransportTimeouts,
+    GutterCapacity, GzConfig, Link, Recovery, RetryPolicy, ShardConfig, ShardPipeline,
+    ShardedGraphZeppelin, SocketTransport, StoreBackend, Stream, TransportTimeouts,
 };
 use gz_stream::format::{StreamReader, StreamWriter};
 use gz_stream::{Dataset, GeneratorSpec, StreamifyConfig, UpdateKind};
@@ -70,13 +70,6 @@ impl StoreArg {
             other => Err(format!("unknown store {other} (want ram|disk)")),
         }
     }
-}
-
-/// Parse an `--io-backend` value straight into the config type (the CLI
-/// needs no intermediate enum: auto/pread/uring map 1:1 onto
-/// [`IoBackendKind`]).
-fn parse_io_backend(s: &str) -> Result<IoBackendKind, String> {
-    IoBackendKind::parse(s).ok_or_else(|| format!("unknown io backend {s} (want auto|pread|uring)"))
 }
 
 /// Buffering system selected on the command line.
@@ -117,9 +110,6 @@ pub struct ComponentsArgs {
     /// sparse sets until they exceed this many live neighbors (`None`
     /// or 0 = always-dense sketches).
     pub threshold: Option<u32>,
-    /// Disk-store I/O backend (`None` = auto: probe io_uring, fall
-    /// back to pread). Ignored by RAM stores.
-    pub io_backend: Option<IoBackendKind>,
     /// Print a representation census (sparse/promoted node counts and
     /// resident bytes) after the query.
     pub stats: bool,
@@ -201,8 +191,6 @@ pub enum Command {
         /// Hybrid-representation promotion threshold τ for this shard's
         /// store (`None` or 0 = always-dense sketches).
         threshold: Option<u32>,
-        /// Disk-store I/O backend for this shard's store (`None` = auto).
-        io_backend: Option<IoBackendKind>,
         /// Write coordinator-requested checkpoints to this file.
         checkpoint: Option<PathBuf>,
         /// Restore state from this checkpoint before serving; later
@@ -302,7 +290,6 @@ const COMPONENTS: &[FlagSpec] = &[
     ("--disk", Kind::Value("a dir")),
     ("--forest", Kind::Switch),
     ("--threshold", Kind::Number),
-    ("--io-backend", Kind::Value("a value")),
     ("--stats", Kind::Switch),
     ("--shards", Kind::Count),
     ("--connect", Kind::Value("addr,addr,...")),
@@ -329,7 +316,6 @@ const SHARD_WORKER: &[FlagSpec] = &[
     ("--store", Kind::Value("ram|disk")),
     ("--dir", Kind::Value("a dir")),
     ("--threshold", Kind::Number),
-    ("--io-backend", Kind::Value("a value")),
     ("--checkpoint", Kind::Value("a path")),
     ("--resume", Kind::Value("a path")),
 ];
@@ -481,7 +467,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 dir: disk.or(f.path("--dir")),
                 forest: f.given("--forest"),
                 threshold: f.num("--threshold")?,
-                io_backend: f.parsed("--io-backend", parse_io_backend)?,
                 stats: f.given("--stats"),
                 shards: f.num("--shards")?,
                 connect: f.value("--connect").map(addrs).unwrap_or_default(),
@@ -545,7 +530,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 store: f.parsed("--store", StoreArg::parse)?.unwrap_or(StoreArg::Ram),
                 dir: f.path("--dir"),
                 threshold: f.num("--threshold")?,
-                io_backend: f.parsed("--io-backend", parse_io_backend)?,
                 checkpoint: f.path("--checkpoint"),
                 resume: f.path("--resume"),
             })
@@ -605,7 +589,6 @@ fn build_config(num_nodes: u64, args: &ComponentsArgs) -> Result<GzConfig, Strin
     config.num_workers = args.workers;
     config.store = store_backend(args.store, &args.dir)?;
     config.sketch_threshold = args.threshold.unwrap_or(0);
-    config.io.kind = args.io_backend.unwrap_or_default();
     config.buffering = match args.buffering {
         BufferingArg::Leaf => {
             BufferStrategy::LeafOnly { capacity: GutterCapacity::SketchFactor(0.5) }
@@ -656,11 +639,6 @@ fn components_sharded(args: &ComponentsArgs, num_shards: u32) -> Result<String, 
              --store/--dir to each `gz shard-worker` instead"
             .into());
     }
-    if !connect.is_empty() && args.io_backend.is_some() {
-        return Err("with --connect, sketch stores live in the shard workers; pass \
-             --io-backend to each `gz shard-worker` instead"
-            .into());
-    }
     if checkpoint_every.is_some() && connect.is_empty() && dir.is_none() {
         return Err("--checkpoint-every with in-process shards needs --dir for the \
              checkpoint files (remote workers use their own --checkpoint paths)"
@@ -673,7 +651,6 @@ fn components_sharded(args: &ComponentsArgs, num_shards: u32) -> Result<String, 
     config.workers_per_shard = args.workers;
     config.store = store_backend(args.store, dir)?;
     config.sketch_threshold = args.threshold.unwrap_or(0);
-    config.io.kind = args.io_backend.unwrap_or_default();
     config.checkpoint_every = *checkpoint_every;
     if checkpoint_every.is_some() && connect.is_empty() {
         config.checkpoint_dir = dir.clone();
@@ -891,18 +868,13 @@ pub fn execute(cmd: Command) -> Result<String, String> {
                     rep.sparse_bytes(),
                     gz.sketch_bytes(),
                 ));
-                if let (Some(io), Some(name)) = (gz.store_io(), gz.io_backend_name()) {
+                if let Some(io) = gz.store_io() {
                     out.push_str(&format!(
-                        "io backend {name}: {} reads ({} bytes), {} writes ({} bytes), \
-                         {} submissions, {} completions, batch depth max {} mean {:.2}\n",
+                        "disk store: {} reads ({} bytes), {} writes ({} bytes)\n",
                         io.reads(),
                         io.bytes_read(),
                         io.writes(),
                         io.bytes_written(),
-                        io.submissions(),
-                        io.completions(),
-                        io.max_depth(),
-                        io.mean_depth(),
                     ));
                 }
                 if let Some(io) = gz.gutter_io() {
@@ -965,7 +937,6 @@ pub fn execute(cmd: Command) -> Result<String, String> {
             store,
             dir,
             threshold,
-            io_backend,
             checkpoint,
             resume,
         } => {
@@ -974,7 +945,6 @@ pub fn execute(cmd: Command) -> Result<String, String> {
             config.workers_per_shard = workers;
             config.store = store_backend(store, &dir)?;
             config.sketch_threshold = threshold.unwrap_or(0);
-            config.io.kind = io_backend.unwrap_or_default();
             run_shard_worker(&listen, config, index, checkpoint, resume)
         }
         Command::Serve { options } => serve::run_serve(options),
@@ -1080,7 +1050,6 @@ mod tests {
                 ("--er" | "--pa", _) => "10x20",
                 ("--store", _) => "ram",
                 ("--buffering", _) => "leaf",
-                ("--io-backend", _) => "pread",
                 _ => "x:1", // a path, an address, an address list
             };
             let ctx = format!("{prefix} {flag}");
@@ -1124,6 +1093,9 @@ mod tests {
             let err = parse_args(&argv(&format!("components s.gzs {flag} 2"))).unwrap_err();
             assert_eq!(err, format!("unknown flag {flag}"));
         }
+        // The disk store has one I/O path: there is no backend to pick.
+        let err = parse_args(&argv("components s.gzs --io-backend pread")).unwrap_err();
+        assert_eq!(err, "unknown flag --io-backend");
     }
 
     #[test]
@@ -1138,6 +1110,12 @@ mod tests {
     fn shard_worker_flag_table() {
         let required = ["--listen a:1", "--nodes 8", "--shards 2", "--index 0"];
         check_flag_table("shard-worker", SHARD_WORKER, &required);
+        let err = parse_args(&argv(&format!(
+            "shard-worker {} --store disk --dir d --io-backend pread",
+            required.join(" ")
+        )))
+        .unwrap_err();
+        assert_eq!(err, "unknown flag --io-backend");
     }
 
     #[test]
@@ -1151,7 +1129,7 @@ mod tests {
         // Every flag but the `--disk` shorthand, each landing in its field.
         let cmd = parse_components(
             "components s.gzs --workers 8 --store disk --buffering tree \
-             --dir /tmp/d --forest --threshold 16 --io-backend uring --stats \
+             --dir /tmp/d --forest --threshold 16 --stats \
              --shards 2 --connect 127.0.0.1:7001,127.0.0.1:7002 --checkpoint-every 64 \
              --batch-updates 128 --respawn",
         );
@@ -1163,7 +1141,6 @@ mod tests {
             dir: Some(PathBuf::from("/tmp/d")),
             forest: true,
             threshold: Some(16),
-            io_backend: Some(IoBackendKind::Uring),
             stats: true,
             shards: Some(2),
             connect: vec!["127.0.0.1:7001".into(), "127.0.0.1:7002".into()],
@@ -1180,7 +1157,7 @@ mod tests {
         assert_eq!(bare.path, PathBuf::from("s.gzs"));
         assert_eq!(bare.workers, cores.min(2));
         assert_eq!((bare.store, bare.buffering), (StoreArg::Ram, BufferingArg::Leaf));
-        assert_eq!((bare.threshold, bare.io_backend), (None, None));
+        assert_eq!(bare.threshold, None);
         assert_eq!((bare.shards, bare.checkpoint_every), (None, None));
         assert!(bare.connect.is_empty() && bare.batch_updates.is_none());
         assert!(!(bare.forest || bare.stats || bare.respawn));
@@ -1193,17 +1170,9 @@ mod tests {
         };
         assert_eq!(field("--store ram").store, StoreArg::Ram);
         assert_eq!(field("--buffering leaf").buffering, BufferingArg::Leaf);
-        for (value, kind) in [
-            ("auto", IoBackendKind::Auto),
-            ("pread", IoBackendKind::Pread),
-            ("uring", IoBackendKind::Uring),
-        ] {
-            assert_eq!(field(&format!("--io-backend {value}")).io_backend, Some(kind));
-        }
         for (flags, spellings) in [
             ("--store floppy", "unknown store floppy (want ram|disk)"),
             ("--buffering ring", "unknown buffering ring (want leaf|tree)"),
-            ("--io-backend rdma", "unknown io backend rdma (want auto|pread|uring)"),
         ] {
             let err = parse_args(&argv(&format!("components s.gzs {flags}"))).unwrap_err();
             assert_eq!(err, spellings);
@@ -1340,8 +1309,6 @@ mod tests {
         assert!(parse_args(&argv("checkpoint save c.gzc --from s.gzs --seed nope")).is_err());
         assert!(parse_args(&argv("checkpoint restore")).is_err(), "missing path");
         assert!(parse_args(&argv("checkpoint restore c.gzc --bogus")).is_err());
-        // The restored store is always RAM-resident: no backend to pick.
-        assert!(parse_args(&argv("checkpoint restore c.gzc --io-backend pread")).is_err());
     }
 
     #[test]
@@ -1474,7 +1441,7 @@ mod tests {
         let cmd = parse_args(&argv(
             "shard-worker --listen 127.0.0.1:0 --nodes 1024 --shards 4 --index 2 \
              --seed 9 --workers 3 --store disk --dir /tmp/d --threshold 16 \
-             --io-backend uring --checkpoint /tmp/s2.ckpt",
+             --checkpoint /tmp/s2.ckpt",
         ))
         .unwrap();
         let full = Command::ShardWorker {
@@ -1487,7 +1454,6 @@ mod tests {
             store: StoreArg::Disk,
             dir: Some(PathBuf::from("/tmp/d")),
             threshold: Some(16),
-            io_backend: Some(IoBackendKind::Uring),
             checkpoint: Some(PathBuf::from("/tmp/s2.ckpt")),
             resume: None,
         };
@@ -1508,7 +1474,6 @@ mod tests {
             store: StoreArg::Ram,
             dir: None,
             threshold: None,
-            io_backend: None,
             checkpoint: None,
             resume: Some(PathBuf::from("/tmp/s1.ckpt")),
         };
@@ -1683,24 +1648,13 @@ mod tests {
             *connect = vec!["127.0.0.1:1".into()];
         }
         assert!(execute(cmd).unwrap_err().contains("shard-worker"));
-        // --io-backend with --connect configures nothing on the remote
-        // workers either: must be refused the same way.
-        let mut cmd = components_cmd(&path, Some(1));
-        if let Command::Components(ComponentsArgs { io_backend, connect, .. }) = &mut cmd {
-            *io_backend = Some(graph_zeppelin::IoBackendKind::Pread);
-            *connect = vec!["127.0.0.1:1".into()];
-        }
-        let err = execute(cmd).unwrap_err();
-        assert!(err.contains("--io-backend") && err.contains("shard-worker"), "{err}");
     }
 
     #[test]
-    fn io_backend_is_a_performance_knob_end_to_end() {
-        // Through the whole CLI: every backend answers a disk-store query
-        // identically, and --stats reports which backend actually ran with
-        // its batch-depth counters.
-        use graph_zeppelin::IoBackendKind;
-        let path = tmp("io-backend");
+    fn disk_store_stats_print_its_io() {
+        // Through the whole CLI: a disk-store run answers as the RAM run
+        // does, and --stats prints the store's reads and writes.
+        let path = tmp("disk-stats");
         execute(Command::Generate {
             dataset: DatasetArg::Kron(5),
             seed: 23,
@@ -1709,37 +1663,29 @@ mod tests {
         .unwrap();
         let reference = execute(components_cmd(&path, None)).unwrap();
         let count = |s: &str| s.split_whitespace().next().unwrap().to_string();
-        let kinds: &[IoBackendKind] = if graph_zeppelin::uring_available() {
-            &[IoBackendKind::Auto, IoBackendKind::Pread, IoBackendKind::Uring]
-        } else {
-            eprintln!("skipping uring lane: io_uring unavailable on this host");
-            &[IoBackendKind::Auto, IoBackendKind::Pread]
-        };
-        for &kind in kinds {
-            let workdir = gz_testutil::TempPath::new("gz-cli-io-backend", ".d");
-            let mut cmd = components_cmd(&path, None);
-            if let Command::Components(ComponentsArgs { store, dir, io_backend, stats, .. }) =
-                &mut cmd
-            {
-                *store = StoreArg::Disk;
-                *dir = Some(workdir.to_path_buf());
-                *io_backend = Some(kind);
-                *stats = true;
-            }
-            let out = execute(cmd).unwrap();
-            assert_eq!(count(&out), count(&reference), "{kind:?}");
-            let io_line = out
-                .lines()
-                .find(|l| l.starts_with("io backend "))
-                .unwrap_or_else(|| panic!("no io line for {kind:?}: {out}"));
-            if kind == IoBackendKind::Pread {
-                assert!(io_line.contains("io backend pread"), "{io_line}");
-            }
-            if kind == IoBackendKind::Uring {
-                assert!(io_line.contains("io backend uring"), "{io_line}");
-            }
-            assert!(io_line.contains("submissions"), "{io_line}");
+        let workdir = gz_testutil::TempPath::new("gz-cli-disk-stats", ".d");
+        let mut cmd = components_cmd(&path, None);
+        if let Command::Components(ComponentsArgs { store, dir, stats, .. }) = &mut cmd {
+            *store = StoreArg::Disk;
+            *dir = Some(workdir.to_path_buf());
+            *stats = true;
         }
+        let out = execute(cmd).unwrap();
+        assert_eq!(count(&out), count(&reference), "{out}");
+        let io_line = out.lines().find(|l| l.starts_with("disk store: ")).expect(&out);
+        let nums: Vec<u64> =
+            io_line.split(|c: char| !c.is_ascii_digit()).filter_map(|w| w.parse().ok()).collect();
+        let [reads, bytes_read, writes, bytes_written] = nums[..] else { panic!("{io_line}") };
+        assert_eq!(
+            io_line,
+            format!(
+                "disk store: {reads} reads ({bytes_read} bytes), \
+                 {writes} writes ({bytes_written} bytes)"
+            )
+        );
+        // kron5's 32 nodes fit the cache: the flush writes them back and
+        // the query's round reads are what move bytes in.
+        assert!(reads > 0 && bytes_read > 0 && writes > 0 && bytes_written > 0, "{io_line}");
     }
 
     #[test]
@@ -1763,8 +1709,9 @@ mod tests {
         let out = execute(cmd).unwrap();
         let lines: Vec<&str> = out.lines().collect();
         let tree = lines.iter().position(|l| l.starts_with("gutter tree: ")).expect(&out);
-        assert!(
-            lines[tree].starts_with("gutter tree: reads=0 writes=0 bytes_read=0 bytes_written=0 "),
+        assert_eq!(
+            lines[tree],
+            "gutter tree: reads=0 writes=0 bytes_read=0 bytes_written=0 sparse_promotions=0",
             "{out}"
         );
         assert!(lines[tree + 1].starts_with("ingest: "), "{out}");

@@ -11,7 +11,7 @@ fn main() {
                  [--seed S] --out FILE\n  gz info FILE\n  gz components FILE \
                  [--workers N] [--store ram|disk] [--buffering leaf|tree] \
                  [--dir DIR] [--forest]\n                \
-                 [--threshold T] [--io-backend auto|pread|uring] [--stats]\n                \
+                 [--threshold T] [--stats]\n                \
                  [--shards K [--connect HOST:PORT,...]]\n                \
                  [--checkpoint-every N] [--batch-updates N] [--respawn]\n  \
                  gz checkpoint save \
@@ -19,8 +19,7 @@ fn main() {
                  restore FILE [--forest]\n  \
                  gz shard-worker --listen HOST:PORT \
                  --nodes N --shards K --index I [--seed S]\n                  \
-                 [--workers N] [--store ram|disk] [--dir DIR] [--threshold T] \
-                 [--io-backend auto|pread|uring]\n                  \
+                 [--workers N] [--store ram|disk] [--dir DIR] [--threshold T]\n                  \
                  [--checkpoint shard.ckpt | --resume shard.ckpt]\n  \
                  gz serve (--listen HOST:PORT | --unix SOCK) --nodes N \
                  [--shards K] [--seed S]\n           \

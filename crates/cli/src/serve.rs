@@ -779,7 +779,8 @@ fn checkpoint_loop(shared: &ServeShared, period: Duration) {
 // ---------------------------------------------------------------------------
 
 /// SIGINT/SIGTERM handling via `signalfd(2)`, declared directly against
-/// the libc ABI like the `io_uring` backend does for its syscalls.
+/// the libc ABI: the workspace has no `libc` crate, and these six symbols
+/// are all it needs.
 mod signals {
     use std::os::raw::{c_int, c_void};
 

@@ -6,7 +6,6 @@
 //! (RAM vs SSD).
 
 use crate::error::GzError;
-use crate::store::io_backend::IoBackendConfig;
 use std::path::PathBuf;
 
 pub use gz_sketch::geometry::{DEFAULT_COLUMNS, PAPER_COLUMNS};
@@ -141,11 +140,6 @@ pub struct GzConfig {
     /// start: the exact pre-hybrid behavior, and the equivalence oracle
     /// the hybrid tests compare against.
     pub sketch_threshold: u32,
-    /// Disk-store I/O backend tunables (DESIGN.md §13): pread vs io_uring,
-    /// submission queue depth, O_DIRECT mode. Ignored by RAM stores, and
-    /// deliberately excluded from parameter digests — the backend changes
-    /// how bytes move, never which bytes exist.
-    pub io: IoBackendConfig,
 }
 
 impl GzConfig {
@@ -163,7 +157,6 @@ impl GzConfig {
             buffering: BufferStrategy::LeafOnly { capacity: GutterCapacity::SketchFactor(0.5) },
             store: StoreBackend::Ram,
             sketch_threshold: 0,
-            io: IoBackendConfig::default(),
         }
     }
 
@@ -200,9 +193,6 @@ impl GzConfig {
         }
         if self.group_threads == 0 {
             return Err(GzError::InvalidConfig("group_threads must be ≥ 1".into()));
-        }
-        if self.io.queue_depth == 0 {
-            return Err(GzError::InvalidConfig("io queue_depth must be ≥ 1".into()));
         }
         Ok(())
     }
@@ -270,9 +260,6 @@ mod tests {
         assert!(c.validate().is_err());
         let mut c = GzConfig::in_ram(64);
         c.num_columns = 0;
-        assert!(c.validate().is_err());
-        let mut c = GzConfig::in_ram(64);
-        c.io.queue_depth = 0;
         assert!(c.validate().is_err());
     }
 

@@ -57,6 +57,8 @@
 //!   inter-shard batching router, per-shard pipelines, and in-process /
 //!   socket transports speaking the `gz_stream::wire` protocol.
 
+#![forbid(unsafe_code)]
+
 pub mod bipartiteness;
 pub mod boruvka;
 pub mod checkpoint;
@@ -89,7 +91,7 @@ pub use sharding::{
 };
 pub use sparse::SparseSet;
 pub use store::{
-    uring_available, EpochOverlay, IoBackendConfig, IoBackendKind, MaterializedSource, NodeSet,
-    RepStats, SketchEpoch, SketchSource, SliceSource, StoreRoundSource,
+    EpochOverlay, IoBackendConfig, MaterializedSource, NodeSet, RepStats, SketchEpoch,
+    SketchSource, SliceSource, StoreRoundSource,
 };
 pub use system::{ConnectedComponents, GraphZeppelin};

@@ -52,7 +52,6 @@ use crate::config::{GutterCapacity, StoreBackend};
 use crate::error::GzError;
 use crate::node_sketch::{CubeNodeSketch, CubeRoundSketch, SketchParams};
 use crate::sparse::{SparseRoundBatch, SparseSet};
-use crate::store::io_backend::IoBackendConfig;
 use crate::store::{MaterializedSource, SketchSource};
 use gz_gutters::WorkerPool;
 use std::sync::Arc;
@@ -90,12 +89,6 @@ pub struct ShardConfig {
     pub sketch_threshold: u32,
     /// Router gutter capacity (the inter-shard batch size knob).
     pub router_capacity: GutterCapacity,
-    /// Disk-store I/O backend tunables for each shard's store, mirroring
-    /// [`crate::config::GzConfig::io`]. Ignored by RAM stores and not part
-    /// of the parameter digest — the backend changes how bytes move, never
-    /// which bytes exist, so shards with different backends still gather
-    /// mergeable state.
-    pub io: IoBackendConfig,
     /// Directory where each shard persists its `GZS2` checkpoint
     /// (DESIGN.md §14). `None` disables checkpointing. Worker-side (and
     /// used by in-process pipelines); not part of the parameter digest —
@@ -124,7 +117,6 @@ impl ShardConfig {
             store: StoreBackend::Ram,
             sketch_threshold: 0,
             router_capacity: GutterCapacity::SketchFactor(0.5),
-            io: IoBackendConfig::default(),
             checkpoint_dir: None,
             checkpoint_every: None,
         }
@@ -162,9 +154,6 @@ impl ShardConfig {
         }
         if self.workers_per_shard == 0 {
             return Err(GzError::InvalidConfig("need at least one worker per shard".into()));
-        }
-        if self.io.queue_depth == 0 {
-            return Err(GzError::InvalidConfig("io queue_depth must be ≥ 1".into()));
         }
         if self.checkpoint_every == Some(0) {
             return Err(GzError::InvalidConfig("checkpoint_every must be ≥ 1".into()));

@@ -14,7 +14,9 @@ use crate::error::GzError;
 use crate::ingest::WorkerPool;
 use crate::node_sketch::{CubeRoundSketch, SketchParams};
 use crate::sharding::ShardConfig;
-use crate::store::{disk::DiskStore, ram::RamStore, EpochOverlay, NodeSet, SketchStore};
+use crate::store::{
+    disk::DiskStore, ram::RamStore, with_backing_file, EpochOverlay, NodeSet, SketchStore,
+};
 use gz_gutters::{Batch, WorkQueue};
 use gz_stream::wire::SketchEntry;
 use parking_lot::Mutex;
@@ -116,20 +118,17 @@ impl ShardPipeline {
                 config.sketch_threshold,
             ))),
             StoreBackend::Disk { dir, block_bytes, cache_groups } => {
-                let path = dir.join(format!(
-                    "gz_shard{index}_sketches_{}_{}.bin",
-                    std::process::id(),
-                    config.seed
-                ));
-                Arc::new(SketchStore::Disk(DiskStore::for_nodes_with_options(
-                    Arc::clone(&params),
-                    owned,
-                    path,
-                    *block_bytes,
-                    *cache_groups,
-                    config.sketch_threshold,
-                    config.io,
-                )?))
+                let store = with_backing_file(dir, &format!("gz_shard{index}_sketches"), |path| {
+                    DiskStore::for_nodes_with_threshold(
+                        Arc::clone(&params),
+                        owned,
+                        path,
+                        *block_bytes,
+                        *cache_groups,
+                        config.sketch_threshold,
+                    )
+                })?;
+                Arc::new(SketchStore::Disk(store))
             }
         };
         let queue = Arc::new(WorkQueue::for_workers(config.workers_per_shard));

@@ -23,23 +23,51 @@
 //! column data in Borůvka round `r`, and the round-major order makes that
 //! slice one contiguous read of `nodes_in_group × round_bytes` instead of
 //! `nodes_in_group` strided seeks. Every query reads those slices through
-//! one claim loop (`DiskStore::claim_windows`), run by however many query
+//! one claim loop (`DiskStore::claim_groups`), run by however many query
 //! workers there are — one included.
+//!
+//! Every file access is one positioned syscall on the shared handle
+//! (`read_at`, `write_at`): a group fault, one round slice, or one
+//! coalesced run of write-back. There is no seek cursor, so any number of
+//! workers can have accesses to different regions in flight at once.
 
 use crate::boruvka::RoundSink;
 use crate::node_sketch::{CubeNodeSketch, CubeRoundSketch, SketchParams};
 use crate::sparse::{SparseRoundBatch, SparseSet};
 use crate::store::epoch::{EpochOverlay, EpochRegistry};
-use crate::store::io_backend::{IoBackendConfig, IoBackendImpl, ReadReq, O_DIRECT};
 use crate::store::{NodeSet, RepStats, ScratchPool};
 use gz_gutters::{CounterSet, IoStats};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fs::File;
+use std::os::unix::fs::FileExt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+
+/// Empty: the disk store has one I/O path and nothing to tune. A benchmark
+/// pin — the repository benchmark's store probe still names this type and
+/// passes it to [`DiskStore::for_nodes_with_options`].
+#[derive(Debug, Default)]
+pub struct IoBackendConfig {}
+
+/// Fill `buf` from `offset`: one positioned read, counted in `io` as one
+/// read of exactly `buf.len()` bytes. A read that runs past the end of the
+/// file fails with `UnexpectedEof` and counts nothing.
+fn read_at(file: &File, offset: u64, buf: &mut [u8], io: &IoStats) -> std::io::Result<()> {
+    file.read_exact_at(buf, offset)?;
+    io.record_read(buf.len() as u64);
+    Ok(())
+}
+
+/// Write all of `bytes` at `offset`, counted in `io` as one write of
+/// exactly `bytes.len()` bytes.
+fn write_at(file: &File, offset: u64, bytes: &[u8], io: &IoStats) -> std::io::Result<()> {
+    file.write_all_at(bytes, offset)?;
+    io.record_write(bytes.len() as u64);
+    Ok(())
+}
 
 /// One cached node group. Whoever holds the lock owns the group's decoded
 /// sketches: the worker faulting it in, a worker merging a delta, the
@@ -100,7 +128,7 @@ std::thread_local! {
     static GROUP_IO_BUF: std::cell::RefCell<Vec<u8>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
-/// One round stream in progress (see `DiskStore::claim_windows`): what to
+/// One round stream in progress (see `DiskStore::claim_groups`): what to
 /// read, and the cursor and error slot its claimants share.
 struct RoundClaims<'a> {
     round: usize,
@@ -168,15 +196,6 @@ pub struct DiskStore {
     /// (rebuilt from its kind and message) instead of touching the file.
     first_error: Mutex<Option<(std::io::ErrorKind, String)>>,
     io: Arc<IoStats>,
-    /// How file regions become syscalls: blocking preads, or batched
-    /// io_uring submissions (DESIGN.md §13). Selected by
-    /// [`IoBackendConfig::kind`]; `Auto` probes at open and falls back.
-    backend: IoBackendImpl,
-    /// A second, `O_DIRECT` handle on the backing file for the read paths
-    /// when direct mode is on (`None` = buffered reads). Writes always go
-    /// through the buffered `file` handle: write-back traffic is small and
-    /// unaligned, and the kernel keeps the two views coherent.
-    read_file: Option<File>,
     /// Live sealed epochs. The copy-on-write "group" is the node group:
     /// captures happen under the group's lock, on the clean→dirty
     /// transition of a cached group (a clean group's value equals the
@@ -234,29 +253,6 @@ impl DiskStore {
         cache_groups: usize,
         threshold: u32,
     ) -> std::io::Result<Self> {
-        Self::for_nodes_with_options(
-            params,
-            node_set,
-            path,
-            block_bytes,
-            cache_groups,
-            threshold,
-            IoBackendConfig::default(),
-        )
-    }
-
-    /// [`Self::for_nodes_with_threshold`] with explicit I/O tunables:
-    /// backend selection, submission queue depth, and O_DIRECT mode
-    /// (DESIGN.md §13).
-    pub fn for_nodes_with_options(
-        params: Arc<SketchParams>,
-        node_set: NodeSet,
-        path: PathBuf,
-        block_bytes: usize,
-        cache_groups: usize,
-        threshold: u32,
-        io: IoBackendConfig,
-    ) -> std::io::Result<Self> {
         let node_bytes = params.node_sketch_serialized_bytes();
         let num_slots = node_set.len() as u64;
         let group_size =
@@ -270,16 +266,6 @@ impl DiskStore {
             .truncate(true)
             .open(&path)?;
         file.set_len(num_groups as u64 * group_size as u64 * node_bytes as u64)?;
-
-        // Direct mode is best-effort: some filesystems (notably tmpfs)
-        // refuse O_DIRECT, in which case reads stay buffered.
-        let read_file = if io.direct {
-            use std::os::unix::fs::OpenOptionsExt;
-            std::fs::OpenOptions::new().read(true).custom_flags(O_DIRECT).open(&path).ok()
-        } else {
-            None
-        };
-        let backend = IoBackendImpl::resolve(io.kind, io.queue_depth, read_file.is_some())?;
 
         let sparse = if threshold == 0 {
             vec![None; num_slots as usize]
@@ -304,8 +290,6 @@ impl DiskStore {
             writeback_landed: Condvar::new(),
             first_error: Mutex::new(None),
             io: Arc::new(IoStats::new()),
-            backend,
-            read_file,
             epochs: EpochRegistry::new(),
             threshold,
             sparse: Mutex::new(sparse),
@@ -314,17 +298,18 @@ impl DiskStore {
         })
     }
 
-    /// The file handle read paths use: the O_DIRECT handle in direct mode,
-    /// the ordinary buffered handle otherwise.
-    fn read_handle(&self) -> &File {
-        self.read_file.as_ref().unwrap_or(&self.file)
-    }
-
-    /// Resolved backend description, e.g. `"uring"` or `"pread+direct"`
-    /// (for `--stats` output and test logs).
-    pub fn io_backend_name(&self) -> String {
-        let direct = if self.read_file.is_some() { "+direct" } else { "" };
-        format!("{}{direct}", self.backend.name())
+    /// [`Self::for_nodes_with_threshold`]; `_io` is ignored. A benchmark
+    /// pin — the repository benchmark's store probe calls this signature.
+    pub fn for_nodes_with_options(
+        params: Arc<SketchParams>,
+        node_set: NodeSet,
+        path: PathBuf,
+        block_bytes: usize,
+        cache_groups: usize,
+        threshold: u32,
+        _io: IoBackendConfig,
+    ) -> std::io::Result<Self> {
+        Self::for_nodes_with_threshold(params, node_set, path, block_bytes, cache_groups, threshold)
     }
 
     /// Seal the current generation: write back every dirty cached group
@@ -346,11 +331,10 @@ impl DiskStore {
 
     /// Write every dirty cached group back to the file, coalescing runs of
     /// *adjacent* dirty group ids into single contiguous writes (their file
-    /// regions abut, so one larger write is equivalent) and batching all
-    /// resulting regions into one submission window on the uring backend;
-    /// then run `sealed` while still holding the cache lock and the lock of
-    /// every cached group, i.e. with all merges shut out. Shared by
-    /// [`Self::flush`] and [`Self::begin_epoch`].
+    /// regions abut, so one larger write is equivalent); then run `sealed`
+    /// while still holding the cache lock and the lock of every cached
+    /// group, i.e. with all merges shut out. Shared by [`Self::flush`] and
+    /// [`Self::begin_epoch`].
     fn writeback_dirty<R>(&self, sealed: impl FnOnce() -> R) -> std::io::Result<R> {
         self.check_failed()?;
         let mut cache = self.cache.lock();
@@ -379,7 +363,9 @@ impl DiskStore {
                 }
             }
         }
-        let written = self.backend.write_regions(&self.file, &regions, &self.io);
+        let written = regions
+            .iter()
+            .try_for_each(|(offset, run)| write_at(&self.file, *offset, run, &self.io));
         self.record_failure(written)?;
         for (_, state) in &mut held {
             state.dirty = false;
@@ -475,12 +461,7 @@ impl DiskStore {
         GROUP_IO_BUF.with(|buf| {
             let mut bytes = buf.borrow_mut();
             bytes.resize(k * self.node_bytes, 0);
-            self.backend.read_into(
-                self.read_handle(),
-                self.group_offset(group),
-                &mut bytes,
-                &self.io,
-            )?;
+            read_at(&self.file, self.group_offset(group), &mut bytes, &self.io)?;
             self.decode_group_into(&bytes, k, sketches);
             Ok(())
         })
@@ -488,31 +469,21 @@ impl DiskStore {
 
     fn write_group(&self, group: u32, sketches: &[CubeNodeSketch]) -> std::io::Result<()> {
         GROUP_IO_BUF.with(|buf| {
-            let mut bytes = std::mem::take(&mut *buf.borrow_mut());
+            let mut bytes = buf.borrow_mut();
             bytes.clear();
             self.encode_group_into(sketches, &mut bytes);
-            let region = [(self.group_offset(group), bytes)];
-            let written = self.backend.write_regions(&self.file, &region, &self.io);
-            let [(_, bytes)] = region;
-            *buf.borrow_mut() = bytes;
-            written
+            write_at(&self.file, self.group_offset(group), &bytes, &self.io)
         })
     }
 
-    /// The file region holding `group`'s round-`round` slice: one
-    /// contiguous span of the group's `k × round_bytes` column data
-    /// (round-major layout). Regions carry their own offsets, so any
-    /// number of query workers can have reads of different groups in
-    /// flight on the shared `&File` concurrently — there is no seek cursor
-    /// to race on. Reads are counted in the caller's [`IoStats`], which
-    /// parallel readers keep thread-local and merge once per worker.
-    fn round_slice_req(&self, group: u32, round: usize) -> ReadReq {
+    /// The file region `(offset, len)` holding `group`'s round-`round`
+    /// slice: one contiguous span of the group's `k × round_bytes` column
+    /// data (round-major layout).
+    fn round_slice(&self, group: u32, round: usize) -> (u64, usize) {
         let k = self.nodes_in_group(group) as usize;
-        ReadReq {
-            offset: self.group_offset(group)
-                + (k * self.params.round_serialized_offset(round)) as u64,
-            len: k * self.params.round_serialized_bytes(round),
-        }
+        let offset =
+            self.group_offset(group) + (k * self.params.round_serialized_offset(round)) as u64;
+        (offset, k * self.params.round_serialized_bytes(round))
     }
 
     /// Hand `claims`' consumer the round slice of each of `group`'s live
@@ -778,14 +749,6 @@ impl DiskStore {
         self.writeback_dirty(|| ())
     }
 
-    /// Groups a round-stream claimant takes per trip to the shared cursor:
-    /// the backend's natural submission window (1 on pread, the queue depth
-    /// on uring), bounded by the cache budget so that a query worker never
-    /// holds more slices in flight than the ingestion cache holds groups.
-    fn stream_window(&self) -> usize {
-        self.backend.read_window().min(self.cache_capacity).max(1)
-    }
-
     /// Set up a stream of the round-`round` slice of every owned dense
     /// node whose component is still `live`, as sealed by `overlay`. A live
     /// stream (`None`; the caller must have quiesced ingestion) writes the
@@ -825,13 +788,12 @@ impl DiskStore {
 
     /// The disk store's one round-read path (paper §4.2, Figure 9), run by
     /// each claimant of `claims` until the wanted groups run out: claim the
-    /// next window of groups from the shared cursor, serve the ones the
-    /// overlay captured from their sealed pre-images, read the others'
-    /// round slices in one backend submission, and hand every live dense
-    /// node's slice to `emit` — borrowed from a pre-image, owned when
-    /// deserialized from the file. Completions surface in any order and
-    /// which claimant gets which group is scheduling-dependent; consumers
-    /// fold by XOR, so neither shows in a result.
+    /// next group from the shared cursor, serve it from its sealed
+    /// pre-image if the overlay captured one, read its round slice
+    /// otherwise, and hand every live dense node's slice to `emit` —
+    /// borrowed from a pre-image, owned when deserialized from the file.
+    /// Which claimant gets which group is scheduling-dependent; consumers
+    /// fold by XOR, so it never shows in a result.
     ///
     /// The overlay is checked again after each read and always wins: a
     /// capture landing mid-read means the read may have raced a write-back
@@ -843,43 +805,28 @@ impl DiskStore {
     /// bytes per group read, however many claimants shared it. An I/O
     /// error ends the stream for every claimant at its next claim; the
     /// first one is what [`RoundClaims::finish`] returns.
-    fn claim_windows(
+    fn claim_groups(
         &self,
         claims: &RoundClaims<'_>,
         emit: &mut dyn FnMut(u32, Cow<'_, CubeRoundSketch>),
     ) {
-        let window = self.stream_window();
         let sealed = |group| claims.overlay.and_then(|overlay| overlay.get(group));
         let local_io = IoStats::new();
-        let mut misses: Vec<u32> = Vec::with_capacity(window);
-        let mut reqs: Vec<ReadReq> = Vec::with_capacity(window);
-        loop {
-            let start = claims.next.fetch_add(window, Ordering::Relaxed);
-            if start >= claims.wanted.len() {
-                break;
+        let mut bytes = Vec::new();
+        while let Some(&group) = claims.wanted.get(claims.next.fetch_add(1, Ordering::Relaxed)) {
+            if let Some(pre) = sealed(group) {
+                self.emit_group(claims, group, Some(&pre), &[], emit);
+                continue;
             }
-            misses.clear();
-            reqs.clear();
-            for &group in &claims.wanted[start..claims.wanted.len().min(start + window)] {
-                match sealed(group) {
-                    Some(pre) => self.emit_group(claims, group, Some(&pre), &[], emit),
-                    None => {
-                        misses.push(group);
-                        reqs.push(self.round_slice_req(group, claims.round));
-                    }
-                }
-            }
-            let read =
-                self.backend.read_regions(self.read_handle(), &reqs, &local_io, &mut |i, bytes| {
-                    let pre = sealed(misses[i]);
-                    self.emit_group(claims, misses[i], pre.as_ref().map(|p| &p[..]), bytes, emit);
-                    true
-                });
-            if let Err(e) = read {
+            let (offset, len) = self.round_slice(group, claims.round);
+            bytes.resize(len, 0);
+            if let Err(e) = read_at(&self.file, offset, &mut bytes, &local_io) {
                 claims.next.store(claims.wanted.len(), Ordering::Relaxed);
                 claims.first_error.lock().get_or_insert(e);
                 break;
             }
+            let pre = sealed(group);
+            self.emit_group(claims, group, pre.as_ref().map(|p| &p[..]), &bytes, emit);
         }
         self.io.merge_from(&local_io);
     }
@@ -897,7 +844,7 @@ impl DiskStore {
         sink: &mut dyn FnMut(u32, &CubeRoundSketch),
     ) -> std::io::Result<()> {
         let claims = self.begin_round(round, live, overlay)?;
-        self.claim_windows(&claims, &mut |node, slice| sink(node, &slice));
+        self.claim_groups(&claims, &mut |node, slice| sink(node, &slice));
         claims.finish()
     }
 
@@ -905,8 +852,7 @@ impl DiskStore {
     /// per-worker sinks, as sealed by `overlay` (`None` = the live state):
     /// the sparse vertices by slot range, then the dense ones with every
     /// worker a claimant of the same claim loop, so up to `sinks.len()`
-    /// submission windows of positioned reads are in flight on the shared
-    /// file handle at once.
+    /// positioned reads are in flight on the shared file handle at once.
     pub fn stream_round_parallel(
         &self,
         round: usize,
@@ -919,7 +865,7 @@ impl DiskStore {
         let claims = self.begin_round(round, live, overlay)?;
         pool.run(&|w| {
             let mut sink = sinks[w].lock();
-            self.claim_windows(&claims, &mut |node, slice| match slice {
+            self.claim_groups(&claims, &mut |node, slice| match slice {
                 Cow::Borrowed(slice) => sink.fold(node, slice),
                 Cow::Owned(slice) => sink.fold_owned(node, slice),
             });
@@ -928,12 +874,9 @@ impl DiskStore {
     }
 
     /// Upper bound on sketch bytes the round stream holds resident at once
-    /// when read by `threads` query workers: each holds at most one
-    /// submission window of slices, and the window never exceeds the cache
-    /// budget (see `stream_window`).
+    /// when read by `threads` query workers: each holds one group's slice.
     pub fn round_stream_resident_bytes(&self, round: usize, threads: usize) -> usize {
-        let slice = self.group_size as usize * self.params.round_serialized_bytes(round);
-        threads * self.stream_window() * slice
+        threads * self.group_size as usize * self.params.round_serialized_bytes(round)
     }
 
     /// Clone out every owned node sketch, indexed by slot (a full scan
@@ -1231,9 +1174,9 @@ mod tests {
         s.flush().unwrap();
         let snap = s.snapshot();
         for round in 0..s.params().rounds() {
-            let req = s.round_slice_req(0, round);
-            let mut slice = vec![0u8; req.len];
-            std::os::unix::fs::FileExt::read_exact_at(&s.file, &mut slice, req.offset).unwrap();
+            let (offset, len) = s.round_slice(0, round);
+            let mut slice = vec![0u8; len];
+            s.file.read_exact_at(&mut slice, offset).unwrap();
             let rb = s.params().round_serialized_bytes(round);
             let mut expected = Vec::new();
             for sk in snap.iter() {
@@ -1499,32 +1442,51 @@ mod tests {
         assert!(!sets.iter().any(|(n, _)| *n == 4), "promoted node must leave the table");
     }
 
-    fn make_io(
-        name: &str,
-        num_nodes: u64,
-        block_bytes: usize,
-        cache: usize,
-        io: IoBackendConfig,
-    ) -> (DiskStore, gz_testutil::TempPath) {
-        let params = Arc::new(SketchParams::new(num_nodes, 3, 7, 7));
+    /// A file of `len` patterned bytes, opened read-write.
+    fn data_file(name: &str, len: usize) -> (File, gz_testutil::TempPath, Vec<u8>) {
         let path = tmp(name);
-        let store = DiskStore::for_nodes_with_options(
-            params,
-            NodeSet::all(num_nodes),
-            path.to_path_buf(),
-            block_bytes,
-            cache,
-            0,
-            io,
-        )
-        .unwrap();
-        (store, path)
+        let data: Vec<u8> = (0..len).map(|i| (i % 249) as u8).collect();
+        std::fs::write(path.path(), &data).unwrap();
+        let file = std::fs::OpenOptions::new().read(true).write(true).open(path.path()).unwrap();
+        (file, path, data)
     }
 
-    fn pread_config() -> IoBackendConfig {
-        IoBackendConfig {
-            kind: crate::store::io_backend::IoBackendKind::Pread,
-            ..Default::default()
+    #[test]
+    fn read_at_reads_exactly_its_span_and_counts_it() {
+        let (file, _t, data) = data_file("read-at", 1 << 14);
+        let io = IoStats::new();
+        let mut buf = vec![0u8; 1000];
+        read_at(&file, 513, &mut buf, &io).unwrap();
+        assert_eq!(buf, &data[513..1513]);
+        read_at(&file, 13, &mut buf[..997], &io).unwrap();
+        assert_eq!(&buf[..997], &data[13..1010]);
+        assert_eq!(io.snapshot(), (2, 0, 1997, 0), "one read per call, of exactly its bytes");
+    }
+
+    #[test]
+    fn a_short_read_at_eof_is_unexpected_eof_and_counts_nothing() {
+        let (file, _t, _) = data_file("read-at-eof", 4096);
+        let io = IoStats::new();
+        let mut buf = vec![0u8; 1024];
+        let err = read_at(&file, 4096 - 100, &mut buf, &io).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+        assert_eq!(io.total_ops(), 0, "a failed read is not a read");
+    }
+
+    #[test]
+    fn write_at_round_trips_and_counts_per_write() {
+        let (file, _t, _) = data_file("write-at", 1 << 16);
+        let io = IoStats::new();
+        let regions: Vec<(u64, Vec<u8>)> =
+            (0..9).map(|i| (i as u64 * 3000, vec![i as u8 + 1; 3000])).collect();
+        for (offset, bytes) in &regions {
+            write_at(&file, *offset, bytes, &io).unwrap();
+        }
+        assert_eq!(io.snapshot(), (0, 9, 0, 9 * 3000));
+        for (offset, bytes) in &regions {
+            let mut got = vec![0u8; bytes.len()];
+            file.read_exact_at(&mut got, *offset).unwrap();
+            assert_eq!(&got, bytes);
         }
     }
 
@@ -1535,7 +1497,7 @@ mod tests {
         // must write them back as ONE contiguous write — strictly fewer
         // write ops than the eight per-group writes of the uncoalesced
         // path.
-        let (s, _t) = make_io("coalesce", 16, 64, 16, pread_config());
+        let (s, _t) = make("coalesce", 16, 64, 16);
         assert_eq!(s.group_size(), 1);
         for node in 0..8u32 {
             s.apply_batch(node, &[encode_other(node + 8, false)]);
@@ -1565,7 +1527,7 @@ mod tests {
 
     #[test]
     fn epoch_seal_writeback_coalesces_too() {
-        let (s, _t) = make_io("epoch-coalesce", 12, 64, 16, pread_config());
+        let (s, _t) = make("epoch-coalesce", 12, 64, 16);
         assert_eq!(s.group_size(), 1);
         for node in 4..9u32 {
             s.apply_batch(node, &[encode_other(1, false)]);
@@ -1574,121 +1536,6 @@ mod tests {
         let _epoch = s.begin_epoch().unwrap();
         let (_, writes, _, _) = s.io_stats().snapshot();
         assert_eq!(writes - writes_before, 1, "seal write-back of groups 4..9 is one run");
-    }
-
-    #[test]
-    fn uring_store_matches_pread_bitwise() {
-        use crate::boruvka::RoundSink;
-        use crate::store::uring::uring_available;
-        use gz_gutters::WorkerPool;
-
-        if !uring_available() {
-            eprintln!("skipping: io_uring unavailable on this host");
-            return;
-        }
-        let uring_config = IoBackendConfig {
-            kind: crate::store::io_backend::IoBackendKind::Uring,
-            queue_depth: 4,
-            direct: false,
-        };
-        let (a, _t1) = make_io("eq-pread", 24, 64, 2, pread_config());
-        let (b, _t2) = make_io("eq-uring", 24, 64, 2, uring_config);
-        assert_eq!(b.io_backend_name(), "uring");
-        for i in 0..80u32 {
-            let (x, y) = (i % 24, (i * 7 + 1) % 24);
-            if x == y {
-                continue;
-            }
-            a.apply_batch(x, &[encode_other(y, false)]);
-            b.apply_batch(x, &[encode_other(y, false)]);
-        }
-
-        // Serial stream: same slices, and the same exact logical read
-        // counts, whatever order uring completes in.
-        for round in 0..a.params().rounds() {
-            let (ar, _, ab, _) = a.io_stats().snapshot();
-            let (br, _, bb, _) = b.io_stats().snapshot();
-            let mut got_a: Vec<(u32, Vec<u8>)> = Vec::new();
-            let mut got_b: Vec<(u32, Vec<u8>)> = Vec::new();
-            a.stream_round_dense(round, &|_| true, None, &mut |n, s| {
-                let mut bytes = Vec::new();
-                s.serialize_into(&mut bytes);
-                got_a.push((n, bytes));
-            })
-            .unwrap();
-            b.stream_round_dense(round, &|_| true, None, &mut |n, s| {
-                let mut bytes = Vec::new();
-                s.serialize_into(&mut bytes);
-                got_b.push((n, bytes));
-            })
-            .unwrap();
-            got_a.sort();
-            got_b.sort();
-            assert_eq!(got_a, got_b, "round {round}");
-            let (ar2, _, ab2, _) = a.io_stats().snapshot();
-            let (br2, _, bb2, _) = b.io_stats().snapshot();
-            assert_eq!(ar2 - ar, br2 - br, "logical read counts agree (round {round})");
-            assert_eq!(ab2 - ab, bb2 - bb, "logical read bytes agree (round {round})");
-        }
-
-        // Parallel stream on the uring store folds bit-identically to the
-        // pread snapshot, across out-of-order windowed completions.
-        let snap = a.snapshot();
-        let pool = WorkerPool::new(4);
-        let root_of: Vec<u32> = (0..24).collect();
-        let retired = vec![false; 24];
-        for round in 0..b.params().rounds() {
-            let sinks: Vec<Mutex<RoundSink<'_, CubeRoundSketch>>> =
-                (0..4).map(|_| Mutex::new(RoundSink::new(&root_of, &retired))).collect();
-            b.stream_round_parallel(round, &|_| true, None, &pool, &sinks).unwrap();
-            let mut acc: Vec<Option<CubeRoundSketch>> = (0..24).map(|_| None).collect();
-            for sink in sinks {
-                for (node, folded) in sink.into_inner().accumulators().into_iter().enumerate() {
-                    if let Some(folded) = folded {
-                        assert!(acc[node].replace(folded).is_none(), "node {node} folded twice");
-                    }
-                }
-            }
-            for node in 0..24usize {
-                let (mut got, mut want) = (Vec::new(), Vec::new());
-                acc[node].as_ref().expect("every node folded").serialize_into(&mut got);
-                snap[node].as_ref().unwrap().round(round).serialize_into(&mut want);
-                assert_eq!(got, want, "node {node} round {round}");
-            }
-        }
-        assert!(b.io_stats().submissions() > 0);
-        assert!(
-            b.io_stats().completions() >= b.io_stats().reads(),
-            "every logical read rode a completion"
-        );
-    }
-
-    #[test]
-    fn direct_mode_matches_buffered() {
-        // O_DIRECT is best-effort (tmpfs refuses it); whatever the open
-        // resolves to, results must be bit-identical to the buffered store.
-        let direct_config = IoBackendConfig { direct: true, ..pread_config() };
-        let (d, _t1) = make_io("direct", 16, 64, 2, direct_config);
-        let (o, _t2) = make_io("direct-oracle", 16, 64, 2, pread_config());
-        if !d.io_backend_name().ends_with("+direct") {
-            eprintln!("note: O_DIRECT unavailable on temp filesystem, exercising fallback");
-        }
-        for node in 0..16u32 {
-            d.apply_batch(node, &[encode_other((node + 3) % 16, false)]);
-            o.apply_batch(node, &[encode_other((node + 3) % 16, false)]);
-        }
-        let (sd, so) = (d.snapshot(), o.snapshot());
-        for (slot, (x, y)) in sd.iter().zip(so.iter()).enumerate() {
-            crate::node_sketch::assert_rounds_bitwise_equal(
-                x.as_ref().unwrap(),
-                y.as_ref().unwrap(),
-                &format!("slot {slot}"),
-            );
-        }
-        let mut got = Vec::new();
-        d.stream_round_dense(0, &|_| true, None, &mut |n, _| got.push(n)).unwrap();
-        got.sort_unstable();
-        assert_eq!(got, (0..16u32).collect::<Vec<_>>());
     }
 
     /// `store`'s full state, one serialized node sketch per slot.
@@ -1722,27 +1569,18 @@ mod tests {
     /// batches over overlapping groups, an epoch is sealed midway (at a
     /// barrier — sealing needs quiesced ingestion) and streamed by a fifth
     /// thread while the second half lands.
-    fn stress_lane(io: IoBackendConfig, cache: usize, group_size: usize) {
+    fn stress_lane(cache: usize, group_size: usize) {
         use crate::config::LockingStrategy;
         use crate::store::ram::RamStore;
         const THREADS: u32 = 4;
         const NODES: u32 = 32;
         const BATCHES: u32 = 120;
 
-        let lane = format!("{:?} cache {cache} group {group_size}", io.kind);
+        let lane = format!("cache {cache} group {group_size}");
         let params = Arc::new(SketchParams::new(NODES as u64, 3, 7, 7));
         let block = group_size * params.node_sketch_serialized_bytes();
         let path = tmp("stress");
-        let store = DiskStore::for_nodes_with_options(
-            Arc::clone(&params),
-            NodeSet::all(NODES as u64),
-            path.to_path_buf(),
-            block,
-            cache,
-            0,
-            io,
-        )
-        .unwrap();
+        let store = DiskStore::new(Arc::clone(&params), path.to_path_buf(), block, cache).unwrap();
         assert_eq!(store.group_size() as usize, group_size, "{lane}");
 
         // The serial reference, and its state at the seal.
@@ -1846,21 +1684,9 @@ mod tests {
 
     #[test]
     fn concurrent_batches_match_serial_ram_store_bitwise() {
-        let mut backends = vec![pread_config()];
-        if crate::store::uring::uring_available() {
-            backends.push(IoBackendConfig {
-                kind: crate::store::io_backend::IoBackendKind::Uring,
-                queue_depth: 4,
-                direct: false,
-            });
-        } else {
-            eprintln!("skipping the uring lanes: io_uring unavailable on this host");
-        }
-        for io in backends {
-            for cache in [1, 2, 8] {
-                for group_size in [1, 4] {
-                    stress_lane(io, cache, group_size);
-                }
+        for cache in [1, 2, 8] {
+            for group_size in [1, 4] {
+                stress_lane(cache, group_size);
             }
         }
     }
@@ -1872,7 +1698,7 @@ mod tests {
         // worker B then asks for group 0. B must wait for A's write to land
         // and read what A wrote — faulting in the stale file image would
         // lose A's earlier update.
-        let (s, _t) = make_io("refault", 8, 64, 1, pread_config());
+        let (s, _t) = make("refault", 8, 64, 1);
         assert_eq!(s.group_size(), 1);
         s.apply_batch(0, &[encode_other(5, false)]); // group 0 cached, dirty
 
@@ -1913,7 +1739,7 @@ mod tests {
         // Truncate the file behind the store: the next group fault reads
         // past EOF. The batch is lost, the worker survives, and the store
         // says so from then on.
-        let (s, _t) = make_io("failed-fault", 8, 64, 2, pread_config());
+        let (s, _t) = make("failed-fault", 8, 64, 2);
         s.apply_batch(0, &[encode_other(1, false)]);
         s.flush().unwrap();
         s.file.set_len(0).unwrap();

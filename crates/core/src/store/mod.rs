@@ -17,13 +17,10 @@
 
 pub mod disk;
 pub mod epoch;
-pub mod io_backend;
 pub mod ram;
-pub mod uring;
 
+pub use disk::IoBackendConfig;
 pub use epoch::{EpochOverlay, SketchEpoch};
-pub use io_backend::{IoBackendConfig, IoBackendKind};
-pub use uring::uring_available;
 
 use crate::boruvka::RoundSink;
 use crate::config::{GzConfig, LockingStrategy, StoreBackend};
@@ -34,6 +31,8 @@ use gz_gutters::{IoStats, WorkerPool};
 use gz_sketch::cube::{with_premixed, LaneAccumulators};
 use gz_sketch::L0Sampler;
 use parking_lot::Mutex;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Census of the hybrid representation (DESIGN.md §12): how many owned
@@ -124,6 +123,35 @@ impl NodeSet {
     }
 }
 
+/// Build something backed by a file of its own in `dir` — a disk store, a
+/// shard's disk store, a gutter tree — by handing `open` a fresh path. The
+/// name is `{stem}_{pid}_{n}.bin`, `n` from a process-wide counter, and the
+/// file is claimed with `create_new` before `open` sees it, so two systems
+/// sharing a directory never share a file, whatever their seeds; a name
+/// left behind by an earlier process with this pid is skipped, never
+/// truncated. If `open` fails the claimed file is removed; once it
+/// succeeds, what it built owns the file.
+pub(crate) fn with_backing_file<T>(
+    dir: &Path,
+    stem: &str,
+    open: impl FnOnce(PathBuf) -> std::io::Result<T>,
+) -> std::io::Result<T> {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    loop {
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let path = dir.join(format!("{stem}_{}_{n}.bin", std::process::id()));
+        match std::fs::OpenOptions::new().write(true).create_new(true).open(&path) {
+            Ok(_) => {
+                return open(path.clone()).inspect_err(|_| {
+                    let _ = std::fs::remove_file(&path);
+                })
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => continue,
+            Err(e) => return Err(e),
+        }
+    }
+}
+
 /// A store of per-vertex node sketches, shared across Graph Workers.
 // One store per system, behind an `Arc`: the variants' size gap costs nothing.
 #[allow(clippy::large_enum_variant)]
@@ -146,17 +174,17 @@ impl SketchStore {
                 config.sketch_threshold,
             ))),
             StoreBackend::Disk { dir, block_bytes, cache_groups } => {
-                let path =
-                    dir.join(format!("gz_sketches_{}_{}.bin", std::process::id(), config.seed));
-                Ok(SketchStore::Disk(disk::DiskStore::for_nodes_with_options(
-                    params,
-                    node_set,
-                    path,
-                    *block_bytes,
-                    *cache_groups,
-                    config.sketch_threshold,
-                    config.io,
-                )?))
+                let store = with_backing_file(dir, "gz_sketches", |path| {
+                    disk::DiskStore::for_nodes_with_threshold(
+                        params,
+                        node_set,
+                        path,
+                        *block_bytes,
+                        *cache_groups,
+                        config.sketch_threshold,
+                    )
+                })?;
+                Ok(SketchStore::Disk(store))
             }
         }
     }
@@ -236,15 +264,6 @@ impl SketchStore {
         match self {
             SketchStore::Ram(_) => None,
             SketchStore::Disk(s) => Some(s.io_stats()),
-        }
-    }
-
-    /// The resolved I/O backend name (`"pread"`, `"uring"`, optionally
-    /// `"+direct"`), if this store touches disk.
-    pub fn io_backend_name(&self) -> Option<String> {
-        match self {
-            SketchStore::Ram(_) => None,
-            SketchStore::Disk(s) => Some(s.io_backend_name()),
         }
     }
 

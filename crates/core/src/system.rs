@@ -7,7 +7,8 @@ use crate::error::GzError;
 use crate::ingest::{apply_batch, IngestCounters, WorkerPool};
 use crate::node_sketch::{encode_other, SketchParams};
 use crate::store::{
-    MaterializedSource, RepStats, SketchEpoch, SketchSource, SketchStore, StoreRoundSource,
+    with_backing_file, MaterializedSource, RepStats, SketchEpoch, SketchSource, SketchStore,
+    StoreRoundSource,
 };
 use gz_graph::Edge;
 use gz_gutters::{BufferingSystem, GutterTree, GutterTreeConfig, IoStats, LeafGutters, WorkQueue};
@@ -94,16 +95,16 @@ impl GraphZeppelin {
             }
             BufferStrategy::GutterTree { buffer_bytes, fanout, leaf_capacity, dir } => {
                 let leaf_cap = leaf_capacity.resolve(node_sketch_bytes);
-                let path =
-                    dir.join(format!("gz_gutter_tree_{}_{}.bin", std::process::id(), config.seed));
-                let tree_config = GutterTreeConfig {
-                    num_nodes: config.num_nodes as u32,
-                    leaf_capacity_updates: leaf_cap,
-                    buffer_bytes: *buffer_bytes,
-                    fanout: *fanout,
-                    path,
-                };
-                let tree = GutterTree::new(tree_config, Arc::clone(&queue))?;
+                let tree = with_backing_file(dir, "gz_gutter_tree", |path| {
+                    let tree_config = GutterTreeConfig {
+                        num_nodes: config.num_nodes as u32,
+                        leaf_capacity_updates: leaf_cap,
+                        buffer_bytes: *buffer_bytes,
+                        fanout: *fanout,
+                        path,
+                    };
+                    GutterTree::new(tree_config, Arc::clone(&queue))
+                })?;
                 let io = tree.stats();
                 // RAM cost of the tree is just the root buffer.
                 (Box::new(tree), Some(io), *buffer_bytes)
@@ -291,13 +292,6 @@ impl GraphZeppelin {
     /// I/O counters of the sketch store (disk backend only).
     pub fn store_io(&self) -> Option<Arc<IoStats>> {
         self.store.io_stats()
-    }
-
-    /// Name of the disk store's resolved I/O backend (`"pread"`,
-    /// `"uring"`, with `"+direct"` when O_DIRECT reads are live); `None`
-    /// for RAM stores.
-    pub fn io_backend_name(&self) -> Option<String> {
-        self.store.io_backend_name()
     }
 
     /// The sketch store (group layout, I/O accounting — the experiment

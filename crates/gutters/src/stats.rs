@@ -142,14 +142,6 @@ counter_set! {
         bytes_written: Sum,
         /// Sparse→dense promotions performed (hybrid representation).
         sparse_promotions: Sum,
-        /// Submission batches handed to the kernel.
-        submissions: Sum,
-        /// Operation completions reaped.
-        completions: Sum,
-        /// In-flight operations summed over submission batches.
-        depth_sum: Sum,
-        /// Deepest in-flight depth observed right after a submission batch.
-        max_depth: Max,
     }
 }
 
@@ -168,29 +160,21 @@ impl IoStats {
         self.bytes_written.add(bytes);
     }
 
-    /// Record one submission batch handed to the kernel (an
-    /// `io_uring_enter`, or a single positioned syscall on the pread path)
-    /// with `in_flight` operations pending once it returned: `submissions`
-    /// counts batches, `depth_sum / submissions` is the mean post-submit
-    /// depth, and `max_depth` the deepest point observed.
-    #[inline]
-    pub fn record_batch(&self, in_flight: u64) {
-        self.submissions.add(1);
-        self.depth_sum.add(in_flight);
-        self.max_depth.raise_to(in_flight);
-    }
-
     /// Total operations (reads + writes) — the hybrid model's I/O count.
     pub fn total_ops(&self) -> u64 {
         self.reads() + self.writes()
     }
 
-    /// Mean in-flight depth right after a submission batch (0.0 before any
-    /// batch was recorded).
+    /// Operations in flight per syscall: 1.0 once any I/O has happened,
+    /// since every read and write is one positioned syscall of its own, and
+    /// 0.0 before. Kept for its one caller, the repository benchmark's
+    /// `store.io_mean_depth` row (`benchmark/src/batch.rs:200`), a
+    /// benchmark pin.
     pub fn mean_depth(&self) -> f64 {
-        match self.submissions() {
-            0 => 0.0,
-            subs => self.depth_sum() as f64 / subs as f64,
+        if self.total_ops() == 0 {
+            0.0
+        } else {
+            1.0
         }
     }
 
@@ -395,17 +379,13 @@ mod tests {
     #[test]
     fn compound_recorders_touch_the_counters_they_name() {
         let s = IoStats::new();
-        assert_eq!(s.mean_depth(), 0.0, "no batches yet");
+        assert_eq!(s.mean_depth(), 0.0, "no I/O yet");
         s.record_read(100);
         s.record_read(50);
         s.record_write(16_384);
         assert_eq!(s.snapshot(), (2, 1, 150, 16_384));
         assert_eq!(s.total_ops(), 3);
-        for depth in [4, 8, 2] {
-            s.record_batch(depth);
-        }
-        assert_eq!((s.submissions(), s.depth_sum(), s.max_depth()), (3, 14, 8));
-        assert!((s.mean_depth() - 14.0 / 3.0).abs() < 1e-9);
+        assert_eq!(s.mean_depth(), 1.0, "one operation per syscall");
 
         let r = RecoveryStats::new();
         r.record_replay(5);

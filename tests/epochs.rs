@@ -503,8 +503,6 @@ mod epoch_equivalence_proptests {
             for shards in [1u32, 3] {
                 for (on_disk, tau) in [(false, 0u32), (false, 64), (true, 0), (true, 64)] {
                     for (route, make) in routes {
-                        // A directory per fleet: shard files are named by
-                        // process, seed and index only.
                         let dir = TempDir::new("gz-epoch-prop-shards");
                         let mut config = ShardConfig::in_ram(n, shards);
                         config.sketch_threshold = tau;

@@ -2,7 +2,10 @@
 //! paper's amortization (Lemma 4) and the unbuffered path must exhibit
 //! Observation 1's Ω(1) I/Os per update.
 
-use graph_zeppelin::{BufferStrategy, GraphZeppelin, GutterCapacity, GzConfig, StoreBackend};
+use graph_zeppelin::{
+    BufferStrategy, GraphZeppelin, GutterCapacity, GzConfig, ShardConfig, ShardedGraphZeppelin,
+    StoreBackend,
+};
 use gz_stream::{Dataset, StreamifyConfig, UpdateKind};
 use gz_testutil::TempDir;
 
@@ -159,4 +162,108 @@ fn query_scans_disk_store_once_per_snapshot() {
         after - before,
         store_bytes
     );
+}
+
+/// The disk-query suite on a deliberately cache-starved store (512-byte
+/// blocks, two cached groups), so queries stream groups off the file rather
+/// than hitting the LRU, on a one-worker pool (the claim loop run by a lone
+/// worker) and on two: the oracle's answer and identical serialized sketch
+/// state — live, and pinned to an epoch while ingestion continues past the
+/// seal.
+#[test]
+fn cache_starved_disk_queries_match_the_oracle_live_and_pinned() {
+    let dataset = Dataset::kron(7);
+    let stream = dataset.stream(31, &StreamifyConfig::default());
+    let updates: Vec<(u32, u32, bool)> =
+        stream.updates.iter().map(|u| (u.u, u.v, u.kind == UpdateKind::Delete)).collect();
+    let (sealed, tail) = updates.split_at(updates.len() * 3 / 4);
+    let disk_config = |dir: &TempDir, workers: usize| {
+        let mut config = GzConfig::in_ram(dataset.num_vertices);
+        config.store =
+            StoreBackend::Disk { dir: dir.path().to_path_buf(), block_bytes: 512, cache_groups: 2 };
+        config.num_workers = workers;
+        config
+    };
+
+    let reference_dir = scratch("starved-ref");
+    let mut reference = GraphZeppelin::new(disk_config(&reference_dir, 1)).unwrap();
+    reference.ingest(sealed.iter().copied());
+    let oracle = reference.spanning_forest_oracle().expect("oracle query");
+    let reference_state = reference.snapshot_serialized();
+
+    for workers in [1, 2] {
+        let dir = scratch("starved");
+        let mut gz = GraphZeppelin::new(disk_config(&dir, workers)).unwrap();
+        gz.ingest(sealed.iter().copied());
+        let live = gz.spanning_forest().expect("streaming query");
+        assert_eq!(reference_state, gz.snapshot_serialized(), "{workers} workers: state");
+        assert!(gz.store_io().unwrap().reads() > 0, "groups must have streamed off disk");
+
+        let epoch = gz.begin_epoch().expect("seal");
+        gz.ingest(tail.iter().copied());
+        gz.flush();
+        let pinned = epoch.spanning_forest().expect("epoch query");
+        for (what, got) in [("live", live), ("pinned", pinned)] {
+            let what = format!("{workers} workers, {what}");
+            assert_eq!(oracle.labels, got.labels, "{what}: labels");
+            assert_eq!(oracle.forest, got.forest, "{what}: forest");
+            assert_eq!(oracle.rounds_used, got.rounds_used, "{what}: rounds");
+            assert_eq!(oracle.sketch_failures, got.sketch_failures, "{what}: failures");
+        }
+    }
+}
+
+/// Two graphs with known answers for two systems that share everything but
+/// their updates: a 255-edge path over 256 vertices (one component) and a
+/// 128-edge perfect matching (128 components).
+const PATH_EDGES: std::ops::Range<u32> = 0..255;
+const MATCHING_EDGES: std::ops::Range<u32> = 0..128;
+
+#[test]
+fn two_systems_with_one_seed_keep_their_own_files_in_one_directory() {
+    // Same seed, same directory, same process: each system's sketch file
+    // and gutter tree must still be its own, so neither truncates, reads
+    // or deletes the other's bytes.
+    let dir = scratch("shared-dir");
+    let config = || {
+        let mut config = GzConfig::on_disk(256, dir.path().to_path_buf());
+        config.store = StoreBackend::Disk {
+            dir: dir.path().to_path_buf(),
+            block_bytes: 4096,
+            cache_groups: 2,
+        };
+        config
+    };
+    let mut path = GraphZeppelin::new(config()).unwrap();
+    let mut matching = GraphZeppelin::new(config()).unwrap();
+    path.ingest(PATH_EDGES.map(|v| (v, v + 1, false)));
+    matching.ingest(MATCHING_EDGES.map(|i| (2 * i, 2 * i + 1, false)));
+    for (what, gz, truth) in [("path", &mut path, 1), ("matching", &mut matching, 128)] {
+        assert_eq!(gz.spanning_forest().unwrap().num_components(), truth, "{what}: live");
+        assert_eq!(gz.spanning_forest_oracle().unwrap().num_components(), truth, "{what}: oracle");
+    }
+}
+
+#[test]
+fn two_shard_fleets_with_one_seed_keep_their_own_files_in_one_directory() {
+    let dir = scratch("shared-dir-shards");
+    let config = || {
+        let mut config = ShardConfig::in_ram(256, 3);
+        config.store = StoreBackend::Disk {
+            dir: dir.path().to_path_buf(),
+            block_bytes: 4096,
+            cache_groups: 2,
+        };
+        config
+    };
+    let mut path = ShardedGraphZeppelin::in_process(config()).unwrap();
+    let mut matching = ShardedGraphZeppelin::in_process(config()).unwrap();
+    path.ingest(PATH_EDGES.map(|v| (v, v + 1, false))).unwrap();
+    matching.ingest(MATCHING_EDGES.map(|i| (2 * i, 2 * i + 1, false))).unwrap();
+    for (what, gz, truth) in [("path", &mut path, 1), ("matching", &mut matching, 128)] {
+        assert_eq!(gz.spanning_forest().unwrap().num_components(), truth, "{what}: live");
+        assert_eq!(gz.spanning_forest_oracle().unwrap().num_components(), truth, "{what}: oracle");
+    }
+    path.shutdown().unwrap();
+    matching.shutdown().unwrap();
 }
