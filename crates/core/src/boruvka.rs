@@ -17,7 +17,11 @@
 //! hold — so every source (a RAM snapshot, a disk store reading windows
 //! of groups, a shard fleet shipping round frames) produces the same
 //! labels, while peak query memory drops from `O(V × full sketch)` to
-//! `O(live components × one round)` plus the source's buffers.
+//! `O(supernodes with two or more live members × one round)`, plus one
+//! scratch slice per worker and the source's buffers. A one-vertex
+//! supernode needs no accumulator: its one slice is sampled where it lies
+//! (a borrowed RAM slice, an epoch pre-image, a disk or wire read that is
+//! then dropped), and sampling a slice is sampling any copy of it.
 //!
 //! The engine is also *parallel* (DESIGN.md §10): each round's fold is
 //! partitioned across a [`gz_gutters::WorkerPool`] — every worker folds its
@@ -40,6 +44,7 @@ use gz_graph::{index_to_edge, Edge};
 use gz_gutters::WorkerPool;
 use gz_sketch::{L0Sampler, SampleResult};
 use parking_lot::Mutex;
+use std::borrow::Cow;
 
 /// Result of a successful sketch-connectivity computation.
 #[derive(Debug, Clone)]
@@ -58,10 +63,11 @@ pub struct BoruvkaOutcome {
     /// `Zero`, failures included — so `sketch_failures / sketch_samples` is
     /// the measured per-sketch failure rate δ.
     pub sketch_samples: usize,
-    /// Peak sketch bytes resident during the query: supernode accumulators
-    /// plus whatever the source buffered (a full materialization for the
-    /// snapshot path; a round's in-flight read windows for the streaming
-    /// paths).
+    /// Peak sketch bytes resident during the query: the accumulators of
+    /// supernodes with two or more live members and each worker's sparse
+    /// scratch slice, plus whatever the source buffered (a full
+    /// materialization for the snapshot path; a round's in-flight read
+    /// windows for the streaming paths).
     pub peak_sketch_bytes: usize,
 }
 
@@ -82,60 +88,118 @@ impl BoruvkaOutcome {
     }
 }
 
-/// One query worker's fold target for one Borůvka round: a per-supernode
-/// accumulator vector plus the round's supernode map. Sources fold each
-/// node's round contribution into exactly one sink (any sink — XOR
-/// commutes); the engine XOR-merges the sinks in worker order afterwards,
-/// which makes the merged accumulators bit-identical to a single-threaded
-/// fold.
+/// What a sink holds for one live supernode once the round has reached it.
+#[derive(Debug, PartialEq)]
+pub(crate) enum Folded<S> {
+    /// A supernode of two or more live members: the XOR of the round slices
+    /// of the members folded so far.
+    Acc(S),
+    /// A one-vertex supernode: the sample of its one slice, taken where the
+    /// slice lay — no accumulator was ever built for it.
+    Sampled(SampleResult),
+}
+
+impl<S: L0Sampler> Folded<S> {
+    /// The supernode's sample for the round. Sampling a slice and sampling
+    /// a clone of it are the same function of the same bits, so this is the
+    /// sample either way.
+    pub(crate) fn sample(&self) -> SampleResult {
+        match self {
+            Folded::Acc(acc) => acc.sample(),
+            Folded::Sampled(sample) => *sample,
+        }
+    }
+}
+
+/// Live members of every supernode this round, indexed by root (0 for a
+/// vertex that is not a root, and for a retired supernode): how a sink
+/// knows which supernodes are one vertex and need no accumulator.
+pub(crate) fn live_members(root_of: &[u32], retired: &[bool]) -> Vec<u32> {
+    let mut members = vec![0u32; root_of.len()];
+    for &root in root_of {
+        if !retired[root as usize] {
+            members[root as usize] += 1;
+        }
+    }
+    members
+}
+
+/// One query worker's fold target for one Borůvka round: the round's
+/// supernode map and live-member counts, and what has been folded per
+/// supernode. Sources fold each node's round contribution into exactly one
+/// sink (any sink — XOR commutes); the engine XOR-merges the sinks in worker
+/// order afterwards, which makes the merged accumulators bit-identical to a
+/// single-threaded fold. A one-vertex supernode gets no accumulator: its
+/// one slice is sampled where it lies and only the sample is kept.
 pub struct RoundSink<'a, S> {
     root_of: &'a [u32],
     retired: &'a [bool],
-    acc: Vec<Option<S>>,
+    /// [`live_members`] of this round.
+    members: &'a [u32],
+    folded: Vec<Option<Folded<S>>>,
+    /// The one slice the sparse fold builds a one-vertex supernode's
+    /// contribution in, reused for every such supernode this sink folds.
+    scratch: Option<S>,
+    /// Payload bytes of every accumulator and the scratch slice.
     acc_bytes: usize,
 }
 
 impl<'a, S: L0Sampler + Clone> RoundSink<'a, S> {
-    pub(crate) fn new(root_of: &'a [u32], retired: &'a [bool]) -> Self {
+    pub(crate) fn new(root_of: &'a [u32], retired: &'a [bool], members: &'a [u32]) -> Self {
         RoundSink {
             root_of,
             retired,
-            acc: (0..root_of.len()).map(|_| None).collect(),
+            members,
+            folded: (0..root_of.len()).map(|_| None).collect(),
+            scratch: None,
             acc_bytes: 0,
         }
     }
 
-    /// The per-supernode accumulators folded so far (store-level tests).
+    /// What was folded per supernode so far (store-level tests).
     #[cfg(test)]
-    pub(crate) fn accumulators(self) -> Vec<Option<S>> {
-        self.acc
+    pub(crate) fn into_folded(self) -> Vec<Option<Folded<S>>> {
+        self.folded
     }
 
-    /// Fold `node`'s round slice into its supernode's accumulator (a no-op
-    /// for retired supernodes).
+    /// Sketch bytes this sink holds (store-level tests).
+    #[cfg(test)]
+    pub(crate) fn acc_bytes(&self) -> usize {
+        self.acc_bytes
+    }
+
+    /// Fold `node`'s round slice into its supernode (a no-op for retired
+    /// supernodes): merged into the accumulator, which the first slice to
+    /// arrive is cloned into, or — for a one-vertex supernode — sampled in
+    /// place, nothing cloned.
     #[inline]
     pub fn fold(&mut self, node: u32, slice: &S) {
-        let Some(root) = self.live_root(node) else { return };
-        match &mut self.acc[root as usize] {
-            Some(acc) => acc.merge_from(slice),
-            slot => {
-                self.acc_bytes += slice.payload_bytes();
-                *slot = Some(slice.clone());
-            }
-        }
+        self.fold_slice(node, Cow::Borrowed(slice));
     }
 
     /// [`Self::fold`] for a slice the caller built for this call (a
     /// deserialized read or wire entry): the first slice to reach a
-    /// supernode *becomes* its accumulator instead of being cloned into one.
+    /// supernode *becomes* its accumulator instead of being cloned into one,
+    /// and a one-vertex supernode's is sampled and dropped.
     #[inline]
     pub fn fold_owned(&mut self, node: u32, slice: S) {
+        self.fold_slice(node, Cow::Owned(slice));
+    }
+
+    /// [`Self::fold`] or [`Self::fold_owned`], whichever `slice` is.
+    #[inline]
+    pub(crate) fn fold_slice(&mut self, node: u32, slice: Cow<'_, S>) {
         let Some(root) = self.live_root(node) else { return };
-        match &mut self.acc[root as usize] {
-            Some(acc) => acc.merge_from(&slice),
+        let root = root as usize;
+        if self.members[root] == 1 {
+            self.folded[root] = Some(Folded::Sampled(slice.sample()));
+            return;
+        }
+        match &mut self.folded[root] {
+            Some(Folded::Acc(acc)) => acc.merge_from(&slice),
             slot => {
                 self.acc_bytes += slice.payload_bytes();
-                *slot = Some(slice);
+                *slot = Some(Folded::Acc(slice.into_owned()));
             }
         }
     }
@@ -148,43 +212,62 @@ impl<'a, S: L0Sampler + Clone> RoundSink<'a, S> {
         (!self.retired[root as usize]).then_some(root)
     }
 
-    /// The accumulator of live supernode `root`, started from `empty()` on
-    /// first touch — the in-place fold's entry point: sparse vertices XOR
-    /// their edge indices straight into it (see
-    /// [`crate::sparse::SparseRoundBatch`]).
-    #[inline]
-    pub(crate) fn accumulator(&mut self, root: u32, empty: impl FnOnce() -> S) -> &mut S {
+    /// Fold a contribution that `build` writes straight into a slice — the
+    /// in-place fold's entry point: sparse vertices XOR their edge indices
+    /// into it (see [`crate::sparse::SparseRoundBatch`]). The slice is live
+    /// supernode `root`'s accumulator, started from `empty()` on first
+    /// touch; for a one-vertex supernode it is this sink's scratch slice,
+    /// cleared, and sampled once `build` returns.
+    pub(crate) fn fold_built(
+        &mut self,
+        root: u32,
+        empty: impl FnOnce() -> S,
+        build: impl FnOnce(&mut S),
+    ) {
         debug_assert!(!self.retired[root as usize], "retired supernodes are never folded");
-        let acc_bytes = &mut self.acc_bytes;
-        self.acc[root as usize].get_or_insert_with(|| {
-            let acc = empty();
-            *acc_bytes += acc.payload_bytes();
-            acc
-        })
+        let root = root as usize;
+        let single = self.members[root] == 1;
+        let RoundSink { folded, scratch, acc_bytes, .. } = self;
+        let mut track = |slice: S| {
+            *acc_bytes += slice.payload_bytes();
+            slice
+        };
+        if single {
+            let slice = scratch.get_or_insert_with(|| track(empty()));
+            slice.clear();
+            build(slice);
+            folded[root] = Some(Folded::Sampled(slice.sample()));
+            return;
+        }
+        match folded[root].get_or_insert_with(|| Folded::Acc(track(empty()))) {
+            Folded::Acc(acc) => build(acc),
+            Folded::Sampled(_) => unreachable!("a supernode of several members is never sampled"),
+        }
     }
 }
 
-/// XOR-merge per-worker sinks in worker order into one accumulator vector.
-/// Returns the merged accumulators plus the summed per-sink payload bytes
-/// (the true peak: all sinks were resident simultaneously during the fold).
+/// XOR-merge per-worker sinks in worker order into one per-supernode
+/// vector. Returns it plus the summed per-sink payload bytes (the true
+/// peak: all sinks were resident simultaneously during the fold).
 fn merge_sinks<S: L0Sampler + Clone>(
     sinks: Vec<Mutex<RoundSink<'_, S>>>,
-) -> (Vec<Option<S>>, usize) {
+) -> (Vec<Option<Folded<S>>>, usize) {
     let mut iter = sinks.into_iter().map(|m| m.into_inner());
     let first = iter.next().expect("at least one sink");
-    let mut acc = first.acc;
+    let mut folded = first.folded;
     let mut acc_bytes = first.acc_bytes;
     for sink in iter {
         acc_bytes += sink.acc_bytes;
-        for (slot, other) in acc.iter_mut().zip(sink.acc) {
-            let Some(b) = other else { continue };
-            match slot {
-                Some(a) => a.merge_from(&b),
-                None => *slot = Some(b),
+        for (slot, other) in folded.iter_mut().zip(sink.folded) {
+            let Some(other) = other else { continue };
+            match (slot.as_mut(), other) {
+                (None, other) => *slot = Some(other),
+                (Some(Folded::Acc(a)), Folded::Acc(b)) => a.merge_from(&b),
+                _ => unreachable!("a one-vertex supernode is folded by exactly one sink"),
             }
         }
     }
-    (acc, acc_bytes)
+    (folded, acc_bytes)
 }
 
 /// Run the round-driven Boruvka engine over any [`SketchSource`] on the
@@ -265,11 +348,14 @@ where
             // Phase 1a: fold each vertex's round slice into its live
             // supernode's accumulator as it streams past, each worker into
             // its own sink; XOR-merging the sinks in worker order then
-            // yields accumulators bit-identical to a serial fold.
-            let (acc, acc_bytes) = {
+            // yields accumulators bit-identical to a serial fold. Only
+            // supernodes of two or more live members get one: a one-vertex
+            // supernode's slice is sampled as it streams past.
+            let (folded, acc_bytes) = {
+                let members = live_members(&root_of, &retired);
                 let live = |v: u32| !retired[root_of[v as usize] as usize];
                 let sinks: Vec<Mutex<RoundSink<'_, Src::Sampler>>> = (0..pool.threads())
-                    .map(|_| Mutex::new(RoundSink::new(&root_of, &retired)))
+                    .map(|_| Mutex::new(RoundSink::new(&root_of, &retired, &members)))
                     .collect();
                 source.stream_round_into(round, &live, pool, &sinks)?;
                 merge_sinks(sinks)
@@ -278,9 +364,10 @@ where
 
             // Phase 1b (paper Lemma 5): sample one edge per live supernode,
             // partitioned over contiguous supernode ranges. Samples are pure
-            // functions of the merged accumulators, and concatenating the
-            // per-worker results in worker order restores the serial
-            // ascending-root processing order exactly.
+            // functions of the merged accumulators (or were taken from the
+            // one slice during the fold), and concatenating the per-worker
+            // results in worker order restores the serial ascending-root
+            // processing order exactly.
             let samples: Vec<Mutex<Vec<(u32, SampleResult)>>> =
                 (0..pool.threads()).map(|_| Mutex::new(Vec::new())).collect();
             pool.run(&|w| {
@@ -289,9 +376,9 @@ where
                     if root_of[root] != root as u32 || retired[root] {
                         continue;
                     }
-                    let sketch =
-                        acc[root].as_ref().expect("live supernode must have folded a slice");
-                    out.push((root as u32, sketch.sample()));
+                    let folded =
+                        folded[root].as_ref().expect("live supernode must have folded a slice");
+                    out.push((root as u32, folded.sample()));
                 }
             });
             for (root, sample) in samples.into_iter().flat_map(|m| m.into_inner()) {
@@ -535,23 +622,106 @@ mod tests {
         // Vertices 0 and 1 share supernode 0; 2 is alone; 3 has retired.
         let (_p, sketches) = sketches_for(4, &[(0, 2), (1, 2), (0, 3)], 9);
         let (root_of, retired) = ([0u32, 0, 2, 3], [false, false, false, true]);
-        let mut by_ref = RoundSink::new(&root_of, &retired);
-        let mut by_value = RoundSink::new(&root_of, &retired);
+        let members = live_members(&root_of, &retired);
+        assert_eq!(members, [2, 0, 1, 0]);
+        let mut by_ref = RoundSink::new(&root_of, &retired, &members);
+        let mut by_value = RoundSink::new(&root_of, &retired, &members);
         for (v, stack) in sketches.iter().enumerate() {
             let slice = stack.as_ref().unwrap().round(0);
             by_ref.fold(v as u32, slice);
             by_value.fold_owned(v as u32, slice.clone());
         }
+        // One accumulator: supernode 0's. Vertex 2 is sampled in place.
+        let slice_bytes = sketches[0].as_ref().unwrap().round(0).payload_bytes();
+        assert_eq!(by_ref.acc_bytes, slice_bytes);
         assert_eq!(by_ref.acc_bytes, by_value.acc_bytes);
-        for (a, b) in by_ref.accumulators().into_iter().zip(by_value.accumulators()) {
-            assert_eq!(a.is_some(), b.is_some());
-            if let (Some(a), Some(b)) = (a, b) {
-                let (mut x, mut y) = (Vec::new(), Vec::new());
-                a.serialize_into(&mut x);
-                b.serialize_into(&mut y);
-                assert_eq!(x, y);
+        let bytes = |acc: &crate::node_sketch::CubeRoundSketch| {
+            let mut out = Vec::new();
+            acc.serialize_into(&mut out);
+            out
+        };
+        let (a, b) = (by_ref.into_folded(), by_value.into_folded());
+        match (&a[0], &b[0]) {
+            (Some(Folded::Acc(x)), Some(Folded::Acc(y))) => assert_eq!(bytes(x), bytes(y)),
+            other => panic!("supernode 0 must hold an accumulator: {other:?}"),
+        }
+        let alone = sketches[2].as_ref().unwrap().round(0).sample();
+        for folded in [&a[2], &b[2]] {
+            assert!(matches!(folded, Some(Folded::Sampled(s)) if *s == alone), "{folded:?}");
+        }
+        assert!(a[1].is_none() && a[3].is_none() && b[1].is_none() && b[3].is_none());
+    }
+
+    /// Pinned from the engine that gave every supernode an accumulator:
+    /// a seeded graph over 56 vertices with 8 more isolated, sketched at
+    /// one column so samples fail, merging over 8 rounds, answers field by
+    /// field exactly as it did, at every pool width. And a query over an
+    /// edgeless graph — every supernode one vertex — holds no accumulator.
+    #[test]
+    fn golden_outcome_with_isolated_vertices_failures_and_merges() {
+        use crate::store::SliceSource;
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let (n, seed) = (64u64, 3u64);
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut edges = Vec::new();
+        for a in 0..56u32 {
+            for b in (a + 1)..56 {
+                if rng.gen::<f64>() < 0.05 {
+                    edges.push((a, b));
+                }
             }
         }
+        let rounds = default_rounds(n);
+        let params = SketchParams::new(n, rounds, 1, seed ^ 0xC0FFEE);
+        let stacks = |edges: &[(u32, u32)]| {
+            let mut sketches: Vec<_> = (0..n).map(|_| params.new_node_sketch()).collect();
+            for &(a, b) in edges {
+                let idx = update_index(a, b, n);
+                sketches[a as usize].update_signed(idx, 1);
+                sketches[b as usize].update_signed(idx, 1);
+            }
+            sketches
+        };
+
+        #[rustfmt::skip]
+        let labels: Vec<u32> = vec![
+            0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 11, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+            0, 0, 0, 0, 0, 0, 0, 0, 0, 36, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+            0, 0, 56, 57, 58, 59, 60, 61, 62, 63,
+        ];
+        #[rustfmt::skip]
+        let forest: Vec<(u32, u32)> = vec![
+            (0, 10), (0, 50), (1, 28), (2, 40), (3, 15), (4, 26), (6, 29), (6, 37), (6, 51),
+            (7, 44), (8, 27), (12, 26), (13, 35), (14, 22), (14, 54), (16, 53), (17, 42),
+            (19, 32), (20, 41), (20, 55), (21, 24), (23, 26), (23, 31), (25, 33), (30, 46),
+            (32, 43), (32, 51), (34, 47), (35, 38), (39, 52), (42, 46), (45, 47), (48, 50),
+            (2, 29), (4, 35), (4, 52), (5, 6), (9, 42), (14, 44), (16, 43), (22, 33), (24, 37),
+            (28, 50), (29, 45), (31, 46), (37, 49), (42, 55), (18, 43), (27, 45), (41, 49),
+            (18, 48), (51, 54),
+        ];
+        let sketches = stacks(&edges);
+        for threads in [1usize, 2, 3] {
+            let mut source = SliceSource::new(&sketches);
+            let outcome = boruvka_rounds_with_pool(
+                &mut source,
+                n,
+                rounds as usize,
+                &WorkerPool::new(threads),
+            )
+            .unwrap();
+            let got: Vec<(u32, u32)> = outcome.forest.iter().map(|e| (e.u(), e.v())).collect();
+            assert_eq!(outcome.labels, labels, "labels at {threads} threads");
+            assert_eq!(got, forest, "forest at {threads} threads");
+            assert_eq!(outcome.rounds_used, 8, "rounds at {threads} threads");
+            assert_eq!(outcome.sketch_failures, 22, "failures at {threads} threads");
+            assert_eq!(outcome.sketch_samples, 90, "samples at {threads} threads");
+        }
+
+        let edgeless = stacks(&[]);
+        let outcome = boruvka_rounds(&mut SliceSource::new(&edgeless), n, rounds as usize).unwrap();
+        assert_eq!(outcome.num_components(), n as usize);
+        assert_eq!(outcome.peak_sketch_bytes, 0, "one-vertex supernodes hold no accumulator");
     }
 
     #[test]

@@ -37,11 +37,14 @@
 //! writers (and the serve manifest's) fill a temp file, fsync it and rename
 //! it into place, so a crash or a full disk mid-write can neither destroy
 //! the previous checkpoint nor regress the durable state a prior
-//! `CheckpointAck` promised.
+//! `CheckpointAck` promised. Both stream the payload straight from the
+//! store ([`NodePayload`]): a save holds one node or node group at a time,
+//! never a copy of the store.
 
 use crate::config::GzConfig;
 use crate::error::GzError;
 use crate::node_sketch::{CubeNodeSketch, SketchParams};
+use crate::store::SketchStore;
 use crate::system::GraphZeppelin;
 use gz_hash::xxh64;
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
@@ -120,24 +123,70 @@ fn write_atomically(
     })
 }
 
-/// Write the sketch payload both formats share: each node sketch's
-/// serialization, back to back.
-fn write_payload<'a>(
+/// The node sketches a checkpoint payload is written from, in slot order.
+pub trait NodePayload {
+    /// Hand `write` each node sketch's serialization, in slot order.
+    fn write_nodes(
+        &self,
+        params: &SketchParams,
+        write: &mut dyn FnMut(&[u8]) -> std::io::Result<()>,
+    ) -> std::io::Result<()>;
+}
+
+/// A store streams its payload one node (RAM) or node group (disk) at a
+/// time ([`SketchStore::for_each_serialized`]): a checkpoint never holds a
+/// copy of the store, only what is being serialized and the file buffer.
+impl NodePayload for SketchStore {
+    fn write_nodes(
+        &self,
+        _params: &SketchParams,
+        write: &mut dyn FnMut(&[u8]) -> std::io::Result<()>,
+    ) -> std::io::Result<()> {
+        self.for_each_serialized(&mut |_, bytes| write(bytes))
+    }
+}
+
+/// Snapshot-then-write, the order checkpoints were written in before they
+/// streamed: the reference the streaming writers are held byte-equal to.
+#[cfg(test)]
+impl NodePayload for Vec<(u32, CubeNodeSketch)> {
+    fn write_nodes(
+        &self,
+        params: &SketchParams,
+        write: &mut dyn FnMut(&[u8]) -> std::io::Result<()>,
+    ) -> std::io::Result<()> {
+        let mut buf = Vec::with_capacity(params.node_sketch_serialized_bytes());
+        for (_, sketch) in self {
+            buf.clear();
+            params.serialize_node_sketch(sketch, &mut buf);
+            write(&buf)?;
+        }
+        Ok(())
+    }
+}
+
+/// Write the sketch payload both formats share: `count` node sketches'
+/// serializations, back to back.
+fn write_payload(
     w: &mut impl Write,
     params: &SketchParams,
-    sketches: impl Iterator<Item = &'a CubeNodeSketch>,
+    nodes: &impl NodePayload,
+    count: u64,
 ) -> std::io::Result<()> {
-    let mut buf = Vec::with_capacity(params.node_sketch_serialized_bytes());
-    for sketch in sketches {
-        buf.clear();
-        params.serialize_node_sketch(sketch, &mut buf);
-        w.write_all(&buf)?;
-    }
+    let mut written = 0u64;
+    nodes.write_nodes(params, &mut |bytes| {
+        written += 1;
+        w.write_all(bytes)
+    })?;
+    debug_assert_eq!(written, count, "checkpoint payload node count");
     Ok(())
 }
 
 /// Read a payload of `count` node sketches. The caller has already checked
-/// the file's length against `count` ([`check_payload_len`]).
+/// the file's length against `count` ([`check_payload_len`]). The whole
+/// payload is read and decoded before any store sees it, on purpose: a
+/// file that turns out short or unreadable halfway fails the restore with
+/// the store untouched, never half-restored.
 fn read_payload(
     r: &mut impl Read,
     path: &Path,
@@ -171,7 +220,9 @@ pub struct CheckpointHeader {
 impl GraphZeppelin {
     /// Flush all buffered updates and write the sketch state to `path`,
     /// atomically (see `write_atomically`): a failed save leaves the
-    /// checkpoint that was there before intact.
+    /// checkpoint that was there before intact. Each node is serialized
+    /// into the file buffer as the store hands it over ([`NodePayload`]),
+    /// so the save holds no copy of the store.
     pub fn save_checkpoint(&mut self, path: &Path) -> Result<CheckpointHeader, GzError> {
         self.flush();
         let params = self.params().clone();
@@ -183,7 +234,6 @@ impl GraphZeppelin {
             updates_ingested: self.updates_ingested(),
         };
 
-        let sketches = self.snapshot_sketches();
         write_atomically(path, |w| {
             w.write_all(&MAGIC)?;
             w.write_all(&header.num_nodes.to_le_bytes())?;
@@ -191,7 +241,7 @@ impl GraphZeppelin {
             w.write_all(&header.rounds.to_le_bytes())?;
             w.write_all(&header.columns.to_le_bytes())?;
             w.write_all(&header.updates_ingested.to_le_bytes())?;
-            write_payload(w, &params, sketches.iter())
+            write_payload(w, &params, self.store(), header.num_nodes)
         })?;
         Ok(header)
     }
@@ -363,17 +413,18 @@ pub fn read_shard_checkpoint_header(path: &Path) -> Result<ShardCheckpointHeader
     read_shard_header(&mut r)
 }
 
-/// Persist a shard's owned sketch state (already densified by
-/// `snapshot_owned`) to `path`, atomically (see `write_atomically`): a
-/// crash at any point leaves either the old checkpoint or the new one —
-/// never a torn file that would silently regress the durable `seq`.
+/// Persist a shard's `header.owned_count` owned sketches, pulled from
+/// `nodes` in owned-slot order as the file is written (a store densifies
+/// its sparse vertices one at a time on the way), to `path`, atomically
+/// (see `write_atomically`): a crash at any point leaves either the old
+/// checkpoint or the new one — never a torn file that would silently
+/// regress the durable `seq`.
 pub fn save_shard_checkpoint(
     path: &Path,
     header: &ShardCheckpointHeader,
     params: &SketchParams,
-    sketches: &[(u32, CubeNodeSketch)],
+    nodes: &impl NodePayload,
 ) -> Result<(), GzError> {
-    debug_assert_eq!(sketches.len() as u64, header.owned_count);
     write_atomically(path, |w| {
         w.write_all(&SHARD_MAGIC)?;
         w.write_all(&header.num_nodes.to_le_bytes())?;
@@ -384,7 +435,7 @@ pub fn save_shard_checkpoint(
         w.write_all(&header.num_shards.to_le_bytes())?;
         w.write_all(&header.seq.to_le_bytes())?;
         w.write_all(&header.owned_count.to_le_bytes())?;
-        write_payload(w, params, sketches.iter().map(|(_, sketch)| sketch))
+        write_payload(w, params, nodes, header.owned_count)
     })
 }
 
@@ -735,6 +786,65 @@ mod tests {
         restored.update(5, 6, true);
         let cc = restored.connected_components().unwrap();
         assert!(!cc.same_component(5, 6));
+    }
+
+    /// Two hubs well past τ = 64 over a ring of leaves that stay below it,
+    /// some of the first hub's edges toggled back out.
+    fn hub_stream(n: u32) -> Vec<(u32, u32, bool)> {
+        let mut stream: Vec<(u32, u32, bool)> = (1..100).map(|v| (0, v, false)).collect();
+        stream.extend((100..n).map(|v| (1, v, false)));
+        stream.extend((0..n).map(|v| (v, (v * 7 + 3) % n, false)));
+        stream.extend((1..100).step_by(3).map(|v| (0, v, true)));
+        stream
+    }
+
+    #[test]
+    fn streamed_checkpoint_bytes_equal_snapshot_then_write() {
+        // The streaming writer against the order it replaced — snapshot
+        // the whole store, then serialize the copy — on both stores, dense
+        // and hybrid: the same GZC2 file, byte for byte.
+        let dir = gz_testutil::TempDir::new("gz-ckpt-stream");
+        let n = 256u32;
+        for on_disk in [false, true] {
+            for tau in [0u32, 64] {
+                let mut config = GzConfig::in_ram(n as u64);
+                if on_disk {
+                    config.store = crate::config::StoreBackend::Disk {
+                        dir: dir.path().to_path_buf(),
+                        block_bytes: 1 << 14,
+                        cache_groups: 4,
+                    };
+                }
+                config.sketch_threshold = tau;
+                let mut gz = GraphZeppelin::new(config).unwrap();
+                gz.ingest(hub_stream(n));
+                let path = tmp("streamed");
+                let header = gz.save_checkpoint(path.path()).unwrap();
+                if tau > 0 {
+                    let census = gz.rep_stats();
+                    assert!(census.promoted >= 2 && census.sparse > 0, "{census:?}");
+                }
+
+                let snapshot: Vec<(u32, CubeNodeSketch)> = (0..n)
+                    .zip(gz.store().snapshot())
+                    .map(|(node, sketch)| (node, sketch.unwrap()))
+                    .collect();
+                let mut want = MAGIC.to_vec();
+                want.extend_from_slice(&header.num_nodes.to_le_bytes());
+                want.extend_from_slice(&header.seed.to_le_bytes());
+                want.extend_from_slice(&header.rounds.to_le_bytes());
+                want.extend_from_slice(&header.columns.to_le_bytes());
+                want.extend_from_slice(&header.updates_ingested.to_le_bytes());
+                snapshot
+                    .write_nodes(gz.params(), &mut |bytes| {
+                        want.extend_from_slice(bytes);
+                        Ok(())
+                    })
+                    .unwrap();
+                let what = format!("on_disk {on_disk}, τ {tau}");
+                assert_eq!(std::fs::read(path.path()).unwrap(), want, "{what}");
+            }
+        }
     }
 
     #[test]

@@ -1229,26 +1229,28 @@ mod tests {
         assert!(honest.iter().flatten().any(|e| e.bytes[0] == 0), "a dense entry is on the wire");
         assert!(honest.iter().flatten().any(|e| e.bytes[0] == 1), "and a sparse one");
 
-        // Every vertex its own supernode, none retired: the accumulators
-        // are the per-vertex round slices themselves.
+        // Every vertex its own supernode, none retired: each is sampled
+        // straight from its round slice.
         type Sinks<'a> = Vec<parking_lot::Mutex<crate::boruvka::RoundSink<'a, CubeRoundSketch>>>;
         let root_of: Vec<u32> = (0..n as u32).collect();
         let retired = vec![false; n as usize];
+        let members = crate::boruvka::live_members(&root_of, &retired);
         let pool = WorkerPool::new(2);
         let sinks = || -> Sinks<'_> {
             (0..pool.threads())
                 .map(|_| {
-                    parking_lot::Mutex::new(crate::boruvka::RoundSink::new(&root_of, &retired))
+                    let sink = crate::boruvka::RoundSink::new(&root_of, &retired, &members);
+                    parking_lot::Mutex::new(sink)
                 })
                 .collect()
         };
         let samples = |sinks: Sinks<'_>| {
-            use gz_sketch::L0Sampler;
             let mut by_vertex = vec![None; n as usize];
             for sink in sinks {
-                for (v, acc) in sink.into_inner().accumulators().into_iter().enumerate() {
-                    if let Some(acc) = acc {
-                        assert!(by_vertex[v].replace(acc.sample()).is_none(), "vertex {v} twice");
+                for (v, folded) in sink.into_inner().into_folded().into_iter().enumerate() {
+                    if let Some(folded) = folded {
+                        let sample = folded.sample();
+                        assert!(by_vertex[v].replace(sample).is_none(), "vertex {v} twice");
                     }
                 }
             }

@@ -201,10 +201,11 @@ impl ShardPipeline {
         *self.checkpoint_path.lock() = Some(path);
     }
 
-    /// Flush, then atomically persist the owned sketch state (densified —
-    /// hybrid sparse nodes are serialized through the same snapshot path
-    /// the full-system checkpoint uses) to the configured checkpoint path.
-    /// Returns the batch sequence number the checkpoint covers.
+    /// Flush, then atomically persist the owned sketch state to the
+    /// configured checkpoint path, streamed from the store node by node
+    /// (hybrid sparse nodes densified one at a time, as the full-system
+    /// checkpoint does). Returns the batch sequence number the checkpoint
+    /// covers.
     pub fn save_checkpoint(&self) -> Result<u64, GzError> {
         let path = self.checkpoint_path().ok_or_else(|| {
             GzError::InvalidConfig(format!(
@@ -215,10 +216,15 @@ impl ShardPipeline {
         self.flush();
         // `seq` is read *after* the flush: enqueue happens on the serve
         // thread that also called us, so no new batches can slip in between
-        // — the snapshot covers exactly `seq` batches.
+        // — the file covers exactly `seq` batches.
         let seq = self.seq();
-        let sketches = self.store.snapshot_owned();
-        let header = ShardCheckpointHeader {
+        save_shard_checkpoint(&path, &self.checkpoint_header(seq), &self.params, &*self.store)?;
+        Ok(seq)
+    }
+
+    /// This shard's GZS2 header for a checkpoint covering `seq` batches.
+    fn checkpoint_header(&self, seq: u64) -> ShardCheckpointHeader {
+        ShardCheckpointHeader {
             num_nodes: self.params.num_nodes,
             seed: self.seed,
             rounds: self.params.rounds() as u32,
@@ -226,10 +232,8 @@ impl ShardPipeline {
             shard_index: self.index,
             num_shards: self.num_shards,
             seq,
-            owned_count: sketches.len() as u64,
-        };
-        save_shard_checkpoint(&path, &header, &self.params, &sketches)?;
-        Ok(seq)
+            owned_count: self.store.node_set().len() as u64,
+        }
     }
 
     /// Replace this shard's sketch state with a checkpoint's (validated
@@ -238,16 +242,9 @@ impl ShardPipeline {
     /// sequence number the restored state covers — what the worker reports
     /// in `ResyncFrom`.
     pub fn resume_from(&self, path: &Path) -> Result<u64, GzError> {
-        let expect = ShardCheckpointHeader {
-            num_nodes: self.params.num_nodes,
-            seed: self.seed,
-            rounds: self.params.rounds() as u32,
-            columns: self.columns,
-            shard_index: self.index,
-            num_shards: self.num_shards,
-            seq: 0, // ignored by the match — the file tells us
-            owned_count: self.store.node_set().len() as u64,
-        };
+        // `seq` is ignored by the match — the file tells us. The whole
+        // payload is read and checked before the live store is touched.
+        let expect = self.checkpoint_header(0);
         let (sketches, seq) = load_shard_checkpoint(path, &self.params, &expect)?;
         self.flush();
         self.store.load_all(sketches);
@@ -267,15 +264,14 @@ impl ShardPipeline {
     /// single-node system fed the same stream.
     pub fn gather_serialized(&self) -> Vec<SketchEntry> {
         self.flush();
+        let mut entries = Vec::with_capacity(self.store.node_set().len());
         self.store
-            .snapshot_owned()
-            .into_iter()
-            .map(|(node, sketch)| {
-                let mut bytes = Vec::with_capacity(self.params.node_sketch_serialized_bytes());
-                self.params.serialize_node_sketch(&sketch, &mut bytes);
-                SketchEntry { node, bytes }
+            .for_each_serialized(&mut |node, bytes| {
+                entries.push(SketchEntry { node, bytes: bytes.to_vec() });
+                Ok(())
             })
-            .collect()
+            .expect("shard store read failed");
+        entries
     }
 
     /// Serialize round `round`'s slice of every owned node's sketch — the
@@ -509,6 +505,64 @@ mod tests {
             respawn.enqueue(n, vec![encode_other(o, false)]).unwrap();
         }
         assert_eq!(respawn.gather_serialized(), want);
+    }
+
+    #[test]
+    fn streamed_shard_checkpoint_bytes_equal_snapshot_then_write() {
+        // Every shard's GZS2 file, streamed from its store, against the
+        // order it replaced — snapshot the owned state, then serialize the
+        // copy: RAM and disk stores × τ {0, 64} × shards {1, 3}.
+        use crate::checkpoint::read_shard_checkpoint_header;
+        let dir = gz_testutil::TempDir::new("gz-shard-ckpt-stream");
+        let n = 256u32;
+        // Two hubs well past τ = 64, a ring of leaves below it.
+        let mut stream: Vec<(u32, u32)> = (1..100).map(|v| (0, v)).collect();
+        stream.extend((100..n).map(|v| (1, v)));
+        stream.extend((0..n).map(|v| (v, (v * 7 + 3) % n)));
+        for on_disk in [false, true] {
+            for tau in [0u32, 64] {
+                for shards in [1u32, 3] {
+                    let mut config = ShardConfig::in_ram(n as u64, shards);
+                    config.sketch_threshold = tau;
+                    config.checkpoint_dir = Some(dir.path().to_path_buf());
+                    if on_disk {
+                        config.store = StoreBackend::Disk {
+                            dir: dir.path().to_path_buf(),
+                            block_bytes: 1 << 14,
+                            cache_groups: 2,
+                        };
+                    }
+                    for index in 0..shards {
+                        let what = format!("on_disk {on_disk}, τ {tau}, shard {index} of {shards}");
+                        let shard = ShardPipeline::new(&config, index).unwrap();
+                        for &(u, v) in &stream {
+                            for (node, other) in [(u, v), (v, u)] {
+                                if shard.owns(node) {
+                                    shard.enqueue(node, vec![encode_other(other, false)]).unwrap();
+                                }
+                            }
+                        }
+                        let seq = shard.save_checkpoint().unwrap();
+                        let path = shard.checkpoint_path().unwrap();
+                        assert_eq!(read_shard_checkpoint_header(&path).unwrap().seq, seq);
+
+                        let snapshot: Vec<_> = shard
+                            .store
+                            .node_set()
+                            .iter()
+                            .zip(shard.store.snapshot())
+                            .map(|(node, sketch)| (node, sketch.unwrap()))
+                            .collect();
+                        let reference = dir.path().join("reference.gzs2");
+                        let header = shard.checkpoint_header(seq);
+                        save_shard_checkpoint(&reference, &header, &shard.params, &snapshot)
+                            .unwrap();
+                        let want = std::fs::read(&reference).unwrap();
+                        assert_eq!(std::fs::read(&path).unwrap(), want, "{what}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

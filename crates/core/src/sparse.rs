@@ -183,7 +183,8 @@ pub(crate) struct SparseRoundBatch {
 impl SparseRoundBatch {
     /// Queue `node` with its live `neighbors`, unless `sink` says its
     /// supernode has retired. A vertex with no neighbors is still queued:
-    /// its (empty) accumulator is what lets the engine retire it.
+    /// its (empty) contribution, sampled `Zero`, is what lets the engine
+    /// retire it.
     pub(crate) fn push(
         &mut self,
         sink: &RoundSink<'_, CubeRoundSketch>,
@@ -222,7 +223,9 @@ impl SparseRoundBatch {
     }
 
     /// Fold every queued vertex into its supernode's round-`round`
-    /// accumulator in `sink`, leaving the batch empty.
+    /// accumulator in `sink` — a one-vertex supernode's into the sink's one
+    /// scratch slice, sampled and reused ([`RoundSink::fold_built`]) —
+    /// leaving the batch empty.
     pub(crate) fn fold_into(
         &mut self,
         sink: &mut RoundSink<'_, CubeRoundSketch>,
@@ -234,8 +237,13 @@ impl SparseRoundBatch {
         // are a handful of indices, too few to pay for zeroing their own.
         let mut acc = LaneAccumulators::new();
         self.drain_groups(|root, indices| {
-            let sketch = sink.accumulator(root, || family.new_sketch());
-            with_premixed(indices, |batch| sketch.update_batch_premixed(batch, &mut acc));
+            sink.fold_built(
+                root,
+                || family.new_sketch(),
+                |sketch| {
+                    with_premixed(indices, |batch| sketch.update_batch_premixed(batch, &mut acc))
+                },
+            );
         });
     }
 }
@@ -243,6 +251,7 @@ impl SparseRoundBatch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::boruvka::{live_members, Folded};
     use crate::node_sketch::assert_rounds_bitwise_equal;
     use gz_sketch::{L0Sampler, SampleResult};
 
@@ -345,14 +354,26 @@ mod tests {
         assert!(SparseSet::decode_wire(&dup).is_none());
     }
 
-    /// Serialized accumulators of a fold, `None` where nothing was folded.
-    fn folded_bytes(sink: RoundSink<'_, CubeRoundSketch>) -> Vec<Option<Vec<u8>>> {
-        let bytes = |acc: CubeRoundSketch| {
-            let mut out = Vec::new();
-            acc.serialize_into(&mut out);
-            out
+    /// A fold per supernode with its accumulator serialized, `None` where
+    /// nothing was folded.
+    fn folded_bytes(sink: RoundSink<'_, CubeRoundSketch>) -> Vec<Option<Folded<Vec<u8>>>> {
+        let bytes = |folded: Folded<CubeRoundSketch>| match folded {
+            Folded::Acc(acc) => {
+                let mut out = Vec::new();
+                acc.serialize_into(&mut out);
+                Folded::Acc(out)
+            }
+            Folded::Sampled(sample) => Folded::Sampled(sample),
         };
-        sink.accumulators().into_iter().map(|acc| acc.map(bytes)).collect()
+        sink.into_folded().into_iter().map(|folded| folded.map(bytes)).collect()
+    }
+
+    /// The accumulator `sink` holds for `root`.
+    fn accumulator(sink: RoundSink<'_, CubeRoundSketch>, root: usize) -> CubeRoundSketch {
+        match sink.into_folded().swap_remove(root) {
+            Some(Folded::Acc(acc)) => acc,
+            other => panic!("supernode {root} holds no accumulator: {other:?}"),
+        }
     }
 
     #[test]
@@ -362,6 +383,7 @@ mod tests {
         let root_of = [0u32, 0, 0, 3, 4, 4, 6, 7];
         let mut retired = [false; 8];
         retired[6] = true;
+        let members = live_members(&root_of, &retired);
         let sets: Vec<SparseSet> = [
             vec![1u32, 2, 5],
             vec![0, 2, 3],
@@ -376,8 +398,8 @@ mod tests {
         .map(SparseSet::from_neighbors)
         .collect();
         for round in 0..p.rounds() {
-            let mut oracle = RoundSink::new(&root_of, &retired);
-            let mut in_place = RoundSink::new(&root_of, &retired);
+            let mut oracle = RoundSink::new(&root_of, &retired, &members);
+            let mut in_place = RoundSink::new(&root_of, &retired, &members);
             let mut batch = SparseRoundBatch::default();
             // Reverse order: grouping must not depend on arrival order.
             for (node, set) in sets.iter().enumerate().rev() {
@@ -389,7 +411,38 @@ mod tests {
             let (oracle, in_place) = (folded_bytes(oracle), folded_bytes(in_place));
             assert_eq!(oracle, in_place, "round {round}");
             assert!(in_place[6].is_none(), "retired supernodes are never folded");
-            assert!(in_place[7].is_some(), "an isolated vertex still gets its accumulator");
+            assert!(matches!(in_place[0], Some(Folded::Acc(_))), "{{0,1,2}} accumulates");
+            let alone = sets[3].synthesize_round(3, &p, round).sample();
+            assert_eq!(in_place[3], Some(Folded::Sampled(alone)), "{{3}} is sampled in place");
+            assert_eq!(
+                in_place[7],
+                Some(Folded::Sampled(SampleResult::Zero)),
+                "an isolated vertex is still sampled"
+            );
+        }
+    }
+
+    #[test]
+    fn one_vertex_supernodes_share_one_scratch_slice() {
+        // Every vertex its own supernode: nothing accumulates, and the
+        // sink's only sketch is the scratch slice the sparse fold reuses.
+        let p = params(16);
+        let root_of: Vec<u32> = (0..16).collect();
+        let retired = [false; 16];
+        let members = live_members(&root_of, &retired);
+        let sets: Vec<SparseSet> = (0..16u32)
+            .map(|v| SparseSet::from_neighbors(vec![(v + 1) % 16, (v + 5) % 16]))
+            .collect();
+        let mut sink = RoundSink::new(&root_of, &retired, &members);
+        let mut batch = SparseRoundBatch::default();
+        for (node, set) in sets.iter().enumerate() {
+            batch.push(&sink, node as u32, set.neighbors().iter().copied(), 16);
+        }
+        batch.fold_into(&mut sink, &p, 2);
+        assert_eq!(sink.acc_bytes(), p.families[2].new_sketch().payload_bytes());
+        for (node, folded) in sink.into_folded().into_iter().enumerate() {
+            let want = sets[node].synthesize_round(node as u32, &p, 2).sample();
+            assert!(matches!(folded, Some(Folded::Sampled(s)) if s == want), "node {node}");
         }
     }
 
@@ -397,22 +450,23 @@ mod tests {
     fn folding_a_vertex_twice_leaves_the_accumulator_empty() {
         let p = params(16);
         let (root_of, retired) = ([0u32; 16], [false; 16]);
+        let members = live_members(&root_of, &retired);
         let set = SparseSet::from_neighbors(vec![1, 4, 9, 12, 15]);
         // Twice within one batch: the copies meet in the supernode's group.
-        let mut sink = RoundSink::new(&root_of, &retired);
+        let mut sink = RoundSink::new(&root_of, &retired, &members);
         let mut batch = SparseRoundBatch::default();
         for _ in 0..2 {
             batch.push(&sink, 3, set.neighbors().iter().copied(), 16);
         }
         batch.fold_into(&mut sink, &p, 0);
-        assert!(sink.accumulators()[0].as_ref().unwrap().is_empty());
+        assert!(accumulator(sink, 0).is_empty());
         // Twice across batches: the second XORs the first back out in place.
-        let mut sink = RoundSink::new(&root_of, &retired);
+        let mut sink = RoundSink::new(&root_of, &retired, &members);
         for _ in 0..2 {
             batch.push(&sink, 3, set.neighbors().iter().copied(), 16);
             batch.fold_into(&mut sink, &p, 0);
         }
-        assert!(sink.accumulators()[0].as_ref().unwrap().is_empty());
+        assert!(accumulator(sink, 0).is_empty());
     }
 
     #[test]
@@ -424,7 +478,8 @@ mod tests {
         let mut root_of: Vec<u32> = (0..12).collect();
         root_of[5] = 2;
         let retired = [false; 12];
-        let sink = RoundSink::new(&root_of, &retired);
+        let members = live_members(&root_of, &retired);
+        let sink = RoundSink::new(&root_of, &retired, &members);
         let mut batch = SparseRoundBatch::default();
         batch.push(&sink, 2, [5u32, 7].into_iter(), 12);
         batch.push(&sink, 7, [2u32].into_iter(), 12);

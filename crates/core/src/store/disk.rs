@@ -122,9 +122,14 @@ impl CacheState {
     }
 }
 
+/// Most bytes one coalesced write-back run holds before it is written
+/// (`writeback_dirty`); a group larger than this is a run of its own.
+const WRITEBACK_RUN_BYTES: usize = 1 << 20;
+
 std::thread_local! {
-    /// Per-thread byte buffer one group's file image passes through on its
-    /// way to or from the file, reused across faults and write-backs.
+    /// Per-thread byte buffer a group's file image, or one write-back run,
+    /// passes through on its way to or from the file, reused across faults
+    /// and write-backs.
     static GROUP_IO_BUF: std::cell::RefCell<Vec<u8>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
@@ -331,9 +336,12 @@ impl DiskStore {
 
     /// Write every dirty cached group back to the file, coalescing runs of
     /// *adjacent* dirty group ids into single contiguous writes (their file
-    /// regions abut, so one larger write is equivalent); then run `sealed`
-    /// while still holding the cache lock and the lock of every cached
-    /// group, i.e. with all merges shut out. Shared by [`Self::flush`] and
+    /// regions abut, so one larger write is equivalent) of at most
+    /// [`WRITEBACK_RUN_BYTES`] each — or one group, when a group is larger —
+    /// encoded into this thread's one I/O buffer, so a write-back holds one
+    /// run, never the whole dirty cache; then run `sealed` while still
+    /// holding the cache lock and the lock of every cached group, i.e. with
+    /// all merges shut out. Shared by [`Self::flush`] and
     /// [`Self::begin_epoch`].
     fn writeback_dirty<R>(&self, sealed: impl FnOnce() -> R) -> std::io::Result<R> {
         self.check_failed()?;
@@ -346,26 +354,32 @@ impl DiskStore {
         let mut held: Vec<(u32, MutexGuard<'_, GroupState>)> =
             cache.groups.iter().map(|(&group, slot)| (group, slot.entry.lock())).collect();
         held.sort_unstable_by_key(|(group, _)| *group);
-        let mut regions: Vec<(u64, Vec<u8>)> = Vec::new();
-        for (group, state) in held.iter().filter(|(_, state)| state.dirty) {
-            let offset = self.group_offset(*group);
-            match regions.last_mut() {
-                // Adjacent in the file iff the previous run ends exactly at
-                // this group's offset (every non-final group encodes to the
-                // full `group_size × node_bytes` region).
-                Some((start, run)) if *start + run.len() as u64 == offset => {
-                    self.encode_group_into(&state.sketches, run);
+        let written = GROUP_IO_BUF.with(|buf| {
+            let mut run = buf.borrow_mut();
+            run.clear();
+            let mut start = 0;
+            for (group, state) in held.iter().filter(|(_, state)| state.dirty) {
+                let offset = self.group_offset(*group);
+                // Adjacent in the file iff the run ends exactly at this
+                // group's offset (every non-final group encodes to the full
+                // `group_size × node_bytes` region).
+                let adjacent = start + run.len() as u64 == offset;
+                let fits =
+                    run.len() + state.sketches.len() * self.node_bytes <= WRITEBACK_RUN_BYTES;
+                if run.is_empty() {
+                    start = offset;
+                } else if !(adjacent && fits) {
+                    write_at(&self.file, start, &run, &self.io)?;
+                    run.clear();
+                    start = offset;
                 }
-                _ => {
-                    let mut run = Vec::with_capacity(state.sketches.len() * self.node_bytes);
-                    self.encode_group_into(&state.sketches, &mut run);
-                    regions.push((offset, run));
-                }
+                self.encode_group_into(&state.sketches, &mut run);
             }
-        }
-        let written = regions
-            .iter()
-            .try_for_each(|(offset, run)| write_at(&self.file, *offset, run, &self.io));
+            if run.is_empty() {
+                return Ok(());
+            }
+            write_at(&self.file, start, &run, &self.io)
+        });
         self.record_failure(written)?;
         for (_, state) in &mut held {
             state.dirty = false;
@@ -552,6 +566,41 @@ impl DiskStore {
         group: u32,
         f: impl FnOnce(&mut Vec<CubeNodeSketch>) -> R,
     ) -> std::io::Result<R> {
+        self.with_loaded_group(group, |state| {
+            if !state.dirty {
+                // Clean→dirty transition: this clean value equals the
+                // file's, which is the sealed value of every live epoch not
+                // yet holding this group (any earlier post-seal mutation
+                // would have passed through here and captured it) —
+                // snapshot it before `f` can mutate. Every write-back of
+                // the group takes this same lock, so the capture is ordered
+                // before any write-back of the mutated group, which is what
+                // lets epoch readers trust the file for non-captured groups.
+                let sketches = &state.sketches;
+                self.epochs.capture_group(group, &mut || sketches.clone());
+                state.dirty = true;
+            }
+            f(&mut state.sketches)
+        })
+    }
+
+    /// [`Self::with_group`] for a reader: `f` sees the group's sketches
+    /// and the group stays as clean as it was — nothing to capture, and
+    /// nothing to write back on its account.
+    fn read_group<R>(
+        &self,
+        group: u32,
+        f: impl FnOnce(&[CubeNodeSketch]) -> R,
+    ) -> std::io::Result<R> {
+        self.with_loaded_group(group, |state| f(&state.sketches))
+    }
+
+    /// Run `f` on `group`'s cached state under its lock, faulted in first.
+    fn with_loaded_group<R>(
+        &self,
+        group: u32,
+        f: impl FnOnce(&mut GroupState) -> R,
+    ) -> std::io::Result<R> {
         self.check_failed()?;
         let entry = self.record_failure(self.checkout_group(group))?;
         let mut state = entry.lock();
@@ -560,20 +609,7 @@ impl DiskStore {
             self.record_failure(loaded)?;
             state.loaded = true;
         }
-        if !state.dirty {
-            // Clean→dirty transition: this clean value equals the file's,
-            // which is the sealed value of every live epoch not yet holding
-            // this group (any earlier post-seal mutation would have passed
-            // through here and captured it) — snapshot it before `f` can
-            // mutate. Every write-back of the group takes this same lock,
-            // so the capture is ordered before any write-back of the
-            // mutated group, which is what lets epoch readers trust the
-            // file for non-captured groups.
-            let sketches = &state.sketches;
-            self.epochs.capture_group(group, &mut || sketches.clone());
-            state.dirty = true;
-        }
-        Ok(f(&mut state.sketches))
+        Ok(f(&mut state))
     }
 
     /// The bookkeeping half of a group access, and the only part under the
@@ -865,10 +901,7 @@ impl DiskStore {
         let claims = self.begin_round(round, live, overlay)?;
         pool.run(&|w| {
             let mut sink = sinks[w].lock();
-            self.claim_groups(&claims, &mut |node, slice| match slice {
-                Cow::Borrowed(slice) => sink.fold(node, slice),
-                Cow::Owned(slice) => sink.fold_owned(node, slice),
-            });
+            self.claim_groups(&claims, &mut |node, slice| sink.fold_slice(node, slice));
         });
         claims.finish()
     }
@@ -887,7 +920,7 @@ impl DiskStore {
         let mut out = Vec::with_capacity(self.node_set.len());
         for group in 0..num_groups {
             let sketches =
-                self.with_group(group, |s| s.clone()).expect("disk store snapshot read failed");
+                self.read_group(group, |s| s.to_vec()).expect("disk store snapshot read failed");
             for s in sketches {
                 out.push(Some(s));
             }
@@ -905,13 +938,40 @@ impl DiskStore {
         out
     }
 
-    /// Clone out every owned node sketch as `(node, sketch)` pairs.
-    pub fn snapshot_owned(&self) -> Vec<(u32, CubeNodeSketch)> {
-        self.snapshot()
-            .into_iter()
-            .enumerate()
-            .map(|(slot, s)| (self.node_set.node(slot), s.expect("snapshot holds every slot")))
-            .collect()
+    /// Hand `f` every owned node's serialized sketch stack in slot order,
+    /// one node group at a time: the group is read through the cache
+    /// without dirtying it, its nodes serialized — a sparse slot densified
+    /// by replay and dropped — under its lock, and `f` called for each once
+    /// the locks are gone. Holds one group's serialization, never the store.
+    pub fn for_each_serialized(
+        &self,
+        f: &mut dyn FnMut(u32, &[u8]) -> std::io::Result<()>,
+    ) -> std::io::Result<()> {
+        let mut bytes = Vec::with_capacity(self.group_size as usize * self.node_bytes);
+        for group in 0..self.num_groups() {
+            let start = (group * self.group_size) as usize;
+            bytes.clear();
+            {
+                // Lock order: the sparse table before the cache.
+                let table = (self.threshold > 0).then(|| self.sparse.lock());
+                self.read_group(group, |sketches| {
+                    for (i, sketch) in sketches.iter().enumerate() {
+                        let slot = start + i;
+                        match table.as_ref().and_then(|table| table[slot].as_ref()) {
+                            Some(set) => self.params.serialize_node_sketch(
+                                &set.densify(self.node_set.node(slot), &self.params),
+                                &mut bytes,
+                            ),
+                            None => self.params.serialize_node_sketch(sketch, &mut bytes),
+                        }
+                    }
+                })?;
+            }
+            for (i, node_bytes) in bytes.chunks_exact(self.node_bytes).enumerate() {
+                f(self.node_set.node(start + i), node_bytes)?;
+            }
+        }
+        Ok(())
     }
 
     /// Replace every node sketch (checkpoint restore), in slot order.
@@ -1155,7 +1215,13 @@ mod tests {
         // Shard 2 of 4 over 20 nodes owns {2, 6, 10, 14, 18}.
         assert_eq!(shard.sketch_bytes(), per_node * 5);
         shard.apply_batch(6, &[encode_other(1, false)]);
-        let owned = shard.snapshot_owned();
+        let mut owned = Vec::new();
+        shard
+            .for_each_serialized(&mut |node, bytes| {
+                owned.push((node, params.deserialize_node_sketch(bytes)));
+                Ok(())
+            })
+            .unwrap();
         assert_eq!(owned.iter().map(|(n, _)| *n).collect::<Vec<u32>>(), vec![2, 6, 10, 14, 18]);
         let (_, sketch) = owned.into_iter().find(|(n, _)| *n == 6).unwrap();
         assert_eq!(sketch.sample_round(0), SampleResult::Index(update_index(6, 1, 20)));
@@ -1216,7 +1282,7 @@ mod tests {
 
     #[test]
     fn parallel_stream_matches_serial_and_counts_reads_exactly() {
-        use crate::boruvka::RoundSink;
+        use crate::boruvka::{live_members, Folded, RoundSink};
         use crate::config::LockingStrategy;
         use crate::store::ram::RamStore;
         use gz_gutters::WorkerPool;
@@ -1235,16 +1301,19 @@ mod tests {
         }
         s.flush().unwrap();
         let snap = reference.snapshot();
-        let root_of: Vec<u32> = (0..16).collect(); // every node its own supernode
+        // Supernodes are the pairs {2k, 2k + 1}, so every one accumulates.
+        let root_of: Vec<u32> = (0..16).map(|node| node & !1).collect();
         let retired = vec![false; 16];
+        let members = live_members(&root_of, &retired);
         // Node 7's group is fully retired: 15 groups are visited.
         let live = |node: u32| node != 7;
 
         for threads in [1, 2, 4] {
             let pool = WorkerPool::new(threads);
             for round in 0..s.params().rounds() {
-                let sinks: Vec<Mutex<RoundSink<'_, CubeRoundSketch>>> =
-                    (0..threads).map(|_| Mutex::new(RoundSink::new(&root_of, &retired))).collect();
+                let sinks: Vec<Mutex<RoundSink<'_, CubeRoundSketch>>> = (0..threads)
+                    .map(|_| Mutex::new(RoundSink::new(&root_of, &retired, &members)))
+                    .collect();
                 let (reads_before, _, bytes_before, _) = s.io_stats().snapshot();
                 s.stream_round_parallel(round, &live, None, &pool, &sinks).unwrap();
                 let (reads, _, bytes_read, _) = s.io_stats().snapshot();
@@ -1259,26 +1328,30 @@ mod tests {
                     "{threads} threads, round {round}"
                 );
 
-                // Each node is its own root, so its accumulator must be
-                // bit-identical to the reference's round slice, whichever
-                // worker folded it.
+                // Each pair's accumulator, XORed across the sinks that
+                // folded its members, must be bit-identical to the XOR of
+                // the reference's round slices of its live members.
                 let mut acc: Vec<Option<CubeRoundSketch>> = (0..16).map(|_| None).collect();
                 for sink in sinks {
-                    for (node, folded) in sink.into_inner().accumulators().into_iter().enumerate() {
-                        if let Some(folded) = folded {
-                            assert!(
-                                acc[node].replace(folded).is_none(),
-                                "node {node} folded twice"
-                            );
+                    for (root, folded) in sink.into_inner().into_folded().into_iter().enumerate() {
+                        match (folded, &mut acc[root]) {
+                            (None, _) => {}
+                            (Some(Folded::Acc(part)), Some(acc)) => acc.merge(&part),
+                            (Some(Folded::Acc(part)), slot) => *slot = Some(part),
+                            (Some(Folded::Sampled(_)), _) => panic!("pair {root} was sampled"),
                         }
                     }
                 }
-                assert!(acc[7].is_none(), "a retired node was folded");
-                for node in (0..16usize).filter(|&node| node != 7) {
+                for root in (0..16usize).step_by(2) {
+                    let mut want_slice = snap[root].as_ref().unwrap().round(round).clone();
+                    if root + 1 != 7 {
+                        want_slice.merge(snap[root + 1].as_ref().unwrap().round(round));
+                    }
                     let (mut got, mut want) = (Vec::new(), Vec::new());
-                    acc[node].as_ref().expect("every live node folded").serialize_into(&mut got);
-                    snap[node].as_ref().unwrap().round(round).serialize_into(&mut want);
-                    assert_eq!(got, want, "{threads} threads, node {node} round {round}");
+                    acc[root].as_ref().expect("every live pair folded").serialize_into(&mut got);
+                    want_slice.serialize_into(&mut want);
+                    assert_eq!(got, want, "{threads} threads, pair {root} round {round}");
+                    assert!(acc[root + 1].is_none(), "{root} + 1 is no root");
                 }
             }
         }
@@ -1286,7 +1359,7 @@ mod tests {
 
     #[test]
     fn parallel_stream_skips_fully_retired_groups() {
-        use crate::boruvka::RoundSink;
+        use crate::boruvka::{live_members, RoundSink};
         use gz_gutters::WorkerPool;
         use parking_lot::Mutex;
 
@@ -1295,8 +1368,9 @@ mod tests {
         let pool = WorkerPool::new(3);
         let root_of: Vec<u32> = (0..16).collect();
         let retired = vec![false; 16];
+        let members = live_members(&root_of, &retired);
         let sinks: Vec<Mutex<RoundSink<'_, CubeRoundSketch>>> =
-            (0..3).map(|_| Mutex::new(RoundSink::new(&root_of, &retired))).collect();
+            (0..3).map(|_| Mutex::new(RoundSink::new(&root_of, &retired, &members))).collect();
         let before = s.io_stats().reads();
         s.stream_round_parallel(0, &|n| n == 3 || n == 9, None, &pool, &sinks).unwrap();
         assert_eq!(s.io_stats().reads() - before, 2, "only live groups may be read");
@@ -1523,6 +1597,49 @@ mod tests {
         let (_, writes_before, _, _) = s.io_stats().snapshot();
         s.flush().unwrap();
         assert_eq!(s.io_stats().writes(), writes_before);
+    }
+
+    #[test]
+    fn writeback_runs_stop_at_the_run_cap() {
+        // Eight-node groups of ≈ 79 KiB, all 32 dirty and adjacent: one run
+        // holds `WRITEBACK_RUN_BYTES / group_bytes` (13) of them, so the
+        // flush is exactly `ceil(32 / groups_per_run)` writes of exactly the
+        // dirty bytes — never one write of the whole dirty cache.
+        let params = Arc::new(SketchParams::new(256, 8, 7, 7));
+        let block = 8 * params.node_sketch_serialized_bytes();
+        let path = tmp("run-cap");
+        let s = DiskStore::new(Arc::clone(&params), path.to_path_buf(), block, 32).unwrap();
+        assert_eq!((s.group_size(), s.num_groups()), (8, 32));
+        let reference = crate::store::ram::RamStore::new(
+            Arc::clone(&params),
+            crate::config::LockingStrategy::Direct,
+        );
+        for node in 0..256u32 {
+            let batch = [encode_other((node + 1) % 256, false), encode_other(node / 2, false)];
+            s.apply_batch(node, &batch);
+            reference.apply_batch(node, &batch);
+        }
+        let group_bytes = block as u64;
+        let groups_per_run = (WRITEBACK_RUN_BYTES as u64 / group_bytes).max(1);
+        assert!(groups_per_run < 32, "the dirty groups must outgrow one run");
+        let (_, writes_before, _, bytes_before) = s.io_stats().snapshot();
+        s.flush().unwrap();
+        let (_, writes, _, bytes_written) = s.io_stats().snapshot();
+        assert_eq!(writes - writes_before, 32u64.div_ceil(groups_per_run));
+        assert_eq!(bytes_written - bytes_before, 32 * group_bytes, "payload is exact");
+
+        // The runs landed where they belong: every round streams back from
+        // the file as the reference holds it.
+        let snap = reference.snapshot();
+        for round in 0..params.rounds() {
+            s.stream_round_dense(round, &|_| true, None, &mut |node, slice| {
+                let (mut got, mut want) = (Vec::new(), Vec::new());
+                slice.serialize_into(&mut got);
+                snap[node as usize].as_ref().unwrap().round(round).serialize_into(&mut want);
+                assert_eq!(got, want, "node {node} round {round}");
+            })
+            .unwrap();
+        }
     }
 
     #[test]

@@ -226,12 +226,18 @@ impl SketchStore {
         }
     }
 
-    /// Clone out the owned nodes' sketches as `(node, sketch)` pairs — the
-    /// gather unit a shard ships to the query coordinator.
-    pub fn snapshot_owned(&self) -> Vec<(u32, CubeNodeSketch)> {
+    /// Hand `f` every owned node's serialized sketch stack, `(node, bytes)`
+    /// in slot order, one node (RAM) or node group (disk) at a time —
+    /// sparse vertices densified by replay, each only while it is being
+    /// serialized. What checkpoints and full gathers stream from: the
+    /// store is never copied first. Stops at `f`'s first error.
+    pub fn for_each_serialized(
+        &self,
+        f: &mut dyn FnMut(u32, &[u8]) -> std::io::Result<()>,
+    ) -> std::io::Result<()> {
         match self {
-            SketchStore::Ram(s) => s.snapshot_owned(),
-            SketchStore::Disk(s) => s.snapshot_owned(),
+            SketchStore::Ram(s) => s.for_each_serialized(f),
+            SketchStore::Disk(s) => s.for_each_serialized(f),
         }
     }
 

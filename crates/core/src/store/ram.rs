@@ -338,22 +338,28 @@ impl RamStore {
             .collect()
     }
 
-    /// Clone out every owned node sketch as `(node, sketch)` pairs
-    /// (sparse vertices densified by replay).
-    pub fn snapshot_owned(&self) -> Vec<(u32, CubeNodeSketch)> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .map(|(slot, m)| {
-                let node = self.node_set.node(slot);
-                let rep = m.lock();
-                let sketch = match &*rep {
-                    NodeRep::Dense(sketch) => sketch.clone(),
-                    NodeRep::Sparse(set) => set.densify(node, &self.params),
-                };
-                (node, sketch)
-            })
-            .collect()
+    /// Hand `f` every owned node's serialized sketch stack in slot order,
+    /// one node at a time: serialized under the node's own lock — a sparse
+    /// vertex densified by replay and dropped — and handed over once the
+    /// lock is gone. Holds one node's serialization, never a copy of the
+    /// store.
+    pub fn for_each_serialized(
+        &self,
+        f: &mut dyn FnMut(u32, &[u8]) -> std::io::Result<()>,
+    ) -> std::io::Result<()> {
+        let mut bytes = Vec::with_capacity(self.params.node_sketch_serialized_bytes());
+        for (slot, m) in self.nodes.iter().enumerate() {
+            let node = self.node_set.node(slot);
+            bytes.clear();
+            match &*m.lock() {
+                NodeRep::Dense(sketch) => self.params.serialize_node_sketch(sketch, &mut bytes),
+                NodeRep::Sparse(set) => {
+                    self.params.serialize_node_sketch(&set.densify(node, &self.params), &mut bytes)
+                }
+            }
+            f(node, &bytes)?;
+        }
+        Ok(())
     }
 
     /// Replace every node sketch (checkpoint restore), in slot order.
@@ -567,7 +573,8 @@ mod tests {
             shard.apply_batch(node, &records);
         }
         let full_snap = full.snapshot();
-        for (node, sketch) in shard.snapshot_owned() {
+        for (node, sketch) in shard.node_set().iter().zip(shard.snapshot()) {
+            let sketch = sketch.unwrap();
             let reference = full_snap[node as usize].as_ref().unwrap();
             for r in 0..sketch.num_rounds() {
                 assert_eq!(sketch.sample_round(r), reference.sample_round(r), "node {node}");

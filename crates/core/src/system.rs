@@ -198,7 +198,8 @@ impl GraphZeppelin {
     /// `list_spanning_forest()`); leaves the system ready for more updates.
     ///
     /// Flushes, then folds round slices straight out of the store, keeping
-    /// only per-live-supernode accumulators resident — partitioned across
+    /// only the accumulators of supernodes with two or more live members
+    /// resident — partitioned across
     /// the system's pool (slot ranges in RAM; windows of positioned group
     /// reads claimed from a shared cursor on disk, at one thread as at
     /// many). Answers are bit-identical at any pool width.
@@ -323,25 +324,14 @@ impl GraphZeppelin {
     /// against this.
     pub fn snapshot_serialized(&mut self) -> Vec<Vec<u8>> {
         self.flush();
-        let params = Arc::clone(&self.params);
-        self.snapshot_sketches()
-            .iter()
-            .map(|sketch| {
-                let mut bytes = Vec::with_capacity(params.node_sketch_serialized_bytes());
-                params.serialize_node_sketch(sketch, &mut bytes);
-                bytes
-            })
-            .collect()
-    }
-
-    /// Owned copies of all node sketches (checkpointing). Callers should
-    /// [`Self::flush`] first so buffered updates are included.
-    pub(crate) fn snapshot_sketches(&self) -> Vec<crate::node_sketch::CubeNodeSketch> {
+        let mut all = Vec::with_capacity(self.config.num_nodes as usize);
         self.store
-            .snapshot()
-            .into_iter()
-            .map(|s| s.expect("store snapshot holds every node"))
-            .collect()
+            .for_each_serialized(&mut |_, bytes| {
+                all.push(bytes.to_vec());
+                Ok(())
+            })
+            .expect("sketch store read failed");
+        all
     }
 
     /// Replace all sketch state (checkpoint restore).

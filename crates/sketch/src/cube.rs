@@ -476,14 +476,19 @@ impl<H: Hasher64> CubeSketch<H> {
     }
 
     /// Serialize the payload to `out` (little-endian α words, then γ words).
-    /// Used by the file-backed sketch store.
+    /// Used by the file-backed sketch store, checkpoints and the wire. The
+    /// payload's span is sized once and filled word by word in place — the
+    /// mirror of [`Self::overwrite_from`] — instead of growing `out` one
+    /// word at a time.
     pub fn serialize_into(&self, out: &mut Vec<u8>) {
-        out.reserve(self.payload_bytes());
-        for &a in self.alpha.iter() {
-            out.extend_from_slice(&a.to_le_bytes());
+        let start = out.len();
+        out.resize(start + self.payload_bytes(), 0);
+        let (alpha_bytes, gamma_bytes) = out[start..].split_at_mut(self.alpha.len() * 8);
+        for (c, a) in alpha_bytes.chunks_exact_mut(8).zip(self.alpha.iter()) {
+            c.copy_from_slice(&a.to_le_bytes());
         }
-        for &g in self.gamma.iter() {
-            out.extend_from_slice(&g.to_le_bytes());
+        for (c, g) in gamma_bytes.chunks_exact_mut(4).zip(self.gamma.iter()) {
+            c.copy_from_slice(&g.to_le_bytes());
         }
     }
 

@@ -102,6 +102,33 @@ impl AsRef<Path> for TempPath {
     }
 }
 
+/// This process's peak resident set so far (`VmHWM` in
+/// `/proc/self/status`), in bytes; `None` where the kernel does not say.
+pub fn peak_rss_bytes() -> Option<u64> {
+    status_bytes("VmHWM:")
+}
+
+/// This process's resident set now (`VmRSS`), in bytes; `None` where the
+/// kernel does not say.
+pub fn rss_bytes() -> Option<u64> {
+    status_bytes("VmRSS:")
+}
+
+/// Lower the peak resident set to the current one (Linux: `5` written to
+/// `/proc/self/clear_refs`), so a later [`peak_rss_bytes`] measures only
+/// what ran in between. False where the kernel refuses.
+pub fn reset_peak_rss() -> bool {
+    std::fs::write("/proc/self/clear_refs", "5").is_ok()
+}
+
+/// A `kB` field of `/proc/self/status`, in bytes.
+fn status_bytes(field: &str) -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|line| line.starts_with(field))?;
+    let kib: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kib * 1024)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

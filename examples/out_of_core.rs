@@ -4,10 +4,11 @@
 //! `O(V log³V)` sketch state on SSD accessed in blocks. This example builds
 //! the on-disk configuration, ingests a dense Kronecker stream, and reports
 //! what the I/O counters saw — the measurable analogue of "GraphZeppelin
-//! scales to SSD at a 29% cost to ingestion rate".
+//! scales to SSD at a 29% cost to ingestion rate" — and the process's peak
+//! resident set beside the store file and the cache budget it stays within.
 //!
 //! ```sh
-//! cargo run --release -p gz-bench --example out_of_core
+//! cargo run --release -p gz_bench --example out_of_core
 //! ```
 
 use graph_zeppelin::{GraphZeppelin, GzConfig};
@@ -24,6 +25,10 @@ fn main() {
         stream.updates.len()
     );
 
+    // The stream generator's scratch has come and gone: start the peak
+    // from what is resident now, so the one printed below is the system's.
+    let peak_reset = gz_testutil::reset_peak_rss();
+    let resident_before = gz_testutil::rss_bytes();
     let dir = std::env::temp_dir().join(format!("gz_out_of_core_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("scratch dir");
 
@@ -31,8 +36,9 @@ fn main() {
     // to an eighth of the node groups so the store genuinely pages (the
     // paper's limited-RAM regime): evictions write dirty groups back.
     let mut config = GzConfig::on_disk(dataset.num_vertices, dir.clone());
-    if let graph_zeppelin::StoreBackend::Disk { cache_groups, .. } = &mut config.store {
-        *cache_groups = (dataset.num_vertices / 8).max(4) as usize;
+    let cache_groups = (dataset.num_vertices / 8).max(4) as usize;
+    if let graph_zeppelin::StoreBackend::Disk { cache_groups: budget, .. } = &mut config.store {
+        *budget = cache_groups;
     }
     let mut gz = GraphZeppelin::new(config).expect("valid config");
 
@@ -72,6 +78,32 @@ fn main() {
             (gutter.bytes_read() + gutter.bytes_written()) as f64 / (1 << 20) as f64,
         );
     }
+    // The storage model's promise: what stays resident is the cache budget
+    // plus buffers and one round of query state, not the store.
+    let graph_zeppelin::store::SketchStore::Disk(disk) = gz.store() else {
+        unreachable!("configured on disk")
+    };
+    let group_bytes = disk.group_size() as usize * gz.params().node_sketch_serialized_bytes();
+    let mib = |bytes: usize| bytes as f64 / (1 << 20) as f64;
+    let peak = match (peak_reset, resident_before, gz_testutil::peak_rss_bytes()) {
+        (true, Some(before), Some(peak)) => format!(
+            "{:.1} MiB ({:.1} MiB of it resident before the system was built)",
+            mib(peak as usize),
+            mib(before as usize)
+        ),
+        (false, _, Some(peak)) => {
+            format!("{:.1} MiB (with the stream generator's)", mib(peak as usize))
+        }
+        _ => "not reported".into(),
+    };
+    println!(
+        "resident: VmHWM {peak} — sketch store file {:.1} MiB, cache budget {:.1} MiB \
+         ({} of {} node groups)",
+        mib(disk.num_groups() as usize * group_bytes),
+        mib(cache_groups.min(disk.num_groups() as usize) * group_bytes),
+        cache_groups.min(disk.num_groups() as usize),
+        disk.num_groups(),
+    );
     println!(
         "\nsketch state: {:.1} MiB on disk vs {:.1} MiB for a bit-matrix of the same graph",
         gz.sketch_bytes() as f64 / (1 << 20) as f64,
