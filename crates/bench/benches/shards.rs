@@ -15,14 +15,17 @@
 //!
 //! `gz_shards_hop` is the pair the "one facade or two" question turns on
 //! (ROADMAP, "Decided"): `GraphZeppelin::ingest` against one in-process
-//! shard on the same frames, gutters only — the stream is short enough
-//! that no gutter fills, so neither side waits for a Graph Worker — in ns
-//! per update, median of alternating repetitions.
+//! shard on the same frames, gutters only — both sides' gutters are one
+//! record deeper than the busiest vertex's share of the stream, so none
+//! fills and neither side waits for a Graph Worker — in ns per update,
+//! median of alternating repetitions.
 //!
 //! Set `GZ_BENCH_SMOKE=1` to run at tiny scale (the CI format check).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use graph_zeppelin::{GraphZeppelin, GutterCapacity, GzConfig, ShardConfig, ShardedGraphZeppelin};
+use graph_zeppelin::{
+    BufferStrategy, GraphZeppelin, GutterCapacity, GzConfig, ShardConfig, ShardedGraphZeppelin,
+};
 use gz_bench::harness::{kron_workload, median, smoke};
 use gz_stream::UpdateKind;
 use std::time::{Duration, Instant};
@@ -86,9 +89,17 @@ fn bench_router_hop(_c: &mut Criterion) {
     let updates = tuples(&w.updates);
     let reps = if smoke() { 3 } else { 15 };
     let ns_per_update = |elapsed: Duration| elapsed.as_nanos() as f64 / updates.len() as f64;
+    let mut records = vec![0usize; w.num_nodes as usize];
+    for &(u, v, _) in &updates {
+        records[u as usize] += 1;
+        records[v as usize] += 1;
+    }
+    let capacity = GutterCapacity::Updates(records.iter().max().unwrap() + 1);
     let (mut single_ns, mut shard_ns) = (Vec::new(), Vec::new());
     for _ in 0..reps {
-        let mut single = GraphZeppelin::new(GzConfig::in_ram(w.num_nodes)).unwrap();
+        let mut config = GzConfig::in_ram(w.num_nodes);
+        config.buffering = BufferStrategy::LeafOnly { capacity };
+        let mut single = GraphZeppelin::new(config).unwrap();
         let started = Instant::now();
         for frame in updates.chunks(FRAME_UPDATES) {
             single.ingest(frame.iter().copied());
@@ -97,8 +108,9 @@ fn bench_router_hop(_c: &mut Criterion) {
         assert_eq!(single.batches_applied(), 0, "the pair times gutters, not Graph Workers");
         single.shutdown();
 
-        let mut shard =
-            ShardedGraphZeppelin::in_process(ShardConfig::in_ram(w.num_nodes, 1)).unwrap();
+        let mut config = ShardConfig::in_ram(w.num_nodes, 1);
+        config.router_capacity = capacity;
+        let mut shard = ShardedGraphZeppelin::in_process(config).unwrap();
         let started = Instant::now();
         ingest_frames(&mut shard, &updates);
         shard_ns.push(ns_per_update(started.elapsed()));

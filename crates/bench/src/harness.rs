@@ -1,6 +1,6 @@
 //! Shared experiment machinery: scales, timing, tables, workloads.
 
-use gz_stream::{Dataset, EdgeUpdate, StreamifyConfig, UpdateKind};
+use gz_stream::{Dataset, EdgeUpdate, GeneratorSpec, StreamifyConfig, UpdateKind};
 use std::time::{Duration, Instant};
 
 /// Experiment scale. The paper ran kron13–kron18 (up to 1.8·10^10 updates)
@@ -85,11 +85,13 @@ pub fn kron_workload(scale: u32, seed: u64) -> Workload {
 pub fn dataset_workload(dataset: &Dataset, seed: u64) -> Workload {
     let edges = dataset.generate(seed);
     let graph_edges = edges.len() as u64;
-    let result = gz_stream::streamify(
-        dataset.num_vertices,
-        &edges,
-        &StreamifyConfig { seed: seed ^ 0x5EED, ..StreamifyConfig::default() },
-    );
+    let mut config = StreamifyConfig { seed: seed ^ 0x5EED, ..StreamifyConfig::default() };
+    if let GeneratorSpec::Path { .. } = dataset.spec {
+        // Cutting vertices out of a path leaves short paths; a long-diameter
+        // dataset exists for its diameter.
+        config.disconnect_nodes = 0;
+    }
+    let result = gz_stream::streamify(dataset.num_vertices, &edges, &config);
     Workload {
         name: dataset.name.clone(),
         num_nodes: dataset.num_vertices,

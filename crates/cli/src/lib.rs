@@ -1352,20 +1352,40 @@ mod tests {
         let mut config = GzConfig::in_ram(32);
         assert_eq!(config.num_columns, DEFAULT_COLUMNS);
         config.num_columns = PAPER_COLUMNS;
+        assert_eq!(restores_under_its_own_header(config).columns, PAPER_COLUMNS);
+    }
+
+    #[test]
+    fn checkpoint_written_at_the_papers_rounds_restores_under_its_header() {
+        // The same for a GZC2 from before the round budget moved: its header
+        // says the paper's rounds, and `checkpoint restore` rebuilds that
+        // stack depth rather than reading it as the default's.
+        use graph_zeppelin::config::{default_rounds, paper_rounds};
+        let mut config = GzConfig::in_ram(32);
+        assert_eq!(config.rounds(), default_rounds(32));
+        config.num_rounds = Some(paper_rounds(32));
+        assert_ne!(config.rounds(), default_rounds(32));
+        assert_eq!(restores_under_its_own_header(config).rounds, paper_rounds(32));
+    }
+
+    /// Checkpoint a 32-vertex system built at `config`, restore the file
+    /// through `gz checkpoint restore --forest`, and check it prints the
+    /// forest the system computed. Hands back the file's header.
+    fn restores_under_its_own_header(config: GzConfig) -> graph_zeppelin::CheckpointHeader {
         let mut old = GraphZeppelin::new(config).unwrap();
         for v in 0..24u32 {
             let other = (v * 5 + 3) % 31; // one of the 31 vertices that are not `v`
             old.update(v, other + (other >= v) as u32, false);
         }
         let before = old.spanning_forest().unwrap();
-        let ckpt = gz_testutil::TempPath::new("gz-cli-ckpt7", ".gzc");
+        let ckpt = gz_testutil::TempPath::new("gz-cli-ckpt-old", ".gzc");
         old.save_checkpoint(ckpt.path()).unwrap();
-        assert_eq!(GraphZeppelin::checkpoint_header(ckpt.path()).unwrap().columns, PAPER_COLUMNS);
 
         let restored =
             execute(Command::CheckpointRestore { path: ckpt.to_path_buf(), forest: true }).unwrap();
         assert!(restored.starts_with(&format!("{} components", before.num_components())));
         assert_eq!(forest_lines(&restored), printed_forest(&before));
+        GraphZeppelin::checkpoint_header(ckpt.path()).unwrap()
     }
 
     /// The product query against the reference query on every field that is

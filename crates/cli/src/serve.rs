@@ -890,15 +890,40 @@ mod tests {
     #[test]
     fn resume_refuses_shard_files_written_at_another_column_count() {
         use graph_zeppelin::config::{DEFAULT_COLUMNS, PAPER_COLUMNS};
+        let msg = resume_across_geometries(|old| old.num_columns = PAPER_COLUMNS);
+        for columns in [PAPER_COLUMNS, DEFAULT_COLUMNS] {
+            assert!(msg.contains(&format!("columns: {columns},")), "{msg}");
+        }
+    }
+
+    /// The same for a state directory checkpointed by a daemon whose default
+    /// was the paper's round budget: the files hold deeper stacks than this
+    /// build's, and the typed error names both round counts.
+    #[test]
+    fn resume_refuses_shard_files_written_at_another_round_count() {
+        use graph_zeppelin::config::{default_rounds, paper_rounds};
+        let (paper, default) = (paper_rounds(32), default_rounds(32));
+        assert_ne!(paper, default);
+        let msg = resume_across_geometries(|old| old.num_rounds = Some(paper));
+        for rounds in [paper, default] {
+            assert!(msg.contains(&format!("rounds: {rounds},")), "{msg}");
+        }
+    }
+
+    /// Checkpoint a 32-node state directory from a system whose config
+    /// `old_default` changed, then `--resume` a default daemon on it: the
+    /// daemon must refuse with [`GzError::InvalidConfig`], whose message is
+    /// returned.
+    fn resume_across_geometries(old_default: impl FnOnce(&mut ShardConfig)) -> String {
         const NODES: u64 = 32;
-        let dir = gz_testutil::TempDir::new("gz-serve-columns");
+        let dir = gz_testutil::TempDir::new("gz-serve-geometry");
         let mut options = ServeOptions::new(ServeListen::Tcp("127.0.0.1:0".into()), NODES);
         options.dir = Some(dir.path().to_path_buf());
 
         let mut old = ShardConfig::in_ram(NODES, options.shards);
         old.seed = options.seed;
-        old.num_columns = PAPER_COLUMNS;
-        let mut old = ShardedGraphZeppelin::in_process(old).expect("seven-column system");
+        old_default(&mut old);
+        let mut old = ShardedGraphZeppelin::in_process(old).expect("old system");
         old.ingest((1..NODES as u32).map(|v| (0, v, false))).expect("ingest");
         old.checkpoint_shards_to(&shard_paths(dir.path(), 1, options.shards)).expect("checkpoint");
         options.manifest(1, NODES - 1).save(&manifest_path(dir.path())).expect("manifest");
@@ -906,10 +931,7 @@ mod tests {
         options.resume = true;
         let Err(err) = serve_start(&options) else { panic!("resumed across geometries") };
         assert!(matches!(err, GzError::InvalidConfig(_)), "{err:?}");
-        let msg = err.to_string();
-        for columns in [PAPER_COLUMNS, DEFAULT_COLUMNS] {
-            assert!(msg.contains(&format!("columns: {columns},")), "{msg}");
-        }
+        err.to_string()
     }
 
     fn wait_until(what: &str, mut ok: impl FnMut() -> bool) {

@@ -4,8 +4,9 @@
 //! every recovered edge crosses a supernode cut (internal edges cancel under
 //! sketch addition), so its endpoints' components merge. Components whose
 //! sketch reports an empty cut are maximal and retire. The paper budgets
-//! `log_{3/2} V` rounds; exceeding it is the `algorithm_fails` event with
-//! probability `≤ 1/V^c`.
+//! `log_{3/2} V` rounds; this system provisions `⌈log₂ V⌉ + 3`
+//! ([`crate::config::default_rounds`], DESIGN.md §2). Exceeding the budget is
+//! the `algorithm_fails` event ([`GzError::AlgorithmFailure`]).
 //!
 //! The engine is *round-driven*: round `r` has a [`SketchSource`] fold only
 //! round `r` of every live vertex into that vertex's supernode accumulator
@@ -320,7 +321,7 @@ where
     // If exactly one unretired component remains, it cannot have any cut
     // edges (all other components' cuts are provably empty), so it retires
     // without a query. This both saves a round and lets a fully-merged graph
-    // finish inside the exact `log_{3/2}V` budget.
+    // finish inside an exact `⌈log₂ V⌉` budget when every round halves it.
     let retire_last_live = |dsu: &mut Dsu, retired: &mut Vec<bool>| {
         let live: Vec<u32> =
             (0..n as u32).filter(|&v| dsu.find(v) == v && !retired[v as usize]).collect();

@@ -119,8 +119,9 @@ pub struct GzConfig {
     /// The paper found group size 1 best on its hardware; that is the
     /// default.
     pub group_threads: usize,
-    /// Boruvka rounds = independent sketches per node. `None` = the paper's
-    /// `⌈log_{3/2} V⌉`.
+    /// Boruvka rounds = independent sketches per node. `None` =
+    /// [`default_rounds`], `⌈log₂ V⌉ + 3` (the paper's `⌈log_{3/2} V⌉` is
+    /// [`paper_rounds`]).
     pub num_rounds: Option<u32>,
     /// CubeSketch columns. The constructors set [`DEFAULT_COLUMNS`]; the
     /// paper's geometry is [`PAPER_COLUMNS`]. Every per-update cost and every
@@ -222,9 +223,29 @@ pub(crate) fn check_sketch_fields(num_nodes: u64, rounds: u32, columns: u32) -> 
     Ok(())
 }
 
-/// The paper's round budget: `⌈log_{3/2} V⌉` (Figure 9's
-/// `log_{3/2}(num_nodes)` failure threshold).
+/// Rounds of slack above `⌈log₂ V⌉` that [`default_rounds`] provisions.
+pub const SLACK_ROUNDS: u32 = 3;
+
+/// The round budget a configuration gets unless it says otherwise:
+/// `⌈log₂ V⌉ + 3`, capped at the paper's [`paper_rounds`] so no vertex count
+/// gets more than the paper gives it. Borůvka needs `⌈log₂ V⌉` rounds when
+/// every component finds an edge; the three more absorb sampler failures
+/// (DESIGN.md §2, "The round budget", has the argument and the measured
+/// table).
 pub fn default_rounds(num_nodes: u64) -> u32 {
+    paper_rounds(num_nodes).min(log2_rounds(num_nodes) + SLACK_ROUNDS)
+}
+
+/// `⌈log₂ V⌉`, in integers: the rounds Borůvka needs when every live
+/// component finds a cut edge every round, halving their number.
+pub fn log2_rounds(num_nodes: u64) -> u32 {
+    u64::BITS - num_nodes.saturating_sub(1).leading_zeros()
+}
+
+/// The paper's round budget: `⌈log_{3/2} V⌉` (Figure 9's
+/// `log_{3/2}(num_nodes)` failure threshold). Kept beside
+/// [`PAPER_COLUMNS`] for everything that reproduces a paper number.
+pub fn paper_rounds(num_nodes: u64) -> u32 {
     if num_nodes <= 2 {
         return 1;
     }
@@ -237,9 +258,20 @@ mod tests {
 
     #[test]
     fn default_rounds_growth() {
-        assert_eq!(default_rounds(2), 1);
-        // log_{3/2}(1024) ≈ 17.09 -> 18
-        assert_eq!(default_rounds(1024), 18);
+        for v in [0, 1, 2] {
+            assert_eq!((paper_rounds(v), default_rounds(v)), (1, 1), "V = {v}");
+        }
+        // log_{3/2}(1024) ≈ 17.09 -> 18; log₂(1024) + 3 = 13.
+        assert_eq!((paper_rounds(1024), default_rounds(1024)), (18, 13));
+        // log_{3/2}(8192) ≈ 22.23 -> 23; log₂(8192) + 3 = 16.
+        assert_eq!((paper_rounds(8192), default_rounds(8192)), (23, 16));
+        // One past a power of two rounds the log up.
+        assert_eq!(default_rounds(8193), 17);
+        // Small graphs keep the paper's count, which is the smaller there.
+        assert_eq!((paper_rounds(16), default_rounds(16)), (7, 7));
+        for v in 2..=(1u64 << 17) {
+            assert!(default_rounds(v) <= paper_rounds(v), "V = {v}");
+        }
         assert!(default_rounds(1 << 17) > default_rounds(1 << 13));
     }
 

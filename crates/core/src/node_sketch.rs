@@ -416,6 +416,29 @@ mod tests {
     }
 
     #[test]
+    fn fewer_rounds_are_a_prefix_of_more() {
+        // Round `r` hashes under `derive(seed, r)` whatever the round count,
+        // and a serialized stack is its rounds concatenated: the default
+        // budget's stack fed the same toggles is, byte for byte, the first
+        // rounds of the paper's. A query that finishes inside the smaller
+        // budget reads the same bits under either.
+        let v = 8192;
+        let (fewer, more) = (crate::config::default_rounds(v), crate::config::paper_rounds(v));
+        assert_eq!((fewer, more), (16, 23));
+        let [p_fewer, p_more] = [fewer, more].map(|r| SketchParams::new(v, r, 3, 42));
+        let batch: Vec<u64> = (0..200u32).map(|i| update_index(5, 6 + i * 37, v)).collect();
+        let (mut s_fewer, mut s_more) = (p_fewer.new_node_sketch(), p_more.new_node_sketch());
+        s_fewer.update_batch_prepared(&batch);
+        s_more.update_batch_prepared(&batch);
+
+        let (mut got, mut whole) = (Vec::new(), Vec::new());
+        p_fewer.serialize_node_sketch(&s_fewer, &mut got);
+        p_more.serialize_node_sketch(&s_more, &mut whole);
+        assert_eq!(got.len(), p_more.round_serialized_offset(fewer as usize));
+        assert_eq!(got[..], whole[..got.len()]);
+    }
+
+    #[test]
     fn encode_decode_other() {
         for (v, d) in [(0u32, false), (7, true), ((1 << 31) - 1, true)] {
             assert_eq!(decode_other(encode_other(v, d)), (v, d));

@@ -68,7 +68,7 @@ pub struct ShardConfig {
     pub num_shards: u32,
     /// Master seed (all shards must share it for mergeable sketches).
     pub seed: u64,
-    /// Boruvka rounds; `None` = the paper's `⌈log_{3/2} V⌉`.
+    /// Boruvka rounds; `None` = [`crate::config::default_rounds`].
     pub num_rounds: Option<u32>,
     /// CubeSketch columns ([`crate::config::DEFAULT_COLUMNS`] unless set).
     /// Part of the parameter digest and of every `GZS2` header.
@@ -1078,10 +1078,14 @@ mod tests {
         other_shards.num_shards = 5;
         let mut paper_columns = base.clone();
         paper_columns.num_columns = crate::config::PAPER_COLUMNS;
+        let mut paper_rounds = base.clone();
+        paper_rounds.num_rounds = Some(crate::config::paper_rounds(64));
+        assert_ne!(base.rounds(), paper_rounds.rounds());
         assert_eq!(base.params_digest(), base.clone().params_digest());
         assert_ne!(base.params_digest(), other_seed.params_digest());
         assert_ne!(base.params_digest(), other_shards.params_digest());
         assert_ne!(base.params_digest(), paper_columns.params_digest());
+        assert_ne!(base.params_digest(), paper_rounds.params_digest());
     }
 
     /// The four fields of an outcome that are an answer.

@@ -1168,20 +1168,27 @@ mod tests {
     #[test]
     fn worker_built_at_another_column_count_is_refused_by_both_sides() {
         // A `gz shard-worker` from a tree whose default was the paper's seven
-        // columns, dialled by a coordinator at this tree's default. There is
-        // no flag to reconcile them and nothing to reinterpret: the digests
-        // differ, and each side's typed refusal carries both.
-        let coordinator = ShardConfig::in_ram(16, 1);
-        let mut old_worker = coordinator.clone();
-        old_worker.num_columns = crate::config::PAPER_COLUMNS;
-        assert_ne!(coordinator.num_columns, old_worker.num_columns);
-        let (ours, worker) = spawn_worker(&old_worker, 0, immortal());
-        let refused = SocketTransport::handshake(vec![ours], coordinator.params_digest());
-        for side in [refused.map(|_| ()), worker.join().unwrap().map(|_| ())] {
-            let Err(GzError::Protocol(msg)) = side else { panic!("not refused: {side:?}") };
-            for config in [&coordinator, &old_worker] {
-                let digest = format!("{:#x}", config.params_digest());
-                assert!(msg.contains(&digest), "{msg} lacks {digest}");
+        // columns, or the paper's round budget, dialled by a coordinator at
+        // this tree's defaults. There is no flag to reconcile them and nothing
+        // to reinterpret: the digests differ, and each side's typed refusal
+        // carries both. (At 64 nodes the paper gives 11 rounds, the default
+        // 9; at 16 they agree.)
+        let coordinator = ShardConfig::in_ram(64, 1);
+        let mut paper_columns = coordinator.clone();
+        paper_columns.num_columns = crate::config::PAPER_COLUMNS;
+        assert_ne!(coordinator.num_columns, paper_columns.num_columns);
+        let mut paper_rounds = coordinator.clone();
+        paper_rounds.num_rounds = Some(crate::config::paper_rounds(64));
+        assert_ne!(coordinator.rounds(), paper_rounds.rounds());
+        for old_worker in [paper_columns, paper_rounds] {
+            let (ours, worker) = spawn_worker(&old_worker, 0, immortal());
+            let refused = SocketTransport::handshake(vec![ours], coordinator.params_digest());
+            for side in [refused.map(|_| ()), worker.join().unwrap().map(|_| ())] {
+                let Err(GzError::Protocol(msg)) = side else { panic!("not refused: {side:?}") };
+                for config in [&coordinator, &old_worker] {
+                    let digest = format!("{:#x}", config.params_digest());
+                    assert!(msg.contains(&digest), "{msg} lacks {digest}");
+                }
             }
         }
     }

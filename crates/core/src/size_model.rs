@@ -9,21 +9,22 @@
 //! reports; the approximation is kept for cross-checking against the paper's
 //! text.
 //!
-//! [`gz_sketch_bytes`] is the *paper's* footprint, at its seven columns. A
-//! system built from this tree's defaults carries
-//! [`crate::config::DEFAULT_COLUMNS`] and holds 3/7 of that
-//! ([`gz_sketch_bytes_with`]; DESIGN.md §2 has the reason).
+//! [`gz_sketch_bytes`] is the *paper's* footprint, at its seven columns and
+//! `⌈log_{3/2} V⌉` rounds. A system built from this tree's defaults carries
+//! [`crate::config::DEFAULT_COLUMNS`] and [`crate::config::default_rounds`]
+//! and holds 3/7 × 16/23 of that at V = 8192 ([`gz_sketch_bytes_with`];
+//! DESIGN.md §2 has the reasons).
 
-use crate::config::{default_rounds, PAPER_COLUMNS};
+use crate::config::{paper_rounds, PAPER_COLUMNS};
 use gz_sketch::geometry::SketchGeometry;
 
 /// Exact GraphZeppelin sketch bytes for `num_nodes` vertices with the
-/// paper's geometry ([`PAPER_COLUMNS`] columns, `⌈log_{3/2} V⌉` rounds) —
+/// paper's geometry ([`PAPER_COLUMNS`] columns, [`paper_rounds`] rounds) —
 /// the Figure 11 number. What a store built from this tree's defaults holds
-/// is [`gz_sketch_bytes_with`] at [`crate::config::DEFAULT_COLUMNS`], 3/7 of
-/// it.
+/// is [`gz_sketch_bytes_with`] at [`crate::config::DEFAULT_COLUMNS`] and
+/// [`crate::config::default_rounds`].
 pub fn gz_sketch_bytes(num_nodes: u64) -> u64 {
-    gz_sketch_bytes_with(num_nodes, default_rounds(num_nodes), PAPER_COLUMNS)
+    gz_sketch_bytes_with(num_nodes, paper_rounds(num_nodes), PAPER_COLUMNS)
 }
 
 /// Exact sketch bytes with explicit rounds/columns.
@@ -120,7 +121,7 @@ mod tests {
     #[test]
     fn hybrid_model_interpolates_between_sparse_and_dense() {
         let v = 1u64 << 13;
-        let rounds = default_rounds(v);
+        let rounds = paper_rounds(v);
         let dense = gz_sketch_bytes(v);
         // All promoted, nothing sparse: exactly the dense model.
         assert_eq!(gz_hybrid_sketch_bytes(v, rounds, PAPER_COLUMNS, v, 0), dense);

@@ -10,7 +10,7 @@
 //! comparison can also be run end-to-end at small scale.
 
 use crate::boruvka::{boruvka_rounds, BoruvkaOutcome};
-use crate::config::default_rounds;
+use crate::config::paper_rounds;
 use crate::error::GzError;
 use crate::node_sketch::NodeSketch;
 use crate::store::SliceSource;
@@ -39,7 +39,7 @@ impl StreamingCc {
             return Err(GzError::InvalidConfig("need at least 2 nodes".into()));
         }
         let vector_len = gz_graph::edge_index_count(num_nodes).max(1);
-        let rounds = default_rounds(num_nodes);
+        let rounds = paper_rounds(num_nodes);
         let families: Vec<AnyStandardFamily<Xxh64Hasher>> = (0..rounds as u64)
             .map(|r| AnyStandardFamily::for_vector(vector_len, SplitMix64::derive(seed, r)))
             .collect();
@@ -143,11 +143,11 @@ mod tests {
     #[test]
     fn sketch_bytes_larger_than_cubesketch() {
         // Paper Figure 5: the general sampler is ≥ 2× larger, both at the
-        // paper's column count.
+        // paper's geometry.
         let cc = StreamingCc::new(64, 1).unwrap();
         let params = crate::node_sketch::SketchParams::new(
             64,
-            crate::config::default_rounds(64),
+            paper_rounds(64),
             crate::config::PAPER_COLUMNS,
             1,
         );

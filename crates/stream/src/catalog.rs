@@ -11,6 +11,8 @@ use crate::kronecker::KroneckerGenerator;
 use crate::preferential::preferential_attachment_edges;
 use crate::streamify::{streamify, StreamifyConfig, StreamifyResult};
 use gz_graph::Edge;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 /// How a dataset's edge set is generated.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -35,6 +37,16 @@ pub enum GeneratorSpec {
         nodes: u64,
         /// Approximate edge count.
         edges: u64,
+    },
+    /// One path through every vertex, in an order drawn from the seed, and
+    /// closed into a cycle when `closed`: the longest diameter a connected
+    /// graph on `nodes` vertices can have, which is what makes Borůvka run
+    /// the most rounds.
+    Path {
+        /// Vertex count.
+        nodes: u64,
+        /// Join the path's ends.
+        closed: bool,
     },
 }
 
@@ -74,6 +86,7 @@ impl Dataset {
             GeneratorSpec::Preferential { nodes, edges } => {
                 preferential_attachment_edges(nodes, edges, seed)
             }
+            GeneratorSpec::Path { nodes, closed } => path_edges(nodes, closed, seed),
         }
     }
 
@@ -165,9 +178,55 @@ pub fn tiny_standins() -> Vec<Dataset> {
     ]
 }
 
+/// A path and a cycle through `nodes` vertices: the long-diameter shapes,
+/// which need the most Borůvka rounds.
+pub fn long_diameter_datasets(nodes: u64) -> Vec<Dataset> {
+    [("path", false), ("cycle", true)]
+        .into_iter()
+        .map(|(shape, closed)| Dataset {
+            name: format!("{shape}{nodes}"),
+            num_vertices: nodes,
+            nominal_edges: nodes - 1 + closed as u64,
+            spec: GeneratorSpec::Path { nodes, closed },
+        })
+        .collect()
+}
+
+/// The edges of a path visiting all `n` vertices in a uniformly random order
+/// (Fisher–Yates from `seed`), plus the edge joining its ends when `closed`.
+fn path_edges(n: u64, closed: bool, seed: u64) -> Vec<Edge> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut order: Vec<u32> = (0..n as u32).collect();
+    for i in (1..order.len()).rev() {
+        order.swap(i, rng.gen_range(0..=i));
+    }
+    let mut edges: Vec<Edge> = order.windows(2).map(|w| Edge::new(w[0], w[1])).collect();
+    if closed && n > 2 {
+        edges.push(Edge::new(order[0], order[order.len() - 1]));
+    }
+    edges
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn long_diameter_datasets_visit_every_vertex_once() {
+        for d in long_diameter_datasets(64) {
+            let edges = d.generate(5);
+            assert_eq!(edges.len() as u64, d.nominal_edges, "{}", d.name);
+            assert_ne!(edges, d.generate(6), "{}: the order follows the seed", d.name);
+            let mut degree = vec![0u32; 64];
+            for e in &edges {
+                degree[e.u() as usize] += 1;
+                degree[e.v() as usize] += 1;
+            }
+            let ends = degree.iter().filter(|&&d| d == 1).count();
+            assert!(degree.iter().all(|&d| d == 1 || d == 2), "{}: {degree:?}", d.name);
+            assert_eq!(ends, if d.name.starts_with("path") { 2 } else { 0 }, "{}", d.name);
+        }
+    }
 
     #[test]
     fn kron_names_and_density() {

@@ -5,9 +5,10 @@
 //! (with the sharding subsystem) of how the vertex set is partitioned and
 //! which transport carries the batches.
 
+use graph_zeppelin::config::{default_rounds, paper_rounds};
 use graph_zeppelin::{
-    BufferStrategy, GraphZeppelin, GutterCapacity, GzConfig, ShardConfig, ShardedGraphZeppelin,
-    StoreBackend,
+    BoruvkaOutcome, BufferStrategy, GraphZeppelin, GutterCapacity, GzConfig, ShardConfig,
+    ShardedGraphZeppelin, StoreBackend,
 };
 use gz_stream::{Dataset, StreamifyConfig, UpdateKind};
 use gz_testutil::TempDir;
@@ -276,6 +277,70 @@ fn streaming_query_bit_identical_across_stores_and_shard_counts() {
                 "forest diverged: {shards} shards over {transport:?}"
             );
             gz.shutdown().expect("clean shutdown");
+        }
+    }
+}
+
+#[test]
+fn the_default_round_budget_answers_as_the_papers_does() {
+    // Round `r` hashes under `derive(seed, r)` whatever the round count, so a
+    // default stack is the first `default_rounds(V)` rounds of the paper's
+    // `paper_rounds(V)`, and a query that finishes inside the smaller budget
+    // reads the same bits under either: every field of the outcome, the
+    // failure counts and the query's footprint included, is the same.
+    let (v, updates) = shared_stream();
+    let (paper, default) = (paper_rounds(v), default_rounds(v));
+    assert!(default < paper, "V = {v}: {default} vs {paper} rounds");
+    let same_outcome = |a: &BoruvkaOutcome, b: &BoruvkaOutcome, what: &str| {
+        assert!(a.rounds_used <= default as usize, "{what}: used {} rounds", a.rounds_used);
+        assert_eq!(a.labels, b.labels, "{what}: labels");
+        assert_eq!(a.forest, b.forest, "{what}: forest");
+        assert_eq!(a.rounds_used, b.rounds_used, "{what}: rounds");
+        assert_eq!(a.sketch_failures, b.sketch_failures, "{what}: failures");
+        assert_eq!(a.sketch_samples, b.sketch_samples, "{what}: samples");
+        assert_eq!(a.peak_sketch_bytes, b.peak_sketch_bytes, "{what}: peak bytes");
+    };
+    // Groups of one node at either round count, so a disk read window holds
+    // the same slices whatever the stack depth. And one worker: on disk the
+    // workers claim groups as they come free, and how many accumulators a
+    // supernode gets depends on which worker claimed which member, so only a
+    // one-worker fold has a reproducible peak.
+    let store_in = |dir: &TempDir, on_disk: bool| match on_disk {
+        true => {
+            StoreBackend::Disk { dir: dir.path().to_path_buf(), block_bytes: 4096, cache_groups: 2 }
+        }
+        false => StoreBackend::Ram,
+    };
+    for (on_disk, tau) in [(false, 0u32), (false, 64), (true, 0), (true, 64)] {
+        let [at_paper, at_default] = [Some(paper), None].map(|num_rounds| {
+            let dir = TempDir::new("gz-equiv-rounds");
+            let mut config = GzConfig::in_ram(v);
+            config.num_rounds = num_rounds;
+            config.num_workers = 1;
+            config.store = store_in(&dir, on_disk);
+            config.sketch_threshold = tau;
+            ingested(config, &updates).spanning_forest().expect("query")
+        });
+        same_outcome(&at_paper, &at_default, &format!("single node, disk {on_disk}, tau {tau}"));
+
+        for shards in [1u32, 3] {
+            let [at_paper, at_default] = [Some(paper), None].map(|num_rounds| {
+                let dir = TempDir::new("gz-equiv-rounds-shards");
+                let mut config = ShardConfig::in_ram(v, shards);
+                config.num_rounds = num_rounds;
+                config.workers_per_shard = 1;
+                config.store = store_in(&dir, on_disk);
+                config.sketch_threshold = tau;
+                let mut gz = sharded_system(config, Transport::InProcess);
+                for upd in &updates {
+                    gz.update(upd.u, upd.v, upd.kind == UpdateKind::Delete).expect("routed update");
+                }
+                let outcome = gz.spanning_forest().expect("query");
+                gz.shutdown().expect("clean shutdown");
+                outcome
+            });
+            let what = format!("{shards} shards, disk {on_disk}, tau {tau}");
+            same_outcome(&at_paper, &at_default, &what);
         }
     }
 }
