@@ -2,7 +2,8 @@
 //! the disk-backed query-vs-oracle comparison at a pinned cache budget
 //! (bytes read off the store and peak resident sketch bytes of each), and
 //! the parallel-query scaling sweep over the system's pool width
-//! (`gz_query_parallel`, DESIGN.md §10).
+//! (`gz_query_parallel`, DESIGN.md §10), and the hybrid store's flush and
+//! fold against the always-dense one (`gz_query_hybrid`, DESIGN.md §12).
 //!
 //! Set `GZ_BENCH_SMOKE=1` to run at tiny scale (the CI smoke mode). The
 //! measured results are also exported to `BENCH_queries.json` (best/mean ns
@@ -266,6 +267,68 @@ fn bench_concurrent_query(c: &mut Criterion) {
     assert_eq!(at_epoch.labels, reference.labels, "epoch answer moved under concurrent ingest");
 }
 
+/// The hybrid query (DESIGN.md §12): a preferential-attachment graph at
+/// V = 4096 — a few hubs promote, every other vertex stays a short exact
+/// set — queried at τ = 0 (every vertex dense) and τ = 64, answers asserted
+/// equal. The flush that applies the buffered stream (the batch kernel for
+/// dense vertices, one sorted merge per batch for sparse ones) and the fold
+/// are timed as cases of their own: the flush best-of-N over freshly
+/// ingested systems, the fold under criterion with nothing left to flush.
+fn bench_query_hybrid(c: &mut Criterion) {
+    use gz_stream::{Dataset, GeneratorSpec};
+
+    let nodes = if smoke() { 1u64 << 8 } else { 1 << 12 };
+    let edges = 4 * nodes;
+    let dataset = Dataset {
+        name: format!("pa-{nodes}x{edges}"),
+        num_vertices: nodes,
+        nominal_edges: edges,
+        spec: GeneratorSpec::Preferential { nodes, edges },
+    };
+    let w = gz_bench::harness::dataset_workload(&dataset, 17);
+    let ingested = |tau: u32| {
+        let mut config = GzConfig::in_ram(w.num_nodes);
+        config.sketch_threshold = tau;
+        let mut gz = GraphZeppelin::new(config).unwrap();
+        for upd in &w.updates {
+            gz.update(upd.u, upd.v, upd.kind == UpdateKind::Delete);
+        }
+        gz
+    };
+
+    let mut answers = Vec::new();
+    let mut group = c.benchmark_group("gz_query_hybrid");
+    group.sample_size(10);
+    for tau in [0u32, 64] {
+        let flush_ns = (0..if smoke() { 2 } else { 5 })
+            .map(|_| {
+                let mut gz = ingested(tau);
+                let start = Instant::now();
+                gz.flush();
+                start.elapsed().as_nanos() as f64
+            })
+            .fold(f64::INFINITY, f64::min);
+        criterion::record_custom(format!("gz_query_hybrid/flush/tau{tau}"), flush_ns);
+
+        let mut gz = ingested(tau);
+        gz.flush();
+        let rep = gz.rep_stats();
+        println!(
+            "gz_query_hybrid/{} tau {tau}: {} promoted, {} sparse",
+            w.name, rep.promoted, rep.sparse
+        );
+        let outcome = gz.spanning_forest().unwrap();
+        answers.push((outcome.labels, outcome.forest, outcome.rounds_used));
+        group.bench_with_input(
+            BenchmarkId::from_parameter(format!("fold/tau{tau}")),
+            &(),
+            |b, _| b.iter(|| gz.spanning_forest().unwrap().num_components()),
+        );
+    }
+    group.finish();
+    assert_eq!(answers[0], answers[1], "τ = 64 must answer as τ = 0 does");
+}
+
 /// Final target: persist every measurement above as the machine-readable
 /// baseline (`BENCH_queries.json`).
 fn emit_bench_json(_c: &mut Criterion) {
@@ -287,6 +350,6 @@ criterion_group! {
     config = config();
     targets = bench_connected_components, bench_spanning_forest_empty_vs_dense,
         bench_disk_query_vs_oracle, bench_parallel_query_scaling, bench_concurrent_query,
-        emit_bench_json
+        bench_query_hybrid, emit_bench_json
 }
 criterion_main!(benches);

@@ -18,11 +18,12 @@
 //! hold — so every source (a RAM snapshot, a disk store reading windows
 //! of groups, a shard fleet shipping round frames) produces the same
 //! labels, while peak query memory drops from `O(V × full sketch)` to
-//! `O(supernodes with two or more live members × one round)`, plus one
-//! scratch slice per worker and the source's buffers. A one-vertex
-//! supernode needs no accumulator: its one slice is sampled where it lies
-//! (a borrowed RAM slice, an epoch pre-image, a disk or wire read that is
-//! then dropped), and sampling a slice is sampling any copy of it.
+//! `O(supernodes with two or more live members × one round)`, plus the
+//! source's buffers. A one-vertex supernode needs no accumulator: its one
+//! slice is sampled where it lies (a borrowed RAM slice, an epoch
+//! pre-image, a disk or wire read that is then dropped), and sampling a
+//! slice is sampling any copy of it; a one-vertex sparse supernode's is
+//! sampled column by column from its edge indices, with no slice built.
 //!
 //! The engine is also *parallel* (DESIGN.md §10): each round's fold is
 //! partitioned across a [`gz_gutters::WorkerPool`] — every worker folds its
@@ -65,10 +66,9 @@ pub struct BoruvkaOutcome {
     /// the measured per-sketch failure rate δ.
     pub sketch_samples: usize,
     /// Peak sketch bytes resident during the query: the accumulators of
-    /// supernodes with two or more live members and each worker's sparse
-    /// scratch slice, plus whatever the source buffered (a full
-    /// materialization for the snapshot path; a round's in-flight read
-    /// windows for the streaming paths).
+    /// supernodes with two or more live members, plus whatever the source
+    /// buffered (a full materialization for the snapshot path; a round's
+    /// in-flight read windows for the streaming paths).
     pub peak_sketch_bytes: usize,
 }
 
@@ -125,6 +125,25 @@ pub(crate) fn live_members(root_of: &[u32], retired: &[bool]) -> Vec<u32> {
     members
 }
 
+/// Which vertices a query folds as exact sparse sets (DESIGN.md §12), as
+/// the sinks see it. Round 0 learns it: every supernode is one vertex then,
+/// so no edge is internal to one, and each sink notes the vertices handed
+/// to it as sparse sets; the engine merges the notes after the round. From
+/// round 1 on it is known, and the sparse fold leaves out every edge
+/// between two sparse vertices of one supernode
+/// ([`crate::sparse::SparseRoundBatch`]). That is sound only because a
+/// vertex keeps one representation for a whole query: a live fold runs
+/// with ingestion quiesced, an epoch fold reads the sealed overlay, and a
+/// socket gather refuses an entry whose representation moved.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum SparseMap<'a> {
+    /// Round 0: nothing is known yet.
+    Learning,
+    /// From round 1 on: `sparse[v]` is whether `v` is folded as a sparse
+    /// set.
+    Known(&'a [bool]),
+}
+
 /// One query worker's fold target for one Borůvka round: the round's
 /// supernode map and live-member counts, and what has been folded per
 /// supernode. Sources fold each node's round contribution into exactly one
@@ -137,24 +156,43 @@ pub struct RoundSink<'a, S> {
     retired: &'a [bool],
     /// [`live_members`] of this round.
     members: &'a [u32],
+    /// Which vertices are folded as sparse sets this query.
+    sparse: SparseMap<'a>,
+    /// The vertices handed to this sink as sparse sets while `sparse` is
+    /// being learned.
+    learned: Vec<u32>,
     folded: Vec<Option<Folded<S>>>,
-    /// The one slice the sparse fold builds a one-vertex supernode's
-    /// contribution in, reused for every such supernode this sink folds.
-    scratch: Option<S>,
-    /// Payload bytes of every accumulator and the scratch slice.
+    /// Payload bytes of every accumulator.
     acc_bytes: usize,
 }
 
 impl<'a, S: L0Sampler + Clone> RoundSink<'a, S> {
-    pub(crate) fn new(root_of: &'a [u32], retired: &'a [bool], members: &'a [u32]) -> Self {
+    pub(crate) fn new(
+        root_of: &'a [u32],
+        retired: &'a [bool],
+        members: &'a [u32],
+        sparse: SparseMap<'a>,
+    ) -> Self {
         RoundSink {
             root_of,
             retired,
             members,
+            sparse,
+            learned: Vec::new(),
             folded: (0..root_of.len()).map(|_| None).collect(),
-            scratch: None,
             acc_bytes: 0,
         }
+    }
+
+    /// The sparse map this sink folds under.
+    pub(crate) fn sparse_map(&self) -> SparseMap<'a> {
+        self.sparse
+    }
+
+    /// Whether `node` is known to be folded as a sparse set.
+    #[inline]
+    fn known_sparse(&self, node: u32) -> bool {
+        matches!(self.sparse, SparseMap::Known(sparse) if sparse[node as usize])
     }
 
     /// What was folded per supernode so far (store-level tests).
@@ -190,6 +228,10 @@ impl<'a, S: L0Sampler + Clone> RoundSink<'a, S> {
     /// [`Self::fold`] or [`Self::fold_owned`], whichever `slice` is.
     #[inline]
     pub(crate) fn fold_slice(&mut self, node: u32, slice: Cow<'_, S>) {
+        debug_assert!(
+            !self.known_sparse(node),
+            "vertex {node} was a sparse set in round 0 and is folded dense now"
+        );
         let Some(root) = self.live_root(node) else { return };
         let root = root as usize;
         if self.members[root] == 1 {
@@ -213,52 +255,76 @@ impl<'a, S: L0Sampler + Clone> RoundSink<'a, S> {
         (!self.retired[root as usize]).then_some(root)
     }
 
-    /// Fold a contribution that `build` writes straight into a slice — the
-    /// in-place fold's entry point: sparse vertices XOR their edge indices
-    /// into it (see [`crate::sparse::SparseRoundBatch`]). The slice is live
-    /// supernode `root`'s accumulator, started from `empty()` on first
-    /// touch; for a one-vertex supernode it is this sink's scratch slice,
-    /// cleared, and sampled once `build` returns.
-    pub(crate) fn fold_built(
-        &mut self,
-        root: u32,
-        empty: impl FnOnce() -> S,
-        build: impl FnOnce(&mut S),
-    ) {
-        debug_assert!(!self.retired[root as usize], "retired supernodes are never folded");
-        let root = root as usize;
-        let single = self.members[root] == 1;
-        let RoundSink { folded, scratch, acc_bytes, .. } = self;
-        let mut track = |slice: S| {
-            *acc_bytes += slice.payload_bytes();
-            slice
-        };
-        if single {
-            let slice = scratch.get_or_insert_with(|| track(empty()));
-            slice.clear();
-            build(slice);
-            folded[root] = Some(Folded::Sampled(slice.sample()));
-            return;
+    /// `node`'s live supernode root, for a vertex handed over as a sparse
+    /// set, or `None` once that supernode has retired. While the sparse map
+    /// is being learned the vertex is noted; once it is known, a vertex
+    /// folded dense in round 0 must not turn up here.
+    pub(crate) fn sparse_root(&mut self, node: u32) -> Option<u32> {
+        let root = self.live_root(node)?;
+        match self.sparse {
+            SparseMap::Learning => self.learned.push(node),
+            SparseMap::Known(sparse) => debug_assert!(
+                sparse[node as usize],
+                "vertex {node} was folded dense in round 0 and is a sparse set now"
+            ),
         }
-        match folded[root].get_or_insert_with(|| Folded::Acc(track(empty()))) {
-            Folded::Acc(acc) => build(acc),
+        Some(root)
+    }
+
+    /// Whether `other` is known to be folded as a sparse set under
+    /// supernode `root` — so the edge to it from a sparse vertex of `root`
+    /// is internal, and both ends leave it out.
+    #[inline]
+    pub(crate) fn is_sparse_member(&self, root: u32, other: u32) -> bool {
+        self.known_sparse(other) && self.root_of[other as usize] == root
+    }
+
+    /// Whether live supernode `root` is a single vertex this round.
+    #[inline]
+    pub(crate) fn is_alone(&self, root: u32) -> bool {
+        self.members[root as usize] == 1
+    }
+
+    /// Record the sample of one-vertex supernode `root`, taken wherever its
+    /// contribution lay.
+    pub(crate) fn fold_sample(&mut self, root: u32, sample: SampleResult) {
+        debug_assert!(self.is_alone(root), "only a one-vertex supernode is sampled in the fold");
+        self.folded[root as usize] = Some(Folded::Sampled(sample));
+    }
+
+    /// Live supernode `root`'s accumulator — a supernode of two or more
+    /// live members — started from `empty()` on first touch: the in-place
+    /// fold's entry point, into which sparse vertices XOR their edge
+    /// indices (see [`crate::sparse::SparseRoundBatch`]).
+    pub(crate) fn accumulator(&mut self, root: u32, empty: impl FnOnce() -> S) -> &mut S {
+        debug_assert!(!self.retired[root as usize], "retired supernodes are never folded");
+        debug_assert!(!self.is_alone(root), "a one-vertex supernode gets no accumulator");
+        let RoundSink { folded, acc_bytes, .. } = self;
+        let slot = folded[root as usize].get_or_insert_with(|| {
+            let acc = empty();
+            *acc_bytes += acc.payload_bytes();
+            Folded::Acc(acc)
+        });
+        match slot {
+            Folded::Acc(acc) => acc,
             Folded::Sampled(_) => unreachable!("a supernode of several members is never sampled"),
         }
     }
 }
 
 /// XOR-merge per-worker sinks in worker order into one per-supernode
-/// vector. Returns it plus the summed per-sink payload bytes (the true
-/// peak: all sinks were resident simultaneously during the fold).
+/// vector. Returns it, the summed per-sink payload bytes (the true peak:
+/// all sinks were resident simultaneously during the fold), and the
+/// vertices the sinks were handed as sparse sets while learning.
 fn merge_sinks<S: L0Sampler + Clone>(
     sinks: Vec<Mutex<RoundSink<'_, S>>>,
-) -> (Vec<Option<Folded<S>>>, usize) {
+) -> (Vec<Option<Folded<S>>>, usize, Vec<u32>) {
     let mut iter = sinks.into_iter().map(|m| m.into_inner());
     let first = iter.next().expect("at least one sink");
-    let mut folded = first.folded;
-    let mut acc_bytes = first.acc_bytes;
+    let (mut folded, mut acc_bytes, mut learned) = (first.folded, first.acc_bytes, first.learned);
     for sink in iter {
         acc_bytes += sink.acc_bytes;
+        learned.extend(sink.learned);
         for (slot, other) in folded.iter_mut().zip(sink.folded) {
             let Some(other) = other else { continue };
             match (slot.as_mut(), other) {
@@ -268,7 +334,7 @@ fn merge_sinks<S: L0Sampler + Clone>(
             }
         }
     }
-    (folded, acc_bytes)
+    (folded, acc_bytes, learned)
 }
 
 /// Run the round-driven Boruvka engine over any [`SketchSource`] on the
@@ -317,6 +383,8 @@ where
     let mut sketch_samples = 0usize;
     let mut rounds_used = 0usize;
     let mut peak_sketch_bytes = 0usize;
+    // Which vertices the source folds as sparse sets, learned in round 0.
+    let mut sparse = vec![false; n];
 
     // If exactly one unretired component remains, it cannot have any cut
     // edges (all other components' cuts are provably empty), so it retires
@@ -352,15 +420,19 @@ where
             // yields accumulators bit-identical to a serial fold. Only
             // supernodes of two or more live members get one: a one-vertex
             // supernode's slice is sampled as it streams past.
-            let (folded, acc_bytes) = {
+            let (folded, acc_bytes, learned) = {
                 let members = live_members(&root_of, &retired);
                 let live = |v: u32| !retired[root_of[v as usize] as usize];
+                let map = if round == 0 { SparseMap::Learning } else { SparseMap::Known(&sparse) };
                 let sinks: Vec<Mutex<RoundSink<'_, Src::Sampler>>> = (0..pool.threads())
-                    .map(|_| Mutex::new(RoundSink::new(&root_of, &retired, &members)))
+                    .map(|_| Mutex::new(RoundSink::new(&root_of, &retired, &members, map)))
                     .collect();
                 source.stream_round_into(round, &live, pool, &sinks)?;
                 merge_sinks(sinks)
             };
+            for v in learned {
+                sparse[v as usize] = true;
+            }
             peak_sketch_bytes = peak_sketch_bytes.max(acc_bytes + source.resident_bytes());
 
             // Phase 1b (paper Lemma 5): sample one edge per live supernode,
@@ -625,8 +697,8 @@ mod tests {
         let (root_of, retired) = ([0u32, 0, 2, 3], [false, false, false, true]);
         let members = live_members(&root_of, &retired);
         assert_eq!(members, [2, 0, 1, 0]);
-        let mut by_ref = RoundSink::new(&root_of, &retired, &members);
-        let mut by_value = RoundSink::new(&root_of, &retired, &members);
+        let mut by_ref = RoundSink::new(&root_of, &retired, &members, SparseMap::Learning);
+        let mut by_value = RoundSink::new(&root_of, &retired, &members, SparseMap::Learning);
         for (v, stack) in sketches.iter().enumerate() {
             let slice = stack.as_ref().unwrap().round(0);
             by_ref.fold(v as u32, slice);

@@ -47,7 +47,7 @@ pub use transport::{
     InProcessTransport, Recovery, RetryPolicy, ShardServeStats, ShardTransport, SocketTransport,
 };
 
-use crate::boruvka::{boruvka_rounds_with_pool, BoruvkaOutcome};
+use crate::boruvka::{boruvka_rounds_with_pool, BoruvkaOutcome, SparseMap};
 use crate::config::{GutterCapacity, StoreBackend};
 use crate::error::GzError;
 use crate::node_sketch::{CubeNodeSketch, CubeRoundSketch, SketchParams};
@@ -440,7 +440,15 @@ impl ShardedGraphZeppelin {
             Some(views) => ShardReads::InPlace(views),
             None => ShardReads::Gather { transport: &self.transport, epochs: None },
         };
-        reads.spanning_forest(&self.params, &self.pool)
+        // A worker respawned during the fold comes back with its vertices
+        // restored dense, which the gather refuses mid-query; the healed
+        // fleet is folded again, from round 0.
+        let replays = || self.recovery_stats().map_or(0, |stats| stats.replays());
+        let before = replays();
+        match reads.spanning_forest(&self.params, &self.pool) {
+            Err(_) if replays() != before => reads.spanning_forest(&self.params, &self.pool),
+            outcome => outcome,
+        }
     }
 
     /// The reference [`Self::spanning_forest`] is tested against: gather
@@ -587,6 +595,7 @@ impl Drop for ShardedEpoch {
 }
 
 /// How a sharded query reaches its shards' sketches.
+#[derive(Clone, Copy)]
 enum ShardReads<'a> {
     /// The shards are in this process: each round folds straight from their
     /// stores, as a single-node query folds its own. No transport, no bytes.
@@ -684,9 +693,25 @@ fn gather_fold_round(
     let expect_bytes = params.round_serialized_bytes(round);
     let mut seen = vec![false; params.num_nodes as usize];
     let mut resident = 0usize;
+    // The sparse fold leaves out edges between sparse vertices of one
+    // supernode on the condition that a vertex keeps its round-0
+    // representation for the whole query. The links carry no ingestion
+    // while a query holds them, but a worker respawned mid-query restores
+    // its vertices dense from its checkpoint: such an entry is refused,
+    // never folded.
+    let known = sinks[0].lock().sparse_map();
     transport.gather_round_each(round as u32, epochs, &mut |entries| {
         for e in &entries {
             validate_round_entry(&mut seen, e, round, expect_bytes)?;
+            if let SparseMap::Known(sparse) = known {
+                if sparse[e.node as usize] != (e.bytes[0] == 1) {
+                    return Err(GzError::Protocol(format!(
+                        "node {} changed representation between round 0 and round {round} \
+                         of one query",
+                        e.node
+                    )));
+                }
+            }
         }
         resident += entries.iter().map(|e| e.bytes.len()).sum::<usize>();
         // Fold this reply across the pool: contiguous entry chunks, one
@@ -708,7 +733,7 @@ fn gather_fold_round(
                 } else {
                     let neighbors =
                         SparseSet::wire_neighbors(&e.bytes[1..]).expect("entry validated");
-                    sparse.push(&sink, e.node, neighbors, params.num_nodes);
+                    sparse.push(&mut sink, e.node, neighbors, params.num_nodes);
                 }
             }
             sparse.fold_into(&mut sink, params, round);
@@ -1240,10 +1265,18 @@ mod tests {
         let retired = vec![false; n as usize];
         let members = crate::boruvka::live_members(&root_of, &retired);
         let pool = WorkerPool::new(2);
-        let sinks = || -> Sinks<'_> {
+        // A sparse map that has one dense vertex down as sparse, as if its
+        // shard had changed representation since round 0.
+        let mut moved = vec![false; n as usize];
+        for e in honest.iter().flatten() {
+            moved[e.node as usize] = e.bytes[0] == 1;
+        }
+        let dense = honest.iter().flatten().find(|e| e.bytes[0] == 0).unwrap().node;
+        moved[dense as usize] = true;
+        let sinks = |map| -> Sinks<'_> {
             (0..pool.threads())
                 .map(|_| {
-                    let sink = crate::boruvka::RoundSink::new(&root_of, &retired, &members);
+                    let sink = crate::boruvka::RoundSink::new(&root_of, &retired, &members, map);
                     parking_lot::Mutex::new(sink)
                 })
                 .collect()
@@ -1260,18 +1293,18 @@ mod tests {
             }
             by_vertex
         };
-        let gather_fold = |replies: Vec<Vec<_>>| {
-            let folded = sinks();
+        let gather_fold = |replies: Vec<Vec<_>>, map| {
+            let folded = sinks(map);
             let mut scripted = ScriptedGather(replies);
             gather_fold_round(&mut scripted, None, &params, round, &|_| true, &pool, &folded)
                 .map(|resident| (resident, samples(folded)))
         };
 
-        let in_place = sinks();
+        let in_place = sinks(SparseMap::Learning);
         for view in fleet.local_views(None).unwrap().expect("shards are in this process") {
             view.fold_round(round, &|_| true, &pool, &in_place).unwrap();
         }
-        let (resident, gathered) = gather_fold(honest.clone()).unwrap();
+        let (resident, gathered) = gather_fold(honest.clone(), SparseMap::Learning).unwrap();
         assert_eq!(gathered, samples(in_place), "both routes fold the same slices");
         assert!(gathered.iter().all(Option::is_some), "every vertex was folded");
         assert_eq!(resident, honest.iter().flatten().map(|e| e.bytes.len()).sum::<usize>());
@@ -1279,7 +1312,7 @@ mod tests {
         let tampered = |tamper: &dyn Fn(&mut Vec<Vec<gz_stream::wire::SketchEntry>>)| {
             let mut replies = honest.clone();
             tamper(&mut replies);
-            match gather_fold(replies) {
+            match gather_fold(replies, SparseMap::Learning) {
                 Err(GzError::Protocol(message)) => message,
                 other => panic!("expected a protocol error, got {:?}", other.map(|(r, _)| r)),
             }
@@ -1300,6 +1333,13 @@ mod tests {
             dense.bytes.pop();
         });
         assert!(short.contains("dense slice"), "{short}");
+        // From round 1 on, a vertex must arrive as it did in round 0.
+        match gather_fold(honest.clone(), SparseMap::Known(&moved)) {
+            Err(GzError::Protocol(message)) => {
+                assert!(message.contains(&format!("node {dense} changed representation")))
+            }
+            other => panic!("expected a protocol error, got {:?}", other.map(|(r, _)| r)),
+        }
         fleet.shutdown().unwrap();
     }
 

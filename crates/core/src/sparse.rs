@@ -19,9 +19,46 @@
 //! same linearity equals merging the slice the vertex would have held.
 
 use crate::boruvka::RoundSink;
-use crate::node_sketch::{update_index, CubeNodeSketch, CubeRoundSketch, SketchParams};
+use crate::node_sketch::{
+    decode_other, update_index, CubeNodeSketch, CubeRoundSketch, SketchParams,
+};
 use gz_sketch::cube::{with_premixed, LaneAccumulators};
+use std::cell::RefCell;
 use std::ops::Range;
+
+std::thread_local! {
+    /// Per-thread buffers of one batch's sorted neighbor ids and of the
+    /// set they merge into, reused across batches so the sparse apply path
+    /// allocates nothing once warm.
+    static SCRATCH: RefCell<(Vec<u32>, Vec<u32>)> = const { RefCell::new((Vec::new(), Vec::new())) };
+}
+
+/// Append to `out` every id that occurs an odd number of times across the
+/// sorted distinct `set` and the sorted `toggles` — one forward merge, so
+/// runs inside `toggles` cancel among themselves and against the set.
+fn keep_odd_runs(set: &[u32], toggles: &[u32], out: &mut Vec<u32>) {
+    let (mut i, mut j) = (0, 0);
+    while i < set.len() || j < toggles.len() {
+        let id = match (set.get(i), toggles.get(j)) {
+            (Some(&a), Some(&b)) => a.min(b),
+            (Some(&a), None) => a,
+            (None, Some(&b)) => b,
+            (None, None) => unreachable!("the loop runs while an id is unread"),
+        };
+        let mut count = 0;
+        if set.get(i) == Some(&id) {
+            i += 1;
+            count += 1;
+        }
+        while toggles.get(j) == Some(&id) {
+            j += 1;
+            count += 1;
+        }
+        if count % 2 == 1 {
+            out.push(id);
+        }
+    }
+}
 
 /// Sorted exact set of a vertex's live (non-cancelled) neighbors.
 ///
@@ -45,15 +82,32 @@ impl SparseSet {
         SparseSet { neighbors }
     }
 
-    /// Flip membership of `other` (the Z₂ toggle). Returns the new live-set
-    /// size, which the store compares against `τ` to decide promotion.
-    pub fn toggle(&mut self, other: u32) -> usize {
-        match self.neighbors.binary_search(&other) {
-            Ok(i) => {
-                self.neighbors.remove(i);
+    /// Apply a batch of encoded update records bound for `node`: each flips
+    /// its neighbor's membership (the Z₂ toggle — the delete flag is
+    /// ignored, and self-loops are dropped as the dense path drops them).
+    /// The records are decoded and sorted, and one merge with the set keeps
+    /// every id that occurs an odd number of times across the two, so a
+    /// batch costs a sort and a pass instead of a search and a shift per
+    /// record. Returns the new live-set size, which the store compares
+    /// against `τ` to decide promotion.
+    pub fn toggle_batch(&mut self, node: u32, records: &[u32]) -> usize {
+        SCRATCH.with(|cell| {
+            let (toggles, merged) = &mut *cell.borrow_mut();
+            toggles.clear();
+            toggles.extend(
+                records.iter().map(|&rec| decode_other(rec).0).filter(|&other| other != node),
+            );
+            if toggles.is_empty() {
+                return;
             }
-            Err(i) => self.neighbors.insert(i, other),
-        }
+            toggles.sort_unstable();
+            merged.clear();
+            keep_odd_runs(&self.neighbors, toggles, merged);
+            // Copied back rather than swapped, so the set's capacity follows
+            // its own live size, not the batch's.
+            self.neighbors.clear();
+            self.neighbors.extend_from_slice(merged);
+        });
         self.neighbors.len()
     }
 
@@ -167,11 +221,20 @@ pub(crate) fn edge_indices(
 /// in its share while it holds that vertex's lock; the sharded coordinator
 /// pushes the tag-1 entries of a gathered reply. [`Self::fold_into`] then
 /// groups the vertices by supernode and XORs each group's edge indices into
-/// that supernode's accumulator with one batch-kernel call. By XOR-linearity
-/// the accumulator ends up bit-identical to merging each vertex's
-/// [`SparseSet::synthesize_round`] slice, while an edge whose endpoints are
-/// both queued under the same supernode meets itself in the group and is
-/// dropped before it is ever hashed.
+/// that supernode's accumulator with one batch-kernel call — or, for a
+/// one-vertex supernode, samples them column by column and builds no slice.
+/// By XOR-linearity the result is bit-identical to merging each vertex's
+/// [`SparseSet::synthesize_round`] slice.
+///
+/// An edge between two vertices that are both folded as sparse sets under
+/// one supernode never reaches the kernel. From round 1 on, the sink knows
+/// which vertices are sparse ([`crate::boruvka::SparseMap`]), and
+/// [`Self::push`] leaves out neighbor `w` of `u` when `w` is sparse and in
+/// `u`'s supernode. The same rule leaves out `u` from `w`'s side, in this
+/// batch or in another worker's, so both of the edge's contributions — which
+/// would have cancelled in the accumulator — are gone, and the bits are the
+/// same. An edge to a dense member is kept: it cancels against that
+/// member's slice.
 #[derive(Default)]
 pub(crate) struct SparseRoundBatch {
     /// Supernode root and range into `indices` of each queued vertex.
@@ -182,32 +245,37 @@ pub(crate) struct SparseRoundBatch {
 
 impl SparseRoundBatch {
     /// Queue `node` with its live `neighbors`, unless `sink` says its
-    /// supernode has retired. A vertex with no neighbors is still queued:
-    /// its (empty) contribution, sampled `Zero`, is what lets the engine
-    /// retire it.
+    /// supernode has retired, leaving out every neighbor the sink knows to
+    /// be a sparse vertex of the same supernode. A vertex with nothing left
+    /// is still queued: its (empty) contribution, sampled `Zero`, is what
+    /// lets the engine retire it.
     pub(crate) fn push(
         &mut self,
-        sink: &RoundSink<'_, CubeRoundSketch>,
+        sink: &mut RoundSink<'_, CubeRoundSketch>,
         node: u32,
         neighbors: impl Iterator<Item = u32>,
         num_nodes: u64,
     ) {
-        let Some(root) = sink.live_root(node) else { return };
+        let Some(root) = sink.sparse_root(node) else { return };
+        let sink = &*sink;
         let start = self.indices.len();
-        self.indices.extend(edge_indices(node, neighbors, num_nodes));
+        self.indices.extend(
+            neighbors
+                .filter(|&other| !sink.is_sparse_member(root, other))
+                .map(|other| update_index(node, other, num_nodes)),
+        );
         self.vertices.push((root, start..self.indices.len()));
     }
 
-    /// Hand each queued supernode its prepared index batch — its vertices'
-    /// indices concatenated, with every index that occurs an even number of
-    /// times (an edge between two of its queued vertices) dropped — and
-    /// leave the batch empty.
+    /// Hand each queued supernode its index batch — its vertices' indices
+    /// concatenated — and leave the batch empty. Nothing is cancelled here:
+    /// [`Self::push`] has left out the internal edges between sparse
+    /// vertices, and the kernel is exact on any repeat that remains.
     fn drain_groups(&mut self, mut f: impl FnMut(u32, &[u64])) {
         self.vertices.sort_unstable_by_key(|(root, _)| *root);
         let mut merged = Vec::new();
         for group in self.vertices.chunk_by(|a, b| a.0 == b.0) {
             if let [(root, only)] = group {
-                // One vertex's neighbors are distinct, so are its indices.
                 f(*root, &self.indices[only.clone()]);
                 continue;
             }
@@ -215,17 +283,18 @@ impl SparseRoundBatch {
             for (_, range) in group {
                 merged.extend_from_slice(&self.indices[range.clone()]);
             }
-            gz_sketch::cancel_duplicates(&mut merged);
             f(group[0].0, &merged);
         }
         self.vertices.clear();
         self.indices.clear();
     }
 
-    /// Fold every queued vertex into its supernode's round-`round`
-    /// accumulator in `sink` — a one-vertex supernode's into the sink's one
-    /// scratch slice, sampled and reused ([`RoundSink::fold_built`]) —
-    /// leaving the batch empty.
+    /// Fold every queued vertex into its supernode in `sink`, leaving the
+    /// batch empty: a supernode of two or more live members gets its group
+    /// XORed into its round-`round` accumulator by the batch kernel; a
+    /// one-vertex supernode gets the sample of the slice its group would
+    /// build, taken column by column with no slice built
+    /// ([`gz_sketch::CubeSketchFamily::sample_premixed`]).
     pub(crate) fn fold_into(
         &mut self,
         sink: &mut RoundSink<'_, CubeRoundSketch>,
@@ -237,13 +306,14 @@ impl SparseRoundBatch {
         // are a handful of indices, too few to pay for zeroing their own.
         let mut acc = LaneAccumulators::new();
         self.drain_groups(|root, indices| {
-            sink.fold_built(
-                root,
-                || family.new_sketch(),
-                |sketch| {
-                    with_premixed(indices, |batch| sketch.update_batch_premixed(batch, &mut acc))
-                },
-            );
+            with_premixed(indices, |batch| {
+                if sink.is_alone(root) {
+                    sink.fold_sample(root, family.sample_premixed(batch));
+                } else {
+                    let sketch = sink.accumulator(root, || family.new_sketch());
+                    sketch.update_batch_premixed(batch, &mut acc);
+                }
+            })
         });
     }
 }
@@ -251,31 +321,48 @@ impl SparseRoundBatch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::boruvka::{live_members, Folded};
-    use crate::node_sketch::assert_rounds_bitwise_equal;
+    use crate::boruvka::{live_members, Folded, SparseMap};
+    use crate::node_sketch::{assert_rounds_bitwise_equal, encode_other};
     use gz_sketch::{L0Sampler, SampleResult};
 
     fn params(v: u64) -> SketchParams {
         SketchParams::new(v, 5, 7, 0x5EED)
     }
 
+    /// Insert records toward `others`.
+    fn records(others: &[u32]) -> Vec<u32> {
+        others.iter().map(|&other| encode_other(other, false)).collect()
+    }
+
     #[test]
-    fn toggle_is_a_membership_flip() {
+    fn toggle_batch_is_a_membership_flip() {
         let mut s = SparseSet::new();
-        assert_eq!(s.toggle(7), 1);
-        assert_eq!(s.toggle(3), 2);
-        assert_eq!(s.toggle(7), 1); // second toggle cancels
+        assert_eq!(s.toggle_batch(0, &records(&[7, 3])), 2);
+        assert_eq!(s.toggle_batch(0, &records(&[7])), 1); // second toggle cancels
         assert_eq!(s.neighbors(), &[3]);
-        assert_eq!(s.toggle(3), 0);
+        // Unsorted: an even run cancels, an odd run flips, a self-loop is
+        // dropped, and a delete is the same flip as an insert.
+        let batch = [
+            encode_other(9, false),
+            encode_other(1, false),
+            encode_other(9, true),
+            encode_other(0, false),
+            encode_other(5, true),
+            encode_other(5, false),
+            encode_other(5, false),
+            encode_other(3, true),
+        ];
+        assert_eq!(s.toggle_batch(0, &batch), 2);
+        assert_eq!(s.neighbors(), &[1, 5]);
+        assert_eq!(s.toggle_batch(0, &records(&[1, 5])), 0);
         assert!(s.is_empty());
+        assert_eq!(s.toggle_batch(0, &[]), 0);
     }
 
     #[test]
     fn neighbors_stay_sorted() {
         let mut s = SparseSet::new();
-        for o in [9u32, 1, 5, 30, 2] {
-            s.toggle(o);
-        }
+        s.toggle_batch(0, &records(&[9, 1, 5, 30, 2]));
         assert_eq!(s.neighbors(), &[1, 2, 5, 9, 30]);
     }
 
@@ -286,11 +373,11 @@ mod tests {
         // equals applying the same stream densely update by update.
         let p = params(64);
         let node = 6u32;
-        let stream = [(9u32, 1), (12, 1), (9, 1), (40, 1), (9, 1), (12, 1), (12, 1)];
+        let stream = [9u32, 12, 9, 40, 9, 12, 12];
         let mut set = SparseSet::new();
         let mut dense = p.new_node_sketch();
-        for (other, _) in stream {
-            set.toggle(other);
+        for other in stream {
+            set.toggle_batch(node, &records(&[other]));
             dense.update_signed(update_index(node, other, 64), 1);
         }
         let promoted = set.densify(node, &p);
@@ -300,10 +387,7 @@ mod tests {
     #[test]
     fn synthesize_round_matches_densify_slice() {
         let p = params(64);
-        let mut set = SparseSet::new();
-        for o in [1u32, 17, 33, 50] {
-            set.toggle(o);
-        }
+        let set = SparseSet::from_neighbors(vec![1, 17, 33, 50]);
         let full = set.densify(3, &p);
         for r in 0..p.rounds() {
             let slice = set.synthesize_round(3, &p, r);
@@ -324,10 +408,7 @@ mod tests {
 
     #[test]
     fn wire_round_trip_and_strictness() {
-        let mut s = SparseSet::new();
-        for o in [4u32, 200, 7] {
-            s.toggle(o);
-        }
+        let s = SparseSet::from_neighbors(vec![4, 200, 7]);
         let mut bytes = Vec::new();
         s.encode_wire(&mut bytes);
         assert_eq!(bytes.len(), 4 + 3 * 4);
@@ -379,11 +460,14 @@ mod tests {
     #[test]
     fn in_place_fold_matches_synthesize_then_merge() {
         // Supernodes {0,1,2}, {3}, {4,5}; vertex 6 is retired and 7 empty.
+        // Every vertex sparse, learning or known: once known, the edges
+        // inside {0,1,2} and {4,5} are left out from both ends.
         let p = params(8);
         let root_of = [0u32, 0, 0, 3, 4, 4, 6, 7];
         let mut retired = [false; 8];
         retired[6] = true;
         let members = live_members(&root_of, &retired);
+        let all_sparse = [true; 8];
         let sets: Vec<SparseSet> = [
             vec![1u32, 2, 5],
             vec![0, 2, 3],
@@ -398,34 +482,36 @@ mod tests {
         .map(SparseSet::from_neighbors)
         .collect();
         for round in 0..p.rounds() {
-            let mut oracle = RoundSink::new(&root_of, &retired, &members);
-            let mut in_place = RoundSink::new(&root_of, &retired, &members);
-            let mut batch = SparseRoundBatch::default();
-            // Reverse order: grouping must not depend on arrival order.
-            for (node, set) in sets.iter().enumerate().rev() {
-                let node = node as u32;
-                oracle.fold(node, &set.synthesize_round(node, &p, round));
-                batch.push(&in_place, node, set.neighbors().iter().copied(), 8);
+            for map in [SparseMap::Learning, SparseMap::Known(&all_sparse)] {
+                let mut oracle = RoundSink::new(&root_of, &retired, &members, SparseMap::Learning);
+                let mut in_place = RoundSink::new(&root_of, &retired, &members, map);
+                let mut batch = SparseRoundBatch::default();
+                // Reverse order: grouping must not depend on arrival order.
+                for (node, set) in sets.iter().enumerate().rev() {
+                    let node = node as u32;
+                    oracle.fold(node, &set.synthesize_round(node, &p, round));
+                    batch.push(&mut in_place, node, set.neighbors().iter().copied(), 8);
+                }
+                batch.fold_into(&mut in_place, &p, round);
+                let (oracle, in_place) = (folded_bytes(oracle), folded_bytes(in_place));
+                assert_eq!(oracle, in_place, "round {round}, {map:?}");
+                assert!(in_place[6].is_none(), "retired supernodes are never folded");
+                assert!(matches!(in_place[0], Some(Folded::Acc(_))), "{{0,1,2}} accumulates");
+                let alone = sets[3].synthesize_round(3, &p, round).sample();
+                assert_eq!(in_place[3], Some(Folded::Sampled(alone)), "{{3}} is sampled");
+                assert_eq!(
+                    in_place[7],
+                    Some(Folded::Sampled(SampleResult::Zero)),
+                    "an isolated vertex is still sampled"
+                );
             }
-            batch.fold_into(&mut in_place, &p, round);
-            let (oracle, in_place) = (folded_bytes(oracle), folded_bytes(in_place));
-            assert_eq!(oracle, in_place, "round {round}");
-            assert!(in_place[6].is_none(), "retired supernodes are never folded");
-            assert!(matches!(in_place[0], Some(Folded::Acc(_))), "{{0,1,2}} accumulates");
-            let alone = sets[3].synthesize_round(3, &p, round).sample();
-            assert_eq!(in_place[3], Some(Folded::Sampled(alone)), "{{3}} is sampled in place");
-            assert_eq!(
-                in_place[7],
-                Some(Folded::Sampled(SampleResult::Zero)),
-                "an isolated vertex is still sampled"
-            );
         }
     }
 
     #[test]
-    fn one_vertex_supernodes_share_one_scratch_slice() {
-        // Every vertex its own supernode: nothing accumulates, and the
-        // sink's only sketch is the scratch slice the sparse fold reuses.
+    fn one_vertex_supernodes_hold_no_slice() {
+        // Every vertex its own supernode: each is sampled column by column
+        // from its indices, and the sink holds no sketch at all.
         let p = params(16);
         let root_of: Vec<u32> = (0..16).collect();
         let retired = [false; 16];
@@ -433,13 +519,13 @@ mod tests {
         let sets: Vec<SparseSet> = (0..16u32)
             .map(|v| SparseSet::from_neighbors(vec![(v + 1) % 16, (v + 5) % 16]))
             .collect();
-        let mut sink = RoundSink::new(&root_of, &retired, &members);
+        let mut sink = RoundSink::new(&root_of, &retired, &members, SparseMap::Learning);
         let mut batch = SparseRoundBatch::default();
         for (node, set) in sets.iter().enumerate() {
-            batch.push(&sink, node as u32, set.neighbors().iter().copied(), 16);
+            batch.push(&mut sink, node as u32, set.neighbors().iter().copied(), 16);
         }
         batch.fold_into(&mut sink, &p, 2);
-        assert_eq!(sink.acc_bytes(), p.families[2].new_sketch().payload_bytes());
+        assert_eq!(sink.acc_bytes(), 0);
         for (node, folded) in sink.into_folded().into_iter().enumerate() {
             let want = sets[node].synthesize_round(node as u32, &p, 2).sample();
             assert!(matches!(folded, Some(Folded::Sampled(s)) if s == want), "node {node}");
@@ -453,54 +539,130 @@ mod tests {
         let members = live_members(&root_of, &retired);
         let set = SparseSet::from_neighbors(vec![1, 4, 9, 12, 15]);
         // Twice within one batch: the copies meet in the supernode's group.
-        let mut sink = RoundSink::new(&root_of, &retired, &members);
+        let mut sink = RoundSink::new(&root_of, &retired, &members, SparseMap::Learning);
         let mut batch = SparseRoundBatch::default();
         for _ in 0..2 {
-            batch.push(&sink, 3, set.neighbors().iter().copied(), 16);
+            batch.push(&mut sink, 3, set.neighbors().iter().copied(), 16);
         }
         batch.fold_into(&mut sink, &p, 0);
         assert!(accumulator(sink, 0).is_empty());
         // Twice across batches: the second XORs the first back out in place.
-        let mut sink = RoundSink::new(&root_of, &retired, &members);
+        let mut sink = RoundSink::new(&root_of, &retired, &members, SparseMap::Learning);
         for _ in 0..2 {
-            batch.push(&sink, 3, set.neighbors().iter().copied(), 16);
+            batch.push(&mut sink, 3, set.neighbors().iter().copied(), 16);
             batch.fold_into(&mut sink, &p, 0);
         }
         assert!(accumulator(sink, 0).is_empty());
     }
 
     #[test]
-    fn a_supernodes_internal_edge_is_cancelled_before_hashing() {
-        // Vertices 2 and 5 share supernode 2: edge (2,5) is queued from both
-        // ends and must be gone from the batch the kernel would hash; the
-        // cut edges (2,7) and (5,9) survive. Vertex 7 is its own supernode,
-        // so its end of (2,7) stays.
+    fn internal_sparse_edges_never_reach_the_kernel() {
+        // Supernode 2 holds sparse 2 and 5 and dense 8; sparse 7 and 9 are
+        // supernodes of their own. (2,5) joins two sparse members: it is
+        // left out from both ends and never hashed. (2,8) is internal too,
+        // but 8 is dense: hashed once, from 2's side, it cancels against
+        // 8's slice. The cut edges (2,7) and (5,9) are kept.
+        let p = params(12);
         let mut root_of: Vec<u32> = (0..12).collect();
         root_of[5] = 2;
+        root_of[8] = 2;
         let retired = [false; 12];
         let members = live_members(&root_of, &retired);
-        let sink = RoundSink::new(&root_of, &retired, &members);
+        let mut sparse = [false; 12];
+        for v in [2, 5, 7, 9] {
+            sparse[v] = true;
+        }
+        let sets = [(2u32, vec![5u32, 7, 8]), (5, vec![2, 9]), (7, vec![2]), (9, vec![5])];
+        let idx = |a, b| update_index(a, b, 12);
+
+        let mut sink = RoundSink::new(&root_of, &retired, &members, SparseMap::Known(&sparse));
         let mut batch = SparseRoundBatch::default();
-        batch.push(&sink, 2, [5u32, 7].into_iter(), 12);
-        batch.push(&sink, 7, [2u32].into_iter(), 12);
-        batch.push(&sink, 5, [2u32, 9].into_iter(), 12);
-        let mut groups = Vec::new();
-        batch.drain_groups(|root, indices| groups.push((root, indices.to_vec())));
-        let mut cut = vec![update_index(2, 7, 12), update_index(5, 9, 12)];
-        cut.sort_unstable();
-        assert_eq!(groups, vec![(2, cut), (7, vec![update_index(2, 7, 12)])]);
-        // A supernode with nothing but internal edges hashes nothing at all.
-        batch.push(&sink, 2, [5u32].into_iter(), 12);
-        batch.push(&sink, 5, [2u32].into_iter(), 12);
+        for (node, set) in &sets {
+            batch.push(&mut sink, *node, set.iter().copied(), 12);
+        }
+        let mut handed = Vec::new();
+        batch.drain_groups(|root, indices| {
+            let mut indices = indices.to_vec();
+            indices.sort_unstable();
+            handed.push((root, indices));
+        });
+        let mut group = vec![idx(2, 7), idx(2, 8), idx(5, 9)];
+        group.sort_unstable();
+        assert_eq!(handed, vec![(2, group), (7, vec![idx(2, 7)]), (9, vec![idx(5, 9)])]);
+        let hashed: usize = handed.iter().map(|(_, indices)| indices.len()).sum();
+        assert_eq!(hashed, 5, "(2,5) never reaches the kernel, (2,8) reaches it once");
+
+        // Folded for real, beside 8's dense slice: the accumulator is the
+        // XOR of the three members' slices, (2,5) and (2,8) cancelled.
+        let slice = |node: u32, set: &[u32]| {
+            SparseSet::from_neighbors(set.to_vec()).synthesize_round(node, &p, 0)
+        };
+        let dense8 = slice(8, &[2, 11]);
+        let mut oracle = RoundSink::new(&root_of, &retired, &members, SparseMap::Learning);
+        for (node, set) in &sets {
+            oracle.fold(*node, &slice(*node, set));
+        }
+        oracle.fold(8, &dense8);
+        let mut in_place = RoundSink::new(&root_of, &retired, &members, SparseMap::Known(&sparse));
+        for (node, set) in &sets {
+            batch.push(&mut in_place, *node, set.iter().copied(), 12);
+        }
+        batch.fold_into(&mut in_place, &p, 0);
+        in_place.fold(8, &dense8);
+        assert_eq!(folded_bytes(oracle), folded_bytes(in_place));
+
+        // A supernode with nothing but internal sparse edges hashes nothing.
+        let mut sink = RoundSink::new(&root_of, &retired, &members, SparseMap::Known(&sparse));
+        batch.push(&mut sink, 2, [5u32].into_iter(), 12);
+        batch.push(&mut sink, 5, [2u32].into_iter(), 12);
         batch.drain_groups(|root, indices| assert_eq!((root, indices.len()), (2, 0)));
     }
 
     #[test]
     fn resident_bytes_counts_live_entries() {
         let mut s = SparseSet::new();
-        s.toggle(1);
-        s.toggle(2);
-        s.toggle(1);
+        s.toggle_batch(0, &records(&[1, 2, 1]));
         assert_eq!(s.resident_bytes(), 4);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use crate::node_sketch::encode_other;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// One sorted merge per batch is a loop of single flips, each a
+        /// binary search and an insert or a remove: over a 16-id domain, so
+        /// batches are full of odd and even runs, with self-loops, delete
+        /// flags, and empty sets and batches among the cases.
+        #[test]
+        fn toggle_batch_equals_a_loop_of_toggles(
+            node in 0u32..16,
+            start in proptest::collection::vec(0u32..16, 0..12),
+            raw in proptest::collection::vec((0u32..16, any::<bool>()), 0..40)
+        ) {
+            let start: Vec<u32> = start.into_iter().filter(|&other| other != node).collect();
+            let mut set = SparseSet::from_neighbors(start);
+            let mut reference = set.neighbors().to_vec();
+            for &(other, _) in &raw {
+                if other == node {
+                    continue;
+                }
+                match reference.binary_search(&other) {
+                    Ok(i) => {
+                        reference.remove(i);
+                    }
+                    Err(i) => reference.insert(i, other),
+                }
+            }
+            let records: Vec<u32> =
+                raw.iter().map(|&(other, delete)| encode_other(other, delete)).collect();
+            prop_assert_eq!(set.toggle_batch(node, &records), reference.len());
+            prop_assert_eq!(set.neighbors(), &reference[..]);
+        }
     }
 }

@@ -716,14 +716,7 @@ impl DiskStore {
             let mut table = self.sparse.lock();
             if let Some(set) = table[slot].as_mut() {
                 self.epochs.capture_sparse(slot as u32, &mut || set.clone());
-                let mut len = set.len();
-                for &rec in records {
-                    let (other, _) = crate::node_sketch::decode_other(rec);
-                    if other != node {
-                        len = set.toggle(other);
-                    }
-                }
-                if len > self.threshold as usize {
+                if set.toggle_batch(node, records) > self.threshold as usize {
                     let dense = set.densify(node, &self.params);
                     table[slot] = None;
                     self.promote(slot, dense);
@@ -1072,7 +1065,12 @@ impl DiskStore {
                 live,
                 overlay,
                 &mut |node, set| {
-                    sparse.push(&sink, node, set.neighbors().iter().copied(), self.params.num_nodes)
+                    sparse.push(
+                        &mut sink,
+                        node,
+                        set.neighbors().iter().copied(),
+                        self.params.num_nodes,
+                    )
                 },
             );
             sparse.fold_into(&mut sink, &self.params, round);
@@ -1282,7 +1280,7 @@ mod tests {
 
     #[test]
     fn parallel_stream_matches_serial_and_counts_reads_exactly() {
-        use crate::boruvka::{live_members, Folded, RoundSink};
+        use crate::boruvka::{live_members, Folded, RoundSink, SparseMap};
         use crate::config::LockingStrategy;
         use crate::store::ram::RamStore;
         use gz_gutters::WorkerPool;
@@ -1312,7 +1310,14 @@ mod tests {
             let pool = WorkerPool::new(threads);
             for round in 0..s.params().rounds() {
                 let sinks: Vec<Mutex<RoundSink<'_, CubeRoundSketch>>> = (0..threads)
-                    .map(|_| Mutex::new(RoundSink::new(&root_of, &retired, &members)))
+                    .map(|_| {
+                        Mutex::new(RoundSink::new(
+                            &root_of,
+                            &retired,
+                            &members,
+                            SparseMap::Learning,
+                        ))
+                    })
                     .collect();
                 let (reads_before, _, bytes_before, _) = s.io_stats().snapshot();
                 s.stream_round_parallel(round, &live, None, &pool, &sinks).unwrap();
@@ -1359,7 +1364,7 @@ mod tests {
 
     #[test]
     fn parallel_stream_skips_fully_retired_groups() {
-        use crate::boruvka::{live_members, RoundSink};
+        use crate::boruvka::{live_members, RoundSink, SparseMap};
         use gz_gutters::WorkerPool;
         use parking_lot::Mutex;
 
@@ -1369,8 +1374,9 @@ mod tests {
         let root_of: Vec<u32> = (0..16).collect();
         let retired = vec![false; 16];
         let members = live_members(&root_of, &retired);
+        let sink = || RoundSink::new(&root_of, &retired, &members, SparseMap::Learning);
         let sinks: Vec<Mutex<RoundSink<'_, CubeRoundSketch>>> =
-            (0..3).map(|_| Mutex::new(RoundSink::new(&root_of, &retired, &members))).collect();
+            (0..3).map(|_| Mutex::new(sink())).collect();
         let before = s.io_stats().reads();
         s.stream_round_parallel(0, &|n| n == 3 || n == 9, None, &pool, &sinks).unwrap();
         assert_eq!(s.io_stats().reads() - before, 2, "only live groups may be read");

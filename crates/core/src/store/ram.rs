@@ -168,14 +168,7 @@ impl RamStore {
             let mut rep = self.nodes[slot].lock();
             if let NodeRep::Sparse(set) = &mut *rep {
                 self.epochs.capture_sparse(slot as u32, &mut || set.clone());
-                let mut len = set.len();
-                for &rec in records {
-                    let (other, _) = crate::node_sketch::decode_other(rec);
-                    if other != node {
-                        len = set.toggle(other);
-                    }
-                }
-                if len > self.threshold as usize {
+                if set.toggle_batch(node, records) > self.threshold as usize {
                     let dense = set.densify(node, &self.params);
                     *rep = NodeRep::Dense(dense);
                 }
@@ -310,7 +303,7 @@ impl RamStore {
                 self.read_slot(slot, overlay, |rep| match rep {
                     RepRef::Dense(sketch) => sink.fold(node, sketch.round(round)),
                     RepRef::Sparse(set) => sparse.push(
-                        &sink,
+                        &mut sink,
                         node,
                         set.neighbors().iter().copied(),
                         self.params.num_nodes,

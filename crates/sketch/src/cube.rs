@@ -202,6 +202,50 @@ impl<H: Hasher64> CubeSketchFamily<H> {
     pub fn compatible(&self, other: &Self) -> bool {
         self.geometry == other.geometry && self.seed == other.seed
     }
+
+    /// Sample the vector `batch` toggles without building its sketch: the
+    /// same answer, bit for bit, as [`CubeSketch::query`] on a fresh sketch
+    /// of this family after [`CubeSketch::update_batch_premixed`] of
+    /// `batch`. The query scans column by column and stops at the first
+    /// bucket that certifies, so this builds one column at a time — each
+    /// record bucketed at its exact depth, the rows then walked deepest
+    /// first with the running XOR that *is* the built row — and never
+    /// hashes the columns after the one that answers.
+    pub fn sample_premixed(&self, batch: PremixedBatch<'_, H>) -> SampleResult {
+        let rows = self.geometry.num_rows as usize;
+        assert!((1..=MAX_ROWS).contains(&rows), "geometry has {rows} rows");
+        let last_row = last_row_bit(rows);
+        let mut all_empty = true;
+        for hasher in &self.hash {
+            let (mut alpha, mut gamma) = ([0u64; MAX_ROWS], [0u32; MAX_ROWS]);
+            for (&idx, &premixed) in batch.indices.iter().zip(batch.premixed) {
+                debug_assert!(idx < self.geometry.vector_len, "index {idx} out of range");
+                let (deepest, checksum) = depth_and_checksum(hasher.finish(premixed), last_row);
+                alpha[deepest] ^= idx + 1;
+                gamma[deepest] ^= checksum;
+            }
+            let (mut a, mut g) = (0u64, 0u32);
+            for r in (0..rows).rev() {
+                a ^= alpha[r];
+                g ^= gamma[r];
+                if a == 0 && g == 0 {
+                    continue;
+                }
+                all_empty = false;
+                if a != 0
+                    && (hasher.finish(H::premix(a)) >> 32) as u32 == g
+                    && a - 1 < self.geometry.vector_len
+                {
+                    return SampleResult::Index(a - 1);
+                }
+            }
+        }
+        if all_empty {
+            SampleResult::Zero
+        } else {
+            SampleResult::Fail
+        }
+    }
 }
 
 /// The hash bit that stands for a sketch's last row (see
@@ -822,6 +866,20 @@ mod proptests {
         );
     }
 
+    fn assert_sample_equals_query<H: Hasher64>(
+        geometry: SketchGeometry,
+        seed: u64,
+        updates: &[u64],
+    ) {
+        let f = CubeSketchFamily::<H>::new(geometry, seed);
+        let (sampled, built) = with_premixed(updates, |batch| {
+            let mut built = f.new_sketch();
+            built.update_batch_premixed(batch, &mut LaneAccumulators::new());
+            (f.sample_premixed(batch), built)
+        });
+        assert_eq!(sampled, built.query(), "{geometry:?}, {} updates", updates.len());
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -950,6 +1008,28 @@ mod proptests {
                 raw[..len].iter().map(|r| geometry.vector_len - 1 - r % domain).collect();
             assert_kernel_equals_singles::<Xxh64Hasher>(geometry, seed, &updates);
             assert_kernel_equals_singles::<gz_hash::PairwiseHash>(geometry, seed, &updates);
+        }
+
+        /// The column-at-a-time sample is `query()` of the slice the kernel
+        /// builds from the same batch: at one to seven columns, one row to
+        /// 40, empty batches (`Zero`), batches narrow enough to be mostly
+        /// repeats, and batches wide enough that every column fails, under
+        /// both hash families.
+        #[test]
+        fn sample_premixed_equals_query_of_the_built_slice(
+            seed in any::<u64>(),
+            columns in 1u32..=7,
+            rows in 1u32..=40,
+            domain_bits in 0u32..=40,
+            len in 0usize..=300,
+            raw in proptest::collection::vec(any::<u64>(), 300)
+        ) {
+            let geometry = SketchGeometry::with_columns(1 << rows, columns);
+            let domain = 1u64 << domain_bits.min(rows);
+            let updates: Vec<u64> =
+                raw[..len].iter().map(|r| geometry.vector_len - 1 - r % domain).collect();
+            assert_sample_equals_query::<Xxh64Hasher>(geometry, seed, &updates);
+            assert_sample_equals_query::<gz_hash::PairwiseHash>(geometry, seed, &updates);
         }
 
         /// The cancellation pre-pass preserves the Z_2 toggle multiset's

@@ -829,8 +829,9 @@ mod hybrid_representation_proptests {
         /// sparse vertex inflated to a slice per round, the path it
         /// replaced) == the τ = 0 dense system — labels, forest,
         /// `rounds_used` and `sketch_failures` — across Ram/Disk × pools
-        /// {1, 4} workers wide × shards {1, 3}, live and pinned to an epoch
-        /// the stream has since moved past.
+        /// {1, 4} workers wide × shards {1, 3} in process and over local
+        /// sockets, live and pinned to an epoch the stream has since moved
+        /// past.
         #[test]
         fn in_place_sparse_fold_matches_synthesis_and_dense(
             n in 4u64..28,
@@ -897,12 +898,18 @@ mod hybrid_representation_proptests {
                     prop_assert_eq!(&answer(&oracle), &at_end, "synthesized {}", &what);
                 }
 
-                for shards in [1u32, 3] {
-                    let what = format!("shards={shards} threads={threads}");
+                // Shards folded in place, and shards behind sockets whose
+                // coordinator learns which vertices are sparse from the
+                // tag-1 entries of replies arriving one at a time.
+                for (shards, transport) in [1u32, 3]
+                    .into_iter()
+                    .flat_map(|shards| [Transport::InProcess, Transport::Socket].map(|t| (shards, t)))
+                {
+                    let what = format!("shards={shards} {transport:?} threads={threads}");
                     let mut config = ShardConfig::in_ram(n, shards);
                     config.sketch_threshold = tau;
                     config.workers_per_shard = threads;
-                    let mut gz = ShardedGraphZeppelin::in_process(config).unwrap();
+                    let mut gz = sharded_system(config, transport);
                     for &(u, v, d) in prefix {
                         gz.update(u, v, d).unwrap();
                     }
