@@ -15,7 +15,10 @@ pub use gz_sketch::geometry::{DEFAULT_COLUMNS, PAPER_COLUMNS};
 /// a worker whose defaults drifted apart would refuse each other.
 pub const DEFAULT_SEED: u64 = 0x5EED_1E55;
 
-/// How large each leaf gutter is.
+/// How large each leaf gutter is: the record count at which a gutter is
+/// emitted as one batch, and the per-node bound the paper's `M > V·B`
+/// accounting charges. It is not what a gutter holds resident — a leaf
+/// gutter reserves as it fills, from one cache line up to this count.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum GutterCapacity {
     /// A fraction `f` of the node-sketch size (the paper's knob; default

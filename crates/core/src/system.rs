@@ -281,7 +281,10 @@ impl GraphZeppelin {
 
     /// Approximate total memory footprint: sketches (when in RAM) plus
     /// buffering capacity. The disk backend keeps dense sketches on disk,
-    /// but its sparse toggle-sets live in RAM and are counted here.
+    /// but its sparse toggle-sets live in RAM and are counted here. Leaf
+    /// gutters are counted at their emit threshold times the node count,
+    /// the paper's `M > V·B` bound, not the bytes resident: a leaf gutter
+    /// reserves only as it fills.
     pub fn memory_bytes(&self) -> usize {
         let sketch_ram = match self.config.store {
             StoreBackend::Ram => self.store.sketch_bytes(),

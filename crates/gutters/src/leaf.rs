@@ -4,7 +4,11 @@
 //! (`M > V·B`): `buffer_insert((u, v))` appends `v` to `u`'s gutter, and a
 //! full gutter is emitted as one batch. The gutter capacity is a
 //! configurable fraction `f` of the node-sketch size — the knob swept by the
-//! paper's Figure 15; callers resolve it to a record count.
+//! paper's Figure 15; callers resolve it to a record count. That capacity is
+//! the emit threshold and the paper's `M > V·B` accounting bound, not the
+//! bytes a gutter holds: a gutter reserves as it fills, doubling from 16
+//! records (one cache line) and never past the threshold, so a vertex that
+//! sees a handful of records costs a cache line, not a page.
 //!
 //! [`GutterSet`] is the gutters alone: whatever it emits goes to a sink its
 //! caller passes, so a single-threaded consumer (the shard router) forwards
@@ -25,6 +29,10 @@ use std::sync::Arc;
 /// cursor is touched once per several batches, few enough that uneven
 /// gutters still balance across workers.
 pub(crate) const CLAIM: usize = 16;
+
+/// Records a gutter reserves on its first insert: one cache line. A full
+/// gutter doubles from here up to its emit threshold.
+const FIRST_RESERVE: usize = 16;
 
 /// Per-node in-RAM gutters that hand each emitted [`Batch`] to the caller's
 /// sink. A sink that fails owns the batch it was handed: the error returns
@@ -68,7 +76,10 @@ impl GutterSet {
     }
 
     /// Buffer `other` for `dst`; the record that fills the gutter emits it
-    /// through `sink`.
+    /// through `sink` and leaves the gutter empty with the whole threshold
+    /// reserved, since a vertex that filled it once is likely to again. A
+    /// gutter short of room doubles its reservation, from 16 records up to
+    /// the threshold and never past it.
     #[inline]
     pub fn insert<E>(
         &mut self,
@@ -76,24 +87,27 @@ impl GutterSet {
         other: u32,
         sink: impl FnOnce(Batch) -> Result<(), E>,
     ) -> Result<(), E> {
+        let capacity = self.capacity;
         let gutter = &mut self.gutters[dst as usize];
-        if gutter.capacity() == 0 {
-            gutter.reserve_exact(self.capacity);
+        if gutter.len() == gutter.capacity() {
+            let grown = (2 * gutter.capacity()).clamp(FIRST_RESERVE.min(capacity), capacity);
+            gutter.reserve_exact(grown - gutter.len());
         }
         gutter.push(other);
         self.buffered += 1;
-        if gutter.len() >= self.capacity {
-            return self.emit(dst, sink);
+        if gutter.len() >= capacity {
+            return self.emit(dst, capacity, sink);
         }
         Ok(())
     }
 
     /// Emit every nonempty gutter, in node order, regardless of fill level.
+    /// An emitted gutter restarts empty, with nothing reserved.
     pub fn force_flush<E>(
         &mut self,
         mut sink: impl FnMut(Batch) -> Result<(), E>,
     ) -> Result<(), E> {
-        (0..self.gutters.len() as u32).try_for_each(|node| self.emit(node, &mut sink))
+        (0..self.gutters.len() as u32).try_for_each(|node| self.emit(node, 0, &mut sink))
     }
 
     /// Flush without emitting: hand every nonempty gutter's records to
@@ -102,9 +116,10 @@ impl GutterSet {
     /// nonempty — the batches [`Self::force_flush`] would have emitted.
     /// Workers claim runs of gutter indices off one cursor, so each gutter
     /// reaches `apply` exactly once, its records in insertion order; no
-    /// [`Batch`] is built and every gutter keeps its buffer for the next
-    /// insert. With nothing buffered the pool is not woken. A panic in
-    /// `apply` is rethrown here with the gutters as they were.
+    /// [`Batch`] is built and every gutter keeps its buffer, at the capacity
+    /// it grew to, for the next insert. With nothing buffered the pool is
+    /// not woken. A panic in `apply` is rethrown here with the gutters as
+    /// they were.
     pub fn drain_in_place(
         &mut self,
         pool: &WorkerPool,
@@ -136,12 +151,19 @@ impl GutterSet {
         nonempty
     }
 
-    fn emit<E>(&mut self, node: u32, sink: impl FnOnce(Batch) -> Result<(), E>) -> Result<(), E> {
+    /// Hand `node`'s records to `sink`, leaving the gutter empty with
+    /// `reserve` records reserved.
+    fn emit<E>(
+        &mut self,
+        node: u32,
+        reserve: usize,
+        sink: impl FnOnce(Batch) -> Result<(), E>,
+    ) -> Result<(), E> {
         let gutter = &mut self.gutters[node as usize];
         if gutter.is_empty() {
             return Ok(());
         }
-        let others = std::mem::take(gutter);
+        let others = std::mem::replace(gutter, Vec::with_capacity(reserve));
         self.buffered -= others.len();
         sink(Batch { node, others })
     }
@@ -342,6 +364,67 @@ mod tests {
         assert_eq!(seen.into_inner(), vec![(2, vec![5, 6])]);
         assert!(q.is_empty(), "the work queue is not touched");
         assert_eq!(g.buffered_len(), 0);
+    }
+
+    fn never_fills<E>(_: Batch) -> Result<(), E> {
+        unreachable!("no gutter fills")
+    }
+
+    #[test]
+    fn a_gutter_reserves_as_it_fills_and_never_past_its_threshold() {
+        for threshold in [1, 5, 16, 17, 100, 1000] {
+            let mut g = GutterSet::new(2, threshold);
+            for k in 1..threshold {
+                g.insert(1, k as u32, never_fills::<Infallible>).unwrap();
+                let reserved = g.gutters[1].capacity();
+                assert!(reserved >= k, "holds what it buffers");
+                assert!(reserved <= (2 * k).max(FIRST_RESERVE), "k={k}: {reserved} reserved");
+                assert!(reserved <= threshold, "k={k}: {reserved} past threshold {threshold}");
+            }
+            assert_eq!(g.gutters[0].capacity(), 0, "an untouched gutter reserves nothing");
+        }
+    }
+
+    #[test]
+    fn a_fill_emit_leaves_the_gutter_empty_with_its_threshold_reserved() {
+        let mut g = GutterSet::new(3, 40);
+        let mut out = Vec::new();
+        for r in 0..40 {
+            g.insert(2, r, |b| {
+                out.push(b);
+                Ok::<(), Infallible>(())
+            })
+            .unwrap();
+        }
+        assert_eq!(out, vec![Batch { node: 2, others: (0..40).collect() }]);
+        assert_eq!((g.gutters[2].len(), g.gutters[2].capacity()), (0, 40));
+        // The next record lands in that reservation; no regrowth.
+        let reserved = g.gutters[2].as_ptr();
+        g.insert(2, 99, never_fills::<Infallible>).unwrap();
+        assert_eq!((g.gutters[2].as_ptr(), g.gutters[2].capacity()), (reserved, 40));
+        // A force-flushed gutter restarts empty, with nothing reserved.
+        let Ok(()) = g.force_flush(|_| Ok::<(), Infallible>(()));
+        assert_eq!((g.gutters[2].len(), g.gutters[2].capacity()), (0, 0));
+    }
+
+    #[test]
+    fn a_failing_sink_owns_a_grown_gutters_batch_and_the_rest_stay_buffered() {
+        let mut g = GutterSet::new(4, 50);
+        for r in 0..49 {
+            g.insert(1, r, never_fills::<&str>).unwrap();
+        }
+        g.insert(0, 7, never_fills::<&str>).unwrap();
+        g.insert(3, 8, never_fills::<&str>).unwrap();
+        let mut failed = None;
+        let err = g.insert(1, 49, |b| {
+            failed = Some(b);
+            Err("link down")
+        });
+        assert_eq!(err, Err("link down"));
+        assert_eq!(failed, Some(Batch { node: 1, others: (0..50).collect() }));
+        assert_eq!(g.buffered_len(), 2);
+        assert_eq!((g.gutters[0].as_slice(), g.gutters[3].as_slice()), (&[7u32][..], &[8u32][..]));
+        assert_eq!((g.gutters[1].len(), g.gutters[1].capacity()), (0, 50));
     }
 
     #[test]
