@@ -1,5 +1,7 @@
 //! Criterion micro-benchmarks for the sketch layer (paper Figure 4's
-//! stopwatch, statistically disciplined).
+//! stopwatch, statistically disciplined). A full run rewrites
+//! `BENCH_sketches.json`; set `GZ_BENCH_SMOKE=1` to run at tiny scale and
+//! write it under `target/` instead.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gz_bench::harness::smoke;
@@ -78,8 +80,8 @@ fn bench_cube_batch_kernel(c: &mut Criterion) {
 /// The node-stack kernel the way a store drives it (DESIGN.md §9): one
 /// prepared batch into a zeroed scratch stack, the scratch XORed into the
 /// target, the scratch cleared. `batch` is the product path
-/// (`NodeSketch::update_batch_prepared`: one premix per stack, the lane
-/// kernel per round, singles below `KERNEL_MIN_BATCH`); `singles` builds the
+/// (`NodeSketch::update_batch_prepared`: one premix per stack, the host's
+/// column kernel per round, singles below `KERNEL_MIN_BATCH`); `singles` builds the
 /// same delta one `update_signed` at a time. Lengths 1–32 are where
 /// `KERNEL_MIN_BATCH` is decided (a `gz serve` seal applies ≈16-record
 /// batches); 446 is kron13's mean gutter batch, the row the lane-width
@@ -186,6 +188,15 @@ fn bench_cube_merge(c: &mut Criterion) {
     });
 }
 
+/// Final target: persist every measurement above as the machine-readable
+/// baseline (`BENCH_sketches.json`).
+fn emit_bench_json(_c: &mut Criterion) {
+    match gz_bench::harness::write_bench_json("sketches") {
+        Ok(path) => println!("bench baseline written to {}", path.display()),
+        Err(e) => eprintln!("could not write BENCH_sketches.json: {e}"),
+    }
+}
+
 fn config() -> Criterion {
     Criterion::default()
         .sample_size(10)
@@ -197,6 +208,6 @@ criterion_group! {
     name = benches;
     config = config();
     targets = bench_cube_updates, bench_cube_batch_kernel, bench_stack_batch_len,
-        bench_standard_updates, bench_cube_query, bench_cube_merge
+        bench_standard_updates, bench_cube_query, bench_cube_merge, emit_bench_json
 }
 criterion_main!(benches);

@@ -881,6 +881,7 @@ pub fn execute(cmd: Command) -> Result<String, String> {
                     out.push_str(&format!("gutter tree: {io}\n"));
                 }
                 out.push_str(&format!("ingest: {}\n", gz.ingest_counters()));
+                out.push_str(&format!("sketch: kernel={}\n", gz.params().kernel()));
             }
             if args.forest {
                 for e in cc.spanning_forest() {
@@ -1250,6 +1251,9 @@ mod tests {
         // record reached the store in the query's one flush.
         let ingest = out.lines().find(|l| l.starts_with("ingest: batches=")).unwrap();
         assert!(ingest.contains(" flushes=1 flush_ns="), "{ingest}");
+        // And which column kernel this host ran the batches through.
+        let kernel = graph_zeppelin::node_sketch::SketchParams::new(32, 1, 3, 0).kernel();
+        assert!(out.contains(&format!("\nsketch: kernel={kernel}\n")), "{out}");
     }
 
     #[test]

@@ -569,6 +569,7 @@ impl ServeHandle {
                 // Every seal and checkpoint cut is a flush under the ingest
                 // lock: `flush_ns_max` is the longest stall ingest has seen.
                 out.push_str(&format!("\ningest: {}", system.ingest_counters()));
+                out.push_str(&format!("\nsketch: kernel={}", system.params().kernel()));
             }
             system.shutdown()?;
         }
@@ -1065,7 +1066,9 @@ mod tests {
         let flush = lines[2].strip_prefix("ingest: batches=3 records=4 flushes=1 flush_ns=");
         let (total, max) = flush.and_then(|f| f.split_once(" flush_ns_max=")).expect(lines[2]);
         assert_eq!(total, max, "one flush: its length is the longest");
-        assert_eq!(lines.len(), 3);
+        let kernel = graph_zeppelin::ShardConfig::in_ram(16, 1).params().kernel();
+        assert_eq!(lines[3], format!("sketch: kernel={kernel}"));
+        assert_eq!(lines.len(), 4);
     }
 
     /// The serve dialect's half of the link contract (the shard dialect's

@@ -9,7 +9,7 @@
 
 use gz_graph::{edge_index, Edge, VertexId};
 use gz_hash::{SplitMix64, Xxh64Hasher};
-use gz_sketch::cube::{with_premixed, CubeSketch, CubeSketchFamily, LaneAccumulators};
+use gz_sketch::cube::{with_premixed, CubeSketch, CubeSketchFamily, Kernel, LaneAccumulators};
 use gz_sketch::geometry::SketchGeometry;
 use gz_sketch::{L0Sampler, SampleResult};
 use std::sync::Arc;
@@ -133,6 +133,12 @@ impl SketchParams {
             .map(|r| CubeSketchFamily::new(geometry, SplitMix64::derive(seed, r)))
             .collect();
         SketchParams { num_nodes, families }
+    }
+
+    /// The column kernel this host runs every round's batches through:
+    /// the rounds' families differ only in seed, so they all choose alike.
+    pub fn kernel(&self) -> Kernel {
+        self.families[0].kernel()
     }
 
     /// Number of rounds.

@@ -261,6 +261,11 @@ impl ShardedGraphZeppelin {
         })
     }
 
+    /// The sketch parameters every shard was built with.
+    pub fn params(&self) -> &Arc<SketchParams> {
+        &self.params
+    }
+
     /// Number of shards.
     pub fn num_shards(&self) -> u32 {
         self.transport.lock().num_shards()

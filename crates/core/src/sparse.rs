@@ -308,7 +308,7 @@ impl SparseRoundBatch {
         self.drain_groups(|root, indices| {
             with_premixed(indices, |batch| {
                 if sink.is_alone(root) {
-                    sink.fold_sample(root, family.sample_premixed(batch));
+                    sink.fold_sample(root, family.sample_premixed(batch, &mut acc));
                 } else {
                     let sketch = sink.accumulator(root, || family.new_sketch());
                     sketch.update_batch_premixed(batch, &mut acc);

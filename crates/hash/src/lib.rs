@@ -48,6 +48,15 @@ pub trait Hasher64: Clone + Send + Sync {
         self.hash64(premixed)
     }
 
+    /// The seed under which [`Self::finish`] is xxHash64's, for a family
+    /// that is xxHash64: the sketch kernel then runs that finish eight keys
+    /// a vector ([`xxh64::finish_u64x8`]). `None`, the default, for every
+    /// other family.
+    #[inline]
+    fn xxh64_seed(&self) -> Option<u64> {
+        None
+    }
+
     /// Hash a 64-bit key to a 32-bit value (used for sketch checksums).
     #[inline]
     fn hash32(&self, key: u64) -> u32 {

@@ -9,6 +9,8 @@
 //! keys, so the streaming variant would be dead weight on the hot path.
 
 use crate::Hasher64;
+#[cfg(target_arch = "x86_64")]
+use std::arch::x86_64::*;
 
 const PRIME64_1: u64 = 0x9E37_79B1_85EB_CA87;
 const PRIME64_2: u64 = 0xC2B2_AE3D_27D4_EB4F;
@@ -119,6 +121,33 @@ fn finish_u64(premixed: u64, seed: u64) -> u64 {
     avalanche(h)
 }
 
+/// [`Xxh64Hasher::finish`] on eight premixed keys at once, one per 64-bit
+/// lane of a 512-bit vector: lane `i` of the result is
+/// `Xxh64Hasher::with_seed(seed).finish(lane i of premixed)`. The three
+/// multiplies are AVX-512DQ's `vpmullq`; the sketch kernel for AVX-512
+/// hosts is its one caller.
+///
+/// # Safety
+///
+/// Outside code compiled with both target features, a call is `unsafe`:
+/// the caller must have detected `avx512f` and `avx512dq` on the running
+/// CPU (`is_x86_feature_detected!`).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq")]
+#[inline]
+pub fn finish_u64x8(premixed: __m512i, seed: u64) -> __m512i {
+    let splat = |c: u64| _mm512_set1_epi64(c as i64);
+    let mut h = _mm512_xor_si512(splat(seed.wrapping_add(PRIME64_5).wrapping_add(8)), premixed);
+    h = _mm512_mullo_epi64(_mm512_rol_epi64::<27>(h), splat(PRIME64_1));
+    h = _mm512_add_epi64(h, splat(PRIME64_4));
+    // avalanche
+    h = _mm512_xor_si512(h, _mm512_srli_epi64::<33>(h));
+    h = _mm512_mullo_epi64(h, splat(PRIME64_2));
+    h = _mm512_xor_si512(h, _mm512_srli_epi64::<29>(h));
+    h = _mm512_mullo_epi64(h, splat(PRIME64_3));
+    _mm512_xor_si512(h, _mm512_srli_epi64::<32>(h))
+}
+
 /// A seeded xxHash64 function over `u64` keys (the sketch hot path).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Xxh64Hasher {
@@ -154,6 +183,11 @@ impl Hasher64 for Xxh64Hasher {
     #[inline(always)]
     fn finish(&self, premixed: u64) -> u64 {
         finish_u64(premixed, self.seed)
+    }
+
+    #[inline]
+    fn xxh64_seed(&self) -> Option<u64> {
+        Some(self.seed)
     }
 }
 
@@ -217,6 +251,42 @@ mod tests {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
+
+    /// [`finish_u64x8`] lane by lane: `keys` in, each lane's hash out.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    fn finish_lanes(keys: &[u64; 8], seed: u64) -> [u64; 8] {
+        let k = |i: usize| keys[i] as i64;
+        let premixed = _mm512_set_epi64(k(7), k(6), k(5), k(4), k(3), k(2), k(1), k(0));
+        let h = finish_u64x8(premixed, seed);
+        std::array::from_fn(|lane| {
+            let moved = _mm512_permutexvar_epi64(_mm512_set1_epi64(lane as i64), h);
+            _mm_cvtsi128_si64(_mm512_castsi512_si128(moved)) as u64
+        })
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    proptest! {
+        /// One xxHash64, two widths: lane `i` of the eight-lane finish is
+        /// the scalar finish of key `i`, under any seed. Runs where the
+        /// host has the features the vector form needs.
+        #[test]
+        fn finish_u64x8_lanes_are_the_scalar_finish(
+            seed in any::<u64>(),
+            keys in proptest::collection::vec(any::<u64>(), 8)
+        ) {
+            if !(is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512dq")) {
+                return;
+            }
+            let keys: [u64; 8] = keys.try_into().unwrap();
+            // SAFETY: both target features were detected just above.
+            let lanes = unsafe { finish_lanes(&keys, seed) };
+            let hasher = Xxh64Hasher::with_seed(seed);
+            for (lane, key) in keys.iter().enumerate() {
+                prop_assert_eq!(lanes[lane], hasher.finish(*key), "lane {}", lane);
+            }
+        }
+    }
 
     proptest! {
         #[test]

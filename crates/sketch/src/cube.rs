@@ -31,16 +31,24 @@
 //! deliver insert/delete pairs for the same edge). [`with_premixed`] then
 //! computes the seed-independent half of every survivor's hash once, for
 //! however many sketches the batch is bound for, and
-//! [`CubeSketch::update_batch_premixed`] makes one pass over the records per
-//! `LANES` columns, finishing each record's hash under every column's seed
-//! and applying the XORs in contiguous row order via a suffix-XOR sweep.
+//! [`CubeSketch::update_batch_premixed`] runs them through the family's
+//! column [`Kernel`]: on x86-64 hosts with AVX-512 an xxHash64 family takes
+//! eight records a vector, each row one masked XOR of a packed
+//! `(checksum, index)` word; everywhere else the scalar lane kernel makes
+//! one pass over the records per `LANES` columns, finishing each record's
+//! hash under every column's seed and applying the XORs in contiguous row
+//! order via a suffix-XOR sweep. Both write the same bits.
 
 use crate::geometry::SketchGeometry;
 use crate::{L0Sampler, SampleResult};
 use gz_hash::{Hasher64, SplitMix64, Xxh64Hasher};
 use std::cell::RefCell;
+use std::fmt;
 use std::marker::PhantomData;
 use std::sync::Arc;
+
+#[cfg(target_arch = "x86_64")]
+mod avx512;
 
 /// Hard ceiling on sketch rows (`⌈log2 n⌉ ≤ 64` for `n: u64`); sizes the
 /// batch kernel's per-depth accumulators.
@@ -52,7 +60,61 @@ const MAX_ROWS: usize = 64;
 /// record reaches — do not pay. Measured crossover (EXPERIMENTS.md
 /// "Sketch-update kernel"): singles ahead at 2 records, the kernel from 3 —
 /// at seven columns and again at three, both sides being linear in columns.
+/// [`Kernel::Avx512`] has no sweep but a fixed cost of its own per column
+/// (three dependent `vpmullq`, then folding eight row registers), and
+/// crosses singles at the same length (DESIGN.md §9), so the one constant
+/// serves both kernels.
 const KERNEL_MIN_BATCH: usize = 3;
+
+/// The column kernel a family's batches run through (DESIGN.md §9). A
+/// family chooses it once, when it is built, from the host and its own
+/// parameters — never from an option: both kernels write the same bits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kernel {
+    /// The portable lane kernel: per-depth accumulators and a suffix-XOR
+    /// sweep. The reference, and the only kernel off x86-64 AVX-512 hosts.
+    Scalar,
+    /// Eight records a 512-bit vector; each of a column's first eight rows
+    /// is one masked XOR of a packed `(checksum, index)` word.
+    Avx512,
+}
+
+impl Kernel {
+    /// [`Kernel::Avx512`] when the host has AVX-512F and AVX-512DQ, the
+    /// family's columns hash with xxHash64, and every `idx + 1` fits the
+    /// packed word's low half (`vector_len < 2^32`); [`Kernel::Scalar`]
+    /// otherwise.
+    fn select<H: Hasher64>(geometry: SketchGeometry, hash: &[H]) -> Kernel {
+        let packs = geometry.vector_len < 1 << 32;
+        let xxh64 = hash.iter().all(|h| h.xxh64_seed().is_some());
+        if packs && xxh64 && avx512_detected() {
+            Kernel::Avx512
+        } else {
+            Kernel::Scalar
+        }
+    }
+}
+
+impl fmt::Display for Kernel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Kernel::Scalar => "scalar",
+            Kernel::Avx512 => "avx512",
+        })
+    }
+}
+
+/// True if this host can run [`Kernel::Avx512`].
+fn avx512_detected() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        avx512::detected()
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
 
 /// Most columns the batch kernel carries through one pass over the records:
 /// that many independent finish → depth → accumulator-XOR chains per record.
@@ -133,12 +195,13 @@ pub fn with_premixed<H: Hasher64, R>(
     result
 }
 
-/// The batch kernel's per-depth XOR accumulators, one set per lane: entry
+/// The scalar kernel's per-depth XOR accumulators, one set per lane: entry
 /// `d` of a lane holds the XOR of the contributions whose exact depth is
 /// `d + 1`. All-zero whenever the kernel is not running — each pass's sweep
 /// re-zeroes the rows it used — so one value serves every sketch a caller
 /// applies batches to, and is cleared by `rows`, never by its full size
-/// (`LANES × MAX_ROWS × 12` bytes).
+/// (`LANES × MAX_ROWS × 12` bytes). [`Kernel::Avx512`] keeps its
+/// accumulators in registers and leaves these untouched.
 #[derive(Debug)]
 pub struct LaneAccumulators {
     alpha: [[u64; MAX_ROWS]; LANES],
@@ -167,14 +230,17 @@ pub struct CubeSketchFamily<H: Hasher64 = Xxh64Hasher> {
     /// One hash per column: depth = trailing zeros of its value, checksum =
     /// its high 32 bits.
     hash: Vec<H>,
+    /// The column kernel this host runs the family's batches through.
+    kernel: Kernel,
 }
 
 impl<H: Hasher64> CubeSketchFamily<H> {
     /// Create the family identified by `(geometry, seed)`.
     pub fn new(geometry: SketchGeometry, seed: u64) -> Arc<Self> {
         let cols = geometry.num_columns as u64;
-        let hash = (0..cols).map(|c| H::with_seed(SplitMix64::derive(seed, c))).collect();
-        Arc::new(CubeSketchFamily { geometry, seed, hash })
+        let hash: Vec<H> = (0..cols).map(|c| H::with_seed(SplitMix64::derive(seed, c))).collect();
+        let kernel = Kernel::select(geometry, &hash);
+        Arc::new(CubeSketchFamily { geometry, seed, hash, kernel })
     }
 
     /// Convenience: family for a vector of length `n` with default columns.
@@ -193,6 +259,11 @@ impl<H: Hasher64> CubeSketchFamily<H> {
         self.seed
     }
 
+    /// The column kernel this host runs the family's batches through.
+    pub fn kernel(&self) -> Kernel {
+        self.kernel
+    }
+
     /// A fresh all-zero sketch of this family.
     pub fn new_sketch(self: &Arc<Self>) -> CubeSketch<H> {
         CubeSketch::new(Arc::clone(self))
@@ -207,43 +278,93 @@ impl<H: Hasher64> CubeSketchFamily<H> {
     /// same answer, bit for bit, as [`CubeSketch::query`] on a fresh sketch
     /// of this family after [`CubeSketch::update_batch_premixed`] of
     /// `batch`. The query scans column by column and stops at the first
-    /// bucket that certifies, so this builds one column at a time — each
-    /// record bucketed at its exact depth, the rows then walked deepest
-    /// first with the running XOR that *is* the built row — and never
-    /// hashes the columns after the one that answers.
-    pub fn sample_premixed(&self, batch: PremixedBatch<'_, H>) -> SampleResult {
+    /// bucket that certifies, so this takes one column at a time through
+    /// the scalar kernel's record pass (`acc`'s first lane), reads the
+    /// suffix-XOR sweep instead of writing it — walked deepest first, the
+    /// running XOR *is* the built row — and never hashes the columns after
+    /// the one that answers. It is the scalar kernel whatever the family's
+    /// [`Kernel`]: at the handful of records a sparse vertex holds, the
+    /// vector kernel's latency loses (DESIGN.md §9).
+    pub fn sample_premixed(
+        &self,
+        batch: PremixedBatch<'_, H>,
+        acc: &mut LaneAccumulators,
+    ) -> SampleResult {
         let rows = self.geometry.num_rows as usize;
         assert!((1..=MAX_ROWS).contains(&rows), "geometry has {rows} rows");
-        let last_row = last_row_bit(rows);
-        let mut all_empty = true;
-        for hasher in &self.hash {
-            let (mut alpha, mut gamma) = ([0u64; MAX_ROWS], [0u32; MAX_ROWS]);
-            for (&idx, &premixed) in batch.indices.iter().zip(batch.premixed) {
-                debug_assert!(idx < self.geometry.vector_len, "index {idx} out of range");
-                let (deepest, checksum) = depth_and_checksum(hasher.finish(premixed), last_row);
-                alpha[deepest] ^= idx + 1;
-                gamma[deepest] ^= checksum;
-            }
-            let (mut a, mut g) = (0u64, 0u32);
-            for r in (0..rows).rev() {
-                a ^= alpha[r];
-                g ^= gamma[r];
-                if a == 0 && g == 0 {
-                    continue;
-                }
-                all_empty = false;
-                if a != 0
-                    && (hasher.finish(H::premix(a)) >> 32) as u32 == g
-                    && a - 1 < self.geometry.vector_len
-                {
-                    return SampleResult::Index(a - 1);
-                }
+        let mut result = SampleResult::Zero;
+        for col in 0..self.hash.len() {
+            self.bucket_lanes::<1>(col, batch, acc);
+            let (alpha, gamma) = (&mut acc.alpha[0][..rows], &mut acc.gamma[0][..rows]);
+            let built = alpha.iter().zip(gamma.iter()).rev().scan((0, 0), |run, (&a, &g)| {
+                *run = (run.0 ^ a, run.1 ^ g);
+                Some(*run)
+            });
+            let found = self.first_certified(col, built);
+            alpha.fill(0);
+            gamma.fill(0);
+            match found {
+                SampleResult::Zero => {}
+                SampleResult::Fail => result = SampleResult::Fail,
+                found => return found,
             }
         }
-        if all_empty {
-            SampleResult::Zero
-        } else {
-            SampleResult::Fail
+        result
+    }
+
+    /// The first of column `col`'s buckets, given deepest row first, that
+    /// certifies single support: its `Index`; else `Zero` if every bucket
+    /// is empty, else `Fail`. Deep buckets are the likeliest to have single
+    /// support when the vector is dense.
+    fn first_certified(
+        &self,
+        col: usize,
+        buckets: impl Iterator<Item = (u64, u32)>,
+    ) -> SampleResult {
+        let mut result = SampleResult::Zero;
+        for (a, g) in buckets {
+            if a == 0 && g == 0 {
+                continue; // empty (or an undetectable double-cancellation)
+            }
+            result = SampleResult::Fail;
+            // The checksum a single surviving coordinate must certify
+            // with: the high word of the same hash that placed it.
+            if a != 0
+                && (self.hash[col].finish(H::premix(a)) >> 32) as u32 == g
+                && a - 1 < self.geometry.vector_len
+            {
+                return SampleResult::Index(a - 1);
+            }
+        }
+        result
+    }
+
+    /// The scalar kernel's record pass over columns `first_col ..
+    /// first_col + N`: one finish → depth → accumulator-XOR chain per
+    /// lane, each record's `(α, γ)` contribution bucketed at its exact depth
+    /// in lane `l`'s accumulator for column `first_col + l`. The hashers
+    /// and the row count are copied out of the family first, so nothing in
+    /// the record loop is reloaded because a store might have aliased it.
+    #[inline(always)]
+    fn bucket_lanes<const N: usize>(
+        &self,
+        first_col: usize,
+        batch: PremixedBatch<'_, H>,
+        acc: &mut LaneAccumulators,
+    ) {
+        let last_row = last_row_bit(self.geometry.num_rows as usize);
+        let hashers: [H; N] = std::array::from_fn(|lane| self.hash[first_col + lane].clone());
+        let acc_alpha = &mut acc.alpha[..N];
+        let acc_gamma = &mut acc.gamma[..N];
+        for (&idx, &premixed) in batch.indices.iter().zip(batch.premixed) {
+            debug_assert!(idx < self.geometry.vector_len, "index {idx} out of range");
+            let enc = idx + 1;
+            for lane in 0..N {
+                let (deepest, checksum) =
+                    depth_and_checksum(hashers[lane].finish(premixed), last_row);
+                acc_alpha[lane][deepest] ^= enc;
+                acc_gamma[lane][deepest] ^= checksum;
+            }
         }
     }
 }
@@ -363,18 +484,24 @@ impl<H: Hasher64> CubeSketch<H> {
         });
     }
 
-    /// The batch kernel proper. The columns are taken `LANES` at a time
-    /// (then one narrower pass for `columns % LANES`); each pass reads every
-    /// record once and runs one finish → depth → accumulator-XOR chain per
-    /// lane, bucketing the record's `(α, γ)` contribution at its exact depth,
-    /// and a suffix-XOR sweep then applies each lane's accumulated deltas to
-    /// its column's rows in one contiguous descending pass (row `r` receives
-    /// every contribution of depth `> r`). Correct for arbitrary batches —
-    /// duplicate pairs cancel inside the accumulators — the pre-pass only
-    /// saves their hashing cost. Batches under `KERNEL_MIN_BATCH` go
-    /// through the singles path, which applies the same XORs.
+    /// The batch kernel proper: every column through the family's
+    /// [`Kernel`]. Correct for arbitrary batches — duplicate pairs cancel
+    /// inside the accumulators — the pre-pass only saves their hashing
+    /// cost. Batches under `KERNEL_MIN_BATCH` go through the singles path,
+    /// which applies the same XORs.
     pub fn update_batch_premixed(
         &mut self,
+        batch: PremixedBatch<'_, H>,
+        acc: &mut LaneAccumulators,
+    ) {
+        self.update_batch_with(self.family.kernel, batch, acc);
+    }
+
+    /// [`Self::update_batch_premixed`] through `kernel`: the family's own,
+    /// or [`Kernel::Scalar`], the reference the tests hold it to.
+    fn update_batch_with(
+        &mut self,
+        kernel: Kernel,
         batch: PremixedBatch<'_, H>,
         acc: &mut LaneAccumulators,
     ) {
@@ -384,6 +511,33 @@ impl<H: Hasher64> CubeSketch<H> {
             }
             return;
         }
+        let rows = self.family.geometry.num_rows as usize;
+        assert!((1..=MAX_ROWS).contains(&rows), "geometry has {rows} rows");
+        match kernel {
+            Kernel::Scalar => self.scalar_kernel(batch, acc),
+            Kernel::Avx512 => {
+                debug_assert_eq!(self.family.kernel, Kernel::Avx512, "the family chose it");
+                debug_assert!(
+                    batch.indices.iter().all(|&idx| idx < self.family.geometry.vector_len),
+                    "index out of range"
+                );
+                #[cfg(target_arch = "x86_64")]
+                avx512::apply(
+                    &self.family.hash,
+                    batch.indices,
+                    batch.premixed,
+                    &mut self.alpha,
+                    &mut self.gamma,
+                );
+                #[cfg(not(target_arch = "x86_64"))]
+                unreachable!("no family selects the AVX-512 kernel off x86-64");
+            }
+        }
+    }
+
+    /// The scalar kernel: the columns are taken `LANES` at a time, then one
+    /// narrower pass for `columns % LANES`.
+    fn scalar_kernel(&mut self, batch: PremixedBatch<'_, H>, acc: &mut LaneAccumulators) {
         let columns = self.family.geometry.num_columns as usize;
         let mut col = 0;
         while columns - col >= LANES {
@@ -402,11 +556,11 @@ impl<H: Hasher64> CubeSketch<H> {
         }
     }
 
-    /// One pass of the batch kernel over columns `first_col .. first_col + N`.
-    /// Hashers and the row count are copied out of the shared family first,
-    /// and the accumulators and this sketch's buckets are distinct `&mut`
-    /// borrows, so nothing in the record loop is reloaded or re-checked
-    /// because a store might have aliased it.
+    /// One pass of the scalar kernel over columns `first_col .. first_col +
+    /// N`: the family's record pass buckets every record's contribution at
+    /// its exact depth, and a suffix-XOR sweep then applies each lane's
+    /// accumulated deltas to its column's rows in one contiguous descending
+    /// pass (row `r` receives every contribution of depth `> r`).
     #[inline(always)]
     fn sweep_lanes<const N: usize>(
         &mut self,
@@ -414,23 +568,8 @@ impl<H: Hasher64> CubeSketch<H> {
         batch: PremixedBatch<'_, H>,
         acc: &mut LaneAccumulators,
     ) {
-        let family = &*self.family;
-        let rows = family.geometry.num_rows as usize;
-        assert!((1..=MAX_ROWS).contains(&rows), "geometry has {rows} rows");
-        let hashers: [H; N] = std::array::from_fn(|lane| family.hash[first_col + lane].clone());
-        let acc_alpha = &mut acc.alpha[..N];
-        let acc_gamma = &mut acc.gamma[..N];
-        let last_row = last_row_bit(rows);
-        for (&idx, &premixed) in batch.indices.iter().zip(batch.premixed) {
-            debug_assert!(idx < family.geometry.vector_len, "index {idx} out of range");
-            let enc = idx + 1;
-            for lane in 0..N {
-                let (deepest, checksum) =
-                    depth_and_checksum(hashers[lane].finish(premixed), last_row);
-                acc_alpha[lane][deepest] ^= enc;
-                acc_gamma[lane][deepest] ^= checksum;
-            }
-        }
+        self.family.bucket_lanes::<N>(first_col, batch, acc);
+        let rows = self.family.geometry.num_rows as usize;
         // Suffix-XOR sweep: walking rows deepest-first, the running XOR at
         // row r is exactly the combined delta of all indices with depth > r.
         // Writes are contiguous within the column (buckets are column-major),
@@ -441,45 +580,29 @@ impl<H: Hasher64> CubeSketch<H> {
             let gamma = &mut self.gamma[base..base + rows];
             let (mut run_alpha, mut run_gamma) = (0u64, 0u32);
             for r in (0..rows).rev() {
-                run_alpha ^= std::mem::take(&mut acc_alpha[lane][r]);
-                run_gamma ^= std::mem::take(&mut acc_gamma[lane][r]);
+                run_alpha ^= std::mem::take(&mut acc.alpha[lane][r]);
+                run_gamma ^= std::mem::take(&mut acc.gamma[lane][r]);
                 alpha[r] ^= run_alpha;
                 gamma[r] ^= run_gamma;
             }
         }
     }
 
-    /// Recover a nonzero coordinate (paper Figure 6, `query_sketch`).
-    ///
-    /// Scans each column from its deepest (sparsest) row upward: deep buckets
-    /// are the likeliest to have single support when the vector is dense.
+    /// Recover a nonzero coordinate (paper Figure 6, `query_sketch`):
+    /// column by column, each scanned from its deepest (sparsest) row up.
     pub fn query(&self) -> SampleResult {
-        let geom = &self.family.geometry;
-        let rows = geom.num_rows as usize;
-        let mut all_empty = true;
-        for col in 0..geom.num_columns as usize {
-            let base = col * rows;
-            for r in (base..base + rows).rev() {
-                let (a, g) = (self.alpha[r], self.gamma[r]);
-                if a == 0 && g == 0 {
-                    continue; // empty (or an undetectable double-cancellation)
-                }
-                all_empty = false;
-                // The checksum a single surviving coordinate must certify
-                // with: the high word of the same hash that placed it.
-                if a != 0
-                    && (self.family.hash[col].finish(H::premix(a)) >> 32) as u32 == g
-                    && a - 1 < geom.vector_len
-                {
-                    return SampleResult::Index(a - 1);
-                }
+        let rows = self.family.geometry.num_rows as usize;
+        let columns = self.alpha.chunks_exact(rows).zip(self.gamma.chunks_exact(rows));
+        let mut result = SampleResult::Zero;
+        for (col, (alpha, gamma)) in columns.enumerate() {
+            let buckets = alpha.iter().zip(gamma).rev().map(|(&a, &g)| (a, g));
+            match self.family.first_certified(col, buckets) {
+                SampleResult::Zero => {}
+                SampleResult::Fail => result = SampleResult::Fail,
+                found => return found,
             }
         }
-        if all_empty {
-            SampleResult::Zero
-        } else {
-            SampleResult::Fail
-        }
+        result
     }
 
     /// True if every bucket is empty — w.h.p. the vector is zero.
@@ -799,6 +922,37 @@ mod tests {
         }
     }
 
+    /// Whether the CPU reports AVX-512F and AVX-512DQ, read from the
+    /// operating system's own flag list where there is one: independent of
+    /// the run-time detection the family's choice rests on.
+    fn host_reports_avx512() -> bool {
+        if !cfg!(target_arch = "x86_64") {
+            return false;
+        }
+        match std::fs::read_to_string("/proc/cpuinfo") {
+            Ok(info) => info.lines().find(|l| l.starts_with("flags")).is_some_and(|line| {
+                let flags: Vec<&str> = line.split_whitespace().collect();
+                flags.contains(&"avx512f") && flags.contains(&"avx512dq")
+            }),
+            Err(_) => avx512_detected(),
+        }
+    }
+
+    /// The vector kernel is what an xxHash64 family whose indices pack
+    /// runs on a host that reports the features — a silent fallback to the
+    /// scalar kernel fails here — and is not what a `PairwiseHash` family
+    /// or a `2^32`-long vector runs anywhere.
+    #[test]
+    fn the_vector_kernel_is_selected_where_it_applies() {
+        let vector = if host_reports_avx512() { Kernel::Avx512 } else { Kernel::Scalar };
+        for vector_len in [2, 8192 * 8191 / 2, (1 << 32) - 1] {
+            assert_eq!(family(vector_len, 1).kernel(), vector, "vector_len {vector_len}");
+        }
+        assert_eq!(family(1 << 32, 1).kernel(), Kernel::Scalar);
+        assert_eq!(CubeSketchFamily::<PairwiseHash>::for_vector(1000, 1).kernel(), Kernel::Scalar);
+        assert_eq!(format!("{} {}", Kernel::Avx512, Kernel::Scalar), "avx512 scalar");
+    }
+
     #[test]
     fn cancel_duplicates_drops_even_runs() {
         let mut v = vec![5u64, 1, 5, 2, 1, 1, 9, 9, 9, 9];
@@ -839,31 +993,124 @@ mod proptests {
     use proptest::prelude::*;
     use std::collections::HashSet;
 
+    /// The rows around the vector kernel's eight register rows, and every
+    /// vector tail: one to nine rows, batches of 1–17 records (twice the
+    /// last one, for a duplicate), at one, three and seven columns.
+    #[test]
+    fn kernels_agree_around_the_vector_rows_and_tails() {
+        for rows in 1..=9u32 {
+            for columns in [1, 3, 7] {
+                let geometry = SketchGeometry::with_columns(1 << rows, columns);
+                for len in 1..=17u64 {
+                    let mut updates: Vec<u64> =
+                        (0..len).map(|k| (k * 0x9E37_79B9) % geometry.vector_len).collect();
+                    assert_kernel_equals_singles::<Xxh64Hasher>(geometry, rows as u64, &updates);
+                    updates.push(updates[0]);
+                    assert_kernel_equals_singles::<Xxh64Hasher>(geometry, rows as u64, &updates);
+                }
+            }
+        }
+    }
+
+    /// A record that lands exactly on row 8 — the first row past the
+    /// vector kernel's registers — and one on the last row, in every
+    /// position of batches of 1–17 records: at 9 rows (where the two are
+    /// the same row), 10 and 16.
+    #[test]
+    fn kernels_agree_on_records_at_row_8_and_the_last_row() {
+        for rows in [9u32, 10, 16] {
+            let geometry = SketchGeometry::with_columns(1 << rows, 3);
+            let f = CubeSketchFamily::<Xxh64Hasher>::new(geometry, 41);
+            for depth in [8, rows as usize - 1] {
+                let deep = index_at_depth(&f, depth);
+                for len in 1..=17u64 {
+                    for at in 0..len as usize {
+                        let mut updates: Vec<u64> = (0..len).map(|k| k * 3).collect();
+                        updates[at] = deep;
+                        assert_kernel_equals_singles::<Xxh64Hasher>(geometry, 41, &updates);
+                    }
+                }
+            }
+        }
+    }
+
+    /// One index below the packed word's limit and at it: at
+    /// `vector_len = 2^32 − 1` the top index packs `idx + 1 = 2^32 − 1`
+    /// and the vector kernel runs where the host has it; at `2^32` the
+    /// family keeps the scalar kernel. Batches from one record to a
+    /// gutter's, from the top of the vector, with repeats.
+    #[test]
+    fn kernels_agree_at_the_packing_limit() {
+        for (vector_len, packs) in [((1u64 << 32) - 1, true), (1 << 32, false)] {
+            let geometry = SketchGeometry::with_columns(vector_len, 3);
+            let f = CubeSketchFamily::<Xxh64Hasher>::new(geometry, 5);
+            assert_eq!(f.kernel() == Kernel::Avx512, packs && avx512_detected(), "{vector_len}");
+            for len in [1u64, 2, 3, 7, 8, 9, 16, 17, 446] {
+                let updates: Vec<u64> = (0..len).map(|k| vector_len - 1 - k * k % 61).collect();
+                assert_kernel_equals_singles::<Xxh64Hasher>(geometry, 5, &updates);
+            }
+        }
+    }
+
+    /// Both kernels against singles on the same inputs: the scalar kernel
+    /// called directly, so every host runs the reference, and the family's
+    /// own — the AVX-512 kernel wherever the family selects it — behind the
+    /// pre-pass (`update_batch`) and without it (`update_batch_prepared`).
     fn assert_kernel_equals_singles<H: Hasher64>(
         geometry: SketchGeometry,
         seed: u64,
         updates: &[u64],
     ) {
         let f = CubeSketchFamily::<H>::new(geometry, seed);
+        let mut scalar = f.new_sketch();
         let mut batched = f.new_sketch();
         let mut prepared = f.new_sketch();
         let mut singles = f.new_sketch();
+        with_premixed(updates, |batch| {
+            scalar.update_batch_with(Kernel::Scalar, batch, &mut LaneAccumulators::new())
+        });
         batched.update_batch(updates);
         prepared.update_batch_prepared(updates);
         for &u in updates {
             singles.update(u);
         }
-        let (mut a, mut b, mut c) = (Vec::new(), Vec::new(), Vec::new());
-        batched.serialize_into(&mut a);
-        prepared.serialize_into(&mut b);
-        singles.serialize_into(&mut c);
-        assert_eq!(a, c, "update_batch != singles ({geometry:?}, {} updates)", updates.len());
+        let bytes = |s: &CubeSketch<H>| {
+            let mut out = Vec::new();
+            s.serialize_into(&mut out);
+            out
+        };
+        let reference = bytes(&singles);
+        let n = updates.len();
         assert_eq!(
-            b,
-            c,
-            "update_batch_prepared != singles ({geometry:?}, {} updates)",
-            updates.len()
+            bytes(&scalar),
+            reference,
+            "scalar kernel != singles ({geometry:?}, {n} updates)"
         );
+        let kernel = f.kernel();
+        assert_eq!(
+            bytes(&batched),
+            reference,
+            "update_batch ({kernel}) != singles ({geometry:?}, {n} updates)"
+        );
+        assert_eq!(
+            bytes(&prepared),
+            reference,
+            "update_batch_prepared ({kernel}) != singles ({geometry:?}, {n} updates)"
+        );
+    }
+
+    /// An index of `f`'s vector, counting down from the top, whose column-0
+    /// hash puts it at exactly `depth` (clamped at the last row).
+    fn index_at_depth<H: Hasher64>(f: &CubeSketchFamily<H>, depth: usize) -> u64 {
+        let rows = f.geometry().num_rows as usize;
+        let top = f.geometry().vector_len - 1;
+        (0..)
+            .map(|k| top - k)
+            .find(|&idx| {
+                let h = f.hash[0].finish(H::premix(idx + 1));
+                depth_and_checksum(h, last_row_bit(rows)).0 == depth
+            })
+            .expect("some index lands at every depth")
     }
 
     fn assert_sample_equals_query<H: Hasher64>(
@@ -872,10 +1119,11 @@ mod proptests {
         updates: &[u64],
     ) {
         let f = CubeSketchFamily::<H>::new(geometry, seed);
+        let mut acc = LaneAccumulators::new();
         let (sampled, built) = with_premixed(updates, |batch| {
             let mut built = f.new_sketch();
-            built.update_batch_premixed(batch, &mut LaneAccumulators::new());
-            (f.sample_premixed(batch), built)
+            built.update_batch_premixed(batch, &mut acc);
+            (f.sample_premixed(batch, &mut acc), built)
         });
         assert_eq!(sampled, built.query(), "{geometry:?}, {} updates", updates.len());
     }
@@ -982,27 +1230,31 @@ mod proptests {
             prop_assert_eq!(s.query(), SampleResult::Zero);
         }
 
-        /// The batch kernel (pre-pass, premix, lane passes) is bit-identical
-        /// to per-update singles: across column counts on both sides of the
-        /// lane width and every remainder, vectors from one row (every hash
-        /// clamps at the last row) to 2^40 (rows > 32), batches on both
-        /// sides of `KERNEL_MIN_BATCH` and gutter-sized, drawn from domains
-        /// narrow enough to be mostly duplicates, under both hash families.
+        /// The batch kernels (pre-pass, premix, scalar lane passes or
+        /// eight-lane vectors) are bit-identical to per-update singles:
+        /// across column counts on both sides of the lane width and every
+        /// remainder, vectors from one row (every hash clamps at the last
+        /// row) to 2^40 (rows > 32), lengths `2^rows` and `2^rows − 1` (at
+        /// 32 rows the packed word's limit, one each side), batches on both
+        /// sides of `KERNEL_MIN_BATCH`, every vector tail and gutter-sized,
+        /// drawn from domains narrow enough to be mostly duplicates, under
+        /// both hash families.
         #[test]
         fn batch_kernel_equals_singles(
             seed in any::<u64>(),
             columns in 1u32..=17,
             rows in 1u32..=40,
+            trim in 0u64..=1,
             domain_bits in 0u32..=40,
-            short_len in 0usize..=2 * KERNEL_MIN_BATCH,
+            short_len in 0usize..=17,
             gutter_sized in proptest::bool::ANY,
             raw in proptest::collection::vec(any::<u64>(), 200)
         ) {
-            let geometry = SketchGeometry::with_columns(1 << rows, columns);
+            let geometry = SketchGeometry::with_columns((1 << rows) - trim, columns);
             prop_assert_eq!(geometry.num_rows, rows);
             // The narrow domain sits at the top of the vector, so the
             // encodings are as wide as the geometry allows.
-            let domain = 1u64 << domain_bits.min(rows);
+            let domain = (1u64 << domain_bits.min(rows)).min(geometry.vector_len);
             let len = if gutter_sized { raw.len() } else { short_len };
             let updates: Vec<u64> =
                 raw[..len].iter().map(|r| geometry.vector_len - 1 - r % domain).collect();
