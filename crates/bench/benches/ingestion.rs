@@ -1,8 +1,8 @@
 //! End-to-end ingestion benchmarks: the full pipeline on small kron streams
 //! (Figure 13's stopwatch at criterion discipline), plus the sketch-update
 //! kernel throughput table on the RAM store — per-update singles vs
-//! gutter-sized batches vs dup-heavy batches through the cancellation
-//! pre-pass (updates/sec) — and `gz_flush`, what a flush costs when every
+//! gutter-sized batches (updates/sec) — and `gz_flush`, what a flush costs
+//! when every
 //! gutter holds a few records (a `gz serve` seal) or nearly a full batch (the
 //! end of a `kron13_ram` pass), single-node, over one in-process shard, and
 //! behind the gutter tree `kron13_disk` runs.
@@ -74,10 +74,9 @@ fn bench_ingest_by_buffering(c: &mut Criterion) {
 
 /// The tentpole measurement: sketch-update kernel throughput on the RAM
 /// store at gutter-sized batches. Reports one-shot updates/sec for
-/// per-update singles vs one batched `apply_batch` call vs a dup-heavy
-/// batched call (insert/delete pairs cancelling in the pre-pass), under the
-/// default delta-sketch locking, and asserts the batched path is ≥2× the
-/// singles path — the win the buffering system banks on.
+/// per-update singles vs one batched `apply_batch` call, under the default
+/// delta-sketch locking, and asserts the batched path is ≥2× the singles
+/// path — the win the buffering system banks on.
 fn bench_store_update_kernel(c: &mut Criterion) {
     let num_nodes: u64 = if smoke() { 1 << 9 } else { 1 << 12 };
     let rounds = graph_zeppelin::config::default_rounds(num_nodes);
@@ -88,15 +87,6 @@ fn bench_store_update_kernel(c: &mut Criterion) {
     let records: Vec<u32> = (0..batch_len)
         .map(|i| encode_other(1 + (i as u32 % (num_nodes as u32 - 1)), false))
         .collect();
-    // Dup-heavy variant of the same length: half the slots are
-    // insert/delete pairs for the same edge.
-    let mut dup_records = Vec::with_capacity(records.len());
-    for r in records[..records.len() / 4].iter() {
-        dup_records.push(*r);
-        dup_records.push(*r | (1 << 31)); // the matching delete
-    }
-    dup_records.extend_from_slice(&records[records.len() / 4..records.len() * 3 / 4]);
-
     let store = RamStore::new(Arc::clone(&params), LockingStrategy::DeltaSketch);
     let reps = if smoke() { 3 } else { 10 };
 
@@ -121,12 +111,7 @@ fn bench_store_update_kernel(c: &mut Criterion) {
         }
     });
     let batched = one_shot("batch", &|s| s.apply_batch(0, &records));
-    let batched_dup = one_shot("batch+dedup", &|s| s.apply_batch(0, &dup_records));
-    println!(
-        "gz_store_kernel: batch {:.1}x singles, batch+dedup {:.1}x singles",
-        batched / singles,
-        batched_dup / singles
-    );
+    println!("gz_store_kernel: batch {:.1}x singles", batched / singles);
     assert!(
         batched >= 2.0 * singles,
         "batched kernel must be ≥2× per-update singles ({batched:.0} vs {singles:.0} updates/sec)"
@@ -144,11 +129,6 @@ fn bench_store_update_kernel(c: &mut Criterion) {
     group.bench_with_input(BenchmarkId::from_parameter("batch"), &records, |b, records| {
         b.iter(|| store.apply_batch(0, records))
     });
-    group.bench_with_input(
-        BenchmarkId::from_parameter("batch+dedup"),
-        &dup_records,
-        |b, records| b.iter(|| store.apply_batch(0, records)),
-    );
     group.finish();
 }
 
@@ -302,15 +282,11 @@ fn bench_flush(_c: &mut Criterion) {
                 let mut queued =
                     GraphZeppelin::new(single_config(GutterCapacity::Updates(1))).unwrap();
                 queued.ingest(edges(0));
-                let want = queued.snapshot_serialized();
+                let want = queued.state_digest().unwrap();
                 assert_eq!(queued.ingest_counters().flushes(), 0, "the reference only overflows");
-                assert_eq!(single.snapshot_serialized(), want, "{pending} pending, single-node");
-                assert_eq!(tree.snapshot_serialized(), want, "{pending} pending, tree");
-                assert_eq!(
-                    shard.gather_serialized().unwrap(),
-                    want,
-                    "{pending} pending, one-shard"
-                );
+                assert_eq!(single.state_digest().unwrap(), want, "{pending} pending, single-node");
+                assert_eq!(tree.state_digest().unwrap(), want, "{pending} pending, tree");
+                assert_eq!(shard.state_digest().unwrap(), want, "{pending} pending, one-shard");
             }
         }
         shard.shutdown().unwrap();

@@ -39,22 +39,12 @@ fn bench_cube_updates(c: &mut Criterion) {
 }
 
 /// The batch-kernel throughput comparison at the raw sketch level
-/// (updates/sec): per-update singles vs the batch kernel vs the kernel
-/// behind the self-cancellation pre-pass on a dup-heavy batch (the
-/// gutter regime: insert/delete pairs for the same edge cancel before any
-/// hashing). Store-level numbers live in the ingestion bench.
+/// (updates/sec): per-update singles vs the batch kernel. Store-level
+/// numbers live in the ingestion bench.
 fn bench_cube_batch_kernel(c: &mut Criterion) {
     let n = 10u64.pow(if smoke() { 6 } else { 9 });
     let family = CubeSketchFamily::<Xxh64Hasher>::for_vector(n, 7);
     let batch = indices(n, if smoke() { 256 } else { 1024 });
-    // Dup-heavy variant of the same length: half the slots are
-    // insert/delete pairs, which the pre-pass cancels for free.
-    let mut dup_batch = Vec::with_capacity(batch.len());
-    for pair in batch[..batch.len() / 4].iter() {
-        dup_batch.push(*pair);
-        dup_batch.push(*pair);
-    }
-    dup_batch.extend_from_slice(&batch[batch.len() / 4..batch.len() * 3 / 4]);
 
     let mut group = c.benchmark_group("cubesketch_batch_kernel");
     group.throughput(Throughput::Elements(batch.len() as u64));
@@ -68,19 +58,15 @@ fn bench_cube_batch_kernel(c: &mut Criterion) {
     });
     group.bench_with_input(BenchmarkId::from_parameter("batch"), &batch, |b, batch| {
         let mut sketch = family.new_sketch();
-        b.iter(|| sketch.update_batch_prepared(batch));
-    });
-    group.bench_with_input(BenchmarkId::from_parameter("batch+dedup"), &dup_batch, |b, batch| {
-        let mut sketch = family.new_sketch();
         b.iter(|| sketch.update_batch(batch));
     });
     group.finish();
 }
 
 /// The node-stack kernel the way a store drives it (DESIGN.md §9): one
-/// prepared batch into a zeroed scratch stack, the scratch XORed into the
+/// decoded batch into a zeroed scratch stack, the scratch XORed into the
 /// target, the scratch cleared. `batch` is the product path
-/// (`NodeSketch::update_batch_prepared`: one premix per stack, the host's
+/// (`NodeSketch::update_batch`: one premix per stack, the host's
 /// column kernel per round, singles below `KERNEL_MIN_BATCH`); `singles` builds the
 /// same delta one `update_signed` at a time. Lengths 1–32 are where
 /// `KERNEL_MIN_BATCH` is decided (a `gz serve` seal applies ≈16-record
@@ -119,7 +105,7 @@ fn bench_stack_batch_len(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("batch", len), &batches, |b, batches| {
             b.iter(|| {
                 turn += 1;
-                scratch.update_batch_prepared(batches[turn % batches.len()]);
+                scratch.update_batch(batches[turn % batches.len()]);
                 target.merge(&scratch);
                 scratch.clear_all();
             })

@@ -12,6 +12,12 @@ use crate::harness::{fmt_bytes, Scale, Table};
 use graph_zeppelin::size_model::gz_sketch_bytes;
 use gz_baselines::{AspenLike, DynamicGraphSystem, TerraceLike};
 
+/// Whether GraphZeppelin's `gz` bytes are below a baseline's: each table
+/// says against whom, since the two crossovers fall at different scales.
+fn smaller(gz: u64, baseline: u64) -> String {
+    if gz < baseline { "yes" } else { "not yet" }.into()
+}
+
 /// Per-dataset measured memory plus paper-scale projection.
 pub fn run(scale: Scale) {
     println!("== Figure 11: memory footprint, Aspen-like vs Terrace-like vs GraphZeppelin ==\n");
@@ -21,7 +27,8 @@ pub fn run(scale: Scale) {
         "aspen-like",
         "terrace-like",
         "graphzeppelin",
-        "GZ wins?",
+        "< terrace-like?",
+        "< aspen-like?",
     ]);
 
     let mut aspen_bpe = 5.0f64; // measured below, defaults conservative
@@ -48,7 +55,8 @@ pub fn run(scale: Scale) {
             fmt_bytes(a),
             fmt_bytes(tr),
             fmt_bytes(gz),
-            if gz < a && gz < tr { "yes".into() } else { "not yet".into() },
+            smaller(gz, tr),
+            smaller(gz, a),
         ]);
     }
     t.print();
@@ -57,7 +65,14 @@ pub fn run(scale: Scale) {
         "\nprojection to paper scale (aspen {aspen_bpe:.1} B/edge, terrace \
          {terrace_bpe:.1} B/edge measured; GZ from the exact sketch model):\n"
     );
-    let mut p = Table::new(&["dataset", "aspen-like", "terrace-like", "graphzeppelin", "GZ wins?"]);
+    let mut p = Table::new(&[
+        "dataset",
+        "aspen-like",
+        "terrace-like",
+        "graphzeppelin",
+        "< terrace-like?",
+        "< aspen-like?",
+    ]);
     for s in [13u32, 15, 16, 17, 18] {
         let d = gz_stream::Dataset::kron(s);
         let a = (d.nominal_edges as f64 * aspen_bpe) as u64;
@@ -68,7 +83,8 @@ pub fn run(scale: Scale) {
             fmt_bytes(a),
             fmt_bytes(tr),
             fmt_bytes(gz),
-            if gz < a && gz < tr { "yes".into() } else { "not yet".into() },
+            smaller(gz, tr),
+            smaller(gz, a),
         ]);
     }
     p.print();

@@ -96,17 +96,16 @@ pub(crate) fn apply_batch(store: &SketchStore, node: u32, records: &[u32], group
 
 /// Sketch-level parallel application (the delta-sketch discipline, on
 /// either store): decode the batch to indices once (into the per-worker
-/// thread-local scratch, same as the serial path), run the
-/// self-cancellation pre-pass and the premix once (both round-independent,
-/// so the whole thread group reads one buffer of each), build the delta
-/// sketch with rounds split across a scoped thread group — each round
-/// applied through the batch kernel — then lock only for the merge. The delta sketch comes from the store's
-/// reusable scratch pool, so no node-sized allocation happens per batch.
+/// thread-local scratch, same as the serial path), premix once (it is
+/// round-independent, so the whole thread group reads one buffer), build
+/// the delta sketch with rounds split across a scoped thread group — each
+/// round applied through the batch kernel — then lock only for the merge.
+/// The delta sketch comes from the store's reusable scratch pool, so no
+/// node-sized allocation happens per batch.
 fn apply_batch_grouped(store: &SketchStore, node: u32, records: &[u32], group_threads: usize) {
     let num_nodes = store.params().num_nodes;
     crate::store::with_index_scratch(|indices| {
         crate::store::decode_records_into(node, records, num_nodes, indices);
-        gz_sketch::cancel_duplicates(indices);
 
         let mut scratch = store.scratch().checkout();
         let rounds = scratch.rounds_mut();
@@ -200,19 +199,15 @@ mod tests {
         for &idx in &decoded {
             reference.update_signed(idx, 1);
         }
-        let mut survivors = decoded.clone();
-        gz_sketch::cancel_duplicates(&mut survivors);
-        assert!(survivors.len() < decoded.len(), "the batch must exercise the pre-pass");
-
         let mut stack = params.new_node_sketch();
-        stack.update_batch_prepared(&survivors);
+        stack.update_batch(&decoded);
         assert_rounds_bitwise_equal(&stack, &reference, "stack-level kernel");
 
         let mut per_round = params.new_node_sketch();
         for sketch in per_round.rounds_mut() {
-            sketch.update_batch_prepared(&decoded);
+            sketch.update_batch(&decoded);
         }
-        assert_rounds_bitwise_equal(&per_round, &reference, "per-round kernel, duplicates left in");
+        assert_rounds_bitwise_equal(&per_round, &reference, "per-round kernel");
 
         let stored = |apply: &dyn Fn(&SketchStore)| {
             let store =

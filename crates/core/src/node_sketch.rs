@@ -85,14 +85,13 @@ impl<S: L0Sampler> NodeSketch<S> {
 }
 
 impl<H: gz_hash::Hasher64> NodeSketch<CubeSketch<H>> {
-    /// Apply one *prepared* batch of characteristic-vector toggles — decoded
-    /// to indices and run through the self-cancellation pre-pass
-    /// ([`gz_sketch::cancel_duplicates`]) exactly once — to every round via
-    /// the batch kernel. The pre-pass and the premix (the half of each
-    /// record's hash that no seed enters) are round-independent, so one pass
-    /// of each serves all `O(log V)` rounds; bit-identical to looping
-    /// [`Self::update_signed`] over the raw records.
-    pub fn update_batch_prepared(&mut self, indices: &[u64]) {
+    /// Apply one batch of characteristic-vector toggles, decoded to
+    /// indices, to every round via the batch kernel. The premix (the half of
+    /// each record's hash that no seed enters) is round-independent, so one
+    /// pass serves all `O(log V)` rounds; duplicates cancel in the kernel's
+    /// accumulators. Bit-identical to looping [`Self::update_signed`] over
+    /// the records.
+    pub fn update_batch(&mut self, indices: &[u64]) {
         with_premixed(indices, |batch| {
             let mut acc = LaneAccumulators::new();
             for s in self.rounds.iter_mut() {
@@ -351,21 +350,14 @@ mod tests {
     }
 
     /// The golden batch through every route into a stack — the batch kernel
-    /// with duplicates left in, the kernel behind the pre-pass, per-record
-    /// singles — each of which must land on `golden`.
+    /// with duplicates left in, per-record singles — each of which must land
+    /// on `golden`.
     fn assert_golden_on_every_route(p: &SketchParams, golden: u64) {
         let batch = golden_batch();
 
         let mut kernel = p.new_node_sketch();
-        kernel.update_batch_prepared(&batch);
+        kernel.update_batch(&batch);
         assert_eq!(stack_digest(p, &kernel), golden, "batch kernel, duplicates left in");
-
-        let mut survivors = batch.clone();
-        gz_sketch::cancel_duplicates(&mut survivors);
-        assert_eq!(survivors.len(), 40);
-        let mut prepared = p.new_node_sketch();
-        prepared.update_batch_prepared(&survivors);
-        assert_eq!(stack_digest(p, &prepared), golden, "batch kernel behind the pre-pass");
 
         let mut singles = p.new_node_sketch();
         for &idx in &batch {
@@ -406,8 +398,8 @@ mod tests {
         let [p_narrow, p_wide] = [narrow, wide].map(|c| SketchParams::new(64, 6, c, 42));
         let batch = golden_batch();
         let (mut s_narrow, mut s_wide) = (p_narrow.new_node_sketch(), p_wide.new_node_sketch());
-        s_narrow.update_batch_prepared(&batch);
-        s_wide.update_batch_prepared(&batch);
+        s_narrow.update_batch(&batch);
+        s_wide.update_batch(&batch);
 
         let rows = p_wide.families[0].geometry().num_rows as usize;
         let (shared, all) = (narrow as usize * rows, wide as usize * rows);
@@ -434,8 +426,8 @@ mod tests {
         let [p_fewer, p_more] = [fewer, more].map(|r| SketchParams::new(v, r, 3, 42));
         let batch: Vec<u64> = (0..200u32).map(|i| update_index(5, 6 + i * 37, v)).collect();
         let (mut s_fewer, mut s_more) = (p_fewer.new_node_sketch(), p_more.new_node_sketch());
-        s_fewer.update_batch_prepared(&batch);
-        s_more.update_batch_prepared(&batch);
+        s_fewer.update_batch(&batch);
+        s_more.update_batch(&batch);
 
         let (mut got, mut whole) = (Vec::new(), Vec::new());
         p_fewer.serialize_node_sketch(&s_fewer, &mut got);

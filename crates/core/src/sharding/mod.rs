@@ -9,8 +9,8 @@
 //!   gutters (reusing `gz_gutters`) accumulate updates and emit node-keyed
 //!   batches, replacing the old per-update routing hot path.
 //! - the wire protocol (`gz_stream::wire`) — framed, versioned messages
-//!   (`Hello`, `Batch`, `Flush`, `GatherSketches`, `GatherRound`,
-//!   `Shutdown`) between coordinator and shard workers.
+//!   (`Hello`, `Batch`, `Flush`, `StateDigest`, `GatherRound`, `Shutdown`,
+//!   …) between coordinator and shard workers.
 //! - [`ShardTransport`] — how batches travel: [`InProcessTransport`]
 //!   (queue pushes, the single-process deployment) or [`SocketTransport`]
 //!   (TCP/Unix sockets to worker processes running
@@ -25,14 +25,15 @@
 //! shards never communicate until query time. A query over shards in this
 //! process folds each Borůvka round straight from the shards' stores
 //! ([`ShardTransport::local_views`]); over sockets it gathers one
-//! `GatherRound` frame per round (a `rounds`-fold smaller message than a
-//! full gather) and folds the slices into the round-driven engine. Either
-//! way the coordinator never materializes the universe. The crucial
-//! invariant — proved by the equivalence suite and the multi-process
-//! example — is that a sharded system's gathered sketch state is
-//! *bit-identical* to a single-node system's on the same stream, and the
-//! query answers bit-identically to the gather-everything reference
-//! ([`ShardedGraphZeppelin::spanning_forest_oracle`]).
+//! `GatherRound` frame per round and folds the slices into the round-driven
+//! engine. Either way the coordinator never materializes the universe. The
+//! crucial invariant — proved by the equivalence suite and the
+//! multi-process example — is that a sharded system's sketch state is
+//! *bit-identical* to a single-node system's on the same stream: the
+//! shards' [`ShardedGraphZeppelin::state_digest`] equals the single-node
+//! [`crate::GraphZeppelin::state_digest`], and queries answer as the
+//! single-node materializing reference
+//! ([`crate::GraphZeppelin::spanning_forest_oracle`]) does.
 
 mod link;
 mod pipeline;
@@ -50,9 +51,9 @@ pub use transport::{
 use crate::boruvka::{boruvka_rounds_with_pool, BoruvkaOutcome, SparseMap};
 use crate::config::{GutterCapacity, StoreBackend};
 use crate::error::GzError;
-use crate::node_sketch::{CubeNodeSketch, CubeRoundSketch, SketchParams};
+use crate::node_sketch::{CubeRoundSketch, SketchParams};
 use crate::sparse::{SparseRoundBatch, SparseSet};
-use crate::store::{MaterializedSource, SketchSource};
+use crate::store::SketchSource;
 use gz_gutters::WorkerPool;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -395,49 +396,20 @@ impl ShardedGraphZeppelin {
         Ok(())
     }
 
-    /// Gather every node's serialized sketch at the coordinator, indexed by
-    /// node id. Bit-identical to a single-node system's
-    /// [`crate::GraphZeppelin::snapshot_serialized`] on the same stream.
-    pub fn gather_serialized(&mut self) -> Result<Vec<Vec<u8>>, GzError> {
+    /// Flush, then fingerprint the whole sharded state: the XOR of the
+    /// shards' digests ([`ShardTransport::state_digest`]), 8 bytes a shard
+    /// over any transport. Equal to a single-node system's
+    /// [`crate::GraphZeppelin::state_digest`] on the same stream.
+    pub fn state_digest(&mut self) -> Result<u64, GzError> {
         self.flush()?;
-        let gathered = self.transport.lock().gather()?;
-        let mut all: Vec<Option<Vec<u8>>> = vec![None; self.num_nodes as usize];
-        for entry in gathered {
-            let slot = all.get_mut(entry.node as usize).ok_or_else(|| {
-                GzError::Protocol(format!("gathered sketch for out-of-range node {}", entry.node))
-            })?;
-            if slot.replace(entry.bytes).is_some() {
-                return Err(GzError::Protocol(format!(
-                    "node {} gathered from two shards",
-                    entry.node
-                )));
-            }
-        }
-        all.into_iter()
-            .enumerate()
-            .map(|(node, bytes)| {
-                bytes.ok_or_else(|| {
-                    GzError::Protocol(format!("no shard gathered a sketch for node {node}"))
-                })
-            })
-            .collect()
-    }
-
-    /// Gather and deserialize all shards' sketches.
-    fn gather(&mut self) -> Result<Vec<Option<CubeNodeSketch>>, GzError> {
-        let params = Arc::clone(&self.params);
-        Ok(self
-            .gather_serialized()?
-            .into_iter()
-            .map(|bytes| Some(params.deserialize_node_sketch(&bytes)))
-            .collect())
+        self.transport.lock().state_digest()
     }
 
     /// Flush, then query a spanning forest one Borůvka round at a time on
     /// the system's pool, so the coordinator never materializes the whole
     /// universe: shards in this process fold each round straight from their
     /// stores, socket shards ship that round's sketch slices (`GatherRound`
-    /// frames, `rounds`-fold smaller than a full gather).
+    /// frames).
     pub fn spanning_forest(&mut self) -> Result<BoruvkaOutcome, GzError> {
         self.flush()?;
         let views = self.transport.lock().local_views(None)?;
@@ -454,15 +426,6 @@ impl ShardedGraphZeppelin {
             Err(_) if replays() != before => reads.spanning_forest(&self.params, &self.pool),
             outcome => outcome,
         }
-    }
-
-    /// The reference [`Self::spanning_forest`] is tested against: gather
-    /// every node's full sketch stack at the coordinator, then run ordinary
-    /// Boruvka over the materialization on the system's pool. No
-    /// configuration selects it; tests call it by name.
-    pub fn spanning_forest_oracle(&mut self) -> Result<BoruvkaOutcome, GzError> {
-        let mut source = MaterializedSource::new(self.gather()?);
-        boruvka_rounds_with_pool(&mut source, self.num_nodes, self.params.rounds(), &self.pool)
     }
 
     /// Flush, then seal one epoch on every shard and hand back a query
@@ -880,7 +843,7 @@ mod tests {
             sharded.connected_components().unwrap(),
             single_node_labels(n, config.seed, &updates)
         );
-        let want = sharded.gather_serialized().unwrap();
+        let want = sharded.state_digest().unwrap();
         let seqs = sharded.checkpoint_shards().unwrap();
         assert_eq!(seqs.iter().sum::<u64>(), sharded.batches_shipped());
         sharded.shutdown().unwrap();
@@ -889,7 +852,7 @@ mod tests {
         // auto-resumes every shard (the thread-level `--resume` path) and
         // reports the exact pre-shutdown state.
         let mut resumed = ShardedGraphZeppelin::local_socket(config).unwrap();
-        assert_eq!(resumed.gather_serialized().unwrap(), want);
+        assert_eq!(resumed.state_digest().unwrap(), want);
         resumed.shutdown().unwrap();
     }
 
@@ -908,7 +871,7 @@ mod tests {
 
         let mut sharded = ShardedGraphZeppelin::local_socket(config.clone()).unwrap();
         sharded.ingest(updates.iter().copied()).unwrap();
-        let want = sharded.gather_serialized().unwrap();
+        let want = sharded.state_digest().unwrap();
         let files: Vec<_> = (0..2)
             .map(|i| dir.path().join(shard_checkpoint_file_name(i, 2, config.seed)))
             .collect();
@@ -917,7 +880,7 @@ mod tests {
         assert!(files.iter().all(|f| f.exists()), "clean shutdown must leave a checkpoint");
 
         let mut resumed = ShardedGraphZeppelin::local_socket(config).unwrap();
-        assert_eq!(resumed.gather_serialized().unwrap(), want);
+        assert_eq!(resumed.state_digest().unwrap(), want);
         resumed.shutdown().unwrap();
     }
 
@@ -938,12 +901,12 @@ mod tests {
         let paths: Vec<_> = (0..3).map(|i| dir.path().join(format!("round-1-{i}.gzs2"))).collect();
         let seqs = sharded.checkpoint_shards_to(&paths).unwrap();
         assert_eq!(seqs.iter().sum::<u64>(), sharded.batches_shipped());
-        let want = sharded.gather_serialized().unwrap();
+        let want = sharded.state_digest().unwrap();
 
         let mut restored = ShardedGraphZeppelin::in_process(config.clone()).unwrap();
         let resumed_seqs = restored.resume_shards_from(&paths).unwrap();
         assert_eq!(resumed_seqs, seqs);
-        assert_eq!(restored.gather_serialized().unwrap(), want);
+        assert_eq!(restored.state_digest().unwrap(), want);
         restored.ingest(rest.iter().copied()).unwrap();
         assert_eq!(
             restored.connected_components().unwrap(),
@@ -963,14 +926,14 @@ mod tests {
 
         let mut sharded = ShardedGraphZeppelin::in_process(ShardConfig::in_ram(n, 3)).unwrap();
         sharded.ingest(updates.iter().copied()).unwrap();
-        let gathered = sharded.gather_serialized().unwrap();
+        let digest = sharded.state_digest().unwrap();
 
         let mut single = GraphZeppelin::new(GzConfig::in_ram(n)).unwrap();
         assert_eq!(single.config().seed, seed, "defaults must stay aligned");
         for &(u, v, d) in &updates {
             single.update(u, v, d);
         }
-        assert_eq!(gathered, single.snapshot_serialized(), "gathered state must be bit-identical");
+        assert_eq!(digest, single.state_digest().unwrap(), "sharded state must be bit-identical");
     }
 
     #[test]
@@ -997,7 +960,7 @@ mod tests {
                     }
                 }
                 assert_eq!(sys.updates_ingested(), 300);
-                states.push(sys.gather_serialized().unwrap());
+                states.push(sys.state_digest().unwrap());
                 sys.shutdown().unwrap();
             }
         }
@@ -1130,10 +1093,11 @@ mod tests {
     fn query_bit_identical_to_oracle_across_transports() {
         // The two query routes — in-process shards folded in place from
         // their stores, `local_socket` shards gathered as serialized round
-        // slices — against the gather-everything oracle and each other:
-        // shards {1, 3} × Ram/Disk shard stores × τ ∈ {0, 64} × pool
-        // widths {1, 4}, first pinned to an epoch the stream then moves
-        // past, then live.
+        // slices — against the single-node materializing oracle on the same
+        // stream, and by state digest against that single-node system:
+        // shards {1, 3} × Ram/Disk stores × τ ∈ {0, 64} × pool widths
+        // {1, 4}, first pinned to an epoch the stream then moves past, then
+        // live.
         let n = 40u64;
         let updates = demo_updates(n as u32, 300, 11);
         let more = demo_updates(n as u32, 120, 12);
@@ -1142,9 +1106,34 @@ mod tests {
             ("in-place", ShardedGraphZeppelin::in_process),
             ("gather", ShardedGraphZeppelin::local_socket),
         ];
-        for shards in [1u32, 3] {
-            for (on_disk, tau) in [(false, 0u32), (false, 64), (true, 0), (true, 64)] {
-                let mut across_routes: Option<[BoruvkaOutcome; 2]> = None;
+        let disk = |dir: &gz_testutil::TempDir| StoreBackend::Disk {
+            dir: dir.path().to_path_buf(),
+            block_bytes: 4096,
+            cache_groups: 2,
+        };
+        for (on_disk, tau) in [(false, 0u32), (false, 64), (true, 0), (true, 64)] {
+            // The single-node reference at the same seed, τ and store.
+            let single_dir = gz_testutil::TempDir::new("gz-route-reference");
+            let mut config = GzConfig::in_ram(n);
+            config.seed = ShardConfig::in_ram(n, 1).seed;
+            config.sketch_threshold = tau;
+            if on_disk {
+                config.store = disk(&single_dir);
+            }
+            let mut single = GraphZeppelin::new(config).unwrap();
+            for &(u, v, d) in &updates {
+                single.update(u, v, d);
+            }
+            let sealed_oracle = single.spanning_forest_oracle().unwrap();
+            let sealed_digest = single.state_digest().unwrap();
+            for &(u, v, d) in &more {
+                single.update(u, v, d);
+            }
+            let live_oracle = single.spanning_forest_oracle().unwrap();
+            let live_digest = single.state_digest().unwrap();
+            assert_ne!(sealed_digest, live_digest);
+
+            for shards in [1u32, 3] {
                 for (route, make) in routes {
                     let what = format!("{route}, {shards} shards, disk {on_disk}, tau {tau}");
                     // A directory per fleet: shard files are named by
@@ -1156,19 +1145,15 @@ mod tests {
                     // on one shard, four on three.
                     config.workers_per_shard = if shards == 1 { 1 } else { 4 };
                     if on_disk {
-                        config.store = StoreBackend::Disk {
-                            dir: dir.path().to_path_buf(),
-                            block_bytes: 4096,
-                            cache_groups: 2,
-                        };
+                        config.store = disk(&dir);
                     }
                     let mut sys = make(config).unwrap();
                     sys.ingest(updates.iter().copied()).unwrap();
-                    let sealed_oracle = sys.spanning_forest_oracle().unwrap();
+                    assert_eq!(sys.state_digest().unwrap(), sealed_digest, "sealed, {what}");
                     let epoch = sys.begin_epoch().unwrap();
                     sys.ingest(more.iter().copied()).unwrap();
                     sys.flush().unwrap();
-                    let live_oracle = sys.spanning_forest_oracle().unwrap();
+                    assert_eq!(sys.state_digest().unwrap(), live_digest, "live, {what}");
                     for threads in [1usize, 4] {
                         let pinned = epoch.spanning_forest_with_pool(&WorkerPool::new(threads));
                         let what = format!("pinned at {threads}, {what}");
@@ -1176,17 +1161,11 @@ mod tests {
                     }
                     let live = sys.spanning_forest().unwrap();
                     assert_same_answer(&live, &live_oracle, &format!("live, {what}"));
-                    // A round is `rounds`-fold smaller than the full gather.
+                    // A round is `rounds`-fold smaller than the materialized
+                    // universe.
                     assert!(live.peak_sketch_bytes < live_oracle.peak_sketch_bytes, "{what}");
                     drop(epoch);
                     sys.shutdown().unwrap();
-                    match &across_routes {
-                        None => across_routes = Some([sealed_oracle, live_oracle]),
-                        Some([sealed, live]) => {
-                            assert_same_answer(&sealed_oracle, sealed, &format!("sealed, {what}"));
-                            assert_same_answer(&live_oracle, live, &format!("live, {what}"));
-                        }
-                    }
                 }
             }
         }
@@ -1214,7 +1193,7 @@ mod tests {
         fn flush(&mut self) -> Result<(), GzError> {
             unreachable!("a scripted gather only gathers")
         }
-        fn gather(&mut self) -> Result<Vec<gz_stream::wire::SketchEntry>, GzError> {
+        fn state_digest(&mut self) -> Result<u64, GzError> {
             unreachable!("a scripted gather only gathers")
         }
         fn seal_epoch(&mut self) -> Result<Vec<u64>, GzError> {
@@ -1389,8 +1368,8 @@ mod tests {
         let mut hybrid = ShardedGraphZeppelin::in_process(hybrid_cfg).unwrap();
         dense.ingest(updates.iter().copied()).unwrap();
         hybrid.ingest(updates.iter().copied()).unwrap();
-        // Full gathers densify by replay: bit-identical serialized state.
-        assert_eq!(dense.gather_serialized().unwrap(), hybrid.gather_serialized().unwrap());
+        // The digest densifies by replay: bit-identical serialized state.
+        assert_eq!(dense.state_digest().unwrap(), hybrid.state_digest().unwrap());
         // Streaming gathers ship tagged frames (sparse sets for
         // sub-threshold nodes); answers must still be bit-identical.
         let a = dense.spanning_forest().unwrap();

@@ -258,20 +258,13 @@ impl ShardPipeline {
         self.queue.wait_idle();
     }
 
-    /// Flush, then serialize every owned node's sketch — the payload of a
-    /// `Sketches` wire reply. Serialization is deterministic, which is what
-    /// makes the sharded system's gathered state *bit-identical* to a
-    /// single-node system fed the same stream.
-    pub fn gather_serialized(&self) -> Vec<SketchEntry> {
+    /// Flush, then fingerprint the owned sketch state
+    /// ([`SketchStore::state_digest`]) — the payload of a `StateDigestReply`
+    /// wire frame. The shards' digests XOR to the digest of a single-node
+    /// system fed the same stream.
+    pub fn state_digest(&self) -> Result<u64, GzError> {
         self.flush();
-        let mut entries = Vec::with_capacity(self.store.node_set().len());
-        self.store
-            .for_each_serialized(&mut |node, bytes| {
-                entries.push(SketchEntry { node, bytes: bytes.to_vec() });
-                Ok(())
-            })
-            .expect("shard store read failed");
-        entries
+        self.store.state_digest()
     }
 
     /// Serialize round `round`'s slice of every owned node's sketch — the
@@ -401,20 +394,34 @@ mod tests {
     use super::*;
     use crate::node_sketch::encode_other;
 
+    /// Every owned node's serialized stack, in slot order.
+    fn owned_stacks(shard: &ShardPipeline) -> Vec<(u32, Vec<u8>)> {
+        shard.flush();
+        let mut stacks = Vec::new();
+        shard
+            .store
+            .for_each_serialized(&mut |node, bytes| {
+                stacks.push((node, bytes.to_vec()));
+                Ok(())
+            })
+            .unwrap();
+        stacks
+    }
+
     #[test]
     fn pipeline_applies_batches_to_owned_nodes() {
         let config = ShardConfig::in_ram(16, 4);
         let shard = ShardPipeline::new(&config, 1).unwrap();
         shard.enqueue(5, vec![encode_other(2, false)]).unwrap();
         shard.enqueue(9, vec![encode_other(5, false)]).unwrap();
-        let entries = shard.gather_serialized();
+        let stacks = owned_stacks(&shard);
         // Shard 1 of 4 over 16 nodes owns {1, 5, 9, 13}.
-        assert_eq!(entries.iter().map(|e| e.node).collect::<Vec<u32>>(), vec![1, 5, 9, 13]);
+        assert_eq!(stacks.iter().map(|(node, _)| *node).collect::<Vec<u32>>(), vec![1, 5, 9, 13]);
         // Touched nodes' sketches are nonzero; untouched remain all-zero.
-        let by_node: std::collections::HashMap<u32, &SketchEntry> =
-            entries.iter().map(|e| (e.node, e)).collect();
-        assert!(by_node[&5].bytes.iter().any(|&b| b != 0));
-        assert!(by_node[&13].bytes.iter().all(|&b| b == 0));
+        let by_node: HashMap<u32, &[u8]> =
+            stacks.iter().map(|(node, bytes)| (*node, &bytes[..])).collect();
+        assert!(by_node[&5].iter().any(|&b| b != 0));
+        assert!(by_node[&13].iter().all(|&b| b == 0));
     }
 
     #[test]
@@ -454,7 +461,7 @@ mod tests {
         shard.enqueue(4, vec![encode_other(1, false)]).unwrap();
         shard.enqueue(6, vec![encode_other(3, false)]).unwrap();
         assert_eq!(shard.seq(), 2);
-        let before = shard.gather_serialized();
+        let before = shard.state_digest().unwrap();
         assert_eq!(shard.save_checkpoint().unwrap(), 2);
         let path = shard.checkpoint_path().unwrap();
         drop(shard);
@@ -465,7 +472,7 @@ mod tests {
         assert_eq!(respawn.seq(), 0);
         assert_eq!(respawn.resume_from(&path).unwrap(), 2);
         assert_eq!(respawn.seq(), 2);
-        assert_eq!(respawn.gather_serialized(), before);
+        assert_eq!(respawn.state_digest().unwrap(), before);
 
         // Streaming continues from the restored state.
         respawn.enqueue(4, vec![encode_other(1, true)]).unwrap();
@@ -489,7 +496,7 @@ mod tests {
         for &(n, o) in first.iter().chain(&second) {
             uninterrupted.enqueue(n, vec![encode_other(o, false)]).unwrap();
         }
-        let want = uninterrupted.gather_serialized();
+        let want = uninterrupted.state_digest().unwrap();
 
         let shard = ShardPipeline::new(&config, 0).unwrap();
         for &(n, o) in &first {
@@ -504,7 +511,7 @@ mod tests {
         for &(n, o) in &second {
             respawn.enqueue(n, vec![encode_other(o, false)]).unwrap();
         }
-        assert_eq!(respawn.gather_serialized(), want);
+        assert_eq!(respawn.state_digest().unwrap(), want);
     }
 
     #[test]
@@ -583,8 +590,8 @@ mod tests {
         };
         let shard = ShardPipeline::new(&config, 0).unwrap();
         shard.enqueue(4, vec![encode_other(1, false)]).unwrap();
-        let entries = shard.gather_serialized();
-        assert_eq!(entries.len(), 8);
-        assert!(entries.iter().find(|e| e.node == 4).unwrap().bytes.iter().any(|&b| b != 0));
+        let stacks = owned_stacks(&shard);
+        assert_eq!(stacks.len(), 8);
+        assert!(stacks.iter().find(|(node, _)| *node == 4).unwrap().1.iter().any(|&b| b != 0));
     }
 }

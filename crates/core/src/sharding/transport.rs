@@ -152,14 +152,15 @@ pub trait ShardTransport {
     /// distributed form of the paper's `cleanup()`).
     fn flush(&mut self) -> Result<(), GzError>;
 
-    /// Collect every shard's serialized sketches at the coordinator.
-    fn gather(&mut self) -> Result<Vec<SketchEntry>, GzError>;
+    /// Flush every shard, then XOR their state digests
+    /// ([`ShardPipeline::state_digest`]): 8 bytes a shard, equal to the
+    /// digest of a single-node system fed the same stream.
+    fn state_digest(&mut self) -> Result<u64, GzError>;
 
     /// Collect only round `round`'s slice of every shard's sketches — the
     /// query's gather unit, collected ([`Self::gather_round_each`] is the
-    /// form that folds as replies arrive). Each reply is `rounds`-fold smaller
-    /// than a full [`Self::gather`], so the coordinator holds at most one
-    /// round of the universe at a time. With `epochs = None` each shard
+    /// form that folds as replies arrive). The coordinator holds at most
+    /// one round of the universe at a time. With `epochs = None` each shard
     /// flushes and answers from its live sketches; with `Some(ids)` shard
     /// `i` answers from its sealed epoch `ids[i]` **without** flushing, so
     /// the gather runs concurrently with ingestion (DESIGN.md §11).
@@ -298,12 +299,8 @@ impl ShardTransport for InProcessTransport {
         Ok(())
     }
 
-    fn gather(&mut self) -> Result<Vec<SketchEntry>, GzError> {
-        let mut entries = Vec::new();
-        for shard in &self.shards {
-            entries.extend(shard.gather_serialized());
-        }
-        Ok(entries)
+    fn state_digest(&mut self) -> Result<u64, GzError> {
+        self.shards.iter().try_fold(0, |digest, shard| Ok(digest ^ shard.state_digest()?))
     }
 
     fn gather_round_each(
@@ -718,16 +715,16 @@ impl<S: ShardLink> ShardTransport for SocketTransport<S> {
         })
     }
 
-    fn gather(&mut self) -> Result<Vec<SketchEntry>, GzError> {
-        let mut entries = Vec::new();
-        self.request_all(true, &|_| WireMessage::GatherSketches, &mut |reply| match reply {
-            WireMessage::Sketches { entries: shard_entries } => {
-                entries.extend(shard_entries);
+    fn state_digest(&mut self) -> Result<u64, GzError> {
+        let mut digest = 0;
+        self.request_all(true, &|_| WireMessage::StateDigest, &mut |reply| match reply {
+            WireMessage::StateDigestReply { digest: theirs } => {
+                digest ^= theirs;
                 Ok(())
             }
             other => Err(other),
         })?;
-        Ok(entries)
+        Ok(digest)
     }
 
     fn gather_round_each(
@@ -874,9 +871,9 @@ pub fn serve_shard_connection<S: Read + Write>(
                 pipeline.flush();
                 WireMessage::FlushAck
             }
-            WireMessage::GatherSketches => {
+            WireMessage::StateDigest => {
                 stats.gathers.add(1);
-                WireMessage::Sketches { entries: pipeline.gather_serialized() }
+                WireMessage::StateDigestReply { digest: pipeline.state_digest()? }
             }
             WireMessage::GatherRound { round, epoch } => {
                 stats.gathers.add(1);
@@ -1208,8 +1205,8 @@ mod tests {
         in_proc.flush().unwrap();
         socket.flush().unwrap();
 
-        let a = sorted(in_proc.gather().unwrap());
-        let b = sorted(socket.gather().unwrap());
+        let a = in_proc.state_digest().unwrap();
+        let b = socket.state_digest().unwrap();
         assert_eq!(a, b, "wire transport must not change sketch state");
 
         // Both transports' overlapped gathers must deliver the same entry
@@ -1238,7 +1235,7 @@ mod tests {
             let stats = h.join().unwrap().unwrap();
             assert!(stats.batches() > 0);
             assert_eq!(stats.flushes(), 1);
-            assert_eq!(stats.gathers(), 3, "one full gather, two round gathers");
+            assert_eq!(stats.gathers(), 3, "one state digest, two round gathers");
         }
     }
 
@@ -1600,8 +1597,8 @@ mod tests {
 
         // The recovered state must be bit-identical to the uninterrupted run.
         assert_eq!(
-            sorted(transport.gather().unwrap()),
-            sorted(reference.gather().unwrap()),
+            transport.state_digest().unwrap(),
+            reference.state_digest().unwrap(),
             "post-recovery sketches must match an uninterrupted run exactly"
         );
 

@@ -128,7 +128,7 @@ impl SparseSet {
 
     /// Characteristic-vector indices of the surviving toggles for vertex
     /// `node` — the replay batch. Distinct neighbors map to distinct edge
-    /// indices, so no self-cancellation pre-pass is needed.
+    /// indices.
     pub fn replay_indices(&self, node: u32, num_nodes: u64) -> Vec<u64> {
         edge_indices(node, self.neighbors.iter().copied(), num_nodes).collect()
     }
@@ -139,7 +139,7 @@ impl SparseSet {
         let mut sketch = params.new_node_sketch();
         if !self.neighbors.is_empty() {
             let indices = self.replay_indices(node, params.num_nodes);
-            sketch.update_batch_prepared(&indices);
+            sketch.update_batch(&indices);
         }
         sketch
     }
@@ -157,7 +157,7 @@ impl SparseSet {
         let mut sketch = params.families[round].new_sketch();
         if !self.neighbors.is_empty() {
             let indices = self.replay_indices(node, params.num_nodes);
-            sketch.update_batch_prepared(&indices);
+            sketch.update_batch(&indices);
         }
         sketch
     }

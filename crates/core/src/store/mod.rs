@@ -229,8 +229,8 @@ impl SketchStore {
     /// Hand `f` every owned node's serialized sketch stack, `(node, bytes)`
     /// in slot order, one node (RAM) or node group (disk) at a time —
     /// sparse vertices densified by replay, each only while it is being
-    /// serialized. What checkpoints and full gathers stream from: the
-    /// store is never copied first. Stops at `f`'s first error.
+    /// serialized. What checkpoints and [`Self::state_digest`] stream from:
+    /// the store is never copied first. Stops at `f`'s first error.
     pub fn for_each_serialized(
         &self,
         f: &mut dyn FnMut(u32, &[u8]) -> std::io::Result<()>,
@@ -239,6 +239,21 @@ impl SketchStore {
             SketchStore::Ram(s) => s.for_each_serialized(f),
             SketchStore::Disk(s) => s.for_each_serialized(f),
         }
+    }
+
+    /// An 8-byte fingerprint of the owned sketch state: the XOR over owned
+    /// nodes of `xxh64(serialized stack, node id)`. Serialization is a pure
+    /// function of the update multiset, so two deployments fed the same
+    /// stream agree whatever their buffering, store, worker count or
+    /// sharding — and the XOR of disjoint stores' digests is the digest of
+    /// their union, so shards' digests XOR to a single-node system's.
+    pub fn state_digest(&self) -> Result<u64, GzError> {
+        let mut digest = 0u64;
+        self.for_each_serialized(&mut |node, bytes| {
+            digest ^= gz_hash::xxh64(bytes, u64::from(node));
+            Ok(())
+        })?;
+        Ok(digest)
     }
 
     /// The vertex set this store holds sketches for.
@@ -712,11 +727,9 @@ pub(crate) fn decode_records_into(node: u32, records: &[u32], num_nodes: u64, ou
 }
 
 /// Apply a batch of records to a node sketch through the batch kernel:
-/// decode to indices **once per batch** (not once per round), run the
-/// self-cancellation pre-pass once (it is hash-independent, so one pass
-/// serves every round), then hand the survivors to the stack, which
-/// premixes them once and drives each round's kernel. Shared by both
-/// stores and bit-identical to per-record singles.
+/// decode to indices **once per batch** (not once per round), then hand them
+/// to the stack, which premixes them once and drives each round's kernel.
+/// Shared by both stores and bit-identical to per-record singles.
 #[inline]
 pub(crate) fn apply_records(
     sketch: &mut CubeNodeSketch,
@@ -726,8 +739,7 @@ pub(crate) fn apply_records(
 ) {
     with_index_scratch(|indices| {
         decode_records_into(node, records, num_nodes, indices);
-        gz_sketch::cancel_duplicates(indices);
-        sketch.update_batch_prepared(indices);
+        sketch.update_batch(indices);
     });
 }
 

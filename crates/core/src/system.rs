@@ -319,22 +319,14 @@ impl GraphZeppelin {
         &self.params
     }
 
-    /// Flush, then serialize every node's sketch (indexed by node id).
-    /// Serialization is a pure function of the ingested update multiset, so
-    /// any two deployments fed the same stream — whatever their buffering,
-    /// store, worker count, or sharding — produce bit-identical output;
-    /// the equivalence suite and the multi-process sharding demo compare
-    /// against this.
-    pub fn snapshot_serialized(&mut self) -> Vec<Vec<u8>> {
+    /// Flush, then fingerprint the whole sketch state
+    /// ([`SketchStore::state_digest`]). Any two deployments fed the same
+    /// stream — whatever their buffering, store, worker count, or sharding
+    /// — report the same digest; the equivalence suite and the
+    /// multi-process sharding demo compare against this.
+    pub fn state_digest(&mut self) -> Result<u64, GzError> {
         self.flush();
-        let mut all = Vec::with_capacity(self.config.num_nodes as usize);
-        self.store
-            .for_each_serialized(&mut |_, bytes| {
-                all.push(bytes.to_vec());
-                Ok(())
-            })
-            .expect("sketch store read failed");
-        all
+        self.store.state_digest()
     }
 
     /// Replace all sketch state (checkpoint restore).
@@ -533,6 +525,33 @@ mod tests {
     }
 
     #[test]
+    fn state_digest_hashes_every_node_under_its_own_id() {
+        // The digest is the XOR over nodes of xxh64(stack, node id): a node
+        // left out, or a hash that ignores the id, must not pass. One edge
+        // gives its two endpoints the same stack, so only the ids keep the
+        // two hashes from cancelling back to the edgeless graph's digest.
+        let reference = |gz: &GraphZeppelin| {
+            let (mut want, mut nodes) = (0u64, 0u32);
+            gz.store()
+                .for_each_serialized(&mut |node, bytes| {
+                    want ^= gz_hash::xxh64(bytes, u64::from(node));
+                    nodes += 1;
+                    Ok(())
+                })
+                .unwrap();
+            assert_eq!(nodes, 16);
+            want
+        };
+        let mut gz = GraphZeppelin::new(tiny_config(16)).unwrap();
+        let edgeless = gz.state_digest().unwrap();
+        assert_eq!(edgeless, reference(&gz), "edgeless");
+        gz.edge_update(3, 9);
+        let one_edge = gz.state_digest().unwrap();
+        assert_eq!(one_edge, reference(&gz), "one edge");
+        assert_ne!(one_edge, edgeless);
+    }
+
+    #[test]
     fn memory_accounting_positive() {
         let gz = GraphZeppelin::new(tiny_config(32)).unwrap();
         assert!(gz.sketch_bytes() > 0);
@@ -554,7 +573,7 @@ mod tests {
             dense.edge_update(0, i); // hub 0 crosses τ, leaves stay sparse
             hybrid.edge_update(0, i);
         }
-        assert_eq!(dense.snapshot_serialized(), hybrid.snapshot_serialized());
+        assert_eq!(dense.state_digest().unwrap(), hybrid.state_digest().unwrap());
         let (a, b) =
             (dense.connected_components().unwrap(), hybrid.connected_components().unwrap());
         assert_eq!(a.labels(), b.labels());

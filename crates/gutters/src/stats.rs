@@ -267,7 +267,7 @@ counter_set! {
         records: Sum,
         /// `Flush` round trips served.
         flushes: Sum,
-        /// `GatherSketches`/`GatherRound` round trips served.
+        /// `StateDigest`/`GatherRound` round trips served.
         gathers: Sum,
         /// `SealEpoch` round trips served.
         seals: Sum,

@@ -26,10 +26,8 @@
 //!   so linearity and single-support certification are unaffected.
 //!
 //! The ingestion hot path is the batch kernel (paper Figure 8,
-//! `update_sketch_batch`; DESIGN.md §9). A self-cancellation pre-pass drops
-//! coordinate pairs before any hashing (toggles over Z_2 — gutters routinely
-//! deliver insert/delete pairs for the same edge). [`with_premixed`] then
-//! computes the seed-independent half of every survivor's hash once, for
+//! `update_sketch_batch`; DESIGN.md §9). [`with_premixed`] computes the
+//! seed-independent half of every record's hash once, for
 //! however many sketches the batch is bound for, and
 //! [`CubeSketch::update_batch_premixed`] runs them through the family's
 //! column [`Kernel`]: on x86-64 hosts with AVX-512 an xxHash64 family takes
@@ -125,36 +123,7 @@ fn avx512_detected() -> bool {
 /// passes and then one narrower pass for the remainder.
 const LANES: usize = 7;
 
-/// Cancel coordinate pairs within a batch of Z_2 toggles, in place.
-///
-/// Over Z_2 an even number of toggles of the same coordinate is a no-op, so
-/// duplicate pairs can be dropped *before any hashing* — the batch kernel's
-/// pre-pass. Sorts `indices` and keeps one copy of each value that occurs an
-/// odd number of times; the surviving order is ascending (irrelevant to the
-/// sketch, whose updates commute).
-pub fn cancel_duplicates(indices: &mut Vec<u64>) {
-    if indices.len() < 2 {
-        return;
-    }
-    indices.sort_unstable();
-    let mut write = 0;
-    let mut read = 0;
-    while read < indices.len() {
-        let value = indices[read];
-        let mut run = 1;
-        while read + run < indices.len() && indices[read + run] == value {
-            run += 1;
-        }
-        if run % 2 == 1 {
-            indices[write] = value;
-            write += 1;
-        }
-        read += run;
-    }
-    indices.truncate(write);
-}
-
-/// A prepared index batch together with the seed-independent half of each
+/// An index batch together with the seed-independent half of each
 /// record's hash ([`Hasher64::premix`] of its offset encoding): what
 /// [`CubeSketch::update_batch_premixed`] consumes. Only [`with_premixed`]
 /// builds one, so the two slices always correspond.
@@ -466,28 +435,20 @@ impl<H: Hasher64> CubeSketch<H> {
     }
 
     /// Apply a batch of coordinate toggles (the Graph Worker path, paper
-    /// Figure 8 `update_sketch_batch`): self-cancellation pre-pass, then the
-    /// batch kernel. Bit-identical to per-update singles.
+    /// Figure 8 `update_sketch_batch`) to one sketch: premix, then
+    /// [`Self::update_batch_premixed`]. Bit-identical to per-update singles.
+    /// Callers that apply one batch to many sketches (every round of a node
+    /// stack) premix once themselves through [`with_premixed`].
     pub fn update_batch(&mut self, indices: &[u64]) {
-        let mut survivors = indices.to_vec();
-        cancel_duplicates(&mut survivors);
-        self.update_batch_prepared(&survivors);
-    }
-
-    /// The batch kernel without the cancellation pre-pass, for one sketch:
-    /// premix, then [`Self::update_batch_premixed`]. Callers that apply one
-    /// prepared batch to many sketches (every round of a node stack) premix
-    /// once themselves through [`with_premixed`].
-    pub fn update_batch_prepared(&mut self, indices: &[u64]) {
         with_premixed(indices, |batch| {
             self.update_batch_premixed(batch, &mut LaneAccumulators::new());
         });
     }
 
     /// The batch kernel proper: every column through the family's
-    /// [`Kernel`]. Correct for arbitrary batches — duplicate pairs cancel
-    /// inside the accumulators — the pre-pass only saves their hashing
-    /// cost. Batches under `KERNEL_MIN_BATCH` go through the singles path,
+    /// [`Kernel`]. Correct for arbitrary batches — an index toggled an even
+    /// number of times cancels inside the accumulators (Z_2). Batches under
+    /// `KERNEL_MIN_BATCH` go through the singles path,
     /// which applies the same XORs.
     pub fn update_batch_premixed(
         &mut self,
@@ -892,13 +853,12 @@ mod tests {
 
     #[test]
     fn prepared_kernel_equals_singles_with_duplicates() {
-        // The batch kernel is correct even without the pre-pass:
-        // duplicate contributions cancel inside its accumulators.
+        // Duplicate contributions cancel inside the kernel's accumulators.
         let f = family(10_000, 19);
         let mut a = f.new_sketch();
         let mut b = f.new_sketch();
         let updates: Vec<u64> = (0..150).map(|i| (i * 13) % 50).collect(); // heavy dups
-        a.update_batch_prepared(&updates);
+        a.update_batch(&updates);
         for &u in &updates {
             b.update(u);
         }
@@ -954,23 +914,10 @@ mod tests {
     }
 
     #[test]
-    fn cancel_duplicates_drops_even_runs() {
-        let mut v = vec![5u64, 1, 5, 2, 1, 1, 9, 9, 9, 9];
-        cancel_duplicates(&mut v);
-        assert_eq!(v, vec![1, 2]); // 5×2 and 9×4 vanish; 1×3 keeps one
-        let mut empty: Vec<u64> = Vec::new();
-        cancel_duplicates(&mut empty);
-        assert!(empty.is_empty());
-        let mut single = vec![42u64];
-        cancel_duplicates(&mut single);
-        assert_eq!(single, vec![42]);
-    }
-
-    #[test]
     fn insert_delete_pairs_cancel_before_hashing() {
         // The gutter regime: a batch full of insert/delete pairs for the
-        // same edges must leave the sketch exactly as if only the odd
-        // survivors were applied.
+        // same edges must leave the sketch exactly as if only the unpaired
+        // toggle were applied.
         let f = family(5000, 29);
         let mut batched = f.new_sketch();
         let mut reference = f.new_sketch();
@@ -1054,8 +1001,8 @@ mod proptests {
 
     /// Both kernels against singles on the same inputs: the scalar kernel
     /// called directly, so every host runs the reference, and the family's
-    /// own — the AVX-512 kernel wherever the family selects it — behind the
-    /// pre-pass (`update_batch`) and without it (`update_batch_prepared`).
+    /// own through `update_batch` — the AVX-512 kernel wherever the family
+    /// selects it.
     fn assert_kernel_equals_singles<H: Hasher64>(
         geometry: SketchGeometry,
         seed: u64,
@@ -1064,13 +1011,11 @@ mod proptests {
         let f = CubeSketchFamily::<H>::new(geometry, seed);
         let mut scalar = f.new_sketch();
         let mut batched = f.new_sketch();
-        let mut prepared = f.new_sketch();
         let mut singles = f.new_sketch();
         with_premixed(updates, |batch| {
             scalar.update_batch_with(Kernel::Scalar, batch, &mut LaneAccumulators::new())
         });
         batched.update_batch(updates);
-        prepared.update_batch_prepared(updates);
         for &u in updates {
             singles.update(u);
         }
@@ -1091,11 +1036,6 @@ mod proptests {
             bytes(&batched),
             reference,
             "update_batch ({kernel}) != singles ({geometry:?}, {n} updates)"
-        );
-        assert_eq!(
-            bytes(&prepared),
-            reference,
-            "update_batch_prepared ({kernel}) != singles ({geometry:?}, {n} updates)"
         );
     }
 
@@ -1230,7 +1170,7 @@ mod proptests {
             prop_assert_eq!(s.query(), SampleResult::Zero);
         }
 
-        /// The batch kernels (pre-pass, premix, scalar lane passes or
+        /// The batch kernels (premix, scalar lane passes or
         /// eight-lane vectors) are bit-identical to per-update singles:
         /// across column counts on both sides of the lane width and every
         /// remainder, vectors from one row (every hash clamps at the last
@@ -1282,27 +1222,6 @@ mod proptests {
                 raw[..len].iter().map(|r| geometry.vector_len - 1 - r % domain).collect();
             assert_sample_equals_query::<Xxh64Hasher>(geometry, seed, &updates);
             assert_sample_equals_query::<gz_hash::PairwiseHash>(geometry, seed, &updates);
-        }
-
-        /// The cancellation pre-pass preserves the Z_2 toggle multiset's
-        /// parity: survivors are exactly the odd-multiplicity values.
-        #[test]
-        fn cancel_duplicates_keeps_odd_multiplicities(
-            updates in proptest::collection::vec(0u64..100, 0..150)
-        ) {
-            let mut counts = std::collections::HashMap::new();
-            for &u in &updates {
-                *counts.entry(u).or_insert(0u32) += 1;
-            }
-            let mut expected: Vec<u64> = counts
-                .iter()
-                .filter(|(_, &c)| c % 2 == 1)
-                .map(|(&v, _)| v)
-                .collect();
-            expected.sort_unstable();
-            let mut got = updates.clone();
-            cancel_duplicates(&mut got);
-            prop_assert_eq!(got, expected);
         }
 
         /// Updates commute: any permutation of updates yields the same sketch.

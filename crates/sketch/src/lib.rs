@@ -25,7 +25,7 @@ pub mod geometry;
 pub mod modular;
 pub mod standard;
 
-pub use cube::{cancel_duplicates, CubeSketch, CubeSketchFamily, Kernel};
+pub use cube::{CubeSketch, CubeSketchFamily, Kernel};
 pub use geometry::SketchGeometry;
 pub use standard::{StandardFamily, StandardSketch};
 

@@ -7,8 +7,9 @@
 //! pays a round trip per stream element; see *Exploring the Landscape of
 //! Distributed Graph Sketching*). This module defines the messages that
 //! cross the coordinator/shard boundary; it is deliberately sketch-agnostic
-//! (gathered sketches travel as opaque bytes) so the transport layer never
-//! depends on sketch internals.
+//! (gathered round slices travel as opaque bytes, a shard's whole state as
+//! an 8-byte digest) so the transport layer never depends on sketch
+//! internals.
 //!
 //! Frame layout (little-endian):
 //!
@@ -21,9 +22,9 @@
 //! ```
 //!
 //! The protocol is strictly request/reply from the coordinator's side:
-//! `Hello` expects `HelloAck`, `Flush` expects `FlushAck`, `GatherSketches`
-//! expects `Sketches`, `GatherRound` expects `RoundSketches`; `Batch` and
-//! `Shutdown` are one-way.
+//! `Hello` expects `HelloAck`, `Flush` expects `FlushAck`, `StateDigest`
+//! expects `StateDigestReply`, `GatherRound` expects `RoundSketches`;
+//! `Batch` and `Shutdown` are one-way.
 //!
 //! Since v7 the same framing also carries the *front-door* dialect spoken
 //! between `gz serve` and its clients: `ClientHello` expects
@@ -62,8 +63,11 @@ pub const WIRE_MAGIC: [u8; 2] = *b"GZ";
 /// `UpdateAck` (edge updates in, durable-prefix acknowledgements out),
 /// `Query` / `QueryResult` (connectivity questions answered from a sealed
 /// epoch), `Busy` (typed overload shedding at admission) and `ErrorReply`
-/// (the typed last word before the daemon kills a misbehaving connection).
-pub const PROTOCOL_VERSION: u8 = 7;
+/// (the typed last word before the daemon kills a misbehaving connection);
+/// v8 replaced the whole-store gather frame pair (tags 6 and 7) with
+/// `StateDigest` / `StateDigestReply`: a shard answers with the 8-byte
+/// digest of its owned state instead of every owned node's stack.
+pub const PROTOCOL_VERSION: u8 = 8;
 
 /// Upper bound on a frame payload (defensive: a corrupt length header must
 /// not trigger a multi-gigabyte allocation).
@@ -74,8 +78,8 @@ const TAG_HELLO_ACK: u8 = 2;
 const TAG_BATCH: u8 = 3;
 const TAG_FLUSH: u8 = 4;
 const TAG_FLUSH_ACK: u8 = 5;
-const TAG_GATHER: u8 = 6;
-const TAG_SKETCHES: u8 = 7;
+const TAG_STATE_DIGEST: u8 = 6;
+const TAG_STATE_DIGEST_REPLY: u8 = 7;
 const TAG_SHUTDOWN: u8 = 8;
 const TAG_GATHER_ROUND: u8 = 9;
 const TAG_ROUND_SKETCHES: u8 = 10;
@@ -100,8 +104,8 @@ const TAG_ERROR_REPLY: u8 = 26;
 /// gather reads the live (flushed) state, the pre-v4 behavior.
 const EPOCH_LIVE: u64 = u64::MAX;
 
-/// One serialized node sketch, as gathered from a shard: the owning node id
-/// plus the sketch's serialized bytes (opaque at this layer).
+/// One node's serialized round slice (or sparse set), as gathered from a
+/// shard: the owning node id plus the bytes (opaque at this layer).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SketchEntry {
     /// Graph node the sketch belongs to.
@@ -196,23 +200,25 @@ pub enum WireMessage {
     Flush,
     /// Worker → coordinator: all prior batches are in the sketches.
     FlushAck,
-    /// Coordinator → worker: flush, then reply [`WireMessage::Sketches`]
-    /// with every owned node's serialized sketch.
-    GatherSketches,
-    /// Worker → coordinator: the shard's sketch state.
-    Sketches {
-        /// One entry per owned node.
-        entries: Vec<SketchEntry>,
+    /// Coordinator → worker: flush, then reply
+    /// [`WireMessage::StateDigestReply`] with the digest of the shard's
+    /// owned sketch state.
+    StateDigest,
+    /// Worker → coordinator: the shard's state digest — the XOR over owned
+    /// nodes of `xxh64(serialized stack, node id)`. The coordinator XORs
+    /// the shards' digests into the digest of the whole system.
+    StateDigestReply {
+        /// The shard's digest.
+        digest: u64,
     },
     /// Coordinator → worker: reply [`WireMessage::RoundSketches`] with only
     /// round `round`'s slice of every owned node's sketch — the streaming
     /// query's gather unit. A Borůvka query sends one of these per round,
-    /// so each reply frame is a `rounds`-fold smaller than a full
-    /// [`WireMessage::Sketches`] gather and the coordinator never holds
-    /// more than one round of the universe at a time. With `epoch: None`
-    /// the worker flushes and serves the live state; with `Some(id)` it
-    /// serves the sealed generation of a [`WireMessage::SealEpoch`] — no
-    /// flush, no quiescing, consistent across all the query's rounds.
+    /// so the coordinator never holds more than one round of the universe
+    /// at a time. With `epoch: None` the worker flushes and serves the live
+    /// state; with `Some(id)` it serves the sealed generation of a
+    /// [`WireMessage::SealEpoch`] — no flush, no quiescing, consistent
+    /// across all the query's rounds.
     GatherRound {
         /// Sketch round (0-based) whose column data is requested.
         round: u32,
@@ -376,8 +382,8 @@ impl WireMessage {
             WireMessage::Batch { .. } => TAG_BATCH,
             WireMessage::Flush => TAG_FLUSH,
             WireMessage::FlushAck => TAG_FLUSH_ACK,
-            WireMessage::GatherSketches => TAG_GATHER,
-            WireMessage::Sketches { .. } => TAG_SKETCHES,
+            WireMessage::StateDigest => TAG_STATE_DIGEST,
+            WireMessage::StateDigestReply { .. } => TAG_STATE_DIGEST_REPLY,
             WireMessage::GatherRound { .. } => TAG_GATHER_ROUND,
             WireMessage::RoundSketches { .. } => TAG_ROUND_SKETCHES,
             WireMessage::SealEpoch => TAG_SEAL_EPOCH,
@@ -416,10 +422,8 @@ impl WireMessage {
             WireMessage::EpochSealed { .. }
             | WireMessage::ReleaseEpoch { .. }
             | WireMessage::CheckpointAck { .. }
-            | WireMessage::ResyncFrom { .. } => 8,
-            WireMessage::Sketches { entries } => {
-                4 + entries.iter().map(|e| 8 + e.bytes.len()).sum::<usize>()
-            }
+            | WireMessage::ResyncFrom { .. }
+            | WireMessage::StateDigestReply { .. } => 8,
             WireMessage::RoundSketches { entries, .. } => {
                 8 + entries.iter().map(|e| 8 + e.bytes.len()).sum::<usize>()
             }
@@ -438,7 +442,7 @@ impl WireMessage {
             WireMessage::ErrorReply { message } => 4 + message.len(),
             WireMessage::Flush
             | WireMessage::FlushAck
-            | WireMessage::GatherSketches
+            | WireMessage::StateDigest
             | WireMessage::SealEpoch
             | WireMessage::EpochReleased
             | WireMessage::CheckpointShard
@@ -460,10 +464,6 @@ impl WireMessage {
                     out.extend_from_slice(&r.to_le_bytes());
                 }
             }
-            WireMessage::Sketches { entries } => {
-                out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-                encode_entries(entries, out);
-            }
             WireMessage::GatherRound { round, epoch } => {
                 out.extend_from_slice(&round.to_le_bytes());
                 out.extend_from_slice(&epoch.unwrap_or(EPOCH_LIVE).to_le_bytes());
@@ -473,6 +473,9 @@ impl WireMessage {
             }
             WireMessage::CheckpointAck { seq } | WireMessage::ResyncFrom { seq } => {
                 out.extend_from_slice(&seq.to_le_bytes());
+            }
+            WireMessage::StateDigestReply { digest } => {
+                out.extend_from_slice(&digest.to_le_bytes());
             }
             WireMessage::RoundSketches { round, entries } => {
                 out.extend_from_slice(&round.to_le_bytes());
@@ -526,7 +529,7 @@ impl WireMessage {
             }
             WireMessage::Flush
             | WireMessage::FlushAck
-            | WireMessage::GatherSketches
+            | WireMessage::StateDigest
             | WireMessage::SealEpoch
             | WireMessage::EpochReleased
             | WireMessage::CheckpointShard
@@ -543,8 +546,6 @@ impl WireMessage {
     /// A payload over [`MAX_PAYLOAD_BYTES`] is refused *before* anything is
     /// written: the peer would reject it anyway, and past `u32::MAX` the
     /// length header would silently truncate and desynchronize the stream.
-    /// (Gathers from universes big enough to hit the cap need a chunked
-    /// `Sketches` reply — not implemented yet.)
     pub fn write_to<W: Write>(&self, w: &mut W) -> io::Result<()> {
         let payload_len = self.payload_len();
         if payload_len > MAX_PAYLOAD_BYTES {
@@ -607,11 +608,8 @@ impl WireMessage {
             }
             TAG_FLUSH => WireMessage::Flush,
             TAG_FLUSH_ACK => WireMessage::FlushAck,
-            TAG_GATHER => WireMessage::GatherSketches,
-            TAG_SKETCHES => {
-                let count = cur.u32()? as usize;
-                WireMessage::Sketches { entries: decode_entries(&mut cur, count)? }
-            }
+            TAG_STATE_DIGEST => WireMessage::StateDigest,
+            TAG_STATE_DIGEST_REPLY => WireMessage::StateDigestReply { digest: cur.u64()? },
             TAG_GATHER_ROUND => {
                 let round = cur.u32()?;
                 let epoch = match cur.u64()? {
@@ -712,8 +710,8 @@ impl WireMessage {
             WireMessage::Batch { .. } => "Batch",
             WireMessage::Flush => "Flush",
             WireMessage::FlushAck => "FlushAck",
-            WireMessage::GatherSketches => "GatherSketches",
-            WireMessage::Sketches { .. } => "Sketches",
+            WireMessage::StateDigest => "StateDigest",
+            WireMessage::StateDigestReply { .. } => "StateDigestReply",
             WireMessage::GatherRound { .. } => "GatherRound",
             WireMessage::RoundSketches { .. } => "RoundSketches",
             WireMessage::SealEpoch => "SealEpoch",
@@ -793,13 +791,9 @@ mod tests {
             WireMessage::Batch { node: 0, records: vec![] },
             WireMessage::Flush,
             WireMessage::FlushAck,
-            WireMessage::GatherSketches,
-            WireMessage::Sketches {
-                entries: vec![
-                    SketchEntry { node: 3, bytes: vec![9, 8, 7] },
-                    SketchEntry { node: 10, bytes: vec![] },
-                ],
-            },
+            WireMessage::StateDigest,
+            WireMessage::StateDigestReply { digest: 0 },
+            WireMessage::StateDigestReply { digest: 0x0123_4567_89AB_CDEF },
             WireMessage::GatherRound { round: 11, epoch: None },
             WireMessage::GatherRound { round: 3, epoch: Some(17) },
             WireMessage::RoundSketches {
@@ -969,12 +963,14 @@ mod tests {
         let err = WireMessage::read_from(&mut &buf[..]).unwrap_err();
         assert!(err.to_string().contains("entry count exceeds remaining payload"), "got: {err}");
 
-        // Sketches: one entry whose length field promises u32::MAX bytes.
+        // RoundSketches: one entry whose length field promises u32::MAX
+        // bytes.
         let mut payload = Vec::new();
+        payload.extend_from_slice(&0u32.to_le_bytes()); // round
         payload.extend_from_slice(&1u32.to_le_bytes()); // count
         payload.extend_from_slice(&0u32.to_le_bytes()); // node
         payload.extend_from_slice(&u32::MAX.to_le_bytes()); // entry length
-        let buf = frame(7, &payload);
+        let buf = frame(10, &payload);
         let err = WireMessage::read_from(&mut &buf[..]).unwrap_err();
         assert!(err.to_string().contains("entry length exceeds remaining payload"), "got: {err}");
 
@@ -991,7 +987,8 @@ mod tests {
     fn refuses_to_write_oversized_frames() {
         // A frame the reader would reject must never be sent (and a payload
         // past u32::MAX must not silently truncate the length header).
-        let msg = WireMessage::Sketches {
+        let msg = WireMessage::RoundSketches {
+            round: 0,
             entries: vec![SketchEntry { node: 0, bytes: vec![0u8; MAX_PAYLOAD_BYTES + 1] }],
         };
         let mut out = Vec::new();
@@ -1033,19 +1030,27 @@ mod tests {
             buf.extend_from_slice(payload);
             buf
         }
-        // CheckpointShard / Resync carry no payload; trailing bytes are
-        // garbage.
-        for tag in [15u8, 17] {
+        // CheckpointShard / Resync / StateDigest carry no payload; trailing
+        // bytes are garbage.
+        for tag in [TAG_CHECKPOINT_SHARD, TAG_RESYNC, TAG_STATE_DIGEST] {
             let buf = frame(tag, &[0]);
             assert!(WireMessage::read_from(&mut &buf[..]).is_err(), "tag {tag}");
         }
         // CheckpointAck / ResyncFrom carry exactly a u64: short payloads
         // truncate, long ones trail.
-        for tag in [16u8, 18] {
+        for tag in [TAG_CHECKPOINT_ACK, TAG_RESYNC_FROM] {
             let short = frame(tag, &[0u8; 4]);
             assert!(WireMessage::read_from(&mut &short[..]).is_err(), "tag {tag} short");
             let long = frame(tag, &[0u8; 12]);
             assert!(WireMessage::read_from(&mut &long[..]).is_err(), "tag {tag} long");
+        }
+        // So does StateDigestReply: one byte short truncates, one byte
+        // over trails, and each is a typed `InvalidData`, never a digest.
+        for (len, why) in [(7, "truncated message payload"), (9, "trailing bytes")] {
+            let buf = frame(TAG_STATE_DIGEST_REPLY, &vec![0xA5; len]);
+            let err = WireMessage::read_from(&mut &buf[..]).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{len}-byte digest");
+            assert!(err.to_string().contains(why), "{len}-byte digest: {err}");
         }
     }
 

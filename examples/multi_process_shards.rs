@@ -7,7 +7,8 @@
 //! and serves the wire-protocol event loop. The parent process plays the
 //! coordinator — routing a Kronecker stream through the batching
 //! [`ShardRouter`]-backed system over [`SocketTransport`] — then verifies
-//! that the gathered sketch state and the connected-components answer are
+//! that the distributed sketch state (its 8-byte state digest, XORed from
+//! one `StateDigestReply` a worker) and the connected-components answer are
 //! **bit-identical** to a single-node [`GraphZeppelin`] fed the same
 //! stream.
 //!
@@ -68,7 +69,8 @@ fn run_worker(index: u32) {
     let stats =
         serve_shard_connection(&mut link, &pipeline, config.params_digest()).expect("serve shard");
     println!(
-        "DONE shard {index}: {} batches / {} records applied, {} flushes, {} gathers",
+        "DONE shard {index}: {} batches / {} records applied, {} flushes, {} gathers \
+         (digests and query rounds)",
         stats.batches(),
         stats.records(),
         stats.flushes(),
@@ -122,11 +124,12 @@ fn run_coordinator() {
         single.update(upd.u, upd.v, is_delete);
     }
 
-    // The §8 claim, checked at the bit level: gathering the distributed
-    // sketches reconstructs the single-node state exactly.
-    let gathered = sharded.gather_serialized().expect("gather");
-    let reference = single.snapshot_serialized();
-    assert_eq!(gathered, reference, "gathered sketch state must be bit-identical");
+    // The §8 claim, checked at the bit level: the workers' state digests
+    // XOR to the single-node system's, so every node's sketch stack is the
+    // one the single-node system holds.
+    let digest = sharded.state_digest().expect("sharded state digest");
+    let reference = single.state_digest().expect("single-node state digest");
+    assert_eq!(digest, reference, "distributed sketch state must be bit-identical");
 
     let sharded_labels = sharded.connected_components().expect("sharded query");
     let single_labels = single.connected_components().expect("single query").labels().to_vec();
@@ -140,7 +143,10 @@ fn run_coordinator() {
         components,
         sharded.batches_shipped(),
     );
-    println!("sketch state bit-identical to the single-node system across {NUM_NODES} nodes");
+    println!(
+        "sketch state bit-identical to the single-node system across {NUM_NODES} nodes \
+         (state digest {digest:#018x})"
+    );
 
     sharded.shutdown().expect("shutdown");
     for (mut child, mut reader) in children {

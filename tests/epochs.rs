@@ -385,7 +385,10 @@ fn epoch_folds_and_in_place_flushes_share_the_system_pool() {
             let mut gz = ShardedGraphZeppelin::in_process(config).expect("sharded system");
             gz.ingest(ring(n, 1)).expect("ingest");
             let epoch = gz.begin_epoch().expect("seal");
-            let sealed = gz.spanning_forest_oracle().expect("oracle at the seal");
+            // The single-node oracle on the stream up to the seal.
+            let mut single = GraphZeppelin::new(GzConfig::in_ram(n)).expect("system");
+            ingest_single(&mut single, &ring(n, 1));
+            let sealed = single.spanning_forest_oracle().expect("oracle at the seal");
             fold_during_churn(
                 || epoch.spanning_forest().expect("fold"),
                 &sealed,

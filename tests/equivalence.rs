@@ -70,13 +70,15 @@ fn store_backends_equivalent() {
     assert_eq!(labels_for(ram, &updates), labels_for(disk, &updates));
 }
 
-/// Ingest `updates` and return the serialized sketch state with the labels.
-fn state_and_labels(
-    config: GzConfig,
-    updates: &[gz_stream::EdgeUpdate],
-) -> (Vec<Vec<u8>>, Vec<u32>) {
+/// Ingest `updates` and return the sketch state's digest with the labels.
+fn state_and_labels(config: GzConfig, updates: &[gz_stream::EdgeUpdate]) -> (u64, Vec<u32>) {
     let mut gz = ingested(config, updates);
-    (gz.snapshot_serialized(), gz.connected_components().expect("query").labels().to_vec())
+    (digest(&mut gz), gz.connected_components().expect("query").labels().to_vec())
+}
+
+/// Flush, then the digest of the whole sketch state.
+fn digest(gz: &mut GraphZeppelin) -> u64 {
+    gz.state_digest().expect("state digest")
 }
 
 /// A disk store of one-node groups cached two deep: with 128 vertices
@@ -105,10 +107,10 @@ fn worker_counts_equivalent() {
         let mut disk = starved_disk(v, &dir);
         disk.num_workers = workers;
         let mut gz = ingested(disk, &updates);
-        let state = gz.snapshot_serialized();
+        let state = digest(&mut gz);
         let io = gz.store_io().expect("disk store counts its I/O");
         assert!(io.writes() > 0, "{workers} workers: the starved cache must have evicted");
-        assert_eq!(reference.0, state, "{workers} disk workers: serialized state");
+        assert_eq!(reference.0, state, "{workers} disk workers: state digest");
         let labels = gz.connected_components().expect("query").labels().to_vec();
         assert_eq!(reference.1, labels, "{workers} disk workers: labels");
     }
@@ -161,7 +163,7 @@ fn sharded_system(config: ShardConfig, transport: Transport) -> ShardedGraphZepp
 
 #[test]
 fn sharded_configurations_bit_identical_to_unsharded() {
-    // Shard counts × transports: the gathered sketch state and the
+    // Shard counts × transports: the sketch state (its digest) and the
     // connected-components output must be *bit-identical* to the unsharded
     // system on the same stream — the §8 partitioning claim, checked at
     // the byte level rather than up to answer equality.
@@ -171,7 +173,7 @@ fn sharded_configurations_bit_identical_to_unsharded() {
     for upd in &updates {
         single.update(upd.u, upd.v, upd.kind == UpdateKind::Delete);
     }
-    let reference_state = single.snapshot_serialized();
+    let reference_state = digest(&mut single);
     let reference_labels = single.connected_components().expect("query").labels().to_vec();
 
     for shards in [1u32, 2, 3, 7] {
@@ -181,7 +183,7 @@ fn sharded_configurations_bit_identical_to_unsharded() {
                 gz.update(upd.u, upd.v, upd.kind == UpdateKind::Delete).expect("routed update");
             }
             assert_eq!(
-                gz.gather_serialized().expect("gather"),
+                gz.state_digest().expect("state digest"),
                 reference_state,
                 "sketch state diverged: {shards} shards over {transport:?}"
             );
@@ -214,7 +216,42 @@ fn sharded_disk_store_bit_identical_to_unsharded() {
     for upd in &updates {
         sharded.update(upd.u, upd.v, upd.kind == UpdateKind::Delete).expect("routed update");
     }
-    assert_eq!(sharded.gather_serialized().expect("gather"), single.snapshot_serialized());
+    assert_eq!(sharded.state_digest().expect("state digest"), digest(&mut single));
+}
+
+#[test]
+fn state_digest_sees_every_update_and_no_cancelled_pair() {
+    // What the digest comparisons above rest on: drop any one update from
+    // a stream and the digest changes; add an insert/delete pair of an edge
+    // the stream never touches and it does not, single-node or sharded. The
+    // stream ends on an isolated edge, whose two endpoints hold the same
+    // stack: a digest blind to node ids would miss its loss.
+    let n = 24u64;
+    let mut updates: Vec<(u32, u32, bool)> =
+        (0..30u32).map(|i| (i % 20, (i * 7 + 3) % 20, false)).filter(|(u, v, _)| u != v).collect();
+    updates.extend([(4, 11, true), (3, 10, true), (21, 22, false)]);
+    let single = |stream: &[(u32, u32, bool)]| {
+        let mut gz = GraphZeppelin::new(GzConfig::in_ram(n)).expect("single-node system");
+        gz.ingest(stream.iter().copied());
+        digest(&mut gz)
+    };
+    let full = single(&updates);
+    for (i, update) in updates.iter().enumerate() {
+        let mut dropped = updates.clone();
+        dropped.remove(i);
+        assert_ne!(single(&dropped), full, "update {i} {update:?} dropped");
+    }
+
+    let mut padded = updates.clone();
+    padded.insert(5, (20, 23, false));
+    padded.push((20, 23, true));
+    assert_eq!(single(&padded), full, "a cancelled pair of a fresh edge");
+    for transport in [Transport::InProcess, Transport::Socket] {
+        let mut sharded = sharded_system(ShardConfig::in_ram(n, 3), transport);
+        sharded.ingest(padded.iter().copied()).expect("routed updates");
+        assert_eq!(sharded.state_digest().expect("digest"), full, "3 shards over {transport:?}");
+        sharded.shutdown().expect("clean shutdown");
+    }
 }
 
 #[test]
@@ -360,7 +397,7 @@ fn in_place_flush_bit_identical_to_the_queue_route() {
     let mut queue_only = GzConfig::in_ram(v);
     queue_only.buffering = BufferStrategy::LeafOnly { capacity: GutterCapacity::Updates(1) };
     let mut reference = ingested(queue_only, &updates);
-    let want_state = reference.snapshot_serialized();
+    let want_state = digest(&mut reference);
     let want = reference.spanning_forest().expect("reference query");
     assert_eq!(reference.ingest_counters().flushes(), 0, "the reference never flushes a record");
     assert_eq!(reference.ingest_counters().records(), 2 * updates.len() as u64);
@@ -413,7 +450,7 @@ fn in_place_flush_bit_identical_to_the_queue_route() {
             let what =
                 format!("{workers} workers, disk {on_disk}, tau {tau}, {:?}", config.buffering);
             let mut gz = ingested(config, &updates);
-            assert_eq!(gz.snapshot_serialized(), want_state, "single node, {what}: state");
+            assert_eq!(digest(&mut gz), want_state, "single node, {what}: state");
             let counters = gz.ingest_counters();
             assert_eq!(counters.flushes(), 1, "single node, {what}: one flush found records");
             assert_eq!(counters.records(), 2 * updates.len() as u64, "single node, {what}");
@@ -432,7 +469,7 @@ fn in_place_flush_bit_identical_to_the_queue_route() {
                 for upd in &updates {
                     gz.update(upd.u, upd.v, upd.kind == UpdateKind::Delete).expect("routed update");
                 }
-                assert_eq!(gz.gather_serialized().expect("gather"), want_state, "{what}: state");
+                assert_eq!(gz.state_digest().expect("digest"), want_state, "{what}: state");
                 assert_eq!(gz.ingest_counters().records(), 2 * updates.len() as u64, "{what}");
                 same_answer(gz.spanning_forest().expect("query"), &what);
                 gz.shutdown().expect("clean shutdown");
@@ -587,10 +624,10 @@ mod batch_kernel_proptests {
     use super::*;
     use proptest::prelude::*;
 
-    /// Build the dup-heavy toggle stream the batch kernel's cancellation
-    /// pre-pass exists for: each raw edge is optionally emitted as an
-    /// insert/delete pair (cancelling inside one gutter flush with high
-    /// probability) instead of a single toggle.
+    /// Build a dup-heavy toggle stream: each raw edge is optionally emitted
+    /// as an insert/delete pair (cancelling inside one gutter flush, in the
+    /// kernel's accumulators, with high probability) instead of a single
+    /// toggle.
     fn dup_heavy_stream(n: u64, raw: Vec<(u32, u32, bool)>) -> Vec<(u32, u32, bool)> {
         let mut updates = Vec::new();
         for (a, b, pair) in raw {
@@ -611,8 +648,8 @@ mod batch_kernel_proptests {
 
         /// The batched sketch-update kernel is bit-identical to per-update
         /// singles at the whole-system level: a gutter-sized configuration
-        /// (batch kernel, cancellation pre-pass active) must serialize the
-        /// exact same sketch state as an unbuffered configuration (every
+        /// (batch kernel, duplicates in one batch) must hold the exact same
+        /// sketch state as an unbuffered configuration (every
         /// record its own batch) — across Ram/Disk stores and shard counts
         /// {1, 3}, on dup-heavy streams.
         #[test]
@@ -623,8 +660,8 @@ mod batch_kernel_proptests {
             let updates = dup_heavy_stream(n, raw);
 
             // Reference: per-update singles (capacity-1 gutters flush every
-            // record as its own batch, so the kernel's small-batch path and
-            // the pre-pass both degenerate to plain single updates).
+            // record as its own batch, so the kernel's small-batch path
+            // degenerates to plain single updates).
             let mut singles_cfg = GzConfig::in_ram(n);
             singles_cfg.buffering =
                 BufferStrategy::LeafOnly { capacity: GutterCapacity::Updates(1) };
@@ -632,14 +669,14 @@ mod batch_kernel_proptests {
             for &(u, v, d) in &updates {
                 singles.update(u, v, d);
             }
-            let reference = singles.snapshot_serialized();
+            let reference = digest(&mut singles);
 
             // Gutter-sized RAM batches through the column-major kernel.
             let mut ram = GraphZeppelin::new(GzConfig::in_ram(n)).unwrap();
             for &(u, v, d) in &updates {
                 ram.update(u, v, d);
             }
-            prop_assert_eq!(&ram.snapshot_serialized(), &reference, "ram batch != singles");
+            prop_assert_eq!(digest(&mut ram), reference, "ram batch != singles");
 
             // Disk store: the same kernel behind the group cache.
             let dir = TempDir::new("gz-equiv-kernel-prop");
@@ -653,7 +690,7 @@ mod batch_kernel_proptests {
             for &(u, v, d) in &updates {
                 disk.update(u, v, d);
             }
-            prop_assert_eq!(&disk.snapshot_serialized(), &reference, "disk batch != singles");
+            prop_assert_eq!(digest(&mut disk), reference, "disk batch != singles");
 
             // Shard fleets route through per-shard gutter lanes before the
             // same store kernel.
@@ -664,8 +701,8 @@ mod batch_kernel_proptests {
                     gz.update(u, v, d).unwrap();
                 }
                 prop_assert_eq!(
-                    &gz.gather_serialized().unwrap(),
-                    &reference,
+                    gz.state_digest().unwrap(),
+                    reference,
                     "sharded batch != singles ({} shards)",
                     shards
                 );
@@ -722,7 +759,7 @@ mod hybrid_representation_proptests {
 
             let mut dense = GraphZeppelin::new(GzConfig::in_ram(n)).unwrap();
             ingest(&mut dense, &updates);
-            let ref_state = dense.snapshot_serialized();
+            let ref_state = digest(&mut dense);
             let reference = dense.spanning_forest().unwrap();
 
             for tau in [4u32, 16, 64] {
@@ -730,7 +767,7 @@ mod hybrid_representation_proptests {
                 ram_cfg.sketch_threshold = tau;
                 let mut ram = GraphZeppelin::new(ram_cfg).unwrap();
                 ingest(&mut ram, &updates);
-                prop_assert_eq!(&ram.snapshot_serialized(), &ref_state, "ram state τ={}", tau);
+                prop_assert_eq!(digest(&mut ram), ref_state, "ram state τ={}", tau);
                 let got = ram.spanning_forest().unwrap();
                 prop_assert_eq!(&reference.labels, &got.labels, "ram labels τ={}", tau);
                 prop_assert_eq!(&reference.forest, &got.forest, "ram forest τ={}", tau);
@@ -745,7 +782,7 @@ mod hybrid_representation_proptests {
                 };
                 let mut disk = GraphZeppelin::new(disk_cfg).unwrap();
                 ingest(&mut disk, &updates);
-                prop_assert_eq!(&disk.snapshot_serialized(), &ref_state, "disk state τ={}", tau);
+                prop_assert_eq!(digest(&mut disk), ref_state, "disk state τ={}", tau);
                 let got = disk.spanning_forest().unwrap();
                 prop_assert_eq!(&reference.labels, &got.labels, "disk labels τ={}", tau);
                 prop_assert_eq!(&reference.forest, &got.forest, "disk forest τ={}", tau);
@@ -758,7 +795,7 @@ mod hybrid_representation_proptests {
                         gz.update(u, v, d).unwrap();
                     }
                     prop_assert_eq!(
-                        &gz.gather_serialized().unwrap(), &ref_state,
+                        gz.state_digest().unwrap(), ref_state,
                         "sharded state τ={} shards={}", tau, shards
                     );
                     let got = gz.spanning_forest().unwrap();

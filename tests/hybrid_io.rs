@@ -167,8 +167,8 @@ fn query_scans_disk_store_once_per_snapshot() {
 /// The disk-query suite on a deliberately cache-starved store (512-byte
 /// blocks, two cached groups), so queries stream groups off the file rather
 /// than hitting the LRU, on a one-worker pool (the claim loop run by a lone
-/// worker) and on two: the oracle's answer and identical serialized sketch
-/// state — live, and pinned to an epoch while ingestion continues past the
+/// worker) and on two: the oracle's answer and the same sketch state
+/// digest — live, and pinned to an epoch while ingestion continues past the
 /// seal.
 #[test]
 fn cache_starved_disk_queries_match_the_oracle_live_and_pinned() {
@@ -189,14 +189,14 @@ fn cache_starved_disk_queries_match_the_oracle_live_and_pinned() {
     let mut reference = GraphZeppelin::new(disk_config(&reference_dir, 1)).unwrap();
     reference.ingest(sealed.iter().copied());
     let oracle = reference.spanning_forest_oracle().expect("oracle query");
-    let reference_state = reference.snapshot_serialized();
+    let reference_state = reference.state_digest().expect("state digest");
 
     for workers in [1, 2] {
         let dir = scratch("starved");
         let mut gz = GraphZeppelin::new(disk_config(&dir, workers)).unwrap();
         gz.ingest(sealed.iter().copied());
         let live = gz.spanning_forest().expect("streaming query");
-        assert_eq!(reference_state, gz.snapshot_serialized(), "{workers} workers: state");
+        assert_eq!(reference_state, gz.state_digest().unwrap(), "{workers} workers: state");
         assert!(gz.store_io().unwrap().reads() > 0, "groups must have streamed off disk");
 
         let epoch = gz.begin_epoch().expect("seal");
@@ -256,13 +256,26 @@ fn two_shard_fleets_with_one_seed_keep_their_own_files_in_one_directory() {
         };
         config
     };
+    // Each fleet's state digest reads every node of its own files back
+    // and must equal a single-node RAM system's on the same edges.
+    let in_ram = |edges: &mut dyn Iterator<Item = (u32, u32, bool)>| {
+        let mut single = GraphZeppelin::new(GzConfig::in_ram(256)).unwrap();
+        single.ingest(edges);
+        single.state_digest().unwrap()
+    };
+    let path_edges = || PATH_EDGES.map(|v| (v, v + 1, false));
+    let matching_edges = || MATCHING_EDGES.map(|i| (2 * i, 2 * i + 1, false));
     let mut path = ShardedGraphZeppelin::in_process(config()).unwrap();
     let mut matching = ShardedGraphZeppelin::in_process(config()).unwrap();
-    path.ingest(PATH_EDGES.map(|v| (v, v + 1, false))).unwrap();
-    matching.ingest(MATCHING_EDGES.map(|i| (2 * i, 2 * i + 1, false))).unwrap();
-    for (what, gz, truth) in [("path", &mut path, 1), ("matching", &mut matching, 128)] {
+    path.ingest(path_edges()).unwrap();
+    matching.ingest(matching_edges()).unwrap();
+    let fleets = [
+        ("path", &mut path, 1, in_ram(&mut path_edges())),
+        ("matching", &mut matching, 128, in_ram(&mut matching_edges())),
+    ];
+    for (what, gz, truth, digest) in fleets {
         assert_eq!(gz.spanning_forest().unwrap().num_components(), truth, "{what}: live");
-        assert_eq!(gz.spanning_forest_oracle().unwrap().num_components(), truth, "{what}: oracle");
+        assert_eq!(gz.state_digest().unwrap(), digest, "{what}: state digest");
     }
     path.shutdown().unwrap();
     matching.shutdown().unwrap();
