@@ -7,8 +7,8 @@
 //! repro --list                  # figure ids
 //! ```
 //!
-//! Output is plain text tables; EXPERIMENTS.md archives a captured run with
-//! paper-vs-measured commentary.
+//! Output is plain text tables; EXPERIMENTS.md holds the runs that are
+//! committed, with the paper's numbers beside them.
 
 use gz_bench::figures::{run_figure, ALL_FIGURES};
 use gz_bench::Scale;

@@ -53,7 +53,7 @@ mod tests {
         // Paper reports CubeSketch 1.21 KiB at 10^3 up to 18.8 KiB at 10^12.
         // Our geometry uses the same 12 B buckets and 7 columns; rows are
         // log2(n) rather than log2(n²), so sizes land within ~2x of the
-        // paper's (shape identical; EXPERIMENTS.md discusses the offset).
+        // paper's, with the same shape.
         let small = SketchGeometry::paper(1000).cube_sketch_bytes();
         let large = SketchGeometry::paper(10u64.pow(12)).cube_sketch_bytes();
         assert!((500..4000).contains(&small), "10^3 -> {small}B");

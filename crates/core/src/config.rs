@@ -233,8 +233,8 @@ pub const SLACK_ROUNDS: u32 = 3;
 /// `⌈log₂ V⌉ + 3`, capped at the paper's [`paper_rounds`] so no vertex count
 /// gets more than the paper gives it. Borůvka needs `⌈log₂ V⌉` rounds when
 /// every component finds an edge; the three more absorb sampler failures
-/// (DESIGN.md §2, "The round budget", has the argument and the measured
-/// table).
+/// (DESIGN.md §2, "The round budget", has the argument; EXPERIMENTS.md,
+/// "Sketch geometry and the round budget", the measured tables).
 pub fn default_rounds(num_nodes: u64) -> u32 {
     paper_rounds(num_nodes).min(log2_rounds(num_nodes) + SLACK_ROUNDS)
 }

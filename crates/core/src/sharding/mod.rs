@@ -7,7 +7,7 @@
 //!
 //! - [`ShardRouter`] — coordinator-side inter-shard batching: per-node
 //!   gutters (reusing `gz_gutters`) accumulate updates and emit node-keyed
-//!   batches, replacing the old per-update routing hot path.
+//!   batches, so no update crosses to a shard on its own.
 //! - the wire protocol (`gz_stream::wire`) — framed, versioned messages
 //!   (`Hello`, `Batch`, `Flush`, `StateDigest`, `GatherRound`, `Shutdown`,
 //!   …) between coordinator and shard workers.
@@ -20,7 +20,7 @@
 //!   Graph Worker pool, and a pluggable RAM/disk store covering only the
 //!   shard's owned vertices.
 //!
-//! The routing contract is unchanged: shard `i` owns every vertex `v` with
+//! The routing contract: shard `i` owns every vertex `v` with
 //! `v % num_shards == i`, each update touches at most two shards, and
 //! shards never communicate until query time. A query over shards in this
 //! process folds each Borůvka round straight from the shards' stores

@@ -1,11 +1,11 @@
 //! The per-shard ingestion pipeline.
 //!
-//! A shard is no longer a bare store: like the single-node system it runs a
-//! work queue drained by a [`WorkerPool`] into a pluggable [`SketchStore`]
-//! (RAM or disk), so a shard machine gets the same batch-level parallelism
-//! and storage flexibility as a stand-alone deployment. The store covers
-//! only the shard's residue class — sketch memory is
-//! `owned_nodes × node_sketch_bytes`, not `V × node_sketch_bytes`.
+//! Like the single-node system, a shard runs a work queue drained by a
+//! [`WorkerPool`] into a pluggable [`SketchStore`] (RAM or disk), so a shard
+//! machine has the same batch-level parallelism and storage choices as a
+//! stand-alone deployment. The store covers only the shard's residue class:
+//! sketch memory is `owned_nodes × node_sketch_bytes`, not
+//! `V × node_sketch_bytes`.
 
 use crate::boruvka::RoundSink;
 use crate::checkpoint::{load_shard_checkpoint, save_shard_checkpoint, ShardCheckpointHeader};

@@ -1,11 +1,10 @@
 //! The shard router: inter-shard batching at the coordinator.
 //!
-//! The old sharded path forwarded every stream update to its destination
-//! shard individually — exactly the per-update routing that *Exploring the
-//! Landscape of Distributed Graph Sketching* shows erases the distributed
-//! win (a message per update costs more than the sketch work it carries).
-//! The router instead reuses the gutters from `gz_gutters`: one
-//! [`GutterSet`] per destination shard accumulates records per graph node,
+//! A message per stream update costs more than the sketch work it carries
+//! (*Exploring the Landscape of Distributed Graph Sketching*), so the router
+//! batches before anything crosses to a shard. It reuses the gutters from
+//! `gz_gutters`: one [`GutterSet`] per destination shard accumulates records
+//! per graph node,
 //! and the record that fills a gutter hands its node-keyed [`Batch`]
 //! straight to the caller's `send`, which the transport ships as a single
 //! `Batch{node, records}` frame. Nothing sits between gutter and `send`.

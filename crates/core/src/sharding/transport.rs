@@ -5,8 +5,8 @@
 //! single-process or multi-process:
 //!
 //! - [`InProcessTransport`] — shards are [`ShardPipeline`]s owned by the
-//!   coordinator; "sending" a batch is a queue push. This is the refactored
-//!   form of the old `ShardedGraphZeppelin`.
+//!   coordinator; "sending" a batch is a queue push, and a query folds the
+//!   shards' stores in place ([`ShardTransport::local_views`]).
 //! - [`SocketTransport`] — shards live behind framed [`Link`]s (over a
 //!   [`Stream`], or any [`ShardLink`]) speaking the [`gz_stream::wire`]
 //!   protocol; the remote end runs [`serve_shard_connection`]'s event loop.
@@ -275,11 +275,6 @@ impl InProcessTransport {
             .map(|i| ShardPipeline::new(config, i))
             .collect::<Result<Vec<_>, GzError>>()?;
         Ok(InProcessTransport { shards })
-    }
-
-    /// Sketch bytes held per shard (footprint accounting).
-    pub fn shard_sketch_bytes(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.sketch_bytes()).collect()
     }
 }
 

@@ -1,7 +1,7 @@
 //! Epoch-versioned reads: sealed generations with copy-on-write overlays.
 //!
-//! A query that wants a consistent cut of the sketch state no longer has to
-//! stop the world. [`SketchStore::begin_epoch`] *seals* the current
+//! A query that wants a consistent cut of the sketch state does not stop the
+//! world. [`SketchStore::begin_epoch`] *seals* the current
 //! generation — every sketch value as of the seal — and hands back an
 //! [`EpochOverlay`]. Ingestion keeps writing into the open generation; the
 //! first time a node group is dirtied after a seal, its pre-image is
@@ -66,11 +66,6 @@ impl EpochOverlay {
     /// Node groups captured so far (dense captures only).
     pub fn captured_groups(&self) -> usize {
         self.map.lock().len()
-    }
-
-    /// Sparse vertices captured so far.
-    pub fn captured_sparse(&self) -> usize {
-        self.sparse.lock().len()
     }
 
     /// Node sketches captured so far (groups × nodes per group).

@@ -3,12 +3,7 @@
 //! Boruvka's algorithm — the query phase of GraphZeppelin (paper §4.2, Fig. 9)
 //! — tracks which vertices have merged into which supernode with a DSU. The
 //! paper's I/O analysis charges `log*(V)` per merge (Lemma 5); this module
-//! provides that structure plus a rollback variant used by tests to explore
-//! merge orders.
-
-pub mod rollback;
-
-pub use rollback::RollbackDsu;
+//! provides that structure.
 
 /// Union–find over `n` elements with union by rank and path compression.
 ///

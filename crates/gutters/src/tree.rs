@@ -47,18 +47,6 @@ pub struct GutterTreeConfig {
 }
 
 impl GutterTreeConfig {
-    /// The paper's §5.1 parameters, with the leaf gutter sized to 2× the
-    /// node sketch.
-    pub fn paper_defaults(num_nodes: u32, sketch_bytes: usize, path: PathBuf) -> Self {
-        GutterTreeConfig {
-            num_nodes,
-            leaf_capacity_updates: (2 * sketch_bytes / 4).max(1),
-            buffer_bytes: 8 << 20,
-            fanout: 512,
-            path,
-        }
-    }
-
     /// Small parameters for tests: exercises multi-level trees on tiny
     /// inputs.
     pub fn small_for_tests(num_nodes: u32, path: PathBuf) -> Self {

@@ -8,11 +8,6 @@
 //! Producers block while the queue is full; consumers block while it is
 //! empty. Closing the queue wakes all consumers, which drain remaining
 //! batches and then observe `None`.
-//!
-//! The queue is generic over its item type (defaulting to [`Batch`], the
-//! ingestion unit) so other bounded producer/consumer pipelines — e.g. the
-//! in-process shard transport's funnel of per-shard round replies — reuse
-//! the same blocking/backpressure machinery.
 
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
@@ -28,28 +23,28 @@ pub struct Batch {
     pub others: Vec<u32>,
 }
 
-struct Inner<T> {
-    queue: VecDeque<T>,
+struct Inner {
+    queue: VecDeque<Batch>,
     closed: bool,
     /// Items pushed but not yet acknowledged via [`WorkQueue::task_done`].
     outstanding: usize,
 }
 
-/// Bounded blocking MPMC queue, of [`Batch`]es by default.
+/// Bounded blocking MPMC queue of [`Batch`]es.
 ///
-/// Also tracks *outstanding work*: each pushed item stays outstanding until
+/// Also tracks *outstanding work*: each pushed batch stays outstanding until
 /// a consumer calls [`WorkQueue::task_done`], which is what lets the query
 /// path's `cleanup()` (paper Figure 9) wait until every buffered update has
 /// actually been applied to the sketches.
-pub struct WorkQueue<T = Batch> {
-    inner: Mutex<Inner<T>>,
+pub struct WorkQueue {
+    inner: Mutex<Inner>,
     not_empty: Condvar,
     not_full: Condvar,
     all_done: Condvar,
     capacity: usize,
 }
 
-impl<T> WorkQueue<T> {
+impl WorkQueue {
     /// Queue with the paper's capacity rule: 8 batches per worker.
     pub fn for_workers(num_workers: usize) -> Self {
         Self::with_capacity(8 * num_workers.max(1))
@@ -71,9 +66,9 @@ impl<T> WorkQueue<T> {
         }
     }
 
-    /// Push an item, blocking while the queue is full. Returns `false` if
-    /// the queue has been closed (the item is dropped).
-    pub fn push(&self, item: T) -> bool {
+    /// Push a batch, blocking while the queue is full. Returns `false` if
+    /// the queue has been closed (the batch is dropped).
+    pub fn push(&self, item: Batch) -> bool {
         let mut inner = self.inner.lock();
         while inner.queue.len() >= self.capacity && !inner.closed {
             self.not_full.wait(&mut inner);
@@ -88,7 +83,7 @@ impl<T> WorkQueue<T> {
         true
     }
 
-    /// Acknowledge that a popped item has been fully processed.
+    /// Acknowledge that a popped batch has been fully processed.
     pub fn task_done(&self) {
         let mut inner = self.inner.lock();
         debug_assert!(inner.outstanding > 0, "task_done without outstanding work");
@@ -115,9 +110,9 @@ impl<T> WorkQueue<T> {
         self.inner.lock().outstanding
     }
 
-    /// Pop an item, blocking while the queue is empty. Returns `None` once
+    /// Pop a batch, blocking while the queue is empty. Returns `None` once
     /// the queue is closed *and* drained.
-    pub fn pop(&self) -> Option<T> {
+    pub fn pop(&self) -> Option<Batch> {
         let mut inner = self.inner.lock();
         loop {
             if let Some(item) = inner.queue.pop_front() {
@@ -133,7 +128,7 @@ impl<T> WorkQueue<T> {
     }
 
     /// Non-blocking pop.
-    pub fn try_pop(&self) -> Option<T> {
+    pub fn try_pop(&self) -> Option<Batch> {
         let mut inner = self.inner.lock();
         let item = inner.queue.pop_front();
         if item.is_some() {
@@ -152,22 +147,17 @@ impl<T> WorkQueue<T> {
         self.not_full.notify_all();
     }
 
-    /// Number of queued items.
+    /// Number of queued batches.
     pub fn len(&self) -> usize {
         self.inner.lock().queue.len()
     }
 
-    /// True if no items are queued.
+    /// True if no batches are queued.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// True once closed.
-    pub fn is_closed(&self) -> bool {
-        self.inner.lock().closed
-    }
-
-    /// Maximum number of queued items.
+    /// Maximum number of queued batches.
     pub fn capacity(&self) -> usize {
         self.capacity
     }
@@ -193,18 +183,8 @@ mod tests {
 
     #[test]
     fn capacity_rule() {
-        assert_eq!(WorkQueue::<Batch>::for_workers(6).capacity(), 48);
-        assert_eq!(WorkQueue::<Batch>::for_workers(0).capacity(), 8);
-    }
-
-    #[test]
-    fn generic_items_flow_through() {
-        // A non-`Batch` instantiation: queue of (shard, bytes) pairs.
-        let q: WorkQueue<(u32, Vec<u8>)> = WorkQueue::with_capacity(2);
-        assert!(q.push((7, vec![1, 2, 3])));
-        assert_eq!(q.pop(), Some((7, vec![1, 2, 3])));
-        q.close();
-        assert!(!q.push((8, vec![])));
+        assert_eq!(WorkQueue::for_workers(6).capacity(), 48);
+        assert_eq!(WorkQueue::for_workers(0).capacity(), 8);
     }
 
     #[test]
@@ -299,13 +279,13 @@ mod tests {
 
     #[test]
     fn wait_idle_returns_immediately_when_empty() {
-        let q = WorkQueue::<Batch>::with_capacity(2);
+        let q = WorkQueue::with_capacity(2);
         q.wait_idle(); // must not hang
     }
 
     #[test]
     fn blocked_consumer_wakes_on_close() {
-        let q = Arc::new(WorkQueue::<Batch>::with_capacity(2));
+        let q = Arc::new(WorkQueue::with_capacity(2));
         let q2 = Arc::clone(&q);
         let consumer = std::thread::spawn(move || q2.pop());
         std::thread::sleep(std::time::Duration::from_millis(20));

@@ -55,8 +55,8 @@ const MAX_ROWS: usize = 64;
 /// Batches smaller than this skip the batch kernel: the suffix-XOR sweep
 /// touches every row of every column (`rows × columns` read-modify-writes),
 /// a fixed cost per sketch that singles — which write only the rows a
-/// record reaches — do not pay. Measured crossover (EXPERIMENTS.md
-/// "Sketch-update kernel"): singles ahead at 2 records, the kernel from 3 —
+/// record reaches — do not pay. Measured crossover (EXPERIMENTS.md,
+/// "Decided"): singles ahead at 2 records, the kernel from 3 —
 /// at seven columns and again at three, both sides being linear in columns.
 /// [`Kernel::Avx512`] has no sweep but a fixed cost of its own per column
 /// (three dependent `vpmullq`, then folding eight row registers), and

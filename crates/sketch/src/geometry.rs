@@ -21,15 +21,14 @@ pub const PAPER_COLUMNS: u32 = 7;
 /// A column succeeds iff its deepest occupied row holds exactly one
 /// coordinate — probability ≈ 1/(2 ln 2) = 0.72 on a dense vector — so `c`
 /// columns fail a query with probability ≈ 0.28^c: 2 % at 3, 10⁻⁴ at the
-/// paper's 7. A failed query
-/// only delays its component by one round, and the round budget
-/// (`⌈log₂ V⌉ + 3`, DESIGN.md §2) keeps three rounds above the `⌈log₂ V⌉`
-/// that every component finding an edge would need — the measured tables
-/// (EXPERIMENTS.md, "Sketch geometry: columns against a measured δ" and "The
-/// round budget") have every query at 3 columns finishing inside those
-/// `⌈log₂ V⌉`. Every cost of a stream update is linear in this number
-/// (DESIGN.md §2). Files and handshakes carry their own column count, so
-/// state written under another value is refused, never reinterpreted.
+/// paper's 7. A failed query only delays its component by one round, and
+/// the round budget (`⌈log₂ V⌉ + 3`, DESIGN.md §2) keeps three rounds above
+/// the `⌈log₂ V⌉` that every component finding an edge would need — the
+/// measured tables (EXPERIMENTS.md, "Sketch geometry and the round budget")
+/// have every query at 3 columns finishing inside those `⌈log₂ V⌉`. Every
+/// cost of a stream update is linear in this number (DESIGN.md §2). Files
+/// and handshakes carry their own column count, so state written under
+/// another value is refused, never reinterpreted.
 pub const DEFAULT_COLUMNS: u32 = 3;
 
 /// Shape of a sketch's bucket matrix.

@@ -112,7 +112,7 @@ pub fn paper_kron_datasets() -> Vec<Dataset> {
 
 /// Scaled-down kron datasets for laptop-scale reproduction: same generator
 /// and density, smaller scales. Shape comparisons (who wins, crossovers)
-/// are preserved; EXPERIMENTS.md records the mapping.
+/// are preserved.
 pub fn scaled_kron_datasets(max_scale: u32) -> Vec<Dataset> {
     (8..=max_scale).step_by(2).map(Dataset::kron).collect()
 }

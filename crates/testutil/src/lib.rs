@@ -1,11 +1,10 @@
 //! Shared test support for the workspace.
 //!
-//! Every on-disk test used to key scratch space off the process id alone
-//! (`gz_*_{pid}`), which collides when the test harness runs tests in
-//! parallel threads and leaks the directory whenever an assertion fires
-//! before the manual `remove_dir_all`. [`TempDir`] and [`TempPath`] give
-//! every call site a unique path and clean it up in `Drop`, which runs even
-//! on panic (the libtest harness catches the unwind).
+//! Every on-disk test takes its scratch space from [`TempDir`] or
+//! [`TempPath`]. Each call gets a path no other call in the process or in a
+//! concurrent process gets (the harness runs tests on parallel threads),
+//! and `Drop` removes it, even on panic (the libtest harness catches the
+//! unwind), so a failing assertion leaves nothing behind.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
