@@ -2,30 +2,47 @@
 //!
 //! Sketch sizes across vector lengths 10^3…10^12, from the exact geometry
 //! model at the paper's column count (12-byte CubeSketch buckets vs three
-//! field words for the standard sampler). The paper's shape: ~2× smaller in the 64-bit regime, ~4×
-//! beyond `n = 10^10`.
+//! field words for the standard sampler). The paper's shape: ~2× smaller in
+//! the 64-bit regime, ~4× beyond `n = 10^10`. [`run`] checks it and returns
+//! the verdict as `repro`'s exit code. The model is the serialized bucket;
+//! a resident CubeSketch bucket below `n = 2^32` is smaller still (one
+//! packed word, DESIGN.md §2), which the figure leaves out, as the paper
+//! does.
 
 use crate::harness::{fmt_bytes, Scale, Table};
 use gz_sketch::geometry::SketchGeometry;
 
-/// Print the Figure 5 table.
-pub fn run(_scale: Scale) {
+/// Standard-over-CubeSketch size ratio at vector length `10^exp`, and the
+/// range the paper's shape puts it in: 1.8–2.2× through `10^9`, 3.8–4.2×
+/// from `10^10`.
+fn reduction(exp: u32) -> (f64, std::ops::RangeInclusive<f64>) {
+    let geom = SketchGeometry::paper(10u64.pow(exp));
+    let ratio = geom.standard_sketch_bytes() as f64 / geom.cube_sketch_bytes() as f64;
+    (ratio, if exp <= 9 { 1.8..=2.2 } else { 3.8..=4.2 })
+}
+
+/// Print the Figure 5 table; true if every reduction has the paper's shape.
+pub fn run(_scale: Scale) -> bool {
     println!("== Figure 5: sketch sizes, standard l0 vs CubeSketch ==\n");
     let mut t = Table::new(&["vector length", "standard l0", "CubeSketch", "size reduction"]);
+    let mut holds = true;
     for exp in 3..=12u32 {
-        let n = 10u64.pow(exp);
-        let geom = SketchGeometry::paper(n);
-        let std_bytes = geom.standard_sketch_bytes() as u64;
-        let cube_bytes = geom.cube_sketch_bytes() as u64;
+        let geom = SketchGeometry::paper(10u64.pow(exp));
+        let (ratio, shape) = reduction(exp);
+        holds &= shape.contains(&ratio);
         t.row(vec![
             format!("10^{exp}"),
-            fmt_bytes(std_bytes),
-            fmt_bytes(cube_bytes),
-            format!("{:.1}x", std_bytes as f64 / cube_bytes as f64),
+            fmt_bytes(geom.standard_sketch_bytes() as u64),
+            fmt_bytes(geom.cube_sketch_bytes() as u64),
+            format!("{ratio:.1}x"),
         ]);
     }
     t.print();
-    println!("\npaper shape: 1.9-2.1x reduction through 10^9, 4.1x from 10^10 onward.\n");
+    println!(
+        "\npaper shape: 1.8-2.2x reduction through 10^9, 3.8-4.2x from 10^10 onward: {}.\n",
+        if holds { "holds" } else { "FAILS" }
+    );
+    holds
 }
 
 #[cfg(test)]
@@ -34,17 +51,10 @@ mod tests {
 
     #[test]
     fn reduction_factors_match_paper_shape() {
-        // 2x in the 64-bit regime…
-        for exp in 3..=9u32 {
-            let geom = SketchGeometry::paper(10u64.pow(exp));
-            let r = geom.standard_sketch_bytes() as f64 / geom.cube_sketch_bytes() as f64;
-            assert!((1.8..=2.2).contains(&r), "10^{exp}: {r}");
-        }
-        // …4x beyond the 128-bit switch.
-        for exp in 10..=12u32 {
-            let geom = SketchGeometry::paper(10u64.pow(exp));
-            let r = geom.standard_sketch_bytes() as f64 / geom.cube_sketch_bytes() as f64;
-            assert!((3.8..=4.2).contains(&r), "10^{exp}: {r}");
+        // 2x in the 64-bit regime, 4x beyond the 128-bit switch.
+        for exp in 3..=12u32 {
+            let (ratio, shape) = reduction(exp);
+            assert!(shape.contains(&ratio), "10^{exp}: {ratio}");
         }
     }
 
@@ -63,6 +73,6 @@ mod tests {
 
     #[test]
     fn runs() {
-        run(Scale::Small);
+        assert!(run(Scale::Small));
     }
 }

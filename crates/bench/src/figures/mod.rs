@@ -39,12 +39,13 @@ pub const ALL_FIGURES: &[&str] = &[
 ];
 
 /// Run one figure by id. `None` for unknown ids; `Some(false)` when the
-/// figure checks its own output and the check failed (`reliability` does).
+/// figure checks its own output and the check failed (`fig5` and
+/// `reliability` do).
 pub fn run_figure(id: &str, scale: Scale) -> Option<bool> {
     match id {
         "fig1" => fig01::run(scale),
         "fig4" => fig04::run(scale),
-        "fig5" => fig05::run(scale),
+        "fig5" => return Some(fig05::run(scale)),
         "fig10" => fig10::run(scale),
         "fig11" => fig11::run(scale),
         "fig12" => fig12::run(scale),

@@ -6,7 +6,7 @@
 //! crash tests and the repo benchmark's load generator; it is also the
 //! reference for writing clients in other languages.
 
-use graph_zeppelin::{Link, LinkError, Stream, TransportTimeouts};
+use graph_zeppelin::{GraphDigest, Link, LinkError, Stream, TransportTimeouts};
 use gz_stream::wire::{QueryAnswer, QueryKind, WireMessage, WireUpdate};
 use std::path::Path;
 
@@ -54,6 +54,7 @@ pub struct ServeClient {
     link: Link,
     acked: u64,
     num_nodes: u64,
+    graph: GraphDigest,
 }
 
 impl ServeClient {
@@ -76,8 +77,8 @@ impl ServeClient {
     fn handshake(dialed: std::io::Result<Stream>) -> Result<ServeClient, ClientError> {
         let mut link = Link::new(dialed.map_err(|e| LinkError::from_io(&e))?);
         match request(&mut link, &WireMessage::ClientHello)? {
-            WireMessage::ClientHelloAck { num_nodes, acked } => {
-                Ok(ServeClient { link, acked, num_nodes })
+            WireMessage::ClientHelloAck { num_nodes, acked, graph } => {
+                Ok(ServeClient { link, acked, num_nodes, graph: *graph })
             }
             WireMessage::Busy { active, max_clients } => {
                 Err(ClientError::Busy { active, max_clients })
@@ -90,6 +91,14 @@ impl ServeClient {
     /// handshake, advanced by every [`ServeClient::send_updates`]).
     pub fn acked(&self) -> u64 {
         self.acked
+    }
+
+    /// The graph digest of the updates the daemon had acked at the
+    /// handshake (`gz_graph::digest`): equal to
+    /// `GraphDigest::of_updates` of the first [`Self::acked`] updates this
+    /// stream sent, if the daemon holds exactly those.
+    pub fn hello_graph_digest(&self) -> GraphDigest {
+        self.graph
     }
 
     /// The daemon's vertex universe size.

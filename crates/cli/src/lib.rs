@@ -882,6 +882,7 @@ pub fn execute(cmd: Command) -> Result<String, String> {
                 }
                 out.push_str(&format!("ingest: {}\n", gz.ingest_counters()));
                 out.push_str(&format!("sketch: kernel={}\n", gz.params().kernel()));
+                out.push_str(&format!("graph digest: {}\n", gz.graph_digest()));
             }
             if args.forest {
                 for e in cc.spanning_forest() {

@@ -36,8 +36,8 @@
 //! it lags fewer than `--staleness` acked updates.
 
 use graph_zeppelin::{
-    GzError, Link, LinkError, ServeManifest, ShardConfig, ShardedEpoch, ShardedGraphZeppelin,
-    Stream, TransportErrorKind, TransportTimeouts, UpdateWal,
+    GraphDigest, GzError, Link, LinkError, ServeManifest, ShardConfig, ShardedEpoch,
+    ShardedGraphZeppelin, Stream, TransportErrorKind, TransportTimeouts, UpdateWal,
 };
 use gz_gutters::ServeStats;
 use gz_stream::wire::{QueryAnswer, QueryKind, WireMessage, WireUpdate};
@@ -120,10 +120,11 @@ impl ServeOptions {
     }
 
     /// The manifest of a state directory whose round `round` covers
-    /// `covered` acked updates of this daemon's universe.
-    fn manifest(&self, round: u64, covered: u64) -> ServeManifest {
+    /// `covered` acked updates of this daemon's universe, whose graph
+    /// digest is `graph`.
+    fn manifest(&self, round: u64, covered: u64, graph: GraphDigest) -> ServeManifest {
         let (num_nodes, seed, num_shards) = (self.nodes, self.seed, self.shards);
-        ServeManifest { round, covered, num_nodes, seed, num_shards }
+        ServeManifest { round, covered, num_nodes, seed, num_shards, graph }
     }
 }
 
@@ -325,6 +326,23 @@ impl ServeShared {
         Ok(acked)
     }
 
+    /// The acked update count and the graph digest of those updates, read
+    /// together under the ingest lock. The digest's read flushes, and a
+    /// stale cached epoch would make that flush copy a pre-image of every
+    /// node it touches (DESIGN.md §11): it goes first, as in `query_epoch`.
+    fn acked_digest(&self) -> Result<(u64, GraphDigest), GzError> {
+        let mut ingest = self.ingest.lock().unwrap();
+        let Some(system) = ingest.system.as_mut() else {
+            return Err(GzError::Protocol("daemon is shutting down".into()));
+        };
+        if self.fresh_cached_epoch().is_none() {
+            let stale = self.epoch_cache.lock().unwrap().take();
+            drop(stale);
+        }
+        let graph = system.graph_digest()?;
+        Ok((self.acked.load(Ordering::Relaxed), graph))
+    }
+
     /// The cached epoch, if it lags at most `--staleness` acked updates.
     fn fresh_cached_epoch(&self) -> Option<Arc<ShardedEpoch>> {
         let acked = self.acked.load(Ordering::Acquire);
@@ -393,7 +411,8 @@ impl ServeShared {
         let next = d.round + 1;
         let shards = self.options.shards;
         system.checkpoint_shards_to(&shard_paths(&d.dir, next, shards))?;
-        self.options.manifest(next, acked).save(&manifest_path(&d.dir))?;
+        let graph = system.graph_digest()?;
+        self.options.manifest(next, acked, graph).save(&manifest_path(&d.dir))?;
         d.wal = UpdateWal::create(&wal_path(&d.dir, next))?;
         for old in shard_paths(&d.dir, d.round, shards) {
             let _ = std::fs::remove_file(old);
@@ -444,10 +463,8 @@ fn serve_client(shared: &ServeShared, link: &mut Link) -> Result<(), LinkError> 
         }
     }
     let num_nodes = shared.options.nodes;
-    link.send(&WireMessage::ClientHelloAck {
-        num_nodes,
-        acked: shared.acked.load(Ordering::Acquire),
-    })?;
+    let (acked, graph) = shared.acked_digest().map_err(|e| refused("hello", e))?;
+    link.send(&WireMessage::ClientHelloAck { num_nodes, acked, graph: Box::new(graph) })?;
     loop {
         let reply = match link.recv()? {
             WireMessage::UpdateBatch { updates } => {
@@ -564,12 +581,13 @@ impl ServeHandle {
         if shared.options.stats {
             out.push_str(&format!("\nconnections: {}", shared.stats));
         }
-        if let Some(system) = system {
+        if let Some(mut system) = system {
             if shared.options.stats {
                 // Every seal and checkpoint cut is a flush under the ingest
                 // lock: `flush_ns_max` is the longest stall ingest has seen.
                 out.push_str(&format!("\ningest: {}", system.ingest_counters()));
                 out.push_str(&format!("\nsketch: kernel={}", system.params().kernel()));
+                out.push_str(&format!("\ngraph digest: {}", system.graph_digest()?));
             }
             system.shutdown()?;
         }
@@ -619,13 +637,14 @@ fn build_system(
         prune_stale_rounds(dir, m.round);
         if m.round > 0 {
             system.resume_shards_from(&shard_paths(dir, m.round, options.shards))?;
+            system.restore_graph_digest(m.graph)?;
         }
         (m.round, m.covered)
     } else {
         // Fresh state: publish round 0 immediately so a restart without
         // --resume is refused even before the first checkpoint.
         prune_stale_rounds(dir, 0);
-        options.manifest(0, 0).save(&manifest_file)?;
+        options.manifest(0, 0, GraphDigest::ZERO).save(&manifest_file)?;
         (0, 0)
     };
 
@@ -927,7 +946,8 @@ mod tests {
         let mut old = ShardedGraphZeppelin::in_process(old).expect("old system");
         old.ingest((1..NODES as u32).map(|v| (0, v, false))).expect("ingest");
         old.checkpoint_shards_to(&shard_paths(dir.path(), 1, options.shards)).expect("checkpoint");
-        options.manifest(1, NODES - 1).save(&manifest_path(dir.path())).expect("manifest");
+        let graph = old.graph_digest().expect("graph digest");
+        options.manifest(1, NODES - 1, graph).save(&manifest_path(dir.path())).expect("manifest");
 
         options.resume = true;
         let Err(err) = serve_start(&options) else { panic!("resumed across geometries") };
@@ -1045,7 +1065,7 @@ mod tests {
             WireMessage::Shutdown,
         ];
         let received = [
-            WireMessage::ClientHelloAck { num_nodes: 16, acked: 0 },
+            WireMessage::ClientHelloAck { num_nodes: 16, acked: 0, graph: Box::default() },
             WireMessage::UpdateAck { acked: 2 },
             WireMessage::QueryResult { answer: QueryAnswer::NumComponents(14) },
         ];
@@ -1068,7 +1088,9 @@ mod tests {
         assert_eq!(total, max, "one flush: its length is the longest");
         let kernel = graph_zeppelin::ShardConfig::in_ram(16, 1).params().kernel();
         assert_eq!(lines[3], format!("sketch: kernel={kernel}"));
-        assert_eq!(lines.len(), 4);
+        let graph = GraphDigest::of_updates([(0, 1, false), (1, 2, false)], 16);
+        assert_eq!(lines[4], format!("graph digest: {graph}"));
+        assert_eq!(lines.len(), 5);
     }
 
     /// The serve dialect's half of the link contract (the shard dialect's

@@ -16,7 +16,9 @@
 
 #![cfg(unix)]
 
-use graph_zeppelin::{BoruvkaOutcome, ShardConfig, ShardedGraphZeppelin, TransportTimeouts};
+use graph_zeppelin::{
+    BoruvkaOutcome, GraphDigest, ShardConfig, ShardedGraphZeppelin, TransportTimeouts,
+};
 use gz_cli::client::{ClientError, ServeClient};
 use gz_cli::serve::{serve_start, ServeHandle, ServeListen, ServeOptions};
 use gz_stream::wire::{QueryKind, WireMessage, WireUpdate};
@@ -352,6 +354,10 @@ fn durable_serve_resumes_bit_identically_in_process() {
     let handle = serve_start(&options).expect("resume daemon");
     let mut client = connect(&handle);
     assert_eq!(client.acked(), updates.len() as u64, "handshake reports the acked prefix");
+    // The shard files carry no graph digest: the manifest's comes back, so
+    // the handshake's is the digest of exactly the acked updates.
+    let sent = GraphDigest::of_updates(updates.iter().copied(), NODES);
+    assert_eq!(client.hello_graph_digest(), sent, "handshake reports the acked prefix's digest");
     assert_eq!(client.query_num_components().expect("num"), expected.num_components() as u64);
     assert_eq!(client.query_components().expect("components"), expected.labels);
     assert_eq!(client.query_forest().expect("forest"), forest_pairs(&expected));

@@ -46,6 +46,7 @@ use crate::error::GzError;
 use crate::node_sketch::{CubeNodeSketch, SketchParams};
 use crate::store::SketchStore;
 use crate::system::GraphZeppelin;
+use gz_graph::{GraphDigest, GRAPH_DIGEST_BYTES};
 use gz_hash::xxh64;
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -197,7 +198,7 @@ fn read_payload(
     let mut sketches = Vec::with_capacity(count as usize);
     for _ in 0..count {
         r.read_exact(&mut buf).map_err(|e| corrupt(path, format!("short payload: {e}")))?;
-        sketches.push(params.deserialize_node_sketch(&buf));
+        sketches.push(params.deserialize_node_sketch(&buf).map_err(|e| corrupt(path, e))?);
     }
     Ok(sketches)
 }
@@ -625,16 +626,23 @@ pub struct ServeManifest {
     pub seed: u64,
     /// Shard count the round's files were cut for.
     pub num_shards: u32,
+    /// Graph digest of the `covered` updates (`gz_graph::digest`): the
+    /// shard files carry none, so a resume hands this one back.
+    pub graph: GraphDigest,
 }
 
+/// Bytes of a manifest's checksummed fields.
+const MANIFEST_FIELDS: usize = 36 + GRAPH_DIGEST_BYTES;
+
 impl ServeManifest {
-    fn encode_fields(&self) -> [u8; 36] {
-        let mut out = [0u8; 36];
+    fn encode_fields(&self) -> [u8; MANIFEST_FIELDS] {
+        let mut out = [0u8; MANIFEST_FIELDS];
         out[..8].copy_from_slice(&self.round.to_le_bytes());
         out[8..16].copy_from_slice(&self.covered.to_le_bytes());
         out[16..24].copy_from_slice(&self.num_nodes.to_le_bytes());
         out[24..32].copy_from_slice(&self.seed.to_le_bytes());
         out[32..36].copy_from_slice(&self.num_shards.to_le_bytes());
+        out[36..].copy_from_slice(&self.graph.to_bytes());
         out
     }
 
@@ -653,14 +661,18 @@ impl ServeManifest {
     /// Load and validate the manifest at `path`.
     pub fn load(path: &Path) -> Result<ServeManifest, GzError> {
         let bytes = std::fs::read(path)?;
-        if bytes.len() != 4 + 36 + 8 {
-            return Err(corrupt(path, format!("manifest is {} bytes, expected 48", bytes.len())));
+        let expected = 4 + MANIFEST_FIELDS + 8;
+        if bytes.len() != expected {
+            return Err(corrupt(
+                path,
+                format!("manifest is {} bytes, expected {expected}", bytes.len()),
+            ));
         }
         if bytes[..4] != MANIFEST_MAGIC {
             return Err(corrupt(path, "not a serve manifest (bad magic)"));
         }
-        let fields = &bytes[4..40];
-        let checksum = u64::from_le_bytes(bytes[40..48].try_into().unwrap());
+        let fields = &bytes[4..4 + MANIFEST_FIELDS];
+        let checksum = u64::from_le_bytes(bytes[4 + MANIFEST_FIELDS..].try_into().unwrap());
         if xxh64(fields, 0) != checksum {
             return Err(corrupt(path, "manifest checksum mismatch"));
         }
@@ -670,6 +682,7 @@ impl ServeManifest {
             num_nodes: u64::from_le_bytes(fields[16..24].try_into().unwrap()),
             seed: u64::from_le_bytes(fields[24..32].try_into().unwrap()),
             num_shards: u32::from_le_bytes(fields[32..36].try_into().unwrap()),
+            graph: GraphDigest::from_bytes(fields[36..].try_into().unwrap()),
         })
     }
 }
@@ -915,6 +928,24 @@ mod tests {
     }
 
     #[test]
+    fn a_wide_alpha_in_a_narrow_payload_is_a_clean_error() {
+        // At V = 16 no coordinate reaches 2^32, so an α with a nonzero high
+        // word is corruption: the restore refuses it, naming the bucket,
+        // instead of panicking or dropping the high word.
+        let path = tmp("wide_alpha");
+        let mut bytes = valid_checkpoint_bytes(path.path());
+        let node_bytes = GraphZeppelin::new(GzConfig::in_ram(16))
+            .unwrap()
+            .params()
+            .node_sketch_serialized_bytes();
+        bytes[36 + 3 * node_bytes + 8 * 4 + 6] = 1; // node 3, round 0, bucket 4's α, bit 48
+        std::fs::write(path.path(), &bytes).unwrap();
+        let err = GraphZeppelin::restore(path.path()).err().expect("must fail");
+        assert!(matches!(err, GzError::InvalidConfig(_)), "{err}");
+        assert!(err.to_string().contains("bucket 4"), "should name the bucket: {err}");
+    }
+
+    #[test]
     fn trailing_garbage_is_a_clean_error() {
         let path = tmp("trailing");
         let mut bytes = valid_checkpoint_bytes(path.path());
@@ -1105,6 +1136,38 @@ mod tests {
     }
 
     #[test]
+    fn a_replay_missing_one_acked_update_reads_one_update_off() {
+        // The client's view is every acked update; the WAL lost its last
+        // record (a torn tail). The system rebuilt from the replay misses
+        // one update, and the graph digests say by how much: an estimated
+        // one. Applying the lost update closes the gap exactly.
+        let n = 64;
+        let acked: Vec<(u32, u32, bool)> = (0..200u32)
+            .map(|i| (i % 60, (i * 7 + 5) % 64, i % 5 == 0))
+            .filter(|(u, v, _)| u != v)
+            .collect();
+        let path = tmp("wal_one_off");
+        let mut wal = UpdateWal::create(path.path()).unwrap();
+        let (last, head) = acked.split_last().unwrap();
+        wal.append(head).unwrap();
+        wal.append(&[*last]).unwrap();
+        drop(wal);
+        let torn = std::fs::metadata(path.path()).unwrap().len() - 1;
+        std::fs::OpenOptions::new().write(true).open(path.path()).unwrap().set_len(torn).unwrap();
+        let (_, replayed, got) = recover_all(path.path());
+        assert_eq!(replayed, head.len() as u64);
+
+        let mut gz = GraphZeppelin::new(GzConfig::in_ram(n)).unwrap();
+        gz.ingest(got);
+        let sent = GraphDigest::of_updates(acked.iter().copied(), n);
+        let held = gz.graph_digest();
+        assert_ne!(held, sent);
+        assert_eq!(held.estimated_updates_apart(&sent).round(), 1.0, "{held} vs {sent}");
+        gz.update(last.0, last.1, last.2);
+        assert_eq!(gz.graph_digest(), sent);
+    }
+
+    #[test]
     fn wal_detects_checksum_corruption() {
         let path = tmp("wal_bitrot");
         let mut wal = UpdateWal::create(path.path()).unwrap();
@@ -1140,6 +1203,7 @@ mod tests {
             num_nodes: 1 << 20,
             seed: 0x5EED,
             num_shards: 4,
+            graph: GraphDigest::of_updates([(1, 2, false), (3, 4, false)], 1 << 20),
         };
         manifest.save(path.path()).unwrap();
         assert_eq!(ServeManifest::load(path.path()).unwrap(), manifest);

@@ -85,8 +85,10 @@ impl Drop for TaskDone<'_> {
 
 /// Apply one batch, optionally with sketch-level parallelism: the one entry
 /// into the store for a Graph Worker popping the queue and for a flush
-/// applying a gutter in place.
+/// applying a gutter in place — so the one place each record also flips its
+/// bit of the store's graph digest ([`SketchStore::graph_digest`]).
 pub(crate) fn apply_batch(store: &SketchStore, node: u32, records: &[u32], group_threads: usize) {
+    store.graph().record(node, records, store.params().num_nodes);
     if group_threads <= 1 {
         store.apply_batch(node, records);
     } else {

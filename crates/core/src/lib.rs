@@ -81,6 +81,7 @@ pub use checkpoint::{CheckpointHeader, ServeManifest, ShardCheckpointHeader, Upd
 pub use config::{BufferStrategy, GutterCapacity, GzConfig, LockingStrategy, StoreBackend};
 pub use edge_connectivity::{ForestCertificate, KForestSketcher};
 pub use error::{GzError, LinkError, TransportError, TransportErrorKind};
+pub use gz_graph::GraphDigest;
 pub use msf::{MsfSketcher, WeightedForest};
 pub use node_sketch::{CubeNodeSketch, NodeSketch};
 pub use sharding::{

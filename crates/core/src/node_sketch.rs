@@ -9,7 +9,9 @@
 
 use gz_graph::{edge_index, Edge, VertexId};
 use gz_hash::{SplitMix64, Xxh64Hasher};
-use gz_sketch::cube::{with_premixed, CubeSketch, CubeSketchFamily, Kernel, LaneAccumulators};
+use gz_sketch::cube::{
+    with_premixed, CubeSketch, CubeSketchFamily, Kernel, LaneAccumulators, PayloadError,
+};
 use gz_sketch::geometry::SketchGeometry;
 use gz_sketch::{L0Sampler, SampleResult};
 use std::sync::Arc;
@@ -78,7 +80,7 @@ impl<S: L0Sampler> NodeSketch<S> {
         }
     }
 
-    /// Total payload bytes across rounds.
+    /// Total resident payload bytes across rounds ([`L0Sampler::payload_bytes`]).
     pub fn payload_bytes(&self) -> usize {
         self.rounds.iter().map(|s| s.payload_bytes()).sum()
     }
@@ -184,23 +186,41 @@ impl SketchParams {
         sketch.round(round).serialize_into(out);
     }
 
-    /// Deserialize a round slice previously produced by
+    /// Deserialize a round slice this process produced with
     /// [`Self::serialize_round`].
+    ///
+    /// # Panics
+    /// Panics if `bytes` does not decode under the round's geometry.
     pub fn deserialize_round(&self, round: usize, bytes: &[u8]) -> CubeSketch<Xxh64Hasher> {
         CubeSketch::deserialize(Arc::clone(&self.families[round]), bytes)
     }
 
-    /// Deserialize a node sketch previously produced by
-    /// [`Self::serialize_node_sketch`].
-    pub fn deserialize_node_sketch(&self, bytes: &[u8]) -> CubeNodeSketch {
+    /// [`CubeSketch::check_payload`] for a round-`round` slice from outside
+    /// the process (a shard's reply), before it is folded.
+    pub fn check_round(&self, round: usize, bytes: &[u8]) -> Result<(), PayloadError> {
+        CubeSketch::<Xxh64Hasher>::check_payload(self.families[round].geometry(), bytes)
+    }
+
+    /// Deserialize a node sketch produced by [`Self::serialize_node_sketch`],
+    /// checked round by round ([`CubeSketch::try_deserialize`]): what a
+    /// checkpoint restore reads.
+    pub fn deserialize_node_sketch(&self, bytes: &[u8]) -> Result<CubeNodeSketch, PayloadError> {
+        let expected = self.node_sketch_serialized_bytes();
+        if bytes.len() != expected {
+            return Err(PayloadError::Length { expected, got: bytes.len() });
+        }
         let mut offset = 0;
-        NodeSketch::new_with(self.families.len(), |r| {
-            let sz = CubeSketch::<Xxh64Hasher>::serialized_size(self.families[r].geometry());
-            let s =
-                CubeSketch::deserialize(Arc::clone(&self.families[r]), &bytes[offset..offset + sz]);
-            offset += sz;
-            s
-        })
+        let rounds = (0..self.families.len())
+            .map(|r| {
+                let sz = self.round_serialized_bytes(r);
+                offset += sz;
+                CubeSketch::try_deserialize(
+                    Arc::clone(&self.families[r]),
+                    &bytes[offset - sz..offset],
+                )
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(NodeSketch { rounds })
     }
 }
 
@@ -306,7 +326,7 @@ mod tests {
         let mut bytes = Vec::new();
         p.serialize_node_sketch(&s, &mut bytes);
         assert_eq!(bytes.len(), p.node_sketch_serialized_bytes());
-        let t = p.deserialize_node_sketch(&bytes);
+        let t = p.deserialize_node_sketch(&bytes).unwrap();
         for r in 0..s.num_rounds() {
             assert_eq!(t.sample_round(r), s.sample_round(r));
         }
@@ -334,11 +354,18 @@ mod tests {
     /// The golden batch: 200 toggles of node 5's edges over its 63 possible
     /// neighbours, so every edge recurs — 23 of them an even number of times.
     fn golden_batch() -> Vec<u64> {
+        golden_batch_at(64)
+    }
+
+    /// [`golden_batch`] among the top 64 vertices of a `v`-vertex graph: at
+    /// `v = 2^17` every index is past `2^32`.
+    fn golden_batch_at(v: u64) -> Vec<u64> {
+        let base = (v - 64) as u32;
         let node = 5u32;
         (0..200u32)
             .map(|i| {
                 let other = (i * 29 + i / 7) % 63;
-                update_index(node, other + (other >= node) as u32, 64)
+                update_index(base + node, base + other + (other >= node) as u32, v)
             })
             .collect()
     }
@@ -353,7 +380,7 @@ mod tests {
     /// with duplicates left in, per-record singles — each of which must land
     /// on `golden`.
     fn assert_golden_on_every_route(p: &SketchParams, golden: u64) {
-        let batch = golden_batch();
+        let batch = golden_batch_at(p.num_nodes);
 
         let mut kernel = p.new_node_sketch();
         kernel.update_batch(&batch);
@@ -383,6 +410,18 @@ mod tests {
         // The same pin for what a default-configured store holds today.
         let p = SketchParams::new(64, 6, crate::config::DEFAULT_COLUMNS, 42);
         assert_golden_on_every_route(&p, 0x1E0A_A822_B632_CEDF);
+    }
+
+    #[test]
+    fn golden_digest_of_a_vector_past_2_to_the_32() {
+        // The same pin where every `idx + 1` needs α's high word: at
+        // V = 2^17 the vector is 2^33 long, so the buckets keep the α-high
+        // plane and the family the scalar kernel. Computed before buckets
+        // were packed into one word, when α was a whole `u64` everywhere.
+        let p = SketchParams::new(1 << 17, 2, crate::config::DEFAULT_COLUMNS, 42);
+        assert!(p.families[0].geometry().vector_len >= 1 << 32);
+        assert!(golden_batch_at(p.num_nodes).iter().all(|&idx| idx >= 1 << 32));
+        assert_golden_on_every_route(&p, 0xB02B_DFFC_A4C5_F733);
     }
 
     #[test]
@@ -455,8 +494,18 @@ mod tests {
 
     #[test]
     fn payload_matches_model() {
-        let p = params(128);
-        let s = p.new_node_sketch();
-        assert_eq!(s.payload_bytes(), p.node_sketch_bytes());
+        // A stack serializes to the paper's model (12 bytes a bucket) and is
+        // resident at 8 bytes a bucket below a 2^32-long vector, 12 above.
+        for (v, resident_bucket_bytes) in [(128u64, 8), (1 << 17, 12)] {
+            let p = SketchParams::new(v, 2, 3, 42);
+            let buckets: usize = p.families.iter().map(|f| f.geometry().num_buckets()).sum();
+            let s = p.new_node_sketch();
+            assert_eq!(p.node_sketch_bytes(), buckets * 12, "V = {v}");
+            assert_eq!(p.node_sketch_serialized_bytes(), p.node_sketch_bytes(), "V = {v}");
+            let mut bytes = Vec::new();
+            p.serialize_node_sketch(&s, &mut bytes);
+            assert_eq!(bytes.len(), p.node_sketch_bytes(), "V = {v}");
+            assert_eq!(s.payload_bytes(), buckets * resident_bucket_bytes, "V = {v}");
+        }
     }
 }

@@ -405,6 +405,21 @@ impl ShardedGraphZeppelin {
         self.transport.lock().state_digest()
     }
 
+    /// Flush, then read the fleet's graph digest: the XOR of the shards'
+    /// ([`ShardTransport::graph_digest`]), equal to a single-node system's
+    /// fed the same stream.
+    pub fn graph_digest(&mut self) -> Result<gz_graph::GraphDigest, GzError> {
+        self.flush()?;
+        self.transport.lock().graph_digest()
+    }
+
+    /// Make `base` the fleet's graph digest — after
+    /// [`Self::resume_shards_from`], with the digest recorded beside the
+    /// files (`gz serve`'s manifest).
+    pub fn restore_graph_digest(&mut self, base: gz_graph::GraphDigest) -> Result<(), GzError> {
+        self.transport.lock().restore_graph_digest(base)
+    }
+
     /// Flush, then query a spanning forest one Borůvka round at a time on
     /// the system's pool, so the coordinator never materializes the whole
     /// universe: shards in this process fold each round straight from their
@@ -658,7 +673,6 @@ fn gather_fold_round(
     pool: &WorkerPool,
     sinks: &[parking_lot::Mutex<crate::boruvka::RoundSink<'_, CubeRoundSketch>>],
 ) -> Result<usize, GzError> {
-    let expect_bytes = params.round_serialized_bytes(round);
     let mut seen = vec![false; params.num_nodes as usize];
     let mut resident = 0usize;
     // The sparse fold leaves out edges between sparse vertices of one
@@ -670,7 +684,7 @@ fn gather_fold_round(
     let known = sinks[0].lock().sparse_map();
     transport.gather_round_each(round as u32, epochs, &mut |entries| {
         for e in &entries {
-            validate_round_entry(&mut seen, e, round, expect_bytes)?;
+            validate_round_entry(&mut seen, e, params, round)?;
             if let SparseMap::Known(sparse) = known {
                 if sparse[e.node as usize] != (e.bytes[0] == 1) {
                     return Err(GzError::Protocol(format!(
@@ -713,14 +727,15 @@ fn gather_fold_round(
 }
 
 /// Shared validation for gathered round entries: each in-range node arrives
-/// exactly once, with a valid representation tag — `0` followed by exactly
-/// one round's dense bytes, or `1` followed by a well-formed sparse
+/// exactly once, with a valid representation tag — `0` followed by one
+/// round's dense bytes that decode under its geometry
+/// ([`SketchParams::check_round`]), or `1` followed by a well-formed sparse
 /// neighbor-set (wire protocol v5).
 fn validate_round_entry(
     seen: &mut [bool],
     e: &gz_stream::wire::SketchEntry,
+    params: &SketchParams,
     round: usize,
-    expect_bytes: usize,
 ) -> Result<(), GzError> {
     let slot = seen.get_mut(e.node as usize).ok_or_else(|| {
         GzError::Protocol(format!("gathered round slice for out-of-range node {}", e.node))
@@ -730,12 +745,10 @@ fn validate_round_entry(
     }
     match e.bytes.first() {
         Some(0) => {
-            if e.bytes.len() != 1 + expect_bytes {
+            if let Err(bad) = params.check_round(round, &e.bytes[1..]) {
                 return Err(GzError::Protocol(format!(
-                    "round {round} dense slice for node {} is {} bytes, want {}",
-                    e.node,
-                    e.bytes.len() - 1,
-                    expect_bytes
+                    "round {round} dense slice for node {}: {bad}",
+                    e.node
                 )));
             }
         }
@@ -1405,14 +1418,16 @@ mod tests {
     #[test]
     fn validate_round_entry_rejects_bad_frames() {
         use gz_stream::wire::SketchEntry;
+        let params = SketchParams::new(4, 2, 3, 1);
         let check = |bytes: Vec<u8>| {
             let mut seen = vec![false; 4];
-            validate_round_entry(&mut seen, &SketchEntry { node: 1, bytes }, 0, 8)
+            validate_round_entry(&mut seen, &SketchEntry { node: 1, bytes }, &params, 1)
         };
+        let dense = 1 + params.round_serialized_bytes(1);
         assert!(check(vec![]).is_err(), "empty entry");
         assert!(check(vec![7, 0, 0]).is_err(), "unknown tag");
-        assert!(check(vec![0; 8]).is_err(), "dense payload one byte short");
-        assert!(check(vec![0; 9]).is_ok(), "dense tag + 8 payload bytes");
+        assert!(check(vec![0; dense - 1]).is_err(), "dense payload one byte short");
+        assert!(check(vec![0; dense]).is_ok(), "dense tag + one round's payload");
         assert!(check(vec![1, 2, 0, 0, 0, 5, 0, 0, 0]).is_err(), "sparse count over-claims");
         assert!(
             check(vec![1, 1, 0, 0, 0, 5, 0, 0, 0]).is_ok(),
@@ -1422,6 +1437,26 @@ mod tests {
             check(vec![1, 2, 0, 0, 0, 5, 0, 0, 0, 5, 0, 0, 0]).is_err(),
             "duplicate neighbors are malformed"
         );
+    }
+
+    #[test]
+    fn a_gathered_dense_slice_with_a_wide_alpha_is_refused() {
+        // A shard's reply is outside bytes: an α with a nonzero high word
+        // cannot come from a vector shorter than 2^32, so the entry is a
+        // typed error before anything folds it — never a panic, never a
+        // truncated α.
+        use gz_stream::wire::SketchEntry;
+        let params = SketchParams::new(64, 2, 3, 1);
+        let mut bytes = vec![0u8; 1 + params.round_serialized_bytes(0)];
+        bytes[1 + 2 * 8 + 7] = 0x80; // bucket 2's α, bit 63
+        let mut seen = vec![false; 64];
+        let entry = SketchEntry { node: 9, bytes };
+        match validate_round_entry(&mut seen, &entry, &params, 0) {
+            Err(GzError::Protocol(msg)) => {
+                assert!(msg.contains("node 9") && msg.contains("bucket 2"), "{msg}")
+            }
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -258,6 +258,20 @@ impl ShardPipeline {
         self.queue.wait_idle();
     }
 
+    /// Flush, then read the shard's graph digest
+    /// ([`SketchStore::graph_digest`]).
+    pub fn graph_digest(&self) -> gz_graph::GraphDigest {
+        self.flush();
+        self.store.graph_digest()
+    }
+
+    /// Make `base` the shard's graph digest
+    /// ([`SketchStore::restore_graph_digest`]).
+    pub fn restore_graph_digest(&self, base: gz_graph::GraphDigest) {
+        self.flush();
+        self.store.restore_graph_digest(base);
+    }
+
     /// Flush, then fingerprint the owned sketch state
     /// ([`SketchStore::state_digest`]) — the payload of a `StateDigestReply`
     /// wire frame. The shards' digests XOR to the digest of a single-node

@@ -29,6 +29,7 @@ use crate::error::{GzError, LinkError};
 use crate::sharding::link::{Link, ShardLink, Stream, TransportTimeouts};
 use crate::sharding::router::ReplayLog;
 use crate::sharding::{ShardConfig, ShardPipeline, ShardView};
+use gz_graph::GraphDigest;
 pub use gz_gutters::ShardServeStats;
 use gz_gutters::{Batch, CounterSet, LinkStats, RecoveryStats};
 use gz_hash::SplitMix64;
@@ -156,6 +157,20 @@ pub trait ShardTransport {
     /// ([`ShardPipeline::state_digest`]): 8 bytes a shard, equal to the
     /// digest of a single-node system fed the same stream.
     fn state_digest(&mut self) -> Result<u64, GzError>;
+
+    /// Flush every shard, then XOR their graph digests
+    /// ([`ShardPipeline::graph_digest`]): equal to the graph digest of a
+    /// single-node system fed the same stream. The default refuses.
+    fn graph_digest(&mut self) -> Result<GraphDigest, GzError> {
+        Err(GzError::InvalidConfig("this transport does not report a graph digest".into()))
+    }
+
+    /// Hand the fleet `base` as its graph digest — after a resume from
+    /// files, which carry none, with the digest recorded beside them. The
+    /// default refuses.
+    fn restore_graph_digest(&mut self, _base: GraphDigest) -> Result<(), GzError> {
+        Err(GzError::InvalidConfig("this transport does not restore a graph digest".into()))
+    }
 
     /// Collect only round `round`'s slice of every shard's sketches — the
     /// query's gather unit, collected ([`Self::gather_round_each`] is the
@@ -298,6 +313,21 @@ impl ShardTransport for InProcessTransport {
         self.shards.iter().try_fold(0, |digest, shard| Ok(digest ^ shard.state_digest()?))
     }
 
+    fn graph_digest(&mut self) -> Result<GraphDigest, GzError> {
+        Ok(self
+            .shards
+            .iter()
+            .fold(GraphDigest::ZERO, |digest, shard| digest.xor(&shard.graph_digest())))
+    }
+
+    /// Shard 0 takes `base`, the others nothing: only the XOR is read.
+    fn restore_graph_digest(&mut self, base: GraphDigest) -> Result<(), GzError> {
+        for (i, shard) in self.shards.iter().enumerate() {
+            shard.restore_graph_digest(if i == 0 { base } else { GraphDigest::ZERO });
+        }
+        Ok(())
+    }
+
     fn gather_round_each(
         &mut self,
         round: u32,
@@ -421,6 +451,15 @@ pub struct Recovery<S> {
     /// round so coordinator memory stays proportional to the checkpoint
     /// cadence, never the stream length.
     replay_log_cap: Option<usize>,
+    /// Per shard, the graph digest its current worker is missing: nothing
+    /// for the worker the fleet started with; for a respawned one, the
+    /// digest of the checkpoint it restored, which carries none. `None`
+    /// when that is unknown — the worker restored a checkpoint whose
+    /// `CheckpointAck` never arrived.
+    graph_base: Vec<Option<GraphDigest>>,
+    /// Per shard, the graph digest of its last acknowledged checkpoint
+    /// (the start of its replay log), `None` when unknown.
+    graph_acked: Vec<Option<GraphDigest>>,
 }
 
 impl<S: ShardLink> Recovery<S> {
@@ -439,6 +478,8 @@ impl<S: ShardLink> Recovery<S> {
             retry,
             stats: Arc::new(RecoveryStats::new()),
             replay_log_cap: None,
+            graph_base: Vec::new(),
+            graph_acked: Vec::new(),
         }
     }
 
@@ -480,6 +521,11 @@ impl<S: ShardLink> Recovery<S> {
             other => return Err(answered(shard, &WireMessage::Resync, &other)),
         };
         let log = &self.logs[shard as usize];
+        // The restored checkpoint's graph digest is known when it is the
+        // acknowledged one the log starts at.
+        let acked_seq = log.next_seq() - log.len() as u64;
+        self.graph_base[shard as usize] =
+            if seq == acked_seq { self.graph_acked[shard as usize] } else { None };
         if !log.covers(seq) {
             return Err(GzError::Protocol(format!(
                 "shard {shard} resumed at seq {seq}, outside the replay log \
@@ -619,6 +665,8 @@ impl<S: ShardLink> SocketTransport<S> {
             link.stream().apply_timeouts(&recovery.timeouts).map_err(io_on_shard(i as u32))?;
         }
         recovery.logs = self.links.iter().map(|_| ReplayLog::new()).collect();
+        recovery.graph_base = vec![Some(GraphDigest::ZERO); self.links.len()];
+        recovery.graph_acked = vec![Some(GraphDigest::ZERO); self.links.len()];
         self.recovery = Some(recovery);
         Ok(self)
     }
@@ -670,6 +718,21 @@ impl<S: ShardLink> SocketTransport<S> {
         }
         Ok(())
     }
+
+    /// One `StateDigest` turn: the XOR of the shards' state digests, and
+    /// each shard's graph digest as its worker reports it.
+    fn digests(&mut self) -> Result<(u64, Vec<GraphDigest>), GzError> {
+        let (mut digest, mut graphs) = (0, Vec::with_capacity(self.links.len()));
+        self.request_all(true, &|_| WireMessage::StateDigest, &mut |reply| match reply {
+            WireMessage::StateDigestReply { digest: theirs, graph } => {
+                digest ^= theirs;
+                graphs.push(*graph);
+                Ok(())
+            }
+            other => Err(other),
+        })?;
+        Ok((digest, graphs))
+    }
 }
 
 impl<S: ShardLink> ShardTransport for SocketTransport<S> {
@@ -711,14 +774,24 @@ impl<S: ShardLink> ShardTransport for SocketTransport<S> {
     }
 
     fn state_digest(&mut self) -> Result<u64, GzError> {
-        let mut digest = 0;
-        self.request_all(true, &|_| WireMessage::StateDigest, &mut |reply| match reply {
-            WireMessage::StateDigestReply { digest: theirs } => {
-                digest ^= theirs;
-                Ok(())
-            }
-            other => Err(other),
-        })?;
+        Ok(self.digests()?.0)
+    }
+
+    fn graph_digest(&mut self) -> Result<GraphDigest, GzError> {
+        let (_, graphs) = self.digests()?;
+        let mut digest = GraphDigest::ZERO;
+        for (shard, graph) in graphs.iter().enumerate() {
+            let base = match &self.recovery {
+                Some(recovery) => recovery.graph_base[shard].ok_or_else(|| {
+                    GzError::Protocol(format!(
+                        "shard {shard}'s graph digest is unknown: its worker restored a \
+                         checkpoint the coordinator never saw acknowledged"
+                    ))
+                })?,
+                None => GraphDigest::ZERO,
+            };
+            digest.merge(&graph.xor(&base));
+        }
         Ok(digest)
     }
 
@@ -779,18 +852,23 @@ impl<S: ShardLink> ShardTransport for SocketTransport<S> {
         // checkpoint covers exactly the batches framed before it — no
         // coordinator-side flush or barrier needed.
         let mut seqs = Vec::with_capacity(self.links.len());
+        let mut graphs = Vec::with_capacity(self.links.len());
         self.request_all(true, &|_| WireMessage::CheckpointShard, &mut |reply| match reply {
-            WireMessage::CheckpointAck { seq } => {
+            WireMessage::CheckpointAck { seq, graph } => {
                 seqs.push(seq);
+                graphs.push(*graph);
                 Ok(())
             }
             other => Err(other),
         })?;
         if let Some(recovery) = &mut self.recovery {
             // Each checkpoint durably covers batches `..seq`; the replay
-            // logs no longer need them.
-            for (log, &seq) in recovery.logs.iter_mut().zip(&seqs) {
+            // logs no longer need them, and the log now starts at a state
+            // whose graph digest is the worker's plus what it is missing.
+            for (shard, (log, &seq)) in recovery.logs.iter_mut().zip(&seqs).enumerate() {
                 log.prune_through(seq);
+                recovery.graph_acked[shard] =
+                    recovery.graph_base[shard].map(|b| b.xor(&graphs[shard]));
                 recovery.stats.checkpoints.add(1);
             }
         }
@@ -868,7 +946,8 @@ pub fn serve_shard_connection<S: Read + Write>(
             }
             WireMessage::StateDigest => {
                 stats.gathers.add(1);
-                WireMessage::StateDigestReply { digest: pipeline.state_digest()? }
+                let digest = pipeline.state_digest()?;
+                WireMessage::StateDigestReply { digest, graph: Box::new(pipeline.graph_digest()) }
             }
             WireMessage::GatherRound { round, epoch } => {
                 stats.gathers.add(1);
@@ -886,7 +965,8 @@ pub fn serve_shard_connection<S: Read + Write>(
                 // checkpoint makes redundant. A worker started without a
                 // checkpoint path fails here — the coordinator should not
                 // have asked.
-                WireMessage::CheckpointAck { seq: pipeline.save_checkpoint()? }
+                let seq = pipeline.save_checkpoint()?;
+                WireMessage::CheckpointAck { seq, graph: Box::new(pipeline.graph_digest()) }
             }
             // A recovering coordinator asks where we stand; we answer with
             // the batch count our restored state already covers so it
@@ -1457,7 +1537,7 @@ mod tests {
             },
             WireMessage::RoundSketches { round: 2, entries: vec![] },
             WireMessage::EpochReleased,
-            WireMessage::CheckpointAck { seq: 5 },
+            WireMessage::CheckpointAck { seq: 5, graph: Box::default() },
         ];
         let run = |recovering: bool| {
             let links = vec![ScriptedLink::new(&script), ScriptedLink::new(&script)];
@@ -1595,6 +1675,13 @@ mod tests {
             transport.state_digest().unwrap(),
             reference.state_digest().unwrap(),
             "post-recovery sketches must match an uninterrupted run exactly"
+        );
+        // The respawned worker's checkpoint carries no graph digest: the
+        // coordinator adds the one its `CheckpointAck` reported.
+        assert_eq!(
+            transport.graph_digest().unwrap(),
+            reference.graph_digest().unwrap(),
+            "post-recovery graph digest must match an uninterrupted run"
         );
 
         // Exactly one death: one replay, one reconnect attempt, and the

@@ -195,6 +195,9 @@ pub struct DiskStore {
     writeback_landed: Condvar,
     /// Delta sketches batches are built in before they touch a group.
     scratch: ScratchPool,
+    /// The graph digest of the records applied here
+    /// ([`super::SketchStore::graph_digest`]).
+    graph: super::GraphDigestStripes,
     /// The first I/O failure of a group fault or write-back. A batch hit by
     /// one is lost, so the store is unusable from then on: every later
     /// access, [`Self::flush`] and [`Self::begin_epoch`] return this error
@@ -279,6 +282,7 @@ impl DiskStore {
         };
         Ok(DiskStore {
             scratch: ScratchPool::new(Arc::clone(&params)),
+            graph: super::GraphDigestStripes::new(),
             params,
             node_set,
             file,
@@ -770,6 +774,11 @@ impl DiskStore {
         &self.scratch
     }
 
+    /// The graph digest's per-worker stripes.
+    pub(crate) fn graph(&self) -> &super::GraphDigestStripes {
+        &self.graph
+    }
+
     /// Flush every dirty cached group back to the file (adjacent dirty
     /// groups coalesce into single contiguous writes; see
     /// `writeback_dirty`). Fails with the store's first batch-application
@@ -1216,7 +1225,7 @@ mod tests {
         let mut owned = Vec::new();
         shard
             .for_each_serialized(&mut |node, bytes| {
-                owned.push((node, params.deserialize_node_sketch(bytes)));
+                owned.push((node, params.deserialize_node_sketch(bytes).unwrap()));
                 Ok(())
             })
             .unwrap();

@@ -27,12 +27,13 @@ use crate::config::{GzConfig, LockingStrategy, StoreBackend};
 use crate::error::GzError;
 use crate::node_sketch::{CubeNodeSketch, CubeRoundSketch, NodeSketch, SketchParams};
 use crate::sparse::{edge_indices, SparseSet};
+use gz_graph::GraphDigest;
 use gz_gutters::{IoStats, WorkerPool};
 use gz_sketch::cube::{with_premixed, LaneAccumulators};
 use gz_sketch::L0Sampler;
 use parking_lot::Mutex;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Census of the hybrid representation (DESIGN.md §12): how many owned
@@ -254,6 +255,29 @@ impl SketchStore {
             Ok(())
         })?;
         Ok(digest)
+    }
+
+    /// The graph digest of every record applied to this store through
+    /// [`crate::ingest`] (`gz_graph::digest`), on top of the base a restore
+    /// set ([`Self::restore_graph_digest`]). Read after a flush, it covers
+    /// every update the store was handed.
+    pub fn graph_digest(&self) -> GraphDigest {
+        self.graph().read()
+    }
+
+    /// Make `base` this store's graph digest: a restored store's sketches
+    /// carry no digest, so whoever restores them hands the one recorded
+    /// beside them.
+    pub fn restore_graph_digest(&self, base: GraphDigest) {
+        self.graph().reset_to(base);
+    }
+
+    /// The store's per-worker graph digests.
+    pub(crate) fn graph(&self) -> &GraphDigestStripes {
+        match self {
+            SketchStore::Ram(s) => s.graph(),
+            SketchStore::Disk(s) => s.graph(),
+        }
     }
 
     /// The vertex set this store holds sketches for.
@@ -691,6 +715,68 @@ impl ScratchPool {
     pub(crate) fn parked(&self) -> usize {
         self.pool.lock().len()
     }
+}
+
+/// Stripes of a store's graph digest: more than the workers that apply
+/// batches at once on the hosts this runs on, so two rarely share one.
+const DIGEST_STRIPES: usize = 8;
+
+/// One stripe, alone on its cache lines.
+#[repr(align(64))]
+struct DigestStripe(Mutex<GraphDigest>);
+
+/// A store's graph digest, one stripe per applying thread (by
+/// [`thread_stripe`]) and XOR-merged on read: a record costs one hash and a
+/// bit flip in the thread's own stripe, and a batch one uncontended lock —
+/// no atomic operation and no shared cache line written per record.
+pub(crate) struct GraphDigestStripes {
+    stripes: [DigestStripe; DIGEST_STRIPES],
+}
+
+impl GraphDigestStripes {
+    pub(crate) fn new() -> Self {
+        GraphDigestStripes {
+            stripes: std::array::from_fn(|_| DigestStripe(Mutex::new(GraphDigest::ZERO))),
+        }
+    }
+
+    /// Flip the bit of every record of `records` bound for `node` that the
+    /// store applies (self-loops are dropped, as [`decode_records_into`]
+    /// drops them).
+    pub(crate) fn record(&self, node: u32, records: &[u32], num_nodes: u64) {
+        let mut digest = self.stripes[thread_stripe()].0.lock();
+        for &rec in records {
+            let (other, _is_delete) = crate::node_sketch::decode_other(rec);
+            if other != node {
+                digest.flip(node, crate::node_sketch::update_index(node, other, num_nodes));
+            }
+        }
+    }
+
+    /// The XOR of the stripes.
+    pub(crate) fn read(&self) -> GraphDigest {
+        let mut digest = GraphDigest::ZERO;
+        for stripe in &self.stripes {
+            digest.merge(&stripe.0.lock());
+        }
+        digest
+    }
+
+    /// Make `base` the digest: the first stripe holds it, the rest nothing.
+    pub(crate) fn reset_to(&self, base: GraphDigest) {
+        for (i, stripe) in self.stripes.iter().enumerate() {
+            *stripe.0.lock() = if i == 0 { base } else { GraphDigest::ZERO };
+        }
+    }
+}
+
+/// This thread's digest stripe, dealt round-robin on first use.
+fn thread_stripe() -> usize {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    std::thread_local! {
+        static STRIPE: usize = NEXT.fetch_add(1, Ordering::Relaxed) % DIGEST_STRIPES;
+    }
+    STRIPE.with(|s| *s)
 }
 
 std::thread_local! {

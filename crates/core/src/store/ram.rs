@@ -52,6 +52,9 @@ pub struct RamStore {
     /// Delta sketches for [`LockingStrategy::DeltaSketch`] and the grouped
     /// ingestion path.
     scratch: ScratchPool,
+    /// The graph digest of the records applied here
+    /// ([`super::SketchStore::graph_digest`]).
+    graph: super::GraphDigestStripes,
     /// Live sealed epochs. A RAM store's copy-on-write "group" is a single
     /// slot: captures happen under the node's lock, right before the first
     /// post-seal mutation of that node.
@@ -98,6 +101,7 @@ impl RamStore {
             .collect();
         RamStore {
             scratch: ScratchPool::new(Arc::clone(&params)),
+            graph: super::GraphDigestStripes::new(),
             params,
             node_set,
             nodes,
@@ -154,6 +158,11 @@ impl RamStore {
     /// The pool of reusable delta sketches.
     pub(crate) fn scratch(&self) -> &ScratchPool {
         &self.scratch
+    }
+
+    /// The graph digest's per-worker stripes.
+    pub(crate) fn graph(&self) -> &super::GraphDigestStripes {
+        &self.graph
     }
 
     /// Apply a batch of encoded records to `node` (which must be owned).

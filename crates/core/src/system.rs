@@ -319,6 +319,15 @@ impl GraphZeppelin {
         &self.params
     }
 
+    /// Flush, then read the graph digest of every update ingested
+    /// (`gz_graph::digest`): the same for every configuration fed the same
+    /// stream. A system restored from a checkpoint file starts from the
+    /// empty digest — the file carries none.
+    pub fn graph_digest(&mut self) -> gz_graph::GraphDigest {
+        self.flush();
+        self.store.graph_digest()
+    }
+
     /// Flush, then fingerprint the whole sketch state
     /// ([`SketchStore::state_digest`]). Any two deployments fed the same
     /// stream — whatever their buffering, store, worker count, or sharding

@@ -9,9 +9,15 @@
 //! coordinate reports it directly: `α` *is* its encoding and the checksum
 //! certifies single support (Lemma 3).
 //!
-//! Three implementation choices relative to the pseudocode, all documented
+//! Four implementation choices relative to the pseudocode, all documented
 //! in DESIGN.md (§2 and §9):
 //!
+//! - A bucket is one packed word, `γ << 32 | (α mod 2^32)`, plus an
+//!   `α`-high plane only where the vector is at least `2^32` long (the
+//!   geometry chooses; no option). Serialized it is the paper's model —
+//!   12 bytes, `α` as a whole `u64` then `γ` — so files, frames and digests
+//!   do not depend on the resident layout, which is 8 bytes a bucket below
+//!   `2^32`.
 //! - `α` accumulates `idx + 1` rather than `idx`, so the all-zero bucket
 //!   unambiguously means "empty" even when coordinate 0 is in play; queries
 //!   subtract the offset.
@@ -31,11 +37,11 @@
 //! however many sketches the batch is bound for, and
 //! [`CubeSketch::update_batch_premixed`] runs them through the family's
 //! column [`Kernel`]: on x86-64 hosts with AVX-512 an xxHash64 family takes
-//! eight records a vector, each row one masked XOR of a packed
-//! `(checksum, index)` word; everywhere else the scalar lane kernel makes
-//! one pass over the records per `LANES` columns, finishing each record's
-//! hash under every column's seed and applying the XORs in contiguous row
-//! order via a suffix-XOR sweep. Both write the same bits.
+//! eight records a vector, each row one masked XOR of the packed bucket
+//! word; everywhere else the scalar lane kernel makes one pass over the
+//! records per `LANES` columns, finishing each record's hash under every
+//! column's seed and applying the XORs in contiguous row order via a
+//! suffix-XOR sweep. Both write the same bits.
 
 use crate::geometry::SketchGeometry;
 use crate::{L0Sampler, SampleResult};
@@ -165,22 +171,23 @@ pub fn with_premixed<H: Hasher64, R>(
 }
 
 /// The scalar kernel's per-depth XOR accumulators, one set per lane: entry
-/// `d` of a lane holds the XOR of the contributions whose exact depth is
-/// `d + 1`. All-zero whenever the kernel is not running — each pass's sweep
-/// re-zeroes the rows it used — so one value serves every sketch a caller
-/// applies batches to, and is cleared by `rows`, never by its full size
-/// (`LANES × MAX_ROWS × 12` bytes). [`Kernel::Avx512`] keeps its
-/// accumulators in registers and leaves these untouched.
+/// `d` of a lane holds the XOR of the packed contributions whose exact depth
+/// is `d + 1`, and of their `α` high words where the family keeps them. All
+/// zero whenever the kernel is not running — each pass's sweep re-zeroes the
+/// rows it used — so one value serves every sketch a caller applies batches
+/// to, and is cleared by `rows`, never by its full size (`LANES × MAX_ROWS ×
+/// 12` bytes). [`Kernel::Avx512`] keeps its accumulators in registers and
+/// leaves these untouched.
 #[derive(Debug)]
 pub struct LaneAccumulators {
-    alpha: [[u64; MAX_ROWS]; LANES],
-    gamma: [[u32; MAX_ROWS]; LANES],
+    packed: [[u64; MAX_ROWS]; LANES],
+    alpha_high: [[u32; MAX_ROWS]; LANES],
 }
 
 impl LaneAccumulators {
     /// Zeroed accumulators.
     pub fn new() -> Self {
-        LaneAccumulators { alpha: [[0; MAX_ROWS]; LANES], gamma: [[0; MAX_ROWS]; LANES] }
+        LaneAccumulators { packed: [[0; MAX_ROWS]; LANES], alpha_high: [[0; MAX_ROWS]; LANES] }
     }
 }
 
@@ -233,6 +240,13 @@ impl<H: Hasher64> CubeSketchFamily<H> {
         self.kernel
     }
 
+    /// True if some `idx + 1` needs `α`'s high word (`vector_len ≥ 2^32`):
+    /// the family's sketches then keep the `α`-high plane.
+    #[inline]
+    fn wide(&self) -> bool {
+        self.geometry.vector_len >= 1 << 32
+    }
+
     /// A fresh all-zero sketch of this family.
     pub fn new_sketch(self: &Arc<Self>) -> CubeSketch<H> {
         CubeSketch::new(Arc::clone(self))
@@ -261,17 +275,31 @@ impl<H: Hasher64> CubeSketchFamily<H> {
     ) -> SampleResult {
         let rows = self.geometry.num_rows as usize;
         assert!((1..=MAX_ROWS).contains(&rows), "geometry has {rows} rows");
+        let wide = self.wide();
         let mut result = SampleResult::Zero;
         for col in 0..self.hash.len() {
-            self.bucket_lanes::<1>(col, batch, acc);
-            let (alpha, gamma) = (&mut acc.alpha[0][..rows], &mut acc.gamma[0][..rows]);
-            let built = alpha.iter().zip(gamma.iter()).rev().scan((0, 0), |run, (&a, &g)| {
-                *run = (run.0 ^ a, run.1 ^ g);
-                Some(*run)
-            });
-            let found = self.first_certified(col, built);
-            alpha.fill(0);
-            gamma.fill(0);
+            if wide {
+                self.bucket_lanes::<1, true>(col, batch, acc);
+            } else {
+                self.bucket_lanes::<1, false>(col, batch, acc);
+            }
+            let (packed, high) = (&mut acc.packed[0][..rows], &mut acc.alpha_high[0][..rows]);
+            let found = if wide {
+                let built = packed.iter().zip(high.iter()).rev().scan((0, 0), |run, (&w, &h)| {
+                    *run = (run.0 ^ w, run.1 ^ h);
+                    Some(unpack(run.0, run.1))
+                });
+                let found = self.first_certified(col, built);
+                high.fill(0);
+                found
+            } else {
+                let built = packed.iter().rev().scan(0, |run, &w| {
+                    *run ^= w;
+                    Some(unpack(*run, 0))
+                });
+                self.first_certified(col, built)
+            };
+            packed.fill(0);
             match found {
                 SampleResult::Zero => {}
                 SampleResult::Fail => result = SampleResult::Fail,
@@ -281,10 +309,10 @@ impl<H: Hasher64> CubeSketchFamily<H> {
         result
     }
 
-    /// The first of column `col`'s buckets, given deepest row first, that
-    /// certifies single support: its `Index`; else `Zero` if every bucket
-    /// is empty, else `Fail`. Deep buckets are the likeliest to have single
-    /// support when the vector is dense.
+    /// The first of column `col`'s buckets, given deepest row first as
+    /// `(α, γ)`, that certifies single support: its `Index`; else `Zero` if
+    /// every bucket is empty, else `Fail`. Deep buckets are the likeliest to
+    /// have single support when the vector is dense.
     fn first_certified(
         &self,
         col: usize,
@@ -310,12 +338,13 @@ impl<H: Hasher64> CubeSketchFamily<H> {
 
     /// The scalar kernel's record pass over columns `first_col ..
     /// first_col + N`: one finish → depth → accumulator-XOR chain per
-    /// lane, each record's `(α, γ)` contribution bucketed at its exact depth
-    /// in lane `l`'s accumulator for column `first_col + l`. The hashers
-    /// and the row count are copied out of the family first, so nothing in
-    /// the record loop is reloaded because a store might have aliased it.
+    /// lane, each record's packed word (and, if `WIDE`, its `α` high word)
+    /// bucketed at its exact depth in lane `l`'s accumulator for column
+    /// `first_col + l`. The hashers and the row count are copied out of the
+    /// family first, so nothing in the record loop is reloaded because a
+    /// store might have aliased it.
     #[inline(always)]
-    fn bucket_lanes<const N: usize>(
+    fn bucket_lanes<const N: usize, const WIDE: bool>(
         &self,
         first_col: usize,
         batch: PremixedBatch<'_, H>,
@@ -323,33 +352,34 @@ impl<H: Hasher64> CubeSketchFamily<H> {
     ) {
         let last_row = last_row_bit(self.geometry.num_rows as usize);
         let hashers: [H; N] = std::array::from_fn(|lane| self.hash[first_col + lane].clone());
-        let acc_alpha = &mut acc.alpha[..N];
-        let acc_gamma = &mut acc.gamma[..N];
+        let acc_packed = &mut acc.packed[..N];
+        let acc_high = &mut acc.alpha_high[..N];
         for (&idx, &premixed) in batch.indices.iter().zip(batch.premixed) {
             debug_assert!(idx < self.geometry.vector_len, "index {idx} out of range");
             let enc = idx + 1;
             for lane in 0..N {
-                let (deepest, checksum) =
-                    depth_and_checksum(hashers[lane].finish(premixed), last_row);
-                acc_alpha[lane][deepest] ^= enc;
-                acc_gamma[lane][deepest] ^= checksum;
+                let h = hashers[lane].finish(premixed);
+                let deepest = depth(h, last_row);
+                acc_packed[lane][deepest] ^= pack(h, enc);
+                if WIDE {
+                    acc_high[lane][deepest] ^= (enc >> 32) as u32;
+                }
             }
         }
     }
 }
 
-/// The hash bit that stands for a sketch's last row (see
-/// [`depth_and_checksum`]).
+/// The hash bit that stands for a sketch's last row (see [`depth`]).
 #[inline(always)]
 fn last_row_bit(rows: usize) -> u64 {
     1 << (rows - 1)
 }
 
-/// Deepest row reached and checksum of a coordinate, from its column's
-/// single 64-bit hash `h`: row `i` membership needs `i` trailing zero bits,
-/// so the coordinate sits in rows `0..=tz`, clamped to the last row —
-/// setting that row's bit (`last_row`, from [`last_row_bit`]) before the
-/// count clamps without a compare — and the checksum is the high word. The
+/// Deepest row a coordinate reaches, from its column's single 64-bit hash
+/// `h`: row `i` membership needs `i` trailing zero bits, so the coordinate
+/// sits in rows `0..=tz`, clamped to the last row — setting that row's bit
+/// (`last_row`, from [`last_row_bit`]) before the count clamps without a
+/// compare. Its checksum is the high word of the same hash ([`pack`]). The
 /// two draw fully disjoint bits while `rows ≤ 32` (`n ≤ 2^32`); for longer
 /// vectors a row-`i` bucket with `i > 32` constrains the low `i − 32`
 /// checksum bits of its members, so the effective checksum entropy in those
@@ -357,15 +387,78 @@ fn last_row_bit(rows: usize) -> u64 {
 /// (`V ≈ 10^6`) — a bounded, rare-row weakening of the Lemma 3 certificate
 /// accepted in exchange for halving hash invocations (DESIGN.md §9).
 #[inline(always)]
-fn depth_and_checksum(h: u64, last_row: u64) -> (usize, u32) {
-    ((h | last_row).trailing_zeros() as usize, (h >> 32) as u32)
+fn depth(h: u64, last_row: u64) -> usize {
+    (h | last_row).trailing_zeros() as usize
 }
+
+/// The low half of a bucket word: `α mod 2^32`.
+const ALPHA_LOW: u64 = 0xFFFF_FFFF;
+
+/// A record's contribution to one bucket word, from its column hash `h` and
+/// its encoding `enc = idx + 1`: the checksum (`h`'s high word) over `α`'s
+/// low half.
+#[inline(always)]
+fn pack(h: u64, enc: u64) -> u64 {
+    (h & !ALPHA_LOW) | (enc & ALPHA_LOW)
+}
+
+/// A bucket's `(α, γ)` from its word and its `α` high word (0 where the
+/// family keeps no `α`-high plane).
+#[inline(always)]
+fn unpack(word: u64, alpha_high: u32) -> (u64, u32) {
+    (u64::from(alpha_high) << 32 | (word & ALPHA_LOW), (word >> 32) as u32)
+}
+
+/// XOR `src` into `dst`, word by word.
+#[inline]
+fn xor_into<T: Copy + std::ops::BitXorAssign>(dst: &mut [T], src: &[T]) {
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d ^= s;
+    }
+}
+
+/// Why a serialized payload does not decode under a family's geometry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PayloadError {
+    /// The payload is not `12 × buckets` bytes long.
+    Length {
+        /// Bytes the geometry's payload has.
+        expected: usize,
+        /// Bytes given.
+        got: usize,
+    },
+    /// Bucket `bucket`'s `α` has a nonzero high word, which no coordinate
+    /// of a vector shorter than `2^32` can put there.
+    AlphaOutOfRange {
+        /// Flat (column-major) index of the first such bucket.
+        bucket: usize,
+    },
+}
+
+impl fmt::Display for PayloadError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            PayloadError::Length { expected, got } => {
+                write!(f, "sketch payload is {got} bytes, the geometry's is {expected}")
+            }
+            PayloadError::AlphaOutOfRange { bucket } => write!(
+                f,
+                "bucket {bucket}'s α does not fit the geometry (nonzero high word below 2^32)"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for PayloadError {}
 
 /// A CubeSketch: the bucket payload of one sketched vector.
 ///
-/// Buckets are stored structure-of-arrays (`α`s then `γ`s) so the in-memory
-/// footprint is the paper's 12 bytes per bucket and column updates touch
-/// contiguous words.
+/// A bucket is one word, `γ << 32 | (α mod 2^32)`, column-major so that a
+/// column update touches contiguous words; a family whose vector is at
+/// least `2^32` long also keeps `α`'s high words, one `u32` a bucket in a
+/// plane of their own. Resident, that is 8 bytes a bucket below `2^32` and
+/// 12 above; serialized, it is always the paper's 12 (`α` as a `u64`, then
+/// `γ`), which is what [`SketchGeometry::cube_sketch_bytes`] counts.
 ///
 /// ```
 /// use gz_sketch::cube::CubeSketchFamily;
@@ -387,18 +480,21 @@ fn depth_and_checksum(h: u64, last_row: u64) -> (usize, u32) {
 #[derive(Debug, Clone)]
 pub struct CubeSketch<H: Hasher64 = Xxh64Hasher> {
     family: Arc<CubeSketchFamily<H>>,
-    alpha: Box<[u64]>,
-    gamma: Box<[u32]>,
+    /// One word a bucket: `γ << 32 | (α mod 2^32)`.
+    buckets: Box<[u64]>,
+    /// `α >> 32` a bucket; empty unless the family is wide.
+    alpha_high: Box<[u32]>,
 }
 
 impl<H: Hasher64> CubeSketch<H> {
     /// A fresh all-zero sketch.
     pub fn new(family: Arc<CubeSketchFamily<H>>) -> Self {
         let n = family.geometry.num_buckets();
+        let high = if family.wide() { n } else { 0 };
         CubeSketch {
             family,
-            alpha: vec![0u64; n].into_boxed_slice(),
-            gamma: vec![0u32; n].into_boxed_slice(),
+            buckets: vec![0u64; n].into_boxed_slice(),
+            alpha_high: vec![0u32; high].into_boxed_slice(),
         }
     }
 
@@ -423,13 +519,18 @@ impl<H: Hasher64> CubeSketch<H> {
         debug_assert!(enc - 1 < family.geometry.vector_len, "index {} out of range", enc - 1);
         let rows = family.geometry.num_rows as usize;
         let last_row = last_row_bit(rows);
+        let wide = !self.alpha_high.is_empty();
         for (col, hasher) in family.hash.iter().enumerate() {
-            let (deepest, checksum) = depth_and_checksum(hasher.finish(premixed), last_row);
-            let reached = col * rows..=col * rows + deepest;
-            let (alpha, gamma) = (&mut self.alpha[reached.clone()], &mut self.gamma[reached]);
-            for r in 0..=deepest {
-                alpha[r] ^= enc;
-                gamma[r] ^= checksum;
+            let h = hasher.finish(premixed);
+            let reached = col * rows..=col * rows + depth(h, last_row);
+            let word = pack(h, enc);
+            for b in &mut self.buckets[reached.clone()] {
+                *b ^= word;
+            }
+            if wide {
+                for a in &mut self.alpha_high[reached] {
+                    *a ^= (enc >> 32) as u32;
+                }
             }
         }
     }
@@ -475,7 +576,8 @@ impl<H: Hasher64> CubeSketch<H> {
         let rows = self.family.geometry.num_rows as usize;
         assert!((1..=MAX_ROWS).contains(&rows), "geometry has {rows} rows");
         match kernel {
-            Kernel::Scalar => self.scalar_kernel(batch, acc),
+            Kernel::Scalar if self.alpha_high.is_empty() => self.scalar_kernel::<false>(batch, acc),
+            Kernel::Scalar => self.scalar_kernel::<true>(batch, acc),
             Kernel::Avx512 => {
                 debug_assert_eq!(self.family.kernel, Kernel::Avx512, "the family chose it");
                 debug_assert!(
@@ -483,13 +585,7 @@ impl<H: Hasher64> CubeSketch<H> {
                     "index out of range"
                 );
                 #[cfg(target_arch = "x86_64")]
-                avx512::apply(
-                    &self.family.hash,
-                    batch.indices,
-                    batch.premixed,
-                    &mut self.alpha,
-                    &mut self.gamma,
-                );
+                avx512::apply(&self.family.hash, batch.indices, batch.premixed, &mut self.buckets);
                 #[cfg(not(target_arch = "x86_64"))]
                 unreachable!("no family selects the AVX-512 kernel off x86-64");
             }
@@ -497,22 +593,27 @@ impl<H: Hasher64> CubeSketch<H> {
     }
 
     /// The scalar kernel: the columns are taken `LANES` at a time, then one
-    /// narrower pass for `columns % LANES`.
-    fn scalar_kernel(&mut self, batch: PremixedBatch<'_, H>, acc: &mut LaneAccumulators) {
+    /// narrower pass for `columns % LANES`; `WIDE` when the sketch keeps
+    /// the `α`-high plane.
+    fn scalar_kernel<const WIDE: bool>(
+        &mut self,
+        batch: PremixedBatch<'_, H>,
+        acc: &mut LaneAccumulators,
+    ) {
         let columns = self.family.geometry.num_columns as usize;
         let mut col = 0;
         while columns - col >= LANES {
-            self.sweep_lanes::<LANES>(col, batch, acc);
+            self.sweep_lanes::<LANES, WIDE>(col, batch, acc);
             col += LANES;
         }
         match columns - col {
             0 => {}
-            1 => self.sweep_lanes::<1>(col, batch, acc),
-            2 => self.sweep_lanes::<2>(col, batch, acc),
-            3 => self.sweep_lanes::<3>(col, batch, acc),
-            4 => self.sweep_lanes::<4>(col, batch, acc),
-            5 => self.sweep_lanes::<5>(col, batch, acc),
-            6 => self.sweep_lanes::<6>(col, batch, acc),
+            1 => self.sweep_lanes::<1, WIDE>(col, batch, acc),
+            2 => self.sweep_lanes::<2, WIDE>(col, batch, acc),
+            3 => self.sweep_lanes::<3, WIDE>(col, batch, acc),
+            4 => self.sweep_lanes::<4, WIDE>(col, batch, acc),
+            5 => self.sweep_lanes::<5, WIDE>(col, batch, acc),
+            6 => self.sweep_lanes::<6, WIDE>(col, batch, acc),
             _ => unreachable!("a remainder is below LANES"),
         }
     }
@@ -523,13 +624,13 @@ impl<H: Hasher64> CubeSketch<H> {
     /// accumulated deltas to its column's rows in one contiguous descending
     /// pass (row `r` receives every contribution of depth `> r`).
     #[inline(always)]
-    fn sweep_lanes<const N: usize>(
+    fn sweep_lanes<const N: usize, const WIDE: bool>(
         &mut self,
         first_col: usize,
         batch: PremixedBatch<'_, H>,
         acc: &mut LaneAccumulators,
     ) {
-        self.family.bucket_lanes::<N>(first_col, batch, acc);
+        self.family.bucket_lanes::<N, WIDE>(first_col, batch, acc);
         let rows = self.family.geometry.num_rows as usize;
         // Suffix-XOR sweep: walking rows deepest-first, the running XOR at
         // row r is exactly the combined delta of all indices with depth > r.
@@ -537,14 +638,9 @@ impl<H: Hasher64> CubeSketch<H> {
         // and the accumulators are re-zeroed in the same pass.
         for lane in 0..N {
             let base = (first_col + lane) * rows;
-            let alpha = &mut self.alpha[base..base + rows];
-            let gamma = &mut self.gamma[base..base + rows];
-            let (mut run_alpha, mut run_gamma) = (0u64, 0u32);
-            for r in (0..rows).rev() {
-                run_alpha ^= std::mem::take(&mut acc.alpha[lane][r]);
-                run_gamma ^= std::mem::take(&mut acc.gamma[lane][r]);
-                alpha[r] ^= run_alpha;
-                gamma[r] ^= run_gamma;
+            sweep(&mut self.buckets[base..base + rows], &mut acc.packed[lane][..rows]);
+            if WIDE {
+                sweep(&mut self.alpha_high[base..base + rows], &mut acc.alpha_high[lane][..rows]);
             }
         }
     }
@@ -553,11 +649,17 @@ impl<H: Hasher64> CubeSketch<H> {
     /// column by column, each scanned from its deepest (sparsest) row up.
     pub fn query(&self) -> SampleResult {
         let rows = self.family.geometry.num_rows as usize;
-        let columns = self.alpha.chunks_exact(rows).zip(self.gamma.chunks_exact(rows));
         let mut result = SampleResult::Zero;
-        for (col, (alpha, gamma)) in columns.enumerate() {
-            let buckets = alpha.iter().zip(gamma).rev().map(|(&a, &g)| (a, g));
-            match self.family.first_certified(col, buckets) {
+        for (col, words) in self.buckets.chunks_exact(rows).enumerate() {
+            let found = if self.alpha_high.is_empty() {
+                let buckets = words.iter().rev().map(|&w| unpack(w, 0));
+                self.family.first_certified(col, buckets)
+            } else {
+                let highs = &self.alpha_high[col * rows..(col + 1) * rows];
+                let buckets = words.iter().zip(highs).rev().map(|(&w, &h)| unpack(w, h));
+                self.family.first_certified(col, buckets)
+            };
+            match found {
                 SampleResult::Zero => {}
                 SampleResult::Fail => result = SampleResult::Fail,
                 found => return found,
@@ -568,7 +670,7 @@ impl<H: Hasher64> CubeSketch<H> {
 
     /// True if every bucket is empty — w.h.p. the vector is zero.
     pub fn is_empty(&self) -> bool {
-        self.alpha.iter().all(|&a| a == 0) && self.gamma.iter().all(|&g| g == 0)
+        self.buckets.iter().all(|&w| w == 0) && self.alpha_high.iter().all(|&a| a == 0)
     }
 
     /// Merge (XOR) another sketch of the same family into this one.
@@ -583,88 +685,156 @@ impl<H: Hasher64> CubeSketch<H> {
             self.family.compatible(&other.family),
             "cannot merge sketches from different families"
         );
-        for (a, b) in self.alpha.iter_mut().zip(other.alpha.iter()) {
-            *a ^= *b;
-        }
-        for (a, b) in self.gamma.iter_mut().zip(other.gamma.iter()) {
-            *a ^= *b;
+        xor_into(&mut self.buckets, &other.buckets);
+        if !self.alpha_high.is_empty() {
+            xor_into(&mut self.alpha_high, &other.alpha_high);
         }
     }
 
     /// Reset to the all-zero sketch (reused as the scratch "delta sketch" in
-    /// the ingestion pipeline's lock-minimizing path, paper §5.1).
+    /// the ingestion pipeline's lock-minimizing path, paper §5.1). The
+    /// `α`-high plane is filled only where it exists: a fill of an empty
+    /// slice is not free on this path (DESIGN.md §9).
     pub fn clear(&mut self) {
-        self.alpha.fill(0);
-        self.gamma.fill(0);
+        self.buckets.fill(0);
+        if !self.alpha_high.is_empty() {
+            self.alpha_high.fill(0);
+        }
     }
 
-    /// Payload size in bytes (α and γ arrays only), the Figure 5 metric.
+    /// Resident payload bytes: 8 a bucket, 12 where the family keeps the
+    /// `α`-high plane. The paper's 12-byte model is
+    /// [`SketchGeometry::cube_sketch_bytes`] and [`Self::serialized_size`].
     pub fn payload_bytes(&self) -> usize {
-        self.alpha.len() * 8 + self.gamma.len() * 4
+        self.buckets.len() * 8 + self.alpha_high.len() * 4
     }
 
-    /// Serialize the payload to `out` (little-endian α words, then γ words).
-    /// Used by the file-backed sketch store, checkpoints and the wire. The
-    /// payload's span is sized once and filled word by word in place — the
-    /// mirror of [`Self::overwrite_from`] — instead of growing `out` one
-    /// word at a time.
+    /// Serialize the payload to `out`: the paper's 12 bytes a bucket,
+    /// little-endian `α` words, then `γ` words, whatever the resident
+    /// layout. Used by the file-backed sketch store, checkpoints and the
+    /// wire. The payload's span is sized once and filled word by word in
+    /// place — the mirror of [`Self::overwrite_from`] — instead of growing
+    /// `out` one word at a time.
     pub fn serialize_into(&self, out: &mut Vec<u8>) {
         let start = out.len();
-        out.resize(start + self.payload_bytes(), 0);
-        let (alpha_bytes, gamma_bytes) = out[start..].split_at_mut(self.alpha.len() * 8);
-        for (c, a) in alpha_bytes.chunks_exact_mut(8).zip(self.alpha.iter()) {
-            c.copy_from_slice(&a.to_le_bytes());
+        out.resize(start + Self::serialized_size(self.family.geometry), 0);
+        let (alpha_bytes, gamma_bytes) = out[start..].split_at_mut(self.buckets.len() * 8);
+        let alpha_chunks = alpha_bytes.chunks_exact_mut(8).zip(self.buckets.iter());
+        if self.alpha_high.is_empty() {
+            for (c, w) in alpha_chunks {
+                c.copy_from_slice(&(w & ALPHA_LOW).to_le_bytes());
+            }
+        } else {
+            for ((c, &w), &high) in alpha_chunks.zip(self.alpha_high.iter()) {
+                c.copy_from_slice(&unpack(w, high).0.to_le_bytes());
+            }
         }
-        for (c, g) in gamma_bytes.chunks_exact_mut(4).zip(self.gamma.iter()) {
-            c.copy_from_slice(&g.to_le_bytes());
+        for (c, w) in gamma_bytes.chunks_exact_mut(4).zip(self.buckets.iter()) {
+            c.copy_from_slice(&((w >> 32) as u32).to_le_bytes());
         }
     }
 
-    /// Deserialize a payload previously produced by [`Self::serialize_into`].
+    /// Decode a payload produced by [`Self::serialize_into`], checked: a
+    /// wrong length, or an `α` with a nonzero high word where the family's
+    /// vector is shorter than `2^32`, is a [`PayloadError`] — what bytes
+    /// from outside the process (a checkpoint file, a shard's reply) go
+    /// through.
+    pub fn try_deserialize(
+        family: Arc<CubeSketchFamily<H>>,
+        bytes: &[u8],
+    ) -> Result<Self, PayloadError> {
+        let mut sketch = CubeSketch::new(family);
+        sketch.decode(bytes)?;
+        Ok(sketch)
+    }
+
+    /// [`Self::try_deserialize`] for bytes this process wrote itself.
     ///
     /// # Panics
-    /// Panics if `bytes` has the wrong length for the family's geometry.
+    /// Panics if `bytes` does not decode under the family's geometry.
     pub fn deserialize(family: Arc<CubeSketchFamily<H>>, bytes: &[u8]) -> Self {
-        let n = family.geometry.num_buckets();
-        assert_eq!(bytes.len(), n * 12, "payload size mismatch");
-        // Bulk-decode via `chunks_exact`: the bounds checks hoist out of the
-        // loops, which matters on the disk-store query path where every
-        // group fault deserializes a whole node group.
-        let (alpha_bytes, gamma_bytes) = bytes.split_at(n * 8);
-        let alpha: Box<[u64]> = alpha_bytes
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("chunk is 8 bytes")))
-            .collect();
-        let gamma: Box<[u32]> = gamma_bytes
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().expect("chunk is 4 bytes")))
-            .collect();
-        CubeSketch { family, alpha, gamma }
+        Self::try_deserialize(family, bytes).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Overwrite this sketch's payload with one previously produced by
-    /// [`Self::serialize_into`] — [`Self::deserialize`] without the two
+    /// [`Self::serialize_into`] — [`Self::deserialize`] without the
     /// allocations, for callers that recycle sketches (the disk store's
     /// group cache decodes every faulted group into an evicted one's
     /// buffers).
     ///
     /// # Panics
-    /// Panics if `bytes` has the wrong length for the family's geometry.
+    /// Panics if `bytes` does not decode under the family's geometry.
     pub fn overwrite_from(&mut self, bytes: &[u8]) {
-        let n = self.alpha.len();
-        assert_eq!(bytes.len(), n * 12, "payload size mismatch");
-        let (alpha_bytes, gamma_bytes) = bytes.split_at(n * 8);
-        for (a, c) in self.alpha.iter_mut().zip(alpha_bytes.chunks_exact(8)) {
-            *a = u64::from_le_bytes(c.try_into().expect("chunk is 8 bytes"));
-        }
-        for (g, c) in self.gamma.iter_mut().zip(gamma_bytes.chunks_exact(4)) {
-            *g = u32::from_le_bytes(c.try_into().expect("chunk is 4 bytes"));
-        }
+        self.decode(bytes).unwrap_or_else(|e| panic!("{e}"));
     }
 
-    /// Exact serialized size for a geometry.
+    /// The body of every decode: bulk, via `chunks_exact`, so the bounds
+    /// checks hoist out of the loops — which matters on the disk-store
+    /// query path, where every group fault decodes a whole node group. A
+    /// narrow family's high-word check is one OR per bucket and one branch
+    /// per payload.
+    fn decode(&mut self, bytes: &[u8]) -> Result<(), PayloadError> {
+        let (n, geometry) = (self.buckets.len(), self.family.geometry);
+        if bytes.len() != Self::serialized_size(geometry) {
+            return Self::check_payload(geometry, bytes);
+        }
+        let (alpha_bytes, gamma_bytes) = bytes.split_at(n * 8);
+        let word = |c: &[u8]| u64::from_le_bytes(c.try_into().expect("chunk is 8 bytes"));
+        let mut spilled = 0;
+        if self.alpha_high.is_empty() {
+            for (w, c) in self.buckets.iter_mut().zip(alpha_bytes.chunks_exact(8)) {
+                let alpha = word(c);
+                spilled |= alpha >> 32;
+                *w = alpha;
+            }
+        } else {
+            let planes = self.buckets.iter_mut().zip(self.alpha_high.iter_mut());
+            for ((w, high), c) in planes.zip(alpha_bytes.chunks_exact(8)) {
+                let alpha = word(c);
+                (*w, *high) = (alpha & ALPHA_LOW, (alpha >> 32) as u32);
+            }
+        }
+        if spilled != 0 {
+            return Self::check_payload(geometry, bytes);
+        }
+        for (w, c) in self.buckets.iter_mut().zip(gamma_bytes.chunks_exact(4)) {
+            let gamma = u32::from_le_bytes(c.try_into().expect("chunk is 4 bytes"));
+            *w |= u64::from(gamma) << 32;
+        }
+        Ok(())
+    }
+
+    /// Check, without decoding it, that `bytes` is a payload of
+    /// `geometry`: the length, and where the vector is shorter than `2^32`
+    /// every `α`'s high word ([`Self::try_deserialize`]'s checks). For
+    /// callers that validate a reply before they fold it.
+    pub fn check_payload(geometry: SketchGeometry, bytes: &[u8]) -> Result<(), PayloadError> {
+        let expected = Self::serialized_size(geometry);
+        if bytes.len() != expected {
+            return Err(PayloadError::Length { expected, got: bytes.len() });
+        }
+        if geometry.vector_len < 1 << 32 {
+            let mut alpha_words = bytes[..geometry.num_buckets() * 8].chunks_exact(8);
+            if let Some(bucket) = alpha_words.position(|c| c[4..] != [0; 4]) {
+                return Err(PayloadError::AlphaOutOfRange { bucket });
+            }
+        }
+        Ok(())
+    }
+
+    /// Exact serialized size for a geometry: the paper's 12 bytes a bucket.
     pub fn serialized_size(geometry: SketchGeometry) -> usize {
-        geometry.num_buckets() * 12
+        geometry.cube_sketch_bytes()
+    }
+}
+
+/// Suffix-XOR `acc` (rows deepest last) into `plane`, re-zeroing `acc`.
+#[inline(always)]
+fn sweep<T: Copy + Default + std::ops::BitXorAssign>(plane: &mut [T], acc: &mut [T]) {
+    let mut run = T::default();
+    for (p, a) in plane.iter_mut().zip(acc.iter_mut()).rev() {
+        run ^= std::mem::take(a);
+        *p ^= run;
     }
 }
 
@@ -778,8 +948,8 @@ mod tests {
         for &i in &[1u64, 2, 4000] {
             direct.update(i);
         }
-        assert_eq!(a.alpha, direct.alpha);
-        assert_eq!(a.gamma, direct.gamma);
+        assert_eq!(a.buckets, direct.buckets);
+        assert_eq!(a.alpha_high, direct.alpha_high);
     }
 
     #[test]
@@ -810,15 +980,15 @@ mod tests {
         s.serialize_into(&mut bytes);
         assert_eq!(bytes.len(), CubeSketch::<Xxh64Hasher>::serialized_size(f.geometry()));
         let t = CubeSketch::deserialize(Arc::clone(&f), &bytes);
-        assert_eq!(s.alpha, t.alpha);
-        assert_eq!(s.gamma, t.gamma);
+        assert_eq!(s.buckets, t.buckets);
+        assert_eq!(s.alpha_high, t.alpha_high);
         assert_eq!(t.query(), s.query());
         // The in-place decode lands the same payload over stale contents.
         let mut recycled = f.new_sketch();
         recycled.update(77);
         recycled.overwrite_from(&bytes);
-        assert_eq!(s.alpha, recycled.alpha);
-        assert_eq!(s.gamma, recycled.gamma);
+        assert_eq!(s.buckets, recycled.buckets);
+        assert_eq!(s.alpha_high, recycled.alpha_high);
     }
 
     #[test]
@@ -832,9 +1002,47 @@ mod tests {
 
     #[test]
     fn payload_matches_geometry_model() {
-        let f = family(1_000_000, 13);
-        let s = f.new_sketch();
-        assert_eq!(s.payload_bytes(), f.geometry().cube_sketch_bytes());
+        // Serialized, a sketch is the paper's model — 12 bytes a bucket — on
+        // both sides of 2^32. Resident, it is 8 bytes a bucket below 2^32
+        // (one packed word) and 12 from there on (the α-high plane too).
+        for (vector_len, resident_bucket_bytes) in [(1_000_000, 8), (1 << 33, 12)] {
+            let f = family(vector_len, 13);
+            let mut s = f.new_sketch();
+            s.update(vector_len - 1);
+            let buckets = f.geometry().num_buckets();
+            assert_eq!(f.geometry().cube_sketch_bytes(), buckets * 12);
+            let mut bytes = Vec::new();
+            s.serialize_into(&mut bytes);
+            assert_eq!(bytes.len(), f.geometry().cube_sketch_bytes(), "{vector_len}");
+            assert_eq!(CubeSketch::<Xxh64Hasher>::serialized_size(f.geometry()), bytes.len());
+            assert_eq!(s.payload_bytes(), buckets * resident_bucket_bytes, "{vector_len}");
+        }
+    }
+
+    #[test]
+    fn a_wide_alpha_where_the_vector_is_narrow_is_refused() {
+        // Bytes from outside the process: an α with a nonzero high word
+        // cannot come from a vector shorter than 2^32, and decoding it must
+        // neither panic nor drop the high word. A wide family takes it.
+        let (narrow, wide) = (family(4096, 3), family(1 << 33, 3));
+        for f in [&narrow, &wide] {
+            let mut bytes = Vec::new();
+            f.new_sketch().serialize_into(&mut bytes);
+            bytes[5 * 8 + 4] = 1; // bucket 5's α, bit 32
+            let decoded = CubeSketch::try_deserialize(Arc::clone(f), &bytes);
+            if Arc::ptr_eq(f, &narrow) {
+                assert_eq!(decoded.unwrap_err(), PayloadError::AlphaOutOfRange { bucket: 5 });
+            } else {
+                let s = decoded.unwrap();
+                assert_eq!((s.buckets[5], s.alpha_high[5]), (0, 1));
+                let mut again = Vec::new();
+                s.serialize_into(&mut again);
+                assert_eq!(again, bytes);
+            }
+            let short = CubeSketch::try_deserialize(Arc::clone(f), &bytes[1..]);
+            let expected = f.geometry().cube_sketch_bytes();
+            assert_eq!(short.unwrap_err(), PayloadError::Length { expected, got: expected - 1 });
+        }
     }
 
     #[test]
@@ -847,8 +1055,8 @@ mod tests {
         for &u in &updates {
             b.update(u);
         }
-        assert_eq!(a.alpha, b.alpha);
-        assert_eq!(a.gamma, b.gamma);
+        assert_eq!(a.buckets, b.buckets);
+        assert_eq!(a.alpha_high, b.alpha_high);
     }
 
     #[test]
@@ -862,8 +1070,8 @@ mod tests {
         for &u in &updates {
             b.update(u);
         }
-        assert_eq!(a.alpha, b.alpha);
-        assert_eq!(a.gamma, b.gamma);
+        assert_eq!(a.buckets, b.buckets);
+        assert_eq!(a.alpha_high, b.alpha_high);
     }
 
     #[test]
@@ -877,8 +1085,8 @@ mod tests {
             for &u in &updates {
                 b.update(u);
             }
-            assert_eq!(a.alpha, b.alpha, "len={len}");
-            assert_eq!(a.gamma, b.gamma, "len={len}");
+            assert_eq!(a.buckets, b.buckets, "len={len}");
+            assert_eq!(a.alpha_high, b.alpha_high, "len={len}");
         }
     }
 
@@ -929,8 +1137,8 @@ mod tests {
         batch.push(4999);
         batched.update_batch(&batch);
         reference.update(4999);
-        assert_eq!(batched.alpha, reference.alpha);
-        assert_eq!(batched.gamma, reference.gamma);
+        assert_eq!(batched.buckets, reference.buckets);
+        assert_eq!(batched.alpha_high, reference.alpha_high);
     }
 }
 
@@ -1048,7 +1256,7 @@ mod proptests {
             .map(|k| top - k)
             .find(|&idx| {
                 let h = f.hash[0].finish(H::premix(idx + 1));
-                depth_and_checksum(h, last_row_bit(rows)).0 == depth
+                super::depth(h, last_row_bit(rows)) == depth
             })
             .expect("some index lands at every depth")
     }

@@ -4,17 +4,19 @@
 //!
 //! Eight records ride one 512-bit vector, their column hashes from
 //! xxHash64's finish in vector form ([`finish_u64x8`]). A record's bucket
-//! contribution is one packed word, `checksum << 32 | (idx + 1)`, whole as
-//! long as `idx + 1` fits the low half — which is why a family selects
-//! this kernel only for `vector_len < 2^32`. Row `r < 8` of the column
-//! holds every record of depth `≥ r`, so its accumulator takes one XOR of
-//! the packed words under the mask of lanes whose hash (the last row's bit
-//! set, as in [`depth_and_checksum`]) has `r` trailing zeros: the rows come
-//! out already suffix-summed, with no per-depth scatter and no sweep, and
-//! `α` and `γ` ride in one lane. A record that reaches row 8 (probability
-//! 2^-8) XORs rows `8..=depth` into the buckets directly.
+//! contribution is one packed word, `checksum << 32 | (idx + 1)` — the
+//! bucket word itself ([`pack`]), whole as long as `idx + 1` fits the low
+//! half, which is why a family selects this kernel only for
+//! `vector_len < 2^32`, where sketches keep no `α`-high plane. Row `r < 8`
+//! of the column holds every record of depth `≥ r`, so its accumulator
+//! takes one XOR of the packed words under the mask of lanes whose hash
+//! (the last row's bit set, as in [`depth`]) has `r` trailing zeros: the
+//! rows come out already suffix-summed, with no per-depth scatter and no
+//! sweep, and land on the buckets with one XOR a row. A record that reaches
+//! row 8 (probability 2^-8) XORs rows `8..=depth` into the buckets
+//! directly.
 
-use super::{depth_and_checksum, last_row_bit};
+use super::{depth, last_row_bit, pack};
 use gz_hash::xxh64::finish_u64x8;
 use gz_hash::{Hasher64, Xxh64Hasher};
 use std::arch::x86_64::*;
@@ -29,8 +31,8 @@ pub(super) fn detected() -> bool {
 }
 
 /// XOR the records `indices`, premixed to `premixed`, into the columns
-/// whose hashers are `hashers` (all xxHash64) and whose buckets `alpha`
-/// and `gamma` hold, column-major: the same bits as the scalar kernel, for
+/// whose hashers are `hashers` (all xxHash64) and whose packed bucket words
+/// `buckets` holds, column-major: the same bits as the scalar kernel, for
 /// every `idx + 1 < 2^32`.
 ///
 /// # Panics
@@ -40,38 +42,27 @@ pub(super) fn apply<H: Hasher64>(
     hashers: &[H],
     indices: &[u64],
     premixed: &[u64],
-    alpha: &mut [u64],
-    gamma: &mut [u32],
+    buckets: &mut [u64],
 ) {
     assert!(detected(), "the AVX-512 kernel needs avx512f and avx512dq");
     assert_eq!(indices.len(), premixed.len(), "one premix per record");
     assert!(
-        !hashers.is_empty()
-            && !alpha.is_empty()
-            && alpha.len().is_multiple_of(hashers.len())
-            && alpha.len() == gamma.len(),
-        "one α and one γ per row of every column"
+        !hashers.is_empty() && !buckets.is_empty() && buckets.len().is_multiple_of(hashers.len()),
+        "one bucket word per row of every column"
     );
     // SAFETY: `columns` needs avx512f and avx512dq, detected just above.
-    unsafe { columns(hashers, indices, premixed, alpha, gamma) }
+    unsafe { columns(hashers, indices, premixed, buckets) }
 }
 
 /// [`apply`]'s body: the columns one after another, each a pass over the
 /// records eight at a time with its first eight rows in registers.
 #[target_feature(enable = "avx512f,avx512dq")]
-fn columns<H: Hasher64>(
-    hashers: &[H],
-    indices: &[u64],
-    premixed: &[u64],
-    alpha: &mut [u64],
-    gamma: &mut [u32],
-) {
-    let rows = alpha.len() / hashers.len();
+fn columns<H: Hasher64>(hashers: &[H], indices: &[u64], premixed: &[u64], buckets: &mut [u64]) {
+    let rows = buckets.len() / hashers.len();
     let last_row = _mm512_set1_epi64(last_row_bit(rows) as i64);
     let checksum_half = _mm512_set1_epi64(0xFFFF_FFFF_0000_0000_u64 as i64);
     let one = _mm512_set1_epi64(1);
-    let columns = alpha.chunks_exact_mut(rows).zip(gamma.chunks_exact_mut(rows));
-    for (hasher, (alpha, gamma)) in hashers.iter().zip(columns) {
+    for (hasher, column) in hashers.iter().zip(buckets.chunks_exact_mut(rows)) {
         let seed = hasher.xxh64_seed().expect("an xxHash64 column");
         let mut acc = [_mm512_setzero_si512(); VECTOR_ROWS];
         for start in (0..indices.len()).step_by(8) {
@@ -98,23 +89,22 @@ fn columns<H: Hasher64>(
             let low_bits = _mm512_set1_epi64((1 << VECTOR_ROWS) - 1);
             let deep = _mm512_mask_testn_epi64_mask(live, depth_bits, low_bits);
             if deep != 0 {
-                deep_lanes(seed, deep, &indices[start..], &premixed[start..], alpha, gamma);
+                deep_lanes(seed, deep, &indices[start..], &premixed[start..], column);
             }
         }
         let mut words = [0u64; VECTOR_ROWS];
         // SAFETY: `words` is 64 bytes, the width of one unaligned store.
         unsafe { _mm512_storeu_si512(words.as_mut_ptr().cast(), xor_lanes_by_row(acc)) };
-        for (r, word) in words.iter().enumerate().take(rows) {
-            alpha[r] ^= word & 0xFFFF_FFFF;
-            gamma[r] ^= (word >> 32) as u32;
+        for (bucket, word) in column.iter_mut().zip(words) {
+            *bucket ^= word;
         }
     }
 }
 
 /// The lanes of one vector (`deep`, a lane mask over `indices` and
 /// `premixed` from the vector's first record) that reach row
-/// [`VECTOR_ROWS`]: rows `VECTOR_ROWS..=depth` of each, straight into the
-/// buckets, its hash recomputed by the scalar finish. Inlined: scalar code
+/// [`VECTOR_ROWS`]: rows `VECTOR_ROWS..=depth` of `column`, straight into
+/// the buckets, its hash recomputed by the scalar finish. Inlined: scalar code
 /// in the loop leaves the row accumulators in their registers, where a
 /// call would clobber them.
 #[inline(always)]
@@ -123,19 +113,17 @@ fn deep_lanes(
     mut deep: __mmask8,
     indices: &[u64],
     premixed: &[u64],
-    alpha: &mut [u64],
-    gamma: &mut [u32],
+    column: &mut [u64],
 ) {
     let hasher = Xxh64Hasher::with_seed(seed);
-    let last_row = last_row_bit(alpha.len());
+    let last_row = last_row_bit(column.len());
     while deep != 0 {
         let lane = deep.trailing_zeros() as usize;
         deep &= deep - 1;
-        let (deepest, checksum) = depth_and_checksum(hasher.finish(premixed[lane]), last_row);
-        let enc = indices[lane] + 1;
-        for r in VECTOR_ROWS..=deepest {
-            alpha[r] ^= enc;
-            gamma[r] ^= checksum;
+        let h = hasher.finish(premixed[lane]);
+        let word = pack(h, indices[lane] + 1);
+        for bucket in &mut column[VECTOR_ROWS..=depth(h, last_row)] {
+            *bucket ^= word;
         }
     }
 }

@@ -7,7 +7,10 @@
 //! What differs is the *bucket payload*: CubeSketch stores `(α: u64, γ: u32)`
 //! = 12 bytes, the general sampler stores three field words = 24 bytes
 //! (64-bit path) or 48 bytes (128-bit path). That 2×/4× gap is exactly the
-//! paper's Figure 5.
+//! paper's Figure 5. The model is the serialized bucket, what every file,
+//! frame and digest holds; resident, a CubeSketch bucket of a vector
+//! shorter than `2^32` is one packed 8-byte word, since α's high word is
+//! always zero there (`crate::cube`, DESIGN.md §2).
 
 /// Columns of the paper's implementation (§5.1: `log(1/δ) = 7` for δ = 1 %,
 /// on the assumption that a column succeeds half the time). Everything that
@@ -77,7 +80,7 @@ impl SketchGeometry {
     }
 
     /// CubeSketch payload size in bytes: 12 bytes per bucket (α: u64 +
-    /// γ: u32), as counted in paper §5.1 ("12B buckets").
+    /// γ: u32), as counted in paper §5.1 ("12B buckets") and as serialized.
     pub fn cube_sketch_bytes(&self) -> usize {
         self.num_buckets() * cube_bucket_bytes()
     }

@@ -78,7 +78,9 @@ pub trait L0Sampler {
     /// the ingestion pipeline's delta-sketch locking discipline).
     fn clear(&mut self);
 
-    /// In-memory size in bytes of the bucket payload (the Figure 5 metric).
+    /// Resident size in bytes of the bucket payload. Figure 5 counts the
+    /// serialized model ([`geometry::SketchGeometry`]), which a packed
+    /// CubeSketch undercuts.
     fn payload_bytes(&self) -> usize;
 }
 

@@ -8,8 +8,8 @@
 //! Distributed Graph Sketching*). This module defines the messages that
 //! cross the coordinator/shard boundary; it is deliberately sketch-agnostic
 //! (gathered round slices travel as opaque bytes, a shard's whole state as
-//! an 8-byte digest) so the transport layer never depends on sketch
-//! internals.
+//! an 8-byte digest beside its graph digest) so the transport layer never
+//! depends on sketch internals.
 //!
 //! Frame layout (little-endian):
 //!
@@ -32,6 +32,7 @@
 //! `QueryResult`; `Busy` and `ErrorReply` are server-initiated terminal
 //! replies (overload shedding and the malformed-frame kill, respectively).
 
+use gz_graph::{GraphDigest, GRAPH_DIGEST_BYTES};
 use std::io::{self, Read, Write};
 
 /// Frame magic.
@@ -66,8 +67,10 @@ pub const WIRE_MAGIC: [u8; 2] = *b"GZ";
 /// (the typed last word before the daemon kills a misbehaving connection);
 /// v8 replaced the whole-store gather frame pair (tags 6 and 7) with
 /// `StateDigest` / `StateDigestReply`: a shard answers with the 8-byte
-/// digest of its owned state instead of every owned node's stack.
-pub const PROTOCOL_VERSION: u8 = 8;
+/// digest of its owned state instead of every owned node's stack;
+/// v9 added the graph digest (`gz_graph::digest`, 512 bytes) to
+/// `StateDigestReply`, `CheckpointAck` and `ClientHelloAck`.
+pub const PROTOCOL_VERSION: u8 = 9;
 
 /// Upper bound on a frame payload (defensive: a corrupt length header must
 /// not trigger a multi-gigabyte allocation).
@@ -205,11 +208,13 @@ pub enum WireMessage {
     /// owned sketch state.
     StateDigest,
     /// Worker → coordinator: the shard's state digest — the XOR over owned
-    /// nodes of `xxh64(serialized stack, node id)`. The coordinator XORs
-    /// the shards' digests into the digest of the whole system.
+    /// nodes of `xxh64(serialized stack, node id)` — and its graph digest.
+    /// The coordinator XORs each across the shards into the whole system's.
     StateDigestReply {
         /// The shard's digest.
         digest: u64,
+        /// The shard's graph digest.
+        graph: Box<GraphDigest>,
     },
     /// Coordinator → worker: reply [`WireMessage::RoundSketches`] with only
     /// round `round`'s slice of every owned node's sketch — the streaming
@@ -265,6 +270,8 @@ pub enum WireMessage {
     CheckpointAck {
         /// Batches covered by the durable checkpoint.
         seq: u64,
+        /// The shard's graph digest at the checkpoint.
+        graph: Box<GraphDigest>,
     },
     /// Coordinator → worker: asks where the worker's state begins — sent
     /// after reconnecting to a restarted worker, before any replay. The
@@ -288,15 +295,18 @@ pub enum WireMessage {
     /// share sketch parameters — updates and answers are plain vertex ids.
     ClientHello,
     /// Serve daemon → client: handshake accepted. Announces the universe
-    /// size (so the client can validate vertex ids locally) and the number
-    /// of updates the daemon has durably acked so far — after a `--resume`
-    /// restart this is where a reconnecting client learns which prefix of
-    /// its stream survived.
+    /// size (so the client can validate vertex ids locally), the number
+    /// of updates the daemon has durably acked so far and the graph digest
+    /// of those updates — after a `--resume` restart this is where a
+    /// reconnecting client learns which prefix of its stream survived, and
+    /// can check that it is the prefix it sent.
     ClientHelloAck {
         /// Vertex universe size.
         num_nodes: u64,
         /// Updates durably acknowledged so far.
         acked: u64,
+        /// Graph digest of the acked updates.
+        graph: Box<GraphDigest>,
     },
     /// Client → serve daemon: a batch of edge updates to ingest. Answered
     /// with [`WireMessage::UpdateAck`] once the whole batch is durable, or
@@ -421,13 +431,14 @@ impl WireMessage {
             WireMessage::GatherRound { .. } => 12,
             WireMessage::EpochSealed { .. }
             | WireMessage::ReleaseEpoch { .. }
-            | WireMessage::CheckpointAck { .. }
-            | WireMessage::ResyncFrom { .. }
-            | WireMessage::StateDigestReply { .. } => 8,
+            | WireMessage::ResyncFrom { .. } => 8,
+            WireMessage::CheckpointAck { .. } | WireMessage::StateDigestReply { .. } => {
+                8 + GRAPH_DIGEST_BYTES
+            }
             WireMessage::RoundSketches { entries, .. } => {
                 8 + entries.iter().map(|e| 8 + e.bytes.len()).sum::<usize>()
             }
-            WireMessage::ClientHelloAck { .. } => 16,
+            WireMessage::ClientHelloAck { .. } => 16 + GRAPH_DIGEST_BYTES,
             WireMessage::UpdateBatch { updates } => 4 + 9 * updates.len(),
             WireMessage::UpdateAck { .. } => 8,
             WireMessage::Query { .. } => 1,
@@ -471,20 +482,23 @@ impl WireMessage {
             WireMessage::EpochSealed { epoch } | WireMessage::ReleaseEpoch { epoch } => {
                 out.extend_from_slice(&epoch.to_le_bytes());
             }
-            WireMessage::CheckpointAck { seq } | WireMessage::ResyncFrom { seq } => {
+            WireMessage::ResyncFrom { seq } => {
                 out.extend_from_slice(&seq.to_le_bytes());
             }
-            WireMessage::StateDigestReply { digest } => {
-                out.extend_from_slice(&digest.to_le_bytes());
+            WireMessage::CheckpointAck { seq: word, graph }
+            | WireMessage::StateDigestReply { digest: word, graph } => {
+                out.extend_from_slice(&word.to_le_bytes());
+                out.extend_from_slice(&graph.to_bytes());
             }
             WireMessage::RoundSketches { round, entries } => {
                 out.extend_from_slice(&round.to_le_bytes());
                 out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
                 encode_entries(entries, out);
             }
-            WireMessage::ClientHelloAck { num_nodes, acked } => {
+            WireMessage::ClientHelloAck { num_nodes, acked, graph } => {
                 out.extend_from_slice(&num_nodes.to_le_bytes());
                 out.extend_from_slice(&acked.to_le_bytes());
+                out.extend_from_slice(&graph.to_bytes());
             }
             WireMessage::UpdateBatch { updates } => {
                 out.extend_from_slice(&(updates.len() as u32).to_le_bytes());
@@ -609,7 +623,9 @@ impl WireMessage {
             TAG_FLUSH => WireMessage::Flush,
             TAG_FLUSH_ACK => WireMessage::FlushAck,
             TAG_STATE_DIGEST => WireMessage::StateDigest,
-            TAG_STATE_DIGEST_REPLY => WireMessage::StateDigestReply { digest: cur.u64()? },
+            TAG_STATE_DIGEST_REPLY => {
+                WireMessage::StateDigestReply { digest: cur.u64()?, graph: cur.graph_digest()? }
+            }
             TAG_GATHER_ROUND => {
                 let round = cur.u32()?;
                 let epoch = match cur.u64()? {
@@ -628,13 +644,16 @@ impl WireMessage {
             TAG_RELEASE_EPOCH => WireMessage::ReleaseEpoch { epoch: cur.u64()? },
             TAG_EPOCH_RELEASED => WireMessage::EpochReleased,
             TAG_CHECKPOINT_SHARD => WireMessage::CheckpointShard,
-            TAG_CHECKPOINT_ACK => WireMessage::CheckpointAck { seq: cur.u64()? },
+            TAG_CHECKPOINT_ACK => {
+                WireMessage::CheckpointAck { seq: cur.u64()?, graph: cur.graph_digest()? }
+            }
             TAG_RESYNC => WireMessage::Resync,
             TAG_RESYNC_FROM => WireMessage::ResyncFrom { seq: cur.u64()? },
             TAG_SHUTDOWN => WireMessage::Shutdown,
             TAG_CLIENT_HELLO => WireMessage::ClientHello,
             TAG_CLIENT_HELLO_ACK => {
-                WireMessage::ClientHelloAck { num_nodes: cur.u64()?, acked: cur.u64()? }
+                let (num_nodes, acked) = (cur.u64()?, cur.u64()?);
+                WireMessage::ClientHelloAck { num_nodes, acked, graph: cur.graph_digest()? }
             }
             TAG_UPDATE_BATCH => {
                 let count = cur.u32()? as usize;
@@ -767,11 +786,21 @@ impl<'a> Cursor<'a> {
     fn u64(&mut self) -> io::Result<u64> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
+
+    fn graph_digest(&mut self) -> io::Result<Box<GraphDigest>> {
+        let bytes = self.take(GRAPH_DIGEST_BYTES)?.try_into().unwrap();
+        Ok(Box::new(GraphDigest::from_bytes(bytes)))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A graph digest with some bits set.
+    fn graph() -> Box<GraphDigest> {
+        Box::new(GraphDigest::of_updates((1..40u32).map(|i| (0, i, false)), 64))
+    }
 
     fn round_trip(msg: WireMessage) -> WireMessage {
         let mut buf = Vec::new();
@@ -792,8 +821,8 @@ mod tests {
             WireMessage::Flush,
             WireMessage::FlushAck,
             WireMessage::StateDigest,
-            WireMessage::StateDigestReply { digest: 0 },
-            WireMessage::StateDigestReply { digest: 0x0123_4567_89AB_CDEF },
+            WireMessage::StateDigestReply { digest: 0, graph: Box::default() },
+            WireMessage::StateDigestReply { digest: 0x0123_4567_89AB_CDEF, graph: graph() },
             WireMessage::GatherRound { round: 11, epoch: None },
             WireMessage::GatherRound { round: 3, epoch: Some(17) },
             WireMessage::RoundSketches {
@@ -809,13 +838,13 @@ mod tests {
             WireMessage::ReleaseEpoch { epoch: 42 },
             WireMessage::EpochReleased,
             WireMessage::CheckpointShard,
-            WireMessage::CheckpointAck { seq: 0 },
-            WireMessage::CheckpointAck { seq: u64::MAX },
+            WireMessage::CheckpointAck { seq: 0, graph: Box::default() },
+            WireMessage::CheckpointAck { seq: u64::MAX, graph: graph() },
             WireMessage::Resync,
             WireMessage::ResyncFrom { seq: 12345 },
             WireMessage::Shutdown,
             WireMessage::ClientHello,
-            WireMessage::ClientHelloAck { num_nodes: 1 << 40, acked: u64::MAX },
+            WireMessage::ClientHelloAck { num_nodes: 1 << 40, acked: u64::MAX, graph: graph() },
             WireMessage::UpdateBatch {
                 updates: vec![
                     WireUpdate { u: 0, v: u32::MAX, is_delete: false },
@@ -1036,21 +1065,25 @@ mod tests {
             let buf = frame(tag, &[0]);
             assert!(WireMessage::read_from(&mut &buf[..]).is_err(), "tag {tag}");
         }
-        // CheckpointAck / ResyncFrom carry exactly a u64: short payloads
-        // truncate, long ones trail.
-        for tag in [TAG_CHECKPOINT_ACK, TAG_RESYNC_FROM] {
-            let short = frame(tag, &[0u8; 4]);
-            assert!(WireMessage::read_from(&mut &short[..]).is_err(), "tag {tag} short");
-            let long = frame(tag, &[0u8; 12]);
-            assert!(WireMessage::read_from(&mut &long[..]).is_err(), "tag {tag} long");
-        }
-        // So does StateDigestReply: one byte short truncates, one byte
-        // over trails, and each is a typed `InvalidData`, never a digest.
-        for (len, why) in [(7, "truncated message payload"), (9, "trailing bytes")] {
-            let buf = frame(TAG_STATE_DIGEST_REPLY, &vec![0xA5; len]);
-            let err = WireMessage::read_from(&mut &buf[..]).unwrap_err();
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{len}-byte digest");
-            assert!(err.to_string().contains(why), "{len}-byte digest: {err}");
+        // ResyncFrom carries exactly a u64: short payloads truncate, long
+        // ones trail.
+        let short = frame(TAG_RESYNC_FROM, &[0u8; 4]);
+        assert!(WireMessage::read_from(&mut &short[..]).is_err(), "short");
+        let long = frame(TAG_RESYNC_FROM, &[0u8; 12]);
+        assert!(WireMessage::read_from(&mut &long[..]).is_err(), "long");
+        // So do CheckpointAck and StateDigestReply, a u64 and a graph
+        // digest: one byte short truncates, one byte over trails, and each
+        // is a typed `InvalidData`, never a digest.
+        let exact = 8 + GRAPH_DIGEST_BYTES;
+        for tag in [TAG_CHECKPOINT_ACK, TAG_STATE_DIGEST_REPLY] {
+            for (len, why) in
+                [(exact - 1, "truncated message payload"), (exact + 1, "trailing bytes")]
+            {
+                let buf = frame(tag, &vec![0xA5; len]);
+                let err = WireMessage::read_from(&mut &buf[..]).unwrap_err();
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData, "tag {tag}, {len} bytes");
+                assert!(err.to_string().contains(why), "tag {tag}, {len} bytes: {err}");
+            }
         }
     }
 

@@ -7,8 +7,8 @@
 
 use graph_zeppelin::config::{default_rounds, paper_rounds};
 use graph_zeppelin::{
-    BoruvkaOutcome, BufferStrategy, GraphZeppelin, GutterCapacity, GzConfig, ShardConfig,
-    ShardedGraphZeppelin, StoreBackend,
+    BoruvkaOutcome, BufferStrategy, GraphDigest, GraphZeppelin, GutterCapacity, GzConfig,
+    ShardConfig, ShardedGraphZeppelin, StoreBackend,
 };
 use gz_stream::{Dataset, StreamifyConfig, UpdateKind};
 use gz_testutil::TempDir;
@@ -255,6 +255,49 @@ fn state_digest_sees_every_update_and_no_cancelled_pair() {
 }
 
 #[test]
+fn the_graph_digest_is_blind_to_the_sketch_geometry() {
+    // Columns, rounds and the sketch bits they shape never enter the graph
+    // digest: at three and seven columns, the default round budget and the
+    // paper's, and every vertex dense or exact-set, it is the stream's —
+    // the value `GraphDigest::of_updates` computes with no sketch at all.
+    // The family's kernel (AVX-512 where the host has it, the scalar one
+    // elsewhere) runs after the flip, so it cannot move it either.
+    let (v, updates) = shared_stream();
+    let want = GraphDigest::of_updates(
+        updates.iter().map(|u| (u.u, u.v, u.kind == UpdateKind::Delete)),
+        v,
+    );
+    assert!(want.estimated_records() > 100.0, "the stream sets a useful share of the bits");
+    for (columns, rounds, tau) in [
+        (3, default_rounds(v), 0),
+        (7, default_rounds(v), 0),
+        (3, paper_rounds(v), 64),
+        (7, paper_rounds(v), 64),
+    ] {
+        let mut config = GzConfig::in_ram(v);
+        config.num_rounds = Some(rounds);
+        (config.num_columns, config.sketch_threshold) = (columns, tau);
+        let mut gz = ingested(config, &updates);
+        let what = format!("{columns} columns, {rounds} rounds, tau {tau}");
+        assert_eq!(gz.graph_digest(), want, "{what}");
+    }
+
+    // At V = 2^17 the vector is past 2^32: the family keeps the α-high
+    // plane and runs the scalar kernel on every host. A hub of 200 leaves
+    // promotes (τ = 64) and replays through it; the leaves stay exact sets.
+    let v = 1u64 << 17;
+    let hub: Vec<(u32, u32, bool)> =
+        (1..=200u32).map(|leaf| (7, leaf * 613, false)).chain([(7, 613, true)]).collect();
+    let mut config = GzConfig::in_ram(v);
+    config.sketch_threshold = 64;
+    let mut gz = GraphZeppelin::new(config).expect("wide system");
+    assert_eq!(gz.params().kernel(), gz_sketch::Kernel::Scalar);
+    gz.ingest(hub.iter().copied());
+    assert_eq!(gz.graph_digest(), GraphDigest::of_updates(hub, v), "the wide family");
+    assert_eq!(gz.rep_stats().promoted, 1, "the hub went dense");
+}
+
+#[test]
 fn streaming_query_bit_identical_across_stores_and_shard_counts() {
     // The tentpole invariant: the round-driven query must return labels
     // AND forest bit-identical to the materialize-everything oracle,
@@ -398,6 +441,14 @@ fn in_place_flush_bit_identical_to_the_queue_route() {
     queue_only.buffering = BufferStrategy::LeafOnly { capacity: GutterCapacity::Updates(1) };
     let mut reference = ingested(queue_only, &updates);
     let want_state = digest(&mut reference);
+    // The graph digest is the stream's, whatever the route: the same value
+    // as the one computed from the updates alone, on every configuration
+    // below.
+    let want_graph = GraphDigest::of_updates(
+        updates.iter().map(|u| (u.u, u.v, u.kind == UpdateKind::Delete)),
+        v,
+    );
+    assert_eq!(reference.graph_digest(), want_graph, "queue route: graph digest");
     let want = reference.spanning_forest().expect("reference query");
     assert_eq!(reference.ingest_counters().flushes(), 0, "the reference never flushes a record");
     assert_eq!(reference.ingest_counters().records(), 2 * updates.len() as u64);
@@ -451,6 +502,7 @@ fn in_place_flush_bit_identical_to_the_queue_route() {
                 format!("{workers} workers, disk {on_disk}, tau {tau}, {:?}", config.buffering);
             let mut gz = ingested(config, &updates);
             assert_eq!(digest(&mut gz), want_state, "single node, {what}: state");
+            assert_eq!(gz.graph_digest(), want_graph, "single node, {what}: graph digest");
             let counters = gz.ingest_counters();
             assert_eq!(counters.flushes(), 1, "single node, {what}: one flush found records");
             assert_eq!(counters.records(), 2 * updates.len() as u64, "single node, {what}");
@@ -470,6 +522,8 @@ fn in_place_flush_bit_identical_to_the_queue_route() {
                     gz.update(upd.u, upd.v, upd.kind == UpdateKind::Delete).expect("routed update");
                 }
                 assert_eq!(gz.state_digest().expect("digest"), want_state, "{what}: state");
+                let graph = gz.graph_digest().expect("graph digest");
+                assert_eq!(graph, want_graph, "{what}: graph digest");
                 assert_eq!(gz.ingest_counters().records(), 2 * updates.len() as u64, "{what}");
                 same_answer(gz.spanning_forest().expect("query"), &what);
                 gz.shutdown().expect("clean shutdown");

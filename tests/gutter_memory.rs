@@ -1,6 +1,8 @@
 //! Leaf gutters hold what they buffer: ingesting a sparse stream into the
 //! in-RAM single node, or through a shard router's lanes, raises the peak
-//! resident set by far less than a page per touched vertex.
+//! resident set by far less than a page per touched vertex. And sketches
+//! hold one packed word a bucket: a flushed, all-dense RAM store raises it
+//! by well under the paper's 12-bytes-a-bucket model.
 //!
 //! Its own binary, so `VmHWM` is this test's alone; each lane runs in a
 //! child process of this binary, so one lane's freed heap pages cannot hide
@@ -22,7 +24,9 @@ const THRESHOLD: u32 = 64;
 const BOUND: u64 = 16 << 20;
 /// Set in a child process to the lane it runs.
 const LANE_VAR: &str = "GZ_GUTTER_MEMORY_LANE";
-const LANES: [&str; 2] = ["single-node", "router"];
+const LANES: [&str; 3] = ["single-node", "router", "dense-store"];
+/// Vertices of the dense-store lane: kron13's universe.
+const DENSE_NODES: u32 = 8192;
 
 /// `sparse_churn`'s shape at a quarter of its edges: a preferential-attachment
 /// graph under heavy churn, and its final graph's components.
@@ -77,11 +81,37 @@ fn run_lane(lane: &str, updates: &[EdgeUpdate]) -> (u64, Vec<u32>) {
     }
 }
 
+/// Build an always-dense RAM store at `DENSE_NODES`, touch every vertex's
+/// stack (six records each, so every round's columns are written) and
+/// flush: the peak grows by the store's resident bytes, which must stay
+/// well under `sketch_bytes()`, the paper's 12 bytes a bucket. Buckets that
+/// kept α as a whole `u64` beside γ — 12 resident bytes — would pass it.
+fn dense_store_lane() {
+    assert!(reset_peak_rss(), "the kernel refuses to reset VmHWM");
+    let before = peak_rss_bytes().unwrap();
+    let mut gz = GraphZeppelin::new(GzConfig::in_ram(DENSE_NODES as u64)).unwrap();
+    for u in 0..DENSE_NODES {
+        for step in 1..=3 {
+            gz.edge_update(u, (u + step) % DENSE_NODES);
+        }
+    }
+    gz.flush();
+    let grew = peak_rss_bytes().unwrap() - before;
+    let model = gz.sketch_bytes() as u64;
+    assert_eq!(model, DENSE_NODES as u64 * gz.params().node_sketch_bytes() as u64);
+    eprintln!("dense-store: VmHWM +{grew} bytes against a {model}-byte 12-bytes-a-bucket model");
+    assert!(grew < model / 5 * 4, "a dense store raised the peak by {grew} bytes of {model}");
+    assert_eq!(gz.connected_components().unwrap().num_components(), 1);
+}
+
 #[test]
 fn buffering_grows_the_peak_by_far_less_than_a_page_per_vertex() {
     if peak_rss_bytes().is_none() || !reset_peak_rss() {
         eprintln!("skipped: this kernel reports or resets no VmHWM in /proc/self");
         return;
+    }
+    if std::env::var(LANE_VAR).as_deref() == Ok("dense-store") {
+        return dense_store_lane();
     }
     if let Ok(lane) = std::env::var(LANE_VAR) {
         let (updates, truth) = stream();
