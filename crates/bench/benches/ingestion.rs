@@ -4,8 +4,8 @@
 //! gutter-sized batches (updates/sec) — and `gz_flush`, what a flush costs
 //! when every
 //! gutter holds a few records (a `gz serve` seal) or nearly a full batch (the
-//! end of a `kron13_ram` pass), single-node, over one in-process shard, and
-//! behind the gutter tree `kron13_disk` runs.
+//! end of a `kron13_ram` pass), over one in-process shard behind leaf
+//! gutters and behind the gutter tree `kron13_disk` runs.
 //!
 //! Set `GZ_BENCH_SMOKE=1` to run at tiny scale (the CI smoke mode); the
 //! kernel comparison asserts its ≥2× batched-over-singles claim in both
@@ -221,22 +221,21 @@ fn bench_ingest_hybrid(c: &mut Criterion) {
 
 /// One flush with `pending` records in every gutter (V = 4096, two workers):
 /// the caller and one pool thread claim the gutters and apply them where they
-/// lie, no batch built and the work queue left alone. `single-node` is
-/// `GraphZeppelin::flush`, `one-shard` is `ShardedGraphZeppelin::flush` over
-/// one in-process shard — `gz serve`'s seal. Gutters hold 512 records, so
-/// nothing overflows while they fill: the flush is all there is. `tree` is
-/// `GraphZeppelin::flush` behind `GzConfig::on_disk`'s gutter tree over a RAM
-/// store, so the row isolates the buffering: the root cascades into the
-/// tree's last internal level, whose nodes the pool then claims, each read
-/// once and handed to its leaves. Median ns per flush over alternating
-/// repetitions, each on fresh records; the first repetition's stores are
-/// checked byte-for-byte against a system whose one-record gutters sent the
-/// same records through the queue.
+/// lie, no batch built and the work queue left alone. `one-shard` is
+/// `ShardedGraphZeppelin::flush` over one in-process shard — `gz serve`'s
+/// seal, and `GraphZeppelin::flush`. Gutters hold 512 records, so nothing
+/// overflows while they fill: the flush is all there is. `tree` is the same
+/// flush behind `GzConfig::on_disk`'s gutter tree over a RAM store, so the
+/// row isolates the buffering: the root cascades into the tree's last
+/// internal level, whose nodes the pool then claims, each read once and
+/// handed to its leaves. Median ns per flush over alternating repetitions,
+/// each on fresh records; the first repetition's stores are checked
+/// byte-for-byte against a system whose one-record gutters sent the same
+/// records through the queue.
 fn bench_flush(_c: &mut Criterion) {
     let num_nodes: u64 = if smoke() { 1 << 10 } else { 1 << 12 };
     let reps = if smoke() { 2 } else { 9 };
-    let capacity = GutterCapacity::Updates(512);
-    let single_config = |capacity| {
+    let leaf_config = |capacity| {
         let mut config = GzConfig::in_ram(num_nodes);
         config.num_workers = 2;
         config.buffering = BufferStrategy::LeafOnly { capacity };
@@ -244,9 +243,9 @@ fn bench_flush(_c: &mut Criterion) {
     };
     let mut shard_config = ShardConfig::in_ram(num_nodes, 1);
     shard_config.workers_per_shard = 2;
-    shard_config.router_capacity = capacity;
+    shard_config.buffering = BufferStrategy::LeafOnly { capacity: GutterCapacity::Updates(512) };
     let tree_dir = gz_bench::harness::scratch_dir("flush-tree");
-    let mut tree_config = single_config(capacity);
+    let mut tree_config = leaf_config(GutterCapacity::Updates(512));
     tree_config.buffering = GzConfig::on_disk(num_nodes, tree_dir.path().to_path_buf()).buffering;
 
     for pending in [16u32, 446] {
@@ -259,18 +258,15 @@ fn bench_flush(_c: &mut Criterion) {
             })
         };
         assert!(u64::from(reps * pending / 2) < num_nodes, "offsets must not wrap onto `u`");
-        let mut single = GraphZeppelin::new(single_config(capacity)).unwrap();
         let mut shard = ShardedGraphZeppelin::in_process(shard_config.clone()).unwrap();
         let mut tree = GraphZeppelin::new(tree_config.clone()).unwrap();
-        let (mut single_ns, mut shard_ns, mut tree_ns) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut shard_ns, mut tree_ns) = (Vec::new(), Vec::new());
         for rep in 0..reps {
-            for (gz, ns) in [(&mut single, &mut single_ns), (&mut tree, &mut tree_ns)] {
-                gz.ingest(edges(rep));
-                assert_eq!(gz.batches_applied(), u64::from(rep) * num_nodes, "nothing overflowed");
-                let started = Instant::now();
-                gz.flush();
-                ns.push(started.elapsed().as_nanos() as f64);
-            }
+            tree.ingest(edges(rep));
+            assert_eq!(tree.batches_applied(), u64::from(rep) * num_nodes, "nothing overflowed");
+            let started = Instant::now();
+            tree.flush();
+            tree_ns.push(started.elapsed().as_nanos() as f64);
 
             shard.ingest(edges(rep)).unwrap();
             assert_eq!(shard.batches_shipped(), u64::from(rep) * num_nodes, "nothing overflowed");
@@ -280,17 +276,15 @@ fn bench_flush(_c: &mut Criterion) {
 
             if rep == 0 {
                 let mut queued =
-                    GraphZeppelin::new(single_config(GutterCapacity::Updates(1))).unwrap();
+                    GraphZeppelin::new(leaf_config(GutterCapacity::Updates(1))).unwrap();
                 queued.ingest(edges(0));
                 let want = queued.state_digest().unwrap();
                 assert_eq!(queued.ingest_counters().flushes(), 0, "the reference only overflows");
-                assert_eq!(single.state_digest().unwrap(), want, "{pending} pending, single-node");
                 assert_eq!(tree.state_digest().unwrap(), want, "{pending} pending, tree");
                 assert_eq!(shard.state_digest().unwrap(), want, "{pending} pending, one-shard");
             }
         }
         shard.shutdown().unwrap();
-        criterion::record_custom(format!("gz_flush/{pending}/single-node"), median(&mut single_ns));
         criterion::record_custom(format!("gz_flush/{pending}/one-shard"), median(&mut shard_ns));
         criterion::record_custom(format!("gz_flush/{pending}/tree"), median(&mut tree_ns));
     }

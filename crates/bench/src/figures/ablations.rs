@@ -2,16 +2,13 @@
 //!
 //! - **Locking discipline** (§5.1): delta-sketch merging vs holding the
 //!   node lock for the whole batch, on one RAM store under contention.
-//! - **Sketch-level parallelism** (§6.4): group size 1 vs larger thread
-//!   groups (the paper found 1 best).
 //! - **Hashing inside CubeSketch**: xxHash (production) vs the 2-universal
 //!   multiply-mod-Mersenne family (theory mode).
 
-use crate::harness::{fmt_rate, kron_workload, rate, run_graphzeppelin, time, Scale, Table};
+use crate::harness::{fmt_rate, kron_workload, rate, time, Scale, Table};
 use graph_zeppelin::config::{default_rounds, GutterCapacity, LockingStrategy};
 use graph_zeppelin::node_sketch::{encode_other, SketchParams};
 use graph_zeppelin::store::ram::RamStore;
-use graph_zeppelin::{GraphZeppelin, GzConfig};
 use gz_hash::{Hasher64, PairwiseHash, Xxh64Hasher};
 use gz_sketch::cube::CubeSketchFamily;
 use gz_sketch::geometry::{SketchGeometry, DEFAULT_COLUMNS, PAPER_COLUMNS};
@@ -25,7 +22,6 @@ use std::time::Instant;
 pub fn run(scale: Scale) {
     println!("== Ablations ==\n");
     locking(scale);
-    group_size(scale);
     hashers(scale);
     baseline_arithmetic();
     columns_vs_failure();
@@ -165,22 +161,6 @@ fn locking(scale: Scale) {
     );
     t.print();
     println!();
-}
-
-fn group_size(scale: Scale) {
-    let w = kron_workload(scale.reference_kron().min(10), 4);
-    let mut t = Table::new(&["group threads", "ingest rate"]);
-    for group in [1usize, 2, 4] {
-        let mut config = GzConfig::in_ram(w.num_nodes);
-        config.group_threads = group;
-        config.num_workers = 2;
-        let mut gz = GraphZeppelin::new(config).unwrap();
-        let d = run_graphzeppelin(&mut gz, &w.updates);
-        t.row(vec![format!("{group}"), fmt_rate(rate(w.updates.len(), d))]);
-    }
-    println!("-- sketch-level parallelism (2 workers) --");
-    t.print();
-    println!("paper: group size 1 was best on its hardware.\n");
 }
 
 fn hashers(_scale: Scale) {

@@ -7,6 +7,8 @@
 //! some scale GraphZeppelin wins. At the paper's 64 GB budget the crossover
 //! fell between kron17 and kron18; at reproduction scale we measure the
 //! curves directly and extrapolate with each system's measured bytes/edge.
+//! [`run`] checks the projection's crossovers against the paper's and
+//! returns the verdict as `repro`'s exit code.
 
 use crate::harness::{fmt_bytes, Scale, Table};
 use graph_zeppelin::size_model::gz_sketch_bytes;
@@ -18,8 +20,22 @@ fn smaller(gz: u64, baseline: u64) -> String {
     if gz < baseline { "yes" } else { "not yet" }.into()
 }
 
-/// Per-dataset measured memory plus paper-scale projection.
-pub fn run(scale: Scale) {
+/// Whether a projection row for kron`kron` has the paper's shape:
+/// GraphZeppelin below Terrace-like from kron15 on and not at kron13, below
+/// Aspen-like at kron18 and not at or below kron16 (kron17 either way: the
+/// paper's Aspen crossover falls between kron17 and kron18).
+fn paper_shape(kron: u32, below_terrace: bool, below_aspen: bool) -> bool {
+    let aspen = match kron {
+        18 => below_aspen,
+        17 => true,
+        _ => !below_aspen,
+    };
+    below_terrace == (kron >= 15) && aspen
+}
+
+/// Per-dataset measured memory plus paper-scale projection; true if the
+/// projection has the paper's shape ([`paper_shape`]).
+pub fn run(scale: Scale) -> bool {
     println!("== Figure 11: memory footprint, Aspen-like vs Terrace-like vs GraphZeppelin ==\n");
     let mut t = Table::new(&[
         "dataset",
@@ -73,11 +89,13 @@ pub fn run(scale: Scale) {
         "< terrace-like?",
         "< aspen-like?",
     ]);
+    let mut holds = true;
     for s in [13u32, 15, 16, 17, 18] {
         let d = gz_stream::Dataset::kron(s);
         let a = (d.nominal_edges as f64 * aspen_bpe) as u64;
         let tr = (d.nominal_edges as f64 * terrace_bpe) as u64;
         let gz = gz_sketch_bytes(d.num_vertices);
+        holds &= paper_shape(s, gz < tr, gz < a);
         p.row(vec![
             d.name.clone(),
             fmt_bytes(a),
@@ -90,8 +108,10 @@ pub fn run(scale: Scale) {
     p.print();
     println!(
         "\npaper shape: GZ smaller than Terrace from kron15, smaller than Aspen\n\
-         by kron17/kron18 (space budget 32-64 GiB crossover).\n"
+         by kron17/kron18 (space budget 32-64 GiB crossover): {}.\n",
+        if holds { "holds" } else { "FAILS" }
     );
+    holds
 }
 
 #[cfg(test)]
@@ -111,6 +131,23 @@ mod tests {
         let mut a2 = AspenLike::new(512);
         a2.batch_insert(&dense.iter().map(|e| (e.u(), e.v())).collect::<Vec<_>>());
         assert!(a2.memory_bytes() > 5 * a1.memory_bytes());
+    }
+
+    #[test]
+    fn the_paper_shape_is_both_crossovers() {
+        // The paper's rows: Terrace lost from kron15, Aspen only at kron18.
+        let paper = |k: u32| (k >= 15, k == 18);
+        assert!([13, 15, 16, 17, 18].iter().all(|&k| paper_shape(k, paper(k).0, paper(k).1)));
+        assert!(paper_shape(17, true, true), "Aspen may fall at kron17 already");
+        assert!(!paper_shape(13, true, false), "GZ below Terrace at kron13");
+        assert!(!paper_shape(15, false, false), "GZ not below Terrace at kron15");
+        assert!(!paper_shape(16, true, true), "GZ below Aspen at kron16");
+        assert!(!paper_shape(18, true, false), "GZ not below Aspen at kron18");
+    }
+
+    #[test]
+    fn runs() {
+        assert!(run(Scale::Small));
     }
 
     #[test]

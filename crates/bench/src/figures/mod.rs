@@ -39,7 +39,7 @@ pub const ALL_FIGURES: &[&str] = &[
 ];
 
 /// Run one figure by id. `None` for unknown ids; `Some(false)` when the
-/// figure checks its own output and the check failed (`fig5` and
+/// figure checks its own output and the check failed (`fig5`, `fig11` and
 /// `reliability` do).
 pub fn run_figure(id: &str, scale: Scale) -> Option<bool> {
     match id {
@@ -47,7 +47,7 @@ pub fn run_figure(id: &str, scale: Scale) -> Option<bool> {
         "fig4" => fig04::run(scale),
         "fig5" => return Some(fig05::run(scale)),
         "fig10" => fig10::run(scale),
-        "fig11" => fig11::run(scale),
+        "fig11" => return Some(fig11::run(scale)),
         "fig12" => fig12::run(scale),
         "fig13" => fig13::run(scale),
         "fig14" => fig14::run(scale),

@@ -589,22 +589,30 @@ fn build_config(num_nodes: u64, args: &ComponentsArgs) -> Result<GzConfig, Strin
     config.num_workers = args.workers;
     config.store = store_backend(args.store, &args.dir)?;
     config.sketch_threshold = args.threshold.unwrap_or(0);
-    config.buffering = match args.buffering {
-        BufferingArg::Leaf => {
-            BufferStrategy::LeafOnly { capacity: GutterCapacity::SketchFactor(0.5) }
-        }
+    config.buffering = buffering(args)?;
+    Ok(config)
+}
+
+/// The buffering selected by `--buffering`, its gutters holding
+/// `--batch-updates` records when that is given (a leaf gutter, or a tree's
+/// leaf) and the paper's sketch-factor default when not.
+fn buffering(args: &ComponentsArgs) -> Result<BufferStrategy, String> {
+    let capacity = |factor| {
+        args.batch_updates.map_or(GutterCapacity::SketchFactor(factor), GutterCapacity::Updates)
+    };
+    Ok(match args.buffering {
+        BufferingArg::Leaf => BufferStrategy::LeafOnly { capacity: capacity(0.5) },
         BufferingArg::Tree => {
             let dir = args.dir.clone().ok_or("--buffering tree needs --dir")?;
             std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
             BufferStrategy::GutterTree {
                 buffer_bytes: 1 << 20,
                 fanout: 64,
-                leaf_capacity: GutterCapacity::SketchFactor(2.0),
+                leaf_capacity: capacity(2.0),
                 dir,
             }
         }
-    };
-    Ok(config)
+    })
 }
 
 /// Stream every update of a file into `apply`.
@@ -629,11 +637,6 @@ fn feed_stream(
 fn components_sharded(args: &ComponentsArgs, num_shards: u32) -> Result<String, String> {
     let ComponentsArgs { dir, connect, checkpoint_every, .. } = args;
     // Refuse flag combinations that would silently not take effect.
-    if args.buffering == BufferingArg::Tree {
-        return Err("--buffering tree is not supported with --shards (the sharded router \
-             batches through in-RAM gutters)"
-            .into());
-    }
     if !connect.is_empty() && args.store == StoreArg::Disk {
         return Err("with --connect, sketch stores live in the shard workers; pass \
              --store/--dir to each `gz shard-worker` instead"
@@ -655,9 +658,7 @@ fn components_sharded(args: &ComponentsArgs, num_shards: u32) -> Result<String, 
     if checkpoint_every.is_some() && connect.is_empty() {
         config.checkpoint_dir = dir.clone();
     }
-    if let Some(n) = args.batch_updates {
-        config.router_capacity = GutterCapacity::Updates(n);
-    }
+    config.buffering = buffering(args)?;
 
     let mut gz = if connect.is_empty() {
         ShardedGraphZeppelin::in_process(config).map_err(|e| e.to_string())?
@@ -732,6 +733,9 @@ fn components_sharded(args: &ComponentsArgs, num_shards: u32) -> Result<String, 
             // and what its flushes cost. Behind links that is the link's
             // traffic above and each worker's own exit line.
             None => out.push_str(&format!("ingest: {}\n", gz.ingest_counters())),
+        }
+        if let Some(io) = gz.gutter_io() {
+            out.push_str(&format!("gutter tree: {io}\n"));
         }
     }
     if args.forest {
@@ -1606,6 +1610,32 @@ mod tests {
     }
 
     #[test]
+    fn sharded_components_buffer_in_a_gutter_tree() {
+        // `--buffering tree` is a router lane like leaf gutters, on any
+        // shard count: the same answer, and the tree's I/O on the stats.
+        let path = tmp("shards-tree");
+        execute(Command::Generate {
+            dataset: DatasetArg::Kron(5),
+            seed: 4,
+            out: path.to_path_buf(),
+        })
+        .unwrap();
+        let dir = gz_testutil::TempDir::new("gz-cli-shards-tree");
+        let single = execute(components_cmd(&path, None)).unwrap();
+        let count = |s: &str| s.split_whitespace().next().unwrap().to_string();
+        for shards in [1, 3] {
+            let mut cmd = components_cmd(&path, Some(shards));
+            if let Command::Components(args) = &mut cmd {
+                (args.buffering, args.dir, args.stats) =
+                    (BufferingArg::Tree, Some(dir.path().to_path_buf()), true);
+            }
+            let sharded = execute(cmd).unwrap();
+            assert_eq!(count(&single), count(&sharded), "{shards} shards: {sharded}");
+            assert!(sharded.contains("gutter tree: "), "{sharded}");
+        }
+    }
+
+    #[test]
     fn sharded_checkpoint_cadence_end_to_end() {
         let path = tmp("ckpt-cadence");
         execute(Command::Generate {
@@ -1656,14 +1686,6 @@ mod tests {
             out: path.to_path_buf(),
         })
         .unwrap();
-        // --buffering tree has no sharded implementation: must be refused,
-        // not ignored.
-        let mut cmd = components_cmd(&path, Some(2));
-        if let Command::Components(ComponentsArgs { buffering, dir, .. }) = &mut cmd {
-            *buffering = BufferingArg::Tree;
-            *dir = Some(std::env::temp_dir());
-        }
-        assert!(execute(cmd).unwrap_err().contains("--buffering tree"));
         // --store disk with --connect configures nothing on the remote
         // workers: must be refused.
         let mut cmd = components_cmd(&path, Some(1));

@@ -1,9 +1,10 @@
 //! System configuration.
 //!
-//! Mirrors the tunables the paper exposes and sweeps: worker count and
-//! thread-group size (§6.4, Figure 14), gutter sizing (Figure 15), buffering
-//! strategy (gutter tree vs leaf-only, Figure 12) and sketch store placement
-//! (RAM vs SSD).
+//! Mirrors the tunables the paper exposes and sweeps: worker count (§6.4,
+//! Figure 14), gutter sizing (Figure 15), buffering strategy (gutter tree vs
+//! leaf-only, Figure 12) and sketch store placement (RAM vs SSD). The
+//! sketch-level thread group of §6.4 is fixed at the paper's best size, one
+//! (DESIGN.md §4).
 
 use crate::error::GzError;
 use std::path::PathBuf;
@@ -118,10 +119,6 @@ pub struct GzConfig {
     /// §4). The constructors default it to 4, capped at the host's available
     /// parallelism.
     pub num_workers: usize,
-    /// Threads per worker group for sketch-level parallelism (§5.1).
-    /// The paper found group size 1 best on its hardware; that is the
-    /// default.
-    pub group_threads: usize,
     /// Boruvka rounds = independent sketches per node. `None` =
     /// [`default_rounds`], `⌈log₂ V⌉ + 3` (the paper's `⌈log_{3/2} V⌉` is
     /// [`paper_rounds`]).
@@ -148,14 +145,13 @@ pub struct GzConfig {
 
 impl GzConfig {
     /// Default in-RAM configuration for `num_nodes` vertices: leaf-only
-    /// gutters at factor 0.5, 4 workers (fewer on a smaller host), group
-    /// size 1, [`DEFAULT_COLUMNS`] sketch columns.
+    /// gutters at factor 0.5, 4 workers (fewer on a smaller host),
+    /// [`DEFAULT_COLUMNS`] sketch columns.
     pub fn in_ram(num_nodes: u64) -> Self {
         GzConfig {
             num_nodes,
             seed: DEFAULT_SEED,
             num_workers: capped_at_host(4),
-            group_threads: 1,
             num_rounds: None,
             num_columns: DEFAULT_COLUMNS,
             buffering: BufferStrategy::LeafOnly { capacity: GutterCapacity::SketchFactor(0.5) },
@@ -194,9 +190,6 @@ impl GzConfig {
             .map_err(GzError::InvalidConfig)?;
         if self.num_workers == 0 {
             return Err(GzError::InvalidConfig("need at least one Graph Worker".into()));
-        }
-        if self.group_threads == 0 {
-            return Err(GzError::InvalidConfig("group_threads must be ≥ 1".into()));
         }
         Ok(())
     }

@@ -40,9 +40,10 @@
 //! - [`store`] — sketch stores: in-RAM and file-backed (the SSD model).
 //! - [`sparse`] — exact small-set vertex representation for the hybrid
 //!   sparse/dense store (promotion-by-replay below `sketch_threshold`).
-//! - [`ingest`] — the parallel ingestion pipeline (Figure 7).
+//! - [`ingest`] — the Graph Workers of the ingestion pipeline (Figure 7).
 //! - [`boruvka`] — sketch-space Boruvka query processing (Figure 9).
-//! - [`system`] — the [`GraphZeppelin`] facade tying it all together.
+//! - [`system`] — the [`GraphZeppelin`] facade: the system over one
+//!   in-process shard.
 //! - [`streaming_cc`] — the prior-art baseline (StreamingCC over the
 //!   general-purpose ℓ0-sampler) used by the paper's §3 comparison.
 //! - [`size_model`] — closed-form memory model (Figure 11).
@@ -53,9 +54,10 @@
 //! - [`msf`] — minimum spanning forests over weight-leveled sketches (the
 //!   §3.1 "minimum spanning trees" application).
 //! - [`checkpoint`] — persist and restore the whole sketch state.
-//! - [`sharding`] — cluster-model sharded ingestion (the §8 outlook):
-//!   inter-shard batching router, per-shard pipelines, and in-process /
-//!   socket transports speaking the `gz_stream::wire` protocol.
+//! - [`sharding`] — the system itself, sharded (the §8 outlook): the
+//!   batching router that is the buffering layer, per-shard pipelines, and
+//!   in-process / socket transports speaking the `gz_stream::wire`
+//!   protocol.
 
 #![forbid(unsafe_code)]
 
@@ -92,7 +94,7 @@ pub use sharding::{
 };
 pub use sparse::SparseSet;
 pub use store::{
-    EpochOverlay, IoBackendConfig, MaterializedSource, NodeSet, RepStats, SketchEpoch,
-    SketchSource, SliceSource, StoreRoundSource,
+    EpochOverlay, IoBackendConfig, MaterializedSource, NodeSet, RepStats, SketchSource,
+    SliceSource, StoreRoundSource,
 };
 pub use system::{ConnectedComponents, GraphZeppelin};

@@ -3,16 +3,19 @@
 //! (Section 5.1), we believe that they can be partitioned throughout a
 //! distributed cluster without sacrificing stream ingestion rate."
 //!
-//! The subsystem has four layers (DESIGN.md §7):
+//! This is the one system type: [`crate::GraphZeppelin`] is a
+//! [`ShardedGraphZeppelin`] over one in-process shard. It has four layers
+//! (DESIGN.md §7):
 //!
-//! - [`ShardRouter`] — coordinator-side inter-shard batching: per-node
-//!   gutters (reusing `gz_gutters`) accumulate updates and emit node-keyed
-//!   batches, so no update crosses to a shard on its own.
+//! - [`ShardRouter`] — the buffering layer and inter-shard batching: per
+//!   shard, leaf gutters or a gutter tree (`gz_gutters`) accumulate updates
+//!   and emit node-keyed batches, so no update crosses to a shard on its
+//!   own.
 //! - the wire protocol (`gz_stream::wire`) — framed, versioned messages
 //!   (`Hello`, `Batch`, `Flush`, `StateDigest`, `GatherRound`, `Shutdown`,
 //!   …) between coordinator and shard workers.
 //! - [`ShardTransport`] — how batches travel: [`InProcessTransport`]
-//!   (queue pushes, the single-process deployment) or [`SocketTransport`]
+//!   (queue pushes, in this process) or [`SocketTransport`]
 //!   (TCP/Unix sockets to worker processes running
 //!   [`serve_shard_connection`], optionally healing dead links through a
 //!   [`Recovery`] policy). The coordinator is transport-agnostic.
@@ -28,11 +31,11 @@
 //! `GatherRound` frame per round and folds the slices into the round-driven
 //! engine. Either way the coordinator never materializes the universe. The
 //! crucial invariant — proved by the equivalence suite and the
-//! multi-process example — is that a sharded system's sketch state is
-//! *bit-identical* to a single-node system's on the same stream: the
-//! shards' [`ShardedGraphZeppelin::state_digest`] equals the single-node
-//! [`crate::GraphZeppelin::state_digest`], and queries answer as the
-//! single-node materializing reference
+//! multi-process example — is that the sketch state is *bit-identical* at
+//! every shard count on the same stream: `k` shards'
+//! [`ShardedGraphZeppelin::state_digest`] equals one shard's
+//! ([`crate::GraphZeppelin::state_digest`]), and queries answer as the
+//! materializing reference
 //! ([`crate::GraphZeppelin::spanning_forest_oracle`]) does.
 
 mod link;
@@ -49,7 +52,7 @@ pub use transport::{
 };
 
 use crate::boruvka::{boruvka_rounds_with_pool, BoruvkaOutcome, SparseMap};
-use crate::config::{GutterCapacity, StoreBackend};
+use crate::config::{BufferStrategy, GutterCapacity, StoreBackend};
 use crate::error::GzError;
 use crate::node_sketch::{CubeRoundSketch, SketchParams};
 use crate::sparse::{SparseRoundBatch, SparseSet};
@@ -88,8 +91,9 @@ pub struct ShardConfig {
     /// parameter digest: promotion-by-replay is bit-identical, so shards
     /// with different thresholds still gather mergeable state.
     pub sketch_threshold: u32,
-    /// Router gutter capacity (the inter-shard batch size knob).
-    pub router_capacity: GutterCapacity,
+    /// The router's buffering (paper §5.1): leaf gutters of a capacity
+    /// (the inter-shard batch size knob) or a gutter tree, per shard lane.
+    pub buffering: BufferStrategy,
     /// Directory where each shard persists its `GZS2` checkpoint
     /// (DESIGN.md §14). `None` disables checkpointing. Worker-side (and
     /// used by in-process pipelines); not part of the parameter digest —
@@ -117,7 +121,7 @@ impl ShardConfig {
             workers_per_shard: crate::config::capped_at_host(2),
             store: StoreBackend::Ram,
             sketch_threshold: 0,
-            router_capacity: GutterCapacity::SketchFactor(0.5),
+            buffering: BufferStrategy::LeafOnly { capacity: GutterCapacity::SketchFactor(0.5) },
             checkpoint_dir: None,
             checkpoint_every: None,
         }
@@ -245,9 +249,9 @@ impl ShardedGraphZeppelin {
         let router = ShardRouter::new(
             config.num_nodes,
             config.num_shards,
-            config.router_capacity,
+            &config.buffering,
             params.node_sketch_bytes(),
-        );
+        )?;
         Ok(ShardedGraphZeppelin {
             params,
             router,
@@ -279,9 +283,16 @@ impl ShardedGraphZeppelin {
 
     /// Route one stream update through the batching router: at most two
     /// shards are (eventually) contacted, and neither needs to know about
-    /// the other.
+    /// the other. Without a checkpoint cadence this is [`Self::ingest`] of
+    /// one update without its loop — every `GraphZeppelin::update`.
+    #[inline(always)]
     pub fn update(&mut self, u: u32, v: u32, is_delete: bool) -> Result<(), GzError> {
-        self.ingest([(u, v, is_delete)])
+        if self.checkpoint_every.is_some() {
+            return self.ingest([(u, v, is_delete)]);
+        }
+        route(&mut self.router, &self.transport, &mut None, self.num_nodes, (u, v, is_delete))?;
+        self.updates += 1;
+        Ok(())
     }
 
     /// Ingest a whole stream of `(u, v, is_delete)` updates. The first
@@ -290,6 +301,7 @@ impl ShardedGraphZeppelin {
     /// and one more after each cadence checkpoint
     /// (`ShardConfig::checkpoint_every`), which needs the transport to
     /// itself.
+    #[inline]
     pub fn ingest(
         &mut self,
         updates: impl IntoIterator<Item = (u32, u32, bool)>,
@@ -298,15 +310,8 @@ impl ShardedGraphZeppelin {
         loop {
             let mut transport = None;
             let mut checkpoint_due = false;
-            for (u, v, is_delete) in updates.by_ref() {
-                assert!(u != v, "self-loop");
-                assert!(
-                    (u as u64) < self.num_nodes && (v as u64) < self.num_nodes,
-                    "vertex out of range"
-                );
-                self.router.route_update(u, v, is_delete, &mut |shard, batch| {
-                    transport.get_or_insert_with(|| self.transport.lock()).send_batch(shard, batch)
-                })?;
+            for update in updates.by_ref() {
+                route(&mut self.router, &self.transport, &mut transport, self.num_nodes, update)?;
                 self.updates += 1;
                 checkpoint_due = self.checkpoint_every.is_some_and(|every| {
                     self.router.batches_emitted() - self.last_checkpoint_batches >= every
@@ -371,25 +376,29 @@ impl ShardedGraphZeppelin {
         self.transport.lock().link_stats()
     }
 
-    /// Make every routed update visible in the shards' sketches (the
-    /// distributed `cleanup()`). Shards in this process
+    /// Make every routed update visible in the shards' sketches (paper
+    /// Figure 9's `cleanup()`). Shards in this process
     /// ([`ShardTransport::local_views`] — the split the query fold makes)
     /// have what the router still buffers applied to their stores where it
     /// lies, by the system's pool with this thread as worker 0: no batch is
-    /// built and no queue touched. Shards behind links are sent it as
-    /// batches. Either way every shard then waits out what overflowed
-    /// earlier.
+    /// built, and only a gutter-tree leaf that fills while the tree cascades
+    /// goes through the queue. Shards behind links are sent it as batches.
+    /// Either way every shard then waits out what overflowed earlier.
     pub fn flush(&mut self) -> Result<(), GzError> {
         let mut transport = self.transport.lock();
         if self.router.buffered_len() == 0 {
             return transport.flush();
         }
         let started = std::time::Instant::now();
-        match transport.local_views(None)? {
-            Some(views) => self.router.drain_in_place(&self.pool, &|shard, node, records| {
-                views[shard as usize].apply_batch(node, records)
-            }),
-            None => self.router.flush(&mut |shard, batch| transport.send_batch(shard, batch))?,
+        let views = transport.local_views(None)?;
+        let mut send = |shard, batch| transport.send_batch(shard, batch);
+        match views {
+            Some(views) => {
+                self.router.drain_in_place(&self.pool, &mut send, &|shard, node, records| {
+                    views[shard as usize].apply_batch(node, records)
+                })?
+            }
+            None => self.router.flush(&mut send)?,
         }
         transport.flush()?;
         self.router.counters().record_flush(started);
@@ -398,15 +407,15 @@ impl ShardedGraphZeppelin {
 
     /// Flush, then fingerprint the whole sharded state: the XOR of the
     /// shards' digests ([`ShardTransport::state_digest`]), 8 bytes a shard
-    /// over any transport. Equal to a single-node system's
-    /// [`crate::GraphZeppelin::state_digest`] on the same stream.
+    /// over any transport. The same at every shard count on the same
+    /// stream.
     pub fn state_digest(&mut self) -> Result<u64, GzError> {
         self.flush()?;
         self.transport.lock().state_digest()
     }
 
     /// Flush, then read the fleet's graph digest: the XOR of the shards'
-    /// ([`ShardTransport::graph_digest`]), equal to a single-node system's
+    /// ([`ShardTransport::graph_digest`]), the same at every shard count
     /// fed the same stream.
     pub fn graph_digest(&mut self) -> Result<gz_graph::GraphDigest, GzError> {
         self.flush()?;
@@ -494,6 +503,23 @@ impl ShardedGraphZeppelin {
         self.router.counters()
     }
 
+    /// I/O counters of the router's gutter trees (gutter-tree buffering
+    /// only).
+    pub fn gutter_io(&self) -> Option<Arc<gz_gutters::IoStats>> {
+        self.router.gutter_io()
+    }
+
+    /// The fork-join pool every flush and query of this system runs on.
+    pub(crate) fn pool(&self) -> &Arc<WorkerPool> {
+        &self.pool
+    }
+
+    /// Count `updates` as ingested before the first routed one (a restored
+    /// checkpoint's).
+    pub(crate) fn restore_updates_ingested(&mut self, updates: u64) {
+        self.updates = updates;
+    }
+
     /// Shut down: stop the shards and join any local worker threads.
     /// Surfaces worker errors, unlike the best-effort drop.
     pub fn shutdown(mut self) -> Result<(), GzError> {
@@ -511,6 +537,24 @@ impl ShardedGraphZeppelin {
         self.shut_down = true;
         self.transport.lock().shutdown()
     }
+}
+
+/// Route one update `(u, v, is_delete)` through `router`; the first batch
+/// to leave locks `transport` into `held`, which keeps it for the caller's
+/// run. Panics on a self-loop or an endpoint outside the universe.
+#[inline(always)]
+fn route<'t>(
+    router: &mut ShardRouter,
+    transport: &'t parking_lot::Mutex<Box<dyn ShardTransport + Send>>,
+    held: &mut Option<parking_lot::MutexGuard<'t, Box<dyn ShardTransport + Send>>>,
+    num_nodes: u64,
+    (u, v, is_delete): (u32, u32, bool),
+) -> Result<(), GzError> {
+    assert!(u != v, "self-loop");
+    assert!((u as u64) < num_nodes && (v as u64) < num_nodes, "vertex out of range");
+    router.route_update(u, v, is_delete, &mut |shard, batch| {
+        held.get_or_insert_with(|| transport.lock()).send_batch(shard, batch)
+    })
 }
 
 impl Drop for ShardedGraphZeppelin {
@@ -542,9 +586,25 @@ pub struct ShardedEpoch {
 }
 
 impl ShardedEpoch {
-    /// The per-shard epoch ids this handle is pinned to, indexed by shard.
+    /// The per-shard epoch ids this handle is pinned to, indexed by shard
+    /// (monotonic per shard).
     pub fn epoch_ids(&self) -> &[u64] {
         &self.epoch_ids
+    }
+
+    /// Node groups this epoch has pinned on the in-process shards
+    /// (copy-on-write captures so far); 0 over socket links, whose captures
+    /// live in the workers.
+    pub fn captured_groups(&self) -> usize {
+        self.views.iter().flatten().map(ShardView::captured_groups).sum()
+    }
+
+    /// Bytes of sealed pre-images this epoch holds resident on the
+    /// in-process shards — the reclamation bound: at most `captured groups
+    /// × group bytes`, and zero until ingestion dirties something the epoch
+    /// covers; 0 over socket links.
+    pub fn overlay_resident_bytes(&self) -> usize {
+        self.views.iter().flatten().map(ShardView::overlay_resident_bytes).sum()
     }
 
     /// Query a spanning forest of the graph as it stood at the seal —
@@ -581,7 +641,7 @@ impl Drop for ShardedEpoch {
 #[derive(Clone, Copy)]
 enum ShardReads<'a> {
     /// The shards are in this process: each round folds straight from their
-    /// stores, as a single-node query folds its own. No transport, no bytes.
+    /// stores. No transport, no bytes.
     InPlace(&'a [ShardView]),
     /// The shards are behind links: each round gathers their serialized
     /// slices. The transport is locked per gather, not for the query's
@@ -841,7 +901,7 @@ mod tests {
         config.checkpoint_every = Some(8);
         // Tiny gutters so batches (the cadence's unit) actually flow
         // mid-stream instead of pooling until the final flush.
-        config.router_capacity = GutterCapacity::Updates(2);
+        config.buffering = BufferStrategy::LeafOnly { capacity: GutterCapacity::Updates(2) };
 
         let mut sharded = ShardedGraphZeppelin::in_process(config.clone()).unwrap();
         let file0 = dir.path().join(shard_checkpoint_file_name(0, 2, config.seed));
@@ -964,7 +1024,8 @@ mod tests {
         for build in transports {
             for (frame, capacity) in [(300, 3), (37, 3), (1, 3), (37, 1 << 20)] {
                 let mut config = ShardConfig::in_ram(n, 3);
-                config.router_capacity = GutterCapacity::Updates(capacity);
+                config.buffering =
+                    BufferStrategy::LeafOnly { capacity: GutterCapacity::Updates(capacity) };
                 let mut sys = build(config).unwrap();
                 for chunk in updates.chunks(frame) {
                     match chunk {
@@ -986,7 +1047,7 @@ mod tests {
         // the transport for a round at a time; updates that only fill
         // gutters must not queue up behind it.
         let mut config = ShardConfig::in_ram(16, 2);
-        config.router_capacity = GutterCapacity::Updates(2);
+        config.buffering = BufferStrategy::LeafOnly { capacity: GutterCapacity::Updates(2) };
         let mut sys = ShardedGraphZeppelin::in_process(config).unwrap();
         let transport = Arc::clone(&sys.transport);
         let held = transport.lock();

@@ -1,9 +1,9 @@
 //! The per-shard ingestion pipeline.
 //!
-//! Like the single-node system, a shard runs a work queue drained by a
-//! [`WorkerPool`] into a pluggable [`SketchStore`] (RAM or disk), so a shard
-//! machine has the same batch-level parallelism and storage choices as a
-//! stand-alone deployment. The store covers only the shard's residue class:
+//! A shard runs a work queue drained by a [`WorkerPool`] of Graph Workers
+//! into a pluggable [`SketchStore`] (RAM or disk) — the paper's ingestion
+//! pipeline (§5.1), which is the whole of a one-shard system. The store
+//! covers only the shard's residue class:
 //! sketch memory is `owned_nodes × node_sketch_bytes`, not
 //! `V × node_sketch_bytes`.
 
@@ -46,7 +46,7 @@ impl ShardView {
     /// shard; the coordinator's flush ([`crate::sharding::ShardRouter::drain_in_place`])
     /// is the one caller.
     pub(crate) fn apply_batch(&self, node: u32, records: &[u32]) {
-        crate::ingest::apply_batch(&self.store, node, records, 1);
+        crate::ingest::apply_batch(&self.store, node, records);
         self.seq.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -68,6 +68,20 @@ impl ShardView {
     /// epochs ([`SketchStore::epoch_captures`]).
     pub(crate) fn epoch_captures(&self) -> u64 {
         self.store.epoch_captures()
+    }
+
+    /// Node groups the sealed overlay has captured (0 for a live view).
+    pub(crate) fn captured_groups(&self) -> usize {
+        self.overlay.as_ref().map_or(0, |overlay| overlay.captured_groups())
+    }
+
+    /// Bytes of sealed pre-images the overlay holds resident (0 for a live
+    /// view).
+    pub(crate) fn overlay_resident_bytes(&self) -> usize {
+        self.overlay.as_ref().map_or(0, |overlay| {
+            overlay.captured_sketches() * self.store.params().node_sketch_bytes()
+                + overlay.captured_sparse_bytes()
+        })
     }
 }
 
@@ -118,7 +132,7 @@ impl ShardPipeline {
                 config.sketch_threshold,
             ))),
             StoreBackend::Disk { dir, block_bytes, cache_groups } => {
-                let store = with_backing_file(dir, &format!("gz_shard{index}_sketches"), |path| {
+                let store = with_backing_file(dir, &format!("gz_sketches_shard{index}"), |path| {
                     DiskStore::for_nodes_with_threshold(
                         Arc::clone(&params),
                         owned,
@@ -133,7 +147,7 @@ impl ShardPipeline {
         };
         let queue = Arc::new(WorkQueue::for_workers(config.workers_per_shard));
         let workers =
-            WorkerPool::spawn(config.workers_per_shard, 1, Arc::clone(&queue), Arc::clone(&store));
+            WorkerPool::spawn(config.workers_per_shard, Arc::clone(&queue), Arc::clone(&store));
         let checkpoint_path = config
             .checkpoint_dir
             .as_ref()
@@ -369,6 +383,11 @@ impl ShardPipeline {
     /// release must stay idempotent.
     pub fn release_epoch(&self, epoch: u64) {
         self.epochs.lock().remove(&epoch);
+    }
+
+    /// This shard's sketch store.
+    pub(crate) fn store(&self) -> &Arc<SketchStore> {
+        &self.store
     }
 
     /// Sketch payload bytes held by this shard (owned nodes only).

@@ -2,25 +2,33 @@
 //!
 //! A message per stream update costs more than the sketch work it carries
 //! (*Exploring the Landscape of Distributed Graph Sketching*), so the router
-//! batches before anything crosses to a shard. It reuses the gutters from
-//! `gz_gutters`: one [`GutterSet`] per destination shard accumulates records
-//! per graph node,
-//! and the record that fills a gutter hands its node-keyed [`Batch`]
-//! straight to the caller's `send`, which the transport ships as a single
-//! `Batch{node, records}` frame. Nothing sits between gutter and `send`.
-//! A flush over shards in this process sends nothing: [`ShardRouter::drain_in_place`]
-//! hands each gutter's records to the owning shard's store where they lie.
+//! batches before anything crosses to a shard. It is the system's buffering
+//! layer (paper §5.1), one lane per destination shard over either of
+//! `gz_gutters`' buffers, as [`BufferStrategy`] selects: in-RAM leaf gutters
+//! ([`GutterSet`]) or an on-disk gutter tree ([`BufferTree`]). Either
+//! accumulates records per graph node, and the record that fills a gutter
+//! or a tree leaf hands its node-keyed [`Batch`] straight to the caller's
+//! `send` — a tree's while the cascade that filled it is still running —
+//! which the transport ships as a single `Batch{node, records}` frame.
+//! Nothing sits between buffer and `send`, so a transport that blocks (an
+//! in-process shard's bounded work queue) holds ingestion back with it. A
+//! flush over shards in this process sends nothing but a tree's cascade
+//! overflow: [`ShardRouter::drain_in_place`] hands each gutter's records to
+//! the owning shard's store where they lie.
 //!
-//! Each shard's lane indexes its gutters by *local* node index
+//! Each shard's lane indexes its buffer by *local* node index
 //! (`node / num_shards`, dense within the shard's residue class) so the
 //! router's memory is one gutter per graph node **total**, not per shard —
 //! the same owned-nodes-only discipline the shard stores follow.
 
-use crate::config::GutterCapacity;
+use crate::config::BufferStrategy;
 use crate::error::GzError;
-use crate::store::NodeSet;
-use gz_gutters::{Batch, GutterSet, IngestCounters, WorkerPool};
+use crate::store::{with_backing_file, NodeSet};
+use gz_gutters::{
+    Batch, BufferTree, GutterSet, GutterTreeConfig, IngestCounters, IoStats, WorkerPool,
+};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// The coordinator's per-shard recovery buffer (DESIGN.md §14): every batch
 /// shipped to a shard since its last durable checkpoint, indexed by the
@@ -94,14 +102,28 @@ impl ReplayLog {
     }
 }
 
-/// Per-destination-shard buffering lane: gutters indexed by the shard's
+/// What a lane buffers its records in.
+enum Buffer {
+    Leaf(GutterSet),
+    Tree(BufferTree),
+}
+
+/// Records `buffer` holds.
+fn buffer_len(buffer: &Buffer) -> usize {
+    match buffer {
+        Buffer::Leaf(gutters) => gutters.buffered_len(),
+        Buffer::Tree(tree) => tree.buffered_len(),
+    }
+}
+
+/// Per-destination-shard buffering lane: a buffer indexed by the shard's
 /// local node index, and the set that maps those back to graph node ids.
 struct Lane {
-    gutters: GutterSet,
+    buffer: Buffer,
     owned: NodeSet,
 }
 
-/// The sink a lane's gutters emit into: count the batch, put its graph node
+/// The sink a lane's buffer emits into: count the batch, put its graph node
 /// id back, and hand it to `send`.
 fn forward<'a>(
     owned: &'a NodeSet,
@@ -119,36 +141,64 @@ fn forward<'a>(
 pub struct ShardRouter {
     lanes: Vec<Lane>,
     num_shards: u32,
-    /// Batches and records that left the gutters, by either route; the
+    /// Batches and records that left the buffers, by either route; the
     /// system above records its flushes here too.
     counters: IngestCounters,
+    /// I/O of the lanes' gutter trees, one set for all of them (`None` for
+    /// leaf gutters).
+    tree_io: Option<Arc<IoStats>>,
 }
 
 impl ShardRouter {
-    /// A router for `num_shards` shards over a `num_nodes` universe, with
-    /// per-node gutters holding `capacity` records (resolved against
-    /// `node_sketch_bytes`, the paper's gutter-sizing rule).
+    /// A router for `num_shards` shards over a `num_nodes` universe,
+    /// buffering as `buffering` says, its capacities resolved against
+    /// `node_sketch_bytes` (the paper's gutter-sizing rule). A gutter tree
+    /// is one per lane, each over the lane's owned nodes, in a backing file
+    /// of its own in the strategy's directory.
     pub fn new(
         num_nodes: u64,
         num_shards: u32,
-        capacity: GutterCapacity,
+        buffering: &BufferStrategy,
         node_sketch_bytes: usize,
-    ) -> Self {
+    ) -> Result<Self, GzError> {
         assert!(num_shards > 0, "need at least one shard");
-        let cap = capacity.resolve(node_sketch_bytes);
+        let io = Arc::new(IoStats::new());
         let lanes = (0..num_shards)
             .map(|s| {
                 let owned = NodeSet::strided(num_nodes, s, num_shards);
-                Lane { gutters: GutterSet::new(owned.len(), cap), owned }
+                let buffer = match buffering {
+                    BufferStrategy::LeafOnly { capacity } => Buffer::Leaf(GutterSet::new(
+                        owned.len(),
+                        capacity.resolve(node_sketch_bytes),
+                    )),
+                    BufferStrategy::GutterTree { buffer_bytes, fanout, leaf_capacity, dir } => {
+                        let tree = with_backing_file(dir, "gz_gutter_tree", |path| {
+                            let config = GutterTreeConfig {
+                                num_nodes: owned.len() as u32,
+                                leaf_capacity_updates: leaf_capacity.resolve(node_sketch_bytes),
+                                buffer_bytes: *buffer_bytes,
+                                fanout: *fanout,
+                                path,
+                            };
+                            BufferTree::new(config, Arc::clone(&io))
+                        })?;
+                        Buffer::Tree(tree)
+                    }
+                };
+                Ok(Lane { buffer, owned })
             })
-            .collect();
-        ShardRouter { lanes, num_shards, counters: IngestCounters::new() }
+            .collect::<Result<_, GzError>>()?;
+        let tree_io = matches!(buffering, BufferStrategy::GutterTree { .. }).then_some(io);
+        Ok(ShardRouter { lanes, num_shards, counters: IngestCounters::new(), tree_io })
     }
 
-    /// The shard owning vertex `v`.
+    /// The shard owning vertex `v` (no division for one shard).
     #[inline]
     pub fn shard_of(&self, v: u32) -> u32 {
-        v % self.num_shards
+        match self.num_shards {
+            1 => 0,
+            k => v % k,
+        }
     }
 
     /// Number of shards routed to.
@@ -159,7 +209,7 @@ impl ShardRouter {
     /// Buffer one encoded record bound for `dst`; the record that fills a
     /// gutter emits it through `send(shard, batch)`, whose error returns at
     /// once.
-    #[inline]
+    #[inline(always)]
     pub fn insert(
         &mut self,
         dst: u32,
@@ -167,14 +217,18 @@ impl ShardRouter {
         send: &mut impl FnMut(u32, Batch) -> Result<(), GzError>,
     ) -> Result<(), GzError> {
         let shard = self.shard_of(dst);
-        let Lane { gutters, owned } = &mut self.lanes[shard as usize];
-        let sink = forward(owned, shard, &self.counters, send);
-        gutters.insert(owned.slot(dst) as u32, record, sink)
+        let Lane { buffer, owned } = &mut self.lanes[shard as usize];
+        let mut sink = forward(owned, shard, &self.counters, send);
+        let local = owned.slot(dst) as u32;
+        match buffer {
+            Buffer::Leaf(gutters) => gutters.insert(local, record, sink),
+            Buffer::Tree(tree) => tree.insert(local, record, &mut sink),
+        }
     }
 
     /// Route one stream update `(u, v, is_delete)`: both endpoint records
     /// are buffered toward their owners (at most two shards involved).
-    #[inline]
+    #[inline(always)]
     pub fn route_update(
         &mut self,
         u: u32,
@@ -192,49 +246,81 @@ impl ShardRouter {
         &mut self,
         send: &mut impl FnMut(u32, Batch) -> Result<(), GzError>,
     ) -> Result<(), GzError> {
-        for (shard, Lane { gutters, owned }) in (0..).zip(&mut self.lanes) {
-            gutters.force_flush(forward(owned, shard, &self.counters, send))?;
+        for (shard, Lane { buffer, owned }) in (0..).zip(&mut self.lanes) {
+            let mut sink = forward(owned, shard, &self.counters, send);
+            match buffer {
+                Buffer::Leaf(gutters) => gutters.force_flush(sink)?,
+                Buffer::Tree(tree) => tree.force_flush(&mut sink)?,
+            }
         }
         Ok(())
     }
 
     /// The flush of a coordinator whose shards are in this process: apply
     /// every buffered record where it lies ([`GutterSet::drain_in_place`],
-    /// lane by lane) through `apply(shard, node, records)`, `node` a graph
-    /// node id. Each nonempty gutter counts as the batch [`Self::flush`]
-    /// would have sent.
-    pub fn drain_in_place(&mut self, pool: &WorkerPool, apply: &(dyn Fn(u32, u32, &[u32]) + Sync)) {
-        for (shard, Lane { gutters, owned }) in (0..).zip(&mut self.lanes) {
-            let records = gutters.buffered_len() as u64;
-            let batches = gutters.drain_in_place(pool, &|local, records| {
-                apply(shard, owned.node(local as usize), records)
-            });
-            self.counters.record_batches(batches as u64, records);
+    /// [`BufferTree::drain_in_place`], lane by lane) through
+    /// `apply(shard, node, records)`, `node` a graph node id. A tree leaf
+    /// that fills while the tree cascades leaves through `send`. Each
+    /// nonempty gutter counts as the batch [`Self::flush`] would have sent.
+    pub fn drain_in_place(
+        &mut self,
+        pool: &WorkerPool,
+        send: &mut impl FnMut(u32, Batch) -> Result<(), GzError>,
+        apply: &(dyn Fn(u32, u32, &[u32]) + Sync),
+    ) -> Result<(), GzError> {
+        for (shard, Lane { buffer, owned }) in (0..).zip(&mut self.lanes) {
+            let owned = &*owned;
+            let apply =
+                |local: u32, records: &[u32]| apply(shard, owned.node(local as usize), records);
+            // What the cascade sends, `forward` counts; the rest is applied.
+            let (buffered, sent) = (buffer_len(buffer), self.counters.records());
+            let batches = match buffer {
+                Buffer::Leaf(gutters) => gutters.drain_in_place(pool, &apply),
+                Buffer::Tree(tree) => {
+                    let mut sink = forward(owned, shard, &self.counters, send);
+                    tree.drain_in_place(pool, &mut sink, &apply)?
+                }
+            };
+            let applied = buffered as u64 - (self.counters.records() - sent);
+            self.counters.record_batches(batches as u64, applied);
         }
+        Ok(())
     }
 
     /// Records buffered and not yet emitted.
     pub fn buffered_len(&self) -> usize {
-        self.lanes.iter().map(|l| l.gutters.buffered_len()).sum()
+        self.lanes.iter().map(|lane| buffer_len(&lane.buffer)).sum()
     }
 
-    /// Batches that left the gutters so far, sent or applied in place.
+    /// Batches that left the buffers so far, sent or applied in place.
     pub fn batches_emitted(&self) -> u64 {
         self.counters.batches()
     }
 
-    /// Batches and records that left the gutters, and the flushes the
+    /// Batches and records that left the buffers, and the flushes the
     /// system above recorded.
     pub fn counters(&self) -> &IngestCounters {
         &self.counters
+    }
+
+    /// I/O counters of the lanes' gutter trees (gutter-tree buffering only).
+    pub fn gutter_io(&self) -> Option<Arc<IoStats>> {
+        self.tree_io.clone()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::GutterCapacity;
     use crate::node_sketch::encode_other;
     use std::collections::HashMap;
+
+    /// A router over leaf gutters of `cap` records.
+    pub(super) fn leaf_router(num_nodes: u64, num_shards: u32, cap: usize) -> ShardRouter {
+        let buffering = BufferStrategy::LeafOnly { capacity: GutterCapacity::Updates(cap) };
+        ShardRouter::new(num_nodes, num_shards, &buffering, 0).unwrap()
+    }
 
     /// Collects emitted batches per shard, checking the routing contract.
     fn collect(
@@ -243,7 +329,7 @@ mod tests {
         cap: usize,
         updates: &[(u32, u32, bool)],
     ) -> HashMap<u32, Vec<Batch>> {
-        let mut router = ShardRouter::new(num_nodes, num_shards, GutterCapacity::Updates(cap), 0);
+        let mut router = leaf_router(num_nodes, num_shards, cap);
         let mut out: HashMap<u32, Vec<Batch>> = HashMap::new();
         let mut send = |shard: u32, batch: Batch| {
             out.entry(shard).or_default().push(batch);
@@ -298,7 +384,7 @@ mod tests {
         // `insert` emits batches 0..24 (two records each), the flush of the
         // 12 leftovers emits batches 24..36. Refuse one of either kind.
         for fail_at in [0usize, 7, 23, 24, 30] {
-            let mut router = ShardRouter::new(12, 3, GutterCapacity::Updates(2), 0);
+            let mut router = leaf_router(12, 3, 2);
             let mut link = FlakyLink { fail_at, calls: 0, delivered: 0, refused: 0 };
             let mut errors = 0;
             for i in 0..60u32 {
@@ -325,7 +411,7 @@ mod tests {
 
     #[test]
     fn route_update_stops_at_the_first_refused_half() {
-        let mut router = ShardRouter::new(8, 2, GutterCapacity::Updates(1), 0);
+        let mut router = leaf_router(8, 2, 1);
         let mut link = FlakyLink { fail_at: 0, calls: 0, delivered: 0, refused: 0 };
         let err = router.route_update(3, 4, false, &mut |_, b| link.send(b));
         assert!(matches!(err, Err(GzError::Protocol(_))));
@@ -381,7 +467,9 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::leaf_router;
     use super::*;
+    use crate::config::GutterCapacity;
     use crate::node_sketch::encode_other;
     use proptest::prelude::*;
     use std::collections::HashMap;
@@ -409,12 +497,7 @@ mod proptests {
             }
             for capacity in [1usize, 3, 64] {
                 for num_shards in [1u32, 3, 7] {
-                    let mut router = ShardRouter::new(
-                        num_nodes as u64,
-                        num_shards,
-                        GutterCapacity::Updates(capacity),
-                        0,
-                    );
+                    let mut router = leaf_router(num_nodes as u64, num_shards, capacity);
                     let mut got: HashMap<u32, Vec<u32>> = HashMap::new();
                     let mut send = |shard: u32, batch: Batch| {
                         assert_eq!(batch.node % num_shards, shard, "sent to the owner");
@@ -429,6 +512,59 @@ mod proptests {
                     prop_assert_eq!(router.buffered_len(), 0);
                     prop_assert_eq!(&got, &expected);
                 }
+            }
+        }
+
+        /// The same over gutter-tree lanes, by either flush: the owner
+        /// receives each of its records once, in arrival order — what the
+        /// cascades sent, then what the in-place flush applied.
+        #[test]
+        fn tree_lanes_deliver_every_record_once_in_order(
+            num_nodes in 2u32..48,
+            raw in proptest::collection::vec((any::<u32>(), any::<u32>(), any::<bool>()), 0..300)
+        ) {
+            let updates: Vec<(u32, u32, bool)> = raw
+                .into_iter()
+                .map(|(u, v, d)| (u % num_nodes, v % num_nodes, d))
+                .filter(|&(u, v, _)| u != v)
+                .collect();
+            let mut expected: HashMap<u32, Vec<u32>> = HashMap::new();
+            for &(u, v, d) in &updates {
+                expected.entry(u).or_default().push(encode_other(v, d));
+                expected.entry(v).or_default().push(encode_other(u, d));
+            }
+            let dir = gz_testutil::TempDir::new("gz-router-tree-lanes");
+            let pool = WorkerPool::new(2);
+            for (num_shards, in_place) in [(1u32, false), (3, false), (1, true), (3, true)] {
+                let buffering = BufferStrategy::GutterTree {
+                    buffer_bytes: 8 * 8,
+                    fanout: 2,
+                    leaf_capacity: GutterCapacity::Updates(3),
+                    dir: dir.path().to_path_buf(),
+                };
+                let mut router = ShardRouter::new(num_nodes as u64, num_shards, &buffering, 0).unwrap();
+                let got = parking_lot::Mutex::new(HashMap::<u32, Vec<u32>>::new());
+                let mut send = |shard: u32, batch: Batch| {
+                    assert_eq!(batch.node % num_shards, shard, "sent to the owner");
+                    got.lock().entry(batch.node).or_default().extend(batch.others);
+                    Ok(())
+                };
+                for &(u, v, d) in &updates {
+                    router.route_update(u, v, d, &mut send).unwrap();
+                }
+                if in_place {
+                    let apply = |shard: u32, node: u32, records: &[u32]| {
+                        assert_eq!(node % num_shards, shard, "applied to the owner");
+                        got.lock().entry(node).or_default().extend_from_slice(records);
+                    };
+                    router.drain_in_place(&pool, &mut send, &apply).unwrap();
+                } else {
+                    router.flush(&mut send).unwrap();
+                }
+                prop_assert_eq!(router.buffered_len(), 0);
+                prop_assert_eq!(&got.into_inner(), &expected);
+                let records = router.counters().records();
+                prop_assert_eq!(records, 2 * updates.len() as u64);
             }
         }
     }

@@ -29,6 +29,7 @@ use crate::error::{GzError, LinkError};
 use crate::sharding::link::{Link, ShardLink, Stream, TransportTimeouts};
 use crate::sharding::router::ReplayLog;
 use crate::sharding::{ShardConfig, ShardPipeline, ShardView};
+use crate::store::SketchStore;
 use gz_graph::GraphDigest;
 pub use gz_gutters::ShardServeStats;
 use gz_gutters::{Batch, CounterSet, LinkStats, RecoveryStats};
@@ -290,6 +291,11 @@ impl InProcessTransport {
             .map(|i| ShardPipeline::new(config, i))
             .collect::<Result<Vec<_>, GzError>>()?;
         Ok(InProcessTransport { shards })
+    }
+
+    /// Shard `index`'s sketch store.
+    pub(crate) fn store(&self, index: u32) -> &Arc<SketchStore> {
+        self.shards[index as usize].store()
     }
 }
 

@@ -749,31 +749,6 @@ impl DiskStore {
         let _ = self.with_group(self.group_of_slot(slot), |sketches| sketches[local].merge(delta));
     }
 
-    /// Merge a pre-built delta sketch into `node` (see
-    /// [`crate::store::SketchStore::merge_delta`]). A still-sparse vertex
-    /// is promoted first, as in the RAM store: its set replayed into a
-    /// dense sketch, the delta merged in, the result installed.
-    pub(crate) fn merge_delta(&self, node: u32, delta: &CubeNodeSketch) {
-        let slot = self.node_set.slot(node);
-        if self.threshold > 0 {
-            let mut table = self.sparse.lock();
-            if let Some(set) = table[slot].as_mut() {
-                self.epochs.capture_sparse(slot as u32, &mut || set.clone());
-                let mut dense = set.densify(node, &self.params);
-                dense.merge(delta);
-                table[slot] = None;
-                self.promote(slot, dense);
-                return;
-            }
-        }
-        self.merge_dense(slot, delta);
-    }
-
-    /// The pool of reusable delta sketches.
-    pub(crate) fn scratch(&self) -> &ScratchPool {
-        &self.scratch
-    }
-
     /// The graph digest's per-worker stripes.
     pub(crate) fn graph(&self) -> &super::GraphDigestStripes {
         &self.graph

@@ -1,7 +1,7 @@
 //! Epoch-versioned reads: sealed generations with copy-on-write overlays.
 //!
 //! A query that wants a consistent cut of the sketch state does not stop the
-//! world. [`SketchStore::begin_epoch`] *seals* the current
+//! world. [`super::SketchStore::begin_epoch`] *seals* the current
 //! generation — every sketch value as of the seal — and hands back an
 //! [`EpochOverlay`]. Ingestion keeps writing into the open generation; the
 //! first time a node group is dirtied after a seal, its pre-image is
@@ -11,7 +11,8 @@
 //! `V`). A reader pinned to an epoch sees the sealed value for captured
 //! groups and the live value for untouched ones — which *is* the sealed
 //! value, by construction. Overlays are reference-counted; when the last
-//! reader drops its [`SketchEpoch`], the captured groups are freed.
+//! reader drops its handle ([`crate::ShardedEpoch`]), the captured groups
+//! are freed.
 //!
 //! Determinism: folding is XOR over the sealed values, and the sealed
 //! values are exactly the store contents after the seal's flush — so a
@@ -19,12 +20,8 @@
 //! the moment E was sealed, regardless of how many batches land while the
 //! query runs. The equivalence suite (`tests/epochs.rs`) pins this.
 
-use crate::boruvka::{boruvka_rounds_with_pool, BoruvkaOutcome};
-use crate::error::GzError;
 use crate::node_sketch::CubeNodeSketch;
 use crate::sparse::SparseSet;
-use crate::store::{SketchStore, StoreRoundSource};
-use gz_gutters::WorkerPool;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -33,8 +30,8 @@ use std::sync::{Arc, Weak};
 /// The copy-on-write side table of one sealed generation: node groups
 /// dirtied after the seal, keyed by group id, each holding the group's
 /// sealed sketches. Entries are only ever added (a group is captured at
-/// most once per epoch); the whole overlay is freed when the last
-/// [`SketchEpoch`] holding it drops.
+/// most once per epoch); the whole overlay is freed when the last handle
+/// holding it drops.
 pub struct EpochOverlay {
     map: Mutex<HashMap<u32, Arc<Vec<CubeNodeSketch>>>>,
     /// Sealed pre-images of vertices that were *sparse* (exact toggle sets,
@@ -183,66 +180,6 @@ impl EpochRegistry {
                 })));
             }
         }
-    }
-}
-
-/// A handle pinning one sealed generation of a [`SketchStore`]: queries
-/// through it fold the sealed values while ingestion keeps applying batches
-/// to the open generation. The handle is self-contained (`Send` + `Sync`),
-/// so a query thread can run [`Self::spanning_forest`] on a shared
-/// reference while the owning thread keeps calling
-/// [`crate::GraphZeppelin::update`]. It folds on the owning system's pool,
-/// whose dispatches the owner's flushes share one at a time. Dropping the
-/// last handle to an epoch frees its captured groups.
-pub struct SketchEpoch {
-    store: Arc<SketchStore>,
-    overlay: Arc<EpochOverlay>,
-    id: u64,
-    pool: Arc<WorkerPool>,
-}
-
-impl SketchEpoch {
-    pub(crate) fn new(
-        store: Arc<SketchStore>,
-        overlay: Arc<EpochOverlay>,
-        id: u64,
-        pool: Arc<WorkerPool>,
-    ) -> Self {
-        SketchEpoch { store, overlay, id, pool }
-    }
-
-    /// The store-assigned epoch id (monotonic per store).
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// Node groups this epoch has pinned (copy-on-write captures so far).
-    pub fn captured_groups(&self) -> usize {
-        self.overlay.captured_groups()
-    }
-
-    /// Bytes of sealed pre-images this epoch holds resident — the
-    /// reclamation bound: at most `captured groups × group bytes`, and zero
-    /// until ingestion dirties something the epoch covers.
-    pub fn overlay_resident_bytes(&self) -> usize {
-        self.overlay.captured_sketches() * self.store.params().node_sketch_bytes()
-            + self.overlay.captured_sparse_bytes()
-    }
-
-    /// Compute a spanning forest of the sealed generation — bit-identical
-    /// to a stop-the-world query at the moment this epoch was sealed, no
-    /// matter how much the stream has moved since.
-    pub fn spanning_forest(&self) -> Result<BoruvkaOutcome, GzError> {
-        self.spanning_forest_with_pool(&self.pool)
-    }
-
-    /// [`Self::spanning_forest`] folding on `pool` instead of the owning
-    /// system's — same bits at any width, so a test can fold one sealed
-    /// epoch at several.
-    pub fn spanning_forest_with_pool(&self, pool: &WorkerPool) -> Result<BoruvkaOutcome, GzError> {
-        let params = self.store.params();
-        let mut source = StoreRoundSource::at_epoch(&self.store, &self.overlay);
-        boruvka_rounds_with_pool(&mut source, params.num_nodes, params.rounds(), pool)
     }
 }
 

@@ -20,10 +20,9 @@ pub mod epoch;
 pub mod ram;
 
 pub use disk::IoBackendConfig;
-pub use epoch::{EpochOverlay, SketchEpoch};
+pub use epoch::EpochOverlay;
 
 use crate::boruvka::RoundSink;
-use crate::config::{GzConfig, LockingStrategy, StoreBackend};
 use crate::error::GzError;
 use crate::node_sketch::{CubeNodeSketch, CubeRoundSketch, NodeSketch, SketchParams};
 use crate::sparse::{edge_indices, SparseSet};
@@ -105,11 +104,15 @@ impl NodeSet {
         (node as u64) < self.num_nodes && node % self.stride == self.offset
     }
 
-    /// Dense slot of an owned `node`.
+    /// Dense slot of an owned `node`. A whole universe (stride 1, one
+    /// shard's) skips the division: this is on every record's path.
     #[inline]
     pub fn slot(&self, node: u32) -> usize {
         debug_assert!(self.contains(node), "node {node} not owned by {self:?}");
-        ((node - self.offset) / self.stride) as usize
+        match self.stride {
+            1 => node as usize,
+            stride => ((node - self.offset) / stride) as usize,
+        }
     }
 
     /// Node stored in `slot`.
@@ -164,57 +167,12 @@ pub enum SketchStore {
 }
 
 impl SketchStore {
-    /// Build the store selected by `config`.
-    pub fn build(config: &GzConfig, params: Arc<SketchParams>) -> Result<Self, GzError> {
-        let node_set = NodeSet::all(params.num_nodes);
-        match &config.store {
-            StoreBackend::Ram => Ok(SketchStore::Ram(ram::RamStore::for_nodes_with_threshold(
-                params,
-                LockingStrategy::DeltaSketch,
-                node_set,
-                config.sketch_threshold,
-            ))),
-            StoreBackend::Disk { dir, block_bytes, cache_groups } => {
-                let store = with_backing_file(dir, "gz_sketches", |path| {
-                    disk::DiskStore::for_nodes_with_threshold(
-                        params,
-                        node_set,
-                        path,
-                        *block_bytes,
-                        *cache_groups,
-                        config.sketch_threshold,
-                    )
-                })?;
-                Ok(SketchStore::Disk(store))
-            }
-        }
-    }
-
     /// Apply a batch of encoded update records to `node`'s sketch stack.
     /// Thread-safe; called concurrently by Graph Workers.
     pub fn apply_batch(&self, node: u32, records: &[u32]) {
         match self {
             SketchStore::Ram(s) => s.apply_batch(node, records),
             SketchStore::Disk(s) => s.apply_batch(node, records),
-        }
-    }
-
-    /// The store's pool of reusable delta sketches.
-    pub(crate) fn scratch(&self) -> &ScratchPool {
-        match self {
-            SketchStore::Ram(s) => s.scratch(),
-            SketchStore::Disk(s) => s.scratch(),
-        }
-    }
-
-    /// XOR a delta sketch built outside the store into `node`, holding the
-    /// node's (RAM) or node group's (disk) lock only for the merge — the
-    /// entry point for the sketch-level-parallel path in [`crate::ingest`],
-    /// which builds the delta across a thread group first.
-    pub(crate) fn merge_delta(&self, node: u32, delta: &CubeNodeSketch) {
-        match self {
-            SketchStore::Ram(s) => s.merge_delta(node, delta),
-            SketchStore::Disk(s) => s.merge_delta(node, delta),
         }
     }
 
@@ -619,11 +577,9 @@ impl<S: L0Sampler + Clone + Send + Sync> SketchSource for SliceSource<'_, S> {
 /// The store-aware streaming source: rounds are folded straight out of a
 /// [`SketchStore`] (windows of positioned group reads when the store is
 /// disk-backed; borrowed in-place slices when it is in RAM; exact sets
-/// XORed in place for sparse vertices) — either its live state or a sealed
-/// epoch of it.
+/// XORed in place for sparse vertices).
 pub struct StoreRoundSource<'a> {
     store: &'a SketchStore,
-    overlay: Option<&'a EpochOverlay>,
     resident: usize,
 }
 
@@ -631,14 +587,7 @@ impl<'a> StoreRoundSource<'a> {
     /// Wrap a store's live state. The caller must have quiesced ingestion
     /// (flushed the buffering system and drained the work queue) first.
     pub fn new(store: &'a SketchStore) -> Self {
-        StoreRoundSource { store, overlay: None, resident: 0 }
-    }
-
-    /// Wrap a store pinned to `overlay`'s epoch: captured groups are served
-    /// from the overlay's sealed pre-images, the rest from the open
-    /// generation — the same access pattern, without quiescing ingestion.
-    pub fn at_epoch(store: &'a SketchStore, overlay: &'a EpochOverlay) -> Self {
-        StoreRoundSource { store, overlay: Some(overlay), resident: 0 }
+        StoreRoundSource { store, resident: 0 }
     }
 }
 
@@ -661,7 +610,7 @@ impl SketchSource for StoreRoundSource<'_> {
         sinks: &[Mutex<RoundSink<'_, Self::Sampler>>],
     ) -> Result<(), GzError> {
         self.resident = self.store.round_stream_resident_bytes(round, sinks.len());
-        self.store.stream_round_parallel(round, live, self.overlay, pool, sinks)
+        self.store.stream_round_parallel(round, live, None, pool, sinks)
     }
 }
 

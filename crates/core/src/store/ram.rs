@@ -155,11 +155,6 @@ impl RamStore {
         self.node_set
     }
 
-    /// The pool of reusable delta sketches.
-    pub(crate) fn scratch(&self) -> &ScratchPool {
-        &self.scratch
-    }
-
     /// The graph digest's per-worker stripes.
     pub(crate) fn graph(&self) -> &super::GraphDigestStripes {
         &self.graph
@@ -196,12 +191,6 @@ impl RamStore {
                 self.with_node(slot, |sketch| sketch.merge(delta))
             }),
         }
-    }
-
-    /// Merge a pre-built delta sketch into `node` under its lock (see
-    /// [`crate::store::SketchStore::merge_delta`]).
-    pub(crate) fn merge_delta(&self, node: u32, delta: &CubeNodeSketch) {
-        self.with_node(self.node_set.slot(node), |sketch| sketch.merge(delta));
     }
 
     /// Run `f` on `slot`'s representation as `overlay`'s epoch sealed it

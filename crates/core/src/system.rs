@@ -1,18 +1,31 @@
 //! The [`GraphZeppelin`] facade: the paper's user-facing API
 //! (`edge_update()` / `list_spanning_forest()`, Figures 8–9).
+//!
+//! There is one system type, and this is it at one shard: a
+//! [`ShardedGraphZeppelin`] whose single shard is in this process, behind
+//! an [`InProcessTransport`]. The router's lane is the buffering system —
+//! leaf gutters or a gutter tree, as [`GzConfig::buffering`] says — and the
+//! shard's pipeline is the work queue, the Graph Workers and the store
+//! (DESIGN.md §7). The facade maps a [`GzConfig`] onto that shard's
+//! [`ShardConfig`] and keeps the shard's store at hand for what reads it
+//! whole: [`GraphZeppelin::store`], the materializing oracle and the GZC2
+//! checkpoint. An in-process shard refuses nothing, so the only errors
+//! ingestion can meet are a gutter tree's failed file reads and writes,
+//! which panic here: `update` and `flush` return nothing.
 
 use crate::boruvka::{boruvka_rounds_with_pool, BoruvkaOutcome};
 use crate::config::{BufferStrategy, GzConfig, StoreBackend};
 use crate::error::GzError;
-use crate::ingest::{apply_batch, IngestCounters, WorkerPool};
-use crate::node_sketch::{encode_other, SketchParams};
-use crate::store::{
-    with_backing_file, MaterializedSource, RepStats, SketchEpoch, SketchSource, SketchStore,
-    StoreRoundSource,
-};
+use crate::ingest::IngestCounters;
+use crate::node_sketch::SketchParams;
+use crate::sharding::{InProcessTransport, ShardConfig, ShardedEpoch, ShardedGraphZeppelin};
+use crate::store::{MaterializedSource, RepStats, SketchStore};
 use gz_graph::Edge;
-use gz_gutters::{BufferingSystem, GutterTree, GutterTreeConfig, IoStats, LeafGutters, WorkQueue};
+use gz_gutters::IoStats;
 use std::sync::Arc;
+
+/// Why an in-process shard's ingestion can fail: a gutter tree's file.
+const TREE_FILE: &str = "gutter tree flush failed";
 
 /// A connectivity answer: component labels plus the spanning forest that
 /// witnesses them.
@@ -52,87 +65,32 @@ impl ConnectedComponents {
 /// sketch-space Boruvka queries.
 pub struct GraphZeppelin {
     config: GzConfig,
-    params: Arc<SketchParams>,
+    system: ShardedGraphZeppelin,
+    /// The one shard's store.
     store: Arc<SketchStore>,
-    queue: Arc<WorkQueue>,
-    buffering: Box<dyn BufferingSystem + Send>,
-    workers: Option<WorkerPool>,
-    counters: Arc<IngestCounters>,
-    updates_ingested: u64,
-    gutter_io: Option<Arc<IoStats>>,
-    buffer_capacity_bytes: usize,
-    /// The fork-join pool of the stop-the-world phases (DESIGN.md §4),
-    /// `num_workers` wide, built once and kept: a flush claims gutters on
-    /// it, and a query — live, oracle, or through any epoch this system
-    /// seals — folds its rounds on it.
-    pool: Arc<gz_gutters::WorkerPool>,
 }
 
 impl GraphZeppelin {
     /// Build the system described by `config` and start its Graph Workers.
     pub fn new(config: GzConfig) -> Result<Self, GzError> {
         config.validate()?;
-        let params = Arc::new(SketchParams::new(
-            config.num_nodes,
-            config.rounds(),
-            config.num_columns,
-            config.seed,
-        ));
-        let store = Arc::new(SketchStore::build(&config, Arc::clone(&params))?);
-        let queue = Arc::new(WorkQueue::for_workers(config.num_workers));
-
-        let node_sketch_bytes = params.node_sketch_bytes();
-        let (buffering, gutter_io, buffer_capacity_bytes): (
-            Box<dyn BufferingSystem + Send>,
-            Option<Arc<IoStats>>,
-            usize,
-        ) = match &config.buffering {
-            BufferStrategy::LeafOnly { capacity } => {
-                let cap = capacity.resolve(node_sketch_bytes);
-                let gutters = LeafGutters::new(config.num_nodes as usize, cap, Arc::clone(&queue));
-                let bytes = cap * 4 * config.num_nodes as usize;
-                (Box::new(gutters), None, bytes)
-            }
-            BufferStrategy::GutterTree { buffer_bytes, fanout, leaf_capacity, dir } => {
-                let leaf_cap = leaf_capacity.resolve(node_sketch_bytes);
-                let tree = with_backing_file(dir, "gz_gutter_tree", |path| {
-                    let tree_config = GutterTreeConfig {
-                        num_nodes: config.num_nodes as u32,
-                        leaf_capacity_updates: leaf_cap,
-                        buffer_bytes: *buffer_bytes,
-                        fanout: *fanout,
-                        path,
-                    };
-                    GutterTree::new(tree_config, Arc::clone(&queue))
-                })?;
-                let io = tree.stats();
-                // RAM cost of the tree is just the root buffer.
-                (Box::new(tree), Some(io), *buffer_bytes)
-            }
+        let shard = ShardConfig {
+            num_nodes: config.num_nodes,
+            num_shards: 1,
+            seed: config.seed,
+            num_rounds: config.num_rounds,
+            num_columns: config.num_columns,
+            workers_per_shard: config.num_workers,
+            store: config.store.clone(),
+            sketch_threshold: config.sketch_threshold,
+            buffering: config.buffering.clone(),
+            checkpoint_dir: None,
+            checkpoint_every: None,
         };
-
-        let workers = WorkerPool::spawn(
-            config.num_workers,
-            config.group_threads,
-            Arc::clone(&queue),
-            Arc::clone(&store),
-        );
-        let counters = workers.counters();
-        let pool = Arc::new(gz_gutters::WorkerPool::new(config.num_workers));
-
-        Ok(GraphZeppelin {
-            config,
-            params,
-            store,
-            queue,
-            buffering,
-            workers: Some(workers),
-            counters,
-            updates_ingested: 0,
-            gutter_io,
-            buffer_capacity_bytes,
-            pool,
-        })
+        let transport = InProcessTransport::new(&shard)?;
+        let store = Arc::clone(transport.store(0));
+        let system = ShardedGraphZeppelin::with_transport(shard, Box::new(transport))?;
+        Ok(GraphZeppelin { config, system, store })
     }
 
     /// Ingest one stream update — a *toggle* of edge `(u, v)` (paper
@@ -146,52 +104,25 @@ impl GraphZeppelin {
     /// Ingest one update with an explicit insert/delete tag. GraphZeppelin's
     /// sketches ignore the tag (Z_2), but it is preserved through the
     /// buffering layer for systems that need signs (StreamingCC) and for
-    /// debugging.
+    /// debugging. Panics on a self-loop or an endpoint outside the universe.
+    #[inline(always)]
     pub fn update(&mut self, u: u32, v: u32, is_delete: bool) {
-        assert!(u != v, "self-loop ({u},{v}) is not a valid stream update");
-        assert!(
-            (u as u64) < self.config.num_nodes && (v as u64) < self.config.num_nodes,
-            "vertex out of range"
-        );
-        // Figure 8: buffer_insert({u,v}) and buffer_insert({v,u}).
-        self.buffering.insert(u, encode_other(v, is_delete));
-        self.buffering.insert(v, encode_other(u, is_delete));
-        self.updates_ingested += 1;
+        self.system.update(u, v, is_delete).expect(TREE_FILE)
     }
 
     /// Ingest a whole stream of `(u, v, is_delete)` updates.
     pub fn ingest(&mut self, updates: impl IntoIterator<Item = (u32, u32, bool)>) {
-        for (u, v, d) in updates {
-            self.update(u, v, d);
-        }
+        self.system.ingest(updates).expect(TREE_FILE)
     }
 
     /// Drain all buffered updates into the sketches (paper Figure 9's
-    /// `cleanup()`). What the buffering system still holds is applied by
-    /// the system's fork-join pool with this thread as worker 0, no batch
-    /// built: leaf gutters hand over their records where they lie, a gutter
-    /// tree reads each last-level node once and hands over its leaves. The
-    /// flush then waits until the Graph Workers have acknowledged every
-    /// batch that overflowed before or during it. The store ends up the same
-    /// bits by either route: XOR commutes, and both call one `apply_batch`.
+    /// `cleanup()`): what the buffering system still holds is applied by
+    /// the system's fork-join pool where it lies, with this thread as
+    /// worker 0, then the flush waits until the Graph Workers have applied
+    /// every batch that overflowed before or during it
+    /// ([`ShardedGraphZeppelin::flush`]).
     pub fn flush(&mut self) {
-        if self.buffering.buffered_len() == 0 {
-            self.queue.wait_idle();
-            return;
-        }
-        let started = std::time::Instant::now();
-        let (store, group_threads) = (&*self.store, self.config.group_threads);
-        // Counted as applied: a tree leaf that fills during the drain leaves
-        // by the queue, and its Graph Worker counts it.
-        let records = gz_gutters::Counter::default();
-        let apply = |node: u32, batch: &[u32]| {
-            records.add(batch.len() as u64);
-            apply_batch(store, node, batch, group_threads);
-        };
-        let batches = self.buffering.drain_in_place(&self.pool, &apply);
-        self.counters.record_batches(batches as u64, records.get());
-        self.queue.wait_idle();
-        self.counters.record_flush(started);
+        self.system.flush().expect(TREE_FILE)
     }
 
     /// Compute a spanning forest of the current graph (paper
@@ -199,13 +130,12 @@ impl GraphZeppelin {
     ///
     /// Flushes, then folds round slices straight out of the store, keeping
     /// only the accumulators of supernodes with two or more live members
-    /// resident — partitioned across
-    /// the system's pool (slot ranges in RAM; windows of positioned group
-    /// reads claimed from a shared cursor on disk, at one thread as at
-    /// many). Answers are bit-identical at any pool width.
+    /// resident — partitioned across the system's pool (slot ranges in RAM;
+    /// windows of positioned group reads claimed from a shared cursor on
+    /// disk, at one thread as at many). Answers are bit-identical at any
+    /// pool width.
     pub fn spanning_forest(&mut self) -> Result<BoruvkaOutcome, GzError> {
-        self.flush();
-        self.fold(StoreRoundSource::new(&self.store))
+        self.system.spanning_forest()
     }
 
     /// The reference [`Self::spanning_forest`] is tested against: flush,
@@ -214,34 +144,20 @@ impl GraphZeppelin {
     /// selects it; tests and benches call it by name.
     pub fn spanning_forest_oracle(&mut self) -> Result<BoruvkaOutcome, GzError> {
         self.flush();
-        self.fold(MaterializedSource::new(self.store.snapshot()))
-    }
-
-    /// Run the Borůvka engine over `source` on the system's pool.
-    fn fold<Src: SketchSource>(&self, mut source: Src) -> Result<BoruvkaOutcome, GzError>
-    where
-        Src::Sampler: Send + Sync,
-    {
-        boruvka_rounds_with_pool(
-            &mut source,
-            self.config.num_nodes,
-            self.params.rounds(),
-            &self.pool,
-        )
+        let mut source = MaterializedSource::new(self.store.snapshot());
+        let rounds = self.params().rounds();
+        boruvka_rounds_with_pool(&mut source, self.config.num_nodes, rounds, self.system.pool())
     }
 
     /// Seal the current sketch state into an epoch: flush buffered updates,
-    /// then hand back a self-contained [`SketchEpoch`] whose queries return
-    /// answers bit-identical to a stop-the-world query right now — even
-    /// while this system keeps ingesting. The handle is `Send + Sync`, so a
-    /// query thread can run `epoch.spanning_forest()` concurrently with
-    /// further [`Self::update`] calls, folding on this system's pool;
-    /// dropping the handle releases the sealed groups it pinned (DESIGN.md
-    /// §11).
-    pub fn begin_epoch(&mut self) -> Result<SketchEpoch, GzError> {
-        self.flush();
-        let (id, overlay) = self.store.begin_epoch()?;
-        Ok(SketchEpoch::new(Arc::clone(&self.store), overlay, id, Arc::clone(&self.pool)))
+    /// then hand back a [`ShardedEpoch`] whose queries return answers
+    /// bit-identical to a stop-the-world query right now — even while this
+    /// system keeps ingesting. The handle is `Send + Sync`, so a query
+    /// thread can run `epoch.spanning_forest()` concurrently with further
+    /// [`Self::update`] calls, folding on this system's pool; dropping the
+    /// handle releases the sealed groups it pinned (DESIGN.md §11).
+    pub fn begin_epoch(&mut self) -> Result<ShardedEpoch, GzError> {
+        self.system.begin_epoch()
     }
 
     /// Compute connected components of the current graph.
@@ -251,18 +167,19 @@ impl GraphZeppelin {
 
     /// Number of stream updates ingested so far.
     pub fn updates_ingested(&self) -> u64 {
-        self.updates_ingested
+        self.system.updates_ingested()
     }
 
-    /// Batches applied so far, by the Graph Workers or by a flush in place.
+    /// Batches that left the buffering system so far, for the Graph Workers
+    /// or applied by a flush in place.
     pub fn batches_applied(&self) -> u64 {
-        self.counters.batches()
+        self.system.batches_shipped()
     }
 
-    /// Batches and records applied, and what the flushes cost
-    /// (`gz components --stats`).
+    /// Batches and records that left the buffering system, and what the
+    /// flushes cost (`gz components --stats`).
     pub fn ingest_counters(&self) -> &IngestCounters {
-        &self.counters
+        self.system.ingest_counters()
     }
 
     /// Total sketch bytes (the paper's Figure 11 memory accounting). With a
@@ -284,13 +201,20 @@ impl GraphZeppelin {
     /// but its sparse toggle-sets live in RAM and are counted here. Leaf
     /// gutters are counted at their emit threshold times the node count,
     /// the paper's `M > V·B` bound, not the bytes resident: a leaf gutter
-    /// reserves only as it fills.
+    /// reserves only as it fills. A gutter tree's RAM is its root buffer.
     pub fn memory_bytes(&self) -> usize {
         let sketch_ram = match self.config.store {
             StoreBackend::Ram => self.store.sketch_bytes(),
             StoreBackend::Disk { .. } => self.store.rep_stats().sparse_bytes(),
         };
-        sketch_ram + self.buffer_capacity_bytes
+        let buffers = match &self.config.buffering {
+            BufferStrategy::LeafOnly { capacity } => {
+                let records = capacity.resolve(self.params().node_sketch_bytes());
+                records * 4 * self.config.num_nodes as usize
+            }
+            BufferStrategy::GutterTree { buffer_bytes, .. } => *buffer_bytes,
+        };
+        sketch_ram + buffers
     }
 
     /// I/O counters of the sketch store (disk backend only).
@@ -306,7 +230,7 @@ impl GraphZeppelin {
 
     /// I/O counters of the gutter tree (gutter-tree buffering only).
     pub fn gutter_io(&self) -> Option<Arc<IoStats>> {
-        self.gutter_io.clone()
+        self.system.gutter_io()
     }
 
     /// The configuration this system was built with.
@@ -316,7 +240,7 @@ impl GraphZeppelin {
 
     /// Shared sketch parameters (geometry, rounds).
     pub fn params(&self) -> &Arc<SketchParams> {
-        &self.params
+        self.system.params()
     }
 
     /// Flush, then read the graph digest of every update ingested
@@ -324,8 +248,7 @@ impl GraphZeppelin {
     /// stream. A system restored from a checkpoint file starts from the
     /// empty digest — the file carries none.
     pub fn graph_digest(&mut self) -> gz_graph::GraphDigest {
-        self.flush();
-        self.store.graph_digest()
+        self.system.graph_digest().expect(TREE_FILE)
     }
 
     /// Flush, then fingerprint the whole sketch state
@@ -334,8 +257,7 @@ impl GraphZeppelin {
     /// — report the same digest; the equivalence suite and the
     /// multi-process sharding demo compare against this.
     pub fn state_digest(&mut self) -> Result<u64, GzError> {
-        self.flush();
-        self.store.state_digest()
+        self.system.state_digest()
     }
 
     /// Replace all sketch state (checkpoint restore).
@@ -345,26 +267,13 @@ impl GraphZeppelin {
         updates_ingested: u64,
     ) {
         self.store.load_all(sketches);
-        self.updates_ingested = updates_ingested;
+        self.system.restore_updates_ingested(updates_ingested);
     }
 
-    /// Shut down: close the queue and join the Graph Workers. Called
+    /// Shut down: stop the shard and join its Graph Workers. Called
     /// automatically on drop; explicit form surfaces worker panics.
-    pub fn shutdown(mut self) {
-        self.shutdown_inner();
-    }
-
-    fn shutdown_inner(&mut self) {
-        self.queue.close();
-        if let Some(workers) = self.workers.take() {
-            workers.join();
-        }
-    }
-}
-
-impl Drop for GraphZeppelin {
-    fn drop(&mut self) {
-        self.shutdown_inner();
+    pub fn shutdown(self) {
+        self.system.shutdown().expect("an in-process shard shuts down cleanly")
     }
 }
 

@@ -169,8 +169,8 @@ impl GutterSet {
     }
 }
 
-/// [`GutterSet`] in front of a [`WorkQueue`]: the buffering system of the
-/// in-RAM single-node configuration.
+/// [`GutterSet`] in front of a [`WorkQueue`]: leaf gutters as a
+/// [`BufferingSystem`].
 pub struct LeafGutters {
     gutters: GutterSet,
     queue: Arc<WorkQueue>,
@@ -184,9 +184,9 @@ impl LeafGutters {
     }
 }
 
-/// The adapter's sink: a batch pushed onto a closed queue is dropped, as the
-/// queue documents.
-fn push_to(queue: &WorkQueue) -> impl FnMut(Batch) -> Result<(), Infallible> + '_ {
+/// The queue adapters' sink: a batch pushed onto a closed queue is dropped,
+/// as the queue documents.
+pub(crate) fn push_to<E>(queue: &WorkQueue) -> impl FnMut(Batch) -> Result<(), E> + '_ {
     |batch| {
         queue.push(batch);
         Ok(())
@@ -195,19 +195,15 @@ fn push_to(queue: &WorkQueue) -> impl FnMut(Batch) -> Result<(), Infallible> + '
 
 impl BufferingSystem for LeafGutters {
     fn insert(&mut self, dst: u32, other: u32) {
-        let Ok(()) = self.gutters.insert(dst, other, push_to(&self.queue));
+        let Ok(()) = self.gutters.insert(dst, other, push_to::<Infallible>(&self.queue));
     }
 
     fn force_flush(&mut self) {
-        let Ok(()) = self.gutters.force_flush(push_to(&self.queue));
+        let Ok(()) = self.gutters.force_flush(push_to::<Infallible>(&self.queue));
     }
 
     fn buffered_len(&self) -> usize {
         self.gutters.buffered_len()
-    }
-
-    fn drain_in_place(&mut self, pool: &WorkerPool, apply: &(dyn Fn(u32, &[u32]) + Sync)) -> usize {
-        self.gutters.drain_in_place(pool, apply)
     }
 }
 
@@ -350,20 +346,6 @@ mod tests {
         assert_eq!(g.buffered_len(), buffered, "gutters are as they were");
         // Pool and gutters both still work.
         assert_eq!(g.drain_in_place(&pool, &|_, _| {}), expected.len());
-    }
-
-    #[test]
-    fn leaf_gutters_drain_in_place_without_touching_the_queue() {
-        let (mut g, q) = setup(4, 8);
-        g.insert(2, 5);
-        g.insert(2, 6);
-        let pool = WorkerPool::new(2);
-        let seen = parking_lot::Mutex::new(Vec::new());
-        let apply = |node: u32, records: &[u32]| seen.lock().push((node, records.to_vec()));
-        assert_eq!(BufferingSystem::drain_in_place(&mut g, &pool, &apply), 1);
-        assert_eq!(seen.into_inner(), vec![(2, vec![5, 6])]);
-        assert!(q.is_empty(), "the work queue is not touched");
-        assert_eq!(g.buffered_len(), 0);
     }
 
     fn never_fills<E>(_: Batch) -> Result<(), E> {

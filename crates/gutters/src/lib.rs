@@ -13,7 +13,8 @@
 //!   caller, [`LeafGutters`] pushes them onto the work queue.
 //! - [`tree`] — the on-disk gutter tree (a simplified buffer tree, paper
 //!   §4.1): internal nodes with fixed-size disk buffers, recursive flushes,
-//!   leaf gutters sized to the node sketch.
+//!   leaf gutters sized to the node sketch; [`BufferTree`] hands batches to
+//!   its caller, [`GutterTree`] pushes them onto the work queue.
 //! - [`stats`] — the counter core: I/O accounting (the measurable analogue
 //!   of the paper's hybrid-model I/O complexity claims) and every other
 //!   counter set the system keeps, declared through one form.
@@ -32,7 +33,7 @@ pub use stats::{
     Counter, CounterSet, Fold, IngestCounters, IoStats, LinkStats, RecoveryStats, ServeStats,
     ShardServeStats,
 };
-pub use tree::{GutterTree, GutterTreeConfig};
+pub use tree::{BufferTree, GutterTree, GutterTreeConfig};
 pub use work_queue::{Batch, WorkQueue};
 pub use worker_pool::WorkerPool;
 
@@ -52,15 +53,4 @@ pub trait BufferingSystem {
 
     /// Total updates currently buffered (not yet emitted).
     fn buffered_len(&self) -> usize;
-
-    /// The flush of a caller whose store is in this process: hand every
-    /// buffered record to `apply(node, records)` — once per nonempty gutter,
-    /// its records in arrival order, on all of `pool`'s workers with the
-    /// caller as worker 0 — instead of emitting it, and return the batches
-    /// that stood for. Leaf gutters apply their records where they lie
-    /// ([`GutterSet::drain_in_place`]); a gutter tree reads each last-level
-    /// node once and applies its leaves, and a leaf that fills while the
-    /// levels above cascade leaves by the work queue, as any overflow does.
-    /// With nothing buffered `apply` is never called.
-    fn drain_in_place(&mut self, pool: &WorkerPool, apply: &(dyn Fn(u32, &[u32]) + Sync)) -> usize;
 }

@@ -278,12 +278,11 @@ counter_set! {
 }
 
 counter_set! {
-    /// What an ingest front moved toward its store — a single-node system's
-    /// Graph Workers and flushes, or a shard router — and what its flushes
-    /// cost.
+    /// What a shard router moved toward its shards' stores, and what its
+    /// flushes cost.
     IngestCounters {
-        /// Batches applied (single node) or routed (coordinator); a gutter a
-        /// flush applies in place counts as the batch it stands for.
+        /// Batches routed; a gutter a flush applies in place counts as the
+        /// batch it stands for.
         batches: Sum,
         /// Individual update records inside those batches.
         records: Sum,

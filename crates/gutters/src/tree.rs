@@ -5,32 +5,38 @@
 //! Inserts go to the root; a full buffer is partitioned among its children
 //! in one stable counting pass — bucketed by child index, never compared, so
 //! each child gets its records in arrival order — recursively flushing any
-//! child that would overflow; a full **leaf gutter** is emitted to the work
-//! queue as a batch for its graph node. Because leaf data never persists
-//! across emits, no rebalancing is ever needed (paper §4.1), and the total
-//! I/O for a stream of length `N` is `sort(N)` (Lemma 4).
+//! child that would overflow; a full **leaf gutter** is emitted as a batch
+//! for its graph node. Because leaf data never persists across emits, no
+//! rebalancing is ever needed (paper §4.1), and the total I/O for a stream
+//! of length `N` is `sort(N)` (Lemma 4).
 //!
-//! A flush whose store is in this process ([`BufferingSystem::drain_in_place`])
+//! [`BufferTree`] is the tree alone, as [`crate::GutterSet`] is the leaf
+//! gutters alone: a full leaf goes to a sink its caller passes, the moment
+//! it fills, while the cascade that filled it is still running — so a sink
+//! that blocks (a bounded queue's push) holds the cascade back with it. A
+//! flush whose store is in this process ([`BufferTree::drain_in_place`])
 //! applies the last internal level where it lies, on a fork-join pool: each
 //! node is read once and every leaf handed its stored records, then those in
 //! transit. Lemma 4's I/O is unchanged except the final leaf round trip,
-//! which is never written.
+//! which is never written. [`GutterTree`] is the [`BufferingSystem`] whose
+//! sink is the push onto the Graph Workers' [`WorkQueue`].
 //!
 //! Paper defaults: 8 MB internal buffers written in 16 KB blocks, giving a
 //! fan-out of 512; each leaf gutter is twice the node-sketch size.
 
-use crate::leaf::CLAIM;
+use crate::leaf::{push_to, CLAIM};
 use crate::stats::IoStats;
 use crate::work_queue::{Batch, WorkQueue};
 use crate::worker_pool::WorkerPool;
 use crate::BufferingSystem;
 use std::fs::File;
+use std::io;
 use std::os::unix::fs::FileExt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Configuration of a [`GutterTree`].
+/// Configuration of a gutter tree ([`BufferTree`], [`GutterTree`]).
 #[derive(Debug, Clone)]
 pub struct GutterTreeConfig {
     /// Number of graph nodes (= leaf gutters).
@@ -66,12 +72,14 @@ type Record = (u32, u32);
 const RECORD_BYTES: usize = 8; // (dst: u32, other: u32)
 const LEAF_RECORD_BYTES: usize = 4; // leaf gutters store only `other`
 
-/// On-disk gutter tree implementing [`BufferingSystem`].
-pub struct GutterTree {
+/// The on-disk gutter tree, handing each full leaf to the caller's sink.
+/// An error — the sink's, or the backing file's — returns at once; the
+/// records the interrupted cascade was carrying go with it, so a caller
+/// that sees one must treat the tree as failed.
+pub struct BufferTree {
     config: GutterTreeConfig,
     file: File,
     stats: Arc<IoStats>,
-    queue: Arc<WorkQueue>,
     /// Root buffer (RAM) of (dst, other) records.
     root: Vec<Record>,
     root_capacity: usize,
@@ -90,10 +98,10 @@ pub struct GutterTree {
     buffered: usize,
 }
 
-impl GutterTree {
-    /// Build the tree, pre-allocating its backing file.
-    pub fn new(config: GutterTreeConfig, queue: Arc<WorkQueue>) -> std::io::Result<Self> {
-        assert!(config.num_nodes >= 1);
+impl BufferTree {
+    /// Build the tree, pre-allocating its backing file; its I/O is counted
+    /// in `stats`, which trees may share.
+    pub fn new(config: GutterTreeConfig, stats: Arc<IoStats>) -> io::Result<Self> {
         assert!(config.fanout >= 2, "fan-out must be at least 2");
         let leaves = config.num_nodes as u64;
         let fanout = config.fanout as u64;
@@ -136,7 +144,7 @@ impl GutterTree {
         file.set_len(file_len)?;
 
         let root_capacity = (config.buffer_bytes / RECORD_BYTES).max(1);
-        Ok(GutterTree {
+        Ok(BufferTree {
             root: Vec::with_capacity(root_capacity),
             root_capacity,
             depth,
@@ -145,12 +153,55 @@ impl GutterTree {
             level_base,
             leaf_fill: vec![0; leaves as usize],
             leaf_region_start,
-            stats: Arc::new(IoStats::new()),
+            stats,
             file,
-            queue,
             buffered: 0,
             config,
         })
+    }
+
+    /// Records buffered and not yet emitted.
+    pub fn buffered_len(&self) -> usize {
+        self.buffered
+    }
+
+    /// Buffer `other` for `dst` (the paper's `buffer_insert`); a full root
+    /// cascades down, and every leaf that fills on the way leaves through
+    /// `sink` there and then.
+    #[inline]
+    pub fn insert<E: From<io::Error>>(
+        &mut self,
+        dst: u32,
+        other: u32,
+        sink: &mut impl FnMut(Batch) -> Result<(), E>,
+    ) -> Result<(), E> {
+        debug_assert!(dst < self.config.num_nodes);
+        self.root.push((dst, other));
+        self.buffered += 1;
+        if self.root.len() >= self.root_capacity {
+            self.flush_root(sink)?;
+        }
+        Ok(())
+    }
+
+    /// Emit every buffered record through `sink`, each nonempty leaf as one
+    /// batch (paper Figure 9's `force_flush`).
+    pub fn force_flush<E: From<io::Error>>(
+        &mut self,
+        sink: &mut impl FnMut(Batch) -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.cascade(self.depth as usize, sink)?;
+        for leaf in 0..self.config.num_nodes {
+            if self.leaf_fill[leaf as usize] == 0 {
+                continue;
+            }
+            let mut others = Vec::new();
+            self.read_leaf(leaf, &mut others)?;
+            self.leaf_fill[leaf as usize] = 0;
+            self.buffered -= others.len();
+            sink(Batch { node: leaf, others })?;
+        }
+        Ok(())
     }
 
     /// I/O counters for this tree.
@@ -181,7 +232,7 @@ impl GutterTree {
             + leaf as u64 * (self.config.leaf_capacity_updates * LEAF_RECORD_BYTES) as u64
     }
 
-    fn write_internal(&mut self, node_index: usize, records: &[Record]) -> std::io::Result<()> {
+    fn write_internal(&mut self, node_index: usize, records: &[Record]) -> io::Result<()> {
         let mut bytes = Vec::with_capacity(records.len() * RECORD_BYTES);
         for &(d, o) in records {
             bytes.extend_from_slice(&d.to_le_bytes());
@@ -196,7 +247,7 @@ impl GutterTree {
     }
 
     /// Append the records stored in internal node `node_index` to `out`.
-    fn read_internal(&self, node_index: usize, out: &mut Vec<Record>) -> std::io::Result<()> {
+    fn read_internal(&self, node_index: usize, out: &mut Vec<Record>) -> io::Result<()> {
         let n = self.internal_fill[node_index];
         if n == 0 {
             return Ok(());
@@ -209,7 +260,7 @@ impl GutterTree {
     }
 
     /// Append the records stored in leaf gutter `leaf` to `out`.
-    fn read_leaf(&self, leaf: u32, out: &mut Vec<u32>) -> std::io::Result<()> {
+    fn read_leaf(&self, leaf: u32, out: &mut Vec<u32>) -> io::Result<()> {
         let fill = self.leaf_fill[leaf as usize];
         if fill == 0 {
             return Ok(());
@@ -223,44 +274,47 @@ impl GutterTree {
 
     /// Push records into the level-`k` node whose leaves start at
     /// `first_leaf`; flush it first if it would overflow.
-    fn push_to_internal(
+    fn push_to_internal<E: From<io::Error>>(
         &mut self,
         k: usize,
         first_leaf: u64,
         records: &[Record],
-    ) -> std::io::Result<()> {
+        sink: &mut impl FnMut(Batch) -> Result<(), E>,
+    ) -> Result<(), E> {
         let node_index = self.node_at(k, first_leaf);
         if self.internal_fill[node_index] + records.len() > self.internal_capacity() {
-            self.flush_internal(k, first_leaf, records)
+            self.flush_internal(k, first_leaf, records, sink)
         } else {
-            self.write_internal(node_index, records)
+            Ok(self.write_internal(node_index, records)?)
         }
     }
 
     /// Flush the level-`k` node whose leaves start at `first_leaf`: stored
     /// records, then `incoming`, are partitioned among its children.
-    fn flush_internal(
+    fn flush_internal<E: From<io::Error>>(
         &mut self,
         k: usize,
         first_leaf: u64,
         incoming: &[Record],
-    ) -> std::io::Result<()> {
+        sink: &mut impl FnMut(Batch) -> Result<(), E>,
+    ) -> Result<(), E> {
         let node_index = self.node_at(k, first_leaf);
         let mut all = Vec::with_capacity(self.internal_fill[node_index] + incoming.len());
         self.read_internal(node_index, &mut all)?;
         self.internal_fill[node_index] = 0;
         all.extend_from_slice(incoming);
-        self.partition_down(k, first_leaf, &all)
+        self.partition_down(k, first_leaf, &all, sink)
     }
 
     /// Route the records of the level-`k` node whose leaves start at
     /// `first_leaf` to its children (level k+1 or leaves).
-    fn partition_down(
+    fn partition_down<E: From<io::Error>>(
         &mut self,
         k: usize,
         first_leaf: u64,
         records: &[Record],
-    ) -> std::io::Result<()> {
+        sink: &mut impl FnMut(Batch) -> Result<(), E>,
+    ) -> Result<(), E> {
         let child_span = self.level_span[k + 1];
         let first_child = first_leaf / child_span;
         let end = first_leaf.saturating_add(self.level_span[k]).min(self.config.num_nodes as u64);
@@ -272,16 +326,21 @@ impl GutterTree {
                 continue;
             }
             if k + 1 == self.depth as usize {
-                self.push_to_leaf(child as u32, part)?;
+                self.push_to_leaf(child as u32, part, sink)?;
             } else {
-                self.push_to_internal(k + 1, child * child_span, part)?;
+                self.push_to_internal(k + 1, child * child_span, part, sink)?;
             }
         }
         Ok(())
     }
 
     /// Append records to a leaf gutter, emitting a batch when it fills.
-    fn push_to_leaf(&mut self, leaf: u32, records: &[Record]) -> std::io::Result<()> {
+    fn push_to_leaf<E: From<io::Error>>(
+        &mut self,
+        leaf: u32,
+        records: &[Record],
+        sink: &mut impl FnMut(Batch) -> Result<(), E>,
+    ) -> Result<(), E> {
         let cap = self.config.leaf_capacity_updates;
         let fill = self.leaf_fill[leaf as usize];
         if fill + records.len() >= cap {
@@ -292,7 +351,7 @@ impl GutterTree {
             others.extend(records.iter().map(|&(_, o)| o));
             self.leaf_fill[leaf as usize] = 0;
             self.buffered -= others.len();
-            self.queue.push(Batch { node: leaf, others });
+            sink(Batch { node: leaf, others })?;
         } else {
             let mut bytes = Vec::with_capacity(records.len() * LEAF_RECORD_BYTES);
             for &(_, o) in records {
@@ -306,132 +365,59 @@ impl GutterTree {
         Ok(())
     }
 
-    fn flush_root(&mut self) -> std::io::Result<()> {
+    fn flush_root<E: From<io::Error>>(
+        &mut self,
+        sink: &mut impl FnMut(Batch) -> Result<(), E>,
+    ) -> Result<(), E> {
         // Root records are not yet on disk; they are "buffered" only in the
         // accounting sense handled by insert/buffered_len.
         let records = std::mem::take(&mut self.root);
-        self.partition_down(0, 0, &records)
+        self.partition_down(0, 0, &records, sink)
     }
 
     /// Flush the root, then internal levels `1..until` top-down: afterwards
     /// every buffered record sits in a level-`until` node or a leaf.
-    fn cascade(&mut self, until: usize) -> std::io::Result<()> {
-        self.flush_root()?;
+    fn cascade<E: From<io::Error>>(
+        &mut self,
+        until: usize,
+        sink: &mut impl FnMut(Batch) -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.flush_root(sink)?;
         for k in 1..until {
             let span = self.level_span[k];
             let nodes = (self.config.num_nodes as u64).div_ceil(span);
             for j in 0..nodes {
                 if self.internal_fill[self.level_base[k - 1] + j as usize] > 0 {
-                    self.flush_internal(k, j * span, &[])?;
+                    self.flush_internal(k, j * span, &[], sink)?;
                 }
             }
         }
         Ok(())
     }
 
-    fn flush_everything(&mut self) -> std::io::Result<()> {
-        self.cascade(self.depth as usize)?;
-        // Emit every nonempty leaf.
-        for leaf in 0..self.config.num_nodes {
-            if self.leaf_fill[leaf as usize] == 0 {
-                continue;
-            }
-            let mut others = Vec::new();
-            self.read_leaf(leaf, &mut others)?;
-            self.leaf_fill[leaf as usize] = 0;
-            self.buffered -= others.len();
-            self.queue.push(Batch { node: leaf, others });
-        }
-        Ok(())
-    }
-}
-
-fn le_u32(bytes: &[u8]) -> u32 {
-    u32::from_le_bytes(bytes.try_into().expect("four bytes"))
-}
-
-/// Records bucketed by child in one stable counting pass, no comparisons:
-/// child `c`'s records are `records[ends[c]..ends[c + 1]]`, in arrival order.
-#[derive(Default)]
-struct Partition {
-    records: Vec<Record>,
-    ends: Vec<usize>,
-}
-
-impl Partition {
-    /// Bucket `records` among `children` children by child index
-    /// `dst / span − first` (a child spans fewer leaves than the tree has, so
-    /// the division is a u32 one).
-    fn fill(&mut self, records: &[Record], span: u64, first: u64, children: usize) {
-        let child = |dst: u32| (dst / span as u32 - first as u32) as usize;
-        self.ends.clear();
-        self.ends.resize(children + 1, 0);
-        for &(dst, _) in records {
-            self.ends[child(dst)] += 1;
-        }
-        // Exclusive prefix sums: ends[c] becomes where child c's records start.
-        let mut start = 0;
-        for end in self.ends.iter_mut() {
-            start += std::mem::replace(end, start);
-        }
-        self.records.clear();
-        self.records.resize(records.len(), (0, 0));
-        // Scattering advances ends[c] to where child c + 1's records start;
-        // one shift right then leaves the bucket bounds.
-        for &record in records {
-            let slot = &mut self.ends[child(record.0)];
-            self.records[*slot] = record;
-            *slot += 1;
-        }
-        self.ends.rotate_right(1);
-        self.ends[0] = 0;
-    }
-
-    /// The records of children `from..to`, child by child.
-    fn buckets(&self, from: usize, to: usize) -> impl Iterator<Item = &[Record]> {
-        self.ends[from..=to].windows(2).map(|w| &self.records[w[0]..w[1]])
-    }
-}
-
-impl Drop for GutterTree {
-    fn drop(&mut self) {
-        // Best-effort cleanup of the backing file (buffered updates are
-        // gone with the process either way); mirrors `DiskStore`'s drop so
-        // a `--disk` run leaves nothing behind. Failures are ignored.
-        let _ = std::fs::remove_file(&self.config.path);
-    }
-}
-
-impl BufferingSystem for GutterTree {
-    fn insert(&mut self, dst: u32, other: u32) {
-        debug_assert!(dst < self.config.num_nodes);
-        self.root.push((dst, other));
-        self.buffered += 1;
-        if self.root.len() >= self.root_capacity {
-            self.flush_root().expect("gutter tree flush failed");
-        }
-    }
-
-    fn force_flush(&mut self) {
-        self.flush_everything().expect("gutter tree force_flush failed");
-    }
-
-    fn buffered_len(&self) -> usize {
-        self.buffered
-    }
-
+    /// The flush of a caller whose store is in this process: hand every
+    /// buffered record to `apply(node, records)` — once per nonempty leaf,
+    /// its stored records then those in transit, on all of `pool`'s workers
+    /// with the caller as worker 0 — and return the batches that stood for.
     /// The root and the internal levels above the last cascade down on this
-    /// thread; then `pool` claims the last level node by node, or a depth-1
-    /// tree's root — bucketed by leaf here, in RAM — in runs of leaves. The
-    /// fills are zeroed once every leaf has been applied: a panic in `apply`
-    /// or a failed read is rethrown here with the tree as the cascade left it.
-    fn drain_in_place(&mut self, pool: &WorkerPool, apply: &(dyn Fn(u32, &[u32]) + Sync)) -> usize {
+    /// thread first, and a leaf that fills on the way leaves through `sink`,
+    /// as any overflow does. Then `pool` claims the last level node by node,
+    /// or a depth-1 tree's root — bucketed by leaf here, in RAM — in runs of
+    /// leaves. The fills are zeroed once every leaf has been applied: a
+    /// panic in `apply` or a failed read is rethrown here with the tree as
+    /// the cascade left it. With nothing buffered `apply` is never called.
+    pub fn drain_in_place<E: From<io::Error>>(
+        &mut self,
+        pool: &WorkerPool,
+        sink: &mut impl FnMut(Batch) -> Result<(), E>,
+        apply: &(dyn Fn(u32, &[u32]) + Sync),
+    ) -> Result<usize, E> {
         let last = self.depth as usize - 1;
         if last > 0 {
-            self.cascade(last).expect("gutter tree flush failed");
+            self.cascade(last, sink)?;
         }
         if self.buffered == 0 {
-            return 0;
+            return Ok(0);
         }
         let leaves = self.config.num_nodes as usize;
         let mut root = Partition::default();
@@ -486,7 +472,106 @@ impl BufferingSystem for GutterTree {
         }
         self.leaf_fill.fill(0);
         self.buffered = 0;
-        applied.into_inner()
+        Ok(applied.into_inner())
+    }
+}
+
+fn le_u32(bytes: &[u8]) -> u32 {
+    u32::from_le_bytes(bytes.try_into().expect("four bytes"))
+}
+
+/// Records bucketed by child in one stable counting pass, no comparisons:
+/// child `c`'s records are `records[ends[c]..ends[c + 1]]`, in arrival order.
+#[derive(Default)]
+struct Partition {
+    records: Vec<Record>,
+    ends: Vec<usize>,
+}
+
+impl Partition {
+    /// Bucket `records` among `children` children by child index
+    /// `dst / span − first` (a child spans fewer leaves than the tree has, so
+    /// the division is a u32 one).
+    fn fill(&mut self, records: &[Record], span: u64, first: u64, children: usize) {
+        let child = |dst: u32| (dst / span as u32 - first as u32) as usize;
+        self.ends.clear();
+        self.ends.resize(children + 1, 0);
+        for &(dst, _) in records {
+            self.ends[child(dst)] += 1;
+        }
+        // Exclusive prefix sums: ends[c] becomes where child c's records start.
+        let mut start = 0;
+        for end in self.ends.iter_mut() {
+            start += std::mem::replace(end, start);
+        }
+        self.records.clear();
+        self.records.resize(records.len(), (0, 0));
+        // Scattering advances ends[c] to where child c + 1's records start;
+        // one shift right then leaves the bucket bounds.
+        for &record in records {
+            let slot = &mut self.ends[child(record.0)];
+            self.records[*slot] = record;
+            *slot += 1;
+        }
+        self.ends.rotate_right(1);
+        self.ends[0] = 0;
+    }
+
+    /// The records of children `from..to`, child by child.
+    fn buckets(&self, from: usize, to: usize) -> impl Iterator<Item = &[Record]> {
+        self.ends[from..=to].windows(2).map(|w| &self.records[w[0]..w[1]])
+    }
+}
+
+impl Drop for BufferTree {
+    fn drop(&mut self) {
+        // Best-effort cleanup of the backing file (buffered updates are
+        // gone with the process either way); mirrors `DiskStore`'s drop so
+        // a `--disk` run leaves nothing behind. Failures are ignored.
+        let _ = std::fs::remove_file(&self.config.path);
+    }
+}
+
+/// [`BufferTree`] in front of a [`WorkQueue`]: the gutter tree as a
+/// [`BufferingSystem`], a full leaf pushed onto the queue while the cascade
+/// that filled it waits.
+pub struct GutterTree {
+    tree: BufferTree,
+    queue: Arc<WorkQueue>,
+}
+
+impl GutterTree {
+    /// Build the tree, pre-allocating its backing file.
+    pub fn new(config: GutterTreeConfig, queue: Arc<WorkQueue>) -> io::Result<Self> {
+        Ok(GutterTree { tree: BufferTree::new(config, Arc::new(IoStats::new()))?, queue })
+    }
+
+    /// I/O counters for this tree.
+    pub fn stats(&self) -> Arc<IoStats> {
+        self.tree.stats()
+    }
+
+    /// Tree depth (root→leaf hops).
+    pub fn depth(&self) -> u32 {
+        self.tree.depth()
+    }
+}
+
+impl BufferingSystem for GutterTree {
+    fn insert(&mut self, dst: u32, other: u32) {
+        self.tree
+            .insert(dst, other, &mut push_to::<io::Error>(&self.queue))
+            .expect("gutter tree flush failed");
+    }
+
+    fn force_flush(&mut self) {
+        self.tree
+            .force_flush(&mut push_to::<io::Error>(&self.queue))
+            .expect("gutter tree force_flush failed");
+    }
+
+    fn buffered_len(&self) -> usize {
+        self.tree.buffered_len()
     }
 }
 
@@ -506,6 +591,16 @@ mod tests {
             map.entry(b.node).or_default().extend(b.others);
         }
         map
+    }
+
+    /// The in-place flush of `tree`, a leaf that fills on the way pushed
+    /// onto its queue.
+    pub(super) fn in_place(
+        tree: &mut GutterTree,
+        pool: &WorkerPool,
+        apply: &(dyn Fn(u32, &[u32]) + Sync),
+    ) -> usize {
+        tree.tree.drain_in_place(pool, &mut push_to::<io::Error>(&tree.queue), apply).unwrap()
     }
 
     #[test]
@@ -684,27 +779,27 @@ mod tests {
             let (mut tree, queue) = unfilled(&path, nodes, n);
             assert_eq!(tree.depth(), depth);
             assert!(
-                tree.leaf_fill.iter().any(|&f| f > 0) && !tree.root.is_empty(),
+                tree.tree.leaf_fill.iter().any(|&f| f > 0) && !tree.tree.root.is_empty(),
                 "depth {depth}: leaves hold records and more are in transit"
             );
             let writes = tree.stats().writes();
             let seen = parking_lot::Mutex::new(Vec::new());
             let apply = |leaf: u32, records: &[u32]| seen.lock().push((leaf, records.to_vec()));
             let expected = arrivals(nodes, n);
-            assert_eq!(tree.drain_in_place(&pool, &apply), expected.len(), "depth {depth}");
+            assert_eq!(in_place(&mut tree, &pool, &apply), expected.len(), "depth {depth}");
             let mut seen = seen.into_inner();
             seen.sort();
             assert_eq!(seen, expected, "depth {depth}: once per leaf, in arrival order");
             assert_eq!(tree.buffered_len(), 0);
-            assert!(tree.root.is_empty());
-            assert!(tree.internal_fill.iter().chain(&tree.leaf_fill).all(|&f| f == 0));
+            assert!(tree.tree.root.is_empty());
+            assert!(tree.tree.internal_fill.iter().chain(&tree.tree.leaf_fill).all(|&f| f == 0));
             assert!(queue.is_empty(), "depth {depth}: the work queue is not touched");
             if depth == 1 {
                 assert_eq!(tree.stats().writes(), writes, "a depth-1 drain writes nothing");
             }
 
             // With nothing buffered the pool is not dispatched at all.
-            assert_eq!(tree.drain_in_place(&pool, &|_, _| unreachable!("nothing is buffered")), 0);
+            assert_eq!(in_place(&mut tree, &pool, &|_, _| unreachable!("nothing is buffered")), 0);
             // And the tree keeps working.
             tree.insert(nodes - 1, 7);
             tree.force_flush();
@@ -719,14 +814,14 @@ mod tests {
         let (mut tree, _queue) = unfilled(&path, 16, 2005);
         let buffered = tree.buffered_len();
         let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            tree.drain_in_place(&pool, &|leaf, _| assert_ne!(leaf, 9, "apply failed"))
+            in_place(&mut tree, &pool, &|leaf, _| assert_ne!(leaf, 9, "apply failed"))
         }));
         assert!(died.is_err(), "the panic reaches the caller; the flush does not hang");
         assert_eq!(tree.buffered_len(), buffered, "nothing was let go of");
         // Pool and tree both still work, and still hold every record.
         let seen = parking_lot::Mutex::new(Vec::new());
         let apply = |leaf: u32, records: &[u32]| seen.lock().push((leaf, records.to_vec()));
-        assert_eq!(tree.drain_in_place(&pool, &apply), 16);
+        assert_eq!(in_place(&mut tree, &pool, &apply), 16);
         let mut seen = seen.into_inner();
         seen.sort();
         assert_eq!(seen, arrivals(16, 2005));
@@ -738,11 +833,14 @@ mod tests {
         for nodes in [4u32, 64] {
             let path = tmp("in-place-truncated");
             let (mut tree, _queue) = unfilled(&path, nodes, 2005);
-            let last_leaf = tree.leaf_fill.len() - 1;
-            assert!(tree.leaf_fill[last_leaf] > 0, "the leaf at the end of the file holds records");
+            let last_leaf = tree.tree.leaf_fill.len() - 1;
+            assert!(
+                tree.tree.leaf_fill[last_leaf] > 0,
+                "the leaf at the end of the file holds records"
+            );
             std::fs::OpenOptions::new().write(true).open(&path).unwrap().set_len(0).unwrap();
             let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                tree.drain_in_place(&pool, &|_, _| {})
+                in_place(&mut tree, &pool, &|_, _| {})
             }));
             assert!(died.is_err(), "{nodes} leaves: a short read is a panic, not a hang");
         }
@@ -751,8 +849,8 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::in_place;
     use super::*;
-    use crate::BufferingSystem;
     use proptest::prelude::*;
     use std::collections::HashMap;
 
@@ -821,7 +919,7 @@ mod proptests {
             let pool = WorkerPool::new(4);
             let applied = parking_lot::Mutex::new(Vec::new());
             let apply = |leaf: u32, records: &[u32]| applied.lock().push((leaf, records.to_vec()));
-            let calls = tree.drain_in_place(&pool, &apply);
+            let calls = in_place(&mut tree, &pool, &apply);
             prop_assert_eq!(tree.buffered_len(), 0);
             let applied = applied.into_inner();
             prop_assert_eq!(calls, applied.len());

@@ -22,6 +22,7 @@ use std::path::Path;
 
 const MAGIC: [u8; 4] = *b"GZS1";
 const RECORD_BYTES: usize = 9;
+const HEADER_BYTES: u64 = 20; // magic(4) + nodes(8) + count(8)
 
 /// Metadata read from a stream file header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,11 +97,17 @@ impl StreamWriter {
     }
 }
 
-/// Streaming reader over a stream file: an iterator of updates.
+/// Streaming reader over a stream file: an iterator of updates. Every
+/// record is checked as it is read: a self-loop or an endpoint outside the
+/// header's vertex universe is an [`io::ErrorKind::InvalidData`] error that
+/// names the record's index, never an update handed on.
 pub struct StreamReader {
     reader: BufReader<File>,
     header: StreamHeader,
     read_so_far: u64,
+    /// Whole records the file holds past its header, whatever the header
+    /// claims: what bounds [`Self::read_all`]'s reservation.
+    records_in_file: u64,
 }
 
 impl StreamReader {
@@ -118,11 +125,39 @@ impl StreamReader {
         let num_vertices = u64::from_le_bytes(buf);
         reader.read_exact(&mut buf)?;
         let num_updates = u64::from_le_bytes(buf);
+        let payload = reader.get_ref().metadata()?.len().saturating_sub(HEADER_BYTES);
         Ok(StreamReader {
             reader,
             header: StreamHeader { num_vertices, num_updates },
             read_so_far: 0,
+            records_in_file: payload / RECORD_BYTES as u64,
         })
+    }
+
+    /// Decode record `index`, refusing what no stream update can be.
+    #[inline]
+    fn decode(&self, index: u64, rec: &[u8]) -> io::Result<EdgeUpdate> {
+        let u = u32::from_le_bytes(rec[0..4].try_into().unwrap());
+        let v = u32::from_le_bytes(rec[4..8].try_into().unwrap());
+        match UpdateKind::from_byte(rec[8]) {
+            Some(kind) if u != v && u64::from(u.max(v)) < self.header.num_vertices => {
+                Ok(EdgeUpdate { u, v, kind })
+            }
+            kind => Err(self.refused(index, u, v, kind.is_some())),
+        }
+    }
+
+    /// Why record `index`, `(u, v)`, is refused.
+    #[cold]
+    fn refused(&self, index: u64, u: u32, v: u32, kind_ok: bool) -> io::Error {
+        let what = if !kind_ok {
+            "bad update kind".to_string()
+        } else if u == v {
+            format!("self-loop ({u},{v})")
+        } else {
+            format!("vertex of ({u},{v}) out of range for {} vertices", self.header.num_vertices)
+        };
+        io::Error::new(io::ErrorKind::InvalidData, format!("stream record {index}: {what}"))
     }
 
     /// The file header.
@@ -138,20 +173,20 @@ impl StreamReader {
         let want = remaining.min(max);
         let mut buf = vec![0u8; want * RECORD_BYTES];
         self.reader.read_exact(&mut buf)?;
-        for rec in buf.chunks_exact(RECORD_BYTES) {
-            let u = u32::from_le_bytes(rec[0..4].try_into().unwrap());
-            let v = u32::from_le_bytes(rec[4..8].try_into().unwrap());
-            let kind = UpdateKind::from_byte(rec[8])
-                .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad update kind"))?;
-            out.push(EdgeUpdate { u, v, kind });
+        for (index, rec) in (self.read_so_far..).zip(buf.chunks_exact(RECORD_BYTES)) {
+            out.push(self.decode(index, rec)?);
         }
         self.read_so_far += want as u64;
         Ok(want)
     }
 
-    /// Read the entire remaining stream into memory.
+    /// Read the entire remaining stream into memory. The reservation is what
+    /// the header claims or what the file holds, whichever is less: a header
+    /// that overstates its count ends in a short read, not an allocation.
     pub fn read_all(&mut self) -> io::Result<Vec<EdgeUpdate>> {
-        let mut all = Vec::with_capacity((self.header.num_updates - self.read_so_far) as usize);
+        let remaining = self.header.num_updates - self.read_so_far;
+        let in_file = self.records_in_file.saturating_sub(self.read_so_far);
+        let mut all = Vec::with_capacity(remaining.min(in_file) as usize);
         let mut batch = Vec::new();
         loop {
             let n = self.read_batch(&mut batch, 1 << 16)?;
@@ -176,12 +211,7 @@ impl Iterator for StreamReader {
             return Some(Err(e));
         }
         self.read_so_far += 1;
-        let u = u32::from_le_bytes(rec[0..4].try_into().unwrap());
-        let v = u32::from_le_bytes(rec[4..8].try_into().unwrap());
-        match UpdateKind::from_byte(rec[8]) {
-            Some(kind) => Some(Ok(EdgeUpdate { u, v, kind })),
-            None => Some(Err(io::Error::new(io::ErrorKind::InvalidData, "bad update kind"))),
-        }
+        Some(self.decode(self.read_so_far - 1, &rec))
     }
 }
 
@@ -254,6 +284,47 @@ mod tests {
         write_stream(path.path(), 10, &[]).unwrap();
         let mut r = StreamReader::open(path.path()).unwrap();
         assert_eq!(r.read_all().unwrap(), vec![]);
+    }
+
+    /// The error reading `updates` as a `num_vertices` stream ends in, by
+    /// `read_all` and by the iterator.
+    fn refused(num_vertices: u64, updates: &[EdgeUpdate]) -> String {
+        let path = tmp("refused");
+        write_stream(path.path(), num_vertices, updates).unwrap();
+        let err = StreamReader::open(path.path()).unwrap().read_all().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let iterated = StreamReader::open(path.path()).unwrap().find_map(Result::err).unwrap();
+        assert_eq!(iterated.to_string(), err.to_string());
+        err.to_string()
+    }
+
+    #[test]
+    fn a_self_loop_is_invalid_data_naming_its_record() {
+        let mut updates = sample_updates();
+        updates.insert(2, EdgeUpdate::insert(3, 3));
+        assert_eq!(refused(5, &updates), "stream record 2: self-loop (3,3)");
+    }
+
+    #[test]
+    fn an_endpoint_past_the_universe_is_invalid_data_naming_its_record() {
+        let mut updates = sample_updates();
+        updates.push(EdgeUpdate::insert(1, 5));
+        assert_eq!(
+            refused(5, &updates),
+            "stream record 4: vertex of (1,5) out of range for 5 vertices"
+        );
+    }
+
+    #[test]
+    fn a_header_overstating_its_count_is_a_short_read_not_an_allocation() {
+        let path = tmp("overstated");
+        write_stream(path.path(), 5, &sample_updates()).unwrap();
+        let mut bytes = std::fs::read(path.path()).unwrap();
+        bytes[12..20].copy_from_slice(&(1u64 << 61).to_le_bytes());
+        std::fs::write(path.path(), bytes).unwrap();
+        let mut r = StreamReader::open(path.path()).unwrap();
+        assert_eq!(r.header().num_updates, 1 << 61);
+        assert_eq!(r.read_all().unwrap_err().kind(), io::ErrorKind::UnexpectedEof);
     }
 
     #[test]

@@ -71,16 +71,6 @@ fn many_workers_still_correct() {
 }
 
 #[test]
-fn sketch_level_parallelism_still_correct() {
-    let dataset = Dataset::kron(7);
-    let mut config = GzConfig::in_ram(dataset.num_vertices);
-    config.num_workers = 2;
-    config.group_threads = 3;
-    let (truth, labels, _) = run_dataset(&dataset, config, 5);
-    assert_eq!(labels, truth);
-}
-
-#[test]
 fn on_disk_pipeline_matches_oracle() {
     let dataset = Dataset::kron(7);
     let dir = TempDir::new("gz-e2e");

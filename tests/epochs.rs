@@ -181,7 +181,7 @@ fn dropped_epochs_stop_capturing() {
 
     let epoch = gz.begin_epoch().expect("seal");
     let second = gz.begin_epoch().expect("second seal");
-    assert!(second.id() > epoch.id(), "epoch ids are monotonic");
+    assert!(second.epoch_ids() > epoch.epoch_ids(), "epoch ids are monotonic");
     drop(epoch);
     drop(second);
 

@@ -117,23 +117,6 @@ fn worker_counts_equivalent() {
 }
 
 #[test]
-fn group_threads_equivalent() {
-    let (v, updates) = shared_stream();
-    let mut g1 = GzConfig::in_ram(v);
-    g1.group_threads = 1;
-    let reference = state_and_labels(g1, &updates);
-    let mut g4 = GzConfig::in_ram(v);
-    g4.group_threads = 4;
-    assert_eq!(reference, state_and_labels(g4, &updates));
-    // The grouped path is store-agnostic: it merges its delta into a disk
-    // group exactly as it does into a RAM node.
-    let dir = TempDir::new("gz-equiv-disk-grouped");
-    let mut disk_g3 = starved_disk(v, &dir);
-    disk_g3.group_threads = 3;
-    assert_eq!(reference, state_and_labels(disk_g3, &updates));
-}
-
-#[test]
 fn update_order_irrelevant() {
     // Linearity: any permutation of the same update multiset yields the
     // same sketches, hence the same answers.
@@ -435,7 +418,7 @@ fn in_place_flush_bit_identical_to_the_queue_route() {
     // and sharded, whether the shards are in this process (applied in place)
     // or behind sockets (sent as batches). So must a gutter tree three levels
     // deep (the pool claims level 2) and one level deep (fan-out ≥ V: the
-    // root is partitioned in RAM), single-node — the only place a tree runs.
+    // root is partitioned in RAM), as the router lane of every fleet.
     let (v, updates) = shared_stream();
     let mut queue_only = GzConfig::in_ram(v);
     queue_only.buffering = BufferStrategy::LeafOnly { capacity: GutterCapacity::Updates(1) };
@@ -494,10 +477,6 @@ fn in_place_flush_bit_identical_to_the_queue_route() {
             config.store = store_in(&dir, on_disk);
             config.sketch_threshold = tau;
             config.buffering = buffering(&dir);
-            let router_capacity = match config.buffering {
-                BufferStrategy::LeafOnly { capacity } => Some(capacity),
-                BufferStrategy::GutterTree { .. } => None,
-            };
             let what =
                 format!("{workers} workers, disk {on_disk}, tau {tau}, {:?}", config.buffering);
             let mut gz = ingested(config, &updates);
@@ -508,7 +487,6 @@ fn in_place_flush_bit_identical_to_the_queue_route() {
             assert_eq!(counters.records(), 2 * updates.len() as u64, "single node, {what}");
             same_answer(gz.spanning_forest().expect("query"), &format!("single node, {what}"));
 
-            let Some(capacity) = router_capacity else { continue };
             for (shards, transport) in fleets {
                 let what = format!("{shards} shards over {transport:?}, {what}");
                 let dir = TempDir::new("gz-equiv-inplace-shards");
@@ -516,7 +494,7 @@ fn in_place_flush_bit_identical_to_the_queue_route() {
                 config.workers_per_shard = workers;
                 config.store = store_in(&dir, on_disk);
                 config.sketch_threshold = tau;
-                config.router_capacity = capacity;
+                config.buffering = buffering(&dir);
                 let mut gz = sharded_system(config, transport);
                 for upd in &updates {
                     gz.update(upd.u, upd.v, upd.kind == UpdateKind::Delete).expect("routed update");
@@ -1033,4 +1011,44 @@ fn streaming_cc_baseline_agrees_with_graphzeppelin() {
         scc.update(upd.u, upd.v, upd.kind == UpdateKind::Delete);
     }
     assert_eq!(scc.connected_components().unwrap(), gz_labels);
+}
+
+#[test]
+fn the_facade_digests_are_pinned_on_a_fixed_stream() {
+    // A fixed stream of inserts and deletes over 100 vertices, through the
+    // facade's three stock shapes: leaf gutters into RAM, a gutter tree into
+    // a disk store, and the hybrid store. The state digest and the graph
+    // digest's fingerprint are the values this stream gave before the
+    // facade ran on a shard: moving either means the facade's bytes moved.
+    let n = 100u64;
+    let mut x = 0x2545_F491u32;
+    let mut present = std::collections::HashSet::new();
+    let mut stream = Vec::new();
+    while stream.len() < 3000 {
+        x ^= x << 13;
+        x ^= x >> 17;
+        x ^= x << 5;
+        let (u, v) = (x % n as u32, (x >> 8) % n as u32);
+        if u != v {
+            let deleted = !present.insert((u.min(v), u.max(v)));
+            if deleted {
+                present.remove(&(u.min(v), u.max(v)));
+            }
+            stream.push((u, v, deleted));
+        }
+    }
+    let dir = TempDir::new("gz-equiv-pinned");
+    let mut hybrid = GzConfig::in_ram(n);
+    hybrid.sketch_threshold = 8;
+    for config in [GzConfig::in_ram(n), GzConfig::on_disk(n, dir.path().to_path_buf()), hybrid] {
+        let what = format!("{:?} into {:?}", config.buffering, config.store);
+        let mut gz = GraphZeppelin::new(config).expect("valid config");
+        gz.ingest(stream.iter().copied());
+        assert_eq!(
+            gz.state_digest().expect("state digest"),
+            0x9D09_C49B_80B6_5AE6,
+            "{what}: state digest"
+        );
+        assert_eq!(gz.graph_digest().fingerprint(), 0x45A7_155B_6EA1_DC8C, "{what}: graph digest");
+    }
 }
