@@ -187,6 +187,7 @@ impl GzConfig {
     /// Validate invariants the system relies on.
     pub fn validate(&self) -> Result<(), GzError> {
         check_sketch_fields(self.num_nodes, self.rounds(), self.num_columns)
+            .and_then(|()| check_buffering(&self.buffering))
             .map_err(GzError::InvalidConfig)?;
         if self.num_workers == 0 {
             return Err(GzError::InvalidConfig("need at least one Graph Worker".into()));
@@ -217,6 +218,18 @@ pub(crate) fn check_sketch_fields(num_nodes: u64, rounds: u32, columns: u32) -> 
         return Err(format!("columns {columns} outside [1, {MAX_COLUMNS}]"));
     }
     Ok(())
+}
+
+/// The bound on the buffering fields, checked by both configs' `validate`:
+/// a gutter tree's fan-out is at least two (a one-child level would never
+/// narrow the records down to a leaf).
+pub(crate) fn check_buffering(buffering: &BufferStrategy) -> Result<(), String> {
+    match buffering {
+        BufferStrategy::GutterTree { fanout, .. } if *fanout < 2 => {
+            Err(format!("gutter tree fan-out {fanout} is below 2"))
+        }
+        _ => Ok(()),
+    }
 }
 
 /// Rounds of slack above `⌈log₂ V⌉` that [`default_rounds`] provisions.
@@ -298,6 +311,32 @@ mod tests {
         assert_eq!(capped_at_host(1), 1);
         let c = GzConfig::in_ram(64);
         assert_eq!(c.num_workers, cores.min(4), "default Graph Workers never oversubscribe");
+    }
+
+    #[test]
+    fn a_gutter_tree_fanout_below_two_is_refused() {
+        let dir = gz_testutil::TempDir::new("gz-config-fanout");
+        for fanout in [0, 1] {
+            let mut c = GzConfig::on_disk(64, dir.path().to_path_buf());
+            let BufferStrategy::GutterTree { fanout: f, .. } = &mut c.buffering else {
+                panic!("on_disk buffers in a gutter tree")
+            };
+            *f = fanout;
+            let mut shard = crate::ShardConfig::in_ram(64, 2);
+            shard.buffering = c.buffering.clone();
+            for refused in [
+                c.validate(),
+                crate::GraphZeppelin::new(c).map(drop),
+                shard.validate(),
+                crate::ShardedGraphZeppelin::in_process(shard).map(drop),
+            ] {
+                match refused {
+                    Err(GzError::InvalidConfig(why)) => assert!(why.contains("fan-out"), "{why}"),
+                    other => panic!("fan-out {fanout}: {other:?}"),
+                }
+            }
+        }
+        assert_eq!(std::fs::read_dir(dir.path()).unwrap().count(), 0, "nothing was built");
     }
 
     #[test]

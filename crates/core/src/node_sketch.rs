@@ -157,9 +157,22 @@ impl SketchParams {
         self.families.iter().map(|f| f.geometry().cube_sketch_bytes()).sum()
     }
 
-    /// Serialized size of one node sketch (for the disk store layout).
+    /// Serialized size of one node sketch: the paper's 12 bytes a bucket,
+    /// what checkpoints, frames and digests hold.
     pub fn node_sketch_serialized_bytes(&self) -> usize {
         self.families.iter().map(|f| CubeSketch::<Xxh64Hasher>::serialized_size(f.geometry())).sum()
+    }
+
+    /// Resident size of one node sketch ([`NodeSketch::payload_bytes`]):
+    /// what the disk store's file holds a node.
+    pub fn node_sketch_resident_bytes(&self) -> usize {
+        self.families.iter().map(|f| f.payload_bytes()).sum()
+    }
+
+    /// Resident size of the round-`round` slice of a node sketch
+    /// ([`CubeSketch::append_words`]).
+    pub fn round_resident_bytes(&self, round: usize) -> usize {
+        self.families[round].payload_bytes()
     }
 
     /// Serialize a node sketch into `out` (rounds concatenated).
@@ -172,12 +185,6 @@ impl SketchParams {
     /// Serialized size of the round-`round` slice of a node sketch.
     pub fn round_serialized_bytes(&self, round: usize) -> usize {
         CubeSketch::<Xxh64Hasher>::serialized_size(self.families[round].geometry())
-    }
-
-    /// Byte offset of round `round` within a serialized node sketch (the
-    /// rounds-concatenated layout of [`Self::serialize_node_sketch`]).
-    pub fn round_serialized_offset(&self, round: usize) -> usize {
-        (0..round).map(|r| self.round_serialized_bytes(r)).sum()
     }
 
     /// Serialize only the round-`round` slice of a node sketch — the unit
@@ -340,15 +347,16 @@ mod tests {
         s.update_signed(update_index(5, 30, 32), 1);
         let mut whole = Vec::new();
         p.serialize_node_sketch(&s, &mut whole);
+        let mut off = 0;
         for r in 0..s.num_rounds() {
-            let off = p.round_serialized_offset(r);
             let len = p.round_serialized_bytes(r);
             let mut slice = Vec::new();
             p.serialize_round(&s, r, &mut slice);
             assert_eq!(&whole[off..off + len], &slice[..], "round {r}");
             assert_eq!(p.deserialize_round(r, &slice).query(), s.sample_round(r));
+            off += len;
         }
-        assert_eq!(p.round_serialized_offset(s.num_rounds()), whole.len());
+        assert_eq!(off, whole.len());
     }
 
     /// The golden batch: 200 toggles of node 5's edges over its 63 possible
@@ -471,7 +479,8 @@ mod tests {
         let (mut got, mut whole) = (Vec::new(), Vec::new());
         p_fewer.serialize_node_sketch(&s_fewer, &mut got);
         p_more.serialize_node_sketch(&s_more, &mut whole);
-        assert_eq!(got.len(), p_more.round_serialized_offset(fewer as usize));
+        let prefix: usize = (0..fewer as usize).map(|r| p_more.round_serialized_bytes(r)).sum();
+        assert_eq!(got.len(), prefix);
         assert_eq!(got[..], whole[..got.len()]);
     }
 

@@ -153,6 +153,7 @@ impl ShardConfig {
     /// Validate invariants the subsystem relies on.
     pub fn validate(&self) -> Result<(), GzError> {
         crate::config::check_sketch_fields(self.num_nodes, self.rounds(), self.num_columns)
+            .and_then(|()| crate::config::check_buffering(&self.buffering))
             .map_err(GzError::InvalidConfig)?;
         if self.num_shards == 0 {
             return Err(GzError::InvalidConfig("need at least one shard".into()));

@@ -1,18 +1,24 @@
 //! File-backed sketch store: the paper's "sketches on SSD" deployment.
 //!
-//! Node sketches are serialized at fixed offsets in a pre-allocated file,
+//! Node sketches sit at fixed offsets in a pre-allocated scratch file,
 //! grouped into *node groups* of `max(1, B/sketch_size)` nodes stored
-//! contiguously (paper §4.1) so one block access moves a whole group. A
-//! bounded LRU cache of deserialized groups stands in for the paper's RAM
-//! budget `M`; evictions write dirty groups back. Every file access is
-//! recorded in [`IoStats`], which is how the experiment suite measures the
-//! hybrid-model I/O claims instead of relying on cgroup-forced swap.
+//! contiguously (paper §4.1) so one block access moves a whole group;
+//! `sketch_size` is the serialized (paper-model) size, so the geometry is
+//! the paper's. The file holds each sketch's resident words
+//! ([`gz_sketch::cube::CubeSketch::append_words`]: 8 bytes a bucket below
+//! `2^32`, 12 above), so a fault copies words in and a write-back copies
+//! them out — no codec. Nothing else reads the file, and it is deleted on
+//! drop; checkpoints and frames serialize the paper's model. A bounded LRU
+//! cache of loaded groups stands in for the paper's RAM budget `M`;
+//! evictions write dirty groups back. Every file access is recorded in
+//! [`IoStats`], which is how the experiment suite measures the hybrid-model
+//! I/O claims instead of relying on cgroup-forced swap.
 //!
 //! Graph Workers apply batches in parallel (DESIGN.md §13, "Concurrency
 //! model"). The batch kernel runs into a pooled scratch sketch with no lock
 //! held; the one global lock (`CacheState`'s) covers bookkeeping only —
 //! map lookup, LRU touch, victim choice; and everything that costs time —
-//! the faulted group's read and decode, a victim's encode and write, the
+//! the faulted group's read and copy-in, a victim's copy-out and write, the
 //! XOR-merge of a delta — happens under the lock of the one group it
 //! concerns. Lock order: sparse table → cache map → group entry.
 //!
@@ -69,17 +75,17 @@ fn write_at(file: &File, offset: u64, bytes: &[u8], io: &IoStats) -> std::io::Re
     Ok(())
 }
 
-/// One cached node group. Whoever holds the lock owns the group's decoded
+/// One cached node group. Whoever holds the lock owns the group's loaded
 /// sketches: the worker faulting it in, a worker merging a delta, the
 /// worker evicting it, or a flush writing it back.
 type GroupEntry = Mutex<GroupState>;
 
 struct GroupState {
-    /// The group's decoded sketches once `loaded`; before that, whatever
-    /// the evicted group that donated the allocation left behind.
+    /// The group's sketches once `loaded`; before that, whatever the
+    /// evicted group that donated the allocation left behind.
     sketches: Vec<CubeNodeSketch>,
     /// False from insertion into the map until the first holder of the
-    /// lock has read and decoded the group — so two workers wanting the
+    /// lock has read the group in — so two workers wanting the
     /// same absent group cause one read: the second finds it loaded.
     loaded: bool,
     dirty: bool,
@@ -160,7 +166,7 @@ impl RoundClaims<'_> {
 #[cfg(test)]
 #[derive(Default)]
 struct CacheProbe {
-    /// Most decoded groups ever held at once (cached + being written back).
+    /// Most loaded groups ever held at once (cached + being written back).
     resident_peak: std::sync::atomic::AtomicUsize,
     /// Misses (entries inserted into the map); each must cost one read.
     faults: std::sync::atomic::AtomicU64,
@@ -185,7 +191,7 @@ pub struct DiskStore {
     path: PathBuf,
     /// Nodes per group.
     group_size: u32,
-    /// Serialized bytes per node sketch.
+    /// File bytes per node sketch: its resident words.
     node_bytes: usize,
     /// Maximum groups held in RAM.
     cache_capacity: usize,
@@ -224,8 +230,8 @@ pub struct DiskStore {
 
 impl DiskStore {
     /// Create the store, pre-allocating the backing file with all-zero
-    /// sketches (a fresh CubeSketch serializes to all zero bytes, so a
-    /// zero-filled file *is* the empty store).
+    /// sketches (a fresh CubeSketch's words are all zero, so a zero-filled
+    /// file *is* the empty store).
     pub fn new(
         params: Arc<SketchParams>,
         path: PathBuf,
@@ -261,10 +267,11 @@ impl DiskStore {
         cache_groups: usize,
         threshold: u32,
     ) -> std::io::Result<Self> {
-        let node_bytes = params.node_sketch_serialized_bytes();
+        let serialized = params.node_sketch_serialized_bytes();
+        let node_bytes = params.node_sketch_resident_bytes();
         let num_slots = node_set.len() as u64;
         let group_size =
-            ((block_bytes / node_bytes.max(1)).max(1) as u64).min(num_slots.max(1)).max(1) as u32;
+            ((block_bytes / serialized.max(1)).max(1) as u64).min(num_slots.max(1)).max(1) as u32;
         let num_groups = (num_slots as u32).div_ceil(group_size);
 
         let file = std::fs::OpenOptions::new()
@@ -342,7 +349,7 @@ impl DiskStore {
     /// *adjacent* dirty group ids into single contiguous writes (their file
     /// regions abut, so one larger write is equivalent) of at most
     /// [`WRITEBACK_RUN_BYTES`] each — or one group, when a group is larger —
-    /// encoded into this thread's one I/O buffer, so a write-back holds one
+    /// copied into this thread's one I/O buffer, so a write-back holds one
     /// run, never the whole dirty cache; then run `sealed` while still
     /// holding the cache lock and the lock of every cached group, i.e. with
     /// all merges shut out. Shared by [`Self::flush`] and
@@ -365,7 +372,7 @@ impl DiskStore {
             for (group, state) in held.iter().filter(|(_, state)| state.dirty) {
                 let offset = self.group_offset(*group);
                 // Adjacent in the file iff the run ends exactly at this
-                // group's offset (every non-final group encodes to the full
+                // group's offset (every non-final group fills the full
                 // `group_size × node_bytes` region).
                 let adjacent = start + run.len() as u64 == offset;
                 let fits =
@@ -377,7 +384,7 @@ impl DiskStore {
                     run.clear();
                     start = offset;
                 }
-                self.encode_group_into(&state.sketches, &mut run);
+                self.copy_group_out(&state.sketches, &mut run);
             }
             if run.is_empty() {
                 return Ok(());
@@ -448,39 +455,39 @@ impl DiskStore {
         (self.node_set.len() as u32 - start).min(self.group_size)
     }
 
-    /// Append a group block to `out`: round-major over the group's `k`
-    /// nodes (see the module docs — this is what makes a round slice
+    /// Append a group block to `out`: the words of the group's `k` nodes,
+    /// round-major (see the module docs — this is what makes a round slice
     /// contiguous).
-    fn encode_group_into(&self, sketches: &[CubeNodeSketch], out: &mut Vec<u8>) {
+    fn copy_group_out(&self, sketches: &[CubeNodeSketch], out: &mut Vec<u8>) {
         for r in 0..self.params.rounds() {
             for s in sketches {
-                self.params.serialize_round(s, r, out);
+                s.round(r).append_words(out);
             }
         }
     }
 
-    /// Decode a round-major group block of `k` nodes over `sketches`,
-    /// reusing whatever node sketches the vector already holds.
-    fn decode_group_into(&self, bytes: &[u8], k: usize, sketches: &mut Vec<CubeNodeSketch>) {
+    /// Copy a round-major group block of `k` nodes over `sketches`, reusing
+    /// whatever node sketches the vector already holds.
+    fn copy_group_in(&self, bytes: &[u8], k: usize, sketches: &mut Vec<CubeNodeSketch>) {
         sketches.resize_with(k, || self.params.new_node_sketch());
         let mut base = 0;
         for r in 0..self.params.rounds() {
-            let rb = self.params.round_serialized_bytes(r);
+            let rb = self.params.round_resident_bytes(r);
             for sketch in sketches.iter_mut() {
-                sketch.rounds_mut()[r].overwrite_from(&bytes[base..base + rb]);
+                sketch.rounds_mut()[r].load_words(&bytes[base..base + rb]);
                 base += rb;
             }
         }
     }
 
-    /// Read `group` from the file and decode it over `sketches`.
+    /// Read `group` from the file and copy it over `sketches`.
     fn load_group(&self, group: u32, sketches: &mut Vec<CubeNodeSketch>) -> std::io::Result<()> {
         let k = self.nodes_in_group(group) as usize;
         GROUP_IO_BUF.with(|buf| {
             let mut bytes = buf.borrow_mut();
             bytes.resize(k * self.node_bytes, 0);
             read_at(&self.file, self.group_offset(group), &mut bytes, &self.io)?;
-            self.decode_group_into(&bytes, k, sketches);
+            self.copy_group_in(&bytes, k, sketches);
             Ok(())
         })
     }
@@ -489,7 +496,7 @@ impl DiskStore {
         GROUP_IO_BUF.with(|buf| {
             let mut bytes = buf.borrow_mut();
             bytes.clear();
-            self.encode_group_into(sketches, &mut bytes);
+            self.copy_group_out(sketches, &mut bytes);
             write_at(&self.file, self.group_offset(group), &bytes, &self.io)
         })
     }
@@ -499,15 +506,17 @@ impl DiskStore {
     /// data (round-major layout).
     fn round_slice(&self, group: u32, round: usize) -> (u64, usize) {
         let k = self.nodes_in_group(group) as usize;
-        let offset =
-            self.group_offset(group) + (k * self.params.round_serialized_offset(round)) as u64;
-        (offset, k * self.params.round_serialized_bytes(round))
+        let before: usize = (0..round).map(|r| self.params.round_resident_bytes(r)).sum();
+        (
+            self.group_offset(group) + (k * before) as u64,
+            k * self.params.round_resident_bytes(round),
+        )
     }
 
     /// Hand `claims`' consumer the round slice of each of `group`'s live
     /// nodes: borrowed from `sealed`, an epoch's captured pre-image of the
-    /// group, when there is one, and otherwise deserialized from `bytes`,
-    /// the group's round slice as read from the file. Slots in
+    /// group, when there is one, and otherwise copied from `bytes`, the
+    /// group's round slice as read from the file. Slots in
     /// `claims.skip` are never emitted: their file bytes and pre-image
     /// entries are all-zero padding, not their state, which the sparse
     /// pass serves instead.
@@ -520,7 +529,7 @@ impl DiskStore {
         emit: &mut dyn FnMut(u32, Cow<'_, CubeRoundSketch>),
     ) {
         let round = claims.round;
-        let round_bytes = self.params.round_serialized_bytes(round);
+        let round_bytes = self.params.round_resident_bytes(round);
         let start = (group * self.group_size) as usize;
         for i in 0..self.nodes_in_group(group) as usize {
             let node = self.node_set.node(start + i);
@@ -531,10 +540,11 @@ impl DiskStore {
                 node,
                 match sealed {
                     Some(pre) => Cow::Borrowed(pre[i].round(round)),
-                    None => Cow::Owned(
-                        self.params
-                            .deserialize_round(round, &bytes[i * round_bytes..][..round_bytes]),
-                    ),
+                    None => {
+                        let mut slice = self.params.families[round].new_sketch();
+                        slice.load_words(&bytes[i * round_bytes..][..round_bytes]);
+                        Cow::Owned(slice)
+                    }
                 },
             );
         }
@@ -563,7 +573,7 @@ impl DiskStore {
 
     /// Run `f` with mutable access to a cached group, faulting it in (and
     /// possibly evicting least-recently-used groups) first. Only `group`'s
-    /// own lock is held while the group is read, decoded and handed to `f`;
+    /// own lock is held while the group is read in and handed to `f`;
     /// workers on different groups do all of that side by side.
     fn with_group<R>(
         &self,
@@ -626,7 +636,7 @@ impl DiskStore {
     /// is in use, in which case the new group goes in over budget and a
     /// later miss evicts for it). Each victim is written back with the
     /// cache lock released and this worker holding nothing else, so the
-    /// decoded groups in existence never exceed `cache_groups` plus one per
+    /// loaded groups in existence never exceed `cache_groups` plus one per
     /// worker: every group is cached-and-idle (at most `cache_groups` of
     /// those once any miss completes), in use by a worker, or a victim in a
     /// worker's hands — and a worker holds one or the other, never both.
@@ -804,7 +814,7 @@ impl DiskStore {
     /// next group from the shared cursor, serve it from its sealed
     /// pre-image if the overlay captured one, read its round slice
     /// otherwise, and hand every live dense node's slice to `emit` —
-    /// borrowed from a pre-image, owned when deserialized from the file.
+    /// borrowed from a pre-image, owned when copied from the file.
     /// Which claimant gets which group is scheduling-dependent; consumers
     /// fold by XOR, so it never shows in a result.
     ///
@@ -886,7 +896,7 @@ impl DiskStore {
     /// Upper bound on sketch bytes the round stream holds resident at once
     /// when read by `threads` query workers: each holds one group's slice.
     pub fn round_stream_resident_bytes(&self, round: usize, threads: usize) -> usize {
-        threads * self.group_size as usize * self.params.round_serialized_bytes(round)
+        threads * self.group_size as usize * self.params.round_resident_bytes(round)
     }
 
     /// Clone out every owned node sketch, indexed by slot (a full scan
@@ -924,7 +934,8 @@ impl DiskStore {
         &self,
         f: &mut dyn FnMut(u32, &[u8]) -> std::io::Result<()>,
     ) -> std::io::Result<()> {
-        let mut bytes = Vec::with_capacity(self.group_size as usize * self.node_bytes);
+        let node_bytes = self.params.node_sketch_serialized_bytes();
+        let mut bytes = Vec::with_capacity(self.group_size as usize * node_bytes);
         for group in 0..self.num_groups() {
             let start = (group * self.group_size) as usize;
             bytes.clear();
@@ -944,8 +955,8 @@ impl DiskStore {
                     }
                 })?;
             }
-            for (i, node_bytes) in bytes.chunks_exact(self.node_bytes).enumerate() {
-                f(self.node_set.node(start + i), node_bytes)?;
+            for (i, node) in bytes.chunks_exact(node_bytes).enumerate() {
+                f(self.node_set.node(start + i), node)?;
             }
         }
         Ok(())
@@ -975,7 +986,8 @@ impl DiskStore {
         }
     }
 
-    /// Total sketch payload bytes (the on-disk footprint, owned nodes only).
+    /// Total sketch bytes of the owned nodes under the paper's 12-byte
+    /// model (the file holds the resident words, 2/3 of it below `2^32`).
     pub fn sketch_bytes(&self) -> usize {
         self.params.node_sketch_bytes() * self.node_set.len()
     }
@@ -1212,7 +1224,7 @@ mod tests {
     #[test]
     fn round_slice_is_the_contiguous_column_of_the_group() {
         // Raw-file check of the round-major layout: the bytes in the region
-        // a round stream asks for must be exactly the round-r serialization
+        // a round stream asks for must be exactly the round-r resident words
         // of each node in the group, in slot order.
         let (s, _t) = make("layout", 12, 1 << 20, 4); // one group of 12
         assert_eq!(s.num_groups(), 1);
@@ -1225,10 +1237,10 @@ mod tests {
             let (offset, len) = s.round_slice(0, round);
             let mut slice = vec![0u8; len];
             s.file.read_exact_at(&mut slice, offset).unwrap();
-            let rb = s.params().round_serialized_bytes(round);
+            let rb = s.params().round_resident_bytes(round);
             let mut expected = Vec::new();
             for sk in snap.iter() {
-                s.params().serialize_round(sk.as_ref().unwrap(), round, &mut expected);
+                sk.as_ref().unwrap().round(round).append_words(&mut expected);
             }
             assert_eq!(slice.len(), 12 * rb);
             assert_eq!(slice, expected, "round {round}");
@@ -1313,7 +1325,7 @@ mod tests {
                 assert_eq!(reads - reads_before, 15, "{threads} threads, round {round}");
                 assert_eq!(
                     bytes_read - bytes_before,
-                    15 * s.params().round_serialized_bytes(round) as u64,
+                    15 * s.params().round_resident_bytes(round) as u64,
                     "{threads} threads, round {round}"
                 );
 
@@ -1566,7 +1578,7 @@ mod tests {
         for node in 0..8u32 {
             s.apply_batch(node, &[encode_other(node + 8, false)]);
         }
-        let node_bytes = s.params().node_sketch_serialized_bytes() as u64;
+        let node_bytes = s.params().node_sketch_resident_bytes() as u64;
         let (_, writes_before, _, bytes_before) = s.io_stats().snapshot();
         s.flush().unwrap();
         let (_, writes, _, bytes_written) = s.io_stats().snapshot();
@@ -1591,10 +1603,11 @@ mod tests {
 
     #[test]
     fn writeback_runs_stop_at_the_run_cap() {
-        // Eight-node groups of ≈ 79 KiB, all 32 dirty and adjacent: one run
-        // holds `WRITEBACK_RUN_BYTES / group_bytes` (13) of them, so the
-        // flush is exactly `ceil(32 / groups_per_run)` writes of exactly the
-        // dirty bytes — never one write of the whole dirty cache.
+        // Eight-node groups of ≈ 53 KiB of words (≈ 79 KiB serialized), all
+        // 32 dirty and adjacent: one run holds `WRITEBACK_RUN_BYTES /
+        // group_bytes` (19) of them, so the flush is exactly `ceil(32 /
+        // groups_per_run)` writes of exactly the dirty bytes — never one
+        // write of the whole dirty cache.
         let params = Arc::new(SketchParams::new(256, 8, 7, 7));
         let block = 8 * params.node_sketch_serialized_bytes();
         let path = tmp("run-cap");
@@ -1609,7 +1622,8 @@ mod tests {
             s.apply_batch(node, &batch);
             reference.apply_batch(node, &batch);
         }
-        let group_bytes = block as u64;
+        let group_bytes = 8 * params.node_sketch_resident_bytes() as u64;
+        assert_eq!(3 * group_bytes, 2 * block as u64, "a bucket is 8 bytes, not 12");
         let groups_per_run = (WRITEBACK_RUN_BYTES as u64 / group_bytes).max(1);
         assert!(groups_per_run < 32, "the dirty groups must outgrow one run");
         let (_, writes_before, _, bytes_before) = s.io_stats().snapshot();
@@ -1643,6 +1657,49 @@ mod tests {
         let _epoch = s.begin_epoch().unwrap();
         let (_, writes, _, _) = s.io_stats().snapshot();
         assert_eq!(writes - writes_before, 1, "seal write-back of groups 4..9 is one run");
+    }
+
+    #[test]
+    fn a_wide_family_survives_eviction_and_refault() {
+        // Past 2^32 a bucket keeps its α-high word as well: 12 resident bytes,
+        // and the file holds that plane too. Five strided nodes of a
+        // 100 000-vertex graph, one a group, one group cached, so every
+        // batch evicts a dirty group and a later one refaults it: the state
+        // must come back from the file as a RAM store holds it.
+        use crate::config::LockingStrategy;
+        use crate::store::{ram::RamStore, SketchStore};
+        let v = 100_000u64;
+        let params = Arc::new(SketchParams::new(v, 3, 3, 7));
+        assert!(params.families[0].geometry().vector_len >= 1 << 32);
+        assert_eq!(params.node_sketch_resident_bytes(), params.node_sketch_serialized_bytes());
+        let owned = NodeSet::strided(v, 3, 20_000);
+        let path = tmp("wide");
+        let disk =
+            DiskStore::for_nodes(Arc::clone(&params), owned, path.to_path_buf(), 1, 1).unwrap();
+        assert_eq!((disk.group_size(), disk.num_groups()), (1, 5));
+        let ram = RamStore::for_nodes(Arc::clone(&params), LockingStrategy::Direct, owned);
+        for i in 0..40u32 {
+            let node = owned.node(i as usize % owned.len());
+            // Neighbours above 70 000 give the nodes above it edge indices
+            // past 2^32.
+            let batch: Vec<u32> = (0..6u32)
+                .map(|j| 70_000 + (i * 7_919 + j * 10_477) % 30_000)
+                .chain([(i * 2_003) % 70_000])
+                .filter(|&other| other != node)
+                .map(|other| encode_other(other, false))
+                .collect();
+            disk.apply_batch(node, &batch);
+            ram.apply_batch(node, &batch);
+        }
+        assert!(disk.io_stats().reads() > 5, "groups were refaulted");
+        let (want, got) =
+            (serialized(&params, ram.snapshot()), serialized(&params, disk.snapshot()));
+        let buckets = params.families[0].geometry().num_buckets();
+        let high_word = |stack: &Vec<u8>| stack[..buckets * 8].chunks(8).any(|a| a[4..] != [0; 4]);
+        assert!(want.iter().any(high_word), "some α uses its high word");
+        assert_eq!(got, want, "snapshot");
+        let (disk, ram) = (SketchStore::Disk(disk), SketchStore::Ram(ram));
+        assert_eq!(disk.state_digest().unwrap(), ram.state_digest().unwrap(), "state digest");
     }
 
     /// `store`'s full state, one serialized node sketch per slot.

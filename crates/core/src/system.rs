@@ -433,7 +433,7 @@ mod tests {
         // One query worker: an accumulator per vertex at most, plus one
         // window of group slices, which the cache budget (2 groups) caps.
         let SketchStore::Disk(disk) = gz.store() else { panic!("configured on disk") };
-        let slice = gz.params().round_serialized_bytes(0);
+        let slice = gz.params().round_resident_bytes(0);
         let bound = 64 * slice + 2 * disk.group_size() as usize * slice;
         assert!(
             product.peak_sketch_bytes <= bound,

@@ -10,6 +10,15 @@
 //! rebalancing is ever needed (paper §4.1), and the total I/O for a stream
 //! of length `N` is `sort(N)` (Lemma 4).
 //!
+//! The depth is the least that reaches every leaf at the fan-out, except
+//! that a top internal level of at most two nodes folds into the root,
+//! which then partitions straight into the level below (at most twice the
+//! fan-out children, so each root write is still at least half a block).
+//! In the block model the root's writes then cost `n₁·N/B` blocks against
+//! the `3·N/B` of the folded level's write, read and re-write, so the fold
+//! pays exactly when its node count `n₁ ≤ 2`: 8192 leaves at fan-out 64
+//! are two levels deep, 16384 three.
+//!
 //! [`BufferTree`] is the tree alone, as [`crate::GutterSet`] is the leaf
 //! gutters alone: a full leaf goes to a sink its caller passes, the moment
 //! it fills, while the cascade that filled it is still running — so a sink
@@ -85,7 +94,8 @@ pub struct BufferTree {
     root_capacity: usize,
     /// Depth: number of hops root→leaf (≥ 1). Internal levels are 1..depth.
     depth: u32,
-    /// Per-level leaf span of one node at that level (`fanout^(depth-k)`).
+    /// Per-level leaf span of one node at that level: every leaf at the
+    /// root (level 0), `fanout^(depth-k)` below it.
     level_span: Vec<u64>,
     /// Flattened internal-node fill counts (levels 1..depth).
     internal_fill: Vec<usize>,
@@ -106,20 +116,27 @@ impl BufferTree {
         let leaves = config.num_nodes as u64;
         let fanout = config.fanout as u64;
 
-        // depth = smallest d ≥ 1 with fanout^d ≥ leaves.
+        // depth = smallest d ≥ 1 with fanout^d ≥ leaves, less a top level of
+        // at most two nodes (`leaves ≤ 2·fanout^(d-1)`), folded into the root
+        // (see the module docs).
         let mut depth = 1u32;
-        let mut reach = fanout;
-        while reach < leaves {
-            reach = reach.saturating_mul(fanout);
+        let mut below_top = 1u64; // fanout^(depth-1)
+        while below_top.saturating_mul(fanout) < leaves {
+            below_top = below_top.saturating_mul(fanout);
             depth += 1;
         }
+        if depth > 1 && leaves <= below_top.saturating_mul(2) {
+            depth -= 1;
+        }
 
-        // level_span[k] = leaves covered by one node at level k (k=0 root).
+        // level_span[k] = leaves covered by one node at level k; the root
+        // covers them all.
         let mut level_span = vec![0u64; depth as usize + 1];
         level_span[depth as usize] = 1;
-        for k in (0..depth as usize).rev() {
+        for k in (1..depth as usize).rev() {
             level_span[k] = level_span[k + 1].saturating_mul(fanout);
         }
+        level_span[0] = leaves;
 
         // Internal levels 1..depth: node counts and bases.
         let mut level_base = Vec::new();
@@ -804,6 +821,65 @@ mod tests {
             tree.insert(nodes - 1, 7);
             tree.force_flush();
             assert_eq!(drain(&queue), HashMap::from([(nodes - 1, vec![7])]));
+        }
+    }
+
+    #[test]
+    fn a_top_level_of_at_most_two_nodes_folds_into_the_root() {
+        let shape = |leaves: u32, path: &gz_testutil::TempPath| GutterTreeConfig {
+            num_nodes: leaves,
+            leaf_capacity_updates: 64,
+            buffer_bytes: 512 * RECORD_BYTES,
+            fanout: 64,
+            path: path.to_path_buf(),
+        };
+        // Up to 2·fan-out leaves the root partitions straight into them; one
+        // more and a level returns.
+        for (leaves, depth) in
+            [(64, 1), (128, 1), (129, 2), (4096, 2), (8192, 2), (8193, 3), (16384, 3)]
+        {
+            let path = tmp("fold");
+            let tree = BufferTree::new(shape(leaves, &path), Arc::new(IoStats::new())).unwrap();
+            assert_eq!(tree.depth(), depth, "{leaves} leaves");
+        }
+
+        // 4096 records, eight root flushes, over distinct leaves: no leaf
+        // fills and, at 8192 leaves, no last-level node overflows, so every
+        // record is written once, 8 bytes, into the last level — not a
+        // second time after crossing a two-node level above it.
+        let n = 4096u32;
+        let pool = WorkerPool::new(4);
+        for leaves in [128u32, 8192, 16384] {
+            let expected: HashMap<u32, Vec<u32>> =
+                (0..n).map(|i| ((i * 37) % leaves, i)).fold(HashMap::new(), |mut m, (dst, o)| {
+                    m.entry(dst).or_default().push(o);
+                    m
+                });
+            let fed = |path: &gz_testutil::TempPath| {
+                let queue = Arc::new(WorkQueue::with_capacity(1 << 16));
+                let mut tree = GutterTree::new(shape(leaves, path), Arc::clone(&queue)).unwrap();
+                for i in 0..n {
+                    tree.insert((i * 37) % leaves, i);
+                }
+                (tree, queue)
+            };
+            let path = tmp("fold-flush");
+            let (mut tree, queue) = fed(&path);
+            if leaves == 8192 {
+                assert_eq!(tree.stats().bytes_written(), 8 * n as u64, "written once, 8 bytes");
+            }
+            tree.force_flush();
+            assert_eq!(drain(&queue), expected, "{leaves} leaves: force_flush");
+
+            let path = tmp("fold-in-place");
+            let (mut tree, queue) = fed(&path);
+            let applied = parking_lot::Mutex::new(HashMap::new());
+            let apply = |leaf: u32, records: &[u32]| {
+                assert!(applied.lock().insert(leaf, records.to_vec()).is_none(), "leaf {leaf}");
+            };
+            in_place(&mut tree, &pool, &apply);
+            assert!(queue.is_empty());
+            assert_eq!(applied.into_inner(), expected, "{leaves} leaves: drain_in_place");
         }
     }
 

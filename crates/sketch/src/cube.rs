@@ -15,9 +15,10 @@
 //! - A bucket is one packed word, `γ << 32 | (α mod 2^32)`, plus an
 //!   `α`-high plane only where the vector is at least `2^32` long (the
 //!   geometry chooses; no option). Serialized it is the paper's model —
-//!   12 bytes, `α` as a whole `u64` then `γ` — so files, frames and digests
-//!   do not depend on the resident layout, which is 8 bytes a bucket below
-//!   `2^32`.
+//!   12 bytes, `α` as a whole `u64` then `γ` — so checkpoints, frames and
+//!   digests do not depend on the resident layout, which is 8 bytes a
+//!   bucket below `2^32`. The disk store's scratch file holds the resident
+//!   words themselves ([`CubeSketch::append_words`]).
 //! - `α` accumulates `idx + 1` rather than `idx`, so the all-zero bucket
 //!   unambiguously means "empty" even when coordinate 0 is in play; queries
 //!   subtract the offset.
@@ -245,6 +246,12 @@ impl<H: Hasher64> CubeSketchFamily<H> {
     #[inline]
     fn wide(&self) -> bool {
         self.geometry.vector_len >= 1 << 32
+    }
+
+    /// Resident payload bytes of one of the family's sketches: 8 a bucket,
+    /// 12 where the family keeps the `α`-high plane.
+    pub fn payload_bytes(&self) -> usize {
+        self.geometry.num_buckets() * if self.wide() { 12 } else { 8 }
     }
 
     /// A fresh all-zero sketch of this family.
@@ -706,15 +713,46 @@ impl<H: Hasher64> CubeSketch<H> {
     /// `α`-high plane. The paper's 12-byte model is
     /// [`SketchGeometry::cube_sketch_bytes`] and [`Self::serialized_size`].
     pub fn payload_bytes(&self) -> usize {
-        self.buckets.len() * 8 + self.alpha_high.len() * 4
+        self.family.payload_bytes()
+    }
+
+    /// Append the resident words to `out`, little-endian: the packed bucket
+    /// words, then the `α`-high words where the family keeps that plane —
+    /// [`Self::payload_bytes`] bytes, copied, not encoded. The disk store's
+    /// scratch file holds these; [`Self::load_words`] copies them back.
+    pub fn append_words(&self, out: &mut Vec<u8>) {
+        let start = out.len();
+        out.resize(start + self.payload_bytes(), 0);
+        let (words, highs) = out[start..].split_at_mut(self.buckets.len() * 8);
+        for (c, w) in words.chunks_exact_mut(8).zip(self.buckets.iter()) {
+            c.copy_from_slice(&w.to_le_bytes());
+        }
+        for (c, h) in highs.chunks_exact_mut(4).zip(self.alpha_high.iter()) {
+            c.copy_from_slice(&h.to_le_bytes());
+        }
+    }
+
+    /// Overwrite the payload with words [`Self::append_words`] wrote from a
+    /// sketch of this family.
+    ///
+    /// # Panics
+    /// Panics if `bytes` is not [`Self::payload_bytes`] long.
+    pub fn load_words(&mut self, bytes: &[u8]) {
+        assert_eq!(bytes.len(), self.payload_bytes(), "resident words of another geometry");
+        let (words, highs) = bytes.split_at(self.buckets.len() * 8);
+        for (w, c) in self.buckets.iter_mut().zip(words.chunks_exact(8)) {
+            *w = u64::from_le_bytes(c.try_into().expect("chunk is 8 bytes"));
+        }
+        for (h, c) in self.alpha_high.iter_mut().zip(highs.chunks_exact(4)) {
+            *h = u32::from_le_bytes(c.try_into().expect("chunk is 4 bytes"));
+        }
     }
 
     /// Serialize the payload to `out`: the paper's 12 bytes a bucket,
     /// little-endian `α` words, then `γ` words, whatever the resident
-    /// layout. Used by the file-backed sketch store, checkpoints and the
-    /// wire. The payload's span is sized once and filled word by word in
-    /// place — the mirror of [`Self::overwrite_from`] — instead of growing
-    /// `out` one word at a time.
+    /// layout. Used by checkpoints, the wire and the state digest. The
+    /// payload's span is sized once and filled word by word in place
+    /// instead of growing `out` one word at a time.
     pub fn serialize_into(&self, out: &mut Vec<u8>) {
         let start = out.len();
         out.resize(start + Self::serialized_size(self.family.geometry), 0);
@@ -756,23 +794,9 @@ impl<H: Hasher64> CubeSketch<H> {
         Self::try_deserialize(family, bytes).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Overwrite this sketch's payload with one previously produced by
-    /// [`Self::serialize_into`] — [`Self::deserialize`] without the
-    /// allocations, for callers that recycle sketches (the disk store's
-    /// group cache decodes every faulted group into an evicted one's
-    /// buffers).
-    ///
-    /// # Panics
-    /// Panics if `bytes` does not decode under the family's geometry.
-    pub fn overwrite_from(&mut self, bytes: &[u8]) {
-        self.decode(bytes).unwrap_or_else(|e| panic!("{e}"));
-    }
-
     /// The body of every decode: bulk, via `chunks_exact`, so the bounds
-    /// checks hoist out of the loops — which matters on the disk-store
-    /// query path, where every group fault decodes a whole node group. A
-    /// narrow family's high-word check is one OR per bucket and one branch
-    /// per payload.
+    /// checks hoist out of the loops. A narrow family's high-word check is
+    /// one OR per bucket and one branch per payload.
     fn decode(&mut self, bytes: &[u8]) -> Result<(), PayloadError> {
         let (n, geometry) = (self.buckets.len(), self.family.geometry);
         if bytes.len() != Self::serialized_size(geometry) {
@@ -983,12 +1007,29 @@ mod tests {
         assert_eq!(s.buckets, t.buckets);
         assert_eq!(s.alpha_high, t.alpha_high);
         assert_eq!(t.query(), s.query());
-        // The in-place decode lands the same payload over stale contents.
-        let mut recycled = f.new_sketch();
-        recycled.update(77);
-        recycled.overwrite_from(&bytes);
-        assert_eq!(s.buckets, recycled.buckets);
-        assert_eq!(s.alpha_high, recycled.alpha_high);
+    }
+
+    #[test]
+    fn resident_words_round_trip_over_stale_contents() {
+        // Both sides of 2^32: the words are the payload, high plane and all,
+        // and a load lands them over whatever the sketch held.
+        for vector_len in [4096, 1 << 33] {
+            let f = family(vector_len, 11);
+            let mut s = f.new_sketch();
+            for i in [0u64, 1, vector_len - 1, vector_len / 2] {
+                s.update(i);
+            }
+            let mut words = vec![0xAB];
+            s.append_words(&mut words);
+            assert_eq!(words.len(), 1 + s.payload_bytes(), "{vector_len}");
+            assert_eq!(f.payload_bytes(), s.payload_bytes(), "{vector_len}");
+            let mut recycled = f.new_sketch();
+            recycled.update(77);
+            recycled.load_words(&words[1..]);
+            assert_eq!(s.buckets, recycled.buckets, "{vector_len}");
+            assert_eq!(s.alpha_high, recycled.alpha_high, "{vector_len}");
+            assert_eq!(recycled.query(), s.query(), "{vector_len}");
+        }
     }
 
     #[test]

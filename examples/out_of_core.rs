@@ -83,7 +83,15 @@ fn main() {
     let graph_zeppelin::store::SketchStore::Disk(disk) = gz.store() else {
         unreachable!("configured on disk")
     };
-    let group_bytes = disk.group_size() as usize * gz.params().node_sketch_serialized_bytes();
+    let store_file = std::fs::read_dir(&dir)
+        .expect("scratch dir")
+        .map(|entry| entry.expect("dir entry").path())
+        .find(|path| {
+            path.file_name().is_some_and(|n| n.to_string_lossy().starts_with("gz_sketches_"))
+        })
+        .expect("the disk store's backing file");
+    let file_bytes = std::fs::metadata(&store_file).expect("store file").len() as usize;
+    let group_bytes = file_bytes / disk.num_groups() as usize;
     let mib = |bytes: usize| bytes as f64 / (1 << 20) as f64;
     let peak = match (peak_reset, resident_before, gz_testutil::peak_rss_bytes()) {
         (true, Some(before), Some(peak)) => format!(
@@ -99,16 +107,17 @@ fn main() {
     println!(
         "resident: VmHWM {peak} — sketch store file {:.1} MiB, cache budget {:.1} MiB \
          ({} of {} node groups)",
-        mib(disk.num_groups() as usize * group_bytes),
+        mib(file_bytes),
         mib(cache_groups.min(disk.num_groups() as usize) * group_bytes),
         cache_groups.min(disk.num_groups() as usize),
         disk.num_groups(),
     );
     println!(
-        "\nsketch state: {:.1} MiB on disk vs {:.1} MiB for a bit-matrix of the same graph",
-        gz.sketch_bytes() as f64 / (1 << 20) as f64,
-        graph_zeppelin::size_model::adjacency_matrix_bytes(dataset.num_vertices) as f64
-            / (1 << 20) as f64,
+        "\nsketch state: {:.1} MiB in the paper's 12-byte model ({:.1} MiB in the store file) \
+         vs {:.1} MiB for a bit-matrix of the same graph",
+        mib(gz.sketch_bytes()),
+        mib(file_bytes),
+        mib(graph_zeppelin::size_model::adjacency_matrix_bytes(dataset.num_vertices) as usize),
     );
     println!(
         "(at this toy scale the explicit matrix is smaller; the sketches' \

@@ -417,8 +417,9 @@ fn in_place_flush_bit_identical_to_the_queue_route() {
     // one run) must leave the same bytes and the same answer, single-node
     // and sharded, whether the shards are in this process (applied in place)
     // or behind sockets (sent as batches). So must a gutter tree three levels
-    // deep (the pool claims level 2) and one level deep (fan-out ≥ V: the
-    // root is partitioned in RAM), as the router lane of every fleet.
+    // deep (fan-out 4: the pool claims level 2), two (fan-out 8: the level
+    // of two nodes above 128 leaves folds into the root) and one (fan-out ≥
+    // V: the root is partitioned in RAM), as the router lane of every fleet.
     let (v, updates) = shared_stream();
     let mut queue_only = GzConfig::in_ram(v);
     queue_only.buffering = BufferStrategy::LeafOnly { capacity: GutterCapacity::Updates(1) };
@@ -460,9 +461,10 @@ fn in_place_flush_bit_identical_to_the_queue_route() {
         leaf_capacity: GutterCapacity::SketchFactor(1.0),
         dir: dir.path().to_path_buf(),
     };
-    let bufferings: [&dyn Fn(&TempDir) -> BufferStrategy; 4] = [
+    let bufferings: [&dyn Fn(&TempDir) -> BufferStrategy; 5] = [
         &|_| BufferStrategy::LeafOnly { capacity: GutterCapacity::SketchFactor(0.5) },
         &|_| BufferStrategy::LeafOnly { capacity: GutterCapacity::Updates(40) },
+        &|dir| tree(4, dir),
         &|dir| tree(8, dir),
         &|dir| tree(v as usize, dir),
     ];
@@ -1013,13 +1015,9 @@ fn streaming_cc_baseline_agrees_with_graphzeppelin() {
     assert_eq!(scc.connected_components().unwrap(), gz_labels);
 }
 
-#[test]
-fn the_facade_digests_are_pinned_on_a_fixed_stream() {
-    // A fixed stream of inserts and deletes over 100 vertices, through the
-    // facade's three stock shapes: leaf gutters into RAM, a gutter tree into
-    // a disk store, and the hybrid store. The state digest and the graph
-    // digest's fingerprint are the values this stream gave before the
-    // facade ran on a shard: moving either means the facade's bytes moved.
+/// The pinned tests' fixed stream: 3000 inserts and deletes over 100
+/// vertices from a xorshift generator.
+fn pinned_stream() -> (u64, Vec<(u32, u32, bool)>) {
     let n = 100u64;
     let mut x = 0x2545_F491u32;
     let mut present = std::collections::HashSet::new();
@@ -1037,6 +1035,17 @@ fn the_facade_digests_are_pinned_on_a_fixed_stream() {
             stream.push((u, v, deleted));
         }
     }
+    (n, stream)
+}
+
+#[test]
+fn the_facade_digests_are_pinned_on_a_fixed_stream() {
+    // The pinned stream through the facade's three stock shapes: leaf
+    // gutters into RAM, a gutter tree into a disk store, and the hybrid
+    // store. The state digest and the graph digest's fingerprint are the
+    // values this stream gave before the facade ran on a shard: moving
+    // either means the facade's bytes moved.
+    let (n, stream) = pinned_stream();
     let dir = TempDir::new("gz-equiv-pinned");
     let mut hybrid = GzConfig::in_ram(n);
     hybrid.sketch_threshold = 8;
@@ -1051,4 +1060,21 @@ fn the_facade_digests_are_pinned_on_a_fixed_stream() {
         );
         assert_eq!(gz.graph_digest().fingerprint(), 0x45A7_155B_6EA1_DC8C, "{what}: graph digest");
     }
+}
+
+#[test]
+fn a_checkpoint_saved_from_the_disk_store_is_pinned() {
+    // The disk store keeps its own file layout; a checkpoint is the
+    // paper's 12-byte model whatever the store holds. The xxh64 of the GZC2
+    // file the pinned stream leaves, saved from the on-disk configuration,
+    // is the value it had while the store's file held that same model.
+    let (n, stream) = pinned_stream();
+    let dir = TempDir::new("gz-equiv-pinned-gzc2");
+    let mut gz = GraphZeppelin::new(GzConfig::on_disk(n, dir.path().to_path_buf())).unwrap();
+    gz.ingest(stream.iter().copied());
+    let path = dir.join("pinned.gzc");
+    gz.save_checkpoint(&path).expect("save");
+    let bytes = std::fs::read(&path).unwrap();
+    assert_eq!(bytes.len(), 468_036, "GZC2 length");
+    assert_eq!(gz_hash::xxh64(&bytes, 0), 0xF07F_D712_B841_2D84, "GZC2 bytes");
 }

@@ -77,15 +77,15 @@ fn gutter_tree_writes_are_batched() {
     // Each update enters the tree once (two directed records), and the tree
     // moves records in buffer-sized chunks: ops ≪ records.
     assert!(tree_io.total_ops() < n / 2, "tree: {} ops for {n} updates", tree_io.total_ops());
-    // And a record is written at most once per internal level (8 bytes into
-    // each of this depth-3 tree's two). The flush hands the leaves their
-    // records in place, so no record is written to a leaf only to be read
-    // back: a flush through the queue wrote 4 more bytes for every record it
-    // found, 2.17× the record volume on this stream against 1.67× now. No
-    // level-2 node fills between flushes here, so no leaf is written at all.
+    // And a record is written at most once per internal level: 8 bytes into
+    // the last of this depth-2 tree (128 leaves at fan-out 8 would be three
+    // levels deep, but a top level of two nodes folds into the root). The
+    // flush hands the leaves their records in place, so no record is
+    // written to a leaf only to be read back, and no level-1 node fills
+    // between flushes here: every record is written exactly once.
     let record_volume = 2 * n * 8;
     assert!(
-        tree_io.bytes_written() <= record_volume * 2,
+        tree_io.bytes_written() <= record_volume,
         "tree wrote {} bytes for {record_volume} bytes of records",
         tree_io.bytes_written()
     );
