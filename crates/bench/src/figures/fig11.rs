@@ -34,7 +34,7 @@ fn paper_shape(kron: u32, below_terrace: bool, below_aspen: bool) -> bool {
 }
 
 /// Per-dataset measured memory plus paper-scale projection; true if the
-/// projection has the paper's shape ([`paper_shape`]).
+/// projection has the paper's shape (`paper_shape`: both crossovers).
 pub fn run(scale: Scale) -> bool {
     println!("== Figure 11: memory footprint, Aspen-like vs Terrace-like vs GraphZeppelin ==\n");
     let mut t = Table::new(&[

@@ -12,21 +12,17 @@
 //! and keeps this figure to directly measured quantities.
 
 use crate::harness::{
-    fmt_rate, kron_workload, rate, run_baseline, run_graphzeppelin, scratch_dir, time, Scale, Table,
+    fmt_rate, kron_workload, paging_disk_store, rate, run_baseline, run_graphzeppelin, scratch_dir,
+    time, Scale, Table,
 };
-use graph_zeppelin::{BufferStrategy, GraphZeppelin, GutterCapacity, GzConfig, StoreBackend};
+use graph_zeppelin::{BufferStrategy, GraphZeppelin, GutterCapacity, GzConfig};
 use gz_baselines::{AspenLike, DynamicGraphSystem, TerraceLike};
 
 /// Build the on-disk GZ config used throughout this figure.
 fn disk_config(num_nodes: u64, dir: std::path::PathBuf, gutter_tree: bool) -> GzConfig {
     let mut c = GzConfig::in_ram(num_nodes);
-    c.store = StoreBackend::Disk {
-        dir: dir.clone(),
-        block_bytes: 1 << 16,
-        // A cache far smaller than the node-group count: the store really
-        // pages (the paper's 16 GB RAM limit analogue).
-        cache_groups: (num_nodes / 8).max(4) as usize,
-    };
+    // The store really pages (the paper's 16 GB RAM limit analogue).
+    c.store = paging_disk_store(&c, dir.clone(), 1 << 16);
     c.buffering = if gutter_tree {
         BufferStrategy::GutterTree {
             buffer_bytes: 1 << 18,

@@ -6,9 +6,10 @@
 //! magnitude on SSD; rates saturate quickly in RAM (f ≈ 0.01 within 5% of
 //! peak) but need larger f (≈ 0.5) when sketches page to disk.
 
-use crate::harness::{fmt_rate, kron_workload, rate, run_graphzeppelin, scratch_dir, Scale, Table};
-use graph_zeppelin::size_model::gz_sketch_bytes_with;
-use graph_zeppelin::{BufferStrategy, GraphZeppelin, GutterCapacity, GzConfig, StoreBackend};
+use crate::harness::{
+    fmt_rate, kron_workload, paging_disk_store, rate, run_graphzeppelin, scratch_dir, Scale, Table,
+};
+use graph_zeppelin::{BufferStrategy, GraphZeppelin, GutterCapacity, GzConfig};
 
 fn config_with_factor(
     num_nodes: u64,
@@ -23,16 +24,8 @@ fn config_with_factor(
         },
     };
     if let Some(dir) = disk_dir {
-        // "On disk" means the store outgrows its cache: the cache gets an
-        // eighth of the node groups, counted from the configured geometry
-        // (a fixed group count would swallow the whole store as soon as the
-        // sketch shrinks and more nodes share a block).
-        let block_bytes = 1usize << 16;
-        let node_bytes = gz_sketch_bytes_with(num_nodes, c.rounds(), c.num_columns) / num_nodes;
-        let nodes_per_group = (block_bytes as u64 / node_bytes).max(1);
-        let groups = num_nodes.div_ceil(nodes_per_group);
-        c.store =
-            StoreBackend::Disk { dir, block_bytes, cache_groups: (groups / 8).max(2) as usize };
+        // "On disk" means the store outgrows its cache.
+        c.store = paging_disk_store(&c, dir, 1 << 16);
     }
     c
 }

@@ -11,9 +11,10 @@
 //! RAM for reference).
 
 use crate::harness::{
-    batch_for_baselines, fmt_rate, kron_workload, rate, scratch_dir, time, Scale, Table,
+    batch_for_baselines, fmt_rate, kron_workload, paging_disk_store, rate, scratch_dir, time,
+    Scale, Table,
 };
-use graph_zeppelin::{BufferStrategy, GraphZeppelin, GutterCapacity, GzConfig, StoreBackend};
+use graph_zeppelin::{BufferStrategy, GraphZeppelin, GutterCapacity, GzConfig};
 use gz_baselines::{AspenLike, DynamicGraphSystem, TerraceLike};
 use gz_stream::UpdateKind;
 
@@ -79,11 +80,7 @@ pub fn run(scale: Scale) {
     // (b) on disk: GZ with file-backed sketches, 0.1× sketch buffers.
     let dir = scratch_dir("fig16");
     let mut config = GzConfig::in_ram(w.num_nodes);
-    config.store = StoreBackend::Disk {
-        dir: dir.path().to_path_buf(),
-        block_bytes: 1 << 16,
-        cache_groups: (w.num_nodes / 8).max(4) as usize,
-    };
+    config.store = paging_disk_store(&config, dir.path().to_path_buf(), 1 << 16);
     config.buffering = BufferStrategy::LeafOnly { capacity: GutterCapacity::SketchFactor(0.1) };
     let mut gz_disk = GraphZeppelin::new(config).unwrap();
     let mut d = Table::new(&["% of stream", "gz-on-disk query"]);

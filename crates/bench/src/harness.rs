@@ -262,6 +262,23 @@ pub fn run_graphzeppelin(
     d
 }
 
+/// A disk store in `dir` moving `block_bytes` node groups, whose cache holds
+/// an eighth of `config`'s groups (at least two): the store pages — the
+/// paper's limited-RAM regime — however many nodes share a group. Set the
+/// rounds and columns first; they size the groups.
+pub fn paging_disk_store(
+    config: &graph_zeppelin::GzConfig,
+    dir: std::path::PathBuf,
+    block_bytes: usize,
+) -> graph_zeppelin::StoreBackend {
+    let (_, groups) = config.disk_groups(block_bytes);
+    graph_zeppelin::StoreBackend::Disk {
+        dir,
+        block_bytes,
+        cache_groups: (groups / 8).max(2) as usize,
+    }
+}
+
 /// A scratch directory for on-disk experiments: a `gz_testutil::TempDir`,
 /// unique per call and removed (recursively) when the guard drops — panic or
 /// assertion failure included. Keep the guard alive for the experiment.

@@ -571,7 +571,10 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
 }
 
 /// Resolve `--store`/`--dir` into a [`StoreBackend`], creating the
-/// directory.
+/// directory. The disk store moves one-node groups (16 KiB blocks), not
+/// [`GzConfig::on_disk`]'s 256 KiB: a filled leaf gutter hands the store
+/// one node's batch, and a bigger group would fault its other nodes'
+/// sketches for it (EXPERIMENTS.md, "The full-density stream").
 fn store_backend(store: StoreArg, dir: &Option<PathBuf>) -> Result<StoreBackend, String> {
     match store {
         StoreArg::Ram => Ok(StoreBackend::Ram),
@@ -1508,6 +1511,30 @@ mod tests {
         };
         assert_eq!(cmd, bare);
         assert!(parse_args(&argv("shard-worker --listen 127.0.0.1:0 --nodes 8")).is_err());
+    }
+
+    #[test]
+    fn disk_store_flags_keep_one_node_groups() {
+        // `components --store disk` (leaf gutters by default) and a shard
+        // worker build the same disk store, whose groups hold one node at
+        // V = 8192: a filled leaf gutter faults only its own sketch.
+        let dir = gz_testutil::TempDir::new("gz-cli-disk-store");
+        let d = dir.path().display();
+        let Command::Components(args) =
+            parse_components(&format!("components s.gzs --store disk --dir {d}"))
+        else {
+            panic!("components")
+        };
+        let config = build_config(8192, &args).unwrap();
+        let StoreBackend::Disk { block_bytes, .. } = config.store else { panic!("disk") };
+        assert_eq!(config.disk_groups(block_bytes), (1, 8192));
+        let Command::ShardWorker { store, dir: worker_dir, .. } = parse_args(&argv(&format!(
+            "shard-worker --listen 127.0.0.1:0 --nodes 8192 --shards 2 --index 0 --store disk --dir {d}"
+        )))
+        .unwrap() else {
+            panic!("shard-worker")
+        };
+        assert_eq!(store_backend(store, &worker_dir).unwrap(), config.store);
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //! (DESIGN.md §4).
 
 use crate::error::GzError;
+use crate::node_sketch::SketchParams;
+use crate::store::disk::node_groups;
 use std::path::PathBuf;
 
 pub use gz_sketch::geometry::{DEFAULT_COLUMNS, PAPER_COLUMNS};
@@ -80,6 +82,17 @@ pub enum StoreBackend {
         cache_groups: usize,
     },
 }
+
+/// Block size `B` of [`GzConfig::on_disk`]'s store. A fold reads one
+/// group's round slice a call and a flush writes each group once, so `B`
+/// is what amortises the cost of a call: 256 KiB is 18 nodes a group at
+/// V = 8192, a ≈ 10.8 KB round slice (DESIGN.md §13).
+const DISK_BLOCK_BYTES: usize = 256 << 10;
+
+/// Nodes whose sketches the cache of [`GzConfig::on_disk`]'s store holds,
+/// rounded up to whole groups: the RAM budget `M`, an eighth of the store
+/// at V = 8192.
+const DISK_CACHE_NODES: u64 = 1024;
 
 /// `threads`, but no more than the host can run at once. Every *default*
 /// thread count resolves through this — `num_workers`, `workers_per_shard`
@@ -161,13 +174,17 @@ impl GzConfig {
     }
 
     /// On-disk configuration: file-backed sketches plus a gutter tree, both
-    /// in `dir` (the paper's SSD deployment, §6.2).
+    /// in `dir` (the paper's SSD deployment, §6.2). The store moves 256 KiB
+    /// node groups, and its cache holds ≈ 1024 nodes, in whole groups
+    /// (DESIGN.md §13).
     pub fn on_disk(num_nodes: u64, dir: PathBuf) -> Self {
+        let config = GzConfig::in_ram(num_nodes);
+        let (group, _) = config.disk_groups(DISK_BLOCK_BYTES);
         GzConfig {
             store: StoreBackend::Disk {
                 dir: dir.clone(),
-                block_bytes: 16 << 10,
-                cache_groups: 1024,
+                block_bytes: DISK_BLOCK_BYTES,
+                cache_groups: DISK_CACHE_NODES.div_ceil(group) as usize,
             },
             buffering: BufferStrategy::GutterTree {
                 buffer_bytes: 1 << 20,
@@ -175,13 +192,21 @@ impl GzConfig {
                 leaf_capacity: GutterCapacity::SketchFactor(2.0),
                 dir,
             },
-            ..GzConfig::in_ram(num_nodes)
+            ..config
         }
     }
 
     /// Number of Boruvka rounds (= sketches per node).
     pub fn rounds(&self) -> u32 {
         self.num_rounds.unwrap_or_else(|| default_rounds(self.num_nodes))
+    }
+
+    /// The node groups a disk store of all `num_nodes` vertices is cut into
+    /// at block size `block_bytes`: `(nodes a group, groups)`, by the
+    /// store's own rule (`store::disk::node_groups`).
+    pub fn disk_groups(&self, block_bytes: usize) -> (u64, u64) {
+        let params = SketchParams::new(self.num_nodes, self.rounds(), self.num_columns, self.seed);
+        node_groups(block_bytes, params.node_sketch_serialized_bytes(), self.num_nodes)
     }
 
     /// Validate invariants the system relies on.
@@ -337,6 +362,24 @@ mod tests {
             }
         }
         assert_eq!(std::fs::read_dir(dir.path()).unwrap().count(), 0, "nothing was built");
+    }
+
+    #[test]
+    fn on_disk_moves_256_kib_groups_and_caches_about_1024_nodes() {
+        // (V, nodes a group, groups): 14 400 serialized bytes a node at
+        // 8192 (16 rounds × 25 rows × 3 columns × 12 B), 12 420 at 4096.
+        for (v, group, groups) in [(4096u64, 21u64, 196u64), (8192, 18, 456)] {
+            let c = GzConfig::on_disk(v, std::env::temp_dir());
+            let StoreBackend::Disk { block_bytes, cache_groups, .. } = c.store else {
+                panic!("on_disk stores on disk")
+            };
+            assert_eq!(c.disk_groups(block_bytes), (group, groups), "V = {v}");
+            let cached = cache_groups as u64 * group;
+            assert!((1024..1024 + group).contains(&cached), "V = {v}: cache of {cached} nodes");
+            if v == 8192 {
+                assert!(groups >= 8 * cache_groups as u64, "the store is at least 8× its cache");
+            }
+        }
     }
 
     #[test]

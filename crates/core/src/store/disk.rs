@@ -58,6 +58,18 @@ use std::sync::Arc;
 #[derive(Debug, Default)]
 pub struct IoBackendConfig {}
 
+/// The node groups `slots` nodes are cut into at block size `block_bytes`
+/// (paper §4.1): `(nodes a group, groups)`, a group holding
+/// `max(1, B / serialized node bytes)` nodes and no more than `slots`.
+pub(crate) fn node_groups(
+    block_bytes: usize,
+    serialized_node_bytes: usize,
+    slots: u64,
+) -> (u64, u64) {
+    let group = ((block_bytes / serialized_node_bytes.max(1)).max(1) as u64).min(slots.max(1));
+    (group, slots.div_ceil(group))
+}
+
 /// Fill `buf` from `offset`: one positioned read, counted in `io` as one
 /// read of exactly `buf.len()` bytes. A read that runs past the end of the
 /// file fails with `UnexpectedEof` and counts nothing.
@@ -270,9 +282,8 @@ impl DiskStore {
         let serialized = params.node_sketch_serialized_bytes();
         let node_bytes = params.node_sketch_resident_bytes();
         let num_slots = node_set.len() as u64;
-        let group_size =
-            ((block_bytes / serialized.max(1)).max(1) as u64).min(num_slots.max(1)).max(1) as u32;
-        let num_groups = (num_slots as u32).div_ceil(group_size);
+        let (group_size, num_groups) = node_groups(block_bytes, serialized, num_slots);
+        let (group_size, num_groups) = (group_size as u32, num_groups as u32);
 
         let file = std::fs::OpenOptions::new()
             .read(true)
@@ -1131,6 +1142,47 @@ mod tests {
         // Huge block: many nodes per group (capped at V).
         let (s2, _t2) = make("g2", 16, 1 << 22, 4);
         assert_eq!(s2.group_size(), 16);
+    }
+
+    #[test]
+    fn a_live_fold_reads_each_wanted_group_once_a_round() {
+        // `GzConfig::on_disk`'s store at V = 4096: 21 nodes a group. A live
+        // fold's round is one positioned read per group holding a live
+        // node, of exactly that group's round slice, and no other read.
+        let config = crate::config::GzConfig::on_disk(4096, std::env::temp_dir());
+        let crate::config::StoreBackend::Disk { block_bytes, cache_groups, .. } = config.store
+        else {
+            panic!("on_disk stores on disk")
+        };
+        let params = Arc::new(SketchParams::new(
+            config.num_nodes,
+            config.rounds(),
+            config.num_columns,
+            config.seed,
+        ));
+        let path = tmp("fold-reads");
+        let s = DiskStore::new(Arc::clone(&params), path.to_path_buf(), block_bytes, cache_groups)
+            .unwrap();
+        assert_eq!((s.group_size(), s.num_groups()), (21, 196));
+        for node in (0..4096u32).step_by(97) {
+            s.apply_batch(node, &[encode_other((node + 1) % 4096, false)]);
+        }
+        let live = |v: u32| v < 1000 || v.is_multiple_of(300);
+        let wanted: Vec<u32> = (0..s.num_groups())
+            .filter(|&g| (g * 21..g * 21 + s.nodes_in_group(g)).any(live))
+            .collect();
+        assert_eq!(wanted.len(), 48 + 10);
+        for round in 0..params.rounds() {
+            let (reads, _, bytes, _) = s.io_stats().snapshot();
+            let mut emitted = 0;
+            s.stream_round_dense(round, &live, None, &mut |_, _| emitted += 1).unwrap();
+            let (reads_after, _, bytes_after, _) = s.io_stats().snapshot();
+            assert_eq!(reads_after - reads, wanted.len() as u64, "round {round}");
+            let slices: u32 = wanted.iter().map(|&g| s.nodes_in_group(g)).sum();
+            let slice_bytes = slices as u64 * params.round_resident_bytes(round) as u64;
+            assert_eq!(bytes_after - bytes, slice_bytes, "round {round}");
+            assert_eq!(emitted, (0..4096).filter(|&v| live(v)).count(), "round {round}");
+        }
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! cargo run --release -p gz_bench --example out_of_core
 //! ```
 
-use graph_zeppelin::{GraphZeppelin, GzConfig};
+use graph_zeppelin::{GraphZeppelin, GzConfig, StoreBackend};
+use gz_bench::harness::paging_disk_store;
 use gz_stream::{Dataset, StreamifyConfig, UpdateKind};
 use std::time::Instant;
 
@@ -32,14 +33,17 @@ fn main() {
     let dir = std::env::temp_dir().join(format!("gz_out_of_core_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("scratch dir");
 
-    // File-backed sketches + on-disk gutter tree. Tighten the sketch cache
-    // to an eighth of the node groups so the store genuinely pages (the
-    // paper's limited-RAM regime): evictions write dirty groups back.
+    // File-backed sketches + on-disk gutter tree. At this size the default
+    // cache would hold the whole store, so tighten it to an eighth of the
+    // node groups: the store genuinely pages (the paper's limited-RAM
+    // regime), and evictions write dirty groups back.
     let mut config = GzConfig::on_disk(dataset.num_vertices, dir.clone());
-    let cache_groups = (dataset.num_vertices / 8).max(4) as usize;
-    if let graph_zeppelin::StoreBackend::Disk { cache_groups: budget, .. } = &mut config.store {
-        *budget = cache_groups;
-    }
+    let StoreBackend::Disk { block_bytes, .. } = config.store else {
+        unreachable!("on_disk stores on disk")
+    };
+    config.store = paging_disk_store(&config, dir.clone(), block_bytes);
+    let StoreBackend::Disk { cache_groups, .. } = config.store else { unreachable!() };
+    let workers = config.num_workers;
     let mut gz = GraphZeppelin::new(config).expect("valid config");
 
     let start = Instant::now();
@@ -48,6 +52,8 @@ fn main() {
     }
     gz.flush();
     let ingest = start.elapsed();
+    // Before the query every store read is one group fault.
+    let faults = gz.store_io().expect("disk store counters").reads();
 
     let start = Instant::now();
     let cc = gz.connected_components().expect("query");
@@ -106,11 +112,17 @@ fn main() {
     };
     println!(
         "resident: VmHWM {peak} — sketch store file {:.1} MiB, cache budget {:.1} MiB \
-         ({} of {} node groups)",
+         ({cache_groups} of {} node groups of {} nodes; {faults} group faults while ingesting)",
         mib(file_bytes),
-        mib(cache_groups.min(disk.num_groups() as usize) * group_bytes),
-        cache_groups.min(disk.num_groups() as usize),
+        mib(cache_groups * group_bytes),
         disk.num_groups(),
+        disk.group_size(),
+    );
+    // Loaded groups never exceed the cache plus one a worker, so more
+    // faults than that means groups were evicted: the store paged.
+    assert!(
+        faults > (cache_groups + workers) as u64,
+        "a cache of an eighth of the groups must page"
     );
     println!(
         "\nsketch state: {:.1} MiB in the paper's 12-byte model ({:.1} MiB in the store file) \
