@@ -740,6 +740,12 @@ fn components_sharded(args: &ComponentsArgs, num_shards: u32) -> Result<String, 
         if let Some(io) = gz.gutter_io() {
             out.push_str(&format!("gutter tree: {io}\n"));
         }
+        match gz.graph_digest() {
+            Ok(digest) => out.push_str(&format!("graph digest: {digest}\n")),
+            // A respawned worker that restored a checkpoint no ack reached
+            // cannot place its digest; the answer above stands.
+            Err(e) => out.push_str(&format!("graph digest: unknown ({e})\n")),
+        }
     }
     if args.forest {
         for e in &outcome.forest {
@@ -962,10 +968,10 @@ pub fn execute(cmd: Command) -> Result<String, String> {
             let header = reader.header();
             let mut tester =
                 BipartitenessTester::new(header.num_vertices, 7).map_err(|e| e.to_string())?;
-            let updates = reader.read_all().map_err(|e| e.to_string())?;
-            for u in &updates {
-                tester.update(u.u, u.v, u.kind == UpdateKind::Delete);
-            }
+            feed_stream(&mut reader, |u, v, d| {
+                tester.update(u, v, d);
+                Ok(())
+            })?;
             let ans = tester.query().map_err(|e| e.to_string())?;
             Ok(if ans.bipartite {
                 "bipartite".to_string()
@@ -1629,11 +1635,22 @@ mod tests {
             out: path.to_path_buf(),
         })
         .unwrap();
-        let single = execute(components_cmd(&path, None)).unwrap();
-        let sharded = execute(components_cmd(&path, Some(3))).unwrap();
+        let with_stats = |shards| {
+            let mut cmd = components_cmd(&path, shards);
+            if let Command::Components(args) = &mut cmd {
+                args.stats = true;
+            }
+            execute(cmd).unwrap()
+        };
+        let single = with_stats(None);
+        let sharded = with_stats(Some(3));
         let count = |s: &str| s.split_whitespace().next().unwrap().to_string();
         assert_eq!(count(&single), count(&sharded), "single={single} sharded={sharded}");
         assert!(sharded.contains("3 shards"), "{sharded}");
+        let digest =
+            |s: &str| s.lines().find(|l| l.starts_with("graph digest: ")).map(str::to_owned);
+        assert!(digest(&single).is_some(), "{single}");
+        assert_eq!(digest(&single), digest(&sharded), "single={single} sharded={sharded}");
     }
 
     #[test]
@@ -1800,6 +1817,17 @@ mod tests {
         gz_stream::format::write_stream(path.path(), 10, &updates).unwrap();
         let out = execute(Command::Bipartite { path: path.to_path_buf() }).unwrap();
         assert_eq!(out, "bipartite");
+    }
+
+    #[test]
+    fn end_to_end_not_bipartite() {
+        // A 5-cycle stream: one odd component.
+        let path = tmp("bip-odd");
+        let updates: Vec<gz_stream::EdgeUpdate> =
+            (0..5u32).map(|i| gz_stream::EdgeUpdate::insert(i, (i + 1) % 5)).collect();
+        gz_stream::format::write_stream(path.path(), 5, &updates).unwrap();
+        let out = execute(Command::Bipartite { path: path.to_path_buf() }).unwrap();
+        assert_eq!(out, "NOT bipartite (1 odd components)");
     }
 
     #[test]

@@ -140,6 +140,7 @@ fn respawn_worker(args: &[String]) -> Worker {
 struct CoordinatorOutput {
     summary: String,
     recovery: RecoveryCounters,
+    graph_digest: String,
     forest: Vec<String>,
     batches_shipped: u64,
 }
@@ -174,6 +175,9 @@ fn parse_coordinator(out: &str) -> CoordinatorOutput {
     assert_eq!(nums.len(), 4, "recovery line shape: {recovery_line}");
     let link_line = lines.next().expect("link line");
     assert!(link_line.starts_with("link: frames_in="), "unexpected line: {link_line}");
+    let digest_line = lines.next().expect("graph digest line");
+    let graph_digest =
+        digest_line.strip_prefix("graph digest: ").expect("graph digest line").to_string();
     CoordinatorOutput {
         summary,
         recovery: RecoveryCounters {
@@ -182,6 +186,7 @@ fn parse_coordinator(out: &str) -> CoordinatorOutput {
             batches_replayed: nums[2],
             reconnect_attempts: nums[3],
         },
+        graph_digest,
         forest: lines.map(|l| l.to_string()).collect(),
         batches_shipped,
     }
@@ -326,6 +331,15 @@ fn killed_worker_recovers_bit_identically() {
         assert_eq!(baseline.coordinator.summary, chaos.coordinator.summary, "{label}");
         assert_eq!(baseline.coordinator.forest, chaos.coordinator.forest, "{label}");
         assert!(!baseline.coordinator.forest.is_empty(), "{label}: forest printed");
+        // The graph digest matches too, unless the respawned worker restored
+        // a checkpoint whose ack never reached the coordinator.
+        let (base_digest, chaos_digest) =
+            (&baseline.coordinator.graph_digest, &chaos.coordinator.graph_digest);
+        assert!(!base_digest.starts_with("unknown"), "{label}: baseline {base_digest}");
+        assert!(
+            chaos_digest == base_digest || chaos_digest.starts_with("unknown"),
+            "{label}: chaos {chaos_digest} vs baseline {base_digest}"
+        );
 
         // Counter exactness. Checkpoint rounds are driven by the routed
         // batch count, which the kill cannot change; a single kill is a

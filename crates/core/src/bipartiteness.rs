@@ -3,17 +3,15 @@
 //! sketching algorithms for problems such as … testing bipartiteness").
 //!
 //! The classic reduction (Ahn–Guha–McGregor): build the **bipartite double
-//! cover** `G̃` of `G` — vertices `{v, v'} `, each edge `(u,v)` becoming
-//! `(u, v')` and `(u', v)`. A connected component of `G` lifts to *two*
-//! components of `G̃` exactly when it is bipartite, and to *one* (the cover
-//! is connected) when it contains an odd cycle. So:
+//! cover** `G̃` of `G` — vertices `{v, v'}`, each edge `(u,v)` becoming
+//! `(u, v')` and `(u', v)`. A component `C` of `G` with sides `A` and `B`
+//! lifts to the two components `A ∪ B'` and `A' ∪ B` of `G̃`; a component
+//! with an odd cycle lifts to the one component `C ∪ C'`.
 //!
-//! > `G` is bipartite  ⇔  cc(G̃) = 2 · cc(G).
-//!
-//! Everything needed is connected components on an insert/delete stream —
-//! precisely what GraphZeppelin provides — so the tester runs two systems:
-//! one on `G`, one on `G̃` (2V vertices, 2 updates per stream update), for
-//! `O(V log³V)` total space.
+//! So one system on `G̃` (2V vertices, 2 updates per stream update) answers
+//! everything. Its labels are minimum member ids, so `G`'s label of `v` is
+//! `min(label(v), label(v'))` in both cases, and the component labelled `l`
+//! is odd exactly when `l` and `l'` share a component of `G̃`.
 
 use crate::config::GzConfig;
 use crate::error::GzError;
@@ -21,8 +19,6 @@ use crate::system::GraphZeppelin;
 
 /// Streaming bipartiteness tester over edge insertions and deletions.
 pub struct BipartitenessTester {
-    /// System on the input graph `G`.
-    plain: GraphZeppelin,
     /// System on the double cover `G̃` (vertex `v'` is `v + num_nodes`).
     cover: GraphZeppelin,
     num_nodes: u64,
@@ -43,26 +39,17 @@ pub struct BipartitenessAnswer {
 impl BipartitenessTester {
     /// Build a tester for graphs on up to `num_nodes` vertices.
     pub fn new(num_nodes: u64, seed: u64) -> Result<Self, GzError> {
-        let mut plain_config = GzConfig::in_ram(num_nodes);
-        plain_config.seed = seed;
-        plain_config.num_workers = 2;
-        let mut cover_config = GzConfig::in_ram(num_nodes * 2);
-        cover_config.seed = seed ^ 0xD0B1_E007;
-        cover_config.num_workers = 2;
-        Ok(BipartitenessTester {
-            plain: GraphZeppelin::new(plain_config)?,
-            cover: GraphZeppelin::new(cover_config)?,
-            num_nodes,
-        })
+        let mut config = GzConfig::in_ram(num_nodes * 2);
+        config.seed = seed ^ 0xD0B1_E007;
+        config.num_workers = 2;
+        Ok(BipartitenessTester { cover: GraphZeppelin::new(config)?, num_nodes })
     }
 
-    /// Apply one stream update to both systems.
+    /// Apply one stream update to the cover: `(u, v')` and `(u', v)`.
     pub fn update(&mut self, u: u32, v: u32, is_delete: bool) {
         assert!(u != v, "self-loop");
         assert!((u as u64) < self.num_nodes && (v as u64) < self.num_nodes);
         let shift = self.num_nodes as u32;
-        self.plain.update(u, v, is_delete);
-        // Double cover: (u, v') and (u', v).
         self.cover.update(u, v + shift, is_delete);
         self.cover.update(u + shift, v, is_delete);
     }
@@ -79,35 +66,25 @@ impl BipartitenessTester {
 
     /// Query: is the current graph bipartite, and which components are odd?
     pub fn query(&mut self) -> Result<BipartitenessAnswer, GzError> {
-        let plain_cc = self.plain.connected_components()?;
         let cover_cc = self.cover.connected_components()?;
         let shift = self.num_nodes as u32;
-
-        // Component C of G is odd iff v and v' are connected in the cover
-        // for (any, hence every) v ∈ C.
-        let labels = plain_cc.labels().to_vec();
-        let mut odd_components: Vec<u32> = labels
-            .iter()
-            .enumerate()
-            .filter(|&(v, &l)| {
-                // Check once per component, at its representative.
-                l == v as u32 && cover_cc.same_component(v as u32, v as u32 + shift)
-            })
-            .map(|(_, &l)| l)
+        let component_labels: Vec<u32> =
+            (0..shift).map(|v| cover_cc.label(v).min(cover_cc.label(v + shift))).collect();
+        // Each component is listed once, at the vertex its label names, so
+        // the list ascends.
+        let odd_components: Vec<u32> = (0..shift)
+            .filter(|&v| component_labels[v as usize] == v && cover_cc.same_component(v, v + shift))
             .collect();
-        odd_components.sort_unstable();
-        odd_components.dedup();
-
         Ok(BipartitenessAnswer {
             bipartite: odd_components.is_empty(),
-            component_labels: labels,
+            component_labels,
             odd_components,
         })
     }
 
-    /// Number of updates ingested.
-    pub fn updates_ingested(&self) -> u64 {
-        self.plain.updates_ingested()
+    /// Sketch bytes of the cover system, the tester's whole sketch state.
+    pub fn sketch_bytes(&self) -> usize {
+        self.cover.sketch_bytes()
     }
 }
 
@@ -180,19 +157,23 @@ mod tests {
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
 
-        /// Exact bipartiteness by BFS 2-coloring.
-        fn oracle(n: usize, edges: &std::collections::HashSet<(u32, u32)>) -> bool {
+        /// Exact odd components by BFS 2-coloring: the minimum member of
+        /// each component holding an odd cycle.
+        fn oracle(n: usize, edges: &std::collections::HashSet<(u32, u32)>) -> Vec<u32> {
             let mut adj = vec![Vec::new(); n];
             for &(a, b) in edges {
                 adj[a as usize].push(b);
                 adj[b as usize].push(a);
             }
             let mut color = vec![-1i8; n];
+            let mut odd = Vec::new();
             for s in 0..n {
                 if color[s] != -1 {
                     continue;
                 }
+                // `s` is the smallest vertex of its component.
                 color[s] = 0;
+                let mut is_odd = false;
                 let mut queue = std::collections::VecDeque::from([s as u32]);
                 while let Some(x) = queue.pop_front() {
                     for &y in &adj[x as usize] {
@@ -200,12 +181,15 @@ mod tests {
                             color[y as usize] = 1 - color[x as usize];
                             queue.push_back(y);
                         } else if color[y as usize] == color[x as usize] {
-                            return false;
+                            is_odd = true;
                         }
                     }
                 }
+                if is_odd {
+                    odd.push(s as u32);
+                }
             }
-            true
+            odd
         }
 
         let n = 24u32;
@@ -229,7 +213,25 @@ mod tests {
                 }
             }
             let ans = t.query().unwrap();
-            assert_eq!(ans.bipartite, oracle(n as usize, &edges), "seed {seed}");
+            let odd = oracle(n as usize, &edges);
+            assert_eq!(ans.bipartite, odd.is_empty(), "seed {seed}");
+            assert_eq!(ans.odd_components, odd, "seed {seed}");
+            let mut dsu = gz_dsu::Dsu::new(n as usize);
+            for &(a, b) in &edges {
+                dsu.union(a, b);
+            }
+            assert_eq!(ans.component_labels, dsu.normalized_labels(), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn sketch_bytes_are_the_cover_systems() {
+        for n in [2u64, 8, 24] {
+            let cover = GraphZeppelin::new(GzConfig::in_ram(2 * n)).unwrap();
+            assert_eq!(
+                BipartitenessTester::new(n, 3).unwrap().sketch_bytes(),
+                cover.sketch_bytes()
+            );
         }
     }
 }

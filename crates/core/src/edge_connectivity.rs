@@ -2,38 +2,30 @@
 //! vertex-connectivity" application the paper names for CubeSketch (§3.1),
 //! after Ahn–Guha–McGregor's k-forest construction.
 //!
-//! Maintain `k` independent copies of the connectivity sketch (layers).
-//! After the stream, *peel* forests: `F₁` is a spanning forest recovered
-//! from layer 1; delete `F₁`'s edges from layer 2 (sketch linearity makes
-//! deletion a toggle) and recover `F₂`, a spanning forest of `G − F₁`; and
-//! so on. The union `H = F₁ ∪ … ∪ F_k` is a *sparse certificate*: AGM's
-//! theorem states every cut of size `≤ k` in `G` has the same size in `H`,
-//! so in particular
+//! Maintain `k` independent systems (layers) on the same stream. After the
+//! stream, *peel* forests: `F₁` is a spanning forest of layer 1; toggle
+//! `F₁`'s edges in layer 2 (linearity makes deletion a toggle) and recover
+//! `F₂`, a spanning forest of `G − F₁`; and so on, toggling each layer's
+//! peeled edges back afterwards. The union `H = F₁ ∪ … ∪ F_k` is a *sparse
+//! certificate*: AGM's theorem states every cut of size `≤ k` in `G` has the
+//! same size in `H`, so in particular
 //!
 //! > `G` is k-edge-connected  ⇔  `H` is k-edge-connected,
 //!
 //! and `H` has at most `k·(V−1)` edges, small enough to check exactly.
 //! Total space is `k·V·polylog(V)` — still sublinear in the graph.
 
-use crate::boruvka::boruvka_spanning_forest;
-use crate::config::default_rounds;
+use crate::config::GzConfig;
 use crate::error::GzError;
-use crate::node_sketch::{update_index, CubeNodeSketch, SketchParams};
+use crate::system::GraphZeppelin;
 use gz_graph::bridges::is_two_edge_connected;
 use gz_graph::{AdjacencyList, Edge};
 use gz_hash::SplitMix64;
-use std::sync::Arc;
 
-/// Streaming k-edge-connectivity sketcher: `k` independent sketch layers.
+/// Streaming k-edge-connectivity sketcher: `k` independent systems.
 pub struct KForestSketcher {
     num_nodes: u64,
-    layers: Vec<Layer>,
-    updates: u64,
-}
-
-struct Layer {
-    params: Arc<SketchParams>,
-    sketches: Vec<CubeNodeSketch>,
+    layers: Vec<GraphZeppelin>,
 }
 
 /// The peeled certificate: `k` edge-disjoint forests.
@@ -54,19 +46,16 @@ impl ForestCertificate {
         all
     }
 
-    /// The certificate as a graph.
-    pub fn as_graph(&self) -> AdjacencyList {
-        AdjacencyList::from_edges(
-            self.num_nodes as usize,
-            self.union_edges().iter().map(|e| (e.u(), e.v())),
-        )
-    }
-
     /// Exact 2-edge-connectivity of the certificate — by AGM's theorem,
     /// equal to the input graph's 2-edge-connectivity when `k ≥ 2`.
     pub fn is_two_edge_connected(&self) -> bool {
         assert!(self.forests.len() >= 2, "need k ≥ 2 layers for a 2-connectivity answer");
-        is_two_edge_connected(&self.as_graph())
+        let edges = self.union_edges();
+        let graph = AdjacencyList::from_edges(
+            self.num_nodes as usize,
+            edges.iter().map(|e| (e.u(), e.v())),
+        );
+        is_two_edge_connected(&graph)
     }
 }
 
@@ -79,34 +68,21 @@ impl KForestSketcher {
         if k == 0 {
             return Err(GzError::InvalidConfig("need at least one forest layer".into()));
         }
-        let rounds = default_rounds(num_nodes);
         let layers = (0..k as u64)
             .map(|i| {
-                let params =
-                    Arc::new(SketchParams::new(num_nodes, rounds, 7, SplitMix64::derive(seed, i)));
-                let sketches = (0..num_nodes).map(|_| params.new_node_sketch()).collect();
-                Layer { params, sketches }
+                let mut config = GzConfig::in_ram(num_nodes);
+                config.seed = SplitMix64::derive(seed, i);
+                GraphZeppelin::new(config)
             })
-            .collect();
-        Ok(KForestSketcher { num_nodes, layers, updates: 0 })
-    }
-
-    /// Number of layers `k`.
-    pub fn k(&self) -> usize {
-        self.layers.len()
+            .collect::<Result<_, _>>()?;
+        Ok(KForestSketcher { num_nodes, layers })
     }
 
     /// Apply one stream update to every layer.
     pub fn update(&mut self, u: u32, v: u32, is_delete: bool) {
-        assert!(u != v, "self-loop");
-        assert!((u as u64) < self.num_nodes && (v as u64) < self.num_nodes);
-        let _ = is_delete; // Z_2: toggle either way
-        let idx = update_index(u, v, self.num_nodes);
         for layer in &mut self.layers {
-            layer.sketches[u as usize].update_signed(idx, 1);
-            layer.sketches[v as usize].update_signed(idx, 1);
+            layer.update(u, v, is_delete);
         }
-        self.updates += 1;
     }
 
     /// Insert an edge.
@@ -119,35 +95,36 @@ impl KForestSketcher {
         self.update(u, v, true);
     }
 
-    /// Peel the k forests (non-destructive: clones each layer).
-    pub fn certificate(&self) -> Result<ForestCertificate, GzError> {
-        let mut removed: Vec<Edge> = Vec::new();
+    /// Peel the k forests. Each layer gets the edges already peeled toggled
+    /// out for its query and back in after it, so every layer ends with the
+    /// sketch state it started with.
+    pub fn certificate(&mut self) -> Result<ForestCertificate, GzError> {
+        let mut peeled: Vec<Edge> = Vec::new();
         let mut forests = Vec::with_capacity(self.layers.len());
-        for layer in &self.layers {
-            // Clone this layer's sketches and subtract everything already
-            // peeled (linearity: deletion = toggle).
-            let mut sketches: Vec<Option<CubeNodeSketch>> =
-                layer.sketches.iter().map(|s| Some(s.clone())).collect();
-            for e in &removed {
-                let idx = update_index(e.u(), e.v(), self.num_nodes);
-                sketches[e.u() as usize].as_mut().unwrap().update_signed(idx, 1);
-                sketches[e.v() as usize].as_mut().unwrap().update_signed(idx, 1);
-            }
-            let outcome = boruvka_spanning_forest(sketches, self.num_nodes, layer.params.rounds())?;
-            removed.extend(outcome.forest.iter().copied());
-            forests.push(outcome.forest);
+        for layer in &mut self.layers {
+            let toggle = |layer: &mut GraphZeppelin| {
+                for e in &peeled {
+                    layer.edge_update(e.u(), e.v());
+                }
+            };
+            toggle(layer);
+            let forest = layer.spanning_forest();
+            toggle(layer);
+            let forest = forest?.forest;
+            peeled.extend_from_slice(&forest);
+            forests.push(forest);
         }
         Ok(ForestCertificate { num_nodes: self.num_nodes, forests })
     }
 
     /// Is the graph 2-edge-connected? (Requires `k ≥ 2`.)
-    pub fn is_two_edge_connected(&self) -> Result<bool, GzError> {
+    pub fn is_two_edge_connected(&mut self) -> Result<bool, GzError> {
         Ok(self.certificate()?.is_two_edge_connected())
     }
 
     /// Total sketch bytes across layers (`k ×` the connectivity structure).
     pub fn sketch_bytes(&self) -> usize {
-        self.layers.iter().map(|l| l.params.node_sketch_bytes() * l.sketches.len()).sum()
+        self.layers.iter().map(GraphZeppelin::sketch_bytes).sum()
     }
 }
 
@@ -194,7 +171,7 @@ mod tests {
     fn cycle_peels_into_tree_plus_closing_edge() {
         let n = 8u32;
         let edges: Vec<(u32, u32)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
-        let s = sketcher_with(n as u64, 2, &edges);
+        let mut s = sketcher_with(n as u64, 2, &edges);
         let cert = s.certificate().unwrap();
         check_certificate(&cert, &edges);
         assert_eq!(cert.forests[0].len(), 7, "spanning tree of the cycle");
@@ -205,7 +182,7 @@ mod tests {
     #[test]
     fn path_is_not_two_edge_connected() {
         let edges: Vec<(u32, u32)> = (0..7u32).map(|i| (i, i + 1)).collect();
-        let s = sketcher_with(8, 2, &edges);
+        let mut s = sketcher_with(8, 2, &edges);
         assert!(!s.is_two_edge_connected().unwrap());
     }
 
@@ -218,7 +195,7 @@ mod tests {
                 edges.push((a, b));
             }
         }
-        let s = sketcher_with(n as u64, 2, &edges);
+        let mut s = sketcher_with(n as u64, 2, &edges);
         let cert = s.certificate().unwrap();
         check_certificate(&cert, &edges);
         assert!(cert.is_two_edge_connected());
@@ -251,7 +228,7 @@ mod tests {
                     }
                 }
             }
-            let s = sketcher_with(n as u64, 2, &edges);
+            let mut s = sketcher_with(n as u64, 2, &edges);
             let cert = s.certificate().unwrap();
             check_certificate(&cert, &edges);
             let g = AdjacencyList::from_edges(n as usize, edges.iter().copied());
@@ -270,7 +247,7 @@ mod tests {
                 }
             }
         }
-        let s = sketcher_with(n as u64, 3, &edges);
+        let mut s = sketcher_with(n as u64, 3, &edges);
         let cert = s.certificate().unwrap();
         check_certificate(&cert, &edges);
         assert_eq!(cert.forests.len(), 3);
@@ -280,5 +257,22 @@ mod tests {
     fn rejects_degenerate_parameters() {
         assert!(KForestSketcher::new(1, 2, 0).is_err());
         assert!(KForestSketcher::new(8, 0, 0).is_err());
+    }
+
+    #[test]
+    fn peeling_leaves_every_layer_as_it_was() {
+        let n = 10u32;
+        let edges: Vec<(u32, u32)> = (0..n)
+            .flat_map(|a| ((a + 1)..n).map(move |b| (a, b)))
+            .filter(|&(a, b)| (a + b) % 3 != 0)
+            .collect();
+        let mut s = sketcher_with(n as u64, 3, &edges);
+        let digests = |s: &mut KForestSketcher| -> Vec<_> {
+            s.layers.iter_mut().map(|l| (l.state_digest().unwrap(), l.graph_digest())).collect()
+        };
+        let before = digests(&mut s);
+        let cert = s.certificate().unwrap();
+        assert!(cert.forests.iter().skip(1).any(|f| !f.is_empty()), "later layers toggled nothing");
+        assert_eq!(digests(&mut s), before);
     }
 }

@@ -44,15 +44,12 @@
 //! - [`boruvka`] — sketch-space Boruvka query processing (Figure 9).
 //! - [`system`] — the [`GraphZeppelin`] facade: the system over one
 //!   in-process shard.
-//! - [`streaming_cc`] — the prior-art baseline (StreamingCC over the
-//!   general-purpose ℓ0-sampler) used by the paper's §3 comparison.
 //! - [`size_model`] — closed-form memory model (Figure 11).
-//! - [`bipartiteness`] — streaming bipartiteness via the double cover (a
-//!   further CubeSketch application the paper names in §3.1).
-//! - [`edge_connectivity`] — k-edge-connectivity certificates by sketch
-//!   peeling (another §3.1 application, after Ahn–Guha–McGregor).
-//! - [`msf`] — minimum spanning forests over weight-leveled sketches (the
-//!   §3.1 "minimum spanning trees" application).
+//! - [`bipartiteness`] — streaming bipartiteness on one system over the
+//!   double cover (a further CubeSketch application the paper names in
+//!   §3.1).
+//! - [`edge_connectivity`] — k-edge-connectivity certificates peeled from
+//!   `k` systems (another §3.1 application, after Ahn–Guha–McGregor).
 //! - [`checkpoint`] — persist and restore the whole sketch state.
 //! - [`sharding`] — the system itself, sharded (the §8 outlook): the
 //!   batching router that is the buffering layer, per-shard pipelines, and
@@ -68,13 +65,11 @@ pub mod config;
 pub mod edge_connectivity;
 pub mod error;
 pub mod ingest;
-pub mod msf;
 pub mod node_sketch;
 pub mod sharding;
 pub mod size_model;
 pub mod sparse;
 pub mod store;
-pub mod streaming_cc;
 pub mod system;
 
 pub use bipartiteness::{BipartitenessAnswer, BipartitenessTester};
@@ -84,7 +79,6 @@ pub use config::{BufferStrategy, GutterCapacity, GzConfig, LockingStrategy, Stor
 pub use edge_connectivity::{ForestCertificate, KForestSketcher};
 pub use error::{GzError, LinkError, TransportError, TransportErrorKind};
 pub use gz_graph::GraphDigest;
-pub use msf::{MsfSketcher, WeightedForest};
 pub use node_sketch::{CubeNodeSketch, NodeSketch};
 pub use sharding::{
     connect_shard_tcp, new_pipeline_resuming, serve_shard_connection, shard_checkpoint_file_name,

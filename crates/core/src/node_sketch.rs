@@ -3,9 +3,8 @@
 //! A *node sketch* (paper §2.2) is `O(log V)` independent ℓ0-sketches of the
 //! vertex's characteristic edge-vector — one per Boruvka round, because
 //! adaptivity forbids reusing a sketch after its randomness has been
-//! revealed (paper footnote 1). The stack is generic over the sampler so the
-//! same machinery runs GraphZeppelin (CubeSketch) and the StreamingCC
-//! baseline (general ℓ0-sampler).
+//! revealed (paper footnote 1). The stack is generic over the sampler; the
+//! system runs it over CubeSketch.
 
 use gz_graph::{edge_index, Edge, VertexId};
 use gz_hash::{SplitMix64, Xxh64Hasher};
@@ -246,9 +245,8 @@ pub(crate) fn assert_rounds_bitwise_equal(a: &CubeNodeSketch, b: &CubeNodeSketch
 }
 
 /// Encode the other endpoint plus a deletion flag into one `u32` batch
-/// record. GraphZeppelin itself ignores the flag (Z_2 toggles), but the
-/// StreamingCC baseline needs signed updates, and both share the buffering
-/// layer.
+/// record. GraphZeppelin ignores the flag (Z_2 toggles); the buffering
+/// layer carries it for debugging.
 #[inline]
 pub fn encode_other(other: VertexId, is_delete: bool) -> u32 {
     debug_assert!(other < (1 << 31), "vertex ids must fit in 31 bits");

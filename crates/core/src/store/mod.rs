@@ -533,8 +533,8 @@ fn stream_stacks_into<'a, S: L0Sampler + Clone + Send + Sync>(
 }
 
 /// A borrowing source over a caller-owned sketch slice (index = vertex id):
-/// queries fold straight from the resident stacks without cloning them —
-/// used by the StreamingCC baseline's non-destructive query path.
+/// queries fold straight from the resident stacks without cloning them (the
+/// engine's tests query hand-built stacks through it).
 pub struct SliceSource<'a, S: L0Sampler> {
     sketches: &'a [NodeSketch<S>],
     rounds: usize,

@@ -103,8 +103,8 @@ impl GraphZeppelin {
 
     /// Ingest one update with an explicit insert/delete tag. GraphZeppelin's
     /// sketches ignore the tag (Z_2), but it is preserved through the
-    /// buffering layer for systems that need signs (StreamingCC) and for
-    /// debugging. Panics on a self-loop or an endpoint outside the universe.
+    /// buffering layer for debugging. Panics on a self-loop or an endpoint
+    /// outside the universe.
     #[inline(always)]
     pub fn update(&mut self, u: u32, v: u32, is_delete: bool) {
         self.system.update(u, v, is_delete).expect(TREE_FILE)

@@ -14,9 +14,9 @@
 
 /// Columns of the paper's implementation (§5.1: `log(1/δ) = 7` for δ = 1 %,
 /// on the assumption that a column succeeds half the time). Everything that
-/// reproduces a paper number — Figure 5, the Figure 11 size model, the
-/// StreamingCC baseline, the ablation rows — uses this, whatever the system
-/// default is.
+/// reproduces a paper number — Figure 4's general ℓ0 sampler, Figure 5,
+/// the Figure 11 size model, the ablation rows — uses this, whatever the
+/// system default is.
 pub const PAPER_COLUMNS: u32 = 7;
 
 /// Columns a sketch gets unless a configuration says otherwise.

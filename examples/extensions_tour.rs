@@ -1,14 +1,13 @@
 //! Tour of the sketch extensions the paper names beyond connectivity
-//! (§3.1: bipartiteness, edge connectivity, minimum spanning trees; §8:
-//! distributed partitioning; plus checkpoint/restore).
+//! (§3.1: bipartiteness, edge connectivity; §8: distributed partitioning;
+//! plus checkpoint/restore). Each answer is asserted as well as printed.
 //!
 //! ```sh
-//! cargo run --release -p gz-bench --example extensions_tour
+//! cargo run --release -p gz_bench --example extensions_tour
 //! ```
 
 use graph_zeppelin::{
-    BipartitenessTester, GraphZeppelin, GzConfig, KForestSketcher, MsfSketcher,
-    ShardedGraphZeppelin,
+    BipartitenessTester, GraphZeppelin, GzConfig, KForestSketcher, ShardedGraphZeppelin,
 };
 
 fn main() {
@@ -19,11 +18,16 @@ fn main() {
     for i in 0..16u32 {
         bip.insert(i, (i + 1) % 16); // 16-cycle: even, bipartite
     }
-    println!("16-cycle bipartite?          {}", bip.query().unwrap().bipartite);
+    let bipartite = |bip: &mut BipartitenessTester, what: &str, expected: bool| {
+        let answer = bip.query().unwrap().bipartite;
+        println!("{what:<29}{answer}");
+        assert_eq!(answer, expected, "{what}");
+    };
+    bipartite(&mut bip, "16-cycle bipartite?", true);
     bip.insert(0, 2); // chord creates a 3-cycle
-    println!("...after odd chord (0,2)?    {}", bip.query().unwrap().bipartite);
+    bipartite(&mut bip, "...after odd chord (0,2)?", false);
     bip.delete(0, 2);
-    println!("...after deleting the chord? {}", bip.query().unwrap().bipartite);
+    bipartite(&mut bip, "...after deleting the chord?", true);
 
     // --- k-edge-connectivity certificate --------------------------------
     // (universe sized to the graph: 2-edge-connectivity is a whole-graph
@@ -32,29 +36,17 @@ fn main() {
     for i in 0..20u32 {
         kec.insert(i, (i + 1) % 20); // a 20-cycle is 2-edge-connected
     }
-    println!("\n20-cycle 2-edge-connected?   {}", kec.is_two_edge_connected().unwrap());
+    let connected = kec.is_two_edge_connected().unwrap();
+    println!("\n20-cycle 2-edge-connected?   {connected}");
+    assert!(connected);
     kec.delete(0, 1); // now a path: every edge a bridge
-    println!("...after deleting one edge?  {}", kec.is_two_edge_connected().unwrap());
+    let connected = kec.is_two_edge_connected().unwrap();
+    println!("...after deleting one edge?  {connected}");
+    assert!(!connected);
     let cert = kec.certificate().unwrap();
-    println!(
-        "certificate: {} forests, {} edges total (graph had 19)",
-        cert.forests.len(),
-        cert.union_edges().len()
-    );
-
-    // --- Minimum spanning forest -----------------------------------------
-    let mut msf = MsfSketcher::new(n, 4, 3).unwrap();
-    // A weighted wheel: rim edges cost 0, spokes cost 3.
-    for i in 1..12u32 {
-        msf.insert(i, i % 11 + 1, 0);
-        msf.insert(0, i, 3);
-    }
-    let forest = msf.minimum_spanning_forest().unwrap();
-    println!(
-        "\nwheel MSF: {} edges, total weight {} (one spoke + the rim)",
-        forest.edges.len(),
-        forest.total_weight
-    );
+    let (forests, edges) = (cert.forests.len(), cert.union_edges().len());
+    println!("certificate: {forests} forests, {edges} edges total (graph had 19)");
+    assert_eq!((forests, edges), (2, 19));
 
     // --- Sharded ingestion (cluster model) -------------------------------
     // Updates flow through the batching router into four shard pipelines;
@@ -86,5 +78,6 @@ fn main() {
     restored.edge_update(3, 4); // continue streaming after restart
     let cc = restored.connected_components().unwrap();
     println!("\ncheckpoint restored: vertices 1 and 4 connected? {}", cc.same_component(1, 4));
+    assert!(cc.same_component(1, 4));
     std::fs::remove_file(&path).ok();
 }

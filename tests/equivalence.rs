@@ -1000,21 +1000,6 @@ mod hybrid_representation_proptests {
     }
 }
 
-#[test]
-fn streaming_cc_baseline_agrees_with_graphzeppelin() {
-    // The prior-art system and GraphZeppelin implement the same abstract
-    // algorithm; on a small graph both must agree with each other.
-    let dataset = Dataset::kron(5);
-    let stream = dataset.stream(5, &StreamifyConfig::default());
-    let gz_labels = labels_for(GzConfig::in_ram(dataset.num_vertices), &stream.updates);
-
-    let mut scc = graph_zeppelin::streaming_cc::StreamingCc::new(dataset.num_vertices, 9).unwrap();
-    for upd in &stream.updates {
-        scc.update(upd.u, upd.v, upd.kind == UpdateKind::Delete);
-    }
-    assert_eq!(scc.connected_components().unwrap(), gz_labels);
-}
-
 /// The pinned tests' fixed stream: 3000 inserts and deletes over 100
 /// vertices from a xorshift generator.
 fn pinned_stream() -> (u64, Vec<(u32, u32, bool)>) {
