@@ -4,10 +4,10 @@
 //! model at the paper's column count (12-byte CubeSketch buckets vs three
 //! field words for the standard sampler). The paper's shape: ~2× smaller in
 //! the 64-bit regime, ~4× beyond `n = 10^10`. [`run`] checks it and returns
-//! the verdict as `repro`'s exit code. The model is the serialized bucket;
-//! a resident CubeSketch bucket below `n = 2^32` is smaller still (one
-//! packed word, DESIGN.md §2), which the figure leaves out, as the paper
-//! does.
+//! the verdict as `repro`'s exit code. The model is the paper's bucket; a
+//! resident (and stored, and shipped) CubeSketch bucket below `n = 2^32` is
+//! smaller still (one packed word, DESIGN.md §2), which the figure leaves
+//! out, as the paper does.
 
 use crate::harness::{fmt_bytes, Scale, Table};
 use gz_sketch::geometry::SketchGeometry;

@@ -740,12 +740,8 @@ fn components_sharded(args: &ComponentsArgs, num_shards: u32) -> Result<String, 
         if let Some(io) = gz.gutter_io() {
             out.push_str(&format!("gutter tree: {io}\n"));
         }
-        match gz.graph_digest() {
-            Ok(digest) => out.push_str(&format!("graph digest: {digest}\n")),
-            // A respawned worker that restored a checkpoint no ack reached
-            // cannot place its digest; the answer above stands.
-            Err(e) => out.push_str(&format!("graph digest: unknown ({e})\n")),
-        }
+        let digest = gz.graph_digest().map_err(|e| e.to_string())?;
+        out.push_str(&format!("graph digest: {digest}\n"));
     }
     if args.forest {
         for e in &outcome.forest {
@@ -770,7 +766,7 @@ fn run_shard_worker(
         // restore; starting empty is correct (the coordinator's replay log
         // covers everything since seq 0), so a missing file is not fatal.
         if path.exists() {
-            let seq = pipeline.resume_from(&path).map_err(|e| e.to_string())?;
+            let seq = pipeline.resume_from(&path, None).map_err(|e| e.to_string())?;
             println!("shard-worker {index}/{shards} resumed {} at batch seq {seq}", path.display());
         } else {
             println!(
@@ -829,18 +825,29 @@ pub fn execute(cmd: Command) -> Result<String, String> {
         Command::Info { path } => {
             let mut reader = StreamReader::open(&path).map_err(|e| e.to_string())?;
             let header = reader.header();
-            let mut inserts = 0u64;
-            let mut deletes = 0u64;
-            let updates = reader.read_all().map_err(|e| e.to_string())?;
-            for u in &updates {
-                match u.kind {
-                    UpdateKind::Insert => inserts += 1,
-                    UpdateKind::Delete => deletes += 1,
+            // One pass, a batch at a time: counted as they are validated,
+            // never collected. A read error ends the pass and wins.
+            let (mut inserts, mut deletes, mut unreadable) = (0u64, 0u64, None);
+            let batches = std::iter::from_fn(|| {
+                let mut batch = Vec::new();
+                match reader.read_batch(&mut batch, 1 << 16) {
+                    Ok(0) => None,
+                    Ok(_) => Some(batch),
+                    Err(e) => {
+                        unreadable = Some(e);
+                        None
+                    }
                 }
+            });
+            let updates = batches.flatten().inspect(|u| match u.kind {
+                UpdateKind::Insert => inserts += 1,
+                UpdateKind::Delete => deletes += 1,
+            });
+            let validated = gz_stream::update::validate_stream(header.num_vertices, updates);
+            if let Some(e) = unreadable {
+                return Err(e.to_string());
             }
-            let final_edges =
-                gz_stream::update::validate_stream(header.num_vertices, updates.iter().copied())
-                    .map_err(|v| format!("invalid stream: {v:?}"))?;
+            let final_edges = validated.map_err(|v| format!("invalid stream: {v:?}"))?;
             Ok(format!(
                 "{}: {} nodes, {} updates ({} inserts, {} deletes), {} final edges, valid",
                 path.display(),
@@ -1363,8 +1370,8 @@ mod tests {
 
     #[test]
     fn checkpoint_written_at_the_papers_columns_restores_under_the_default() {
-        // A GZC2 from before the default moved says seven columns in its
-        // header, and the header wins: `checkpoint restore` rebuilds that
+        // A checkpoint from before the default moved says seven columns in
+        // its header, and the header wins: `checkpoint restore` rebuilds that
         // geometry and prints the forest the seven-column system computed.
         use graph_zeppelin::config::{DEFAULT_COLUMNS, PAPER_COLUMNS};
         let mut config = GzConfig::in_ram(32);
@@ -1375,7 +1382,7 @@ mod tests {
 
     #[test]
     fn checkpoint_written_at_the_papers_rounds_restores_under_its_header() {
-        // The same for a GZC2 from before the round budget moved: its header
+        // The same for a checkpoint from before the round budget moved: its header
         // says the paper's rounds, and `checkpoint restore` rebuilds that
         // stack depth rather than reading it as the default's.
         use graph_zeppelin::config::{default_rounds, paper_rounds};
@@ -1620,6 +1627,36 @@ mod tests {
 
         let comps = execute(components_cmd(&path, None)).unwrap();
         assert!(comps.contains("components over 64 nodes"), "{comps}");
+    }
+
+    #[test]
+    fn info_counts_a_stream_in_one_pass_and_refuses_a_truncated_one() {
+        use gz_stream::EdgeUpdate;
+        let path = tmp("info");
+        let updates = [
+            EdgeUpdate::insert(0, 1),
+            EdgeUpdate::insert(2, 3),
+            EdgeUpdate::delete(0, 1),
+            EdgeUpdate::insert(1, 4),
+        ];
+        gz_stream::format::write_stream(path.path(), 5, &updates).unwrap();
+        let info = execute(Command::Info { path: path.to_path_buf() }).unwrap();
+        assert!(
+            info.ends_with("5 nodes, 4 updates (3 inserts, 1 deletes), 2 final edges, valid"),
+            "{info}"
+        );
+        // A stream that breaks the model is named, not counted.
+        let bad = [EdgeUpdate::insert(0, 1), EdgeUpdate::insert(0, 1)];
+        gz_stream::format::write_stream(path.path(), 5, &bad).unwrap();
+        let err = execute(Command::Info { path: path.to_path_buf() }).unwrap_err();
+        assert!(err.starts_with("invalid stream: DoubleInsert(1"), "{err}");
+        // A file cut short of its header's count is a read error, even
+        // though every record it holds is valid.
+        gz_stream::format::write_stream(path.path(), 5, &updates).unwrap();
+        let bytes = std::fs::read(path.path()).unwrap();
+        std::fs::write(path.path(), &bytes[..bytes.len() - 9]).unwrap();
+        let err = execute(Command::Info { path: path.to_path_buf() }).unwrap_err();
+        assert!(!err.contains("valid"), "{err}");
     }
 
     fn components_cmd(path: &gz_testutil::TempPath, shards: Option<u32>) -> Command {

@@ -20,7 +20,7 @@
 //!   protocol violation gets a best-effort `ErrorReply` and the connection
 //!   dies; the daemon keeps serving everyone else.
 //! - **Durability.** With `--dir`, every acked batch is first fsynced to an
-//!   [`UpdateWal`]; a background thread periodically cuts versioned GZS2
+//!   [`UpdateWal`]; a background thread periodically cuts versioned shard
 //!   checkpoint rounds ([`ShardedGraphZeppelin::checkpoint_shards_to`]) and
 //!   flips a [`ServeManifest`] atomically, then rotates the WAL. Restart
 //!   with `--resume` restores the manifest's round and replays the WAL
@@ -223,6 +223,9 @@ fn wal_path(dir: &Path, round: u64) -> PathBuf {
     dir.join(format!("serve-wal-{round}.gzw"))
 }
 
+/// The round's shard checkpoint files. The `.gzs2` suffix names the kind
+/// they had when the layout was set; it stays so older state directories
+/// still resume.
 fn shard_paths(dir: &Path, round: u64, shards: u32) -> Vec<PathBuf> {
     (0..shards).map(|i| dir.join(format!("serve-round-{round}-shard-{i}.gzs2"))).collect()
 }
@@ -636,8 +639,9 @@ fn build_system(
         }
         prune_stale_rounds(dir, m.round);
         if m.round > 0 {
-            system.resume_shards_from(&shard_paths(dir, m.round, options.shards))?;
-            system.restore_graph_digest(m.graph)?;
+            // Each file resumes its shard's graph digest; a legacy round's
+            // files carry none, and the manifest's stands in for them.
+            system.resume_shards_from(&shard_paths(dir, m.round, options.shards), Some(m.graph))?;
         }
         (m.round, m.covered)
     } else {
@@ -953,6 +957,55 @@ mod tests {
         let Err(err) = serve_start(&options) else { panic!("resumed across geometries") };
         assert!(matches!(err, GzError::InvalidConfig(_)), "{err:?}");
         err.to_string()
+    }
+
+    /// `--resume` takes each shard's graph digest from its file — a
+    /// manifest naming the empty digest does not move it — and the
+    /// manifest's only for a legacy round, whose files carry none (the
+    /// committed `GZS2` fixture: shard 0 of 1 at V = 16, default seed).
+    #[test]
+    fn resume_reads_the_graph_digest_from_the_shard_files() {
+        const NODES: u64 = 16;
+        let stream: Vec<(u32, u32, bool)> =
+            (0..20u32).map(|i| ((i * 7 + 3) % 16, (i * i + 5 * i + 1) % 16, i % 5 == 4)).collect();
+        let sent = GraphDigest::of_updates(stream.iter().copied(), NODES);
+        let fixture =
+            Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/legacy.gzs2");
+        let expected = {
+            let mut reference =
+                ShardedGraphZeppelin::in_process(ShardConfig::in_ram(NODES, 1)).expect("reference");
+            reference.ingest(stream.iter().copied()).expect("ingest");
+            reference.connected_components().expect("labels")
+        };
+        for legacy in [false, true] {
+            let dir = gz_testutil::TempDir::new("gz-serve-resume-digest");
+            let mut options = ServeOptions::new(ServeListen::Tcp("127.0.0.1:0".into()), NODES);
+            options.dir = Some(dir.path().to_path_buf());
+            let files = shard_paths(dir.path(), 1, options.shards);
+            let manifest_graph = if legacy {
+                std::fs::copy(&fixture, &files[0]).expect("legacy round");
+                sent
+            } else {
+                let mut old = ShardConfig::in_ram(NODES, options.shards);
+                old.seed = options.seed;
+                let mut old = ShardedGraphZeppelin::in_process(old).expect("old system");
+                old.ingest(stream.iter().copied()).expect("ingest");
+                old.checkpoint_shards_to(&files).expect("checkpoint");
+                GraphDigest::ZERO
+            };
+            let manifest = options.manifest(1, stream.len() as u64, manifest_graph);
+            manifest.save(&manifest_path(dir.path())).expect("manifest");
+
+            options.resume = true;
+            let handle = serve_start(&options).expect("resume");
+            let timeouts = TransportTimeouts::all(Duration::from_secs(5));
+            let mut client = ServeClient::connect_tcp(handle.addr(), &timeouts).expect("connect");
+            assert_eq!(client.acked(), stream.len() as u64, "legacy {legacy}");
+            assert_eq!(client.hello_graph_digest(), sent, "legacy {legacy}");
+            assert_eq!(client.query_components().expect("labels"), expected, "legacy {legacy}");
+            client.shutdown().expect("goodbye");
+            handle.shutdown().expect("daemon shutdown");
+        }
     }
 
     fn wait_until(what: &str, mut ok: impl FnMut() -> bool) {

@@ -354,8 +354,8 @@ fn durable_serve_resumes_bit_identically_in_process() {
     let handle = serve_start(&options).expect("resume daemon");
     let mut client = connect(&handle);
     assert_eq!(client.acked(), updates.len() as u64, "handshake reports the acked prefix");
-    // The shard files carry no graph digest: the manifest's comes back, so
-    // the handshake's is the digest of exactly the acked updates.
+    // Each shard file carries its graph digest, so the handshake's is the
+    // digest of exactly the acked updates.
     let sent = GraphDigest::of_updates(updates.iter().copied(), NODES);
     assert_eq!(client.hello_graph_digest(), sent, "handshake reports the acked prefix's digest");
     assert_eq!(client.query_num_components().expect("num"), expected.num_components() as u64);

@@ -710,7 +710,7 @@ mod tests {
         assert_eq!(by_ref.acc_bytes, by_value.acc_bytes);
         let bytes = |acc: &crate::node_sketch::CubeRoundSketch| {
             let mut out = Vec::new();
-            acc.serialize_into(&mut out);
+            acc.append_words(&mut out);
             out
         };
         let (a, b) = (by_ref.into_folded(), by_value.into_folded());

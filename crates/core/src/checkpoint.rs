@@ -1,4 +1,4 @@
-//! Checkpointing: persist the entire sketch state and resume later.
+//! Checkpointing: persist a shard's sketch state and resume later.
 //!
 //! Linear sketches make this trivial in principle — the whole system state
 //! is the `V × O(log V)` bucket arrays plus the seeds that define the hash
@@ -6,40 +6,42 @@
 //! process restarts, or sketches shipped from an ingestion machine to a
 //! query machine (the coordinator/shard split of [`crate::sharding`]).
 //!
-//! Layout (little-endian):
+//! One kind of file serves every writer: a shard of the sharded system
+//! (DESIGN.md §14), and the [`GraphZeppelin`] facade, which is shard 0 of
+//! 1. Layout (little-endian):
 //!
 //! ```text
-//! magic    [u8;4] = b"GZC2"   — v2: single-hash column derivation (DESIGN.md §9)
-//! num_nodes u64, seed u64, rounds u32, columns u32
-//! updates   u64      — updates ingested so far (informational)
-//! payload   num_nodes × node_sketch_serialized_bytes
-//! ```
-//!
-//! A second format, `GZS2`, checkpoints a *single shard* of the sharded
-//! system (DESIGN.md §14): the same per-node payload but restricted to the
-//! shard's owned vertices (in owned-slot order), plus the shard topology
-//! and the batch sequence number the state covers — the durable point the
-//! coordinator's replay log resumes from after a worker dies:
-//!
-//! ```text
-//! magic    [u8;4] = b"GZS2"
+//! magic       [u8;4] = b"GZC3"  — v3: one kind, resident words, graph digest
 //! num_nodes u64, seed u64, rounds u32, columns u32
 //! shard_index u32, num_shards u32
-//! seq        u64  — coordinator batches absorbed when the checkpoint was cut
-//! owned      u64  — sketches that follow
-//! payload    owned × node_sketch_serialized_bytes (owned-slot order)
+//! seq         u64  — batches the shard had absorbed when the file was cut
+//! updates     u64  — stream updates the state covers (a facade counts
+//!                    them; a shard worker sees batches and writes 0)
+//! owned       u64  — sketches that follow
+//! graph       [u8; 512] — the shard's graph digest (`gz_graph::digest`)
+//! payload     owned × node_sketch_resident_bytes (owned-slot order)
 //! ```
 //!
-//! Both readers validate the *exact* file length against the header before
-//! allocating or deserializing anything: a truncated file, a short sketch
+//! A node's payload is its rounds' resident words
+//! ([`gz_sketch::cube::CubeSketch::append_words`]), the bytes the store
+//! holds, the wire ships and the state digest hashes. Files of the two
+//! kinds before it still restore through one legacy reader: `GZC2` (a
+//! facade's; after `columns` only `updates`) and `GZS2` (a shard's; after
+//! `columns` the topology, `seq` and `owned`). Their payload is the paper's
+//! 12-byte model, decoded by
+//! [`gz_sketch::cube::CubeSketch::decode_paper_model`], and they carry no
+//! graph digest ([`CheckpointHeader::graph`] is `None`).
+//!
+//! The reader validates the *exact* file length against the header before
+//! allocating or decoding anything: a truncated file, a short sketch
 //! payload, and trailing garbage all surface as a clean
-//! [`GzError::InvalidConfig`], never a panic or a partial restore. Both
-//! writers (and the serve manifest's) fill a temp file, fsync it and rename
-//! it into place, so a crash or a full disk mid-write can neither destroy
-//! the previous checkpoint nor regress the durable state a prior
-//! `CheckpointAck` promised. Both stream the payload straight from the
-//! store ([`NodePayload`]): a save holds one node or node group at a time,
-//! never a copy of the store.
+//! [`GzError::InvalidConfig`], never a panic or a partial restore. The
+//! writer (and the serve manifest's) fills a temp file, fsyncs it and
+//! renames it into place, so a crash or a full disk mid-write can neither
+//! destroy the previous checkpoint nor regress the durable state a prior
+//! `CheckpointAck` promised. It streams the payload straight from the store
+//! ([`NodePayload`]): a save holds one node or node group at a time, never
+//! a copy of the store.
 
 use crate::config::GzConfig;
 use crate::error::GzError;
@@ -48,6 +50,7 @@ use crate::store::SketchStore;
 use crate::system::GraphZeppelin;
 use gz_graph::{GraphDigest, GRAPH_DIGEST_BYTES};
 use gz_hash::xxh64;
+use gz_sketch::cube::PayloadError;
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
@@ -55,30 +58,39 @@ use std::path::{Path, PathBuf};
 // (DESIGN.md §9): their bucket payloads were built from the old `h1`/`h2`
 // pair and cannot merge with sketches hashed under the current scheme, so
 // the magic refuses them instead of silently restoring corrupt state.
-const MAGIC: [u8; 4] = *b"GZC2";
-const SHARD_MAGIC: [u8; 4] = *b"GZS2";
+const MAGIC: [u8; 4] = *b"GZC3";
+const LEGACY_MAGIC: [u8; 4] = *b"GZC2";
+const LEGACY_SHARD_MAGIC: [u8; 4] = *b"GZS2";
 
-/// Byte size of the fixed GZC2 header.
-const HEADER_BYTES: u64 = 4 + 8 + 8 + 4 + 4 + 8;
-/// Byte size of the fixed GZS2 header.
-const SHARD_HEADER_BYTES: u64 = 4 + 8 + 8 + 4 + 4 + 4 + 4 + 8 + 8;
+/// Byte size of a `GZC3` header.
+#[cfg(test)]
+const HEADER_BYTES: usize = 4 + 8 + 8 + 4 + 4 + 4 + 4 + 8 + 8 + 8 + GRAPH_DIGEST_BYTES;
 
 fn corrupt(path: &Path, what: impl std::fmt::Display) -> GzError {
     GzError::InvalidConfig(format!("corrupt checkpoint {}: {what}", path.display()))
 }
 
-/// Check that `path`'s length is exactly `header + count × node_bytes`.
-/// Catches truncation (short sketch payloads) and trailing garbage alike,
-/// before anything is allocated from untrusted counts.
+/// Check that `path`'s length is exactly `header_len + owned × node bytes`,
+/// a node's bytes sized from the header's geometry alone (no families are
+/// built from a header not yet checked): resident words, or the paper's
+/// model in a legacy file. Catches truncation (short sketch payloads) and
+/// trailing garbage alike, before anything is allocated from untrusted
+/// counts.
 fn check_payload_len(
     path: &Path,
-    header_bytes: u64,
-    count: u64,
-    node_bytes: usize,
+    header_len: u64,
+    header: &CheckpointHeader,
 ) -> Result<(), GzError> {
-    let expected = count
-        .checked_mul(node_bytes as u64)
-        .and_then(|p| p.checked_add(header_bytes))
+    let geometry = SketchParams::geometry(header.num_nodes, header.columns);
+    let round_bytes = match header.graph {
+        Some(_) => geometry.cube_resident_bytes(),
+        None => geometry.cube_sketch_bytes(),
+    };
+    let node_bytes = round_bytes as u64 * u64::from(header.rounds);
+    let expected = header
+        .owned_count
+        .checked_mul(node_bytes)
+        .and_then(|p| p.checked_add(header_len))
         .ok_or_else(|| corrupt(path, "node count overflows the payload size"))?;
     let actual = std::fs::metadata(path)?.len();
     if actual != expected {
@@ -86,7 +98,8 @@ fn check_payload_len(
             path,
             format!(
                 "file is {actual} bytes, expected {expected} \
-                 ({count} sketches of {node_bytes} bytes)"
+                 ({} sketches of {node_bytes} bytes)",
+                header.owned_count
             ),
         ));
     }
@@ -126,7 +139,7 @@ fn write_atomically(
 
 /// The node sketches a checkpoint payload is written from, in slot order.
 pub trait NodePayload {
-    /// Hand `write` each node sketch's serialization, in slot order.
+    /// Hand `write` each node sketch's encoding, in slot order.
     fn write_nodes(
         &self,
         params: &SketchParams,
@@ -136,7 +149,7 @@ pub trait NodePayload {
 
 /// A store streams its payload one node (RAM) or node group (disk) at a
 /// time ([`SketchStore::for_each_serialized`]): a checkpoint never holds a
-/// copy of the store, only what is being serialized and the file buffer.
+/// copy of the store, only what is being encoded and the file buffer.
 impl NodePayload for SketchStore {
     fn write_nodes(
         &self,
@@ -148,7 +161,7 @@ impl NodePayload for SketchStore {
 }
 
 /// Snapshot-then-write, the order checkpoints were written in before they
-/// streamed: the reference the streaming writers are held byte-equal to.
+/// streamed: the reference the streaming writer is held byte-equal to.
 #[cfg(test)]
 impl NodePayload for Vec<(u32, CubeNodeSketch)> {
     fn write_nodes(
@@ -156,7 +169,7 @@ impl NodePayload for Vec<(u32, CubeNodeSketch)> {
         params: &SketchParams,
         write: &mut dyn FnMut(&[u8]) -> std::io::Result<()>,
     ) -> std::io::Result<()> {
-        let mut buf = Vec::with_capacity(params.node_sketch_serialized_bytes());
+        let mut buf = Vec::with_capacity(params.node_sketch_resident_bytes());
         for (_, sketch) in self {
             buf.clear();
             params.serialize_node_sketch(sketch, &mut buf);
@@ -166,47 +179,10 @@ impl NodePayload for Vec<(u32, CubeNodeSketch)> {
     }
 }
 
-/// Write the sketch payload both formats share: `count` node sketches'
-/// serializations, back to back.
-fn write_payload(
-    w: &mut impl Write,
-    params: &SketchParams,
-    nodes: &impl NodePayload,
-    count: u64,
-) -> std::io::Result<()> {
-    let mut written = 0u64;
-    nodes.write_nodes(params, &mut |bytes| {
-        written += 1;
-        w.write_all(bytes)
-    })?;
-    debug_assert_eq!(written, count, "checkpoint payload node count");
-    Ok(())
-}
-
-/// Read a payload of `count` node sketches. The caller has already checked
-/// the file's length against `count` ([`check_payload_len`]). The whole
-/// payload is read and decoded before any store sees it, on purpose: a
-/// file that turns out short or unreadable halfway fails the restore with
-/// the store untouched, never half-restored.
-fn read_payload(
-    r: &mut impl Read,
-    path: &Path,
-    params: &SketchParams,
-    count: u64,
-) -> Result<Vec<CubeNodeSketch>, GzError> {
-    let mut buf = vec![0u8; params.node_sketch_serialized_bytes()];
-    let mut sketches = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        r.read_exact(&mut buf).map_err(|e| corrupt(path, format!("short payload: {e}")))?;
-        sketches.push(params.deserialize_node_sketch(&buf).map_err(|e| corrupt(path, e))?);
-    }
-    Ok(sketches)
-}
-
 /// Header of a checkpoint file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckpointHeader {
-    /// Vertex universe size.
+    /// Vertex universe size (the whole graph's, not the shard's).
     pub num_nodes: u64,
     /// Master seed (hash functions are derived from it).
     pub seed: u64,
@@ -214,44 +190,154 @@ pub struct CheckpointHeader {
     pub rounds: u32,
     /// Sketch columns.
     pub columns: u32,
-    /// Updates ingested when the checkpoint was taken.
+    /// Which shard this state belongs to (0 for a facade's).
+    pub shard_index: u32,
+    /// Fleet size the shard was partitioned for (1 for a facade's).
+    pub num_shards: u32,
+    /// Batches the state covers — a replay log resumes strictly after
+    /// this point.
+    pub seq: u64,
+    /// Stream updates the state covers, where the writer counts them (a
+    /// facade does; a shard worker writes 0).
     pub updates_ingested: u64,
+    /// Owned sketches in the payload.
+    pub owned_count: u64,
+    /// The shard's graph digest when the file was cut; `None` in a legacy
+    /// `GZC2`/`GZS2` file, which carries none.
+    pub graph: Option<GraphDigest>,
+}
+
+/// Persist `header.owned_count` node sketches, pulled from `nodes` in
+/// owned-slot order as the file is written (a store densifies its sparse
+/// vertices one at a time on the way), to `path`, atomically (see
+/// `write_atomically`): a crash at any point leaves either the old
+/// checkpoint or the new one — never a torn file that would silently
+/// regress the durable `seq`. The one checkpoint writer; `header.graph`
+/// must be set.
+pub fn write_checkpoint(
+    path: &Path,
+    header: &CheckpointHeader,
+    params: &SketchParams,
+    nodes: &impl NodePayload,
+) -> Result<(), GzError> {
+    let graph = header.graph.ok_or_else(|| {
+        GzError::InvalidConfig("a checkpoint is written with its graph digest".into())
+    })?;
+    write_atomically(path, |w| {
+        w.write_all(&MAGIC)?;
+        w.write_all(&header.num_nodes.to_le_bytes())?;
+        w.write_all(&header.seed.to_le_bytes())?;
+        w.write_all(&header.rounds.to_le_bytes())?;
+        w.write_all(&header.columns.to_le_bytes())?;
+        w.write_all(&header.shard_index.to_le_bytes())?;
+        w.write_all(&header.num_shards.to_le_bytes())?;
+        w.write_all(&header.seq.to_le_bytes())?;
+        w.write_all(&header.updates_ingested.to_le_bytes())?;
+        w.write_all(&header.owned_count.to_le_bytes())?;
+        w.write_all(&graph.to_bytes())?;
+        let mut written = 0u64;
+        nodes.write_nodes(params, &mut |bytes| {
+            written += 1;
+            w.write_all(bytes)
+        })?;
+        debug_assert_eq!(written, header.owned_count, "checkpoint payload node count");
+        Ok(())
+    })
+}
+
+/// Read the header of the checkpoint at `path`, of either kind, and check
+/// the file's length against it: a header this returns describes a whole
+/// file.
+pub fn read_checkpoint_header(path: &Path) -> Result<CheckpointHeader, GzError> {
+    let (header, header_len) = read_header(&mut BufReader::new(std::fs::File::open(path)?))?;
+    check_payload_len(path, header_len, &header)?;
+    Ok(header)
+}
+
+/// Load the checkpoint at `path`, validating every identity field against
+/// `expect` (its `seq`, `updates_ingested` and `graph` are ignored — those
+/// are the answer, not a precondition), then the file's length. Returns the
+/// file's header and the owned sketches in owned-slot order. The whole
+/// payload is read and decoded before any store sees it, on purpose: a
+/// file that turns out short or unreadable halfway fails the restore with
+/// the store untouched, never half-restored.
+pub fn load_checkpoint(
+    path: &Path,
+    params: &SketchParams,
+    expect: &CheckpointHeader,
+) -> Result<(CheckpointHeader, Vec<CubeNodeSketch>), GzError> {
+    let mut r = BufReader::with_capacity(1 << 20, std::fs::File::open(path)?);
+    let (header, header_len) = read_header(&mut r)?;
+    if (header.num_nodes, header.seed, header.rounds, header.columns)
+        != (expect.num_nodes, expect.seed, expect.rounds, expect.columns)
+        || (header.shard_index, header.num_shards, header.owned_count)
+            != (expect.shard_index, expect.num_shards, expect.owned_count)
+    {
+        return Err(GzError::InvalidConfig(format!(
+            "checkpoint {} does not match this shard's parameters: \
+             file has {header:?}, expected {expect:?}",
+            path.display()
+        )));
+    }
+    check_payload_len(path, header_len, &header)?;
+
+    let legacy = header.graph.is_none();
+    let node_bytes =
+        if legacy { params.node_sketch_bytes() } else { params.node_sketch_resident_bytes() };
+    let mut buf = vec![0u8; node_bytes];
+    let mut sketches = Vec::with_capacity(header.owned_count as usize);
+    for _ in 0..header.owned_count {
+        r.read_exact(&mut buf).map_err(|e| corrupt(path, format!("short payload: {e}")))?;
+        sketches.push(if legacy {
+            decode_legacy_node(params, &buf).map_err(|e| corrupt(path, e))?
+        } else {
+            params.deserialize_node_sketch(&buf)
+        });
+    }
+    Ok((header, sketches))
+}
+
+/// The legacy reader's node decoder: a stack in the paper's 12-byte model,
+/// round by round, its `α` high words checked (the bytes come from a file).
+fn decode_legacy_node(params: &SketchParams, bytes: &[u8]) -> Result<CubeNodeSketch, PayloadError> {
+    let mut sketch = params.new_node_sketch();
+    let mut rest = bytes;
+    for (r, slice) in sketch.rounds_mut().iter_mut().enumerate() {
+        let (round, tail) = rest.split_at(params.families[r].geometry().cube_sketch_bytes());
+        slice.decode_paper_model(round)?;
+        rest = tail;
+    }
+    Ok(sketch)
 }
 
 impl GraphZeppelin {
-    /// Flush all buffered updates and write the sketch state to `path`,
-    /// atomically (see `write_atomically`): a failed save leaves the
-    /// checkpoint that was there before intact. Each node is serialized
-    /// into the file buffer as the store hands it over ([`NodePayload`]),
-    /// so the save holds no copy of the store.
+    /// Flush all buffered updates and write the sketch state to `path` as
+    /// shard 0 of 1, with the update count and the graph digest, atomically
+    /// (see `write_atomically`): a failed save leaves the checkpoint that
+    /// was there before intact. Each node is encoded into the file buffer
+    /// as the store hands it over ([`NodePayload`]), so the save holds no
+    /// copy of the store.
     pub fn save_checkpoint(&mut self, path: &Path) -> Result<CheckpointHeader, GzError> {
-        self.flush();
-        let params = self.params().clone();
+        let graph = self.graph_digest();
         let header = CheckpointHeader {
             num_nodes: self.config().num_nodes,
             seed: self.config().seed,
-            rounds: params.rounds() as u32,
+            rounds: self.params().rounds() as u32,
             columns: self.config().num_columns,
+            shard_index: 0,
+            num_shards: 1,
+            seq: self.batches_applied(),
             updates_ingested: self.updates_ingested(),
+            owned_count: self.config().num_nodes,
+            graph: Some(graph),
         };
-
-        write_atomically(path, |w| {
-            w.write_all(&MAGIC)?;
-            w.write_all(&header.num_nodes.to_le_bytes())?;
-            w.write_all(&header.seed.to_le_bytes())?;
-            w.write_all(&header.rounds.to_le_bytes())?;
-            w.write_all(&header.columns.to_le_bytes())?;
-            w.write_all(&header.updates_ingested.to_le_bytes())?;
-            write_payload(w, &params, self.store(), header.num_nodes)
-        })?;
+        write_checkpoint(path, &header, self.params(), self.store())?;
         Ok(header)
     }
 
-    /// Read just the header of a checkpoint file.
+    /// Read just the header of a checkpoint file ([`read_checkpoint_header`]).
     pub fn checkpoint_header(path: &Path) -> Result<CheckpointHeader, GzError> {
-        let file = std::fs::File::open(path)?;
-        let mut r = BufReader::new(file);
-        read_header(&mut r)
+        read_checkpoint_header(path)
     }
 
     /// Restore a system from a checkpoint with default runtime settings
@@ -267,51 +353,38 @@ impl GraphZeppelin {
 
     /// Restore with explicit runtime settings. The config's sketch-defining
     /// fields (`num_nodes`, `seed`, rounds, `num_columns`) must match the
-    /// checkpoint or an [`GzError::InvalidConfig`] is returned.
+    /// checkpoint, a facade's (shard 0 of 1), or an
+    /// [`GzError::InvalidConfig`] is returned. The graph digest resumes from
+    /// the file's; a legacy file carries none, and the digest starts empty.
     pub fn restore_with_config(path: &Path, config: GzConfig) -> Result<GraphZeppelin, GzError> {
-        let file = std::fs::File::open(path)?;
-        let mut r = BufReader::with_capacity(1 << 20, file);
-        let header = read_header(&mut r)?;
-
-        if config.num_nodes != header.num_nodes
-            || config.seed != header.seed
-            || config.rounds() != header.rounds
-            || config.num_columns != header.columns
-        {
-            return Err(GzError::InvalidConfig(format!(
-                "config does not match checkpoint header {header:?}"
-            )));
-        }
-
-        let params =
-            SketchParams::new(header.num_nodes, header.rounds, header.columns, header.seed);
-        let node_bytes = params.node_sketch_serialized_bytes();
-        check_payload_len(path, HEADER_BYTES, header.num_nodes, node_bytes)?;
-
+        let header = read_checkpoint_header(path)?;
         let mut gz = GraphZeppelin::new(config)?;
-        let sketches = read_payload(&mut r, path, &params, header.num_nodes)?;
-        gz.load_sketches(sketches, header.updates_ingested);
+        gz.resume(path, header.updates_ingested)?;
         Ok(gz)
     }
 }
 
-/// Reader helpers that turn a short read into a clean "truncated" error
-/// rather than a bare `UnexpectedEof`.
+/// Reader helpers that count the bytes read and turn a short read into a
+/// clean "truncated" error rather than a bare `UnexpectedEof`.
 struct HeaderReader<'a, R: Read> {
     r: &'a mut R,
+    read: u64,
 }
 
 impl<R: Read> HeaderReader<'_, R> {
-    fn u32(&mut self) -> Result<u32, GzError> {
-        let mut buf = [0u8; 4];
+    fn bytes<const N: usize>(&mut self) -> Result<[u8; N], GzError> {
+        let mut buf = [0u8; N];
         self.r.read_exact(&mut buf).map_err(truncated_header)?;
-        Ok(u32::from_le_bytes(buf))
+        self.read += N as u64;
+        Ok(buf)
+    }
+
+    fn u32(&mut self) -> Result<u32, GzError> {
+        self.bytes().map(u32::from_le_bytes)
     }
 
     fn u64(&mut self) -> Result<u64, GzError> {
-        let mut buf = [0u8; 8];
-        self.r.read_exact(&mut buf).map_err(truncated_header)?;
-        Ok(u64::from_le_bytes(buf))
+        self.bytes().map(u64::from_le_bytes)
     }
 }
 
@@ -323,154 +396,57 @@ fn truncated_header(e: std::io::Error) -> GzError {
     }
 }
 
-/// Bounds-check the sketch-defining header fields shared by both formats —
-/// the bounds every config is validated against, so a file a system wrote
-/// is never refused here.
-fn check_header_fields(num_nodes: u64, rounds: u32, columns: u32) -> Result<(), GzError> {
-    crate::config::check_sketch_fields(num_nodes, rounds, columns)
-        .map_err(|what| GzError::InvalidConfig(format!("checkpoint {what}")))
-}
-
-fn read_header(r: &mut impl Read) -> Result<CheckpointHeader, GzError> {
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic).map_err(truncated_header)?;
-    if magic != MAGIC {
+/// Read a header of any kind, and its length, and bounds-check its fields —
+/// against the bounds every config is validated against, so a file a
+/// system wrote is never refused here — before anything is sized from them.
+fn read_header(r: &mut impl Read) -> Result<(CheckpointHeader, u64), GzError> {
+    let mut hr = HeaderReader { r, read: 0 };
+    let magic = hr.bytes::<4>()?;
+    if ![MAGIC, LEGACY_MAGIC, LEGACY_SHARD_MAGIC].contains(&magic) {
         return Err(GzError::InvalidConfig("not a GraphZeppelin checkpoint".into()));
     }
-    let mut hr = HeaderReader { r };
-    let num_nodes = hr.u64()?;
-    let seed = hr.u64()?;
-    let rounds = hr.u32()?;
-    let columns = hr.u32()?;
-    let updates_ingested = hr.u64()?;
-    check_header_fields(num_nodes, rounds, columns)?;
-    Ok(CheckpointHeader { num_nodes, seed, rounds, columns, updates_ingested })
-}
-
-/// Header of a per-shard (`GZS2`) checkpoint file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardCheckpointHeader {
-    /// Vertex universe size (the whole graph's, not the shard's).
-    pub num_nodes: u64,
-    /// Master seed.
-    pub seed: u64,
-    /// Rounds per node sketch.
-    pub rounds: u32,
-    /// Sketch columns.
-    pub columns: u32,
-    /// Which shard this state belongs to.
-    pub shard_index: u32,
-    /// Fleet size the shard was partitioned for.
-    pub num_shards: u32,
-    /// Coordinator batches the state covers — the replay log resumes
-    /// strictly after this point.
-    pub seq: u64,
-    /// Owned sketches in the payload.
-    pub owned_count: u64,
-}
-
-fn read_shard_header(r: &mut impl Read) -> Result<ShardCheckpointHeader, GzError> {
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic).map_err(truncated_header)?;
-    if magic != SHARD_MAGIC {
-        return Err(GzError::InvalidConfig("not a GraphZeppelin shard checkpoint".into()));
-    }
-    let mut hr = HeaderReader { r };
-    let num_nodes = hr.u64()?;
-    let seed = hr.u64()?;
-    let rounds = hr.u32()?;
-    let columns = hr.u32()?;
-    let shard_index = hr.u32()?;
-    let num_shards = hr.u32()?;
-    let seq = hr.u64()?;
-    let owned_count = hr.u64()?;
-    check_header_fields(num_nodes, rounds, columns)?;
-    if num_shards == 0 || shard_index >= num_shards {
-        return Err(GzError::InvalidConfig(format!(
-            "shard checkpoint names shard {shard_index} of {num_shards}"
-        )));
-    }
-    if owned_count > num_nodes {
-        return Err(GzError::InvalidConfig(format!(
-            "shard checkpoint owns {owned_count} of {num_nodes} nodes"
-        )));
-    }
-    Ok(ShardCheckpointHeader {
+    let (num_nodes, seed, rounds, columns) = (hr.u64()?, hr.u64()?, hr.u32()?, hr.u32()?);
+    let mut header = CheckpointHeader {
         num_nodes,
         seed,
         rounds,
         columns,
-        shard_index,
-        num_shards,
-        seq,
-        owned_count,
-    })
-}
-
-/// Read just the header of a shard checkpoint file.
-pub fn read_shard_checkpoint_header(path: &Path) -> Result<ShardCheckpointHeader, GzError> {
-    let file = std::fs::File::open(path)?;
-    let mut r = BufReader::new(file);
-    read_shard_header(&mut r)
-}
-
-/// Persist a shard's `header.owned_count` owned sketches, pulled from
-/// `nodes` in owned-slot order as the file is written (a store densifies
-/// its sparse vertices one at a time on the way), to `path`, atomically
-/// (see `write_atomically`): a crash at any point leaves either the old
-/// checkpoint or the new one — never a torn file that would silently
-/// regress the durable `seq`.
-pub fn save_shard_checkpoint(
-    path: &Path,
-    header: &ShardCheckpointHeader,
-    params: &SketchParams,
-    nodes: &impl NodePayload,
-) -> Result<(), GzError> {
-    write_atomically(path, |w| {
-        w.write_all(&SHARD_MAGIC)?;
-        w.write_all(&header.num_nodes.to_le_bytes())?;
-        w.write_all(&header.seed.to_le_bytes())?;
-        w.write_all(&header.rounds.to_le_bytes())?;
-        w.write_all(&header.columns.to_le_bytes())?;
-        w.write_all(&header.shard_index.to_le_bytes())?;
-        w.write_all(&header.num_shards.to_le_bytes())?;
-        w.write_all(&header.seq.to_le_bytes())?;
-        w.write_all(&header.owned_count.to_le_bytes())?;
-        write_payload(w, params, nodes, header.owned_count)
-    })
-}
-
-/// Load a shard checkpoint, validating every identity field against
-/// `expect` (whose `seq` is ignored — that is the answer, not a
-/// precondition). Returns the owned sketches in owned-slot order plus the
-/// sequence number the state covers.
-pub fn load_shard_checkpoint(
-    path: &Path,
-    params: &SketchParams,
-    expect: &ShardCheckpointHeader,
-) -> Result<(Vec<CubeNodeSketch>, u64), GzError> {
-    let file = std::fs::File::open(path)?;
-    let mut r = BufReader::with_capacity(1 << 20, file);
-    let header = read_shard_header(&mut r)?;
-
-    if header.num_nodes != expect.num_nodes
-        || header.seed != expect.seed
-        || header.rounds != expect.rounds
-        || header.columns != expect.columns
-        || header.shard_index != expect.shard_index
-        || header.num_shards != expect.num_shards
-        || header.owned_count != expect.owned_count
-    {
+        shard_index: 0,
+        num_shards: 1,
+        seq: 0,
+        updates_ingested: 0,
+        owned_count: num_nodes,
+        graph: None,
+    };
+    if magic == LEGACY_MAGIC {
+        header.updates_ingested = hr.u64()?;
+    } else {
+        header.shard_index = hr.u32()?;
+        header.num_shards = hr.u32()?;
+        header.seq = hr.u64()?;
+        if magic == MAGIC {
+            header.updates_ingested = hr.u64()?;
+        }
+        header.owned_count = hr.u64()?;
+    }
+    if magic == MAGIC {
+        header.graph = Some(GraphDigest::from_bytes(&hr.bytes()?));
+    }
+    crate::config::check_sketch_fields(num_nodes, rounds, columns)
+        .map_err(|what| GzError::InvalidConfig(format!("checkpoint {what}")))?;
+    if header.num_shards == 0 || header.shard_index >= header.num_shards {
         return Err(GzError::InvalidConfig(format!(
-            "shard checkpoint {} does not match this shard's parameters: \
-             file has {header:?}, expected {expect:?}",
-            path.display()
+            "checkpoint names shard {} of {}",
+            header.shard_index, header.num_shards
         )));
     }
-
-    let node_bytes = params.node_sketch_serialized_bytes();
-    check_payload_len(path, SHARD_HEADER_BYTES, header.owned_count, node_bytes)?;
-    Ok((read_payload(&mut r, path, params, header.owned_count)?, header.seq))
+    if header.owned_count > num_nodes {
+        return Err(GzError::InvalidConfig(format!(
+            "checkpoint owns {} of {num_nodes} nodes",
+            header.owned_count
+        )));
+    }
+    Ok((header, hr.read))
 }
 
 // ---------------------------------------------------------------------------
@@ -703,13 +679,16 @@ mod tests {
             gz.edge_update(a, b);
         }
         let expected = gz.connected_components().unwrap().labels().to_vec();
+        let graph = gz.graph_digest();
         let header = gz.save_checkpoint(path.path()).unwrap();
         assert_eq!(header.updates_ingested, 5);
+        assert_eq!(header.graph, Some(graph));
         drop(gz);
 
         let mut restored = GraphZeppelin::restore(path.path()).unwrap();
         assert_eq!(restored.updates_ingested(), 5);
         assert_eq!(restored.connected_components().unwrap().labels(), &expected[..]);
+        assert_eq!(restored.graph_digest(), graph, "the digest resumes from the file");
     }
 
     #[test]
@@ -728,6 +707,8 @@ mod tests {
         let cc = restored.connected_components().unwrap();
         assert!(cc.same_component(0, 2));
         assert!(!cc.same_component(2, 3));
+        let stream = [(0, 1, false), (2, 3, false), (2, 3, true), (1, 2, false)];
+        assert_eq!(restored.graph_digest(), GraphDigest::of_updates(stream, 16));
     }
 
     #[test]
@@ -814,8 +795,9 @@ mod tests {
     #[test]
     fn streamed_checkpoint_bytes_equal_snapshot_then_write() {
         // The streaming writer against the order it replaced — snapshot
-        // the whole store, then serialize the copy — on both stores, dense
-        // and hybrid: the same GZC2 file, byte for byte.
+        // the whole store, then encode the copy — on both stores, dense
+        // and hybrid: the same file, byte for byte, its header laid out
+        // field by field.
         let dir = gz_testutil::TempDir::new("gz-ckpt-stream");
         let n = 256u32;
         for on_disk in [false, true] {
@@ -847,7 +829,13 @@ mod tests {
                 want.extend_from_slice(&header.seed.to_le_bytes());
                 want.extend_from_slice(&header.rounds.to_le_bytes());
                 want.extend_from_slice(&header.columns.to_le_bytes());
+                want.extend_from_slice(&0u32.to_le_bytes()); // shard 0
+                want.extend_from_slice(&1u32.to_le_bytes()); // of 1
+                want.extend_from_slice(&header.seq.to_le_bytes());
                 want.extend_from_slice(&header.updates_ingested.to_le_bytes());
+                want.extend_from_slice(&u64::from(n).to_le_bytes());
+                want.extend_from_slice(&gz.graph_digest().to_bytes());
+                assert_eq!(want.len(), HEADER_BYTES);
                 snapshot
                     .write_nodes(gz.params(), &mut |bytes| {
                         want.extend_from_slice(bytes);
@@ -875,11 +863,84 @@ mod tests {
         ));
     }
 
+    /// The committed legacy files, written by the commit before checkpoints
+    /// held resident words, for [`legacy_stream`] at V = 16 under the
+    /// default seed and geometry: a facade's `GZC2` and the `GZS2` of shard
+    /// 0 of 1 (`ShardedGraphZeppelin::checkpoint_shards_to`).
+    fn legacy_fixture(name: &str) -> PathBuf {
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures").join(name)
+    }
+
+    /// The stream the legacy fixtures hold: 20 toggles over 16 vertices,
+    /// four of which toggle an edge back out — 12 edges, 4 components.
+    fn legacy_stream() -> Vec<(u32, u32, bool)> {
+        (0..20u32).map(|i| ((i * 7 + 3) % 16, (i * i + 5 * i + 1) % 16, i % 5 == 4)).collect()
+    }
+
+    #[test]
+    fn legacy_files_restore_and_answer() {
+        use crate::sharding::{ShardConfig, ShardPipeline, ShardedGraphZeppelin};
+        use gz_graph::connectivity::{connected_components_dsu, same_partition};
+        let n = 16u64;
+        let mut mirror = gz_graph::AdjacencyList::new(n as usize);
+        for (u, v, _) in legacy_stream() {
+            mirror.toggle(gz_graph::Edge::new(u, v));
+        }
+        let truth = connected_components_dsu(&mirror);
+        let mut fresh = GraphZeppelin::new(GzConfig::in_ram(n)).unwrap();
+        fresh.ingest(legacy_stream());
+        let (want_state, want_graph) = (fresh.state_digest().unwrap(), fresh.graph_digest());
+
+        // GZC2: the facade restores it, bit for bit; the file carries no
+        // graph digest, so the restored digest starts empty.
+        let gzc2 = legacy_fixture("legacy.gzc2");
+        let header = GraphZeppelin::checkpoint_header(&gzc2).unwrap();
+        assert_eq!((header.updates_ingested, header.graph), (20, None));
+        let mut restored = GraphZeppelin::restore(&gzc2).unwrap();
+        let labels = restored.connected_components().unwrap().labels().to_vec();
+        assert!(same_partition(&labels, &truth), "{labels:?} vs {truth:?}");
+        assert_eq!(restored.state_digest().unwrap(), want_state, "the same sketch bits");
+        assert_eq!(restored.updates_ingested(), 20);
+        assert_eq!(restored.graph_digest(), GraphDigest::ZERO);
+
+        // GZS2: in process, with the digest recorded beside it (`gz serve`'s
+        // manifest) standing in for the one it lacks.
+        let gzs2 = legacy_fixture("legacy.gzs2");
+        let seq = read_checkpoint_header(&gzs2).unwrap().seq;
+        let config = ShardConfig::in_ram(n, 1);
+        let mut sharded = ShardedGraphZeppelin::in_process(config.clone()).unwrap();
+        assert_eq!(
+            sharded.resume_shards_from(std::slice::from_ref(&gzs2), Some(want_graph)).unwrap(),
+            [seq]
+        );
+        let labels = sharded.connected_components().unwrap();
+        assert!(same_partition(&labels, &truth), "{labels:?} vs {truth:?}");
+        assert_eq!(sharded.state_digest().unwrap(), want_state);
+        assert_eq!(sharded.graph_digest().unwrap(), want_graph);
+
+        // A socket worker has no digest to stand in, and refuses the file.
+        let worker = ShardPipeline::new(&config, 0).unwrap();
+        let err = worker.resume_from(&gzs2, None).unwrap_err();
+        assert!(matches!(err, GzError::InvalidConfig(_)), "{err}");
+        assert!(err.to_string().contains("graph digest"), "{err}");
+    }
+
     #[test]
     fn rejects_non_checkpoint_files() {
         let path = tmp("garbage");
         std::fs::write(path.path(), b"definitely not a checkpoint").unwrap();
         assert!(GraphZeppelin::restore(path.path()).is_err());
+        // A checkpoint of another version, of either kind, is not one.
+        for (kind, file) in valid_files() {
+            let bytes = std::fs::read(file.path()).unwrap();
+            for magic in [b"GZC1", b"GZC4", b"GZS3"] {
+                let mut other = bytes.clone();
+                other[..4].copy_from_slice(magic);
+                std::fs::write(path.path(), &other).unwrap();
+                let err = GraphZeppelin::restore(path.path()).err().expect("must fail");
+                assert!(matches!(err, GzError::InvalidConfig(_)), "{kind} as {magic:?}: {err}");
+            }
+        }
     }
 
     #[test]
@@ -891,54 +952,76 @@ mod tests {
         let h = GraphZeppelin::checkpoint_header(path.path()).unwrap();
         assert_eq!(h.num_nodes, 64);
         assert_eq!(h.updates_ingested, 1);
+        assert_eq!((h.shard_index, h.num_shards, h.owned_count), (0, 1, 64));
     }
 
-    /// Write a valid checkpoint and return its bytes.
-    fn valid_checkpoint_bytes(path: &Path) -> Vec<u8> {
+    /// A valid facade checkpoint of each kind the reader takes, each in a
+    /// file of its own with its header's length: the current kind (V = 16)
+    /// and the legacy `GZC2` fixture. The corruption tests feed both.
+    fn valid_files() -> Vec<(&'static str, gz_testutil::TempPath)> {
+        let current = tmp("valid_current");
         let mut gz = GraphZeppelin::new(GzConfig::in_ram(16)).unwrap();
         gz.edge_update(0, 1);
         gz.edge_update(2, 3);
-        gz.save_checkpoint(path).unwrap();
-        std::fs::read(path).unwrap()
+        gz.save_checkpoint(current.path()).unwrap();
+        let legacy = tmp("valid_legacy");
+        std::fs::copy(legacy_fixture("legacy.gzc2"), legacy.path()).unwrap();
+        vec![("GZC3", current), ("GZC2", legacy)]
+    }
+
+    /// Byte size of a `GZC2` header: magic, four geometry fields, updates.
+    const LEGACY_HEADER_BYTES: usize = 4 + 8 + 8 + 4 + 4 + 8;
+
+    /// Byte size of the header of the kind [`valid_files`] names.
+    fn header_len(kind: &str) -> usize {
+        match kind {
+            "GZC3" => HEADER_BYTES,
+            _ => LEGACY_HEADER_BYTES,
+        }
     }
 
     #[test]
     fn truncated_header_is_a_clean_error() {
-        let path = tmp("trunc_header");
-        let bytes = valid_checkpoint_bytes(path.path());
-        // Every prefix of the header must fail cleanly — magic-only,
-        // mid-field, and the full-header-no-payload boundary.
-        for cut in [0usize, 3, 4, 11, 20, 35] {
-            std::fs::write(path.path(), &bytes[..cut]).unwrap();
-            let err = GraphZeppelin::restore(path.path()).err().expect("must fail");
-            assert!(matches!(err, GzError::InvalidConfig(_)), "cut {cut}: {err}");
+        for (kind, file) in valid_files() {
+            let bytes = std::fs::read(file.path()).unwrap();
+            // Every prefix of the header must fail cleanly — magic-only,
+            // mid-field, and the full-header-no-payload boundary.
+            let header = header_len(kind);
+            for cut in [0usize, 3, 4, 11, 20, 35, header / 2, header - 1, header] {
+                std::fs::write(file.path(), &bytes[..cut]).unwrap();
+                let err = GraphZeppelin::restore(file.path()).err().expect("must fail");
+                assert!(matches!(err, GzError::InvalidConfig(_)), "{kind}, cut {cut}: {err}");
+            }
         }
     }
 
     #[test]
     fn short_sketch_payload_is_a_clean_error() {
-        let path = tmp("trunc_payload");
-        let bytes = valid_checkpoint_bytes(path.path());
-        // Cut mid-payload: header parses, the length check must refuse.
-        let cut = 36 + (bytes.len() - 36) / 2;
-        std::fs::write(path.path(), &bytes[..cut]).unwrap();
-        let err = GraphZeppelin::restore(path.path()).err().expect("must fail");
-        assert!(matches!(err, GzError::InvalidConfig(_)), "{err}");
-        assert!(err.to_string().contains("bytes"), "should name the size mismatch: {err}");
+        for (kind, file) in valid_files() {
+            let bytes = std::fs::read(file.path()).unwrap();
+            // Cut mid-payload: header parses, the length check must refuse.
+            let header = header_len(kind);
+            let cut = header + (bytes.len() - header) / 2;
+            std::fs::write(file.path(), &bytes[..cut]).unwrap();
+            let err = GraphZeppelin::restore(file.path()).err().expect("must fail");
+            assert!(matches!(err, GzError::InvalidConfig(_)), "{kind}: {err}");
+            assert!(err.to_string().contains("bytes"), "{kind}: should name the size: {err}");
+        }
     }
 
     #[test]
     fn a_wide_alpha_in_a_narrow_payload_is_a_clean_error() {
-        // At V = 16 no coordinate reaches 2^32, so an α with a nonzero high
-        // word is corruption: the restore refuses it, naming the bucket,
-        // instead of panicking or dropping the high word.
+        // At V = 16 no coordinate reaches 2^32, so a legacy file's α with a
+        // nonzero high word is corruption: the restore refuses it, naming
+        // the bucket, instead of panicking or dropping the high word. (The
+        // current kind holds α's low word only below 2^32: it cannot say
+        // this.)
         let path = tmp("wide_alpha");
-        let mut bytes = valid_checkpoint_bytes(path.path());
-        let node_bytes = GraphZeppelin::new(GzConfig::in_ram(16))
-            .unwrap()
-            .params()
-            .node_sketch_serialized_bytes();
-        bytes[36 + 3 * node_bytes + 8 * 4 + 6] = 1; // node 3, round 0, bucket 4's α, bit 48
+        let mut bytes = std::fs::read(legacy_fixture("legacy.gzc2")).unwrap();
+        let header = LEGACY_HEADER_BYTES;
+        let node_bytes =
+            GraphZeppelin::new(GzConfig::in_ram(16)).unwrap().params().node_sketch_bytes();
+        bytes[header + 3 * node_bytes + 8 * 4 + 6] = 1; // node 3, round 0, bucket 4's α, bit 48
         std::fs::write(path.path(), &bytes).unwrap();
         let err = GraphZeppelin::restore(path.path()).err().expect("must fail");
         assert!(matches!(err, GzError::InvalidConfig(_)), "{err}");
@@ -947,36 +1030,49 @@ mod tests {
 
     #[test]
     fn trailing_garbage_is_a_clean_error() {
-        let path = tmp("trailing");
-        let mut bytes = valid_checkpoint_bytes(path.path());
-        bytes.extend_from_slice(b"junk");
-        std::fs::write(path.path(), &bytes).unwrap();
-        let err = GraphZeppelin::restore(path.path()).err().expect("must fail");
-        assert!(matches!(err, GzError::InvalidConfig(_)), "{err}");
+        for (kind, file) in valid_files() {
+            let mut bytes = std::fs::read(file.path()).unwrap();
+            bytes.extend_from_slice(b"junk");
+            std::fs::write(file.path(), &bytes).unwrap();
+            let err = GraphZeppelin::restore(file.path()).err().expect("must fail");
+            assert!(matches!(err, GzError::InvalidConfig(_)), "{kind}: {err}");
+        }
     }
 
     #[test]
     fn absurd_header_fields_are_refused_before_allocation() {
-        let path = tmp("absurd");
-        let bytes = valid_checkpoint_bytes(path.path());
-        // num_nodes = u64::MAX: must fail on the bounds check, not OOM.
-        let mut huge = bytes.clone();
-        huge[4..12].copy_from_slice(&u64::MAX.to_le_bytes());
-        std::fs::write(path.path(), &huge).unwrap();
-        assert!(matches!(GraphZeppelin::restore(path.path()), Err(GzError::InvalidConfig(_))));
-        // rounds = u32::MAX likewise.
-        let mut huge = bytes;
-        huge[20..24].copy_from_slice(&u32::MAX.to_le_bytes());
-        std::fs::write(path.path(), &huge).unwrap();
-        assert!(matches!(GraphZeppelin::restore(path.path()), Err(GzError::InvalidConfig(_))));
+        // Both kinds put num_nodes at bytes 4..12 and rounds at 20..24.
+        for (kind, file) in valid_files() {
+            let bytes = std::fs::read(file.path()).unwrap();
+            // num_nodes = u64::MAX: must fail on the bounds check, not OOM.
+            let mut huge = bytes.clone();
+            huge[4..12].copy_from_slice(&u64::MAX.to_le_bytes());
+            std::fs::write(file.path(), &huge).unwrap();
+            let err = GraphZeppelin::restore(file.path()).err().expect("must fail");
+            assert!(matches!(err, GzError::InvalidConfig(_)), "{kind}: {err}");
+            // rounds = u32::MAX likewise.
+            let mut huge = bytes.clone();
+            huge[20..24].copy_from_slice(&u32::MAX.to_le_bytes());
+            std::fs::write(file.path(), &huge).unwrap();
+            let err = GraphZeppelin::restore(file.path()).err().expect("must fail");
+            assert!(matches!(err, GzError::InvalidConfig(_)), "{kind}: {err}");
+            // The largest geometry the bounds allow: refused by the length
+            // check, before a family is built from it.
+            let mut huge = bytes;
+            huge[20..24].copy_from_slice(&(1u32 << 12).to_le_bytes());
+            huge[24..28].copy_from_slice(&(1u32 << 20).to_le_bytes());
+            std::fs::write(file.path(), &huge).unwrap();
+            let err = GraphZeppelin::restore(file.path()).err().expect("must fail");
+            assert!(err.to_string().contains("bytes"), "{kind}: {err}");
+        }
     }
 
-    fn shard_fixture() -> (SketchParams, ShardCheckpointHeader, Vec<(u32, CubeNodeSketch)>) {
+    fn shard_fixture() -> (SketchParams, CheckpointHeader, Vec<(u32, CubeNodeSketch)>) {
         let params = SketchParams::new(32, 6, 3, 0xABCD);
         // Shard 1 of 2 owns the odd nodes.
         let sketches: Vec<(u32, CubeNodeSketch)> =
             (0..16u32).map(|i| (2 * i + 1, params.new_node_sketch())).collect();
-        let header = ShardCheckpointHeader {
+        let header = CheckpointHeader {
             num_nodes: 32,
             seed: 0xABCD,
             rounds: 6,
@@ -984,7 +1080,9 @@ mod tests {
             shard_index: 1,
             num_shards: 2,
             seq: 41,
+            updates_ingested: 0,
             owned_count: sketches.len() as u64,
+            graph: Some(GraphDigest::of_updates([(1, 2, false), (3, 4, false)], 32)),
         };
         (params, header, sketches)
     }
@@ -993,20 +1091,14 @@ mod tests {
     fn shard_checkpoint_round_trips_and_reports_seq() {
         let path = tmp("shard_rt");
         let (params, header, sketches) = shard_fixture();
-        save_shard_checkpoint(path.path(), &header, &params, &sketches).unwrap();
+        write_checkpoint(path.path(), &header, &params, &sketches).unwrap();
 
-        assert_eq!(read_shard_checkpoint_header(path.path()).unwrap(), header);
-        let (restored, seq) = load_shard_checkpoint(path.path(), &params, &header).unwrap();
-        assert_eq!(seq, 41);
+        assert_eq!(read_checkpoint_header(path.path()).unwrap(), header);
+        let (read, restored) = load_checkpoint(path.path(), &params, &header).unwrap();
+        assert_eq!((read.seq, read.graph), (41, header.graph));
         assert_eq!(restored.len(), sketches.len());
-        let mut a = Vec::new();
-        let mut b = Vec::new();
         for (got, (_, want)) in restored.iter().zip(&sketches) {
-            a.clear();
-            b.clear();
-            params.serialize_node_sketch(got, &mut a);
-            params.serialize_node_sketch(want, &mut b);
-            assert_eq!(a, b, "restored sketch must be bit-identical");
+            crate::node_sketch::assert_rounds_bitwise_equal(got, want, "restored sketch");
         }
         // The atomic-rename temp file must not linger.
         let mut tmp_os = path.path().as_os_str().to_os_string();
@@ -1018,35 +1110,59 @@ mod tests {
     fn shard_checkpoint_rejects_wrong_shard_and_malformed_files() {
         let path = tmp("shard_bad");
         let (params, header, sketches) = shard_fixture();
-        save_shard_checkpoint(path.path(), &header, &params, &sketches).unwrap();
+        write_checkpoint(path.path(), &header, &params, &sketches).unwrap();
+        // The legacy GZS2 fixture, shard 0 of 1 at V = 16, as an input too.
+        let legacy = tmp("shard_bad_gzs2");
+        std::fs::copy(legacy_fixture("legacy.gzs2"), legacy.path()).unwrap();
+        let legacy_header = read_checkpoint_header(legacy.path()).unwrap();
+        let legacy_params = SketchParams::new(16, legacy_header.rounds, 3, legacy_header.seed);
 
-        // Wrong shard identity: same file, different expectation.
-        let mut other = header;
-        other.shard_index = 0;
-        assert!(matches!(
-            load_shard_checkpoint(path.path(), &params, &other),
-            Err(GzError::InvalidConfig(_))
-        ));
+        // Per input: its params, its header, and where its header keeps
+        // shard_index, num_shards and owned.
+        let inputs = [
+            ("GZC3", path.path(), &params, header, 28, 52),
+            ("GZS2", legacy.path(), &legacy_params, legacy_header, 28, 44),
+        ];
+        for (kind, file, params, header, shard_at, owned_at) in inputs {
+            let bytes = std::fs::read(file).unwrap();
+            let refused = |bytes: &[u8], expect: &CheckpointHeader, what: &str| {
+                std::fs::write(file, bytes).unwrap();
+                let err = load_checkpoint(file, params, expect).unwrap_err();
+                assert!(matches!(err, GzError::InvalidConfig(_)), "{kind}, {what}: {err}");
+            };
+            assert!(load_checkpoint(file, params, &header).is_ok(), "{kind}");
 
-        // GZC2 magic on a shard-restore path is refused.
-        let gzc2 = tmp("shard_bad_gzc2");
-        valid_checkpoint_bytes(gzc2.path());
-        assert!(read_shard_checkpoint_header(gzc2.path()).is_err());
+            // Wrong shard identity, or another geometry: same file,
+            // different expectation.
+            refused(&bytes, &CheckpointHeader { shard_index: 0, num_shards: 2, ..header }, "shard");
+            refused(&bytes, &CheckpointHeader { columns: 7, ..header }, "columns");
+            refused(&bytes, &CheckpointHeader { rounds: header.rounds + 1, ..header }, "rounds");
 
-        // Truncation and trailing garbage are clean errors.
-        let bytes = std::fs::read(path.path()).unwrap();
-        for cut in [0usize, 7, 30, 51, bytes.len() - 5] {
-            std::fs::write(path.path(), &bytes[..cut]).unwrap();
-            let err = load_shard_checkpoint(path.path(), &params, &header).unwrap_err();
-            assert!(matches!(err, GzError::InvalidConfig(_)), "cut {cut}: {err}");
+            // A header naming shard ≥ count, or owning more nodes than
+            // there are, is refused before its count sizes anything.
+            let mut bad = bytes.clone();
+            bad[shard_at..shard_at + 4].copy_from_slice(&header.num_shards.to_le_bytes());
+            refused(&bad, &header, "shard index ≥ count");
+            let mut bad = bytes.clone();
+            bad[shard_at + 4..shard_at + 8].copy_from_slice(&0u32.to_le_bytes());
+            refused(&bad, &header, "zero shards");
+            let mut bad = bytes.clone();
+            bad[owned_at..owned_at + 8].copy_from_slice(&(header.num_nodes + 1).to_le_bytes());
+            refused(&bad, &header, "owned > num_nodes");
+            // A header whose geometry is not the payload's: the length
+            // check refuses it.
+            let mut bad = bytes.clone();
+            bad[24..28].copy_from_slice(&(header.columns + 1).to_le_bytes());
+            refused(&bad, &CheckpointHeader { columns: header.columns + 1, ..header }, "geometry");
+
+            // Truncation and trailing garbage are clean errors.
+            for cut in [0usize, 7, 30, 51, bytes.len() - 5] {
+                refused(&bytes[..cut], &header, &format!("cut {cut}"));
+            }
+            let mut garbage = bytes.clone();
+            garbage.push(0xFF);
+            refused(&garbage, &header, "trailing byte");
         }
-        let mut garbage = bytes.clone();
-        garbage.push(0xFF);
-        std::fs::write(path.path(), &garbage).unwrap();
-        assert!(matches!(
-            load_shard_checkpoint(path.path(), &params, &header),
-            Err(GzError::InvalidConfig(_))
-        ));
     }
 
     fn recover_all(path: &Path) -> (UpdateWal, u64, Vec<(u32, u32, bool)>) {

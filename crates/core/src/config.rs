@@ -85,9 +85,10 @@ pub enum StoreBackend {
 
 /// Block size `B` of [`GzConfig::on_disk`]'s store. A fold reads one
 /// group's round slice a call and a flush writes each group once, so `B`
-/// is what amortises the cost of a call: 256 KiB is 18 nodes a group at
-/// V = 8192, a ≈ 10.8 KB round slice (DESIGN.md §13).
-const DISK_BLOCK_BYTES: usize = 256 << 10;
+/// is what amortises the cost of a call: 176 KiB is 18 nodes a group at
+/// V = 8192 (9 600 resident bytes a node), a ≈ 10.8 KB round slice
+/// (DESIGN.md §13).
+const DISK_BLOCK_BYTES: usize = 176 << 10;
 
 /// Nodes whose sketches the cache of [`GzConfig::on_disk`]'s store holds,
 /// rounded up to whole groups: the RAM budget `M`, an eighth of the store
@@ -206,7 +207,7 @@ impl GzConfig {
     /// store's own rule (`store::disk::node_groups`).
     pub fn disk_groups(&self, block_bytes: usize) -> (u64, u64) {
         let params = SketchParams::new(self.num_nodes, self.rounds(), self.num_columns, self.seed);
-        node_groups(block_bytes, params.node_sketch_serialized_bytes(), self.num_nodes)
+        node_groups(block_bytes, params.node_sketch_resident_bytes(), self.num_nodes)
     }
 
     /// Validate invariants the system relies on.
@@ -365,9 +366,9 @@ mod tests {
     }
 
     #[test]
-    fn on_disk_moves_256_kib_groups_and_caches_about_1024_nodes() {
-        // (V, nodes a group, groups): 14 400 serialized bytes a node at
-        // 8192 (16 rounds × 25 rows × 3 columns × 12 B), 12 420 at 4096.
+    fn on_disk_moves_176_kib_groups_and_caches_about_1024_nodes() {
+        // (V, nodes a group, groups): 9 600 resident bytes a node at 8192
+        // (16 rounds × 25 rows × 3 columns × 8 B), 8 280 at 4096.
         for (v, group, groups) in [(4096u64, 21u64, 196u64), (8192, 18, 456)] {
             let c = GzConfig::on_disk(v, std::env::temp_dir());
             let StoreBackend::Disk { block_bytes, cache_groups, .. } = c.store else {
@@ -377,6 +378,7 @@ mod tests {
             let cached = cache_groups as u64 * group;
             assert!((1024..1024 + group).contains(&cached), "V = {v}: cache of {cached} nodes");
             if v == 8192 {
+                assert_eq!(cache_groups, 57);
                 assert!(groups >= 8 * cache_groups as u64, "the store is at least 8× its cache");
             }
         }

@@ -114,7 +114,7 @@ mod tests {
         let params = Arc::new(SketchParams::new(num_nodes, 5, 7, 5));
         let records: Vec<u32> =
             (0..150u32).map(|i| encode_other((i * 11 + i / 5) % 40, i % 3 == 0)).collect();
-        assert!(records.iter().any(|&r| crate::node_sketch::decode_other(r).0 == node));
+        assert!(records.contains(&node));
 
         let mut decoded = Vec::new();
         crate::store::decode_records_into(node, &records, num_nodes, &mut decoded);

@@ -74,7 +74,7 @@ pub mod system;
 
 pub use bipartiteness::{BipartitenessAnswer, BipartitenessTester};
 pub use boruvka::{boruvka_rounds, boruvka_spanning_forest, BoruvkaOutcome, RoundSink};
-pub use checkpoint::{CheckpointHeader, ServeManifest, ShardCheckpointHeader, UpdateWal};
+pub use checkpoint::{CheckpointHeader, ServeManifest, UpdateWal};
 pub use config::{BufferStrategy, GutterCapacity, GzConfig, LockingStrategy, StoreBackend};
 pub use edge_connectivity::{ForestCertificate, KForestSketcher};
 pub use error::{GzError, LinkError, TransportError, TransportErrorKind};

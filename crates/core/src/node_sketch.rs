@@ -127,12 +127,17 @@ impl SketchParams {
     /// Families for `num_nodes` vertices, `rounds` rounds, `columns` sketch
     /// columns, derived deterministically from `seed`.
     pub fn new(num_nodes: u64, rounds: u32, columns: u32, seed: u64) -> Self {
-        let vector_len = gz_graph::edge_index_count(num_nodes).max(1);
-        let geometry = SketchGeometry::with_columns(vector_len, columns);
+        let geometry = Self::geometry(num_nodes, columns);
         let families = (0..rounds as u64)
             .map(|r| CubeSketchFamily::new(geometry, SplitMix64::derive(seed, r)))
             .collect();
         SketchParams { num_nodes, families }
+    }
+
+    /// Every round's sketch geometry at `num_nodes` vertices and `columns`
+    /// columns — what a header's fields size without building families.
+    pub fn geometry(num_nodes: u64, columns: u32) -> SketchGeometry {
+        SketchGeometry::with_columns(gz_graph::edge_index_count(num_nodes).max(1), columns)
     }
 
     /// The column kernel this host runs every round's batches through:
@@ -151,82 +156,75 @@ impl SketchParams {
         NodeSketch::new_with(self.families.len(), |r| self.families[r].new_sketch())
     }
 
-    /// Bytes of one node sketch under the paper's accounting.
+    /// Bytes of one node sketch under the paper's accounting: 12 bytes a
+    /// bucket ([`SketchGeometry::cube_sketch_bytes`]).
     pub fn node_sketch_bytes(&self) -> usize {
         self.families.iter().map(|f| f.geometry().cube_sketch_bytes()).sum()
     }
 
-    /// Serialized size of one node sketch: the paper's 12 bytes a bucket,
-    /// what checkpoints, frames and digests hold.
-    pub fn node_sketch_serialized_bytes(&self) -> usize {
-        self.families.iter().map(|f| CubeSketch::<Xxh64Hasher>::serialized_size(f.geometry())).sum()
-    }
-
-    /// Resident size of one node sketch ([`NodeSketch::payload_bytes`]):
-    /// what the disk store's file holds a node.
+    /// Resident size of one node sketch ([`NodeSketch::payload_bytes`]),
+    /// which is also its encoding's: what a checkpoint, the state digest
+    /// and the disk store's file hold a node.
     pub fn node_sketch_resident_bytes(&self) -> usize {
         self.families.iter().map(|f| f.payload_bytes()).sum()
     }
 
-    /// Resident size of the round-`round` slice of a node sketch
-    /// ([`CubeSketch::append_words`]).
+    /// Resident (and encoded) size of the round-`round` slice of a node
+    /// sketch ([`CubeSketch::append_words`]).
     pub fn round_resident_bytes(&self, round: usize) -> usize {
         self.families[round].payload_bytes()
     }
 
-    /// Serialize a node sketch into `out` (rounds concatenated).
+    /// Encode a node sketch into `out`: its rounds' resident words,
+    /// concatenated.
     pub fn serialize_node_sketch(&self, sketch: &CubeNodeSketch, out: &mut Vec<u8>) {
         for r in 0..sketch.num_rounds() {
-            sketch.round(r).serialize_into(out);
+            sketch.round(r).append_words(out);
         }
     }
 
-    /// Serialized size of the round-`round` slice of a node sketch.
-    pub fn round_serialized_bytes(&self, round: usize) -> usize {
-        CubeSketch::<Xxh64Hasher>::serialized_size(self.families[round].geometry())
-    }
-
-    /// Serialize only the round-`round` slice of a node sketch — the unit
-    /// the streaming query engine moves (one round of one vertex).
-    pub fn serialize_round(&self, sketch: &CubeNodeSketch, round: usize, out: &mut Vec<u8>) {
-        sketch.round(round).serialize_into(out);
-    }
-
-    /// Deserialize a round slice this process produced with
-    /// [`Self::serialize_round`].
+    /// Decode a node sketch [`Self::serialize_node_sketch`] wrote.
     ///
     /// # Panics
-    /// Panics if `bytes` does not decode under the round's geometry.
-    pub fn deserialize_round(&self, round: usize, bytes: &[u8]) -> CubeSketch<Xxh64Hasher> {
-        CubeSketch::deserialize(Arc::clone(&self.families[round]), bytes)
-    }
-
-    /// [`CubeSketch::check_payload`] for a round-`round` slice from outside
-    /// the process (a shard's reply), before it is folded.
-    pub fn check_round(&self, round: usize, bytes: &[u8]) -> Result<(), PayloadError> {
-        CubeSketch::<Xxh64Hasher>::check_payload(self.families[round].geometry(), bytes)
-    }
-
-    /// Deserialize a node sketch produced by [`Self::serialize_node_sketch`],
-    /// checked round by round ([`CubeSketch::try_deserialize`]): what a
-    /// checkpoint restore reads.
-    pub fn deserialize_node_sketch(&self, bytes: &[u8]) -> Result<CubeNodeSketch, PayloadError> {
-        let expected = self.node_sketch_serialized_bytes();
-        if bytes.len() != expected {
-            return Err(PayloadError::Length { expected, got: bytes.len() });
+    /// Panics if `bytes` is not [`Self::node_sketch_resident_bytes`] long.
+    pub fn deserialize_node_sketch(&self, bytes: &[u8]) -> CubeNodeSketch {
+        let mut sketch = self.new_node_sketch();
+        let mut rest = bytes;
+        for (r, slice) in sketch.rounds_mut().iter_mut().enumerate() {
+            let (round, tail) = rest.split_at(self.round_resident_bytes(r));
+            slice.load_words(round);
+            rest = tail;
         }
-        let mut offset = 0;
-        let rounds = (0..self.families.len())
-            .map(|r| {
-                let sz = self.round_serialized_bytes(r);
-                offset += sz;
-                CubeSketch::try_deserialize(
-                    Arc::clone(&self.families[r]),
-                    &bytes[offset - sz..offset],
-                )
-            })
-            .collect::<Result<_, _>>()?;
-        Ok(NodeSketch { rounds })
+        assert!(rest.is_empty(), "node sketch of another geometry");
+        sketch
+    }
+
+    /// Encode only the round-`round` slice of a node sketch — the unit a
+    /// shard's `GatherRound` reply moves (one round of one vertex).
+    pub fn serialize_round(&self, sketch: &CubeNodeSketch, round: usize, out: &mut Vec<u8>) {
+        sketch.round(round).append_words(out);
+    }
+
+    /// Decode a round slice [`Self::serialize_round`] wrote.
+    ///
+    /// # Panics
+    /// Panics if `bytes` is not the round's length ([`Self::check_round`]).
+    pub fn deserialize_round(&self, round: usize, bytes: &[u8]) -> CubeSketch<Xxh64Hasher> {
+        let mut sketch = self.families[round].new_sketch();
+        sketch.load_words(bytes);
+        sketch
+    }
+
+    /// Check a round-`round` slice from outside the process (a shard's
+    /// reply) before it is folded. Every bit pattern is a payload, so its
+    /// length is all there is to check.
+    pub fn check_round(&self, round: usize, bytes: &[u8]) -> Result<(), PayloadError> {
+        let (expected, got) = (self.round_resident_bytes(round), bytes.len());
+        if got == expected {
+            Ok(())
+        } else {
+            Err(PayloadError::Length { expected, got })
+        }
     }
 }
 
@@ -238,25 +236,19 @@ pub(crate) fn assert_rounds_bitwise_equal(a: &CubeNodeSketch, b: &CubeNodeSketch
     assert_eq!(a.num_rounds(), b.num_rounds(), "{ctx}: round count");
     for r in 0..a.num_rounds() {
         let (mut ab, mut bb) = (Vec::new(), Vec::new());
-        a.round(r).serialize_into(&mut ab);
-        b.round(r).serialize_into(&mut bb);
+        a.round(r).append_words(&mut ab);
+        b.round(r).append_words(&mut bb);
         assert_eq!(ab, bb, "{ctx}: round {r}");
     }
 }
 
-/// Encode the other endpoint plus a deletion flag into one `u32` batch
-/// record. GraphZeppelin ignores the flag (Z_2 toggles); the buffering
-/// layer carries it for debugging.
+/// The `u32` batch record of an update's other endpoint: the vertex id
+/// itself, every bit of it. Over Z_2 an insert and a delete are the same
+/// toggle, so `_is_delete` is not recorded; the parameter stays so callers
+/// can hand over the update as they read it.
 #[inline]
-pub fn encode_other(other: VertexId, is_delete: bool) -> u32 {
-    debug_assert!(other < (1 << 31), "vertex ids must fit in 31 bits");
-    other | ((is_delete as u32) << 31)
-}
-
-/// Inverse of [`encode_other`]: `(other, is_delete)`.
-#[inline]
-pub fn decode_other(record: u32) -> (VertexId, bool) {
-    (record & 0x7FFF_FFFF, record >> 31 == 1)
+pub fn encode_other(other: VertexId, _is_delete: bool) -> u32 {
+    other
 }
 
 /// The characteristic-vector index toggled by an update `(node, other)`.
@@ -298,10 +290,9 @@ mod tests {
         let p = params(64);
         let mut s = p.new_node_sketch();
         s.update_signed(update_index(0, 1, 64), 1);
-        let mut a = Vec::new();
-        s.round(0).serialize_into(&mut a);
-        let mut b = Vec::new();
-        s.round(1).serialize_into(&mut b);
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        p.serialize_round(&s, 0, &mut a);
+        p.serialize_round(&s, 1, &mut b);
         assert_ne!(a, b);
     }
 
@@ -330,11 +321,9 @@ mod tests {
         }
         let mut bytes = Vec::new();
         p.serialize_node_sketch(&s, &mut bytes);
-        assert_eq!(bytes.len(), p.node_sketch_serialized_bytes());
-        let t = p.deserialize_node_sketch(&bytes).unwrap();
-        for r in 0..s.num_rounds() {
-            assert_eq!(t.sample_round(r), s.sample_round(r));
-        }
+        assert_eq!(bytes.len(), p.node_sketch_resident_bytes());
+        let t = p.deserialize_node_sketch(&bytes);
+        assert_rounds_bitwise_equal(&s, &t, "decoded");
     }
 
     #[test]
@@ -347,7 +336,7 @@ mod tests {
         p.serialize_node_sketch(&s, &mut whole);
         let mut off = 0;
         for r in 0..s.num_rounds() {
-            let len = p.round_serialized_bytes(r);
+            let len = p.round_resident_bytes(r);
             let mut slice = Vec::new();
             p.serialize_round(&s, r, &mut slice);
             assert_eq!(&whole[off..off + len], &slice[..], "round {r}");
@@ -376,10 +365,33 @@ mod tests {
             .collect()
     }
 
+    /// A stack in the paper's 12-byte model, built from its words: per
+    /// round, every bucket's `α` as a little-endian `u64`, then every `γ`
+    /// as a `u32` — the rendering the golden digests were taken of.
+    fn paper_model(p: &SketchParams, stack: &CubeNodeSketch) -> Vec<u8> {
+        let mut out = Vec::new();
+        for r in 0..stack.num_rounds() {
+            let mut words = Vec::new();
+            p.serialize_round(stack, r, &mut words);
+            let n = p.families[r].geometry().num_buckets();
+            let (packed, highs) = words.split_at(n * 8);
+            let word = |i: usize| u64::from_le_bytes(packed[i * 8..][..8].try_into().unwrap());
+            let high = |i: usize| {
+                highs.get(i * 4..i * 4 + 4).map_or(0, |h| u32::from_le_bytes(h.try_into().unwrap()))
+            };
+            for i in 0..n {
+                let alpha = u64::from(high(i)) << 32 | word(i) & 0xFFFF_FFFF;
+                out.extend_from_slice(&alpha.to_le_bytes());
+            }
+            for i in 0..n {
+                out.extend_from_slice(&((word(i) >> 32) as u32).to_le_bytes());
+            }
+        }
+        out
+    }
+
     fn stack_digest(p: &SketchParams, stack: &CubeNodeSketch) -> u64 {
-        let mut bytes = Vec::new();
-        p.serialize_node_sketch(stack, &mut bytes);
-        gz_hash::xxh64(&bytes, 0)
+        gz_hash::xxh64(&paper_model(p, stack), 0)
     }
 
     /// The golden batch through every route into a stack — the batch kernel
@@ -401,8 +413,8 @@ mod tests {
 
     #[test]
     fn golden_digest_pins_the_hash_to_bucket_mapping() {
-        // Every GZC2/GZS2 checkpoint and every shard on the wire holds these
-        // bits, and `params_digest` covers geometry and seed only: a kernel
+        // Every checkpoint and every shard on the wire holds these bits,
+        // and `params_digest` covers geometry and seed only: a kernel
         // or hash edit that moves one bucket must fail here, not when an old
         // checkpoint silently stops merging. The constant was computed at
         // the commit before the hash was split (PR 16), at the paper's seven
@@ -435,9 +447,8 @@ mod tests {
         // Column `c` hashes under `derive(family_seed, c)` whatever the column
         // count, and buckets are column-major: a narrower stack fed the same
         // toggles holds, round for round, the first columns of the wider
-        // one's α block followed by the first columns of its γ block. So a
-        // change of column count drops or adds whole columns and moves no
-        // bit of the ones both geometries share.
+        // one's words. So a change of column count drops or adds whole
+        // columns and moves no bit of the ones both geometries share.
         let (narrow, wide) = (crate::config::DEFAULT_COLUMNS, crate::config::PAPER_COLUMNS);
         assert!(narrow < wide);
         let [p_narrow, p_wide] = [narrow, wide].map(|c| SketchParams::new(64, 6, c, 42));
@@ -447,21 +458,20 @@ mod tests {
         s_wide.update_batch(&batch);
 
         let rows = p_wide.families[0].geometry().num_rows as usize;
-        let (shared, all) = (narrow as usize * rows, wide as usize * rows);
+        let shared = narrow as usize * rows;
         for r in 0..p_wide.rounds() {
             let (mut got, mut whole) = (Vec::new(), Vec::new());
             p_narrow.serialize_round(&s_narrow, r, &mut got);
             p_wide.serialize_round(&s_wide, r, &mut whole);
-            let (alpha, gamma) = whole.split_at(all * 8);
-            assert_eq!(got[..shared * 8], alpha[..shared * 8], "round {r}: α block");
-            assert_eq!(got[shared * 8..], gamma[..shared * 4], "round {r}: γ block");
+            assert_eq!(got.len(), shared * 8, "round {r}");
+            assert_eq!(got[..], whole[..shared * 8], "round {r}");
         }
     }
 
     #[test]
     fn fewer_rounds_are_a_prefix_of_more() {
         // Round `r` hashes under `derive(seed, r)` whatever the round count,
-        // and a serialized stack is its rounds concatenated: the default
+        // and an encoded stack is its rounds concatenated: the default
         // budget's stack fed the same toggles is, byte for byte, the first
         // rounds of the paper's. A query that finishes inside the smaller
         // budget reads the same bits under either.
@@ -477,15 +487,18 @@ mod tests {
         let (mut got, mut whole) = (Vec::new(), Vec::new());
         p_fewer.serialize_node_sketch(&s_fewer, &mut got);
         p_more.serialize_node_sketch(&s_more, &mut whole);
-        let prefix: usize = (0..fewer as usize).map(|r| p_more.round_serialized_bytes(r)).sum();
+        let prefix: usize = (0..fewer as usize).map(|r| p_more.round_resident_bytes(r)).sum();
         assert_eq!(got.len(), prefix);
         assert_eq!(got[..], whole[..got.len()]);
     }
 
     #[test]
     fn encode_decode_other() {
-        for (v, d) in [(0u32, false), (7, true), ((1 << 31) - 1, true)] {
-            assert_eq!(decode_other(encode_other(v, d)), (v, d));
+        // The record is the vertex id, whatever the flag: ids from 2^31 up
+        // alias no other vertex.
+        for v in [0u32, 7, (1 << 31) - 1, 1 << 31, (1 << 31) + 5, u32::MAX] {
+            assert_eq!(encode_other(v, false), v);
+            assert_eq!(encode_other(v, true), v);
         }
     }
 
@@ -501,18 +514,19 @@ mod tests {
 
     #[test]
     fn payload_matches_model() {
-        // A stack serializes to the paper's model (12 bytes a bucket) and is
-        // resident at 8 bytes a bucket below a 2^32-long vector, 12 above.
+        // The paper's model is 12 bytes a bucket; a stack is resident, and
+        // encoded, at 8 bytes a bucket below a 2^32-long vector, 12 above.
         for (v, resident_bucket_bytes) in [(128u64, 8), (1 << 17, 12)] {
             let p = SketchParams::new(v, 2, 3, 42);
             let buckets: usize = p.families.iter().map(|f| f.geometry().num_buckets()).sum();
             let s = p.new_node_sketch();
             assert_eq!(p.node_sketch_bytes(), buckets * 12, "V = {v}");
-            assert_eq!(p.node_sketch_serialized_bytes(), p.node_sketch_bytes(), "V = {v}");
+            assert_eq!(paper_model(&p, &s).len(), p.node_sketch_bytes(), "V = {v}");
             let mut bytes = Vec::new();
             p.serialize_node_sketch(&s, &mut bytes);
-            assert_eq!(bytes.len(), p.node_sketch_bytes(), "V = {v}");
             assert_eq!(s.payload_bytes(), buckets * resident_bucket_bytes, "V = {v}");
+            assert_eq!(bytes.len(), s.payload_bytes(), "V = {v}");
+            assert_eq!(p.node_sketch_resident_bytes(), s.payload_bytes(), "V = {v}");
         }
     }
 }

@@ -75,7 +75,7 @@ pub struct ShardConfig {
     /// Boruvka rounds; `None` = [`crate::config::default_rounds`].
     pub num_rounds: Option<u32>,
     /// CubeSketch columns ([`crate::config::DEFAULT_COLUMNS`] unless set).
-    /// Part of the parameter digest and of every `GZS2` header.
+    /// Part of the parameter digest and of every checkpoint header.
     pub num_columns: u32,
     /// Graph Workers per shard pipeline, and the width of the
     /// coordinator's fork-join pool (flush, query and epoch folds).
@@ -94,7 +94,7 @@ pub struct ShardConfig {
     /// The router's buffering (paper §5.1): leaf gutters of a capacity
     /// (the inter-shard batch size knob) or a gutter tree, per shard lane.
     pub buffering: BufferStrategy,
-    /// Directory where each shard persists its `GZS2` checkpoint
+    /// Directory where each shard persists its checkpoint
     /// (DESIGN.md §14). `None` disables checkpointing. Worker-side (and
     /// used by in-process pipelines); not part of the parameter digest —
     /// where durable state lands cannot change the sketch bytes.
@@ -353,15 +353,19 @@ impl ShardedGraphZeppelin {
         Ok(seqs)
     }
 
-    /// Restore every shard's owned state from `paths[i]`. Must run before
-    /// any updates are ingested: the router's batch counters restart at
-    /// zero either way, so resuming into a half-ingested system would
-    /// desynchronize checkpoint sequence numbers.
+    /// Restore every shard's owned state and graph digest from `paths[i]`
+    /// ([`ShardTransport::resume_shards_from`]; `legacy_graph` is the
+    /// fleet's digest for files written before checkpoints carried one, and
+    /// `None` refuses those). Must run before any updates are ingested: the
+    /// router's batch counters restart at zero either way, so resuming into
+    /// a half-ingested system would desynchronize checkpoint sequence
+    /// numbers.
     pub fn resume_shards_from(
         &mut self,
         paths: &[std::path::PathBuf],
+        legacy_graph: Option<gz_graph::GraphDigest>,
     ) -> Result<Vec<u64>, GzError> {
-        self.transport.lock().resume_shards_from(paths)
+        self.transport.lock().resume_shards_from(paths, legacy_graph)
     }
 
     /// Recovery counters (checkpoints, replays, reconnects), if the
@@ -421,13 +425,6 @@ impl ShardedGraphZeppelin {
     pub fn graph_digest(&mut self) -> Result<gz_graph::GraphDigest, GzError> {
         self.flush()?;
         self.transport.lock().graph_digest()
-    }
-
-    /// Make `base` the fleet's graph digest — after
-    /// [`Self::resume_shards_from`], with the digest recorded beside the
-    /// files (`gz serve`'s manifest).
-    pub fn restore_graph_digest(&mut self, base: gz_graph::GraphDigest) -> Result<(), GzError> {
-        self.transport.lock().restore_graph_digest(base)
     }
 
     /// Flush, then query a spanning forest one Borůvka round at a time on
@@ -789,7 +786,7 @@ fn gather_fold_round(
 
 /// Shared validation for gathered round entries: each in-range node arrives
 /// exactly once, with a valid representation tag — `0` followed by one
-/// round's dense bytes that decode under its geometry
+/// round's resident words, their length the round's
 /// ([`SketchParams::check_round`]), or `1` followed by a well-formed sparse
 /// neighbor-set (wire protocol v5).
 fn validate_round_entry(
@@ -972,13 +969,13 @@ mod tests {
 
         let mut sharded = ShardedGraphZeppelin::in_process(config.clone()).unwrap();
         sharded.ingest(first.iter().copied()).unwrap();
-        let paths: Vec<_> = (0..3).map(|i| dir.path().join(format!("round-1-{i}.gzs2"))).collect();
+        let paths: Vec<_> = (0..3).map(|i| dir.path().join(format!("round-1-{i}.ckpt"))).collect();
         let seqs = sharded.checkpoint_shards_to(&paths).unwrap();
         assert_eq!(seqs.iter().sum::<u64>(), sharded.batches_shipped());
         let want = sharded.state_digest().unwrap();
 
         let mut restored = ShardedGraphZeppelin::in_process(config.clone()).unwrap();
-        let resumed_seqs = restored.resume_shards_from(&paths).unwrap();
+        let resumed_seqs = restored.resume_shards_from(&paths, None).unwrap();
         assert_eq!(resumed_seqs, seqs);
         assert_eq!(restored.state_digest().unwrap(), want);
         restored.ingest(rest.iter().copied()).unwrap();
@@ -989,7 +986,7 @@ mod tests {
 
         // Mismatched path count is refused before touching anything.
         assert!(sharded.checkpoint_shards_to(&paths[..2]).is_err());
-        assert!(restored.resume_shards_from(&paths[..1]).is_err());
+        assert!(restored.resume_shards_from(&paths[..1], None).is_err());
     }
 
     #[test]
@@ -1485,7 +1482,7 @@ mod tests {
             let mut seen = vec![false; 4];
             validate_round_entry(&mut seen, &SketchEntry { node: 1, bytes }, &params, 1)
         };
-        let dense = 1 + params.round_serialized_bytes(1);
+        let dense = 1 + params.round_resident_bytes(1);
         assert!(check(vec![]).is_err(), "empty entry");
         assert!(check(vec![7, 0, 0]).is_err(), "unknown tag");
         assert!(check(vec![0; dense - 1]).is_err(), "dense payload one byte short");
@@ -1499,26 +1496,6 @@ mod tests {
             check(vec![1, 2, 0, 0, 0, 5, 0, 0, 0, 5, 0, 0, 0]).is_err(),
             "duplicate neighbors are malformed"
         );
-    }
-
-    #[test]
-    fn a_gathered_dense_slice_with_a_wide_alpha_is_refused() {
-        // A shard's reply is outside bytes: an α with a nonzero high word
-        // cannot come from a vector shorter than 2^32, so the entry is a
-        // typed error before anything folds it — never a panic, never a
-        // truncated α.
-        use gz_stream::wire::SketchEntry;
-        let params = SketchParams::new(64, 2, 3, 1);
-        let mut bytes = vec![0u8; 1 + params.round_serialized_bytes(0)];
-        bytes[1 + 2 * 8 + 7] = 0x80; // bucket 2's α, bit 63
-        let mut seen = vec![false; 64];
-        let entry = SketchEntry { node: 9, bytes };
-        match validate_round_entry(&mut seen, &entry, &params, 0) {
-            Err(GzError::Protocol(msg)) => {
-                assert!(msg.contains("node 9") && msg.contains("bucket 2"), "{msg}")
-            }
-            other => panic!("expected a protocol error, got {other:?}"),
-        }
     }
 
     #[test]

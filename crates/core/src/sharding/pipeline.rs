@@ -8,7 +8,7 @@
 //! `V × node_sketch_bytes`.
 
 use crate::boruvka::RoundSink;
-use crate::checkpoint::{load_shard_checkpoint, save_shard_checkpoint, ShardCheckpointHeader};
+use crate::checkpoint::{load_checkpoint, write_checkpoint, CheckpointHeader};
 use crate::config::{LockingStrategy, StoreBackend};
 use crate::error::GzError;
 use crate::ingest::WorkerPool;
@@ -17,6 +17,7 @@ use crate::sharding::ShardConfig;
 use crate::store::{
     disk::DiskStore, ram::RamStore, with_backing_file, EpochOverlay, NodeSet, SketchStore,
 };
+use gz_graph::GraphDigest;
 use gz_gutters::{Batch, WorkQueue};
 use gz_stream::wire::SketchEntry;
 use parking_lot::Mutex;
@@ -215,11 +216,10 @@ impl ShardPipeline {
         *self.checkpoint_path.lock() = Some(path);
     }
 
-    /// Flush, then atomically persist the owned sketch state to the
-    /// configured checkpoint path, streamed from the store node by node
-    /// (hybrid sparse nodes densified one at a time, as the full-system
-    /// checkpoint does). Returns the batch sequence number the checkpoint
-    /// covers.
+    /// Flush, then atomically persist the owned sketch state and the
+    /// shard's graph digest to the configured checkpoint path, streamed
+    /// from the store node by node (hybrid sparse nodes densified one at a
+    /// time). Returns the batch sequence number the checkpoint covers.
     pub fn save_checkpoint(&self) -> Result<u64, GzError> {
         let path = self.checkpoint_path().ok_or_else(|| {
             GzError::InvalidConfig(format!(
@@ -232,13 +232,18 @@ impl ShardPipeline {
         // thread that also called us, so no new batches can slip in between
         // — the file covers exactly `seq` batches.
         let seq = self.seq();
-        save_shard_checkpoint(&path, &self.checkpoint_header(seq), &self.params, &*self.store)?;
+        let header = CheckpointHeader {
+            graph: Some(self.store.graph_digest()),
+            ..self.checkpoint_header(seq)
+        };
+        write_checkpoint(&path, &header, &self.params, &*self.store)?;
         Ok(seq)
     }
 
-    /// This shard's GZS2 header for a checkpoint covering `seq` batches.
-    fn checkpoint_header(&self, seq: u64) -> ShardCheckpointHeader {
-        ShardCheckpointHeader {
+    /// This shard's header for a checkpoint covering `seq` batches, its
+    /// graph digest left out.
+    fn checkpoint_header(&self, seq: u64) -> CheckpointHeader {
+        CheckpointHeader {
             num_nodes: self.params.num_nodes,
             seed: self.seed,
             rounds: self.params.rounds() as u32,
@@ -246,25 +251,45 @@ impl ShardPipeline {
             shard_index: self.index,
             num_shards: self.num_shards,
             seq,
+            updates_ingested: 0,
             owned_count: self.store.node_set().len() as u64,
+            graph: None,
         }
     }
 
     /// Replace this shard's sketch state with a checkpoint's (validated
     /// against this shard's parameters and topology) and adopt its sequence
-    /// number. Future checkpoints overwrite the same file. Returns the
-    /// sequence number the restored state covers — what the worker reports
-    /// in `ResyncFrom`.
-    pub fn resume_from(&self, path: &Path) -> Result<u64, GzError> {
+    /// number and graph digest. Future checkpoints overwrite the same file.
+    /// Returns the sequence number the restored state covers — what the
+    /// worker reports in `ResyncFrom`.
+    ///
+    /// A legacy `GZC2`/`GZS2` file carries no graph digest: `legacy_graph`
+    /// stands in for it where the caller recorded one beside the file
+    /// (`gz serve`'s manifest), and with `None` — a socket worker, whose
+    /// coordinator cannot place a digest it never saw — the file is refused.
+    pub fn resume_from(
+        &self,
+        path: &Path,
+        legacy_graph: Option<GraphDigest>,
+    ) -> Result<u64, GzError> {
         // `seq` is ignored by the match — the file tells us. The whole
         // payload is read and checked before the live store is touched.
         let expect = self.checkpoint_header(0);
-        let (sketches, seq) = load_shard_checkpoint(path, &self.params, &expect)?;
+        let (header, sketches) = load_checkpoint(path, &self.params, &expect)?;
+        let graph = header.graph.or(legacy_graph).ok_or_else(|| {
+            GzError::InvalidConfig(format!(
+                "checkpoint {} predates checkpoints that carry the graph digest; \
+                 a shard worker cannot resume from it (restore it in process, \
+                 e.g. through `gz serve --resume`, and cut a new one)",
+                path.display()
+            ))
+        })?;
         self.flush();
         self.store.load_all(sketches);
-        self.batches_enqueued.store(seq, Ordering::Relaxed);
+        self.store.restore_graph_digest(graph);
+        self.batches_enqueued.store(header.seq, Ordering::Relaxed);
         self.set_checkpoint_path(path.to_path_buf());
-        Ok(seq)
+        Ok(header.seq)
     }
 
     /// Block until every enqueued batch has been applied to the sketches.
@@ -279,13 +304,6 @@ impl ShardPipeline {
         self.store.graph_digest()
     }
 
-    /// Make `base` the shard's graph digest
-    /// ([`SketchStore::restore_graph_digest`]).
-    pub fn restore_graph_digest(&self, base: gz_graph::GraphDigest) {
-        self.flush();
-        self.store.restore_graph_digest(base);
-    }
-
     /// Flush, then fingerprint the owned sketch state
     /// ([`SketchStore::state_digest`]) — the payload of a `StateDigestReply`
     /// wire frame. The shards' digests XOR to the digest of a single-node
@@ -295,7 +313,7 @@ impl ShardPipeline {
         self.store.state_digest()
     }
 
-    /// Serialize round `round`'s slice of every owned node's sketch — the
+    /// Encode round `round`'s slice of every owned node's sketch — the
     /// payload of a `RoundSketches` wire reply; `epoch` mirrors the
     /// `GatherRound` message's field. `None` flushes, then answers from
     /// the live state. `Some(id)` answers as the state stood when this
@@ -308,7 +326,7 @@ impl ShardPipeline {
     /// plus their exact neighbor-set, encoded straight from the store's
     /// borrow — typically far smaller than a slice, and the coordinator
     /// replays it, so a sparse shard never densifies to answer; promoted
-    /// nodes ship `0` plus the dense round slice.
+    /// nodes ship `0` plus the dense round slice's resident words (v10).
     pub fn gather_round(
         &self,
         round: usize,
@@ -336,9 +354,9 @@ impl ShardPipeline {
             entries.push(SketchEntry { node, bytes });
         });
         self.store.stream_round_dense(round, &|_| true, overlay, &mut |node, sketch| {
-            let mut bytes = Vec::with_capacity(1 + self.params.round_serialized_bytes(round));
+            let mut bytes = Vec::with_capacity(1 + self.params.round_resident_bytes(round));
             bytes.push(0u8);
-            sketch.serialize_into(&mut bytes);
+            sketch.append_words(&mut bytes);
             entries.push(SketchEntry { node, bytes });
         })?;
         Ok(entries)
@@ -427,7 +445,7 @@ mod tests {
     use super::*;
     use crate::node_sketch::encode_other;
 
-    /// Every owned node's serialized stack, in slot order.
+    /// Every owned node's encoded stack, in slot order.
     fn owned_stacks(shard: &ShardPipeline) -> Vec<(u32, Vec<u8>)> {
         shard.flush();
         let mut stacks = Vec::new();
@@ -494,18 +512,21 @@ mod tests {
         shard.enqueue(4, vec![encode_other(1, false)]).unwrap();
         shard.enqueue(6, vec![encode_other(3, false)]).unwrap();
         assert_eq!(shard.seq(), 2);
-        let before = shard.state_digest().unwrap();
+        let (before, graph) = (shard.state_digest().unwrap(), shard.graph_digest());
+        assert_ne!(graph, GraphDigest::ZERO);
         assert_eq!(shard.save_checkpoint().unwrap(), 2);
         let path = shard.checkpoint_path().unwrap();
         drop(shard);
 
         // A fresh pipeline (as a respawned worker would build) resumes the
-        // state bit-identically and adopts the sequence number.
+        // state bit-identically and adopts the sequence number and the
+        // graph digest.
         let respawn = ShardPipeline::new(&config, 0).unwrap();
         assert_eq!(respawn.seq(), 0);
-        assert_eq!(respawn.resume_from(&path).unwrap(), 2);
+        assert_eq!(respawn.resume_from(&path, None).unwrap(), 2);
         assert_eq!(respawn.seq(), 2);
         assert_eq!(respawn.state_digest().unwrap(), before);
+        assert_eq!(respawn.graph_digest(), graph, "the digest resumes from the file");
 
         // Streaming continues from the restored state.
         respawn.enqueue(4, vec![encode_other(1, true)]).unwrap();
@@ -540,7 +561,7 @@ mod tests {
         drop(shard);
 
         let respawn = ShardPipeline::new(&config, 0).unwrap();
-        respawn.resume_from(&path).unwrap();
+        respawn.resume_from(&path, None).unwrap();
         for &(n, o) in &second {
             respawn.enqueue(n, vec![encode_other(o, false)]).unwrap();
         }
@@ -549,10 +570,10 @@ mod tests {
 
     #[test]
     fn streamed_shard_checkpoint_bytes_equal_snapshot_then_write() {
-        // Every shard's GZS2 file, streamed from its store, against the
-        // order it replaced — snapshot the owned state, then serialize the
+        // Every shard's checkpoint, streamed from its store, against the
+        // order it replaced — snapshot the owned state, then encode the
         // copy: RAM and disk stores × τ {0, 64} × shards {1, 3}.
-        use crate::checkpoint::read_shard_checkpoint_header;
+        use crate::checkpoint::read_checkpoint_header;
         let dir = gz_testutil::TempDir::new("gz-shard-ckpt-stream");
         let n = 256u32;
         // Two hubs well past τ = 64, a ring of leaves below it.
@@ -584,7 +605,9 @@ mod tests {
                         }
                         let seq = shard.save_checkpoint().unwrap();
                         let path = shard.checkpoint_path().unwrap();
-                        assert_eq!(read_shard_checkpoint_header(&path).unwrap().seq, seq);
+                        let header = read_checkpoint_header(&path).unwrap();
+                        assert_eq!(header.seq, seq);
+                        assert_eq!(header.graph, Some(shard.graph_digest()), "{what}");
 
                         let snapshot: Vec<_> = shard
                             .store
@@ -593,10 +616,8 @@ mod tests {
                             .zip(shard.store.snapshot())
                             .map(|(node, sketch)| (node, sketch.unwrap()))
                             .collect();
-                        let reference = dir.path().join("reference.gzs2");
-                        let header = shard.checkpoint_header(seq);
-                        save_shard_checkpoint(&reference, &header, &shard.params, &snapshot)
-                            .unwrap();
+                        let reference = dir.path().join("reference.gzc3");
+                        write_checkpoint(&reference, &header, &shard.params, &snapshot).unwrap();
                         let want = std::fs::read(&reference).unwrap();
                         assert_eq!(std::fs::read(&path).unwrap(), want, "{what}");
                     }

@@ -166,13 +166,6 @@ pub trait ShardTransport {
         Err(GzError::InvalidConfig("this transport does not report a graph digest".into()))
     }
 
-    /// Hand the fleet `base` as its graph digest — after a resume from
-    /// files, which carry none, with the digest recorded beside them. The
-    /// default refuses.
-    fn restore_graph_digest(&mut self, _base: GraphDigest) -> Result<(), GzError> {
-        Err(GzError::InvalidConfig("this transport does not restore a graph digest".into()))
-    }
-
     /// Collect only round `round`'s slice of every shard's sketches — the
     /// query's gather unit, collected ([`Self::gather_round_each`] is the
     /// form that folds as replies arrive). The coordinator holds at most
@@ -248,11 +241,17 @@ pub trait ShardTransport {
         ))
     }
 
-    /// Restore every shard's owned state from `paths[i]`, validating each
-    /// file's topology header against the shard it lands on. Returns the
-    /// per-shard sequence numbers the restored state covers. The default
-    /// refuses.
-    fn resume_shards_from(&mut self, _paths: &[std::path::PathBuf]) -> Result<Vec<u64>, GzError> {
+    /// Restore every shard's owned state and graph digest from `paths[i]`,
+    /// validating each file's topology header against the shard it lands
+    /// on. Returns the per-shard sequence numbers the restored state
+    /// covers. Legacy files carry no graph digest: `legacy_graph` is the
+    /// fleet's, recorded beside them, and `None` refuses them
+    /// ([`ShardPipeline::resume_from`]). The default refuses.
+    fn resume_shards_from(
+        &mut self,
+        _paths: &[std::path::PathBuf],
+        _legacy_graph: Option<GraphDigest>,
+    ) -> Result<Vec<u64>, GzError> {
         Err(GzError::InvalidConfig("this transport does not support shard resume".into()))
     }
 
@@ -326,14 +325,6 @@ impl ShardTransport for InProcessTransport {
             .fold(GraphDigest::ZERO, |digest, shard| digest.xor(&shard.graph_digest())))
     }
 
-    /// Shard 0 takes `base`, the others nothing: only the XOR is read.
-    fn restore_graph_digest(&mut self, base: GraphDigest) -> Result<(), GzError> {
-        for (i, shard) in self.shards.iter().enumerate() {
-            shard.restore_graph_digest(if i == 0 { base } else { GraphDigest::ZERO });
-        }
-        Ok(())
-    }
-
     fn gather_round_each(
         &mut self,
         round: u32,
@@ -389,9 +380,17 @@ impl ShardTransport for InProcessTransport {
             .collect()
     }
 
-    fn resume_shards_from(&mut self, paths: &[std::path::PathBuf]) -> Result<Vec<u64>, GzError> {
+    /// A legacy fleet digest goes to shard 0, the others take nothing:
+    /// only the XOR is read.
+    fn resume_shards_from(
+        &mut self,
+        paths: &[std::path::PathBuf],
+        legacy_graph: Option<GraphDigest>,
+    ) -> Result<Vec<u64>, GzError> {
         check_paths("resume_shards_from", paths, self.shards.len())?;
-        self.shards.iter().zip(paths).map(|(shard, path)| shard.resume_from(path)).collect()
+        let legacy = |i: usize| legacy_graph.map(|g| if i == 0 { g } else { GraphDigest::ZERO });
+        let shards = self.shards.iter().zip(paths).enumerate();
+        shards.map(|(i, (shard, path))| shard.resume_from(path, legacy(i))).collect()
     }
 
     fn shutdown(&mut self) -> Result<(), GzError> {
@@ -457,15 +456,6 @@ pub struct Recovery<S> {
     /// round so coordinator memory stays proportional to the checkpoint
     /// cadence, never the stream length.
     replay_log_cap: Option<usize>,
-    /// Per shard, the graph digest its current worker is missing: nothing
-    /// for the worker the fleet started with; for a respawned one, the
-    /// digest of the checkpoint it restored, which carries none. `None`
-    /// when that is unknown — the worker restored a checkpoint whose
-    /// `CheckpointAck` never arrived.
-    graph_base: Vec<Option<GraphDigest>>,
-    /// Per shard, the graph digest of its last acknowledged checkpoint
-    /// (the start of its replay log), `None` when unknown.
-    graph_acked: Vec<Option<GraphDigest>>,
 }
 
 impl<S: ShardLink> Recovery<S> {
@@ -484,8 +474,6 @@ impl<S: ShardLink> Recovery<S> {
             retry,
             stats: Arc::new(RecoveryStats::new()),
             replay_log_cap: None,
-            graph_base: Vec::new(),
-            graph_acked: Vec::new(),
         }
     }
 
@@ -527,11 +515,6 @@ impl<S: ShardLink> Recovery<S> {
             other => return Err(answered(shard, &WireMessage::Resync, &other)),
         };
         let log = &self.logs[shard as usize];
-        // The restored checkpoint's graph digest is known when it is the
-        // acknowledged one the log starts at.
-        let acked_seq = log.next_seq() - log.len() as u64;
-        self.graph_base[shard as usize] =
-            if seq == acked_seq { self.graph_acked[shard as usize] } else { None };
         if !log.covers(seq) {
             return Err(GzError::Protocol(format!(
                 "shard {shard} resumed at seq {seq}, outside the replay log \
@@ -671,8 +654,6 @@ impl<S: ShardLink> SocketTransport<S> {
             link.stream().apply_timeouts(&recovery.timeouts).map_err(io_on_shard(i as u32))?;
         }
         recovery.logs = self.links.iter().map(|_| ReplayLog::new()).collect();
-        recovery.graph_base = vec![Some(GraphDigest::ZERO); self.links.len()];
-        recovery.graph_acked = vec![Some(GraphDigest::ZERO); self.links.len()];
         self.recovery = Some(recovery);
         Ok(self)
     }
@@ -725,14 +706,15 @@ impl<S: ShardLink> SocketTransport<S> {
         Ok(())
     }
 
-    /// One `StateDigest` turn: the XOR of the shards' state digests, and
-    /// each shard's graph digest as its worker reports it.
-    fn digests(&mut self) -> Result<(u64, Vec<GraphDigest>), GzError> {
-        let (mut digest, mut graphs) = (0, Vec::with_capacity(self.links.len()));
+    /// One `StateDigest` turn: the XORs of the shards' state digests and
+    /// of their graph digests. A respawned worker reports the digest its
+    /// checkpoint carried plus what it absorbed since.
+    fn digests(&mut self) -> Result<(u64, GraphDigest), GzError> {
+        let (mut digest, mut graphs) = (0, GraphDigest::ZERO);
         self.request_all(true, &|_| WireMessage::StateDigest, &mut |reply| match reply {
             WireMessage::StateDigestReply { digest: theirs, graph } => {
                 digest ^= theirs;
-                graphs.push(*graph);
+                graphs.merge(&graph);
                 Ok(())
             }
             other => Err(other),
@@ -784,21 +766,7 @@ impl<S: ShardLink> ShardTransport for SocketTransport<S> {
     }
 
     fn graph_digest(&mut self) -> Result<GraphDigest, GzError> {
-        let (_, graphs) = self.digests()?;
-        let mut digest = GraphDigest::ZERO;
-        for (shard, graph) in graphs.iter().enumerate() {
-            let base = match &self.recovery {
-                Some(recovery) => recovery.graph_base[shard].ok_or_else(|| {
-                    GzError::Protocol(format!(
-                        "shard {shard}'s graph digest is unknown: its worker restored a \
-                         checkpoint the coordinator never saw acknowledged"
-                    ))
-                })?,
-                None => GraphDigest::ZERO,
-            };
-            digest.merge(&graph.xor(&base));
-        }
-        Ok(digest)
+        Ok(self.digests()?.1)
     }
 
     fn gather_round_each(
@@ -858,23 +826,18 @@ impl<S: ShardLink> ShardTransport for SocketTransport<S> {
         // checkpoint covers exactly the batches framed before it — no
         // coordinator-side flush or barrier needed.
         let mut seqs = Vec::with_capacity(self.links.len());
-        let mut graphs = Vec::with_capacity(self.links.len());
         self.request_all(true, &|_| WireMessage::CheckpointShard, &mut |reply| match reply {
-            WireMessage::CheckpointAck { seq, graph } => {
+            WireMessage::CheckpointAck { seq } => {
                 seqs.push(seq);
-                graphs.push(*graph);
                 Ok(())
             }
             other => Err(other),
         })?;
         if let Some(recovery) = &mut self.recovery {
             // Each checkpoint durably covers batches `..seq`; the replay
-            // logs no longer need them, and the log now starts at a state
-            // whose graph digest is the worker's plus what it is missing.
-            for (shard, (log, &seq)) in recovery.logs.iter_mut().zip(&seqs).enumerate() {
+            // logs no longer need them.
+            for (log, &seq) in recovery.logs.iter_mut().zip(&seqs) {
                 log.prune_through(seq);
-                recovery.graph_acked[shard] =
-                    recovery.graph_base[shard].map(|b| b.xor(&graphs[shard]));
                 recovery.stats.checkpoints.add(1);
             }
         }
@@ -971,8 +934,7 @@ pub fn serve_shard_connection<S: Read + Write>(
                 // checkpoint makes redundant. A worker started without a
                 // checkpoint path fails here — the coordinator should not
                 // have asked.
-                let seq = pipeline.save_checkpoint()?;
-                WireMessage::CheckpointAck { seq, graph: Box::new(pipeline.graph_digest()) }
+                WireMessage::CheckpointAck { seq: pipeline.save_checkpoint()? }
             }
             // A recovering coordinator asks where we stand; we answer with
             // the batch count our restored state already covers so it
@@ -1046,7 +1008,7 @@ pub fn new_pipeline_resuming(config: &ShardConfig, index: u32) -> Result<ShardPi
     let pipeline = ShardPipeline::new(config, index)?;
     if let Some(path) = pipeline.checkpoint_path() {
         if path.exists() {
-            pipeline.resume_from(&path)?;
+            pipeline.resume_from(&path, None)?;
         }
     }
     Ok(pipeline)
@@ -1543,7 +1505,7 @@ mod tests {
             },
             WireMessage::RoundSketches { round: 2, entries: vec![] },
             WireMessage::EpochReleased,
-            WireMessage::CheckpointAck { seq: 5, graph: Box::default() },
+            WireMessage::CheckpointAck { seq: 5 },
         ];
         let run = |recovering: bool| {
             let links = vec![ScriptedLink::new(&script), ScriptedLink::new(&script)];
@@ -1682,8 +1644,8 @@ mod tests {
             reference.state_digest().unwrap(),
             "post-recovery sketches must match an uninterrupted run exactly"
         );
-        // The respawned worker's checkpoint carries no graph digest: the
-        // coordinator adds the one its `CheckpointAck` reported.
+        // The respawned worker resumes the graph digest its checkpoint
+        // carries, and the replayed tail adds the rest.
         assert_eq!(
             transport.graph_digest().unwrap(),
             reference.graph_digest().unwrap(),

@@ -19,9 +19,7 @@
 //! same linearity equals merging the slice the vertex would have held.
 
 use crate::boruvka::RoundSink;
-use crate::node_sketch::{
-    decode_other, update_index, CubeNodeSketch, CubeRoundSketch, SketchParams,
-};
+use crate::node_sketch::{update_index, CubeNodeSketch, CubeRoundSketch, SketchParams};
 use gz_sketch::cube::{with_premixed, LaneAccumulators};
 use std::cell::RefCell;
 use std::ops::Range;
@@ -94,9 +92,7 @@ impl SparseSet {
         SCRATCH.with(|cell| {
             let (toggles, merged) = &mut *cell.borrow_mut();
             toggles.clear();
-            toggles.extend(
-                records.iter().map(|&rec| decode_other(rec).0).filter(|&other| other != node),
-            );
+            toggles.extend(records.iter().copied().filter(|&other| other != node));
             if toggles.is_empty() {
                 return;
             }
@@ -392,8 +388,8 @@ mod tests {
         for r in 0..p.rounds() {
             let slice = set.synthesize_round(3, &p, r);
             let (mut a, mut b) = (Vec::new(), Vec::new());
-            slice.serialize_into(&mut a);
-            full.round(r).serialize_into(&mut b);
+            slice.append_words(&mut a);
+            full.round(r).append_words(&mut b);
             assert_eq!(a, b, "round {r}");
         }
     }
@@ -441,7 +437,7 @@ mod tests {
         let bytes = |folded: Folded<CubeRoundSketch>| match folded {
             Folded::Acc(acc) => {
                 let mut out = Vec::new();
-                acc.serialize_into(&mut out);
+                acc.append_words(&mut out);
                 Folded::Acc(out)
             }
             Folded::Sampled(sample) => Folded::Sampled(sample),

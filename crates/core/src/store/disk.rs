@@ -2,13 +2,12 @@
 //!
 //! Node sketches sit at fixed offsets in a pre-allocated scratch file,
 //! grouped into *node groups* of `max(1, B/sketch_size)` nodes stored
-//! contiguously (paper §4.1) so one block access moves a whole group;
-//! `sketch_size` is the serialized (paper-model) size, so the geometry is
-//! the paper's. The file holds each sketch's resident words
+//! contiguously (paper §4.1) so one block access moves a whole group. The
+//! file holds each sketch's resident words, its one encoding
 //! ([`gz_sketch::cube::CubeSketch::append_words`]: 8 bytes a bucket below
-//! `2^32`, 12 above), so a fault copies words in and a write-back copies
-//! them out — no codec. Nothing else reads the file, and it is deleted on
-//! drop; checkpoints and frames serialize the paper's model. A bounded LRU
+//! `2^32`, 12 above), and `sketch_size` is that size, so a fault copies
+//! words in and a write-back copies them out — no codec. Nothing else
+//! reads the file, and it is deleted on drop. A bounded LRU
 //! cache of loaded groups stands in for the paper's RAM budget `M`;
 //! evictions write dirty groups back. Every file access is recorded in
 //! [`IoStats`], which is how the experiment suite measures the hybrid-model
@@ -60,13 +59,10 @@ pub struct IoBackendConfig {}
 
 /// The node groups `slots` nodes are cut into at block size `block_bytes`
 /// (paper §4.1): `(nodes a group, groups)`, a group holding
-/// `max(1, B / serialized node bytes)` nodes and no more than `slots`.
-pub(crate) fn node_groups(
-    block_bytes: usize,
-    serialized_node_bytes: usize,
-    slots: u64,
-) -> (u64, u64) {
-    let group = ((block_bytes / serialized_node_bytes.max(1)).max(1) as u64).min(slots.max(1));
+/// `max(1, B / node bytes)` nodes — a node's resident bytes, what the file
+/// holds — and no more than `slots`.
+pub(crate) fn node_groups(block_bytes: usize, node_bytes: usize, slots: u64) -> (u64, u64) {
+    let group = ((block_bytes / node_bytes.max(1)).max(1) as u64).min(slots.max(1));
     (group, slots.div_ceil(group))
 }
 
@@ -279,10 +275,9 @@ impl DiskStore {
         cache_groups: usize,
         threshold: u32,
     ) -> std::io::Result<Self> {
-        let serialized = params.node_sketch_serialized_bytes();
         let node_bytes = params.node_sketch_resident_bytes();
         let num_slots = node_set.len() as u64;
-        let (group_size, num_groups) = node_groups(block_bytes, serialized, num_slots);
+        let (group_size, num_groups) = node_groups(block_bytes, node_bytes, num_slots);
         let (group_size, num_groups) = (group_size as u32, num_groups as u32);
 
         let file = std::fs::OpenOptions::new()
@@ -936,16 +931,16 @@ impl DiskStore {
         out
     }
 
-    /// Hand `f` every owned node's serialized sketch stack in slot order,
-    /// one node group at a time: the group is read through the cache
-    /// without dirtying it, its nodes serialized — a sparse slot densified
-    /// by replay and dropped — under its lock, and `f` called for each once
-    /// the locks are gone. Holds one group's serialization, never the store.
+    /// Hand `f` every owned node's encoded sketch stack in slot order, one
+    /// node group at a time: the group is read through the cache without
+    /// dirtying it, its nodes encoded — a sparse slot densified by replay
+    /// and dropped — under its lock, and `f` called for each once the locks
+    /// are gone. Holds one group's encoding, never the store.
     pub fn for_each_serialized(
         &self,
         f: &mut dyn FnMut(u32, &[u8]) -> std::io::Result<()>,
     ) -> std::io::Result<()> {
-        let node_bytes = self.params.node_sketch_serialized_bytes();
+        let node_bytes = self.node_bytes;
         let mut bytes = Vec::with_capacity(self.group_size as usize * node_bytes);
         for group in 0..self.num_groups() {
             let start = (group * self.group_size) as usize;
@@ -1264,7 +1259,7 @@ mod tests {
         let mut owned = Vec::new();
         shard
             .for_each_serialized(&mut |node, bytes| {
-                owned.push((node, params.deserialize_node_sketch(bytes).unwrap()));
+                owned.push((node, params.deserialize_node_sketch(bytes)));
                 Ok(())
             })
             .unwrap();
@@ -1313,8 +1308,8 @@ mod tests {
             s.stream_round_dense(round, &|_| true, None, &mut |node, sketch| {
                 let reference = snap[node as usize].as_ref().unwrap().round(round);
                 let (mut a, mut b) = (Vec::new(), Vec::new());
-                sketch.serialize_into(&mut a);
-                reference.serialize_into(&mut b);
+                sketch.append_words(&mut a);
+                reference.append_words(&mut b);
                 assert_eq!(a, b, "node {node} round {round}");
                 seen.push(node);
             })
@@ -1401,8 +1396,8 @@ mod tests {
                         want_slice.merge(snap[root + 1].as_ref().unwrap().round(round));
                     }
                     let (mut got, mut want) = (Vec::new(), Vec::new());
-                    acc[root].as_ref().expect("every live pair folded").serialize_into(&mut got);
-                    want_slice.serialize_into(&mut want);
+                    acc[root].as_ref().expect("every live pair folded").append_words(&mut got);
+                    want_slice.append_words(&mut want);
                     assert_eq!(got, want, "{threads} threads, pair {root} round {round}");
                     assert!(acc[root + 1].is_none(), "{root} + 1 is no root");
                 }
@@ -1655,13 +1650,13 @@ mod tests {
 
     #[test]
     fn writeback_runs_stop_at_the_run_cap() {
-        // Eight-node groups of ≈ 53 KiB of words (≈ 79 KiB serialized), all
-        // 32 dirty and adjacent: one run holds `WRITEBACK_RUN_BYTES /
-        // group_bytes` (19) of them, so the flush is exactly `ceil(32 /
-        // groups_per_run)` writes of exactly the dirty bytes — never one
-        // write of the whole dirty cache.
+        // Eight-node groups of ≈ 53 KiB of words, all 32 dirty and
+        // adjacent: one run holds `WRITEBACK_RUN_BYTES / group_bytes` (19)
+        // of them, so the flush is exactly `ceil(32 / groups_per_run)`
+        // writes of exactly the dirty bytes — never one write of the whole
+        // dirty cache.
         let params = Arc::new(SketchParams::new(256, 8, 7, 7));
-        let block = 8 * params.node_sketch_serialized_bytes();
+        let block = 8 * params.node_sketch_resident_bytes();
         let path = tmp("run-cap");
         let s = DiskStore::new(Arc::clone(&params), path.to_path_buf(), block, 32).unwrap();
         assert_eq!((s.group_size(), s.num_groups()), (8, 32));
@@ -1675,7 +1670,9 @@ mod tests {
             reference.apply_batch(node, &batch);
         }
         let group_bytes = 8 * params.node_sketch_resident_bytes() as u64;
-        assert_eq!(3 * group_bytes, 2 * block as u64, "a bucket is 8 bytes, not 12");
+        assert_eq!(group_bytes, block as u64);
+        let paper_group_bytes = 8 * params.node_sketch_bytes() as u64;
+        assert_eq!(3 * group_bytes, 2 * paper_group_bytes, "a bucket is 8 bytes, not 12");
         let groups_per_run = (WRITEBACK_RUN_BYTES as u64 / group_bytes).max(1);
         assert!(groups_per_run < 32, "the dirty groups must outgrow one run");
         let (_, writes_before, _, bytes_before) = s.io_stats().snapshot();
@@ -1690,8 +1687,8 @@ mod tests {
         for round in 0..params.rounds() {
             s.stream_round_dense(round, &|_| true, None, &mut |node, slice| {
                 let (mut got, mut want) = (Vec::new(), Vec::new());
-                slice.serialize_into(&mut got);
-                snap[node as usize].as_ref().unwrap().round(round).serialize_into(&mut want);
+                slice.append_words(&mut got);
+                snap[node as usize].as_ref().unwrap().round(round).append_words(&mut want);
                 assert_eq!(got, want, "node {node} round {round}");
             })
             .unwrap();
@@ -1723,7 +1720,7 @@ mod tests {
         let v = 100_000u64;
         let params = Arc::new(SketchParams::new(v, 3, 3, 7));
         assert!(params.families[0].geometry().vector_len >= 1 << 32);
-        assert_eq!(params.node_sketch_resident_bytes(), params.node_sketch_serialized_bytes());
+        assert_eq!(params.node_sketch_resident_bytes(), params.node_sketch_bytes());
         let owned = NodeSet::strided(v, 3, 20_000);
         let path = tmp("wide");
         let disk =
@@ -1794,7 +1791,7 @@ mod tests {
 
         let lane = format!("cache {cache} group {group_size}");
         let params = Arc::new(SketchParams::new(NODES as u64, 3, 7, 7));
-        let block = group_size * params.node_sketch_serialized_bytes();
+        let block = group_size * params.node_sketch_resident_bytes();
         let path = tmp("stress");
         let store = DiskStore::new(Arc::clone(&params), path.to_path_buf(), block, cache).unwrap();
         assert_eq!(store.group_size() as usize, group_size, "{lane}");
@@ -1821,12 +1818,12 @@ mod tests {
                 store
                     .stream_round_dense(round, &|_| true, Some(overlay), &mut |node, slice| {
                         let (mut got, mut want) = (Vec::new(), Vec::new());
-                        slice.serialize_into(&mut got);
+                        slice.append_words(&mut got);
                         sealed[node as usize]
                             .as_ref()
                             .unwrap()
                             .round(round)
-                            .serialize_into(&mut want);
+                            .append_words(&mut want);
                         assert_eq!(got, want, "{lane}: node {node} round {round} {when}");
                         seen += 1;
                     })

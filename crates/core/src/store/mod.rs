@@ -694,8 +694,7 @@ impl GraphDigestStripes {
     /// drops them).
     pub(crate) fn record(&self, node: u32, records: &[u32], num_nodes: u64) {
         let mut digest = self.stripes[thread_stripe()].0.lock();
-        for &rec in records {
-            let (other, _is_delete) = crate::node_sketch::decode_other(rec);
+        for &other in records {
             if other != node {
                 digest.flip(node, crate::node_sketch::update_index(node, other, num_nodes));
             }
@@ -747,14 +746,13 @@ pub(crate) fn with_index_scratch<R>(f: impl FnOnce(&mut Vec<u64>) -> R) -> R {
 }
 
 /// Decode a batch of records bound for `node` into characteristic-vector
-/// indices, appending to `out`. Self-loops are dropped (defensive: invalid
-/// stream updates); the deletion flag is ignored (Z_2: insert and delete
-/// are the same toggle).
+/// indices, appending to `out`. A record is the other endpoint
+/// ([`crate::node_sketch::encode_other`]); self-loops are dropped
+/// (defensive: invalid stream updates).
 #[inline]
 pub(crate) fn decode_records_into(node: u32, records: &[u32], num_nodes: u64, out: &mut Vec<u64>) {
     out.reserve(records.len());
-    for &rec in records {
-        let (other, _is_delete) = crate::node_sketch::decode_other(rec);
+    for &other in records {
         if other != node {
             out.push(crate::node_sketch::update_index(node, other, num_nodes));
         }

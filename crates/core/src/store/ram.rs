@@ -329,16 +329,15 @@ impl RamStore {
             .collect()
     }
 
-    /// Hand `f` every owned node's serialized sketch stack in slot order,
-    /// one node at a time: serialized under the node's own lock — a sparse
-    /// vertex densified by replay and dropped — and handed over once the
-    /// lock is gone. Holds one node's serialization, never a copy of the
-    /// store.
+    /// Hand `f` every owned node's encoded sketch stack in slot order, one
+    /// node at a time: encoded under the node's own lock — a sparse vertex
+    /// densified by replay and dropped — and handed over once the lock is
+    /// gone. Holds one node's encoding, never a copy of the store.
     pub fn for_each_serialized(
         &self,
         f: &mut dyn FnMut(u32, &[u8]) -> std::io::Result<()>,
     ) -> std::io::Result<()> {
-        let mut bytes = Vec::with_capacity(self.params.node_sketch_serialized_bytes());
+        let mut bytes = Vec::with_capacity(self.params.node_sketch_resident_bytes());
         for (slot, m) in self.nodes.iter().enumerate() {
             let node = self.node_set.node(slot);
             bytes.clear();

@@ -8,8 +8,8 @@
 //! shard's pipeline is the work queue, the Graph Workers and the store
 //! (DESIGN.md §7). The facade maps a [`GzConfig`] onto that shard's
 //! [`ShardConfig`] and keeps the shard's store at hand for what reads it
-//! whole: [`GraphZeppelin::store`], the materializing oracle and the GZC2
-//! checkpoint. An in-process shard refuses nothing, so the only errors
+//! whole: [`GraphZeppelin::store`], the materializing oracle and the
+//! checkpoint it writes as shard 0 of 1. An in-process shard refuses nothing, so the only errors
 //! ingestion can meet are a gutter tree's failed file reads and writes,
 //! which panic here: `update` and `flush` return nothing.
 
@@ -22,6 +22,7 @@ use crate::sharding::{InProcessTransport, ShardConfig, ShardedEpoch, ShardedGrap
 use crate::store::{MaterializedSource, RepStats, SketchStore};
 use gz_graph::Edge;
 use gz_gutters::IoStats;
+use std::path::Path;
 use std::sync::Arc;
 
 /// Why an in-process shard's ingestion can fail: a gutter tree's file.
@@ -245,8 +246,8 @@ impl GraphZeppelin {
 
     /// Flush, then read the graph digest of every update ingested
     /// (`gz_graph::digest`): the same for every configuration fed the same
-    /// stream. A system restored from a checkpoint file starts from the
-    /// empty digest — the file carries none.
+    /// stream. A system restored from a checkpoint resumes the digest the
+    /// file carries (a legacy `GZC2` file carries none: it starts empty).
     pub fn graph_digest(&mut self) -> gz_graph::GraphDigest {
         self.system.graph_digest().expect(TREE_FILE)
     }
@@ -260,14 +261,14 @@ impl GraphZeppelin {
         self.system.state_digest()
     }
 
-    /// Replace all sketch state (checkpoint restore).
-    pub(crate) fn load_sketches(
-        &mut self,
-        sketches: Vec<crate::node_sketch::CubeNodeSketch>,
-        updates_ingested: u64,
-    ) {
-        self.store.load_all(sketches);
+    /// Replace all sketch state with the checkpoint at `path`, a facade's
+    /// (shard 0 of 1), and resume its graph digest — a legacy file carries
+    /// none, so the digest starts empty — and its update count.
+    pub(crate) fn resume(&mut self, path: &Path, updates_ingested: u64) -> Result<(), GzError> {
+        let legacy_graph = Some(gz_graph::GraphDigest::ZERO);
+        self.system.resume_shards_from(&[path.to_path_buf()], legacy_graph)?;
         self.system.restore_updates_ingested(updates_ingested);
+        Ok(())
     }
 
     /// Shut down: stop the shard and join its Graph Workers. Called

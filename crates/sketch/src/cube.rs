@@ -14,11 +14,13 @@
 //!
 //! - A bucket is one packed word, `γ << 32 | (α mod 2^32)`, plus an
 //!   `α`-high plane only where the vector is at least `2^32` long (the
-//!   geometry chooses; no option). Serialized it is the paper's model —
-//!   12 bytes, `α` as a whole `u64` then `γ` — so checkpoints, frames and
-//!   digests do not depend on the resident layout, which is 8 bytes a
-//!   bucket below `2^32`. The disk store's scratch file holds the resident
-//!   words themselves ([`CubeSketch::append_words`]).
+//!   geometry chooses; no option). Those words are the sketch's one
+//!   encoding ([`CubeSketch::append_words`]): checkpoints, gathered round
+//!   slices, the state digest and the disk store's file hold them, 8 bytes
+//!   a bucket below `2^32` — two thirds of the paper's 12-byte model
+//!   ([`SketchGeometry::cube_sketch_bytes`]), which stays the size
+//!   accounting. Files written in that model before are read by
+//!   [`CubeSketch::decode_paper_model`], for the legacy checkpoint reader.
 //! - `α` accumulates `idx + 1` rather than `idx`, so the all-zero bucket
 //!   unambiguously means "empty" even when coordinate 0 is in play; queries
 //!   subtract the offset.
@@ -245,13 +247,14 @@ impl<H: Hasher64> CubeSketchFamily<H> {
     /// the family's sketches then keep the `α`-high plane.
     #[inline]
     fn wide(&self) -> bool {
-        self.geometry.vector_len >= 1 << 32
+        crate::geometry::needs_alpha_high(self.geometry.vector_len)
     }
 
     /// Resident payload bytes of one of the family's sketches: 8 a bucket,
-    /// 12 where the family keeps the `α`-high plane.
+    /// 12 where the family keeps the `α`-high plane
+    /// ([`SketchGeometry::cube_resident_bytes`]).
     pub fn payload_bytes(&self) -> usize {
-        self.geometry.num_buckets() * if self.wide() { 12 } else { 8 }
+        self.geometry.cube_resident_bytes()
     }
 
     /// A fresh all-zero sketch of this family.
@@ -424,10 +427,10 @@ fn xor_into<T: Copy + std::ops::BitXorAssign>(dst: &mut [T], src: &[T]) {
     }
 }
 
-/// Why a serialized payload does not decode under a family's geometry.
+/// Why encoded bytes are not a payload of a family's geometry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PayloadError {
-    /// The payload is not `12 × buckets` bytes long.
+    /// The payload is not the geometry's length.
     Length {
         /// Bytes the geometry's payload has.
         expected: usize,
@@ -463,9 +466,10 @@ impl std::error::Error for PayloadError {}
 /// A bucket is one word, `γ << 32 | (α mod 2^32)`, column-major so that a
 /// column update touches contiguous words; a family whose vector is at
 /// least `2^32` long also keeps `α`'s high words, one `u32` a bucket in a
-/// plane of their own. Resident, that is 8 bytes a bucket below `2^32` and
-/// 12 above; serialized, it is always the paper's 12 (`α` as a `u64`, then
-/// `γ`), which is what [`SketchGeometry::cube_sketch_bytes`] counts.
+/// plane of their own. Resident and encoded alike ([`Self::append_words`])
+/// that is 8 bytes a bucket below `2^32` and 12 above; the paper's model,
+/// 12 bytes a bucket everywhere, is what
+/// [`SketchGeometry::cube_sketch_bytes`] counts.
 ///
 /// ```
 /// use gz_sketch::cube::CubeSketchFamily;
@@ -711,15 +715,17 @@ impl<H: Hasher64> CubeSketch<H> {
 
     /// Resident payload bytes: 8 a bucket, 12 where the family keeps the
     /// `α`-high plane. The paper's 12-byte model is
-    /// [`SketchGeometry::cube_sketch_bytes`] and [`Self::serialized_size`].
+    /// [`SketchGeometry::cube_sketch_bytes`].
     pub fn payload_bytes(&self) -> usize {
         self.family.payload_bytes()
     }
 
     /// Append the resident words to `out`, little-endian: the packed bucket
     /// words, then the `α`-high words where the family keeps that plane —
-    /// [`Self::payload_bytes`] bytes, copied, not encoded. The disk store's
-    /// scratch file holds these; [`Self::load_words`] copies them back.
+    /// [`Self::payload_bytes`] bytes, copied, not encoded. The sketch's one
+    /// encoding: checkpoints, gathered round slices, the state digest and
+    /// the disk store's file hold these; [`Self::load_words`] copies them
+    /// back.
     pub fn append_words(&self, out: &mut Vec<u8>) {
         let start = out.len();
         out.resize(start + self.payload_bytes(), 0);
@@ -733,7 +739,8 @@ impl<H: Hasher64> CubeSketch<H> {
     }
 
     /// Overwrite the payload with words [`Self::append_words`] wrote from a
-    /// sketch of this family.
+    /// sketch of this family. Every bit pattern is a payload, so bytes
+    /// from outside the process need only their length checked.
     ///
     /// # Panics
     /// Panics if `bytes` is not [`Self::payload_bytes`] long.
@@ -748,107 +755,35 @@ impl<H: Hasher64> CubeSketch<H> {
         }
     }
 
-    /// Serialize the payload to `out`: the paper's 12 bytes a bucket,
-    /// little-endian `α` words, then `γ` words, whatever the resident
-    /// layout. Used by checkpoints, the wire and the state digest. The
-    /// payload's span is sized once and filled word by word in place
-    /// instead of growing `out` one word at a time.
-    pub fn serialize_into(&self, out: &mut Vec<u8>) {
-        let start = out.len();
-        out.resize(start + Self::serialized_size(self.family.geometry), 0);
-        let (alpha_bytes, gamma_bytes) = out[start..].split_at_mut(self.buckets.len() * 8);
-        let alpha_chunks = alpha_bytes.chunks_exact_mut(8).zip(self.buckets.iter());
-        if self.alpha_high.is_empty() {
-            for (c, w) in alpha_chunks {
-                c.copy_from_slice(&(w & ALPHA_LOW).to_le_bytes());
-            }
-        } else {
-            for ((c, &w), &high) in alpha_chunks.zip(self.alpha_high.iter()) {
-                c.copy_from_slice(&unpack(w, high).0.to_le_bytes());
-            }
-        }
-        for (c, w) in gamma_bytes.chunks_exact_mut(4).zip(self.buckets.iter()) {
-            c.copy_from_slice(&((w >> 32) as u32).to_le_bytes());
-        }
-    }
-
-    /// Decode a payload produced by [`Self::serialize_into`], checked: a
-    /// wrong length, or an `α` with a nonzero high word where the family's
-    /// vector is shorter than `2^32`, is a [`PayloadError`] — what bytes
-    /// from outside the process (a checkpoint file, a shard's reply) go
-    /// through.
-    pub fn try_deserialize(
-        family: Arc<CubeSketchFamily<H>>,
-        bytes: &[u8],
-    ) -> Result<Self, PayloadError> {
-        let mut sketch = CubeSketch::new(family);
-        sketch.decode(bytes)?;
-        Ok(sketch)
-    }
-
-    /// [`Self::try_deserialize`] for bytes this process wrote itself.
-    ///
-    /// # Panics
-    /// Panics if `bytes` does not decode under the family's geometry.
-    pub fn deserialize(family: Arc<CubeSketchFamily<H>>, bytes: &[u8]) -> Self {
-        Self::try_deserialize(family, bytes).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// The body of every decode: bulk, via `chunks_exact`, so the bounds
-    /// checks hoist out of the loops. A narrow family's high-word check is
-    /// one OR per bucket and one branch per payload.
-    fn decode(&mut self, bytes: &[u8]) -> Result<(), PayloadError> {
-        let (n, geometry) = (self.buckets.len(), self.family.geometry);
-        if bytes.len() != Self::serialized_size(geometry) {
-            return Self::check_payload(geometry, bytes);
-        }
-        let (alpha_bytes, gamma_bytes) = bytes.split_at(n * 8);
-        let word = |c: &[u8]| u64::from_le_bytes(c.try_into().expect("chunk is 8 bytes"));
-        let mut spilled = 0;
-        if self.alpha_high.is_empty() {
-            for (w, c) in self.buckets.iter_mut().zip(alpha_bytes.chunks_exact(8)) {
-                let alpha = word(c);
-                spilled |= alpha >> 32;
-                *w = alpha;
-            }
-        } else {
-            let planes = self.buckets.iter_mut().zip(self.alpha_high.iter_mut());
-            for ((w, high), c) in planes.zip(alpha_bytes.chunks_exact(8)) {
-                let alpha = word(c);
-                (*w, *high) = (alpha & ALPHA_LOW, (alpha >> 32) as u32);
-            }
-        }
-        if spilled != 0 {
-            return Self::check_payload(geometry, bytes);
-        }
-        for (w, c) in self.buckets.iter_mut().zip(gamma_bytes.chunks_exact(4)) {
-            let gamma = u32::from_le_bytes(c.try_into().expect("chunk is 4 bytes"));
-            *w |= u64::from(gamma) << 32;
-        }
-        Ok(())
-    }
-
-    /// Check, without decoding it, that `bytes` is a payload of
-    /// `geometry`: the length, and where the vector is shorter than `2^32`
-    /// every `α`'s high word ([`Self::try_deserialize`]'s checks). For
-    /// callers that validate a reply before they fold it.
-    pub fn check_payload(geometry: SketchGeometry, bytes: &[u8]) -> Result<(), PayloadError> {
-        let expected = Self::serialized_size(geometry);
+    /// Overwrite the payload with the paper's 12-byte encoding —
+    /// little-endian `α` words, then `γ` words — which checkpoints held
+    /// before they held the resident words: the legacy checkpoint reader's
+    /// decoder, and no one else's. The bytes come from a file, so a wrong
+    /// length, or an `α` with a nonzero high word where the vector is
+    /// shorter than `2^32`, is a [`PayloadError`], checked before anything
+    /// is overwritten.
+    pub fn decode_paper_model(&mut self, bytes: &[u8]) -> Result<(), PayloadError> {
+        let expected = self.family.geometry.cube_sketch_bytes();
         if bytes.len() != expected {
             return Err(PayloadError::Length { expected, got: bytes.len() });
         }
-        if geometry.vector_len < 1 << 32 {
-            let mut alpha_words = bytes[..geometry.num_buckets() * 8].chunks_exact(8);
-            if let Some(bucket) = alpha_words.position(|c| c[4..] != [0; 4]) {
+        let (alpha_bytes, gamma_bytes) = bytes.split_at(self.buckets.len() * 8);
+        let alphas = alpha_bytes.chunks_exact(8);
+        if self.alpha_high.is_empty() {
+            if let Some(bucket) = alphas.clone().position(|c| c[4..] != [0; 4]) {
                 return Err(PayloadError::AlphaOutOfRange { bucket });
             }
         }
+        let gammas = gamma_bytes.chunks_exact(4);
+        for (i, (a, g)) in alphas.zip(gammas).enumerate() {
+            let alpha = u64::from_le_bytes(a.try_into().expect("chunk is 8 bytes"));
+            let gamma = u32::from_le_bytes(g.try_into().expect("chunk is 4 bytes"));
+            self.buckets[i] = u64::from(gamma) << 32 | (alpha & ALPHA_LOW);
+            if let Some(high) = self.alpha_high.get_mut(i) {
+                *high = (alpha >> 32) as u32;
+            }
+        }
         Ok(())
-    }
-
-    /// Exact serialized size for a geometry: the paper's 12 bytes a bucket.
-    pub fn serialized_size(geometry: SketchGeometry) -> usize {
-        geometry.cube_sketch_bytes()
     }
 }
 
@@ -893,6 +828,24 @@ mod tests {
 
     fn family(n: u64, seed: u64) -> Arc<CubeSketchFamily> {
         CubeSketchFamily::for_vector(n, seed)
+    }
+
+    /// A sketch's encoding ([`CubeSketch::append_words`]).
+    pub(super) fn words<H: Hasher64>(s: &CubeSketch<H>) -> Vec<u8> {
+        let mut out = Vec::new();
+        s.append_words(&mut out);
+        out
+    }
+
+    /// A sketch in the paper's 12-byte model, as the legacy checkpoints
+    /// hold it: little-endian `α` words, then `γ` words.
+    fn paper_model(s: &CubeSketch) -> Vec<u8> {
+        let high = |i: usize| s.alpha_high.get(i).copied().unwrap_or(0);
+        let buckets = s.buckets.iter().enumerate().map(|(i, &w)| unpack(w, high(i)));
+        let (alphas, gammas): (Vec<u64>, Vec<u32>) = buckets.unzip();
+        let mut out: Vec<u8> = alphas.iter().flat_map(|a| a.to_le_bytes()).collect();
+        out.extend(gammas.iter().flat_map(|g| g.to_le_bytes()));
+        out
     }
 
     #[test]
@@ -995,18 +948,23 @@ mod tests {
 
     #[test]
     fn serialization_round_trip() {
-        let f = family(4096, 11);
-        let mut s = f.new_sketch();
-        for i in [0u64, 1, 4095, 2048] {
-            s.update(i);
+        // The legacy decoder reads the paper's model back into the words,
+        // on both sides of 2^32.
+        for vector_len in [4096, 1 << 33] {
+            let f = family(vector_len, 11);
+            let mut s = f.new_sketch();
+            for i in [0u64, 1, vector_len - 1, vector_len / 2] {
+                s.update(i);
+            }
+            let bytes = paper_model(&s);
+            assert_eq!(bytes.len(), f.geometry().cube_sketch_bytes());
+            let mut t = f.new_sketch();
+            t.update(77);
+            t.decode_paper_model(&bytes).unwrap();
+            assert_eq!(s.buckets, t.buckets, "{vector_len}");
+            assert_eq!(s.alpha_high, t.alpha_high, "{vector_len}");
+            assert_eq!(t.query(), s.query(), "{vector_len}");
         }
-        let mut bytes = Vec::new();
-        s.serialize_into(&mut bytes);
-        assert_eq!(bytes.len(), CubeSketch::<Xxh64Hasher>::serialized_size(f.geometry()));
-        let t = CubeSketch::deserialize(Arc::clone(&f), &bytes);
-        assert_eq!(s.buckets, t.buckets);
-        assert_eq!(s.alpha_high, t.alpha_high);
-        assert_eq!(t.query(), s.query());
     }
 
     #[test]
@@ -1043,44 +1001,41 @@ mod tests {
 
     #[test]
     fn payload_matches_geometry_model() {
-        // Serialized, a sketch is the paper's model — 12 bytes a bucket — on
-        // both sides of 2^32. Resident, it is 8 bytes a bucket below 2^32
-        // (one packed word) and 12 from there on (the α-high plane too).
+        // The paper's model is 12 bytes a bucket on both sides of 2^32. The
+        // words, resident and encoded, are 8 bytes a bucket below 2^32 (one
+        // packed word) and 12 from there on (the α-high plane too).
         for (vector_len, resident_bucket_bytes) in [(1_000_000, 8), (1 << 33, 12)] {
             let f = family(vector_len, 13);
             let mut s = f.new_sketch();
             s.update(vector_len - 1);
             let buckets = f.geometry().num_buckets();
             assert_eq!(f.geometry().cube_sketch_bytes(), buckets * 12);
-            let mut bytes = Vec::new();
-            s.serialize_into(&mut bytes);
-            assert_eq!(bytes.len(), f.geometry().cube_sketch_bytes(), "{vector_len}");
-            assert_eq!(CubeSketch::<Xxh64Hasher>::serialized_size(f.geometry()), bytes.len());
+            assert_eq!(paper_model(&s).len(), f.geometry().cube_sketch_bytes(), "{vector_len}");
             assert_eq!(s.payload_bytes(), buckets * resident_bucket_bytes, "{vector_len}");
+            assert_eq!(words(&s).len(), s.payload_bytes(), "{vector_len}");
         }
     }
 
     #[test]
     fn a_wide_alpha_where_the_vector_is_narrow_is_refused() {
-        // Bytes from outside the process: an α with a nonzero high word
-        // cannot come from a vector shorter than 2^32, and decoding it must
+        // A legacy file's bytes: an α with a nonzero high word cannot come
+        // from a vector shorter than 2^32, and the legacy decoder must
         // neither panic nor drop the high word. A wide family takes it.
         let (narrow, wide) = (family(4096, 3), family(1 << 33, 3));
         for f in [&narrow, &wide] {
-            let mut bytes = Vec::new();
-            f.new_sketch().serialize_into(&mut bytes);
+            let mut bytes = paper_model(&f.new_sketch());
             bytes[5 * 8 + 4] = 1; // bucket 5's α, bit 32
-            let decoded = CubeSketch::try_deserialize(Arc::clone(f), &bytes);
+            let mut s = f.new_sketch();
+            let decoded = s.decode_paper_model(&bytes);
             if Arc::ptr_eq(f, &narrow) {
                 assert_eq!(decoded.unwrap_err(), PayloadError::AlphaOutOfRange { bucket: 5 });
+                assert!(s.is_empty(), "refused before anything is overwritten");
             } else {
-                let s = decoded.unwrap();
+                decoded.unwrap();
                 assert_eq!((s.buckets[5], s.alpha_high[5]), (0, 1));
-                let mut again = Vec::new();
-                s.serialize_into(&mut again);
-                assert_eq!(again, bytes);
+                assert_eq!(paper_model(&s), bytes);
             }
-            let short = CubeSketch::try_deserialize(Arc::clone(f), &bytes[1..]);
+            let short = s.decode_paper_model(&bytes[1..]);
             let expected = f.geometry().cube_sketch_bytes();
             assert_eq!(short.unwrap_err(), PayloadError::Length { expected, got: expected - 1 });
         }
@@ -1185,6 +1140,7 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::words;
     use super::*;
     use proptest::prelude::*;
     use std::collections::HashSet;
@@ -1268,11 +1224,7 @@ mod proptests {
         for &u in updates {
             singles.update(u);
         }
-        let bytes = |s: &CubeSketch<H>| {
-            let mut out = Vec::new();
-            s.serialize_into(&mut out);
-            out
-        };
+        let bytes = words::<H>;
         let reference = bytes(&singles);
         let n = updates.len();
         assert_eq!(
@@ -1355,11 +1307,7 @@ mod proptests {
             for &x in &xs { a.update(x); c.update(x); }
             for &y in &ys { b.update(y); c.update(y); }
             a.merge(&b);
-            let mut abytes = Vec::new();
-            let mut cbytes = Vec::new();
-            a.serialize_into(&mut abytes);
-            c.serialize_into(&mut cbytes);
-            prop_assert_eq!(abytes, cbytes);
+            prop_assert_eq!(words(&a), words(&c));
         }
 
         /// Set-level linearity, the invariant the equivalence suite builds
@@ -1388,10 +1336,7 @@ mod proptests {
             }
             sa.merge(&sb);
 
-            let (mut merged, mut direct) = (Vec::new(), Vec::new());
-            sa.serialize_into(&mut merged);
-            sd.serialize_into(&mut direct);
-            prop_assert_eq!(merged, direct, "merge(S(A), S(B)) != S(A symdiff B)");
+            prop_assert_eq!(words(&sa), words(&sd), "merge(S(A), S(B)) != S(A symdiff B)");
 
             match sa.query() {
                 SampleResult::Index(i) => prop_assert!(sym.contains(&i)),
@@ -1485,11 +1430,7 @@ mod proptests {
             updates.reverse();
             let mut b = f.new_sketch();
             for &u in &updates { b.update(u); }
-            let mut ab = Vec::new();
-            let mut bb = Vec::new();
-            a.serialize_into(&mut ab);
-            b.serialize_into(&mut bb);
-            prop_assert_eq!(ab, bb);
+            prop_assert_eq!(words(&a), words(&b));
         }
     }
 }

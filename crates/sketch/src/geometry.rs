@@ -7,10 +7,11 @@
 //! What differs is the *bucket payload*: CubeSketch stores `(α: u64, γ: u32)`
 //! = 12 bytes, the general sampler stores three field words = 24 bytes
 //! (64-bit path) or 48 bytes (128-bit path). That 2×/4× gap is exactly the
-//! paper's Figure 5. The model is the serialized bucket, what every file,
-//! frame and digest holds; resident, a CubeSketch bucket of a vector
-//! shorter than `2^32` is one packed 8-byte word, since α's high word is
-//! always zero there (`crate::cube`, DESIGN.md §2).
+//! paper's Figure 5. The model is the paper's bucket; resident — and in
+//! every file, frame and digest, which hold the resident words — a
+//! CubeSketch bucket of a vector shorter than `2^32` is one packed 8-byte
+//! word, since α's high word is always zero there (`crate::cube`,
+//! DESIGN.md §2).
 
 /// Columns of the paper's implementation (§5.1: `log(1/δ) = 7` for δ = 1 %,
 /// on the assumption that a column succeeds half the time). Everything that
@@ -80,9 +81,16 @@ impl SketchGeometry {
     }
 
     /// CubeSketch payload size in bytes: 12 bytes per bucket (α: u64 +
-    /// γ: u32), as counted in paper §5.1 ("12B buckets") and as serialized.
+    /// γ: u32), as counted in paper §5.1 ("12B buckets").
     pub fn cube_sketch_bytes(&self) -> usize {
         self.num_buckets() * cube_bucket_bytes()
+    }
+
+    /// CubeSketch resident payload in bytes, which is also its encoding's
+    /// (`CubeSketch::append_words`): one 8-byte word a bucket, plus a
+    /// 4-byte `α`-high word where the vector is at least `2^32` long.
+    pub fn cube_resident_bytes(&self) -> usize {
+        self.num_buckets() * if needs_alpha_high(self.vector_len) { 12 } else { 8 }
     }
 
     /// Standard-ℓ0 payload size in bytes: three field words per bucket.
@@ -92,6 +100,12 @@ impl SketchGeometry {
     pub fn standard_sketch_bytes(&self) -> usize {
         self.num_buckets() * standard_bucket_bytes(self.vector_len)
     }
+}
+
+/// True if a CubeSketch of a `vector_len`-long vector keeps an `α`-high
+/// plane: some `idx + 1` does not fit a packed word's low 32 bits.
+pub fn needs_alpha_high(vector_len: u64) -> bool {
+    vector_len >= 1 << 32
 }
 
 /// Bytes per CubeSketch bucket (α + γ).

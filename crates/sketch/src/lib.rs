@@ -79,7 +79,7 @@ pub trait L0Sampler {
     fn clear(&mut self);
 
     /// Resident size in bytes of the bucket payload. Figure 5 counts the
-    /// serialized model ([`geometry::SketchGeometry`]), which a packed
+    /// paper's model ([`geometry::SketchGeometry`]), which a packed
     /// CubeSketch undercuts.
     fn payload_bytes(&self) -> usize;
 }

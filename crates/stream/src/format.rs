@@ -22,7 +22,6 @@ use std::path::Path;
 
 const MAGIC: [u8; 4] = *b"GZS1";
 const RECORD_BYTES: usize = 9;
-const HEADER_BYTES: u64 = 20; // magic(4) + nodes(8) + count(8)
 
 /// Metadata read from a stream file header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,9 +104,6 @@ pub struct StreamReader {
     reader: BufReader<File>,
     header: StreamHeader,
     read_so_far: u64,
-    /// Whole records the file holds past its header, whatever the header
-    /// claims: what bounds [`Self::read_all`]'s reservation.
-    records_in_file: u64,
 }
 
 impl StreamReader {
@@ -125,12 +121,10 @@ impl StreamReader {
         let num_vertices = u64::from_le_bytes(buf);
         reader.read_exact(&mut buf)?;
         let num_updates = u64::from_le_bytes(buf);
-        let payload = reader.get_ref().metadata()?.len().saturating_sub(HEADER_BYTES);
         Ok(StreamReader {
             reader,
             header: StreamHeader { num_vertices, num_updates },
             read_so_far: 0,
-            records_in_file: payload / RECORD_BYTES as u64,
         })
     }
 
@@ -179,24 +173,6 @@ impl StreamReader {
         self.read_so_far += want as u64;
         Ok(want)
     }
-
-    /// Read the entire remaining stream into memory. The reservation is what
-    /// the header claims or what the file holds, whichever is less: a header
-    /// that overstates its count ends in a short read, not an allocation.
-    pub fn read_all(&mut self) -> io::Result<Vec<EdgeUpdate>> {
-        let remaining = self.header.num_updates - self.read_so_far;
-        let in_file = self.records_in_file.saturating_sub(self.read_so_far);
-        let mut all = Vec::with_capacity(remaining.min(in_file) as usize);
-        let mut batch = Vec::new();
-        loop {
-            let n = self.read_batch(&mut batch, 1 << 16)?;
-            if n == 0 {
-                break;
-            }
-            all.extend_from_slice(&batch);
-        }
-        Ok(all)
-    }
 }
 
 impl Iterator for StreamReader {
@@ -233,21 +209,12 @@ mod tests {
     }
 
     #[test]
-    fn round_trip_via_read_all() {
-        let path = tmp("round_trip");
-        let updates = sample_updates();
-        write_stream(path.path(), 5, &updates).unwrap();
-        let mut r = StreamReader::open(path.path()).unwrap();
-        assert_eq!(r.header(), StreamHeader { num_vertices: 5, num_updates: 4 });
-        assert_eq!(r.read_all().unwrap(), updates);
-    }
-
-    #[test]
     fn round_trip_via_iterator() {
         let path = tmp("iter");
         let updates = sample_updates();
         write_stream(path.path(), 5, &updates).unwrap();
         let r = StreamReader::open(path.path()).unwrap();
+        assert_eq!(r.header(), StreamHeader { num_vertices: 5, num_updates: 4 });
         let got: Vec<EdgeUpdate> = r.map(|x| x.unwrap()).collect();
         assert_eq!(got, updates);
     }
@@ -282,19 +249,21 @@ mod tests {
     fn empty_stream() {
         let path = tmp("empty");
         write_stream(path.path(), 10, &[]).unwrap();
-        let mut r = StreamReader::open(path.path()).unwrap();
-        assert_eq!(r.read_all().unwrap(), vec![]);
+        let r = StreamReader::open(path.path()).unwrap();
+        assert_eq!(r.collect::<io::Result<Vec<_>>>().unwrap(), vec![]);
     }
 
     /// The error reading `updates` as a `num_vertices` stream ends in, by
-    /// `read_all` and by the iterator.
+    /// the iterator and by batches.
     fn refused(num_vertices: u64, updates: &[EdgeUpdate]) -> String {
         let path = tmp("refused");
         write_stream(path.path(), num_vertices, updates).unwrap();
-        let err = StreamReader::open(path.path()).unwrap().read_all().unwrap_err();
+        let r = StreamReader::open(path.path()).unwrap();
+        let err = r.collect::<io::Result<Vec<_>>>().unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        let iterated = StreamReader::open(path.path()).unwrap().find_map(Result::err).unwrap();
-        assert_eq!(iterated.to_string(), err.to_string());
+        let mut r = StreamReader::open(path.path()).unwrap();
+        let batched = r.read_batch(&mut Vec::new(), 1 << 16).unwrap_err();
+        assert_eq!(batched.to_string(), err.to_string());
         err.to_string()
     }
 
@@ -324,7 +293,7 @@ mod tests {
         std::fs::write(path.path(), bytes).unwrap();
         let mut r = StreamReader::open(path.path()).unwrap();
         assert_eq!(r.header().num_updates, 1 << 61);
-        assert_eq!(r.read_all().unwrap_err().kind(), io::ErrorKind::UnexpectedEof);
+        assert_eq!(r.find_map(Result::err).unwrap().kind(), io::ErrorKind::UnexpectedEof);
     }
 
     #[test]

@@ -69,8 +69,12 @@ pub const WIRE_MAGIC: [u8; 2] = *b"GZ";
 /// `StateDigest` / `StateDigestReply`: a shard answers with the 8-byte
 /// digest of its owned state instead of every owned node's stack;
 /// v9 added the graph digest (`gz_graph::digest`, 512 bytes) to
-/// `StateDigestReply`, `CheckpointAck` and `ClientHelloAck`.
-pub const PROTOCOL_VERSION: u8 = 9;
+/// `StateDigestReply`, `CheckpointAck` and `ClientHelloAck`;
+/// v10 ships a dense `RoundSketches` entry as tag `0` plus the slice's
+/// resident words (8 bytes a bucket below `2^32`, not the paper's 12),
+/// drops `CheckpointAck`'s graph digest (the checkpoint file carries it),
+/// and makes a `Batch` record the other endpoint's whole id (no delete bit).
+pub const PROTOCOL_VERSION: u8 = 10;
 
 /// Upper bound on a frame payload (defensive: a corrupt length header must
 /// not trigger a multi-gigabyte allocation).
@@ -107,13 +111,13 @@ const TAG_ERROR_REPLY: u8 = 26;
 /// gather reads the live (flushed) state, the pre-v4 behavior.
 const EPOCH_LIVE: u64 = u64::MAX;
 
-/// One node's serialized round slice (or sparse set), as gathered from a
+/// One node's encoded round slice (or sparse set), as gathered from a
 /// shard: the owning node id plus the bytes (opaque at this layer).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SketchEntry {
     /// Graph node the sketch belongs to.
     pub node: u32,
-    /// Serialized sketch payload.
+    /// Encoded sketch payload.
     pub bytes: Vec<u8>,
 }
 
@@ -195,7 +199,8 @@ pub enum WireMessage {
     Batch {
         /// Destination node (owned by the receiving shard).
         node: u32,
-        /// Encoded `(other, is_delete)` records (see `encode_other`).
+        /// One record an update: the other endpoint's id (see
+        /// `encode_other`).
         records: Vec<u32>,
     },
     /// Coordinator → worker: apply everything received so far, then reply
@@ -208,7 +213,7 @@ pub enum WireMessage {
     /// owned sketch state.
     StateDigest,
     /// Worker → coordinator: the shard's state digest — the XOR over owned
-    /// nodes of `xxh64(serialized stack, node id)` — and its graph digest.
+    /// nodes of `xxh64(encoded stack, node id)` — and its graph digest.
     /// The coordinator XORs each across the shards into the whole system's.
     StateDigestReply {
         /// The shard's digest.
@@ -266,12 +271,11 @@ pub enum WireMessage {
     /// Worker → coordinator: the checkpoint is durable. `seq` is the count
     /// of [`WireMessage::Batch`] frames the worker had received when it
     /// took the checkpoint; the coordinator may prune its replay log
-    /// through that point.
+    /// through that point. The file holds the shard's graph digest, so a
+    /// worker restored from it reports its own.
     CheckpointAck {
         /// Batches covered by the durable checkpoint.
         seq: u64,
-        /// The shard's graph digest at the checkpoint.
-        graph: Box<GraphDigest>,
     },
     /// Coordinator → worker: asks where the worker's state begins — sent
     /// after reconnecting to a restarted worker, before any replay. The
@@ -431,10 +435,9 @@ impl WireMessage {
             WireMessage::GatherRound { .. } => 12,
             WireMessage::EpochSealed { .. }
             | WireMessage::ReleaseEpoch { .. }
-            | WireMessage::ResyncFrom { .. } => 8,
-            WireMessage::CheckpointAck { .. } | WireMessage::StateDigestReply { .. } => {
-                8 + GRAPH_DIGEST_BYTES
-            }
+            | WireMessage::ResyncFrom { .. }
+            | WireMessage::CheckpointAck { .. } => 8,
+            WireMessage::StateDigestReply { .. } => 8 + GRAPH_DIGEST_BYTES,
             WireMessage::RoundSketches { entries, .. } => {
                 8 + entries.iter().map(|e| 8 + e.bytes.len()).sum::<usize>()
             }
@@ -482,12 +485,11 @@ impl WireMessage {
             WireMessage::EpochSealed { epoch } | WireMessage::ReleaseEpoch { epoch } => {
                 out.extend_from_slice(&epoch.to_le_bytes());
             }
-            WireMessage::ResyncFrom { seq } => {
+            WireMessage::ResyncFrom { seq } | WireMessage::CheckpointAck { seq } => {
                 out.extend_from_slice(&seq.to_le_bytes());
             }
-            WireMessage::CheckpointAck { seq: word, graph }
-            | WireMessage::StateDigestReply { digest: word, graph } => {
-                out.extend_from_slice(&word.to_le_bytes());
+            WireMessage::StateDigestReply { digest, graph } => {
+                out.extend_from_slice(&digest.to_le_bytes());
                 out.extend_from_slice(&graph.to_bytes());
             }
             WireMessage::RoundSketches { round, entries } => {
@@ -644,9 +646,7 @@ impl WireMessage {
             TAG_RELEASE_EPOCH => WireMessage::ReleaseEpoch { epoch: cur.u64()? },
             TAG_EPOCH_RELEASED => WireMessage::EpochReleased,
             TAG_CHECKPOINT_SHARD => WireMessage::CheckpointShard,
-            TAG_CHECKPOINT_ACK => {
-                WireMessage::CheckpointAck { seq: cur.u64()?, graph: cur.graph_digest()? }
-            }
+            TAG_CHECKPOINT_ACK => WireMessage::CheckpointAck { seq: cur.u64()? },
             TAG_RESYNC => WireMessage::Resync,
             TAG_RESYNC_FROM => WireMessage::ResyncFrom { seq: cur.u64()? },
             TAG_SHUTDOWN => WireMessage::Shutdown,
@@ -838,8 +838,8 @@ mod tests {
             WireMessage::ReleaseEpoch { epoch: 42 },
             WireMessage::EpochReleased,
             WireMessage::CheckpointShard,
-            WireMessage::CheckpointAck { seq: 0, graph: Box::default() },
-            WireMessage::CheckpointAck { seq: u64::MAX, graph: graph() },
+            WireMessage::CheckpointAck { seq: 0 },
+            WireMessage::CheckpointAck { seq: u64::MAX },
             WireMessage::Resync,
             WireMessage::ResyncFrom { seq: 12345 },
             WireMessage::Shutdown,
@@ -1065,17 +1065,14 @@ mod tests {
             let buf = frame(tag, &[0]);
             assert!(WireMessage::read_from(&mut &buf[..]).is_err(), "tag {tag}");
         }
-        // ResyncFrom carries exactly a u64: short payloads truncate, long
-        // ones trail.
-        let short = frame(TAG_RESYNC_FROM, &[0u8; 4]);
-        assert!(WireMessage::read_from(&mut &short[..]).is_err(), "short");
-        let long = frame(TAG_RESYNC_FROM, &[0u8; 12]);
-        assert!(WireMessage::read_from(&mut &long[..]).is_err(), "long");
-        // So do CheckpointAck and StateDigestReply, a u64 and a graph
-        // digest: one byte short truncates, one byte over trails, and each
-        // is a typed `InvalidData`, never a digest.
-        let exact = 8 + GRAPH_DIGEST_BYTES;
-        for tag in [TAG_CHECKPOINT_ACK, TAG_STATE_DIGEST_REPLY] {
+        // ResyncFrom and CheckpointAck carry exactly a u64, StateDigestReply
+        // a u64 and a graph digest: one byte short truncates, one byte over
+        // trails, and each is a typed `InvalidData`, never a value.
+        for (tag, exact) in [
+            (TAG_RESYNC_FROM, 8),
+            (TAG_CHECKPOINT_ACK, 8),
+            (TAG_STATE_DIGEST_REPLY, 8 + GRAPH_DIGEST_BYTES),
+        ] {
             for (len, why) in
                 [(exact - 1, "truncated message payload"), (exact + 1, "trailing bytes")]
             {

@@ -8,9 +8,9 @@
 //! coordinator — routing a Kronecker stream through the batching
 //! [`ShardRouter`]-backed system over [`SocketTransport`] — then verifies
 //! that the distributed sketch state (its 8-byte state digest, XORed from
-//! one `StateDigestReply` a worker) and the connected-components answer are
-//! **bit-identical** to a single-node [`GraphZeppelin`] fed the same
-//! stream.
+//! one `StateDigestReply` a worker), the fleet's graph digest and the
+//! connected-components answer are **bit-identical** to a single-node
+//! [`GraphZeppelin`] fed the same stream.
 //!
 //! ```sh
 //! cargo run --release -p gz_bench --example multi_process_shards
@@ -130,6 +130,10 @@ fn run_coordinator() {
     let digest = sharded.state_digest().expect("sharded state digest");
     let reference = single.state_digest().expect("single-node state digest");
     assert_eq!(digest, reference, "distributed sketch state must be bit-identical");
+    // And the workers' graph digests XOR to the single-node system's: the
+    // fleet saw exactly the stream the single node did.
+    let graph = sharded.graph_digest().expect("sharded graph digest");
+    assert_eq!(graph, single.graph_digest(), "the fleet's graph digest must match");
 
     let sharded_labels = sharded.connected_components().expect("sharded query");
     let single_labels = single.connected_components().expect("single query").labels().to_vec();
@@ -145,7 +149,7 @@ fn run_coordinator() {
     );
     println!(
         "sketch state bit-identical to the single-node system across {NUM_NODES} nodes \
-         (state digest {digest:#018x})"
+         (state digest {digest:#018x}, graph digest {graph})"
     );
 
     sharded.shutdown().expect("shutdown");

@@ -89,8 +89,8 @@ fn stream_file_round_trip_preserves_answers() {
     let path = TempPath::new("gz-e2e-stream", ".gzs");
     gz_stream::format::write_stream(path.path(), dataset.num_vertices, &stream.updates).unwrap();
 
-    let mut reader = gz_stream::format::StreamReader::open(path.path()).unwrap();
-    let replayed = reader.read_all().unwrap();
+    let reader = gz_stream::format::StreamReader::open(path.path()).unwrap();
+    let replayed: Vec<_> = reader.collect::<std::io::Result<_>>().unwrap();
     assert_eq!(replayed, stream.updates);
 
     let mut gz = GraphZeppelin::new(GzConfig::in_ram(dataset.num_vertices)).unwrap();

@@ -1027,9 +1027,10 @@ fn pinned_stream() -> (u64, Vec<(u32, u32, bool)>) {
 fn the_facade_digests_are_pinned_on_a_fixed_stream() {
     // The pinned stream through the facade's three stock shapes: leaf
     // gutters into RAM, a gutter tree into a disk store, and the hybrid
-    // store. The state digest and the graph digest's fingerprint are the
-    // values this stream gave before the facade ran on a shard: moving
-    // either means the facade's bytes moved.
+    // store. The graph digest's fingerprint is the value this stream gave
+    // before the facade ran on a shard, and the state digest hashes the
+    // stacks' resident words: moving either means the facade's bytes
+    // moved.
     let (n, stream) = pinned_stream();
     let dir = TempDir::new("gz-equiv-pinned");
     let mut hybrid = GzConfig::in_ram(n);
@@ -1040,7 +1041,7 @@ fn the_facade_digests_are_pinned_on_a_fixed_stream() {
         gz.ingest(stream.iter().copied());
         assert_eq!(
             gz.state_digest().expect("state digest"),
-            0x9D09_C49B_80B6_5AE6,
+            0xC535_0916_8D2D_A32E,
             "{what}: state digest"
         );
         assert_eq!(gz.graph_digest().fingerprint(), 0x45A7_155B_6EA1_DC8C, "{what}: graph digest");
@@ -1049,17 +1050,17 @@ fn the_facade_digests_are_pinned_on_a_fixed_stream() {
 
 #[test]
 fn a_checkpoint_saved_from_the_disk_store_is_pinned() {
-    // The disk store keeps its own file layout; a checkpoint is the
-    // paper's 12-byte model whatever the store holds. The xxh64 of the GZC2
-    // file the pinned stream leaves, saved from the on-disk configuration,
-    // is the value it had while the store's file held that same model.
+    // The disk store keeps its own file layout; a checkpoint holds the
+    // resident words whatever the store's layout. The length and xxh64 of
+    // the file the pinned stream leaves, saved from the on-disk
+    // configuration: its 572-byte header and 100 stacks of 3 120 bytes.
     let (n, stream) = pinned_stream();
-    let dir = TempDir::new("gz-equiv-pinned-gzc2");
+    let dir = TempDir::new("gz-equiv-pinned-ckpt");
     let mut gz = GraphZeppelin::new(GzConfig::on_disk(n, dir.path().to_path_buf())).unwrap();
     gz.ingest(stream.iter().copied());
     let path = dir.join("pinned.gzc");
     gz.save_checkpoint(&path).expect("save");
     let bytes = std::fs::read(&path).unwrap();
-    assert_eq!(bytes.len(), 468_036, "GZC2 length");
-    assert_eq!(gz_hash::xxh64(&bytes, 0), 0xF07F_D712_B841_2D84, "GZC2 bytes");
+    assert_eq!(bytes.len(), 572 + 312_000, "checkpoint length");
+    assert_eq!(gz_hash::xxh64(&bytes, 0), 0x10F9_4229_A9FF_1171, "checkpoint bytes");
 }
