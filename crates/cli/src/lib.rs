@@ -6,9 +6,9 @@
 //! gz info stream.gzs
 //! gz components stream.gzs [--workers 4] [--store ram|disk] \
 //!     [--buffering leaf|tree] [--dir /tmp/gzwork] [--forest] \
-//!     [--threshold T] [--stats] \
-//!     [--shards K [--connect host:port,host:port,...]] \
-//!     [--checkpoint-every N] [--batch-updates N] [--respawn]
+//!     [--threshold T] [--stats] [--shards K] \
+//!     [--connect host:port,host:port,... [--respawn]] \
+//!     [--checkpoint-every N] [--batch-updates N]
 //! gz checkpoint save ckpt.gzc --from stream.gzs [--workers 4] [--seed S]
 //! gz checkpoint restore ckpt.gzc [--forest]
 //! gz shard-worker --listen 127.0.0.1:7001 --nodes 1024 --shards 2 --index 0 \
@@ -19,12 +19,16 @@
 //! gz bipartite stream.gzs
 //! ```
 //!
+//! Every command that runs a system runs one [`ShardedGraphZeppelin`]:
+//! `components` at `--shards` shards (one without it), in this process
+//! unless `--connect` names shard workers, and `checkpoint save` at one.
 //! `--workers` is the one thread count: the Graph Workers, and the width of
-//! the pool that flushes and folds every query.
+//! the pool that flushes and folds every query. `--stats` prints one block
+//! on every fleet, `gz serve`'s included (`stats_lines`).
 //!
 //! Fault tolerance (DESIGN.md §14): `--checkpoint-every N` makes the
-//! sharded coordinator ask every shard for a durable checkpoint each `N`
-//! routed batches; `--respawn` (with `--connect`) keeps a replay log and,
+//! coordinator ask every shard for a durable checkpoint each `N` routed
+//! batches; `--respawn` (with `--connect`) keeps a replay log and,
 //! when a worker dies, reconnects with bounded backoff, resyncs from the
 //! worker's restored checkpoint, and replays the missing batches. A killed
 //! worker is restarted (by its supervisor) as
@@ -42,11 +46,12 @@
 pub mod client;
 pub mod serve;
 
+use graph_zeppelin::checkpoint::read_checkpoint_header;
 use graph_zeppelin::config::DEFAULT_SEED;
 use graph_zeppelin::{
     connect_shard_tcp, serve_shard_connection, BipartitenessTester, BufferStrategy, GraphZeppelin,
-    GutterCapacity, GzConfig, Link, Recovery, RetryPolicy, ShardConfig, ShardPipeline,
-    ShardedGraphZeppelin, SocketTransport, StoreBackend, Stream, TransportTimeouts,
+    GutterCapacity, Link, Recovery, RetryPolicy, ShardConfig, ShardPipeline, ShardedGraphZeppelin,
+    SocketTransport, StoreBackend, StoreCensus, Stream, TransportTimeouts,
 };
 use gz_stream::format::{StreamReader, StreamWriter};
 use gz_stream::{Dataset, GeneratorSpec, StreamifyConfig, UpdateKind};
@@ -96,7 +101,7 @@ impl BufferingArg {
 pub struct ComponentsArgs {
     /// Stream file.
     pub path: PathBuf,
-    /// Graph Workers (per shard, when sharded).
+    /// Graph Workers per shard.
     pub workers: usize,
     /// Sketch store placement.
     pub store: StoreArg,
@@ -110,11 +115,10 @@ pub struct ComponentsArgs {
     /// sparse sets until they exceed this many live neighbors (`None`
     /// or 0 = always-dense sketches).
     pub threshold: Option<u32>,
-    /// Print a representation census (sparse/promoted node counts and
-    /// resident bytes) after the query.
+    /// Print the `--stats` block (`stats_lines`) after the query.
     pub stats: bool,
-    /// Shard the system `k` ways (in-process unless `connect` names
-    /// remote workers).
+    /// Shard the system `k` ways (`None` = one shard; in-process unless
+    /// `connect` names remote workers).
     pub shards: Option<u32>,
     /// `host:port` shard-worker addresses, one per shard in shard
     /// order; empty = in-process shards.
@@ -287,7 +291,6 @@ const COMPONENTS: &[FlagSpec] = &[
     ("--store", Kind::Value("ram|disk")),
     ("--buffering", Kind::Value("leaf|tree")),
     ("--dir", Kind::Value("a dir")),
-    ("--disk", Kind::Value("a dir")),
     ("--forest", Kind::Switch),
     ("--threshold", Kind::Number),
     ("--stats", Kind::Switch),
@@ -446,25 +449,15 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
         "components" => {
             let path = PathBuf::from(it.next().ok_or("components needs a stream file")?);
             let f = Flags::scan(COMPONENTS, &mut it)?;
-            // Back-compat: `--disk DIR` = the full on-disk deployment. It
-            // claims --dir/--store/--buffering, so mixing it with any of
-            // those is reported as a duplicate.
-            let disk = f.path("--disk");
-            let claimed = ["--dir", "--store", "--buffering"].into_iter().find(|c| f.given(c));
-            if let (Some(_), Some(claimed)) = (&disk, claimed) {
-                return Err(format!("duplicate flag {claimed} (--disk sets it)"));
-            }
-            let (store, buffering) = match disk {
-                Some(_) => (StoreArg::Disk, BufferingArg::Tree),
-                None => (StoreArg::Ram, BufferingArg::Leaf),
-            };
             let addrs = |v: &str| v.split(',').map(|s| s.trim().to_string()).collect();
             let args = ComponentsArgs {
                 path,
                 workers: f.num("--workers")?.unwrap_or_else(default_workers),
-                store: f.parsed("--store", StoreArg::parse)?.unwrap_or(store),
-                buffering: f.parsed("--buffering", BufferingArg::parse)?.unwrap_or(buffering),
-                dir: disk.or(f.path("--dir")),
+                store: f.parsed("--store", StoreArg::parse)?.unwrap_or(StoreArg::Ram),
+                buffering: f
+                    .parsed("--buffering", BufferingArg::parse)?
+                    .unwrap_or(BufferingArg::Leaf),
+                dir: f.path("--dir"),
                 forest: f.given("--forest"),
                 threshold: f.num("--threshold")?,
                 stats: f.given("--stats"),
@@ -476,14 +469,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             };
             if !args.connect.is_empty() && args.shards.is_none() {
                 return Err("--connect requires --shards".into());
-            }
-            if args.checkpoint_every.is_some() && args.shards.is_none() {
-                return Err("--checkpoint-every requires --shards".into());
-            }
-            if args.batch_updates.is_some() && args.shards.is_none() {
-                return Err("--batch-updates requires --shards (single-node gutters are \
-                     sized by the paper's sketch-factor knob)"
-                    .into());
             }
             if args.respawn && args.connect.is_empty() {
                 return Err("--respawn requires --connect (in-process shards share the \
@@ -586,12 +571,19 @@ fn store_backend(store: StoreArg, dir: &Option<PathBuf>) -> Result<StoreBackend,
     }
 }
 
-/// Build the single-node config selected by the components flags.
-fn build_config(num_nodes: u64, args: &ComponentsArgs) -> Result<GzConfig, String> {
-    let mut config = GzConfig::in_ram(num_nodes);
-    config.num_workers = args.workers;
+/// The one system config the components flags select: `--shards` shards
+/// (one without it), each with the store, threshold and buffering given,
+/// and the checkpoint cadence writing under `--dir` when the shards are in
+/// this process.
+fn shard_config(num_nodes: u64, args: &ComponentsArgs) -> Result<ShardConfig, String> {
+    let mut config = ShardConfig::in_ram(num_nodes, args.shards.unwrap_or(1));
+    config.workers_per_shard = args.workers;
     config.store = store_backend(args.store, &args.dir)?;
     config.sketch_threshold = args.threshold.unwrap_or(0);
+    config.checkpoint_every = args.checkpoint_every;
+    if args.checkpoint_every.is_some() && args.connect.is_empty() {
+        config.checkpoint_dir = args.dir.clone();
+    }
     config.buffering = buffering(args)?;
     Ok(config)
 }
@@ -618,26 +610,17 @@ fn buffering(args: &ComponentsArgs) -> Result<BufferStrategy, String> {
     })
 }
 
-/// Stream every update of a file into `apply`.
-fn feed_stream(
-    reader: &mut StreamReader,
-    mut apply: impl FnMut(u32, u32, bool) -> Result<(), String>,
-) -> Result<u64, String> {
-    let mut batch = Vec::new();
-    let mut total = 0u64;
-    loop {
-        let n = reader.read_batch(&mut batch, 1 << 16).map_err(|e| e.to_string())?;
-        if n == 0 {
-            return Ok(total);
-        }
-        total += n as u64;
-        for u in &batch {
-            apply(u.u, u.v, u.kind == UpdateKind::Delete)?;
-        }
+/// Route every update of `reader`'s file into `gz`.
+fn ingest_file(gz: &mut ShardedGraphZeppelin, reader: StreamReader) -> Result<(), String> {
+    for update in reader {
+        let u = update.map_err(|e| e.to_string())?;
+        gz.update(u.u, u.v, u.kind == UpdateKind::Delete).map_err(|e| e.to_string())?;
     }
+    Ok(())
 }
 
-fn components_sharded(args: &ComponentsArgs, num_shards: u32) -> Result<String, String> {
+/// `gz components`, on any fleet.
+fn components(args: &ComponentsArgs) -> Result<String, String> {
     let ComponentsArgs { dir, connect, checkpoint_every, .. } = args;
     // Refuse flag combinations that would silently not take effect.
     if !connect.is_empty() && args.store == StoreArg::Disk {
@@ -651,17 +634,10 @@ fn components_sharded(args: &ComponentsArgs, num_shards: u32) -> Result<String, 
             .into());
     }
 
-    let mut reader = StreamReader::open(&args.path).map_err(|e| e.to_string())?;
-    let header = reader.header();
-    let mut config = ShardConfig::in_ram(header.num_vertices, num_shards);
-    config.workers_per_shard = args.workers;
-    config.store = store_backend(args.store, dir)?;
-    config.sketch_threshold = args.threshold.unwrap_or(0);
-    config.checkpoint_every = *checkpoint_every;
-    if checkpoint_every.is_some() && connect.is_empty() {
-        config.checkpoint_dir = dir.clone();
-    }
-    config.buffering = buffering(args)?;
+    let reader = StreamReader::open(&args.path).map_err(|e| e.to_string())?;
+    let num_nodes = reader.header().num_vertices;
+    let config = shard_config(num_nodes, args)?;
+    let num_shards = config.num_shards;
 
     let mut gz = if connect.is_empty() {
         ShardedGraphZeppelin::in_process(config).map_err(|e| e.to_string())?
@@ -700,7 +676,7 @@ fn components_sharded(args: &ComponentsArgs, num_shards: u32) -> Result<String, 
             .map_err(|e| e.to_string())?
     };
 
-    feed_stream(&mut reader, |u, v, d| gz.update(u, v, d).map_err(|e| e.to_string()))?;
+    ingest_file(&mut gz, reader)?;
     // A checkpointing run always ends with one final checkpoint round, so
     // the end-of-stream state is durable regardless of cadence alignment.
     if checkpoint_every.is_some() {
@@ -708,40 +684,14 @@ fn components_sharded(args: &ComponentsArgs, num_shards: u32) -> Result<String, 
     }
     let outcome = gz.spanning_forest().map_err(|e| e.to_string())?;
     let mut out = format!(
-        "{} components over {} nodes ({} updates ingested, {} shards, {} batches shipped)\n",
+        "{} components over {num_nodes} nodes ({} updates ingested, {num_shards} shards, \
+         {} batches shipped)\n",
         outcome.num_components(),
-        header.num_vertices,
         gz.updates_ingested(),
-        num_shards,
         gz.batches_shipped(),
     );
     if args.stats {
-        match gz.recovery_stats() {
-            Some(rs) => out.push_str(&format!(
-                "recovery: {} checkpoints, {} replays ({} batches replayed), \
-                 {} reconnect attempts\n",
-                rs.checkpoints(),
-                rs.replays(),
-                rs.batches_replayed(),
-                rs.reconnect_attempts(),
-            )),
-            None => out.push_str(
-                "recovery: counters require --connect with --respawn (the census \
-                 is per-store; query each shard worker for representation stats)\n",
-            ),
-        }
-        match gz.link_stats() {
-            Some(link) => out.push_str(&format!("link: {link}\n")),
-            // Shards in this process: what the router handed their stores
-            // and what its flushes cost. Behind links that is the link's
-            // traffic above and each worker's own exit line.
-            None => out.push_str(&format!("ingest: {}\n", gz.ingest_counters())),
-        }
-        if let Some(io) = gz.gutter_io() {
-            out.push_str(&format!("gutter tree: {io}\n"));
-        }
-        let digest = gz.graph_digest().map_err(|e| e.to_string())?;
-        out.push_str(&format!("graph digest: {digest}\n"));
+        out.push_str(&stats_lines(&mut gz).map_err(|e| e.to_string())?);
     }
     if args.forest {
         for e in &outcome.forest {
@@ -749,6 +699,54 @@ fn components_sharded(args: &ComponentsArgs, num_shards: u32) -> Result<String, 
         }
     }
     gz.shutdown().map_err(|e| e.to_string())?;
+    Ok(out)
+}
+
+/// A store census as `--stats` prints it: the representation line, and the
+/// disk store's I/O when a store touches disk.
+fn census_lines(census: &StoreCensus) -> String {
+    let rep = census.rep;
+    let mut out = format!(
+        "representation: {} promoted, {} sparse ({} neighbor entries, {} sparse bytes); \
+         sketch memory {} bytes\n",
+        rep.promoted,
+        rep.sparse,
+        rep.sparse_entries,
+        rep.sparse_bytes(),
+        census.sketch_bytes,
+    );
+    if let Some(io) = &census.io {
+        out.push_str(&format!(
+            "disk store: {} reads ({} bytes), {} writes ({} bytes)\n",
+            io.reads(),
+            io.bytes_read(),
+            io.writes(),
+            io.bytes_written(),
+        ));
+    }
+    out
+}
+
+/// The `--stats` block of any system, one line each: the census of the
+/// shards in this process (a worker behind a link prints its own on exit),
+/// the gutter tree's I/O, ingest, the column kernel and the graph digest,
+/// then the recovery and link counters where the transport keeps them.
+pub(crate) fn stats_lines(
+    gz: &mut ShardedGraphZeppelin,
+) -> Result<String, graph_zeppelin::GzError> {
+    let mut out = gz.store_census()?.map(|census| census_lines(&census)).unwrap_or_default();
+    if let Some(io) = gz.gutter_io() {
+        out.push_str(&format!("gutter tree: {io}\n"));
+    }
+    out.push_str(&format!("ingest: {}\n", gz.ingest_counters()));
+    out.push_str(&format!("sketch: kernel={}\n", gz.params().kernel()));
+    out.push_str(&format!("graph digest: {}\n", gz.graph_digest()?));
+    if let Some(rs) = gz.recovery_stats() {
+        out.push_str(&format!("recovery: {rs}\n"));
+    }
+    if let Some(link) = gz.link_stats() {
+        out.push_str(&format!("link: {link}\n"));
+    }
     Ok(out)
 }
 
@@ -793,13 +791,14 @@ fn run_shard_worker(
         .map_err(|e| e.to_string())?;
     Ok(format!(
         "shard {index}/{shards}: served {peer} — {} batches, {} records, {} flushes, \
-         {} gathers, {} checkpoints; link: {}",
+         {} gathers, {} checkpoints; link: {}\n{}",
         stats.batches(),
         stats.records(),
         stats.flushes(),
         stats.gathers(),
         stats.checkpoints(),
-        link.stats()
+        link.stats(),
+        census_lines(&pipeline.census()).trim_end(),
     ))
 }
 
@@ -823,23 +822,13 @@ pub fn execute(cmd: Command) -> Result<String, String> {
             ))
         }
         Command::Info { path } => {
-            let mut reader = StreamReader::open(&path).map_err(|e| e.to_string())?;
+            let reader = StreamReader::open(&path).map_err(|e| e.to_string())?;
             let header = reader.header();
-            // One pass, a batch at a time: counted as they are validated,
-            // never collected. A read error ends the pass and wins.
+            // One pass: counted as they are validated, never collected. A
+            // read error ends the pass and wins.
             let (mut inserts, mut deletes, mut unreadable) = (0u64, 0u64, None);
-            let batches = std::iter::from_fn(|| {
-                let mut batch = Vec::new();
-                match reader.read_batch(&mut batch, 1 << 16) {
-                    Ok(0) => None,
-                    Ok(_) => Some(batch),
-                    Err(e) => {
-                        unreadable = Some(e);
-                        None
-                    }
-                }
-            });
-            let updates = batches.flatten().inspect(|u| match u.kind {
+            let updates = reader.map_while(|u| u.map_err(|e| unreadable = Some(e)).ok());
+            let updates = updates.inspect(|u| match u.kind {
                 UpdateKind::Insert => inserts += 1,
                 UpdateKind::Delete => deletes += 1,
             });
@@ -858,71 +847,16 @@ pub fn execute(cmd: Command) -> Result<String, String> {
                 final_edges.len(),
             ))
         }
-        Command::Components(args) => {
-            if let Some(num_shards) = args.shards {
-                return components_sharded(&args, num_shards);
-            }
-            let mut reader = StreamReader::open(&args.path).map_err(|e| e.to_string())?;
-            let header = reader.header();
-            let config = build_config(header.num_vertices, &args)?;
-            let mut gz = GraphZeppelin::new(config).map_err(|e| e.to_string())?;
-            feed_stream(&mut reader, |u, v, d| {
-                gz.update(u, v, d);
-                Ok(())
-            })?;
-            let cc = gz.connected_components().map_err(|e| e.to_string())?;
-            let mut out = format!(
-                "{} components over {} nodes ({} updates ingested)\n",
-                cc.num_components(),
-                header.num_vertices,
-                gz.updates_ingested(),
-            );
-            if args.stats {
-                let rep = gz.rep_stats();
-                out.push_str(&format!(
-                    "representation: {} promoted, {} sparse ({} neighbor entries, {} sparse \
-                     bytes); sketch memory {} bytes\n",
-                    rep.promoted,
-                    rep.sparse,
-                    rep.sparse_entries,
-                    rep.sparse_bytes(),
-                    gz.sketch_bytes(),
-                ));
-                if let Some(io) = gz.store_io() {
-                    out.push_str(&format!(
-                        "disk store: {} reads ({} bytes), {} writes ({} bytes)\n",
-                        io.reads(),
-                        io.bytes_read(),
-                        io.writes(),
-                        io.bytes_written(),
-                    ));
-                }
-                if let Some(io) = gz.gutter_io() {
-                    out.push_str(&format!("gutter tree: {io}\n"));
-                }
-                out.push_str(&format!("ingest: {}\n", gz.ingest_counters()));
-                out.push_str(&format!("sketch: kernel={}\n", gz.params().kernel()));
-                out.push_str(&format!("graph digest: {}\n", gz.graph_digest()));
-            }
-            if args.forest {
-                for e in cc.spanning_forest() {
-                    out.push_str(&format!("{} {}\n", e.u(), e.v()));
-                }
-            }
-            Ok(out)
-        }
+        Command::Components(args) => components(&args),
         Command::CheckpointSave { stream, out, workers, seed } => {
-            let mut reader = StreamReader::open(&stream).map_err(|e| e.to_string())?;
-            let header = reader.header();
-            let mut config = GzConfig::in_ram(header.num_vertices);
-            config.num_workers = workers;
+            let reader = StreamReader::open(&stream).map_err(|e| e.to_string())?;
+            let mut config = ShardConfig::in_ram(reader.header().num_vertices, 1);
+            config.workers_per_shard = workers;
             config.seed = seed;
-            let mut gz = GraphZeppelin::new(config).map_err(|e| e.to_string())?;
-            feed_stream(&mut reader, |u, v, d| {
-                gz.update(u, v, d);
-                Ok(())
-            })?;
-            let ckpt = gz.save_checkpoint(&out).map_err(|e| e.to_string())?;
+            let mut gz = ShardedGraphZeppelin::in_process(config).map_err(|e| e.to_string())?;
+            ingest_file(&mut gz, reader)?;
+            gz.checkpoint_shards_to(std::slice::from_ref(&out)).map_err(|e| e.to_string())?;
+            let ckpt = read_checkpoint_header(&out).map_err(|e| e.to_string())?;
             Ok(format!(
                 "checkpoint {}: {} nodes, {} updates, {} rounds, seed {:#x}",
                 out.display(),
@@ -971,14 +905,13 @@ pub fn execute(cmd: Command) -> Result<String, String> {
         }
         Command::Serve { options } => serve::run_serve(options),
         Command::Bipartite { path } => {
-            let mut reader = StreamReader::open(&path).map_err(|e| e.to_string())?;
-            let header = reader.header();
-            let mut tester =
-                BipartitenessTester::new(header.num_vertices, 7).map_err(|e| e.to_string())?;
-            feed_stream(&mut reader, |u, v, d| {
-                tester.update(u, v, d);
-                Ok(())
-            })?;
+            let reader = StreamReader::open(&path).map_err(|e| e.to_string())?;
+            let mut tester = BipartitenessTester::new(reader.header().num_vertices, 7)
+                .map_err(|e| e.to_string())?;
+            for update in reader {
+                let u = update.map_err(|e| e.to_string())?;
+                tester.update(u.u, u.v, u.kind == UpdateKind::Delete);
+            }
             let ans = tester.query().map_err(|e| e.to_string())?;
             Ok(if ans.bipartite {
                 "bipartite".to_string()
@@ -992,6 +925,7 @@ pub fn execute(cmd: Command) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use graph_zeppelin::GzConfig;
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(|x| x.to_string()).collect()
@@ -1107,8 +1041,7 @@ mod tests {
 
     #[test]
     fn components_flag_table() {
-        // With the flags `--respawn`, `--checkpoint-every` and
-        // `--batch-updates` need beside them.
+        // With the flags `--respawn` needs beside it.
         check_flag_table("components s.gzs", COMPONENTS, &["--shards 2", "--connect a:1,b:2"]);
         // `--workers` is the one thread count, and staleness is `gz serve`'s.
         for flag in ["--bogus", "--query-threads", "--staleness"] {
@@ -1148,7 +1081,7 @@ mod tests {
 
     #[test]
     fn parses_components() {
-        // Every flag but the `--disk` shorthand, each landing in its field.
+        // Every flag, each landing in its field.
         let cmd = parse_components(
             "components s.gzs --workers 8 --store disk --buffering tree \
              --dir /tmp/d --forest --threshold 16 --stats \
@@ -1207,23 +1140,14 @@ mod tests {
     fn flags_that_only_work_together_say_so() {
         for (flags, needle) in [
             ("--connect 127.0.0.1:7001", "--connect requires --shards"),
-            ("--checkpoint-every 8", "--checkpoint-every requires --shards"),
-            ("--batch-updates 64", "--batch-updates requires --shards"),
             ("--shards 2 --respawn", "--respawn requires --connect"),
         ] {
             let err = parse_args(&argv(&format!("components s.gzs {flags}"))).unwrap_err();
             assert!(err.contains(needle), "{flags}: {err}");
         }
         // Flags that spell one slot are duplicates of each other.
-        for argv_s in [
-            "generate --dataset kron5 --er 10x20 --out o.gzs",
-            "components s.gzs --disk /tmp/d --dir /tmp/e",
-            "components s.gzs --store disk --disk /tmp/d",
-            "components s.gzs --disk /tmp/d --buffering leaf",
-        ] {
-            let err = parse_args(&argv(argv_s)).unwrap_err();
-            assert!(err.contains("duplicate flag"), "{argv_s}: {err}");
-        }
+        let err = parse_args(&argv("generate --dataset kron5 --er 10x20 --out o.gzs")).unwrap_err();
+        assert!(err.contains("duplicate flag"), "{err}");
         // Worker side: --resume already names the checkpoint file.
         let err = parse_args(&argv(
             "shard-worker --listen 127.0.0.1:0 --nodes 8 --shards 2 --index 1 \
@@ -1410,7 +1334,7 @@ mod tests {
             execute(Command::CheckpointRestore { path: ckpt.to_path_buf(), forest: true }).unwrap();
         assert!(restored.starts_with(&format!("{} components", before.num_components())));
         assert_eq!(forest_lines(&restored), printed_forest(&before));
-        GraphZeppelin::checkpoint_header(ckpt.path()).unwrap()
+        read_checkpoint_header(ckpt.path()).unwrap()
     }
 
     /// The product query against the reference query on every field that is
@@ -1444,18 +1368,12 @@ mod tests {
             out: path.to_path_buf(),
         })
         .unwrap();
-        // The library-level reference over the same stream and config.
-        let mut reader = StreamReader::open(path.path()).unwrap();
-        let args = ComponentsArgs { workers: 2, ..bare_components(path.path()) };
-        let config = build_config(reader.header().num_vertices, &args).unwrap();
-        let mut gz = GraphZeppelin::new(config).unwrap();
-        feed_stream(&mut reader, |u, v, d| {
-            gz.update(u, v, d);
-            Ok(())
-        })
-        .unwrap();
+        // The library-level reference over the same stream.
+        let reader = StreamReader::open(path.path()).unwrap();
+        let mut gz = GraphZeppelin::new(GzConfig::in_ram(reader.header().num_vertices)).unwrap();
+        gz.ingest(reader.map(|u| u.unwrap()).map(|u| (u.u, u.v, u.kind == UpdateKind::Delete)));
         let oracle = assert_matches_oracle(&mut gz);
-        // Single-node and sharded runs print the oracle's answer.
+        // One shard and three print the oracle's answer.
         for shards in [None, Some(3)] {
             let mut cmd = components_cmd(&path, shards);
             if let Command::Components(ComponentsArgs { forest, .. }) = &mut cmd {
@@ -1465,19 +1383,6 @@ mod tests {
             let count: usize = out.split_whitespace().next().unwrap().parse().unwrap();
             assert_eq!(count, oracle.num_components(), "shards={shards:?}");
             assert_eq!(forest_lines(&out), printed_forest(&oracle), "shards={shards:?}");
-        }
-    }
-
-    #[test]
-    fn disk_flag_is_back_compat_shorthand() {
-        // `--disk DIR` still means the paper's full on-disk deployment.
-        match parse_components("components s.gzs --disk /tmp/d") {
-            Command::Components(ComponentsArgs { store, buffering, dir, .. }) => {
-                assert_eq!(store, StoreArg::Disk);
-                assert_eq!(buffering, BufferingArg::Tree);
-                assert_eq!(dir, Some(PathBuf::from("/tmp/d")));
-            }
-            other => panic!("{other:?}"),
         }
     }
 
@@ -1538,7 +1443,7 @@ mod tests {
         else {
             panic!("components")
         };
-        let config = build_config(8192, &args).unwrap();
+        let config = shard_config(8192, &args).unwrap();
         let StoreBackend::Disk { block_bytes, .. } = config.store else { panic!("disk") };
         assert_eq!(config.disk_groups(block_bytes), (1, 8192));
         let Command::ShardWorker { store, dir: worker_dir, .. } = parse_args(&argv(&format!(
@@ -1665,6 +1570,10 @@ mod tests {
 
     #[test]
     fn sharded_components_match_unsharded() {
+        // One body on every fleet: no `--shards`, one shard and three, on
+        // either store at τ 0 and 64, print the same count and graph digest;
+        // at one store and τ, the same census line and the same `--stats`
+        // lines, by key.
         let path = tmp("shards");
         execute(Command::Generate {
             dataset: DatasetArg::Kron(5),
@@ -1672,22 +1581,38 @@ mod tests {
             out: path.to_path_buf(),
         })
         .unwrap();
-        let with_stats = |shards| {
+        let dir = gz_testutil::TempDir::new("gz-cli-shards");
+        let run = |shards: Option<u32>, store, tau| {
             let mut cmd = components_cmd(&path, shards);
             if let Command::Components(args) = &mut cmd {
-                args.stats = true;
+                (args.stats, args.store, args.threshold) = (true, store, Some(tau));
+                args.dir = Some(dir.path().join(format!("{shards:?}-{store:?}-{tau}")));
             }
             execute(cmd).unwrap()
         };
-        let single = with_stats(None);
-        let sharded = with_stats(Some(3));
         let count = |s: &str| s.split_whitespace().next().unwrap().to_string();
-        assert_eq!(count(&single), count(&sharded), "single={single} sharded={sharded}");
-        assert!(sharded.contains("3 shards"), "{sharded}");
-        let digest =
-            |s: &str| s.lines().find(|l| l.starts_with("graph digest: ")).map(str::to_owned);
-        assert!(digest(&single).is_some(), "{single}");
-        assert_eq!(digest(&single), digest(&sharded), "single={single} sharded={sharded}");
+        let line = |s: &str, key: &str| s.lines().find(|l| l.starts_with(key)).map(str::to_owned);
+        let keys = |s: &str| -> Vec<String> {
+            s.lines().skip(1).map(|l| l.split(':').next().unwrap().to_owned()).collect()
+        };
+        let reference = run(None, StoreArg::Ram, 0);
+        assert!(line(&reference, "graph digest: ").is_some(), "{reference}");
+        for store in [StoreArg::Ram, StoreArg::Disk] {
+            for tau in [0, 64] {
+                let single = run(None, store, tau);
+                for shards in [Some(1), Some(3)] {
+                    let got = run(shards, store, tau);
+                    let what = format!("{shards:?} shards, {store:?}, τ {tau}: {got}");
+                    assert!(got.contains(&format!("{} shards", shards.unwrap())), "{what}");
+                    assert_eq!(count(&got), count(&reference), "{what}");
+                    let digest = line(&got, "graph digest: ");
+                    assert_eq!(digest, line(&reference, "graph digest: "), "{what}");
+                    let census = line(&got, "representation: ");
+                    assert_eq!(census, line(&single, "representation: "), "{what}");
+                    assert_eq!(keys(&got), keys(&single), "{what}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -1744,9 +1669,9 @@ mod tests {
         let out = execute(cmd).unwrap();
         let count = |s: &str| s.split_whitespace().next().unwrap().to_string();
         assert_eq!(count(&reference), count(&out), "reference={reference} out={out}");
-        // In-process shards have no recovering transport; --stats says so
-        // instead of silently printing nothing.
-        assert!(out.contains("recovery: counters require --connect"), "{out}");
+        // In-process shards have no recovering transport and no links: no
+        // recovery or link line.
+        assert!(!out.contains("\nrecovery: ") && !out.contains("\nlink: "), "{out}");
         // They do have a router whose batches the cadence counted.
         assert!(out.contains("\ningest: batches="), "{out}");
         // The cadence actually wrote per-shard checkpoint files.
@@ -1756,6 +1681,80 @@ mod tests {
             .filter(|e| e.file_name().to_string_lossy().ends_with(".ckpt"))
             .count();
         assert_eq!(files, 2, "one checkpoint file per shard");
+    }
+
+    #[test]
+    fn cadence_and_batch_size_run_at_one_in_process_shard() {
+        // `--checkpoint-every` and `--batch-updates` without `--shards`: one
+        // in-process shard answers as the default run does, and its file
+        // restores to that answer and the update count.
+        let path = tmp("one-shard-cadence");
+        execute(Command::Generate {
+            dataset: DatasetArg::Kron(5),
+            seed: 11,
+            out: path.to_path_buf(),
+        })
+        .unwrap();
+        let mut cmd = components_cmd(&path, None);
+        if let Command::Components(args) = &mut cmd {
+            args.forest = true;
+        }
+        let reference = execute(cmd).unwrap();
+        let dir = gz_testutil::TempDir::new("gz-cli-one-shard-cadence");
+        let mut cmd = components_cmd(&path, None);
+        if let Command::Components(args) = &mut cmd {
+            (args.checkpoint_every, args.batch_updates) = (Some(4), Some(8));
+            (args.dir, args.forest) = (Some(dir.path().to_path_buf()), true);
+        }
+        let out = execute(cmd).unwrap();
+        assert!(out.contains(" 1 shards, "), "{out}");
+        assert_eq!(
+            out.lines().next().map(count_and_updates),
+            reference.lines().next().map(count_and_updates)
+        );
+        assert_eq!(forest_lines(&out), forest_lines(&reference));
+
+        let file = dir.path().join(graph_zeppelin::shard_checkpoint_file_name(0, 1, DEFAULT_SEED));
+        let restored = execute(Command::CheckpointRestore { path: file, forest: true }).unwrap();
+        assert_eq!(
+            restored.lines().next().map(count_and_updates),
+            out.lines().next().map(count_and_updates)
+        );
+        assert_eq!(forest_lines(&restored), forest_lines(&out));
+    }
+
+    /// A summary line's component count and update count.
+    fn count_and_updates(summary: &str) -> (String, String) {
+        let words: Vec<&str> = summary.split_whitespace().collect();
+        (words[0].to_owned(), words[4].trim_start_matches('(').to_owned())
+    }
+
+    #[test]
+    fn checkpoint_save_writes_the_pinned_file() {
+        // `checkpoint save` feeds a one-shard system and writes through the
+        // shard checkpoint path: the bytes the facade's writer wrote for
+        // this stream, header and payload.
+        let stream = tmp("ckpt-pinned");
+        execute(Command::Generate {
+            dataset: DatasetArg::Kron(5),
+            seed: 8,
+            out: stream.to_path_buf(),
+        })
+        .unwrap();
+        let ckpt = gz_testutil::TempPath::new("gz-cli-ckpt-pinned", ".gzc");
+        execute(Command::CheckpointSave {
+            stream: stream.to_path_buf(),
+            out: ckpt.to_path_buf(),
+            workers: 2,
+            seed: DEFAULT_SEED,
+        })
+        .unwrap();
+        let bytes = std::fs::read(ckpt.path()).unwrap();
+        assert_eq!(
+            (bytes.len(), gz_hash::xxh64(&bytes, 0)),
+            (55_868, 0x2A18_E84C_0B65_160A),
+            "checkpoint bytes"
+        );
     }
 
     #[test]

@@ -11,9 +11,9 @@ fn main() {
                  [--seed S] --out FILE\n  gz info FILE\n  gz components FILE \
                  [--workers N] [--store ram|disk] [--buffering leaf|tree] \
                  [--dir DIR] [--forest]\n                \
-                 [--threshold T] [--stats]\n                \
-                 [--shards K [--connect HOST:PORT,...]]\n                \
-                 [--checkpoint-every N] [--batch-updates N] [--respawn]\n  \
+                 [--threshold T] [--stats] [--shards K]\n                \
+                 [--connect HOST:PORT,... [--respawn]]\n                \
+                 [--checkpoint-every N] [--batch-updates N]\n  \
                  gz checkpoint save \
                  FILE --from STREAM [--workers N] [--seed S]\n  gz checkpoint \
                  restore FILE [--forest]\n  \

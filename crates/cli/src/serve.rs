@@ -586,11 +586,11 @@ impl ServeHandle {
         }
         if let Some(mut system) = system {
             if shared.options.stats {
-                // Every seal and checkpoint cut is a flush under the ingest
-                // lock: `flush_ns_max` is the longest stall ingest has seen.
-                out.push_str(&format!("\ningest: {}", system.ingest_counters()));
-                out.push_str(&format!("\nsketch: kernel={}", system.params().kernel()));
-                out.push_str(&format!("\ngraph digest: {}", system.graph_digest()?));
+                // The block every `--stats` prints. Every seal and checkpoint
+                // cut is a flush under the ingest lock: the ingest line's
+                // `flush_ns_max` is the longest stall ingest has seen.
+                out.push('\n');
+                out.push_str(crate::stats_lines(&mut system)?.trim_end());
             }
             system.shutdown()?;
         }
@@ -642,6 +642,7 @@ fn build_system(
             // Each file resumes its shard's graph digest; a legacy round's
             // files carry none, and the manifest's stands in for them.
             system.resume_shards_from(&shard_paths(dir, m.round, options.shards), Some(m.graph))?;
+            system.restore_updates_ingested(m.covered);
         }
         (m.round, m.covered)
     } else {
@@ -1003,8 +1004,15 @@ mod tests {
             assert_eq!(client.acked(), stream.len() as u64, "legacy {legacy}");
             assert_eq!(client.hello_graph_digest(), sent, "legacy {legacy}");
             assert_eq!(client.query_components().expect("labels"), expected, "legacy {legacy}");
+            // The next round's file counts the resumed updates and the new one.
+            client.send_updates(&[(0, 1, false)]).expect("ack");
             client.shutdown().expect("goodbye");
             handle.shutdown().expect("daemon shutdown");
+            let next = graph_zeppelin::checkpoint::read_checkpoint_header(
+                &shard_paths(dir.path(), 2, options.shards)[0],
+            );
+            let updates = next.expect("round 2").updates_ingested;
+            assert_eq!(updates, stream.len() as u64 + 1, "legacy {legacy}");
         }
     }
 
@@ -1135,15 +1143,26 @@ mod tests {
                 bytes(&received)
             )
         );
-        // The query's seal found four records in three gutters.
-        let flush = lines[2].strip_prefix("ingest: batches=3 records=4 flushes=1 flush_ns=");
-        let (total, max) = flush.and_then(|f| f.split_once(" flush_ns_max=")).expect(lines[2]);
+        // Then the block every `--stats` prints: the census of the one
+        // in-process shard (always dense, in RAM, so no disk store line)...
+        let params = graph_zeppelin::ShardConfig::in_ram(16, 1).params();
+        assert_eq!(
+            lines[2],
+            format!(
+                "representation: 16 promoted, 0 sparse (0 neighbor entries, 0 sparse bytes); \
+                 sketch memory {} bytes",
+                16 * params.node_sketch_bytes()
+            )
+        );
+        // ...the query's seal, which found four records in three gutters...
+        let flush = lines[3].strip_prefix("ingest: batches=3 records=4 flushes=1 flush_ns=");
+        let (total, max) = flush.and_then(|f| f.split_once(" flush_ns_max=")).expect(lines[3]);
         assert_eq!(total, max, "one flush: its length is the longest");
-        let kernel = graph_zeppelin::ShardConfig::in_ram(16, 1).params().kernel();
-        assert_eq!(lines[3], format!("sketch: kernel={kernel}"));
+        assert_eq!(lines[4], format!("sketch: kernel={}", params.kernel()));
         let graph = GraphDigest::of_updates([(0, 1, false), (1, 2, false)], 16);
-        assert_eq!(lines[4], format!("graph digest: {graph}"));
-        assert_eq!(lines.len(), 5);
+        assert_eq!(lines[5], format!("graph digest: {graph}"));
+        // ...and no recovery or link line: the shard has neither.
+        assert_eq!(lines.len(), 6);
     }
 
     /// The serve dialect's half of the link contract (the shard dialect's

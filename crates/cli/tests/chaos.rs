@@ -153,8 +153,9 @@ struct RecoveryCounters {
     reconnect_attempts: u64,
 }
 
-/// Parse the coordinator's stdout: summary line, `recovery: ...` counters
-/// line, `link: ...` traffic line, then one `u v` line per forest edge.
+/// Parse the coordinator's stdout: the summary line, the `--stats` block
+/// (`key: ...` lines, ending in the `recovery:` and `link:` lines of the
+/// recovering transport), then one `u v` line per forest edge.
 fn parse_coordinator(out: &str) -> CoordinatorOutput {
     let mut lines = out.lines();
     let summary = lines.next().expect("summary line").to_string();
@@ -165,19 +166,23 @@ fn parse_coordinator(out: &str) -> CoordinatorOutput {
         .trim()
         .parse()
         .expect("numeric batch count");
-    let recovery_line = lines.next().expect("recovery line");
-    assert!(recovery_line.starts_with("recovery: "), "unexpected line: {recovery_line}");
+    let (stats, forest): (Vec<&str>, Vec<&str>) = lines.partition(|l| l.contains(": "));
+    let line = |key: &str| {
+        let found = stats.iter().find_map(|l| l.strip_prefix(key));
+        found.unwrap_or_else(|| panic!("no {key:?} line in {out}"))
+    };
+    let recovery_line = line("recovery: ");
     let nums: Vec<u64> = recovery_line
         .split(|c: char| !c.is_ascii_digit())
         .filter(|s| !s.is_empty())
         .map(|s| s.parse().unwrap())
         .collect();
     assert_eq!(nums.len(), 4, "recovery line shape: {recovery_line}");
-    let link_line = lines.next().expect("link line");
-    assert!(link_line.starts_with("link: frames_in="), "unexpected line: {link_line}");
-    let digest_line = lines.next().expect("graph digest line");
-    let graph_digest =
-        digest_line.strip_prefix("graph digest: ").expect("graph digest line").to_string();
+    assert!(line("link: ").starts_with("frames_in="), "link line shape: {out}");
+    let last_two: Vec<&str> =
+        stats.iter().rev().take(2).map(|l| &l[..l.find(':').unwrap()]).collect();
+    assert_eq!(last_two, ["link", "recovery"], "the block ends in the transport's lines: {out}");
+    let graph_digest = line("graph digest: ").to_string();
     CoordinatorOutput {
         summary,
         recovery: RecoveryCounters {
@@ -187,7 +192,7 @@ fn parse_coordinator(out: &str) -> CoordinatorOutput {
             reconnect_attempts: nums[3],
         },
         graph_digest,
-        forest: lines.map(|l| l.to_string()).collect(),
+        forest: forest.into_iter().map(str::to_string).collect(),
         batches_shipped,
     }
 }

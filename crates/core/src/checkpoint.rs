@@ -311,39 +311,19 @@ fn decode_legacy_node(params: &SketchParams, bytes: &[u8]) -> Result<CubeNodeSke
 }
 
 impl GraphZeppelin {
-    /// Flush all buffered updates and write the sketch state to `path` as
-    /// shard 0 of 1, with the update count and the graph digest, atomically
-    /// (see `write_atomically`): a failed save leaves the checkpoint that
-    /// was there before intact. Each node is encoded into the file buffer
-    /// as the store hands it over ([`NodePayload`]), so the save holds no
-    /// copy of the store.
+    /// Write the sketch state to `path` as shard 0 of 1, through the
+    /// shard's checkpoint writer
+    /// ([`ShardedGraphZeppelin::checkpoint_shards_to`](crate::ShardedGraphZeppelin::checkpoint_shards_to)),
+    /// and hand back the file's header.
     pub fn save_checkpoint(&mut self, path: &Path) -> Result<CheckpointHeader, GzError> {
-        let graph = self.graph_digest();
-        let header = CheckpointHeader {
-            num_nodes: self.config().num_nodes,
-            seed: self.config().seed,
-            rounds: self.params().rounds() as u32,
-            columns: self.config().num_columns,
-            shard_index: 0,
-            num_shards: 1,
-            seq: self.batches_applied(),
-            updates_ingested: self.updates_ingested(),
-            owned_count: self.config().num_nodes,
-            graph: Some(graph),
-        };
-        write_checkpoint(path, &header, self.params(), self.store())?;
-        Ok(header)
-    }
-
-    /// Read just the header of a checkpoint file ([`read_checkpoint_header`]).
-    pub fn checkpoint_header(path: &Path) -> Result<CheckpointHeader, GzError> {
+        self.checkpoint_shards_to(&[path.to_path_buf()])?;
         read_checkpoint_header(path)
     }
 
     /// Restore a system from a checkpoint with default runtime settings
     /// (in-RAM store, default buffering/workers).
     pub fn restore(path: &Path) -> Result<GraphZeppelin, GzError> {
-        let header = Self::checkpoint_header(path)?;
+        let header = read_checkpoint_header(path)?;
         let mut config = GzConfig::in_ram(header.num_nodes);
         config.seed = header.seed;
         config.num_rounds = Some(header.rounds);
@@ -894,7 +874,7 @@ mod tests {
         // GZC2: the facade restores it, bit for bit; the file carries no
         // graph digest, so the restored digest starts empty.
         let gzc2 = legacy_fixture("legacy.gzc2");
-        let header = GraphZeppelin::checkpoint_header(&gzc2).unwrap();
+        let header = read_checkpoint_header(&gzc2).unwrap();
         assert_eq!((header.updates_ingested, header.graph), (20, None));
         let mut restored = GraphZeppelin::restore(&gzc2).unwrap();
         let labels = restored.connected_components().unwrap().labels().to_vec();
@@ -949,7 +929,7 @@ mod tests {
         let mut gz = GraphZeppelin::new(GzConfig::in_ram(64)).unwrap();
         gz.edge_update(3, 4);
         gz.save_checkpoint(path.path()).unwrap();
-        let h = GraphZeppelin::checkpoint_header(path.path()).unwrap();
+        let h = read_checkpoint_header(path.path()).unwrap();
         assert_eq!(h.num_nodes, 64);
         assert_eq!(h.updates_ingested, 1);
         assert_eq!((h.shard_index, h.num_shards, h.owned_count), (0, 1, 64));

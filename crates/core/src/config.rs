@@ -7,8 +7,7 @@
 //! (DESIGN.md §4).
 
 use crate::error::GzError;
-use crate::node_sketch::SketchParams;
-use crate::store::disk::node_groups;
+use crate::sharding::ShardConfig;
 use std::path::PathBuf;
 
 pub use gz_sketch::geometry::{DEFAULT_COLUMNS, PAPER_COLUMNS};
@@ -206,8 +205,7 @@ impl GzConfig {
     /// at block size `block_bytes`: `(nodes a group, groups)`, by the
     /// store's own rule (`store::disk::node_groups`).
     pub fn disk_groups(&self, block_bytes: usize) -> (u64, u64) {
-        let params = SketchParams::new(self.num_nodes, self.rounds(), self.num_columns, self.seed);
-        node_groups(block_bytes, params.node_sketch_resident_bytes(), self.num_nodes)
+        ShardConfig::from(self).disk_groups(block_bytes)
     }
 
     /// Validate invariants the system relies on.

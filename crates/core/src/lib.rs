@@ -89,6 +89,6 @@ pub use sharding::{
 pub use sparse::SparseSet;
 pub use store::{
     EpochOverlay, IoBackendConfig, MaterializedSource, NodeSet, RepStats, SketchSource,
-    SliceSource, StoreRoundSource,
+    SliceSource, StoreCensus, StoreRoundSource,
 };
 pub use system::{ConnectedComponents, GraphZeppelin};

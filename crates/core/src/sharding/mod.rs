@@ -33,9 +33,9 @@
 //! crucial invariant — proved by the equivalence suite and the
 //! multi-process example — is that the sketch state is *bit-identical* at
 //! every shard count on the same stream: `k` shards'
-//! [`ShardedGraphZeppelin::state_digest`] equals one shard's
-//! ([`crate::GraphZeppelin::state_digest`]), and queries answer as the
-//! materializing reference
+//! [`ShardedGraphZeppelin::state_digest`] equals one shard's (a
+//! [`crate::GraphZeppelin`]'s), and queries answer as the materializing
+//! reference
 //! ([`crate::GraphZeppelin::spanning_forest_oracle`]) does.
 
 mod link;
@@ -56,7 +56,7 @@ use crate::config::{BufferStrategy, GutterCapacity, StoreBackend};
 use crate::error::GzError;
 use crate::node_sketch::{CubeRoundSketch, SketchParams};
 use crate::sparse::{SparseRoundBatch, SparseSet};
-use crate::store::SketchSource;
+use crate::store::{SketchSource, StoreCensus};
 use gz_gutters::WorkerPool;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -135,6 +135,16 @@ impl ShardConfig {
     /// The shared sketch parameters every shard derives.
     pub fn params(&self) -> SketchParams {
         SketchParams::new(self.num_nodes, self.rounds(), self.num_columns, self.seed)
+    }
+
+    /// The node groups shard 0's disk store — the largest, and at one shard
+    /// the whole universe's — is cut into at block size `block_bytes`:
+    /// `(nodes a group, groups)`, by the store's own rule
+    /// (`store::disk::node_groups`).
+    pub fn disk_groups(&self, block_bytes: usize) -> (u64, u64) {
+        let owned = crate::store::NodeSet::strided(self.num_nodes, 0, self.num_shards).len();
+        let node_bytes = self.params().node_sketch_resident_bytes();
+        crate::store::disk::node_groups(block_bytes, node_bytes, owned as u64)
     }
 
     /// Digest of every sketch-defining field, exchanged in the wire
@@ -330,25 +340,27 @@ impl ShardedGraphZeppelin {
     }
 
     /// Flush, then persist every shard's owned state to its checkpoint
-    /// path, pruning the transport's replay log (DESIGN.md §14). Returns
-    /// the per-shard sequence numbers the checkpoints cover. Runs
+    /// path, pruning the transport's replay log (DESIGN.md §14). Shards in
+    /// this process write [`Self::updates_ingested`] into their headers.
+    /// Returns the per-shard sequence numbers the checkpoints cover. Runs
     /// automatically every `ShardConfig::checkpoint_every` routed batches.
     pub fn checkpoint_shards(&mut self) -> Result<Vec<u64>, GzError> {
         self.flush()?;
-        let seqs = self.transport.lock().checkpoint_shards()?;
+        let seqs = self.transport.lock().checkpoint_shards(self.updates)?;
         self.last_checkpoint_batches = self.router.batches_emitted();
         Ok(seqs)
     }
 
     /// Flush, then persist every shard's owned state to `paths[i]` (one
     /// path per shard), regardless of any cadence-configured destination.
-    /// `gz serve` cuts its versioned checkpoint rounds through this.
+    /// `gz serve` cuts its versioned checkpoint rounds through this, and a
+    /// one-shard system its whole-state checkpoint.
     pub fn checkpoint_shards_to(
         &mut self,
         paths: &[std::path::PathBuf],
     ) -> Result<Vec<u64>, GzError> {
         self.flush()?;
-        let seqs = self.transport.lock().checkpoint_shards_to(paths)?;
+        let seqs = self.transport.lock().checkpoint_shards_to(paths, self.updates)?;
         self.last_checkpoint_batches = self.router.batches_emitted();
         Ok(seqs)
     }
@@ -479,6 +491,13 @@ impl ShardedGraphZeppelin {
         Ok(views.map(|views| views.iter().map(ShardView::epoch_captures).sum()))
     }
 
+    /// The in-process shards' stores, summed ([`StoreCensus`]); `None` when
+    /// the shards live behind links, where each worker reports its own.
+    pub fn store_census(&self) -> Result<Option<StoreCensus>, GzError> {
+        let views = self.transport.lock().local_views(None)?;
+        Ok(views.map(|views| StoreCensus::of(views.iter().map(ShardView::store))))
+    }
+
     /// Component labels.
     pub fn connected_components(&mut self) -> Result<Vec<u32>, GzError> {
         Ok(self.spanning_forest()?.labels)
@@ -513,8 +532,8 @@ impl ShardedGraphZeppelin {
     }
 
     /// Count `updates` as ingested before the first routed one (a restored
-    /// checkpoint's).
-    pub(crate) fn restore_updates_ingested(&mut self, updates: u64) {
+    /// checkpoint's), so later checkpoints carry the whole stream's count.
+    pub fn restore_updates_ingested(&mut self, updates: u64) {
         self.updates = updates;
     }
 
@@ -1274,7 +1293,7 @@ mod tests {
         fn release_epoch(&mut self, _: &[u64]) -> Result<(), GzError> {
             unreachable!("a scripted gather only gathers")
         }
-        fn checkpoint_shards(&mut self) -> Result<Vec<u64>, GzError> {
+        fn checkpoint_shards(&mut self, _updates_ingested: u64) -> Result<Vec<u64>, GzError> {
             unreachable!("a scripted gather only gathers")
         }
         fn shutdown(&mut self) -> Result<(), GzError> {

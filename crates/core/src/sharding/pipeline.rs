@@ -16,6 +16,7 @@ use crate::node_sketch::{CubeRoundSketch, SketchParams};
 use crate::sharding::ShardConfig;
 use crate::store::{
     disk::DiskStore, ram::RamStore, with_backing_file, EpochOverlay, NodeSet, SketchStore,
+    StoreCensus,
 };
 use gz_graph::GraphDigest;
 use gz_gutters::{Batch, WorkQueue};
@@ -63,6 +64,11 @@ impl ShardView {
     ) -> Result<usize, GzError> {
         self.store.stream_round_parallel(round, live, self.overlay.as_deref(), pool, sinks)?;
         Ok(self.store.round_stream_resident_bytes(round, sinks.len()))
+    }
+
+    /// This shard's store.
+    pub(crate) fn store(&self) -> &SketchStore {
+        &self.store
     }
 
     /// Pre-images captured on this shard's store so far, across all of its
@@ -219,8 +225,10 @@ impl ShardPipeline {
     /// Flush, then atomically persist the owned sketch state and the
     /// shard's graph digest to the configured checkpoint path, streamed
     /// from the store node by node (hybrid sparse nodes densified one at a
-    /// time). Returns the batch sequence number the checkpoint covers.
-    pub fn save_checkpoint(&self) -> Result<u64, GzError> {
+    /// time), with `updates_ingested` in the header: the in-process
+    /// coordinator's count, or 0 from a worker, which sees batches. Returns
+    /// the batch sequence number the checkpoint covers.
+    pub fn save_checkpoint(&self, updates_ingested: u64) -> Result<u64, GzError> {
         let path = self.checkpoint_path().ok_or_else(|| {
             GzError::InvalidConfig(format!(
                 "shard {} asked to checkpoint but no checkpoint path is configured",
@@ -233,6 +241,7 @@ impl ShardPipeline {
         // — the file covers exactly `seq` batches.
         let seq = self.seq();
         let header = CheckpointHeader {
+            updates_ingested,
             graph: Some(self.store.graph_digest()),
             ..self.checkpoint_header(seq)
         };
@@ -408,15 +417,10 @@ impl ShardPipeline {
         &self.store
     }
 
-    /// Sketch payload bytes held by this shard (owned nodes only).
-    pub fn sketch_bytes(&self) -> usize {
-        self.store.sketch_bytes()
-    }
-
-    /// Representation census of this shard's store (sparse vs promoted
-    /// nodes — the hybrid-representation accounting).
-    pub fn rep_stats(&self) -> crate::store::RepStats {
-        self.store.rep_stats()
+    /// This shard's store census: representation, sketch bytes (owned
+    /// nodes only) and disk I/O.
+    pub fn census(&self) -> StoreCensus {
+        StoreCensus::of([&*self.store])
     }
 
     fn shutdown_inner(&mut self) {
@@ -497,9 +501,9 @@ mod tests {
         let shards: Vec<ShardPipeline> =
             (0..4).map(|i| ShardPipeline::new(&config, i).unwrap()).collect();
         for shard in &shards {
-            assert_eq!(shard.sketch_bytes(), per_node * 16);
+            assert_eq!(shard.census().sketch_bytes, per_node * 16);
         }
-        let total: usize = shards.iter().map(|s| s.sketch_bytes()).sum();
+        let total: usize = shards.iter().map(|s| s.census().sketch_bytes).sum();
         assert_eq!(total, per_node * 64, "shards together hold one universe");
     }
 
@@ -514,7 +518,7 @@ mod tests {
         assert_eq!(shard.seq(), 2);
         let (before, graph) = (shard.state_digest().unwrap(), shard.graph_digest());
         assert_ne!(graph, GraphDigest::ZERO);
-        assert_eq!(shard.save_checkpoint().unwrap(), 2);
+        assert_eq!(shard.save_checkpoint(0).unwrap(), 2);
         let path = shard.checkpoint_path().unwrap();
         drop(shard);
 
@@ -556,7 +560,7 @@ mod tests {
         for &(n, o) in &first {
             shard.enqueue(n, vec![encode_other(o, false)]).unwrap();
         }
-        shard.save_checkpoint().unwrap();
+        shard.save_checkpoint(0).unwrap();
         let path = shard.checkpoint_path().unwrap();
         drop(shard);
 
@@ -603,7 +607,7 @@ mod tests {
                                 }
                             }
                         }
-                        let seq = shard.save_checkpoint().unwrap();
+                        let seq = shard.save_checkpoint(0).unwrap();
                         let path = shard.checkpoint_path().unwrap();
                         let header = read_checkpoint_header(&path).unwrap();
                         assert_eq!(header.seq, seq);
@@ -630,7 +634,7 @@ mod tests {
     fn checkpoint_without_a_path_is_refused() {
         let config = ShardConfig::in_ram(16, 2);
         let shard = ShardPipeline::new(&config, 0).unwrap();
-        assert!(matches!(shard.save_checkpoint(), Err(GzError::InvalidConfig(_))));
+        assert!(matches!(shard.save_checkpoint(0), Err(GzError::InvalidConfig(_))));
     }
 
     #[test]

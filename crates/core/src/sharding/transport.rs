@@ -224,18 +224,24 @@ pub trait ShardTransport {
 
     /// Ask every shard to durably checkpoint its owned sketch state, and
     /// return the per-shard batch sequence numbers the checkpoints cover
-    /// (indexed by shard). Transports that track a replay log prune it
-    /// here.
-    fn checkpoint_shards(&mut self) -> Result<Vec<u64>, GzError>;
+    /// (indexed by shard). Shards in this process write `updates_ingested`,
+    /// the coordinator's count, into their headers; a worker behind a link
+    /// writes 0. Transports that track a replay log prune it here.
+    fn checkpoint_shards(&mut self, updates_ingested: u64) -> Result<Vec<u64>, GzError>;
 
     /// Durably checkpoint every shard's owned state to `paths[i]` (one path
     /// per shard), overriding any cadence-configured destination. `gz
     /// serve` uses this to write *versioned* checkpoint rounds: each round
     /// lands at fresh paths, and only after every shard file is complete
     /// does a manifest flip make the round current — so a crash mid-round
-    /// can never mix old and new shard state. The default refuses: a
-    /// transport must opt in.
-    fn checkpoint_shards_to(&mut self, _paths: &[std::path::PathBuf]) -> Result<Vec<u64>, GzError> {
+    /// can never mix old and new shard state. `updates_ingested` is as in
+    /// [`Self::checkpoint_shards`]. The default refuses: a transport must
+    /// opt in.
+    fn checkpoint_shards_to(
+        &mut self,
+        _paths: &[std::path::PathBuf],
+        _updates_ingested: u64,
+    ) -> Result<Vec<u64>, GzError> {
         Err(GzError::InvalidConfig(
             "this transport does not support targeted shard checkpoints".into(),
         ))
@@ -364,18 +370,22 @@ impl ShardTransport for InProcessTransport {
         Ok(())
     }
 
-    fn checkpoint_shards(&mut self) -> Result<Vec<u64>, GzError> {
-        self.shards.iter().map(|shard| shard.save_checkpoint()).collect()
+    fn checkpoint_shards(&mut self, updates_ingested: u64) -> Result<Vec<u64>, GzError> {
+        self.shards.iter().map(|shard| shard.save_checkpoint(updates_ingested)).collect()
     }
 
-    fn checkpoint_shards_to(&mut self, paths: &[std::path::PathBuf]) -> Result<Vec<u64>, GzError> {
+    fn checkpoint_shards_to(
+        &mut self,
+        paths: &[std::path::PathBuf],
+        updates_ingested: u64,
+    ) -> Result<Vec<u64>, GzError> {
         check_paths("checkpoint_shards_to", paths, self.shards.len())?;
         self.shards
             .iter()
             .zip(paths)
             .map(|(shard, path)| {
                 shard.set_checkpoint_path(path.clone());
-                shard.save_checkpoint()
+                shard.save_checkpoint(updates_ingested)
             })
             .collect()
     }
@@ -749,7 +759,7 @@ impl<S: ShardLink> ShardTransport for SocketTransport<S> {
             Err(e) => return Err(e),
         }
         if over_cap {
-            self.checkpoint_shards()?;
+            self.checkpoint_shards(0)?;
         }
         Ok(())
     }
@@ -821,7 +831,7 @@ impl<S: ShardLink> ShardTransport for SocketTransport<S> {
         })
     }
 
-    fn checkpoint_shards(&mut self) -> Result<Vec<u64>, GzError> {
+    fn checkpoint_shards(&mut self, _updates_ingested: u64) -> Result<Vec<u64>, GzError> {
         // `CheckpointShard` is an in-stream frame, so each shard's
         // checkpoint covers exactly the batches framed before it — no
         // coordinator-side flush or barrier needed.
@@ -934,7 +944,7 @@ pub fn serve_shard_connection<S: Read + Write>(
                 // checkpoint makes redundant. A worker started without a
                 // checkpoint path fails here — the coordinator should not
                 // have asked.
-                WireMessage::CheckpointAck { seq: pipeline.save_checkpoint()? }
+                WireMessage::CheckpointAck { seq: pipeline.save_checkpoint(0)? }
             }
             // A recovering coordinator asks where we stand; we answer with
             // the batch count our restored state already covers so it
@@ -953,7 +963,7 @@ pub fn serve_shard_connection<S: Read + Write>(
                 // state the coordinator last saw, not an older one.
                 if pipeline.checkpoint_path().is_some() {
                     stats.checkpoints.add(1);
-                    pipeline.save_checkpoint()?;
+                    pipeline.save_checkpoint(0)?;
                 }
                 return Ok(stats);
             }
@@ -1531,7 +1541,7 @@ mod tests {
                 transport.gather_round_each(round, epochs, &mut collect).unwrap();
             }
             transport.release_epoch(&ids).unwrap();
-            assert_eq!(transport.checkpoint_shards().unwrap(), vec![5, 5]);
+            assert_eq!(transport.checkpoint_shards(0).unwrap(), vec![5, 5]);
             transport.shutdown().unwrap();
             let written: Vec<Vec<u8>> = transport
                 .links
@@ -1572,7 +1582,7 @@ mod tests {
         for node in 0..16u32 {
             socket.send_batch(node % 2, edge(node, (node + 1) % 16)).unwrap();
         }
-        let seqs = socket.checkpoint_shards().unwrap();
+        let seqs = socket.checkpoint_shards(0).unwrap();
         assert_eq!(seqs, vec![8, 8], "each shard acked its own batch count");
         for index in 0..2u32 {
             let path =
@@ -1628,7 +1638,7 @@ mod tests {
         for &(node, other) in &phase1 {
             transport.send_batch(node % 2, edge(node, other)).unwrap();
         }
-        assert_eq!(transport.checkpoint_shards().unwrap(), vec![8, 8]);
+        assert_eq!(transport.checkpoint_shards(0).unwrap(), vec![8, 8]);
         assert_eq!(stats.checkpoints(), 2);
 
         // Kill shard 0's worker a few dozen bytes into phase 2.

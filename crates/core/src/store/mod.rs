@@ -27,7 +27,7 @@ use crate::error::GzError;
 use crate::node_sketch::{CubeNodeSketch, CubeRoundSketch, NodeSketch, SketchParams};
 use crate::sparse::{edge_indices, SparseSet};
 use gz_graph::GraphDigest;
-use gz_gutters::{IoStats, WorkerPool};
+use gz_gutters::{CounterSet, IoStats, WorkerPool};
 use gz_sketch::cube::{with_premixed, LaneAccumulators};
 use gz_sketch::L0Sampler;
 use parking_lot::Mutex;
@@ -52,6 +52,39 @@ impl RepStats {
     /// Resident bytes of the sparse side (4 bytes per live entry).
     pub fn sparse_bytes(&self) -> usize {
         self.sparse_entries * 4
+    }
+}
+
+/// What one or more stores hold and moved, summed: a fleet's in-process
+/// shards, or one shard worker's store. `--stats` and a worker's exit line
+/// print it.
+#[derive(Debug, Default)]
+pub struct StoreCensus {
+    /// Promoted and sparse vertices, and the sparse sets' entries.
+    pub rep: RepStats,
+    /// Sketch bytes as the memory accounting counts them
+    /// ([`SketchStore::sketch_bytes`]).
+    pub sketch_bytes: usize,
+    /// Disk-store I/O, merged over the stores that touch disk (`None` when
+    /// none does).
+    pub io: Option<IoStats>,
+}
+
+impl StoreCensus {
+    /// The census of `stores`, summed.
+    pub fn of<'a>(stores: impl IntoIterator<Item = &'a SketchStore>) -> StoreCensus {
+        let mut census = StoreCensus::default();
+        for store in stores {
+            let rep = store.rep_stats();
+            census.rep.promoted += rep.promoted;
+            census.rep.sparse += rep.sparse;
+            census.rep.sparse_entries += rep.sparse_entries;
+            census.sketch_bytes += store.sketch_bytes();
+            if let Some(io) = store.io_stats() {
+                census.io.get_or_insert_with(IoStats::default).merge_from(&io);
+            }
+        }
+        census
     }
 }
 

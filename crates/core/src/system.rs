@@ -3,22 +3,19 @@
 //!
 //! There is one system type, and this is it at one shard: a
 //! [`ShardedGraphZeppelin`] whose single shard is in this process, behind
-//! an [`InProcessTransport`]. The router's lane is the buffering system —
-//! leaf gutters or a gutter tree, as [`GzConfig::buffering`] says — and the
-//! shard's pipeline is the work queue, the Graph Workers and the store
-//! (DESIGN.md §7). The facade maps a [`GzConfig`] onto that shard's
-//! [`ShardConfig`] and keeps the shard's store at hand for what reads it
-//! whole: [`GraphZeppelin::store`], the materializing oracle and the
-//! checkpoint it writes as shard 0 of 1. An in-process shard refuses nothing, so the only errors
-//! ingestion can meet are a gutter tree's failed file reads and writes,
-//! which panic here: `update` and `flush` return nothing.
+//! an [`InProcessTransport`] (DESIGN.md §7). The facade only adapts: it maps
+//! a [`GzConfig`] onto that shard's [`ShardConfig`], makes ingestion
+//! infallible — an in-process shard refuses nothing, so the only errors it
+//! can meet are a gutter tree's failed file reads and writes, which panic
+//! here — and keeps the shard's store at hand for what reads it whole:
+//! [`GraphZeppelin::store`], the materializing oracle, the memory bound and
+//! the checkpoint it writes as shard 0 of 1. Everything else is the
+//! system's, through `Deref`.
 
 use crate::boruvka::{boruvka_rounds_with_pool, BoruvkaOutcome};
 use crate::config::{BufferStrategy, GzConfig, StoreBackend};
 use crate::error::GzError;
-use crate::ingest::IngestCounters;
-use crate::node_sketch::SketchParams;
-use crate::sharding::{InProcessTransport, ShardConfig, ShardedEpoch, ShardedGraphZeppelin};
+use crate::sharding::{InProcessTransport, ShardConfig, ShardedGraphZeppelin};
 use crate::store::{MaterializedSource, RepStats, SketchStore};
 use gz_graph::Edge;
 use gz_gutters::IoStats;
@@ -62,20 +59,11 @@ impl ConnectedComponents {
     }
 }
 
-/// The GraphZeppelin system: buffered, parallel sketch ingestion plus
-/// sketch-space Boruvka queries.
-pub struct GraphZeppelin {
-    config: GzConfig,
-    system: ShardedGraphZeppelin,
-    /// The one shard's store.
-    store: Arc<SketchStore>,
-}
-
-impl GraphZeppelin {
-    /// Build the system described by `config` and start its Graph Workers.
-    pub fn new(config: GzConfig) -> Result<Self, GzError> {
-        config.validate()?;
-        let shard = ShardConfig {
+/// A facade's system: one in-process shard, the config's fields as they
+/// are, and no checkpoint cadence.
+impl From<&GzConfig> for ShardConfig {
+    fn from(config: &GzConfig) -> ShardConfig {
+        ShardConfig {
             num_nodes: config.num_nodes,
             num_shards: 1,
             seed: config.seed,
@@ -87,7 +75,40 @@ impl GraphZeppelin {
             buffering: config.buffering.clone(),
             checkpoint_dir: None,
             checkpoint_every: None,
-        };
+        }
+    }
+}
+
+/// The GraphZeppelin system: buffered, parallel sketch ingestion plus
+/// sketch-space Boruvka queries. Derefs to its [`ShardedGraphZeppelin`]
+/// for everything the facade does not adapt (`spanning_forest`,
+/// `begin_epoch`, `updates_ingested`, `state_digest`, `params`, ...).
+pub struct GraphZeppelin {
+    config: GzConfig,
+    system: ShardedGraphZeppelin,
+    /// The one shard's store.
+    store: Arc<SketchStore>,
+}
+
+impl std::ops::Deref for GraphZeppelin {
+    type Target = ShardedGraphZeppelin;
+
+    fn deref(&self) -> &ShardedGraphZeppelin {
+        &self.system
+    }
+}
+
+impl std::ops::DerefMut for GraphZeppelin {
+    fn deref_mut(&mut self) -> &mut ShardedGraphZeppelin {
+        &mut self.system
+    }
+}
+
+impl GraphZeppelin {
+    /// Build the system described by `config` and start its Graph Workers.
+    pub fn new(config: GzConfig) -> Result<Self, GzError> {
+        config.validate()?;
+        let shard = ShardConfig::from(&config);
         let transport = InProcessTransport::new(&shard)?;
         let store = Arc::clone(transport.store(0));
         let system = ShardedGraphZeppelin::with_transport(shard, Box::new(transport))?;
@@ -117,32 +138,22 @@ impl GraphZeppelin {
     }
 
     /// Drain all buffered updates into the sketches (paper Figure 9's
-    /// `cleanup()`): what the buffering system still holds is applied by
-    /// the system's fork-join pool where it lies, with this thread as
-    /// worker 0, then the flush waits until the Graph Workers have applied
-    /// every batch that overflowed before or during it
-    /// ([`ShardedGraphZeppelin::flush`]).
+    /// `cleanup()`; [`ShardedGraphZeppelin::flush`]).
     pub fn flush(&mut self) {
         self.system.flush().expect(TREE_FILE)
     }
 
-    /// Compute a spanning forest of the current graph (paper
-    /// `list_spanning_forest()`); leaves the system ready for more updates.
-    ///
-    /// Flushes, then folds round slices straight out of the store, keeping
-    /// only the accumulators of supernodes with two or more live members
-    /// resident — partitioned across the system's pool (slot ranges in RAM;
-    /// windows of positioned group reads claimed from a shared cursor on
-    /// disk, at one thread as at many). Answers are bit-identical at any
-    /// pool width.
-    pub fn spanning_forest(&mut self) -> Result<BoruvkaOutcome, GzError> {
-        self.system.spanning_forest()
+    /// [`ShardedGraphZeppelin::graph_digest`]. A system restored from a
+    /// checkpoint resumes the digest the file carries (a legacy `GZC2` file
+    /// carries none: it starts empty).
+    pub fn graph_digest(&mut self) -> gz_graph::GraphDigest {
+        self.system.graph_digest().expect(TREE_FILE)
     }
 
-    /// The reference [`Self::spanning_forest`] is tested against: flush,
-    /// materialize every node's full sketch stack (peak `O(V × full
-    /// sketch)` RAM), then run Boruvka over the copy. No configuration
-    /// selects it; tests and benches call it by name.
+    /// The reference [`ShardedGraphZeppelin::spanning_forest`] is tested
+    /// against: flush, materialize every node's full sketch stack (peak
+    /// `O(V × full sketch)` RAM), then run Boruvka over the copy. No
+    /// configuration selects it; tests and benches call it by name.
     pub fn spanning_forest_oracle(&mut self) -> Result<BoruvkaOutcome, GzError> {
         self.flush();
         let mut source = MaterializedSource::new(self.store.snapshot());
@@ -150,37 +161,15 @@ impl GraphZeppelin {
         boruvka_rounds_with_pool(&mut source, self.config.num_nodes, rounds, self.system.pool())
     }
 
-    /// Seal the current sketch state into an epoch: flush buffered updates,
-    /// then hand back a [`ShardedEpoch`] whose queries return answers
-    /// bit-identical to a stop-the-world query right now — even while this
-    /// system keeps ingesting. The handle is `Send + Sync`, so a query
-    /// thread can run `epoch.spanning_forest()` concurrently with further
-    /// [`Self::update`] calls, folding on this system's pool; dropping the
-    /// handle releases the sealed groups it pinned (DESIGN.md §11).
-    pub fn begin_epoch(&mut self) -> Result<ShardedEpoch, GzError> {
-        self.system.begin_epoch()
-    }
-
     /// Compute connected components of the current graph.
     pub fn connected_components(&mut self) -> Result<ConnectedComponents, GzError> {
         Ok(ConnectedComponents { outcome: self.spanning_forest()? })
     }
 
-    /// Number of stream updates ingested so far.
-    pub fn updates_ingested(&self) -> u64 {
-        self.system.updates_ingested()
-    }
-
-    /// Batches that left the buffering system so far, for the Graph Workers
-    /// or applied by a flush in place.
+    /// [`ShardedGraphZeppelin::batches_shipped`]: batches that left the
+    /// buffering system, for the Graph Workers or applied by a flush in place.
     pub fn batches_applied(&self) -> u64 {
         self.system.batches_shipped()
-    }
-
-    /// Batches and records that left the buffering system, and what the
-    /// flushes cost (`gz components --stats`).
-    pub fn ingest_counters(&self) -> &IngestCounters {
-        self.system.ingest_counters()
     }
 
     /// Total sketch bytes (the paper's Figure 11 memory accounting). With a
@@ -191,8 +180,7 @@ impl GraphZeppelin {
         self.store.sketch_bytes()
     }
 
-    /// Representation census of the store: promoted vs sparse node counts
-    /// and sparse entries (`gz components --stats`, memory accounting).
+    /// Representation census of the store (promoted vs sparse nodes).
     pub fn rep_stats(&self) -> RepStats {
         self.store.rep_stats()
     }
@@ -218,7 +206,7 @@ impl GraphZeppelin {
         sketch_ram + buffers
     }
 
-    /// I/O counters of the sketch store (disk backend only).
+    /// The store's live I/O counters (disk backend only).
     pub fn store_io(&self) -> Option<Arc<IoStats>> {
         self.store.io_stats()
     }
@@ -229,36 +217,9 @@ impl GraphZeppelin {
         &self.store
     }
 
-    /// I/O counters of the gutter tree (gutter-tree buffering only).
-    pub fn gutter_io(&self) -> Option<Arc<IoStats>> {
-        self.system.gutter_io()
-    }
-
     /// The configuration this system was built with.
     pub fn config(&self) -> &GzConfig {
         &self.config
-    }
-
-    /// Shared sketch parameters (geometry, rounds).
-    pub fn params(&self) -> &Arc<SketchParams> {
-        self.system.params()
-    }
-
-    /// Flush, then read the graph digest of every update ingested
-    /// (`gz_graph::digest`): the same for every configuration fed the same
-    /// stream. A system restored from a checkpoint resumes the digest the
-    /// file carries (a legacy `GZC2` file carries none: it starts empty).
-    pub fn graph_digest(&mut self) -> gz_graph::GraphDigest {
-        self.system.graph_digest().expect(TREE_FILE)
-    }
-
-    /// Flush, then fingerprint the whole sketch state
-    /// ([`SketchStore::state_digest`]). Any two deployments fed the same
-    /// stream — whatever their buffering, store, worker count, or sharding
-    /// — report the same digest; the equivalence suite and the
-    /// multi-process sharding demo compare against this.
-    pub fn state_digest(&mut self) -> Result<u64, GzError> {
-        self.system.state_digest()
     }
 
     /// Replace all sketch state with the checkpoint at `path`, a facade's

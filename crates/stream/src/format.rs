@@ -96,14 +96,21 @@ impl StreamWriter {
     }
 }
 
-/// Streaming reader over a stream file: an iterator of updates. Every
-/// record is checked as it is read: a self-loop or an endpoint outside the
-/// header's vertex universe is an [`io::ErrorKind::InvalidData`] error that
-/// names the record's index, never an update handed on.
+/// Records the iterator decodes per [`StreamReader::read_batch`].
+const ITER_BATCH: usize = 1 << 16;
+
+/// Streaming reader over a stream file: an iterator of updates, decoded a
+/// batch at a time. Every record is checked as it is read: a self-loop or
+/// an endpoint outside the header's vertex universe is an
+/// [`io::ErrorKind::InvalidData`] error that names the record's index,
+/// never an update handed on.
 pub struct StreamReader {
     reader: BufReader<File>,
     header: StreamHeader,
     read_so_far: u64,
+    /// The iterator's current batch, and how much of it is handed out.
+    batch: Vec<EdgeUpdate>,
+    served: usize,
 }
 
 impl StreamReader {
@@ -125,6 +132,8 @@ impl StreamReader {
             reader,
             header: StreamHeader { num_vertices, num_updates },
             read_so_far: 0,
+            batch: Vec::new(),
+            served: 0,
         })
     }
 
@@ -175,19 +184,24 @@ impl StreamReader {
     }
 }
 
+/// Serves records out of [`StreamReader::read_batch`]'s batches: one decode
+/// path. A batch that fails to read or decode is the iterator's last item.
 impl Iterator for StreamReader {
     type Item = io::Result<EdgeUpdate>;
 
+    #[inline]
     fn next(&mut self) -> Option<Self::Item> {
-        if self.read_so_far >= self.header.num_updates {
-            return None;
+        if self.served == self.batch.len() {
+            let mut batch = std::mem::take(&mut self.batch);
+            if let Err(e) = self.read_batch(&mut batch, ITER_BATCH) {
+                self.read_so_far = self.header.num_updates;
+                return Some(Err(e));
+            }
+            (self.batch, self.served) = (batch, 0);
         }
-        let mut rec = [0u8; RECORD_BYTES];
-        if let Err(e) = self.reader.read_exact(&mut rec) {
-            return Some(Err(e));
-        }
-        self.read_so_far += 1;
-        Some(self.decode(self.read_so_far - 1, &rec))
+        let update = self.batch.get(self.served).copied()?;
+        self.served += 1;
+        Some(Ok(update))
     }
 }
 
