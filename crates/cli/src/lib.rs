@@ -1572,8 +1572,8 @@ mod tests {
     fn sharded_components_match_unsharded() {
         // One body on every fleet: no `--shards`, one shard and three, on
         // either store at τ 0 and 64, print the same count and graph digest;
-        // at one store and τ, the same census line and the same `--stats`
-        // lines, by key.
+        // at one τ, the same census line on either store and fleet; at one
+        // store and τ, the same `--stats` lines, by key.
         let path = tmp("shards");
         execute(Command::Generate {
             dataset: DatasetArg::Kron(5),
@@ -1600,6 +1600,9 @@ mod tests {
         for store in [StoreArg::Ram, StoreArg::Disk] {
             for tau in [0, 64] {
                 let single = run(None, store, tau);
+                let census = line(&single, "representation: ");
+                let in_ram = line(&run(None, StoreArg::Ram, tau), "representation: ");
+                assert_eq!(census, in_ram, "{store:?} at τ {tau} counts as the RAM store");
                 for shards in [Some(1), Some(3)] {
                     let got = run(shards, store, tau);
                     let what = format!("{shards:?} shards, {store:?}, τ {tau}: {got}");
@@ -1837,8 +1840,7 @@ mod tests {
         let lines: Vec<&str> = out.lines().collect();
         let tree = lines.iter().position(|l| l.starts_with("gutter tree: ")).expect(&out);
         assert_eq!(
-            lines[tree],
-            "gutter tree: reads=0 writes=0 bytes_read=0 bytes_written=0 sparse_promotions=0",
+            lines[tree], "gutter tree: reads=0 writes=0 bytes_read=0 bytes_written=0",
             "{out}"
         );
         assert!(lines[tree + 1].starts_with("ingest: "), "{out}");

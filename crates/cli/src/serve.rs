@@ -1151,7 +1151,7 @@ mod tests {
             format!(
                 "representation: 16 promoted, 0 sparse (0 neighbor entries, 0 sparse bytes); \
                  sketch memory {} bytes",
-                16 * params.node_sketch_bytes()
+                16 * params.node_sketch_resident_bytes()
             )
         );
         // ...the query's seal, which found four records in three gutters...

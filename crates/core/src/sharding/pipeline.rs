@@ -3,9 +3,9 @@
 //! A shard runs a work queue drained by a [`WorkerPool`] of Graph Workers
 //! into a pluggable [`SketchStore`] (RAM or disk) — the paper's ingestion
 //! pipeline (§5.1), which is the whole of a one-shard system. The store
-//! covers only the shard's residue class:
-//! sketch memory is `owned_nodes × node_sketch_bytes`, not
-//! `V × node_sketch_bytes`.
+//! covers only the shard's residue class: dense sketch memory is
+//! `owned_nodes × node_sketch_resident_bytes`, not
+//! `V × node_sketch_resident_bytes`.
 
 use crate::boruvka::RoundSink;
 use crate::checkpoint::{load_checkpoint, write_checkpoint, CheckpointHeader};
@@ -86,7 +86,7 @@ impl ShardView {
     /// view).
     pub(crate) fn overlay_resident_bytes(&self) -> usize {
         self.overlay.as_ref().map_or(0, |overlay| {
-            overlay.captured_sketches() * self.store.params().node_sketch_bytes()
+            overlay.captured_sketches() * self.store.params().node_sketch_resident_bytes()
                 + overlay.captured_sparse_bytes()
         })
     }
@@ -497,7 +497,7 @@ mod tests {
         // exactly one system's worth of sketch memory (16 nodes each).
         let config = ShardConfig::in_ram(64, 4);
         let params = config.params();
-        let per_node = params.node_sketch_bytes();
+        let per_node = params.node_sketch_resident_bytes();
         let shards: Vec<ShardPipeline> =
             (0..4).map(|i| ShardPipeline::new(&config, i).unwrap()).collect();
         for shard in &shards {

@@ -40,23 +40,6 @@ pub fn paper_approximation_bytes(num_nodes: u64) -> u64 {
     (280.0 * num_nodes as f64 * lg * lg) as u64
 }
 
-/// Resident sketch bytes of a *hybrid* store (`sketch_threshold > 0`):
-/// promoted nodes carry the full dense stack; each still-sparse node costs
-/// only 4 bytes per live neighbor (its exact toggle-set). On a sparse
-/// stream where few vertices cross τ this is the tentpole's memory win —
-/// e.g. all-sparse with average degree `d̄` costs `4·d̄·V` bytes against
-/// the dense model's `~280·V·log²(V)`.
-pub fn gz_hybrid_sketch_bytes(
-    num_nodes: u64,
-    rounds: u32,
-    columns: u32,
-    promoted: u64,
-    sparse_entries: u64,
-) -> u64 {
-    let per_dense = gz_sketch_bytes_with(num_nodes, rounds, columns) / num_nodes.max(1);
-    promoted * per_dense + sparse_entries * 4
-}
-
 /// Bytes for an explicit bit-matrix representation (`C(V,2)` bits) — the
 /// dense-graph lossless baseline the sketches undercut.
 pub fn adjacency_matrix_bytes(num_nodes: u64) -> u64 {
@@ -116,23 +99,6 @@ mod tests {
         let beyond =
             gz_sketch_bytes(crossover * 16) as f64 / adjacency_matrix_bytes(crossover * 16) as f64;
         assert!(beyond < at);
-    }
-
-    #[test]
-    fn hybrid_model_interpolates_between_sparse_and_dense() {
-        let v = 1u64 << 13;
-        let rounds = paper_rounds(v);
-        let dense = gz_sketch_bytes(v);
-        // All promoted, nothing sparse: exactly the dense model.
-        assert_eq!(gz_hybrid_sketch_bytes(v, rounds, PAPER_COLUMNS, v, 0), dense);
-        // All sparse at average degree 8: 4 bytes per entry, far below
-        // dense — the ≥5× tentpole target holds with lots of slack.
-        let sparse = gz_hybrid_sketch_bytes(v, rounds, PAPER_COLUMNS, 0, v * 8);
-        assert_eq!(sparse, v * 8 * 4);
-        assert!(sparse * 5 <= dense, "sparse {sparse} vs dense {dense}");
-        // Mixed census sits strictly between.
-        let mixed = gz_hybrid_sketch_bytes(v, rounds, PAPER_COLUMNS, v / 10, (v - v / 10) * 8);
-        assert!(sparse < mixed && mixed < dense);
     }
 
     #[test]

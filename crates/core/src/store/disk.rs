@@ -19,7 +19,8 @@
 //! map lookup, LRU touch, victim choice; and everything that costs time —
 //! the faulted group's read and copy-in, a victim's copy-out and write, the
 //! XOR-merge of a delta — happens under the lock of the one group it
-//! concerns. Lock order: sparse table → cache map → group entry.
+//! concerns. Lock order: a vertex's slot (the hybrid table, τ > 0) → cache
+//! map → group entry.
 //!
 //! Within a group the layout is *round-major*: all nodes' round-0 slices,
 //! then all round-1 slices, and so on. Ingestion always faults whole groups
@@ -38,9 +39,9 @@
 
 use crate::boruvka::RoundSink;
 use crate::node_sketch::{CubeNodeSketch, CubeRoundSketch, SketchParams};
-use crate::sparse::{SparseRoundBatch, SparseSet};
-use crate::store::epoch::{EpochOverlay, EpochRegistry};
-use crate::store::{NodeSet, RepStats, ScratchPool};
+use crate::store::epoch::EpochOverlay;
+use crate::store::hybrid::Hybrid;
+use crate::store::{NodeSet, ScratchPool};
 use gz_gutters::{CounterSet, IoStats};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::borrow::Cow;
@@ -154,8 +155,6 @@ struct RoundClaims<'a> {
     live: &'a (dyn Fn(u32) -> bool + Sync),
     /// The sealed epoch being read; `None` = the live state.
     overlay: Option<&'a EpochOverlay>,
-    /// Slots that are sparse at the streamed instant.
-    skip: HashSet<usize>,
     /// The groups to visit, in slot order.
     wanted: Vec<u32>,
     /// Index into `wanted` of the next unclaimed group.
@@ -218,20 +217,14 @@ pub struct DiskStore {
     /// (rebuilt from its kind and message) instead of touching the file.
     first_error: Mutex<Option<(std::io::ErrorKind, String)>>,
     io: Arc<IoStats>,
-    /// Live sealed epochs. The copy-on-write "group" is the node group:
-    /// captures happen under the group's lock, on the clean→dirty
-    /// transition of a cached group (a clean group's value equals the
-    /// file's, which is the sealed value for every epoch still lacking the
-    /// group).
-    epochs: EpochRegistry,
-    /// Promotion threshold τ: a node's exact toggle-set is replayed into a
-    /// dense sketch once it exceeds τ live neighbors. 0 = always dense.
-    threshold: u32,
-    /// Per-slot sparse representation; `None` means the slot is dense
-    /// (promoted, or τ = 0). Sparse slots' file bytes stay all-zero and are
-    /// never authoritative — readers must skip them. Lock order: this table
-    /// before the cache lock (promotion holds both).
-    sparse: Mutex<Vec<Option<SparseSet>>>,
+    /// Each slot's representation (`store::hybrid`, DESIGN.md §12); no table at
+    /// τ = 0. A sparse slot's file bytes stay all-zero and are never
+    /// authoritative — readers skip them. Its epochs' dense copy-on-write
+    /// "group" is the node group: captures happen under the group's lock,
+    /// on the clean→dirty transition of a cached group (a clean group's
+    /// value equals the file's, which is the sealed value for every epoch
+    /// still lacking the group).
+    pub(crate) reps: Hybrid<()>,
     #[cfg(test)]
     probe: CacheProbe,
 }
@@ -288,12 +281,8 @@ impl DiskStore {
             .open(&path)?;
         file.set_len(num_groups as u64 * group_size as u64 * node_bytes as u64)?;
 
-        let sparse = if threshold == 0 {
-            vec![None; num_slots as usize]
-        } else {
-            (0..num_slots).map(|_| Some(SparseSet::new())).collect()
-        };
         Ok(DiskStore {
+            reps: Hybrid::new(Arc::clone(&params), node_set, threshold, None),
             scratch: ScratchPool::new(Arc::clone(&params)),
             graph: super::GraphDigestStripes::new(),
             params,
@@ -312,9 +301,6 @@ impl DiskStore {
             writeback_landed: Condvar::new(),
             first_error: Mutex::new(None),
             io: Arc::new(IoStats::new()),
-            epochs: EpochRegistry::new(),
-            threshold,
-            sparse: Mutex::new(sparse),
             #[cfg(test)]
             probe: CacheProbe::default(),
         })
@@ -342,13 +328,7 @@ impl DiskStore {
     /// ingestion first. Fails with the store's first batch-application
     /// error, if there was one.
     pub fn begin_epoch(&self) -> std::io::Result<(u64, Arc<EpochOverlay>)> {
-        self.writeback_dirty(|| self.epochs.register())
-    }
-
-    /// Pre-images cloned for epochs so far
-    /// (see [`crate::store::SketchStore::epoch_captures`]).
-    pub fn epoch_captures(&self) -> u64 {
-        self.epochs.captures()
+        self.writeback_dirty(|| self.reps.epochs.register())
     }
 
     /// Write every dirty cached group back to the file, coalescing runs of
@@ -522,10 +502,10 @@ impl DiskStore {
     /// Hand `claims`' consumer the round slice of each of `group`'s live
     /// nodes: borrowed from `sealed`, an epoch's captured pre-image of the
     /// group, when there is one, and otherwise copied from `bytes`, the
-    /// group's round slice as read from the file. Slots in
-    /// `claims.skip` are never emitted: their file bytes and pre-image
-    /// entries are all-zero padding, not their state, which the sparse
-    /// pass serves instead.
+    /// group's round slice as read from the file. Slots that were sparse at
+    /// the seal are never emitted: their file bytes and pre-image entries
+    /// are all-zero padding, not their state, which the sparse pass serves
+    /// instead.
     fn emit_group(
         &self,
         claims: &RoundClaims<'_>,
@@ -539,7 +519,7 @@ impl DiskStore {
         let start = (group * self.group_size) as usize;
         for i in 0..self.nodes_in_group(group) as usize {
             let node = self.node_set.node(start + i);
-            if !(claims.live)(node) || claims.skip.contains(&(start + i)) {
+            if !(claims.live)(node) || self.reps.is_sparse(start + i, claims.overlay) {
                 continue;
             }
             emit(
@@ -554,27 +534,6 @@ impl DiskStore {
                 },
             );
         }
-    }
-
-    /// Slots holding a sparse representation at the instant `overlay`
-    /// sealed (`None` = now, under quiesced ingestion): the still-live
-    /// sparse slots plus the overlay's captured sparse pre-images.
-    /// Promotion is monotone and every post-seal sparse mutation captures
-    /// its pre-image *under the table lock* before touching the set, so
-    /// taking that same lock here makes the union exactly "sparse at seal"
-    /// — a stable set, safe to snapshot once per round stream even while
-    /// ingestion keeps promoting. Empty, and cheap, at τ = 0.
-    fn sparse_slots(&self, overlay: Option<&EpochOverlay>) -> HashSet<usize> {
-        if self.threshold == 0 {
-            return HashSet::new();
-        }
-        let table = self.sparse.lock();
-        (0..table.len())
-            .filter(|&slot| {
-                table[slot].is_some()
-                    || overlay.is_some_and(|o| o.get_sparse(slot as u32).is_some())
-            })
-            .collect()
     }
 
     /// Run `f` with mutable access to a cached group, faulting it in (and
@@ -597,7 +556,7 @@ impl DiskStore {
                 // before any write-back of the mutated group, which is what
                 // lets epoch readers trust the file for non-captured groups.
                 let sketches = &state.sketches;
-                self.epochs.capture_group(group, &mut || sketches.clone());
+                self.reps.epochs.capture_group(group, &mut || sketches.clone());
                 state.dirty = true;
             }
             f(&mut state.sketches)
@@ -715,12 +674,9 @@ impl DiskStore {
     /// Apply a batch of encoded records to `node` (which must be owned).
     ///
     /// While the node is sparse the batch only toggles its exact
-    /// neighbor-set — no group fault, no file traffic. Crossing τ promotes:
-    /// the set is replayed through the batch kernel into a dense sketch
-    /// (bit-identical to having been dense all along, because sketch state
-    /// is XOR-linear in the toggled indices) and written into the node's
-    /// group slot. The epoch pre-image is captured under the table lock
-    /// *before* the first toggle, so sealed readers see the pre-batch set.
+    /// neighbor-set (`Hybrid::apply_sparse`) — no group fault, no file
+    /// traffic. Crossing τ promotes: the replayed stack is written into the
+    /// node's place in its group, under the slot lock.
     ///
     /// A dense node's batch goes through the batch kernel into a scratch
     /// sketch first, with no lock held, and only the XOR of that delta into
@@ -732,37 +688,20 @@ impl DiskStore {
     /// every later [`Self::flush`] and [`Self::begin_epoch`].
     pub fn apply_batch(&self, node: u32, records: &[u32]) {
         let slot = self.node_set.slot(node);
-        if self.threshold > 0 {
-            let mut table = self.sparse.lock();
-            if let Some(set) = table[slot].as_mut() {
-                self.epochs.capture_sparse(slot as u32, &mut || set.clone());
-                if set.toggle_batch(node, records) > self.threshold as usize {
-                    let dense = set.densify(node, &self.params);
-                    table[slot] = None;
-                    self.promote(slot, dense);
-                }
-                return;
-            }
+        // A failure is on record in the store, here and below.
+        let promoted = |stack| drop(self.with_stack(slot, |dst| *dst = stack));
+        if !self.reps.apply_sparse(slot, node, records, promoted) {
+            self.scratch.with_delta(node, records, |delta| {
+                drop(self.with_stack(slot, |dst| dst.merge(delta)))
+            });
         }
-        self.scratch.with_delta(node, records, |delta| self.merge_dense(slot, delta));
     }
 
-    /// Install a just-promoted vertex's dense sketch in its group slot. The
-    /// caller holds the table lock across the group write: readers that
-    /// saw the slot leave the table are ordered after its sparse capture,
-    /// so the epoch protocol stays airtight.
-    fn promote(&self, slot: usize, dense: CubeNodeSketch) {
-        self.io.sparse_promotions.add(1);
+    /// Run `f` on the dense stack at `slot`, in its group, under the
+    /// group's lock ([`Self::with_group`]).
+    fn with_stack(&self, slot: usize, f: impl FnOnce(&mut CubeNodeSketch)) -> std::io::Result<()> {
         let local = slot % self.group_size as usize;
-        // A failure is on record in the store; see `apply_batch`.
-        let _ = self.with_group(self.group_of_slot(slot), |sketches| sketches[local] = dense);
-    }
-
-    /// XOR `delta` into the dense sketch at `slot`.
-    fn merge_dense(&self, slot: usize, delta: &CubeNodeSketch) {
-        let local = slot % self.group_size as usize;
-        // A failure is on record in the store; see `apply_batch`.
-        let _ = self.with_group(self.group_of_slot(slot), |sketches| sketches[local].merge(delta));
+        self.with_group(self.group_of_slot(slot), |sketches| f(&mut sketches[local]))
     }
 
     /// The graph digest's per-worker stripes.
@@ -794,21 +733,20 @@ impl DiskStore {
         if overlay.is_none() {
             self.flush()?;
         }
-        let skip = self.sparse_slots(overlay);
-        // Visit the groups with at least one live node outside `skip`, in
-        // slot order: an all-sparse group's file bytes are untouched zeros.
+        // Visit the groups with at least one live node that was dense at the
+        // seal, in slot order: an all-sparse group's file bytes are zeros.
         let wanted = (0..self.num_groups())
             .filter(|&g| {
                 let start = (g * self.group_size) as usize;
-                (0..self.nodes_in_group(g) as usize)
-                    .any(|i| !skip.contains(&(start + i)) && live(self.node_set.node(start + i)))
+                (start..start + self.nodes_in_group(g) as usize).any(|slot| {
+                    live(self.node_set.node(slot)) && !self.reps.is_sparse(slot, overlay)
+                })
             })
             .collect();
         Ok(RoundClaims {
             round,
             live,
             overlay,
-            skip,
             wanted,
             next: AtomicUsize::new(0),
             first_error: Mutex::new(None),
@@ -890,7 +828,7 @@ impl DiskStore {
         pool: &gz_gutters::WorkerPool,
         sinks: &[Mutex<RoundSink<'_, CubeRoundSketch>>],
     ) -> std::io::Result<()> {
-        self.fold_sparse_round(round, live, overlay, pool, sinks);
+        self.reps.fold_round(round, live, overlay, pool, sinks, |_, _, ()| {});
         let claims = self.begin_round(round, live, overlay)?;
         pool.run(&|w| {
             let mut sink = sinks[w].lock();
@@ -905,195 +843,43 @@ impl DiskStore {
         threads * self.group_size as usize * self.params.round_resident_bytes(round)
     }
 
+    /// The dense stacks of the node group holding `slots`, read through
+    /// the cache without dirtying it — what the hybrid layer's encoders
+    /// read a chunk's stacks with.
+    fn read_chunk(
+        &self,
+        slots: std::ops::Range<usize>,
+        f: &mut dyn FnMut(&[CubeNodeSketch]),
+    ) -> std::io::Result<()> {
+        self.read_group(self.group_of_slot(slots.start), f)
+    }
+
     /// Clone out every owned node sketch, indexed by slot (a full scan
     /// through the cache, counting the reads — the paper's "single scan"
-    /// query prologue, Lemma 5).
+    /// query prologue, Lemma 5); sparse slots densified by replay.
     pub fn snapshot(&self) -> Vec<Option<CubeNodeSketch>> {
-        let num_groups = self.num_groups();
-        let mut out = Vec::with_capacity(self.node_set.len());
-        for group in 0..num_groups {
-            let sketches =
-                self.read_group(group, |s| s.to_vec()).expect("disk store snapshot read failed");
-            for s in sketches {
-                out.push(Some(s));
-            }
-        }
-        // Sparse slots' file/cached bytes are zeros; their true state is the
-        // toggle-set, densified by replay (bit-identical to always-dense).
-        if self.threshold > 0 {
-            let table = self.sparse.lock();
-            for (slot, set) in table.iter().enumerate() {
-                if let Some(set) = set {
-                    out[slot] = Some(set.densify(self.node_set.node(slot), &self.params));
-                }
-            }
-        }
-        out
+        self.reps.snapshot(self.group_size as usize, &|slots, f| self.read_chunk(slots, f))
     }
 
     /// Hand `f` every owned node's encoded sketch stack in slot order, one
-    /// node group at a time: the group is read through the cache without
-    /// dirtying it, its nodes encoded — a sparse slot densified by replay
-    /// and dropped — under its lock, and `f` called for each once the locks
+    /// node group at a time: the group's slots locked, the group read
+    /// through the cache without dirtying it, its nodes encoded — a sparse
+    /// slot densified by replay — and `f` called for each once the locks
     /// are gone. Holds one group's encoding, never the store.
     pub fn for_each_serialized(
         &self,
         f: &mut dyn FnMut(u32, &[u8]) -> std::io::Result<()>,
     ) -> std::io::Result<()> {
-        let node_bytes = self.node_bytes;
-        let mut bytes = Vec::with_capacity(self.group_size as usize * node_bytes);
-        for group in 0..self.num_groups() {
-            let start = (group * self.group_size) as usize;
-            bytes.clear();
-            {
-                // Lock order: the sparse table before the cache.
-                let table = (self.threshold > 0).then(|| self.sparse.lock());
-                self.read_group(group, |sketches| {
-                    for (i, sketch) in sketches.iter().enumerate() {
-                        let slot = start + i;
-                        match table.as_ref().and_then(|table| table[slot].as_ref()) {
-                            Some(set) => self.params.serialize_node_sketch(
-                                &set.densify(self.node_set.node(slot), &self.params),
-                                &mut bytes,
-                            ),
-                            None => self.params.serialize_node_sketch(sketch, &mut bytes),
-                        }
-                    }
-                })?;
-            }
-            for (i, node) in bytes.chunks_exact(node_bytes).enumerate() {
-                f(self.node_set.node(start + i), node)?;
-            }
-        }
-        Ok(())
+        self.reps.for_each_serialized(self.group_size as usize, &|s, g| self.read_chunk(s, g), f)
     }
 
     /// Replace every node sketch (checkpoint restore), in slot order.
     /// Sparse slots are retired to dense first (checkpoints store dense
     /// state); their pre-images are captured for any sealed epoch.
     pub fn load_all(&self, sketches: Vec<CubeNodeSketch>) {
-        assert_eq!(sketches.len(), self.node_set.len());
-        if self.threshold > 0 {
-            let mut table = self.sparse.lock();
-            for slot in 0..table.len() {
-                if let Some(set) = table[slot].as_mut() {
-                    self.epochs.capture_sparse(slot as u32, &mut || set.clone());
-                    table[slot] = None;
-                }
-            }
-        }
-        for (slot, sketch) in sketches.into_iter().enumerate() {
-            let group = self.group_of_slot(slot);
-            let local = slot % self.group_size as usize;
-            self.with_group(group, |group_sketches| {
-                group_sketches[local] = sketch;
-            })
-            .expect("disk store load failed");
-        }
-    }
-
-    /// Total sketch bytes of the owned nodes under the paper's 12-byte
-    /// model (the file holds the resident words, 2/3 of it below `2^32`).
-    pub fn sketch_bytes(&self) -> usize {
-        self.params.node_sketch_bytes() * self.node_set.len()
-    }
-
-    /// Visit the exact set of every owned, still-`live` sparse slot in
-    /// `slots`, as sealed by `overlay` (`None` = the live state): an overlay
-    /// pre-image outranks the live set (the slot toggled or promoted after
-    /// the seal); a live sparse slot with no capture is unchanged since the
-    /// seal. The whole visit runs under the table lock, so a concurrent
-    /// promotion is seen either as still-live or as its (mandatory) capture
-    /// — never neither. Visits nothing at τ = 0, without touching the table.
-    fn visit_sparse(
-        &self,
-        slots: std::ops::Range<usize>,
-        live: &(dyn Fn(u32) -> bool + Sync),
-        overlay: Option<&EpochOverlay>,
-        f: &mut dyn FnMut(u32, &SparseSet),
-    ) {
-        if self.threshold == 0 {
-            return;
-        }
-        let table = self.sparse.lock();
-        for slot in slots {
-            let node = self.node_set.node(slot);
-            if !live(node) {
-                continue;
-            }
-            match overlay.and_then(|o| o.get_sparse(slot as u32)) {
-                Some(pre) => f(node, &pre),
-                None => {
-                    if let Some(set) = &table[slot] {
-                        f(node, set);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Visit every owned, still-`live` sparse vertex's exact set in slot
-    /// order (see [`crate::store::SketchStore::for_each_sparse`]).
-    pub fn for_each_sparse(
-        &self,
-        live: &(dyn Fn(u32) -> bool + Sync),
-        overlay: Option<&EpochOverlay>,
-        f: &mut dyn FnMut(u32, &SparseSet),
-    ) {
-        self.visit_sparse(0..self.node_set.len(), live, overlay, f);
-    }
-
-    /// The sparse half of a round fold: slots are partitioned into
-    /// contiguous ranges, one per pool worker; each worker queues its live
-    /// sparse vertices' neighbors under the table lock, releases it, and
-    /// XORs them into its own sink's supernode accumulators in place. No
-    /// file traffic, and no slice is built.
-    fn fold_sparse_round(
-        &self,
-        round: usize,
-        live: &(dyn Fn(u32) -> bool + Sync),
-        overlay: Option<&EpochOverlay>,
-        pool: &gz_gutters::WorkerPool,
-        sinks: &[Mutex<RoundSink<'_, CubeRoundSketch>>],
-    ) {
-        if self.threshold == 0 {
-            return;
-        }
-        pool.run(&|w| {
-            let mut sink = sinks[w].lock();
-            let mut sparse = SparseRoundBatch::default();
-            self.visit_sparse(
-                pool.partition(self.node_set.len(), w),
-                live,
-                overlay,
-                &mut |node, set| {
-                    sparse.push(
-                        &mut sink,
-                        node,
-                        set.neighbors().iter().copied(),
-                        self.params.num_nodes,
-                    )
-                },
-            );
-            sparse.fold_into(&mut sink, &self.params, round);
+        self.reps.load_all(sketches, |slot, _, stack| {
+            self.with_stack(slot, |dst| *dst = stack).expect("disk store load failed")
         });
-    }
-
-    /// Representation census: promoted vs sparse slot counts and total
-    /// sparse entries (for memory accounting and `--stats` reporting).
-    pub fn rep_stats(&self) -> RepStats {
-        let table = self.sparse.lock();
-        let mut stats = RepStats { promoted: 0, sparse: 0, sparse_entries: 0 };
-        for set in table.iter() {
-            match set {
-                Some(set) => {
-                    stats.sparse += 1;
-                    stats.sparse_entries += set.len();
-                }
-                None => stats.promoted += 1,
-            }
-        }
-        stats
     }
 }
 
@@ -1108,6 +894,7 @@ impl Drop for DiskStore {
 mod tests {
     use super::*;
     use crate::node_sketch::{encode_other, update_index};
+    use crate::store::SketchStore;
     use gz_sketch::SampleResult;
     use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -1243,7 +1030,7 @@ mod tests {
     #[test]
     fn strided_store_covers_owned_slots_only() {
         let params = Arc::new(SketchParams::new(20, 3, 7, 7));
-        let per_node = params.node_sketch_bytes();
+        let per_node = params.node_sketch_resident_bytes();
         let path = tmp("strided");
         let shard = DiskStore::for_nodes(
             Arc::clone(&params),
@@ -1254,7 +1041,7 @@ mod tests {
         )
         .unwrap();
         // Shard 2 of 4 over 20 nodes owns {2, 6, 10, 14, 18}.
-        assert_eq!(shard.sketch_bytes(), per_node * 5);
+        assert_eq!(shard.reps.sketch_bytes(), per_node * 5);
         shard.apply_batch(6, &[encode_other(1, false)]);
         let mut owned = Vec::new();
         shard
@@ -1498,11 +1285,10 @@ mod tests {
             s.apply_batch(node, &[encode_other((node + 2) % 16, false)]);
         }
         assert_eq!(s.io_stats().total_ops(), 0, "sparse ingestion must be I/O-free");
-        let stats = s.rep_stats();
+        let stats = s.reps.rep_stats();
         assert_eq!(stats.sparse, 16);
         assert_eq!(stats.promoted, 0);
         assert_eq!(stats.sparse_entries, 32);
-        assert_eq!(s.io_stats().sparse_promotions(), 0);
     }
 
     #[test]
@@ -1529,8 +1315,7 @@ mod tests {
             hybrid.apply_batch(a, &[encode_other(b, del)]);
             dense.apply_batch(a, &[encode_other(b, del)]);
         }
-        assert_eq!(hybrid.io_stats().sparse_promotions(), 1);
-        let stats = hybrid.rep_stats();
+        let stats = hybrid.reps.rep_stats();
         assert_eq!(stats.promoted, 1);
         assert_eq!(stats.sparse, 11);
         let (sh, sd) = (hybrid.snapshot(), dense.snapshot());
@@ -1552,7 +1337,7 @@ mod tests {
             s.apply_batch(4, &[encode_other(other, false)]);
         }
         s.apply_batch(7, &[encode_other(1, false)]); // stays sparse
-        assert_eq!(s.io_stats().sparse_promotions(), 1);
+        assert_eq!(s.reps.rep_stats().promoted, 1);
         let before = s.io_stats().reads();
         let mut seen = Vec::new();
         s.stream_round_dense(0, &|_| true, None, &mut |node, _| seen.push(node)).unwrap();
@@ -1560,7 +1345,7 @@ mod tests {
         assert_eq!(s.io_stats().reads() - before, 1, "all-sparse groups must not be read");
         // Sparse nodes are served from their sets; check the raw sets here.
         let mut sets = Vec::new();
-        s.for_each_sparse(&|_| true, None, &mut |n, set| sets.push((n, set.clone())));
+        s.reps.for_each_sparse(&|_| true, None, &mut |n, set| sets.push((n, set.clone())));
         assert!(sets.iter().any(|(n, set)| *n == 7 && set.neighbors() == [1]));
         assert!(!sets.iter().any(|(n, _)| *n == 4), "promoted node must leave the table");
     }
@@ -1716,7 +1501,7 @@ mod tests {
         // batch evicts a dirty group and a later one refaults it: the state
         // must come back from the file as a RAM store holds it.
         use crate::config::LockingStrategy;
-        use crate::store::{ram::RamStore, SketchStore};
+        use crate::store::ram::RamStore;
         let v = 100_000u64;
         let params = Arc::new(SketchParams::new(v, 3, 3, 7));
         assert!(params.families[0].geometry().vector_len >= 1 << 32);
@@ -1763,45 +1548,47 @@ mod tests {
             .collect()
     }
 
+    const STRESS_THREADS: u32 = 4;
+    const STRESS_NODES: u32 = 32;
+    const STRESS_BATCHES: u32 = 120;
+
     /// The stress stream: thread `t`'s `i`-th batch. Nodes stride through
     /// the slots so the four threads keep colliding on the same groups.
-    fn stress_batch(t: u32, i: u32, num_nodes: u32) -> (u32, Vec<u32>) {
-        let node = (i * 7 + t * 3) % num_nodes;
+    /// Until the seal (the first half), a node of the upper half gets one
+    /// record a batch toward one of three neighbors, so at τ = 4 it is still
+    /// sparse when the seal lands and promotes after it; the lower half's
+    /// five-record batches promote it before.
+    fn stress_batch(t: u32, i: u32) -> (u32, Vec<u32>) {
+        let n = STRESS_NODES;
+        let node = (i * 7 + t * 3) % n;
+        if i < STRESS_BATCHES / 2 && node >= n / 2 {
+            return (node, vec![encode_other((node + 1 + i % 3) % n, false)]);
+        }
         let records = (0..5)
-            .map(|j| {
-                encode_other(
-                    (node + 1 + (t * 31 + i * 11 + j * 5) % (num_nodes - 1)) % num_nodes,
-                    false,
-                )
-            })
+            .map(|j| encode_other((node + 1 + (t * 31 + i * 11 + j * 5) % (n - 1)) % n, false))
             .collect();
         (node, records)
     }
 
-    /// One lane of the stress test: `THREADS` workers apply interleaved
-    /// batches over overlapping groups, an epoch is sealed midway (at a
-    /// barrier — sealing needs quiesced ingestion) and streamed by a fifth
-    /// thread while the second half lands.
-    fn stress_lane(cache: usize, group_size: usize) {
+    /// One lane of the stress test: `STRESS_THREADS` workers apply
+    /// interleaved batches to `store` (over overlapping groups, on disk), an
+    /// epoch is sealed midway (at a barrier — sealing needs quiesced
+    /// ingestion) and read by a fifth thread while the second half lands —
+    /// sparse-at-seal vertices through their sets, the rest through the
+    /// dense round stream — and the final state must be a serial
+    /// always-dense `RamStore`'s, bit for bit. At τ = 4 vertices promote
+    /// both before and after the seal.
+    fn stress_lane(store: SketchStore, tau: u32, lane: &str) {
         use crate::config::LockingStrategy;
         use crate::store::ram::RamStore;
-        const THREADS: u32 = 4;
-        const NODES: u32 = 32;
-        const BATCHES: u32 = 120;
-
-        let lane = format!("cache {cache} group {group_size}");
-        let params = Arc::new(SketchParams::new(NODES as u64, 3, 7, 7));
-        let block = group_size * params.node_sketch_resident_bytes();
-        let path = tmp("stress");
-        let store = DiskStore::new(Arc::clone(&params), path.to_path_buf(), block, cache).unwrap();
-        assert_eq!(store.group_size() as usize, group_size, "{lane}");
+        let params = Arc::clone(store.params());
 
         // The serial reference, and its state at the seal.
         let reference = RamStore::new(Arc::clone(&params), LockingStrategy::Direct);
         let apply_half = |half: u32| {
-            for t in 0..THREADS {
-                for i in half * BATCHES / 2..(half + 1) * BATCHES / 2 {
-                    let (node, records) = stress_batch(t, i, NODES);
+            for t in 0..STRESS_THREADS {
+                for i in half * STRESS_BATCHES / 2..(half + 1) * STRESS_BATCHES / 2 {
+                    let (node, records) = stress_batch(t, i);
                     reference.apply_batch(node, &records);
                 }
             }
@@ -1810,43 +1597,45 @@ mod tests {
         let sealed = reference.snapshot();
         apply_half(1);
 
-        // Every live node's slice of every round, as the epoch streams it,
-        // must be the serial reference's at the seal.
-        let assert_streams_sealed_bytes = |overlay: &EpochOverlay, when: &str| {
+        // Every node's slice of every round, as the epoch reads it, must be
+        // the serial reference's at the seal.
+        let assert_reads_sealed_bytes = |overlay: &EpochOverlay, when: &str| {
             for round in 0..params.rounds() {
                 let mut seen = 0;
+                let mut check = |node: u32, slice: &CubeRoundSketch| {
+                    let (mut got, mut want) = (Vec::new(), Vec::new());
+                    slice.append_words(&mut got);
+                    sealed[node as usize].as_ref().unwrap().round(round).append_words(&mut want);
+                    assert_eq!(got, want, "{lane}: node {node} round {round} {when}");
+                    seen += 1;
+                };
+                store.for_each_sparse(&|_| true, Some(overlay), &mut |node, set| {
+                    check(node, &set.synthesize_round(node, &params, round))
+                });
                 store
                     .stream_round_dense(round, &|_| true, Some(overlay), &mut |node, slice| {
-                        let (mut got, mut want) = (Vec::new(), Vec::new());
-                        slice.append_words(&mut got);
-                        sealed[node as usize]
-                            .as_ref()
-                            .unwrap()
-                            .round(round)
-                            .append_words(&mut want);
-                        assert_eq!(got, want, "{lane}: node {node} round {round} {when}");
-                        seen += 1;
+                        check(node, slice)
                     })
                     .unwrap();
-                assert_eq!(seen, NODES, "{lane}: round {round} {when}");
+                assert_eq!(seen, STRESS_NODES, "{lane}: round {round} {when}");
             }
         };
 
-        let barrier = std::sync::Barrier::new(THREADS as usize + 1);
+        let barrier = std::sync::Barrier::new(STRESS_THREADS as usize + 1);
         let ingesting = AtomicBool::new(true);
         let overlay_cell = std::sync::OnceLock::new();
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..THREADS)
+        let promoted_at_seal = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..STRESS_THREADS)
                 .map(|t| {
                     let (store, barrier) = (&store, &barrier);
                     scope.spawn(move || {
                         barrier.wait(); // start together
-                        for i in 0..BATCHES {
-                            if i == BATCHES / 2 {
+                        for i in 0..STRESS_BATCHES {
+                            if i == STRESS_BATCHES / 2 {
                                 barrier.wait(); // first half applied everywhere
                                 barrier.wait(); // epoch sealed
                             }
-                            let (node, records) = stress_batch(t, i, NODES);
+                            let (node, records) = stress_batch(t, i);
                             store.apply_batch(node, &records);
                         }
                     })
@@ -1857,18 +1646,18 @@ mod tests {
             barrier.wait();
             // Every group fault so far was one read: no group was read
             // twice by two workers that wanted it at once, none skipped.
-            assert_eq!(
-                store.io_stats().reads(),
-                store.probe.faults.load(Ordering::Relaxed),
-                "{lane}"
-            );
+            if let SketchStore::Disk(disk) = &store {
+                let faults = disk.probe.faults.load(Ordering::Relaxed);
+                assert_eq!(disk.io_stats().reads(), faults, "{lane}");
+            }
             let (_, overlay) = store.begin_epoch().unwrap();
             let overlay = overlay_cell.get_or_init(|| overlay);
+            let promoted_at_seal = store.rep_stats().promoted;
             barrier.wait();
 
             let reader = scope.spawn(|| {
                 while ingesting.load(Ordering::Relaxed) {
-                    assert_streams_sealed_bytes(overlay, "under ingestion");
+                    assert_reads_sealed_bytes(overlay, "under ingestion");
                 }
             });
             for worker in workers {
@@ -1876,31 +1665,71 @@ mod tests {
             }
             ingesting.store(false, Ordering::Relaxed);
             reader.join().expect("epoch reader");
-            assert_streams_sealed_bytes(overlay, "after ingestion");
+            assert_reads_sealed_bytes(overlay, "after ingestion");
+            promoted_at_seal
         });
 
+        let promoted = store.rep_stats().promoted;
+        if tau == 0 {
+            assert_eq!((promoted_at_seal, promoted), (32, 32), "{lane}");
+        } else {
+            assert_eq!(promoted_at_seal, 16, "{lane}: the lower half promoted before the seal");
+            assert_eq!(promoted, 32, "{lane}: the upper half promoted after it");
+        }
         assert_eq!(
             serialized(&params, store.snapshot()),
             serialized(&params, reference.snapshot()),
             "{lane}: final state"
         );
-        let peak = store.probe.resident_peak.load(Ordering::Relaxed);
-        eprintln!(
-            "{lane}: {} faults, {} refault waits, peak {peak} groups resident",
-            store.probe.faults.load(Ordering::Relaxed),
-            store.probe.refault_waits.load(Ordering::Relaxed),
-        );
-        // The snapshot above ran on this thread: one more faulting worker.
-        assert!(peak <= cache + THREADS as usize + 1, "{lane}: {peak} groups resident");
-        store.flush().unwrap();
+        if let SketchStore::Disk(disk) = &store {
+            let peak = disk.probe.resident_peak.load(Ordering::Relaxed);
+            eprintln!(
+                "{lane}: {} faults, {} refault waits, peak {peak} groups resident",
+                disk.probe.faults.load(Ordering::Relaxed),
+                disk.probe.refault_waits.load(Ordering::Relaxed),
+            );
+            // The snapshot above ran on this thread: one more faulting worker.
+            let bound = disk.cache_capacity + STRESS_THREADS as usize + 1;
+            assert!(peak <= bound, "{lane}: {peak} groups resident");
+            disk.flush().unwrap();
+        }
     }
 
     #[test]
     fn concurrent_batches_match_serial_ram_store_bitwise() {
-        for cache in [1, 2, 8] {
-            for group_size in [1, 4] {
-                stress_lane(cache, group_size);
+        use crate::config::LockingStrategy;
+        use crate::store::ram::RamStore;
+        let params = Arc::new(SketchParams::new(STRESS_NODES as u64, 3, 7, 7));
+        let all = NodeSet::all(STRESS_NODES as u64);
+        for tau in [0, 4] {
+            for cache in [1, 2, 8] {
+                for group_size in [1, 4] {
+                    let block = group_size * params.node_sketch_resident_bytes();
+                    let path = tmp("stress");
+                    let disk = DiskStore::for_nodes_with_threshold(
+                        Arc::clone(&params),
+                        all,
+                        path.to_path_buf(),
+                        block,
+                        cache,
+                        tau,
+                    )
+                    .unwrap();
+                    assert_eq!(disk.group_size() as usize, group_size);
+                    stress_lane(
+                        SketchStore::Disk(disk),
+                        tau,
+                        &format!("disk, cache {cache} group {group_size}, τ {tau}"),
+                    );
+                }
             }
+            let ram = RamStore::for_nodes_with_threshold(
+                Arc::clone(&params),
+                LockingStrategy::DeltaSketch,
+                all,
+                tau,
+            );
+            stress_lane(SketchStore::Ram(ram), tau, &format!("ram, τ {tau}"));
         }
     }
 
@@ -1975,7 +1804,7 @@ mod tests {
         s.apply_batch(0, &[encode_other(3, false)]);
         let replacement = s.snapshot().into_iter().map(Option::unwrap).collect::<Vec<_>>();
         s.load_all(replacement);
-        let stats = s.rep_stats();
+        let stats = s.reps.rep_stats();
         assert_eq!(stats.sparse, 0, "restore must leave every slot dense");
         assert_eq!(
             s.snapshot()[0].as_ref().unwrap().sample_round(0),

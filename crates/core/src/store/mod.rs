@@ -17,6 +17,7 @@
 
 pub mod disk;
 pub mod epoch;
+pub(crate) mod hybrid;
 pub mod ram;
 
 pub use disk::IoBackendConfig;
@@ -287,11 +288,13 @@ impl SketchStore {
         }
     }
 
-    /// Total sketch payload bytes (paper's memory accounting).
+    /// Resident sketch bytes of the owned nodes, wherever they live: a
+    /// promoted vertex's stack at its resident words, a sparse one at 4
+    /// bytes a live neighbor (the census's `sketch memory`).
     pub fn sketch_bytes(&self) -> usize {
         match self {
-            SketchStore::Ram(s) => s.sketch_bytes(),
-            SketchStore::Disk(s) => s.sketch_bytes(),
+            SketchStore::Ram(s) => s.reps.sketch_bytes(),
+            SketchStore::Disk(s) => s.reps.sketch_bytes(),
         }
     }
 
@@ -370,8 +373,8 @@ impl SketchStore {
         f: &mut dyn FnMut(u32, &SparseSet),
     ) {
         match self {
-            SketchStore::Ram(s) => s.for_each_sparse(live, overlay, f),
-            SketchStore::Disk(s) => s.for_each_sparse(live, overlay, f),
+            SketchStore::Ram(s) => s.reps.for_each_sparse(live, overlay, f),
+            SketchStore::Disk(s) => s.reps.for_each_sparse(live, overlay, f),
         }
     }
 
@@ -409,7 +412,7 @@ impl SketchStore {
     /// authoritative for the sealed generation.
     pub fn begin_epoch(&self) -> Result<(u64, Arc<EpochOverlay>), GzError> {
         match self {
-            SketchStore::Ram(s) => Ok(s.begin_epoch()),
+            SketchStore::Ram(s) => Ok(s.reps.epochs.register()),
             SketchStore::Disk(s) => Ok(s.begin_epoch()?),
         }
     }
@@ -421,16 +424,16 @@ impl SketchStore {
     /// epoch was let go first clones nothing in its flush.
     pub fn epoch_captures(&self) -> u64 {
         match self {
-            SketchStore::Ram(s) => s.epoch_captures(),
-            SketchStore::Disk(s) => s.epoch_captures(),
+            SketchStore::Ram(s) => s.reps.epochs.captures(),
+            SketchStore::Disk(s) => s.reps.epochs.captures(),
         }
     }
 
     /// Representation census (promoted vs sparse vertices).
     pub fn rep_stats(&self) -> RepStats {
         match self {
-            SketchStore::Ram(s) => s.rep_stats(),
-            SketchStore::Disk(s) => s.rep_stats(),
+            SketchStore::Ram(s) => s.reps.rep_stats(),
+            SketchStore::Disk(s) => s.reps.rep_stats(),
         }
     }
 

@@ -11,55 +11,38 @@
 use crate::boruvka::RoundSink;
 use crate::config::LockingStrategy;
 use crate::node_sketch::{CubeNodeSketch, CubeRoundSketch, SketchParams};
-use crate::sparse::{SparseRoundBatch, SparseSet};
-use crate::store::epoch::{EpochOverlay, EpochRegistry};
-use crate::store::{NodeSet, RepStats, ScratchPool};
+use crate::store::epoch::EpochOverlay;
+use crate::store::hybrid::{Home, Hybrid, Rep, Sealed};
+use crate::store::{NodeSet, ScratchPool};
 use parking_lot::Mutex;
 use std::sync::Arc;
-
-/// One vertex's current representation (DESIGN.md §12).
-///
-/// Every vertex starts [`NodeRep::Sparse`] when the store's threshold `τ`
-/// is non-zero and is promoted to [`NodeRep::Dense`] — by replaying its
-/// exact toggle set through the batch kernel, bit-identical to an
-/// always-dense run — once its live-set size exceeds `τ`. Promotion is
-/// monotone: a vertex never demotes, which is what makes lock-free peeks
-/// of "is this vertex dense?" race-safe.
-enum NodeRep {
-    Sparse(SparseSet),
-    Dense(CubeNodeSketch),
-}
-
-/// A vertex's representation as a query reads it: live, or an epoch's
-/// sealed pre-image (see [`RamStore::read_slot`]).
-enum RepRef<'a> {
-    Sparse(&'a SparseSet),
-    Dense(&'a CubeNodeSketch),
-}
 
 /// Node sketches in memory, one lock per owned node.
 ///
 /// The store may cover the whole vertex set (a single-node system) or just
 /// one residue class (a shard): slots are dense over the [`NodeSet`], so a
-/// shard allocates sketches only for the vertices it owns.
+/// shard allocates sketches only for the vertices it owns. A slot holds a
+/// vertex's exact set or its dense stack (`store::hybrid`, DESIGN.md §12).
 pub struct RamStore {
     params: Arc<SketchParams>,
     node_set: NodeSet,
-    nodes: Vec<Mutex<NodeRep>>,
+    /// One lock per slot, holding the set or the stack. A RAM store's
+    /// copy-on-write "group" is a single slot: dense captures happen under
+    /// the slot's lock, right before its first post-seal mutation.
+    pub(crate) reps: Hybrid<CubeNodeSketch>,
     locking: LockingStrategy,
-    /// Hybrid sparse/dense threshold `τ`; `0` = always dense.
-    threshold: u32,
-    /// Delta sketches for [`LockingStrategy::DeltaSketch`] and the grouped
-    /// ingestion path.
+    /// Delta sketches for [`LockingStrategy::DeltaSketch`].
     scratch: ScratchPool,
     /// The graph digest of the records applied here
     /// ([`super::SketchStore::graph_digest`]).
     graph: super::GraphDigestStripes,
-    /// Live sealed epochs. A RAM store's copy-on-write "group" is a single
-    /// slot: captures happen under the node's lock, right before the first
-    /// post-seal mutation of that node.
-    epochs: EpochRegistry,
 }
+
+/// Every dense stack of a RAM store is in its slot.
+const IN_SLOTS: &Home<'static> = &|_, f| {
+    f(&[]);
+    Ok(())
+};
 
 impl RamStore {
     /// Allocate fresh (all-zero) sketches for every node (always-dense).
@@ -90,59 +73,30 @@ impl RamStore {
         node_set: NodeSet,
         threshold: u32,
     ) -> Self {
-        let nodes = (0..node_set.len())
-            .map(|_| {
-                Mutex::new(if threshold == 0 {
-                    NodeRep::Dense(params.new_node_sketch())
-                } else {
-                    NodeRep::Sparse(SparseSet::new())
-                })
-            })
-            .collect();
         RamStore {
+            reps: Hybrid::new(
+                Arc::clone(&params),
+                node_set,
+                threshold,
+                Some(SketchParams::new_node_sketch),
+            ),
             scratch: ScratchPool::new(Arc::clone(&params)),
             graph: super::GraphDigestStripes::new(),
             params,
             node_set,
-            nodes,
             locking,
-            threshold,
-            epochs: EpochRegistry::new(),
         }
     }
 
-    /// Seal the current generation (see [`crate::store::SketchStore::begin_epoch`]).
-    pub fn begin_epoch(&self) -> (u64, Arc<EpochOverlay>) {
-        self.epochs.register()
-    }
-
-    /// Pre-images cloned for epochs so far
-    /// (see [`crate::store::SketchStore::epoch_captures`]).
-    pub fn epoch_captures(&self) -> u64 {
-        self.epochs.captures()
-    }
-
-    /// Lock `slot`'s sketch for mutation, capturing its pre-image into any
-    /// live epoch that has not seen this slot dirtied yet. Every write to a
-    /// node sketch goes through here — that is what makes the overlay a
-    /// faithful sealed generation. A still-sparse vertex is promoted first
-    /// (capture its sparse pre-image, replay the set into a dense sketch,
-    /// then mutate) — bit-identical because the set is authoritative.
-    fn with_node<R>(&self, slot: usize, f: impl FnOnce(&mut CubeNodeSketch) -> R) -> R {
-        let mut rep = self.nodes[slot].lock();
-        match &mut *rep {
-            NodeRep::Dense(sketch) => {
-                self.epochs.capture_group(slot as u32, &mut || vec![sketch.clone()]);
-                f(sketch)
-            }
-            NodeRep::Sparse(set) => {
-                self.epochs.capture_sparse(slot as u32, &mut || set.clone());
-                let mut dense = set.densify(self.node_set.node(slot), &self.params);
-                let out = f(&mut dense);
-                *rep = NodeRep::Dense(dense);
-                out
-            }
-        }
+    /// Lock `slot`'s dense stack for mutation, capturing its pre-image into
+    /// any live epoch that has not seen this slot dirtied yet. Every write
+    /// to a dense stack goes through here — that is what makes the overlay
+    /// a faithful sealed generation.
+    fn with_dense<R>(&self, slot: usize, f: impl FnOnce(&mut CubeNodeSketch) -> R) -> R {
+        let mut rep = self.reps.lock(slot);
+        let Rep::Dense(stack) = &mut *rep else { unreachable!("a promoted vertex never demotes") };
+        self.reps.epochs.capture_group(slot as u32, &mut || vec![stack.clone()]);
+        f(stack)
     }
 
     /// Shared sketch parameters.
@@ -160,71 +114,46 @@ impl RamStore {
         &self.graph
     }
 
-    /// Apply a batch of encoded records to `node` (which must be owned).
+    /// Apply a batch of encoded records to `node` (which must be owned): a
+    /// sparse vertex's set is toggled (`Hybrid::apply_sparse`), a dense
+    /// stack gets the batch under its slot lock.
     pub fn apply_batch(&self, node: u32, records: &[u32]) {
         let slot = self.node_set.slot(node);
-        // Sparse fast path: toggle the exact set under the slot lock —
-        // no hashing, no scratch, no delta. Promote (replay through the
-        // batch kernel) once the live set outgrows `τ`. A vertex observed
-        // dense here stays dense (promotion is monotone), so falling
-        // through to the dense disciplines below is race-free.
-        {
-            let mut rep = self.nodes[slot].lock();
-            if let NodeRep::Sparse(set) = &mut *rep {
-                self.epochs.capture_sparse(slot as u32, &mut || set.clone());
-                if set.toggle_batch(node, records) > self.threshold as usize {
-                    let dense = set.densify(node, &self.params);
-                    *rep = NodeRep::Dense(dense);
-                }
-                return;
-            }
+        if self.reps.apply_sparse(slot, node, records, |stack| stack) {
+            return;
         }
         match self.locking {
             LockingStrategy::Direct => {
-                self.with_node(slot, |sketch| {
+                self.with_dense(slot, |sketch| {
                     super::apply_records(sketch, node, records, self.params.num_nodes);
                 });
             }
             // Build the delta without holding the node's lock; lock only
             // for the XOR-merge.
             LockingStrategy::DeltaSketch => self.scratch.with_delta(node, records, |delta| {
-                self.with_node(slot, |sketch| sketch.merge(delta))
+                self.with_dense(slot, |sketch| sketch.merge(delta))
             }),
         }
     }
 
-    /// Run `f` on `slot`'s representation as `overlay`'s epoch sealed it
-    /// (`None` = as it is now), under the slot's lock. A captured pre-image
-    /// wins — sparse before dense, since a vertex captured sparse had no
-    /// dense state at the seal; an uncaptured slot's live value *is* its
-    /// sealed value, and the lock makes that check-then-read atomic against
-    /// the capture-then-mutate writer, which takes the same lock first.
-    fn read_slot<R>(
-        &self,
+    /// The dense half of the sealed read order: `slot`'s captured pre-image
+    /// in `overlay`, else `live`, its live stack.
+    fn with_sealed<R>(
         slot: usize,
         overlay: Option<&EpochOverlay>,
-        f: impl FnOnce(RepRef<'_>) -> R,
+        live: &CubeNodeSketch,
+        f: impl FnOnce(&CubeNodeSketch) -> R,
     ) -> R {
-        let rep = self.nodes[slot].lock();
-        if let Some(overlay) = overlay {
-            if let Some(pre) = overlay.get_sparse(slot as u32) {
-                return f(RepRef::Sparse(&pre));
-            }
-            if let Some(pre) = overlay.get(slot as u32) {
-                return f(RepRef::Dense(&pre[0]));
-            }
-        }
-        match &*rep {
-            NodeRep::Sparse(set) => f(RepRef::Sparse(set)),
-            NodeRep::Dense(sketch) => f(RepRef::Dense(sketch)),
+        match overlay.and_then(|o| o.get(slot as u32)) {
+            Some(pre) => f(&pre[0]),
+            None => f(live),
         }
     }
 
     /// Stream the round-`round` slice of every owned, still-`live` **dense**
     /// node into `sink` in slot order, as sealed by `overlay` (`None` = the
     /// live state). Each node's lock is held only for its own sink call, and
-    /// nothing is cloned. Sparse vertices are skipped — they have no slice;
-    /// see [`Self::for_each_sparse`].
+    /// nothing is cloned. Sparse vertices are skipped — they have no slice.
     pub fn stream_round_dense(
         &self,
         round: usize,
@@ -232,52 +161,22 @@ impl RamStore {
         overlay: Option<&EpochOverlay>,
         sink: &mut dyn FnMut(u32, &CubeRoundSketch),
     ) {
-        for slot in 0..self.nodes.len() {
+        for slot in 0..self.node_set.len() {
             let node = self.node_set.node(slot);
-            if !live(node) {
-                continue;
+            if live(node) {
+                self.reps.read(slot, overlay, |rep| {
+                    if let Sealed::Dense(stack) = rep {
+                        Self::with_sealed(slot, overlay, stack, |s| sink(node, s.round(round)));
+                    }
+                });
             }
-            self.read_slot(slot, overlay, |rep| {
-                if let RepRef::Dense(sketch) = rep {
-                    sink(node, sketch.round(round));
-                }
-            });
-        }
-    }
-
-    /// Visit the exact set of every owned, still-`live` **sparse** node in
-    /// slot order, as sealed by `overlay` (`None` = the live state),
-    /// borrowed under the node's lock.
-    pub fn for_each_sparse(
-        &self,
-        live: &(dyn Fn(u32) -> bool + Sync),
-        overlay: Option<&EpochOverlay>,
-        f: &mut dyn FnMut(u32, &SparseSet),
-    ) {
-        if self.threshold == 0 {
-            return;
-        }
-        for slot in 0..self.nodes.len() {
-            let node = self.node_set.node(slot);
-            if !live(node) {
-                continue;
-            }
-            self.read_slot(slot, overlay, |rep| {
-                if let RepRef::Sparse(set) = rep {
-                    f(node, set);
-                }
-            });
         }
     }
 
     /// Fold round `round` of every owned, still-`live` node, as sealed by
-    /// `overlay` (`None` = the live state), with the slots partitioned into
-    /// contiguous ranges, one per pool worker, each folding into its own
-    /// sink. A dense node's borrowed slice is merged in; a sparse node's
-    /// neighbors are queued under its lock and XORed into the supernode
-    /// accumulators in place once the range is done — no slice is ever
-    /// built for them. Per-node locks make this safe against concurrent
-    /// ingestion.
+    /// `overlay` (`None` = the live state), through `Hybrid::fold_round`:
+    /// a dense node's borrowed slice is merged in under its lock. Per-node
+    /// locks make this safe against concurrent ingestion.
     pub fn stream_round_parallel(
         &self,
         round: usize,
@@ -286,29 +185,9 @@ impl RamStore {
         pool: &gz_gutters::WorkerPool,
         sinks: &[Mutex<RoundSink<'_, CubeRoundSketch>>],
     ) {
-        pool.run(&|w| {
-            let range = pool.partition(self.nodes.len(), w);
-            if range.is_empty() {
-                return;
-            }
-            let mut sink = sinks[w].lock();
-            let mut sparse = SparseRoundBatch::default();
-            for slot in range {
-                let node = self.node_set.node(slot);
-                if !live(node) {
-                    continue;
-                }
-                self.read_slot(slot, overlay, |rep| match rep {
-                    RepRef::Dense(sketch) => sink.fold(node, sketch.round(round)),
-                    RepRef::Sparse(set) => sparse.push(
-                        &mut sink,
-                        node,
-                        set.neighbors().iter().copied(),
-                        self.params.num_nodes,
-                    ),
-                });
-            }
-            sparse.fold_into(&mut sink, &self.params, round);
+        self.reps.fold_round(round, live, overlay, pool, sinks, |sink, slot, stack| {
+            let node = self.node_set.node(slot);
+            Self::with_sealed(slot, overlay, stack, |s| sink.fold(node, s.round(round)));
         });
     }
 
@@ -316,17 +195,7 @@ impl RamStore {
     /// are densified by replay — the snapshot is bit-identical to an
     /// always-dense store's (the serialized-state equivalence oracle).
     pub fn snapshot(&self) -> Vec<Option<CubeNodeSketch>> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .map(|(slot, m)| {
-                let rep = m.lock();
-                Some(match &*rep {
-                    NodeRep::Dense(sketch) => sketch.clone(),
-                    NodeRep::Sparse(set) => set.densify(self.node_set.node(slot), &self.params),
-                })
-            })
-            .collect()
+        self.reps.snapshot(1, IN_SLOTS)
     }
 
     /// Hand `f` every owned node's encoded sketch stack in slot order, one
@@ -337,52 +206,18 @@ impl RamStore {
         &self,
         f: &mut dyn FnMut(u32, &[u8]) -> std::io::Result<()>,
     ) -> std::io::Result<()> {
-        let mut bytes = Vec::with_capacity(self.params.node_sketch_resident_bytes());
-        for (slot, m) in self.nodes.iter().enumerate() {
-            let node = self.node_set.node(slot);
-            bytes.clear();
-            match &*m.lock() {
-                NodeRep::Dense(sketch) => self.params.serialize_node_sketch(sketch, &mut bytes),
-                NodeRep::Sparse(set) => {
-                    self.params.serialize_node_sketch(&set.densify(node, &self.params), &mut bytes)
-                }
-            }
-            f(node, &bytes)?;
-        }
-        Ok(())
+        self.reps.for_each_serialized(1, IN_SLOTS, f)
     }
 
     /// Replace every node sketch (checkpoint restore), in slot order.
     /// Restored vertices are dense regardless of the threshold.
     pub fn load_all(&self, sketches: Vec<CubeNodeSketch>) {
-        assert_eq!(sketches.len(), self.nodes.len());
-        for (slot, sketch) in sketches.into_iter().enumerate() {
-            self.with_node(slot, |dst| *dst = sketch);
-        }
-    }
-
-    /// Resident sketch payload bytes (owned nodes only): dense vertices at
-    /// the paper's per-sketch accounting, sparse vertices at 4 bytes per
-    /// live neighbor. With `τ = 0` this is exactly the dense formula.
-    pub fn sketch_bytes(&self) -> usize {
-        let stats = self.rep_stats();
-        self.params.node_sketch_bytes() * stats.promoted + stats.sparse_entries * 4
-    }
-
-    /// Representation census: how many vertices are promoted vs still
-    /// sparse, and the total live entries across sparse sets.
-    pub fn rep_stats(&self) -> RepStats {
-        let mut stats = RepStats::default();
-        for m in &self.nodes {
-            match &*m.lock() {
-                NodeRep::Dense(_) => stats.promoted += 1,
-                NodeRep::Sparse(set) => {
-                    stats.sparse += 1;
-                    stats.sparse_entries += set.len();
-                }
+        self.reps.load_all(sketches, |slot, old, stack| {
+            if let Some(old) = old {
+                self.reps.epochs.capture_group(slot as u32, &mut || vec![old.clone()]);
             }
-        }
-        stats
+            stack
+        });
     }
 }
 
@@ -542,9 +377,9 @@ mod tests {
     #[test]
     fn sketch_bytes_scales_with_nodes() {
         let params = Arc::new(SketchParams::new(32, 4, 7, 1));
-        let per_node = params.node_sketch_bytes();
+        let per_node = params.node_sketch_resident_bytes();
         let s = RamStore::new(params, LockingStrategy::Direct);
-        assert_eq!(s.sketch_bytes(), per_node * 32);
+        assert_eq!(s.reps.sketch_bytes(), per_node * 32);
     }
 
     #[test]
@@ -575,12 +410,12 @@ mod tests {
     #[test]
     fn strided_store_allocates_owned_nodes_only() {
         let params = Arc::new(SketchParams::new(64, 4, 7, 1));
-        let per_node = params.node_sketch_bytes();
+        let per_node = params.node_sketch_resident_bytes();
         let shard = RamStore::for_nodes(
             Arc::clone(&params),
             LockingStrategy::Direct,
             NodeSet::strided(64, 3, 4),
         );
-        assert_eq!(shard.sketch_bytes(), per_node * 16, "16 of 64 nodes owned");
+        assert_eq!(shard.reps.sketch_bytes(), per_node * 16, "16 of 64 nodes owned");
     }
 }

@@ -172,10 +172,10 @@ impl GraphZeppelin {
         self.system.batches_shipped()
     }
 
-    /// Total sketch bytes (the paper's Figure 11 memory accounting). With a
-    /// hybrid store (`config.sketch_threshold > 0`) this is the *resident*
-    /// payload: dense bytes for promoted nodes plus the exact toggle-sets
-    /// of the still-sparse ones.
+    /// Resident sketch bytes of the store ([`SketchStore::sketch_bytes`]):
+    /// promoted nodes' stacks at their resident words plus the exact
+    /// toggle-sets of the still-sparse ones, wherever they live. The
+    /// paper's Figure 11 accounting is [`crate::size_model`].
     pub fn sketch_bytes(&self) -> usize {
         self.store.sketch_bytes()
     }

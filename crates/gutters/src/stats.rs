@@ -140,8 +140,6 @@ counter_set! {
         bytes_read: Sum,
         /// Total bytes written.
         bytes_written: Sum,
-        /// Sparse→dense promotions performed (hybrid representation).
-        sparse_promotions: Sum,
     }
 }
 

@@ -125,8 +125,8 @@ fn main() {
         "a cache of an eighth of the groups must page"
     );
     println!(
-        "\nsketch state: {:.1} MiB in the paper's 12-byte model ({:.1} MiB in the store file) \
-         vs {:.1} MiB for a bit-matrix of the same graph",
+        "\nsketch state: {:.1} MiB of resident words ({:.1} MiB in the store file, whole \
+         node groups) vs {:.1} MiB for a bit-matrix of the same graph",
         mib(gz.sketch_bytes()),
         mib(file_bytes),
         mib(graph_zeppelin::size_model::adjacency_matrix_bytes(dataset.num_vertices) as usize),

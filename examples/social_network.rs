@@ -4,17 +4,29 @@
 //! dissolve, and an analyst wants the community structure *now* — without
 //! storing the full graph. This example simulates a growth-plus-churn
 //! network and shows component counts converging as the network densifies,
-//! then fragmenting under heavy deletion ("the great unfriending").
+//! then fragmenting under heavy deletion ("the great unfriending"). Every
+//! community count it prints is checked against a union-find over the
+//! simulation's own friendship mirror.
 //!
 //! ```sh
-//! cargo run --release -p gz-bench --example social_network
+//! cargo run --release -p gz_bench --example social_network
 //! ```
 
 use graph_zeppelin::{GraphZeppelin, GzConfig};
+use gz_dsu::Dsu;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 const USERS: u64 = 4096;
+
+/// The number of communities the live friendships form, exactly.
+fn communities(friendships: &[(u32, u32)]) -> usize {
+    let mut dsu = Dsu::new(USERS as usize);
+    for &(a, b) in friendships {
+        dsu.union(a, b);
+    }
+    dsu.component_count()
+}
 
 fn main() {
     let mut gz = GraphZeppelin::new(GzConfig::in_ram(USERS)).expect("valid config");
@@ -49,6 +61,7 @@ fn main() {
             }
         }
         let cc = gz.connected_components().expect("query");
+        assert_eq!(cc.num_components(), communities(&friendships), "step {step}");
         println!(
             "  step {step}: {:>6} friendships, {:>4} communities (largest label of user 0: {})",
             friendships.len(),
@@ -66,6 +79,7 @@ fn main() {
         !touches_hub
     });
     let cc = gz.connected_components().expect("query");
+    assert_eq!(cc.num_components(), communities(&friendships), "after hub removal");
     println!(
         "  after hub removal: {:>6} friendships, {:>4} communities",
         friendships.len(),
