@@ -249,6 +249,10 @@ fn bench_flush(_c: &mut Criterion) {
     tree_config.buffering = GzConfig::on_disk(num_nodes, tree_dir.path().to_path_buf()).buffering;
 
     for pending in [16u32, 446] {
+        let names = ["one-shard", "tree"].map(|route| format!("gz_flush/{pending}/{route}"));
+        if !names.iter().any(|name| criterion::selected(name)) {
+            continue;
+        }
         // Repetition `rep` toggles, for every `u`, the `pending / 2` edges
         // `(u, u + offset)` at offsets of its own: `pending` records a gutter.
         let edges = |rep: u32| {
@@ -285,8 +289,9 @@ fn bench_flush(_c: &mut Criterion) {
             }
         }
         shard.shutdown().unwrap();
-        criterion::record_custom(format!("gz_flush/{pending}/one-shard"), median(&mut shard_ns));
-        criterion::record_custom(format!("gz_flush/{pending}/tree"), median(&mut tree_ns));
+        let [shard_name, tree_name] = names;
+        criterion::record_custom(shard_name, median(&mut shard_ns));
+        criterion::record_custom(tree_name, median(&mut tree_ns));
     }
 }
 

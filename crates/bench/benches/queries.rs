@@ -300,15 +300,18 @@ fn bench_query_hybrid(c: &mut Criterion) {
     let mut group = c.benchmark_group("gz_query_hybrid");
     group.sample_size(10);
     for tau in [0u32, 64] {
-        let flush_ns = (0..if smoke() { 2 } else { 5 })
-            .map(|_| {
-                let mut gz = ingested(tau);
-                let start = Instant::now();
-                gz.flush();
-                start.elapsed().as_nanos() as f64
-            })
-            .fold(f64::INFINITY, f64::min);
-        criterion::record_custom(format!("gz_query_hybrid/flush/tau{tau}"), flush_ns);
+        let flush_name = format!("gz_query_hybrid/flush/tau{tau}");
+        if criterion::selected(&flush_name) {
+            let flush_ns = (0..if smoke() { 2 } else { 5 })
+                .map(|_| {
+                    let mut gz = ingested(tau);
+                    let start = Instant::now();
+                    gz.flush();
+                    start.elapsed().as_nanos() as f64
+                })
+                .fold(f64::INFINITY, f64::min);
+            criterion::record_custom(flush_name, flush_ns);
+        }
 
         let mut gz = ingested(tau);
         gz.flush();

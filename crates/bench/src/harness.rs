@@ -294,7 +294,12 @@ pub fn scratch_dir(tag: &str) -> gz_testutil::TempDir {
 /// `GZ_BENCH_JSON_DIR`; by default full runs write to the workspace root
 /// (the committed baselines) while smoke runs write under `target/` — a
 /// tiny-scale CI smoke pass must never silently replace a committed
-/// full-run baseline in a developer's checkout. Returns the path written.
+/// full-run baseline in a developer's checkout. A run that a bench-name
+/// filter narrowed (`cargo bench ... -- NAME`, [`criterion::filter`])
+/// replaces only the rows it measured and adds the ones the file lacks:
+/// every other row stays byte for byte. It refuses a file whose host or
+/// smoke line is not this run's, so no row is labelled with another run's
+/// host. Returns the path written.
 pub fn write_bench_json(bench: &str) -> std::io::Result<std::path::PathBuf> {
     // CARGO_MANIFEST_DIR is crates/bench at compile time; the workspace
     // root is two levels up. cwd would be wrong: cargo runs benches from
@@ -306,25 +311,70 @@ pub fn write_bench_json(bench: &str) -> std::io::Result<std::path::PathBuf> {
     };
     let dir = std::env::var("GZ_BENCH_JSON_DIR").unwrap_or_else(|_| default_dir.into());
     let path = std::path::Path::new(&dir).join(format!("BENCH_{bench}.json"));
-    let cases = criterion::take_recorded();
+    let fresh: Vec<String> = criterion::take_recorded()
+        .iter()
+        .map(|case| {
+            format!(
+                "    {{\"name\": \"{}\", \"best_ns\": {:.1}, \"mean_ns\": {:.1}}}",
+                json_escape(&case.name),
+                case.best_ns,
+                case.mean_ns,
+            )
+        })
+        .collect();
+    let header = format!(
+        "  \"smoke\": {},\n  \"host\": \"{}\",\n",
+        smoke(),
+        json_escape(&host_fingerprint())
+    );
+    let rows = match criterion::filter() {
+        Some(_) => {
+            let old = std::fs::read_to_string(&path).unwrap_or_default();
+            merge_rows(&old, &header, fresh).ok_or_else(|| {
+                std::io::Error::new(
+                    std::io::ErrorKind::InvalidInput,
+                    format!(
+                        "{} was measured on another host or smoke setting: a filtered run \
+                         does not merge into it (run unfiltered, or set GZ_BENCH_JSON_DIR)",
+                        path.display()
+                    ),
+                )
+            })?
+        }
+        None => fresh,
+    };
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(&format!("  \"bench\": \"{}\",\n", json_escape(bench)));
-    out.push_str(&format!("  \"smoke\": {},\n", smoke()));
-    out.push_str(&format!("  \"host\": \"{}\",\n", json_escape(&host_fingerprint())));
+    out.push_str(&header);
     out.push_str("  \"cases\": [\n");
-    for (i, case) in cases.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"best_ns\": {:.1}, \"mean_ns\": {:.1}}}{}\n",
-            json_escape(&case.name),
-            case.best_ns,
-            case.mean_ns,
-            if i + 1 == cases.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
+    out.push_str(&rows.join(",\n"));
+    out.push_str(if rows.is_empty() { "  ]\n}\n" } else { "\n  ]\n}\n" });
     std::fs::write(&path, out)?;
     Ok(path)
+}
+
+/// The case rows of `old`, a file [`write_bench_json`] wrote, each replaced
+/// by the `fresh` row of the same name, then the fresh rows it lacked;
+/// `None` when `old` is not empty and lacks this run's `header` lines.
+fn merge_rows(old: &str, header: &str, mut fresh: Vec<String>) -> Option<Vec<String>> {
+    if !old.is_empty() && !old.contains(header) {
+        return None;
+    }
+    let name = |row: &str| row.split("\", ").next().map(str::to_string);
+    let mut rows: Vec<String> = old
+        .lines()
+        .filter(|line| line.starts_with("    {\"name\": "))
+        .map(|line| {
+            let line = line.trim_end_matches(',');
+            match fresh.iter().position(|row| name(row) == name(line)) {
+                Some(i) => fresh.remove(i),
+                None => line.to_string(),
+            }
+        })
+        .collect();
+    rows.append(&mut fresh);
+    Some(rows)
 }
 
 /// One line naming the host a baseline was measured on — cores, CPU model,
@@ -443,6 +493,27 @@ mod tests {
         assert!(text.contains("\"name\": \"json/smoke-case\""), "{text}");
         assert!(text.contains("\"best_ns\":"), "{text}");
         assert!(text.contains("\"mean_ns\":"), "{text}");
+    }
+
+    #[test]
+    fn a_filtered_run_replaces_only_its_rows() {
+        let row = |name: &str, ns: f64| {
+            format!("    {{\"name\": \"{name}\", \"best_ns\": {ns:.1}, \"mean_ns\": {ns:.1}}}")
+        };
+        let header = "  \"smoke\": false,\n  \"host\": \"h\",\n";
+        let old = format!(
+            "{{\n  \"bench\": \"b\",\n{header}  \"cases\": [\n{},\n{},\n{}\n  ]\n}}\n",
+            row("g/a", 1.0),
+            row("g/ab", 2.0),
+            row("g/c", 3.0)
+        );
+        let fresh = vec![row("g/a", 9.0), row("h/new", 5.0)];
+        let merged = merge_rows(&old, header, fresh.clone());
+        let want = [row("g/a", 9.0), row("g/ab", 2.0), row("g/c", 3.0), row("h/new", 5.0)];
+        assert_eq!(merged.unwrap(), want, "g/ab is not g/a, and new cases go last");
+        let elsewhere = header.replace("\"h\"", "\"other\"");
+        assert_eq!(merge_rows(&old, &elsewhere, fresh.clone()), None, "another host's file");
+        assert_eq!(merge_rows("", header, fresh.clone()), Some(fresh), "no file yet");
     }
 
     #[test]

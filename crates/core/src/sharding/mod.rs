@@ -371,7 +371,8 @@ impl ShardedGraphZeppelin {
     /// `None` refuses those). Must run before any updates are ingested: the
     /// router's batch counters restart at zero either way, so resuming into
     /// a half-ingested system would desynchronize checkpoint sequence
-    /// numbers.
+    /// numbers. On `Err` some shards may be partly restored
+    /// ([`ShardPipeline::resume_from`]): discard the system.
     pub fn resume_shards_from(
         &mut self,
         paths: &[std::path::PathBuf],
@@ -627,7 +628,7 @@ impl ShardedEpoch {
     /// Query a spanning forest of the graph as it stood at the seal —
     /// bit-identical to a stop-the-world streaming query at that instant,
     /// no matter how much the shards have ingested since (pinned by the
-    /// epoch equivalence suite).
+    /// lattice lane's `Seal` op, `tests/lattice.rs`).
     pub fn spanning_forest(&self) -> Result<BoruvkaOutcome, GzError> {
         self.spanning_forest_with_pool(&self.pool)
     }

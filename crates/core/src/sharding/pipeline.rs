@@ -276,6 +276,11 @@ impl ShardPipeline {
     /// stands in for it where the caller recorded one beside the file
     /// (`gz serve`'s manifest), and with `None` — a socket worker, whose
     /// coordinator cannot place a digest it never saw — the file is refused.
+    ///
+    /// An error found while reading the file leaves the shard untouched. One
+    /// the store raises while installing the stacks (a disk store's I/O)
+    /// leaves it partly restored — some slots replaced, the graph digest,
+    /// sequence and checkpoint path not — so discard the shard then.
     pub fn resume_from(
         &self,
         path: &Path,
@@ -294,7 +299,7 @@ impl ShardPipeline {
             ))
         })?;
         self.flush();
-        self.store.load_all(sketches);
+        self.store.load_all(sketches)?;
         self.store.restore_graph_digest(graph);
         self.batches_enqueued.store(header.seq, Ordering::Relaxed);
         self.set_checkpoint_path(path.to_path_buf());

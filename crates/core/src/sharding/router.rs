@@ -37,7 +37,6 @@ use std::sync::Arc;
 /// `seq` reproduces the dead worker's state exactly; entries at or before
 /// `seq` must never be replayed (the restored state already absorbed them —
 /// XOR-ing them again would cancel them out).
-#[derive(Default)]
 pub struct ReplayLog {
     /// Batches `first_seq..first_seq + entries.len()`, in ship order.
     entries: VecDeque<Batch>,
@@ -47,9 +46,10 @@ pub struct ReplayLog {
 }
 
 impl ReplayLog {
-    /// An empty log starting at sequence 0 (a fresh worker).
-    pub fn new() -> Self {
-        ReplayLog::default()
+    /// An empty log starting at sequence `seq`: a worker whose restored
+    /// checkpoint covers its first `seq` batches (0 for a fresh one).
+    pub fn starting_at(seq: u64) -> Self {
+        ReplayLog { entries: VecDeque::new(), first_seq: seq }
     }
 
     /// Record a shipped batch; returns its sequence number (the count of
@@ -433,7 +433,7 @@ mod tests {
 
     #[test]
     fn replay_log_appends_prunes_and_replays_the_exact_tail() {
-        let mut log = ReplayLog::new();
+        let mut log = ReplayLog::starting_at(0);
         assert!(log.is_empty());
         assert_eq!(log.append(batch(0, 10)), 1);
         assert_eq!(log.append(batch(2, 20)), 2);

@@ -659,11 +659,20 @@ impl<S: ShardLink> SocketTransport<S> {
     /// Install a recovery policy on an already-handshaken transport. Its
     /// timeouts are installed on the existing links immediately — a
     /// transport that can't detect a dead peer can't recover from one.
+    /// Each shard's replay log starts at the batch sequence its worker
+    /// answers `Resync` with: a worker that resumed a checkpoint already
+    /// covers that many batches, and a respawned one resumes at or past it.
     pub fn with_recovery(mut self, mut recovery: Recovery<S>) -> Result<Self, GzError> {
         for (i, link) in self.links.iter_mut().enumerate() {
             link.stream().apply_timeouts(&recovery.timeouts).map_err(io_on_shard(i as u32))?;
         }
-        recovery.logs = self.links.iter().map(|_| ReplayLog::new()).collect();
+        self.request_all(false, &|_| WireMessage::Resync, &mut |reply| match reply {
+            WireMessage::ResyncFrom { seq } => {
+                recovery.logs.push(ReplayLog::starting_at(seq));
+                Ok(())
+            }
+            other => Err(other),
+        })?;
         self.recovery = Some(recovery);
         Ok(self)
     }
@@ -1126,6 +1135,14 @@ mod tests {
         })
     }
 
+    /// Answer the `Resync` a recovery policy sends as it is installed, as a
+    /// fresh worker would: at sequence 0.
+    fn resynced(mut stream: UnixStream) -> UnixStream {
+        assert!(matches!(WireMessage::read_from(&mut stream).unwrap(), WireMessage::Resync));
+        WireMessage::ResyncFrom { seq: 0 }.write_to(&mut stream).unwrap();
+        stream
+    }
+
     /// A handshaken one-shard transport whose "worker" is
     /// [`handshake_then`]`(after)`.
     fn against<F>(after: F) -> (SocketTransport<Stream>, std::thread::JoinHandle<()>)
@@ -1470,7 +1487,8 @@ mod tests {
             // Respawn: shard 1's worker dies after a good handshake, and
             // its replacement never acks.
             let (ours0, theirs0) = pair();
-            let healthy = handshake_then(theirs0, |mut stream| {
+            let healthy = handshake_then(theirs0, |stream| {
+                let mut stream = resynced(stream);
                 assert!(matches!(WireMessage::read_from(&mut stream).unwrap(), WireMessage::Flush));
                 // The coordinator may already have given up on shard 1 and
                 // hung up on everyone: an unread ack is not a failure.
@@ -1478,7 +1496,7 @@ mod tests {
                 stall(stream);
             });
             let (ours1, theirs1) = pair();
-            let doomed = handshake_then(theirs1, drop);
+            let doomed = handshake_then(theirs1, |stream| drop(resynced(stream)));
             let (peers, replacements) = std::sync::mpsc::channel();
             let respawn = Box::new(move |_| {
                 let (link, peer) = hello_eater(silent);
@@ -1503,8 +1521,10 @@ mod tests {
     #[test]
     fn recovery_policy_changes_no_bytes_on_a_fault_free_run() {
         // Every link answers from the same script; what the coordinator
-        // wrote is recorded. With and without a policy the frames must be
-        // the same bytes, and the gathered entries the same entries.
+        // wrote is recorded. A policy adds the `Resync` turn that anchors
+        // each replay log as it is installed; past it the frames must be the
+        // same bytes with and without one, and the gathered entries the
+        // same entries.
         let script = [
             WireMessage::HelloAck { params_digest: DIGEST },
             WireMessage::FlushAck,
@@ -1518,6 +1538,10 @@ mod tests {
             WireMessage::CheckpointAck { seq: 5 },
         ];
         let run = |recovering: bool| {
+            let mut script = script.to_vec();
+            if recovering {
+                script.insert(1, WireMessage::ResyncFrom { seq: 0 });
+            }
             let links = vec![ScriptedLink::new(&script), ScriptedLink::new(&script)];
             let mut transport = SocketTransport::handshake(links, DIGEST).unwrap();
             if recovering {
@@ -1550,8 +1574,15 @@ mod tests {
                 .collect();
             (written, gathered)
         };
-        let (plain, recovering) = (run(false), run(true));
+        let (plain, mut recovering) = (run(false), run(true));
         assert!(plain.0.iter().all(|bytes| !bytes.is_empty()));
+        let [mut hello, mut resync] = [Vec::new(), Vec::new()];
+        WireMessage::Hello { params_digest: DIGEST }.write_to(&mut hello).unwrap();
+        WireMessage::Resync.write_to(&mut resync).unwrap();
+        for written in &mut recovering.0 {
+            let anchor = written.drain(hello.len()..hello.len() + resync.len());
+            assert_eq!(anchor.as_slice(), resync, "the install's turn follows the handshake");
+        }
         assert_eq!(plain, recovering);
     }
 
@@ -1687,7 +1718,7 @@ mod tests {
 
     #[test]
     fn recovery_gives_up_after_the_retry_budget() {
-        let (transport, worker) = against(drop);
+        let (transport, worker) = against(|stream| drop(resynced(stream)));
         let mut transport = transport
             .with_recovery(Recovery::new(
                 TransportTimeouts::default(),

@@ -38,6 +38,7 @@
 //! workers can have accesses to different regions in flight at once.
 
 use crate::boruvka::RoundSink;
+use crate::error::GzError;
 use crate::node_sketch::{CubeNodeSketch, CubeRoundSketch, SketchParams};
 use crate::store::epoch::EpochOverlay;
 use crate::store::hybrid::Hybrid;
@@ -875,11 +876,12 @@ impl DiskStore {
 
     /// Replace every node sketch (checkpoint restore), in slot order.
     /// Sparse slots are retired to dense first (checkpoints store dense
-    /// state); their pre-images are captured for any sealed epoch.
-    pub fn load_all(&self, sketches: Vec<CubeNodeSketch>) {
-        self.reps.load_all(sketches, |slot, _, stack| {
-            self.with_stack(slot, |dst| *dst = stack).expect("disk store load failed")
-        });
+    /// state); their pre-images are captured for any sealed epoch. Fails
+    /// with the first group fault's I/O error.
+    pub fn load_all(&self, sketches: Vec<CubeNodeSketch>) -> Result<(), GzError> {
+        Ok(self
+            .reps
+            .load_all(sketches, |slot, _, stack| self.with_stack(slot, |dst| *dst = stack))?)
     }
 }
 
@@ -1803,7 +1805,7 @@ mod tests {
         let (s, _t) = make_hybrid("load-retire", 8, 1 << 20, 4, 4);
         s.apply_batch(0, &[encode_other(3, false)]);
         let replacement = s.snapshot().into_iter().map(Option::unwrap).collect::<Vec<_>>();
-        s.load_all(replacement);
+        s.load_all(replacement).unwrap();
         let stats = s.reps.rep_stats();
         assert_eq!(stats.sparse, 0, "restore must leave every slot dense");
         assert_eq!(

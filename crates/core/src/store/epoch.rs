@@ -18,7 +18,7 @@
 //! values are exactly the store contents after the seal's flush — so a
 //! query at epoch E is bit-identical to a stop-the-world query issued at
 //! the moment E was sealed, regardless of how many batches land while the
-//! query runs. The equivalence suite (`tests/epochs.rs`) pins this.
+//! query runs. The lattice lane (`tests/lattice.rs`) pins this.
 
 use crate::node_sketch::CubeNodeSketch;
 use crate::sparse::SparseSet;

@@ -308,16 +308,17 @@ impl<D: DenseSlot> Hybrid<D> {
     /// order: restored vertices are dense whatever τ. A sparse slot's set is
     /// captured for live epochs and retired; `install(slot, old, stack)`
     /// puts the stack where the store keeps it, under the slot lock, and
-    /// gets the slot's old dense value, if it had one, to capture.
-    pub(crate) fn load_all(
+    /// gets the slot's old dense value, if it had one, to capture. The first
+    /// failed install ends the restore with its error.
+    pub(crate) fn load_all<E>(
         &self,
         stacks: Vec<CubeNodeSketch>,
-        install: impl Fn(usize, Option<&D>, CubeNodeSketch) -> D,
-    ) {
+        install: impl Fn(usize, Option<&D>, CubeNodeSketch) -> Result<D, E>,
+    ) -> Result<(), E> {
         assert_eq!(stacks.len(), self.node_set.len());
         for (slot, stack) in stacks.into_iter().enumerate() {
             let Some(cell) = self.slots.get(slot) else {
-                install(slot, None, stack);
+                install(slot, None, stack)?;
                 continue;
             };
             let mut rep = cell.lock();
@@ -328,8 +329,9 @@ impl<D: DenseSlot> Hybrid<D> {
                 }
                 Rep::Dense(value) => Some(value),
             };
-            *rep = Rep::Dense(install(slot, old, stack));
+            *rep = Rep::Dense(install(slot, old, stack)?);
         }
+        Ok(())
     }
 
     /// The census: promoted vs sparse slots and the sets' live entries.

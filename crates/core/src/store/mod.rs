@@ -280,10 +280,14 @@ impl SketchStore {
         }
     }
 
-    /// Replace every node sketch (checkpoint restore).
-    pub fn load_all(&self, sketches: Vec<CubeNodeSketch>) {
+    /// Replace every node sketch (checkpoint restore). Fails with the disk
+    /// store's first I/O error.
+    pub fn load_all(&self, sketches: Vec<CubeNodeSketch>) -> Result<(), GzError> {
         match self {
-            SketchStore::Ram(s) => s.load_all(sketches),
+            SketchStore::Ram(s) => {
+                s.load_all(sketches);
+                Ok(())
+            }
             SketchStore::Disk(s) => s.load_all(sketches),
         }
     }

@@ -212,11 +212,11 @@ impl RamStore {
     /// Replace every node sketch (checkpoint restore), in slot order.
     /// Restored vertices are dense regardless of the threshold.
     pub fn load_all(&self, sketches: Vec<CubeNodeSketch>) {
-        self.reps.load_all(sketches, |slot, old, stack| {
+        let Ok(()) = self.reps.load_all(sketches, |slot, old, stack| {
             if let Some(old) = old {
                 self.reps.epochs.capture_group(slot as u32, &mut || vec![old.clone()]);
             }
-            stack
+            Ok::<_, std::convert::Infallible>(stack)
         });
     }
 }

@@ -5,6 +5,9 @@
 //! concurrent process gets (the harness runs tests on parallel threads),
 //! and `Drop` removes it, even on panic (the libtest harness catches the
 //! unwind), so a failing assertion leaves nothing behind.
+//!
+//! [`minimize`] shrinks a failing generated case (the lattice lane's
+//! operation histories) to a minimal one.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -128,6 +131,31 @@ fn status_bytes(field: &str) -> Option<u64> {
     Some(kib * 1024)
 }
 
+/// Delta debugging: shrink `items`, on which `fails` holds, to a sub-list
+/// on which it still holds and from which no single element can be removed
+/// without it passing (1-minimal). Cuts `items` into chunks and drops one
+/// chunk at a time, halving the chunk size whenever no drop keeps the
+/// failure — `O(len²)` calls of `fails` at worst, `O(log len)` per element
+/// removed when failures are local.
+pub fn minimize<T: Clone>(items: &[T], mut fails: impl FnMut(&[T]) -> bool) -> Vec<T> {
+    let mut items = items.to_vec();
+    let mut chunks = 2;
+    while !items.is_empty() {
+        let size = items.len().div_ceil(chunks);
+        let smaller = (0..items.len()).step_by(size).find_map(|start| {
+            let mut rest = items.clone();
+            rest.drain(start..(start + size).min(items.len()));
+            fails(&rest).then_some(rest)
+        });
+        match smaller {
+            Some(rest) => (items, chunks) = (rest, (chunks - 1).max(2)),
+            None if size == 1 => break,
+            None => chunks = (chunks * 2).min(items.len()),
+        }
+    }
+    items
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,6 +197,25 @@ mod tests {
             std::fs::create_dir_all(p.join("nested")).unwrap();
         }
         assert!(!p.exists(), "dir removed on drop");
+    }
+
+    #[test]
+    fn minimize_finds_a_one_minimal_failing_sublist() {
+        // Fails while both 3 and 7 are present and the sum stays odd.
+        let fails =
+            |xs: &[u32]| xs.contains(&3) && xs.contains(&7) && xs.iter().sum::<u32>() % 2 == 1;
+        let input: Vec<u32> = (0..19).collect();
+        assert!(fails(&input));
+        // 1-minimal is not smallest: [1, 3, 5, 7, 9] qualifies as well as
+        // [1, 3, 7]; what holds is that no single element can go.
+        let got = minimize(&input, fails);
+        assert!(fails(&got));
+        for i in 0..got.len() {
+            let mut less = got.clone();
+            less.remove(i);
+            assert!(!fails(&less), "{got:?} without its element {i} still fails");
+        }
+        assert_eq!(minimize(&[5u32], |_| true), Vec::<u32>::new(), "nothing is needed");
     }
 
     #[test]

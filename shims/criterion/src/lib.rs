@@ -6,7 +6,9 @@
 //! `criterion_group!` / `criterion_main!` macros, and `black_box` — with a
 //! simple wall-clock measurement loop instead of criterion's statistics. It
 //! is enough to keep benches compiling and to get indicative numbers from
-//! `cargo bench`; it makes no confidence-interval claims.
+//! `cargo bench`; it makes no confidence-interval claims. Like criterion,
+//! `cargo bench -- NAME` runs only the cases whose full name (`group/case`)
+//! contains `NAME` ([`filter`]).
 
 use std::fmt;
 use std::sync::Mutex;
@@ -42,12 +44,36 @@ pub fn take_recorded() -> Vec<RecordedBench> {
 /// single number, not a distribution the shim re-summarizes.
 pub fn record_custom(name: impl Into<String>, ns: f64) {
     let name = name.into();
+    if !selected(&name) {
+        return;
+    }
     println!("{name:<50} recorded: {}", fmt_time(ns / 1e9));
     RECORDED.lock().unwrap_or_else(|e| e.into_inner()).push(RecordedBench {
         name,
         best_ns: ns,
         mean_ns: ns,
     });
+}
+
+/// The bench-name filter of this run: the first argument that is not a
+/// flag, when the binary runs as a bench (`cargo bench` passes `--bench`;
+/// a test binary that calls the shim is never narrowed by its own test
+/// filter). `None` runs every case.
+pub fn filter() -> Option<String> {
+    static FILTER: std::sync::OnceLock<Option<String>> = std::sync::OnceLock::new();
+    FILTER.get_or_init(|| filter_of(std::env::args().skip(1))).clone()
+}
+
+fn filter_of(args: impl Iterator<Item = String>) -> Option<String> {
+    let args: Vec<String> = args.collect();
+    let bench = args.iter().any(|arg| arg == "--bench");
+    args.into_iter().find(|arg| bench && !arg.starts_with('-'))
+}
+
+/// Whether the case named `name` runs under [`filter`]. Benches that time
+/// a case by hand ([`record_custom`]) ask before doing the work.
+pub fn selected(name: &str) -> bool {
+    filter().is_none_or(|filter| name.contains(&filter))
 }
 
 /// Throughput annotation attached to a benchmark (reported as rate).
@@ -241,6 +267,9 @@ fn run_benchmark<F: FnMut(&mut Bencher)>(
     throughput: Option<Throughput>,
     mut f: F,
 ) {
+    if !selected(name) {
+        return;
+    }
     // Warm-up: run single iterations until the warm-up budget is spent, and
     // use the observed per-iteration time to size the measurement batches.
     let warm_start = Instant::now();
@@ -364,6 +393,17 @@ mod tests {
         let case = recorded.iter().find(|r| r.name == "load/p99").expect("custom recorded");
         assert_eq!(case.best_ns, 1234.5);
         assert_eq!(case.mean_ns, 1234.5);
+    }
+
+    #[test]
+    fn the_filter_is_a_bench_runs_first_plain_argument() {
+        let args = |list: &[&str]| list.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+        assert_eq!(
+            filter_of(args(&["gz_ingest", "--bench"]).into_iter()),
+            Some("gz_ingest".into())
+        );
+        assert_eq!(filter_of(args(&["--bench"]).into_iter()), None, "no filter: every case");
+        assert_eq!(filter_of(args(&["some_test"]).into_iter()), None, "a test run is not a bench");
     }
 
     #[test]

@@ -12,7 +12,10 @@
 //!
 //! There is no shrinking: a failing case panics with the generated inputs in
 //! the message instead of a minimized counterexample. Generation is
-//! deterministic per test name, so failures reproduce across runs.
+//! deterministic per test name, so failures reproduce across runs. Where a
+//! small counterexample matters, generate the case as a list and shrink it
+//! with `gz_testutil::minimize` (delta debugging), as the lattice lane
+//! (`tests/lattice.rs`) does with its operation histories.
 
 pub mod strategy {
     use rand::rngs::SmallRng;

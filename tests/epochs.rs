@@ -1,28 +1,19 @@
-//! Epoch-versioned query tests: the keystone invariant is that a query
-//! pinned to epoch E is *bit-identical* to a stop-the-world query issued at
-//! the moment E was sealed — labels, forest (with edge order), rounds used,
-//! and sketch-failure counts — no matter how much the stream moves while
-//! the query runs, which store serves the rounds (RAM or disk), how the
-//! vertex set is sharded, or how many threads fold the answer. The
-//! satellite half pins reclamation: an epoch's copy-on-write overlay is
-//! bounded by the touched set, captures each group at most once, and does
-//! not accumulate across seal/query/drop cycles.
+//! Epoch-versioned query tests: a query pinned to epoch E is
+//! *bit-identical* to a stop-the-world query issued at the moment E was
+//! sealed — labels, forest (with edge order), rounds used, and
+//! sketch-failure counts — while another thread keeps the stream moving
+//! under it, single-node and sharded. (That the pinned answer is the same on
+//! every store, shard count, transport, τ and pool width is the lattice
+//! lane's `Seal` op, `tests/lattice.rs`.) The satellite half pins
+//! reclamation: an epoch's copy-on-write overlay is bounded by the touched
+//! set, captures each group at most once, and does not accumulate across
+//! seal/query/drop cycles.
 
-use graph_zeppelin::{
-    BoruvkaOutcome, GraphZeppelin, GzConfig, ShardConfig, ShardedGraphZeppelin, StoreBackend,
-};
-use gz_gutters::WorkerPool;
-use gz_testutil::TempDir;
+use graph_zeppelin::{BoruvkaOutcome, GraphZeppelin, GzConfig, ShardConfig, ShardedGraphZeppelin};
 
 fn ingest_single(gz: &mut GraphZeppelin, updates: &[(u32, u32, bool)]) {
     for &(u, v, d) in updates {
         gz.update(u, v, d);
-    }
-}
-
-fn ingest_sharded(gz: &mut ShardedGraphZeppelin, updates: &[(u32, u32, bool)]) {
-    for &(u, v, d) in updates {
-        gz.update(u, v, d).expect("routed update");
     }
 }
 
@@ -401,158 +392,5 @@ fn epoch_folds_and_in_place_flushes_share_the_system_pool() {
             drop(epoch);
             gz.shutdown().expect("clean shutdown");
         });
-    }
-}
-
-mod epoch_equivalence_proptests {
-    use super::*;
-    use proptest::prelude::*;
-
-    fn toggles(n: u64, raw: Vec<(u32, u32)>) -> Vec<(u32, u32, bool)> {
-        raw.into_iter()
-            .map(|(a, b)| ((a as u64 % n) as u32, (b as u64 % n) as u32))
-            .filter(|(a, b)| a != b)
-            .map(|(a, b)| (a, b, false))
-            .collect()
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(5))]
-
-        /// The keystone: on arbitrary toggle streams split at an arbitrary
-        /// point, "query at epoch E" equals "stop-the-world query right
-        /// after E's flush" bit for bit — labels, forest, rounds used,
-        /// sketch failures — across Ram/Disk stores × shard counts {1, 3}
-        /// × both shard query routes (in-place fold, gather fold) × τ ∈
-        /// {0, 64} × epoch folds on pools {1, 4} workers wide, with the
-        /// suffix of the stream ingested between the seal and the epoch
-        /// queries; fleets' own pools cycle through {1, 2, 4} workers.
-        #[test]
-        fn epoch_query_equals_stop_the_world_at_seal(
-            n in 4u64..24,
-            raw in proptest::collection::vec((any::<u32>(), any::<u32>()), 0..100),
-            split in 0usize..100
-        ) {
-            let updates = toggles(n, raw);
-            let cut = split.min(updates.len());
-            let (prefix, suffix) = updates.split_at(cut);
-            let pools = [1usize, 4].map(|threads| (threads, WorkerPool::new(threads)));
-
-            // RAM store.
-            let mut ram = GraphZeppelin::new(GzConfig::in_ram(n)).unwrap();
-            ingest_single(&mut ram, prefix);
-            let epoch = ram.begin_epoch().unwrap();
-            let reference = ram.spanning_forest().unwrap();
-            ingest_single(&mut ram, suffix);
-            ram.flush();
-            for (threads, pool) in &pools {
-                let got = epoch.spanning_forest_with_pool(pool).unwrap();
-                prop_assert_eq!(&reference.labels, &got.labels, "ram labels t={}", threads);
-                prop_assert_eq!(&reference.forest, &got.forest, "ram forest t={}", threads);
-                prop_assert_eq!(reference.rounds_used, got.rounds_used, "ram rounds t={}", threads);
-                prop_assert_eq!(
-                    reference.sketch_failures, got.sketch_failures,
-                    "ram failures t={}", threads
-                );
-            }
-            drop(epoch);
-
-            // Disk store under a tight cache: captures ride the clean→dirty
-            // transition and epoch reads prefer the overlay.
-            let dir = TempDir::new("gz-epoch-prop");
-            let mut disk_cfg = GzConfig::in_ram(n);
-            disk_cfg.store = StoreBackend::Disk {
-                dir: dir.path().to_path_buf(),
-                block_bytes: 512,
-                cache_groups: 2,
-            };
-            let mut disk = GraphZeppelin::new(disk_cfg).unwrap();
-            ingest_single(&mut disk, prefix);
-            let epoch = disk.begin_epoch().unwrap();
-            let disk_reference = disk.spanning_forest().unwrap();
-            prop_assert_eq!(&reference.labels, &disk_reference.labels, "disk seal-time labels");
-            ingest_single(&mut disk, suffix);
-            disk.flush();
-            for (threads, pool) in &pools {
-                let got = epoch.spanning_forest_with_pool(pool).unwrap();
-                prop_assert_eq!(&reference.labels, &got.labels, "disk labels t={}", threads);
-                prop_assert_eq!(&reference.forest, &got.forest, "disk forest t={}", threads);
-                prop_assert_eq!(
-                    reference.rounds_used, got.rounds_used,
-                    "disk rounds t={}", threads
-                );
-                prop_assert_eq!(
-                    reference.sketch_failures, got.sketch_failures,
-                    "disk failures t={}", threads
-                );
-            }
-            drop(epoch);
-
-            // Shard fleets, on both query routes: in-process shards fold
-            // each round in place from their own stores, `local_socket`
-            // shards ship serialized round slices the coordinator validates
-            // and deserializes. Same sealed values, so the same bits — both
-            // against the single-node reference, hence against each other —
-            // across Ram/Disk shard stores × τ ∈ {0, 64} (τ = 64 keeps every
-            // vertex an exact set here), with the epoch pinned while the
-            // suffix is ingested, and live once it is in.
-            type Maker = fn(ShardConfig) -> Result<ShardedGraphZeppelin, graph_zeppelin::GzError>;
-            let routes: [(&str, Maker); 2] = [
-                ("in-place", ShardedGraphZeppelin::in_process),
-                ("gather", ShardedGraphZeppelin::local_socket),
-            ];
-            let mut live_reference = None;
-            let mut widths = [1usize, 2, 4].into_iter().cycle();
-            for shards in [1u32, 3] {
-                for (on_disk, tau) in [(false, 0u32), (false, 64), (true, 0), (true, 64)] {
-                    for (route, make) in routes {
-                        let dir = TempDir::new("gz-epoch-prop-shards");
-                        let mut config = ShardConfig::in_ram(n, shards);
-                        config.sketch_threshold = tau;
-                        config.workers_per_shard = widths.next().unwrap();
-                        if on_disk {
-                            config.store = StoreBackend::Disk {
-                                dir: dir.path().to_path_buf(),
-                                block_bytes: 512,
-                                cache_groups: 2,
-                            };
-                        }
-                        let mut gz = make(config).unwrap();
-                        let what = format!("{route} {shards} shards disk={on_disk} tau={tau}");
-                        ingest_sharded(&mut gz, prefix);
-                        let epoch = gz.begin_epoch().unwrap();
-                        ingest_sharded(&mut gz, suffix);
-                        gz.flush().unwrap();
-                        for (threads, pool) in &pools {
-                            let got = epoch.spanning_forest_with_pool(pool).unwrap();
-                            prop_assert_eq!(
-                                &reference.labels, &got.labels, "labels {} t={}", what, threads
-                            );
-                            prop_assert_eq!(
-                                &reference.forest, &got.forest, "forest {} t={}", what, threads
-                            );
-                            prop_assert_eq!(
-                                reference.rounds_used, got.rounds_used,
-                                "rounds {} t={}", what, threads
-                            );
-                            prop_assert_eq!(
-                                reference.sketch_failures, got.sketch_failures,
-                                "failures {} t={}", what, threads
-                            );
-                        }
-                        drop(epoch);
-                        let got = gz.spanning_forest().unwrap();
-                        let want = live_reference.get_or_insert_with(|| got.clone());
-                        prop_assert_eq!(&want.labels, &got.labels, "live labels {}", what);
-                        prop_assert_eq!(&want.forest, &got.forest, "live forest {}", what);
-                        prop_assert_eq!(want.rounds_used, got.rounds_used, "live rounds {}", what);
-                        prop_assert_eq!(
-                            want.sketch_failures, got.sketch_failures, "live failures {}", what
-                        );
-                        gz.shutdown().unwrap();
-                    }
-                }
-            }
-        }
     }
 }

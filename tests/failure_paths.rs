@@ -109,6 +109,16 @@ fn disk_store_with_unwritable_dir_errors() {
     assert!(matches!(GraphZeppelin::new(c), Err(GzError::Io(_))));
 }
 
+/// Truncates the backing file of the disk store in `dir` to nothing.
+fn truncator(dir: &std::path::Path) -> impl Fn() -> std::io::Result<()> {
+    let sketch_file = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .find(|path| path.file_name().unwrap().to_str().unwrap().starts_with("gz_sketches_"))
+        .expect("the disk store's backing file");
+    move || std::fs::OpenOptions::new().write(true).open(&sketch_file)?.set_len(0)
+}
+
 #[test]
 fn a_failing_sketch_file_is_an_error_not_a_hang() {
     // Truncate the backing file behind a small-cache on-disk system. Done
@@ -132,16 +142,7 @@ fn a_failing_sketch_file_is_an_error_not_a_hang() {
                 cache_groups: 2,
             };
             let mut gz = GraphZeppelin::new(config).unwrap();
-            let sketch_file = std::fs::read_dir(dir.path())
-                .unwrap()
-                .map(|entry| entry.unwrap().path())
-                .find(|path| {
-                    path.file_name().unwrap().to_str().unwrap().starts_with("gz_sketches_")
-                })
-                .expect("the disk store's backing file");
-            let truncate = move || {
-                std::fs::OpenOptions::new().write(true).open(&sketch_file).unwrap().set_len(0)
-            };
+            let truncate = truncator(dir.path());
 
             let (answer, answered) = std::sync::mpsc::channel();
             std::thread::spawn(move || {
@@ -167,6 +168,30 @@ fn a_failing_sketch_file_is_an_error_not_a_hang() {
                 Err(_) => panic!("{lane}: the query hung on a failed read"),
             }
         }
+    }
+}
+
+#[test]
+fn a_failing_sketch_file_fails_a_restore_with_its_error() {
+    // A restore writes every stack into the target's store, faulting its
+    // groups in from the file: past the end of a truncated one, the read's
+    // error is the restore's, typed, where the store used to panic.
+    let dir = gz_testutil::TempDir::new("gz-failure-restore");
+    let n = 64u32;
+    let mut source = GraphZeppelin::new(GzConfig::in_ram(n as u64)).unwrap();
+    source.ingest((0..n - 1).map(|i| (i, i + 1, false)));
+    let checkpoint = dir.join("source.gzc");
+    source.save_checkpoint(&checkpoint).unwrap();
+
+    let mut config = ShardConfig::in_ram(n as u64, 1);
+    let store_dir = dir.path().to_path_buf();
+    config.store =
+        graph_zeppelin::StoreBackend::Disk { dir: store_dir, block_bytes: 512, cache_groups: 2 };
+    let mut target = ShardedGraphZeppelin::in_process(config).unwrap();
+    truncator(dir.path())().unwrap();
+    match target.resume_shards_from(&[checkpoint], None) {
+        Err(GzError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof, "{e}"),
+        other => panic!("expected an I/O error, got {other:?}"),
     }
 }
 
