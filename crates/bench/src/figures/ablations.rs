@@ -1,14 +1,15 @@
 //! Ablations of the design choices DESIGN.md calls out.
 //!
 //! - **Locking discipline** (§5.1): delta-sketch merging vs holding the
-//!   node lock for the whole batch, on one RAM store under contention.
+//!   node lock for the whole batch, on one store without a file under
+//!   contention.
 //! - **Hashing inside CubeSketch**: xxHash (production) vs the 2-universal
 //!   multiply-mod-Mersenne family (theory mode).
 
 use crate::harness::{fmt_rate, kron_workload, rate, time, Scale, Table};
 use graph_zeppelin::config::{default_rounds, GutterCapacity, LockingStrategy};
 use graph_zeppelin::node_sketch::{encode_other, SketchParams};
-use graph_zeppelin::store::ram::RamStore;
+use graph_zeppelin::store::{NodeSet, SketchStore};
 use gz_hash::{Hasher64, PairwiseHash, Xxh64Hasher};
 use gz_sketch::cube::CubeSketchFamily;
 use gz_sketch::geometry::{SketchGeometry, DEFAULT_COLUMNS, PAPER_COLUMNS};
@@ -109,7 +110,7 @@ fn baseline_arithmetic() {
 }
 
 /// The kron workload cut into the gutter-sized batches a leaf gutter at the
-/// default factor hands a Graph Worker, applied to one [`RamStore`] per
+/// default factor hands a Graph Worker, applied to one [`SketchStore`] per
 /// discipline by `available_workers()` threads claiming batches from a
 /// shared cursor — the contention the discipline exists for.
 fn locking(scale: Scale) {
@@ -137,7 +138,8 @@ fn locking(scale: Scale) {
         ("delta-sketch (paper)", LockingStrategy::DeltaSketch),
         ("direct", LockingStrategy::Direct),
     ] {
-        let store = RamStore::new(Arc::clone(&params), strategy);
+        let store =
+            SketchStore::for_nodes(Arc::clone(&params), strategy, NodeSet::all(w.num_nodes));
         let cursor = AtomicUsize::new(0);
         let (_, d) = time(|| {
             std::thread::scope(|scope| {
@@ -155,7 +157,7 @@ fn locking(scale: Scale) {
         t.row(vec![name.into(), fmt_rate(rate(w.updates.len(), d))]);
     }
     println!(
-        "-- locking discipline (kron{}, {threads} threads on one RAM store, {} batches) --",
+        "-- locking discipline (kron{}, {threads} threads on one file-less store, {} batches) --",
         scale.reference_kron().min(10),
         batches.len()
     );

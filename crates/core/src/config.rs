@@ -104,11 +104,12 @@ pub fn capped_at_host(threads: usize) -> usize {
     threads.min(std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
-/// Batch-level locking discipline of a [`crate::store::ram::RamStore`]
-/// (paper §5.1's critical-section minimization), chosen where the store is
-/// constructed. Every system store uses [`LockingStrategy::DeltaSketch`], as
-/// the disk store always does; [`LockingStrategy::Direct`] exists for the
-/// ablation in `figures/ablations.rs` and as the tests' reference store.
+/// Batch-level locking discipline of a [`crate::store::SketchStore`] without
+/// a file (paper §5.1's critical-section minimization), chosen where the
+/// store is constructed. Every system store uses
+/// [`LockingStrategy::DeltaSketch`], as a store with a file always does;
+/// [`LockingStrategy::Direct`] exists for the ablation in
+/// `figures/ablations.rs` and as the tests' reference store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LockingStrategy {
     /// Hold the node-sketch lock for the whole batch application.

@@ -75,13 +75,13 @@ mod tests {
     use super::*;
     use crate::config::LockingStrategy;
     use crate::node_sketch::{encode_other, SketchParams};
-    use crate::store::ram::RamStore;
     use gz_gutters::Batch;
     use gz_sketch::SampleResult;
 
     fn ram_store(num_nodes: u64) -> Arc<SketchStore> {
         let params = Arc::new(SketchParams::new(num_nodes, 4, 7, 5));
-        Arc::new(SketchStore::Ram(RamStore::new(params, LockingStrategy::DeltaSketch)))
+        let all = crate::store::NodeSet::all(num_nodes);
+        Arc::new(SketchStore::for_nodes(params, LockingStrategy::DeltaSketch, all))
     }
 
     #[test]
@@ -133,8 +133,9 @@ mod tests {
         assert_rounds_bitwise_equal(&per_round, &reference, "per-round kernel");
 
         let stored = |apply: &dyn Fn(&SketchStore)| {
+            let all = crate::store::NodeSet::all(num_nodes);
             let store =
-                SketchStore::Ram(RamStore::new(Arc::clone(&params), LockingStrategy::DeltaSketch));
+                SketchStore::for_nodes(Arc::clone(&params), LockingStrategy::DeltaSketch, all);
             apply(&store);
             store.snapshot()[node as usize].clone().unwrap()
         };

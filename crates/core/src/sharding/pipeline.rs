@@ -14,10 +14,7 @@ use crate::error::GzError;
 use crate::ingest::WorkerPool;
 use crate::node_sketch::{CubeRoundSketch, SketchParams};
 use crate::sharding::ShardConfig;
-use crate::store::{
-    disk::DiskStore, ram::RamStore, with_backing_file, EpochOverlay, NodeSet, SketchStore,
-    StoreCensus,
-};
+use crate::store::{with_backing_file, EpochOverlay, NodeSet, SketchStore, StoreCensus};
 use gz_graph::GraphDigest;
 use gz_gutters::{Batch, WorkQueue};
 use gz_stream::wire::SketchEntry;
@@ -131,27 +128,28 @@ impl ShardPipeline {
         }
         let params = Arc::new(config.params());
         let owned = NodeSet::strided(config.num_nodes, index, config.num_shards);
-        let store = match &config.store {
-            StoreBackend::Ram => Arc::new(SketchStore::Ram(RamStore::for_nodes_with_threshold(
+        let threshold = config.sketch_threshold;
+        let store = Arc::new(match &config.store {
+            StoreBackend::Ram => SketchStore::for_nodes_with_threshold(
                 Arc::clone(&params),
                 LockingStrategy::DeltaSketch,
                 owned,
-                config.sketch_threshold,
-            ))),
+                threshold,
+            ),
             StoreBackend::Disk { dir, block_bytes, cache_groups } => {
-                let store = with_backing_file(dir, &format!("gz_sketches_shard{index}"), |path| {
-                    DiskStore::for_nodes_with_threshold(
-                        Arc::clone(&params),
+                with_backing_file(dir, &format!("gz_sketches_shard{index}"), |path| {
+                    let params = Arc::clone(&params);
+                    SketchStore::with_file(
+                        params,
                         owned,
                         path,
                         *block_bytes,
                         *cache_groups,
-                        config.sketch_threshold,
+                        threshold,
                     )
-                })?;
-                Arc::new(SketchStore::Disk(store))
+                })?
             }
-        };
+        });
         let queue = Arc::new(WorkQueue::for_workers(config.workers_per_shard));
         let workers =
             WorkerPool::spawn(config.workers_per_shard, Arc::clone(&queue), Arc::clone(&store));

@@ -1,26 +1,34 @@
-//! File-backed sketch store: the paper's "sketches on SSD" deployment.
+//! The sketch store: every owned vertex's dense stack lives in a *node
+//! group* of consecutive slots (paper §4.1), and a group is resident or
+//! paged — the one thing the paper's two deployments differ in.
 //!
-//! Node sketches sit at fixed offsets in a pre-allocated scratch file,
-//! grouped into *node groups* of `max(1, B/sketch_size)` nodes stored
-//! contiguously (paper §4.1) so one block access moves a whole group. The
-//! file holds each sketch's resident words, its one encoding
-//! ([`gz_sketch::cube::CubeSketch::append_words`]: 8 bytes a bucket below
-//! `2^32`, 12 above), and `sketch_size` is that size, so a fault copies
-//! words in and a write-back copies them out — no codec. Nothing else
-//! reads the file, and it is deleted on drop. A bounded LRU
-//! cache of loaded groups stands in for the paper's RAM budget `M`;
-//! evictions write dirty groups back. Every file access is recorded in
-//! [`IoStats`], which is how the experiment suite measures the hybrid-model
-//! I/O claims instead of relying on cgroup-forced swap.
+//! - Without a file (`StoreBackend::Ram`) a group is one node, resident
+//!   under its own lock — exactly a slot of the paper's in-RAM store, so
+//!   the §5.1 lock granularity is a node's — and nothing is ever written
+//!   back. A group is allocated when its first slot turns dense: at
+//!   construction at τ = 0, at the slot's promotion otherwise — as a paged
+//!   group faults in from a zero-filled file.
+//! - With a file (the SSD model) a group is `max(1, B/sketch_size)` nodes
+//!   at a fixed offset in a pre-allocated scratch file. The file holds each
+//!   sketch's resident words, its one encoding
+//!   ([`gz_sketch::cube::CubeSketch::append_words`]: 8 bytes a bucket below
+//!   `2^32`, 12 above), so a fault copies words in and a write-back copies
+//!   them out — no codec. Nothing else reads the file, and it is deleted on
+//!   drop. A bounded LRU cache of loaded groups stands in for the paper's
+//!   RAM budget `M`; evictions write dirty groups back. Every file access
+//!   is recorded in [`IoStats`], which is how the experiment suite measures
+//!   the hybrid-model I/O claims instead of relying on cgroup-forced swap.
 //!
 //! Graph Workers apply batches in parallel (DESIGN.md §13, "Concurrency
 //! model"). The batch kernel runs into a pooled scratch sketch with no lock
-//! held; the one global lock (`CacheState`'s) covers bookkeeping only —
-//! map lookup, LRU touch, victim choice; and everything that costs time —
-//! the faulted group's read and copy-in, a victim's copy-out and write, the
-//! XOR-merge of a delta — happens under the lock of the one group it
-//! concerns. Lock order: a vertex's slot (the hybrid table, τ > 0) → cache
-//! map → group entry.
+//! held (`LockingStrategy::Direct`, the §5.1 ablation, runs it under the
+//! group's lock instead). A paged store's one global lock (`CacheState`'s)
+//! covers bookkeeping only — map lookup, LRU touch, victim choice; and
+//! everything that costs time — the faulted group's read and copy-in, a
+//! victim's copy-out and write, the XOR-merge of a delta — happens under
+//! the lock of the one group it concerns. A resident store takes no
+//! store-wide lock at all. Lock order: a vertex's slot (the hybrid table,
+//! τ > 0) → cache map → group entry.
 //!
 //! Within a group the layout is *round-major*: all nodes' round-0 slices,
 //! then all round-1 slices, and so on. Ingestion always faults whole groups
@@ -28,9 +36,10 @@
 //! streaming query path (paper §4.2, Figure 9) needs only round `r`'s
 //! column data in Borůvka round `r`, and the round-major order makes that
 //! slice one contiguous read of `nodes_in_group × round_bytes` instead of
-//! `nodes_in_group` strided seeks. Every query reads those slices through
-//! one claim loop (`DiskStore::claim_groups`), run by however many query
-//! workers there are — one included.
+//! `nodes_in_group` strided seeks. Every query reads round slices through
+//! one claim loop (`SketchStore::claim_groups`), run by however many query
+//! workers there are — one included: a resident group's slices are
+//! borrowed where they lie, a paged group's read from the file.
 //!
 //! Every file access is one positioned syscall on the shared handle
 //! (`read_at`, `write_at`): a group fault, one round slice, or one
@@ -38,12 +47,14 @@
 //! workers can have accesses to different regions in flight at once.
 
 use crate::boruvka::RoundSink;
+use crate::config::LockingStrategy;
 use crate::error::GzError;
 use crate::node_sketch::{CubeNodeSketch, CubeRoundSketch, SketchParams};
+use crate::sparse::SparseSet;
 use crate::store::epoch::EpochOverlay;
 use crate::store::hybrid::Hybrid;
-use crate::store::{NodeSet, ScratchPool};
-use gz_gutters::{CounterSet, IoStats};
+use crate::store::{GraphDigestStripes, NodeSet, RepStats, ScratchPool};
+use gz_gutters::{CounterSet, IoStats, WorkerPool};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -53,11 +64,15 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Empty: the disk store has one I/O path and nothing to tune. A benchmark
+/// Empty: the store has one I/O path and nothing to tune. A benchmark
 /// pin — the repository benchmark's store probe still names this type and
-/// passes it to [`DiskStore::for_nodes_with_options`].
+/// passes it to [`SketchStore::for_nodes_with_options`].
 #[derive(Debug, Default)]
 pub struct IoBackendConfig {}
+
+/// The one store under the name the repository benchmark's store probe
+/// imports for its file-backed lane.
+pub use self::SketchStore as DiskStore;
 
 /// The node groups `slots` nodes are cut into at block size `block_bytes`
 /// (paper §4.1): `(nodes a group, groups)`, a group holding
@@ -85,19 +100,22 @@ fn write_at(file: &File, offset: u64, bytes: &[u8], io: &IoStats) -> std::io::Re
     Ok(())
 }
 
-/// One cached node group. Whoever holds the lock owns the group's loaded
+/// One node group. Whoever holds the lock owns the group's loaded
 /// sketches: the worker faulting it in, a worker merging a delta, the
 /// worker evicting it, or a flush writing it back.
 type GroupEntry = Mutex<GroupState>;
 
 struct GroupState {
-    /// The group's sketches once `loaded`; before that, whatever the
-    /// evicted group that donated the allocation left behind.
+    /// The group's sketches once `loaded`; before that, nothing in a
+    /// resident group, and in a paged one whatever the evicted group that
+    /// donated the allocation left behind.
     sketches: Vec<CubeNodeSketch>,
-    /// False from insertion into the map until the first holder of the
-    /// lock has read the group in — so two workers wanting the
-    /// same absent group cause one read: the second finds it loaded.
+    /// False until the group's first dense touch has allocated it
+    /// (resident) or until the first holder of the lock has read it in
+    /// (paged) — so two workers wanting the same absent group cause one
+    /// read: the second finds it loaded.
     loaded: bool,
+    /// Mutated since the file last held it (paged groups only).
     dirty: bool,
 }
 
@@ -114,6 +132,7 @@ struct CacheSlot {
 
 /// Everything the global cache lock guards — bookkeeping only, never a
 /// group's contents.
+#[derive(Default)]
 struct CacheState {
     groups: HashMap<u32, CacheSlot>,
     /// Use order, oldest first: `tick → group`, one entry per cached group
@@ -138,9 +157,34 @@ impl CacheState {
     }
 }
 
+/// A paged store's file, and the cache its groups are loaded through.
+struct Pager {
+    file: File,
+    path: PathBuf,
+    /// Maximum groups held in RAM.
+    cache_capacity: usize,
+    cache: Mutex<CacheState>,
+    /// Signalled (with the cache lock) whenever a group leaves
+    /// `CacheState::writing_back`.
+    writeback_landed: Condvar,
+    io: Arc<IoStats>,
+}
+
+impl Drop for Pager {
+    fn drop(&mut self) {
+        // Best-effort cleanup of the backing file; ignore failures.
+        let _ = std::fs::remove_file(&self.path);
+    }
+}
+
 /// Most bytes one coalesced write-back run holds before it is written
 /// (`writeback_dirty`); a group larger than this is a run of its own.
 const WRITEBACK_RUN_BYTES: usize = 1 << 20;
+
+/// Groups a claimant of a resident store takes off the cursor at once: a
+/// resident group is one node, and one atomic add a node would cost more
+/// than its fold. A paged group is claimed alone.
+const RESIDENT_CLAIM: usize = 64;
 
 std::thread_local! {
     /// Per-thread byte buffer a group's file image, or one write-back run,
@@ -149,7 +193,7 @@ std::thread_local! {
     static GROUP_IO_BUF: std::cell::RefCell<Vec<u8>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
-/// One round stream in progress (see `DiskStore::claim_groups`): what to
+/// One round stream in progress (see `SketchStore::claim_groups`): what to
 /// read, and the cursor and error slot its claimants share.
 struct RoundClaims<'a> {
     round: usize,
@@ -158,15 +202,24 @@ struct RoundClaims<'a> {
     overlay: Option<&'a EpochOverlay>,
     /// The groups to visit, in slot order.
     wanted: Vec<u32>,
+    /// Groups a claim takes.
+    window: usize,
     /// Index into `wanted` of the next unclaimed group.
     next: AtomicUsize,
     first_error: Mutex<Option<std::io::Error>>,
 }
 
 impl RoundClaims<'_> {
+    /// The next window of unclaimed groups; empty once they have run out.
+    fn claim(&self) -> &[u32] {
+        let start = self.next.fetch_add(self.window, Ordering::Relaxed).min(self.wanted.len());
+        let rest = &self.wanted[start..];
+        &rest[..rest.len().min(self.window)]
+    }
+
     /// The stream's outcome, once every claimant has returned.
-    fn finish(self) -> std::io::Result<()> {
-        self.first_error.into_inner().map_or(Ok(()), Err)
+    fn finish(self) -> Result<(), GzError> {
+        self.first_error.into_inner().map_or(Ok(()), |e| Err(e.into()))
     }
 }
 
@@ -185,83 +238,93 @@ struct CacheProbe {
 }
 
 #[cfg(test)]
-type WritebackHook = Box<dyn Fn(&DiskStore, u32) + Send + Sync>;
+type WritebackHook = Box<dyn Fn(&SketchStore, u32) + Send + Sync>;
 
-/// Sketches in a file, node-group layout, bounded LRU cache.
+/// A store of per-vertex node sketches, shared across Graph Workers: a
+/// hybrid table of sparse slots over node groups of dense stacks, resident
+/// or paged.
 ///
-/// Like [`super::ram::RamStore`], the store may hold the whole vertex set or
-/// only a shard's residue class; the file is laid out over dense *slots* of
-/// the [`NodeSet`], so a shard's file is sized to its owned nodes.
-pub struct DiskStore {
+/// The store may hold the whole vertex set or only a shard's residue
+/// class: slots are dense over the [`NodeSet`], so a shard's groups (and
+/// file) are sized to its owned nodes.
+pub struct SketchStore {
     params: Arc<SketchParams>,
     node_set: NodeSet,
-    file: File,
-    path: PathBuf,
     /// Nodes per group.
     group_size: u32,
-    /// File bytes per node sketch: its resident words.
+    /// Bytes of one node's stack: its resident words, what the file holds.
     node_bytes: usize,
-    /// Maximum groups held in RAM.
-    cache_capacity: usize,
-    cache: Mutex<CacheState>,
-    /// Signalled (with the cache lock) whenever a group leaves
-    /// `CacheState::writing_back`.
-    writeback_landed: Condvar,
+    locking: LockingStrategy,
+    /// The groups of a store without a file, one lock each; empty when
+    /// paged.
+    resident: Vec<GroupEntry>,
+    /// The file a paged store's groups live in; `None` when resident.
+    pager: Option<Pager>,
     /// Delta sketches batches are built in before they touch a group.
     scratch: ScratchPool,
     /// The graph digest of the records applied here
-    /// ([`super::SketchStore::graph_digest`]).
-    graph: super::GraphDigestStripes,
+    /// ([`SketchStore::graph_digest`]).
+    graph: GraphDigestStripes,
     /// The first I/O failure of a group fault or write-back. A batch hit by
     /// one is lost, so the store is unusable from then on: every later
     /// access, [`Self::flush`] and [`Self::begin_epoch`] return this error
     /// (rebuilt from its kind and message) instead of touching the file.
     first_error: Mutex<Option<(std::io::ErrorKind, String)>>,
-    io: Arc<IoStats>,
-    /// Each slot's representation (`store::hybrid`, DESIGN.md §12); no table at
-    /// τ = 0. A sparse slot's file bytes stay all-zero and are never
+    /// Each slot's sparse set (`store::hybrid`, DESIGN.md §12); no table at
+    /// τ = 0. A sparse slot's group bytes stay all-zero and are never
     /// authoritative — readers skip them. Its epochs' dense copy-on-write
-    /// "group" is the node group: captures happen under the group's lock,
-    /// on the clean→dirty transition of a cached group (a clean group's
-    /// value equals the file's, which is the sealed value for every epoch
-    /// still lacking the group).
-    pub(crate) reps: Hybrid<()>,
+    /// unit is the node group: captures happen under the group's lock,
+    /// before its first mutation since the seal (for a paged group, on the
+    /// clean→dirty transition: a clean group's value equals the file's,
+    /// which is the sealed value for every epoch still lacking the group).
+    pub(crate) reps: Hybrid,
     #[cfg(test)]
     probe: CacheProbe,
 }
 
-impl DiskStore {
-    /// Create the store, pre-allocating the backing file with all-zero
-    /// sketches (a fresh CubeSketch's words are all zero, so a zero-filled
-    /// file *is* the empty store).
-    pub fn new(
+impl SketchStore {
+    /// A store of `node_set` without a file: one node a group, every group
+    /// resident, batches applied under `locking`. With `threshold > 0`
+    /// every vertex starts as an exact sparse toggle set, densifies past
+    /// `threshold` live neighbors and gets its group then; `0` allocates
+    /// every stack up front. Sketches still hash over the *full*
+    /// characteristic vector — ownership restricts which vertices live
+    /// here, not the edge universe. (A benchmark pin, under its old name
+    /// `RamStore::for_nodes_with_threshold`.)
+    pub fn for_nodes_with_threshold(
         params: Arc<SketchParams>,
-        path: PathBuf,
-        block_bytes: usize,
-        cache_groups: usize,
-    ) -> std::io::Result<Self> {
-        let node_set = NodeSet::all(params.num_nodes);
-        Self::for_nodes(params, node_set, path, block_bytes, cache_groups)
+        locking: LockingStrategy,
+        node_set: NodeSet,
+        threshold: u32,
+    ) -> Self {
+        // Born dense at τ = 0: every group allocated up front.
+        let loaded = threshold == 0;
+        let resident = (0..node_set.len())
+            .map(|_| {
+                let sketches = if loaded { vec![params.new_node_sketch()] } else { Vec::new() };
+                Mutex::new(GroupState { sketches, loaded, dirty: false })
+            })
+            .collect();
+        Self::build(params, node_set, threshold, locking, 1, resident, None)
     }
 
-    /// Create a store over the nodes of `node_set` only (a shard's residue
-    /// class); the backing file holds one slot per owned node.
+    /// [`Self::for_nodes_with_threshold`] at τ = 0 (a benchmark pin, as
+    /// `RamStore::for_nodes`).
     pub fn for_nodes(
         params: Arc<SketchParams>,
+        locking: LockingStrategy,
         node_set: NodeSet,
-        path: PathBuf,
-        block_bytes: usize,
-        cache_groups: usize,
-    ) -> std::io::Result<Self> {
-        Self::for_nodes_with_threshold(params, node_set, path, block_bytes, cache_groups, 0)
+    ) -> Self {
+        Self::for_nodes_with_threshold(params, locking, node_set, 0)
     }
 
-    /// [`Self::for_nodes`] with a promotion threshold τ: every slot starts
-    /// as a compact exact toggle-set and is replayed into a dense sketch in
-    /// the file once it exceeds τ live neighbors. τ = 0 keeps the store
-    /// always-dense (bit-identical behavior and I/O counts to before the
-    /// hybrid representation existed).
-    pub fn for_nodes_with_threshold(
+    /// A store of `node_set` paged through the file at `path`, created
+    /// all-zero (a fresh CubeSketch's words are all zero, so a zero-filled
+    /// file *is* the empty store): groups of `max(1, block_bytes / node
+    /// bytes)` nodes, at most `cache_groups` of them loaded, batches applied
+    /// as delta sketches, every slot sparse below τ = `threshold` (0 =
+    /// always dense).
+    pub fn with_file(
         params: Arc<SketchParams>,
         node_set: NodeSet,
         path: PathBuf,
@@ -270,45 +333,37 @@ impl DiskStore {
         threshold: u32,
     ) -> std::io::Result<Self> {
         let node_bytes = params.node_sketch_resident_bytes();
-        let num_slots = node_set.len() as u64;
-        let (group_size, num_groups) = node_groups(block_bytes, node_bytes, num_slots);
-        let (group_size, num_groups) = (group_size as u32, num_groups as u32);
-
+        let (group_size, num_groups) = node_groups(block_bytes, node_bytes, node_set.len() as u64);
         let file = std::fs::OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(true)
             .open(&path)?;
-        file.set_len(num_groups as u64 * group_size as u64 * node_bytes as u64)?;
-
-        Ok(DiskStore {
-            reps: Hybrid::new(Arc::clone(&params), node_set, threshold, None),
-            scratch: ScratchPool::new(Arc::clone(&params)),
-            graph: super::GraphDigestStripes::new(),
-            params,
-            node_set,
+        file.set_len(num_groups * group_size * node_bytes as u64)?;
+        let pager = Pager {
             file,
             path,
-            group_size,
-            node_bytes,
             cache_capacity: cache_groups.max(1),
-            cache: Mutex::new(CacheState {
-                groups: HashMap::new(),
-                lru: BTreeMap::new(),
-                clock: 0,
-                writing_back: HashSet::new(),
-            }),
+            cache: Mutex::new(CacheState::default()),
             writeback_landed: Condvar::new(),
-            first_error: Mutex::new(None),
             io: Arc::new(IoStats::new()),
-            #[cfg(test)]
-            probe: CacheProbe::default(),
-        })
+        };
+        let locking = LockingStrategy::DeltaSketch;
+        Ok(Self::build(
+            params,
+            node_set,
+            threshold,
+            locking,
+            group_size as u32,
+            vec![],
+            Some(pager),
+        ))
     }
 
-    /// [`Self::for_nodes_with_threshold`]; `_io` is ignored. A benchmark
-    /// pin — the repository benchmark's store probe calls this signature.
+    /// [`Self::with_file`]; `_io` is ignored. A benchmark pin — the
+    /// repository benchmark's store probe calls this signature, as
+    /// `DiskStore::for_nodes_with_options`.
     pub fn for_nodes_with_options(
         params: Arc<SketchParams>,
         node_set: NodeSet,
@@ -318,18 +373,46 @@ impl DiskStore {
         threshold: u32,
         _io: IoBackendConfig,
     ) -> std::io::Result<Self> {
-        Self::for_nodes_with_threshold(params, node_set, path, block_bytes, cache_groups, threshold)
+        Self::with_file(params, node_set, path, block_bytes, cache_groups, threshold)
     }
 
-    /// Seal the current generation: write back every dirty cached group
-    /// (so the file is authoritative for the sealed values), then register
-    /// the epoch — atomically, with the cache lock and every cached group's
-    /// lock held across both, so no batch can dirty a group between the
-    /// write-back and the registration. The caller must have quiesced
-    /// ingestion first. Fails with the store's first batch-application
-    /// error, if there was one.
-    pub fn begin_epoch(&self) -> std::io::Result<(u64, Arc<EpochOverlay>)> {
-        self.writeback_dirty(|| self.reps.epochs.register())
+    fn build(
+        params: Arc<SketchParams>,
+        node_set: NodeSet,
+        threshold: u32,
+        locking: LockingStrategy,
+        group_size: u32,
+        resident: Vec<GroupEntry>,
+        pager: Option<Pager>,
+    ) -> Self {
+        SketchStore {
+            reps: Hybrid::new(Arc::clone(&params), node_set, threshold),
+            scratch: ScratchPool::new(Arc::clone(&params)),
+            graph: GraphDigestStripes::new(),
+            node_bytes: params.node_sketch_resident_bytes(),
+            params,
+            node_set,
+            group_size,
+            locking,
+            resident,
+            pager,
+            first_error: Mutex::new(None),
+            #[cfg(test)]
+            probe: CacheProbe::default(),
+        }
+    }
+
+    /// Seal the current generation and return its epoch id and
+    /// copy-on-write overlay. The caller must have quiesced ingestion (a
+    /// flushed buffering system and a drained work queue) so the sealed
+    /// values are well defined. A paged store first writes back every dirty
+    /// cached group, atomically with the registration — the cache lock and
+    /// every cached group's lock held across both, so no batch can dirty a
+    /// group in between — and the file is authoritative for the sealed
+    /// generation. Fails with the store's first batch-application error,
+    /// if there was one.
+    pub fn begin_epoch(&self) -> Result<(u64, Arc<EpochOverlay>), GzError> {
+        Ok(self.writeback_dirty(|| self.reps.epochs.register())?)
     }
 
     /// Write every dirty cached group back to the file, coalescing runs of
@@ -339,15 +422,17 @@ impl DiskStore {
     /// copied into this thread's one I/O buffer, so a write-back holds one
     /// run, never the whole dirty cache; then run `sealed` while still
     /// holding the cache lock and the lock of every cached group, i.e. with
-    /// all merges shut out. Shared by [`Self::flush`] and
+    /// all merges shut out. A resident store has nothing to write: it runs
+    /// `sealed` at once. Shared by [`Self::flush`] and
     /// [`Self::begin_epoch`].
     fn writeback_dirty<R>(&self, sealed: impl FnOnce() -> R) -> std::io::Result<R> {
+        let Some(pager) = &self.pager else { return Ok(sealed()) };
         self.check_failed()?;
-        let mut cache = self.cache.lock();
+        let mut cache = pager.cache.lock();
         // Evictions in flight hold groups this scan cannot see; the file is
         // not authoritative until their writes have landed.
         while !cache.writing_back.is_empty() {
-            self.writeback_landed.wait(&mut cache);
+            pager.writeback_landed.wait(&mut cache);
         }
         let mut held: Vec<(u32, MutexGuard<'_, GroupState>)> =
             cache.groups.iter().map(|(&group, slot)| (group, slot.entry.lock())).collect();
@@ -367,7 +452,7 @@ impl DiskStore {
                 if run.is_empty() {
                     start = offset;
                 } else if !(adjacent && fits) {
-                    write_at(&self.file, start, &run, &self.io)?;
+                    write_at(&pager.file, start, &run, &pager.io)?;
                     run.clear();
                     start = offset;
                 }
@@ -376,7 +461,7 @@ impl DiskStore {
             if run.is_empty() {
                 return Ok(());
             }
-            write_at(&self.file, start, &run, &self.io)
+            write_at(&pager.file, start, &run, &pager.io)
         });
         self.record_failure(written)?;
         for (_, state) in &mut held {
@@ -409,24 +494,68 @@ impl DiskStore {
         &self.params
     }
 
-    /// I/O counters.
-    pub fn io_stats(&self) -> Arc<IoStats> {
-        Arc::clone(&self.io)
-    }
-
-    /// Nodes per group (`max(1, B/sketch)`; paper §4.1).
-    pub fn group_size(&self) -> u32 {
-        self.group_size
-    }
-
     /// The vertex set this store holds sketches for.
     pub fn node_set(&self) -> NodeSet {
         self.node_set
     }
 
-    /// Number of node groups in the backing file.
+    /// The store's per-worker graph digests.
+    pub(crate) fn graph(&self) -> &GraphDigestStripes {
+        &self.graph
+    }
+
+    /// File I/O counters, if this store has a file.
+    pub fn io_stats(&self) -> Option<Arc<IoStats>> {
+        self.pager.as_ref().map(|pager| Arc::clone(&pager.io))
+    }
+
+    /// Bytes of this store's file, if it has one: every group at its
+    /// resident words.
+    pub fn file_bytes(&self) -> Option<u64> {
+        let group_bytes = self.group_size as u64 * self.node_bytes as u64;
+        self.pager.as_ref().map(|_| self.num_groups() as u64 * group_bytes)
+    }
+
+    /// Nodes per group: `max(1, B/sketch)` with a file (paper §4.1), one
+    /// without.
+    pub fn group_size(&self) -> u32 {
+        self.group_size
+    }
+
+    /// Number of node groups.
     pub fn num_groups(&self) -> u32 {
         (self.node_set.len() as u32).div_ceil(self.group_size)
+    }
+
+    /// Representation census (promoted vs sparse vertices).
+    pub fn rep_stats(&self) -> RepStats {
+        self.reps.rep_stats()
+    }
+
+    /// Resident sketch bytes of the owned nodes, wherever they live: a
+    /// promoted vertex's stack at its resident words, a sparse one at 4
+    /// bytes a live neighbor (the census's `sketch memory`).
+    pub fn sketch_bytes(&self) -> usize {
+        self.reps.sketch_bytes()
+    }
+
+    /// The sketch bytes this store keeps in RAM outside a cache: all of
+    /// them without a file; with one, the sparse sets only (the file holds
+    /// the stacks, and the cache is budgeted in groups).
+    pub fn ram_bytes(&self) -> usize {
+        match self.pager {
+            None => self.sketch_bytes(),
+            Some(_) => self.rep_stats().sparse_bytes(),
+        }
+    }
+
+    /// Pre-images this store has cloned for its epochs so far (node groups
+    /// and sparse sets, each counted once however many overlays share it) —
+    /// the copy-on-write cost of every seal to date. It stands still while
+    /// no epoch is live, which is how the tests pin that a reseal whose old
+    /// epoch was let go first clones nothing in its flush.
+    pub fn epoch_captures(&self) -> u64 {
+        self.reps.epochs.captures()
     }
 
     fn group_of_slot(&self, slot: usize) -> u32 {
@@ -437,9 +566,14 @@ impl DiskStore {
         group as u64 * self.group_size as u64 * self.node_bytes as u64
     }
 
+    /// The slots of `group`.
+    fn slots_of(&self, group: u32) -> std::ops::Range<usize> {
+        let start = (group * self.group_size) as usize;
+        start..(start + self.group_size as usize).min(self.node_set.len())
+    }
+
     fn nodes_in_group(&self, group: u32) -> u32 {
-        let start = group * self.group_size;
-        (self.node_set.len() as u32 - start).min(self.group_size)
+        self.slots_of(group).len() as u32
     }
 
     /// Append a group block to `out`: the words of the group's `k` nodes,
@@ -468,23 +602,33 @@ impl DiskStore {
     }
 
     /// Read `group` from the file and copy it over `sketches`.
-    fn load_group(&self, group: u32, sketches: &mut Vec<CubeNodeSketch>) -> std::io::Result<()> {
+    fn load_group(
+        &self,
+        pager: &Pager,
+        group: u32,
+        sketches: &mut Vec<CubeNodeSketch>,
+    ) -> std::io::Result<()> {
         let k = self.nodes_in_group(group) as usize;
         GROUP_IO_BUF.with(|buf| {
             let mut bytes = buf.borrow_mut();
             bytes.resize(k * self.node_bytes, 0);
-            read_at(&self.file, self.group_offset(group), &mut bytes, &self.io)?;
+            read_at(&pager.file, self.group_offset(group), &mut bytes, &pager.io)?;
             self.copy_group_in(&bytes, k, sketches);
             Ok(())
         })
     }
 
-    fn write_group(&self, group: u32, sketches: &[CubeNodeSketch]) -> std::io::Result<()> {
+    fn write_group(
+        &self,
+        pager: &Pager,
+        group: u32,
+        sketches: &[CubeNodeSketch],
+    ) -> std::io::Result<()> {
         GROUP_IO_BUF.with(|buf| {
             let mut bytes = buf.borrow_mut();
             bytes.clear();
             self.copy_group_out(sketches, &mut bytes);
-            write_at(&self.file, self.group_offset(group), &bytes, &self.io)
+            write_at(&pager.file, self.group_offset(group), &bytes, &pager.io)
         })
     }
 
@@ -500,47 +644,11 @@ impl DiskStore {
         )
     }
 
-    /// Hand `claims`' consumer the round slice of each of `group`'s live
-    /// nodes: borrowed from `sealed`, an epoch's captured pre-image of the
-    /// group, when there is one, and otherwise copied from `bytes`, the
-    /// group's round slice as read from the file. Slots that were sparse at
-    /// the seal are never emitted: their file bytes and pre-image entries
-    /// are all-zero padding, not their state, which the sparse pass serves
-    /// instead.
-    fn emit_group(
-        &self,
-        claims: &RoundClaims<'_>,
-        group: u32,
-        sealed: Option<&[CubeNodeSketch]>,
-        bytes: &[u8],
-        emit: &mut dyn FnMut(u32, Cow<'_, CubeRoundSketch>),
-    ) {
-        let round = claims.round;
-        let round_bytes = self.params.round_resident_bytes(round);
-        let start = (group * self.group_size) as usize;
-        for i in 0..self.nodes_in_group(group) as usize {
-            let node = self.node_set.node(start + i);
-            if !(claims.live)(node) || self.reps.is_sparse(start + i, claims.overlay) {
-                continue;
-            }
-            emit(
-                node,
-                match sealed {
-                    Some(pre) => Cow::Borrowed(pre[i].round(round)),
-                    None => {
-                        let mut slice = self.params.families[round].new_sketch();
-                        slice.load_words(&bytes[i * round_bytes..][..round_bytes]);
-                        Cow::Owned(slice)
-                    }
-                },
-            );
-        }
-    }
-
-    /// Run `f` with mutable access to a cached group, faulting it in (and
-    /// possibly evicting least-recently-used groups) first. Only `group`'s
-    /// own lock is held while the group is read in and handed to `f`;
-    /// workers on different groups do all of that side by side.
+    /// Run `f` with mutable access to a group, loaded first: a resident
+    /// group allocated at its first dense touch, a paged one faulted in
+    /// (possibly evicting least-recently-used groups). Only `group`'s own
+    /// lock is held while the group is loaded and handed to `f`; workers on
+    /// different groups do all of that side by side.
     fn with_group<R>(
         &self,
         group: u32,
@@ -556,46 +664,62 @@ impl DiskStore {
                 // the group takes this same lock, so the capture is ordered
                 // before any write-back of the mutated group, which is what
                 // lets epoch readers trust the file for non-captured groups.
+                // A resident group has no file to be clean against: it
+                // offers its pre-image before every mutation, and each
+                // epoch keeps the first.
                 let sketches = &state.sketches;
                 self.reps.epochs.capture_group(group, &mut || sketches.clone());
-                state.dirty = true;
+                state.dirty = self.pager.is_some();
             }
             f(&mut state.sketches)
         })
     }
 
-    /// [`Self::with_group`] for a reader: `f` sees the group's sketches
-    /// and the group stays as clean as it was — nothing to capture, and
-    /// nothing to write back on its account.
+    /// Run `f` on `group`'s stacks without dirtying it — nothing to
+    /// capture, and nothing to write back on its account: a paged group is
+    /// faulted in through the cache; a resident group never allocated reads
+    /// as no stacks (every slot of it is sparse).
     fn read_group<R>(
         &self,
         group: u32,
         f: impl FnOnce(&[CubeNodeSketch]) -> R,
     ) -> std::io::Result<R> {
-        self.with_loaded_group(group, |state| f(&state.sketches))
+        match self.pager {
+            None => Ok(f(&self.resident[group as usize].lock().sketches)),
+            Some(_) => self.with_loaded_group(group, |state| f(&state.sketches)),
+        }
     }
 
-    /// Run `f` on `group`'s cached state under its lock, faulted in first.
+    /// Run `f` on `group`'s state under its lock, loaded first.
     fn with_loaded_group<R>(
         &self,
         group: u32,
         f: impl FnOnce(&mut GroupState) -> R,
     ) -> std::io::Result<R> {
+        let Some(pager) = &self.pager else {
+            let mut state = self.resident[group as usize].lock();
+            if !state.loaded {
+                let k = self.nodes_in_group(group) as usize;
+                state.sketches.resize_with(k, || self.params.new_node_sketch());
+                state.loaded = true;
+            }
+            return Ok(f(&mut state));
+        };
         self.check_failed()?;
-        let entry = self.record_failure(self.checkout_group(group))?;
+        let entry = self.record_failure(self.checkout_group(pager, group))?;
         let mut state = entry.lock();
         if !state.loaded {
-            let loaded = self.load_group(group, &mut state.sketches);
+            let loaded = self.load_group(pager, group, &mut state.sketches);
             self.record_failure(loaded)?;
             state.loaded = true;
         }
         Ok(f(&mut state))
     }
 
-    /// The bookkeeping half of a group access, and the only part under the
-    /// global cache lock: find `group`'s entry, or make room and insert an
-    /// unloaded one, and mark it most recently used. The returned clone
-    /// keeps the entry from being evicted until it is dropped.
+    /// The bookkeeping half of a paged group access, and the only part
+    /// under the global cache lock: find `group`'s entry, or make room and
+    /// insert an unloaded one, and mark it most recently used. The returned
+    /// clone keeps the entry from being evicted until it is dropped.
     ///
     /// Making room evicts least-recently-used groups nobody is using, one
     /// at a time, until the cache is under capacity (or every cached group
@@ -606,10 +730,10 @@ impl DiskStore {
     /// worker: every group is cached-and-idle (at most `cache_groups` of
     /// those once any miss completes), in use by a worker, or a victim in a
     /// worker's hands — and a worker holds one or the other, never both.
-    fn checkout_group(&self, group: u32) -> std::io::Result<Arc<GroupEntry>> {
+    fn checkout_group(&self, pager: &Pager, group: u32) -> std::io::Result<Arc<GroupEntry>> {
         // The last victim's allocation, recycled as the new group's.
         let mut spare = Vec::new();
-        let mut cache = self.cache.lock();
+        let mut cache = pager.cache.lock();
         loop {
             cache.clock += 1;
             let tick = cache.clock;
@@ -625,12 +749,12 @@ impl DiskStore {
                 // their way to the file: reading now could fault in the
                 // stale image and lose every update since the last write.
                 #[cfg(test)]
-                self.probe.refault_waits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                self.writeback_landed.wait(&mut cache);
+                self.probe.refault_waits.fetch_add(1, Ordering::Relaxed);
+                pager.writeback_landed.wait(&mut cache);
                 continue;
             }
             let victim =
-                if groups.len() >= self.cache_capacity { cache.pop_unused_lru() } else { None };
+                if groups.len() >= pager.cache_capacity { cache.pop_unused_lru() } else { None };
             let Some((victim_group, victim)) = victim else {
                 let state = GroupState { sketches: spare, loaded: false, dirty: false };
                 let entry = Arc::new(Mutex::new(state));
@@ -638,7 +762,7 @@ impl DiskStore {
                 cache.groups.insert(group, CacheSlot { entry: Arc::clone(&entry), tick });
                 #[cfg(test)]
                 {
-                    self.probe.faults.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    self.probe.faults.fetch_add(1, Ordering::Relaxed);
                     self.probe_resident(&cache);
                 }
                 return Ok(entry);
@@ -654,14 +778,16 @@ impl DiskStore {
             }
             // Out of the map and unused: this lock is uncontended.
             let mut state = victim.lock();
-            let written =
-                if state.dirty { self.write_group(victim_group, &state.sketches) } else { Ok(()) };
+            let written = match state.dirty {
+                true => self.write_group(pager, victim_group, &state.sketches),
+                false => Ok(()),
+            };
             spare = std::mem::take(&mut state.sketches);
             drop(state);
 
-            cache = self.cache.lock();
+            cache = pager.cache.lock();
             cache.writing_back.remove(&victim_group);
-            self.writeback_landed.notify_all();
+            pager.writeback_landed.notify_all();
             written?;
         }
     }
@@ -669,21 +795,24 @@ impl DiskStore {
     #[cfg(test)]
     fn probe_resident(&self, cache: &CacheState) {
         let resident = cache.groups.len() + cache.writing_back.len();
-        self.probe.resident_peak.fetch_max(resident, std::sync::atomic::Ordering::Relaxed);
+        self.probe.resident_peak.fetch_max(resident, Ordering::Relaxed);
     }
 
-    /// Apply a batch of encoded records to `node` (which must be owned).
+    /// Apply a batch of encoded update records to `node`'s sketch stack
+    /// (`node` must be owned). Thread-safe; called concurrently by Graph
+    /// Workers.
     ///
     /// While the node is sparse the batch only toggles its exact
-    /// neighbor-set (`Hybrid::apply_sparse`) — no group fault, no file
+    /// neighbor-set (`Hybrid::apply_sparse`) — no group touched, no file
     /// traffic. Crossing τ promotes: the replayed stack is written into the
     /// node's place in its group, under the slot lock.
     ///
     /// A dense node's batch goes through the batch kernel into a scratch
     /// sketch first, with no lock held, and only the XOR of that delta into
-    /// the node's slot happens under its group's lock — the paper's §5.1
+    /// the node's stack happens under its group's lock — the paper's §5.1
     /// critical-section minimisation, which is what lets Graph Workers
-    /// overlap on this store.
+    /// overlap. [`LockingStrategy::Direct`] runs the kernel under the
+    /// group's lock instead.
     ///
     /// An I/O failure loses the batch; the store remembers it and fails
     /// every later [`Self::flush`] and [`Self::begin_epoch`].
@@ -691,11 +820,32 @@ impl DiskStore {
         let slot = self.node_set.slot(node);
         // A failure is on record in the store, here and below.
         let promoted = |stack| drop(self.with_stack(slot, |dst| *dst = stack));
-        if !self.reps.apply_sparse(slot, node, records, promoted) {
-            self.scratch.with_delta(node, records, |delta| {
-                drop(self.with_stack(slot, |dst| dst.merge(delta)))
-            });
+        if self.reps.apply_sparse(slot, node, records, promoted) {
+            return;
         }
+        let num_nodes = self.params.num_nodes;
+        drop(match self.locking {
+            LockingStrategy::Direct => self.with_stack(slot, |dst| {
+                super::apply_records(dst, node, records, num_nodes);
+            }),
+            LockingStrategy::DeltaSketch => self
+                .scratch
+                .with_delta(node, records, |delta| self.with_stack(slot, |dst| dst.merge(delta))),
+        });
+    }
+
+    /// Dense stacks allocated in resident groups (test instrumentation for
+    /// allocation at the first dense touch).
+    #[cfg(test)]
+    pub(crate) fn resident_stacks(&self) -> usize {
+        self.resident.iter().map(|group| group.lock().sketches.len()).sum()
+    }
+
+    /// Scratch sketches parked in the store's pool (test instrumentation
+    /// for the reuse discipline).
+    #[cfg(test)]
+    pub(crate) fn parked_scratch(&self) -> usize {
+        self.scratch.parked()
     }
 
     /// Run `f` on the dense stack at `slot`, in its group, under the
@@ -705,15 +855,11 @@ impl DiskStore {
         self.with_group(self.group_of_slot(slot), |sketches| f(&mut sketches[local]))
     }
 
-    /// The graph digest's per-worker stripes.
-    pub(crate) fn graph(&self) -> &super::GraphDigestStripes {
-        &self.graph
-    }
-
     /// Flush every dirty cached group back to the file (adjacent dirty
     /// groups coalesce into single contiguous writes; see
-    /// `writeback_dirty`). Fails with the store's first batch-application
-    /// error, if there was one: the file would be missing that batch.
+    /// `writeback_dirty`); nothing to do without a file. Fails with the
+    /// store's first batch-application error, if there was one: the file
+    /// would be missing that batch.
     pub fn flush(&self) -> std::io::Result<()> {
         self.writeback_dirty(|| ())
     }
@@ -735,11 +881,10 @@ impl DiskStore {
             self.flush()?;
         }
         // Visit the groups with at least one live node that was dense at the
-        // seal, in slot order: an all-sparse group's file bytes are zeros.
+        // seal, in slot order: an all-sparse group holds zeros.
         let wanted = (0..self.num_groups())
             .filter(|&g| {
-                let start = (g * self.group_size) as usize;
-                (start..start + self.nodes_in_group(g) as usize).any(|slot| {
+                self.slots_of(g).any(|slot| {
                     live(self.node_set.node(slot)) && !self.reps.is_sparse(slot, overlay)
                 })
             })
@@ -749,87 +894,140 @@ impl DiskStore {
             live,
             overlay,
             wanted,
+            window: if self.pager.is_some() { 1 } else { RESIDENT_CLAIM },
             next: AtomicUsize::new(0),
             first_error: Mutex::new(None),
         })
     }
 
-    /// The disk store's one round-read path (paper §4.2, Figure 9), run by
-    /// each claimant of `claims` until the wanted groups run out: claim the
-    /// next group from the shared cursor, serve it from its sealed
-    /// pre-image if the overlay captured one, read its round slice
-    /// otherwise, and hand every live dense node's slice to `emit` —
-    /// borrowed from a pre-image, owned when copied from the file.
-    /// Which claimant gets which group is scheduling-dependent; consumers
-    /// fold by XOR, so it never shows in a result.
+    /// The store's one round-read path (paper §4.2, Figure 9), run by each
+    /// claimant of `claims` until the wanted groups run out: claim the next
+    /// groups from the shared cursor and hand every live dense node's slice
+    /// of each to `emit` — borrowed from the epoch's pre-image of the group
+    /// if the overlay captured one, else borrowed from a resident group
+    /// under its lock, else copied from a paged group's round slice as read
+    /// from the file. Which claimant gets which group is
+    /// scheduling-dependent; consumers fold by XOR, so it never shows in a
+    /// result.
     ///
-    /// The overlay is checked again after each read and always wins: a
-    /// capture landing mid-read means the read may have raced a write-back
-    /// of post-seal state, and the capture happens-before that write-back,
-    /// so a torn or stale read is always masked.
+    /// The overlay is checked under a resident group's lock, which its
+    /// captures take too, and again after each file read: a capture landing
+    /// mid-read means the read may have raced a write-back of post-seal
+    /// state, and the capture happens-before that write-back, so a torn or
+    /// stale read is always masked.
     ///
-    /// Reads are counted in a local [`IoStats`] merged into the store's
-    /// once, so a stream records exactly one read of exactly the slice's
-    /// bytes per group read, however many claimants shared it. An I/O
-    /// error ends the stream for every claimant at its next claim; the
+    /// File reads are counted in a local [`IoStats`] merged into the
+    /// store's once, so a stream records exactly one read of exactly the
+    /// slice's bytes per group read, however many claimants shared it. An
+    /// I/O error ends the stream for every claimant at its next claim; the
     /// first one is what [`RoundClaims::finish`] returns.
     fn claim_groups(
         &self,
         claims: &RoundClaims<'_>,
         emit: &mut dyn FnMut(u32, Cow<'_, CubeRoundSketch>),
     ) {
+        let round = claims.round;
         let sealed = |group| claims.overlay.and_then(|overlay| overlay.get(group));
         let local_io = IoStats::new();
-        let mut bytes = Vec::new();
-        while let Some(&group) = claims.wanted.get(claims.next.fetch_add(1, Ordering::Relaxed)) {
-            if let Some(pre) = sealed(group) {
-                self.emit_group(claims, group, Some(&pre), &[], emit);
-                continue;
-            }
-            let (offset, len) = self.round_slice(group, claims.round);
-            bytes.resize(len, 0);
-            if let Err(e) = read_at(&self.file, offset, &mut bytes, &local_io) {
-                claims.next.store(claims.wanted.len(), Ordering::Relaxed);
-                claims.first_error.lock().get_or_insert(e);
+        let (mut bytes, mut dense) = (Vec::new(), Vec::new());
+        'claims: loop {
+            let claimed = claims.claim();
+            if claimed.is_empty() {
                 break;
             }
-            let pre = sealed(group);
-            self.emit_group(claims, group, pre.as_ref().map(|p| &p[..]), &bytes, emit);
+            for &group in claimed {
+                // The group's nodes to emit: live, and dense at the seal.
+                // A slot sparse at the seal has zeros or post-promotion
+                // state in its group, never its sealed value; the sparse
+                // pass serves it. Asked before the group's lock, which
+                // comes after the slots' — and stable for a live epoch.
+                let slots = self.slots_of(group);
+                dense.clear();
+                dense.extend(slots.clone().filter(|&slot| {
+                    (claims.live)(self.node_set.node(slot))
+                        && !self.reps.is_sparse(slot, claims.overlay)
+                }));
+                let borrowed =
+                    |stacks: &[CubeNodeSketch], emit: &mut dyn FnMut(u32, Cow<'_, _>)| {
+                        for &slot in &dense {
+                            let stack = &stacks[slot - slots.start];
+                            emit(self.node_set.node(slot), Cow::Borrowed(stack.round(round)));
+                        }
+                    };
+                let Some(pager) = &self.pager else {
+                    let state = self.resident[group as usize].lock();
+                    match sealed(group) {
+                        Some(pre) => borrowed(&pre, emit),
+                        None => borrowed(&state.sketches, emit),
+                    }
+                    continue;
+                };
+                if let Some(pre) = sealed(group) {
+                    borrowed(&pre, emit);
+                    continue;
+                }
+                let (offset, len) = self.round_slice(group, round);
+                bytes.resize(len, 0);
+                if let Err(e) = read_at(&pager.file, offset, &mut bytes, &local_io) {
+                    claims.next.store(claims.wanted.len(), Ordering::Relaxed);
+                    claims.first_error.lock().get_or_insert(e);
+                    break 'claims;
+                }
+                if let Some(pre) = sealed(group) {
+                    borrowed(&pre, emit);
+                    continue;
+                }
+                let round_bytes = self.params.round_resident_bytes(round);
+                for &slot in &dense {
+                    let mut slice = self.params.families[round].new_sketch();
+                    slice.load_words(&bytes[(slot - slots.start) * round_bytes..][..round_bytes]);
+                    emit(self.node_set.node(slot), Cow::Owned(slice));
+                }
+            }
         }
-        self.io.merge_from(&local_io);
+        if let Some(pager) = &self.pager {
+            pager.io.merge_from(&local_io);
+        }
     }
 
-    /// Stream the round-`round` slice of every owned dense node whose
-    /// component is still `live` into `sink`, as sealed by `overlay`
-    /// (`None` = the live state): the claim loop run by the calling thread
-    /// as its only claimant. Groups whose nodes are all retired or sparse
-    /// are never read.
+    /// The dense half of [`Self::stream_round`], as sealed by `overlay`
+    /// (`None` = the live state, which the caller must have quiesced):
+    /// every owned dense node whose component is still `live`, sparse
+    /// vertices skipped — the claim loop run by the calling thread as its
+    /// only claimant. An epoch read does not quiesce ingestion. Groups
+    /// whose nodes are all retired or sparse are never read. Used by the
+    /// sharded gather path, which ships sparse sets in their exact form
+    /// (wire tag 1).
     pub fn stream_round_dense(
         &self,
         round: usize,
         live: &(dyn Fn(u32) -> bool + Sync),
         overlay: Option<&EpochOverlay>,
         sink: &mut dyn FnMut(u32, &CubeRoundSketch),
-    ) -> std::io::Result<()> {
+    ) -> Result<(), GzError> {
         let claims = self.begin_round(round, live, overlay)?;
         self.claim_groups(&claims, &mut |node, slice| sink(node, &slice));
         claims.finish()
     }
 
     /// Fold round `round` of every owned, still-`live` node into the pool's
-    /// per-worker sinks, as sealed by `overlay` (`None` = the live state):
-    /// the sparse vertices by slot range, then the dense ones with every
-    /// worker a claimant of the same claim loop, so up to `sinks.len()`
-    /// positioned reads are in flight on the shared file handle at once.
+    /// per-worker sinks — the storage-friendly query path (paper §4.2),
+    /// live (`overlay = None`, ingestion quiesced by the caller) or pinned
+    /// to a sealed epoch: the sparse vertices by slot range, XORing their
+    /// edge indices straight into their supernode's accumulator
+    /// (`sparse::SparseRoundBatch`), then the dense ones with every worker
+    /// a claimant of the same claim loop, so up to `sinks.len()` positioned
+    /// reads are in flight on a file at once. Which worker folds what
+    /// cannot change results — folding is XOR.
     pub fn stream_round_parallel(
         &self,
         round: usize,
         live: &(dyn Fn(u32) -> bool + Sync),
         overlay: Option<&EpochOverlay>,
-        pool: &gz_gutters::WorkerPool,
+        pool: &WorkerPool,
         sinks: &[Mutex<RoundSink<'_, CubeRoundSketch>>],
-    ) -> std::io::Result<()> {
-        self.reps.fold_round(round, live, overlay, pool, sinks, |_, _, ()| {});
+    ) -> Result<(), GzError> {
+        self.reps.fold_round(round, live, overlay, pool, sinks);
         let claims = self.begin_round(round, live, overlay)?;
         pool.run(&|w| {
             let mut sink = sinks[w].lock();
@@ -838,67 +1036,133 @@ impl DiskStore {
         claims.finish()
     }
 
-    /// Upper bound on sketch bytes the round stream holds resident at once
-    /// when read by `threads` query workers: each holds one group's slice.
+    /// Sketch bytes the streaming round path holds resident at once when
+    /// read by `threads` query workers: one paged group's slice each, and
+    /// none without a file, whose slices are borrowed.
     pub fn round_stream_resident_bytes(&self, round: usize, threads: usize) -> usize {
-        threads * self.group_size as usize * self.params.round_resident_bytes(round)
+        match self.pager {
+            None => 0,
+            Some(_) => threads * self.group_size as usize * self.params.round_resident_bytes(round),
+        }
     }
 
-    /// The dense stacks of the node group holding `slots`, read through
-    /// the cache without dirtying it — what the hybrid layer's encoders
-    /// read a chunk's stacks with.
-    fn read_chunk(
+    /// Visit the exact set of every owned, still-`live` sparse vertex, as
+    /// sealed by `overlay` (`None` = the live state): an overlay pre-image
+    /// if the vertex was mutated or promoted after the seal, its live set
+    /// otherwise. Sets are borrowed under their slot locks, not cloned;
+    /// always-dense stores visit nothing.
+    pub fn for_each_sparse(
         &self,
-        slots: std::ops::Range<usize>,
-        f: &mut dyn FnMut(&[CubeNodeSketch]),
+        live: &(dyn Fn(u32) -> bool + Sync),
+        overlay: Option<&EpochOverlay>,
+        f: &mut dyn FnMut(u32, &SparseSet),
+    ) {
+        self.reps.for_each_sparse(live, overlay, f)
+    }
+
+    /// Hand `visit` every owned slot's dense stack in slot order, a node
+    /// group at a time, and call `done` after each group once its locks
+    /// are released: the group's slots locked first, in slot order, then
+    /// the group read without dirtying it; a sparse slot densified by
+    /// replay, held only for its visit.
+    fn visit_stacks(
+        &self,
+        visit: &mut dyn FnMut(&CubeNodeSketch),
+        done: &mut dyn FnMut() -> std::io::Result<()>,
     ) -> std::io::Result<()> {
-        self.read_group(self.group_of_slot(slots.start), f)
+        for group in 0..self.num_groups() {
+            let slots = self.slots_of(group);
+            {
+                let sets = self.reps.lock_range(slots.clone());
+                self.read_group(group, |stacks| {
+                    for slot in slots.clone() {
+                        let i = slot - slots.start;
+                        match sets.get(i).and_then(|set| set.as_ref()) {
+                            Some(set) => {
+                                visit(&set.densify(self.node_set.node(slot), &self.params))
+                            }
+                            None => visit(&stacks[i]),
+                        }
+                    }
+                })?;
+            }
+            done()?;
+        }
+        Ok(())
     }
 
-    /// Clone out every owned node sketch, indexed by slot (a full scan
-    /// through the cache, counting the reads — the paper's "single scan"
-    /// query prologue, Lemma 5); sparse slots densified by replay.
+    /// Clone out every owned node sketch, indexed by slot (a full scan,
+    /// counting a paged store's reads — the paper's "single scan" query
+    /// prologue, Lemma 5); sparse slots densified by replay, so the
+    /// snapshot is bit-identical to an always-dense store's. Boruvka's
+    /// oracle consumes its input; ingestion continues with the originals.
     pub fn snapshot(&self) -> Vec<Option<CubeNodeSketch>> {
-        self.reps.snapshot(self.group_size as usize, &|slots, f| self.read_chunk(slots, f))
+        let mut out = Vec::with_capacity(self.node_set.len());
+        self.visit_stacks(&mut |stack| out.push(Some(stack.clone())), &mut || Ok(()))
+            .expect("sketch store snapshot read failed");
+        out
     }
 
-    /// Hand `f` every owned node's encoded sketch stack in slot order, one
-    /// node group at a time: the group's slots locked, the group read
-    /// through the cache without dirtying it, its nodes encoded — a sparse
-    /// slot densified by replay — and `f` called for each once the locks
-    /// are gone. Holds one group's encoding, never the store.
+    /// Hand `f` every owned node's serialized sketch stack, `(node, bytes)`
+    /// in slot order, one node group at a time: the group encoded under its
+    /// locks — a sparse slot densified by replay — and `f` called for each
+    /// node once the locks are gone. What checkpoints and
+    /// [`Self::state_digest`] stream from: holds one group's encoding, never
+    /// a copy of the store. Stops at `f`'s first error.
     pub fn for_each_serialized(
         &self,
         f: &mut dyn FnMut(u32, &[u8]) -> std::io::Result<()>,
     ) -> std::io::Result<()> {
-        self.reps.for_each_serialized(self.group_size as usize, &|s, g| self.read_chunk(s, g), f)
+        let node_bytes = self.params.node_sketch_resident_bytes();
+        let bytes =
+            std::cell::RefCell::new(Vec::with_capacity(self.group_size as usize * node_bytes));
+        let mut next = 0;
+        self.visit_stacks(
+            &mut |stack| self.params.serialize_node_sketch(stack, &mut bytes.borrow_mut()),
+            &mut || {
+                let mut bytes = bytes.borrow_mut();
+                for encoded in bytes.chunks_exact(node_bytes) {
+                    f(self.node_set.node(next), encoded)?;
+                    next += 1;
+                }
+                bytes.clear();
+                Ok(())
+            },
+        )
     }
 
     /// Replace every node sketch (checkpoint restore), in slot order.
-    /// Sparse slots are retired to dense first (checkpoints store dense
-    /// state); their pre-images are captured for any sealed epoch. Fails
-    /// with the first group fault's I/O error.
+    /// Restored vertices are dense whatever τ: sparse slots are retired
+    /// first (checkpoints store dense state), their pre-images captured for
+    /// any sealed epoch. Fails with a paged store's first group fault's I/O
+    /// error.
     pub fn load_all(&self, sketches: Vec<CubeNodeSketch>) -> Result<(), GzError> {
-        Ok(self
-            .reps
-            .load_all(sketches, |slot, _, stack| self.with_stack(slot, |dst| *dst = stack))?)
+        Ok(self.reps.load_all(sketches, |slot, stack| self.with_stack(slot, |dst| *dst = stack))?)
     }
 }
-
-impl Drop for DiskStore {
-    fn drop(&mut self) {
-        // Best-effort cleanup of the backing file; ignore failures.
-        let _ = std::fs::remove_file(&self.path);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::node_sketch::{encode_other, update_index};
-    use crate::store::SketchStore;
     use gz_sketch::SampleResult;
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::atomic::AtomicBool;
+
+    impl SketchStore {
+        /// The file counters of a store built with one.
+        fn io(&self) -> Arc<IoStats> {
+            self.io_stats().expect("a store with a file")
+        }
+
+        /// The file of a store built with one.
+        fn file(&self) -> &File {
+            &self.pager.as_ref().expect("a store with a file").file
+        }
+    }
+
+    /// A store of every node of `params` without a file.
+    fn ram(params: &Arc<SketchParams>, locking: LockingStrategy) -> SketchStore {
+        SketchStore::for_nodes(Arc::clone(params), locking, NodeSet::all(params.num_nodes))
+    }
 
     fn tmp(name: &str) -> gz_testutil::TempPath {
         gz_testutil::TempPath::new(&format!("gz-disk-store-{name}"), ".bin")
@@ -911,11 +1175,8 @@ mod tests {
         num_nodes: u64,
         block_bytes: usize,
         cache: usize,
-    ) -> (DiskStore, gz_testutil::TempPath) {
-        let params = Arc::new(SketchParams::new(num_nodes, 3, 7, 7));
-        let path = tmp(name);
-        let store = DiskStore::new(params, path.to_path_buf(), block_bytes, cache).unwrap();
-        (store, path)
+    ) -> (SketchStore, gz_testutil::TempPath) {
+        make_hybrid(name, num_nodes, block_bytes, cache, 0)
     }
 
     #[test]
@@ -945,8 +1206,16 @@ mod tests {
             config.seed,
         ));
         let path = tmp("fold-reads");
-        let s = DiskStore::new(Arc::clone(&params), path.to_path_buf(), block_bytes, cache_groups)
-            .unwrap();
+        let all = NodeSet::all(4096);
+        let s = SketchStore::with_file(
+            Arc::clone(&params),
+            all,
+            path.to_path_buf(),
+            block_bytes,
+            cache_groups,
+            0,
+        )
+        .unwrap();
         assert_eq!((s.group_size(), s.num_groups()), (21, 196));
         for node in (0..4096u32).step_by(97) {
             s.apply_batch(node, &[encode_other((node + 1) % 4096, false)]);
@@ -957,10 +1226,10 @@ mod tests {
             .collect();
         assert_eq!(wanted.len(), 48 + 10);
         for round in 0..params.rounds() {
-            let (reads, _, bytes, _) = s.io_stats().snapshot();
+            let (reads, _, bytes, _) = s.io().snapshot();
             let mut emitted = 0;
             s.stream_round_dense(round, &live, None, &mut |_, _| emitted += 1).unwrap();
-            let (reads_after, _, bytes_after, _) = s.io_stats().snapshot();
+            let (reads_after, _, bytes_after, _) = s.io().snapshot();
             assert_eq!(reads_after - reads, wanted.len() as u64, "round {round}");
             let slices: u32 = wanted.iter().map(|&g| s.nodes_in_group(g)).sum();
             let slice_bytes = slices as u64 * params.round_resident_bytes(round) as u64;
@@ -989,7 +1258,7 @@ mod tests {
                 s.apply_batch(node, &[encode_other(other, false)]);
             }
         }
-        let io_before = s.io_stats().total_ops();
+        let io_before = s.io().total_ops();
         assert!(io_before > 16, "evictions must generate traffic");
         let snap = s.snapshot();
         for node in 0..16u32 {
@@ -1018,15 +1287,11 @@ mod tests {
     fn warm_cache_avoids_io() {
         let (s, _t) = make("warm", 8, 1 << 20, 8); // everything fits in one group + cache
         s.apply_batch(0, &[encode_other(1, false)]);
-        let ops_after_first = s.io_stats().total_ops();
+        let ops_after_first = s.io().total_ops();
         for _ in 0..50 {
             s.apply_batch(0, &[encode_other(2, false), encode_other(2, true)]);
         }
-        assert_eq!(
-            s.io_stats().total_ops(),
-            ops_after_first,
-            "warm-cache batches must not touch disk"
-        );
+        assert_eq!(s.io().total_ops(), ops_after_first, "warm-cache batches must not touch disk");
     }
 
     #[test]
@@ -1034,12 +1299,13 @@ mod tests {
         let params = Arc::new(SketchParams::new(20, 3, 7, 7));
         let per_node = params.node_sketch_resident_bytes();
         let path = tmp("strided");
-        let shard = DiskStore::for_nodes(
+        let shard = SketchStore::with_file(
             Arc::clone(&params),
             NodeSet::strided(20, 2, 4),
             path.to_path_buf(),
             256,
             2,
+            0,
         )
         .unwrap();
         // Shard 2 of 4 over 20 nodes owns {2, 6, 10, 14, 18}.
@@ -1072,7 +1338,7 @@ mod tests {
         for round in 0..s.params().rounds() {
             let (offset, len) = s.round_slice(0, round);
             let mut slice = vec![0u8; len];
-            s.file.read_exact_at(&mut slice, offset).unwrap();
+            s.file().read_exact_at(&mut slice, offset).unwrap();
             let rb = s.params().round_resident_bytes(round);
             let mut expected = Vec::new();
             for sk in snap.iter() {
@@ -1092,7 +1358,7 @@ mod tests {
         }
         let snap = s.snapshot();
         for round in 0..s.params().rounds() {
-            let before = s.io_stats().reads();
+            let before = s.io().reads();
             let mut seen = Vec::new();
             s.stream_round_dense(round, &|_| true, None, &mut |node, sketch| {
                 let reference = snap[node as usize].as_ref().unwrap().round(round);
@@ -1106,15 +1372,13 @@ mod tests {
             seen.sort_unstable();
             assert_eq!(seen, (0..16u32).collect::<Vec<_>>());
             // One slice read per group, at most (flush writes are separate).
-            assert!(s.io_stats().reads() - before <= 16, "round {round}");
+            assert!(s.io().reads() - before <= 16, "round {round}");
         }
     }
 
     #[test]
     fn parallel_stream_matches_serial_and_counts_reads_exactly() {
         use crate::boruvka::{live_members, Folded, RoundSink, SparseMap};
-        use crate::config::LockingStrategy;
-        use crate::store::ram::RamStore;
         use gz_gutters::WorkerPool;
         use parking_lot::Mutex;
 
@@ -1123,7 +1387,7 @@ mod tests {
         // disk-against-disk comparison would compare the code with itself.
         let (s, _t) = make("par", 16, 64, 2); // one node per group
         assert_eq!(s.num_groups(), 16);
-        let reference = RamStore::new(Arc::clone(s.params()), LockingStrategy::Direct);
+        let reference = ram(s.params(), LockingStrategy::Direct);
         for node in 0..16u32 {
             let batch = [encode_other((node + 5) % 16, false)];
             s.apply_batch(node, &batch);
@@ -1151,9 +1415,9 @@ mod tests {
                         ))
                     })
                     .collect();
-                let (reads_before, _, bytes_before, _) = s.io_stats().snapshot();
+                let (reads_before, _, bytes_before, _) = s.io().snapshot();
                 s.stream_round_parallel(round, &live, None, &pool, &sinks).unwrap();
-                let (reads, _, bytes_read, _) = s.io_stats().snapshot();
+                let (reads, _, bytes_read, _) = s.io().snapshot();
 
                 // Exactly one read of exactly the slice's bytes per visited
                 // group — the per-claimant local IoStats merge must neither
@@ -1209,32 +1473,33 @@ mod tests {
         let sink = || RoundSink::new(&root_of, &retired, &members, SparseMap::Learning);
         let sinks: Vec<Mutex<RoundSink<'_, CubeRoundSketch>>> =
             (0..3).map(|_| Mutex::new(sink())).collect();
-        let before = s.io_stats().reads();
+        let before = s.io().reads();
         s.stream_round_parallel(0, &|n| n == 3 || n == 9, None, &pool, &sinks).unwrap();
-        assert_eq!(s.io_stats().reads() - before, 2, "only live groups may be read");
+        assert_eq!(s.io().reads() - before, 2, "only live groups may be read");
     }
 
     #[test]
     fn stream_round_skips_fully_retired_groups() {
         let (s, _t) = make("skip", 16, 64, 2); // one node per group
         s.flush().unwrap();
-        let before = s.io_stats().reads();
+        let before = s.io().reads();
         let mut seen = Vec::new();
         // Only nodes 3 and 9 are live: exactly two group reads may happen.
         s.stream_round_dense(0, &|n| n == 3 || n == 9, None, &mut |node, _| seen.push(node))
             .unwrap();
         assert_eq!(seen, vec![3, 9]);
-        assert_eq!(s.io_stats().reads() - before, 2);
+        assert_eq!(s.io().reads() - before, 2);
     }
 
     #[test]
     fn matches_ram_store_results() {
-        use crate::config::LockingStrategy;
-        use crate::store::ram::RamStore;
         let params = Arc::new(SketchParams::new(24, 3, 7, 123));
-        let ram = RamStore::new(Arc::clone(&params), LockingStrategy::Direct);
+        let ram = ram(&params, LockingStrategy::Direct);
         let vs_ram = tmp("vs_ram");
-        let disk = DiskStore::new(Arc::clone(&params), vs_ram.to_path_buf(), 256, 2).unwrap();
+        let all = NodeSet::all(24);
+        let disk =
+            SketchStore::with_file(Arc::clone(&params), all, vs_ram.to_path_buf(), 256, 2, 0)
+                .unwrap();
         let updates: Vec<(u32, u32)> = (0..60).map(|i| (i % 24, (i * 7 + 1) % 24)).collect();
         for &(a, b) in &updates {
             if a == b {
@@ -1262,10 +1527,10 @@ mod tests {
         block_bytes: usize,
         cache: usize,
         threshold: u32,
-    ) -> (DiskStore, gz_testutil::TempPath) {
+    ) -> (SketchStore, gz_testutil::TempPath) {
         let params = Arc::new(SketchParams::new(num_nodes, 3, 7, 7));
         let path = tmp(name);
-        let store = DiskStore::for_nodes_with_threshold(
+        let store = SketchStore::with_file(
             params,
             NodeSet::all(num_nodes),
             path.to_path_buf(),
@@ -1286,7 +1551,7 @@ mod tests {
             s.apply_batch(node, &[encode_other((node + 1) % 16, false)]);
             s.apply_batch(node, &[encode_other((node + 2) % 16, false)]);
         }
-        assert_eq!(s.io_stats().total_ops(), 0, "sparse ingestion must be I/O-free");
+        assert_eq!(s.io().total_ops(), 0, "sparse ingestion must be I/O-free");
         let stats = s.reps.rep_stats();
         assert_eq!(stats.sparse, 16);
         assert_eq!(stats.promoted, 0);
@@ -1340,11 +1605,11 @@ mod tests {
         }
         s.apply_batch(7, &[encode_other(1, false)]); // stays sparse
         assert_eq!(s.reps.rep_stats().promoted, 1);
-        let before = s.io_stats().reads();
+        let before = s.io().reads();
         let mut seen = Vec::new();
         s.stream_round_dense(0, &|_| true, None, &mut |node, _| seen.push(node)).unwrap();
         assert_eq!(seen, vec![4], "sparse slots must not be emitted by the dense stream");
-        assert_eq!(s.io_stats().reads() - before, 1, "all-sparse groups must not be read");
+        assert_eq!(s.io().reads() - before, 1, "all-sparse groups must not be read");
         // Sparse nodes are served from their sets; check the raw sets here.
         let mut sets = Vec::new();
         s.reps.for_each_sparse(&|_| true, None, &mut |n, set| sets.push((n, set.clone())));
@@ -1413,9 +1678,9 @@ mod tests {
             s.apply_batch(node, &[encode_other(node + 8, false)]);
         }
         let node_bytes = s.params().node_sketch_resident_bytes() as u64;
-        let (_, writes_before, _, bytes_before) = s.io_stats().snapshot();
+        let (_, writes_before, _, bytes_before) = s.io().snapshot();
         s.flush().unwrap();
-        let (_, writes, _, bytes_written) = s.io_stats().snapshot();
+        let (_, writes, _, bytes_written) = s.io().snapshot();
         assert_eq!(writes - writes_before, 1, "8 adjacent dirty groups must coalesce to 1 write");
         assert!(writes - writes_before < 8, "coalescing must reduce the write count");
         assert_eq!(bytes_written - bytes_before, 8 * node_bytes, "payload is exact");
@@ -1424,15 +1689,15 @@ mod tests {
         for node in [0u32, 2, 4] {
             s.apply_batch(node, &[encode_other(node + 1, false)]);
         }
-        let (_, writes_before, _, _) = s.io_stats().snapshot();
+        let (_, writes_before, _, _) = s.io().snapshot();
         s.flush().unwrap();
-        let (_, writes, _, _) = s.io_stats().snapshot();
+        let (_, writes, _, _) = s.io().snapshot();
         assert_eq!(writes - writes_before, 3, "gaps break runs");
 
         // Nothing dirty: flush must be free.
-        let (_, writes_before, _, _) = s.io_stats().snapshot();
+        let (_, writes_before, _, _) = s.io().snapshot();
         s.flush().unwrap();
-        assert_eq!(s.io_stats().writes(), writes_before);
+        assert_eq!(s.io().writes(), writes_before);
     }
 
     #[test]
@@ -1445,12 +1710,11 @@ mod tests {
         let params = Arc::new(SketchParams::new(256, 8, 7, 7));
         let block = 8 * params.node_sketch_resident_bytes();
         let path = tmp("run-cap");
-        let s = DiskStore::new(Arc::clone(&params), path.to_path_buf(), block, 32).unwrap();
+        let all = NodeSet::all(256);
+        let s = SketchStore::with_file(Arc::clone(&params), all, path.to_path_buf(), block, 32, 0)
+            .unwrap();
         assert_eq!((s.group_size(), s.num_groups()), (8, 32));
-        let reference = crate::store::ram::RamStore::new(
-            Arc::clone(&params),
-            crate::config::LockingStrategy::Direct,
-        );
+        let reference = ram(&params, LockingStrategy::Direct);
         for node in 0..256u32 {
             let batch = [encode_other((node + 1) % 256, false), encode_other(node / 2, false)];
             s.apply_batch(node, &batch);
@@ -1462,9 +1726,9 @@ mod tests {
         assert_eq!(3 * group_bytes, 2 * paper_group_bytes, "a bucket is 8 bytes, not 12");
         let groups_per_run = (WRITEBACK_RUN_BYTES as u64 / group_bytes).max(1);
         assert!(groups_per_run < 32, "the dirty groups must outgrow one run");
-        let (_, writes_before, _, bytes_before) = s.io_stats().snapshot();
+        let (_, writes_before, _, bytes_before) = s.io().snapshot();
         s.flush().unwrap();
-        let (_, writes, _, bytes_written) = s.io_stats().snapshot();
+        let (_, writes, _, bytes_written) = s.io().snapshot();
         assert_eq!(writes - writes_before, 32u64.div_ceil(groups_per_run));
         assert_eq!(bytes_written - bytes_before, 32 * group_bytes, "payload is exact");
 
@@ -1489,9 +1753,9 @@ mod tests {
         for node in 4..9u32 {
             s.apply_batch(node, &[encode_other(1, false)]);
         }
-        let (_, writes_before, _, _) = s.io_stats().snapshot();
+        let (_, writes_before, _, _) = s.io().snapshot();
         let _epoch = s.begin_epoch().unwrap();
-        let (_, writes, _, _) = s.io_stats().snapshot();
+        let (_, writes, _, _) = s.io().snapshot();
         assert_eq!(writes - writes_before, 1, "seal write-back of groups 4..9 is one run");
     }
 
@@ -1502,18 +1766,16 @@ mod tests {
         // 100 000-vertex graph, one a group, one group cached, so every
         // batch evicts a dirty group and a later one refaults it: the state
         // must come back from the file as a RAM store holds it.
-        use crate::config::LockingStrategy;
-        use crate::store::ram::RamStore;
         let v = 100_000u64;
         let params = Arc::new(SketchParams::new(v, 3, 3, 7));
         assert!(params.families[0].geometry().vector_len >= 1 << 32);
         assert_eq!(params.node_sketch_resident_bytes(), params.node_sketch_bytes());
         let owned = NodeSet::strided(v, 3, 20_000);
         let path = tmp("wide");
-        let disk =
-            DiskStore::for_nodes(Arc::clone(&params), owned, path.to_path_buf(), 1, 1).unwrap();
+        let disk = SketchStore::with_file(Arc::clone(&params), owned, path.to_path_buf(), 1, 1, 0)
+            .unwrap();
         assert_eq!((disk.group_size(), disk.num_groups()), (1, 5));
-        let ram = RamStore::for_nodes(Arc::clone(&params), LockingStrategy::Direct, owned);
+        let ram = SketchStore::for_nodes(Arc::clone(&params), LockingStrategy::Direct, owned);
         for i in 0..40u32 {
             let node = owned.node(i as usize % owned.len());
             // Neighbours above 70 000 give the nodes above it edge indices
@@ -1527,14 +1789,13 @@ mod tests {
             disk.apply_batch(node, &batch);
             ram.apply_batch(node, &batch);
         }
-        assert!(disk.io_stats().reads() > 5, "groups were refaulted");
+        assert!(disk.io().reads() > 5, "groups were refaulted");
         let (want, got) =
             (serialized(&params, ram.snapshot()), serialized(&params, disk.snapshot()));
         let buckets = params.families[0].geometry().num_buckets();
         let high_word = |stack: &Vec<u8>| stack[..buckets * 8].chunks(8).any(|a| a[4..] != [0; 4]);
         assert!(want.iter().any(high_word), "some α uses its high word");
         assert_eq!(got, want, "snapshot");
-        let (disk, ram) = (SketchStore::Disk(disk), SketchStore::Ram(ram));
         assert_eq!(disk.state_digest().unwrap(), ram.state_digest().unwrap(), "state digest");
     }
 
@@ -1578,15 +1839,13 @@ mod tests {
     /// ingestion) and read by a fifth thread while the second half lands —
     /// sparse-at-seal vertices through their sets, the rest through the
     /// dense round stream — and the final state must be a serial
-    /// always-dense `RamStore`'s, bit for bit. At τ = 4 vertices promote
+    /// always-dense file-less store's, bit for bit. At τ = 4 vertices promote
     /// both before and after the seal.
     fn stress_lane(store: SketchStore, tau: u32, lane: &str) {
-        use crate::config::LockingStrategy;
-        use crate::store::ram::RamStore;
         let params = Arc::clone(store.params());
 
         // The serial reference, and its state at the seal.
-        let reference = RamStore::new(Arc::clone(&params), LockingStrategy::Direct);
+        let reference = ram(&params, LockingStrategy::Direct);
         let apply_half = |half: u32| {
             for t in 0..STRESS_THREADS {
                 for i in half * STRESS_BATCHES / 2..(half + 1) * STRESS_BATCHES / 2 {
@@ -1648,9 +1907,9 @@ mod tests {
             barrier.wait();
             // Every group fault so far was one read: no group was read
             // twice by two workers that wanted it at once, none skipped.
-            if let SketchStore::Disk(disk) = &store {
-                let faults = disk.probe.faults.load(Ordering::Relaxed);
-                assert_eq!(disk.io_stats().reads(), faults, "{lane}");
+            if store.pager.is_some() {
+                let faults = store.probe.faults.load(Ordering::Relaxed);
+                assert_eq!(store.io().reads(), faults, "{lane}");
             }
             let (_, overlay) = store.begin_epoch().unwrap();
             let overlay = overlay_cell.get_or_init(|| overlay);
@@ -1683,24 +1942,22 @@ mod tests {
             serialized(&params, reference.snapshot()),
             "{lane}: final state"
         );
-        if let SketchStore::Disk(disk) = &store {
-            let peak = disk.probe.resident_peak.load(Ordering::Relaxed);
+        if let Some(pager) = &store.pager {
+            let peak = store.probe.resident_peak.load(Ordering::Relaxed);
             eprintln!(
                 "{lane}: {} faults, {} refault waits, peak {peak} groups resident",
-                disk.probe.faults.load(Ordering::Relaxed),
-                disk.probe.refault_waits.load(Ordering::Relaxed),
+                store.probe.faults.load(Ordering::Relaxed),
+                store.probe.refault_waits.load(Ordering::Relaxed),
             );
             // The snapshot above ran on this thread: one more faulting worker.
-            let bound = disk.cache_capacity + STRESS_THREADS as usize + 1;
+            let bound = pager.cache_capacity + STRESS_THREADS as usize + 1;
             assert!(peak <= bound, "{lane}: {peak} groups resident");
-            disk.flush().unwrap();
+            store.flush().unwrap();
         }
     }
 
     #[test]
     fn concurrent_batches_match_serial_ram_store_bitwise() {
-        use crate::config::LockingStrategy;
-        use crate::store::ram::RamStore;
         let params = Arc::new(SketchParams::new(STRESS_NODES as u64, 3, 7, 7));
         let all = NodeSet::all(STRESS_NODES as u64);
         for tau in [0, 4] {
@@ -1708,7 +1965,7 @@ mod tests {
                 for group_size in [1, 4] {
                     let block = group_size * params.node_sketch_resident_bytes();
                     let path = tmp("stress");
-                    let disk = DiskStore::for_nodes_with_threshold(
+                    let disk = SketchStore::with_file(
                         Arc::clone(&params),
                         all,
                         path.to_path_buf(),
@@ -1719,19 +1976,19 @@ mod tests {
                     .unwrap();
                     assert_eq!(disk.group_size() as usize, group_size);
                     stress_lane(
-                        SketchStore::Disk(disk),
+                        disk,
                         tau,
                         &format!("disk, cache {cache} group {group_size}, τ {tau}"),
                     );
                 }
             }
-            let ram = RamStore::for_nodes_with_threshold(
+            let ram = SketchStore::for_nodes_with_threshold(
                 Arc::clone(&params),
                 LockingStrategy::DeltaSketch,
                 all,
                 tau,
             );
-            stress_lane(SketchStore::Ram(ram), tau, &format!("ram, τ {tau}"));
+            stress_lane(ram, tau, &format!("ram, τ {tau}"));
         }
     }
 
@@ -1767,8 +2024,8 @@ mod tests {
         assert_eq!(s.probe.refault_waits.load(Ordering::Relaxed), 1);
         // Group 0, group 1, group 0 again — the refault really did go to
         // the file, after the one write that had to precede it.
-        assert_eq!(s.io_stats().reads(), 3);
-        assert!(s.io_stats().writes() >= 1);
+        assert_eq!(s.io().reads(), 3);
+        assert!(s.io().writes() >= 1);
         let oracle = {
             let (o, _t) = make("refault-oracle", 8, 1 << 20, 8);
             o.apply_batch(0, &[encode_other(5, false), encode_other(7, false)]);
@@ -1786,17 +2043,17 @@ mod tests {
         let (s, _t) = make("failed-fault", 8, 64, 2);
         s.apply_batch(0, &[encode_other(1, false)]);
         s.flush().unwrap();
-        s.file.set_len(0).unwrap();
+        s.file().set_len(0).unwrap();
         s.apply_batch(7, &[encode_other(2, false)]);
         let err = s.flush().expect_err("the lost batch must surface");
         assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
         assert!(err.to_string().contains("disk sketch store failed"), "{err}");
         // Fail-stop: later batches are refused without touching the file,
         // and every flush and seal keeps reporting the first error.
-        let ops = s.io_stats().total_ops();
+        let ops = s.io().total_ops();
         s.apply_batch(0, &[encode_other(3, false)]);
-        assert_eq!(s.io_stats().total_ops(), ops);
-        assert_eq!(s.begin_epoch().err().map(|e| e.kind()), Some(err.kind()));
+        assert_eq!(s.io().total_ops(), ops);
+        assert!(matches!(s.begin_epoch(), Err(GzError::Io(e)) if e.kind() == err.kind()));
         assert!(s.flush().is_err());
     }
 

@@ -1,32 +1,31 @@
-//! Sketch stores: where the `V × O(log V)` CubeSketches live.
+//! The sketch store: where the `V × O(log V)` CubeSketches live.
 //!
-//! Two backends mirror the paper's two deployments:
+//! One [`SketchStore`] serves the paper's two deployments. What a vertex's
+//! sketch is — an exact sparse set below τ, a dense stack above — is the
+//! hybrid layer's (`hybrid`, DESIGN.md §12); where a dense stack lives is
+//! its node group's (`disk`, §13): resident in RAM (one node a group, no
+//! file), or paged through a bounded LRU cache from a pre-allocated file
+//! (`max(1, B/sketch_size)` nodes a group, paper §4.1), every block access
+//! counted so experiments can verify the hybrid-model I/O claims.
 //!
-//! - [`ram::RamStore`] — everything in memory, per-node locks.
-//! - [`disk::DiskStore`] — sketches in a pre-allocated file laid out in
-//!   *node groups* (`max(1, B/sketch_size)` nodes per group, §4.1), accessed
-//!   through a bounded LRU cache with write-back and per-group locks; every
-//!   block access is counted so experiments can verify the hybrid-model I/O
-//!   claims.
-//!
-//! Both accept whole batches of updates bound for one node — the unit of
-//! work a Graph Worker pops from the queue — and both keep critical
-//! sections short the paper's way (§5.1): the batch kernel runs into a
-//! pooled scratch sketch with no lock held, and the lock that guards the
-//! target is taken only to XOR the delta in.
+//! The store accepts whole batches of updates bound for one node — the unit
+//! of work a Graph Worker pops from the queue — and keeps critical sections
+//! short the paper's way (§5.1): the batch kernel runs into a pooled
+//! scratch sketch with no lock held, and the lock that guards the target
+//! is taken only to XOR the delta in.
 
 pub mod disk;
 pub mod epoch;
 pub(crate) mod hybrid;
 pub mod ram;
 
-pub use disk::IoBackendConfig;
+pub use disk::{IoBackendConfig, SketchStore};
 pub use epoch::EpochOverlay;
 
 use crate::boruvka::RoundSink;
 use crate::error::GzError;
 use crate::node_sketch::{CubeNodeSketch, CubeRoundSketch, NodeSketch, SketchParams};
-use crate::sparse::{edge_indices, SparseSet};
+use crate::sparse::edge_indices;
 use gz_graph::GraphDigest;
 use gz_gutters::{CounterSet, IoStats, WorkerPool};
 use gz_sketch::cube::{with_premixed, LaneAccumulators};
@@ -190,50 +189,7 @@ pub(crate) fn with_backing_file<T>(
     }
 }
 
-/// A store of per-vertex node sketches, shared across Graph Workers.
-// One store per system, behind an `Arc`: the variants' size gap costs nothing.
-#[allow(clippy::large_enum_variant)]
-pub enum SketchStore {
-    /// In-RAM store.
-    Ram(ram::RamStore),
-    /// File-backed store (the SSD model).
-    Disk(disk::DiskStore),
-}
-
 impl SketchStore {
-    /// Apply a batch of encoded update records to `node`'s sketch stack.
-    /// Thread-safe; called concurrently by Graph Workers.
-    pub fn apply_batch(&self, node: u32, records: &[u32]) {
-        match self {
-            SketchStore::Ram(s) => s.apply_batch(node, records),
-            SketchStore::Disk(s) => s.apply_batch(node, records),
-        }
-    }
-
-    /// Clone out every node sketch for query processing (Boruvka consumes
-    /// its input; ingestion continues afterwards with the originals).
-    pub fn snapshot(&self) -> Vec<Option<CubeNodeSketch>> {
-        match self {
-            SketchStore::Ram(s) => s.snapshot(),
-            SketchStore::Disk(s) => s.snapshot(),
-        }
-    }
-
-    /// Hand `f` every owned node's serialized sketch stack, `(node, bytes)`
-    /// in slot order, one node (RAM) or node group (disk) at a time —
-    /// sparse vertices densified by replay, each only while it is being
-    /// serialized. What checkpoints and [`Self::state_digest`] stream from:
-    /// the store is never copied first. Stops at `f`'s first error.
-    pub fn for_each_serialized(
-        &self,
-        f: &mut dyn FnMut(u32, &[u8]) -> std::io::Result<()>,
-    ) -> std::io::Result<()> {
-        match self {
-            SketchStore::Ram(s) => s.for_each_serialized(f),
-            SketchStore::Disk(s) => s.for_each_serialized(f),
-        }
-    }
-
     /// An 8-byte fingerprint of the owned sketch state: the XOR over owned
     /// nodes of `xxh64(serialized stack, node id)`. Serialization is a pure
     /// function of the update multiset, so two deployments fed the same
@@ -264,60 +220,6 @@ impl SketchStore {
         self.graph().reset_to(base);
     }
 
-    /// The store's per-worker graph digests.
-    pub(crate) fn graph(&self) -> &GraphDigestStripes {
-        match self {
-            SketchStore::Ram(s) => s.graph(),
-            SketchStore::Disk(s) => s.graph(),
-        }
-    }
-
-    /// The vertex set this store holds sketches for.
-    pub fn node_set(&self) -> NodeSet {
-        match self {
-            SketchStore::Ram(s) => s.node_set(),
-            SketchStore::Disk(s) => s.node_set(),
-        }
-    }
-
-    /// Replace every node sketch (checkpoint restore). Fails with the disk
-    /// store's first I/O error.
-    pub fn load_all(&self, sketches: Vec<CubeNodeSketch>) -> Result<(), GzError> {
-        match self {
-            SketchStore::Ram(s) => {
-                s.load_all(sketches);
-                Ok(())
-            }
-            SketchStore::Disk(s) => s.load_all(sketches),
-        }
-    }
-
-    /// Resident sketch bytes of the owned nodes, wherever they live: a
-    /// promoted vertex's stack at its resident words, a sparse one at 4
-    /// bytes a live neighbor (the census's `sketch memory`).
-    pub fn sketch_bytes(&self) -> usize {
-        match self {
-            SketchStore::Ram(s) => s.reps.sketch_bytes(),
-            SketchStore::Disk(s) => s.reps.sketch_bytes(),
-        }
-    }
-
-    /// I/O counters, if this store touches disk.
-    pub fn io_stats(&self) -> Option<Arc<IoStats>> {
-        match self {
-            SketchStore::Ram(_) => None,
-            SketchStore::Disk(s) => Some(s.io_stats()),
-        }
-    }
-
-    /// Shared sketch parameters.
-    pub fn params(&self) -> &Arc<SketchParams> {
-        match self {
-            SketchStore::Ram(s) => s.params(),
-            SketchStore::Disk(s) => s.params(),
-        }
-    }
-
     /// Stream the round-`round` slice of every owned, still-`live` node
     /// into `sink`, one vertex at a time, on the calling thread. A sparse
     /// vertex (hybrid representation) holds no slice, so its exact set is
@@ -342,121 +244,6 @@ impl SketchStore {
             sink(node, &slice);
         });
         self.stream_round_dense(round, live, None, sink)
-    }
-
-    /// The dense half of [`Self::stream_round`], as sealed by `overlay`
-    /// (`None` = the live state, which the caller must have quiesced):
-    /// resident sketch slices only, sparse vertices skipped. An epoch read
-    /// serves captured groups from the overlay's pre-images and untouched
-    /// groups from the open generation, whose value still *is* the sealed
-    /// value, and does not quiesce ingestion. Used by the sharded gather
-    /// path, which ships sparse sets in their exact form (wire tag 1).
-    pub fn stream_round_dense(
-        &self,
-        round: usize,
-        live: &(dyn Fn(u32) -> bool + Sync),
-        overlay: Option<&EpochOverlay>,
-        sink: &mut dyn FnMut(u32, &CubeRoundSketch),
-    ) -> Result<(), GzError> {
-        match self {
-            SketchStore::Ram(s) => s.stream_round_dense(round, live, overlay, sink),
-            SketchStore::Disk(s) => s.stream_round_dense(round, live, overlay, sink)?,
-        }
-        Ok(())
-    }
-
-    /// Visit the exact set of every owned, still-`live` sparse vertex, as
-    /// sealed by `overlay` (`None` = the live state): an overlay pre-image
-    /// if the vertex was mutated or promoted after the seal, its live set
-    /// otherwise. Sets are borrowed under the store's lock, not cloned;
-    /// always-dense stores visit nothing.
-    pub fn for_each_sparse(
-        &self,
-        live: &(dyn Fn(u32) -> bool + Sync),
-        overlay: Option<&EpochOverlay>,
-        f: &mut dyn FnMut(u32, &SparseSet),
-    ) {
-        match self {
-            SketchStore::Ram(s) => s.reps.for_each_sparse(live, overlay, f),
-            SketchStore::Disk(s) => s.reps.for_each_sparse(live, overlay, f),
-        }
-    }
-
-    /// Fold round `round` of every owned, still-`live` node into the
-    /// pool's per-worker sinks — the storage-friendly query path (paper
-    /// §4.2), live (`overlay = None`, ingestion quiesced by the caller) or
-    /// pinned to a sealed epoch. RAM stores partition by slot range; disk
-    /// stores have the workers claim windows of node groups from a shared
-    /// cursor, so up to `sinks.len()` windows of positioned group reads are
-    /// in flight at once — the same loop at one worker as at many. Sparse
-    /// vertices are partitioned by slot range in both and XOR their edge
-    /// indices straight into their supernode's accumulator
-    /// (`sparse::SparseRoundBatch`). Which worker folds what cannot change
-    /// results — folding is XOR.
-    pub fn stream_round_parallel(
-        &self,
-        round: usize,
-        live: &(dyn Fn(u32) -> bool + Sync),
-        overlay: Option<&EpochOverlay>,
-        pool: &WorkerPool,
-        sinks: &[Mutex<RoundSink<'_, CubeRoundSketch>>],
-    ) -> Result<(), GzError> {
-        match self {
-            SketchStore::Ram(s) => s.stream_round_parallel(round, live, overlay, pool, sinks),
-            SketchStore::Disk(s) => s.stream_round_parallel(round, live, overlay, pool, sinks)?,
-        }
-        Ok(())
-    }
-
-    /// Seal the current generation and return its epoch id and
-    /// copy-on-write overlay. The caller must have quiesced ingestion (a
-    /// flushed buffering system and a drained work queue) so the sealed
-    /// values are well defined; disk stores additionally write back every
-    /// dirty cached group, atomically with the seal, so the file is
-    /// authoritative for the sealed generation.
-    pub fn begin_epoch(&self) -> Result<(u64, Arc<EpochOverlay>), GzError> {
-        match self {
-            SketchStore::Ram(s) => Ok(s.reps.epochs.register()),
-            SketchStore::Disk(s) => Ok(s.begin_epoch()?),
-        }
-    }
-
-    /// Pre-images this store has cloned for its epochs so far (node groups
-    /// and sparse sets, each counted once however many overlays share it) —
-    /// the copy-on-write cost of every seal to date. It stands still while
-    /// no epoch is live, which is how the tests pin that a reseal whose old
-    /// epoch was let go first clones nothing in its flush.
-    pub fn epoch_captures(&self) -> u64 {
-        match self {
-            SketchStore::Ram(s) => s.reps.epochs.captures(),
-            SketchStore::Disk(s) => s.reps.epochs.captures(),
-        }
-    }
-
-    /// Representation census (promoted vs sparse vertices).
-    pub fn rep_stats(&self) -> RepStats {
-        match self {
-            SketchStore::Ram(s) => s.reps.rep_stats(),
-            SketchStore::Disk(s) => s.reps.rep_stats(),
-        }
-    }
-
-    /// Node groups round slices are delivered in (1 for RAM stores).
-    pub fn num_groups(&self) -> u32 {
-        match self {
-            SketchStore::Ram(_) => 1,
-            SketchStore::Disk(s) => s.num_groups(),
-        }
-    }
-
-    /// Sketch bytes the streaming round path holds resident at once when
-    /// read by `threads` query workers (one submission window of in-flight
-    /// read buffers each; zero for RAM stores, which serve borrows).
-    pub fn round_stream_resident_bytes(&self, round: usize, threads: usize) -> usize {
-        match self {
-            SketchStore::Ram(_) => 0,
-            SketchStore::Disk(s) => s.round_stream_resident_bytes(round, threads),
-        }
     }
 }
 
@@ -802,7 +589,7 @@ pub(crate) fn decode_records_into(node: u32, records: &[u32], num_nodes: u64, ou
 /// Apply a batch of records to a node sketch through the batch kernel:
 /// decode to indices **once per batch** (not once per round), then hand them
 /// to the stack, which premixes them once and drives each round's kernel.
-/// Shared by both stores and bit-identical to per-record singles.
+/// Bit-identical to per-record singles.
 #[inline]
 pub(crate) fn apply_records(
     sketch: &mut CubeNodeSketch,

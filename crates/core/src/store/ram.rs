@@ -1,235 +1,26 @@
-//! In-RAM sketch store with per-node locking.
-//!
-//! Paper §5.1: "locking is necessary at the batch level because consecutive
-//! batch updates may be requested to the same node sketch […] We minimize
-//! the size of this critical section by exploiting linearity of ℓ0-samplers.
-//! Rather than locking a node sketch S(x) for the entire batch operation, we
-//! apply the updates to an empty sketch S(x0) and lock only to add
-//! S(x) = S(x) + S(x0)." Both disciplines are implemented; the choice is an
-//! ablation benchmark.
+//! The in-RAM store's name: a [`SketchStore`](super::SketchStore) built
+//! without a file (one node a group, every group resident; `store::disk`),
+//! under the name the repository benchmark's store probe imports. Its unit
+//! tests run the one store through its file-less constructors.
 
-use crate::boruvka::RoundSink;
-use crate::config::LockingStrategy;
-use crate::node_sketch::{CubeNodeSketch, CubeRoundSketch, SketchParams};
-use crate::store::epoch::EpochOverlay;
-use crate::store::hybrid::{Home, Hybrid, Rep, Sealed};
-use crate::store::{NodeSet, ScratchPool};
-use parking_lot::Mutex;
-use std::sync::Arc;
-
-/// Node sketches in memory, one lock per owned node.
-///
-/// The store may cover the whole vertex set (a single-node system) or just
-/// one residue class (a shard): slots are dense over the [`NodeSet`], so a
-/// shard allocates sketches only for the vertices it owns. A slot holds a
-/// vertex's exact set or its dense stack (`store::hybrid`, DESIGN.md §12).
-pub struct RamStore {
-    params: Arc<SketchParams>,
-    node_set: NodeSet,
-    /// One lock per slot, holding the set or the stack. A RAM store's
-    /// copy-on-write "group" is a single slot: dense captures happen under
-    /// the slot's lock, right before its first post-seal mutation.
-    pub(crate) reps: Hybrid<CubeNodeSketch>,
-    locking: LockingStrategy,
-    /// Delta sketches for [`LockingStrategy::DeltaSketch`].
-    scratch: ScratchPool,
-    /// The graph digest of the records applied here
-    /// ([`super::SketchStore::graph_digest`]).
-    graph: super::GraphDigestStripes,
-}
-
-/// Every dense stack of a RAM store is in its slot.
-const IN_SLOTS: &Home<'static> = &|_, f| {
-    f(&[]);
-    Ok(())
-};
-
-impl RamStore {
-    /// Allocate fresh (all-zero) sketches for every node (always-dense).
-    pub fn new(params: Arc<SketchParams>, locking: LockingStrategy) -> Self {
-        let node_set = NodeSet::all(params.num_nodes);
-        Self::for_nodes(params, locking, node_set)
-    }
-
-    /// Allocate fresh sketches for the nodes of `node_set` only (a shard's
-    /// residue class), always-dense. Sketches still hash over the *full*
-    /// characteristic vector — ownership restricts which vertices live
-    /// here, not the edge universe.
-    pub fn for_nodes(
-        params: Arc<SketchParams>,
-        locking: LockingStrategy,
-        node_set: NodeSet,
-    ) -> Self {
-        Self::for_nodes_with_threshold(params, locking, node_set, 0)
-    }
-
-    /// Hybrid store over `node_set`: with `threshold > 0` every vertex
-    /// starts as an exact sparse toggle set and densifies past `threshold`
-    /// live neighbors; `0` allocates dense sketches up front (the exact
-    /// pre-hybrid behavior).
-    pub fn for_nodes_with_threshold(
-        params: Arc<SketchParams>,
-        locking: LockingStrategy,
-        node_set: NodeSet,
-        threshold: u32,
-    ) -> Self {
-        RamStore {
-            reps: Hybrid::new(
-                Arc::clone(&params),
-                node_set,
-                threshold,
-                Some(SketchParams::new_node_sketch),
-            ),
-            scratch: ScratchPool::new(Arc::clone(&params)),
-            graph: super::GraphDigestStripes::new(),
-            params,
-            node_set,
-            locking,
-        }
-    }
-
-    /// Lock `slot`'s dense stack for mutation, capturing its pre-image into
-    /// any live epoch that has not seen this slot dirtied yet. Every write
-    /// to a dense stack goes through here — that is what makes the overlay
-    /// a faithful sealed generation.
-    fn with_dense<R>(&self, slot: usize, f: impl FnOnce(&mut CubeNodeSketch) -> R) -> R {
-        let mut rep = self.reps.lock(slot);
-        let Rep::Dense(stack) = &mut *rep else { unreachable!("a promoted vertex never demotes") };
-        self.reps.epochs.capture_group(slot as u32, &mut || vec![stack.clone()]);
-        f(stack)
-    }
-
-    /// Shared sketch parameters.
-    pub fn params(&self) -> &Arc<SketchParams> {
-        &self.params
-    }
-
-    /// The vertex set this store holds sketches for.
-    pub fn node_set(&self) -> NodeSet {
-        self.node_set
-    }
-
-    /// The graph digest's per-worker stripes.
-    pub(crate) fn graph(&self) -> &super::GraphDigestStripes {
-        &self.graph
-    }
-
-    /// Apply a batch of encoded records to `node` (which must be owned): a
-    /// sparse vertex's set is toggled (`Hybrid::apply_sparse`), a dense
-    /// stack gets the batch under its slot lock.
-    pub fn apply_batch(&self, node: u32, records: &[u32]) {
-        let slot = self.node_set.slot(node);
-        if self.reps.apply_sparse(slot, node, records, |stack| stack) {
-            return;
-        }
-        match self.locking {
-            LockingStrategy::Direct => {
-                self.with_dense(slot, |sketch| {
-                    super::apply_records(sketch, node, records, self.params.num_nodes);
-                });
-            }
-            // Build the delta without holding the node's lock; lock only
-            // for the XOR-merge.
-            LockingStrategy::DeltaSketch => self.scratch.with_delta(node, records, |delta| {
-                self.with_dense(slot, |sketch| sketch.merge(delta))
-            }),
-        }
-    }
-
-    /// The dense half of the sealed read order: `slot`'s captured pre-image
-    /// in `overlay`, else `live`, its live stack.
-    fn with_sealed<R>(
-        slot: usize,
-        overlay: Option<&EpochOverlay>,
-        live: &CubeNodeSketch,
-        f: impl FnOnce(&CubeNodeSketch) -> R,
-    ) -> R {
-        match overlay.and_then(|o| o.get(slot as u32)) {
-            Some(pre) => f(&pre[0]),
-            None => f(live),
-        }
-    }
-
-    /// Stream the round-`round` slice of every owned, still-`live` **dense**
-    /// node into `sink` in slot order, as sealed by `overlay` (`None` = the
-    /// live state). Each node's lock is held only for its own sink call, and
-    /// nothing is cloned. Sparse vertices are skipped — they have no slice.
-    pub fn stream_round_dense(
-        &self,
-        round: usize,
-        live: &(dyn Fn(u32) -> bool + Sync),
-        overlay: Option<&EpochOverlay>,
-        sink: &mut dyn FnMut(u32, &CubeRoundSketch),
-    ) {
-        for slot in 0..self.node_set.len() {
-            let node = self.node_set.node(slot);
-            if live(node) {
-                self.reps.read(slot, overlay, |rep| {
-                    if let Sealed::Dense(stack) = rep {
-                        Self::with_sealed(slot, overlay, stack, |s| sink(node, s.round(round)));
-                    }
-                });
-            }
-        }
-    }
-
-    /// Fold round `round` of every owned, still-`live` node, as sealed by
-    /// `overlay` (`None` = the live state), through `Hybrid::fold_round`:
-    /// a dense node's borrowed slice is merged in under its lock. Per-node
-    /// locks make this safe against concurrent ingestion.
-    pub fn stream_round_parallel(
-        &self,
-        round: usize,
-        live: &(dyn Fn(u32) -> bool + Sync),
-        overlay: Option<&EpochOverlay>,
-        pool: &gz_gutters::WorkerPool,
-        sinks: &[Mutex<RoundSink<'_, CubeRoundSketch>>],
-    ) {
-        self.reps.fold_round(round, live, overlay, pool, sinks, |sink, slot, stack| {
-            let node = self.node_set.node(slot);
-            Self::with_sealed(slot, overlay, stack, |s| sink.fold(node, s.round(round)));
-        });
-    }
-
-    /// Clone out every owned node sketch, indexed by slot. Sparse vertices
-    /// are densified by replay — the snapshot is bit-identical to an
-    /// always-dense store's (the serialized-state equivalence oracle).
-    pub fn snapshot(&self) -> Vec<Option<CubeNodeSketch>> {
-        self.reps.snapshot(1, IN_SLOTS)
-    }
-
-    /// Hand `f` every owned node's encoded sketch stack in slot order, one
-    /// node at a time: encoded under the node's own lock — a sparse vertex
-    /// densified by replay and dropped — and handed over once the lock is
-    /// gone. Holds one node's encoding, never a copy of the store.
-    pub fn for_each_serialized(
-        &self,
-        f: &mut dyn FnMut(u32, &[u8]) -> std::io::Result<()>,
-    ) -> std::io::Result<()> {
-        self.reps.for_each_serialized(1, IN_SLOTS, f)
-    }
-
-    /// Replace every node sketch (checkpoint restore), in slot order.
-    /// Restored vertices are dense regardless of the threshold.
-    pub fn load_all(&self, sketches: Vec<CubeNodeSketch>) {
-        let Ok(()) = self.reps.load_all(sketches, |slot, old, stack| {
-            if let Some(old) = old {
-                self.reps.epochs.capture_group(slot as u32, &mut || vec![old.clone()]);
-            }
-            Ok::<_, std::convert::Infallible>(stack)
-        });
-    }
-}
+pub use super::SketchStore as RamStore;
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::node_sketch::{encode_other, update_index};
+    use crate::config::LockingStrategy;
+    use crate::node_sketch::{encode_other, update_index, SketchParams};
+    use crate::store::{NodeSet, SketchStore};
     use gz_sketch::SampleResult;
+    use std::sync::Arc;
 
-    fn store(locking: LockingStrategy) -> RamStore {
-        let params = Arc::new(SketchParams::new(32, 4, 7, 99));
-        RamStore::new(params, locking)
+    /// A store of every node of `params` without a file.
+    fn ram(params: &Arc<SketchParams>, locking: LockingStrategy) -> SketchStore {
+        SketchStore::for_nodes(Arc::clone(params), locking, NodeSet::all(params.num_nodes))
+    }
+
+    /// A 32-node store without a file, as the RAM unit tests use.
+    fn store(locking: LockingStrategy) -> SketchStore {
+        ram(&Arc::new(SketchParams::new(32, 4, 7, 99)), locking)
     }
 
     #[test]
@@ -321,7 +112,7 @@ mod tests {
             s.apply_batch(i % 4, &[encode_other(20 + i, false)]);
         }
         // Single-threaded: the pool should hold exactly one scratch.
-        assert_eq!(s.scratch.parked(), 1);
+        assert_eq!(s.parked_scratch(), 1);
     }
 
     #[test]
@@ -336,7 +127,7 @@ mod tests {
             reused.apply_batch(i % 3, &[encode_other(10 + i, false)]);
             fresh.apply_batch(i % 3, &[encode_other(10 + i, false)]);
         }
-        assert_eq!(reused.scratch.parked(), 1, "pool warmed");
+        assert_eq!(reused.parked_scratch(), 1, "pool warmed");
         let records: Vec<u32> = (1..8).map(|o| encode_other(o + 20, false)).collect();
         reused.apply_batch(5, &records);
         fresh.apply_batch(5, &records);
@@ -378,15 +169,15 @@ mod tests {
     fn sketch_bytes_scales_with_nodes() {
         let params = Arc::new(SketchParams::new(32, 4, 7, 1));
         let per_node = params.node_sketch_resident_bytes();
-        let s = RamStore::new(params, LockingStrategy::Direct);
-        assert_eq!(s.reps.sketch_bytes(), per_node * 32);
+        let s = ram(&params, LockingStrategy::Direct);
+        assert_eq!(s.sketch_bytes(), per_node * 32);
     }
 
     #[test]
     fn strided_store_matches_full_store_on_owned_nodes() {
         let params = Arc::new(SketchParams::new(32, 4, 7, 99));
-        let full = RamStore::new(Arc::clone(&params), LockingStrategy::DeltaSketch);
-        let shard = RamStore::for_nodes(
+        let full = ram(&params, LockingStrategy::DeltaSketch);
+        let shard = SketchStore::for_nodes(
             Arc::clone(&params),
             LockingStrategy::DeltaSketch,
             NodeSet::strided(32, 1, 4),
@@ -411,11 +202,42 @@ mod tests {
     fn strided_store_allocates_owned_nodes_only() {
         let params = Arc::new(SketchParams::new(64, 4, 7, 1));
         let per_node = params.node_sketch_resident_bytes();
-        let shard = RamStore::for_nodes(
+        let shard = SketchStore::for_nodes(
             Arc::clone(&params),
             LockingStrategy::Direct,
             NodeSet::strided(64, 3, 4),
         );
-        assert_eq!(shard.reps.sketch_bytes(), per_node * 16, "16 of 64 nodes owned");
+        assert_eq!(shard.sketch_bytes(), per_node * 16, "16 of 64 nodes owned");
+    }
+
+    #[test]
+    fn a_group_is_allocated_at_its_first_dense_touch() {
+        // At τ > 0 every vertex starts sparse and its one-node group holds
+        // nothing until the vertex promotes — as a paged group is nothing
+        // but zeros in the file until faulted — and reading the store
+        // (snapshot, digest, round stream) allocates nothing. At τ = 0 every
+        // vertex is born dense, so every group is allocated up front.
+        let params = Arc::new(SketchParams::new(64, 4, 7, 99));
+        let all = NodeSet::all(64);
+        let s = SketchStore::for_nodes_with_threshold(
+            Arc::clone(&params),
+            LockingStrategy::DeltaSketch,
+            all,
+            8,
+        );
+        for node in 0..64u32 {
+            s.apply_batch(node, &[encode_other((node + 1) % 64, false)]);
+        }
+        assert_eq!(s.rep_stats().promoted, 0);
+        assert_eq!(s.resident_stacks(), 0, "no promotion, no dense stack");
+        let records: Vec<u32> = (10..20).map(|other| encode_other(other, false)).collect();
+        s.apply_batch(3, &records);
+        assert_eq!(s.rep_stats().promoted, 1);
+        s.snapshot();
+        s.state_digest().unwrap();
+        s.stream_round(0, &|_| true, &mut |_, _| {}).unwrap();
+        assert_eq!(s.resident_stacks(), 1, "one promotion, one stack");
+        let dense = SketchStore::for_nodes(params, LockingStrategy::DeltaSketch, all);
+        assert_eq!(dense.resident_stacks(), 64);
     }
 }

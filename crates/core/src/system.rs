@@ -13,7 +13,7 @@
 //! system's, through `Deref`.
 
 use crate::boruvka::{boruvka_rounds_with_pool, BoruvkaOutcome};
-use crate::config::{BufferStrategy, GzConfig, StoreBackend};
+use crate::config::{BufferStrategy, GzConfig};
 use crate::error::GzError;
 use crate::sharding::{InProcessTransport, ShardConfig, ShardedGraphZeppelin};
 use crate::store::{MaterializedSource, RepStats, SketchStore};
@@ -192,10 +192,7 @@ impl GraphZeppelin {
     /// the paper's `M > V·B` bound, not the bytes resident: a leaf gutter
     /// reserves only as it fills. A gutter tree's RAM is its root buffer.
     pub fn memory_bytes(&self) -> usize {
-        let sketch_ram = match self.config.store {
-            StoreBackend::Ram => self.store.sketch_bytes(),
-            StoreBackend::Disk { .. } => self.store.rep_stats().sparse_bytes(),
-        };
+        let sketch_ram = self.store.ram_bytes();
         let buffers = match &self.config.buffering {
             BufferStrategy::LeafOnly { capacity } => {
                 let records = capacity.resolve(self.params().node_sketch_bytes());
@@ -242,7 +239,7 @@ impl GraphZeppelin {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::GutterCapacity;
+    use crate::config::{GutterCapacity, StoreBackend};
 
     fn tiny_config(num_nodes: u64) -> GzConfig {
         let mut c = GzConfig::in_ram(num_nodes);
@@ -394,9 +391,8 @@ mod tests {
         );
         // One query worker: an accumulator per vertex at most, plus one
         // window of group slices, which the cache budget (2 groups) caps.
-        let SketchStore::Disk(disk) = gz.store() else { panic!("configured on disk") };
         let slice = gz.params().round_resident_bytes(0);
-        let bound = 64 * slice + 2 * disk.group_size() as usize * slice;
+        let bound = 64 * slice + 2 * gz.store().group_size() as usize * slice;
         assert!(
             product.peak_sketch_bytes <= bound,
             "one-thread fold resident {} exceeds accumulators + one window = {bound}",

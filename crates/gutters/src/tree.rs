@@ -543,7 +543,7 @@ impl Partition {
 impl Drop for BufferTree {
     fn drop(&mut self) {
         // Best-effort cleanup of the backing file (buffered updates are
-        // gone with the process either way); mirrors `DiskStore`'s drop so
+        // gone with the process either way); mirrors the sketch store's so
         // a `--disk` run leaves nothing behind. Failures are ignored.
         let _ = std::fs::remove_file(&self.config.path);
     }

@@ -86,18 +86,9 @@ fn main() {
     }
     // The storage model's promise: what stays resident is the cache budget
     // plus buffers and one round of query state, not the store.
-    let graph_zeppelin::store::SketchStore::Disk(disk) = gz.store() else {
-        unreachable!("configured on disk")
-    };
-    let store_file = std::fs::read_dir(&dir)
-        .expect("scratch dir")
-        .map(|entry| entry.expect("dir entry").path())
-        .find(|path| {
-            path.file_name().is_some_and(|n| n.to_string_lossy().starts_with("gz_sketches_"))
-        })
-        .expect("the disk store's backing file");
-    let file_bytes = std::fs::metadata(&store_file).expect("store file").len() as usize;
-    let group_bytes = file_bytes / disk.num_groups() as usize;
+    let sketches = gz.store();
+    let file_bytes = sketches.file_bytes().expect("configured on disk") as usize;
+    let group_bytes = file_bytes / sketches.num_groups() as usize;
     let mib = |bytes: usize| bytes as f64 / (1 << 20) as f64;
     let peak = match (peak_reset, resident_before, gz_testutil::peak_rss_bytes()) {
         (true, Some(before), Some(peak)) => format!(
@@ -115,8 +106,8 @@ fn main() {
          ({cache_groups} of {} node groups of {} nodes; {faults} group faults while ingesting)",
         mib(file_bytes),
         mib(cache_groups * group_bytes),
-        disk.num_groups(),
-        disk.group_size(),
+        sketches.num_groups(),
+        sketches.group_size(),
     );
     // Loaded groups never exceed the cache plus one a worker, so more
     // faults than that means groups were evicted: the store paged.

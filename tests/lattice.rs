@@ -1,12 +1,12 @@
 //! The lattice lane (DESIGN.md §6): generated operation histories, each run
 //! on one point of the configuration lattice — store {RAM, disk of one-node
-//! groups cached two deep} × shards {1, 3} × transport {in process, socket}
-//! × workers {1, 2, 4} × τ {0, 2, 16} × buffering {leaf gutters of 1 or 3
-//! records or half a sketch, gutter trees of fan-out 4, 8 or ≥ V} — and
-//! checked after every op that reads the system against references no
-//! configuration enters: the DSU of the exact edge set,
-//! `GraphDigest::of_updates` of the toggles, and a τ = 0, one-worker RAM
-//! system fed the same toggles. A failing history is shrunk by
+//! groups, disk of three-node groups, both cached two deep} × shards {1, 3}
+//! × transport {in process, socket} × workers {1, 2, 4} × τ {0, 2, 16} ×
+//! buffering {leaf gutters of 1 or 3 records or half a sketch, gutter trees
+//! of fan-out 4, 8 or ≥ V} — and checked after every op that reads the
+//! system against references no configuration enters: the DSU of the exact
+//! edge set, `GraphDigest::of_updates` of the toggles, and a τ = 0,
+//! one-worker RAM system fed the same toggles. A failing history is shrunk by
 //! [`gz_testutil::minimize`] and printed as a `replay(..)` call to paste
 //! into a test. Debug builds run a fixed seed set, release builds ten times
 //! as many.
@@ -31,12 +31,23 @@ use Op::*;
 /// One point of the configuration lattice.
 #[derive(Clone, Copy, Debug, PartialEq)]
 struct Point {
-    disk: bool,
+    store: Store,
     shards: u32,
     socket: bool,
     workers: usize,
     tau: u32,
     buffering: Buffering,
+}
+
+/// Where the sketches live: no file, or a file of one-node groups (512 B
+/// blocks, narrower than a node at every V the lane draws), or a file of
+/// three-node groups — sparse and dense slots side by side in one group, a
+/// multi-node epoch capture and a k-node round slice.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Store {
+    Ram,
+    OneNodeGroups,
+    ThreeNodeGroups,
 }
 
 /// How the router buffers: leaf gutters of so many records, leaf gutters of
@@ -49,11 +60,12 @@ enum Buffering {
     Tree(usize),
 }
 
+const STORES: [Store; 3] = [Store::Ram, Store::OneNodeGroups, Store::ThreeNodeGroups];
 const SHARDS: [u32; 2] = [1, 3];
 const WORKERS: [usize; 3] = [1, 2, 4];
 const TAUS: [u32; 3] = [0, 2, 16];
 const BUFFERINGS: [Buffering; 6] = [Leaf(1), Leaf(3), HalfSketch, Tree(4), Tree(8), Tree(64)];
-const POINTS: u64 = 2 * 2 * 2 * 3 * 3 * 6;
+const POINTS: u64 = 3 * 2 * 2 * 3 * 3 * 6;
 
 impl Point {
     /// Point `i` of the lattice, in mixed radix.
@@ -64,7 +76,7 @@ impl Point {
             d
         };
         Point {
-            disk: digit(2) == 1,
+            store: STORES[digit(3)],
             shards: SHARDS[digit(2)],
             socket: digit(2) == 1,
             workers: WORKERS[digit(3)],
@@ -84,7 +96,7 @@ impl Point {
     fn axes(&self) -> [usize; 6] {
         let at = |found: Option<usize>| found.unwrap();
         [
-            self.disk as usize,
+            at(STORES.iter().position(|&s| s == self.store)),
             at(SHARDS.iter().position(|&s| s == self.shards)),
             self.socket as usize,
             at(WORKERS.iter().position(|&w| w == self.workers)),
@@ -98,9 +110,14 @@ impl Point {
         config.workers_per_shard = self.workers;
         config.sketch_threshold = self.tau;
         config.checkpoint_dir = Some(dir.to_path_buf());
-        if self.disk {
+        let block_bytes = match self.store {
+            Store::Ram => None,
+            Store::OneNodeGroups => Some(512),
+            Store::ThreeNodeGroups => Some(3 * config.params().node_sketch_resident_bytes()),
+        };
+        if let Some(block_bytes) = block_bytes {
             let dir = dir.to_path_buf();
-            config.store = StoreBackend::Disk { dir, block_bytes: 512, cache_groups: 2 };
+            config.store = StoreBackend::Disk { dir, block_bytes, cache_groups: 2 };
         }
         config.buffering = match self.buffering {
             Leaf(records) => {
@@ -500,7 +517,7 @@ fn generated_histories_agree_on_every_configuration() {
         lanes.map(|lane| lane.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
     });
     let seen: Vec<u64> = a.iter().zip(b).map(|(a, b)| a | b).collect();
-    assert_eq!(seen, [0b11, 0b11, 0b11, 0b111, 0b111, 0b11_1111], "every axis value is drawn");
+    assert_eq!(seen, [0b111, 0b11, 0b11, 0b111, 0b111, 0b11_1111], "every axis value is drawn");
 }
 
 #[test]
@@ -510,8 +527,14 @@ fn a_worker_respawned_after_a_restore_replays_every_batch_routed_since() {
     // coordinator's replay logs started at 0, so a worker respawned before
     // the next checkpoint skipped the first batches routed after the
     // restore — here (0, 18). The logs now start where `Resync` says.
-    let point =
-        Point { disk: false, shards: 1, socket: true, workers: 1, tau: 16, buffering: Tree(4) };
+    let point = Point {
+        store: Store::Ram,
+        shards: 1,
+        socket: true,
+        workers: 1,
+        tau: 16,
+        buffering: Tree(4),
+    };
     let ops = [Toggle(vec![(14, 20)]), Restore(0x6d3834c2f4c406b4), Seal(vec![(0, 18)]), Kill(0)];
     replay(point, 22, &ops).unwrap();
 }
