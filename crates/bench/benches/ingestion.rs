@@ -5,7 +5,9 @@
 //! when every
 //! gutter holds a few records (a `gz serve` seal) or nearly a full batch (the
 //! end of a `kron13_ram` pass), over one in-process shard behind leaf
-//! gutters and behind the gutter tree `kron13_disk` runs.
+//! gutters and behind the gutter tree `kron13_disk` runs — and
+//! `gz_ingest_paged`, the store I/O of leaf gutters over a paged store at
+//! full density.
 //!
 //! Set `GZ_BENCH_SMOKE=1` to run at tiny scale (the CI smoke mode); the
 //! kernel comparison asserts its ≥2× batched-over-singles claim in both
@@ -31,11 +33,21 @@ fn ingest(gz: &mut GraphZeppelin, updates: &[gz_stream::EdgeUpdate]) {
     gz.flush();
 }
 
+/// Whether the filter selects any case of `group` named in `cases`: a bench
+/// that builds a dataset asks before building it.
+fn any_selected(group: &str, cases: impl IntoIterator<Item = String>) -> bool {
+    cases.into_iter().any(|case| criterion::selected(&format!("{group}/{case}")))
+}
+
 fn bench_ingest_by_workers(c: &mut Criterion) {
+    let workers = [1usize, 2, 4];
+    if !any_selected("gz_ingest_workers", workers.map(|n| n.to_string())) {
+        return;
+    }
     let w = kron_workload(8, 1);
     let mut group = c.benchmark_group("gz_ingest_workers");
     group.throughput(Throughput::Elements(w.updates.len() as u64));
-    for workers in [1usize, 2, 4] {
+    for workers in workers {
         group.bench_with_input(BenchmarkId::from_parameter(workers), &w.updates, |b, updates| {
             b.iter(|| {
                 let mut config = GzConfig::in_ram(w.num_nodes);
@@ -50,14 +62,17 @@ fn bench_ingest_by_workers(c: &mut Criterion) {
 }
 
 fn bench_ingest_by_buffering(c: &mut Criterion) {
-    let w = kron_workload(8, 2);
-    let mut group = c.benchmark_group("gz_ingest_buffering");
-    group.throughput(Throughput::Elements(w.updates.len() as u64));
-    let cases: Vec<(&str, GutterCapacity)> = vec![
+    let cases = [
         ("unbuffered", GutterCapacity::Updates(1)),
         ("f=0.1", GutterCapacity::SketchFactor(0.1)),
         ("f=0.5", GutterCapacity::SketchFactor(0.5)),
     ];
+    if !any_selected("gz_ingest_buffering", cases.map(|(name, _)| name.to_string())) {
+        return;
+    }
+    let w = kron_workload(8, 2);
+    let mut group = c.benchmark_group("gz_ingest_buffering");
+    group.throughput(Throughput::Elements(w.updates.len() as u64));
     for (name, capacity) in cases {
         group.bench_with_input(BenchmarkId::from_parameter(name), &w.updates, |b, updates| {
             b.iter(|| {
@@ -149,15 +164,21 @@ fn bench_ingest_hybrid(c: &mut Criterion) {
     use gz_stream::{Dataset, GeneratorSpec};
 
     let (nodes, edges) = if smoke() { (1u64 << 8, 512u64) } else { (1u64 << 10, 2048u64) };
+    let names = ["gnp", "pa"].map(|kind| format!("{kind}-{nodes}x{edges}"));
+    let reps = ["dense", "hybrid"];
+    let cases = names.iter().flat_map(|name| reps.map(|rep| format!("{name}-{rep}")));
+    if !any_selected("gz_ingest_hybrid", cases) {
+        return;
+    }
     let datasets = [
         Dataset {
-            name: format!("gnp-{nodes}x{edges}"),
+            name: names[0].clone(),
             num_vertices: nodes,
             nominal_edges: edges,
             spec: GeneratorSpec::ErdosRenyi { nodes, edges },
         },
         Dataset {
-            name: format!("pa-{nodes}x{edges}"),
+            name: names[1].clone(),
             num_vertices: nodes,
             nominal_edges: edges,
             spec: GeneratorSpec::Preferential { nodes, edges },
@@ -206,7 +227,7 @@ fn bench_ingest_hybrid(c: &mut Criterion) {
             );
         }
 
-        for (rep_name, threshold) in [("dense", 0u32), ("hybrid", 32)] {
+        for (rep_name, threshold) in reps.into_iter().zip([0u32, 32]) {
             group.bench_with_input(
                 BenchmarkId::from_parameter(format!("{}-{rep_name}", w.name)),
                 &w.updates,
@@ -301,6 +322,46 @@ fn bench_flush(_c: &mut Criterion) {
     }
 }
 
+/// Leaf gutters over a paged store at full density: the whole kron12
+/// stream (kron8 in smoke mode) into `GzConfig::in_ram`'s leaf gutters over
+/// `GzConfig::on_disk`'s store — 176 KiB node groups, 1024 nodes cached —
+/// on two workers, ingest and flush. The gutters emit whole node groups, so
+/// a group is faulted once for all of its nodes' batches. Two rows, the
+/// medians of three runs (one in smoke mode): `wall`, ns from the first
+/// update to the end of the flush, and `read_bytes_per_update`, the store's
+/// bytes read per stream update — a count, carried in the row's ns fields.
+/// Every run's graph digest is the stream's: each record applied once.
+fn bench_ingest_paged(_c: &mut Criterion) {
+    let scale = if smoke() { 8 } else { 12 };
+    let group = format!("gz_ingest_paged/kron{scale}");
+    let rows = ["wall", "read_bytes_per_update"];
+    if !any_selected(&group, rows.map(String::from)) {
+        return;
+    }
+    let w = kron_workload(scale, 7);
+    let want = gz_graph::GraphDigest::of_updates(
+        w.updates.iter().map(|u| (u.u, u.v, u.kind == UpdateKind::Delete)),
+        w.num_nodes,
+    );
+    let (mut wall_ns, mut read_bytes) = (Vec::new(), Vec::new());
+    for _ in 0..if smoke() { 1 } else { 3 } {
+        let dir = gz_bench::harness::scratch_dir("ingest-paged");
+        let mut config = GzConfig::in_ram(w.num_nodes);
+        config.num_workers = 2;
+        config.store = GzConfig::on_disk(w.num_nodes, dir.path().to_path_buf()).store;
+        let mut gz = GraphZeppelin::new(config).unwrap();
+        let started = Instant::now();
+        ingest(&mut gz, &w.updates);
+        wall_ns.push(started.elapsed().as_nanos() as f64);
+        let bytes = gz.store_io().expect("a paged store").bytes_read();
+        read_bytes.push(bytes as f64 / w.updates.len() as f64);
+        assert_eq!(gz.graph_digest(), want, "{group}: every record applied once");
+    }
+    let [wall, bytes] = rows.map(|row| format!("{group}/{row}"));
+    criterion::record_custom(wall, median(&mut wall_ns));
+    criterion::record_custom(bytes, median(&mut read_bytes));
+}
+
 /// Final target: persist every measurement above as the machine-readable
 /// baseline (`BENCH_ingestion.json`).
 fn emit_bench_json(_c: &mut Criterion) {
@@ -321,6 +382,6 @@ criterion_group! {
     name = benches;
     config = config();
     targets = bench_store_update_kernel, bench_ingest_by_workers, bench_ingest_by_buffering,
-        bench_ingest_hybrid, bench_flush, emit_bench_json
+        bench_ingest_hybrid, bench_flush, bench_ingest_paged, emit_bench_json
 }
 criterion_main!(benches);

@@ -555,18 +555,21 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
     }
 }
 
-/// Resolve `--store`/`--dir` into a [`StoreBackend`], creating the
-/// directory. The disk store moves one-node groups (16 KiB blocks), not
-/// [`GzConfig::on_disk`]'s 256 KiB: a filled leaf gutter hands the store
-/// one node's batch, and a bigger group would fault its other nodes'
-/// sketches for it (EXPERIMENTS.md, "The full-density stream").
-fn store_backend(store: StoreArg, dir: &Option<PathBuf>) -> Result<StoreBackend, String> {
+/// Resolve `--store`/`--dir` into `config`'s [`StoreBackend`], creating
+/// the directory: a disk store is the library's paged store
+/// ([`ShardConfig::paged_store`], as [`graph_zeppelin::GzConfig::on_disk`]
+/// builds it).
+fn store_backend(
+    config: &ShardConfig,
+    store: StoreArg,
+    dir: &Option<PathBuf>,
+) -> Result<StoreBackend, String> {
     match store {
         StoreArg::Ram => Ok(StoreBackend::Ram),
         StoreArg::Disk => {
             let dir = dir.clone().ok_or("--store disk needs --dir")?;
             std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
-            Ok(StoreBackend::Disk { dir, block_bytes: 16 << 10, cache_groups: 1024 })
+            Ok(config.paged_store(dir))
         }
     }
 }
@@ -578,7 +581,7 @@ fn store_backend(store: StoreArg, dir: &Option<PathBuf>) -> Result<StoreBackend,
 fn shard_config(num_nodes: u64, args: &ComponentsArgs) -> Result<ShardConfig, String> {
     let mut config = ShardConfig::in_ram(num_nodes, args.shards.unwrap_or(1));
     config.workers_per_shard = args.workers;
-    config.store = store_backend(args.store, &args.dir)?;
+    config.store = store_backend(&config, args.store, &args.dir)?;
     config.sketch_threshold = args.threshold.unwrap_or(0);
     config.checkpoint_every = args.checkpoint_every;
     if args.checkpoint_every.is_some() && args.connect.is_empty() {
@@ -899,7 +902,7 @@ pub fn execute(cmd: Command) -> Result<String, String> {
             let mut config = ShardConfig::in_ram(nodes, shards);
             config.seed = seed;
             config.workers_per_shard = workers;
-            config.store = store_backend(store, &dir)?;
+            config.store = store_backend(&config, store, &dir)?;
             config.sketch_threshold = threshold.unwrap_or(0);
             run_shard_worker(&listen, config, index, checkpoint, resume)
         }
@@ -1432,10 +1435,11 @@ mod tests {
     }
 
     #[test]
-    fn disk_store_flags_keep_one_node_groups() {
+    fn disk_store_flags_take_the_librarys_paged_store() {
         // `components --store disk` (leaf gutters by default) and a shard
-        // worker build the same disk store, whose groups hold one node at
-        // V = 8192: a filled leaf gutter faults only its own sketch.
+        // worker build `GzConfig::on_disk`'s store: 176 KiB blocks, 18
+        // nodes a group at V = 8192, a cache of 1024 nodes in whole groups.
+        // The leaf gutters emit those groups whole.
         let dir = gz_testutil::TempDir::new("gz-cli-disk-store");
         let d = dir.path().display();
         let Command::Components(args) =
@@ -1444,15 +1448,23 @@ mod tests {
             panic!("components")
         };
         let config = shard_config(8192, &args).unwrap();
-        let StoreBackend::Disk { block_bytes, .. } = config.store else { panic!("disk") };
-        assert_eq!(config.disk_groups(block_bytes), (1, 8192));
-        let Command::ShardWorker { store, dir: worker_dir, .. } = parse_args(&argv(&format!(
-            "shard-worker --listen 127.0.0.1:0 --nodes 8192 --shards 2 --index 0 --store disk --dir {d}"
-        )))
-        .unwrap() else {
+        let library = GzConfig::on_disk(8192, dir.path().to_path_buf()).store;
+        assert_eq!(config.store, library);
+        let StoreBackend::Disk { block_bytes, cache_groups, .. } = config.store else {
+            panic!("disk")
+        };
+        assert_eq!((config.disk_groups(block_bytes), cache_groups), ((18, 456), 57));
+        let Command::ShardWorker { nodes, shards, store, dir: worker_dir, .. } =
+            parse_args(&argv(&format!(
+                "shard-worker --listen 127.0.0.1:0 --nodes 8192 --shards 2 --index 0 \
+                 --store disk --dir {d}"
+            )))
+            .unwrap()
+        else {
             panic!("shard-worker")
         };
-        assert_eq!(store_backend(store, &worker_dir).unwrap(), config.store);
+        let worker = ShardConfig::in_ram(nodes, shards);
+        assert_eq!(store_backend(&worker, store, &worker_dir).unwrap(), library);
     }
 
     #[test]

@@ -82,17 +82,16 @@ pub enum StoreBackend {
     },
 }
 
-/// Block size `B` of [`GzConfig::on_disk`]'s store. A fold reads one
-/// group's round slice a call and a flush writes each group once, so `B`
-/// is what amortises the cost of a call: 176 KiB is 18 nodes a group at
-/// V = 8192 (9 600 resident bytes a node), a ≈ 10.8 KB round slice
-/// (DESIGN.md §13).
-const DISK_BLOCK_BYTES: usize = 176 << 10;
+/// Block size `B` of the paged store (`ShardConfig::paged_store`). A fold
+/// reads one group's round slice a call and a flush writes each group
+/// once, so `B` is what amortises the cost of a call: 176 KiB is 18 nodes
+/// a group at V = 8192 (9 600 resident bytes a node), a ≈ 10.8 KB round
+/// slice (DESIGN.md §13).
+pub(crate) const DISK_BLOCK_BYTES: usize = 176 << 10;
 
-/// Nodes whose sketches the cache of [`GzConfig::on_disk`]'s store holds,
-/// rounded up to whole groups: the RAM budget `M`, an eighth of the store
-/// at V = 8192.
-const DISK_CACHE_NODES: u64 = 1024;
+/// Nodes whose sketches the paged store's cache holds, rounded up to
+/// whole groups: the RAM budget `M`, an eighth of the store at V = 8192.
+pub(crate) const DISK_CACHE_NODES: u64 = 1024;
 
 /// `threads`, but no more than the host can run at once. Every *default*
 /// thread count resolves through this — `num_workers`, `workers_per_shard`
@@ -175,18 +174,13 @@ impl GzConfig {
     }
 
     /// On-disk configuration: file-backed sketches plus a gutter tree, both
-    /// in `dir` (the paper's SSD deployment, §6.2). The store moves 256 KiB
-    /// node groups, and its cache holds ≈ 1024 nodes, in whole groups
-    /// (DESIGN.md §13).
+    /// in `dir` (the paper's SSD deployment, §6.2). The store is
+    /// [`ShardConfig::paged_store`]: 176 KiB node groups, and a cache of
+    /// ≈ 1024 nodes, in whole groups (DESIGN.md §13).
     pub fn on_disk(num_nodes: u64, dir: PathBuf) -> Self {
         let config = GzConfig::in_ram(num_nodes);
-        let (group, _) = config.disk_groups(DISK_BLOCK_BYTES);
         GzConfig {
-            store: StoreBackend::Disk {
-                dir: dir.clone(),
-                block_bytes: DISK_BLOCK_BYTES,
-                cache_groups: DISK_CACHE_NODES.div_ceil(group) as usize,
-            },
+            store: ShardConfig::from(&config).paged_store(dir.clone()),
             buffering: BufferStrategy::GutterTree {
                 buffer_bytes: 1 << 20,
                 fanout: 64,

@@ -52,7 +52,9 @@ pub use transport::{
 };
 
 use crate::boruvka::{boruvka_rounds_with_pool, BoruvkaOutcome, SparseMap};
-use crate::config::{BufferStrategy, GutterCapacity, StoreBackend};
+use crate::config::{
+    BufferStrategy, GutterCapacity, StoreBackend, DISK_BLOCK_BYTES, DISK_CACHE_NODES,
+};
 use crate::error::GzError;
 use crate::node_sketch::{CubeRoundSketch, SketchParams};
 use crate::sparse::{SparseRoundBatch, SparseSet};
@@ -145,6 +147,16 @@ impl ShardConfig {
         let owned = crate::store::NodeSet::strided(self.num_nodes, 0, self.num_shards).len();
         let node_bytes = self.params().node_sketch_resident_bytes();
         crate::store::disk::node_groups(block_bytes, node_bytes, owned as u64)
+    }
+
+    /// The paged store of this configuration's shards, its file in `dir`:
+    /// 176 KiB blocks (18 nodes a group at V = 8192), and a cache of 1024
+    /// nodes a shard, in whole groups. The one disk geometry:
+    /// [`crate::GzConfig::on_disk`] and `gz --store disk` both take it.
+    pub fn paged_store(&self, dir: std::path::PathBuf) -> StoreBackend {
+        let (group, _) = self.disk_groups(DISK_BLOCK_BYTES);
+        let cache_groups = DISK_CACHE_NODES.div_ceil(group) as usize;
+        StoreBackend::Disk { dir, block_bytes: DISK_BLOCK_BYTES, cache_groups }
     }
 
     /// Digest of every sketch-defining field, exchanged in the wire
@@ -257,12 +269,7 @@ impl ShardedGraphZeppelin {
             )));
         }
         let params = Arc::new(config.params());
-        let router = ShardRouter::new(
-            config.num_nodes,
-            config.num_shards,
-            &config.buffering,
-            params.node_sketch_bytes(),
-        )?;
+        let router = ShardRouter::new(&config, &params, &transport.group_nodes())?;
         Ok(ShardedGraphZeppelin {
             params,
             router,

@@ -23,6 +23,8 @@
 
 use crate::config::BufferStrategy;
 use crate::error::GzError;
+use crate::node_sketch::SketchParams;
+use crate::sharding::ShardConfig;
 use crate::store::{with_backing_file, NodeSet};
 use gz_gutters::{
     Batch, BufferTree, GutterSet, GutterTreeConfig, IngestCounters, IoStats, WorkerPool,
@@ -150,26 +152,31 @@ pub struct ShardRouter {
 }
 
 impl ShardRouter {
-    /// A router for `num_shards` shards over a `num_nodes` universe,
-    /// buffering as `buffering` says, its capacities resolved against
-    /// `node_sketch_bytes` (the paper's gutter-sizing rule). A gutter tree
-    /// is one per lane, each over the lane's owned nodes, in a backing file
-    /// of its own in the strategy's directory.
+    /// A router for `config`'s shards, buffering as `config.buffering`
+    /// says, its capacities resolved against `params`' node-sketch size
+    /// (the paper's gutter-sizing rule). Shard `i`'s leaf gutters emit in
+    /// its store's node groups, `group_nodes[i]` nodes each
+    /// ([`crate::sharding::ShardTransport::group_nodes`]). A gutter tree is
+    /// one per lane, each over the lane's owned nodes, in a backing file of
+    /// its own in the strategy's directory.
     pub fn new(
-        num_nodes: u64,
-        num_shards: u32,
-        buffering: &BufferStrategy,
-        node_sketch_bytes: usize,
+        config: &ShardConfig,
+        params: &SketchParams,
+        group_nodes: &[u32],
     ) -> Result<Self, GzError> {
+        let num_shards = config.num_shards;
         assert!(num_shards > 0, "need at least one shard");
+        assert_eq!(group_nodes.len(), num_shards as usize, "one group size a shard");
+        let node_sketch_bytes = params.node_sketch_bytes();
         let io = Arc::new(IoStats::new());
         let lanes = (0..num_shards)
             .map(|s| {
-                let owned = NodeSet::strided(num_nodes, s, num_shards);
-                let buffer = match buffering {
-                    BufferStrategy::LeafOnly { capacity } => Buffer::Leaf(GutterSet::new(
+                let owned = NodeSet::strided(config.num_nodes, s, num_shards);
+                let buffer = match &config.buffering {
+                    BufferStrategy::LeafOnly { capacity } => Buffer::Leaf(GutterSet::in_groups(
                         owned.len(),
                         capacity.resolve(node_sketch_bytes),
+                        group_nodes[s as usize] as usize,
                     )),
                     BufferStrategy::GutterTree { buffer_bytes, fanout, leaf_capacity, dir } => {
                         let tree = with_backing_file(dir, "gz_gutter_tree", |path| {
@@ -188,7 +195,7 @@ impl ShardRouter {
                 Ok(Lane { buffer, owned })
             })
             .collect::<Result<_, GzError>>()?;
-        let tree_io = matches!(buffering, BufferStrategy::GutterTree { .. }).then_some(io);
+        let tree_io = matches!(config.buffering, BufferStrategy::GutterTree { .. }).then_some(io);
         Ok(ShardRouter { lanes, num_shards, counters: IngestCounters::new(), tree_io })
     }
 
@@ -318,8 +325,9 @@ mod tests {
 
     /// A router over leaf gutters of `cap` records.
     pub(super) fn leaf_router(num_nodes: u64, num_shards: u32, cap: usize) -> ShardRouter {
-        let buffering = BufferStrategy::LeafOnly { capacity: GutterCapacity::Updates(cap) };
-        ShardRouter::new(num_nodes, num_shards, &buffering, 0).unwrap()
+        let mut config = ShardConfig::in_ram(num_nodes, num_shards);
+        config.buffering = BufferStrategy::LeafOnly { capacity: GutterCapacity::Updates(cap) };
+        ShardRouter::new(&config, &config.params(), &vec![1; num_shards as usize]).unwrap()
     }
 
     /// Collects emitted batches per shard, checking the routing contract.
@@ -536,13 +544,15 @@ mod proptests {
             let dir = gz_testutil::TempDir::new("gz-router-tree-lanes");
             let pool = WorkerPool::new(2);
             for (num_shards, in_place) in [(1u32, false), (3, false), (1, true), (3, true)] {
-                let buffering = BufferStrategy::GutterTree {
+                let mut config = ShardConfig::in_ram(num_nodes as u64, num_shards);
+                config.buffering = BufferStrategy::GutterTree {
                     buffer_bytes: 8 * 8,
                     fanout: 2,
                     leaf_capacity: GutterCapacity::Updates(3),
                     dir: dir.path().to_path_buf(),
                 };
-                let mut router = ShardRouter::new(num_nodes as u64, num_shards, &buffering, 0).unwrap();
+                let groups = vec![1; num_shards as usize];
+                let mut router = ShardRouter::new(&config, &config.params(), &groups).unwrap();
                 let got = parking_lot::Mutex::new(HashMap::<u32, Vec<u32>>::new());
                 let mut send = |shard: u32, batch: Batch| {
                     assert_eq!(batch.node % num_shards, shard, "sent to the owner");

@@ -147,6 +147,14 @@ pub trait ShardTransport {
     /// Number of shards behind this transport.
     fn num_shards(&self) -> u32;
 
+    /// Nodes a group of each shard's sketch store, in shard order: the unit
+    /// the router's leaf gutters emit in, so a paged store faults a group
+    /// once for all of its nodes' batches. The default, one, is a
+    /// transport that does not know its shards' stores.
+    fn group_nodes(&self) -> Vec<u32> {
+        vec![1; self.num_shards() as usize]
+    }
+
     /// Ship a node-keyed batch to `shard`.
     fn send_batch(&mut self, shard: u32, batch: Batch) -> Result<(), GzError>;
 
@@ -307,6 +315,10 @@ impl InProcessTransport {
 impl ShardTransport for InProcessTransport {
     fn num_shards(&self) -> u32 {
         self.shards.len() as u32
+    }
+
+    fn group_nodes(&self) -> Vec<u32> {
+        self.shards.iter().map(|shard| shard.store().group_size()).collect()
     }
 
     fn send_batch(&mut self, shard: u32, batch: Batch) -> Result<(), GzError> {
@@ -553,6 +565,8 @@ impl<S: ShardLink> Recovery<S> {
 pub struct SocketTransport<S: ShardLink> {
     links: Vec<Link<S>>,
     params_digest: u64,
+    /// Each worker's `HelloAck` store groups, from the first handshake.
+    group_nodes: Vec<u32>,
     recovery: Option<Recovery<S>>,
 }
 
@@ -608,17 +622,19 @@ const DIGEST_COVERS: &str = "the digest covers nodes, seed, rounds, sketch colum
                              geometry";
 
 /// The `Hello`/`HelloAck` digest exchange on one link — at first connect
-/// and again on every respawned link.
+/// and again on every respawned link. Returns the worker's store groups.
 fn handshake_link<S: Read + Write>(
     link: &mut Link<S>,
     shard: u32,
     params_digest: u64,
-) -> Result<(), GzError> {
+) -> Result<u32, GzError> {
     let hello = WireMessage::Hello { params_digest };
     send_msg(link, shard, &hello)?;
     match recv_msg(link, shard)? {
-        WireMessage::HelloAck { params_digest: theirs } if theirs == params_digest => Ok(()),
-        WireMessage::HelloAck { params_digest: theirs } => Err(GzError::Protocol(format!(
+        WireMessage::HelloAck { params_digest: theirs, group_nodes } if theirs == params_digest => {
+            Ok(group_nodes)
+        }
+        WireMessage::HelloAck { params_digest: theirs, .. } => Err(GzError::Protocol(format!(
             "shard {shard} parameter digest {theirs:#x} != coordinator {params_digest:#x} \
              ({DIGEST_COVERS})"
         ))),
@@ -650,10 +666,11 @@ impl<S: ShardLink> SocketTransport<S> {
         if links.is_empty() {
             return Err(GzError::InvalidConfig("need at least one shard link".into()));
         }
-        for (i, link) in links.iter_mut().enumerate() {
-            handshake_link(link, i as u32, params_digest)?;
-        }
-        Ok(SocketTransport { links, params_digest, recovery: None })
+        let group_nodes = (0..)
+            .zip(links.iter_mut())
+            .map(|(i, link)| handshake_link(link, i, params_digest))
+            .collect::<Result<_, GzError>>()?;
+        Ok(SocketTransport { links, params_digest, group_nodes, recovery: None })
     }
 
     /// Install a recovery policy on an already-handshaken transport. Its
@@ -745,6 +762,10 @@ impl<S: ShardLink> SocketTransport<S> {
 impl<S: ShardLink> ShardTransport for SocketTransport<S> {
     fn num_shards(&self) -> u32 {
         self.links.len() as u32
+    }
+
+    fn group_nodes(&self) -> Vec<u32> {
+        self.group_nodes.clone()
     }
 
     fn send_batch(&mut self, shard: u32, batch: Batch) -> Result<(), GzError> {
@@ -912,7 +933,8 @@ pub fn serve_shard_connection<S: Read + Write>(
             WireMessage::Hello { params_digest: theirs } => {
                 // Always answer with our digest; a mismatched coordinator
                 // sees the difference, and we refuse to ingest for it.
-                send_msg(link, index, &WireMessage::HelloAck { params_digest })?;
+                let group_nodes = pipeline.store().group_size();
+                send_msg(link, index, &WireMessage::HelloAck { params_digest, group_nodes })?;
                 if theirs != params_digest {
                     return Err(GzError::Protocol(format!(
                         "coordinator digest {theirs:#x} != shard {params_digest:#x} \
@@ -1127,7 +1149,8 @@ mod tests {
             let mut stream = theirs;
             match WireMessage::read_from(&mut stream).unwrap() {
                 WireMessage::Hello { params_digest } => {
-                    WireMessage::HelloAck { params_digest }.write_to(&mut stream).unwrap();
+                    let ack = WireMessage::HelloAck { params_digest, group_nodes: 1 };
+                    ack.write_to(&mut stream).unwrap();
                 }
                 other => panic!("expected Hello, got {}", other.name()),
             }
@@ -1526,7 +1549,7 @@ mod tests {
         // same bytes with and without one, and the gathered entries the
         // same entries.
         let script = [
-            WireMessage::HelloAck { params_digest: DIGEST },
+            WireMessage::HelloAck { params_digest: DIGEST, group_nodes: 1 },
             WireMessage::FlushAck,
             WireMessage::EpochSealed { epoch: 3 },
             WireMessage::RoundSketches {

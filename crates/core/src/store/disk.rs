@@ -197,9 +197,11 @@ std::thread_local! {
 /// read, and the cursor and error slot its claimants share.
 struct RoundClaims<'a> {
     round: usize,
-    live: &'a (dyn Fn(u32) -> bool + Sync),
     /// The sealed epoch being read; `None` = the live state.
     overlay: Option<&'a EpochOverlay>,
+    /// Per slot: live, and dense at the seal — the slots whose slices the
+    /// stream emits.
+    emits: Vec<bool>,
     /// The groups to visit, in slot order.
     wanted: Vec<u32>,
     /// Groups a claim takes.
@@ -871,28 +873,34 @@ impl SketchStore {
     /// epoch stream does not: ingestion keeps writing while it runs, and
     /// the file holds the sealed value of every group the overlay lacks,
     /// because the seal flushed and nothing has dirtied them since.
+    ///
+    /// Which slots are live and were dense at the seal is recorded here,
+    /// once a round, in one pass over the slots before any group lock (the
+    /// slot lock comes first): a slot sparse at the seal has zeros or
+    /// post-promotion state in its group, never its sealed value, and the
+    /// sparse pass serves it. The record is stable for the whole stream —
+    /// for an epoch because promotion is monotone and captures the set
+    /// first, for a live read because ingestion is quiesced.
     fn begin_round<'a>(
         &self,
         round: usize,
-        live: &'a (dyn Fn(u32) -> bool + Sync),
+        live: &(dyn Fn(u32) -> bool + Sync),
         overlay: Option<&'a EpochOverlay>,
     ) -> std::io::Result<RoundClaims<'a>> {
         if overlay.is_none() {
             self.flush()?;
         }
-        // Visit the groups with at least one live node that was dense at the
-        // seal, in slot order: an all-sparse group holds zeros.
-        let wanted = (0..self.num_groups())
-            .filter(|&g| {
-                self.slots_of(g).any(|slot| {
-                    live(self.node_set.node(slot)) && !self.reps.is_sparse(slot, overlay)
-                })
-            })
+        let emits: Vec<bool> = (0..self.node_set.len())
+            .map(|slot| live(self.node_set.node(slot)) && !self.reps.is_sparse(slot, overlay))
             .collect();
+        // Visit the groups with a slot to emit, in slot order: an
+        // all-sparse group holds zeros.
+        let wanted =
+            (0..self.num_groups()).filter(|&g| self.slots_of(g).any(|slot| emits[slot])).collect();
         Ok(RoundClaims {
             round,
-            live,
             overlay,
+            emits,
             wanted,
             window: if self.pager.is_some() { 1 } else { RESIDENT_CLAIM },
             next: AtomicUsize::new(0),
@@ -936,17 +944,10 @@ impl SketchStore {
                 break;
             }
             for &group in claimed {
-                // The group's nodes to emit: live, and dense at the seal.
-                // A slot sparse at the seal has zeros or post-promotion
-                // state in its group, never its sealed value; the sparse
-                // pass serves it. Asked before the group's lock, which
-                // comes after the slots' — and stable for a live epoch.
+                // The group's nodes to emit, as `begin_round` recorded them.
                 let slots = self.slots_of(group);
                 dense.clear();
-                dense.extend(slots.clone().filter(|&slot| {
-                    (claims.live)(self.node_set.node(slot))
-                        && !self.reps.is_sparse(slot, claims.overlay)
-                }));
+                dense.extend(slots.clone().filter(|&slot| claims.emits[slot]));
                 let borrowed =
                     |stacks: &[CubeNodeSketch], emit: &mut dyn FnMut(u32, Cow<'_, _>)| {
                         for &slot in &dense {

@@ -10,6 +10,12 @@
 //! records (one cache line) and never past the threshold, so a vertex that
 //! sees a handful of records costs a cache line, not a page.
 //!
+//! Over a store that keeps `g` nodes' sketches in one node group (paper
+//! §4.1), the emit unit is the group, not the node: a group's gutters
+//! count their fill together and leave together once it reaches `g` × the
+//! per-node capacity, in node order, so the store faults the group once
+//! for all of them. Without a file `g` is 1 and a gutter is its own group.
+//!
 //! [`GutterSet`] is the gutters alone: whatever it emits goes to a sink its
 //! caller passes, so a single-threaded consumer (the shard router) forwards
 //! a batch the moment its gutter fills, with no queue in between — and a
@@ -34,9 +40,23 @@ pub(crate) const CLAIM: usize = 16;
 /// gutter doubles from here up to its emit threshold.
 const FIRST_RESERVE: usize = 16;
 
+/// Make room in a full `gutter`: double it up to the per-node `capacity`,
+/// then grow it one capacity at a time, never past the group's
+/// `threshold`. Out of line, as `GutterSet::emit_group` is.
+#[cold]
+#[inline(never)]
+fn grow(gutter: &mut Vec<u32>, capacity: usize, threshold: usize) {
+    let grown = match gutter.len() < capacity {
+        true => (2 * gutter.len()).clamp(FIRST_RESERVE.min(capacity), capacity),
+        false => (gutter.len() + capacity).min(threshold),
+    };
+    gutter.reserve_exact(grown - gutter.len());
+}
+
 /// Per-node in-RAM gutters that hand each emitted [`Batch`] to the caller's
-/// sink. A sink that fails owns the batch it was handed: the error returns
-/// at once and every record still buffered stays buffered.
+/// sink, emitted a node group at a time. A sink that fails owns the batch
+/// it was handed: the error returns at once and every record still
+/// buffered stays buffered.
 ///
 /// ```
 /// use gz_gutters::{Batch, GutterSet};
@@ -56,6 +76,14 @@ const FIRST_RESERVE: usize = 16;
 pub struct GutterSet {
     gutters: Vec<Vec<u32>>,
     capacity: usize,
+    /// Records a group holds before it is emitted: `g` × the per-node
+    /// capacity.
+    threshold: usize,
+    /// Nodes a group, `g`.
+    group: usize,
+    /// Records buffered in each group; empty when `g` = 1, where a
+    /// gutter's length is its group's fill.
+    fill: Vec<usize>,
     buffered: usize,
 }
 
@@ -63,9 +91,21 @@ impl GutterSet {
     /// Gutters for `num_nodes` nodes, each holding up to `capacity_updates`
     /// records (at least one) before it is emitted.
     pub fn new(num_nodes: usize, capacity_updates: usize) -> Self {
+        Self::in_groups(num_nodes, capacity_updates, 1)
+    }
+
+    /// Gutters for `num_nodes` nodes in groups of `group_nodes` consecutive
+    /// nodes (at least one): a group is emitted whole once it holds
+    /// `group_nodes` × `capacity_updates` records.
+    pub fn in_groups(num_nodes: usize, capacity_updates: usize, group_nodes: usize) -> Self {
+        let (capacity, group) = (capacity_updates.max(1), group_nodes.max(1));
+        let groups = if group == 1 { 0 } else { num_nodes.div_ceil(group) };
         GutterSet {
             gutters: vec![Vec::new(); num_nodes],
-            capacity: capacity_updates.max(1),
+            capacity,
+            threshold: capacity * group,
+            group,
+            fill: vec![0; groups],
             buffered: 0,
         }
     }
@@ -75,30 +115,64 @@ impl GutterSet {
         self.buffered
     }
 
-    /// Buffer `other` for `dst`; the record that fills the gutter emits it
-    /// through `sink` and leaves the gutter empty with the whole threshold
-    /// reserved, since a vertex that filled it once is likely to again. A
-    /// gutter short of room doubles its reservation, from 16 records up to
-    /// the threshold and never past it.
-    #[inline]
+    /// Buffer `other` for `dst`; the record that fills `dst`'s group emits
+    /// the group's nonempty gutters through `sink`, in node order. A gutter
+    /// short of room doubles its reservation, from 16 records up to the
+    /// per-node capacity; past it — a vertex holding more than its share of
+    /// a group — it grows a capacity at a time, never past the group's
+    /// threshold. Always inlined: it is on every record's path, and out of
+    /// line it costs the router a call a record.
+    #[inline(always)]
     pub fn insert<E>(
         &mut self,
         dst: u32,
         other: u32,
-        sink: impl FnOnce(Batch) -> Result<(), E>,
+        sink: impl FnMut(Batch) -> Result<(), E>,
     ) -> Result<(), E> {
-        let capacity = self.capacity;
+        let threshold = self.threshold;
         let gutter = &mut self.gutters[dst as usize];
         if gutter.len() == gutter.capacity() {
-            let grown = (2 * gutter.capacity()).clamp(FIRST_RESERVE.min(capacity), capacity);
-            gutter.reserve_exact(grown - gutter.len());
+            grow(gutter, self.capacity, threshold);
         }
         gutter.push(other);
         self.buffered += 1;
-        if gutter.len() >= capacity {
-            return self.emit(dst, capacity, sink);
-        }
-        Ok(())
+        let group = if self.fill.is_empty() {
+            if gutter.len() < threshold {
+                return Ok(());
+            }
+            dst as usize
+        } else {
+            let group = (dst / self.group as u32) as usize;
+            self.fill[group] += 1;
+            if self.fill[group] < threshold {
+                return Ok(());
+            }
+            group
+        };
+        self.emit_group(group, dst, sink)
+    }
+
+    /// Hand `group`'s nonempty gutters to `sink` in node order. Each
+    /// restarts empty; the one whose record `filled` the group keeps the
+    /// per-node capacity reserved, since a vertex that filled it once is
+    /// likely to again, and the rest reserve nothing, as after a force
+    /// flush — their vertices' shares of the next fill are unknown. Out of
+    /// line, as [`grow`] is: `insert` is inlined into every record's path,
+    /// and these run once a fill.
+    #[cold]
+    #[inline(never)]
+    fn emit_group<E>(
+        &mut self,
+        group: usize,
+        filled: u32,
+        mut sink: impl FnMut(Batch) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let start = (group * self.group) as u32;
+        let end = self.gutters.len().min(group * self.group + self.group) as u32;
+        (start..end).try_for_each(|node| {
+            let reserve = if node == filled { self.capacity } else { 0 };
+            self.emit(node, reserve, &mut sink)
+        })
     }
 
     /// Emit every nonempty gutter, in node order, regardless of fill level.
@@ -147,6 +221,7 @@ impl GutterSet {
             nonempty += usize::from(!gutter.is_empty());
             gutter.clear();
         }
+        self.fill.fill(0);
         self.buffered = 0;
         nonempty
     }
@@ -165,6 +240,9 @@ impl GutterSet {
         }
         let others = std::mem::replace(gutter, Vec::with_capacity(reserve));
         self.buffered -= others.len();
+        if let Some(fill) = self.fill.get_mut(node as usize / self.group) {
+            *fill -= others.len();
+        }
         sink(Batch { node, others })
     }
 }
@@ -407,6 +485,53 @@ mod tests {
         assert_eq!(g.buffered_len(), 2);
         assert_eq!((g.gutters[0].as_slice(), g.gutters[3].as_slice()), (&[7u32][..], &[8u32][..]));
         assert_eq!((g.gutters[1].len(), g.gutters[1].capacity()), (0, 50));
+    }
+
+    #[test]
+    fn a_groups_gutters_leave_together_in_node_order_each_record_once() {
+        // Ten nodes in groups of four (the last group holds two), three
+        // records a node: a group is emitted once it holds twelve records.
+        let (nodes, capacity, group) = (10u32, 3, 4);
+        let mut g = GutterSet::in_groups(nodes as usize, capacity, group);
+        let (mut out, mut inserted) = (Vec::new(), vec![Vec::new(); nodes as usize]);
+        let mut state = 7u32;
+        for record in 0..2_000u32 {
+            state = state.wrapping_mul(1_103_515_245).wrapping_add(12_345);
+            let dst = (state >> 16) % nodes;
+            inserted[dst as usize].push(record);
+            let before = out.len();
+            let sink = |b: Batch| {
+                out.push(b);
+                Ok::<(), Infallible>(())
+            };
+            g.insert(dst, record, sink).unwrap();
+            let held = |grp: usize| -> usize {
+                g.gutters.chunks(group).nth(grp).unwrap().iter().map(Vec::len).sum()
+            };
+            for grp in 0..(nodes as usize).div_ceil(group) {
+                assert!(held(grp) < group * capacity, "group {grp} holds {}", held(grp));
+            }
+            let emitted = &out[before..];
+            if emitted.is_empty() {
+                continue;
+            }
+            let grp = dst as usize / group;
+            assert_eq!(held(grp), 0, "record {record}: the whole group left");
+            assert!(emitted.iter().all(|b| b.node as usize / group == grp && !b.others.is_empty()));
+            assert!(emitted.windows(2).all(|w| w[0].node < w[1].node), "node order");
+            let records: usize = emitted.iter().map(|b| b.others.len()).sum();
+            assert_eq!(records, group * capacity, "record {record}: a group leaves full");
+        }
+        let Ok(()) = g.force_flush(|b| {
+            out.push(b);
+            Ok::<(), Infallible>(())
+        });
+        assert_eq!(g.buffered_len(), 0);
+        let mut delivered = vec![Vec::new(); nodes as usize];
+        for b in out {
+            delivered[b.node as usize].extend(b.others);
+        }
+        assert_eq!(delivered, inserted, "each record exactly once, in insertion order");
     }
 
     #[test]

@@ -73,8 +73,9 @@ pub const WIRE_MAGIC: [u8; 2] = *b"GZ";
 /// v10 ships a dense `RoundSketches` entry as tag `0` plus the slice's
 /// resident words (8 bytes a bucket below `2^32`, not the paper's 12),
 /// drops `CheckpointAck`'s graph digest (the checkpoint file carries it),
-/// and makes a `Batch` record the other endpoint's whole id (no delete bit).
-pub const PROTOCOL_VERSION: u8 = 10;
+/// and makes a `Batch` record the other endpoint's whole id (no delete bit);
+/// v11 adds the worker store's nodes a group to `HelloAck`.
+pub const PROTOCOL_VERSION: u8 = 11;
 
 /// Upper bound on a frame payload (defensive: a corrupt length header must
 /// not trigger a multi-gigabyte allocation).
@@ -193,6 +194,9 @@ pub enum WireMessage {
     HelloAck {
         /// The worker's own parameter digest.
         params_digest: u64,
+        /// Nodes a group of the worker's sketch store (1 without a file):
+        /// the unit the coordinator's leaf gutters emit in.
+        group_nodes: u32,
     },
     /// Coordinator → worker: a node-keyed batch of encoded update records —
     /// the unit of inter-shard communication.
@@ -430,7 +434,8 @@ impl WireMessage {
 
     fn payload_len(&self) -> usize {
         match self {
-            WireMessage::Hello { .. } | WireMessage::HelloAck { .. } => 8,
+            WireMessage::Hello { .. } => 8,
+            WireMessage::HelloAck { .. } => 12,
             WireMessage::Batch { records, .. } => 8 + 4 * records.len(),
             WireMessage::GatherRound { .. } => 12,
             WireMessage::EpochSealed { .. }
@@ -468,8 +473,12 @@ impl WireMessage {
 
     fn encode_payload(&self, out: &mut Vec<u8>) {
         match self {
-            WireMessage::Hello { params_digest } | WireMessage::HelloAck { params_digest } => {
+            WireMessage::Hello { params_digest } => {
                 out.extend_from_slice(&params_digest.to_le_bytes());
+            }
+            WireMessage::HelloAck { params_digest, group_nodes } => {
+                out.extend_from_slice(&params_digest.to_le_bytes());
+                out.extend_from_slice(&group_nodes.to_le_bytes());
             }
             WireMessage::Batch { node, records } => {
                 out.extend_from_slice(&node.to_le_bytes());
@@ -609,7 +618,9 @@ impl WireMessage {
         let mut cur = Cursor { bytes: payload, at: 0 };
         let msg = match tag {
             TAG_HELLO => WireMessage::Hello { params_digest: cur.u64()? },
-            TAG_HELLO_ACK => WireMessage::HelloAck { params_digest: cur.u64()? },
+            TAG_HELLO_ACK => {
+                WireMessage::HelloAck { params_digest: cur.u64()?, group_nodes: cur.u32()? }
+            }
             TAG_BATCH => {
                 let node = cur.u32()?;
                 let count = cur.u32()? as usize;
@@ -815,7 +826,7 @@ mod tests {
     fn all_variants_round_trip() {
         let msgs = vec![
             WireMessage::Hello { params_digest: 0xDEAD_BEEF_0BAD_F00D },
-            WireMessage::HelloAck { params_digest: 7 },
+            WireMessage::HelloAck { params_digest: 7, group_nodes: 18 },
             WireMessage::Batch { node: 42, records: vec![1, 2, 3, u32::MAX] },
             WireMessage::Batch { node: 0, records: vec![] },
             WireMessage::Flush,

@@ -356,6 +356,8 @@ fn in_place_flush_bit_identical_to_the_queue_route() {
     // deep (fan-out 4: the pool claims level 2), two (fan-out 8: the level
     // of two nodes above 128 leaves folds into the root) and one (fan-out ≥
     // V: the root is partitioned in RAM), as the router lane of every fleet.
+    // Over a store of three-node groups the leaf gutters count a group's
+    // records together and emit the group whole.
     let (v, updates) = shared_stream();
     let mut queue_only = GzConfig::in_ram(v);
     queue_only.buffering = BufferStrategy::LeafOnly { capacity: GutterCapacity::Updates(1) };
@@ -379,11 +381,18 @@ fn in_place_flush_bit_identical_to_the_queue_route() {
         assert_eq!(got.sketch_failures, want.sketch_failures, "{what}: failures");
     };
 
-    let store_in = |dir: &TempDir, on_disk: bool| match on_disk {
-        true => {
-            StoreBackend::Disk { dir: dir.path().to_path_buf(), block_bytes: 4096, cache_groups: 2 }
+    // One-node groups (4 KiB blocks), and groups of three nodes, where a
+    // leaf gutter group fills and leaves whole.
+    let group_bytes = 3 * ShardConfig::in_ram(v, 1).params().node_sketch_resident_bytes();
+    let store_in = |dir: &TempDir, store: Store| {
+        let dir = dir.path().to_path_buf();
+        match store {
+            Store::Ram => StoreBackend::Ram,
+            Store::OneNodeGroups => StoreBackend::Disk { dir, block_bytes: 4096, cache_groups: 2 },
+            Store::ThreeNodeGroups => {
+                StoreBackend::Disk { dir, block_bytes: group_bytes, cache_groups: 2 }
+            }
         }
-        false => StoreBackend::Ram,
     };
     let fleets = [
         (1u32, Transport::InProcess),
@@ -391,32 +400,15 @@ fn in_place_flush_bit_identical_to_the_queue_route() {
         (1, Transport::Socket),
         (3, Transport::Socket),
     ];
-    let tree = |fanout: usize, dir: &TempDir| BufferStrategy::GutterTree {
-        buffer_bytes: 1 << 14,
-        fanout,
-        leaf_capacity: GutterCapacity::SketchFactor(1.0),
-        dir: dir.path().to_path_buf(),
-    };
-    let bufferings: [&dyn Fn(&TempDir) -> BufferStrategy; 5] = [
-        &|_| BufferStrategy::LeafOnly { capacity: GutterCapacity::SketchFactor(0.5) },
-        &|_| BufferStrategy::LeafOnly { capacity: GutterCapacity::Updates(40) },
-        &|dir| tree(4, dir),
-        &|dir| tree(8, dir),
-        &|dir| tree(v as usize, dir),
-    ];
-    for buffering in bufferings {
-        let stores = [(false, 0u32), (false, 64), (true, 0), (true, 64)];
-        for (workers, (on_disk, tau)) in
-            [1usize, 2, 4].into_iter().flat_map(|w| stores.map(|store| (w, store)))
-        {
+    let lane =
+        |workers: usize, store: Store, tau: u32, buffering: &dyn Fn(&TempDir) -> BufferStrategy| {
             let dir = TempDir::new("gz-equiv-inplace");
             let mut config = GzConfig::in_ram(v);
             config.num_workers = workers;
-            config.store = store_in(&dir, on_disk);
+            config.store = store_in(&dir, store);
             config.sketch_threshold = tau;
             config.buffering = buffering(&dir);
-            let what =
-                format!("{workers} workers, disk {on_disk}, tau {tau}, {:?}", config.buffering);
+            let what = format!("{workers} workers, {store:?}, tau {tau}, {:?}", config.buffering);
             let mut gz = ingested(config, &updates);
             assert_eq!(digest(&mut gz), want_state, "single node, {what}: state");
             assert_eq!(gz.graph_digest(), want_graph, "single node, {what}: graph digest");
@@ -430,7 +422,7 @@ fn in_place_flush_bit_identical_to_the_queue_route() {
                 let dir = TempDir::new("gz-equiv-inplace-shards");
                 let mut config = ShardConfig::in_ram(v, shards);
                 config.workers_per_shard = workers;
-                config.store = store_in(&dir, on_disk);
+                config.store = store_in(&dir, store);
                 config.sketch_threshold = tau;
                 config.buffering = buffering(&dir);
                 let mut gz = sharded_system(config, transport);
@@ -444,8 +436,50 @@ fn in_place_flush_bit_identical_to_the_queue_route() {
                 same_answer(gz.spanning_forest().expect("query"), &what);
                 gz.shutdown().expect("clean shutdown");
             }
+        };
+    let tree = |fanout: usize, dir: &TempDir| BufferStrategy::GutterTree {
+        buffer_bytes: 1 << 14,
+        fanout,
+        leaf_capacity: GutterCapacity::SketchFactor(1.0),
+        dir: dir.path().to_path_buf(),
+    };
+    let leaf = |capacity| BufferStrategy::LeafOnly { capacity };
+    let bufferings: [&dyn Fn(&TempDir) -> BufferStrategy; 5] = [
+        &|_| leaf(GutterCapacity::SketchFactor(0.5)),
+        &|_| leaf(GutterCapacity::Updates(40)),
+        &|dir| tree(4, dir),
+        &|dir| tree(8, dir),
+        &|dir| tree(v as usize, dir),
+    ];
+    for buffering in bufferings {
+        for workers in [1usize, 2, 4] {
+            for store in [Store::Ram, Store::OneNodeGroups] {
+                lane(workers, store, 0, buffering);
+                lane(workers, store, 64, buffering);
+            }
         }
     }
+    // Three-node groups: every lane's leaf gutters emit whole groups, and
+    // even one-record gutters leave a group's last records to the flush.
+    let group_bufferings: [&dyn Fn(&TempDir) -> BufferStrategy; 3] =
+        [&|_| leaf(GutterCapacity::Updates(1)), &|_| leaf(GutterCapacity::Updates(40)), &|_| {
+            leaf(GutterCapacity::SketchFactor(0.5))
+        }];
+    for buffering in group_bufferings {
+        for workers in [1usize, 2, 4] {
+            lane(workers, Store::ThreeNodeGroups, 0, buffering);
+            lane(workers, Store::ThreeNodeGroups, 64, buffering);
+        }
+    }
+}
+
+/// Where [`in_place_flush_bit_identical_to_the_queue_route`] keeps its
+/// sketches.
+#[derive(Debug, Clone, Copy)]
+enum Store {
+    Ram,
+    OneNodeGroups,
+    ThreeNodeGroups,
 }
 
 mod hybrid_representation_proptests {

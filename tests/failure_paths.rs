@@ -216,7 +216,7 @@ fn a_shard_answering_out_of_turn_is_a_named_protocol_error() {
     let (ours, mut theirs) = std::os::unix::net::UnixStream::pair().unwrap();
     let worker = std::thread::spawn(move || {
         for reply in [
-            WireMessage::HelloAck { params_digest: 7 },
+            WireMessage::HelloAck { params_digest: 7, group_nodes: 1 },
             WireMessage::EpochReleased,
             WireMessage::RoundSketches { round: 3, entries: vec![] },
         ] {

@@ -60,6 +60,52 @@ fn buffering_amortizes_store_io() {
 }
 
 #[test]
+fn a_group_emission_faults_its_group_once() {
+    // One Graph Worker, a cache of one group, gutters of three records. A
+    // visit toggles the six edges among the four nodes of a group, so each
+    // of them receives three records. Over a store of four-node groups the
+    // leaf gutters count the group's twelve records together and emit its
+    // four batches at once: one fault a visit. Over one-node groups each
+    // node is its own group and faults once a visit. Consecutive visits are
+    // to different groups, so every emission misses the one-group cache.
+    let v = 64u64;
+    let node_bytes = ShardConfig::in_ram(v, 1).params().node_sketch_resident_bytes();
+    let visits = [0u32, 1, 2, 0, 3, 1, 15, 2];
+    let edges = || {
+        visits.iter().flat_map(|&group| {
+            let nodes = 4 * group..4 * group + 4;
+            nodes.clone().flat_map(move |a| (a + 1..4 * group + 4).map(move |b| (a, b, false)))
+        })
+    };
+    let mut reference = GraphZeppelin::new(GzConfig::in_ram(v)).unwrap();
+    reference.ingest(edges());
+    let want = reference.state_digest().unwrap();
+    for group_nodes in [4usize, 1] {
+        let dir = scratch("group-emission");
+        let mut config = GzConfig::in_ram(v);
+        config.num_workers = 1;
+        config.store = StoreBackend::Disk {
+            dir: dir.path().to_path_buf(),
+            block_bytes: group_nodes * node_bytes,
+            cache_groups: 1,
+        };
+        config.buffering = BufferStrategy::LeafOnly { capacity: GutterCapacity::Updates(3) };
+        let mut gz = GraphZeppelin::new(config).unwrap();
+        assert_eq!(gz.store().group_size() as usize, group_nodes);
+        gz.ingest(edges());
+        gz.flush();
+        let emissions = (visits.len() * 4 / group_nodes) as u64;
+        let io = gz.store_io().unwrap();
+        let what = format!("{group_nodes}-node groups");
+        assert_eq!(gz.ingest_counters().batches(), 4 * visits.len() as u64, "{what}");
+        assert_eq!(gz.ingest_counters().flushes(), 0, "{what}: every record left with its group");
+        assert_eq!(io.reads(), emissions, "{what}: one fault an emission");
+        assert_eq!(io.bytes_read(), emissions * (group_nodes * node_bytes) as u64, "{what}");
+        assert_eq!(gz.state_digest().unwrap(), want, "{what}: state");
+    }
+}
+
+#[test]
 fn gutter_tree_writes_are_batched() {
     let dataset = Dataset::kron(7);
     let stream = dataset.stream(4, &StreamifyConfig::default());
