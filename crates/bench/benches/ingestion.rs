@@ -7,7 +7,8 @@
 //! end of a `kron13_ram` pass), over one in-process shard behind leaf
 //! gutters and behind the gutter tree `kron13_disk` runs — and
 //! `gz_ingest_paged`, the store I/O of leaf gutters over a paged store at
-//! full density.
+//! full density, and `gz_gutter_pool`, the bytes leaf gutters hold per
+//! buffered record.
 //!
 //! Set `GZ_BENCH_SMOKE=1` to run at tiny scale (the CI smoke mode); the
 //! kernel comparison asserts its ≥2× batched-over-singles claim in both
@@ -362,6 +363,32 @@ fn bench_ingest_paged(_c: &mut Criterion) {
     criterion::record_custom(bytes, median(&mut read_bytes));
 }
 
+/// Leaf gutters' chunk pool after the first half of the kron12 stream
+/// (kron8 in smoke mode), ingested into `GzConfig::in_ram` with no flush.
+/// One row, `bytes_per_record`: the bytes the pool has allocated (its
+/// high-water mark) per record buffered — a ratio, carried in the row's ns
+/// fields. A gutter is a chain of 16-record chunks, each a 64-byte cache
+/// line with a 4-byte link, so the pool holds the records, their links and
+/// less than one chunk a gutter, rounded up to its growth step, a slab of
+/// 1024 chunks: asserted at most 1.1 × the records' bytes plus one chunk a
+/// gutter and one slab.
+fn bench_gutter_pool(_c: &mut Criterion) {
+    let scale = if smoke() { 8 } else { 12 };
+    let name = format!("gz_gutter_pool/kron{scale}/bytes_per_record");
+    if !criterion::selected(&name) {
+        return;
+    }
+    let w = kron_workload(scale, 7);
+    let mut gz = GraphZeppelin::new(GzConfig::in_ram(w.num_nodes)).unwrap();
+    for upd in &w.updates[..w.updates.len() / 2] {
+        gz.update(upd.u, upd.v, upd.kind == UpdateKind::Delete);
+    }
+    let pool = gz.gutter_pool().expect("leaf gutters");
+    let bound = 1.1 * (4 * pool.records) as f64 + ((w.num_nodes + 1024) * (64 + 4)) as f64;
+    assert!(pool.pool_peak_bytes as f64 <= bound, "{name}: {pool} past {bound} bytes");
+    criterion::record_custom(name, pool.pool_peak_bytes as f64 / pool.records as f64);
+}
+
 /// Final target: persist every measurement above as the machine-readable
 /// baseline (`BENCH_ingestion.json`).
 fn emit_bench_json(_c: &mut Criterion) {
@@ -382,6 +409,6 @@ criterion_group! {
     name = benches;
     config = config();
     targets = bench_store_update_kernel, bench_ingest_by_workers, bench_ingest_by_buffering,
-        bench_ingest_hybrid, bench_flush, bench_ingest_paged, emit_bench_json
+        bench_ingest_hybrid, bench_flush, bench_ingest_paged, bench_gutter_pool, emit_bench_json
 }
 criterion_main!(benches);

@@ -732,7 +732,8 @@ fn census_lines(census: &StoreCensus) -> String {
 
 /// The `--stats` block of any system, one line each: the census of the
 /// shards in this process (a worker behind a link prints its own on exit),
-/// the gutter tree's I/O, ingest, the column kernel and the graph digest,
+/// the gutter tree's I/O or the leaf gutters' records and chunk pool,
+/// ingest, the column kernel and the graph digest,
 /// then the recovery and link counters where the transport keeps them.
 pub(crate) fn stats_lines(
     gz: &mut ShardedGraphZeppelin,
@@ -740,6 +741,9 @@ pub(crate) fn stats_lines(
     let mut out = gz.store_census()?.map(|census| census_lines(&census)).unwrap_or_default();
     if let Some(io) = gz.gutter_io() {
         out.push_str(&format!("gutter tree: {io}\n"));
+    }
+    if let Some(pool) = gz.gutter_pool() {
+        out.push_str(&format!("gutters: {pool}\n"));
     }
     out.push_str(&format!("ingest: {}\n", gz.ingest_counters()));
     out.push_str(&format!("sketch: kernel={}\n", gz.params().kernel()));

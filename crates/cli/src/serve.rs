@@ -1154,15 +1154,18 @@ mod tests {
                 16 * params.node_sketch_resident_bytes()
             )
         );
+        // ...the leaf gutters, emptied by the seal, their pool one slab of
+        // 1024 chunks (64 record bytes and a 4-byte link each)...
+        assert_eq!(lines[3], "gutters: records=0 pool_bytes=0 pool_peak_bytes=69632");
         // ...the query's seal, which found four records in three gutters...
-        let flush = lines[3].strip_prefix("ingest: batches=3 records=4 flushes=1 flush_ns=");
-        let (total, max) = flush.and_then(|f| f.split_once(" flush_ns_max=")).expect(lines[3]);
+        let flush = lines[4].strip_prefix("ingest: batches=3 records=4 flushes=1 flush_ns=");
+        let (total, max) = flush.and_then(|f| f.split_once(" flush_ns_max=")).expect(lines[4]);
         assert_eq!(total, max, "one flush: its length is the longest");
-        assert_eq!(lines[4], format!("sketch: kernel={}", params.kernel()));
+        assert_eq!(lines[5], format!("sketch: kernel={}", params.kernel()));
         let graph = GraphDigest::of_updates([(0, 1, false), (1, 2, false)], 16);
-        assert_eq!(lines[5], format!("graph digest: {graph}"));
+        assert_eq!(lines[6], format!("graph digest: {graph}"));
         // ...and no recovery or link line: the shard has neither.
-        assert_eq!(lines.len(), 6);
+        assert_eq!(lines.len(), 7);
     }
 
     /// The serve dialect's half of the link contract (the shard dialect's

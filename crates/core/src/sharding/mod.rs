@@ -534,6 +534,12 @@ impl ShardedGraphZeppelin {
         self.router.gutter_io()
     }
 
+    /// Records in the router's leaf gutters and the bytes of their chunk
+    /// pools (leaf-gutter buffering only).
+    pub fn gutter_pool(&self) -> Option<gz_gutters::GutterPoolStats> {
+        self.router.gutter_pool()
+    }
+
     /// The fork-join pool every flush and query of this system runs on.
     pub(crate) fn pool(&self) -> &Arc<WorkerPool> {
         &self.pool

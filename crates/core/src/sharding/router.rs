@@ -27,7 +27,8 @@ use crate::node_sketch::SketchParams;
 use crate::sharding::ShardConfig;
 use crate::store::{with_backing_file, NodeSet};
 use gz_gutters::{
-    Batch, BufferTree, GutterSet, GutterTreeConfig, IngestCounters, IoStats, WorkerPool,
+    Batch, BufferTree, GutterPoolStats, GutterSet, GutterTreeConfig, IngestCounters, IoStats,
+    WorkerPool,
 };
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -313,6 +314,16 @@ impl ShardRouter {
     /// I/O counters of the lanes' gutter trees (gutter-tree buffering only).
     pub fn gutter_io(&self) -> Option<Arc<IoStats>> {
         self.tree_io.clone()
+    }
+
+    /// The lanes' leaf gutters' records and chunk pools, summed (leaf
+    /// gutters only).
+    pub fn gutter_pool(&self) -> Option<GutterPoolStats> {
+        let leaf = |lane: &Lane| match &lane.buffer {
+            Buffer::Leaf(gutters) => Some(gutters.pool_stats()),
+            Buffer::Tree(_) => None,
+        };
+        self.lanes.iter().map(leaf).sum()
     }
 }
 

@@ -62,7 +62,7 @@ use std::fs::File;
 use std::os::unix::fs::FileExt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Empty: the store has one I/O path and nothing to tune. A benchmark
 /// pin — the repository benchmark's store probe still names this type and
@@ -257,9 +257,10 @@ pub struct SketchStore {
     /// Bytes of one node's stack: its resident words, what the file holds.
     node_bytes: usize,
     locking: LockingStrategy,
-    /// The groups of a store without a file, one lock each; empty when
-    /// paged.
-    resident: Vec<GroupEntry>,
+    /// The groups of a store without a file, one lock each, allocated at
+    /// a group's first dense touch (all of them up front at τ = 0): a slot
+    /// that stays sparse costs one empty cell. Empty when paged.
+    resident: Vec<OnceLock<Box<GroupEntry>>>,
     /// The file a paged store's groups live in; `None` when resident.
     pager: Option<Pager>,
     /// Delta sketches batches are built in before they touch a group.
@@ -300,11 +301,14 @@ impl SketchStore {
         threshold: u32,
     ) -> Self {
         // Born dense at τ = 0: every group allocated up front.
-        let loaded = threshold == 0;
         let resident = (0..node_set.len())
-            .map(|_| {
-                let sketches = if loaded { vec![params.new_node_sketch()] } else { Vec::new() };
-                Mutex::new(GroupState { sketches, loaded, dirty: false })
+            .map(|_| match threshold {
+                0 => OnceLock::from(Box::new(Mutex::new(GroupState {
+                    sketches: vec![params.new_node_sketch()],
+                    loaded: true,
+                    dirty: false,
+                }))),
+                _ => OnceLock::new(),
             })
             .collect();
         Self::build(params, node_set, threshold, locking, 1, resident, None)
@@ -384,7 +388,7 @@ impl SketchStore {
         threshold: u32,
         locking: LockingStrategy,
         group_size: u32,
-        resident: Vec<GroupEntry>,
+        resident: Vec<OnceLock<Box<GroupEntry>>>,
         pager: Option<Pager>,
     ) -> Self {
         SketchStore {
@@ -687,7 +691,10 @@ impl SketchStore {
         f: impl FnOnce(&[CubeNodeSketch]) -> R,
     ) -> std::io::Result<R> {
         match self.pager {
-            None => Ok(f(&self.resident[group as usize].lock().sketches)),
+            None => match self.resident[group as usize].get() {
+                Some(entry) => Ok(f(&entry.lock().sketches)),
+                None => Ok(f(&[])),
+            },
             Some(_) => self.with_loaded_group(group, |state| f(&state.sketches)),
         }
     }
@@ -699,7 +706,11 @@ impl SketchStore {
         f: impl FnOnce(&mut GroupState) -> R,
     ) -> std::io::Result<R> {
         let Some(pager) = &self.pager else {
-            let mut state = self.resident[group as usize].lock();
+            let entry = self.resident[group as usize].get_or_init(|| {
+                let state = GroupState { sketches: Vec::new(), loaded: false, dirty: false };
+                Box::new(Mutex::new(state))
+            });
+            let mut state = entry.lock();
             if !state.loaded {
                 let k = self.nodes_in_group(group) as usize;
                 state.sketches.resize_with(k, || self.params.new_node_sketch());
@@ -840,7 +851,7 @@ impl SketchStore {
     /// allocation at the first dense touch).
     #[cfg(test)]
     pub(crate) fn resident_stacks(&self) -> usize {
-        self.resident.iter().map(|group| group.lock().sketches.len()).sum()
+        self.resident.iter().flat_map(OnceLock::get).map(|group| group.lock().sketches.len()).sum()
     }
 
     /// Scratch sketches parked in the store's pool (test instrumentation
@@ -956,10 +967,10 @@ impl SketchStore {
                         }
                     };
                 let Some(pager) = &self.pager else {
-                    let state = self.resident[group as usize].lock();
+                    let state = self.resident[group as usize].get().map(|entry| entry.lock());
                     match sealed(group) {
                         Some(pre) => borrowed(&pre, emit),
-                        None => borrowed(&state.sketches, emit),
+                        None => borrowed(state.as_ref().map_or(&[], |s| &s.sketches[..]), emit),
                     }
                     continue;
                 };

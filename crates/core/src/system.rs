@@ -189,8 +189,9 @@ impl GraphZeppelin {
     /// buffering capacity. The disk backend keeps dense sketches on disk,
     /// but its sparse toggle-sets live in RAM and are counted here. Leaf
     /// gutters are counted at their emit threshold times the node count,
-    /// the paper's `M > V·B` bound, not the bytes resident: a leaf gutter
-    /// reserves only as it fills. A gutter tree's RAM is its root buffer.
+    /// the paper's `M > V·B` bound, not the bytes resident
+    /// ([`ShardedGraphZeppelin::gutter_pool`] reads those). A gutter tree's
+    /// RAM is its root buffer.
     pub fn memory_bytes(&self) -> usize {
         let sketch_ram = self.store.ram_bytes();
         let buffers = match &self.config.buffering {

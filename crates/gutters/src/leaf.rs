@@ -6,9 +6,11 @@
 //! configurable fraction `f` of the node-sketch size — the knob swept by the
 //! paper's Figure 15; callers resolve it to a record count. That capacity is
 //! the emit threshold and the paper's `M > V·B` accounting bound, not the
-//! bytes a gutter holds: a gutter reserves as it fills, doubling from 16
-//! records (one cache line) and never past the threshold, so a vertex that
-//! sees a handful of records costs a cache line, not a page.
+//! bytes a gutter holds: a gutter is a chain of 16-record chunks (one cache
+//! line each) drawn from one pool, so it holds its records plus less than
+//! one chunk, and a vertex that sees a handful of records costs a cache
+//! line, not a page. An emptied gutter's chunks go back to the pool for the
+//! next gutter that grows; the pool grows by whole slabs that never move.
 //!
 //! Over a store that keeps `g` nodes' sketches in one node group (paper
 //! §4.1), the emit unit is the group, not the node: a group's gutters
@@ -28,6 +30,7 @@ use crate::work_queue::{Batch, WorkQueue};
 use crate::worker_pool::WorkerPool;
 use crate::BufferingSystem;
 use std::convert::Infallible;
+use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -36,21 +39,179 @@ use std::sync::Arc;
 /// gutters still balance across workers.
 pub(crate) const CLAIM: usize = 16;
 
-/// Records a gutter reserves on its first insert: one cache line. A full
-/// gutter doubles from here up to its emit threshold.
-const FIRST_RESERVE: usize = 16;
+/// Records a chunk holds: one 64-byte cache line.
+const CHUNK: usize = 16;
 
-/// Make room in a full `gutter`: double it up to the per-node `capacity`,
-/// then grow it one capacity at a time, never past the group's
-/// `threshold`. Out of line, as `GutterSet::emit_group` is.
-#[cold]
-#[inline(never)]
-fn grow(gutter: &mut Vec<u32>, capacity: usize, threshold: usize) {
-    let grown = match gutter.len() < capacity {
-        true => (2 * gutter.len()).clamp(FIRST_RESERVE.min(capacity), capacity),
-        false => (gutter.len() + capacity).min(threshold),
-    };
-    gutter.reserve_exact(grown - gutter.len());
+/// Chunks a slab holds: the pool grows 64 KiB of records at a time.
+const SLAB: usize = 1024;
+
+/// Bytes the pool spends on a chunk: its records and its link.
+const CHUNK_BYTES: usize = std::mem::size_of::<Chunk>() + std::mem::size_of::<u32>();
+
+/// One cache line of a gutter's records.
+#[derive(Clone, Copy)]
+#[repr(C, align(64))]
+struct Chunk([u32; CHUNK]);
+
+/// `SLAB` chunks and their links. The links live apart from the records,
+/// so walking a chain reads no record line.
+struct Slab {
+    chunks: Box<[Chunk]>,
+    next: Box<[u32]>,
+}
+
+/// The chunks every gutter of a [`GutterSet`] draws from. A chunk is on
+/// the free list or in exactly one gutter's chain; a chain's links are
+/// followed only as far as its gutter's length reaches, so neither list
+/// needs a terminator.
+#[derive(Default)]
+struct ChunkPool {
+    slabs: Vec<Slab>,
+    /// First chunk of the free list; meaningless when `free_len` is 0.
+    free: u32,
+    free_len: usize,
+}
+
+impl ChunkPool {
+    fn chunk(&self, id: u32) -> &[u32; CHUNK] {
+        &self.slabs[id as usize / SLAB].chunks[id as usize % SLAB].0
+    }
+
+    fn chunk_mut(&mut self, id: u32) -> &mut [u32; CHUNK] {
+        &mut self.slabs[id as usize / SLAB].chunks[id as usize % SLAB].0
+    }
+
+    fn next(&self, id: u32) -> u32 {
+        self.slabs[id as usize / SLAB].next[id as usize % SLAB]
+    }
+
+    fn set_next(&mut self, id: u32, next: u32) {
+        self.slabs[id as usize / SLAB].next[id as usize % SLAB] = next;
+    }
+
+    /// Chunks the pool has allocated: the most its gutters ever held at
+    /// once.
+    fn chunks(&self) -> usize {
+        self.slabs.len() * SLAB
+    }
+
+    /// Link a fresh tail chunk onto `gutter`, whose tail is full (or which
+    /// holds nothing). Out of line: it runs once every 16 records.
+    #[cold]
+    #[inline(never)]
+    fn extend(&mut self, gutter: &mut Gutter) {
+        if self.free_len == 0 {
+            let first = u32::try_from(self.chunks()).expect("a gutter pool of 2^32 chunks");
+            self.slabs.push(Slab {
+                chunks: vec![Chunk([0; CHUNK]); SLAB].into_boxed_slice(),
+                next: (first + 1..).take(SLAB).collect(),
+            });
+            (self.free, self.free_len) = (first, SLAB);
+        }
+        let chunk = self.free;
+        self.free = self.next(chunk);
+        self.free_len -= 1;
+        match gutter.len {
+            0 => gutter.head = chunk,
+            _ => self.set_next(gutter.tail, chunk),
+        }
+        gutter.tail = chunk;
+    }
+
+    /// Put every chunk back on the free list, in address order: the next
+    /// fill then draws neighbouring chunks, as a fresh pool's does. Only
+    /// once every gutter is empty.
+    fn free_all(&mut self) {
+        for (slab, first) in self.slabs.iter_mut().zip((0u32..).step_by(SLAB)) {
+            slab.next.iter_mut().zip(first + 1..).for_each(|(next, id)| *next = id);
+        }
+        (self.free, self.free_len) = (0, self.chunks());
+    }
+
+    /// Put `gutter`'s chunks back on the free list, leaving it empty.
+    fn release(&mut self, gutter: &mut Gutter) {
+        if gutter.len > 0 {
+            self.set_next(gutter.tail, self.free);
+            self.free = gutter.head;
+            self.free_len += gutter.len.div_ceil(CHUNK);
+            gutter.len = 0;
+        }
+    }
+
+    /// Append the records of the chunks `ids`, which hold `len` records in
+    /// all, to `out`.
+    fn gather(&self, ids: &[u32], len: usize, out: &mut Vec<u32>) {
+        out.reserve(len);
+        for (i, &id) in ids.iter().enumerate() {
+            out.extend_from_slice(&self.chunk(id)[..(len - i * CHUNK).min(CHUNK)]);
+        }
+    }
+
+    /// Replace `ids` with the chunks of `gutters`' chains, chain after
+    /// chain. The chains are walked side by side, so their link loads
+    /// overlap instead of each waiting on the one before.
+    fn chains(&self, gutters: &[Gutter], ids: &mut Vec<u32>) {
+        let mut walks: Vec<(u32, usize, usize)> = Vec::with_capacity(gutters.len());
+        let mut end = 0;
+        for gutter in gutters.iter().filter(|g| g.len > 0) {
+            walks.push((gutter.head, end, end + gutter.len.div_ceil(CHUNK)));
+            end += gutter.len.div_ceil(CHUNK);
+        }
+        ids.clear();
+        ids.resize(end, 0);
+        while !walks.is_empty() {
+            walks.retain_mut(|(chunk, at, end)| {
+                ids[*at] = *chunk;
+                *at += 1;
+                if *at < *end {
+                    *chunk = self.next(*chunk);
+                }
+                *at < *end
+            });
+        }
+    }
+}
+
+/// One node's gutter: its chain of chunks and the records in it.
+#[derive(Clone, Copy, Default)]
+struct Gutter {
+    head: u32,
+    tail: u32,
+    len: usize,
+}
+
+/// What a [`GutterSet`]'s buffered records cost: the records, the bytes of
+/// the chunks holding them, and the bytes of every chunk the pool has
+/// allocated (its high-water mark; a pool never shrinks). Chunk bytes
+/// count each chunk's link.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct GutterPoolStats {
+    /// Records buffered.
+    pub records: u64,
+    /// Bytes of the chunks holding them.
+    pub pool_bytes: u64,
+    /// Bytes of every chunk the pool has allocated.
+    pub pool_peak_bytes: u64,
+}
+
+impl std::iter::Sum for GutterPoolStats {
+    fn sum<I: Iterator<Item = Self>>(sets: I) -> Self {
+        sets.fold(Self::default(), |a, b| GutterPoolStats {
+            records: a.records + b.records,
+            pool_bytes: a.pool_bytes + b.pool_bytes,
+            pool_peak_bytes: a.pool_peak_bytes + b.pool_peak_bytes,
+        })
+    }
+}
+
+impl fmt::Display for GutterPoolStats {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "records={} pool_bytes={} pool_peak_bytes={}",
+            self.records, self.pool_bytes, self.pool_peak_bytes
+        )
+    }
 }
 
 /// Per-node in-RAM gutters that hand each emitted [`Batch`] to the caller's
@@ -74,8 +235,8 @@ fn grow(gutter: &mut Vec<u32>, capacity: usize, threshold: usize) {
 /// assert_eq!(out[1], Batch { node: 1, others: vec![12] });
 /// ```
 pub struct GutterSet {
-    gutters: Vec<Vec<u32>>,
-    capacity: usize,
+    gutters: Vec<Gutter>,
+    pool: ChunkPool,
     /// Records a group holds before it is emitted: `g` × the per-node
     /// capacity.
     threshold: usize,
@@ -101,8 +262,8 @@ impl GutterSet {
         let (capacity, group) = (capacity_updates.max(1), group_nodes.max(1));
         let groups = if group == 1 { 0 } else { num_nodes.div_ceil(group) };
         GutterSet {
-            gutters: vec![Vec::new(); num_nodes],
-            capacity,
+            gutters: vec![Gutter::default(); num_nodes],
+            pool: ChunkPool::default(),
             threshold: capacity * group,
             group,
             fill: vec![0; groups],
@@ -115,13 +276,21 @@ impl GutterSet {
         self.buffered
     }
 
+    /// The records buffered and the bytes of the pool holding them.
+    pub fn pool_stats(&self) -> GutterPoolStats {
+        let in_use = self.pool.chunks() - self.pool.free_len;
+        GutterPoolStats {
+            records: self.buffered as u64,
+            pool_bytes: (in_use * CHUNK_BYTES) as u64,
+            pool_peak_bytes: (self.pool.chunks() * CHUNK_BYTES) as u64,
+        }
+    }
+
     /// Buffer `other` for `dst`; the record that fills `dst`'s group emits
     /// the group's nonempty gutters through `sink`, in node order. A gutter
-    /// short of room doubles its reservation, from 16 records up to the
-    /// per-node capacity; past it — a vertex holding more than its share of
-    /// a group — it grows a capacity at a time, never past the group's
-    /// threshold. Always inlined: it is on every record's path, and out of
-    /// line it costs the router a call a record.
+    /// whose tail chunk is full takes the next chunk off the pool. Always
+    /// inlined: it is on every record's path, and out of line it costs the
+    /// router a call a record.
     #[inline(always)]
     pub fn insert<E>(
         &mut self,
@@ -131,13 +300,15 @@ impl GutterSet {
     ) -> Result<(), E> {
         let threshold = self.threshold;
         let gutter = &mut self.gutters[dst as usize];
-        if gutter.len() == gutter.capacity() {
-            grow(gutter, self.capacity, threshold);
+        let at = gutter.len % CHUNK;
+        if at == 0 {
+            self.pool.extend(gutter);
         }
-        gutter.push(other);
+        self.pool.chunk_mut(gutter.tail)[at] = other;
+        gutter.len += 1;
         self.buffered += 1;
         let group = if self.fill.is_empty() {
-            if gutter.len() < threshold {
+            if gutter.len < threshold {
                 return Ok(());
             }
             dst as usize
@@ -149,51 +320,43 @@ impl GutterSet {
             }
             group
         };
-        self.emit_group(group, dst, sink)
+        self.emit_group(group, sink)
     }
 
-    /// Hand `group`'s nonempty gutters to `sink` in node order. Each
-    /// restarts empty; the one whose record `filled` the group keeps the
-    /// per-node capacity reserved, since a vertex that filled it once is
-    /// likely to again, and the rest reserve nothing, as after a force
-    /// flush — their vertices' shares of the next fill are unknown. Out of
-    /// line, as [`grow`] is: `insert` is inlined into every record's path,
-    /// and these run once a fill.
+    /// Hand `group`'s nonempty gutters to `sink` in node order. Out of
+    /// line, as [`ChunkPool::extend`] is: `insert` is inlined into every
+    /// record's path, and this runs once a fill.
     #[cold]
     #[inline(never)]
     fn emit_group<E>(
         &mut self,
         group: usize,
-        filled: u32,
         mut sink: impl FnMut(Batch) -> Result<(), E>,
     ) -> Result<(), E> {
         let start = (group * self.group) as u32;
         let end = self.gutters.len().min(group * self.group + self.group) as u32;
-        (start..end).try_for_each(|node| {
-            let reserve = if node == filled { self.capacity } else { 0 };
-            self.emit(node, reserve, &mut sink)
-        })
+        (start..end).try_for_each(|node| self.emit(node, &mut sink))
     }
 
     /// Emit every nonempty gutter, in node order, regardless of fill level.
-    /// An emitted gutter restarts empty, with nothing reserved.
     pub fn force_flush<E>(
         &mut self,
         mut sink: impl FnMut(Batch) -> Result<(), E>,
     ) -> Result<(), E> {
-        (0..self.gutters.len() as u32).try_for_each(|node| self.emit(node, 0, &mut sink))
+        (0..self.gutters.len() as u32).try_for_each(|node| self.emit(node, &mut sink))
     }
 
     /// Flush without emitting: hand every nonempty gutter's records to
-    /// `apply(node, records)` where they lie, on all of `pool`'s workers at
-    /// once (the caller is worker 0), and return how many gutters were
-    /// nonempty — the batches [`Self::force_flush`] would have emitted.
-    /// Workers claim runs of gutter indices off one cursor, so each gutter
-    /// reaches `apply` exactly once, its records in insertion order; no
-    /// [`Batch`] is built and every gutter keeps its buffer, at the capacity
-    /// it grew to, for the next insert. With nothing buffered the pool is
-    /// not woken. A panic in `apply` is rethrown here with the gutters as
-    /// they were.
+    /// `apply(node, records)`, on all of `pool`'s workers at once (the
+    /// caller is worker 0), and return how many gutters were nonempty —
+    /// the batches [`Self::force_flush`] would have emitted. Workers claim
+    /// runs of gutter indices off one cursor, so each gutter reaches
+    /// `apply` exactly once, its records in insertion order: a gutter of
+    /// one chunk where it lies, a longer one gathered into its worker's
+    /// buffer. No [`Batch`] is built, and every chunk goes back to the
+    /// pool for the next insert. With nothing buffered the pool is not
+    /// woken. A panic in `apply` is rethrown here with the gutters as they
+    /// were.
     pub fn drain_in_place(
         &mut self,
         pool: &WorkerPool,
@@ -202,43 +365,55 @@ impl GutterSet {
         if self.buffered == 0 {
             return 0;
         }
-        let gutters = &self.gutters;
+        let (gutters, chunks) = (&self.gutters, &self.pool);
         // The cursor publishes nothing: the gutters are read-only for the
         // whole dispatch, and `run` orders it against this thread.
         let cursor = AtomicUsize::new(0);
-        pool.run(&|_| loop {
-            let start = cursor.fetch_add(CLAIM, Ordering::Relaxed);
-            if start >= gutters.len() {
-                break;
-            }
-            let claimed = &gutters[start..gutters.len().min(start + CLAIM)];
-            for (node, records) in (start as u32..).zip(claimed).filter(|(_, g)| !g.is_empty()) {
-                apply(node, records);
+        pool.run(&|_| {
+            let (mut ids, mut gathered) = (Vec::new(), Vec::new());
+            loop {
+                let start = cursor.fetch_add(CLAIM, Ordering::Relaxed);
+                if start >= gutters.len() {
+                    break;
+                }
+                let claimed = &gutters[start..gutters.len().min(start + CLAIM)];
+                chunks.chains(claimed, &mut ids);
+                let mut ids = &ids[..];
+                for (node, &gutter) in (start as u32..).zip(claimed).filter(|(_, g)| g.len > 0) {
+                    let (mine, rest) = ids.split_at(gutter.len.div_ceil(CHUNK));
+                    ids = rest;
+                    if let [only] = mine {
+                        apply(node, &chunks.chunk(*only)[..gutter.len]);
+                    } else {
+                        gathered.clear();
+                        chunks.gather(mine, gutter.len, &mut gathered);
+                        apply(node, &gathered);
+                    }
+                }
             }
         });
         let mut nonempty = 0;
         for gutter in &mut self.gutters {
-            nonempty += usize::from(!gutter.is_empty());
-            gutter.clear();
+            nonempty += usize::from(gutter.len > 0);
+            gutter.len = 0;
         }
+        self.pool.free_all();
         self.fill.fill(0);
         self.buffered = 0;
         nonempty
     }
 
-    /// Hand `node`'s records to `sink`, leaving the gutter empty with
-    /// `reserve` records reserved.
-    fn emit<E>(
-        &mut self,
-        node: u32,
-        reserve: usize,
-        sink: impl FnOnce(Batch) -> Result<(), E>,
-    ) -> Result<(), E> {
+    /// Hand `node`'s records to `sink`, leaving the gutter empty and its
+    /// chunks on the free list.
+    fn emit<E>(&mut self, node: u32, sink: impl FnOnce(Batch) -> Result<(), E>) -> Result<(), E> {
         let gutter = &mut self.gutters[node as usize];
-        if gutter.is_empty() {
+        if gutter.len == 0 {
             return Ok(());
         }
-        let others = std::mem::replace(gutter, Vec::with_capacity(reserve));
+        let (mut ids, mut others) = (Vec::new(), Vec::new());
+        self.pool.chains(std::slice::from_ref(gutter), &mut ids);
+        self.pool.gather(&ids, gutter.len, &mut others);
+        self.pool.release(gutter);
         self.buffered -= others.len();
         if let Some(fill) = self.fill.get_mut(node as usize / self.group) {
             *fill -= others.len();
@@ -292,6 +467,20 @@ mod tests {
     fn setup(nodes: usize, cap: usize) -> (LeafGutters, Arc<WorkQueue>) {
         let queue = Arc::new(WorkQueue::with_capacity(1024));
         (LeafGutters::new(nodes, cap, Arc::clone(&queue)), queue)
+    }
+
+    /// The records `node`'s gutter holds, in insertion order.
+    fn held(g: &GutterSet, node: u32) -> Vec<u32> {
+        let (mut ids, mut records) = (Vec::new(), Vec::new());
+        let gutter = &g.gutters[node as usize..=node as usize];
+        g.pool.chains(gutter, &mut ids);
+        g.pool.gather(&ids, gutter[0].len, &mut records);
+        records
+    }
+
+    /// Chunks off the free list, holding records.
+    fn chunks_in_use(g: &GutterSet) -> usize {
+        g.pool.chunks() - g.pool.free_len
     }
 
     #[test]
@@ -385,11 +574,10 @@ mod tests {
     }
 
     #[test]
-    fn drain_in_place_applies_each_gutter_once_and_keeps_its_buffer() {
+    fn drain_in_place_applies_each_gutter_once_and_returns_its_chunks() {
         let pool = WorkerPool::new(4);
         let (mut g, expected) = uneven();
-        let buffers: Vec<(*const u32, usize)> =
-            g.gutters.iter().map(|v| (v.as_ptr(), v.capacity())).collect();
+        let chunks = g.pool.chunks();
         let seen = parking_lot::Mutex::new(Vec::new());
         let apply = |node: u32, records: &[u32]| seen.lock().push((node, records.to_vec()));
         assert_eq!(g.drain_in_place(&pool, &apply), expected.len());
@@ -397,15 +585,14 @@ mod tests {
         seen.sort();
         assert_eq!(seen, expected, "each nonempty gutter once, its records in insertion order");
         assert_eq!(g.buffered_len(), 0);
-        assert!(g.gutters.iter().all(Vec::is_empty));
+        assert!(g.gutters.iter().all(|gutter| gutter.len == 0));
 
-        // Nothing was taken: every gutter still owns the buffer it had, and
-        // the next insert lands in it.
+        // Every chunk is back on the free list, and the next insert draws
+        // from it: the pool does not grow.
+        assert_eq!(chunks_in_use(&g), 0);
         g.insert(50, 7, |_| -> Result<(), Infallible> { unreachable!() }).unwrap();
-        let after: Vec<(*const u32, usize)> =
-            g.gutters.iter().map(|v| (v.as_ptr(), v.capacity())).collect();
-        assert_eq!(after, buffers);
-        assert_eq!((g.gutters[50].as_slice(), g.buffered_len()), (&[7u32][..], 1));
+        assert_eq!((g.pool.chunks(), chunks_in_use(&g)), (chunks, 1));
+        assert_eq!((held(&g, 50), g.buffered_len()), (vec![7], 1));
 
         // With nothing buffered the pool is not dispatched at all.
         assert_eq!(g.drain_in_place(&pool, &|_, _| {}), 1);
@@ -430,41 +617,101 @@ mod tests {
         unreachable!("no gutter fills")
     }
 
+    /// A seeded stream of `len` records over `nodes` nodes, skewed so that
+    /// low nodes see most of it.
+    fn skewed(nodes: u32, len: u32, seed: u32) -> Vec<(u32, u32)> {
+        let mut state = seed;
+        (0..len)
+            .map(|record| {
+                state = state.wrapping_mul(1_103_515_245).wrapping_add(12_345);
+                let draw = (state >> 8) % (nodes * nodes);
+                (nodes - 1 - draw.isqrt(), record)
+            })
+            .collect()
+    }
+
     #[test]
-    fn a_gutter_reserves_as_it_fills_and_never_past_its_threshold() {
-        for threshold in [1, 5, 16, 17, 100, 1000] {
-            let mut g = GutterSet::new(2, threshold);
-            for k in 1..threshold {
-                g.insert(1, k as u32, never_fills::<Infallible>).unwrap();
-                let reserved = g.gutters[1].capacity();
-                assert!(reserved >= k, "holds what it buffers");
-                assert!(reserved <= (2 * k).max(FIRST_RESERVE), "k={k}: {reserved} reserved");
-                assert!(reserved <= threshold, "k={k}: {reserved} past threshold {threshold}");
+    fn a_gutter_never_holds_more_than_one_partly_filled_chunk() {
+        for (capacity, group) in [(1, 1), (5, 1), (16, 1), (17, 1), (100, 1), (40, 3)] {
+            let mut g = GutterSet::in_groups(12, capacity, group);
+            let ok = |_: Batch| Ok::<(), Infallible>(());
+            for (dst, record) in skewed(11, 3_000, 5) {
+                g.insert(dst, record, ok).unwrap();
+                let whole: usize = g.gutters.iter().map(|gutter| gutter.len.div_ceil(CHUNK)).sum();
+                assert_eq!(chunks_in_use(&g), whole, "capacity {capacity}, record {record}");
+                let stats = g.pool_stats();
+                assert_eq!(stats.records, g.buffered_len() as u64);
+                assert_eq!(stats.pool_bytes, (whole * CHUNK_BYTES) as u64);
             }
-            assert_eq!(g.gutters[0].capacity(), 0, "an untouched gutter reserves nothing");
+            assert_eq!(g.gutters[11].len, 0, "an untouched gutter");
+        }
+        assert_eq!(GutterSet::new(3, 1000).pool_stats(), GutterPoolStats::default());
+    }
+
+    #[test]
+    fn a_drain_then_refill_of_the_same_stream_does_not_grow_the_pool() {
+        let pool = WorkerPool::new(2);
+        let stream = skewed(64, 20_000, 9);
+        for capacity in [40, 1_000] {
+            let mut g = GutterSet::new(64, capacity);
+            let fill = |g: &mut GutterSet| {
+                for &(dst, record) in &stream {
+                    g.insert(dst, record, |_| Ok::<(), Infallible>(())).unwrap();
+                }
+            };
+            fill(&mut g);
+            let peak = g.pool_stats().pool_peak_bytes;
+            for pass in 0..3 {
+                g.drain_in_place(&pool, &|_, _| {});
+                assert_eq!(g.pool_stats().pool_bytes, 0, "every chunk is free again");
+                fill(&mut g);
+                assert_eq!(
+                    g.pool_stats().pool_peak_bytes,
+                    peak,
+                    "capacity {capacity}, pass {pass}"
+                );
+                let Ok(()) = g.force_flush(|_| Ok::<(), Infallible>(()));
+                fill(&mut g);
+                assert_eq!(
+                    g.pool_stats().pool_peak_bytes,
+                    peak,
+                    "capacity {capacity}, pass {pass}"
+                );
+            }
         }
     }
 
     #[test]
-    fn a_fill_emit_leaves_the_gutter_empty_with_its_threshold_reserved() {
-        let mut g = GutterSet::new(3, 40);
-        let mut out = Vec::new();
-        for r in 0..40 {
-            g.insert(2, r, |b| {
-                out.push(b);
+    fn every_record_is_delivered_once_in_insertion_order_by_every_route() {
+        let pool = WorkerPool::new(3);
+        for (capacity, group) in [(3, 1), (37, 1), (500, 1), (20, 4)] {
+            let nodes = 30;
+            let mut g = GutterSet::in_groups(nodes as usize, capacity, group);
+            let (inserted, delivered) = (
+                parking_lot::Mutex::new(vec![Vec::new(); nodes as usize]),
+                parking_lot::Mutex::new(vec![Vec::new(); nodes as usize]),
+            );
+            let apply = |node: u32, records: &[u32]| {
+                delivered.lock()[node as usize].extend_from_slice(records);
+            };
+            let emitted = |b: Batch| {
+                assert!(b.others.len() <= capacity * group);
+                apply(b.node, &b.others);
                 Ok::<(), Infallible>(())
-            })
-            .unwrap();
+            };
+            for (i, (dst, record)) in skewed(nodes, 6_000, 3).into_iter().enumerate() {
+                inserted.lock()[dst as usize].push(record);
+                let Ok(()) = g.insert(dst, record, emitted);
+                match i % 2_000 {
+                    999 => assert!(g.drain_in_place(&pool, &apply) > 0),
+                    1_999 => g.force_flush(emitted).unwrap(),
+                    _ => {}
+                }
+            }
+            let Ok(()) = g.force_flush(emitted);
+            assert_eq!(g.buffered_len(), 0);
+            assert_eq!(delivered.into_inner(), inserted.into_inner(), "capacity {capacity}");
         }
-        assert_eq!(out, vec![Batch { node: 2, others: (0..40).collect() }]);
-        assert_eq!((g.gutters[2].len(), g.gutters[2].capacity()), (0, 40));
-        // The next record lands in that reservation; no regrowth.
-        let reserved = g.gutters[2].as_ptr();
-        g.insert(2, 99, never_fills::<Infallible>).unwrap();
-        assert_eq!((g.gutters[2].as_ptr(), g.gutters[2].capacity()), (reserved, 40));
-        // A force-flushed gutter restarts empty, with nothing reserved.
-        let Ok(()) = g.force_flush(|_| Ok::<(), Infallible>(()));
-        assert_eq!((g.gutters[2].len(), g.gutters[2].capacity()), (0, 0));
     }
 
     #[test]
@@ -483,8 +730,9 @@ mod tests {
         assert_eq!(err, Err("link down"));
         assert_eq!(failed, Some(Batch { node: 1, others: (0..50).collect() }));
         assert_eq!(g.buffered_len(), 2);
-        assert_eq!((g.gutters[0].as_slice(), g.gutters[3].as_slice()), (&[7u32][..], &[8u32][..]));
-        assert_eq!((g.gutters[1].len(), g.gutters[1].capacity()), (0, 50));
+        assert_eq!((held(&g, 0), held(&g, 3)), (vec![7], vec![8]));
+        // Gutter 1's four chunks are back on the free list.
+        assert_eq!((g.gutters[1].len, chunks_in_use(&g)), (0, 2));
     }
 
     #[test]
@@ -506,7 +754,7 @@ mod tests {
             };
             g.insert(dst, record, sink).unwrap();
             let held = |grp: usize| -> usize {
-                g.gutters.chunks(group).nth(grp).unwrap().iter().map(Vec::len).sum()
+                g.gutters.chunks(group).nth(grp).unwrap().iter().map(|g| g.len).sum()
             };
             for grp in 0..(nodes as usize).div_ceil(group) {
                 assert!(held(grp) < group * capacity, "group {grp} holds {}", held(grp));

@@ -28,7 +28,7 @@ pub mod tree;
 pub mod work_queue;
 pub mod worker_pool;
 
-pub use leaf::{GutterSet, LeafGutters};
+pub use leaf::{GutterPoolStats, GutterSet, LeafGutters};
 pub use stats::{
     Counter, CounterSet, Fold, IngestCounters, IoStats, LinkStats, RecoveryStats, ServeStats,
     ShardServeStats,

@@ -38,6 +38,7 @@ use crate::stats::IoStats;
 use crate::work_queue::{Batch, WorkQueue};
 use crate::worker_pool::WorkerPool;
 use crate::BufferingSystem;
+use std::borrow::Borrow;
 use std::fs::File;
 use std::io;
 use std::os::unix::fs::FileExt;
@@ -213,7 +214,7 @@ impl BufferTree {
                 continue;
             }
             let mut others = Vec::new();
-            self.read_leaf(leaf, &mut others)?;
+            self.read_leaf(leaf, &mut Vec::new(), &mut others)?;
             self.leaf_fill[leaf as usize] = 0;
             self.buffered -= others.len();
             sink(Batch { node: leaf, others })?;
@@ -263,28 +264,42 @@ impl BufferTree {
         Ok(())
     }
 
-    /// Append the records stored in internal node `node_index` to `out`.
-    fn read_internal(&self, node_index: usize, out: &mut Vec<Record>) -> io::Result<()> {
-        let n = self.internal_fill[node_index];
-        if n == 0 {
-            return Ok(());
+    /// Read `len` bytes at `offset` into `buf`, which a caller may keep
+    /// across reads: it is zeroed only where it grows.
+    fn read_bytes<'b>(
+        &self,
+        offset: u64,
+        len: usize,
+        buf: &'b mut Vec<u8>,
+    ) -> io::Result<&'b [u8]> {
+        if buf.len() < len {
+            buf.resize(len, 0);
         }
-        let mut bytes = vec![0u8; n * RECORD_BYTES];
-        self.file.read_exact_at(&mut bytes, self.internal_offset(node_index))?;
-        self.stats.record_read(bytes.len() as u64);
-        out.extend(bytes.chunks_exact(RECORD_BYTES).map(|c| (le_u32(&c[..4]), le_u32(&c[4..]))));
-        Ok(())
+        let bytes = &mut buf[..len];
+        if len > 0 {
+            self.file.read_exact_at(bytes, offset)?;
+            self.stats.record_read(len as u64);
+        }
+        Ok(bytes)
     }
 
-    /// Append the records stored in leaf gutter `leaf` to `out`.
-    fn read_leaf(&self, leaf: u32, out: &mut Vec<u32>) -> io::Result<()> {
-        let fill = self.leaf_fill[leaf as usize];
-        if fill == 0 {
-            return Ok(());
-        }
-        let mut bytes = vec![0u8; fill * LEAF_RECORD_BYTES];
-        self.file.read_exact_at(&mut bytes, self.leaf_offset(leaf))?;
-        self.stats.record_read(bytes.len() as u64);
+    /// The records stored in internal node `node_index`, read into `buf`
+    /// and decoded as they are iterated.
+    fn read_internal<'b>(
+        &self,
+        node_index: usize,
+        buf: &'b mut Vec<u8>,
+    ) -> io::Result<impl Iterator<Item = Record> + Clone + 'b> {
+        let len = self.internal_fill[node_index] * RECORD_BYTES;
+        let bytes = self.read_bytes(self.internal_offset(node_index), len, buf)?;
+        Ok(bytes.chunks_exact(RECORD_BYTES).map(|c| (le_u32(&c[..4]), le_u32(&c[4..]))))
+    }
+
+    /// Append the records stored in leaf gutter `leaf` to `out`, read
+    /// through `buf`.
+    fn read_leaf(&self, leaf: u32, buf: &mut Vec<u8>, out: &mut Vec<u32>) -> io::Result<()> {
+        let len = self.leaf_fill[leaf as usize] * LEAF_RECORD_BYTES;
+        let bytes = self.read_bytes(self.leaf_offset(leaf), len, buf)?;
         out.extend(bytes.chunks_exact(LEAF_RECORD_BYTES).map(le_u32));
         Ok(())
     }
@@ -317,7 +332,7 @@ impl BufferTree {
     ) -> Result<(), E> {
         let node_index = self.node_at(k, first_leaf);
         let mut all = Vec::with_capacity(self.internal_fill[node_index] + incoming.len());
-        self.read_internal(node_index, &mut all)?;
+        all.extend(self.read_internal(node_index, &mut Vec::new())?);
         self.internal_fill[node_index] = 0;
         all.extend_from_slice(incoming);
         self.partition_down(k, first_leaf, &all, sink)
@@ -364,7 +379,7 @@ impl BufferTree {
             // Stored records, then the in-transit ones: one batch, in arrival
             // order, and both leave the buffering system here.
             let mut others = Vec::with_capacity(fill + records.len());
-            self.read_leaf(leaf, &mut others)?;
+            self.read_leaf(leaf, &mut Vec::new(), &mut others)?;
             others.extend(records.iter().map(|&(_, o)| o));
             self.leaf_fill[leaf as usize] = 0;
             self.buffered -= others.len();
@@ -449,7 +464,9 @@ impl BufferTree {
         // dispatch, and `run` orders it against this thread.
         let (cursor, applied) = (AtomicUsize::new(0), AtomicUsize::new(0));
         pool.run(&|_| {
-            let (mut records, mut node, mut batch) = (Vec::new(), Partition::default(), Vec::new());
+            // One read buffer a worker, kept across its claims; an internal
+            // node's records are bucketed straight from its bytes.
+            let (mut bytes, mut node, mut batch) = (Vec::new(), Partition::default(), Vec::new());
             let mut calls = 0;
             loop {
                 let first = cursor.fetch_add(claim, Ordering::Relaxed);
@@ -461,10 +478,14 @@ impl BufferTree {
                 let (transit, base) = if last == 0 {
                     (&root, 0)
                 } else {
-                    records.clear();
-                    this.read_internal(this.node_at(last, first as u64), &mut records)
-                        .expect("gutter tree flush failed");
-                    node.fill(&records, 1, first as u64, end - first);
+                    let node_index = this.node_at(last, first as u64);
+                    let records = this.read_internal(node_index, &mut bytes);
+                    node.fill(
+                        records.expect("gutter tree flush failed"),
+                        1,
+                        first as u64,
+                        end - first,
+                    );
                     (&node, first)
                 };
                 let buckets = transit.buckets(first - base, end - base);
@@ -473,7 +494,7 @@ impl BufferTree {
                         continue;
                     }
                     batch.clear();
-                    this.read_leaf(leaf, &mut batch).expect("gutter tree flush failed");
+                    this.read_leaf(leaf, &mut bytes, &mut batch).expect("gutter tree flush failed");
                     batch.extend(in_transit.iter().map(|&(_, o)| o));
                     apply(leaf, &batch);
                     calls += 1;
@@ -508,13 +529,22 @@ struct Partition {
 impl Partition {
     /// Bucket `records` among `children` children by child index
     /// `dst / span − first` (a child spans fewer leaves than the tree has, so
-    /// the division is a u32 one).
-    fn fill(&mut self, records: &[Record], span: u64, first: u64, children: usize) {
+    /// the division is a u32 one). They are walked twice, so a reader's
+    /// records can be decoded from its bytes as they are bucketed.
+    fn fill<R: Borrow<Record>>(
+        &mut self,
+        records: impl IntoIterator<Item = R> + Clone,
+        span: u64,
+        first: u64,
+        children: usize,
+    ) {
         let child = |dst: u32| (dst / span as u32 - first as u32) as usize;
         self.ends.clear();
         self.ends.resize(children + 1, 0);
-        for &(dst, _) in records {
-            self.ends[child(dst)] += 1;
+        let mut len = 0;
+        for record in records.clone() {
+            self.ends[child(record.borrow().0)] += 1;
+            len += 1;
         }
         // Exclusive prefix sums: ends[c] becomes where child c's records start.
         let mut start = 0;
@@ -522,10 +552,11 @@ impl Partition {
             start += std::mem::replace(end, start);
         }
         self.records.clear();
-        self.records.resize(records.len(), (0, 0));
+        self.records.resize(len, (0, 0));
         // Scattering advances ends[c] to where child c + 1's records start;
         // one shift right then leaves the bucket bounds.
-        for &record in records {
+        for record in records {
+            let record = *record.borrow();
             let slot = &mut self.ends[child(record.0)];
             self.records[*slot] = record;
             *slot += 1;

@@ -179,18 +179,33 @@ pub fn with_premixed<H: Hasher64, R>(
 /// zero whenever the kernel is not running — each pass's sweep re-zeroes the
 /// rows it used — so one value serves every sketch a caller applies batches
 /// to, and is cleared by `rows`, never by its full size (`LANES × MAX_ROWS ×
-/// 12` bytes). [`Kernel::Avx512`] keeps its accumulators in registers and
-/// leaves these untouched.
+/// 12` bytes). They are zeroed on the scalar kernel's first pass, not
+/// before: [`Kernel::Avx512`] keeps its accumulators in registers, so a
+/// caller on that kernel never pays for these.
 #[derive(Debug)]
 pub struct LaneAccumulators {
+    lanes: Option<LaneRows>,
+}
+
+#[derive(Debug)]
+struct LaneRows {
     packed: [[u64; MAX_ROWS]; LANES],
     alpha_high: [[u32; MAX_ROWS]; LANES],
 }
 
 impl LaneAccumulators {
-    /// Zeroed accumulators.
+    /// Accumulators, zeroed when the scalar kernel first needs them.
     pub fn new() -> Self {
-        LaneAccumulators { packed: [[0; MAX_ROWS]; LANES], alpha_high: [[0; MAX_ROWS]; LANES] }
+        LaneAccumulators { lanes: None }
+    }
+
+    // Lazy on purpose: built eagerly, the rows would be zeroed on every call.
+    #[allow(clippy::unnecessary_lazy_evaluations)]
+    fn lanes(&mut self) -> &mut LaneRows {
+        self.lanes.get_or_insert_with(|| LaneRows {
+            packed: [[0; MAX_ROWS]; LANES],
+            alpha_high: [[0; MAX_ROWS]; LANES],
+        })
     }
 }
 
@@ -286,6 +301,7 @@ impl<H: Hasher64> CubeSketchFamily<H> {
         let rows = self.geometry.num_rows as usize;
         assert!((1..=MAX_ROWS).contains(&rows), "geometry has {rows} rows");
         let wide = self.wide();
+        let acc = acc.lanes();
         let mut result = SampleResult::Zero;
         for col in 0..self.hash.len() {
             if wide {
@@ -358,7 +374,7 @@ impl<H: Hasher64> CubeSketchFamily<H> {
         &self,
         first_col: usize,
         batch: PremixedBatch<'_, H>,
-        acc: &mut LaneAccumulators,
+        acc: &mut LaneRows,
     ) {
         let last_row = last_row_bit(self.geometry.num_rows as usize);
         let hashers: [H; N] = std::array::from_fn(|lane| self.hash[first_col + lane].clone());
@@ -612,6 +628,7 @@ impl<H: Hasher64> CubeSketch<H> {
         acc: &mut LaneAccumulators,
     ) {
         let columns = self.family.geometry.num_columns as usize;
+        let acc = acc.lanes();
         let mut col = 0;
         while columns - col >= LANES {
             self.sweep_lanes::<LANES, WIDE>(col, batch, acc);
@@ -639,7 +656,7 @@ impl<H: Hasher64> CubeSketch<H> {
         &mut self,
         first_col: usize,
         batch: PremixedBatch<'_, H>,
-        acc: &mut LaneAccumulators,
+        acc: &mut LaneRows,
     ) {
         self.family.bucket_lanes::<N, WIDE>(first_col, batch, acc);
         let rows = self.family.geometry.num_rows as usize;
