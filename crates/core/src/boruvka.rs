@@ -39,14 +39,13 @@
 //! sequential.
 
 use crate::error::GzError;
-use crate::node_sketch::NodeSketch;
+use crate::node_sketch::{CubeRoundSketch, NodeSketch};
 use crate::store::{MaterializedSource, SketchSource};
 use gz_dsu::Dsu;
 use gz_graph::{index_to_edge, Edge};
 use gz_gutters::WorkerPool;
-use gz_sketch::{L0Sampler, SampleResult};
+use gz_sketch::{CubeRound, SampleResult};
 use parking_lot::Mutex;
-use std::borrow::Cow;
 
 /// Result of a successful sketch-connectivity computation.
 #[derive(Debug, Clone)]
@@ -91,22 +90,22 @@ impl BoruvkaOutcome {
 
 /// What a sink holds for one live supernode once the round has reached it.
 #[derive(Debug, PartialEq)]
-pub(crate) enum Folded<S> {
+pub(crate) enum Folded {
     /// A supernode of two or more live members: the XOR of the round slices
     /// of the members folded so far.
-    Acc(S),
+    Acc(CubeRoundSketch),
     /// A one-vertex supernode: the sample of its one slice, taken where the
     /// slice lay — no accumulator was ever built for it.
     Sampled(SampleResult),
 }
 
-impl<S: L0Sampler> Folded<S> {
+impl Folded {
     /// The supernode's sample for the round. Sampling a slice and sampling
     /// a clone of it are the same function of the same bits, so this is the
     /// sample either way.
     pub(crate) fn sample(&self) -> SampleResult {
         match self {
-            Folded::Acc(acc) => acc.sample(),
+            Folded::Acc(acc) => acc.query(),
             Folded::Sampled(sample) => *sample,
         }
     }
@@ -151,7 +150,7 @@ pub(crate) enum SparseMap<'a> {
 /// order afterwards, which makes the merged accumulators bit-identical to a
 /// single-threaded fold. A one-vertex supernode gets no accumulator: its
 /// one slice is sampled where it lies and only the sample is kept.
-pub struct RoundSink<'a, S> {
+pub struct RoundSink<'a> {
     root_of: &'a [u32],
     retired: &'a [bool],
     /// [`live_members`] of this round.
@@ -161,12 +160,19 @@ pub struct RoundSink<'a, S> {
     /// The vertices handed to this sink as sparse sets while `sparse` is
     /// being learned.
     learned: Vec<u32>,
-    folded: Vec<Option<Folded<S>>>,
+    folded: Vec<Option<Folded>>,
     /// Payload bytes of every accumulator.
     acc_bytes: usize,
 }
 
-impl<'a, S: L0Sampler + Clone> RoundSink<'a, S> {
+/// A round slice on its way into a sink: where it lies, or built for the
+/// call.
+enum Slice<'s> {
+    Borrowed(CubeRound<'s>),
+    Owned(CubeRoundSketch),
+}
+
+impl<'a> RoundSink<'a> {
     pub(crate) fn new(
         root_of: &'a [u32],
         retired: &'a [bool],
@@ -197,7 +203,7 @@ impl<'a, S: L0Sampler + Clone> RoundSink<'a, S> {
 
     /// What was folded per supernode so far (store-level tests).
     #[cfg(test)]
-    pub(crate) fn into_folded(self) -> Vec<Option<Folded<S>>> {
+    pub(crate) fn into_folded(self) -> Vec<Option<Folded>> {
         self.folded
     }
 
@@ -207,13 +213,13 @@ impl<'a, S: L0Sampler + Clone> RoundSink<'a, S> {
         self.acc_bytes
     }
 
-    /// Fold `node`'s round slice into its supernode (a no-op for retired
-    /// supernodes): merged into the accumulator, which the first slice to
-    /// arrive is cloned into, or — for a one-vertex supernode — sampled in
-    /// place, nothing cloned.
+    /// Fold `node`'s round slice, where it lies, into its supernode (a
+    /// no-op for retired supernodes): merged into the accumulator, which
+    /// the first slice to arrive is copied into, or — for a one-vertex
+    /// supernode — sampled in place, nothing copied.
     #[inline]
-    pub fn fold(&mut self, node: u32, slice: &S) {
-        self.fold_slice(node, Cow::Borrowed(slice));
+    pub fn fold(&mut self, node: u32, slice: CubeRound<'_>) {
+        self.fold_slice(node, Slice::Borrowed(slice));
     }
 
     /// [`Self::fold`] for a slice the caller built for this call (a
@@ -221,28 +227,35 @@ impl<'a, S: L0Sampler + Clone> RoundSink<'a, S> {
     /// supernode *becomes* its accumulator instead of being cloned into one,
     /// and a one-vertex supernode's is sampled and dropped.
     #[inline]
-    pub fn fold_owned(&mut self, node: u32, slice: S) {
-        self.fold_slice(node, Cow::Owned(slice));
+    pub fn fold_owned(&mut self, node: u32, slice: CubeRoundSketch) {
+        self.fold_slice(node, Slice::Owned(slice));
     }
 
     /// [`Self::fold`] or [`Self::fold_owned`], whichever `slice` is.
     #[inline]
-    pub(crate) fn fold_slice(&mut self, node: u32, slice: Cow<'_, S>) {
+    fn fold_slice(&mut self, node: u32, slice: Slice<'_>) {
         debug_assert!(
             !self.known_sparse(node),
             "vertex {node} was a sparse set in round 0 and is folded dense now"
         );
         let Some(root) = self.live_root(node) else { return };
         let root = root as usize;
+        let view = match &slice {
+            Slice::Borrowed(view) => *view,
+            Slice::Owned(owned) => owned.view(),
+        };
         if self.members[root] == 1 {
-            self.folded[root] = Some(Folded::Sampled(slice.sample()));
+            self.folded[root] = Some(Folded::Sampled(view.query()));
             return;
         }
         match &mut self.folded[root] {
-            Some(Folded::Acc(acc)) => acc.merge_from(&slice),
+            Some(Folded::Acc(acc)) => acc.merge(view),
             slot => {
-                self.acc_bytes += slice.payload_bytes();
-                *slot = Some(Folded::Acc(slice.into_owned()));
+                self.acc_bytes += view.payload_bytes();
+                *slot = Some(Folded::Acc(match slice {
+                    Slice::Borrowed(view) => view.to_sketch(),
+                    Slice::Owned(owned) => owned,
+                }));
             }
         }
     }
@@ -296,7 +309,11 @@ impl<'a, S: L0Sampler + Clone> RoundSink<'a, S> {
     /// live members — started from `empty()` on first touch: the in-place
     /// fold's entry point, into which sparse vertices XOR their edge
     /// indices (see [`crate::sparse::SparseRoundBatch`]).
-    pub(crate) fn accumulator(&mut self, root: u32, empty: impl FnOnce() -> S) -> &mut S {
+    pub(crate) fn accumulator(
+        &mut self,
+        root: u32,
+        empty: impl FnOnce() -> CubeRoundSketch,
+    ) -> &mut CubeRoundSketch {
         debug_assert!(!self.retired[root as usize], "retired supernodes are never folded");
         debug_assert!(!self.is_alone(root), "a one-vertex supernode gets no accumulator");
         let RoundSink { folded, acc_bytes, .. } = self;
@@ -316,9 +333,7 @@ impl<'a, S: L0Sampler + Clone> RoundSink<'a, S> {
 /// vector. Returns it, the summed per-sink payload bytes (the true peak:
 /// all sinks were resident simultaneously during the fold), and the
 /// vertices the sinks were handed as sparse sets while learning.
-fn merge_sinks<S: L0Sampler + Clone>(
-    sinks: Vec<Mutex<RoundSink<'_, S>>>,
-) -> (Vec<Option<Folded<S>>>, usize, Vec<u32>) {
+fn merge_sinks(sinks: Vec<Mutex<RoundSink<'_>>>) -> (Vec<Option<Folded>>, usize, Vec<u32>) {
     let mut iter = sinks.into_iter().map(|m| m.into_inner());
     let first = iter.next().expect("at least one sink");
     let (mut folded, mut acc_bytes, mut learned) = (first.folded, first.acc_bytes, first.learned);
@@ -329,7 +344,7 @@ fn merge_sinks<S: L0Sampler + Clone>(
             let Some(other) = other else { continue };
             match (slot.as_mut(), other) {
                 (None, other) => *slot = Some(other),
-                (Some(Folded::Acc(a)), Folded::Acc(b)) => a.merge_from(&b),
+                (Some(Folded::Acc(a)), Folded::Acc(b)) => a.merge(&b),
                 _ => unreachable!("a one-vertex supernode is folded by exactly one sink"),
             }
         }
@@ -344,10 +359,7 @@ pub fn boruvka_rounds<Src: SketchSource>(
     source: &mut Src,
     num_vertices: u64,
     max_rounds: usize,
-) -> Result<BoruvkaOutcome, GzError>
-where
-    Src::Sampler: Send + Sync,
-{
+) -> Result<BoruvkaOutcome, GzError> {
     boruvka_rounds_with_pool(source, num_vertices, max_rounds, &WorkerPool::new(1))
 }
 
@@ -368,10 +380,7 @@ pub fn boruvka_rounds_with_pool<Src: SketchSource>(
     num_vertices: u64,
     max_rounds: usize,
     pool: &WorkerPool,
-) -> Result<BoruvkaOutcome, GzError>
-where
-    Src::Sampler: Send + Sync,
-{
+) -> Result<BoruvkaOutcome, GzError> {
     let n = num_vertices as usize;
     let mut dsu = Dsu::new(n);
     // Retired components: cut known empty; never query again. A retired
@@ -424,7 +433,7 @@ where
                 let members = live_members(&root_of, &retired);
                 let live = |v: u32| !retired[root_of[v as usize] as usize];
                 let map = if round == 0 { SparseMap::Learning } else { SparseMap::Known(&sparse) };
-                let sinks: Vec<Mutex<RoundSink<'_, Src::Sampler>>> = (0..pool.threads())
+                let sinks: Vec<Mutex<RoundSink<'_>>> = (0..pool.threads())
                     .map(|_| Mutex::new(RoundSink::new(&root_of, &retired, &members, map)))
                     .collect();
                 source.stream_round_into(round, &live, pool, &sinks)?;
@@ -529,8 +538,8 @@ where
 ///
 /// `num_vertices` must equal `sketches.len()`; `max_rounds` bounds the
 /// rounds and must not exceed the per-node sketch stack depth.
-pub fn boruvka_spanning_forest<S: L0Sampler + Clone + Send + Sync>(
-    sketches: Vec<Option<NodeSketch<S>>>,
+pub fn boruvka_spanning_forest(
+    sketches: Vec<Option<NodeSketch>>,
     num_vertices: u64,
     max_rounds: usize,
 ) -> Result<BoruvkaOutcome, GzError> {
@@ -702,7 +711,7 @@ mod tests {
         for (v, stack) in sketches.iter().enumerate() {
             let slice = stack.as_ref().unwrap().round(0);
             by_ref.fold(v as u32, slice);
-            by_value.fold_owned(v as u32, slice.clone());
+            by_value.fold_owned(v as u32, slice.to_sketch());
         }
         // One accumulator: supernode 0's. Vertex 2 is sampled in place.
         let slice_bytes = sketches[0].as_ref().unwrap().round(0).payload_bytes();
@@ -718,7 +727,7 @@ mod tests {
             (Some(Folded::Acc(x)), Some(Folded::Acc(y))) => assert_eq!(bytes(x), bytes(y)),
             other => panic!("supernode 0 must hold an accumulator: {other:?}"),
         }
-        let alone = sketches[2].as_ref().unwrap().round(0).sample();
+        let alone = sketches[2].as_ref().unwrap().round(0).query();
         for folded in [&a[2], &b[2]] {
             assert!(matches!(folded, Some(Folded::Sampled(s)) if *s == alone), "{folded:?}");
         }

@@ -127,7 +127,7 @@ mod tests {
         assert_rounds_bitwise_equal(&stack, &reference, "stack-level kernel");
 
         let mut per_round = params.new_node_sketch();
-        for sketch in per_round.rounds_mut() {
+        for mut sketch in per_round.rounds_mut() {
             sketch.update_batch(&decoded);
         }
         assert_rounds_bitwise_equal(&per_round, &reference, "per-round kernel");

@@ -3,124 +3,304 @@
 //! A *node sketch* (paper §2.2) is `O(log V)` independent ℓ0-sketches of the
 //! vertex's characteristic edge-vector — one per Boruvka round, because
 //! adaptivity forbids reusing a sketch after its randomness has been
-//! revealed (paper footnote 1). The stack is generic over the sampler; the
-//! system runs it over CubeSketch.
+//! revealed (paper footnote 1). A stack is one allocation of its rounds'
+//! words, concatenated — its encoding, byte for byte, wherever the rounds'
+//! family [`CubeSketchFamily::encodes_in_place`] — and a round is a view
+//! into it ([`CubeRound`]): the families live in [`SketchParams`], once.
 
 use gz_graph::{edge_index, Edge, VertexId};
 use gz_hash::{SplitMix64, Xxh64Hasher};
 use gz_sketch::cube::{
-    with_premixed, CubeSketch, CubeSketchFamily, Kernel, LaneAccumulators, PayloadError,
+    with_premixed, CubeRound, CubeRoundMut, CubeSketch, CubeSketchFamily, Kernel, LaneAccumulators,
+    PayloadError,
 };
 use gz_sketch::geometry::SketchGeometry;
-use gz_sketch::{L0Sampler, SampleResult};
+use gz_sketch::SampleResult;
 use std::sync::Arc;
 
-/// A stack of per-round ℓ0-sketches for one vertex (or supernode).
+/// One CubeSketch family a round, shared by every stack of a system.
+pub type Families = Arc<[Arc<CubeSketchFamily<Xxh64Hasher>>]>;
+
+/// A stack of per-round CubeSketches for one vertex (or supernode): one
+/// allocation holding round 0's words, then round 1's, and so on
+/// ([`SketchParams::round_words`] a round).
 #[derive(Debug, Clone)]
-pub struct NodeSketch<S: L0Sampler> {
-    rounds: Box<[S]>,
+pub struct NodeSketch {
+    families: Families,
+    words: Box<[u64]>,
 }
 
-impl<S: L0Sampler> NodeSketch<S> {
-    /// Build a stack of `num_rounds` sketches via a per-round factory.
-    pub fn new_with(num_rounds: usize, mut make: impl FnMut(usize) -> S) -> Self {
-        NodeSketch { rounds: (0..num_rounds).map(&mut make).collect() }
+/// The GraphZeppelin node sketch.
+pub type CubeNodeSketch = NodeSketch;
+
+/// One round of a node sketch, owned — an accumulator, or a slice that
+/// arrived from outside the stack (a shard's reply, a deserialized read).
+pub type CubeRoundSketch = CubeSketch<Xxh64Hasher>;
+
+/// A node's stack where it lies: round `r`'s words start at `r × stride`.
+/// A [`NodeSketch`]'s stride is one round's words; a node of a stored
+/// group's round-major image strides over the group's other nodes.
+#[derive(Clone, Copy)]
+pub(crate) struct Stack<'a> {
+    families: &'a Families,
+    words: &'a [u64],
+    stride: usize,
+}
+
+/// [`Stack`], writable.
+pub(crate) struct StackMut<'a> {
+    families: &'a Families,
+    words: &'a mut [u64],
+    stride: usize,
+}
+
+/// XOR `src` into `dst`, word by word.
+fn xor_words(dst: &mut [u64], src: &[u64]) {
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d ^= s;
+    }
+}
+
+/// Words of one round of a stack over `families`.
+fn round_words(families: &[Arc<CubeSketchFamily<Xxh64Hasher>>]) -> usize {
+    families.first().map_or(0, |f| f.words())
+}
+
+/// True if two stacks' rounds are mergeable (the same families, or
+/// families of the same geometry and seeds).
+fn compatible(a: &Families, b: &Families) -> bool {
+    Arc::ptr_eq(a, b)
+        || a.len() == b.len()
+            && a.iter().zip(b.iter()).all(|(a, b)| Arc::ptr_eq(a, b) || a.compatible(b))
+}
+
+impl<'a> Stack<'a> {
+    /// True if the rounds lie back to back.
+    fn contiguous(&self) -> bool {
+        self.stride == round_words(self.families)
+    }
+
+    /// Number of rounds.
+    pub(crate) fn num_rounds(&self) -> usize {
+        self.families.len()
+    }
+
+    /// The round-`r` sketch, where it lies.
+    #[inline]
+    pub(crate) fn round(&self, r: usize) -> CubeRound<'a> {
+        let len = round_words(self.families);
+        CubeRound::new(&self.families[r], &self.words[r * self.stride..][..len])
+    }
+
+    /// Append the stack's encoding to `out`: its rounds' resident words,
+    /// concatenated — one pass over the words where the stack is
+    /// contiguous and its rounds carry no padding.
+    pub(crate) fn append_words(&self, out: &mut Vec<u8>) {
+        let rw = round_words(self.families);
+        let exact = self.families.first().is_some_and(|f| f.payload_bytes() == rw * 8);
+        if !(self.contiguous() && exact) {
+            for r in 0..self.num_rounds() {
+                self.round(r).append_words(out);
+            }
+            return;
+        }
+        let words = &self.words[..self.num_rounds() * rw];
+        let start = out.len();
+        out.resize(start + words.len() * 8, 0);
+        for (c, w) in out[start..].chunks_exact_mut(8).zip(words) {
+            c.copy_from_slice(&w.to_le_bytes());
+        }
+    }
+
+    /// An owned copy: one allocation, one copy where the stack is
+    /// contiguous.
+    pub(crate) fn to_node_sketch(self) -> NodeSketch {
+        let rw = round_words(self.families);
+        let words = if self.contiguous() {
+            self.words[..self.num_rounds() * rw].into()
+        } else {
+            (0..self.num_rounds()).flat_map(|r| self.round(r).words()).copied().collect()
+        };
+        NodeSketch { families: Arc::clone(self.families), words }
+    }
+}
+
+impl StackMut<'_> {
+    /// The same stack, read-only.
+    pub(crate) fn view(&self) -> Stack<'_> {
+        Stack { families: self.families, words: self.words, stride: self.stride }
+    }
+
+    /// The round-`r` sketch, where it lies, writable.
+    #[inline]
+    pub(crate) fn round_mut(&mut self, r: usize) -> CubeRoundMut<'_> {
+        let len = round_words(self.families);
+        CubeRoundMut::new(&self.families[r], &mut self.words[r * self.stride..][..len])
+    }
+
+    /// Apply one batch of characteristic-vector toggles, decoded to
+    /// indices, to every round via the batch kernel. The premix (the half of
+    /// each record's hash that no seed enters) is round-independent, so one
+    /// pass serves all `O(log V)` rounds; duplicates cancel in the kernel's
+    /// accumulators. Bit-identical to toggling the records one at a time.
+    pub(crate) fn update_batch(&mut self, indices: &[u64]) {
+        let rw = round_words(self.families);
+        with_premixed(indices, |batch| {
+            let mut acc = LaneAccumulators::new();
+            for (family, words) in self.families.iter().zip(self.words.chunks_mut(self.stride)) {
+                CubeRoundMut::new(family, &mut words[..rw]).update_batch_premixed(batch, &mut acc);
+            }
+        });
+    }
+
+    /// XOR `other` into this stack, round by round (supernode formation,
+    /// a delta merged into its target): one pass over one slice where both
+    /// stacks are contiguous.
+    ///
+    /// # Panics
+    /// Panics if the stacks' families are not mergeable.
+    pub(crate) fn merge(&mut self, other: Stack<'_>) {
+        assert!(compatible(self.families, other.families), "cannot merge stacks of other families");
+        if self.view().contiguous() && other.contiguous() {
+            let len = self.families.len() * round_words(self.families);
+            xor_words(&mut self.words[..len], &other.words[..len]);
+        } else {
+            for r in 0..self.families.len() {
+                self.round_mut(r).merge(other.round(r));
+            }
+        }
+    }
+
+    /// Overwrite this stack with `other` (a promoted or restored stack put
+    /// in its place).
+    pub(crate) fn copy_from(&mut self, other: Stack<'_>) {
+        assert!(compatible(self.families, other.families), "a stack of other families");
+        let rw = round_words(self.families);
+        for r in 0..self.families.len() {
+            self.words[r * self.stride..][..rw].copy_from_slice(other.round(r).words());
+        }
+    }
+}
+
+impl NodeSketch {
+    /// A stack built from its rounds' sketches, in round order — each of
+    /// `params`' round-`r` family.
+    ///
+    /// # Panics
+    /// Panics if a round is not its family's, or the count is not
+    /// [`SketchParams::rounds`].
+    pub fn from_rounds(
+        params: &SketchParams,
+        rounds: impl IntoIterator<Item = CubeRoundSketch>,
+    ) -> Self {
+        let mut stack = params.new_node_sketch();
+        let mut count = 0;
+        for (r, round) in rounds.into_iter().enumerate() {
+            assert!(params.families[r].compatible(round.family()), "round {r} of another family");
+            stack.round_mut(r).merge(&round);
+            count += 1;
+        }
+        assert_eq!(count, params.rounds(), "one sketch a round");
+        stack
+    }
+
+    /// The stack, borrowed.
+    #[inline]
+    pub(crate) fn view(&self) -> Stack<'_> {
+        Stack { families: &self.families, words: &self.words, stride: round_words(&self.families) }
+    }
+
+    /// The stack, borrowed writable.
+    #[inline]
+    pub(crate) fn view_mut(&mut self) -> StackMut<'_> {
+        let stride = round_words(&self.families);
+        StackMut { families: &self.families, words: &mut self.words, stride }
     }
 
     /// Number of rounds (sketches) in the stack.
     #[inline]
     pub fn num_rounds(&self) -> usize {
-        self.rounds.len()
+        self.families.len()
     }
 
-    /// The round-`r` sketch.
+    /// The round-`r` sketch, where it lies.
     #[inline]
-    pub fn round(&self, r: usize) -> &S {
-        &self.rounds[r]
+    pub fn round(&self, r: usize) -> CubeRound<'_> {
+        self.view().round(r)
     }
 
-    /// Mutable access to all rounds — lets the ingestion pipeline split a
-    /// batch across a worker's thread group (*sketch-level parallelism*,
-    /// paper §5.1: rounds are independent, so "a CubeSketch is only modified
-    /// by one thread in a group \[and\] no locking is necessary at the sketch
-    /// level").
+    /// The round-`r` sketch, where it lies, writable.
     #[inline]
-    pub fn rounds_mut(&mut self) -> &mut [S] {
-        &mut self.rounds
+    pub fn round_mut(&mut self, r: usize) -> CubeRoundMut<'_> {
+        let len = round_words(&self.families);
+        CubeRoundMut::new(&self.families[r], &mut self.words[r * len..][..len])
     }
 
-    /// Apply a signed coordinate update to **every** round's sketch (each
-    /// stream update costs `O(log V)` subsketch updates; §2.2).
-    #[inline]
-    pub fn update_signed(&mut self, idx: u64, delta: i32) {
-        for s in self.rounds.iter_mut() {
-            s.update_signed(idx, delta);
+    /// Every round, writable — one view a round, each over its own words,
+    /// so rounds can go to different threads (*sketch-level parallelism*,
+    /// paper §5.1: "a CubeSketch is only modified by one thread in a group
+    /// \[and\] no locking is necessary at the sketch level"). The
+    /// repository benchmark's sketch probe takes its round 0 this way.
+    pub fn rounds_mut(&mut self) -> Vec<CubeRoundMut<'_>> {
+        let len = round_words(&self.families).max(1);
+        self.families
+            .iter()
+            .zip(self.words.chunks_exact_mut(len))
+            .map(|(f, w)| CubeRoundMut::new(f, w))
+            .collect()
+    }
+
+    /// Toggle coordinate `idx` in **every** round's sketch (each stream
+    /// update costs `O(log V)` subsketch updates; §2.2). Over Z_2 an insert
+    /// and a delete are the same toggle, so `_delta` is not read.
+    pub fn update_signed(&mut self, idx: u64, _delta: i32) {
+        for r in 0..self.num_rounds() {
+            self.round_mut(r).update(idx);
         }
     }
 
-    /// Merge another stack round-by-round (supernode formation in Boruvka).
+    /// Apply one batch of characteristic-vector toggles to every round via
+    /// the batch kernel, premixed once for all rounds. Bit-identical to
+    /// toggling the records one at a time.
+    pub fn update_batch(&mut self, indices: &[u64]) {
+        self.view_mut().update_batch(indices);
+    }
+
+    /// Merge another stack round-by-round (supernode formation in Boruvka):
+    /// one pass over the words.
     pub fn merge(&mut self, other: &Self) {
-        assert_eq!(self.rounds.len(), other.rounds.len(), "round count mismatch");
-        for (a, b) in self.rounds.iter_mut().zip(other.rounds.iter()) {
-            a.merge_from(b);
-        }
+        assert_eq!(self.num_rounds(), other.num_rounds(), "round count mismatch");
+        self.view_mut().merge(other.view());
     }
 
     /// Sample from the round-`r` sketch.
     pub fn sample_round(&self, r: usize) -> SampleResult {
-        self.rounds[r].sample()
+        self.round(r).query()
     }
 
     /// Reset every round to the zero sketch (scratch reuse in the ingestion
-    /// pipeline's delta-sketch path).
+    /// pipeline's delta-sketch path): one fill of the words.
     pub fn clear_all(&mut self) {
-        for s in self.rounds.iter_mut() {
-            s.clear();
-        }
+        self.words.fill(0);
     }
 
-    /// Total resident payload bytes across rounds ([`L0Sampler::payload_bytes`]).
+    /// Total resident payload bytes across rounds: the encoding's length.
     pub fn payload_bytes(&self) -> usize {
-        self.rounds.iter().map(|s| s.payload_bytes()).sum()
+        self.families.iter().map(|f| f.payload_bytes()).sum()
     }
 }
-
-impl<H: gz_hash::Hasher64> NodeSketch<CubeSketch<H>> {
-    /// Apply one batch of characteristic-vector toggles, decoded to
-    /// indices, to every round via the batch kernel. The premix (the half of
-    /// each record's hash that no seed enters) is round-independent, so one
-    /// pass serves all `O(log V)` rounds; duplicates cancel in the kernel's
-    /// accumulators. Bit-identical to looping [`Self::update_signed`] over
-    /// the records.
-    pub fn update_batch(&mut self, indices: &[u64]) {
-        with_premixed(indices, |batch| {
-            let mut acc = LaneAccumulators::new();
-            for s in self.rounds.iter_mut() {
-                s.update_batch_premixed(batch, &mut acc);
-            }
-        });
-    }
-}
-
-/// The GraphZeppelin node sketch: CubeSketches over the characteristic
-/// vector index space.
-pub type CubeNodeSketch = NodeSketch<CubeSketch<Xxh64Hasher>>;
-
-/// One round of a [`CubeNodeSketch`] — the slice the streaming query engine
-/// moves (round `r` of the query touches only round `r`'s column data).
-pub type CubeRoundSketch = CubeSketch<Xxh64Hasher>;
 
 /// Shared per-round CubeSketch families for a whole system.
 ///
 /// All vertices share the same per-round hash functions — required for
 /// supernode merging — so families are constructed once and handed to every
-/// store/worker.
+/// store/worker. Every round has the same geometry; only the seeds differ.
 #[derive(Debug, Clone)]
 pub struct SketchParams {
     /// Number of vertices the characteristic vectors are defined over.
     pub num_nodes: u64,
     /// Per-round sketch families (hash functions + geometry).
-    pub families: Vec<Arc<CubeSketchFamily<Xxh64Hasher>>>,
+    pub families: Families,
 }
 
 impl SketchParams {
@@ -128,10 +308,10 @@ impl SketchParams {
     /// columns, derived deterministically from `seed`.
     pub fn new(num_nodes: u64, rounds: u32, columns: u32, seed: u64) -> Self {
         let geometry = Self::geometry(num_nodes, columns);
-        let families = (0..rounds as u64)
+        let families: Vec<_> = (0..rounds as u64)
             .map(|r| CubeSketchFamily::new(geometry, SplitMix64::derive(seed, r)))
             .collect();
-        SketchParams { num_nodes, families }
+        SketchParams { num_nodes, families: families.into() }
     }
 
     /// Every round's sketch geometry at `num_nodes` vertices and `columns`
@@ -151,9 +331,49 @@ impl SketchParams {
         self.families.len()
     }
 
-    /// A fresh all-zero node sketch.
+    /// Words of one round of a stack in memory
+    /// ([`CubeSketchFamily::words`]).
+    pub fn round_words(&self) -> usize {
+        round_words(&self.families)
+    }
+
+    /// Words of one stack in memory: every round's.
+    pub fn node_words(&self) -> usize {
+        self.rounds() * self.round_words()
+    }
+
+    /// True if a stack, and a node group's image, are byte for byte their
+    /// encoding in memory ([`CubeSketchFamily::encodes_in_place`]), so a
+    /// file region reads into them, and writes from them, directly.
+    pub fn encodes_in_place(&self) -> bool {
+        self.families.first().is_none_or(|f| f.encodes_in_place())
+    }
+
+    /// A fresh all-zero node sketch: one allocation.
     pub fn new_node_sketch(&self) -> CubeNodeSketch {
-        NodeSketch::new_with(self.families.len(), |r| self.families[r].new_sketch())
+        NodeSketch {
+            families: Arc::clone(&self.families),
+            words: vec![0u64; self.node_words()].into_boxed_slice(),
+        }
+    }
+
+    /// Node `i`'s stack in a round-major image of `nodes` stacks (a node
+    /// group's, [`crate::store::SketchStore`]): round `r` of node `i` at
+    /// words `(r × nodes + i) × round_words`.
+    pub(crate) fn stack_in<'a>(&'a self, image: &'a [u64], nodes: usize, i: usize) -> Stack<'a> {
+        let rw = self.round_words();
+        Stack { families: &self.families, words: &image[i * rw..], stride: nodes * rw }
+    }
+
+    /// [`Self::stack_in`], writable.
+    pub(crate) fn stack_in_mut<'a>(
+        &'a self,
+        image: &'a mut [u64],
+        nodes: usize,
+        i: usize,
+    ) -> StackMut<'a> {
+        let rw = self.round_words();
+        StackMut { families: &self.families, words: &mut image[i * rw..], stride: nodes * rw }
     }
 
     /// Bytes of one node sketch under the paper's accounting: 12 bytes a
@@ -170,32 +390,38 @@ impl SketchParams {
     }
 
     /// Resident (and encoded) size of the round-`round` slice of a node
-    /// sketch ([`CubeSketch::append_words`]).
+    /// sketch ([`CubeRound::append_words`]).
     pub fn round_resident_bytes(&self, round: usize) -> usize {
         self.families[round].payload_bytes()
     }
 
     /// Encode a node sketch into `out`: its rounds' resident words,
-    /// concatenated.
+    /// concatenated — one pass over the stack's words.
     pub fn serialize_node_sketch(&self, sketch: &CubeNodeSketch, out: &mut Vec<u8>) {
-        for r in 0..sketch.num_rounds() {
-            sketch.round(r).append_words(out);
-        }
+        sketch.view().append_words(out);
     }
 
-    /// Decode a node sketch [`Self::serialize_node_sketch`] wrote.
+    /// Decode a node sketch [`Self::serialize_node_sketch`] wrote: one pass
+    /// into one allocation.
     ///
     /// # Panics
     /// Panics if `bytes` is not [`Self::node_sketch_resident_bytes`] long.
     pub fn deserialize_node_sketch(&self, bytes: &[u8]) -> CubeNodeSketch {
+        assert_eq!(
+            bytes.len(),
+            self.node_sketch_resident_bytes(),
+            "node sketch of another geometry"
+        );
         let mut sketch = self.new_node_sketch();
-        let mut rest = bytes;
-        for (r, slice) in sketch.rounds_mut().iter_mut().enumerate() {
-            let (round, tail) = rest.split_at(self.round_resident_bytes(r));
-            slice.load_words(round);
-            rest = tail;
+        if self.node_words() * 8 == bytes.len() {
+            for (w, c) in sketch.words.iter_mut().zip(bytes.chunks_exact(8)) {
+                *w = u64::from_le_bytes(c.try_into().expect("chunk is 8 bytes"));
+            }
+        } else {
+            for (r, round) in bytes.chunks_exact(self.round_resident_bytes(0)).enumerate() {
+                sketch.round_mut(r).load_words(round);
+            }
         }
-        assert!(rest.is_empty(), "node sketch of another geometry");
         sketch
     }
 
@@ -209,7 +435,7 @@ impl SketchParams {
     ///
     /// # Panics
     /// Panics if `bytes` is not the round's length ([`Self::check_round`]).
-    pub fn deserialize_round(&self, round: usize, bytes: &[u8]) -> CubeSketch<Xxh64Hasher> {
+    pub fn deserialize_round(&self, round: usize, bytes: &[u8]) -> CubeRoundSketch {
         let mut sketch = self.families[round].new_sketch();
         sketch.load_words(bytes);
         sketch

@@ -56,7 +56,7 @@ use crate::config::{
     BufferStrategy, GutterCapacity, StoreBackend, DISK_BLOCK_BYTES, DISK_CACHE_NODES,
 };
 use crate::error::GzError;
-use crate::node_sketch::{CubeRoundSketch, SketchParams};
+use crate::node_sketch::SketchParams;
 use crate::sparse::{SparseRoundBatch, SparseSet};
 use crate::store::{SketchSource, StoreCensus};
 use gz_gutters::WorkerPool;
@@ -708,8 +708,6 @@ struct ShardRoundSource<'a> {
 }
 
 impl SketchSource for ShardRoundSource<'_> {
-    type Sampler = CubeRoundSketch;
-
     fn num_rounds(&self) -> usize {
         self.params.rounds()
     }
@@ -723,7 +721,7 @@ impl SketchSource for ShardRoundSource<'_> {
         round: usize,
         live: &(dyn Fn(u32) -> bool + Sync),
         pool: &WorkerPool,
-        sinks: &[parking_lot::Mutex<crate::boruvka::RoundSink<'_, Self::Sampler>>],
+        sinks: &[parking_lot::Mutex<crate::boruvka::RoundSink<'_>>],
     ) -> Result<(), GzError> {
         self.resident = match self.reads {
             // One shard after another, each across the whole pool: the
@@ -762,7 +760,7 @@ fn gather_fold_round(
     round: usize,
     live: &(dyn Fn(u32) -> bool + Sync),
     pool: &WorkerPool,
-    sinks: &[parking_lot::Mutex<crate::boruvka::RoundSink<'_, CubeRoundSketch>>],
+    sinks: &[parking_lot::Mutex<crate::boruvka::RoundSink<'_>>],
 ) -> Result<usize, GzError> {
     let mut seen = vec![false; params.num_nodes as usize];
     let mut resident = 0usize;
@@ -1349,7 +1347,7 @@ mod tests {
 
         // Every vertex its own supernode, none retired: each is sampled
         // straight from its round slice.
-        type Sinks<'a> = Vec<parking_lot::Mutex<crate::boruvka::RoundSink<'a, CubeRoundSketch>>>;
+        type Sinks<'a> = Vec<parking_lot::Mutex<crate::boruvka::RoundSink<'a>>>;
         let root_of: Vec<u32> = (0..n as u32).collect();
         let retired = vec![false; n as usize];
         let members = crate::boruvka::live_members(&root_of, &retired);

@@ -12,7 +12,7 @@ use crate::checkpoint::{load_checkpoint, write_checkpoint, CheckpointHeader};
 use crate::config::{LockingStrategy, StoreBackend};
 use crate::error::GzError;
 use crate::ingest::WorkerPool;
-use crate::node_sketch::{CubeRoundSketch, SketchParams};
+use crate::node_sketch::SketchParams;
 use crate::sharding::ShardConfig;
 use crate::store::{with_backing_file, EpochOverlay, NodeSet, SketchStore, StoreCensus};
 use gz_graph::GraphDigest;
@@ -57,7 +57,7 @@ impl ShardView {
         round: usize,
         live: &(dyn Fn(u32) -> bool + Sync),
         pool: &gz_gutters::WorkerPool,
-        sinks: &[Mutex<RoundSink<'_, CubeRoundSketch>>],
+        sinks: &[Mutex<RoundSink<'_>>],
     ) -> Result<usize, GzError> {
         self.store.stream_round_parallel(round, live, self.overlay.as_deref(), pool, sinks)?;
         Ok(self.store.round_stream_resident_bytes(round, sinks.len()))
@@ -82,10 +82,9 @@ impl ShardView {
     /// Bytes of sealed pre-images the overlay holds resident (0 for a live
     /// view).
     pub(crate) fn overlay_resident_bytes(&self) -> usize {
-        self.overlay.as_ref().map_or(0, |overlay| {
-            overlay.captured_sketches() * self.store.params().node_sketch_resident_bytes()
-                + overlay.captured_sparse_bytes()
-        })
+        self.overlay
+            .as_ref()
+            .map_or(0, |overlay| overlay.captured_bytes() + overlay.captured_sparse_bytes())
     }
 }
 

@@ -247,7 +247,7 @@ impl SparseRoundBatch {
     /// lets the engine retire it.
     pub(crate) fn push(
         &mut self,
-        sink: &mut RoundSink<'_, CubeRoundSketch>,
+        sink: &mut RoundSink<'_>,
         node: u32,
         neighbors: impl Iterator<Item = u32>,
         num_nodes: u64,
@@ -293,7 +293,7 @@ impl SparseRoundBatch {
     /// ([`gz_sketch::CubeSketchFamily::sample_premixed`]).
     pub(crate) fn fold_into(
         &mut self,
-        sink: &mut RoundSink<'_, CubeRoundSketch>,
+        sink: &mut RoundSink<'_>,
         params: &SketchParams,
         round: usize,
     ) {
@@ -431,22 +431,8 @@ mod tests {
         assert!(SparseSet::decode_wire(&dup).is_none());
     }
 
-    /// A fold per supernode with its accumulator serialized, `None` where
-    /// nothing was folded.
-    fn folded_bytes(sink: RoundSink<'_, CubeRoundSketch>) -> Vec<Option<Folded<Vec<u8>>>> {
-        let bytes = |folded: Folded<CubeRoundSketch>| match folded {
-            Folded::Acc(acc) => {
-                let mut out = Vec::new();
-                acc.append_words(&mut out);
-                Folded::Acc(out)
-            }
-            Folded::Sampled(sample) => Folded::Sampled(sample),
-        };
-        sink.into_folded().into_iter().map(|folded| folded.map(bytes)).collect()
-    }
-
     /// The accumulator `sink` holds for `root`.
-    fn accumulator(sink: RoundSink<'_, CubeRoundSketch>, root: usize) -> CubeRoundSketch {
+    fn accumulator(sink: RoundSink<'_>, root: usize) -> CubeRoundSketch {
         match sink.into_folded().swap_remove(root) {
             Some(Folded::Acc(acc)) => acc,
             other => panic!("supernode {root} holds no accumulator: {other:?}"),
@@ -485,11 +471,11 @@ mod tests {
                 // Reverse order: grouping must not depend on arrival order.
                 for (node, set) in sets.iter().enumerate().rev() {
                     let node = node as u32;
-                    oracle.fold(node, &set.synthesize_round(node, &p, round));
+                    oracle.fold(node, set.synthesize_round(node, &p, round).view());
                     batch.push(&mut in_place, node, set.neighbors().iter().copied(), 8);
                 }
                 batch.fold_into(&mut in_place, &p, round);
-                let (oracle, in_place) = (folded_bytes(oracle), folded_bytes(in_place));
+                let (oracle, in_place) = (oracle.into_folded(), in_place.into_folded());
                 assert_eq!(oracle, in_place, "round {round}, {map:?}");
                 assert!(in_place[6].is_none(), "retired supernodes are never folded");
                 assert!(matches!(in_place[0], Some(Folded::Acc(_))), "{{0,1,2}} accumulates");
@@ -596,16 +582,16 @@ mod tests {
         let dense8 = slice(8, &[2, 11]);
         let mut oracle = RoundSink::new(&root_of, &retired, &members, SparseMap::Learning);
         for (node, set) in &sets {
-            oracle.fold(*node, &slice(*node, set));
+            oracle.fold(*node, slice(*node, set).view());
         }
-        oracle.fold(8, &dense8);
+        oracle.fold(8, dense8.view());
         let mut in_place = RoundSink::new(&root_of, &retired, &members, SparseMap::Known(&sparse));
         for (node, set) in &sets {
             batch.push(&mut in_place, *node, set.iter().copied(), 12);
         }
         batch.fold_into(&mut in_place, &p, 0);
-        in_place.fold(8, &dense8);
-        assert_eq!(folded_bytes(oracle), folded_bytes(in_place));
+        in_place.fold(8, dense8.view());
+        assert_eq!(oracle.into_folded(), in_place.into_folded());
 
         // A supernode with nothing but internal sparse edges hashes nothing.
         let mut sink = RoundSink::new(&root_of, &retired, &members, SparseMap::Known(&sparse));

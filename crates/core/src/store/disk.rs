@@ -49,14 +49,14 @@
 use crate::boruvka::RoundSink;
 use crate::config::LockingStrategy;
 use crate::error::GzError;
-use crate::node_sketch::{CubeNodeSketch, CubeRoundSketch, SketchParams};
+use crate::node_sketch::{CubeNodeSketch, SketchParams, Stack, StackMut};
 use crate::sparse::SparseSet;
 use crate::store::epoch::EpochOverlay;
 use crate::store::hybrid::Hybrid;
 use crate::store::{GraphDigestStripes, NodeSet, RepStats, ScratchPool};
 use gz_gutters::{CounterSet, IoStats, WorkerPool};
+use gz_sketch::cube::{word_bytes, word_bytes_mut, CubeRound, CubeRoundMut};
 use parking_lot::{Condvar, Mutex, MutexGuard};
-use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fs::File;
 use std::os::unix::fs::FileExt;
@@ -101,15 +101,18 @@ fn write_at(file: &File, offset: u64, bytes: &[u8], io: &IoStats) -> std::io::Re
 }
 
 /// One node group. Whoever holds the lock owns the group's loaded
-/// sketches: the worker faulting it in, a worker merging a delta, the
+/// stacks: the worker faulting it in, a worker merging a delta, the
 /// worker evicting it, or a flush writing it back.
 type GroupEntry = Mutex<GroupState>;
 
 struct GroupState {
-    /// The group's sketches once `loaded`; before that, nothing in a
-    /// resident group, and in a paged one whatever the evicted group that
-    /// donated the allocation left behind.
-    sketches: Vec<CubeNodeSketch>,
+    /// The group's stacks once `loaded`, in one allocation: its file image,
+    /// round-major (node `i`'s round `r` at words `(r × nodes + i) ×
+    /// round_words`, [`SketchParams::stack_in`]) — byte for byte the file's
+    /// region wherever the params [`SketchParams::encodes_in_place`]. Before
+    /// that, nothing in a resident group, and in a paged one whatever the
+    /// evicted group that donated the allocation left behind.
+    image: Vec<u64>,
     /// False until the group's first dense touch has allocated it
     /// (resident) or until the first holder of the lock has read it in
     /// (paged) — so two workers wanting the same absent group cause one
@@ -185,13 +188,6 @@ const WRITEBACK_RUN_BYTES: usize = 1 << 20;
 /// resident group is one node, and one atomic add a node would cost more
 /// than its fold. A paged group is claimed alone.
 const RESIDENT_CLAIM: usize = 64;
-
-std::thread_local! {
-    /// Per-thread byte buffer a group's file image, or one write-back run,
-    /// passes through on its way to or from the file, reused across faults
-    /// and write-backs.
-    static GROUP_IO_BUF: std::cell::RefCell<Vec<u8>> = const { std::cell::RefCell::new(Vec::new()) };
-}
 
 /// One round stream in progress (see `SketchStore::claim_groups`): what to
 /// read, and the cursor and error slot its claimants share.
@@ -304,7 +300,7 @@ impl SketchStore {
         let resident = (0..node_set.len())
             .map(|_| match threshold {
                 0 => OnceLock::from(Box::new(Mutex::new(GroupState {
-                    sketches: vec![params.new_node_sketch()],
+                    image: vec![0; params.node_words()],
                     loaded: true,
                     dirty: false,
                 }))),
@@ -424,12 +420,13 @@ impl SketchStore {
     /// Write every dirty cached group back to the file, coalescing runs of
     /// *adjacent* dirty group ids into single contiguous writes (their file
     /// regions abut, so one larger write is equivalent) of at most
-    /// [`WRITEBACK_RUN_BYTES`] each — or one group, when a group is larger —
-    /// copied into this thread's one I/O buffer, so a write-back holds one
-    /// run, never the whole dirty cache; then run `sealed` while still
-    /// holding the cache lock and the lock of every cached group, i.e. with
-    /// all merges shut out. A resident store has nothing to write: it runs
-    /// `sealed` at once. Shared by [`Self::flush`] and
+    /// [`WRITEBACK_RUN_BYTES`] each — or one group, when a group is larger.
+    /// A run of one group is written straight from its image; a longer run
+    /// copies its groups' whole images into one buffer, so a write-back
+    /// holds one run, never the whole dirty cache. Then run `sealed` while
+    /// still holding the cache lock and the lock of every cached group,
+    /// i.e. with all merges shut out. A resident store has nothing to
+    /// write: it runs `sealed` at once. Shared by [`Self::flush`] and
     /// [`Self::begin_epoch`].
     fn writeback_dirty<R>(&self, sealed: impl FnOnce() -> R) -> std::io::Result<R> {
         let Some(pager) = &self.pager else { return Ok(sealed()) };
@@ -443,37 +440,45 @@ impl SketchStore {
         let mut held: Vec<(u32, MutexGuard<'_, GroupState>)> =
             cache.groups.iter().map(|(&group, slot)| (group, slot.entry.lock())).collect();
         held.sort_unstable_by_key(|(group, _)| *group);
-        let written = GROUP_IO_BUF.with(|buf| {
-            let mut run = buf.borrow_mut();
-            run.clear();
-            let mut start = 0;
-            for (group, state) in held.iter().filter(|(_, state)| state.dirty) {
-                let offset = self.group_offset(*group);
-                // Adjacent in the file iff the run ends exactly at this
-                // group's offset (every non-final group fills the full
-                // `group_size × node_bytes` region).
-                let adjacent = start + run.len() as u64 == offset;
-                let fits =
-                    run.len() + state.sketches.len() * self.node_bytes <= WRITEBACK_RUN_BYTES;
-                if run.is_empty() {
-                    start = offset;
-                } else if !(adjacent && fits) {
-                    write_at(&pager.file, start, &run, &pager.io)?;
-                    run.clear();
-                    start = offset;
-                }
-                self.copy_group_out(&state.sketches, &mut run);
-            }
-            if run.is_empty() {
-                return Ok(());
-            }
-            write_at(&pager.file, start, &run, &pager.io)
-        });
-        self.record_failure(written)?;
+        let dirty = held.iter().filter(|(_, state)| state.dirty).map(|(g, s)| (*g, &s.image[..]));
+        self.record_failure(self.write_runs(pager, &dirty.collect::<Vec<_>>()))?;
         for (_, state) in &mut held {
             state.dirty = false;
         }
         Ok(sealed())
+    }
+
+    /// Write `dirty` — `(group, image)` in group order — in runs of groups
+    /// adjacent in the file (every non-final group fills the full
+    /// `group_size × node_bytes` region) of at most [`WRITEBACK_RUN_BYTES`]:
+    /// a one-group run straight from its image, a longer one through one
+    /// buffer.
+    fn write_runs(&self, pager: &Pager, dirty: &[(u32, &[u64])]) -> std::io::Result<()> {
+        let mut buf = Vec::new();
+        let mut rest = dirty;
+        while let Some(&(first, image)) = rest.first() {
+            let mut len = self.group_bytes(first);
+            let mut run = 1;
+            while let Some(&(group, _)) = rest.get(run) {
+                let adjacent = group == first + run as u32;
+                if !(adjacent && len + self.group_bytes(group) <= WRITEBACK_RUN_BYTES) {
+                    break;
+                }
+                len += self.group_bytes(group);
+                run += 1;
+            }
+            let bytes = match run {
+                1 => self.encoded(image, &mut buf),
+                _ => {
+                    buf.clear();
+                    rest[..run].iter().for_each(|(_, image)| self.encode_image(image, &mut buf));
+                    &buf[..]
+                }
+            };
+            write_at(&pager.file, self.group_offset(first), bytes, &pager.io)?;
+            rest = &rest[run..];
+        }
+        Ok(())
     }
 
     /// Fail with the store's first batch-application error, if any.
@@ -582,72 +587,85 @@ impl SketchStore {
         self.slots_of(group).len() as u32
     }
 
-    /// Append a group block to `out`: the words of the group's `k` nodes,
-    /// round-major (see the module docs — this is what makes a round slice
-    /// contiguous).
-    fn copy_group_out(&self, sketches: &[CubeNodeSketch], out: &mut Vec<u8>) {
-        for r in 0..self.params.rounds() {
-            for s in sketches {
-                s.round(r).append_words(out);
-            }
+    /// Bytes of `group`'s file region: its nodes' resident words.
+    fn group_bytes(&self, group: u32) -> usize {
+        self.nodes_in_group(group) as usize * self.node_bytes
+    }
+
+    /// Append a group's file region to `out`, from its image: the image's
+    /// own bytes where they are its encoding, else slice by slice.
+    fn encode_image(&self, image: &[u64], out: &mut Vec<u8>) {
+        if self.params.encodes_in_place() {
+            out.extend_from_slice(word_bytes(image));
+            return;
+        }
+        let (rw, nodes) = (self.params.round_words(), image.len() / self.params.node_words());
+        for (j, slice) in image.chunks_exact(rw).enumerate() {
+            CubeRound::new(&self.params.families[j / nodes], slice).append_words(out);
         }
     }
 
-    /// Copy a round-major group block of `k` nodes over `sketches`, reusing
-    /// whatever node sketches the vector already holds.
-    fn copy_group_in(&self, bytes: &[u8], k: usize, sketches: &mut Vec<CubeNodeSketch>) {
-        sketches.resize_with(k, || self.params.new_node_sketch());
-        let mut base = 0;
-        for r in 0..self.params.rounds() {
-            let rb = self.params.round_resident_bytes(r);
-            for sketch in sketches.iter_mut() {
-                sketch.rounds_mut()[r].load_words(&bytes[base..base + rb]);
-                base += rb;
-            }
+    /// A group's file region: its image itself where the image is its
+    /// encoding, else encoded into `buf`.
+    fn encoded<'a>(&self, image: &'a [u64], buf: &'a mut Vec<u8>) -> &'a [u8] {
+        if self.params.encodes_in_place() {
+            return word_bytes(image);
         }
+        buf.clear();
+        self.encode_image(image, buf);
+        buf
     }
 
-    /// Read `group` from the file and copy it over `sketches`.
-    fn load_group(
+    /// Read `round`'s slices of `nodes` stacks — a group's whole image at
+    /// `round = None` — from `offset` into `words`, resized to fit: straight
+    /// into the words where they are their encoding, else through a byte
+    /// buffer, slice by slice.
+    fn read_words(
         &self,
-        pager: &Pager,
-        group: u32,
-        sketches: &mut Vec<CubeNodeSketch>,
+        file: &File,
+        offset: u64,
+        nodes: usize,
+        round: Option<usize>,
+        words: &mut Vec<u64>,
+        io: &IoStats,
     ) -> std::io::Result<()> {
-        let k = self.nodes_in_group(group) as usize;
-        GROUP_IO_BUF.with(|buf| {
-            let mut bytes = buf.borrow_mut();
-            bytes.resize(k * self.node_bytes, 0);
-            read_at(&pager.file, self.group_offset(group), &mut bytes, &pager.io)?;
-            self.copy_group_in(&bytes, k, sketches);
-            Ok(())
-        })
+        let slices = nodes * round.map_or(self.params.rounds(), |_| 1);
+        let rw = self.params.round_words();
+        if words.len() != slices * rw {
+            words.clear();
+            words.resize(slices * rw, 0);
+        }
+        if self.params.encodes_in_place() {
+            return read_at(file, offset, word_bytes_mut(words), io);
+        }
+        let rb = self.params.round_resident_bytes(0);
+        let mut bytes = vec![0u8; slices * rb];
+        read_at(file, offset, &mut bytes, io)?;
+        for (j, (slice, b)) in words.chunks_exact_mut(rw).zip(bytes.chunks_exact(rb)).enumerate() {
+            let family = &self.params.families[round.unwrap_or(j / nodes)];
+            CubeRoundMut::new(family, slice).load_words(b);
+        }
+        Ok(())
     }
 
-    fn write_group(
-        &self,
-        pager: &Pager,
-        group: u32,
-        sketches: &[CubeNodeSketch],
-    ) -> std::io::Result<()> {
-        GROUP_IO_BUF.with(|buf| {
-            let mut bytes = buf.borrow_mut();
-            bytes.clear();
-            self.copy_group_out(sketches, &mut bytes);
-            write_at(&pager.file, self.group_offset(group), &bytes, &pager.io)
-        })
+    /// Read `group` from the file into `image`.
+    fn load_group(&self, pager: &Pager, group: u32, image: &mut Vec<u64>) -> std::io::Result<()> {
+        let nodes = self.nodes_in_group(group) as usize;
+        self.read_words(&pager.file, self.group_offset(group), nodes, None, image, &pager.io)
     }
 
-    /// The file region `(offset, len)` holding `group`'s round-`round`
-    /// slice: one contiguous span of the group's `k × round_bytes` column
-    /// data (round-major layout).
-    fn round_slice(&self, group: u32, round: usize) -> (u64, usize) {
+    fn write_group(&self, pager: &Pager, group: u32, image: &[u64]) -> std::io::Result<()> {
+        let mut buf = Vec::new();
+        write_at(&pager.file, self.group_offset(group), self.encoded(image, &mut buf), &pager.io)
+    }
+
+    /// The file offset of `group`'s round-`round` slice: one contiguous
+    /// span of the group's `k × round_bytes` column data (round-major
+    /// layout).
+    fn round_slice(&self, group: u32, round: usize) -> u64 {
         let k = self.nodes_in_group(group) as usize;
         let before: usize = (0..round).map(|r| self.params.round_resident_bytes(r)).sum();
-        (
-            self.group_offset(group) + (k * before) as u64,
-            k * self.params.round_resident_bytes(round),
-        )
+        self.group_offset(group) + (k * before) as u64
     }
 
     /// Run `f` with mutable access to a group, loaded first: a resident
@@ -655,11 +673,7 @@ impl SketchStore {
     /// (possibly evicting least-recently-used groups). Only `group`'s own
     /// lock is held while the group is loaded and handed to `f`; workers on
     /// different groups do all of that side by side.
-    fn with_group<R>(
-        &self,
-        group: u32,
-        f: impl FnOnce(&mut Vec<CubeNodeSketch>) -> R,
-    ) -> std::io::Result<R> {
+    fn with_group<R>(&self, group: u32, f: impl FnOnce(&mut [u64]) -> R) -> std::io::Result<R> {
         self.with_loaded_group(group, |state| {
             if !state.dirty {
                 // Clean→dirty transition: this clean value equals the
@@ -673,29 +687,25 @@ impl SketchStore {
                 // A resident group has no file to be clean against: it
                 // offers its pre-image before every mutation, and each
                 // epoch keeps the first.
-                let sketches = &state.sketches;
-                self.reps.epochs.capture_group(group, &mut || sketches.clone());
+                let image = &state.image;
+                self.reps.epochs.capture_group(group, &mut || Arc::from(&image[..]));
                 state.dirty = self.pager.is_some();
             }
-            f(&mut state.sketches)
+            f(&mut state.image)
         })
     }
 
-    /// Run `f` on `group`'s stacks without dirtying it — nothing to
+    /// Run `f` on `group`'s image without dirtying it — nothing to
     /// capture, and nothing to write back on its account: a paged group is
     /// faulted in through the cache; a resident group never allocated reads
-    /// as no stacks (every slot of it is sparse).
-    fn read_group<R>(
-        &self,
-        group: u32,
-        f: impl FnOnce(&[CubeNodeSketch]) -> R,
-    ) -> std::io::Result<R> {
+    /// as an empty image (every slot of it is sparse).
+    fn read_group<R>(&self, group: u32, f: impl FnOnce(&[u64]) -> R) -> std::io::Result<R> {
         match self.pager {
             None => match self.resident[group as usize].get() {
-                Some(entry) => Ok(f(&entry.lock().sketches)),
+                Some(entry) => Ok(f(&entry.lock().image)),
                 None => Ok(f(&[])),
             },
-            Some(_) => self.with_loaded_group(group, |state| f(&state.sketches)),
+            Some(_) => self.with_loaded_group(group, |state| f(&state.image)),
         }
     }
 
@@ -707,13 +717,13 @@ impl SketchStore {
     ) -> std::io::Result<R> {
         let Some(pager) = &self.pager else {
             let entry = self.resident[group as usize].get_or_init(|| {
-                let state = GroupState { sketches: Vec::new(), loaded: false, dirty: false };
+                let state = GroupState { image: Vec::new(), loaded: false, dirty: false };
                 Box::new(Mutex::new(state))
             });
             let mut state = entry.lock();
             if !state.loaded {
-                let k = self.nodes_in_group(group) as usize;
-                state.sketches.resize_with(k, || self.params.new_node_sketch());
+                let nodes = self.nodes_in_group(group) as usize;
+                state.image = vec![0; nodes * self.params.node_words()];
                 state.loaded = true;
             }
             return Ok(f(&mut state));
@@ -722,7 +732,7 @@ impl SketchStore {
         let entry = self.record_failure(self.checkout_group(pager, group))?;
         let mut state = entry.lock();
         if !state.loaded {
-            let loaded = self.load_group(pager, group, &mut state.sketches);
+            let loaded = self.load_group(pager, group, &mut state.image);
             self.record_failure(loaded)?;
             state.loaded = true;
         }
@@ -769,7 +779,7 @@ impl SketchStore {
             let victim =
                 if groups.len() >= pager.cache_capacity { cache.pop_unused_lru() } else { None };
             let Some((victim_group, victim)) = victim else {
-                let state = GroupState { sketches: spare, loaded: false, dirty: false };
+                let state = GroupState { image: spare, loaded: false, dirty: false };
                 let entry = Arc::new(Mutex::new(state));
                 cache.lru.insert(tick, group);
                 cache.groups.insert(group, CacheSlot { entry: Arc::clone(&entry), tick });
@@ -792,10 +802,10 @@ impl SketchStore {
             // Out of the map and unused: this lock is uncontended.
             let mut state = victim.lock();
             let written = match state.dirty {
-                true => self.write_group(pager, victim_group, &state.sketches),
+                true => self.write_group(pager, victim_group, &state.image),
                 false => Ok(()),
             };
-            spare = std::mem::take(&mut state.sketches);
+            spare = std::mem::take(&mut state.image);
             drop(state);
 
             cache = pager.cache.lock();
@@ -832,7 +842,9 @@ impl SketchStore {
     pub fn apply_batch(&self, node: u32, records: &[u32]) {
         let slot = self.node_set.slot(node);
         // A failure is on record in the store, here and below.
-        let promoted = |stack| drop(self.with_stack(slot, |dst| *dst = stack));
+        let promoted = |stack: CubeNodeSketch| {
+            drop(self.with_stack(slot, |mut dst| dst.copy_from(stack.view())))
+        };
         if self.reps.apply_sparse(slot, node, records, promoted) {
             return;
         }
@@ -841,9 +853,9 @@ impl SketchStore {
             LockingStrategy::Direct => self.with_stack(slot, |dst| {
                 super::apply_records(dst, node, records, num_nodes);
             }),
-            LockingStrategy::DeltaSketch => self
-                .scratch
-                .with_delta(node, records, |delta| self.with_stack(slot, |dst| dst.merge(delta))),
+            LockingStrategy::DeltaSketch => self.scratch.with_delta(node, records, |delta| {
+                self.with_stack(slot, |mut dst| dst.merge(delta.view()))
+            }),
         });
     }
 
@@ -851,7 +863,12 @@ impl SketchStore {
     /// allocation at the first dense touch).
     #[cfg(test)]
     pub(crate) fn resident_stacks(&self) -> usize {
-        self.resident.iter().flat_map(OnceLock::get).map(|group| group.lock().sketches.len()).sum()
+        let words = self.params.node_words();
+        self.resident
+            .iter()
+            .flat_map(OnceLock::get)
+            .map(|group| group.lock().image.len() / words)
+            .sum()
     }
 
     /// Scratch sketches parked in the store's pool (test instrumentation
@@ -863,9 +880,10 @@ impl SketchStore {
 
     /// Run `f` on the dense stack at `slot`, in its group, under the
     /// group's lock ([`Self::with_group`]).
-    fn with_stack(&self, slot: usize, f: impl FnOnce(&mut CubeNodeSketch)) -> std::io::Result<()> {
-        let local = slot % self.group_size as usize;
-        self.with_group(self.group_of_slot(slot), |sketches| f(&mut sketches[local]))
+    fn with_stack(&self, slot: usize, f: impl FnOnce(StackMut<'_>)) -> std::io::Result<()> {
+        let (group, local) = (self.group_of_slot(slot), slot % self.group_size as usize);
+        let nodes = self.nodes_in_group(group) as usize;
+        self.with_group(group, |image| f(self.params.stack_in_mut(image, nodes, local)))
     }
 
     /// Flush every dirty cached group back to the file (adjacent dirty
@@ -940,15 +958,11 @@ impl SketchStore {
     /// slice's bytes per group read, however many claimants shared it. An
     /// I/O error ends the stream for every claimant at its next claim; the
     /// first one is what [`RoundClaims::finish`] returns.
-    fn claim_groups(
-        &self,
-        claims: &RoundClaims<'_>,
-        emit: &mut dyn FnMut(u32, Cow<'_, CubeRoundSketch>),
-    ) {
+    fn claim_groups(&self, claims: &RoundClaims<'_>, emit: &mut dyn FnMut(u32, CubeRound<'_>)) {
         let round = claims.round;
         let sealed = |group| claims.overlay.and_then(|overlay| overlay.get(group));
         let local_io = IoStats::new();
-        let (mut bytes, mut dense) = (Vec::new(), Vec::new());
+        let (mut words, mut dense) = (Vec::new(), Vec::new());
         'claims: loop {
             let claimed = claims.claim();
             if claimed.is_empty() {
@@ -959,18 +973,18 @@ impl SketchStore {
                 let slots = self.slots_of(group);
                 dense.clear();
                 dense.extend(slots.clone().filter(|&slot| claims.emits[slot]));
-                let borrowed =
-                    |stacks: &[CubeNodeSketch], emit: &mut dyn FnMut(u32, Cow<'_, _>)| {
-                        for &slot in &dense {
-                            let stack = &stacks[slot - slots.start];
-                            emit(self.node_set.node(slot), Cow::Borrowed(stack.round(round)));
-                        }
-                    };
+                let nodes = slots.len();
+                let borrowed = |image: &[u64], emit: &mut dyn FnMut(u32, CubeRound<'_>)| {
+                    for &slot in &dense {
+                        let stack = self.params.stack_in(image, nodes, slot - slots.start);
+                        emit(self.node_set.node(slot), stack.round(round));
+                    }
+                };
                 let Some(pager) = &self.pager else {
                     let state = self.resident[group as usize].get().map(|entry| entry.lock());
                     match sealed(group) {
                         Some(pre) => borrowed(&pre, emit),
-                        None => borrowed(state.as_ref().map_or(&[], |s| &s.sketches[..]), emit),
+                        None => borrowed(state.as_ref().map_or(&[], |s| &s.image[..]), emit),
                     }
                     continue;
                 };
@@ -978,9 +992,10 @@ impl SketchStore {
                     borrowed(&pre, emit);
                     continue;
                 }
-                let (offset, len) = self.round_slice(group, round);
-                bytes.resize(len, 0);
-                if let Err(e) = read_at(&pager.file, offset, &mut bytes, &local_io) {
+                let offset = self.round_slice(group, round);
+                let read =
+                    self.read_words(&pager.file, offset, nodes, Some(round), &mut words, &local_io);
+                if let Err(e) = read {
                     claims.next.store(claims.wanted.len(), Ordering::Relaxed);
                     claims.first_error.lock().get_or_insert(e);
                     break 'claims;
@@ -989,11 +1004,13 @@ impl SketchStore {
                     borrowed(&pre, emit);
                     continue;
                 }
-                let round_bytes = self.params.round_resident_bytes(round);
+                let rw = self.params.round_words();
                 for &slot in &dense {
-                    let mut slice = self.params.families[round].new_sketch();
-                    slice.load_words(&bytes[(slot - slots.start) * round_bytes..][..round_bytes]);
-                    emit(self.node_set.node(slot), Cow::Owned(slice));
+                    let slice = &words[(slot - slots.start) * rw..][..rw];
+                    emit(
+                        self.node_set.node(slot),
+                        CubeRound::new(&self.params.families[round], slice),
+                    );
                 }
             }
         }
@@ -1015,10 +1032,10 @@ impl SketchStore {
         round: usize,
         live: &(dyn Fn(u32) -> bool + Sync),
         overlay: Option<&EpochOverlay>,
-        sink: &mut dyn FnMut(u32, &CubeRoundSketch),
+        sink: &mut dyn FnMut(u32, CubeRound<'_>),
     ) -> Result<(), GzError> {
         let claims = self.begin_round(round, live, overlay)?;
-        self.claim_groups(&claims, &mut |node, slice| sink(node, &slice));
+        self.claim_groups(&claims, sink);
         claims.finish()
     }
 
@@ -1037,13 +1054,13 @@ impl SketchStore {
         live: &(dyn Fn(u32) -> bool + Sync),
         overlay: Option<&EpochOverlay>,
         pool: &WorkerPool,
-        sinks: &[Mutex<RoundSink<'_, CubeRoundSketch>>],
+        sinks: &[Mutex<RoundSink<'_>>],
     ) -> Result<(), GzError> {
         self.reps.fold_round(round, live, overlay, pool, sinks);
         let claims = self.begin_round(round, live, overlay)?;
         pool.run(&|w| {
             let mut sink = sinks[w].lock();
-            self.claim_groups(&claims, &mut |node, slice| sink.fold_slice(node, slice));
+            self.claim_groups(&claims, &mut |node, slice| sink.fold(node, slice));
         });
         claims.finish()
     }
@@ -1079,21 +1096,21 @@ impl SketchStore {
     /// replay, held only for its visit.
     fn visit_stacks(
         &self,
-        visit: &mut dyn FnMut(&CubeNodeSketch),
+        visit: &mut dyn FnMut(Stack<'_>),
         done: &mut dyn FnMut() -> std::io::Result<()>,
     ) -> std::io::Result<()> {
         for group in 0..self.num_groups() {
             let slots = self.slots_of(group);
             {
                 let sets = self.reps.lock_range(slots.clone());
-                self.read_group(group, |stacks| {
+                self.read_group(group, |image| {
                     for slot in slots.clone() {
                         let i = slot - slots.start;
                         match sets.get(i).and_then(|set| set.as_ref()) {
                             Some(set) => {
-                                visit(&set.densify(self.node_set.node(slot), &self.params))
+                                visit(set.densify(self.node_set.node(slot), &self.params).view())
                             }
-                            None => visit(&stacks[i]),
+                            None => visit(self.params.stack_in(image, slots.len(), i)),
                         }
                     }
                 })?;
@@ -1110,7 +1127,7 @@ impl SketchStore {
     /// oracle consumes its input; ingestion continues with the originals.
     pub fn snapshot(&self) -> Vec<Option<CubeNodeSketch>> {
         let mut out = Vec::with_capacity(self.node_set.len());
-        self.visit_stacks(&mut |stack| out.push(Some(stack.clone())), &mut || Ok(()))
+        self.visit_stacks(&mut |stack| out.push(Some(stack.to_node_sketch())), &mut || Ok(()))
             .expect("sketch store snapshot read failed");
         out
     }
@@ -1129,18 +1146,15 @@ impl SketchStore {
         let bytes =
             std::cell::RefCell::new(Vec::with_capacity(self.group_size as usize * node_bytes));
         let mut next = 0;
-        self.visit_stacks(
-            &mut |stack| self.params.serialize_node_sketch(stack, &mut bytes.borrow_mut()),
-            &mut || {
-                let mut bytes = bytes.borrow_mut();
-                for encoded in bytes.chunks_exact(node_bytes) {
-                    f(self.node_set.node(next), encoded)?;
-                    next += 1;
-                }
-                bytes.clear();
-                Ok(())
-            },
-        )
+        self.visit_stacks(&mut |stack| stack.append_words(&mut bytes.borrow_mut()), &mut || {
+            let mut bytes = bytes.borrow_mut();
+            for encoded in bytes.chunks_exact(node_bytes) {
+                f(self.node_set.node(next), encoded)?;
+                next += 1;
+            }
+            bytes.clear();
+            Ok(())
+        })
     }
 
     /// Replace every node sketch (checkpoint restore), in slot order.
@@ -1149,7 +1163,10 @@ impl SketchStore {
     /// any sealed epoch. Fails with a paged store's first group fault's I/O
     /// error.
     pub fn load_all(&self, sketches: Vec<CubeNodeSketch>) -> Result<(), GzError> {
-        Ok(self.reps.load_all(sketches, |slot, stack| self.with_stack(slot, |dst| *dst = stack))?)
+        let install = |slot, stack: CubeNodeSketch| {
+            self.with_stack(slot, |mut dst| dst.copy_from(stack.view()))
+        };
+        Ok(self.reps.load_all(sketches, install)?)
     }
 }
 #[cfg(test)]
@@ -1348,8 +1365,8 @@ mod tests {
         s.flush().unwrap();
         let snap = s.snapshot();
         for round in 0..s.params().rounds() {
-            let (offset, len) = s.round_slice(0, round);
-            let mut slice = vec![0u8; len];
+            let offset = s.round_slice(0, round);
+            let mut slice = vec![0u8; 12 * s.params().round_resident_bytes(round)];
             s.file().read_exact_at(&mut slice, offset).unwrap();
             let rb = s.params().round_resident_bytes(round);
             let mut expected = Vec::new();
@@ -1417,7 +1434,7 @@ mod tests {
         for threads in [1, 2, 4] {
             let pool = WorkerPool::new(threads);
             for round in 0..s.params().rounds() {
-                let sinks: Vec<Mutex<RoundSink<'_, CubeRoundSketch>>> = (0..threads)
+                let sinks: Vec<Mutex<RoundSink<'_>>> = (0..threads)
                     .map(|_| {
                         Mutex::new(RoundSink::new(
                             &root_of,
@@ -1444,7 +1461,8 @@ mod tests {
                 // Each pair's accumulator, XORed across the sinks that
                 // folded its members, must be bit-identical to the XOR of
                 // the reference's round slices of its live members.
-                let mut acc: Vec<Option<CubeRoundSketch>> = (0..16).map(|_| None).collect();
+                let mut acc: Vec<Option<crate::node_sketch::CubeRoundSketch>> =
+                    (0..16).map(|_| None).collect();
                 for sink in sinks {
                     for (root, folded) in sink.into_inner().into_folded().into_iter().enumerate() {
                         match (folded, &mut acc[root]) {
@@ -1456,7 +1474,7 @@ mod tests {
                     }
                 }
                 for root in (0..16usize).step_by(2) {
-                    let mut want_slice = snap[root].as_ref().unwrap().round(round).clone();
+                    let mut want_slice = snap[root].as_ref().unwrap().round(round).to_sketch();
                     if root + 1 != 7 {
                         want_slice.merge(snap[root + 1].as_ref().unwrap().round(round));
                     }
@@ -1483,8 +1501,7 @@ mod tests {
         let retired = vec![false; 16];
         let members = live_members(&root_of, &retired);
         let sink = || RoundSink::new(&root_of, &retired, &members, SparseMap::Learning);
-        let sinks: Vec<Mutex<RoundSink<'_, CubeRoundSketch>>> =
-            (0..3).map(|_| Mutex::new(sink())).collect();
+        let sinks: Vec<Mutex<RoundSink<'_>>> = (0..3).map(|_| Mutex::new(sink())).collect();
         let before = s.io().reads();
         s.stream_round_parallel(0, &|n| n == 3 || n == 9, None, &pool, &sinks).unwrap();
         assert_eq!(s.io().reads() - before, 2, "only live groups may be read");
@@ -1875,7 +1892,7 @@ mod tests {
         let assert_reads_sealed_bytes = |overlay: &EpochOverlay, when: &str| {
             for round in 0..params.rounds() {
                 let mut seen = 0;
-                let mut check = |node: u32, slice: &CubeRoundSketch| {
+                let mut check = |node: u32, slice: CubeRound<'_>| {
                     let (mut got, mut want) = (Vec::new(), Vec::new());
                     slice.append_words(&mut got);
                     sealed[node as usize].as_ref().unwrap().round(round).append_words(&mut want);
@@ -1883,7 +1900,7 @@ mod tests {
                     seen += 1;
                 };
                 store.for_each_sparse(&|_| true, Some(overlay), &mut |node, set| {
-                    check(node, &set.synthesize_round(node, &params, round))
+                    check(node, set.synthesize_round(node, &params, round).view())
                 });
                 store
                     .stream_round_dense(round, &|_| true, Some(overlay), &mut |node, slice| {

@@ -20,7 +20,6 @@
 //! the moment E was sealed, regardless of how many batches land while the
 //! query runs. The lattice lane (`tests/lattice.rs`) pins this.
 
-use crate::node_sketch::CubeNodeSketch;
 use crate::sparse::SparseSet;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -29,11 +28,11 @@ use std::sync::{Arc, Weak};
 
 /// The copy-on-write side table of one sealed generation: node groups
 /// dirtied after the seal, keyed by group id, each holding the group's
-/// sealed sketches. Entries are only ever added (a group is captured at
+/// sealed image (its round-major words, one allocation). Entries are only ever added (a group is captured at
 /// most once per epoch); the whole overlay is freed when the last handle
 /// holding it drops.
 pub struct EpochOverlay {
-    map: Mutex<HashMap<u32, Arc<Vec<CubeNodeSketch>>>>,
+    map: Mutex<HashMap<u32, Arc<[u64]>>>,
     /// Sealed pre-images of vertices that were *sparse* (exact toggle sets,
     /// DESIGN.md §12) at mutation time, keyed by **slot**. A slot captured
     /// here outranks any dense group pre-image covering the same slot: a
@@ -50,7 +49,7 @@ impl EpochOverlay {
 
     /// The sealed pre-image of `group`, if ingestion dirtied it after the
     /// seal.
-    pub(crate) fn get(&self, group: u32) -> Option<Arc<Vec<CubeNodeSketch>>> {
+    pub(crate) fn get(&self, group: u32) -> Option<Arc<[u64]>> {
         self.map.lock().get(&group).cloned()
     }
 
@@ -65,9 +64,9 @@ impl EpochOverlay {
         self.map.lock().len()
     }
 
-    /// Node sketches captured so far (groups × nodes per group).
-    pub(crate) fn captured_sketches(&self) -> usize {
-        self.map.lock().values().map(|g| g.len()).sum()
+    /// Resident bytes of the captured group images.
+    pub(crate) fn captured_bytes(&self) -> usize {
+        self.map.lock().values().map(|g| g.len() * 8).sum()
     }
 
     /// Resident bytes of the captured sparse pre-images.
@@ -131,7 +130,7 @@ impl EpochRegistry {
     /// overlay that lacks it. An overlay that already holds `group` keeps
     /// its own, older pre-image — the current value is exactly what epochs
     /// sealed *after* that earlier capture need.
-    pub(crate) fn capture_group(&self, group: u32, make: &mut dyn FnMut() -> Vec<CubeNodeSketch>) {
+    pub(crate) fn capture_group(&self, group: u32, make: &mut dyn FnMut() -> Arc<[u64]>) {
         if !self.maybe_live.load(Ordering::Acquire) {
             return;
         }
@@ -141,14 +140,14 @@ impl EpochRegistry {
             self.maybe_live.store(false, Ordering::Release);
             return;
         }
-        let mut pre_image: Option<Arc<Vec<CubeNodeSketch>>> = None;
+        let mut pre_image: Option<Arc<[u64]>> = None;
         for (_, weak) in &inner.live {
             let Some(overlay) = weak.upgrade() else { continue };
             let mut map = overlay.map.lock();
             if let std::collections::hash_map::Entry::Vacant(slot) = map.entry(group) {
                 slot.insert(Arc::clone(pre_image.get_or_insert_with(|| {
                     self.captures.fetch_add(1, Ordering::Relaxed);
-                    Arc::new(make())
+                    make()
                 })));
             }
         }

@@ -12,7 +12,7 @@
 //! into the vertex's stack in its group.
 
 use crate::boruvka::RoundSink;
-use crate::node_sketch::{CubeNodeSketch, CubeRoundSketch, SketchParams};
+use crate::node_sketch::{CubeNodeSketch, SketchParams};
 use crate::sparse::{SparseRoundBatch, SparseSet};
 use crate::store::epoch::{EpochOverlay, EpochRegistry};
 use crate::store::{NodeSet, RepStats};
@@ -123,7 +123,7 @@ impl Hybrid {
         live: &(dyn Fn(u32) -> bool + Sync),
         overlay: Option<&EpochOverlay>,
         pool: &WorkerPool,
-        sinks: &[Mutex<RoundSink<'_, CubeRoundSketch>>],
+        sinks: &[Mutex<RoundSink<'_>>],
     ) {
         if self.slots.is_empty() {
             return;

@@ -24,12 +24,11 @@ pub use epoch::EpochOverlay;
 
 use crate::boruvka::RoundSink;
 use crate::error::GzError;
-use crate::node_sketch::{CubeNodeSketch, CubeRoundSketch, NodeSketch, SketchParams};
+use crate::node_sketch::{CubeNodeSketch, NodeSketch, SketchParams, StackMut};
 use crate::sparse::edge_indices;
 use gz_graph::GraphDigest;
 use gz_gutters::{CounterSet, IoStats, WorkerPool};
-use gz_sketch::cube::{with_premixed, LaneAccumulators};
-use gz_sketch::L0Sampler;
+use gz_sketch::cube::{with_premixed, CubeRound, LaneAccumulators};
 use parking_lot::Mutex;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -230,7 +229,7 @@ impl SketchStore {
         &self,
         round: usize,
         live: &(dyn Fn(u32) -> bool + Sync),
-        sink: &mut dyn FnMut(u32, &CubeRoundSketch),
+        sink: &mut dyn FnMut(u32, CubeRound<'_>),
     ) -> Result<(), GzError> {
         let params = self.params();
         let mut slice = params.families[round].new_sketch();
@@ -241,7 +240,7 @@ impl SketchStore {
             indices.extend(edge_indices(node, set.neighbors().iter().copied(), params.num_nodes));
             slice.clear();
             with_premixed(&indices, |batch| slice.update_batch_premixed(batch, &mut acc));
-            sink(node, &slice);
+            sink(node, slice.view());
         });
         self.stream_round_dense(round, live, None, sink)
     }
@@ -261,9 +260,6 @@ impl SketchStore {
 /// buffers, which is what preserves the disk store's RAM budget `M` at
 /// query time.
 pub trait SketchSource {
-    /// The ℓ0-sampler type of one round slice.
-    type Sampler: L0Sampler + Clone;
-
     /// Rounds available per node sketch stack.
     fn num_rounds(&self) -> usize;
 
@@ -285,31 +281,29 @@ pub trait SketchSource {
         round: usize,
         live: &(dyn Fn(u32) -> bool + Sync),
         pool: &WorkerPool,
-        sinks: &[Mutex<RoundSink<'_, Self::Sampler>>],
+        sinks: &[Mutex<RoundSink<'_>>],
     ) -> Result<(), GzError>;
 }
 
 /// The snapshot-mode source: a fully materialized `V`-sized sketch vector
 /// (what [`SketchStore::snapshot`] produces). Resident bytes are the whole
 /// materialization — the quantity the streaming sources exist to avoid.
-pub struct MaterializedSource<S: L0Sampler> {
-    sketches: Vec<Option<NodeSketch<S>>>,
+pub struct MaterializedSource {
+    sketches: Vec<Option<NodeSketch>>,
     rounds: usize,
     resident: usize,
 }
 
-impl<S: L0Sampler> MaterializedSource<S> {
+impl MaterializedSource {
     /// Wrap a per-vertex sketch vector (index = vertex id).
-    pub fn new(sketches: Vec<Option<NodeSketch<S>>>) -> Self {
+    pub fn new(sketches: Vec<Option<NodeSketch>>) -> Self {
         let rounds = sketches.iter().flatten().map(|s| s.num_rounds()).max().unwrap_or(0);
         let resident = sketches.iter().flatten().map(|s| s.payload_bytes()).sum();
         MaterializedSource { sketches, rounds, resident }
     }
 }
 
-impl<S: L0Sampler + Clone + Send + Sync> SketchSource for MaterializedSource<S> {
-    type Sampler = S;
-
+impl SketchSource for MaterializedSource {
     fn num_rounds(&self) -> usize {
         self.rounds
     }
@@ -323,7 +317,7 @@ impl<S: L0Sampler + Clone + Send + Sync> SketchSource for MaterializedSource<S> 
         round: usize,
         live: &(dyn Fn(u32) -> bool + Sync),
         pool: &WorkerPool,
-        sinks: &[Mutex<RoundSink<'_, Self::Sampler>>],
+        sinks: &[Mutex<RoundSink<'_>>],
     ) -> Result<(), GzError> {
         let sketches = &self.sketches;
         stream_stacks_into(sketches.len(), &|v| sketches[v].as_ref(), round, live, pool, sinks);
@@ -335,13 +329,13 @@ impl<S: L0Sampler + Clone + Send + Sync> SketchSource for MaterializedSource<S> 
 /// borrowed-slice sources: worker `w` folds the live round slices of its
 /// contiguous range of per-vertex stacks (absent stacks are skipped) into
 /// its own sink.
-fn stream_stacks_into<'a, S: L0Sampler + Clone + Send + Sync>(
+fn stream_stacks_into<'a>(
     len: usize,
-    stack_at: &(dyn Fn(usize) -> Option<&'a NodeSketch<S>> + Sync),
+    stack_at: &(dyn Fn(usize) -> Option<&'a NodeSketch> + Sync),
     round: usize,
     live: &(dyn Fn(u32) -> bool + Sync),
     pool: &WorkerPool,
-    sinks: &[Mutex<RoundSink<'_, S>>],
+    sinks: &[Mutex<RoundSink<'_>>],
 ) {
     pool.run(&|w| {
         let range = pool.partition(len, w);
@@ -362,22 +356,20 @@ fn stream_stacks_into<'a, S: L0Sampler + Clone + Send + Sync>(
 /// A borrowing source over a caller-owned sketch slice (index = vertex id):
 /// queries fold straight from the resident stacks without cloning them (the
 /// engine's tests query hand-built stacks through it).
-pub struct SliceSource<'a, S: L0Sampler> {
-    sketches: &'a [NodeSketch<S>],
+pub struct SliceSource<'a> {
+    sketches: &'a [NodeSketch],
     rounds: usize,
 }
 
-impl<'a, S: L0Sampler> SliceSource<'a, S> {
+impl<'a> SliceSource<'a> {
     /// Wrap a borrowed per-vertex sketch slice.
-    pub fn new(sketches: &'a [NodeSketch<S>]) -> Self {
+    pub fn new(sketches: &'a [NodeSketch]) -> Self {
         let rounds = sketches.iter().map(|s| s.num_rounds()).max().unwrap_or(0);
         SliceSource { sketches, rounds }
     }
 }
 
-impl<S: L0Sampler + Clone + Send + Sync> SketchSource for SliceSource<'_, S> {
-    type Sampler = S;
-
+impl SketchSource for SliceSource<'_> {
     fn num_rounds(&self) -> usize {
         self.rounds
     }
@@ -393,7 +385,7 @@ impl<S: L0Sampler + Clone + Send + Sync> SketchSource for SliceSource<'_, S> {
         round: usize,
         live: &(dyn Fn(u32) -> bool + Sync),
         pool: &WorkerPool,
-        sinks: &[Mutex<RoundSink<'_, Self::Sampler>>],
+        sinks: &[Mutex<RoundSink<'_>>],
     ) -> Result<(), GzError> {
         let sketches = self.sketches;
         stream_stacks_into(sketches.len(), &|v| Some(&sketches[v]), round, live, pool, sinks);
@@ -419,8 +411,6 @@ impl<'a> StoreRoundSource<'a> {
 }
 
 impl SketchSource for StoreRoundSource<'_> {
-    type Sampler = CubeRoundSketch;
-
     fn num_rounds(&self) -> usize {
         self.store.params().rounds()
     }
@@ -434,7 +424,7 @@ impl SketchSource for StoreRoundSource<'_> {
         round: usize,
         live: &(dyn Fn(u32) -> bool + Sync),
         pool: &WorkerPool,
-        sinks: &[Mutex<RoundSink<'_, Self::Sampler>>],
+        sinks: &[Mutex<RoundSink<'_>>],
     ) -> Result<(), GzError> {
         self.resident = self.store.round_stream_resident_bytes(round, sinks.len());
         self.store.stream_round_parallel(round, live, None, pool, sinks)
@@ -463,7 +453,8 @@ impl ScratchPool {
         self.pool.lock().pop().unwrap_or_else(|| self.params.new_node_sketch())
     }
 
-    /// Zero a scratch sketch and park it for the next batch.
+    /// Zero a scratch sketch — one fill of its words — and park it for the
+    /// next batch.
     pub(crate) fn recycle(&self, mut scratch: CubeNodeSketch) {
         scratch.clear_all();
         self.pool.lock().push(scratch);
@@ -479,7 +470,7 @@ impl ScratchPool {
         merge: impl FnOnce(&CubeNodeSketch) -> R,
     ) -> R {
         let mut scratch = self.checkout();
-        apply_records(&mut scratch, node, records, self.params.num_nodes);
+        apply_records(scratch.view_mut(), node, records, self.params.num_nodes);
         let merged = merge(&scratch);
         self.recycle(scratch);
         merged
@@ -591,12 +582,7 @@ pub(crate) fn decode_records_into(node: u32, records: &[u32], num_nodes: u64, ou
 /// to the stack, which premixes them once and drives each round's kernel.
 /// Bit-identical to per-record singles.
 #[inline]
-pub(crate) fn apply_records(
-    sketch: &mut CubeNodeSketch,
-    node: u32,
-    records: &[u32],
-    num_nodes: u64,
-) {
+pub(crate) fn apply_records(mut sketch: StackMut<'_>, node: u32, records: &[u32], num_nodes: u64) {
     with_index_scratch(|indices| {
         decode_records_into(node, records, num_nodes, indices);
         sketch.update_batch(indices);

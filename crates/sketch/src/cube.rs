@@ -226,6 +226,8 @@ pub struct CubeSketchFamily<H: Hasher64 = Xxh64Hasher> {
     hash: Vec<H>,
     /// The column kernel this host runs the family's batches through.
     kernel: Kernel,
+    /// [`Self::words`].
+    words: usize,
 }
 
 impl<H: Hasher64> CubeSketchFamily<H> {
@@ -234,7 +236,13 @@ impl<H: Hasher64> CubeSketchFamily<H> {
         let cols = geometry.num_columns as u64;
         let hash: Vec<H> = (0..cols).map(|c| H::with_seed(SplitMix64::derive(seed, c))).collect();
         let kernel = Kernel::select(geometry, &hash);
-        Arc::new(CubeSketchFamily { geometry, seed, hash, kernel })
+        let n = geometry.num_buckets();
+        let words = n + if crate::geometry::needs_alpha_high(geometry.vector_len) {
+            n.div_ceil(2)
+        } else {
+            0
+        };
+        Arc::new(CubeSketchFamily { geometry, seed, hash, kernel, words })
     }
 
     /// Convenience: family for a vector of length `n` with default columns.
@@ -263,6 +271,23 @@ impl<H: Hasher64> CubeSketchFamily<H> {
     #[inline]
     fn wide(&self) -> bool {
         crate::geometry::needs_alpha_high(self.geometry.vector_len)
+    }
+
+    /// Words one of the family's sketches occupies in memory: one a
+    /// bucket, then, where the family is wide, the `α`-high plane at two
+    /// buckets a word (its last word half padding when the bucket count is
+    /// odd).
+    #[inline]
+    pub fn words(&self) -> usize {
+        self.words
+    }
+
+    /// True if one of the family's sketches is, in memory, byte for byte
+    /// its encoding ([`word_bytes`]): on a little-endian host, wherever the
+    /// words carry no padding — every geometry but a wide one with an odd
+    /// bucket count.
+    pub fn encodes_in_place(&self) -> bool {
+        cfg!(target_endian = "little") && self.payload_bytes() == self.words() * 8
     }
 
     /// Resident payload bytes of one of the family's sketches: 8 a bucket,
@@ -477,15 +502,48 @@ impl fmt::Display for PayloadError {
 
 impl std::error::Error for PayloadError {}
 
-/// A CubeSketch: the bucket payload of one sketched vector.
+/// `words` as the bytes they occupy in memory: a sketch's encoding
+/// wherever its family [`CubeSketchFamily::encodes_in_place`], so a file
+/// region can be read into the words, or written from them, with no copy.
+pub fn word_bytes(words: &[u64]) -> &[u8] {
+    // SAFETY: every byte of a `u64` is initialized, `u8` has no alignment
+    // requirement, and the length is the slice's size in bytes.
+    unsafe { std::slice::from_raw_parts(words.as_ptr().cast(), std::mem::size_of_val(words)) }
+}
+
+/// [`word_bytes`], writable: every bit pattern is a `u64`.
+pub fn word_bytes_mut(words: &mut [u64]) -> &mut [u8] {
+    let len = std::mem::size_of_val(words);
+    // SAFETY: as in `word_bytes`, and any bytes written are a valid `u64`.
+    unsafe { std::slice::from_raw_parts_mut(words.as_mut_ptr().cast(), len) }
+}
+
+/// `words` as twice as many `u32`s: the `α`-high plane's storage.
+fn halves(words: &[u64]) -> &[u32] {
+    // SAFETY: a `u64` is two initialized `u32`s and at least as aligned.
+    unsafe { std::slice::from_raw_parts(words.as_ptr().cast(), words.len() * 2) }
+}
+
+/// [`halves`], writable: every bit pattern is a `u32`.
+fn halves_mut(words: &mut [u64]) -> &mut [u32] {
+    // SAFETY: as in `halves`, and any `u32`s written make a valid `u64`.
+    unsafe { std::slice::from_raw_parts_mut(words.as_mut_ptr().cast(), words.len() * 2) }
+}
+
+/// A CubeSketch: the bucket payload of one sketched vector, owned.
 ///
 /// A bucket is one word, `γ << 32 | (α mod 2^32)`, column-major so that a
 /// column update touches contiguous words; a family whose vector is at
-/// least `2^32` long also keeps `α`'s high words, one `u32` a bucket in a
-/// plane of their own. Resident and encoded alike ([`Self::append_words`])
-/// that is 8 bytes a bucket below `2^32` and 12 above; the paper's model,
-/// 12 bytes a bucket everywhere, is what
-/// [`SketchGeometry::cube_sketch_bytes`] counts.
+/// least `2^32` long also keeps `α`'s high words, one `u32` a bucket, two
+/// to a word after the packed words ([`CubeSketchFamily::words`]).
+/// Resident and encoded alike ([`Self::append_words`]) that is 8 bytes a
+/// bucket below `2^32` and 12 above; the paper's model, 12 bytes a bucket
+/// everywhere, is what [`SketchGeometry::cube_sketch_bytes`] counts.
+///
+/// Every operation is a [`CubeRound`] or [`CubeRoundMut`]'s — a family and
+/// a word slice — so a sketch held inside a larger allocation (a round of
+/// a node stack, a node of a stored group) is worked on where it lies; the
+/// owned form is for accumulators and for slices that arrive from outside.
 ///
 /// ```
 /// use gz_sketch::cube::CubeSketchFamily;
@@ -507,27 +565,163 @@ impl std::error::Error for PayloadError {}
 #[derive(Debug, Clone)]
 pub struct CubeSketch<H: Hasher64 = Xxh64Hasher> {
     family: Arc<CubeSketchFamily<H>>,
-    /// One word a bucket: `γ << 32 | (α mod 2^32)`.
-    buckets: Box<[u64]>,
-    /// `α >> 32` a bucket; empty unless the family is wide.
-    alpha_high: Box<[u32]>,
+    /// [`CubeSketchFamily::words`] words.
+    words: Box<[u64]>,
 }
 
-impl<H: Hasher64> CubeSketch<H> {
-    /// A fresh all-zero sketch.
-    pub fn new(family: Arc<CubeSketchFamily<H>>) -> Self {
-        let n = family.geometry.num_buckets();
-        let high = if family.wide() { n } else { 0 };
-        CubeSketch {
-            family,
-            buckets: vec![0u64; n].into_boxed_slice(),
-            alpha_high: vec![0u32; high].into_boxed_slice(),
-        }
+/// Two sketches are equal when they are of one family and hold the same
+/// words.
+impl<H: Hasher64> PartialEq for CubeSketch<H> {
+    fn eq(&self, other: &Self) -> bool {
+        self.family.compatible(&other.family) && self.words == other.words
+    }
+}
+
+/// A sketch where it lies: its family and its words, borrowed.
+#[derive(Debug)]
+pub struct CubeRound<'a, H: Hasher64 = Xxh64Hasher> {
+    family: &'a Arc<CubeSketchFamily<H>>,
+    words: &'a [u64],
+}
+
+impl<H: Hasher64> Clone for CubeRound<'_, H> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<H: Hasher64> Copy for CubeRound<'_, H> {}
+
+/// A sketch where it lies, writable: the batch kernel, singles, merges and
+/// loads run on this.
+#[derive(Debug)]
+pub struct CubeRoundMut<'a, H: Hasher64 = Xxh64Hasher> {
+    family: &'a Arc<CubeSketchFamily<H>>,
+    words: &'a mut [u64],
+}
+
+impl<'a, H: Hasher64> From<&'a CubeSketch<H>> for CubeRound<'a, H> {
+    fn from(sketch: &'a CubeSketch<H>) -> Self {
+        sketch.view()
+    }
+}
+
+impl<'a, H: Hasher64> CubeRound<'a, H> {
+    /// The sketch of `family` whose words are `words`.
+    ///
+    /// # Panics
+    /// Panics if `words` is not [`CubeSketchFamily::words`] long.
+    #[inline]
+    pub fn new(family: &'a Arc<CubeSketchFamily<H>>, words: &'a [u64]) -> Self {
+        assert_eq!(words.len(), family.words(), "words of another geometry");
+        CubeRound { family, words }
     }
 
     /// The family this sketch belongs to.
-    pub fn family(&self) -> &Arc<CubeSketchFamily<H>> {
-        &self.family
+    pub fn family(&self) -> &'a Arc<CubeSketchFamily<H>> {
+        self.family
+    }
+
+    /// The sketch's words, in memory.
+    pub fn words(&self) -> &'a [u64] {
+        self.words
+    }
+
+    /// The packed words and the `α`-high plane (empty unless the family is
+    /// wide).
+    fn planes(&self) -> (&'a [u64], &'a [u32]) {
+        let n = self.family.geometry.num_buckets();
+        let (packed, high) = self.words.split_at(n);
+        (packed, &halves(high)[..if self.family.wide() { n } else { 0 }])
+    }
+
+    /// Recover a nonzero coordinate (paper Figure 6, `query_sketch`):
+    /// column by column, each scanned from its deepest (sparsest) row up.
+    pub fn query(&self) -> SampleResult {
+        let family = &**self.family;
+        let rows = family.geometry.num_rows as usize;
+        let (packed, highs) = self.planes();
+        let mut result = SampleResult::Zero;
+        for (col, words) in packed.chunks_exact(rows).enumerate() {
+            let found = if highs.is_empty() {
+                let buckets = words.iter().rev().map(|&w| unpack(w, 0));
+                family.first_certified(col, buckets)
+            } else {
+                let highs = &highs[col * rows..(col + 1) * rows];
+                let buckets = words.iter().zip(highs).rev().map(|(&w, &h)| unpack(w, h));
+                family.first_certified(col, buckets)
+            };
+            match found {
+                SampleResult::Zero => {}
+                SampleResult::Fail => result = SampleResult::Fail,
+                found => return found,
+            }
+        }
+        result
+    }
+
+    /// True if every bucket is empty — w.h.p. the vector is zero.
+    pub fn is_empty(&self) -> bool {
+        self.words.iter().all(|&w| w == 0)
+    }
+
+    /// Resident payload bytes: 8 a bucket, 12 where the family keeps the
+    /// `α`-high plane. The paper's 12-byte model is
+    /// [`SketchGeometry::cube_sketch_bytes`].
+    pub fn payload_bytes(&self) -> usize {
+        self.family.payload_bytes()
+    }
+
+    /// Append the resident words to `out`, little-endian: the packed bucket
+    /// words, then the `α`-high words where the family keeps that plane —
+    /// [`Self::payload_bytes`] bytes, copied, not encoded. The sketch's one
+    /// encoding: checkpoints, gathered round slices, the state digest and
+    /// the disk store's file hold these; [`CubeRoundMut::load_words`]
+    /// copies them back.
+    pub fn append_words(&self, out: &mut Vec<u8>) {
+        let (packed, highs) = self.planes();
+        let start = out.len();
+        out.resize(start + self.payload_bytes(), 0);
+        let (words, high_bytes) = out[start..].split_at_mut(packed.len() * 8);
+        for (c, w) in words.chunks_exact_mut(8).zip(packed) {
+            c.copy_from_slice(&w.to_le_bytes());
+        }
+        for (c, h) in high_bytes.chunks_exact_mut(4).zip(highs) {
+            c.copy_from_slice(&h.to_le_bytes());
+        }
+    }
+
+    /// An owned copy.
+    pub fn to_sketch(&self) -> CubeSketch<H> {
+        CubeSketch { family: Arc::clone(self.family), words: self.words.into() }
+    }
+}
+
+impl<'a, H: Hasher64> CubeRoundMut<'a, H> {
+    /// The sketch of `family` whose words are `words`, writable.
+    ///
+    /// # Panics
+    /// Panics if `words` is not [`CubeSketchFamily::words`] long.
+    #[inline]
+    pub fn new(family: &'a Arc<CubeSketchFamily<H>>, words: &'a mut [u64]) -> Self {
+        assert_eq!(words.len(), family.words(), "words of another geometry");
+        CubeRoundMut { family, words }
+    }
+
+    /// The same sketch, read-only.
+    #[inline]
+    pub fn view(&self) -> CubeRound<'_, H> {
+        CubeRound { family: self.family, words: self.words }
+    }
+
+    /// The packed words and the `α`-high plane (empty unless the family is
+    /// wide), writable.
+    #[inline]
+    fn planes_mut(&mut self) -> (&mut [u64], &mut [u32]) {
+        let n = self.family.geometry.num_buckets();
+        let high = if self.family.wide() { n } else { 0 };
+        let (packed, rest) = self.words.split_at_mut(n);
+        (packed, &mut halves_mut(rest)[..high])
     }
 
     /// Toggle coordinate `idx` of the underlying Z_2 vector
@@ -535,28 +729,30 @@ impl<H: Hasher64> CubeSketch<H> {
     #[inline]
     pub fn update(&mut self, idx: u64) {
         let enc = idx + 1; // offset encoding: 0 is reserved for "empty"
-        self.update_one(enc, H::premix(enc));
+        self.toggle(std::iter::once((enc, H::premix(enc))));
     }
 
-    /// One toggle, its premix given: the key is premixed once, not once per
-    /// column.
+    /// Toggles `(enc, premixed)`, each key premixed once, not once per
+    /// column, and the planes split once for all of them.
     #[inline]
-    fn update_one(&mut self, enc: u64, premixed: u64) {
-        let family = &*self.family;
-        debug_assert!(enc - 1 < family.geometry.vector_len, "index {} out of range", enc - 1);
+    fn toggle(&mut self, toggles: impl Iterator<Item = (u64, u64)>) {
+        let family = Arc::as_ref(self.family);
         let rows = family.geometry.num_rows as usize;
         let last_row = last_row_bit(rows);
-        let wide = !self.alpha_high.is_empty();
-        for (col, hasher) in family.hash.iter().enumerate() {
-            let h = hasher.finish(premixed);
-            let reached = col * rows..=col * rows + depth(h, last_row);
-            let word = pack(h, enc);
-            for b in &mut self.buckets[reached.clone()] {
-                *b ^= word;
-            }
-            if wide {
-                for a in &mut self.alpha_high[reached] {
-                    *a ^= (enc >> 32) as u32;
+        let (packed, highs) = self.planes_mut();
+        for (enc, premixed) in toggles {
+            debug_assert!(enc - 1 < family.geometry.vector_len, "index {} out of range", enc - 1);
+            for (col, hasher) in family.hash.iter().enumerate() {
+                let h = hasher.finish(premixed);
+                let reached = col * rows..=col * rows + depth(h, last_row);
+                let word = pack(h, enc);
+                for b in &mut packed[reached.clone()] {
+                    *b ^= word;
+                }
+                if !highs.is_empty() {
+                    for a in &mut highs[reached] {
+                        *a ^= (enc >> 32) as u32;
+                    }
                 }
             }
         }
@@ -578,6 +774,7 @@ impl<H: Hasher64> CubeSketch<H> {
     /// number of times cancels inside the accumulators (Z_2). Batches under
     /// `KERNEL_MIN_BATCH` go through the singles path,
     /// which applies the same XORs.
+    #[inline]
     pub fn update_batch_premixed(
         &mut self,
         batch: PremixedBatch<'_, H>,
@@ -595,24 +792,23 @@ impl<H: Hasher64> CubeSketch<H> {
         acc: &mut LaneAccumulators,
     ) {
         if batch.indices.len() < KERNEL_MIN_BATCH {
-            for (&idx, &premixed) in batch.indices.iter().zip(batch.premixed) {
-                self.update_one(idx + 1, premixed);
-            }
+            self.toggle(batch.indices.iter().zip(batch.premixed).map(|(&idx, &p)| (idx + 1, p)));
             return;
         }
-        let rows = self.family.geometry.num_rows as usize;
+        let family = &**self.family;
+        let rows = family.geometry.num_rows as usize;
         assert!((1..=MAX_ROWS).contains(&rows), "geometry has {rows} rows");
         match kernel {
-            Kernel::Scalar if self.alpha_high.is_empty() => self.scalar_kernel::<false>(batch, acc),
+            Kernel::Scalar if !family.wide() => self.scalar_kernel::<false>(batch, acc),
             Kernel::Scalar => self.scalar_kernel::<true>(batch, acc),
             Kernel::Avx512 => {
-                debug_assert_eq!(self.family.kernel, Kernel::Avx512, "the family chose it");
+                debug_assert_eq!(family.kernel, Kernel::Avx512, "the family chose it");
                 debug_assert!(
-                    batch.indices.iter().all(|&idx| idx < self.family.geometry.vector_len),
+                    batch.indices.iter().all(|&idx| idx < family.geometry.vector_len),
                     "index out of range"
                 );
                 #[cfg(target_arch = "x86_64")]
-                avx512::apply(&self.family.hash, batch.indices, batch.premixed, &mut self.buckets);
+                avx512::apply(&family.hash, batch.indices, batch.premixed, self.words);
                 #[cfg(not(target_arch = "x86_64"))]
                 unreachable!("no family selects the AVX-512 kernel off x86-64");
             }
@@ -658,116 +854,67 @@ impl<H: Hasher64> CubeSketch<H> {
         batch: PremixedBatch<'_, H>,
         acc: &mut LaneRows,
     ) {
-        self.family.bucket_lanes::<N, WIDE>(first_col, batch, acc);
-        let rows = self.family.geometry.num_rows as usize;
+        let family = &**self.family;
+        family.bucket_lanes::<N, WIDE>(first_col, batch, acc);
+        let rows = family.geometry.num_rows as usize;
+        let (packed, highs) = self.planes_mut();
         // Suffix-XOR sweep: walking rows deepest-first, the running XOR at
         // row r is exactly the combined delta of all indices with depth > r.
         // Writes are contiguous within the column (buckets are column-major),
         // and the accumulators are re-zeroed in the same pass.
         for lane in 0..N {
             let base = (first_col + lane) * rows;
-            sweep(&mut self.buckets[base..base + rows], &mut acc.packed[lane][..rows]);
+            sweep(&mut packed[base..base + rows], &mut acc.packed[lane][..rows]);
             if WIDE {
-                sweep(&mut self.alpha_high[base..base + rows], &mut acc.alpha_high[lane][..rows]);
+                sweep(&mut highs[base..base + rows], &mut acc.alpha_high[lane][..rows]);
             }
         }
     }
 
-    /// Recover a nonzero coordinate (paper Figure 6, `query_sketch`):
-    /// column by column, each scanned from its deepest (sparsest) row up.
-    pub fn query(&self) -> SampleResult {
-        let rows = self.family.geometry.num_rows as usize;
-        let mut result = SampleResult::Zero;
-        for (col, words) in self.buckets.chunks_exact(rows).enumerate() {
-            let found = if self.alpha_high.is_empty() {
-                let buckets = words.iter().rev().map(|&w| unpack(w, 0));
-                self.family.first_certified(col, buckets)
-            } else {
-                let highs = &self.alpha_high[col * rows..(col + 1) * rows];
-                let buckets = words.iter().zip(highs).rev().map(|(&w, &h)| unpack(w, h));
-                self.family.first_certified(col, buckets)
-            };
-            match found {
-                SampleResult::Zero => {}
-                SampleResult::Fail => result = SampleResult::Fail,
-                found => return found,
-            }
-        }
-        result
-    }
-
-    /// True if every bucket is empty — w.h.p. the vector is zero.
-    pub fn is_empty(&self) -> bool {
-        self.buckets.iter().all(|&w| w == 0) && self.alpha_high.iter().all(|&a| a == 0)
-    }
-
-    /// Merge (XOR) another sketch of the same family into this one.
+    /// Merge (XOR) another sketch of the same family into this one: one
+    /// pass over the words.
     ///
     /// This is sketch linearity (Definition 1): the result sketches the sum
     /// (XOR) of the two vectors.
     ///
     /// # Panics
     /// Panics if the sketches come from incompatible families.
-    pub fn merge(&mut self, other: &Self) {
+    pub fn merge<'b>(&mut self, other: impl Into<CubeRound<'b, H>>)
+    where
+        H: 'b,
+    {
+        let other = other.into();
         assert!(
-            self.family.compatible(&other.family),
+            self.family.compatible(other.family),
             "cannot merge sketches from different families"
         );
-        xor_into(&mut self.buckets, &other.buckets);
-        if !self.alpha_high.is_empty() {
-            xor_into(&mut self.alpha_high, &other.alpha_high);
-        }
+        xor_into(self.words, other.words);
     }
 
     /// Reset to the all-zero sketch (reused as the scratch "delta sketch" in
-    /// the ingestion pipeline's lock-minimizing path, paper §5.1). The
-    /// `α`-high plane is filled only where it exists: a fill of an empty
-    /// slice is not free on this path (DESIGN.md §9).
+    /// the ingestion pipeline's lock-minimizing path, paper §5.1): one fill
+    /// of the words.
     pub fn clear(&mut self) {
-        self.buckets.fill(0);
-        if !self.alpha_high.is_empty() {
-            self.alpha_high.fill(0);
-        }
+        self.words.fill(0);
     }
 
-    /// Resident payload bytes: 8 a bucket, 12 where the family keeps the
-    /// `α`-high plane. The paper's 12-byte model is
-    /// [`SketchGeometry::cube_sketch_bytes`].
-    pub fn payload_bytes(&self) -> usize {
-        self.family.payload_bytes()
-    }
-
-    /// Append the resident words to `out`, little-endian: the packed bucket
-    /// words, then the `α`-high words where the family keeps that plane —
-    /// [`Self::payload_bytes`] bytes, copied, not encoded. The sketch's one
-    /// encoding: checkpoints, gathered round slices, the state digest and
-    /// the disk store's file hold these; [`Self::load_words`] copies them
-    /// back.
-    pub fn append_words(&self, out: &mut Vec<u8>) {
-        let start = out.len();
-        out.resize(start + self.payload_bytes(), 0);
-        let (words, highs) = out[start..].split_at_mut(self.buckets.len() * 8);
-        for (c, w) in words.chunks_exact_mut(8).zip(self.buckets.iter()) {
-            c.copy_from_slice(&w.to_le_bytes());
-        }
-        for (c, h) in highs.chunks_exact_mut(4).zip(self.alpha_high.iter()) {
-            c.copy_from_slice(&h.to_le_bytes());
-        }
-    }
-
-    /// Overwrite the payload with words [`Self::append_words`] wrote from a
-    /// sketch of this family. Every bit pattern is a payload, so bytes
-    /// from outside the process need only their length checked.
+    /// Overwrite the payload with words [`CubeRound::append_words`] wrote
+    /// from a sketch of this family. Every bit pattern is a payload, so
+    /// bytes from outside the process need only their length checked.
     ///
     /// # Panics
-    /// Panics if `bytes` is not [`Self::payload_bytes`] long.
+    /// Panics if `bytes` is not [`CubeRound::payload_bytes`] long.
     pub fn load_words(&mut self, bytes: &[u8]) {
-        assert_eq!(bytes.len(), self.payload_bytes(), "resident words of another geometry");
-        let (words, highs) = bytes.split_at(self.buckets.len() * 8);
-        for (w, c) in self.buckets.iter_mut().zip(words.chunks_exact(8)) {
+        assert_eq!(bytes.len(), self.family.payload_bytes(), "resident words of another geometry");
+        let n = self.family.geometry.num_buckets();
+        let (words, high_bytes) = bytes.split_at(n * 8);
+        let (packed, rest) = self.words.split_at_mut(n);
+        for (w, c) in packed.iter_mut().zip(words.chunks_exact(8)) {
             *w = u64::from_le_bytes(c.try_into().expect("chunk is 8 bytes"));
         }
-        for (h, c) in self.alpha_high.iter_mut().zip(highs.chunks_exact(4)) {
+        // The plane's padding half-word, where there is one, stays zero.
+        rest.fill(0);
+        for (h, c) in halves_mut(rest).iter_mut().zip(high_bytes.chunks_exact(4)) {
             *h = u32::from_le_bytes(c.try_into().expect("chunk is 4 bytes"));
         }
     }
@@ -780,27 +927,132 @@ impl<H: Hasher64> CubeSketch<H> {
     /// shorter than `2^32`, is a [`PayloadError`], checked before anything
     /// is overwritten.
     pub fn decode_paper_model(&mut self, bytes: &[u8]) -> Result<(), PayloadError> {
-        let expected = self.family.geometry.cube_sketch_bytes();
+        let family = &**self.family;
+        let expected = family.geometry.cube_sketch_bytes();
         if bytes.len() != expected {
             return Err(PayloadError::Length { expected, got: bytes.len() });
         }
-        let (alpha_bytes, gamma_bytes) = bytes.split_at(self.buckets.len() * 8);
+        let n = family.geometry.num_buckets();
+        let (alpha_bytes, gamma_bytes) = bytes.split_at(n * 8);
         let alphas = alpha_bytes.chunks_exact(8);
-        if self.alpha_high.is_empty() {
+        if !family.wide() {
             if let Some(bucket) = alphas.clone().position(|c| c[4..] != [0; 4]) {
                 return Err(PayloadError::AlphaOutOfRange { bucket });
             }
         }
         let gammas = gamma_bytes.chunks_exact(4);
+        self.clear();
+        let (packed, highs) = self.planes_mut();
         for (i, (a, g)) in alphas.zip(gammas).enumerate() {
             let alpha = u64::from_le_bytes(a.try_into().expect("chunk is 8 bytes"));
             let gamma = u32::from_le_bytes(g.try_into().expect("chunk is 4 bytes"));
-            self.buckets[i] = u64::from(gamma) << 32 | (alpha & ALPHA_LOW);
-            if let Some(high) = self.alpha_high.get_mut(i) {
+            packed[i] = u64::from(gamma) << 32 | (alpha & ALPHA_LOW);
+            if let Some(high) = highs.get_mut(i) {
                 *high = (alpha >> 32) as u32;
             }
         }
         Ok(())
+    }
+
+    /// [`CubeRound::query`], where the repository benchmark's sketch probe
+    /// calls it: on a stack's round.
+    pub fn query(&self) -> SampleResult {
+        self.view().query()
+    }
+
+    /// An owned copy ([`CubeRound::to_sketch`]), under the name the
+    /// repository benchmark's sketch probe calls on a stack's round.
+    #[allow(clippy::should_implement_trait)]
+    pub fn clone(&self) -> CubeSketch<H> {
+        self.view().to_sketch()
+    }
+}
+
+impl<H: Hasher64> CubeSketch<H> {
+    /// A fresh all-zero sketch.
+    pub fn new(family: Arc<CubeSketchFamily<H>>) -> Self {
+        let words = vec![0u64; family.words()].into_boxed_slice();
+        CubeSketch { family, words }
+    }
+
+    /// The family this sketch belongs to.
+    pub fn family(&self) -> &Arc<CubeSketchFamily<H>> {
+        &self.family
+    }
+
+    /// The sketch, borrowed.
+    #[inline]
+    pub fn view(&self) -> CubeRound<'_, H> {
+        CubeRound { family: &self.family, words: &self.words }
+    }
+
+    /// The sketch, borrowed writable.
+    #[inline]
+    pub fn view_mut(&mut self) -> CubeRoundMut<'_, H> {
+        CubeRoundMut { family: &self.family, words: &mut self.words }
+    }
+
+    /// [`CubeRoundMut::update`].
+    #[inline]
+    pub fn update(&mut self, idx: u64) {
+        self.view_mut().update(idx);
+    }
+
+    /// [`CubeRoundMut::update_batch`].
+    pub fn update_batch(&mut self, indices: &[u64]) {
+        self.view_mut().update_batch(indices);
+    }
+
+    /// [`CubeRoundMut::update_batch_premixed`].
+    pub fn update_batch_premixed(
+        &mut self,
+        batch: PremixedBatch<'_, H>,
+        acc: &mut LaneAccumulators,
+    ) {
+        self.view_mut().update_batch_premixed(batch, acc);
+    }
+
+    /// [`CubeRound::query`].
+    pub fn query(&self) -> SampleResult {
+        self.view().query()
+    }
+
+    /// [`CubeRound::is_empty`].
+    pub fn is_empty(&self) -> bool {
+        self.view().is_empty()
+    }
+
+    /// [`CubeRoundMut::merge`].
+    pub fn merge<'b>(&mut self, other: impl Into<CubeRound<'b, H>>)
+    where
+        H: 'b,
+    {
+        self.view_mut().merge(other);
+    }
+
+    /// [`CubeRoundMut::clear`].
+    pub fn clear(&mut self) {
+        self.words.fill(0);
+    }
+
+    /// [`CubeRound::payload_bytes`].
+    pub fn payload_bytes(&self) -> usize {
+        self.family.payload_bytes()
+    }
+
+    /// [`CubeRound::append_words`].
+    pub fn append_words(&self, out: &mut Vec<u8>) {
+        self.view().append_words(out);
+    }
+
+    /// [`CubeRoundMut::load_words`].
+    pub fn load_words(&mut self, bytes: &[u8]) {
+        self.view_mut().load_words(bytes);
+    }
+
+    /// [`CubeRoundMut::decode_paper_model`].
+    pub fn decode_paper_model(&mut self, bytes: &[u8]) -> Result<(), PayloadError> {
+        self.view_mut().decode_paper_model(bytes)
     }
 }
 
@@ -857,8 +1109,9 @@ mod tests {
     /// A sketch in the paper's 12-byte model, as the legacy checkpoints
     /// hold it: little-endian `α` words, then `γ` words.
     fn paper_model(s: &CubeSketch) -> Vec<u8> {
-        let high = |i: usize| s.alpha_high.get(i).copied().unwrap_or(0);
-        let buckets = s.buckets.iter().enumerate().map(|(i, &w)| unpack(w, high(i)));
+        let (packed, highs) = s.view().planes();
+        let high = |i: usize| highs.get(i).copied().unwrap_or(0);
+        let buckets = packed.iter().enumerate().map(|(i, &w)| unpack(w, high(i)));
         let (alphas, gammas): (Vec<u64>, Vec<u32>) = buckets.unzip();
         let mut out: Vec<u8> = alphas.iter().flat_map(|a| a.to_le_bytes()).collect();
         out.extend(gammas.iter().flat_map(|g| g.to_le_bytes()));
@@ -942,8 +1195,7 @@ mod tests {
         for &i in &[1u64, 2, 4000] {
             direct.update(i);
         }
-        assert_eq!(a.buckets, direct.buckets);
-        assert_eq!(a.alpha_high, direct.alpha_high);
+        assert_eq!(a.words, direct.words);
     }
 
     #[test]
@@ -978,8 +1230,7 @@ mod tests {
             let mut t = f.new_sketch();
             t.update(77);
             t.decode_paper_model(&bytes).unwrap();
-            assert_eq!(s.buckets, t.buckets, "{vector_len}");
-            assert_eq!(s.alpha_high, t.alpha_high, "{vector_len}");
+            assert_eq!(s.words, t.words, "{vector_len}");
             assert_eq!(t.query(), s.query(), "{vector_len}");
         }
     }
@@ -1001,8 +1252,7 @@ mod tests {
             let mut recycled = f.new_sketch();
             recycled.update(77);
             recycled.load_words(&words[1..]);
-            assert_eq!(s.buckets, recycled.buckets, "{vector_len}");
-            assert_eq!(s.alpha_high, recycled.alpha_high, "{vector_len}");
+            assert_eq!(s.words, recycled.words, "{vector_len}");
             assert_eq!(recycled.query(), s.query(), "{vector_len}");
         }
     }
@@ -1049,7 +1299,8 @@ mod tests {
                 assert!(s.is_empty(), "refused before anything is overwritten");
             } else {
                 decoded.unwrap();
-                assert_eq!((s.buckets[5], s.alpha_high[5]), (0, 1));
+                let (packed, highs) = s.view().planes();
+                assert_eq!((packed[5], highs[5]), (0, 1));
                 assert_eq!(paper_model(&s), bytes);
             }
             let short = s.decode_paper_model(&bytes[1..]);
@@ -1068,8 +1319,7 @@ mod tests {
         for &u in &updates {
             b.update(u);
         }
-        assert_eq!(a.buckets, b.buckets);
-        assert_eq!(a.alpha_high, b.alpha_high);
+        assert_eq!(a.words, b.words);
     }
 
     #[test]
@@ -1083,8 +1333,7 @@ mod tests {
         for &u in &updates {
             b.update(u);
         }
-        assert_eq!(a.buckets, b.buckets);
-        assert_eq!(a.alpha_high, b.alpha_high);
+        assert_eq!(a.words, b.words);
     }
 
     #[test]
@@ -1098,8 +1347,7 @@ mod tests {
             for &u in &updates {
                 b.update(u);
             }
-            assert_eq!(a.buckets, b.buckets, "len={len}");
-            assert_eq!(a.alpha_high, b.alpha_high, "len={len}");
+            assert_eq!(a.words, b.words, "len={len}");
         }
     }
 
@@ -1150,8 +1398,7 @@ mod tests {
         batch.push(4999);
         batched.update_batch(&batch);
         reference.update(4999);
-        assert_eq!(batched.buckets, reference.buckets);
-        assert_eq!(batched.alpha_high, reference.alpha_high);
+        assert_eq!(batched.words, reference.words);
     }
 }
 
@@ -1235,7 +1482,7 @@ mod proptests {
         let mut batched = f.new_sketch();
         let mut singles = f.new_sketch();
         with_premixed(updates, |batch| {
-            scalar.update_batch_with(Kernel::Scalar, batch, &mut LaneAccumulators::new())
+            scalar.view_mut().update_batch_with(Kernel::Scalar, batch, &mut LaneAccumulators::new())
         });
         batched.update_batch(updates);
         for &u in updates {

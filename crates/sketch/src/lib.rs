@@ -17,15 +17,16 @@
 //! - [`geometry`] — shared sketch dimensions and the closed-form size model
 //!   that regenerates the paper's Figure 5.
 //!
-//! Both samplers implement the [`L0Sampler`] interface so the Boruvka layer
-//! (`graph-zeppelin`) and the benchmark harness can swap them.
+//! Both samplers implement the [`L0Sampler`] interface so the benchmark
+//! harness can swap them; the Boruvka layer (`graph-zeppelin`) runs
+//! CubeSketch alone, on its word views ([`CubeRound`]).
 
 pub mod cube;
 pub mod geometry;
 pub mod modular;
 pub mod standard;
 
-pub use cube::{CubeSketch, CubeSketchFamily, Kernel};
+pub use cube::{CubeRound, CubeRoundMut, CubeSketch, CubeSketchFamily, Kernel};
 pub use geometry::SketchGeometry;
 pub use standard::{StandardFamily, StandardSketch};
 

@@ -546,9 +546,8 @@ mod hybrid_representation_proptests {
                     let mut sparse = 0;
                     gz.store().for_each_sparse(&|_| true, None, &mut |node, set| {
                         sparse += 1;
-                        stacks[node as usize] = Some(NodeSketch::new_with(params.rounds(), |r| {
-                            set.synthesize_round(node, &params, r)
-                        }));
+                        let rounds = (0..params.rounds()).map(|r| set.synthesize_round(node, &params, r));
+                        stacks[node as usize] = Some(NodeSketch::from_rounds(&params, rounds));
                     });
                     prop_assert_eq!(sparse, gz.rep_stats().sparse);
                     let mut synthesized = MaterializedSource::new(stacks);

@@ -4,8 +4,8 @@
 //! stream whose gutters hold hundreds of records each raises it by little
 //! more than those records' bytes — not by what the gutters grew through
 //! on the way there. And sketches
-//! hold one packed word a bucket: a flushed, all-dense RAM store raises it
-//! by well under the paper's 12-bytes-a-bucket model.
+//! hold one packed word a bucket, a stack one allocation: a flushed,
+//! all-dense RAM store raises it by little more than its sketch bytes.
 //!
 //! Its own binary, so `VmHWM` is this test's alone; each lane runs in a
 //! child process of this binary, so one lane's freed heap pages cannot hide
@@ -89,10 +89,12 @@ fn run_lane(lane: &str, updates: &[EdgeUpdate]) -> (u64, Vec<u32>) {
 
 /// Build an always-dense RAM store at `DENSE_NODES`, touch every vertex's
 /// stack (six records each, so every round's columns are written) and
-/// flush: the peak grows by the store's resident bytes (`sketch_bytes()`),
-/// which must stay well under the paper's 12 bytes a bucket
-/// (`node_sketch_bytes()` a vertex). Buckets that kept α as a whole `u64`
-/// beside γ — 12 resident bytes — would break that bound.
+/// flush: the peak grows by the store's resident bytes (`sketch_bytes()`)
+/// and little else — at most 1.02 × those plus 2 MiB for the gutters,
+/// the workers and the allocator's own books. Stacks whose every round was
+/// an object and an allocation of its own cost ≈ 8 % over their words and
+/// break that bound; buckets that kept α as a whole `u64` beside γ — 12
+/// resident bytes — break it by half again.
 fn dense_store_lane() {
     assert!(reset_peak_rss(), "the kernel refuses to reset VmHWM");
     let before = peak_rss_bytes().unwrap();
@@ -107,8 +109,12 @@ fn dense_store_lane() {
     let resident = DENSE_NODES as u64 * gz.params().node_sketch_resident_bytes() as u64;
     assert_eq!(gz.sketch_bytes() as u64, resident);
     let model = DENSE_NODES as u64 * gz.params().node_sketch_bytes() as u64;
-    eprintln!("dense-store: VmHWM +{grew} bytes against a {model}-byte 12-bytes-a-bucket model");
-    assert!(grew < model / 5 * 4, "a dense store raised the peak by {grew} bytes of {model}");
+    let bound = resident / 50 * 51 + (2 << 20);
+    eprintln!(
+        "dense-store: VmHWM +{grew} bytes for {resident} sketch bytes (bound {bound}; the \
+         12-bytes-a-bucket model is {model})"
+    );
+    assert!(grew <= bound, "a dense store of {resident} sketch bytes raised the peak by {grew}");
     assert_eq!(gz.connected_components().unwrap().num_components(), 1);
 }
 
