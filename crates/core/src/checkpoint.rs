@@ -19,12 +19,12 @@
 //!                    them; a shard worker sees batches and writes 0)
 //! owned       u64  — sketches that follow
 //! graph       [u8; 512] — the shard's graph digest (`gz_graph::digest`)
-//! payload     owned × node_sketch_resident_bytes (owned-slot order)
+//! payload     owned × one stack's encoding (owned-slot order)
 //! ```
 //!
-//! A node's payload is its rounds' resident words
-//! ([`gz_sketch::cube::CubeSketch::append_words`]), the bytes the store
-//! holds, the wire ships and the state digest hashes. Files of the two
+//! A node's payload is its stack's one encoding
+//! ([`SketchParams::serialize_node_sketch`]), the bytes the store holds,
+//! the wire ships and the state digest hashes. Files of the two
 //! kinds before it still restore through one legacy reader: `GZC2` (a
 //! facade's; after `columns` only `updates`) and `GZS2` (a shard's; after
 //! `columns` the topology, `seq` and `owned`). Their payload is the paper's
@@ -81,12 +81,12 @@ fn check_payload_len(
     header_len: u64,
     header: &CheckpointHeader,
 ) -> Result<(), GzError> {
-    let geometry = SketchParams::geometry(header.num_nodes, header.columns);
-    let round_bytes = match header.graph {
-        Some(_) => geometry.cube_resident_bytes(),
-        None => geometry.cube_sketch_bytes(),
-    };
-    let node_bytes = round_bytes as u64 * u64::from(header.rounds);
+    let (geometry, rounds) =
+        (SketchParams::geometry(header.num_nodes, header.columns), header.rounds as usize);
+    let node_bytes = match header.graph {
+        Some(_) => SketchParams::stack_resident_bytes(geometry, rounds),
+        None => geometry.cube_sketch_bytes() * rounds,
+    } as u64;
     let expected = header
         .owned_count
         .checked_mul(node_bytes)
@@ -281,17 +281,17 @@ pub fn load_checkpoint(
     }
     check_payload_len(path, header_len, &header)?;
 
-    let legacy = header.graph.is_none();
-    let node_bytes =
-        if legacy { params.node_sketch_bytes() } else { params.node_sketch_resident_bytes() };
-    let mut buf = vec![0u8; node_bytes];
+    let short = |e: std::io::Error| corrupt(path, format!("short payload: {e}"));
+    // A legacy file's node is read whole, then decoded from the paper's model.
+    let mut legacy_node = header.graph.is_none().then(|| vec![0u8; params.node_sketch_bytes()]);
     let mut sketches = Vec::with_capacity(header.owned_count as usize);
     for _ in 0..header.owned_count {
-        r.read_exact(&mut buf).map_err(|e| corrupt(path, format!("short payload: {e}")))?;
-        sketches.push(if legacy {
-            decode_legacy_node(params, &buf).map_err(|e| corrupt(path, e))?
-        } else {
-            params.deserialize_node_sketch(&buf)
+        sketches.push(match &mut legacy_node {
+            Some(buf) => {
+                r.read_exact(buf).map_err(short)?;
+                decode_legacy_node(params, buf).map_err(|e| corrupt(path, e))?
+            }
+            None => params.read_node_sketch(|bytes| r.read_exact(bytes)).map_err(short)?,
         });
     }
     Ok((header, sketches))
@@ -302,9 +302,9 @@ pub fn load_checkpoint(
 fn decode_legacy_node(params: &SketchParams, bytes: &[u8]) -> Result<CubeNodeSketch, PayloadError> {
     let mut sketch = params.new_node_sketch();
     let mut rest = bytes;
-    for (r, slice) in sketch.rounds_mut().iter_mut().enumerate() {
+    for r in 0..params.rounds() {
         let (round, tail) = rest.split_at(params.families[r].geometry().cube_sketch_bytes());
-        slice.decode_paper_model(round)?;
+        sketch.round_mut(r).decode_paper_model(round)?;
         rest = tail;
     }
     Ok(sketch)
@@ -1047,13 +1047,22 @@ mod tests {
         }
     }
 
-    fn shard_fixture() -> (SketchParams, CheckpointHeader, Vec<(u32, CubeNodeSketch)>) {
-        let params = SketchParams::new(32, 6, 3, 0xABCD);
-        // Shard 1 of 2 owns the odd nodes.
-        let sketches: Vec<(u32, CubeNodeSketch)> =
-            (0..16u32).map(|i| (2 * i + 1, params.new_node_sketch())).collect();
+    /// Shard 1 of 2 at `v` vertices: sixteen odd nodes, the top ones, two
+    /// edges each — at `v = 100 000` indices past `2^32`, in rounds of 99
+    /// buckets whose `α`-high plane is padded.
+    fn shard_fixture(v: u64) -> (SketchParams, CheckpointHeader, Vec<(u32, CubeNodeSketch)>) {
+        let params = SketchParams::new(v, 6, 3, 0xABCD);
+        let top = v as u32 - 32;
+        let sketches: Vec<(u32, CubeNodeSketch)> = (0..16u32)
+            .map(|i| {
+                let (node, mut sketch) = (top + 2 * i + 1, params.new_node_sketch());
+                let others = [top + 2 * i, top + (2 * i + 2) % 32];
+                sketch.update_batch(&others.map(|o| crate::node_sketch::update_index(node, o, v)));
+                (node, sketch)
+            })
+            .collect();
         let header = CheckpointHeader {
-            num_nodes: 32,
+            num_nodes: v,
             seed: 0xABCD,
             rounds: 6,
             columns: 3,
@@ -1069,27 +1078,30 @@ mod tests {
 
     #[test]
     fn shard_checkpoint_round_trips_and_reports_seq() {
-        let path = tmp("shard_rt");
-        let (params, header, sketches) = shard_fixture();
-        write_checkpoint(path.path(), &header, &params, &sketches).unwrap();
+        for v in [32, 100_000] {
+            let path = tmp("shard_rt");
+            let (params, header, sketches) = shard_fixture(v);
+            assert_eq!(params.families[0].encodes_in_place(), v == 32, "V = {v}");
+            write_checkpoint(path.path(), &header, &params, &sketches).unwrap();
 
-        assert_eq!(read_checkpoint_header(path.path()).unwrap(), header);
-        let (read, restored) = load_checkpoint(path.path(), &params, &header).unwrap();
-        assert_eq!((read.seq, read.graph), (41, header.graph));
-        assert_eq!(restored.len(), sketches.len());
-        for (got, (_, want)) in restored.iter().zip(&sketches) {
-            crate::node_sketch::assert_rounds_bitwise_equal(got, want, "restored sketch");
+            assert_eq!(read_checkpoint_header(path.path()).unwrap(), header);
+            let (read, restored) = load_checkpoint(path.path(), &params, &header).unwrap();
+            assert_eq!((read.seq, read.graph), (41, header.graph));
+            assert_eq!(restored.len(), sketches.len());
+            for (got, (_, want)) in restored.iter().zip(&sketches) {
+                crate::node_sketch::assert_rounds_bitwise_equal(got, want, "restored sketch");
+            }
+            // The atomic-rename temp file must not linger.
+            let mut tmp_os = path.path().as_os_str().to_os_string();
+            tmp_os.push(".tmp");
+            assert!(!PathBuf::from(tmp_os).exists());
         }
-        // The atomic-rename temp file must not linger.
-        let mut tmp_os = path.path().as_os_str().to_os_string();
-        tmp_os.push(".tmp");
-        assert!(!PathBuf::from(tmp_os).exists());
     }
 
     #[test]
     fn shard_checkpoint_rejects_wrong_shard_and_malformed_files() {
         let path = tmp("shard_bad");
-        let (params, header, sketches) = shard_fixture();
+        let (params, header, sketches) = shard_fixture(32);
         write_checkpoint(path.path(), &header, &params, &sketches).unwrap();
         // The legacy GZS2 fixture, shard 0 of 1 at V = 16, as an input too.
         let legacy = tmp("shard_bad_gzs2");

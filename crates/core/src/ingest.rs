@@ -127,8 +127,8 @@ mod tests {
         assert_rounds_bitwise_equal(&stack, &reference, "stack-level kernel");
 
         let mut per_round = params.new_node_sketch();
-        for mut sketch in per_round.rounds_mut() {
-            sketch.update_batch(&decoded);
+        for r in 0..per_round.num_rounds() {
+            per_round.round_mut(r).update_batch(&decoded);
         }
         assert_rounds_bitwise_equal(&per_round, &reference, "per-round kernel");
 

@@ -4,26 +4,28 @@
 //! vertex's characteristic edge-vector — one per Boruvka round, because
 //! adaptivity forbids reusing a sketch after its randomness has been
 //! revealed (paper footnote 1). A stack is one allocation of its rounds'
-//! words, concatenated — its encoding, byte for byte, wherever the rounds'
-//! family [`CubeSketchFamily::encodes_in_place`] — and a round is a view
-//! into it ([`CubeRound`]): the families live in [`SketchParams`], once.
+//! words, concatenated, and a round is a view into it ([`CubeRound`]). The
+//! families live in [`SketchParams`], once, and it alone knows the layout
+//! (DESIGN.md §2): the size of `k` stacks, a node group's round-major image
+//! and its round spans, the views at node `i`, and the one encoding (the
+//! words' own bytes where [`CubeSketchFamily::encodes_in_place`]).
 
 use gz_graph::{edge_index, Edge, VertexId};
 use gz_hash::{SplitMix64, Xxh64Hasher};
 use gz_sketch::cube::{
-    with_premixed, CubeRound, CubeRoundMut, CubeSketch, CubeSketchFamily, Kernel, LaneAccumulators,
-    PayloadError,
+    with_premixed, word_bytes, word_bytes_mut, CubeRound, CubeRoundMut, CubeSketch,
+    CubeSketchFamily, Kernel, LaneAccumulators, PayloadError,
 };
 use gz_sketch::geometry::SketchGeometry;
 use gz_sketch::SampleResult;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// One CubeSketch family a round, shared by every stack of a system.
 pub type Families = Arc<[Arc<CubeSketchFamily<Xxh64Hasher>>]>;
 
 /// A stack of per-round CubeSketches for one vertex (or supernode): one
-/// allocation holding round 0's words, then round 1's, and so on
-/// ([`SketchParams::round_words`] a round).
+/// allocation holding round 0's words, then round 1's, and so on.
 #[derive(Debug, Clone)]
 pub struct NodeSketch {
     families: Families,
@@ -61,9 +63,28 @@ fn xor_words(dst: &mut [u64], src: &[u64]) {
     }
 }
 
-/// Words of one round of a stack over `families`.
+/// Words of one round of a stack over `families`: every round's.
 fn round_words(families: &[Arc<CubeSketchFamily<Xxh64Hasher>>]) -> usize {
     families.first().map_or(0, |f| f.words())
+}
+
+/// True if words over `families` are byte for byte their encoding, so a
+/// file region reads into them, and writes from them, directly.
+fn encodes_in_place(families: &[Arc<CubeSketchFamily<Xxh64Hasher>>]) -> bool {
+    families.first().is_none_or(|f| f.encodes_in_place())
+}
+
+/// The layout's one encoder ([`SketchParams::encode`]).
+fn encode<'a>(families: &Families, words: &'a [u64], buf: &'a mut Vec<u8>) -> &'a [u8] {
+    if encodes_in_place(families) {
+        return word_bytes(words);
+    }
+    buf.clear();
+    // Any round's family reads any round's slice: they share one geometry.
+    for slice in words.chunks_exact(families[0].words()) {
+        CubeRound::new(&families[0], slice).append_words(buf);
+    }
+    buf
 }
 
 /// True if two stacks' rounds are mergeable (the same families, or
@@ -92,35 +113,17 @@ impl<'a> Stack<'a> {
         CubeRound::new(&self.families[r], &self.words[r * self.stride..][..len])
     }
 
-    /// Append the stack's encoding to `out`: its rounds' resident words,
-    /// concatenated — one pass over the words where the stack is
-    /// contiguous and its rounds carry no padding.
+    /// Append the stack's encoding to `out`: its rounds', in round order.
     pub(crate) fn append_words(&self, out: &mut Vec<u8>) {
-        let rw = round_words(self.families);
-        let exact = self.families.first().is_some_and(|f| f.payload_bytes() == rw * 8);
-        if !(self.contiguous() && exact) {
-            for r in 0..self.num_rounds() {
-                self.round(r).append_words(out);
-            }
-            return;
-        }
-        let words = &self.words[..self.num_rounds() * rw];
-        let start = out.len();
-        out.resize(start + words.len() * 8, 0);
-        for (c, w) in out[start..].chunks_exact_mut(8).zip(words) {
-            c.copy_from_slice(&w.to_le_bytes());
+        let mut buf = Vec::new();
+        for r in 0..self.num_rounds() {
+            out.extend_from_slice(encode(self.families, self.round(r).words(), &mut buf));
         }
     }
 
-    /// An owned copy: one allocation, one copy where the stack is
-    /// contiguous.
+    /// An owned copy: one allocation.
     pub(crate) fn to_node_sketch(self) -> NodeSketch {
-        let rw = round_words(self.families);
-        let words = if self.contiguous() {
-            self.words[..self.num_rounds() * rw].into()
-        } else {
-            (0..self.num_rounds()).flat_map(|r| self.round(r).words()).copied().collect()
-        };
+        let words = (0..self.num_rounds()).flat_map(|r| self.round(r).words()).copied().collect();
         NodeSketch { families: Arc::clone(self.families), words }
     }
 }
@@ -239,8 +242,9 @@ impl NodeSketch {
     /// Every round, writable — one view a round, each over its own words,
     /// so rounds can go to different threads (*sketch-level parallelism*,
     /// paper §5.1: "a CubeSketch is only modified by one thread in a group
-    /// \[and\] no locking is necessary at the sketch level"). The
-    /// repository benchmark's sketch probe takes its round 0 this way.
+    /// \[and\] no locking is necessary at the sketch level"). A benchmark
+    /// pin: the repository benchmark's sketch probe takes its round 0 this
+    /// way, and nothing else calls it.
     pub fn rounds_mut(&mut self) -> Vec<CubeRoundMut<'_>> {
         let len = round_words(&self.families).max(1);
         self.families
@@ -290,7 +294,9 @@ impl NodeSketch {
     }
 }
 
-/// Shared per-round CubeSketch families for a whole system.
+/// Shared per-round CubeSketch families for a whole system, and the one
+/// owner of where a stack's words lie and how they are encoded (the
+/// module's documentation).
 ///
 /// All vertices share the same per-round hash functions — required for
 /// supernode merging — so families are constructed once and handed to every
@@ -331,49 +337,90 @@ impl SketchParams {
         self.families.len()
     }
 
-    /// Words of one round of a stack in memory
-    /// ([`CubeSketchFamily::words`]).
-    pub fn round_words(&self) -> usize {
-        round_words(&self.families)
-    }
-
-    /// Words of one stack in memory: every round's.
-    pub fn node_words(&self) -> usize {
-        self.rounds() * self.round_words()
-    }
-
-    /// True if a stack, and a node group's image, are byte for byte their
-    /// encoding in memory ([`CubeSketchFamily::encodes_in_place`]), so a
-    /// file region reads into them, and writes from them, directly.
-    pub fn encodes_in_place(&self) -> bool {
-        self.families.first().is_none_or(|f| f.encodes_in_place())
-    }
-
     /// A fresh all-zero node sketch: one allocation.
     pub fn new_node_sketch(&self) -> CubeNodeSketch {
         NodeSketch {
             families: Arc::clone(&self.families),
-            words: vec![0u64; self.node_words()].into_boxed_slice(),
+            words: vec![0u64; self.image_words(1)].into_boxed_slice(),
         }
     }
 
-    /// Node `i`'s stack in a round-major image of `nodes` stacks (a node
-    /// group's, [`crate::store::SketchStore`]): round `r` of node `i` at
-    /// words `(r × nodes + i) × round_words`.
-    pub(crate) fn stack_in<'a>(&'a self, image: &'a [u64], nodes: usize, i: usize) -> Stack<'a> {
-        let rw = self.round_words();
-        Stack { families: &self.families, words: &image[i * rw..], stride: nodes * rw }
+    /// Words of `k` stacks: one node's, or a node group's round-major
+    /// image (round `r` of node `i` at slice `r × k + i`).
+    pub(crate) fn image_words(&self, k: usize) -> usize {
+        k * self.rounds() * round_words(&self.families)
     }
 
-    /// [`Self::stack_in`], writable.
-    pub(crate) fn stack_in_mut<'a>(
-        &'a self,
-        image: &'a mut [u64],
-        nodes: usize,
-        i: usize,
-    ) -> StackMut<'a> {
-        let rw = self.round_words();
-        StackMut { families: &self.families, words: &mut image[i * rw..], stride: nodes * rw }
+    /// Bytes of the encoding of `k` stacks: a checkpoint's node, the disk
+    /// store's node group.
+    pub(crate) fn image_bytes(&self, k: usize) -> usize {
+        k * self.node_sketch_resident_bytes()
+    }
+
+    /// Round `round`'s bytes in the encoding of `k` stacks' image: one
+    /// contiguous span, the one read a Borůvka round makes of a node group
+    /// (paper §4.2).
+    pub(crate) fn round_span(&self, k: usize, round: usize) -> Range<usize> {
+        let len = k * self.round_resident_bytes();
+        round * len..(round + 1) * len
+    }
+
+    /// Node `i`'s stack in `image`, the round-major words of as many stacks
+    /// as its length holds.
+    pub(crate) fn stack_at<'a>(&'a self, image: &'a [u64], i: usize) -> Stack<'a> {
+        let (rw, k) = (round_words(&self.families), image.len() / self.image_words(1).max(1));
+        Stack { families: &self.families, words: &image[i * rw..], stride: k * rw }
+    }
+
+    /// [`Self::stack_at`], writable.
+    pub(crate) fn stack_at_mut<'a>(&'a self, image: &'a mut [u64], i: usize) -> StackMut<'a> {
+        let (rw, k) = (round_words(&self.families), image.len() / self.image_words(1).max(1));
+        StackMut { families: &self.families, words: &mut image[i * rw..], stride: k * rw }
+    }
+
+    /// Node `i`'s slice in `slices`, a [`Self::round_span`] decoded.
+    pub(crate) fn round_at<'a>(&'a self, slices: &'a [u64], i: usize, r: usize) -> CubeRound<'a> {
+        let rw = round_words(&self.families);
+        CubeRound::new(&self.families[r], &slices[i * rw..][..rw])
+    }
+
+    /// The encoding of `words`, whole round slices in the order they lie
+    /// (an image, a stack, one round's slices): the words' own bytes where
+    /// they are their encoding, else encoded into `buf`.
+    pub(crate) fn encode<'a>(&self, words: &'a [u64], buf: &'a mut Vec<u8>) -> &'a [u8] {
+        encode(&self.families, words, buf)
+    }
+
+    /// Decode `len` bytes that [`Self::encode`] wrote into `words`, resized
+    /// to fit: `read` fills the words' own bytes where they are their
+    /// encoding, else a staging buffer then decoded slice by slice.
+    pub(crate) fn decode<E>(
+        &self,
+        words: &mut Vec<u64>,
+        len: usize,
+        read: impl FnOnce(&mut [u8]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let (rw, rb) = (round_words(&self.families), self.round_resident_bytes().max(1));
+        words.resize(len / rb * rw, 0);
+        if encodes_in_place(&self.families) {
+            return read(word_bytes_mut(words));
+        }
+        let mut staged = vec![0u8; len];
+        read(&mut staged)?;
+        for (slice, bytes) in words.chunks_exact_mut(rw).zip(staged.chunks_exact(rb)) {
+            CubeRoundMut::new(&self.families[0], slice).load_words(bytes);
+        }
+        Ok(())
+    }
+
+    /// [`Self::decode`] of one node sketch.
+    pub(crate) fn read_node_sketch<E>(
+        &self,
+        read: impl FnOnce(&mut [u8]) -> Result<(), E>,
+    ) -> Result<CubeNodeSketch, E> {
+        let mut words = Vec::new();
+        self.decode(&mut words, self.image_bytes(1), read)?;
+        Ok(NodeSketch { families: Arc::clone(&self.families), words: words.into() })
     }
 
     /// Bytes of one node sketch under the paper's accounting: 12 bytes a
@@ -382,53 +429,48 @@ impl SketchParams {
         self.families.iter().map(|f| f.geometry().cube_sketch_bytes()).sum()
     }
 
+    /// Resident (and encoded) bytes of one stack of `rounds` rounds at
+    /// `geometry`, sized without families (a checkpoint header's).
+    pub fn stack_resident_bytes(geometry: SketchGeometry, rounds: usize) -> usize {
+        geometry.cube_resident_bytes() * rounds
+    }
+
     /// Resident size of one node sketch ([`NodeSketch::payload_bytes`]),
     /// which is also its encoding's: what a checkpoint, the state digest
     /// and the disk store's file hold a node.
     pub fn node_sketch_resident_bytes(&self) -> usize {
-        self.families.iter().map(|f| f.payload_bytes()).sum()
+        self.families.first().map_or(0, |f| Self::stack_resident_bytes(f.geometry(), self.rounds()))
     }
 
-    /// Resident (and encoded) size of the round-`round` slice of a node
-    /// sketch ([`CubeRound::append_words`]).
-    pub fn round_resident_bytes(&self, round: usize) -> usize {
-        self.families[round].payload_bytes()
+    /// Resident (and encoded) size of one round's slice of a node sketch:
+    /// every round's is the same.
+    pub fn round_resident_bytes(&self) -> usize {
+        self.families.first().map_or(0, |f| Self::stack_resident_bytes(f.geometry(), 1))
     }
 
     /// Encode a node sketch into `out`: its rounds' resident words,
-    /// concatenated — one pass over the stack's words.
+    /// concatenated — the layout's one encoder at one stack.
     pub fn serialize_node_sketch(&self, sketch: &CubeNodeSketch, out: &mut Vec<u8>) {
-        sketch.view().append_words(out);
+        out.extend_from_slice(self.encode(&sketch.words, &mut Vec::new()));
     }
 
-    /// Decode a node sketch [`Self::serialize_node_sketch`] wrote: one pass
-    /// into one allocation.
+    /// Decode a node sketch [`Self::serialize_node_sketch`] wrote: the
+    /// layout's one decoder at one stack.
     ///
     /// # Panics
     /// Panics if `bytes` is not [`Self::node_sketch_resident_bytes`] long.
     pub fn deserialize_node_sketch(&self, bytes: &[u8]) -> CubeNodeSketch {
-        assert_eq!(
-            bytes.len(),
-            self.node_sketch_resident_bytes(),
-            "node sketch of another geometry"
-        );
-        let mut sketch = self.new_node_sketch();
-        if self.node_words() * 8 == bytes.len() {
-            for (w, c) in sketch.words.iter_mut().zip(bytes.chunks_exact(8)) {
-                *w = u64::from_le_bytes(c.try_into().expect("chunk is 8 bytes"));
-            }
-        } else {
-            for (r, round) in bytes.chunks_exact(self.round_resident_bytes(0)).enumerate() {
-                sketch.round_mut(r).load_words(round);
-            }
-        }
+        let Ok(sketch) = self.read_node_sketch(|words| {
+            words.copy_from_slice(bytes);
+            Ok::<_, std::convert::Infallible>(())
+        });
         sketch
     }
 
     /// Encode only the round-`round` slice of a node sketch — the unit a
     /// shard's `GatherRound` reply moves (one round of one vertex).
     pub fn serialize_round(&self, sketch: &CubeNodeSketch, round: usize, out: &mut Vec<u8>) {
-        sketch.round(round).append_words(out);
+        out.extend_from_slice(self.encode(sketch.round(round).words(), &mut Vec::new()));
     }
 
     /// Decode a round slice [`Self::serialize_round`] wrote.
@@ -441,11 +483,11 @@ impl SketchParams {
         sketch
     }
 
-    /// Check a round-`round` slice from outside the process (a shard's
-    /// reply) before it is folded. Every bit pattern is a payload, so its
-    /// length is all there is to check.
-    pub fn check_round(&self, round: usize, bytes: &[u8]) -> Result<(), PayloadError> {
-        let (expected, got) = (self.round_resident_bytes(round), bytes.len());
+    /// Check a round slice from outside the process (a shard's reply)
+    /// before it is folded. Every bit pattern is a payload, so its length
+    /// is all there is to check.
+    pub fn check_round(&self, bytes: &[u8]) -> Result<(), PayloadError> {
+        let (expected, got) = (self.round_resident_bytes(), bytes.len());
         if got == expected {
             Ok(())
         } else {
@@ -562,7 +604,7 @@ mod tests {
         p.serialize_node_sketch(&s, &mut whole);
         let mut off = 0;
         for r in 0..s.num_rounds() {
-            let len = p.round_resident_bytes(r);
+            let len = p.round_resident_bytes();
             let mut slice = Vec::new();
             p.serialize_round(&s, r, &mut slice);
             assert_eq!(&whole[off..off + len], &slice[..], "round {r}");
@@ -713,7 +755,7 @@ mod tests {
         let (mut got, mut whole) = (Vec::new(), Vec::new());
         p_fewer.serialize_node_sketch(&s_fewer, &mut got);
         p_more.serialize_node_sketch(&s_more, &mut whole);
-        let prefix: usize = (0..fewer as usize).map(|r| p_more.round_resident_bytes(r)).sum();
+        let prefix: usize = fewer as usize * p_more.round_resident_bytes();
         assert_eq!(got.len(), prefix);
         assert_eq!(got[..], whole[..got.len()]);
     }

@@ -145,8 +145,7 @@ impl ShardConfig {
     /// (`store::disk::node_groups`).
     pub fn disk_groups(&self, block_bytes: usize) -> (u64, u64) {
         let owned = crate::store::NodeSet::strided(self.num_nodes, 0, self.num_shards).len();
-        let node_bytes = self.params().node_sketch_resident_bytes();
-        crate::store::disk::node_groups(block_bytes, node_bytes, owned as u64)
+        crate::store::disk::node_groups(&self.params(), block_bytes, owned as u64)
     }
 
     /// The paged store of this configuration's shards, its file in `dir`:
@@ -834,7 +833,7 @@ fn validate_round_entry(
     }
     match e.bytes.first() {
         Some(0) => {
-            if let Err(bad) = params.check_round(round, &e.bytes[1..]) {
+            if let Err(bad) = params.check_round(&e.bytes[1..]) {
                 return Err(GzError::Protocol(format!(
                     "round {round} dense slice for node {}: {bad}",
                     e.node
@@ -1319,13 +1318,22 @@ mod tests {
         // drive it directly: over honest replies it builds the accumulators
         // the in-place fold builds, and a reply that repeats a node, omits
         // one, names one outside the universe or mangles a slice is refused.
-        let n = 12u64;
+        // At V = 100 000 a dense entry is a padded wide slice (99 buckets,
+        // edge indices past 2^32).
+        for n in [12u64, 100_000] {
+            gather_fold_checks_at(n);
+        }
+    }
+
+    fn gather_fold_checks_at(n: u64) {
         let mut config = ShardConfig::in_ram(n, 3);
         config.sketch_threshold = 2; // a hub promotes, leaves stay exact sets
         let params = config.params();
+        assert_eq!(params.families[0].encodes_in_place(), n == 12, "V = {n}");
         let mut fleet = InProcessTransport::new(&config).unwrap();
-        for leaf in 1..8u32 {
-            for (node, other) in [(0, leaf), (leaf, 0)] {
+        let hub = n as u32 - 12;
+        for leaf in hub + 1..hub + 8 {
+            for (node, other) in [(hub, leaf), (leaf, hub)] {
                 let others = vec![crate::node_sketch::encode_other(other, false)];
                 fleet.send_batch(node % 3, gz_gutters::Batch { node, others }).unwrap();
             }
@@ -1513,7 +1521,7 @@ mod tests {
             let mut seen = vec![false; 4];
             validate_round_entry(&mut seen, &SketchEntry { node: 1, bytes }, &params, 1)
         };
-        let dense = 1 + params.round_resident_bytes(1);
+        let dense = 1 + params.round_resident_bytes();
         assert!(check(vec![]).is_err(), "empty entry");
         assert!(check(vec![7, 0, 0]).is_err(), "unknown tag");
         assert!(check(vec![0; dense - 1]).is_err(), "dense payload one byte short");

@@ -4,8 +4,7 @@
 //! into a pluggable [`SketchStore`] (RAM or disk) — the paper's ingestion
 //! pipeline (§5.1), which is the whole of a one-shard system. The store
 //! covers only the shard's residue class: dense sketch memory is
-//! `owned_nodes × node_sketch_resident_bytes`, not
-//! `V × node_sketch_resident_bytes`.
+//! `owned_nodes` stacks, not `V`.
 
 use crate::boruvka::RoundSink;
 use crate::checkpoint::{load_checkpoint, write_checkpoint, CheckpointHeader};
@@ -364,10 +363,9 @@ impl ShardPipeline {
             set.encode_wire(&mut bytes);
             entries.push(SketchEntry { node, bytes });
         });
+        let mut buf = Vec::new();
         self.store.stream_round_dense(round, &|_| true, overlay, &mut |node, sketch| {
-            let mut bytes = Vec::with_capacity(1 + self.params.round_resident_bytes(round));
-            bytes.push(0u8);
-            sketch.append_words(&mut bytes);
+            let bytes = [&[0u8], self.params.encode(sketch.words(), &mut buf)].concat();
             entries.push(SketchEntry { node, bytes });
         })?;
         Ok(entries)

@@ -10,12 +10,12 @@
 //!   group faults in from a zero-filled file.
 //! - With a file (the SSD model) a group is `max(1, B/sketch_size)` nodes
 //!   at a fixed offset in a pre-allocated scratch file. The file holds each
-//!   sketch's resident words, its one encoding
-//!   ([`gz_sketch::cube::CubeSketch::append_words`]: 8 bytes a bucket below
-//!   `2^32`, 12 above), so a fault copies words in and a write-back copies
-//!   them out — no codec. Nothing else reads the file, and it is deleted on
-//!   drop. A bounded LRU cache of loaded groups stands in for the paper's
-//!   RAM budget `M`; evictions write dirty groups back. Every file access
+//!   group's image in its one encoding, 8 bytes a bucket below `2^32` and
+//!   12 above: [`SketchParams`] sizes, slices, encodes and decodes it
+//!   (`crate::node_sketch`), so a fault and a write-back are one call to
+//!   it each. Nothing else reads the file, and it is deleted on drop. A
+//!   bounded LRU cache of loaded groups stands in for the paper's RAM
+//!   budget `M`; evictions write dirty groups back. Every file access
 //!   is recorded in [`IoStats`], which is how the experiment suite measures
 //!   the hybrid-model I/O claims instead of relying on cgroup-forced swap.
 //!
@@ -55,7 +55,7 @@ use crate::store::epoch::EpochOverlay;
 use crate::store::hybrid::Hybrid;
 use crate::store::{GraphDigestStripes, NodeSet, RepStats, ScratchPool};
 use gz_gutters::{CounterSet, IoStats, WorkerPool};
-use gz_sketch::cube::{word_bytes, word_bytes_mut, CubeRound, CubeRoundMut};
+use gz_sketch::cube::CubeRound;
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fs::File;
@@ -74,12 +74,12 @@ pub struct IoBackendConfig {}
 /// imports for its file-backed lane.
 pub use self::SketchStore as DiskStore;
 
-/// The node groups `slots` nodes are cut into at block size `block_bytes`
-/// (paper §4.1): `(nodes a group, groups)`, a group holding
-/// `max(1, B / node bytes)` nodes — a node's resident bytes, what the file
+/// The node groups `slots` stacks of `params` are cut into at block size
+/// `block_bytes` (paper §4.1): `(nodes a group, groups)`, a group holding
+/// `max(1, B / node bytes)` nodes — a node's encoded bytes, what the file
 /// holds — and no more than `slots`.
-pub(crate) fn node_groups(block_bytes: usize, node_bytes: usize, slots: u64) -> (u64, u64) {
-    let group = ((block_bytes / node_bytes.max(1)).max(1) as u64).min(slots.max(1));
+pub(crate) fn node_groups(params: &SketchParams, block_bytes: usize, slots: u64) -> (u64, u64) {
+    let group = ((block_bytes / params.image_bytes(1).max(1)).max(1) as u64).min(slots.max(1));
     (group, slots.div_ceil(group))
 }
 
@@ -106,12 +106,11 @@ fn write_at(file: &File, offset: u64, bytes: &[u8], io: &IoStats) -> std::io::Re
 type GroupEntry = Mutex<GroupState>;
 
 struct GroupState {
-    /// The group's stacks once `loaded`, in one allocation: its file image,
-    /// round-major (node `i`'s round `r` at words `(r × nodes + i) ×
-    /// round_words`, [`SketchParams::stack_in`]) — byte for byte the file's
-    /// region wherever the params [`SketchParams::encodes_in_place`]. Before
-    /// that, nothing in a resident group, and in a paged one whatever the
-    /// evicted group that donated the allocation left behind.
+    /// The group's stacks once `loaded`, in one allocation: its round-major
+    /// image ([`SketchParams::stack_at`]), whose encoding is the group's
+    /// file region. Before that, nothing in a resident group, and in a
+    /// paged one whatever the evicted group that donated the allocation
+    /// left behind.
     image: Vec<u64>,
     /// False until the group's first dense touch has allocated it
     /// (resident) or until the first holder of the lock has read it in
@@ -250,8 +249,6 @@ pub struct SketchStore {
     node_set: NodeSet,
     /// Nodes per group.
     group_size: u32,
-    /// Bytes of one node's stack: its resident words, what the file holds.
-    node_bytes: usize,
     locking: LockingStrategy,
     /// The groups of a store without a file, one lock each, allocated at
     /// a group's first dense touch (all of them up front at τ = 0): a slot
@@ -300,7 +297,7 @@ impl SketchStore {
         let resident = (0..node_set.len())
             .map(|_| match threshold {
                 0 => OnceLock::from(Box::new(Mutex::new(GroupState {
-                    image: vec![0; params.node_words()],
+                    image: vec![0; params.image_words(1)],
                     loaded: true,
                     dirty: false,
                 }))),
@@ -334,15 +331,14 @@ impl SketchStore {
         cache_groups: usize,
         threshold: u32,
     ) -> std::io::Result<Self> {
-        let node_bytes = params.node_sketch_resident_bytes();
-        let (group_size, num_groups) = node_groups(block_bytes, node_bytes, node_set.len() as u64);
+        let (group_size, num_groups) = node_groups(&params, block_bytes, node_set.len() as u64);
         let file = std::fs::OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(true)
             .open(&path)?;
-        file.set_len(num_groups * group_size * node_bytes as u64)?;
+        file.set_len(num_groups * params.image_bytes(group_size as usize) as u64)?;
         let pager = Pager {
             file,
             path,
@@ -391,7 +387,6 @@ impl SketchStore {
             reps: Hybrid::new(Arc::clone(&params), node_set, threshold),
             scratch: ScratchPool::new(Arc::clone(&params)),
             graph: GraphDigestStripes::new(),
-            node_bytes: params.node_sketch_resident_bytes(),
             params,
             node_set,
             group_size,
@@ -448,31 +443,32 @@ impl SketchStore {
         Ok(sealed())
     }
 
-    /// Write `dirty` — `(group, image)` in group order — in runs of groups
-    /// adjacent in the file (every non-final group fills the full
-    /// `group_size × node_bytes` region) of at most [`WRITEBACK_RUN_BYTES`]:
-    /// a one-group run straight from its image, a longer one through one
-    /// buffer.
+    /// Write `dirty` — `(group, image)` in group order: an evicted group, or
+    /// every dirty cached group of a write-back — in runs of groups
+    /// adjacent in the file (every non-final group fills its full region)
+    /// of at most [`WRITEBACK_RUN_BYTES`]: a one-group run encoded from its
+    /// image, a longer one from its images copied into one buffer.
     fn write_runs(&self, pager: &Pager, dirty: &[(u32, &[u64])]) -> std::io::Result<()> {
-        let mut buf = Vec::new();
+        let region = |group| self.params.image_bytes(self.nodes_in_group(group) as usize);
+        let (mut words, mut buf) = (Vec::new(), Vec::new());
         let mut rest = dirty;
         while let Some(&(first, image)) = rest.first() {
-            let mut len = self.group_bytes(first);
+            let mut len = region(first);
             let mut run = 1;
             while let Some(&(group, _)) = rest.get(run) {
                 let adjacent = group == first + run as u32;
-                if !(adjacent && len + self.group_bytes(group) <= WRITEBACK_RUN_BYTES) {
+                if !(adjacent && len + region(group) <= WRITEBACK_RUN_BYTES) {
                     break;
                 }
-                len += self.group_bytes(group);
+                len += region(group);
                 run += 1;
             }
             let bytes = match run {
-                1 => self.encoded(image, &mut buf),
+                1 => self.params.encode(image, &mut buf),
                 _ => {
-                    buf.clear();
-                    rest[..run].iter().for_each(|(_, image)| self.encode_image(image, &mut buf));
-                    &buf[..]
+                    words.clear();
+                    rest[..run].iter().for_each(|(_, image)| words.extend_from_slice(image));
+                    self.params.encode(&words, &mut buf)
                 }
             };
             write_at(&pager.file, self.group_offset(first), bytes, &pager.io)?;
@@ -523,8 +519,7 @@ impl SketchStore {
     /// Bytes of this store's file, if it has one: every group at its
     /// resident words.
     pub fn file_bytes(&self) -> Option<u64> {
-        let group_bytes = self.group_size as u64 * self.node_bytes as u64;
-        self.pager.as_ref().map(|_| self.num_groups() as u64 * group_bytes)
+        self.pager.as_ref().map(|_| self.group_offset(self.num_groups()))
     }
 
     /// Nodes per group: `max(1, B/sketch)` with a file (paper §4.1), one
@@ -574,7 +569,7 @@ impl SketchStore {
     }
 
     fn group_offset(&self, group: u32) -> u64 {
-        group as u64 * self.group_size as u64 * self.node_bytes as u64
+        group as u64 * self.params.image_bytes(self.group_size as usize) as u64
     }
 
     /// The slots of `group`.
@@ -585,87 +580,6 @@ impl SketchStore {
 
     fn nodes_in_group(&self, group: u32) -> u32 {
         self.slots_of(group).len() as u32
-    }
-
-    /// Bytes of `group`'s file region: its nodes' resident words.
-    fn group_bytes(&self, group: u32) -> usize {
-        self.nodes_in_group(group) as usize * self.node_bytes
-    }
-
-    /// Append a group's file region to `out`, from its image: the image's
-    /// own bytes where they are its encoding, else slice by slice.
-    fn encode_image(&self, image: &[u64], out: &mut Vec<u8>) {
-        if self.params.encodes_in_place() {
-            out.extend_from_slice(word_bytes(image));
-            return;
-        }
-        let (rw, nodes) = (self.params.round_words(), image.len() / self.params.node_words());
-        for (j, slice) in image.chunks_exact(rw).enumerate() {
-            CubeRound::new(&self.params.families[j / nodes], slice).append_words(out);
-        }
-    }
-
-    /// A group's file region: its image itself where the image is its
-    /// encoding, else encoded into `buf`.
-    fn encoded<'a>(&self, image: &'a [u64], buf: &'a mut Vec<u8>) -> &'a [u8] {
-        if self.params.encodes_in_place() {
-            return word_bytes(image);
-        }
-        buf.clear();
-        self.encode_image(image, buf);
-        buf
-    }
-
-    /// Read `round`'s slices of `nodes` stacks — a group's whole image at
-    /// `round = None` — from `offset` into `words`, resized to fit: straight
-    /// into the words where they are their encoding, else through a byte
-    /// buffer, slice by slice.
-    fn read_words(
-        &self,
-        file: &File,
-        offset: u64,
-        nodes: usize,
-        round: Option<usize>,
-        words: &mut Vec<u64>,
-        io: &IoStats,
-    ) -> std::io::Result<()> {
-        let slices = nodes * round.map_or(self.params.rounds(), |_| 1);
-        let rw = self.params.round_words();
-        if words.len() != slices * rw {
-            words.clear();
-            words.resize(slices * rw, 0);
-        }
-        if self.params.encodes_in_place() {
-            return read_at(file, offset, word_bytes_mut(words), io);
-        }
-        let rb = self.params.round_resident_bytes(0);
-        let mut bytes = vec![0u8; slices * rb];
-        read_at(file, offset, &mut bytes, io)?;
-        for (j, (slice, b)) in words.chunks_exact_mut(rw).zip(bytes.chunks_exact(rb)).enumerate() {
-            let family = &self.params.families[round.unwrap_or(j / nodes)];
-            CubeRoundMut::new(family, slice).load_words(b);
-        }
-        Ok(())
-    }
-
-    /// Read `group` from the file into `image`.
-    fn load_group(&self, pager: &Pager, group: u32, image: &mut Vec<u64>) -> std::io::Result<()> {
-        let nodes = self.nodes_in_group(group) as usize;
-        self.read_words(&pager.file, self.group_offset(group), nodes, None, image, &pager.io)
-    }
-
-    fn write_group(&self, pager: &Pager, group: u32, image: &[u64]) -> std::io::Result<()> {
-        let mut buf = Vec::new();
-        write_at(&pager.file, self.group_offset(group), self.encoded(image, &mut buf), &pager.io)
-    }
-
-    /// The file offset of `group`'s round-`round` slice: one contiguous
-    /// span of the group's `k × round_bytes` column data (round-major
-    /// layout).
-    fn round_slice(&self, group: u32, round: usize) -> u64 {
-        let k = self.nodes_in_group(group) as usize;
-        let before: usize = (0..round).map(|r| self.params.round_resident_bytes(r)).sum();
-        self.group_offset(group) + (k * before) as u64
     }
 
     /// Run `f` with mutable access to a group, loaded first: a resident
@@ -723,7 +637,7 @@ impl SketchStore {
             let mut state = entry.lock();
             if !state.loaded {
                 let nodes = self.nodes_in_group(group) as usize;
-                state.image = vec![0; nodes * self.params.node_words()];
+                state.image = vec![0; self.params.image_words(nodes)];
                 state.loaded = true;
             }
             return Ok(f(&mut state));
@@ -732,8 +646,10 @@ impl SketchStore {
         let entry = self.record_failure(self.checkout_group(pager, group))?;
         let mut state = entry.lock();
         if !state.loaded {
-            let loaded = self.load_group(pager, group, &mut state.image);
-            self.record_failure(loaded)?;
+            let len = self.params.image_bytes(self.nodes_in_group(group) as usize);
+            let offset = self.group_offset(group);
+            let read = |bytes: &mut [u8]| read_at(&pager.file, offset, bytes, &pager.io);
+            self.record_failure(self.params.decode(&mut state.image, len, read))?;
             state.loaded = true;
         }
         Ok(f(&mut state))
@@ -802,7 +718,7 @@ impl SketchStore {
             // Out of the map and unused: this lock is uncontended.
             let mut state = victim.lock();
             let written = match state.dirty {
-                true => self.write_group(pager, victim_group, &state.image),
+                true => self.write_runs(pager, &[(victim_group, &state.image)]),
                 false => Ok(()),
             };
             spare = std::mem::take(&mut state.image);
@@ -863,7 +779,7 @@ impl SketchStore {
     /// allocation at the first dense touch).
     #[cfg(test)]
     pub(crate) fn resident_stacks(&self) -> usize {
-        let words = self.params.node_words();
+        let words = self.params.image_words(1);
         self.resident
             .iter()
             .flat_map(OnceLock::get)
@@ -882,8 +798,7 @@ impl SketchStore {
     /// group's lock ([`Self::with_group`]).
     fn with_stack(&self, slot: usize, f: impl FnOnce(StackMut<'_>)) -> std::io::Result<()> {
         let (group, local) = (self.group_of_slot(slot), slot % self.group_size as usize);
-        let nodes = self.nodes_in_group(group) as usize;
-        self.with_group(group, |image| f(self.params.stack_in_mut(image, nodes, local)))
+        self.with_group(group, |image| f(self.params.stack_at_mut(image, local)))
     }
 
     /// Flush every dirty cached group back to the file (adjacent dirty
@@ -973,10 +888,9 @@ impl SketchStore {
                 let slots = self.slots_of(group);
                 dense.clear();
                 dense.extend(slots.clone().filter(|&slot| claims.emits[slot]));
-                let nodes = slots.len();
                 let borrowed = |image: &[u64], emit: &mut dyn FnMut(u32, CubeRound<'_>)| {
                     for &slot in &dense {
-                        let stack = self.params.stack_in(image, nodes, slot - slots.start);
+                        let stack = self.params.stack_at(image, slot - slots.start);
                         emit(self.node_set.node(slot), stack.round(round));
                     }
                 };
@@ -992,9 +906,11 @@ impl SketchStore {
                     borrowed(&pre, emit);
                     continue;
                 }
-                let offset = self.round_slice(group, round);
-                let read =
-                    self.read_words(&pager.file, offset, nodes, Some(round), &mut words, &local_io);
+                let span = self.params.round_span(slots.len(), round);
+                let offset = self.group_offset(group) + span.start as u64;
+                let read = self.params.decode(&mut words, span.len(), |bytes| {
+                    read_at(&pager.file, offset, bytes, &local_io)
+                });
                 if let Err(e) = read {
                     claims.next.store(claims.wanted.len(), Ordering::Relaxed);
                     claims.first_error.lock().get_or_insert(e);
@@ -1004,13 +920,9 @@ impl SketchStore {
                     borrowed(&pre, emit);
                     continue;
                 }
-                let rw = self.params.round_words();
                 for &slot in &dense {
-                    let slice = &words[(slot - slots.start) * rw..][..rw];
-                    emit(
-                        self.node_set.node(slot),
-                        CubeRound::new(&self.params.families[round], slice),
-                    );
+                    let slice = self.params.round_at(&words, slot - slots.start, round);
+                    emit(self.node_set.node(slot), slice);
                 }
             }
         }
@@ -1071,7 +983,7 @@ impl SketchStore {
     pub fn round_stream_resident_bytes(&self, round: usize, threads: usize) -> usize {
         match self.pager {
             None => 0,
-            Some(_) => threads * self.group_size as usize * self.params.round_resident_bytes(round),
+            Some(_) => threads * self.params.round_span(self.group_size as usize, round).len(),
         }
     }
 
@@ -1110,7 +1022,7 @@ impl SketchStore {
                             Some(set) => {
                                 visit(set.densify(self.node_set.node(slot), &self.params).view())
                             }
-                            None => visit(self.params.stack_in(image, slots.len(), i)),
+                            None => visit(self.params.stack_at(image, i)),
                         }
                     }
                 })?;
@@ -1142,9 +1054,7 @@ impl SketchStore {
         &self,
         f: &mut dyn FnMut(u32, &[u8]) -> std::io::Result<()>,
     ) -> std::io::Result<()> {
-        let node_bytes = self.params.node_sketch_resident_bytes();
-        let bytes =
-            std::cell::RefCell::new(Vec::with_capacity(self.group_size as usize * node_bytes));
+        let (node_bytes, bytes) = (self.params.image_bytes(1), std::cell::RefCell::new(Vec::new()));
         let mut next = 0;
         self.visit_stacks(&mut |stack| stack.append_words(&mut bytes.borrow_mut()), &mut || {
             let mut bytes = bytes.borrow_mut();
@@ -1261,7 +1171,7 @@ mod tests {
             let (reads_after, _, bytes_after, _) = s.io().snapshot();
             assert_eq!(reads_after - reads, wanted.len() as u64, "round {round}");
             let slices: u32 = wanted.iter().map(|&g| s.nodes_in_group(g)).sum();
-            let slice_bytes = slices as u64 * params.round_resident_bytes(round) as u64;
+            let slice_bytes = slices as u64 * params.round_resident_bytes() as u64;
             assert_eq!(bytes_after - bytes, slice_bytes, "round {round}");
             assert_eq!(emitted, (0..4096).filter(|&v| live(v)).count(), "round {round}");
         }
@@ -1365,10 +1275,10 @@ mod tests {
         s.flush().unwrap();
         let snap = s.snapshot();
         for round in 0..s.params().rounds() {
-            let offset = s.round_slice(0, round);
-            let mut slice = vec![0u8; 12 * s.params().round_resident_bytes(round)];
-            s.file().read_exact_at(&mut slice, offset).unwrap();
-            let rb = s.params().round_resident_bytes(round);
+            let span = s.params().round_span(12, round);
+            let mut slice = vec![0u8; span.len()];
+            s.file().read_exact_at(&mut slice, span.start as u64).unwrap();
+            let rb = s.params().round_resident_bytes();
             let mut expected = Vec::new();
             for sk in snap.iter() {
                 sk.as_ref().unwrap().round(round).append_words(&mut expected);
@@ -1454,7 +1364,7 @@ mod tests {
                 assert_eq!(reads - reads_before, 15, "{threads} threads, round {round}");
                 assert_eq!(
                     bytes_read - bytes_before,
-                    15 * s.params().round_resident_bytes(round) as u64,
+                    15 * s.params().round_resident_bytes() as u64,
                     "{threads} threads, round {round}"
                 );
 
@@ -1790,42 +1700,71 @@ mod tests {
 
     #[test]
     fn a_wide_family_survives_eviction_and_refault() {
-        // Past 2^32 a bucket keeps its α-high word as well: 12 resident bytes,
-        // and the file holds that plane too. Five strided nodes of a
-        // 100 000-vertex graph, one a group, one group cached, so every
-        // batch evicts a dirty group and a later one refaults it: the state
-        // must come back from the file as a RAM store holds it.
-        let v = 100_000u64;
-        let params = Arc::new(SketchParams::new(v, 3, 3, 7));
-        assert!(params.families[0].geometry().vector_len >= 1 << 32);
-        assert_eq!(params.node_sketch_resident_bytes(), params.node_sketch_bytes());
-        let owned = NodeSet::strided(v, 3, 20_000);
-        let path = tmp("wide");
-        let disk = SketchStore::with_file(Arc::clone(&params), owned, path.to_path_buf(), 1, 1, 0)
-            .unwrap();
-        assert_eq!((disk.group_size(), disk.num_groups()), (1, 5));
-        let ram = SketchStore::for_nodes(Arc::clone(&params), LockingStrategy::Direct, owned);
-        for i in 0..40u32 {
-            let node = owned.node(i as usize % owned.len());
-            // Neighbours above 70 000 give the nodes above it edge indices
-            // past 2^32.
-            let batch: Vec<u32> = (0..6u32)
-                .map(|j| 70_000 + (i * 7_919 + j * 10_477) % 30_000)
-                .chain([(i * 2_003) % 70_000])
-                .filter(|&other| other != node)
-                .map(|other| encode_other(other, false))
-                .collect();
-            disk.apply_batch(node, &batch);
-            ram.apply_batch(node, &batch);
+        // Past 2^32 a bucket keeps its α-high word too: 12 bytes, on file as
+        // well. At V = 100 000 a round's 99 buckets (33 rows × 3) end the
+        // plane in a padding half-word, so images are encoded slice by slice;
+        // at V = 150 000 (102 buckets) the words are their encoding. Two
+        // nodes a group, one group cached (batches evict and refault) or all
+        // (the seal writes one run): each store must hold what a RAM store
+        // holds, snapshot, digest and round stream alike.
+        for (v, padded) in [(100_000u64, true), (150_000, false)] {
+            let params = Arc::new(SketchParams::new(v, 3, 3, 7));
+            let family = &params.families[0];
+            assert_eq!(family.encodes_in_place(), !padded, "V = {v}");
+            assert_eq!(params.node_sketch_resident_bytes(), params.node_sketch_bytes(), "wide");
+            let owned = NodeSet::strided(v, 3, 20_000);
+            let block = 2 * params.node_sketch_resident_bytes();
+            let paths = [1, 8].map(|cache| (tmp(&format!("wide-{v}-{cache}")), cache));
+            let [evicting, cached] = paths.each_ref().map(|(path, cache)| {
+                let path = path.to_path_buf();
+                SketchStore::with_file(Arc::clone(&params), owned, path, block, *cache, 0).unwrap()
+            });
+            let groups = owned.len().div_ceil(2) as u32;
+            assert_eq!((evicting.group_size(), evicting.num_groups()), (2, groups), "V = {v}");
+            let ram = SketchStore::for_nodes(Arc::clone(&params), LockingStrategy::Direct, owned);
+            for i in 0..40u32 {
+                let node = owned.node(i as usize % owned.len());
+                // Neighbours above 70 000 give the nodes above it edge
+                // indices past 2^32.
+                let batch: Vec<u32> = (0..6u32)
+                    .map(|j| 70_000 + (i * 7_919 + j * 10_477) % 30_000)
+                    .chain([(i * 2_003) % 70_000])
+                    .filter(|&other| other != node)
+                    .map(|other| encode_other(other, false))
+                    .collect();
+                for store in [&evicting, &cached, &ram] {
+                    store.apply_batch(node, &batch);
+                }
+            }
+            assert!(evicting.io().reads() > groups as u64, "V = {v}: groups were refaulted");
+            let (_, writes_before, _, bytes_before) = cached.io().snapshot();
+            let _epoch = cached.begin_epoch().unwrap();
+            let (_, writes, _, bytes_written) = cached.io().snapshot();
+            assert_eq!(writes - writes_before, 1, "V = {v}: the seal writes one run");
+            let stacks = (owned.len() * params.node_sketch_resident_bytes()) as u64;
+            assert_eq!(bytes_written - bytes_before, stacks, "V = {v}: every stack once");
+
+            let reference = ram.snapshot();
+            let want = serialized(&params, reference.clone());
+            let buckets = family.geometry().num_buckets();
+            let high_word =
+                |stack: &Vec<u8>| stack[..buckets * 8].chunks(8).any(|a| a[4..] != [0; 4]);
+            assert!(want.iter().any(high_word), "V = {v}: some α uses its high word");
+            for disk in [&evicting, &cached] {
+                assert_eq!(serialized(&params, disk.snapshot()), want, "V = {v}: snapshot");
+                assert_eq!(disk.state_digest().unwrap(), ram.state_digest().unwrap(), "V = {v}");
+                for round in 0..params.rounds() {
+                    let mut seen = 0;
+                    disk.stream_round_dense(round, &|_| true, None, &mut |node, slice| {
+                        let want = reference[owned.slot(node)].as_ref().unwrap().round(round);
+                        assert_eq!(slice.words(), want.words(), "V = {v}: {node}, round {round}");
+                        seen += 1;
+                    })
+                    .unwrap();
+                    assert_eq!(seen, owned.len(), "V = {v}: round {round}");
+                }
+            }
         }
-        assert!(disk.io().reads() > 5, "groups were refaulted");
-        let (want, got) =
-            (serialized(&params, ram.snapshot()), serialized(&params, disk.snapshot()));
-        let buckets = params.families[0].geometry().num_buckets();
-        let high_word = |stack: &Vec<u8>| stack[..buckets * 8].chunks(8).any(|a| a[4..] != [0; 4]);
-        assert!(want.iter().any(high_word), "some α uses its high word");
-        assert_eq!(got, want, "snapshot");
-        assert_eq!(disk.state_digest().unwrap(), ram.state_digest().unwrap(), "state digest");
     }
 
     /// `store`'s full state, one serialized node sketch per slot.

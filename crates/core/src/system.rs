@@ -392,7 +392,7 @@ mod tests {
         );
         // One query worker: an accumulator per vertex at most, plus one
         // window of group slices, which the cache budget (2 groups) caps.
-        let slice = gz.params().round_resident_bytes(0);
+        let slice = gz.params().round_resident_bytes();
         let bound = 64 * slice + 2 * gz.store().group_size() as usize * slice;
         assert!(
             product.peak_sketch_bytes <= bound,
